@@ -47,6 +47,14 @@ class ClusterConfig:
         for server_id in ids:
             require_positive(server_id, "server id")
         object.__setattr__(self, "server_ids", tuple(ids))
+        # Derived from ``server_ids`` and deliberately not a field: equality,
+        # hashing and the pickled form stay those of the membership tuple.
+        object.__setattr__(
+            self, "_position_of", {server_id: i for i, server_id in enumerate(ids)}
+        )
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[ServerId, ...]]]:
+        return type(self), (self.server_ids,)
 
     @classmethod
     def of_size(cls, n: int) -> "ClusterConfig":
@@ -75,12 +83,13 @@ class ClusterConfig:
 
     def peers_of(self, server_id: ServerId) -> tuple[ServerId, ...]:
         """Every member except *server_id*."""
-        if server_id not in self.server_ids:
+        position = self._position_of.get(server_id)
+        if position is None:
             raise ConfigurationError(f"S{server_id} is not a cluster member")
-        return tuple(other for other in self.server_ids if other != server_id)
+        return self.server_ids[:position] + self.server_ids[position + 1 :]
 
     def __contains__(self, server_id: object) -> bool:
-        return server_id in self.server_ids
+        return server_id in self._position_of
 
     def __iter__(self) -> Iterator[ServerId]:
         return iter(self.server_ids)

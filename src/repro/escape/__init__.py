@@ -25,7 +25,7 @@ from repro.escape.messages import (
 )
 from repro.escape.node import EscapeNode, EscapeNoPpfNode
 from repro.escape.ppf import FollowerResponsiveness, ProbingPatrol
-from repro.escape.sca import assign_initial_configurations
+from repro.escape.sca import assign_initial_configurations, joining_configuration
 
 __all__ = [
     "ConfigStatus",
@@ -38,4 +38,5 @@ __all__ = [
     "FollowerResponsiveness",
     "ProbingPatrol",
     "assign_initial_configurations",
+    "joining_configuration",
 ]

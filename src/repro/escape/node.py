@@ -35,7 +35,7 @@ from repro.escape.messages import (
     EscapeRequestVoteRequest,
 )
 from repro.escape.ppf import ProbingPatrol
-from repro.escape.sca import assign_initial_configurations
+from repro.escape.sca import joining_configuration
 from repro.raft.environment import Environment
 from repro.raft.listeners import NodeListener
 from repro.raft.messages import (
@@ -56,8 +56,9 @@ class EscapeNode(RaftNode):
         node_id, cluster, env, store, state_machine, protocol_config,
         listeners: as for :class:`~repro.raft.node.RaftNode`.
         initial_configuration: the SCA configuration this server starts with.
-            When omitted it is derived from the cluster membership and the
-            SCA parameters in ``protocol_config`` (priority = server id).
+            When omitted it is derived from the server's own id, the cluster
+            size and the SCA parameters in ``protocol_config`` (Eq. 1 with
+            priority = server id).
         timeout_override: optional scripted policy consulted *before* the
             configuration's timer period.  The Figure 10 harness uses this to
             force simultaneous timeouts (stale-configuration contention); it
@@ -90,9 +91,9 @@ class EscapeNode(RaftNode):
             listeners=listeners,
         )
         if initial_configuration is None:
-            initial_configuration = assign_initial_configurations(
-                list(cluster.server_ids), self.config.sca
-            )[node_id]
+            initial_configuration = joining_configuration(
+                node_id, cluster.size, self.config.sca
+            )
         self.configuration: Configuration = initial_configuration
         self._timeout_override = timeout_override
         self.patrol: ProbingPatrol | None = None
@@ -154,26 +155,28 @@ class EscapeNode(RaftNode):
             initial_clock=self.configuration.conf_clock + 1,
             stale_after_ms=4.0 * self.config.heartbeat_interval_ms,
         )
-        self.env.trace(
-            "ppf.start",
-            conf_clock=self.patrol.conf_clock,
-            leader_priority=self.configuration.priority,
-        )
+        if self._trace_on:
+            self.env.trace(
+                "ppf.start",
+                conf_clock=self.patrol.conf_clock,
+                leader_priority=self.configuration.priority,
+            )
 
     def _hook_before_heartbeat_round(self) -> None:
         """Run one PPF round right before broadcasting heartbeats."""
         if self.patrol is None:
             return
-        assignments = self.patrol.advance_round(self.env.now(), self.log.last_index)
-        self.env.trace(
-            "ppf.rearrange",
-            conf_clock=self.patrol.conf_clock,
-            future_leader=self.patrol.groomed_future_leader(),
-            assignment={
-                follower: configuration.priority
-                for follower, configuration in assignments.items()
-            },
-        )
+        self.patrol.advance_round(self.env.now(), self.log.last_index)
+        if self._trace_on:
+            self.env.trace(
+                "ppf.rearrange",
+                conf_clock=self.patrol.conf_clock,
+                future_leader=self.patrol.groomed_future_leader(),
+                assignment={
+                    follower: configuration.priority
+                    for follower, configuration in self.patrol.assignments.items()
+                },
+            )
 
     def _hook_decorate_append_request(
         self, request: AppendEntriesRequest, follower: ServerId
@@ -228,11 +231,12 @@ class EscapeNode(RaftNode):
             # the configuration back (the clock exists precisely for this).
             return
         if new_config != self.configuration:
-            self.env.trace(
-                "config.update",
-                old=self.configuration.describe(),
-                new=new_config.describe(),
-            )
+            if self._trace_on:
+                self.env.trace(
+                    "config.update",
+                    old=self.configuration.describe(),
+                    new=new_config.describe(),
+                )
             self.configuration = new_config
             self.configuration_updates += 1
 

@@ -102,6 +102,7 @@ class ProbingPatrol:
         if stale_after_ms <= 0:
             raise ConfigurationError("stale_after_ms must be positive")
         self._cluster_size = cluster_size
+        self._ladder = tuple(follower_priority_ladder(cluster_size))
         self._sca = sca
         self._clock = max(0, initial_clock)
         self._lag_entries_threshold = lag_entries_threshold
@@ -169,27 +170,22 @@ class ProbingPatrol:
     # ------------------------------------------------------------------ #
     # Rearrangement (called right before each heartbeat broadcast)
     # ------------------------------------------------------------------ #
-    def advance_round(
-        self, now_ms: Milliseconds, leader_last_index: LogIndex
-    ) -> Mapping[ServerId, Configuration]:
+    def advance_round(self, now_ms: Milliseconds, leader_last_index: LogIndex) -> None:
         """Run one PPF round: re-rank the followers and re-issue configurations.
 
-        Returns:
-            The follower → configuration assignment to piggyback on this
-            round's heartbeats.
+        The configuration clock advances only when the ranking hands some
+        follower a priority other than the one it holds; the node reads the
+        round's outcome through :meth:`configuration_for`.
         """
         ranking = self.ranked_followers(now_ms, leader_last_index)
-        ladder = follower_priority_ladder(self._cluster_size)
-        proposed = dict(zip(ranking, ladder))
-        current = {
-            follower: configuration.priority
-            for follower, configuration in self._assignments.items()
-        }
-        if proposed != current:
+        held = self._assignments
+        if any(
+            held[follower].priority != priority
+            for follower, priority in zip(ranking, self._ladder)
+        ):
             self._clock += 1
             self._rebuild_from(ranking)
             self.rearrangement_count += 1
-        return self.assignments
 
     def configuration_for(self, follower: ServerId) -> Configuration:
         """The configuration currently assigned to *follower*."""
@@ -226,9 +222,8 @@ class ProbingPatrol:
     # Internals
     # ------------------------------------------------------------------ #
     def _rebuild_from(self, ranking: list[ServerId]) -> None:
-        ladder = follower_priority_ladder(self._cluster_size)
         assignments: dict[ServerId, Configuration] = {}
-        for priority, follower in zip(ladder, ranking):
+        for priority, follower in zip(self._ladder, ranking):
             assignments[follower] = Configuration(
                 priority=priority,
                 timer_period_ms=self._sca.election_timeout_ms(

@@ -23,6 +23,32 @@ from repro.common.validation import require_non_empty, require_unique
 from repro.escape.configuration import Configuration
 
 
+def joining_configuration(
+    server_id: ServerId,
+    cluster_size: int,
+    params: ScaParameters,
+) -> Configuration:
+    """One joining server's initial configuration per SCA (Eq. 1).
+
+    The server needs nothing but its own identifier: ``P_i = i`` and
+    ``period_i = baseTime + k * (n - P_i)``, stamped with configuration
+    clock 0.
+
+    Raises:
+        ConfigurationError: if the identifier lies outside ``[1, n]``.
+    """
+    if not 1 <= server_id <= cluster_size:
+        raise ConfigurationError(
+            f"server id {server_id} is outside [1, {cluster_size}]; "
+            "SCA uses ids as priorities"
+        )
+    return Configuration(
+        priority=server_id,
+        timer_period_ms=params.election_timeout_ms(server_id, cluster_size),
+        conf_clock=0,
+    )
+
+
 def assign_initial_configurations(
     server_ids: Sequence[ServerId],
     params: ScaParameters,
@@ -45,18 +71,7 @@ def assign_initial_configurations(
     ids = require_non_empty(server_ids, "server_ids")
     require_unique(ids, "server_ids")
     n = len(ids)
-    configurations: dict[ServerId, Configuration] = {}
-    for server_id in ids:
-        if not 1 <= server_id <= n:
-            raise ConfigurationError(
-                f"server id {server_id} is outside [1, {n}]; SCA uses ids as priorities"
-            )
-        configurations[server_id] = Configuration(
-            priority=server_id,
-            timer_period_ms=params.election_timeout_ms(server_id, n),
-            conf_clock=0,
-        )
-    return configurations
+    return {server_id: joining_configuration(server_id, n, params) for server_id in ids}
 
 
 def follower_priority_ladder(cluster_size: int) -> list[int]:

@@ -461,12 +461,13 @@ class RaftNode:
 
         prev_log_index = request.prev_log_index
         if prev_log_index and not self.log.matches(prev_log_index, request.prev_log_term):
-            self.env.trace(
-                "log.reject",
-                leader=request.leader_id,
-                prev_index=request.prev_log_index,
-                prev_term=request.prev_log_term,
-            )
+            if self._trace_on:
+                self.env.trace(
+                    "log.reject",
+                    leader=request.leader_id,
+                    prev_index=request.prev_log_index,
+                    prev_term=request.prev_log_term,
+                )
             response = self._hook_make_append_response(
                 request, success=False, match_index=self.log.last_index
             )

@@ -56,6 +56,7 @@ class FakeEnvironment:
     timers: list[FakeTimer] = field(default_factory=list)
     traces: list[tuple[str, dict[str, Any]]] = field(default_factory=list)
     seed: int = 0
+    trace_enabled: bool = True
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)

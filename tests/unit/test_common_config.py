@@ -1,5 +1,8 @@
 """Unit tests for the cluster / protocol configuration dataclasses."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.common.config import (
@@ -43,6 +46,21 @@ class TestClusterConfig:
         assert 9 not in config
         assert list(config) == [1, 2, 3]
         assert len(config) == 3
+
+    def test_peers_of_keeps_membership_order(self):
+        config = ClusterConfig(server_ids=(7, 2, 9, 4))
+        assert config.peers_of(9) == (7, 2, 4)
+        assert config.peers_of(7) == (2, 9, 4)
+        assert config.peers_of(4) == (7, 2, 9)
+
+    def test_value_semantics_survive_pickling(self):
+        config = ClusterConfig(server_ids=(7, 2, 9))
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config and hash(clone) == hash(config)
+        assert clone.peers_of(2) == (7, 9)
+        assert 9 in clone and 3 not in clone
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.server_ids = (1,)
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ConfigurationError):

@@ -19,7 +19,9 @@ from repro.storage.persistent import InMemoryStore
 
 
 def make_node(node_id=1, size=5, configuration=None, **kwargs):
-    env = FakeEnvironment(node_id=node_id)
+    env = FakeEnvironment(
+        node_id=node_id, trace_enabled=kwargs.pop("trace_enabled", True)
+    )
     node = EscapeNode(
         node_id=node_id,
         cluster=small_cluster(size),
@@ -185,6 +187,35 @@ class TestPpfOnLeader:
         env.fire_next_timer("S1:election-timeout")
         assert node.role is Role.LEADER
         assert node.patrol is None
+
+
+class TestTraceSitesFollowTheTracer:
+    SITES = {"ppf.start", "ppf.rearrange", "config.update"}
+
+    def leader_round_traces(self, trace_enabled):
+        leader, leader_env = make_leader(node_id=5, size=5, trace_enabled=trace_enabled)
+        leader_env.fire_next_timer("S5:heartbeat")
+        follower, follower_env = make_node(node_id=2, size=5, trace_enabled=trace_enabled)
+        follower.start()
+        follower.on_message(5, leader_env.sent_to(2)[-1])
+        assert follower.configuration_updates == 1
+        return leader_env.traces + follower_env.traces
+
+    def test_sites_report_when_tracing_is_on(self):
+        traces = self.leader_round_traces(trace_enabled=True)
+        assert ("ppf.start", {"conf_clock": 1, "leader_priority": 5}) in traces
+        assert (
+            "ppf.rearrange",
+            {"conf_clock": 1, "future_leader": 1, "assignment": {1: 5, 2: 4, 3: 3, 4: 2}},
+        ) in traces
+        assert (
+            "config.update",
+            {"old": "π(P=2, k=0, timeout=160ms)", "new": "π(P=4, k=1, timeout=120ms)"},
+        ) in traces
+
+    def test_sites_build_nothing_when_tracing_is_off(self):
+        traces = self.leader_round_traces(trace_enabled=False)
+        assert not self.SITES & {category for category, _ in traces}
 
 
 class TestPpfOnFollower:
