@@ -11,7 +11,8 @@ Hook                              ESCAPE behaviour
 ``_hook_may_grant_vote``          reject candidates with a stale configuration clock
 ``_hook_make_vote_request``       include configuration clock (and priority)
 ``_hook_decorate_append_request`` piggyback the follower's newly assigned configuration
-``_hook_make_append_response``    include the follower's ``configStatus``
+``_hook_append_response_extra``   the follower's current ``configStatus`` (memoised)
+``_hook_build_append_response``   attach that ``configStatus`` to the reply
 ``_hook_on_leader_heartbeat``     adopt a newer configuration carried by a heartbeat
 ``_hook_on_append_response``      feed the PPF with follower responsiveness
 ``_hook_before_heartbeat_round``  run one PPF round (clock bump + re-ranking)
@@ -98,6 +99,14 @@ class EscapeNode(RaftNode):
         self._timeout_override = timeout_override
         self.patrol: ProbingPatrol | None = None
         self.configuration_updates = 0
+        # Steady-state memos, all compared by identity (the objects are
+        # frozen): the configStatus last reported, with the configuration it
+        # describes, and per follower the last (base request, decorated
+        # request) pair sent.
+        self._config_status_memo: tuple[Configuration, ConfigStatus] | None = None
+        self._decorated_requests: dict[
+            ServerId, tuple[AppendEntriesRequest, EscapeAppendEntriesRequest]
+        ] = {}
 
     # ------------------------------------------------------------------ #
     # SCA: term growth and election timeouts
@@ -181,11 +190,19 @@ class EscapeNode(RaftNode):
     def _hook_decorate_append_request(
         self, request: AppendEntriesRequest, follower: ServerId
     ) -> AppendEntriesRequest:
-        """Piggyback the follower's newly assigned configuration on the heartbeat."""
+        """Piggyback the follower's newly assigned configuration on the heartbeat.
+
+        The decorated request is a pure function of the base request and the
+        assigned configuration, so the one sent last is reused while both are
+        still the same objects (an idle round changes neither).
+        """
         new_config = (
             self.patrol.configuration_for(follower) if self.patrol is not None else None
         )
-        return EscapeAppendEntriesRequest(
+        last = self._decorated_requests.get(follower)
+        if last is not None and last[0] is request and last[1].new_config is new_config:
+            return last[1]
+        decorated = EscapeAppendEntriesRequest(
             term=request.term,
             leader_id=request.leader_id,
             prev_log_index=request.prev_log_index,
@@ -194,6 +211,8 @@ class EscapeNode(RaftNode):
             leader_commit=request.leader_commit,
             new_config=new_config,
         )
+        self._decorated_requests[follower] = (request, decorated)
+        return decorated
 
     def _hook_on_append_response(
         self, src: ServerId, response: AppendEntriesResponse
@@ -224,7 +243,7 @@ class EscapeNode(RaftNode):
         if not isinstance(request, EscapeAppendEntriesRequest):
             return
         new_config = request.new_config
-        if new_config is None:
+        if new_config is None or new_config is self.configuration:
             return
         if new_config.conf_clock < self.configuration.conf_clock:
             # A delayed heartbeat carrying an older assignment must never roll
@@ -240,8 +259,31 @@ class EscapeNode(RaftNode):
             self.configuration = new_config
             self.configuration_updates += 1
 
-    def _hook_make_append_response(
-        self, request: AppendEntriesRequest, success: bool, match_index: LogIndex
+    def _hook_append_response_extra(self) -> ConfigStatus:
+        """This follower's ``configStatus``, rebuilt only when it changed.
+
+        The status is a function of the log tail and the held configuration;
+        the configuration is frozen, so holding the same object means holding
+        the same values.
+        """
+        configuration = self.configuration
+        memo = self._config_status_memo
+        if (
+            memo is not None
+            and memo[0] is configuration
+            and memo[1].log_index == self.log.last_index
+        ):
+            return memo[1]
+        status = ConfigStatus(
+            log_index=self.log.last_index,
+            timer_period_ms=configuration.timer_period_ms,
+            conf_clock=configuration.conf_clock,
+        )
+        self._config_status_memo = (configuration, status)
+        return status
+
+    def _hook_build_append_response(
+        self, success: bool, match_index: LogIndex, extra: ConfigStatus
     ) -> AppendEntriesResponse:
         """Attach this follower's ``configStatus`` to the reply."""
         return EscapeAppendEntriesResponse(
@@ -249,11 +291,7 @@ class EscapeNode(RaftNode):
             follower_id=self.node_id,
             success=success,
             match_index=match_index,
-            config_status=ConfigStatus(
-                log_index=self.log.last_index,
-                timer_period_ms=self.configuration.timer_period_ms,
-                conf_clock=self.configuration.conf_clock,
-            ),
+            config_status=extra,
         )
 
     # ------------------------------------------------------------------ #

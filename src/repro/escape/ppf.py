@@ -13,7 +13,7 @@ The PPF runs on the leader.  Each heartbeat round it
 4. hands the per-follower assignment back to the node, which piggybacks it on
    the next heartbeat broadcast.
 
-Two engineering decisions deserve a note (both are documented in DESIGN.md):
+Three engineering decisions deserve a note:
 
 * **Stability.**  The ranking is *stable*: followers keep their relative order
   unless their lagging status changes.  A full re-sort on every heartbeat
@@ -26,6 +26,11 @@ Two engineering decisions deserve a note (both are documented in DESIGN.md):
   not on every heartbeat.  Rounds that re-issue the same assignment keep the
   same clock, so a follower that misses one heartbeat broadcast is not
   instantly considered stale by the voters.
+
+* **Idle rounds.**  Most rounds change nothing.  The ranking depends only on
+  the followers' lagging verdicts and the priorities they hold, so a round
+  whose verdicts equal those of the last round that ranked and reassigned
+  nothing skips the sort (see :meth:`ProbingPatrol.advance_round`).
 
 Followers that have stopped responding (or whose logs trail the leader's by
 more than ``lag_entries_threshold``) sink to the bottom of the ranking, so a
@@ -111,6 +116,9 @@ class ProbingPatrol:
             follower: FollowerResponsiveness(follower) for follower in self._followers
         }
         self._assignments: dict[ServerId, Configuration] = {}
+        # The per-follower lagging verdicts of the last round that ranked and
+        # found nothing to reassign; None after every rebuild (advance_round).
+        self._settled_verdicts: list[bool] | None = None
         self.rearrangement_count = 0
         # The initial assignment simply follows server-id order; the first
         # few heartbeat replies will promote the actually-responsive servers.
@@ -144,13 +152,13 @@ class ProbingPatrol:
         reported_conf_clock: int | None = None,
     ) -> None:
         """Record a follower's AppendEntries reply (its responsiveness probe)."""
-        record = self.responsiveness_of(follower)
-        record.log_index = max(record.log_index, log_index)
+        # One dict read per call; the fallback only ever raises (unknown id).
+        record = self._responsiveness.get(follower) or self.responsiveness_of(follower)
+        if log_index > record.log_index:
+            record.log_index = log_index
         record.last_reply_ms = now_ms
-        if reported_conf_clock is not None:
-            record.reported_conf_clock = max(
-                record.reported_conf_clock, reported_conf_clock
-            )
+        if reported_conf_clock is not None and reported_conf_clock > record.reported_conf_clock:
+            record.reported_conf_clock = reported_conf_clock
 
     def is_lagging(
         self,
@@ -159,11 +167,10 @@ class ProbingPatrol:
         leader_last_index: LogIndex,
     ) -> bool:
         """Whether the leader currently considers *follower* to be lagging."""
-        record = self.responsiveness_of(follower)
-        if not record.has_replied:
-            return True
-        assert record.last_reply_ms is not None
-        if now_ms - record.last_reply_ms > self._stale_after_ms:
+        # One dict read per call; the fallback only ever raises (unknown id).
+        record = self._responsiveness.get(follower) or self.responsiveness_of(follower)
+        last_reply_ms = record.last_reply_ms
+        if last_reply_ms is None or now_ms - last_reply_ms > self._stale_after_ms:
             return True
         return leader_last_index - record.log_index >= self._lag_entries_threshold
 
@@ -176,8 +183,19 @@ class ProbingPatrol:
         The configuration clock advances only when the ranking hands some
         follower a priority other than the one it holds; the node reads the
         round's outcome through :meth:`configuration_for`.
+
+        The ranking is a function of the followers' lagging verdicts and the
+        priorities they hold, so a round whose verdicts equal those of the
+        last round that ranked and reassigned nothing -- with no rebuild in
+        between, hence the same held priorities -- would sort the same keys
+        into the same order and reach the same "nothing to reassign" answer:
+        it returns without ranking.  Any other round ranks and compares in
+        full.
         """
-        ranking = self.ranked_followers(now_ms, leader_last_index)
+        verdicts = self._lagging_verdicts(now_ms, leader_last_index)
+        if verdicts == self._settled_verdicts:
+            return
+        ranking = self._rank(verdicts)
         held = self._assignments
         if any(
             held[follower].priority != priority
@@ -186,6 +204,9 @@ class ProbingPatrol:
             self._clock += 1
             self._rebuild_from(ranking)
             self.rearrangement_count += 1
+            self._settled_verdicts = None
+        else:
+            self._settled_verdicts = verdicts
 
     def configuration_for(self, follower: ServerId) -> Configuration:
         """The configuration currently assigned to *follower*."""
@@ -203,14 +224,7 @@ class ProbingPatrol:
         healthy groomed future leader keeps its configuration), with server id
         as the final deterministic tie-break.
         """
-
-        def sort_key(follower: ServerId) -> tuple[int, int, ServerId]:
-            lagging = self.is_lagging(follower, now_ms, leader_last_index)
-            current = self._assignments.get(follower)
-            priority = current.priority if current is not None else 0
-            return (1 if lagging else 0, -priority, follower)
-
-        return sorted(self._followers, key=sort_key)
+        return self._rank(self._lagging_verdicts(now_ms, leader_last_index))
 
     def groomed_future_leader(self) -> ServerId:
         """The follower currently holding the highest-priority configuration."""
@@ -221,6 +235,25 @@ class ProbingPatrol:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _lagging_verdicts(
+        self, now_ms: Milliseconds, leader_last_index: LogIndex
+    ) -> list[bool]:
+        """:meth:`is_lagging` for every follower, in ``self._followers`` order."""
+        is_lagging = self.is_lagging
+        return [
+            is_lagging(follower, now_ms, leader_last_index)
+            for follower in self._followers
+        ]
+
+    def _rank(self, verdicts: list[bool]) -> list[ServerId]:
+        """Sort the followers best-first under the given lagging *verdicts*."""
+        held = self._assignments
+        keys = sorted(
+            (lagging, -held[follower].priority, follower)
+            for follower, lagging in zip(self._followers, verdicts)
+        )
+        return [follower for _, _, follower in keys]
+
     def _rebuild_from(self, ranking: list[ServerId]) -> None:
         assignments: dict[ServerId, Configuration] = {}
         for priority, follower in zip(self._ladder, ranking):

@@ -148,10 +148,19 @@ class RaftNode:
         self._round_hook_is_default = (
             cls._hook_before_heartbeat_round is RaftNode._hook_before_heartbeat_round
         )
+        self._reply_extra_is_default = (
+            cls._hook_append_response_extra is RaftNode._hook_append_response_extra
+        )
         self._trace_on: bool = getattr(env, "trace_enabled", True)
+        # Reply memo: (term, success, match_index, extra) -> the frozen reply.
         self._append_response_memo: tuple[
-            Term, bool, LogIndex, AppendEntriesResponse
+            Term, bool, LogIndex, Any, AppendEntriesResponse
         ] | None = None
+        # Base AppendEntries per next-index, valid while the key -- the
+        # (current_term, log.last_index, commit_index) it was built under --
+        # is unchanged (see _append_entries_factory).
+        self._append_request_cache_key: tuple[Term, LogIndex, LogIndex] | None = None
+        self._append_request_cache: dict[LogIndex, AppendEntriesRequest] = {}
         self._vote_response_memo: tuple[Term, bool, RequestVoteResponse] | None = None
 
     # ------------------------------------------------------------------ #
@@ -438,12 +447,7 @@ class RaftNode:
     def _handle_append_entries(self, src: ServerId, request: AppendEntriesRequest) -> None:
         self.stats["append_entries_received"] += 1
         if request.term < self.current_term:
-            self.env.send(
-                src,
-                self._hook_make_append_response(
-                    request, success=False, match_index=self.log.last_index
-                ),
-            )
+            self.env.send(src, self._make_append_response(False, self.log.last_index))
             return
         if request.term > self.current_term:
             self._observe_higher_term(request.term)
@@ -468,24 +472,44 @@ class RaftNode:
                     prev_index=request.prev_log_index,
                     prev_term=request.prev_log_term,
                 )
-            response = self._hook_make_append_response(
-                request, success=False, match_index=self.log.last_index
-            )
-            self.env.send(src, response)
+            self.env.send(src, self._make_append_response(False, self.log.last_index))
             return
 
-        if request.entries:
-            changed = self.log.merge_entries(request.prev_log_index, list(request.entries))
-            if changed:
-                self.store.save_log(self.log)
+        entries = request.entries
+        if entries and self.log.merge_entries(prev_log_index, entries):
+            self.store.save_log(self.log)
         if request.leader_commit > self.commit_index:
             self.commit_index = min(request.leader_commit, self.log.last_index)
             self._apply_committed_entries()
-        match_index = prev_log_index + len(request.entries)
-        response = self._hook_make_append_response(
-            request, success=True, match_index=match_index
+        self.env.send(
+            src, self._make_append_response(True, prev_log_index + len(entries))
         )
-        self.env.send(src, response)
+
+    def _make_append_response(
+        self, success: bool, match_index: LogIndex
+    ) -> AppendEntriesResponse:
+        """The reply to an AppendEntries request, reused while nothing changed.
+
+        Replies are value-frozen, so the steady heartbeat stream (same term,
+        same match index, same protocol-specific extra) reuses one instance
+        instead of allocating per reply.
+        """
+        term = self.current_term
+        extra = (
+            None if self._reply_extra_is_default else self._hook_append_response_extra()
+        )
+        memo = self._append_response_memo
+        if (
+            memo is not None
+            and memo[0] == term
+            and memo[1] is success
+            and memo[2] == match_index
+            and memo[3] is extra
+        ):
+            return memo[4]
+        response = self._hook_build_append_response(success, match_index, extra)
+        self._append_response_memo = (term, success, match_index, extra, response)
+        return response
 
     def _handle_append_entries_response(
         self, src: ServerId, response: AppendEntriesResponse
@@ -500,7 +524,10 @@ class RaftNode:
             self._hook_on_append_response(src, response)
         if response.success:
             self.progress.record_success(src, response.match_index)
-            self._advance_commit_index()
+            # A quorum index this reply raised is at most its match index, so
+            # a reply at or below the commit index cannot commit anything.
+            if response.match_index > self.commit_index:
+                self._advance_commit_index()
         else:
             self.progress.record_failure(src, response.match_index)
 
@@ -586,13 +613,20 @@ class RaftNode:
         """Payload factory for one broadcast round of AppendEntries.
 
         Followers that share a ``next_index`` receive value-identical base
-        requests, so each distinct index is built once per round; the decorate
-        hook still runs per follower (ESCAPE piggybacks per-follower
+        requests, so each distinct index is built once -- and kept across
+        rounds for as long as ``(current_term, log.last_index, commit_index)``
+        is unchanged: a leader's log only grows while its term lasts, so those
+        three fix every field of the base request for a given index.  The
+        decorate hook still runs per follower (ESCAPE piggybacks per-follower
         configurations) unless the subclass left it at the no-op default.
         """
         progress = self.progress
         assert progress is not None
-        cache: dict[LogIndex, AppendEntriesRequest] = {}
+        key = (self.current_term, self.log.last_index, self.commit_index)
+        if key != self._append_request_cache_key:
+            self._append_request_cache_key = key
+            self._append_request_cache = {}
+        cache = self._append_request_cache
         build = self._build_append_entries
         next_index = progress.next_index
         if self._decorate_is_default:
@@ -632,11 +666,6 @@ class RaftNode:
             entries=entries,
             leader_commit=self.commit_index,
         )
-
-    def _build_append_entries_for(self, follower: ServerId) -> AppendEntriesRequest:
-        assert self.progress is not None
-        request = self._build_append_entries(self.progress.next_index(follower))
-        return self._hook_decorate_append_request(request, follower)
 
     def _advance_commit_index(self) -> None:
         assert self.progress is not None
@@ -728,30 +757,26 @@ class RaftNode:
         """Let subclasses piggyback data on an outgoing AppendEntries."""
         return request
 
-    def _hook_make_append_response(
-        self, request: AppendEntriesRequest, success: bool, match_index: LogIndex
-    ) -> AppendEntriesResponse:
-        """Build the reply to an AppendEntries request.
+    def _hook_append_response_extra(self) -> Any:
+        """What an AppendEntries reply carries beyond Raft's fields.
 
-        Replies are value-frozen, so the steady heartbeat stream (same term,
-        same match index) reuses one instance instead of allocating per reply.
+        The returned object is part of the reply-memo key, compared by
+        identity, and is handed to :meth:`_hook_build_append_response`; a
+        subclass must return the same object for as long as the extra content
+        of its replies is unchanged (ESCAPE: its current ``configStatus``).
         """
-        memo = self._append_response_memo
-        if (
-            memo is not None
-            and memo[0] == self.current_term
-            and memo[1] is success
-            and memo[2] == match_index
-        ):
-            return memo[3]
-        response = AppendEntriesResponse(
+        return None
+
+    def _hook_build_append_response(
+        self, success: bool, match_index: LogIndex, extra: Any
+    ) -> AppendEntriesResponse:
+        """Construct the reply to an AppendEntries request (memo miss only)."""
+        return AppendEntriesResponse(
             term=self.current_term,
             follower_id=self.node_id,
             success=success,
             match_index=match_index,
         )
-        self._append_response_memo = (self.current_term, success, match_index, response)
-        return response
 
     def _hook_on_leader_heartbeat(self, request: AppendEntriesRequest) -> None:
         """Called on the follower whenever a legitimate leader is heard."""

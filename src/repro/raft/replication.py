@@ -4,10 +4,27 @@ The :class:`ReplicationProgress` tracks, for every follower, the next log
 index to send and the highest index known to be replicated, and computes the
 commit index as the highest index stored on a quorum -- restricted, per Raft's
 commitment rule, to entries of the current term.
+
+The commit rule runs once per successful AppendEntries reply, so it does work
+proportional to what the reply changed:
+
+* every member's match index (the leader's own included) is also kept in one
+  ascending list, re-positioned with ``bisect`` only when a match index
+  actually rises -- the index stored on a quorum is then a list lookup, with
+  no sort and no list build per reply;
+* the search for a current-term entry at or below that index stops at the
+  first entry of an older term: log terms never decrease with the index
+  (:meth:`~repro.storage.log.ReplicatedLog.append_entry` enforces it), so
+  nothing below such an entry can be of the current term.
+
+All match-index updates must go through :class:`ReplicationProgress` (not
+through the :class:`PeerProgress` records it hands out) to keep the ordered
+list in step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -47,6 +64,8 @@ class ReplicationProgress:
             peer: PeerProgress(next_index=last_log_index + 1) for peer in peers
         }
         self._leader_match_index: LogIndex = last_log_index
+        # Every member's match index, ascending (followers start at 0).
+        self._ordered_matches: list[LogIndex] = [0] * len(self._peers) + [last_log_index]
 
     @property
     def peers(self) -> Mapping[ServerId, PeerProgress]:
@@ -70,15 +89,26 @@ class ReplicationProgress:
 
     def record_local_append(self, last_log_index: LogIndex) -> None:
         """The leader appended up to *last_log_index* locally."""
-        self._leader_match_index = max(self._leader_match_index, last_log_index)
+        if last_log_index > self._leader_match_index:
+            self._raise_match(self._leader_match_index, last_log_index)
+            self._leader_match_index = last_log_index
 
     def record_success(self, peer: ServerId, match_index: LogIndex) -> None:
         """Record a successful AppendEntries response from *peer*."""
-        self.progress_of(peer).record_success(match_index)
+        progress = self.progress_of(peer)
+        if match_index > progress.match_index:
+            self._raise_match(progress.match_index, match_index)
+        progress.record_success(match_index)
 
     def record_failure(self, peer: ServerId, follower_last_index: LogIndex) -> None:
         """Record a failed AppendEntries response from *peer*."""
         self.progress_of(peer).record_failure(follower_last_index)
+
+    def _raise_match(self, old: LogIndex, new: LogIndex) -> None:
+        """Move one member's match index from *old* up to *new* in the ordered list."""
+        ordered = self._ordered_matches
+        del ordered[bisect_left(ordered, old)]
+        ordered.insert(bisect_left(ordered, new), new)
 
     def commit_index_for_quorum(
         self, quorum_size: int, log: ReplicatedLog, current_term: Term
@@ -89,17 +119,18 @@ class ReplicationProgress:
         replicas; earlier-term entries become committed implicitly.  This is
         the rule that prevents the "figure 8" scenario of the Raft paper.
         """
-        match_indexes = sorted(
-            [self._leader_match_index]
-            + [progress.match_index for progress in self._peers.values()],
-            reverse=True,
-        )
-        if quorum_size > len(match_indexes):
+        ordered = self._ordered_matches
+        if quorum_size > len(ordered):
             return 0
-        candidate_index = match_indexes[quorum_size - 1]
+        # The quorum_size-th highest match index; never beyond the log tail.
+        candidate_index = min(ordered[-quorum_size], log.last_index)
         while candidate_index > 0:
-            if log.has_entry(candidate_index) and log.term_at(candidate_index) == current_term:
+            term = log.term_at(candidate_index)
+            if term == current_term:
                 return candidate_index
+            if term < current_term:
+                # Terms never decrease with the index: nothing below is newer.
+                return 0
             candidate_index -= 1
         return 0
 

@@ -3,7 +3,9 @@
 Raft's log is 1-indexed; index 0 denotes the empty-log sentinel with term 0.
 The log exposes exactly the operations the protocol needs:
 
-* append new entries (leader) or overwrite conflicting suffixes (follower);
+* append new entries (leader) or overwrite conflicting suffixes (follower)
+  -- :meth:`ReplicatedLog.merge_entries`, which recognises an already-stored
+  (retransmitted) window with one slice comparison before its per-entry loop;
 * the *consistency check* used by AppendEntries (``matches(prev_index,
   prev_term)``);
 * the *up-to-date comparison* used when granting votes (Section II-A,
@@ -156,9 +158,27 @@ class ReplicatedLog:
         that already match are left untouched (so a delayed, duplicated
         AppendEntries never truncates committed data).
 
+        A retransmitted window costs one slice comparison, not a per-entry
+        walk: the part of *entries* that overlaps the stored log is compared
+        with it in one step, and skipped when equal.  In the simulator a
+        follower stores the leader's own frozen entry objects, so that
+        comparison is an identity walk; entries reloaded from a store or a
+        codec compare by value.  Equal entries have equal index and term, so
+        every check the per-entry loop makes holds for them; the loop runs
+        unchanged on whatever follows the skipped part (or on the whole
+        window when the overlap differs anywhere).
+
         Returns:
             ``True`` if the log changed.
         """
+        stored = self._last_index - prev_index
+        if stored > 0:
+            stored = min(stored, len(entries))
+            if self._entries[prev_index : prev_index + stored] == list(entries[:stored]):
+                if stored == len(entries):
+                    return False
+                entries = entries[stored:]
+                prev_index += stored
         changed = False
         next_index = prev_index + 1
         for offset, entry in enumerate(entries):

@@ -14,13 +14,9 @@ configurations are wasted on losing candidates.
 
 from __future__ import annotations
 
-from repro.common.types import LogIndex, ServerId, Term
+from repro.common.types import Term
 from repro.escape.node import EscapeNode
-from repro.raft.messages import (
-    AppendEntriesRequest,
-    AppendEntriesResponse,
-    RequestVoteRequest,
-)
+from repro.raft.node import RaftNode
 
 
 class ZRaftNode(EscapeNode):
@@ -35,40 +31,19 @@ class ZRaftNode(EscapeNode):
         """Z-Raft leaders do not manage a configuration pool."""
         self.patrol = None
 
-    def _hook_before_heartbeat_round(self) -> None:
-        """No rearrangement round: priorities are static."""
-        return None
-
-    def _hook_decorate_append_request(
-        self, request: AppendEntriesRequest, follower: ServerId
-    ) -> AppendEntriesRequest:
-        """Heartbeats carry no configuration payload."""
-        return request
-
-    def _hook_on_append_response(
-        self, src: ServerId, response: AppendEntriesResponse
-    ) -> None:
-        """No responsiveness tracking."""
-        return None
-
-    def _hook_on_leader_heartbeat(self, request: AppendEntriesRequest) -> None:
-        """Followers never change their configuration."""
-        return None
-
-    def _hook_may_grant_vote(self, request: RequestVoteRequest) -> bool:
-        """Without rearrangement there is no configuration clock to compare."""
-        return True
-
-    def _hook_make_append_response(
-        self, request: AppendEntriesRequest, success: bool, match_index: LogIndex
-    ) -> AppendEntriesResponse:
-        """Plain Raft replies: there is no configStatus to report."""
-        return AppendEntriesResponse(
-            term=self.current_term,
-            follower_id=self.node_id,
-            success=success,
-            match_index=match_index,
-        )
+    # Each PPF hook is handed back to Raft by alias, not by a fresh no-op
+    # body: RaftNode skips a hook (and keeps its reply memo) only when the
+    # class still holds RaftNode's own function.  Heartbeats carry no
+    # configuration, replies are plain Raft replies with no configStatus,
+    # followers never change configuration, and without rearrangement there
+    # is no configuration clock to gate votes on.
+    _hook_before_heartbeat_round = RaftNode._hook_before_heartbeat_round
+    _hook_decorate_append_request = RaftNode._hook_decorate_append_request
+    _hook_on_append_response = RaftNode._hook_on_append_response
+    _hook_on_leader_heartbeat = RaftNode._hook_on_leader_heartbeat
+    _hook_may_grant_vote = RaftNode._hook_may_grant_vote
+    _hook_append_response_extra = RaftNode._hook_append_response_extra
+    _hook_build_append_response = RaftNode._hook_build_append_response
 
     def _hook_next_election_term(self) -> Term:
         """Term growth still follows Eq. 2, with the *static* priority."""

@@ -1,8 +1,10 @@
 """Property-based tests for the replicated log (hypothesis)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import StorageError
 from repro.storage.log import LogEntry, ReplicatedLog
 
 
@@ -72,6 +74,84 @@ class TestMergeProperties:
         assert follower.last_index == leader.last_index
         for index in range(1, leader.last_index + 1):
             assert follower.term_at(index) == leader.term_at(index)
+
+
+def reference_merge(log, prev_index, entries):
+    """The per-entry merge loop, without the stored-prefix skip."""
+    changed = False
+    for index, entry in enumerate(entries, start=prev_index + 1):
+        if entry.index != index:
+            raise StorageError(f"entry index {entry.index} does not match position {index}")
+        if log.has_entry(index):
+            if log.term_at(index) == entry.term:
+                continue
+            log.truncate_from(index)
+        log.append_entry(entry)
+        changed = True
+    return changed
+
+
+@st.composite
+def merge_windows(draw):
+    """A stored log and an AppendEntries window aimed at it.
+
+    Each window entry that lands on a stored index is the stored object
+    itself, an equal copy (as a reloaded log holds), a same-term entry with
+    another command, or a conflicting (higher-term) entry; the window may
+    start or run past the tail, and one entry may carry a wrong index.
+    """
+    stored = list(log_from_terms(draw(term_sequences(max_length=12))))
+    prev_index = draw(st.integers(min_value=0, max_value=len(stored) + 2))
+    window = []
+    term = stored[min(prev_index, len(stored)) - 1].term if stored and prev_index else 1
+    for index in range(prev_index + 1, prev_index + 1 + draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("same", "copy", "recommand", "conflict")))
+        if index <= len(stored) and kind != "conflict" and stored[index - 1].term >= term:
+            entry = stored[index - 1]
+            if kind == "copy":
+                entry = LogEntry(entry.term, entry.index, entry.command)
+            elif kind == "recommand":
+                entry = LogEntry(entry.term, entry.index, "other")
+        else:
+            term += draw(st.integers(min_value=0, max_value=2))
+            entry = LogEntry(term, index, f"new-{index}")
+        term = entry.term
+        window.append(entry)
+    if window and draw(st.booleans()):
+        position = draw(st.integers(min_value=0, max_value=len(window) - 1))
+        wrong = window[position]
+        window[position] = LogEntry(wrong.term, wrong.index + draw(st.integers(1, 3)), wrong.command)
+    return stored, prev_index, draw(st.sampled_from((tuple, list)))(window)
+
+
+def merge_outcome(merge, stored, prev_index, window):
+    log = ReplicatedLog(stored)
+    try:
+        result = merge(log, prev_index, window)
+    except StorageError as error:
+        result = f"StorageError: {error}"
+    return result, list(log), log.last_index, log.last_term
+
+
+class TestMergeEquivalence:
+    @given(merge_windows())
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_skip_merges_exactly_like_the_per_entry_loop(self, case):
+        stored, prev_index, window = case
+        assert merge_outcome(
+            ReplicatedLog.merge_entries, stored, prev_index, window
+        ) == merge_outcome(reference_merge, stored, prev_index, window)
+
+    @pytest.mark.parametrize("reload", (False, True))
+    def test_a_stored_window_is_left_alone_whether_identical_or_reloaded(self, reload):
+        log = log_from_terms([1, 1, 2, 3])
+        held = list(log)
+        window = tuple(
+            LogEntry(entry.term, entry.index, entry.command) if reload else entry
+            for entry in held[1:]
+        )
+        assert log.merge_entries(1, window) is False
+        assert all(kept is original for kept, original in zip(log, held))
 
 
 class TestUpToDateComparison:

@@ -125,3 +125,49 @@ class TestPpfProperties:
                 patrol.record_reply(follower, log_index=1, now_ms=round_index + 2.0)
             patrol.advance_round(now_ms=round_index + 2.0, leader_last_index=1)
         assert patrol.conf_clock == clock
+
+
+@st.composite
+def heartbeat_schedules(draw):
+    """Heartbeat rounds in which a random subset of followers replies."""
+    cluster_size = draw(st.integers(min_value=3, max_value=10))
+    followers = list(range(2, cluster_size + 1))
+    rounds = draw(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1.0, max_value=400.0),  # time since the last round
+                st.integers(min_value=0, max_value=2),  # entries the leader appended
+                st.lists(  # who replied, and how far behind the leader's tail
+                    st.tuples(st.sampled_from(followers), st.integers(0, 3)),
+                    max_size=cluster_size,
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    return cluster_size, followers, rounds
+
+
+class TestPpfEarlyReturn:
+    @given(heartbeat_schedules())
+    @settings(max_examples=100, deadline=None)
+    def test_skipping_the_ranking_never_changes_the_outcome(self, schedule):
+        cluster_size, followers, rounds = schedule
+
+        def make():
+            return ProbingPatrol(1, followers, cluster_size, ScaParameters(1500.0, 500.0))
+
+        patrol, always_ranking = make(), make()
+        now, leader_last_index = 0.0, 0
+        for elapsed, appended, replies in rounds:
+            now += elapsed
+            leader_last_index += appended
+            for follower, behind in replies:
+                for each in (patrol, always_ranking):
+                    each.record_reply(follower, max(0, leader_last_index - behind), now)
+            always_ranking._settled_verdicts = None  # forget: rank every round
+            for each in (patrol, always_ranking):
+                each.advance_round(now, leader_last_index)
+            assert patrol.assignments == always_ranking.assignments
+            assert patrol.conf_clock == always_ranking.conf_clock
+            assert patrol.rearrangement_count == always_ranking.rearrangement_count

@@ -151,6 +151,19 @@ class TestPpfOnLeader:
         priorities = {request.new_config.priority for request in requests}
         assert priorities == {2, 3, 4, 5}
 
+    def test_idle_heartbeats_resend_one_object_until_something_changes(self):
+        node, env = make_leader(node_id=5, size=5)
+        env.fire_next_timer("S5:heartbeat")
+        env.fire_next_timer("S5:heartbeat")
+        first, second = env.sent_to(2)
+        assert first is second
+        # A longer log: a new base request, so a new decorated one, carrying
+        # the same configuration object.
+        node.propose("x")
+        third = env.sent_to(2)[-1]
+        assert third is not second
+        assert third.entries and third.new_config is second.new_config
+
     def test_follower_replies_feed_the_patrol(self):
         node, env = make_leader(node_id=5, size=5)
         reply = EscapeAppendEntriesResponse(
@@ -273,6 +286,28 @@ class TestPpfOnFollower:
         assert reply.config_status is not None
         assert reply.config_status.log_index == 1
         assert reply.config_status.conf_clock == node.configuration.conf_clock
+
+    def test_idle_replies_are_one_object_until_the_status_changes(self):
+        node, env = make_node(node_id=2, size=5)
+        node.start()
+        heartbeat = EscapeAppendEntriesRequest(term=1, leader_id=1)
+        node.on_message(1, heartbeat)
+        node.on_message(1, heartbeat)
+        first, second = env.sent_to(1)
+        assert first is second
+        # A new configuration, then a longer log: each shows in the very next reply.
+        new_config = Configuration(priority=5, timer_period_ms=100.0, conf_clock=3)
+        node.on_message(
+            1, EscapeAppendEntriesRequest(term=1, leader_id=1, new_config=new_config)
+        )
+        assert env.sent_to(1)[-1].config_status.conf_clock == 3
+        entry = LogEntry(term=1, index=1, command="x")
+        node.on_message(1, EscapeAppendEntriesRequest(term=1, leader_id=1, entries=(entry,)))
+        node.on_message(1, heartbeat)
+        grown, after = env.sent_to(1)[-2:]
+        assert (grown.match_index, grown.config_status.log_index) == (1, 1)
+        assert (after.match_index, after.config_status.log_index) == (0, 1)
+        assert after.config_status is grown.config_status
 
     def test_describe_and_snapshot_state_mention_configuration(self):
         node, _ = make_node(node_id=3, size=5)

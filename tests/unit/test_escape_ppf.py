@@ -69,8 +69,14 @@ class TestResponsivenessTracking:
 
     def test_unknown_follower_rejected(self):
         patrol = make_patrol(leader_id=1)
-        with pytest.raises(ConfigurationError):
-            patrol.record_reply(1, log_index=1, now_ms=0.0)
+        for call in (
+            lambda: patrol.record_reply(1, log_index=1, now_ms=0.0),
+            lambda: patrol.is_lagging(1, now_ms=0.0, leader_last_index=0),
+            lambda: patrol.responsiveness_of(1),
+        ):
+            with pytest.raises(ConfigurationError) as error:
+                call()
+            assert str(error.value) == "S1 is not a tracked follower"
 
     def test_lagging_classification(self):
         patrol = make_patrol(stale_after_ms=500.0, lag_entries_threshold=2)

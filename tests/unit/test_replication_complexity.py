@@ -1,0 +1,165 @@
+"""A steady AppendEntries round does work proportional to what changed.
+
+Like ``test_cluster_build_complexity.py`` the pins count work (constructions,
+calls), never time, so they read the same on any machine.
+"""
+
+import sys
+from collections import Counter
+
+from helpers import FakeEnvironment, fast_protocol_config, small_cluster
+
+from repro.cluster.builder import build_cluster
+from repro.escape.configuration import ConfigStatus
+from repro.escape.messages import EscapeAppendEntriesRequest, EscapeAppendEntriesResponse
+from repro.raft.messages import AppendEntriesResponse, RequestVoteResponse
+from repro.raft.node import RaftNode
+from repro.raft.replication import ReplicationProgress
+from repro.raft.state import Role
+from repro.statemachine.kvstore import PutCommand
+from repro.storage.log import LogEntry, ReplicatedLog
+from repro.storage.persistent import InMemoryStore
+
+HEARTBEAT_OBJECTS = (EscapeAppendEntriesRequest, EscapeAppendEntriesResponse, ConfigStatus)
+
+
+def count_constructions(classes, action) -> Counter:
+    """``__init__`` call events per class while *action* runs."""
+    by_code = {cls.__init__.__code__: cls.__name__ for cls in classes}
+    built: Counter = Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            name = by_code.get(frame.f_code)
+            if name is not None:
+                built[name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        action()
+    finally:
+        sys.setprofile(previous)
+    return built
+
+
+def count_method_calls(monkeypatch, cls, method_name) -> list:
+    """Patch ``cls.method_name`` with a counting pass-through; returns the call log."""
+    calls: list = []
+    original = getattr(cls, method_name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, method_name, counting)
+    return calls
+
+
+def make_leader(store=None, size=5):
+    env = FakeEnvironment(node_id=1)
+    node = RaftNode(
+        node_id=1,
+        cluster=small_cluster(size),
+        env=env,
+        store=store,
+        protocol_config=fast_protocol_config(),
+    )
+    node.start()
+    env.fire_next_timer("S1:election-timeout")
+    for peer in node.peers:
+        node.on_message(
+            peer, RequestVoteResponse(term=node.current_term, voter_id=peer, vote_granted=True)
+        )
+    assert node.role is Role.LEADER
+    return node
+
+
+def success_reply(node, peer, match_index):
+    node.on_message(
+        peer,
+        AppendEntriesResponse(
+            term=node.current_term, follower_id=peer, success=True, match_index=match_index
+        ),
+    )
+
+
+class TestIdleHeartbeatRound:
+    SIZE = 64
+
+    def settled_cluster(self):
+        cluster = build_cluster("escape", self.SIZE, seed=3, trace=False)
+        cluster.start_all()
+        # Election, the first rearrangements and their acknowledgements.
+        cluster.world.run_for(6_000.0)
+        assert cluster.has_leader()
+        return cluster
+
+    def test_an_idle_round_constructs_no_message(self):
+        cluster = self.settled_cluster()
+        heartbeat_ms = cluster.leader().config.heartbeat_interval_ms
+        sent_before = cluster.network.stats.sent
+        built = count_constructions(
+            HEARTBEAT_OBJECTS, lambda: cluster.world.run_for(3 * heartbeat_ms)
+        )
+        # The rounds really ran: requests out and replies back, every round.
+        assert cluster.network.stats.sent - sent_before >= 3 * 2 * (self.SIZE - 2)
+        assert built == Counter()
+
+    def test_a_reassignment_rebuilds_each_message_once_per_follower(self):
+        cluster = self.settled_cluster()
+        leader = cluster.leader()
+        patrol = leader.patrol
+        rearrangements = patrol.rearrangement_count
+        # Silencing the groomed future leader forces one rearrangement.
+        cluster.crash(patrol.groomed_future_leader())
+        built = count_constructions(
+            HEARTBEAT_OBJECTS, lambda: cluster.world.run_for(3_000.0)
+        )
+        reassigned = patrol.rearrangement_count - rearrangements
+        assert reassigned >= 1
+        followers = self.SIZE - 1
+        for cls in HEARTBEAT_OBJECTS:
+            assert 0 < built[cls.__name__] <= reassigned * followers
+
+
+class TestCommitRuleWork:
+    def test_a_reply_at_or_below_the_commit_index_skips_the_commit_rule(self, monkeypatch):
+        node = make_leader()
+        node.propose(PutCommand("k", "a"))
+        success_reply(node, 2, 1)
+        success_reply(node, 3, 1)
+        node.propose(PutCommand("k", "b"))
+        assert (node.commit_index, node.log.last_index) == (1, 2)
+        calls = count_method_calls(monkeypatch, ReplicationProgress, "commit_index_for_quorum")
+        success_reply(node, 4, 1)
+        assert calls == []
+        assert node.progress.match_index(4) == 1
+        success_reply(node, 4, 2)
+        assert len(calls) == 1
+
+    def test_old_term_entries_on_a_quorum_are_not_walked(self, monkeypatch):
+        store = InMemoryStore()
+        log = ReplicatedLog(LogEntry(term=1, index=index) for index in range(1, 501))
+        store.save_log(log)
+        store.save_term_and_vote(1, None)
+        node = make_leader(store=store)
+        assert node.current_term == 2 and node.log.last_index == 500
+        success_reply(node, 2, 500)
+        success_reply(node, 3, 500)
+        # A quorum holds all 500 entries, none of the leader's term: nothing
+        # commits, and finding that out must not cost a walk down the log.
+        calls = count_method_calls(monkeypatch, ReplicatedLog, "term_at")
+        success_reply(node, 4, 500)
+        assert node.commit_index == 0
+        assert len(calls) <= 2
+
+
+class TestMergeWork:
+    def test_a_fully_stored_window_is_not_walked(self, monkeypatch):
+        log = ReplicatedLog(LogEntry(term=1, index=index) for index in range(1, 65))
+        window = tuple(log)
+        calls = count_method_calls(monkeypatch, ReplicatedLog, "term_at")
+        assert log.merge_entries(0, window) is False
+        assert calls == []
+        assert log.last_index == 64

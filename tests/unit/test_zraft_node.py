@@ -85,6 +85,18 @@ class TestNoPpf:
         assert isinstance(reply, AppendEntriesResponse)
         assert not isinstance(reply, EscapeAppendEntriesResponse)
 
+    def test_disabled_hooks_are_raft_s_own_so_the_hot_path_skips_them(self):
+        node, env = make_node(node_id=2)
+        flags = {name: value for name, value in vars(node).items() if name.endswith("_is_default")}
+        # SCA's timeout is the one hook Z-Raft keeps on the heartbeat path.
+        assert flags.pop("_timeout_hook_is_default") is False
+        assert flags and all(flags.values()), flags
+        node.start()
+        node.on_message(1, AppendEntriesRequest(term=1, leader_id=1))
+        node.on_message(1, AppendEntriesRequest(term=1, leader_id=1))
+        first, second = env.sent_to(1)
+        assert first is second
+
     def test_votes_are_not_gated_by_configuration_clock(self):
         node, env = make_node(node_id=2)
         node.start()
