@@ -1,17 +1,17 @@
-"""Measure the streaming sweep engine: throughput, parent memory, IPC weight.
+"""Measure the sweep engine: throughput, parent memory, IPC weight.
 
 Subprocess-runnable on purpose: ``resource.getrusage`` reports a process-wide
-*high-water* RSS, so the only clean way to compare the raw and streaming
-sweep paths is to run each one in a fresh interpreter and read its own
-high-water mark at exit.  ``benchmarks/ledger.py record experiments`` invokes
-this script once per (config, path) and folds the JSON it prints into the
-committed ``BENCH_experiments.json``.
+*high-water* RSS, so the only clean way to compare a sweep into collecting
+sets with one into mergeable aggregates is to run each in a fresh interpreter
+and read its own high-water mark at exit.  ``benchmarks/ledger.py record
+experiments`` invokes this script once per config and folds the JSON it
+prints into the committed ``BENCH_experiments.json``.
 
 Modes::
 
-    # One sweep through one data path; prints episodes/sec + parent max RSS.
+    # One sweep into one container type; prints episodes/sec + parent max RSS.
     python benchmarks/bench_sweep_streaming.py measure \
-        --path streaming --sizes 256 --runs 2 --workers 1 --engine flat
+        --container aggregate --sizes 256 --runs 2 --workers 1 --engine flat
 
     # Task-queue pickle weight of the lean (label, index, seed) work items
     # vs embedding the scenario in every item (what the engine used to ship).
@@ -45,9 +45,11 @@ def _max_rss_mb() -> float:
 
 
 def measure(args: argparse.Namespace) -> dict:
-    """Run one fig9-xl-shaped sweep through one data path and time it."""
+    """Run one fig9-xl-shaped sweep into one container type and time it."""
     from repro.experiments.fig09_scale import build_scenarios
     from repro.experiments.runner import run_sweep
+    from repro.metrics.records import MeasurementSet
+    from repro.metrics.streaming import ElectionAggregate
     from repro.sim import engines
 
     engines.set_default_engine(args.engine)
@@ -60,12 +62,12 @@ def measure(args: argparse.Namespace) -> dict:
         runs=args.runs,
         seed=args.seed,
         workers=args.workers,
-        streaming=args.path == "streaming",
+        container=MeasurementSet if args.container == "sets" else ElectionAggregate,
         checkpoint=args.checkpoint,
     )
     elapsed = time.perf_counter() - started
     return {
-        "path": args.path,
+        "container": args.container,
         "sizes": list(_parse_sizes(args.sizes)),
         "runs": args.runs,
         "workers": args.workers,
@@ -102,12 +104,12 @@ def pickle_bytes(args: argparse.Namespace) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="benchmarks/bench_sweep_streaming.py",
-        description="Streaming sweep engine micro-benchmarks (JSON to stdout).",
+        description="Sweep engine micro-benchmarks (JSON to stdout).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run = commands.add_parser("measure", help="time one sweep through one path")
-    run.add_argument("--path", choices=("raw", "streaming"), required=True)
+    run = commands.add_parser("measure", help="time one sweep")
+    run.add_argument("--container", choices=("sets", "aggregate"), default="aggregate")
     run.add_argument("--sizes", default="256", help="comma-separated cluster sizes")
     run.add_argument("--runs", type=int, default=2)
     run.add_argument("--seed", type=int, default=0)

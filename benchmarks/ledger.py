@@ -287,7 +287,7 @@ def _sweep_bench(argv: list[str]) -> dict:
 
     A subprocess per measurement because the parent-memory metric is a
     process-wide RSS *high-water* mark: only a fresh interpreter can attribute
-    it to one sweep through one data path.
+    it to one sweep.
     """
     import subprocess
 
@@ -302,16 +302,15 @@ def _sweep_bench(argv: list[str]) -> dict:
 
 
 def _record_sweep_entries(quick: bool) -> list[dict]:
-    """Streaming-engine metrics: scale throughput, parent RSS, IPC weight.
+    """Sweep-engine metrics: scale throughput, parent RSS, IPC weight.
 
-    Three stories, each one subprocess per data path:
+    Three stories, each measurement its own subprocess:
 
     * ``sweep/scale`` -- episodes/sec on the fig9-xl tail (s=1024; the quick
-      grid substitutes s=64), pinning that the streaming default costs no
-      throughput at data-center scale;
+      grid substitutes s=64), swept into aggregates as fig9-xl does;
     * ``sweep/memory`` -- parent high-water RSS over a many-episode sweep,
-      where the raw path's O(runs) measurement list grows and the streaming
-      path's O(labels) aggregates do not;
+      where collecting sets grow O(runs) and mergeable aggregates stay
+      O(labels);
     * ``sweep/work-item`` -- task-queue pickle bytes per episode for the lean
       (label, index, seed) items vs embedding the scenario in every item.
     """
@@ -319,32 +318,32 @@ def _record_sweep_entries(quick: bool) -> list[dict]:
     scale_sizes = "64" if quick else "1024"
     memory_runs = "200" if quick else "3000"
 
-    for path in ("raw", "streaming"):
-        scale = _sweep_bench(
-            ["measure", "--path", path, "--sizes", scale_sizes, "--runs", "2",
-             "--workers", "1", "--engine", "flat"]
+    scale = _sweep_bench(
+        ["measure", "--sizes", scale_sizes, "--runs", "2", "--workers", "1",
+         "--engine", "flat"]
+    )
+    entries.append(
+        _entry(
+            f"sweep/scale/s={scale_sizes}",
+            "episodes_per_s",
+            scale["episodes_per_s"],
+            "1/s",
+            higher_is_better=True,
         )
-        entries.append(
-            _entry(
-                f"sweep/scale/s={scale_sizes}/path={path}",
-                "episodes_per_s",
-                scale["episodes_per_s"],
-                "1/s",
-                higher_is_better=True,
-            )
-        )
-        print(
-            f"  sweep scale   s={scale_sizes:<4} path={path:<9} "
-            f"{scale['episodes_per_s']:8.2f} episodes/s",
-            flush=True,
-        )
+    )
+    print(
+        f"  sweep scale   s={scale_sizes:<4} "
+        f"{scale['episodes_per_s']:8.2f} episodes/s",
+        flush=True,
+    )
+    for container in ("sets", "aggregate"):
         memory = _sweep_bench(
-            ["measure", "--path", path, "--sizes", "16", "--runs", memory_runs,
-             "--workers", "1", "--engine", "flat"]
+            ["measure", "--container", container, "--sizes", "16", "--runs",
+             memory_runs, "--workers", "1", "--engine", "flat"]
         )
         entries.append(
             _entry(
-                f"sweep/memory/s=16/runs={memory_runs}/path={path}",
+                f"sweep/memory/s=16/runs={memory_runs}/container={container}",
                 "parent_max_rss_mb",
                 memory["parent_max_rss_mb"],
                 "MiB",
@@ -352,7 +351,7 @@ def _record_sweep_entries(quick: bool) -> list[dict]:
             )
         )
         print(
-            f"  sweep memory  runs={memory_runs:<5} path={path:<9} "
+            f"  sweep memory  runs={memory_runs:<5} container={container:<9} "
             f"{memory['parent_max_rss_mb']:8.2f} MiB high-water",
             flush=True,
         )

@@ -139,8 +139,8 @@ class ChaosScenario:
             (node.commit_index for node in cluster.running_nodes()), default=0
         )
 
-        # The legacy-interval workload replays the retired ClientWorkload
-        # loop exactly (byte-identical reports); a quorum-aware leader
+        # The legacy-interval workload keeps the original fixed-interval
+        # loop (byte-identical reports); a quorum-aware leader
         # selector makes ticks that fall inside a partition outage (only a
         # stale, commit-incapable leader exists) count as dropped at the
         # client instead of landing on a leader that can never acknowledge

@@ -30,11 +30,9 @@ from repro.cluster.environment import SimNodeEnvironment
 from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
 from repro.cluster.scenarios import ElectionScenario
-from repro.cluster.workload import ClientWorkload
 
 __all__ = [
     "CATALOG",
-    "ClientWorkload",
     "ElectionHarness",
     "ElectionObserver",
     "ElectionScenario",

@@ -14,12 +14,11 @@ protocol spec makes it buildable here with no code change.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Iterable, Mapping
 
 from repro import protocols
 from repro.common.config import ClusterConfig, ProtocolConfig
-from repro.common.errors import ClusterError, ConfigurationError
+from repro.common.errors import ClusterError
 from repro.common.types import ServerId
 from repro.cluster.environment import SimNodeEnvironment
 from repro.net.faults import FaultInjector
@@ -250,7 +249,6 @@ def build_cluster(
     timeout_override_factory: TimeoutPolicyFactory | None = None,
     state_machine_factory: StateMachineFactory | None = None,
     trace: bool = True,
-    escape_override_factory: TimeoutPolicyFactory | None = None,
     engine: str | None = None,
 ) -> SimulatedCluster:
     """Build a ready-to-start simulated cluster.
@@ -274,29 +272,12 @@ def build_cluster(
         state_machine_factory: per-node state machine (defaults to a
             :class:`~repro.statemachine.kvstore.KeyValueStore`).
         trace: whether to record the world trace (disable in large sweeps).
-        escape_override_factory: deprecated alias for
-            ``timeout_override_factory`` (the override never applied only to
-            ESCAPE -- Z-Raft consumed it too).
         engine: simulation engine name registered in
             :mod:`repro.sim.engines` (``"classic"`` or ``"flat"``); ``None``
             uses the session default.  Engines are bit-identical -- same
             measurements, stats and traces for the same seed -- and differ
             only in speed and in-run observability.
     """
-    if escape_override_factory is not None:
-        warnings.warn(
-            "escape_override_factory is deprecated; use "
-            "timeout_override_factory (it applies to every override-driven "
-            "protocol, not just ESCAPE)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if timeout_override_factory is not None:
-            raise ConfigurationError(
-                "give timeout_override_factory or the deprecated "
-                "escape_override_factory alias, not both"
-            )
-        timeout_override_factory = escape_override_factory
     spec = protocols.get(protocol)
     cluster_config = ClusterConfig.of_size(size)
     config = protocol_config or ProtocolConfig.paper_defaults()

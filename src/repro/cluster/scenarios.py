@@ -248,8 +248,8 @@ class ElectionScenario:
         cluster.start_all()
         harness.stabilize(max_time_ms=self.stabilize_ms)
 
-        # The legacy-interval workload replays the retired ClientWorkload
-        # loop exactly, so pre-subsystem reports stay byte-identical.
+        # The legacy-interval workload keeps the original fixed-interval
+        # loop, so pre-subsystem reports stay byte-identical.
         workload: WorkloadDriver | None = None
         if self.workload_interval_ms > 0:
             workload = WorkloadDriver(

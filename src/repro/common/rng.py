@@ -102,9 +102,8 @@ def derive_run_seed(seed: int, label: str, index: int) -> int:
 
     This is the single source of truth for sweep seed derivation: the
     experiment helpers (:func:`repro.experiments.base.paired_seeds`, and
-    through them :func:`~repro.experiments.base.run_scenario_set` and the
-    parallel engine) and :meth:`repro.cluster.scenarios.ElectionScenario.run_many`
-    all call it, so the paired A/B design cannot drift no matter which entry
+    through it the sweep engine) and
+    :meth:`repro.cluster.scenarios.ElectionScenario.run_many` all call it, so the paired A/B design cannot drift no matter which entry
     point ran the episodes.
     """
     return SeedSequence(seed).stream("experiment", label, index).getrandbits(32)

@@ -30,12 +30,10 @@ election, since every sweep must stabilise one).  ``--plan NAME`` selects
 the chaos fault timeline from :data:`repro.chaos.plans.CHAOS_CATALOG`.
 ``--engine NAME`` selects the simulation engine from
 :mod:`repro.sim.engines` (engines are bit-identical by contract, so this
-changes wall-clock time only; the default honours ``REPRO_ENGINE``).
-``--streaming`` runs a streaming-capable experiment's sweep on the
-memory-bounded streaming path (worker-side mergeable aggregates, O(labels)
-parent memory) and ``--checkpoint DIR`` makes that sweep resumable: completed
-chunks persist to a JSON-lines file in DIR and a re-run of the same command
-continues bit-identically where the killed one stopped.
+changes wall-clock time only; the default is ``flat``).
+``--checkpoint DIR`` makes a checkpoint-capable experiment's sweep resumable:
+completed chunks persist to a JSON-lines file in DIR and a re-run of the same
+command continues bit-identically where the killed one stopped.
 ``--output DIR`` saves every experiment's raw measurements (CSV), a lossless
 JSON export with the run metadata, and the rendered report.
 ``--trace-out DIR`` makes trace-capable experiments archive one traced
@@ -60,7 +58,7 @@ from repro.chaos.plans import plan_names
 from repro.cluster.catalog import condition_names
 from repro.common.errors import ConfigurationError
 from repro.experiments import registry
-from repro.experiments.base import print_progress
+from repro.experiments.base import progress_printer
 from repro.experiments.export import save_run
 from repro.obs.profiling import Profiler
 from repro.obs.progress import ProgressReporter
@@ -165,25 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--streaming",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "run the sweep on the streaming engine: worker-side mergeable "
-            "aggregates, O(labels) parent memory, bit-identical results at "
-            "any worker count (--no-streaming forces the raw path; "
-            "supported by: "
-            f"{', '.join(sorted(registry.supporting('streaming')))})"
-        ),
-    )
-    parser.add_argument(
         "--checkpoint",
         metavar="DIR",
         default=None,
         help=(
-            "persist completed streaming chunks to a JSON-lines checkpoint "
-            "in DIR (implies --streaming); re-running the same sweep with "
-            "the same DIR resumes bit-identically after a kill"
+            "persist completed sweep chunks to a JSON-lines checkpoint in "
+            "DIR; re-running the same sweep with the same DIR resumes "
+            "bit-identically after a kill (supported by: "
+            f"{', '.join(sorted(registry.supporting('checkpoint')))})"
         ),
     )
     parser.add_argument(
@@ -191,9 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=engine_registry.names(),
         default=None,
         help=(
-            "simulation engine (default: the REPRO_ENGINE environment "
-            "variable, else 'classic'); engines are bit-identical by "
-            "contract, so this changes wall-clock time only"
+            "simulation engine (default: 'flat'); engines are bit-identical "
+            "by contract, so this changes wall-clock time only"
         ),
     )
     parser.add_argument(
@@ -248,13 +234,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     names = (
         list(registry.names()) if args.experiment == "all" else [args.experiment]
     )
-    if args.checkpoint is not None:
-        if args.streaming is False:
-            parser.error(
-                "--checkpoint requires the streaming path; drop --no-streaming"
-            )
-        # A checkpoint only makes sense on the chunked streaming path.
-        args.streaming = True
     for option in registry.CAPABILITIES:
         if getattr(args, option) is not None:
             message = registry.unsupported_option_message(option, names)
@@ -279,8 +258,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             option_note += f", protocols={','.join(args.protocols)}"
         if args.plan:
             option_note += f", plan={args.plan}"
-        if args.streaming is not None:
-            option_note += f", streaming={args.streaming}"
         if args.checkpoint:
             option_note += f", checkpoint={args.checkpoint}"
         if args.trace:
@@ -302,7 +279,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         progress = reporter
         if progress is None:
-            progress = None if args.quick else print_progress
+            progress = None if args.quick else progress_printer()
         try:
             run = registry.run_experiment(
                 name,
@@ -314,7 +291,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 scenario=args.scenario,
                 protocols=args.protocols,
                 plan=args.plan,
-                streaming=args.streaming,
                 checkpoint=args.checkpoint,
                 trace=args.trace,
                 engine=args.engine,

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.config import ScaParameters
-from repro.experiments.base import ProgressCallback, run_scenario_set
+from repro.experiments.base import ProgressCallback
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec, ExporterBinding
 from repro.metrics.records import MeasurementSet
@@ -75,8 +75,10 @@ def run(
     workers: int | None = 1,
 ) -> KSweepResult:
     """Execute the ``k`` sensitivity sweep (optionally over *workers*)."""
+    from repro.experiments.runner import run_sweep
+
     scenarios = build_scenarios(cluster_size, k_values)
-    by_label = run_scenario_set(
+    by_label = run_sweep(
         scenarios, runs=runs, seed=seed, progress=progress, workers=workers
     )
     return KSweepResult(

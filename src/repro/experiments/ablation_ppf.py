@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from repro import protocols as protocol_registry
 from repro.cluster.scenarios import ElectionScenario
-from repro.experiments.base import ProgressCallback, run_scenario_set
+from repro.experiments.base import ProgressCallback
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec, ExporterBinding
 from repro.metrics.records import MeasurementSet
@@ -98,8 +98,10 @@ def run(
     workers: int | None = 1,
 ) -> PpfAblationResult:
     """Execute the PPF ablation sweep (optionally fanned out over *workers*)."""
+    from repro.experiments.runner import run_sweep
+
     scenarios = build_scenarios(cluster_size, loss_rates, protocols)
-    by_label = run_scenario_set(
+    by_label = run_sweep(
         scenarios, runs=runs, seed=seed, progress=progress, workers=workers
     )
     return PpfAblationResult(

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from repro.cluster.scenarios import ElectionScenario
 from repro.common.rng import derive_run_seed, paired_seeds
 from repro.metrics.records import ElectionMeasurement, MeasurementSet
 
@@ -15,55 +14,10 @@ __all__ = [
     "derive_run_seed",
     "flatten_sets",
     "paired_seeds",
-    "print_progress",
-    "run_scenario_set",
+    "progress_printer",
 ]
 
 ProgressCallback = Callable[[str, int, int], None]
-
-
-def run_scenario_set(
-    scenarios: Mapping[str, ElectionScenario],
-    runs: int,
-    seed: int = 0,
-    progress: ProgressCallback | None = None,
-    workers: int | None = 1,
-    set_factory=MeasurementSet,
-    streaming: bool = False,
-    checkpoint=None,
-) -> dict[str, MeasurementSet]:
-    """Run every scenario *runs* times and collect the measurements.
-
-    Seeds are derived per ``(scenario label, run index)`` via
-    :func:`paired_seeds`, so adding a new scenario to the sweep never changes
-    the seeds of existing ones, and two protocols compared under the same
-    label suffix observe paired randomness.
-
-    Execution is delegated to the sweep engine in
-    :mod:`repro.experiments.runner`: ``workers=1`` runs in-process exactly
-    like the historical sequential loop, ``workers > 1`` fans the episodes
-    out over a process pool with bit-for-bit identical results, and
-    ``workers=None`` uses one worker per CPU.  *set_factory* chooses the
-    per-label result container (see :data:`repro.experiments.runner.SetFactory`).
-
-    ``streaming=True`` switches to the memory-bounded streaming path: the
-    result maps each label to a mergeable
-    :class:`~repro.metrics.streaming.ElectionAggregate` instead of a
-    measurement set, and *checkpoint* (a directory) makes the sweep
-    resumable bit-identically after a kill.
-    """
-    from repro.experiments.runner import run_sweep
-
-    return run_sweep(
-        scenarios,
-        runs=runs,
-        seed=seed,
-        progress=progress,
-        workers=workers,
-        set_factory=set_factory,
-        streaming=streaming,
-        checkpoint=checkpoint,
-    )
 
 
 @dataclass(frozen=True)
@@ -89,10 +43,21 @@ class SeriesResult:
         return collected
 
 
-def print_progress(label: str, done: int, total: int) -> None:
-    """Progress callback printing a line every 10 completed runs."""
-    if done == total or done % 10 == 0:
-        print(f"  [{label}] {done}/{total} runs", flush=True)
+def progress_printer() -> ProgressCallback:
+    """A progress callback printing a line per label per completed tenth.
+
+    Stateful because the sweep reports once per merged chunk, so a label's
+    count advances in uneven steps and may jump over any fixed multiple.
+    """
+    tenths: dict[str, int] = {}
+
+    def report(label: str, done: int, total: int) -> None:
+        tenth = done * 10 // total
+        if tenth > tenths.get(label, 0):
+            tenths[label] = tenth
+            print(f"  [{label}] {done}/{total} runs", flush=True)
+
+    return report
 
 
 def flatten_sets(sets: Iterable[MeasurementSet]) -> MeasurementSet:

@@ -1,12 +1,12 @@
-"""JSON-lines checkpointing for streaming sweeps.
+"""JSON-lines checkpointing for sweeps.
 
-A streaming sweep (:func:`repro.experiments.runner.run_sweep` with
-``streaming=True``) executes work in deterministic chunks and merges the
-per-chunk partial aggregates in chunk-index order.  That makes a sweep
-resumable *bit-identically*: persist each completed chunk's partials, and a
-restarted sweep only has to re-run the chunks that never completed -- the
-merge order (and therefore every float in the final report) is the same as an
-uninterrupted run.
+A sweep (:func:`repro.experiments.runner.run_sweep`) executes work in
+deterministic chunks and merges the per-chunk partial containers in
+chunk-index order.  That makes a sweep whose container serialises
+(``to_state``/``from_state``) resumable *bit-identically*: persist each
+completed chunk's partials, and a restarted sweep only has to re-run the
+chunks that never completed -- the merge order (and therefore every float in
+the final report) is the same as an uninterrupted run.
 
 The on-disk format is one JSON object per line, append-only:
 
@@ -66,7 +66,7 @@ def checkpoint_fingerprint(
 
 
 class SweepCheckpoint:
-    """Append-only chunk ledger for one streaming sweep.
+    """Append-only chunk ledger for one sweep.
 
     Use :meth:`open` to create-or-resume, :attr:`completed` for the chunks a
     previous run already finished, :meth:`record` after each chunk completes,

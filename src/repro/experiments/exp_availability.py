@@ -27,7 +27,7 @@ from repro.chaos.scenario import ChaosScenario
 from repro.cluster.catalog import get_condition
 from repro.common.errors import ConfigurationError
 from repro.common.types import Milliseconds
-from repro.experiments.base import ProgressCallback, run_scenario_set
+from repro.experiments.base import ProgressCallback
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec, ExporterBinding
 from repro.metrics.records import AvailabilitySet
@@ -129,19 +129,21 @@ def run(
         condition: optional named network condition from
             :mod:`repro.cluster.catalog` layered under the chaos plan.
     """
+    from repro.experiments.runner import run_sweep
+
     resolved_plan = (
         plan if isinstance(plan, ChaosPlan) else build_plan(plan, horizon_ms, seed)
     )
     scenarios = build_scenarios(
         resolved_plan, protocols, cluster_size, condition=condition
     )
-    by_protocol = run_scenario_set(
+    by_protocol = run_sweep(
         scenarios,
         runs=runs,
         seed=seed,
         progress=progress,
         workers=workers,
-        set_factory=AvailabilitySet,
+        container=AvailabilitySet,
     )
     return AvailabilityResult(
         plan=resolved_plan,

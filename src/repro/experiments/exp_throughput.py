@@ -11,11 +11,10 @@ windows, drops while leaderless, and ops lost per failover
 
 Every capability of the harness applies: ``--plan`` selects the fault
 timeline, ``--scenario`` layers a network condition underneath,
-``--protocols`` changes the comparison, ``--streaming``/``--checkpoint``
-switch to the memory-bounded mergeable-aggregate path, and ``--trace-out``
-archives one traced episode per cell.  Latencies feed
-:class:`~repro.metrics.streaming.StreamingSummary`, so results are
-bit-identical at any ``--workers`` count and across both engines.
+``--protocols`` changes the comparison, ``--checkpoint`` makes the sweep
+resumable, and ``--trace-out`` archives one traced episode per cell.
+Latencies feed :class:`~repro.metrics.streaming.StreamingSummary`, so results
+are bit-identical at any ``--workers`` count and across both engines.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec, ExporterBinding
 from repro.metrics.tables import render_table
 from repro.obs.trace import archive_election_traces
-from repro.workload import WorkloadAggregate, WorkloadSet
+from repro.workload import WorkloadAggregate
 from repro.workload import specs as workload_specs
 from repro.workload.scenario import ThroughputScenario
 
@@ -60,14 +59,7 @@ def throughput_label(protocol: str, workload: str) -> str:
 
 @dataclass(frozen=True)
 class ThroughputResult:
-    """Workload aggregates per (protocol, workload) cell under one plan.
-
-    Both data paths land here: the streaming sweep produces the aggregates
-    directly, the raw path converts its measurement sets via
-    :meth:`WorkloadAggregate.from_measurements` -- so reports and exports
-    are path-independent (bit-identical while the latency sketches stay in
-    their exact regime).
-    """
+    """Workload aggregates per (protocol, workload) cell under one plan."""
 
     plan: ChaosPlan
     protocols: tuple[str, ...]
@@ -76,8 +68,6 @@ class ThroughputResult:
     runs: int
     condition: str | None
     by_label: Mapping[str, WorkloadAggregate]
-    #: Which data path produced the aggregates (provenance only).
-    streaming: bool = False
 
     def aggregate_for(self, protocol: str, workload: str) -> WorkloadAggregate:
         """The aggregate for one (protocol, workload) cell."""
@@ -135,7 +125,6 @@ def run(
     condition: str | None = None,
     progress: ProgressCallback | None = None,
     workers: int | None = 1,
-    streaming: bool = False,
     checkpoint: str | None = None,
     trace: str | None = None,
 ) -> ThroughputResult:
@@ -147,9 +136,8 @@ def run(
         workloads: registered workload names, one sweep row each.
         condition: optional named network condition from
             :mod:`repro.cluster.catalog` layered under the chaos plan.
-        streaming: aggregate worker-side into mergeable partials; with
-            *checkpoint* (a directory) the sweep resumes bit-identically
-            after a kill.
+        checkpoint: directory in which completed chunks persist, so a
+            killed sweep resumes bit-identically.
         trace: directory into which one traced episode per cell is archived
             afterwards (JSONL + telemetry snapshots).
     """
@@ -161,37 +149,15 @@ def run(
     scenarios = build_scenarios(
         resolved_plan, protocols, workloads, cluster_size, condition=condition
     )
-    if streaming:
-        by_label = run_sweep(
-            scenarios,
-            runs=runs,
-            seed=seed,
-            progress=progress,
-            workers=workers,
-            streaming=True,
-            aggregate_factory=WorkloadAggregate,
-            checkpoint=checkpoint,
-        )
-    else:
-        if checkpoint is not None:
-            raise ConfigurationError(
-                "checkpointing requires the streaming path; "
-                "drop streaming=False or the checkpoint"
-            )
-        raw = run_sweep(
-            scenarios,
-            runs=runs,
-            seed=seed,
-            progress=progress,
-            workers=workers,
-            set_factory=WorkloadSet,
-        )
-        by_label = {
-            label: WorkloadAggregate.from_measurements(
-                workload_set.measurements, label
-            )
-            for label, workload_set in raw.items()
-        }
+    by_label = run_sweep(
+        scenarios,
+        runs=runs,
+        seed=seed,
+        progress=progress,
+        workers=workers,
+        container=WorkloadAggregate,
+        checkpoint=checkpoint,
+    )
     if trace is not None:
         archive_election_traces(scenarios, seed, trace)
     return ThroughputResult(
@@ -202,7 +168,6 @@ def run(
         runs=runs,
         condition=condition,
         by_label=by_label,
-        streaming=streaming,
     )
 
 
@@ -211,9 +176,8 @@ def report(result: ThroughputResult) -> str:
 
     One row per (workload, protocol): sustained ops/sec, commit-latency
     percentiles, the election-window throughput dip, client drops while
-    leaderless and ops lost per failover.  Deliberately derived from the
-    aggregates alone, so the streaming and in-memory paths render identical
-    reports whenever their aggregates agree.
+    leaderless and ops lost per failover.  Derived from the aggregates
+    alone: the sweep never retains episodes.
     """
     headers = [
         "workload",
@@ -324,7 +288,7 @@ SPEC = register(
         supports_scenario=True,
         supports_protocols=True,
         supports_plan=True,
-        supports_streaming=True,
+        supports_checkpoint=True,
         supports_trace=True,
         exporter=ExporterBinding(kind="rows", extract=_export_rows),
     )

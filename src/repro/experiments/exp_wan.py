@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from repro import protocols as protocol_registry
 from repro.cluster.catalog import get_condition, scenario_for
 from repro.cluster.scenarios import ElectionScenario
-from repro.experiments.base import ProgressCallback, run_scenario_set
+from repro.experiments.base import ProgressCallback
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec, ExporterBinding
 from repro.metrics.records import MeasurementSet
@@ -111,8 +111,10 @@ def run(
     workers: int | None = 1,
 ) -> WanResult:
     """Execute the WAN sweep (optionally fanned out over *workers*)."""
+    from repro.experiments.runner import run_sweep
+
     scenarios = build_scenarios(conditions, protocols, cluster_size)
-    by_label = run_scenario_set(
+    by_label = run_sweep(
         scenarios, runs=runs, seed=seed, progress=progress, workers=workers
     )
     return WanResult(

@@ -412,7 +412,7 @@ def aggregate_to_row(label: str, aggregate) -> dict[str, object]:
     """Flatten one streaming :class:`~repro.metrics.streaming.ElectionAggregate`
     into a scalar ``"rows"``-kind dict.
 
-    The streaming sweep path never retains episodes, so its export is one
+    An aggregate sweep never retains episodes, so its export is one
     aggregate row per cell -- counts, fractions and the summary statistics of
     the converged total election time (``None`` when nothing converged).
     """

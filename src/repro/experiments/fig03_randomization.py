@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.types import Milliseconds
-from repro.experiments.base import ProgressCallback, run_scenario_set
+from repro.experiments.base import ProgressCallback
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec, ExporterBinding
 from repro.metrics.records import MeasurementSet
@@ -92,8 +92,10 @@ def run(
     re-run afterwards and archived there as JSONL (plus telemetry snapshots);
     see :func:`repro.obs.trace.archive_election_traces`.
     """
+    from repro.experiments.runner import run_sweep
+
     scenarios = build_scenarios(timeout_ranges, cluster_size)
-    by_range = run_scenario_set(
+    by_range = run_sweep(
         scenarios, runs=runs, seed=seed, progress=progress, workers=workers
     )
     if trace is not None:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from repro import protocols as protocol_registry
 from repro.cluster.scenarios import ElectionScenario
-from repro.experiments.base import ProgressCallback, run_scenario_set
+from repro.experiments.base import ProgressCallback
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec, ExporterBinding
 from repro.metrics.records import MeasurementSet
@@ -93,8 +93,10 @@ def run(
     cell is re-run afterwards and archived there as JSONL (plus telemetry
     snapshots); see :func:`repro.obs.trace.archive_election_traces`.
     """
+    from repro.experiments.runner import run_sweep
+
     scenarios = build_scenarios(sizes, protocols)
-    by_label = run_scenario_set(
+    by_label = run_sweep(
         scenarios, runs=runs, seed=seed, progress=progress, workers=workers
     )
     if trace is not None:

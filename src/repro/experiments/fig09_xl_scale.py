@@ -2,18 +2,12 @@
 
 The paper's scale experiment (Section VI-B) stops at 128 servers.  This
 extension pushes the same ESCAPE-vs-Raft comparison to s = 256, 512 and 1024
-on top of the streaming sweep engine: workers aggregate episodes into
-mergeable per-label partials (:class:`~repro.metrics.streaming.ElectionAggregate`),
-so the parent's memory stays O(labels) no matter how many episodes run, and
-``--checkpoint DIR`` makes the multi-minute large-``s`` sweeps resumable
-bit-identically after a kill.  Run it with ``--engine flat`` (or
-``REPRO_ENGINE=flat``): engines are bit-identical by contract and the flat
-engine covers the s >= 256 cells several times faster (see BENCH_core.json).
-
-Streaming is the default; ``--no-streaming`` (or ``streaming=False``) runs
-the identical sweep through the raw-measurement path and converts the
-episode sets to the same aggregate type, which a regression test uses to pin
-the streaming report equal to the in-memory one at paper sizes.
+by sweeping into mergeable per-label aggregates
+(:class:`~repro.metrics.streaming.ElectionAggregate`) instead of episode
+sets, so the parent's memory stays O(labels) no matter how many episodes run,
+and ``--checkpoint DIR`` makes the multi-minute large-``s`` sweeps resumable
+bit-identically after a kill.  The default ``flat`` engine covers the
+s >= 256 cells several times faster than ``classic`` (see BENCH_core.json).
 """
 
 from __future__ import annotations
@@ -22,14 +16,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro import protocols as protocol_registry
-from repro.cluster.scenarios import ElectionScenario
-from repro.common.errors import ConfigurationError
-from repro.experiments.base import ProgressCallback, run_scenario_set
+from repro.experiments.base import ProgressCallback
 from repro.experiments.export import aggregate_to_row
 from repro.experiments.fig09_scale import build_scenarios, scale_label
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec, ExporterBinding
-from repro.metrics.records import MeasurementSet
 from repro.metrics.stats import reduction_percent
 from repro.metrics.streaming import ElectionAggregate
 from repro.metrics.tables import render_table
@@ -43,21 +34,12 @@ PROTOCOLS: tuple[str, ...] = protocol_registry.RAFT_VS_ESCAPE
 
 @dataclass(frozen=True)
 class XlScaleResult:
-    """Mergeable aggregates per (protocol, cluster size) cell.
-
-    Both data paths land here: the streaming sweep produces the aggregates
-    directly, the raw path converts its measurement sets via
-    :meth:`ElectionAggregate.from_measurements` -- so reports and exports are
-    path-independent (bit-identical at paper sizes, where the aggregates stay
-    in their exact regime).
-    """
+    """Mergeable aggregates per (protocol, cluster size) cell."""
 
     sizes: tuple[int, ...]
     runs: int
     by_label: Mapping[str, ElectionAggregate]
     protocols: tuple[str, ...] = PROTOCOLS
-    #: Which data path produced the aggregates (provenance only).
-    streaming: bool = True
 
     def aggregate_for(self, protocol: str, size: int) -> ElectionAggregate:
         """The aggregate for one protocol at one scale."""
@@ -85,57 +67,37 @@ def run(
     protocols: Sequence[str] = PROTOCOLS,
     progress: ProgressCallback | None = None,
     workers: int | None = 1,
-    streaming: bool = True,
     checkpoint: str | None = None,
 ) -> XlScaleResult:
     """Execute the extended scale sweep.
 
-    ``streaming=True`` (the default) uses the memory-bounded streaming
-    engine; ``checkpoint`` (a directory) persists completed chunks so a
-    killed sweep resumes bit-identically.  ``streaming=False`` runs the raw
-    path and converts, for the path-equality pin.
+    ``checkpoint`` (a directory) persists completed chunks so a killed sweep
+    resumes bit-identically.
     """
+    from repro.experiments.runner import run_sweep
+
     scenarios = build_scenarios(sizes, protocols)
-    if streaming:
-        by_label = run_scenario_set(
-            scenarios,
-            runs=runs,
-            seed=seed,
-            progress=progress,
-            workers=workers,
-            streaming=True,
-            checkpoint=checkpoint,
-        )
-    else:
-        if checkpoint is not None:
-            raise ConfigurationError(
-                "checkpointing requires the streaming path; "
-                "drop streaming=False or the checkpoint"
-            )
-        raw: Mapping[str, MeasurementSet] = run_scenario_set(
-            scenarios, runs=runs, seed=seed, progress=progress, workers=workers
-        )
-        by_label = {
-            label: ElectionAggregate.from_measurements(
-                measurement_set.measurements, label
-            )
-            for label, measurement_set in raw.items()
-        }
+    by_label = run_sweep(
+        scenarios,
+        runs=runs,
+        seed=seed,
+        progress=progress,
+        workers=workers,
+        container=ElectionAggregate,
+        checkpoint=checkpoint,
+    )
     return XlScaleResult(
         sizes=tuple(sizes),
         runs=runs,
         by_label=by_label,
         protocols=tuple(protocols),
-        streaming=streaming,
     )
 
 
 def report(result: XlScaleResult) -> str:
     """Render mean/p99/max/reduction/split-vote rows per scale.
 
-    Deliberately derived from the aggregates alone (never from raw
-    episodes), so the streaming and in-memory paths render byte-identical
-    reports whenever their aggregates agree.
+    Derived from the aggregates alone: the sweep never retains episodes.
     """
     with_reduction = {"raft", "escape"} <= set(result.protocols)
     labels = {
@@ -190,9 +152,8 @@ SPEC = register(
         title="Figure 9 extended to data-center scale (streaming sweep)",
         paper_ref="Figure 9 / Section VI-B (extended)",
         description=(
-            "ESCAPE vs Raft to 1024 servers on the streaming sweep engine: "
-            "O(labels) parent memory, checkpoint/resume, flat-engine "
-            "recommended"
+            "ESCAPE vs Raft to 1024 servers, swept into mergeable "
+            "aggregates: O(labels) parent memory, checkpoint/resume"
         ),
         run=run,
         reporter=report,
@@ -200,7 +161,7 @@ SPEC = register(
         params={"sizes": XL_SIZES},
         quick_params={"sizes": (8, 16)},
         supports_protocols=True,
-        supports_streaming=True,
+        supports_checkpoint=True,
         exporter=ExporterBinding(kind="rows", extract=_export_rows),
     )
 )

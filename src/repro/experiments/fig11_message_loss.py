@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from repro import protocols as protocol_registry
 from repro.cluster.scenarios import ElectionScenario
-from repro.experiments.base import ProgressCallback, run_scenario_set
+from repro.experiments.base import ProgressCallback
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec, ExporterBinding
 from repro.metrics.records import MeasurementSet
@@ -101,8 +101,10 @@ def run(
     workers: int | None = 1,
 ) -> MessageLossResult:
     """Execute the Figure 11 sweep (optionally fanned out over *workers*)."""
+    from repro.experiments.runner import run_sweep
+
     scenarios = build_scenarios(sizes, loss_rates, protocols)
-    by_label = run_scenario_set(
+    by_label = run_sweep(
         scenarios, runs=runs, seed=seed, progress=progress, workers=workers
     )
     return MessageLossResult(

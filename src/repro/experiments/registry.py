@@ -205,7 +205,6 @@ def run_experiment(
     scenario: str | None = None,
     protocols: Sequence[str] | None = None,
     plan: str | None = None,
-    streaming: bool | None = None,
     checkpoint: str | None = None,
     trace: str | None = None,
     engine: str | None = None,
@@ -227,12 +226,9 @@ def run_experiment(
         protocols: protocol names replacing the experiment's default
             comparison (protocol-capable experiments).
         plan: named chaos plan (plan-capable experiments).
-        streaming: select (``True``) or veto (``False``) the streaming sweep
-            path for streaming-capable experiments; ``None`` keeps the
-            spec's own default.
-        checkpoint: directory for the streaming path's JSON-lines chunk
-            checkpoint (implies ``streaming=True``); a killed run re-invoked
-            with the same checkpoint resumes bit-identically.
+        checkpoint: directory for the sweep's JSON-lines chunk checkpoint
+            (checkpoint-capable experiments); a killed run re-invoked with
+            the same checkpoint resumes bit-identically.
         trace: directory into which trace-capable experiments archive one
             traced episode per scenario label (JSONL + manifest + telemetry
             snapshots; see :func:`repro.obs.trace.archive_election_traces`).
@@ -250,26 +246,25 @@ def run_experiment(
             options, unknown parameter overrides, or unsweepable protocols.
     """
     spec = get(name)
-    if checkpoint is not None:
-        if streaming is False:
-            raise ConfigurationError(
-                "checkpoint= requires the streaming path; "
-                "drop streaming=False or the checkpoint"
-            )
-        streaming = True
-    for option, value in (
-        ("scenario", scenario),
-        ("protocols", protocols),
-        ("plan", plan),
-        ("streaming", streaming),
-        ("trace", trace),
-    ):
-        if value is not None and not getattr(spec, f"supports_{option}"):
+    # The sweep-wide options the caller actually supplied, by capability.
+    supplied = {
+        option: value
+        for option, value in (
+            ("scenario", scenario),
+            ("protocols", protocols),
+            ("plan", plan),
+            ("checkpoint", checkpoint),
+            ("trace", trace),
+        )
+        if value is not None
+    }
+    for option in supplied:
+        if not getattr(spec, f"supports_{option}"):
             raise ConfigurationError(
                 unsupported_option_message(option, [name])
             )
     if protocols is not None:
-        protocols = validate_sweep_protocols(tuple(protocols))
+        supplied["protocols"] = validate_sweep_protocols(tuple(protocols))
 
     profiler = Profiler()
     notes: list[str] = []
@@ -292,18 +287,7 @@ def run_experiment(
     if spec.supports_workers:
         call_kwargs["progress"] = progress
         call_kwargs["workers"] = workers
-    if scenario is not None:
-        call_kwargs["scenario"] = scenario
-    if protocols is not None:
-        call_kwargs["protocols"] = protocols
-    if plan is not None:
-        call_kwargs["plan"] = plan
-    if streaming is not None:
-        call_kwargs["streaming"] = streaming
-    if checkpoint is not None:
-        call_kwargs["checkpoint"] = checkpoint
-    if trace is not None:
-        call_kwargs["trace"] = trace
+    call_kwargs.update(supplied)
 
     # Phase timings are run *metadata* (how long each stage took on this
     # machine), never an input to the simulation; the Profiler lives in the
@@ -321,20 +305,11 @@ def run_experiment(
     # must not claim a grid the run never executed), and capability values
     # recorded only when they were actually passed.
     parameters = dict(params)
-    for option, value in (
-        ("scenario", scenario),
-        ("protocols", protocols),
-        ("plan", plan),
-        ("streaming", streaming),
-        ("trace", trace),
-    ):
-        if value is not None:
-            superseded = spec.capability_overrides.get(option)
-            if superseded is not None:
-                parameters.pop(superseded, None)
-            parameters[option] = value
-    if checkpoint is not None:
-        parameters["checkpoint"] = str(checkpoint)
+    for option, value in supplied.items():
+        superseded = spec.capability_overrides.get(option)
+        if superseded is not None:
+            parameters.pop(superseded, None)
+        parameters[option] = value
     return ExperimentRun(
         name=name,
         title=spec.title,

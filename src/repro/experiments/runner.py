@@ -4,67 +4,70 @@ Every figure of the paper is reproduced by running thousands of independent
 leader-election episodes.  Each episode is a pure function of
 ``(scenario, seed)`` (see :mod:`repro.common.rng`), so the sweep fans out
 perfectly: this module splits a scenario mapping into ``(label, run index)``
-work items, executes them across a :mod:`multiprocessing` pool, and
-aggregates the per-run :class:`~repro.metrics.records.ElectionMeasurement`\\ s
-in the parent.
+work items, cuts them into chunks, folds every chunk into one partial result
+container per label -- in a :mod:`multiprocessing` pool worker or in-process
+-- and merges the partials in the parent.
 
-Two data paths share the work-item layer:
+The *container* decides what a sweep keeps.  It is any class built as
+``container(label=...)`` that provides ``add(measurement)``,
+``merge(other)`` and ``__len__``:
 
-* **raw** (the default) -- every measurement travels back to the parent and
-  lands in a :class:`~repro.metrics.records.MeasurementSet`; experiments that
-  need episode-level records keep using this.
-* **streaming** (``streaming=True``) -- workers execute whole chunks and
-  return one mergeable partial aggregate per label per chunk
-  (:class:`~repro.metrics.streaming.ElectionAggregate`), cutting IPC by the
-  chunk factor and keeping parent memory O(labels) instead of O(runs).
-  Partials merge in chunk-index order, so results are bit-identical at any
-  worker count, and each completed chunk can be persisted to a JSON-lines
-  checkpoint (:mod:`repro.experiments.checkpoint`) from which a killed sweep
-  resumes bit-identically.
+* collecting containers (:class:`~repro.metrics.records.MeasurementSet`, the
+  default; :class:`~repro.metrics.records.AvailabilitySet`;
+  :class:`~repro.workload.records.WorkloadSet`, which no registered
+  experiment sweeps into) keep every episode record, in run-index order;
+* mergeable aggregates (:class:`~repro.metrics.streaming.ElectionAggregate`,
+  :class:`~repro.workload.aggregate.WorkloadAggregate`) keep O(labels)
+  state no matter how many episodes ran, and -- because they also provide
+  ``to_state``/``from_state`` -- each completed chunk can be persisted to a
+  JSON-lines checkpoint (:mod:`repro.experiments.checkpoint`) from which a
+  killed sweep resumes bit-identically.
 
 Work items are lean ``(label, index, seed)`` triples: the label -> scenario
 table ships **once** per worker through the pool initializer instead of being
 pickled into every item.  Items are interleaved across labels before
 chunking (run 0 of every label, then run 1, ...), so a size-mixed sweep like
 fig9-xl -- where an s=1024 episode costs ~1000x an s=8 one -- never ends on a
-straggler chunk of only-huge episodes.
+straggler chunk of only-huge episodes, and a label's partials arrive in
+run-index order.
 
-Determinism is preserved bit-for-bit: seeds are derived by exactly the same
-per-``(label, index)`` scheme as the sequential path (one shared helper,
-:func:`repro.experiments.base.paired_seeds`), workers never share random
-state, and aggregation order is fixed (slot order for the raw path, chunk
-order for the streaming path) regardless of completion order.
-``run_sweep(..., workers=4)`` therefore returns the same results as
-``workers=1``, which regression tests pin for both paths.
+Determinism is preserved bit-for-bit: seeds are derived by the shared
+per-``(label, index)`` scheme (:func:`repro.experiments.base.paired_seeds`),
+workers never share random state, the chunk partition depends on the item
+count alone, and partials merge strictly in chunk-index order regardless of
+completion order.  ``run_sweep(..., workers=4)`` therefore returns the same
+results as ``workers=1``, which regression tests pin.
 
 ``workers=1`` (the default) and platforms without a usable ``fork``/``spawn``
-pool fall through to an in-process loop that shares the same work-item and
-aggregation code path.
+pool fold the same chunks in-process.
+
+The experiment modules import this module inside their ``run`` functions, so
+importing the package (``--list``, the registry) never pays for
+:mod:`multiprocessing`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from repro import protocols
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import SweepError
 from repro.experiments.base import ProgressCallback, paired_seeds
 from repro.experiments.checkpoint import SweepCheckpoint, checkpoint_fingerprint
-from repro.metrics.records import ElectionMeasurement, MeasurementSet
-from repro.metrics.streaming import ElectionAggregate
+from repro.metrics.records import MeasurementSet
 from repro.protocols import ProtocolSpec
 from repro.sim import engines
 from repro.sim.engines import EngineSpec
 
 __all__ = [
-    "AggregateFactory",
+    "Container",
     "MAX_CHUNK_ITEMS",
-    "SetFactory",
     "SweepChunk",
     "SweepItem",
     "build_chunks",
@@ -74,17 +77,12 @@ __all__ = [
     "streaming_chunk_size",
 ]
 
-#: Builds one per-label result container from ``(measurements, label)``.
-#: :class:`MeasurementSet` fits election sweeps; the availability experiment
-#: passes :class:`~repro.metrics.records.AvailabilitySet` so its records land
-#: in a container whose API actually matches them.
-SetFactory = Callable[[Iterable, str], object]
-
-#: Builds one empty mergeable aggregate for a label.  The default,
-#: :class:`~repro.metrics.streaming.ElectionAggregate`, fits election sweeps;
-#: any replacement must provide ``add(measurement)``, ``merge(other)`` and
-#: ``__len__`` (plus ``to_state``/``from_state`` when checkpointing).
-AggregateFactory = Callable[[str], object]
+#: Builds one empty per-label result container, called as
+#: ``container(label=...)``.  The product must provide ``add(measurement)``,
+#: ``merge(other)`` and ``__len__`` (plus ``to_state`` and a ``from_state``
+#: classmethod when checkpointing); see the module docstring for the five
+#: containers the repository provides.
+Container = Callable[..., object]
 
 #: Upper bound on items per chunk.  Chunking amortises per-item IPC, but a
 #: chunk is also the unit of load balancing (and of checkpointing), so in a
@@ -112,9 +110,9 @@ class SweepItem:
 class SweepChunk:
     """A contiguous slice of the interleaved work-item list.
 
-    The streaming path's unit of execution, aggregation, and checkpointing:
-    workers return one partial aggregate per label per chunk, and the parent
-    merges chunks strictly in ``chunk_id`` order.
+    The unit of execution, IPC, aggregation and checkpointing: a chunk is
+    folded into one partial container per label, and the parent merges
+    chunks strictly in ``chunk_id`` order.
     """
 
     chunk_id: int
@@ -153,14 +151,16 @@ def build_chunks(items: list[SweepItem], chunk_size: int) -> list[SweepChunk]:
 
 
 def streaming_chunk_size(item_count: int) -> int:
-    """Chunk size for the streaming path.
+    """The sweep's chunk size: 1/128 of the items, capped.
 
     Deliberately **independent of the worker count**: the chunk partition
-    fixes the aggregate merge tree, so making it worker-free keeps streaming
-    results bit-identical at any ``--workers`` value (and lets a checkpoint
-    written under one worker count resume under another).
+    fixes the merge tree, so making it worker-free keeps results
+    bit-identical at any ``--workers`` value (and lets a checkpoint written
+    under one worker count resume under another).  128 chunks (or one per
+    item below that) leave eight per worker on a 16-CPU host; an episode
+    costs milliseconds, a chunk's round trip microseconds.
     """
-    return max(1, min(MAX_CHUNK_ITEMS, item_count // 16))
+    return max(1, min(MAX_CHUNK_ITEMS, item_count // 128))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -180,33 +180,33 @@ def resolve_workers(workers: int | None) -> int:
 #: items never carry (and the task queue never re-pickles) scenarios.
 _WORKER_SCENARIOS: Mapping[str, ElectionScenario] = {}
 
-#: Per-worker aggregate factory for the streaming path.
-_WORKER_AGGREGATE_FACTORY: AggregateFactory = ElectionAggregate
+#: Per-worker result container, installed alongside the scenario table.
+_WORKER_CONTAINER: Container = MeasurementSet
 
 
-def _execute_item(
-    item: SweepItem,
-) -> tuple[str, int, ElectionMeasurement | None, str | None]:
-    """Run one work item; exceptions come back as strings (pool-safe)."""
-    try:
-        scenario = _WORKER_SCENARIOS[item.label]
-        return item.label, item.index, scenario.run(item.seed), None
-    except Exception as exc:  # noqa: BLE001 - re-raised as SweepError in parent
-        return item.label, item.index, None, f"{type(exc).__name__}: {exc}"
-
-
-def _aggregate_chunk(
+def _fold_chunk(
     chunk: SweepChunk,
     scenarios: Mapping[str, ElectionScenario],
-    aggregate_factory: AggregateFactory,
+    container: Container,
 ) -> dict[str, object]:
-    """Execute one chunk and fold its episodes into per-label partials."""
+    """Execute one chunk and fold its episodes into per-label partials.
+
+    A failing episode is re-raised as a :class:`SweepError` naming the
+    ``(label, index, seed)`` that reproduces it, chained to the original
+    exception so an in-process sweep keeps the failing frame's traceback.
+    """
     partials: dict[str, object] = {}
     for item in chunk.items:
-        measurement = scenarios[item.label].run(item.seed)
+        try:
+            measurement = scenarios[item.label].run(item.seed)
+        except Exception as exc:
+            raise SweepError(
+                f"scenario {item.label!r} run {item.index} (seed {item.seed}) "
+                f"failed: {type(exc).__name__}: {exc}"
+            ) from exc
         partial = partials.get(item.label)
         if partial is None:
-            partials[item.label] = partial = aggregate_factory(item.label)
+            partials[item.label] = partial = container(label=item.label)
         partial.add(measurement)
     return partials
 
@@ -214,14 +214,16 @@ def _aggregate_chunk(
 def _execute_chunk(
     chunk: SweepChunk,
 ) -> tuple[int, dict[str, object] | None, str | None]:
-    """Run one chunk in a pool worker; exceptions come back as strings."""
+    """Fold one chunk in a pool worker.
+
+    An episode failure comes back as its message: the exception chain cannot
+    cross the process boundary intact, so the parent re-raises the string.
+    """
     try:
-        partials = _aggregate_chunk(
-            chunk, _WORKER_SCENARIOS, _WORKER_AGGREGATE_FACTORY
-        )
-        return chunk.chunk_id, partials, None
-    except Exception as exc:  # noqa: BLE001 - re-raised as SweepError in parent
-        return chunk.chunk_id, None, f"{type(exc).__name__}: {exc}"
+        partials = _fold_chunk(chunk, _WORKER_SCENARIOS, _WORKER_CONTAINER)
+    except SweepError as error:
+        return chunk.chunk_id, None, str(error)
+    return chunk.chunk_id, partials, None
 
 
 def _swept_specs(scenarios: Mapping[str, ElectionScenario]) -> tuple[ProtocolSpec, ...]:
@@ -264,7 +266,7 @@ def _register_worker_specs(
     engine_specs: tuple[EngineSpec, ...] = (),
     default_engine: str | None = None,
     scenarios: Mapping[str, ElectionScenario] | None = None,
-    aggregate_factory: AggregateFactory | None = None,
+    container: Container | None = None,
 ) -> None:
     """Pool initializer: mirror the parent's registries and scenario table.
 
@@ -280,8 +282,8 @@ def _register_worker_specs(
     The parent's *resolved* default engine travels the same way: scenarios
     with an empty ``engine`` field resolve against the worker's process
     default, so without this a ``spawn`` worker would silently fall back to
-    ``"classic"`` even when the parent selected ``--engine flat``.  Engines
-    are bit-identical by contract, so this is a performance guarantee, not a
+    ``"flat"`` even when the parent selected ``--engine classic``.  Engines
+    are bit-identical by contract, so this is a provenance guarantee, not a
     correctness one.
 
     The label -> scenario table also rides in here exactly once per worker:
@@ -297,9 +299,9 @@ def _register_worker_specs(
     if scenarios is not None:
         global _WORKER_SCENARIOS
         _WORKER_SCENARIOS = scenarios
-    if aggregate_factory is not None:
-        global _WORKER_AGGREGATE_FACTORY
-        _WORKER_AGGREGATE_FACTORY = aggregate_factory
+    if container is not None:
+        global _WORKER_CONTAINER
+        _WORKER_CONTAINER = container
 
 
 def _pool_context() -> multiprocessing.context.BaseContext | None:
@@ -322,7 +324,7 @@ def _make_pool(
     context: multiprocessing.context.BaseContext,
     workers: int,
     scenarios: Mapping[str, ElectionScenario],
-    aggregate_factory: AggregateFactory | None,
+    container: Container,
 ):
     """A pool whose workers carry the parent's registries + scenario table."""
     return context.Pool(
@@ -333,81 +335,26 @@ def _make_pool(
             _swept_engine_specs(scenarios),
             engines.default_engine_name(),
             dict(scenarios),
-            aggregate_factory,
+            container,
         ),
     )
 
 
 # --------------------------------------------------------------------------- #
-# Raw-measurement accounting (the original path)
+# Parent-side accounting
 # --------------------------------------------------------------------------- #
 
 
-class _SweepAccounting:
-    """Collects streamed results and drives the progress callback.
-
-    Results may arrive in any order from the pool; they are slotted by
-    ``(label, index)`` so the final measurement sets are order-independent,
-    while progress is reported as monotonically increasing per-label counts.
-    """
-
-    def __init__(
-        self,
-        scenarios: Mapping[str, ElectionScenario],
-        runs: int,
-        progress: ProgressCallback | None,
-        set_factory: SetFactory = MeasurementSet,
-    ) -> None:
-        self._runs = runs
-        self._progress = progress
-        self._set_factory = set_factory
-        self._slots: dict[str, list[ElectionMeasurement | None]] = {
-            label: [None] * runs for label in scenarios
-        }
-        self._done: dict[str, int] = {label: 0 for label in scenarios}
-
-    def record(
-        self,
-        label: str,
-        index: int,
-        measurement: ElectionMeasurement | None,
-        error: str | None,
-    ) -> None:
-        if error is not None:
-            raise SweepError(f"scenario {label!r} run {index} failed: {error}")
-        self._slots[label][index] = measurement
-        self._done[label] += 1
-        if self._progress is not None:
-            self._progress(label, self._done[label], self._runs)
-
-    def results(self) -> dict[str, MeasurementSet]:
-        sets: dict[str, MeasurementSet] = {}
-        for label, slots in self._slots.items():
-            missing = [index for index, slot in enumerate(slots) if slot is None]
-            if missing:
-                raise SweepError(
-                    f"scenario {label!r} lost runs {missing}; "
-                    "a worker probably died without reporting"
-                )
-            sets[label] = self._set_factory(slots, label)
-        return sets
-
-
-# --------------------------------------------------------------------------- #
-# Streaming accounting (O(labels) parent memory)
-# --------------------------------------------------------------------------- #
-
-
-class _StreamingAccounting:
-    """Merges per-chunk partial aggregates strictly in chunk-index order.
+class _ChunkAccounting:
+    """Merges per-chunk partial containers strictly in chunk-index order.
 
     Chunks complete in arbitrary order under a pool; out-of-order arrivals
     are buffered (bounded by the number of in-flight chunks) and folded in
     as soon as the next expected chunk lands.  Fixing the merge order fixes
-    the aggregate merge tree, which is what makes streaming results
-    bit-identical across worker counts and checkpoint resumes.  Parent
-    memory is O(labels): one running aggregate per label, never an episode
-    list.
+    the merge tree, which is what makes results bit-identical across worker
+    counts and checkpoint resumes -- and, because items are interleaved, it
+    hands a collecting container its episodes in run-index order.  The
+    parent holds one running container per label.
     """
 
     def __init__(
@@ -415,14 +362,14 @@ class _StreamingAccounting:
         scenarios: Mapping[str, ElectionScenario],
         runs: int,
         progress: ProgressCallback | None,
-        aggregate_factory: AggregateFactory,
+        container: Container,
         total_chunks: int,
     ) -> None:
         self._runs = runs
         self._progress = progress
         self._total_chunks = total_chunks
-        self._aggregates: dict[str, object] = {
-            label: aggregate_factory(label) for label in scenarios
+        self._merged: dict[str, object] = {
+            label: container(label=label) for label in scenarios
         }
         self._done: dict[str, int] = {label: 0 for label in scenarios}
         self._next_chunk = 0
@@ -434,7 +381,7 @@ class _StreamingAccounting:
         self._pending[chunk_id] = partials
         while self._next_chunk in self._pending:
             for label, partial in self._pending.pop(self._next_chunk).items():
-                self._aggregates[label].merge(partial)
+                self._merged[label].merge(partial)
                 self._done[label] += len(partial)
                 if self._progress is not None:
                     self._progress(label, self._done[label], self._runs)
@@ -443,28 +390,16 @@ class _StreamingAccounting:
     def results(self) -> dict[str, object]:
         if self._next_chunk != self._total_chunks or self._pending:
             raise SweepError(
-                f"streaming sweep incomplete: merged {self._next_chunk} of "
+                f"sweep incomplete: merged {self._next_chunk} of "
                 f"{self._total_chunks} chunks"
             )
         for label, done in self._done.items():
             if done != self._runs:
                 raise SweepError(
-                    f"scenario {label!r} aggregated {done} of {self._runs} "
+                    f"scenario {label!r} merged {done} of {self._runs} "
                     "runs; a worker probably died without reporting"
                 )
-        return dict(self._aggregates)
-
-
-def _chunk_size(item_count: int, workers: int) -> int:
-    """Raw-path pool chunk size: several chunks per worker, capped.
-
-    The cap matters for size-mixed sweeps (fig9/fig9-xl): an s=1024 episode
-    costs ~1000x an s=8 one, so an uncapped ``items // (workers * 8)`` chunk
-    of label-adjacent items used to strand one worker with a tail of
-    only-expensive episodes.  With interleaved items and the cap, every
-    chunk mixes sizes and the tail stays balanced.
-    """
-    return max(1, min(MAX_CHUNK_ITEMS, item_count // (workers * 8)))
+        return self._merged
 
 
 def run_sweep(
@@ -473,40 +408,36 @@ def run_sweep(
     seed: int = 0,
     progress: ProgressCallback | None = None,
     workers: int | None = 1,
-    set_factory: SetFactory = MeasurementSet,
-    streaming: bool = False,
-    aggregate_factory: AggregateFactory = ElectionAggregate,
+    container: Container = MeasurementSet,
     checkpoint: str | os.PathLike | None = None,
 ) -> dict[str, object]:
     """Run every scenario *runs* times, fanned out over *workers* processes.
 
     Args:
         scenarios: label -> scenario mapping (label order is preserved in the
-            result, matching the sequential path).
+            result).
         runs: independent episodes per scenario.
         seed: root seed for the per-``(label, index)`` derivation.
         progress: optional callback invoked as ``progress(label, done,
-            runs)``; per-label counts are monotonic.  The raw path reports
-            per episode, the streaming path per merged chunk.
+            runs)`` once per label per merged chunk (a chunk is at most
+            :data:`MAX_CHUNK_ITEMS` episodes and at most 1/128 of the sweep);
+            per-label counts are monotonic and end at *runs*.
         workers: process count; ``1`` runs in-process, ``None`` uses one
             worker per CPU.
-        set_factory: (raw path) builds each per-label container from
-            ``(measurements, label)``.
-        streaming: aggregate worker-side into mergeable partials instead of
-            shipping every measurement; parent memory drops from O(runs) to
-            O(labels) and IPC shrinks by the chunk factor.  Results are
-            bit-identical across worker counts.
-        aggregate_factory: (streaming path) builds one empty mergeable
-            aggregate per label; defaults to
-            :class:`~repro.metrics.streaming.ElectionAggregate`.
-        checkpoint: (streaming path) directory for the JSON-lines chunk
-            checkpoint; completed chunks persist there and a re-run of the
-            same sweep resumes bit-identically.
+        container: builds each per-label result container (see
+            :data:`Container`): a collecting set keeps every episode, a
+            mergeable aggregate keeps O(labels) state.
+        checkpoint: directory for the JSON-lines chunk checkpoint; completed
+            chunks persist there and a re-run of the same sweep resumes
+            bit-identically.  Needs a container with ``to_state`` /
+            ``from_state``.
 
     Returns:
-        One container per scenario label: a *set_factory* product (raw path)
-        or an *aggregate_factory* product (streaming path) -- identical
-        contents for every worker count.
+        One *container* product per scenario label -- identical contents for
+        every worker count.
+
+    Raises:
+        SweepError: naming the ``(label, index, seed)`` of a failing episode.
     """
     workers = resolve_workers(workers)
     # Rich reporters (repro.obs.progress.ProgressReporter) learn the full
@@ -515,138 +446,66 @@ def run_sweep(
     sweep_begin = getattr(progress, "sweep_begin", None)
     if sweep_begin is not None:
         sweep_begin(tuple(scenarios), runs, workers)
-    if streaming:
-        return _run_sweep_streaming(
-            scenarios, runs, seed, progress, workers, aggregate_factory, checkpoint
-        )
-    if checkpoint is not None:
-        raise SweepError(
-            "checkpointing requires the streaming path; "
-            "pass streaming=True alongside checkpoint="
-        )
 
-    items = build_work_items(scenarios, runs, seed)
-    accounting = _SweepAccounting(scenarios, runs, progress, set_factory)
-    context = _pool_context() if workers > 1 and len(items) > 1 else None
-
-    if context is None:
-        # In-process there is no pickling boundary, so keep the original
-        # exception chained (`from exc`) instead of stringifying it -- the
-        # failing frame's traceback survives into the SweepError.
-        for item in items:
-            try:
-                measurement = scenarios[item.label].run(item.seed)
-            except Exception as exc:
-                raise SweepError(
-                    f"scenario {item.label!r} run {item.index} failed: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            accounting.record(item.label, item.index, measurement, None)
-        return accounting.results()
-
-    with _make_pool(
-        context, min(workers, len(items)), scenarios, None
-    ) as pool:
-        for outcome in pool.imap_unordered(
-            _execute_item, items, chunksize=_chunk_size(len(items), workers)
-        ):
-            accounting.record(*outcome)
-    return accounting.results()
-
-
-def _run_sweep_streaming(
-    scenarios: Mapping[str, ElectionScenario],
-    runs: int,
-    seed: int,
-    progress: ProgressCallback | None,
-    workers: int,
-    aggregate_factory: AggregateFactory,
-    checkpoint: str | os.PathLike | None,
-) -> dict[str, object]:
-    """The streaming data path: chunked execution, ordered partial merges."""
     items = build_work_items(scenarios, runs, seed)
     chunk_size = streaming_chunk_size(len(items))
-
-    ckpt: SweepCheckpoint | None = None
-    if checkpoint is not None:
-        loader = getattr(aggregate_factory, "from_state", None)
-        if loader is None:
-            raise SweepError(
-                f"aggregate factory {aggregate_factory!r} has no from_state(); "
-                "checkpointing needs JSON-able partials"
+    with contextlib.ExitStack() as stack:
+        ckpt: SweepCheckpoint | None = None
+        if checkpoint is not None:
+            loader = getattr(container, "from_state", None)
+            if loader is None:
+                raise SweepError(
+                    f"container {container!r} has no from_state(); "
+                    "checkpointing needs JSON-able partials"
+                )
+            ckpt = stack.enter_context(
+                SweepCheckpoint.open(
+                    checkpoint,
+                    fingerprint=checkpoint_fingerprint(
+                        scenarios, runs, seed, container
+                    ),
+                    labels=list(scenarios),
+                    runs=runs,
+                    seed=seed,
+                    chunk_size=chunk_size,
+                    loader=loader,
+                )
             )
-        ckpt = SweepCheckpoint.open(
-            checkpoint,
-            fingerprint=checkpoint_fingerprint(
-                scenarios, runs, seed, aggregate_factory
-            ),
-            labels=list(scenarios),
-            runs=runs,
-            seed=seed,
-            chunk_size=chunk_size,
-            loader=loader,
+            # A resumed file pins the partition it was written with, so a
+            # future heuristic change can't shift chunk boundaries mid-sweep.
+            chunk_size = ckpt.chunk_size
+
+        chunks = build_chunks(items, chunk_size)
+        accounting = _ChunkAccounting(
+            scenarios, runs, progress, container, len(chunks)
         )
-        # A resumed file pins the partition it was written with, so a
-        # different --workers (or a future heuristic change) can't shift
-        # chunk boundaries mid-sweep.
-        chunk_size = ckpt.chunk_size
-
-    chunks = build_chunks(items, chunk_size)
-    accounting = _StreamingAccounting(
-        scenarios, runs, progress, aggregate_factory, len(chunks)
-    )
-
-    try:
         restored = ckpt.completed if ckpt is not None else {}
-        # Resume-aware reporters get told how much of the work is being
-        # replayed from the checkpoint (those episodes complete instantly and
-        # must not count toward the episodes/sec rate or the ETA).
+        # Resume-aware reporters get told how much work the checkpoint
+        # replays: those episodes complete instantly and must not count
+        # toward the episodes/sec rate or the ETA.
         mark_resumed = getattr(progress, "mark_resumed", None)
-        if mark_resumed is not None and restored:
-            resumed_counts: dict[str, int] = {}
-            for partials in restored.values():
-                for label, partial in partials.items():
-                    resumed_counts[label] = resumed_counts.get(label, 0) + len(
-                        partial
-                    )
-            for label in scenarios:
-                if label in resumed_counts:
-                    mark_resumed(label, resumed_counts[label])
         for chunk_id in sorted(restored):
+            if mark_resumed is not None:
+                for label, partial in restored[chunk_id].items():
+                    mark_resumed(label, len(partial))
             accounting.record_chunk(chunk_id, restored[chunk_id])
         pending = [chunk for chunk in chunks if chunk.chunk_id not in restored]
 
-        context = (
-            _pool_context() if workers > 1 and len(pending) > 1 else None
-        )
+        context = _pool_context() if workers > 1 and len(pending) > 1 else None
         if context is None:
-            for chunk in pending:
-                try:
-                    partials = _aggregate_chunk(chunk, scenarios, aggregate_factory)
-                except Exception as exc:
-                    raise SweepError(
-                        f"streaming chunk {chunk.chunk_id} "
-                        f"(labels {sorted({i.label for i in chunk.items})!r}) "
-                        f"failed: {type(exc).__name__}: {exc}"
-                    ) from exc
-                if ckpt is not None:
-                    ckpt.record(chunk.chunk_id, partials)
-                accounting.record_chunk(chunk.chunk_id, partials)
+            outcomes = (
+                (chunk.chunk_id, _fold_chunk(chunk, scenarios, container), None)
+                for chunk in pending
+            )
         else:
-            with _make_pool(
-                context, min(workers, len(pending)), scenarios, aggregate_factory
-            ) as pool:
-                for chunk_id, partials, error in pool.imap_unordered(
-                    _execute_chunk, pending
-                ):
-                    if error is not None or partials is None:
-                        raise SweepError(
-                            f"streaming chunk {chunk_id} failed: {error}"
-                        )
-                    if ckpt is not None:
-                        ckpt.record(chunk_id, partials)
-                    accounting.record_chunk(chunk_id, partials)
-    finally:
-        if ckpt is not None:
-            ckpt.close()
+            pool = stack.enter_context(
+                _make_pool(context, min(workers, len(pending)), scenarios, container)
+            )
+            outcomes = pool.imap_unordered(_execute_chunk, pending)
+        for chunk_id, partials, error in outcomes:
+            if error is not None:
+                raise SweepError(error)
+            if ckpt is not None:
+                ckpt.record(chunk_id, partials)
+            accounting.record_chunk(chunk_id, partials)
     return accounting.results()

@@ -42,12 +42,12 @@ RunCallable = Callable[..., object]
 Reporter = Callable[[object], str]
 
 #: The sweep-wide options an experiment can opt into, in CLI order.
-#: ``streaming`` selects the sweep engine's memory-bounded data path
-#: (worker-side aggregation, O(labels) parent memory, checkpointable).
+#: ``checkpoint`` accepts a directory (CLI ``--checkpoint``) in which the
+#: sweep persists completed chunks so a killed run resumes bit-identically.
 #: ``trace`` accepts a directory (CLI ``--trace-out``) into which the
 #: experiment archives one traced episode per scenario label as JSONL (see
 #: :func:`repro.obs.trace.archive_election_traces`).
-CAPABILITIES = ("scenario", "protocols", "plan", "streaming", "trace")
+CAPABILITIES = ("scenario", "protocols", "plan", "checkpoint", "trace")
 
 #: How an exporter binding's extracted payload is persisted:
 #: ``"election"`` -- a mapping of label -> :class:`~repro.metrics.records.MeasurementSet`;
@@ -103,11 +103,10 @@ class ExperimentSpec:
             from :mod:`repro.protocols`).
         supports_plan: understands the ``plan`` keyword (a chaos plan from
             :data:`repro.chaos.plans.CHAOS_CATALOG`).
-        supports_streaming: understands the ``streaming`` keyword (and the
-            companion ``checkpoint`` directory): the experiment can run its
-            sweep on the streaming engine -- worker-side mergeable
-            aggregates, O(labels) parent memory, resumable from a
-            JSON-lines checkpoint (see :mod:`repro.experiments.runner`).
+        supports_checkpoint: understands the ``checkpoint`` keyword (CLI
+            ``--checkpoint DIR``): the experiment sweeps into a container
+            with ``to_state``/``from_state``, so the sweep is resumable from
+            a JSON-lines checkpoint (see :mod:`repro.experiments.runner`).
         supports_trace: understands the ``trace_out`` keyword (CLI
             ``--trace-out DIR``): after the sweep the experiment archives
             one traced episode per label as JSONL plus a manifest and
@@ -141,7 +140,7 @@ class ExperimentSpec:
     supports_scenario: bool = False
     supports_protocols: bool = False
     supports_plan: bool = False
-    supports_streaming: bool = False
+    supports_checkpoint: bool = False
     supports_trace: bool = False
     supports_workers: bool = True
     min_runs: int | None = None
@@ -254,7 +253,7 @@ class ExperimentRun:
     #: The resolved simulation engine the run executed on (engines are
     #: bit-identical by contract, so this is provenance for the *timing*
     #: metadata, never for the results).
-    engine: str = "classic"
+    engine: str = "flat"
     #: Wall-clock seconds per pipeline phase (``build``/``sweep``/``report``)
     #: recorded by :class:`repro.obs.profiling.Profiler`; timing metadata
     #: only, like ``elapsed_s`` (which equals the ``sweep`` phase).

@@ -3,10 +3,44 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 from repro.common.errors import ClusterError
 from repro.common.types import Milliseconds, ServerId, Term
+
+M = TypeVar("M")
+
+
+class RecordSet(Generic[M]):
+    """The collecting sweep container: every episode record, in run order.
+
+    Holds the ``add`` / ``merge`` / ``__len__`` half of the container
+    contract of :func:`repro.experiments.runner.run_sweep` once for the
+    per-measurement-type sets below, which add only their statistics.
+    """
+
+    def __init__(self, measurements: Iterable[M] = (), label: str = "") -> None:
+        self._measurements = list(measurements)
+        self.label = label
+
+    def add(self, measurement: M) -> None:
+        """Append one measurement."""
+        self._measurements.append(measurement)
+
+    def merge(self, other: "RecordSet[M]") -> None:
+        """Append every measurement of *other*, in its order."""
+        self._measurements.extend(other._measurements)
+
+    @property
+    def measurements(self) -> tuple[M, ...]:
+        """Every recorded measurement."""
+        return tuple(self._measurements)
+
+    def __len__(self) -> int:
+        return len(self._measurements)
+
+    def __iter__(self) -> Iterator[M]:
+        return iter(self._measurements)
 
 
 @dataclass(frozen=True)
@@ -106,25 +140,8 @@ class AvailabilityMeasurement:
         return max(self.recovery_ms) if self.recovery_ms else None
 
 
-class AvailabilitySet:
+class AvailabilitySet(RecordSet[AvailabilityMeasurement]):
     """Availability measurements from repeated runs of one configuration."""
-
-    def __init__(
-        self,
-        measurements: Iterable[AvailabilityMeasurement] = (),
-        label: str = "",
-    ) -> None:
-        self._measurements = list(measurements)
-        self.label = label
-
-    def add(self, measurement: AvailabilityMeasurement) -> None:
-        """Append one measurement."""
-        self._measurements.append(measurement)
-
-    @property
-    def measurements(self) -> tuple[AvailabilityMeasurement, ...]:
-        """Every recorded measurement."""
-        return tuple(self._measurements)
 
     def _require_runs(self) -> list[AvailabilityMeasurement]:
         if not self._measurements:
@@ -174,30 +191,9 @@ class AvailabilitySet:
         """Client proposals dropped (no leader / stale leader), summed."""
         return sum(m.proposals_dropped for m in self._measurements)
 
-    def __len__(self) -> int:
-        return len(self._measurements)
 
-    def __iter__(self) -> Iterator[AvailabilityMeasurement]:
-        return iter(self._measurements)
-
-
-class MeasurementSet:
+class MeasurementSet(RecordSet[ElectionMeasurement]):
     """A collection of measurements from repeated runs of one configuration."""
-
-    def __init__(
-        self, measurements: Iterable[ElectionMeasurement] = (), label: str = ""
-    ) -> None:
-        self._measurements = list(measurements)
-        self.label = label
-
-    def add(self, measurement: ElectionMeasurement) -> None:
-        """Append one measurement."""
-        self._measurements.append(measurement)
-
-    @property
-    def measurements(self) -> tuple[ElectionMeasurement, ...]:
-        """Every recorded measurement."""
-        return tuple(self._measurements)
 
     @property
     def converged(self) -> "MeasurementSet":
@@ -242,9 +238,3 @@ class MeasurementSet:
         if not totals:
             raise ClusterError(f"no converged runs in measurement set {self.label!r}")
         return sum(totals) / len(totals)
-
-    def __len__(self) -> int:
-        return len(self._measurements)
-
-    def __iter__(self) -> Iterator[ElectionMeasurement]:
-        return iter(self._measurements)

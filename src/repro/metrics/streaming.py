@@ -26,7 +26,7 @@ any merge order produce **bit-identical** results to the batch
 :func:`~repro.metrics.stats.summarize` /
 :func:`~repro.metrics.stats.cumulative_distribution` path on the same values.
 The paper-scale experiments (<= a few thousand runs per label) therefore get
-the streaming engine's memory bounds for free, without changing a single
+the aggregates' memory bounds for free, without changing a single
 reported digit; only beyond the capacity do percentiles become (still
 deterministic) equi-depth approximations while count/mean/std/min/max stay
 exact up to float accumulation.
@@ -477,7 +477,7 @@ class StreamingSummary:
 class ElectionAggregate:
     """Per-label mergeable aggregate of election measurements.
 
-    The streaming sweep's counterpart of
+    The O(1)-memory counterpart of
     :class:`~repro.metrics.records.MeasurementSet`: workers fill one per label
     per chunk, the parent merges them in chunk order, and the result answers
     exactly the questions the figure reports ask (mean/max/percentiles of the

@@ -28,11 +28,8 @@ pinned by the engine/worker parity tests:
 ``workload.lost``         proposed ops that never committed (failover loss)
 ========================  =====================================================
 
-The ``workload.*`` counters come from :func:`harvest_workload`.  The first
-three exist for every workload -- including the legacy fixed-interval
-:class:`~repro.cluster.workload.ClientWorkload` loop -- while the tracked
-trio appears only when the workload is a per-op-tracking
-:class:`~repro.workload.driver.WorkloadDriver`.
+The ``workload.*`` counters come from :func:`harvest_workload`; the tracked
+trio stays zero under the untracked ``legacy-interval`` workload.
 """
 
 from __future__ import annotations
@@ -103,25 +100,13 @@ def harvest_chaos(driver: "ChaosDriver", metrics: MetricsRegistry) -> None:
 
 
 def harvest_workload(workload, metrics: MetricsRegistry) -> None:
-    """Fold a client workload's counters into *metrics*.
-
-    Accepts both the legacy :class:`~repro.cluster.workload.ClientWorkload`
-    (which only keeps the proposed/rejected/dropped trio) and the tracking
-    :class:`~repro.workload.driver.WorkloadDriver`; counters the workload
-    does not keep are simply not emitted, so the metric-name contract above
-    stays truthful for either.
-    """
+    """Fold a workload driver's counters into *metrics*."""
     metrics.counter("workload.proposed").inc(workload.proposed)
     metrics.counter("workload.rejected").inc(workload.rejected)
     metrics.counter("workload.dropped").inc(workload.dropped)
-    for metric, attribute in (
-        ("workload.committed", "committed"),
-        ("workload.retries", "retries"),
-        ("workload.lost", "lost"),
-    ):
-        value = getattr(workload, attribute, None)
-        if value is not None:
-            metrics.counter(metric).inc(value)
+    metrics.counter("workload.committed").inc(workload.committed)
+    metrics.counter("workload.retries").inc(workload.retries)
+    metrics.counter("workload.lost").inc(workload.lost)
 
 
 def harvest_cluster(cluster, metrics: MetricsRegistry) -> None:

@@ -352,14 +352,14 @@ def merge_snapshots(snapshots: Iterable[TelemetrySnapshot]) -> TelemetrySnapshot
 def sweep_telemetry(
     results: Mapping[str, Iterable],
 ) -> dict[str, TelemetrySnapshot]:
-    """Per-label merged telemetry from a raw-path sweep result.
+    """Per-label merged telemetry from a sweep into collecting sets.
 
     Telemetry-enabled scenarios attach each episode's snapshot state to
     ``measurement.extra["telemetry"]``; this folds them per label, in slot
     (episode-index) order, so the table is bit-identical at any worker count.
-    Labels whose measurements carry no telemetry are omitted.  The streaming
-    sweep path aggregates worker-side and never retains per-episode extras,
-    so this helper applies to raw-path results only.
+    Labels whose measurements carry no telemetry are omitted.  Aggregate
+    containers never retain per-episode extras, so this helper applies to
+    measurement-set results only.
     """
     tables: dict[str, TelemetrySnapshot] = {}
     for label, measurements in results.items():

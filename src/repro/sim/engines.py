@@ -41,7 +41,7 @@ differential suite (``tests/property/test_engine_differential.py``) pins this.
 Engine selection resolves in priority order: an explicit ``engine`` argument
 (scenario field, ``build_cluster``/``SimulationWorld`` parameter, CLI
 ``--engine``), then a process-wide :func:`set_default_engine` override, then
-the ``REPRO_ENGINE`` environment variable, then ``"classic"``.
+``"flat"``.
 
 Class references are stored as ``"module:ClassName"`` dotted paths and
 resolved lazily, so specs stay hashable and picklable (plain strings cross
@@ -51,7 +51,6 @@ imports its implementation until a world is actually built with it.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import import_module
@@ -222,17 +221,13 @@ def titles() -> dict[str, str]:
 def default_engine_name() -> str:
     """The engine used when nothing selects one explicitly.
 
-    Resolution order: :func:`set_default_engine` override, then the
-    ``REPRO_ENGINE`` environment variable (validated against the registry),
-    then ``"classic"``.
+    Resolution order: :func:`set_default_engine` override, then ``"flat"``
+    (the engine the benchmark and the large sweeps run on; ``classic`` stays
+    the readable reference the differential suite compares it against).
     """
     if _DEFAULT_OVERRIDE is not None:
         return _DEFAULT_OVERRIDE
-    from_env = os.environ.get("REPRO_ENGINE", "").strip()
-    if from_env:
-        get(from_env)
-        return from_env
-    return "classic"
+    return "flat"
 
 
 def set_default_engine(name: str | None) -> None:

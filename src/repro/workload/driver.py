@@ -4,11 +4,10 @@
 schedules client requests on the simulated cluster's own event scheduler and
 tracks every op from ``propose()`` to state-machine apply.  Three modes:
 
-* ``legacy-interval`` replays the original
-  :class:`~repro.cluster.workload.ClientWorkload` loop *exactly* -- same
-  event label, same scheduling pattern, same command shape, no commit
-  tracking -- so the fig11/avail experiments that predate this subsystem
-  keep producing byte-identical reports.
+* ``legacy-interval`` is the original fixed-interval client loop -- one
+  ``workload``-labelled tick per interval, one proposal per tick, no commit
+  tracking -- pinned so the fig11/avail experiments that predate this
+  subsystem keep producing byte-identical reports.
 * ``closed`` runs ``spec.clients`` closed-loop clients, each keeping at most
   one request in flight and thinking for an exponential ``think_time_ms``
   between completions (a client also moves on after ``request_timeout_ms``;
@@ -90,8 +89,7 @@ class WorkloadDriver:
             pass a quorum-aware selector so requests during a partition count
             as dropped instead of landing on a stale leader.
 
-    Counter semantics (the legacy trio keeps the exact
-    :class:`~repro.cluster.workload.ClientWorkload` meaning):
+    Counter semantics:
 
     ``proposed``
         successful ``propose()`` calls.
@@ -251,7 +249,7 @@ class WorkloadDriver:
             )
 
     # ------------------------------------------------------------------ #
-    # Legacy mode (byte-identical ClientWorkload loop)
+    # Legacy mode (the original fixed-interval loop)
     # ------------------------------------------------------------------ #
     def _schedule_legacy_tick(self) -> None:
         self._scheduler.call_after(

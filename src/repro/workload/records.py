@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
 from repro.common.errors import ClusterError
 from repro.common.types import Milliseconds
+from repro.metrics.records import RecordSet
 
 
 @dataclass(frozen=True)
@@ -24,8 +23,7 @@ class WorkloadMeasurement:
     (``NotLeaderError`` after the retry budget) or ``lost`` (accepted by a
     leader but never committed -- the classic failover loss, verified against
     the surviving log).  ``proposed`` counts successful ``propose()`` calls
-    and ``retries`` counts extra attempts, exactly as the legacy
-    :class:`~repro.cluster.workload.ClientWorkload` counted them.
+    and ``retries`` counts extra attempts.
     """
 
     protocol: str
@@ -66,25 +64,8 @@ class WorkloadMeasurement:
         return self.proposed + self.dropped + self.rejected
 
 
-class WorkloadSet:
+class WorkloadSet(RecordSet[WorkloadMeasurement]):
     """Workload measurements from repeated runs of one configuration."""
-
-    def __init__(
-        self,
-        measurements: Iterable[WorkloadMeasurement] = (),
-        label: str = "",
-    ) -> None:
-        self._measurements = list(measurements)
-        self.label = label
-
-    def add(self, measurement: WorkloadMeasurement) -> None:
-        """Append one measurement."""
-        self._measurements.append(measurement)
-
-    @property
-    def measurements(self) -> tuple[WorkloadMeasurement, ...]:
-        """Every recorded measurement."""
-        return tuple(self._measurements)
 
     def _require_runs(self) -> list[WorkloadMeasurement]:
         if not self._measurements:
@@ -107,9 +88,3 @@ class WorkloadSet:
         """Average sustained throughput over the runs."""
         runs = self._require_runs()
         return sum(m.ops_per_s for m in runs) / len(runs)
-
-    def __len__(self) -> int:
-        return len(self._measurements)
-
-    def __iter__(self) -> Iterator[WorkloadMeasurement]:
-        return iter(self._measurements)

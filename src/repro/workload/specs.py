@@ -51,7 +51,7 @@ class KeyspaceSpec:
     """How clients pick keys.
 
     ``round-robin`` cycles deterministically through the keyspace (the shape
-    of the legacy :class:`~repro.cluster.workload.ClientWorkload`);
+    of the ``legacy-interval`` workload);
     ``uniform`` samples keys uniformly; ``hotspot`` sends ``hot_share`` of
     the traffic to the hottest ``hot_fraction`` of the keys (a YCSB-style
     skew).
@@ -114,10 +114,9 @@ class WorkloadSpec:
         mode: ``"closed"`` (each of *clients* keeps at most one request in
             flight and thinks for an exponential ``think_time_ms`` between
             completions), ``"open"`` (requests arrive on an *arrival* process
-            regardless of completions), or ``"legacy-interval"`` (the exact
-            fixed-interval loop of the original
-            :class:`~repro.cluster.workload.ClientWorkload`, kept so the
-            fig11/avail reports stay byte-identical).
+            regardless of completions), or ``"legacy-interval"`` (the
+            original fixed-interval loop, kept so the fig11/avail reports
+            stay byte-identical).
         clients: closed-loop client count.
         think_time_ms: mean exponential think time between a closed-loop
             client's completions.
@@ -269,7 +268,7 @@ register(
     WorkloadSpec(
         name="legacy-interval",
         description=(
-            "The original ClientWorkload loop: one proposal every "
+            "The original fixed-interval loop: one proposal every "
             "interval_ms, no retries, no per-op tracking (fig11/avail "
             "compatibility)."
         ),

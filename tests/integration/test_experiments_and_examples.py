@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import registry, run_experiment
 from repro.experiments.__main__ import main as experiments_main
+from repro.experiments.base import paired_seeds
 from repro.experiments.export import load_run
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -217,26 +218,45 @@ class TestGoldenReports:
         assert golden in capsys.readouterr().out
 
 
+def _sequential_reference(scenarios, runs, seed, aggregate):
+    """Aggregates of the plain per-label loop the sweep engine must reproduce."""
+    return {
+        label: aggregate.from_measurements(
+            [scenario.run(s) for s in paired_seeds(runs, seed, label)], label
+        )
+        for label, scenario in scenarios.items()
+    }
+
+
 class TestFig9XlPathEquality:
-    """The streaming and in-memory data paths are interchangeable.
+    """The swept aggregates equal aggregating the sequential episode loop.
 
     At paper-scale run counts the aggregates stay in their exact regime, so
-    the two paths must agree to the byte: same rendered report, same exported
-    rows, observably equal aggregates.  This is the regression pin that lets
-    fig9-xl default to streaming without changing a single reported digit.
+    the two must agree to the byte: same rendered report, same exported
+    rows, observably equal aggregates.
     """
 
-    def test_streaming_and_raw_paths_render_identical_reports(self):
-        from repro.experiments import fig09_xl_scale
+    def test_sweep_reproduces_the_sequential_reference(self):
+        from dataclasses import replace
 
-        streamed = fig09_xl_scale.run(runs=3, seed=11, sizes=(8, 16))
-        raw = fig09_xl_scale.run(runs=3, seed=11, sizes=(8, 16), streaming=False)
-        assert streamed.streaming and not raw.streaming
-        assert fig09_xl_scale.report(streamed) == fig09_xl_scale.report(raw)
-        assert fig09_xl_scale._export_rows(streamed) == fig09_xl_scale._export_rows(raw)
-        assert set(streamed.by_label) == set(raw.by_label)
-        for label in streamed.by_label:
-            assert streamed.by_label[label] == raw.by_label[label]
+        from repro.experiments import fig09_xl_scale
+        from repro.metrics.streaming import ElectionAggregate
+
+        swept = fig09_xl_scale.run(runs=3, seed=11, sizes=(8, 16), workers=2)
+        reference = replace(
+            swept,
+            by_label=_sequential_reference(
+                fig09_xl_scale.build_scenarios((8, 16), swept.protocols),
+                3,
+                11,
+                ElectionAggregate,
+            ),
+        )
+        assert swept.by_label == reference.by_label
+        assert fig09_xl_scale.report(swept) == fig09_xl_scale.report(reference)
+        assert fig09_xl_scale._export_rows(swept) == fig09_xl_scale._export_rows(
+            reference
+        )
 
     def test_cli_checkpoint_run_resumes_to_the_same_report(self, tmp_path, capsys):
         args = ["fig9-xl", "--runs", "2", "--seed", "4", "--quick"]
@@ -256,10 +276,10 @@ class TestFig9XlPathEquality:
 
 
 class TestThroughputPathEquality:
-    """The throughput experiment is path-independent to the byte.
+    """The throughput experiment is schedule-independent to the byte.
 
-    Same report and aggregates whatever the worker count, data path
-    (streaming vs in-memory) or simulation engine -- the acceptance pin for
+    Same report and aggregates whatever the worker count or simulation
+    engine, equal to the sequential episode loop -- the acceptance pin for
     the workload subsystem's determinism contract.
     """
 
@@ -273,33 +293,38 @@ class TestThroughputPathEquality:
         assert serial.by_label == fanned.by_label
         assert exp_throughput.report(serial) == exp_throughput.report(fanned)
 
-    def test_streaming_and_raw_paths_agree(self):
-        from repro.experiments import exp_throughput
+    def test_sweep_reproduces_the_sequential_reference(self):
+        from dataclasses import replace
 
-        raw = exp_throughput.run(**self.ARGS)
-        streamed = exp_throughput.run(streaming=True, workers=2, **self.ARGS)
-        assert streamed.streaming and not raw.streaming
-        assert streamed.by_label == raw.by_label
-        assert exp_throughput.report(streamed) == exp_throughput.report(raw)
-        assert exp_throughput._export_rows(streamed) == exp_throughput._export_rows(
-            raw
+        from repro.experiments import exp_throughput
+        from repro.workload import WorkloadAggregate
+
+        swept = exp_throughput.run(workers=2, **self.ARGS)
+        reference = replace(
+            swept,
+            by_label=_sequential_reference(
+                exp_throughput.build_scenarios(
+                    swept.plan, workloads=swept.workloads
+                ),
+                2,
+                3,
+                WorkloadAggregate,
+            ),
+        )
+        assert swept.by_label == reference.by_label
+        assert exp_throughput.report(swept) == exp_throughput.report(reference)
+        assert exp_throughput._export_rows(swept) == exp_throughput._export_rows(
+            reference
         )
 
     def test_engines_agree(self):
         from repro.experiments import exp_throughput
         from repro.sim import engines
 
-        classic = exp_throughput.run(**self.ARGS)
-        with engines.using_engine("flat"):
-            flat = exp_throughput.run(**self.ARGS)
+        flat = exp_throughput.run(**self.ARGS)
+        with engines.using_engine("classic"):
+            classic = exp_throughput.run(**self.ARGS)
         assert classic.by_label == flat.by_label
-
-    def test_checkpoint_requires_streaming(self):
-        from repro.common.errors import ConfigurationError
-        from repro.experiments import exp_throughput
-
-        with pytest.raises(ConfigurationError, match="streaming"):
-            exp_throughput.run(checkpoint="/tmp/nope", **self.ARGS)
 
     def test_cli_checkpoint_run_resumes_to_the_same_report(self, tmp_path, capsys):
         args = ["throughput", "--runs", "1", "--seed", "4", "--quick"]

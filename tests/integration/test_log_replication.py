@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.cluster import ClientWorkload, ElectionHarness, ElectionObserver, build_cluster
+from repro.cluster import ElectionHarness, ElectionObserver, build_cluster
 from repro.net.latency import ConstantLatency
 from repro.statemachine.kvstore import KeyValueStore, PutCommand
 from repro.statemachine.register import AppendRegister
+from repro.workload import WorkloadDriver, legacy_interval
 
 
 def build(protocol="escape", size=5, seed=1, state_machine_factory=None):
@@ -82,7 +83,7 @@ class TestReplicationUnderFailover:
 
     def test_workload_keeps_replicating_across_failover(self):
         cluster, harness = build(protocol="escape", size=5, seed=9)
-        workload = ClientWorkload(cluster, interval_ms=50.0)
+        workload = WorkloadDriver(cluster, legacy_interval(50.0), seed=9)
         workload.start()
         harness.run_for(1_000.0)
         harness.crash_leader_and_measure(seed=9)

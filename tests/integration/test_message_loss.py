@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ElectionScenario
 from repro.metrics.records import MeasurementSet
+from repro.workload import WorkloadDriver, legacy_interval
 
 RUNS = 5
 
@@ -28,9 +29,7 @@ class TestLiveness:
         cluster, harness = scenario.build(seed=4)
         cluster.start_all()
         harness.stabilize()
-        from repro.cluster.workload import ClientWorkload
-
-        workload = ClientWorkload(cluster, interval_ms=100.0)
+        workload = WorkloadDriver(cluster, legacy_interval(100.0), seed=4)
         workload.start()
         harness.run_for(3_000.0)
         workload.stop()

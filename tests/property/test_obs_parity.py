@@ -10,7 +10,7 @@ node metrics, not just on measurements.
 from __future__ import annotations
 
 from repro.cluster.scenarios import ElectionScenario
-from repro.experiments.base import run_scenario_set
+from repro.experiments.runner import run_sweep
 from repro.obs.telemetry import sweep_telemetry
 from repro.sim.engines import names as engine_names
 
@@ -35,10 +35,10 @@ def _scenarios(engine: str | None = None) -> dict[str, ElectionScenario]:
 class TestWorkerParity:
     def test_snapshots_bit_identical_at_any_worker_count(self):
         sequential = sweep_telemetry(
-            run_scenario_set(_scenarios(), runs=4, seed=9, workers=1)
+            run_sweep(_scenarios(), runs=4, seed=9, workers=1)
         )
         fanned_out = sweep_telemetry(
-            run_scenario_set(_scenarios(), runs=4, seed=9, workers=4)
+            run_sweep(_scenarios(), runs=4, seed=9, workers=4)
         )
         assert set(sequential) == {"raft@3", "escape@5"}
         assert fanned_out == sequential
@@ -52,11 +52,11 @@ class TestWorkerParity:
 class TestEngineParity:
     def test_snapshots_bit_identical_across_engines(self):
         baseline = sweep_telemetry(
-            run_scenario_set(_scenarios(ENGINES[0]), runs=3, seed=5, workers=1)
+            run_sweep(_scenarios(ENGINES[0]), runs=3, seed=5, workers=1)
         )
         for engine in ENGINES[1:]:
             other = sweep_telemetry(
-                run_scenario_set(_scenarios(engine), runs=3, seed=5, workers=1)
+                run_sweep(_scenarios(engine), runs=3, seed=5, workers=1)
             )
             assert other == baseline
 

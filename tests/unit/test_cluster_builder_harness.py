@@ -5,12 +5,12 @@ import pytest
 from repro.cluster.builder import build_cluster
 from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
-from repro.cluster.workload import ClientWorkload
 from repro.common.errors import ClusterError, ConfigurationError
 from repro.escape.node import EscapeNode
 from repro.net.latency import ConstantLatency
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
+from repro.workload import WorkloadDriver, legacy_interval
 from repro.zraft.node import ZRaftNode
 
 FAST_LATENCY = ConstantLatency(5.0)
@@ -153,7 +153,7 @@ class TestClientPath:
         cluster, harness = build(size=3)
         cluster.start_all()
         harness.stabilize()
-        workload = ClientWorkload(cluster, interval_ms=50.0)
+        workload = WorkloadDriver(cluster, legacy_interval(50.0))
         workload.start()
         assert workload.is_active
         harness.run_for(1_000.0)
@@ -166,7 +166,7 @@ class TestClientPath:
     def test_workload_skips_when_no_leader(self):
         cluster, harness = build(size=3)
         cluster.start_all()
-        workload = ClientWorkload(cluster, interval_ms=50.0)
+        workload = WorkloadDriver(cluster, legacy_interval(50.0))
         workload.start()
         # Run for a short window before any leader exists (election timeouts
         # in the default config are 1500+ ms).

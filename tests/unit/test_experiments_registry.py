@@ -206,18 +206,16 @@ class TestRunExperiment:
         # The selection must not leak past the run.
         assert engines.default_engine_name() == before
 
-    def test_engine_defaults_to_the_process_default(self, monkeypatch):
+    def test_engine_defaults_to_the_process_default(self):
         from repro.sim import engines
 
-        # Neutralize any ambient REPRO_ENGINE (the CI matrix sets it) so the
-        # resolution order under test is override > env > classic.
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         run = run_experiment("fig3", runs=1, seed=0, quick=True)
-        assert run.engine == "classic"
-        engines.set_default_engine("flat")
+        assert run.engine == "flat"
+        engines.set_default_engine("classic")
         try:
             assert (
-                run_experiment("fig3", runs=1, seed=0, quick=True).engine == "flat"
+                run_experiment("fig3", runs=1, seed=0, quick=True).engine
+                == "classic"
             )
         finally:
             engines.set_default_engine(None)

@@ -8,6 +8,7 @@ sweep was scheduled across processes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import SweepError
 from repro.common.rng import SeedSequence
-from repro.experiments.base import derive_run_seed, paired_seeds, run_scenario_set
+from repro.experiments.base import derive_run_seed, paired_seeds
 from repro.experiments.runner import (
     SweepItem,
     build_work_items,
@@ -73,7 +74,7 @@ class TestSeedDerivation:
             assert [item.index for item in label_items] == [0, 1, 2]
 
     def test_measurements_record_the_derived_seed(self):
-        results = run_scenario_set(SCENARIOS, runs=2, seed=9)
+        results = run_sweep(SCENARIOS, runs=2, seed=9)
         for label, measurement_set in results.items():
             assert [m.seed for m in measurement_set] == paired_seeds(2, 9, label)
 
@@ -100,37 +101,45 @@ class TestDeterminism:
 
 class TestProgress:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_progress_delivered_once_per_completed_run(self, workers):
+    def test_progress_delivered_once_per_label_per_merged_chunk(self, workers):
         calls: list[tuple[str, int, int]] = []
         run_sweep(
             SCENARIOS,
-            runs=3,
+            runs=16,
             seed=0,
             progress=lambda label, done, total: calls.append((label, done, total)),
             workers=workers,
         )
+        # 32 interleaved items in chunks of 1: one run of one label a chunk.
         for label in SCENARIOS:
             label_calls = [call for call in calls if call[0] == label]
-            # Monotonic per-label counts 1..runs, each delivered exactly once.
-            assert label_calls == [(label, done, 3) for done in (1, 2, 3)]
+            assert label_calls == [(label, done, 16) for done in range(1, 17)]
 
-    def test_sequential_progress_interleaving_is_preserved(self):
+    def test_progress_steps_by_the_chunk_size(self):
         calls: list[tuple[str, int, int]] = []
-        run_scenario_set(
+        run_sweep(
             {"only": ElectionScenario(protocol="escape", cluster_size=3)},
-            runs=2,
+            runs=256,
             seed=0,
             progress=lambda label, done, total: calls.append((label, done, total)),
         )
-        assert calls == [("only", 1, 2), ("only", 2, 2)]
+        assert calls == [("only", done, 256) for done in range(2, 257, 2)]
 
 
 class TestErrorPropagation:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_scenario_failure_raises_sweep_error_with_context(self, workers):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
+    def test_failure_names_label_index_and_seed(self, workers):
         scenarios = {"bad": _ExplodingScenario()}
-        with pytest.raises(SweepError, match=r"'bad' run \d.*ValueError.*boom"):
+        with pytest.raises(SweepError) as raised:
             run_sweep(scenarios, runs=2, seed=0, workers=workers)
+        message = str(raised.value)
+        # Under a pool either episode may be the first failure to arrive.
+        index = int(re.search(r"run (\d+)", message).group(1))
+        seed = paired_seeds(2, 0, "bad")[index]
+        assert f"'bad' run {index} (seed {seed}) failed: ValueError: boom" in message
+        if workers == 1:
+            # In-process the original exception stays chained for its traceback.
+            assert isinstance(raised.value.__cause__, ValueError)
 
     def test_failure_in_one_label_of_a_mixed_sweep(self):
         scenarios = {
@@ -174,12 +183,12 @@ class TestEngineInheritance:
 
         scenarios = {
             "pinned": ElectionScenario(
-                protocol="raft", cluster_size=3, engine="flat"
+                protocol="raft", cluster_size=3, engine="classic"
             ),
             "deferred": ElectionScenario(protocol="raft", cluster_size=3),
         }
         names = {spec.name for spec in _swept_engine_specs(scenarios)}
-        assert names == {"flat", engines.default_engine_name()}
+        assert names == {"classic", engines.default_engine_name()}
 
     def test_register_worker_specs_installs_engine_default(self):
         from repro.experiments.runner import _register_worker_specs
@@ -187,9 +196,9 @@ class TestEngineInheritance:
 
         try:
             _register_worker_specs(
-                (), engine_specs=(engines.get("flat"),), default_engine="flat"
+                (), engine_specs=(engines.get("classic"),), default_engine="classic"
             )
-            assert engines.default_engine_name() == "flat"
+            assert engines.default_engine_name() == "classic"
         finally:
             engines.set_default_engine(None)
 
@@ -203,7 +212,7 @@ class TestEngineInheritance:
 
     def test_engine_selection_never_changes_sweep_results(self):
         classic = run_sweep(
-            {"s": ElectionScenario(protocol="raft", cluster_size=3)},
+            {"s": ElectionScenario(protocol="raft", cluster_size=3, engine="classic")},
             runs=4,
             seed=2,
             workers=1,

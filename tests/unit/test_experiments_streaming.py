@@ -1,11 +1,12 @@
-"""Unit tests for the streaming sweep path and its checkpoint/resume.
+"""Unit tests for the sweep's chunked data plane and its checkpoint/resume.
 
-Three contracts are pinned here on real (small) election scenarios:
+Three contracts are pinned here on real (small) scenarios:
 
-* **path equality** -- the streaming sweep's per-label aggregates are
-  observably equal to aggregating the raw path's measurement sets, and in
-  the exact regime their reported statistics are bit-identical;
-* **schedule invariance** -- the streaming result's serialised state is
+* **container contract** -- for each of the five result containers, folding
+  a measurement list in one pass equals merging any chunk split of it in
+  order, and a sweep returns that same container at any worker count (for
+  the collecting ones: the episodes of the sequential reference loop);
+* **schedule invariance** -- an aggregate sweep's serialised state is
   byte-identical across worker counts, because the chunk partition is
   worker-independent and partials merge in chunk-index order;
 * **resume invariance** -- a sweep killed after any prefix of chunks (here:
@@ -16,12 +17,16 @@ Three contracts are pinned here on real (small) election scenarios:
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
+from repro.chaos.plans import build_plan
+from repro.chaos.scenario import ChaosScenario
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import SweepError
+from repro.experiments.base import paired_seeds
 from repro.experiments.checkpoint import SweepCheckpoint, checkpoint_fingerprint
 from repro.experiments.runner import (
     MAX_CHUNK_ITEMS,
@@ -30,8 +35,10 @@ from repro.experiments.runner import (
     run_sweep,
     streaming_chunk_size,
 )
-from repro.metrics.records import MeasurementSet
+from repro.metrics.records import AvailabilitySet, MeasurementSet
 from repro.metrics.streaming import ElectionAggregate
+from repro.workload import WorkloadAggregate, WorkloadSet
+from repro.workload.scenario import ThroughputScenario
 
 SCENARIOS = {
     "escape-small": ElectionScenario(protocol="escape", cluster_size=3),
@@ -39,8 +46,30 @@ SCENARIOS = {
 }
 
 
+_PLAN = build_plan("repeated-leader-kill", 10_000.0, 0)
+_CHAOS = ChaosScenario(protocol="escape", cluster_size=3, plan=_PLAN)
+_SERVING = ThroughputScenario(protocol="raft", cluster_size=3, plan=_PLAN)
+
+#: Episodes per container-contract sweep: 40 items make chunks of two.
+RUNS = 40
+
+#: container -> a scenario producing the measurement type it holds.
+CONTAINERS = {
+    MeasurementSet: SCENARIOS["raft-small"],
+    ElectionAggregate: SCENARIOS["raft-small"],
+    AvailabilitySet: _CHAOS,
+    WorkloadSet: _SERVING,
+    WorkloadAggregate: _SERVING,
+}
+
+
+def _contents(container):
+    """What a container holds: its episode tuple, or the aggregate itself."""
+    return getattr(container, "measurements", container)
+
+
 def _state_bytes(results: dict[str, ElectionAggregate]) -> str:
-    """Canonical byte-level serialisation of a streaming sweep's results."""
+    """Canonical byte-level serialisation of an aggregate sweep's results."""
     return json.dumps(
         {label: results[label].to_state() for label in sorted(results)},
         sort_keys=True,
@@ -74,61 +103,63 @@ class TestWorkPartition:
         # The signature itself is part of the contract: no worker count in
         # sight, so the partition (and the merge tree) can never depend on it.
         assert streaming_chunk_size(10) == 1
-        assert streaming_chunk_size(320) == 20
+        assert streaming_chunk_size(2560) == 20
         assert streaming_chunk_size(10**6) == MAX_CHUNK_ITEMS
 
 
-class TestStreamingPath:
-    def test_streaming_equals_aggregated_raw_path(self):
-        raw: dict[str, MeasurementSet] = run_sweep(
-            SCENARIOS, runs=4, seed=7, workers=1
-        )
-        streamed = run_sweep(SCENARIOS, runs=4, seed=7, workers=1, streaming=True)
-        assert list(streamed) == list(raw)
-        for label in raw:
-            expected = ElectionAggregate.from_measurements(
-                raw[label].measurements, label
-            )
-            assert streamed[label] == expected
-            # Bit-identical reported statistics (exact regime).
-            assert streamed[label].total_summary() == expected.total_summary()
-            assert streamed[label].total_cdf() == expected.total_cdf()
+@pytest.mark.parametrize("container", CONTAINERS, ids=lambda c: c.__name__)
+class TestContainerContract:
+    @staticmethod
+    @functools.cache
+    def _reference(container):
+        scenario = CONTAINERS[container]
+        return [scenario.run(s) for s in paired_seeds(RUNS, 7, "cell")]
 
+    def _folded(self, container, measurements):
+        folded = container(label="cell")
+        for measurement in measurements:
+            folded.add(measurement)
+        return folded
+
+    @pytest.mark.parametrize("chunk", [1, 3, RUNS])
+    def test_one_pass_equals_merging_any_chunk_split(self, container, chunk):
+        reference = self._reference(container)
+        merged = container(label="cell")
+        for start in range(0, len(reference), chunk):
+            merged.merge(self._folded(container, reference[start : start + chunk]))
+        assert len(merged) == RUNS
+        assert _contents(merged) == _contents(self._folded(container, reference))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_sweep_returns_the_folded_reference(self, container, workers):
+        reference = self._reference(container)
+        swept = run_sweep(
+            {"cell": CONTAINERS[container]},
+            runs=RUNS,
+            seed=7,
+            workers=workers,
+            container=container,
+        )["cell"]
+        assert _contents(swept) == _contents(self._folded(container, reference))
+        if hasattr(swept, "measurements"):
+            assert swept.measurements == tuple(reference)
+
+
+class TestAggregateSweep:
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_streaming_state_is_byte_identical_across_worker_counts(self, workers):
-        baseline = run_sweep(SCENARIOS, runs=4, seed=3, workers=1, streaming=True)
+    def test_state_is_byte_identical_across_worker_counts(self, workers):
+        baseline = run_sweep(
+            SCENARIOS, runs=4, seed=3, workers=1, container=ElectionAggregate
+        )
         fanned = run_sweep(
-            SCENARIOS, runs=4, seed=3, workers=workers, streaming=True
+            SCENARIOS, runs=4, seed=3, workers=workers, container=ElectionAggregate
         )
         assert _state_bytes(fanned) == _state_bytes(baseline)
 
-    def test_streaming_progress_is_monotonic_and_complete(self):
-        calls: list[tuple[str, int, int]] = []
-        run_sweep(
-            SCENARIOS,
-            runs=4,
-            seed=0,
-            workers=1,
-            streaming=True,
-            progress=lambda label, done, total: calls.append((label, done, total)),
-        )
-        for label in SCENARIOS:
-            counts = [done for call_label, done, _ in calls if call_label == label]
-            assert counts == sorted(counts)
-            assert counts[-1] == 4
-            assert all(total == 4 for call_label, _, total in calls)
-
-    def test_streaming_failures_name_the_chunk(self):
-        class _Exploding:
-            def run(self, seed):
-                raise ValueError("boom")
-
-        with pytest.raises(SweepError, match="streaming chunk 0.*boom"):
-            run_sweep({"bad": _Exploding()}, runs=2, seed=0, workers=1, streaming=True)
-
-    def test_checkpoint_requires_streaming(self, tmp_path):
-        with pytest.raises(SweepError, match="streaming"):
+    def test_checkpoint_needs_a_serialisable_container(self, tmp_path):
+        with pytest.raises(SweepError, match="from_state"):
             run_sweep(SCENARIOS, runs=2, seed=0, workers=1, checkpoint=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCheckpointFile:
@@ -207,11 +238,13 @@ class TestKillAndResume:
     def test_resume_after_kill_is_byte_identical(
         self, tmp_path, keep_chunks, resume_workers
     ):
-        baseline = run_sweep(SCENARIOS, runs=8, seed=5, workers=1, streaming=True)
+        baseline = run_sweep(
+            SCENARIOS, runs=8, seed=5, workers=1, container=ElectionAggregate
+        )
 
         first_dir = tmp_path / "first"
         run_sweep(
-            SCENARIOS, runs=8, seed=5, workers=1, streaming=True,
+            SCENARIOS, runs=8, seed=5, workers=1, container=ElectionAggregate,
             checkpoint=first_dir,
         )
         path = self._checkpoint_file(first_dir)
@@ -224,7 +257,8 @@ class TestKillAndResume:
         path.write_text("".join(killed))
 
         resumed = run_sweep(
-            SCENARIOS, runs=8, seed=5, workers=resume_workers, streaming=True,
+            SCENARIOS, runs=8, seed=5, workers=resume_workers,
+            container=ElectionAggregate,
             checkpoint=first_dir,
         )
         assert _state_bytes(resumed) == _state_bytes(baseline)
@@ -233,7 +267,7 @@ class TestKillAndResume:
         self, tmp_path, monkeypatch
     ):
         run_sweep(
-            SCENARIOS, runs=8, seed=5, workers=1, streaming=True,
+            SCENARIOS, runs=8, seed=5, workers=1, container=ElectionAggregate,
             checkpoint=tmp_path,
         )
         baseline = self._checkpoint_file(tmp_path).read_text()
@@ -244,7 +278,7 @@ class TestKillAndResume:
 
         monkeypatch.setattr(ElectionScenario, "run", _refuse)
         resumed = run_sweep(
-            SCENARIOS, runs=8, seed=5, workers=1, streaming=True,
+            SCENARIOS, runs=8, seed=5, workers=1, container=ElectionAggregate,
             checkpoint=tmp_path,
         )
         assert set(resumed) == set(SCENARIOS)

@@ -20,17 +20,18 @@ from repro.experiments import (
 )
 from repro.experiments import registry
 from repro.experiments.__main__ import build_parser
-from repro.experiments.base import flatten_sets, paired_seeds, run_scenario_set
+from repro.experiments.base import flatten_sets, paired_seeds
+from repro.experiments.runner import run_sweep
 from repro.cluster.scenarios import ElectionScenario
 
 
 class TestBaseHelpers:
-    def test_run_scenario_set_collects_per_label_sets(self):
+    def test_run_sweep_collects_per_label_sets(self):
         scenarios = {
             "a": ElectionScenario(protocol="escape", cluster_size=3),
             "b": ElectionScenario(protocol="raft", cluster_size=3),
         }
-        results = run_scenario_set(scenarios, runs=2, seed=1)
+        results = run_sweep(scenarios, runs=2, seed=1)
         assert set(results) == {"a", "b"}
         assert all(len(measurement_set) == 2 for measurement_set in results.values())
 
@@ -40,7 +41,7 @@ class TestBaseHelpers:
 
     def test_progress_callback_is_invoked(self):
         calls = []
-        run_scenario_set(
+        run_sweep(
             {"only": ElectionScenario(protocol="escape", cluster_size=3)},
             runs=2,
             seed=0,
@@ -50,7 +51,7 @@ class TestBaseHelpers:
 
     def test_flatten_sets_merges_measurements(self):
         scenarios = {"a": ElectionScenario(protocol="escape", cluster_size=3)}
-        results = run_scenario_set(scenarios, runs=2, seed=0)
+        results = run_sweep(scenarios, runs=2, seed=0)
         merged = flatten_sets(results.values())
         assert len(merged) == 2
 
@@ -353,16 +354,8 @@ class TestCli:
         assert exp_availability.PROTOCOLS == protocol_registry.PAPER_PROTOCOLS
         assert "escape-noppf" in ablation_ppf.PROTOCOLS
 
-    def test_streaming_capable_experiments_exist(self):
-        assert registry.supporting("streaming") == ("fig9-xl", "throughput")
-
-    def test_streaming_option_is_tri_state(self):
-        # None = spec default, True/False = explicit override; the tri-state
-        # lets the CLI distinguish "unspecified" from --no-streaming.
-        parser = build_parser()
-        assert parser.parse_args(["fig9-xl"]).streaming is None
-        assert parser.parse_args(["fig9-xl", "--streaming"]).streaming is True
-        assert parser.parse_args(["fig9-xl", "--no-streaming"]).streaming is False
+    def test_checkpoint_capable_experiments_exist(self):
+        assert registry.supporting("checkpoint") == ("fig9-xl", "throughput")
 
     def test_checkpoint_option_takes_a_directory(self):
         parser = build_parser()
@@ -370,20 +363,15 @@ class TestCli:
         assert args.checkpoint == "ckpts"
         assert parser.parse_args(["fig9-xl"]).checkpoint is None
 
-    def test_checkpoint_with_no_streaming_is_rejected_by_the_cli(self, capsys):
+    def test_checkpoint_rejected_for_unsupporting_experiments(self, capsys):
+        from repro.common.errors import ConfigurationError
         from repro.experiments.__main__ import main
 
         with pytest.raises(SystemExit):
-            main(["fig9-xl", "--checkpoint", "ckpts", "--no-streaming"])
-        assert "checkpoint" in capsys.readouterr().err.lower()
-
-    def test_streaming_rejected_for_unsupporting_experiments(self):
-        from repro.common.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="streaming"):
-            registry.run_experiment("fig3", runs=1, streaming=True)
-        with pytest.raises(ConfigurationError, match="checkpoint"):
-            registry.run_experiment("fig9-xl", runs=1, streaming=False, checkpoint="x")
+            main(["fig3", "--checkpoint", "ckpts"])
+        assert "--checkpoint is not supported by: fig3" in capsys.readouterr().err
+        with pytest.raises(ConfigurationError, match="--checkpoint"):
+            registry.run_experiment("fig3", runs=1, checkpoint="x")
 
     def test_trace_capable_experiments_exist(self):
         assert registry.supporting("trace") == ("fig3", "fig9", "throughput")

@@ -240,45 +240,13 @@ class TestGoldenPairedResults:
             assert measurement.winner_id == winner
 
 
-class TestDeprecatedOverrideAlias:
-    def test_alias_warns_and_behaves_identically(self):
+class TestTimeoutOverrideFactory:
+    @pytest.mark.parametrize("protocol", ["escape", "zraft"])
+    def test_override_reaches_every_override_driven_node(self, protocol):
         override = ScriptOnlyPolicy(script=(1_234.0,))
-
-        def factory(server_id):
-            return override
-
-        with pytest.warns(DeprecationWarning, match="timeout_override_factory"):
-            aliased = build_cluster(
-                "escape", size=3, escape_override_factory=factory
-            )
-        direct = build_cluster("escape", size=3, timeout_override_factory=factory)
-        assert all(
-            node._timeout_override is override for node in aliased.nodes.values()
+        cluster = build_cluster(
+            protocol, size=3, timeout_override_factory=lambda server_id: override
         )
-        assert all(
-            node._timeout_override is override for node in direct.nodes.values()
-        )
-
-    def test_alias_also_reaches_zraft_nodes(self):
-        """The rename's whole point: the override never was ESCAPE-only."""
-        override = ScriptOnlyPolicy(script=(999.0,))
-        with pytest.warns(DeprecationWarning):
-            cluster = build_cluster(
-                "zraft", size=3, escape_override_factory=lambda server_id: override
-            )
         assert all(
             node._timeout_override is override for node in cluster.nodes.values()
         )
-
-    def test_alias_conflicts_with_the_new_name(self):
-        def factory(server_id):
-            return ScriptOnlyPolicy(script=(500.0,))
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="not both"):
-                build_cluster(
-                    "escape",
-                    size=3,
-                    timeout_override_factory=factory,
-                    escape_override_factory=factory,
-                )

@@ -4,7 +4,7 @@ Covers the registry conformance contract (mirroring
 :mod:`repro.protocols` / :mod:`repro.experiments`): registration collisions,
 unknown-name errors that list the registered names, lazy ``module:ClassName``
 resolution, and the default-engine resolution order (explicit argument >
-:func:`set_default_engine` override > ``REPRO_ENGINE`` > ``classic``).
+:func:`set_default_engine` override > ``flat``).
 
 Also pins two regressions on the scheduler seam itself: non-finite
 ``call_at`` deadlines must be rejected by *both* engines (a NaN would poison
@@ -123,21 +123,11 @@ class TestEngineSpecValidation:
 
 
 class TestDefaultResolution:
-    def test_default_is_classic(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert engines.default_engine_name() == "classic"
-
-    def test_env_variable_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "flat")
+    def test_default_is_flat_and_ignores_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "classic")
         assert engines.default_engine_name() == "flat"
 
-    def test_env_variable_is_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            engines.default_engine_name()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "flat")
+    def test_override_beats_the_default(self):
         engines.set_default_engine("classic")
         assert engines.default_engine_name() == "classic"
         engines.set_default_engine(None)
@@ -148,14 +138,10 @@ class TestDefaultResolution:
             engines.set_default_engine("warp")
 
     def test_using_engine_yields_and_restores(self):
-        # Pick whichever built-in is NOT the ambient default, so the test is
-        # meaningful when the suite itself runs under REPRO_ENGINE=flat.
-        before = engines.default_engine_name()
-        other = "flat" if before != "flat" else "classic"
-        with engines.using_engine(other) as resolved:
-            assert resolved == other
-            assert engines.default_engine_name() == other
-        assert engines.default_engine_name() == before
+        with engines.using_engine("classic") as resolved:
+            assert resolved == "classic"
+            assert engines.default_engine_name() == "classic"
+        assert engines.default_engine_name() == "flat"
 
     def test_using_engine_none_keeps_current(self):
         engines.set_default_engine("flat")

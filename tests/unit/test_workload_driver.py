@@ -5,7 +5,6 @@ import pytest
 from repro.cluster.builder import build_cluster
 from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
-from repro.cluster.workload import ClientWorkload
 from repro.common.errors import ClusterError, SimulationError
 from repro.net.latency import ConstantLatency
 from repro.statemachine.kvstore import PutCommand
@@ -50,30 +49,22 @@ def drive(spec, seed=0, duration_ms=3_000.0, leader_selector=None, finalize=True
 
 class TestLegacyMode:
     def test_replays_the_retired_client_workload_exactly(self):
-        # Two identical clusters, same seed: the retired fixed-interval loop
-        # and the legacy-interval driver must produce the same counters and
-        # the same replicated log (the byte-identity contract that keeps the
-        # fig11/avail golden reports valid).
-        old_cluster, old_harness = stabilized(seed=7)
-        old = ClientWorkload(old_cluster, interval_ms=100.0)
-        old.start()
-        old_harness.run_for(2_000.0)
-        old.stop()
-
-        new_cluster, new_harness = stabilized(seed=7)
-        driver = WorkloadDriver(new_cluster, legacy_interval(100.0), seed=7)
+        # The counters and S1's log that the retired ClientWorkload loop
+        # produced for seed 7 (captured before it was deleted): the
+        # byte-identity contract that keeps the fig11/avail golden reports
+        # valid.
+        cluster, harness = stabilized(seed=7)
+        driver = WorkloadDriver(cluster, legacy_interval(100.0), seed=7)
         driver.start()
-        new_harness.run_for(2_000.0)
+        harness.run_for(2_000.0)
         driver.stop()
 
-        assert (driver.proposed, driver.rejected, driver.dropped) == (
-            old.proposed,
-            old.rejected,
-            old.dropped,
-        )
-        old_log = [(e.index, e.term, e.command) for e in old_cluster.node(1).log]
-        new_log = [(e.index, e.term, e.command) for e in new_cluster.node(1).log]
-        assert new_log == old_log
+        assert (driver.proposed, driver.rejected, driver.dropped) == (20, 0, 0)
+        log = [(e.index, e.term, e.command) for e in cluster.node(1).log]
+        assert log == [
+            (index, 1, PutCommand(key=f"key-{(index - 1) % 16}", value=index - 1))
+            for index in range(1, 20)
+        ]
 
     def test_legacy_mode_tracks_nothing(self):
         driver, _, _ = drive(legacy_interval(100.0), duration_ms=1_000.0)
