@@ -53,7 +53,9 @@ def measure(args: argparse.Namespace) -> dict:
     from repro.sim import engines
 
     engines.set_default_engine(args.engine)
-    scenarios = build_scenarios(_parse_sizes(args.sizes), args.protocols.split(","))
+    scenarios = build_scenarios(
+        sizes=_parse_sizes(args.sizes), protocols=args.protocols.split(",")
+    )
     episodes = args.runs * len(scenarios)
 
     started = time.perf_counter()
@@ -84,7 +86,9 @@ def pickle_bytes(args: argparse.Namespace) -> dict:
     from repro.experiments.fig09_scale import build_scenarios
     from repro.experiments.runner import build_work_items
 
-    scenarios = build_scenarios(_parse_sizes(args.sizes), args.protocols.split(","))
+    scenarios = build_scenarios(
+        sizes=_parse_sizes(args.sizes), protocols=args.protocols.split(",")
+    )
     items = build_work_items(scenarios, runs=args.runs, seed=0)
     lean = sum(len(pickle.dumps(item)) for item in items)
     # What each item would weigh if it still carried its scenario (the

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 
 from repro.experiments import fig11_message_loss, run_experiment
+from repro.metrics.stats import reduction_percent
 
 
 def main() -> None:
@@ -26,7 +27,7 @@ def main() -> None:
     args = parser.parse_args()
 
     # One registry entry point runs any experiment programmatically; the
-    # envelope carries the raw result, the rendered report and run metadata.
+    # envelope carries the GridResult, the rendered report and run metadata.
     run = run_experiment(
         "fig11",
         runs=args.runs,
@@ -40,8 +41,12 @@ def main() -> None:
 
     print("\nTakeaway:")
     worst = max(fig11_message_loss.PAPER_LOSS_RATES)
-    escape_gain = result.reduction_vs_raft("escape", args.size, worst)
-    zraft_gain = result.reduction_vs_raft("zraft", args.size, worst)
+    raft, zraft, escape = (
+        result.cell(protocol=protocol, size=args.size, loss_rate=worst).mean_total_ms()
+        for protocol in ("raft", "zraft", "escape")
+    )
+    escape_gain = reduction_percent(raft, escape)
+    zraft_gain = reduction_percent(raft, zraft)
     print(
         f"  at Δ={worst:.0%}, ESCAPE cuts the election time by {escape_gain:.1f}% vs Raft "
         f"(Z-Raft: {zraft_gain:.1f}%), because the probing patrol keeps the shortest "

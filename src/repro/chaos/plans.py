@@ -103,6 +103,9 @@ class ChaosPlan:
         """Number of scheduled injections."""
         return len(self.events)
 
+    def __str__(self) -> str:
+        return self.describe()
+
     def describe(self) -> str:
         """One-line summary (used by reports and the examples)."""
         kinds: dict[str, int] = {}

@@ -38,6 +38,7 @@ __all__ = [
     "NetworkCondition",
     "condition_names",
     "get_condition",
+    "network_specs",
     "registered_specs",
     "scenario_for",
     "catalog_scenarios",
@@ -171,6 +172,15 @@ def get_condition(name: str) -> NetworkCondition:
             f"unknown scenario condition {name!r}; "
             f"available: {', '.join(CATALOG)}"
         ) from exc
+
+
+def network_specs(name: str | None) -> dict[str, object]:
+    """The ``latency``/``fault`` keywords layering an optional named condition
+    under any scenario type (none for ``None``)."""
+    if name is None:
+        return {}
+    condition = get_condition(name)
+    return {"latency": condition.latency, "fault": condition.fault}
 
 
 def scenario_for(

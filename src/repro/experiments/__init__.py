@@ -1,14 +1,14 @@
 """Experiment harness: a plugin registry of the paper's evaluation figures.
 
-Every module under this package describes one experiment and registers a
-frozen :class:`~repro.experiments.spec.ExperimentSpec` (name, title, paper
-figure/section, capability flags, default + quick-mode parameter sets, run
-callable, reporter, exporter binding) with
-:mod:`repro.experiments.registry`.  The registry is the single source of
-truth for "which experiments exist": the CLI (``python -m repro.experiments``)
-derives its choices, help text, capability validation and quick-mode
-overrides from it, ``--output DIR`` persists any result through the spec's
-exporter binding, and EXPERIMENTS.md embeds the generated registry table.
+Every module under this package declares one experiment and registers it with
+:mod:`repro.experiments.registry`.  A sweep -- every paper figure and every
+extension built on one -- is a frozen
+:class:`~repro.experiments.sweep.SweepExperiment` (axes, a label and a
+scenario function, a container, a report table) from which its run, result
+(:class:`~repro.experiments.sweep.GridResult`), capabilities and exporter are
+derived.  The registry is the single source of truth for "which experiments
+exist": the CLI (``python -m repro.experiments``), ``--output DIR`` and the
+registry table embedded in EXPERIMENTS.md are all generated from it.
 
 Programmatic use goes through one entry point::
 
@@ -16,7 +16,7 @@ Programmatic use goes through one entry point::
 
     run = run_experiment("fig9", runs=100, workers=0)
     print(run.report)          # the table the CLI prints
-    run.result                 # the experiment's raw result object
+    run.result                 # the GridResult: cell(protocol=..., size=...)
     run.elapsed_s, run.seed    # run metadata
 
 All sweeps execute through the parallel engine in
@@ -28,7 +28,7 @@ See EXPERIMENTS.md for the registry table and the paper-vs-measured
 comparison, and ``python -m repro.experiments --list`` for the live registry.
 """
 
-# Importing an experiment module registers its spec; the import order below
+# Importing an experiment module registers its declaration; the import order below
 # is the registration order, which the CLI surfaces as its choice order
 # (paper figures first, then the extension experiments and ablations).
 from repro.experiments import fig03_randomization
@@ -46,11 +46,14 @@ from repro.experiments import adapter_redis
 from repro.experiments import registry
 from repro.experiments.registry import run_experiment
 from repro.experiments.spec import ExperimentRun, ExperimentSpec, ExporterBinding
+from repro.experiments.sweep import GridResult, SweepExperiment
 
 __all__ = [
     "ExperimentRun",
     "ExperimentSpec",
     "ExporterBinding",
+    "GridResult",
+    "SweepExperiment",
     "ablation_k_sweep",
     "ablation_ppf",
     "adapter_redis",

@@ -14,9 +14,9 @@ Usage::
 The CLI is generated from the experiment registry
 (:mod:`repro.experiments.registry`): the experiment choices, the help text,
 which experiments accept ``--scenario``/``--protocols``/``--plan``, and the
-quick-mode parameter overrides all come from the registered
-:class:`~repro.experiments.spec.ExperimentSpec` descriptors -- registering an
-eleventh experiment extends the CLI without touching this module.
+quick-mode parameter overrides all come from the registered declarations
+(:class:`~repro.experiments.sweep.SweepExperiment` for every sweep) --
+registering another experiment extends the CLI without touching this module.
 
 ``--workers N`` fans the episodes of a sweep out over N processes
 (``--workers 0`` uses every CPU); results are bit-for-bit identical to a
@@ -253,17 +253,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"by: {', '.join(exporterless)}"
             )
     for name in names:
-        option_note = f", scenario={args.scenario}" if args.scenario else ""
-        if args.protocols:
-            option_note += f", protocols={','.join(args.protocols)}"
-        if args.plan:
-            option_note += f", plan={args.plan}"
-        if args.checkpoint:
-            option_note += f", checkpoint={args.checkpoint}"
-        if args.trace:
-            option_note += f", trace={args.trace}"
-        if args.engine:
-            option_note += f", engine={args.engine}"
+        option_note = "".join(
+            f", {option}={','.join(value) if option == 'protocols' else value}"
+            for option in (*registry.CAPABILITIES, "engine")
+            if (value := getattr(args, option))
+        )
         runs_note = "default" if args.runs is None else args.runs
         print(
             f"== {name} (runs={runs_note}, seed={args.seed}, "

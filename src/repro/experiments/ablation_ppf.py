@@ -13,17 +13,23 @@ fall behind in log replication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
-
 from repro import protocols as protocol_registry
 from repro.cluster.scenarios import ElectionScenario
-from repro.experiments.base import ProgressCallback
+from repro.experiments.fig11_message_loss import scenario as lossy_scenario
 from repro.experiments.registry import register
-from repro.experiments.spec import ExperimentSpec, ExporterBinding
+from repro.experiments.sweep import (
+    Axis,
+    Column,
+    Derived,
+    GridResult,
+    PerProtocol,
+    RowHeader,
+    SweepExperiment,
+    Table,
+    percent,
+)
 from repro.metrics.records import MeasurementSet
 from repro.metrics.stats import reduction_percent
-from repro.metrics.tables import render_table
 
 DEFAULT_SIZE = 20
 DEFAULT_LOSS_RATES: tuple[float, ...] = (0.0, 0.2, 0.4)
@@ -34,123 +40,42 @@ PROTOCOLS: tuple[str, ...] = protocol_registry.validated(
 )
 
 
-@dataclass(frozen=True)
-class PpfAblationResult:
-    """Measurements per (protocol, loss rate) at one cluster size."""
-
-    cluster_size: int
-    loss_rates: tuple[float, ...]
-    runs: int
-    by_label: Mapping[str, MeasurementSet]
-    protocols: tuple[str, ...] = PROTOCOLS
-
-    def measurements_for(self, protocol: str, loss_rate: float) -> MeasurementSet:
-        return self.by_label[cell_label(protocol, loss_rate)]
-
-    def average_for(self, protocol: str, loss_rate: float) -> float:
-        return self.measurements_for(protocol, loss_rate).mean_total_ms()
-
-    def no_ppf_baseline(self) -> str:
-        """The no-PPF protocol the benefit is measured against.
-
-        ``escape-noppf`` when it is part of the sweep (the exact ablation),
-        otherwise ``zraft`` (the historical stand-in).
-        """
-        return "escape-noppf" if "escape-noppf" in self.protocols else "zraft"
-
-    def ppf_benefit_percent(self, loss_rate: float) -> float:
-        """Reduction of full ESCAPE vs the no-PPF baseline."""
-        return reduction_percent(
-            self.average_for(self.no_ppf_baseline(), loss_rate),
-            self.average_for("escape", loss_rate),
-        )
-
-
 def cell_label(protocol: str, loss_rate: float) -> str:
     return f"{protocol}/loss{int(round(loss_rate * 100))}"
 
 
-def build_scenarios(
-    cluster_size: int = DEFAULT_SIZE,
-    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-    protocols: Sequence[str] = PROTOCOLS,
-) -> dict[str, ElectionScenario]:
-    scenarios: dict[str, ElectionScenario] = {}
-    for loss_rate in loss_rates:
-        for protocol in protocols:
-            scenarios[cell_label(protocol, loss_rate)] = ElectionScenario(
-                protocol=protocol,
-                cluster_size=cluster_size,
-                loss_rate=loss_rate,
-                workload_interval_ms=50.0,
-                pre_crash_ms=2_000.0,
-            )
-    return scenarios
+def scenario(protocol: str, loss_rate: float, cluster_size: int) -> ElectionScenario:
+    """Figure 11's lossy scenario (active client workload) at one size."""
+    return lossy_scenario(protocol, cluster_size, loss_rate)
 
 
-def run(
-    runs: int = 30,
-    seed: int = 0,
-    cluster_size: int = DEFAULT_SIZE,
-    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-    protocols: Sequence[str] = PROTOCOLS,
-    progress: ProgressCallback | None = None,
-    workers: int | None = 1,
-) -> PpfAblationResult:
-    """Execute the PPF ablation sweep (optionally fanned out over *workers*)."""
-    from repro.experiments.runner import run_sweep
+def no_ppf_baseline(result: GridResult) -> str:
+    """The no-PPF protocol the benefit is measured against.
 
-    scenarios = build_scenarios(cluster_size, loss_rates, protocols)
-    by_label = run_sweep(
-        scenarios, runs=runs, seed=seed, progress=progress, workers=workers
-    )
-    return PpfAblationResult(
-        cluster_size=cluster_size,
-        loss_rates=tuple(loss_rates),
-        runs=runs,
-        by_label=by_label,
-        protocols=tuple(protocols),
+    ``escape-noppf`` when it is part of the sweep (the exact ablation),
+    otherwise ``zraft`` (the historical stand-in).
+    """
+    return "escape-noppf" if "escape-noppf" in result.axes["protocol"] else "zraft"
+
+
+def ppf_pair_swept(result: GridResult) -> bool:
+    """Whether both full ESCAPE and a no-PPF baseline were swept."""
+    swept = result.axes["protocol"]
+    return "escape" in swept and no_ppf_baseline(result) in swept
+
+
+def ppf_benefit_percent(result: GridResult, loss_rate: float) -> float:
+    """Reduction of full ESCAPE vs the no-PPF baseline."""
+    return reduction_percent(
+        result.cell(
+            protocol=no_ppf_baseline(result), loss_rate=loss_rate
+        ).mean_total_ms(),
+        result.cell(protocol="escape", loss_rate=loss_rate).mean_total_ms(),
     )
 
 
-def report(result: PpfAblationResult) -> str:
-    headers = ["loss Δ"]
-    headers += [
-        f"{protocol_registry.title(protocol)} (ms)"
-        for protocol in result.protocols
-    ]
-    with_benefit = "escape" in result.protocols and (
-        result.no_ppf_baseline() in result.protocols
-    )
-    if with_benefit:
-        headers.append("PPF benefit")
-    rows = []
-    for loss_rate in result.loss_rates:
-        row = [f"{loss_rate * 100:.0f}%"]
-        row += [
-            f"{result.average_for(protocol, loss_rate):.0f}"
-            for protocol in result.protocols
-        ]
-        if with_benefit:
-            row.append(f"{result.ppf_benefit_percent(loss_rate):.1f}%")
-        rows.append(row)
-    return render_table(
-        headers=headers,
-        rows=rows,
-        title=(
-            f"Ablation — contribution of the PPF at {result.cluster_size} servers "
-            f"({result.runs} runs per cell)"
-        ),
-    )
-
-
-def _export_measurements(result: PpfAblationResult) -> Mapping[str, MeasurementSet]:
-    """Exporter binding: the per-(protocol, loss) measurement sets."""
-    return result.by_label
-
-
-SPEC = register(
-    ExperimentSpec(
+EXPERIMENT = register(
+    SweepExperiment(
         name="ablation-ppf",
         title="Ablation: contribution of the Probing Patrol (PPF)",
         paper_ref="Section IV-B (ablation)",
@@ -158,11 +83,25 @@ SPEC = register(
             "escape-noppf and zraft vs full ESCAPE under growing broadcast "
             "loss: how much of the win is the patrol"
         ),
-        run=run,
-        reporter=report,
         default_runs=30,
-        params={"cluster_size": DEFAULT_SIZE, "loss_rates": DEFAULT_LOSS_RATES},
-        supports_protocols=True,
-        exporter=ExporterBinding(kind="election", extract=_export_measurements),
+        axes=(
+            Axis("loss_rates", DEFAULT_LOSS_RATES, coord="loss_rate"),
+            Axis("protocols", PROTOCOLS, coord="protocol"),
+            Axis("cluster_size", DEFAULT_SIZE),
+        ),
+        label=cell_label,
+        scenario=scenario,
+        container=MeasurementSet,
+        table=Table(
+            title=(
+                "Ablation — contribution of the PPF at {cluster_size} servers "
+                "({runs} runs per cell)"
+            ),
+            rows=(RowHeader("loss_rate", "loss Δ", percent),),
+            columns=(
+                PerProtocol((Column("(ms)", "mean_total_ms"),)),
+                Derived("PPF benefit", ppf_benefit_percent, when=ppf_pair_swept),
+            ),
+        ),
     )
 )

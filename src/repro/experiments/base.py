@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from repro.common.rng import derive_run_seed, paired_seeds
-from repro.metrics.records import ElectionMeasurement, MeasurementSet
+from repro.metrics.records import MeasurementSet
 
 __all__ = [
     "ProgressCallback",
-    "SeriesResult",
     "derive_run_seed",
     "flatten_sets",
     "paired_seeds",
@@ -18,29 +16,6 @@ __all__ = [
 ]
 
 ProgressCallback = Callable[[str, int, int], None]
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    """A labelled series of measurement sets keyed by a swept parameter."""
-
-    parameter_name: str
-    parameter_values: tuple
-    series: Mapping[str, tuple[MeasurementSet, ...]]
-
-    def mean_series(self, name: str) -> list[float]:
-        """Mean total election time per parameter value for one series."""
-        return [
-            measurement_set.mean_total_ms() for measurement_set in self.series[name]
-        ]
-
-    def all_measurements(self) -> list[ElectionMeasurement]:
-        """Every measurement in the result (used by invariant checks)."""
-        collected: list[ElectionMeasurement] = []
-        for sets in self.series.values():
-            for measurement_set in sets:
-                collected.extend(measurement_set.measurements)
-        return collected
 
 
 def progress_printer() -> ProgressCallback:

@@ -32,6 +32,47 @@ from repro.metrics.records import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec is data-only)
     from repro.experiments.spec import ExperimentRun
 
+
+def _write_csv(
+    path: str | Path, fieldnames: Sequence[str], rows: Iterable[Mapping[str, object]]
+) -> Path:
+    """Write *rows* under a *fieldnames* header (parent directories are created)."""
+    destination = Path(path)
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    with destination.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+    return destination
+
+
+def _write_json(
+    path: str | Path, cells: object, metadata: Mapping[str, object] | None
+) -> Path:
+    """Write the ``{"metadata", "cells"}`` document every JSON export shares."""
+    destination = Path(path)
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    payload = {"metadata": dict(metadata or {}), "cells": cells}
+    destination.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str))
+    return destination
+
+
+def _existing(path: str | Path) -> Path:
+    source = Path(path)
+    if not source.exists():
+        raise ConfigurationError(f"no such results file: {source}")
+    return source
+
+
+def _read_csv(path: str | Path) -> list[dict[str, object]]:
+    with _existing(path).open() as handle:
+        return list(csv.DictReader(handle))
+
+
+def _read_json(path: str | Path) -> dict[str, object]:
+    return json.loads(_existing(path).read_text())
+
+
 #: Column order of the per-run CSV export.
 CSV_FIELDS = (
     "label",
@@ -83,24 +124,20 @@ def write_measurements_csv(
     Returns:
         The resolved path written to.
     """
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    with destination.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        for label, measurements in measurement_sets.items():
-            for measurement in measurements:
-                writer.writerow(measurement_to_row(measurement, label))
-    return destination
+    return _write_csv(
+        path,
+        CSV_FIELDS,
+        (
+            measurement_to_row(measurement, label)
+            for label, measurements in measurement_sets.items()
+            for measurement in measurements
+        ),
+    )
 
 
 def read_measurements_csv(path: str | Path) -> list[dict[str, object]]:
     """Read back a CSV produced by :func:`write_measurements_csv`."""
-    source = Path(path)
-    if not source.exists():
-        raise ConfigurationError(f"no such results file: {source}")
-    with source.open() as handle:
-        return list(csv.DictReader(handle))
+    return _read_csv(path)
 
 
 def write_summary_json(
@@ -114,9 +151,6 @@ def write_summary_json(
     fraction, and the mean/min/max of the total election time -- the numbers
     EXPERIMENTS.md quotes.
     """
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    payload: dict[str, object] = {"metadata": dict(metadata or {}), "cells": {}}
     cells: dict[str, object] = {}
     for label, measurements in measurement_sets.items():
         totals = measurements.totals_ms()
@@ -128,17 +162,12 @@ def write_summary_json(
             "min_total_ms": min(totals) if totals else None,
             "max_total_ms": max(totals) if totals else None,
         }
-    payload["cells"] = cells
-    destination.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return destination
+    return _write_json(path, cells, metadata)
 
 
 def read_summary_json(path: str | Path) -> dict[str, object]:
     """Read back a JSON summary produced by :func:`write_summary_json`."""
-    source = Path(path)
-    if not source.exists():
-        raise ConfigurationError(f"no such summary file: {source}")
-    return json.loads(source.read_text())
+    return _read_json(path)
 
 
 # --------------------------------------------------------------------------- #
@@ -207,24 +236,20 @@ def write_availability_csv(
     | Mapping[str, Iterable[AvailabilityMeasurement]],
 ) -> Path:
     """Write every per-run availability measurement of a sweep to one CSV."""
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    with destination.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=AVAILABILITY_CSV_FIELDS)
-        writer.writeheader()
-        for label, measurements in availability_sets.items():
-            for measurement in measurements:
-                writer.writerow(availability_to_row(measurement, label))
-    return destination
+    return _write_csv(
+        path,
+        AVAILABILITY_CSV_FIELDS,
+        (
+            availability_to_row(measurement, label)
+            for label, measurements in availability_sets.items()
+            for measurement in measurements
+        ),
+    )
 
 
 def read_availability_csv(path: str | Path) -> list[dict[str, object]]:
     """Read back a CSV produced by :func:`write_availability_csv`."""
-    source = Path(path)
-    if not source.exists():
-        raise ConfigurationError(f"no such results file: {source}")
-    with source.open() as handle:
-        return list(csv.DictReader(handle))
+    return _read_csv(path)
 
 
 def _availability_to_json(measurement: AvailabilityMeasurement) -> dict[str, object]:
@@ -287,32 +312,22 @@ def write_availability_json(
     original :class:`AvailabilityMeasurement` records exactly (floats
     round-trip via JSON's double precision).
     """
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    payload: dict[str, object] = {
-        "metadata": dict(metadata or {}),
-        "cells": {
-            label: [_availability_to_json(m) for m in measurements]
-            for label, measurements in availability_sets.items()
-        },
+    cells = {
+        label: [_availability_to_json(m) for m in measurements]
+        for label, measurements in availability_sets.items()
     }
-    destination.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return destination
+    return _write_json(path, cells, metadata)
 
 
 def read_availability_json(
     path: str | Path,
 ) -> dict[str, AvailabilitySet]:
     """Read a JSON availability export back into per-label sets."""
-    source = Path(path)
-    if not source.exists():
-        raise ConfigurationError(f"no such results file: {source}")
-    payload = json.loads(source.read_text())
     return {
         label: AvailabilitySet(
             (_availability_from_json(entry) for entry in entries), label=label
         )
-        for label, entries in payload["cells"].items()
+        for label, entries in _read_json(path)["cells"].items()
     }
 
 
@@ -378,84 +393,34 @@ def write_measurements_json(
     field bit-exact, so :func:`read_measurements_json` reconstructs the
     original :class:`ElectionMeasurement` records.
     """
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    payload: dict[str, object] = {
-        "metadata": dict(metadata or {}),
-        "cells": {
-            label: [_measurement_to_json(m) for m in measurements]
-            for label, measurements in measurement_sets.items()
-        },
+    cells = {
+        label: [_measurement_to_json(m) for m in measurements]
+        for label, measurements in measurement_sets.items()
     }
-    destination.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    return destination
+    return _write_json(path, cells, metadata)
 
 
 def read_measurements_json(path: str | Path) -> dict[str, MeasurementSet]:
     """Read a JSON election export back into per-label measurement sets."""
-    source = Path(path)
-    if not source.exists():
-        raise ConfigurationError(f"no such results file: {source}")
-    payload = json.loads(source.read_text())
     return {
         label: MeasurementSet(
             (_measurement_from_json(entry) for entry in entries), label=label
         )
-        for label, entries in payload["cells"].items()
+        for label, entries in _read_json(path)["cells"].items()
     }
 
 
 # --------------------------------------------------------------------------- #
 # Flat aggregate rows (experiments whose results are cells, not raw episodes)
 # --------------------------------------------------------------------------- #
-def aggregate_to_row(label: str, aggregate) -> dict[str, object]:
-    """Flatten one streaming :class:`~repro.metrics.streaming.ElectionAggregate`
-    into a scalar ``"rows"``-kind dict.
-
-    An aggregate sweep never retains episodes, so its export is one
-    aggregate row per cell -- counts, fractions and the summary statistics of
-    the converged total election time (``None`` when nothing converged).
-    """
-    summary = aggregate.total_summary() if aggregate.converged else None
-    return {
-        "label": label,
-        "runs": aggregate.runs,
-        "converged": aggregate.converged,
-        "convergence": round(aggregate.convergence_fraction(), 6),
-        "split_vote_fraction": round(aggregate.split_vote_fraction(), 6),
-        "mean_campaigns": (
-            round(aggregate.mean_campaigns(), 6) if aggregate.runs else None
-        ),
-        "mean_total_ms": round(summary.mean, 3) if summary else None,
-        "p50_total_ms": round(summary.median, 3) if summary else None,
-        "p95_total_ms": round(summary.p95, 3) if summary else None,
-        "p99_total_ms": round(summary.p99, 3) if summary else None,
-        "min_total_ms": round(summary.minimum, 3) if summary else None,
-        "max_total_ms": round(summary.maximum, 3) if summary else None,
-        "std_total_ms": round(summary.std_dev, 3) if summary else None,
-    }
-
-
 def write_rows_csv(path: str | Path, rows: Sequence[Mapping[str, object]]) -> Path:
     """Write a sequence of uniform scalar-valued dicts to one CSV file."""
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    fieldnames = list(rows[0]) if rows else []
-    with destination.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    return destination
+    return _write_csv(path, list(rows[0]) if rows else [], rows)
 
 
 def read_rows_csv(path: str | Path) -> list[dict[str, object]]:
     """Read back a CSV produced by :func:`write_rows_csv` (values as text)."""
-    source = Path(path)
-    if not source.exists():
-        raise ConfigurationError(f"no such results file: {source}")
-    with source.open() as handle:
-        return list(csv.DictReader(handle))
+    return _read_csv(path)
 
 
 def write_rows_json(
@@ -464,24 +429,26 @@ def write_rows_json(
     metadata: Mapping[str, object] | None = None,
 ) -> Path:
     """Write aggregate rows, losslessly (types preserved), to a JSON file."""
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"metadata": dict(metadata or {}), "cells": [dict(row) for row in rows]}
-    destination.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    return destination
+    return _write_json(path, [dict(row) for row in rows], metadata)
 
 
 def read_rows_json(path: str | Path) -> list[dict[str, object]]:
     """Read back the rows written by :func:`write_rows_json`."""
-    source = Path(path)
-    if not source.exists():
-        raise ConfigurationError(f"no such results file: {source}")
-    return [dict(row) for row in json.loads(source.read_text())["cells"]]
+    return [dict(row) for row in _read_json(path)["cells"]]
 
 
 # --------------------------------------------------------------------------- #
 # Registry-generic persistence (the CLI's --output path)
 # --------------------------------------------------------------------------- #
+#: ``(CSV writer, JSON writer, JSON reader)`` per exporter kind
+#: (:data:`repro.experiments.spec.EXPORT_KINDS`).
+_KIND_IO = {
+    "election": (write_measurements_csv, write_measurements_json, read_measurements_json),
+    "availability": (write_availability_csv, write_availability_json, read_availability_json),
+    "rows": (write_rows_csv, write_rows_json, read_rows_json),
+}
+
+
 def save_run(run: "ExperimentRun", directory: str | Path) -> dict[str, Path]:
     """Persist one experiment run through its spec's exporter binding.
 
@@ -519,15 +486,10 @@ def save_run(run: "ExperimentRun", directory: str | Path) -> dict[str, Path]:
     metadata = dict(run.metadata(), export_kind=spec.exporter.kind)
     csv_path = destination / f"{run.name}.csv"
     json_path = destination / f"{run.name}.json"
-    if spec.exporter.kind == "election":
-        write_measurements_csv(csv_path, payload)
-        write_measurements_json(json_path, payload, metadata=metadata)
-    elif spec.exporter.kind == "availability":
-        write_availability_csv(csv_path, payload)
-        write_availability_json(json_path, payload, metadata=metadata)
-    else:  # "rows" -- validated by ExporterBinding.__post_init__
-        write_rows_csv(csv_path, payload)
-        write_rows_json(json_path, payload, metadata=metadata)
+    # The kind is one of _KIND_IO's: ExporterBinding.__post_init__ checked it.
+    write_csv, write_json, _ = _KIND_IO[spec.exporter.kind]
+    write_csv(csv_path, payload)
+    write_json(json_path, payload, metadata=metadata)
     report_path = destination / f"{run.name}.report.txt"
     report_path.write_text(run.report + "\n")
     return {"csv": csv_path, "json": json_path, "report": report_path}
@@ -544,16 +506,10 @@ def load_run(name: str, directory: str | Path) -> tuple[dict[str, object], objec
         ``"rows"``.
     """
     source = Path(directory) / f"{name}.json"
-    if not source.exists():
-        raise ConfigurationError(f"no such results file: {source}")
-    metadata = json.loads(source.read_text())["metadata"]
+    metadata = _read_json(source)["metadata"]
     kind = metadata.get("export_kind")
-    if kind == "election":
-        return metadata, read_measurements_json(source)
-    if kind == "availability":
-        return metadata, read_availability_json(source)
-    if kind == "rows":
-        return metadata, read_rows_json(source)
-    raise ConfigurationError(
-        f"results file {source} carries unknown export kind {kind!r}"
-    )
+    if kind not in _KIND_IO:
+        raise ConfigurationError(
+            f"results file {source} carries unknown export kind {kind!r}"
+        )
+    return metadata, _KIND_IO[kind][2](source)

@@ -10,18 +10,12 @@ longer than 3500 ms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
-
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.types import Milliseconds
-from repro.experiments.base import ProgressCallback
 from repro.experiments.registry import register
-from repro.experiments.spec import ExperimentSpec, ExporterBinding
+from repro.experiments.sweep import Axis, Column, RowHeader, SweepExperiment, Table
 from repro.metrics.records import MeasurementSet
-from repro.metrics.stats import cumulative_distribution, fraction_at_or_below, summarize
-from repro.metrics.tables import render_table
-from repro.obs.trace import archive_election_traces
+from repro.metrics.stats import fraction_at_or_below
 
 #: The six timeout ranges swept by the paper.
 PAPER_TIMEOUT_RANGES: tuple[tuple[Milliseconds, Milliseconds], ...] = (
@@ -36,24 +30,8 @@ PAPER_TIMEOUT_RANGES: tuple[tuple[Milliseconds, Milliseconds], ...] = (
 #: Cluster size used in Section III.
 CLUSTER_SIZE = 5
 
-
-@dataclass(frozen=True)
-class RandomizationResult:
-    """Result of the Figure 3 sweep: one measurement set per timeout range."""
-
-    timeout_ranges: tuple[tuple[Milliseconds, Milliseconds], ...]
-    runs: int
-    by_range: Mapping[str, MeasurementSet]
-
-    def measurements_for(self, timeout_range: tuple[Milliseconds, Milliseconds]) -> MeasurementSet:
-        """Measurements collected for one timeout range."""
-        return self.by_range[range_label(timeout_range)]
-
-    def cdf_for(
-        self, timeout_range: tuple[Milliseconds, Milliseconds]
-    ) -> list[tuple[float, float]]:
-        """The cumulative-distribution series plotted by Figure 3."""
-        return cumulative_distribution(self.measurements_for(timeout_range).totals_ms())
+#: The swept axis Figures 3 and 4 share.
+TIMEOUT_RANGES = Axis("timeout_ranges", PAPER_TIMEOUT_RANGES, coord="timeout_range")
 
 
 def range_label(timeout_range: tuple[Milliseconds, Milliseconds]) -> str:
@@ -62,91 +40,22 @@ def range_label(timeout_range: tuple[Milliseconds, Milliseconds]) -> str:
     return f"{low:.0f}-{high:.0f}"
 
 
-def build_scenarios(
-    timeout_ranges: Sequence[tuple[Milliseconds, Milliseconds]] = PAPER_TIMEOUT_RANGES,
-    cluster_size: int = CLUSTER_SIZE,
-) -> dict[str, ElectionScenario]:
-    """One Raft scenario per timeout range."""
-    return {
-        range_label(timeout_range): ElectionScenario(
-            protocol="raft",
-            cluster_size=cluster_size,
-            raft_timeout_range=timeout_range,
-        )
-        for timeout_range in timeout_ranges
-    }
-
-
-def run(
-    runs: int = 100,
-    seed: int = 0,
-    timeout_ranges: Sequence[tuple[Milliseconds, Milliseconds]] = PAPER_TIMEOUT_RANGES,
-    cluster_size: int = CLUSTER_SIZE,
-    progress: ProgressCallback | None = None,
-    workers: int | None = 1,
-    trace: str | None = None,
-) -> RandomizationResult:
-    """Execute the Figure 3 sweep (optionally fanned out over *workers*).
-
-    With *trace* set to a directory, one traced episode per timeout range is
-    re-run afterwards and archived there as JSONL (plus telemetry snapshots);
-    see :func:`repro.obs.trace.archive_election_traces`.
-    """
-    from repro.experiments.runner import run_sweep
-
-    scenarios = build_scenarios(timeout_ranges, cluster_size)
-    by_range = run_sweep(
-        scenarios, runs=runs, seed=seed, progress=progress, workers=workers
-    )
-    if trace is not None:
-        archive_election_traces(scenarios, seed, trace)
-    return RandomizationResult(
-        timeout_ranges=tuple(timeout_ranges), runs=runs, by_range=by_range
+def scenario(
+    timeout_range: tuple[Milliseconds, Milliseconds], cluster_size: int = CLUSTER_SIZE
+) -> ElectionScenario:
+    """The Raft scenario of one timeout range."""
+    return ElectionScenario(
+        protocol="raft", cluster_size=cluster_size, raft_timeout_range=timeout_range
     )
 
 
-def report(result: RandomizationResult) -> str:
-    """Render the Figure 3 series (plus split-vote rates) as a table."""
-    rows = []
-    for timeout_range in result.timeout_ranges:
-        measurements = result.measurements_for(timeout_range)
-        totals = measurements.totals_ms()
-        summary = summarize(totals)
-        rows.append(
-            [
-                range_label(timeout_range),
-                f"{summary.mean:.0f}",
-                f"{summary.median:.0f}",
-                f"{summary.p95:.0f}",
-                f"{100 * measurements.split_vote_fraction():.1f}%",
-                f"{100 * (1 - fraction_at_or_below(totals, 3500.0)):.1f}%",
-            ]
-        )
-    return render_table(
-        headers=[
-            "timeout range (ms)",
-            "mean (ms)",
-            "p50 (ms)",
-            "p95 (ms)",
-            "split votes",
-            "> 3500 ms",
-        ],
-        rows=rows,
-        title=(
-            "Figure 3 — Raft leader election time in a "
-            f"{CLUSTER_SIZE}-server cluster vs timeout randomness "
-            f"({result.runs} runs per range)"
-        ),
-    )
+def slow_fraction(cell: MeasurementSet) -> float:
+    """Fraction of converged elections longer than 3500 ms (the split-vote tail)."""
+    return 1 - fraction_at_or_below(cell.totals_ms(), 3500.0)
 
 
-def _export_measurements(result: RandomizationResult) -> Mapping[str, MeasurementSet]:
-    """Exporter binding: the per-range measurement sets."""
-    return result.by_range
-
-
-SPEC = register(
-    ExperimentSpec(
+EXPERIMENT = register(
+    SweepExperiment(
         name="fig3",
         title="Raft election-time CDF vs timeout randomness",
         paper_ref="Figure 3 / Section III",
@@ -154,14 +63,25 @@ SPEC = register(
             "5-server Raft cluster, leader crash, six election-timeout "
             "ranges; the split-vote tail the paper motivates ESCAPE with"
         ),
-        run=run,
-        reporter=report,
         default_runs=100,
-        params={
-            "timeout_ranges": PAPER_TIMEOUT_RANGES,
-            "cluster_size": CLUSTER_SIZE,
-        },
-        supports_trace=True,
-        exporter=ExporterBinding(kind="election", extract=_export_measurements),
+        axes=(TIMEOUT_RANGES, Axis("cluster_size", CLUSTER_SIZE)),
+        label=range_label,
+        scenario=scenario,
+        container=MeasurementSet,
+        table=Table(
+            title=(
+                "Figure 3 — Raft leader election time in a {cluster_size}-server "
+                "cluster vs timeout randomness ({runs} runs per range)"
+            ),
+            rows=(RowHeader("timeout_range", "timeout range (ms)", range_label),),
+            columns=(
+                Column("mean (ms)", "total_summary.mean"),
+                Column("p50 (ms)", "total_summary.median"),
+                Column("p95 (ms)", "total_summary.p95"),
+                Column("split votes", "split_vote_fraction", "{:.1%}"),
+                Column("> 3500 ms", slow_fraction, "{:.1%}"),
+            ),
+        ),
     )
 )
+build_scenarios = EXPERIMENT.build_scenarios

@@ -8,117 +8,37 @@ period, so the average first drops and then climbs again as the range widens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-from repro.common.types import Milliseconds
-from repro.experiments.base import ProgressCallback
-from repro.experiments.registry import register
-from repro.experiments.spec import ExperimentSpec, ExporterBinding
 from repro.experiments.fig03_randomization import (
-    PAPER_TIMEOUT_RANGES,
-    RandomizationResult,
+    TIMEOUT_RANGES,
     range_label,
-    run as run_fig03,
+    scenario,
 )
-from repro.metrics.tables import render_table
+from repro.experiments.registry import register
+from repro.experiments.sweep import (
+    Column,
+    GridResult,
+    RowHeader,
+    SweepExperiment,
+    Table,
+)
+from repro.metrics.records import MeasurementSet
 
 
-@dataclass(frozen=True)
-class RandomizationAverageResult:
-    """Average election time (and its decomposition) per timeout range."""
-
-    timeout_ranges: tuple[tuple[Milliseconds, Milliseconds], ...]
-    runs: int
-    average_total_ms: tuple[float, ...]
-    average_detection_ms: tuple[float, ...]
-    average_election_ms: tuple[float, ...]
-
-    def as_series(self) -> list[tuple[str, float]]:
-        """(range label, average election time) pairs -- the Figure 4 series."""
-        return [
-            (range_label(timeout_range), average)
-            for timeout_range, average in zip(self.timeout_ranges, self.average_total_ms)
-        ]
-
-
-def from_fig03(result: RandomizationResult) -> RandomizationAverageResult:
-    """Derive the Figure 4 averages from an existing Figure 3 sweep."""
-    totals = []
-    detections = []
-    elections = []
-    for timeout_range in result.timeout_ranges:
-        measurements = result.measurements_for(timeout_range).converged
-        totals.append(measurements.mean_total_ms())
-        detection = measurements.detections_ms()
-        election = measurements.elections_ms()
-        detections.append(sum(detection) / len(detection))
-        elections.append(sum(election) / len(election))
-    return RandomizationAverageResult(
-        timeout_ranges=result.timeout_ranges,
-        runs=result.runs,
-        average_total_ms=tuple(totals),
-        average_detection_ms=tuple(detections),
-        average_election_ms=tuple(elections),
-    )
-
-
-def run(
-    runs: int = 100,
-    seed: int = 0,
-    timeout_ranges: Sequence[tuple[Milliseconds, Milliseconds]] = PAPER_TIMEOUT_RANGES,
-    progress: ProgressCallback | None = None,
-    workers: int | None = 1,
-) -> RandomizationAverageResult:
-    """Execute the sweep and reduce it to the Figure 4 averages."""
-    return from_fig03(
-        run_fig03(
-            runs=runs,
-            seed=seed,
-            timeout_ranges=timeout_ranges,
-            progress=progress,
-            workers=workers,
-        )
-    )
-
-
-def report(result: RandomizationAverageResult) -> str:
-    """Render the Figure 4 series as a table."""
-    rows = []
-    for index, timeout_range in enumerate(result.timeout_ranges):
-        rows.append(
-            [
-                range_label(timeout_range),
-                f"{result.average_detection_ms[index]:.0f}",
-                f"{result.average_election_ms[index]:.0f}",
-                f"{result.average_total_ms[index]:.0f}",
-            ]
-        )
-    return render_table(
-        headers=["timeout range (ms)", "detection (ms)", "election (ms)", "total (ms)"],
-        rows=rows,
-        title=(
-            "Figure 4 — average Raft leader election time vs timeout randomness "
-            f"({result.runs} runs per range)"
-        ),
-    )
-
-
-def _export_rows(result: RandomizationAverageResult) -> list[dict[str, object]]:
-    """Exporter binding: one aggregate row per timeout range."""
+def average_rows(result: GridResult) -> list[dict[str, object]]:
+    """The archive of Figure 4: one row of averages per timeout range."""
     return [
         {
-            "timeout_range": range_label(timeout_range),
-            "detection_ms": result.average_detection_ms[index],
-            "election_ms": result.average_election_ms[index],
-            "total_ms": result.average_total_ms[index],
+            "timeout_range": label,
+            "detection_ms": cell.mean_detection_ms(),
+            "election_ms": cell.mean_election_ms(),
+            "total_ms": cell.mean_total_ms(),
         }
-        for index, timeout_range in enumerate(result.timeout_ranges)
+        for label, cell in result.by_label.items()
     ]
 
 
-SPEC = register(
-    ExperimentSpec(
+EXPERIMENT = register(
+    SweepExperiment(
         name="fig4",
         title="Average Raft election time vs timeout randomness",
         paper_ref="Figure 4 / Section III",
@@ -126,10 +46,23 @@ SPEC = register(
             "the Figure 3 sweep averaged: the randomness trade-off between "
             "split votes and an inflated detection period"
         ),
-        run=run,
-        reporter=report,
         default_runs=100,
-        params={"timeout_ranges": PAPER_TIMEOUT_RANGES},
-        exporter=ExporterBinding(kind="rows", extract=_export_rows),
+        axes=(TIMEOUT_RANGES,),
+        label=range_label,
+        scenario=scenario,
+        container=MeasurementSet,
+        table=Table(
+            title=(
+                "Figure 4 — average Raft leader election time vs timeout "
+                "randomness ({runs} runs per range)"
+            ),
+            rows=(RowHeader("timeout_range", "timeout range (ms)", range_label),),
+            columns=(
+                Column("detection (ms)", "mean_detection_ms"),
+                Column("election (ms)", "mean_election_ms"),
+                Column("total (ms)", "mean_total_ms"),
+            ),
+        ),
+        rows=average_rows,
     )
 )

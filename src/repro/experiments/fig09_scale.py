@@ -11,18 +11,19 @@ election time by 11.6 % (s=8) to 21.3 % (s=128).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
-
 from repro import protocols as protocol_registry
 from repro.cluster.scenarios import ElectionScenario
-from repro.experiments.base import ProgressCallback
 from repro.experiments.registry import register
-from repro.experiments.spec import ExperimentSpec, ExporterBinding
+from repro.experiments.sweep import (
+    Axis,
+    Column,
+    PerProtocol,
+    Reduction,
+    RowHeader,
+    SweepExperiment,
+    Table,
+)
 from repro.metrics.records import MeasurementSet
-from repro.metrics.stats import cumulative_distribution, reduction_percent, summarize
-from repro.metrics.tables import render_table
-from repro.obs.trace import archive_election_traces
 
 #: Cluster sizes evaluated by the paper.
 PAPER_SIZES: tuple[int, ...] = (8, 16, 32, 64, 128)
@@ -30,33 +31,13 @@ PAPER_SIZES: tuple[int, ...] = (8, 16, 32, 64, 128)
 #: The protocols compared in Figure 9 (validated against the registry).
 PROTOCOLS: tuple[str, ...] = protocol_registry.RAFT_VS_ESCAPE
 
-
-@dataclass(frozen=True)
-class ScaleResult:
-    """Measurements per (protocol, cluster size)."""
-
-    sizes: tuple[int, ...]
-    runs: int
-    by_label: Mapping[str, MeasurementSet]
-    protocols: tuple[str, ...] = PROTOCOLS
-
-    def measurements_for(self, protocol: str, size: int) -> MeasurementSet:
-        """Measurements for one protocol at one scale."""
-        return self.by_label[scale_label(protocol, size)]
-
-    def cdf_for(self, protocol: str, size: int) -> list[tuple[float, float]]:
-        """CDF series (left/middle panels of Figure 9)."""
-        return cumulative_distribution(self.measurements_for(protocol, size).totals_ms())
-
-    def average_for(self, protocol: str, size: int) -> float:
-        """Average election time (right panel of Figure 9)."""
-        return self.measurements_for(protocol, size).mean_total_ms()
-
-    def reduction_for(self, size: int) -> float:
-        """ESCAPE's percentage reduction vs Raft at one scale."""
-        return reduction_percent(
-            self.average_for("raft", size), self.average_for("escape", size)
-        )
+#: The protocol axis and the report pieces Figure 9 and its XL extension share.
+PROTOCOL_AXIS = Axis("protocols", PROTOCOLS, coord="protocol")
+SIZE_ROWS = (RowHeader("size", "servers"),)
+MEAN = PerProtocol((Column("mean (ms)", "total_summary.mean"),))
+REDUCTION = Reduction("reduction", baseline="raft", improved="escape")
+MAX = PerProtocol((Column("max (ms)", "total_summary.maximum"),))
+SPLIT_VOTES = PerProtocol((Column("split votes", "split_vote_fraction", "{:.1%}"),))
 
 
 def scale_label(protocol: str, size: int) -> str:
@@ -64,102 +45,13 @@ def scale_label(protocol: str, size: int) -> str:
     return f"{protocol}@{size}"
 
 
-def build_scenarios(
-    sizes: Sequence[int] = PAPER_SIZES,
-    protocols: Sequence[str] = PROTOCOLS,
-) -> dict[str, ElectionScenario]:
-    """One scenario per (protocol, size) cell of Figure 9."""
-    scenarios: dict[str, ElectionScenario] = {}
-    for size in sizes:
-        for protocol in protocols:
-            scenarios[scale_label(protocol, size)] = ElectionScenario(
-                protocol=protocol, cluster_size=size
-            )
-    return scenarios
+def scenario(protocol: str, size: int) -> ElectionScenario:
+    """The scenario of one (protocol, size) cell."""
+    return ElectionScenario(protocol=protocol, cluster_size=size)
 
 
-def run(
-    runs: int = 50,
-    seed: int = 0,
-    sizes: Sequence[int] = PAPER_SIZES,
-    protocols: Sequence[str] = PROTOCOLS,
-    progress: ProgressCallback | None = None,
-    workers: int | None = 1,
-    trace: str | None = None,
-) -> ScaleResult:
-    """Execute the Figure 9 sweep (optionally fanned out over *workers*).
-
-    With *trace* set to a directory, one traced episode per (protocol, size)
-    cell is re-run afterwards and archived there as JSONL (plus telemetry
-    snapshots); see :func:`repro.obs.trace.archive_election_traces`.
-    """
-    from repro.experiments.runner import run_sweep
-
-    scenarios = build_scenarios(sizes, protocols)
-    by_label = run_sweep(
-        scenarios, runs=runs, seed=seed, progress=progress, workers=workers
-    )
-    if trace is not None:
-        archive_election_traces(scenarios, seed, trace)
-    return ScaleResult(
-        sizes=tuple(sizes),
-        runs=runs,
-        by_label=by_label,
-        protocols=tuple(protocols),
-    )
-
-
-def report(result: ScaleResult) -> str:
-    """Render the averages, tail behaviour and split-vote rates per scale.
-
-    Columns adapt to the protocols actually swept (display labels come from
-    the protocol registry); the reduction column only appears when both Raft
-    and ESCAPE are present.
-    """
-    with_reduction = {"raft", "escape"} <= set(result.protocols)
-    labels = {
-        protocol: protocol_registry.title(protocol)
-        for protocol in result.protocols
-    }
-    headers = ["servers"]
-    headers += [f"{labels[protocol]} mean (ms)" for protocol in result.protocols]
-    if with_reduction:
-        headers.append("reduction")
-    headers += [f"{labels[protocol]} max (ms)" for protocol in result.protocols]
-    headers += [f"{labels[protocol]} split votes" for protocol in result.protocols]
-    rows = []
-    for size in result.sizes:
-        summaries = {
-            protocol: summarize(result.measurements_for(protocol, size).totals_ms())
-            for protocol in result.protocols
-        }
-        row: list[object] = [size]
-        row += [f"{summaries[protocol].mean:.0f}" for protocol in result.protocols]
-        if with_reduction:
-            row.append(f"{result.reduction_for(size):.1f}%")
-        row += [f"{summaries[protocol].maximum:.0f}" for protocol in result.protocols]
-        row += [
-            f"{100 * result.measurements_for(protocol, size).split_vote_fraction():.1f}%"
-            for protocol in result.protocols
-        ]
-        rows.append(row)
-    return render_table(
-        headers=headers,
-        rows=rows,
-        title=(
-            "Figure 9 — leader election time vs cluster size "
-            f"({result.runs} runs per cell)"
-        ),
-    )
-
-
-def _export_measurements(result: ScaleResult) -> Mapping[str, MeasurementSet]:
-    """Exporter binding: the per-(protocol, size) measurement sets."""
-    return result.by_label
-
-
-SPEC = register(
-    ExperimentSpec(
+EXPERIMENT = register(
+    SweepExperiment(
         name="fig9",
         title="ESCAPE vs Raft at increasing cluster sizes",
         paper_ref="Figure 9 / Section VI-B",
@@ -167,13 +59,19 @@ SPEC = register(
             "clusters of 8-128 servers under repeated leader crashes; the "
             "paper's headline 11.6-21.3 % election-time reduction"
         ),
-        run=run,
-        reporter=report,
         default_runs=50,
-        params={"sizes": PAPER_SIZES},
-        quick_params={"sizes": (8, 16, 32)},
-        supports_protocols=True,
-        supports_trace=True,
-        exporter=ExporterBinding(kind="election", extract=_export_measurements),
+        axes=(
+            Axis("sizes", PAPER_SIZES, quick=(8, 16, 32), coord="size"),
+            PROTOCOL_AXIS,
+        ),
+        label=scale_label,
+        scenario=scenario,
+        container=MeasurementSet,
+        table=Table(
+            title="Figure 9 — leader election time vs cluster size ({runs} runs per cell)",
+            rows=SIZE_ROWS,
+            columns=(MEAN, REDUCTION, MAX, SPLIT_VOTES),
+        ),
     )
 )
+build_scenarios = EXPERIMENT.build_scenarios

@@ -1,12 +1,14 @@
 """The experiment registry and the one programmatic entry point.
 
-Mirrors :mod:`repro.protocols`: every experiment module registers a frozen
-:class:`~repro.experiments.spec.ExperimentSpec` at import time, and everything
-that used to hard-code the experiment list consumes the registry instead --
-the CLI derives its choices, help text, capability validation and quick-mode
-overrides from it; the ``all`` runner iterates :func:`names`; ``--output``
-persists any result through the spec's exporter binding; EXPERIMENTS.md
-embeds :func:`registry_table_markdown`.
+Mirrors :mod:`repro.protocols`: every experiment module registers one frozen
+declaration at import time -- a
+:class:`~repro.experiments.sweep.SweepExperiment` for a sweep, an
+:class:`~repro.experiments.spec.ExperimentSpec` otherwise -- and the registry
+stores that declaration itself.  Everything else consumes it: the CLI derives
+its choices, help text, capability validation and quick-mode overrides from
+it; the ``all`` runner iterates :func:`names`; ``--output`` persists any
+result through the declaration's exporter; EXPERIMENTS.md embeds
+:func:`registry_table_markdown`.
 
 The programmatic surface is :func:`run_experiment`::
 
@@ -14,28 +16,33 @@ The programmatic surface is :func:`run_experiment`::
 
     run = run_experiment("fig9", runs=100, workers=0, sizes=(8, 16))
     print(run.report)            # the table the CLI prints
-    run.result.average_for("escape", 16)   # the raw result object
+    run.result.cell(protocol="escape", size=16).mean_total_ms()
     run.elapsed_s, run.parameters          # run metadata
 
-It resolves the spec, applies quick-mode and caller overrides to the declared
-parameter set, validates the sweep-wide options against the spec's capability
-flags (and protocol names against :mod:`repro.protocols`), executes the run,
-and wraps everything in a picklable
-:class:`~repro.experiments.spec.ExperimentRun` envelope.
+It resolves the declaration, applies quick-mode and caller overrides to the
+declared parameter set, validates the sweep-wide options against the derived
+capabilities, builds the scenario grid, runs it, renders the report, and wraps
+everything in a picklable :class:`~repro.experiments.spec.ExperimentRun`
+envelope.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro import protocols as protocol_registry
 from repro.common.errors import ConfigurationError
 from repro.obs.profiling import Profiler
+from repro.obs.trace import archive_election_traces
 from repro.sim import engines as engine_registry
 from repro.experiments.spec import (
     CAPABILITIES,
     ExperimentRun,
     ExperimentSpec,
+)
+from repro.experiments.sweep import (
+    GridResult,
+    SweepExperiment,
+    validate_sweep_protocols,
 )
 from repro.metrics.tables import render_table
 
@@ -57,14 +64,17 @@ __all__ = [
     "validate_sweep_protocols",
 ]
 
-_REGISTRY: dict[str, ExperimentSpec] = {}
+#: What the registry holds: a declared sweep, or a plain spec.
+Declaration = SweepExperiment | ExperimentSpec
+
+_REGISTRY: dict[str, Declaration] = {}
 
 
-def register(spec: ExperimentSpec, *, replace: bool = False) -> ExperimentSpec:
+def register(spec: Declaration, *, replace: bool = False) -> Declaration:
     """Register *spec* under its name and return it.
 
     Args:
-        spec: the experiment descriptor.
+        spec: the experiment declaration.
         replace: allow overwriting an existing registration (tests and
             notebooks re-registering tweaked variants).
 
@@ -81,14 +91,14 @@ def register(spec: ExperimentSpec, *, replace: bool = False) -> ExperimentSpec:
     return spec
 
 
-def unregister(name: str) -> ExperimentSpec:
+def unregister(name: str) -> Declaration:
     """Remove a registration (plugin teardown, test hygiene) and return it."""
     spec = get(name)
     del _REGISTRY[name]
     return spec
 
 
-def get(name: str) -> ExperimentSpec:
+def get(name: str) -> Declaration:
     """The spec registered under *name*.
 
     Raises:
@@ -113,12 +123,12 @@ def names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def specs() -> tuple[ExperimentSpec, ...]:
+def specs() -> tuple[Declaration, ...]:
     """Every registered spec, in registration order."""
     return tuple(_REGISTRY.values())
 
 
-def registered_specs() -> tuple[tuple[str, ExperimentSpec], ...]:
+def registered_specs() -> tuple[tuple[str, Declaration], ...]:
     """``(name, spec)`` pairs for introspection tooling (``repro.lint`` S1/S2)."""
     return tuple(_REGISTRY.items())
 
@@ -138,7 +148,7 @@ def supporting(option: str) -> tuple[str, ...]:
     return tuple(
         name
         for name, spec in _REGISTRY.items()
-        if getattr(spec, f"supports_{option}")
+        if option in spec.capabilities
     )
 
 
@@ -161,37 +171,6 @@ def unsupported_option_message(
         f"--{option} is not supported by: {', '.join(unsupported)} "
         f"(supported: {', '.join(sorted(supported))})"
     )
-
-
-def validate_sweep_protocols(protocol_names: Sequence[str]) -> tuple[str, ...]:
-    """Check *protocol_names* can run in an experiment sweep.
-
-    Every experiment stabilises a leader before measuring, so beyond being
-    registered in :mod:`repro.protocols` each protocol must guarantee
-    liveness (``raft-fixed`` livelocks by design and can only abort a sweep).
-
-    Raises:
-        ConfigurationError: naming the offending protocol, with the list of
-            registered (or sweepable) ones.
-    """
-    sweepable = [
-        spec.name
-        for spec in protocol_registry.specs()
-        if spec.guarantees_liveness
-    ]
-    for name in protocol_names:
-        if not protocol_registry.is_registered(name):
-            raise ConfigurationError(
-                f"unknown protocol {name!r}; registered: "
-                f"{', '.join(protocol_registry.names())}"
-            )
-        if not protocol_registry.get(name).guarantees_liveness:
-            raise ConfigurationError(
-                f"protocol {name!r} does not guarantee leader election (it "
-                "livelocks by design) and cannot run in an experiment sweep; "
-                f"sweepable protocols: {', '.join(sweepable)}"
-            )
-    return tuple(protocol_names)
 
 
 def run_experiment(
@@ -247,24 +226,17 @@ def run_experiment(
     """
     spec = get(name)
     # The sweep-wide options the caller actually supplied, by capability.
-    supplied = {
-        option: value
-        for option, value in (
-            ("scenario", scenario),
-            ("protocols", protocols),
-            ("plan", plan),
-            ("checkpoint", checkpoint),
-            ("trace", trace),
-        )
-        if value is not None
+    options = {
+        "scenario": scenario,
+        "protocols": None if protocols is None else tuple(protocols),
+        "plan": plan,
+        "checkpoint": checkpoint,
+        "trace": trace,
     }
+    supplied = {option: value for option, value in options.items() if value is not None}
     for option in supplied:
-        if not getattr(spec, f"supports_{option}"):
-            raise ConfigurationError(
-                unsupported_option_message(option, [name])
-            )
-    if protocols is not None:
-        supplied["protocols"] = validate_sweep_protocols(tuple(protocols))
+        if option not in spec.capabilities:
+            raise ConfigurationError(unsupported_option_message(option, [name]))
 
     profiler = Profiler()
     notes: list[str] = []
@@ -281,35 +253,56 @@ def run_experiment(
             "pay start-up cost)"
         )
 
-    with profiler.phase("build"):
-        params = spec.resolved_params(quick=quick, **param_overrides)
-    call_kwargs: dict[str, object] = dict(params, runs=resolved_runs, seed=seed)
-    if spec.supports_workers:
-        call_kwargs["progress"] = progress
-        call_kwargs["workers"] = workers
-    call_kwargs.update(supplied)
-
     # Phase timings are run *metadata* (how long each stage took on this
     # machine), never an input to the simulation; the Profiler lives in the
-    # wall-clock-allowlisted repro.obs.profiling module.  elapsed_s keeps its
-    # historical meaning: the sweep itself, excluding report rendering.
-    with profiler.phase("sweep"):
-        with engine_registry.using_engine(engine) as resolved_engine:
-            result = spec.run(**call_kwargs)
+    # wall-clock-allowlisted repro.obs.profiling module.  ``build`` covers the
+    # whole scenario grid (so a bad condition, plan or workload name fails
+    # before any worker starts); elapsed_s keeps its historical meaning: the
+    # sweep itself, excluding report rendering.
+    with engine_registry.using_engine(engine) as resolved_engine:
+        with profiler.phase("build"):
+            params = spec.resolved_params(quick=quick, **param_overrides)
+            if isinstance(spec, SweepExperiment):
+                axes, context, scenarios = spec.build(
+                    params, seed, scenario=scenario, protocols=protocols, plan=plan
+                )
+                # The archived metadata must not claim a grid the run never
+                # executed: an axis a capability value narrowed is dropped.
+                for axis in spec.axes:
+                    if axis.narrowed_by in supplied:
+                        del params[axis.name]
+        with profiler.phase("sweep"):
+            if isinstance(spec, SweepExperiment):
+                # Imported here so --list and the registry never load
+                # multiprocessing.
+                from repro.experiments.runner import run_sweep
+
+                by_label = run_sweep(
+                    scenarios,
+                    runs=resolved_runs,
+                    seed=seed,
+                    progress=progress,
+                    workers=workers,
+                    container=spec.container,
+                    checkpoint=checkpoint,
+                )
+                if trace is not None:
+                    archive_election_traces(scenarios, seed, trace)
+                result: object = GridResult(
+                    axes, resolved_runs, by_label, context, spec.label
+                )
+            else:
+                call_kwargs: dict[str, object] = dict(params, runs=resolved_runs, seed=seed)
+                if spec.supports_workers:
+                    call_kwargs.update(progress=progress, workers=workers)
+                result = spec.run(**call_kwargs)
     with profiler.phase("report"):
         report = spec.reporter(result)
     elapsed_s = profiler.elapsed("sweep")
 
-    # Recorded provenance: the declared defaults, with any parameter a
-    # supplied capability value supersedes dropped (the archived metadata
-    # must not claim a grid the run never executed), and capability values
-    # recorded only when they were actually passed.
-    parameters = dict(params)
-    for option, value in supplied.items():
-        superseded = spec.capability_overrides.get(option)
-        if superseded is not None:
-            parameters.pop(superseded, None)
-        parameters[option] = value
+    # Recorded provenance: the resolved parameters, plus the capability
+    # values that were actually passed.
+    parameters = dict(params, **supplied)
     return ExperimentRun(
         name=name,
         title=spec.title,

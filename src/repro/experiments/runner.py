@@ -13,15 +13,19 @@ The *container* decides what a sweep keeps.  It is any class built as
 ``merge(other)`` and ``__len__``:
 
 * collecting containers (:class:`~repro.metrics.records.MeasurementSet`, the
-  default; :class:`~repro.metrics.records.AvailabilitySet`;
-  :class:`~repro.workload.records.WorkloadSet`, which no registered
-  experiment sweeps into) keep every episode record, in run-index order;
+  default; :class:`~repro.metrics.records.AvailabilitySet`) keep every
+  episode record, in run-index order;
 * mergeable aggregates (:class:`~repro.metrics.streaming.ElectionAggregate`,
   :class:`~repro.workload.aggregate.WorkloadAggregate`) keep O(labels)
   state no matter how many episodes ran, and -- because they also provide
   ``to_state``/``from_state`` -- each completed chunk can be persisted to a
   JSON-lines checkpoint (:mod:`repro.experiments.checkpoint`) from which a
   killed sweep resumes bit-identically.
+
+Those four are what the registered experiments sweep into.
+:class:`~repro.workload.records.WorkloadSet` also satisfies the contract and
+stays as the exact reference the workload tests compare
+:class:`~repro.workload.aggregate.WorkloadAggregate` against.
 
 Work items are lean ``(label, index, seed)`` triples: the label -> scenario
 table ships **once** per worker through the pool initializer instead of being
@@ -41,9 +45,9 @@ results as ``workers=1``, which regression tests pin.
 ``workers=1`` (the default) and platforms without a usable ``fork``/``spawn``
 pool fold the same chunks in-process.
 
-The experiment modules import this module inside their ``run`` functions, so
-importing the package (``--list``, the registry) never pays for
-:mod:`multiprocessing`.
+Its one caller in the package, :func:`repro.experiments.registry.run_experiment`,
+imports it inside the call, so importing the package (``--list``, the
+registry) never pays for :mod:`multiprocessing`.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ __all__ = [
 #: Builds one empty per-label result container, called as
 #: ``container(label=...)``.  The product must provide ``add(measurement)``,
 #: ``merge(other)`` and ``__len__`` (plus ``to_state`` and a ``from_state``
-#: classmethod when checkpointing); see the module docstring for the five
+#: classmethod when checkpointing); see the module docstring for the
 #: containers the repository provides.
 Container = Callable[..., object]
 

@@ -1,16 +1,18 @@
 """The :class:`ExperimentSpec` descriptor and the :class:`ExperimentRun` envelope.
 
-A spec bundles everything the rest of the codebase needs to know about one
-experiment: a uniform run callable, the reporter that renders its result, the
-default and quick-mode parameter sets, which sweep-wide options it understands
-(``--scenario`` / ``--protocols`` / ``--plan``), and how its result is
-persisted (the exporter binding consumed by
-:func:`repro.experiments.export.save_run`).
+The registry holds two kinds of frozen declaration.  A sweep -- a grid of
+seeded scenarios reduced to a table, which is every paper figure -- is a
+:class:`repro.experiments.sweep.SweepExperiment`: it declares axes, a label
+and a scenario function, a container and a table, and its run, capabilities
+and exporter are derived.  Anything else (the in-process ``adapter-redis``
+model) is an :class:`ExperimentSpec`: a run callable, the reporter that
+renders its result, the default and quick-mode parameter sets and an exporter
+binding, with no sweep-wide capability.
 
-Specs are frozen dataclasses whose callable fields are module-level functions
-(pickled by reference), mirroring :class:`repro.protocols.ProtocolSpec`:
-registering an eleventh experiment is a one-module change and the CLI, the
-``all`` runner, the export path and the docs table pick it up automatically.
+Both are frozen dataclasses whose callable fields are module-level functions
+(pickled by reference), mirroring :class:`repro.protocols.ProtocolSpec`; the
+CLI, the ``all`` runner, the export path and the docs table read whichever
+the registry holds through the same attributes.
 """
 
 from __future__ import annotations
@@ -23,29 +25,34 @@ from repro.common.frozen import FrozenDict
 
 __all__ = [
     "CAPABILITIES",
+    "DeclaredParameters",
     "EXPORT_KINDS",
     "ExperimentRun",
     "ExperimentSpec",
     "ExporterBinding",
     "Reporter",
     "RunCallable",
+    "validate_experiment_name",
 ]
 
-#: Executes the sweep.  Must be a module-level callable accepting keyword
+#: Executes the experiment.  Must be a module-level callable accepting keyword
 #: arguments: always ``runs`` and ``seed``; ``progress`` and ``workers`` when
-#: the spec declares ``supports_workers``; ``scenario`` / ``protocols`` /
-#: ``plan`` when the corresponding capability flag is set (and the caller
-#: supplied one); plus every key of the spec's parameter set.
+#: the spec declares ``supports_workers``; plus every key of the spec's
+#: parameter set.
 RunCallable = Callable[..., object]
 
 #: Renders a run's result object as the plain-text report the CLI prints.
 Reporter = Callable[[object], str]
 
-#: The sweep-wide options an experiment can opt into, in CLI order.
+#: The sweep-wide options a sweep can understand, in CLI order; which of them
+#: one does is derived from its declaration (see
+#: :attr:`repro.experiments.sweep.SweepExperiment.capabilities`).
+#: ``scenario`` names a network condition from :mod:`repro.cluster.catalog`,
+#: ``protocols`` replaces the swept protocols, ``plan`` names a chaos plan.
 #: ``checkpoint`` accepts a directory (CLI ``--checkpoint``) in which the
 #: sweep persists completed chunks so a killed run resumes bit-identically.
 #: ``trace`` accepts a directory (CLI ``--trace-out``) into which the
-#: experiment archives one traced episode per scenario label as JSONL (see
+#: sweep archives one traced episode per scenario label as JSONL (see
 #: :func:`repro.obs.trace.archive_election_traces`).
 CAPABILITIES = ("scenario", "protocols", "plan", "checkpoint", "trace")
 
@@ -78,134 +85,25 @@ class ExporterBinding:
             raise ConfigurationError("exporter extract must be callable")
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Descriptor for one registered experiment.
+def validate_experiment_name(name: str) -> None:
+    """Reject names the CLI or the export path (``<name>.csv``) cannot carry."""
+    if not name or any(ch.isspace() or ch == "," for ch in name):
+        raise ConfigurationError(
+            f"experiment name {name!r} must be non-empty and free of "
+            "whitespace and commas"
+        )
+    if "/" in name or "\\" in name or ".." in name:
+        raise ConfigurationError(
+            f"experiment name {name!r} must not contain path separators or '..'"
+        )
 
-    Attributes:
-        name: registry key and CLI name (e.g. ``"fig9"``); must be non-empty
-            and free of whitespace and commas.
-        title: display label used in the registry table.
-        paper_ref: the paper figure/section this experiment reproduces
-            (``"--"`` for extensions the paper only implies).
-        description: one-line summary shown in ``--list`` help output.
-        run: the uniform run callable (see :data:`RunCallable`).
-        reporter: renders the result as the report the CLI prints.
-        default_runs: the run count ``run_experiment`` uses when the caller
-            does not pass one (the module's documented default).
-        params: default parameter set forwarded to *run* as keyword
-            arguments; the only keys ``run_experiment`` accepts as overrides.
-        quick_params: overrides applied on top of *params* in quick mode
-            (must be a subset of *params*' keys).
-        supports_scenario: understands the ``scenario`` keyword (a named
-            network condition from :mod:`repro.cluster.catalog`).
-        supports_protocols: understands the ``protocols`` keyword (names
-            from :mod:`repro.protocols`).
-        supports_plan: understands the ``plan`` keyword (a chaos plan from
-            :data:`repro.chaos.plans.CHAOS_CATALOG`).
-        supports_checkpoint: understands the ``checkpoint`` keyword (CLI
-            ``--checkpoint DIR``): the experiment sweeps into a container
-            with ``to_state``/``from_state``, so the sweep is resumable from
-            a JSON-lines checkpoint (see :mod:`repro.experiments.runner`).
-        supports_trace: understands the ``trace_out`` keyword (CLI
-            ``--trace-out DIR``): after the sweep the experiment archives
-            one traced episode per label as JSONL plus a manifest and
-            telemetry snapshots (see :mod:`repro.obs.trace`).
-        supports_workers: whether *run* takes the sweep engine's
-            ``progress``/``workers`` keywords; ``False`` for in-process
-            models that would only pay pool start-up (the CLI notes that
-            ``--workers`` is ignored).
-        min_runs: optional floor on the run count (e.g. the Redis adapter
-            needs enough runs for stable collision rates); requests below it
-            are raised with a note in the envelope.
-        capability_overrides: which declared parameter a capability value
-            supersedes at run time (e.g. ``{"scenario": "conditions"}`` for
-            the WAN experiment, whose adapter narrows the condition grid to
-            the one named scenario) -- the run envelope's recorded
-            parameters drop the superseded default so archived metadata
-            never claims a grid the run did not execute.
-        exporter: binding consumed by the generic export path; every
-            built-in experiment has one so ``--output DIR`` works uniformly.
-    """
+
+class DeclaredParameters:
+    """What both declaration kinds share: ``params`` resolved for one run."""
 
     name: str
-    title: str
-    run: RunCallable
-    reporter: Reporter
-    paper_ref: str = "--"
-    description: str = ""
-    default_runs: int = 30
-    params: Mapping[str, object] = field(default_factory=FrozenDict)
-    quick_params: Mapping[str, object] = field(default_factory=FrozenDict)
-    supports_scenario: bool = False
-    supports_protocols: bool = False
-    supports_plan: bool = False
-    supports_checkpoint: bool = False
-    supports_trace: bool = False
-    supports_workers: bool = True
-    min_runs: int | None = None
-    capability_overrides: Mapping[str, str] = field(default_factory=FrozenDict)
-    exporter: ExporterBinding | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name or any(ch.isspace() or ch == "," for ch in self.name):
-            raise ConfigurationError(
-                f"experiment name {self.name!r} must be non-empty and free of "
-                "whitespace and commas"
-            )
-        # Names become file names in the generic export path (--output DIR
-        # writes <name>.csv etc.), so path syntax is rejected outright.
-        if "/" in self.name or "\\" in self.name or ".." in self.name:
-            raise ConfigurationError(
-                f"experiment name {self.name!r} must not contain path "
-                "separators or '..'"
-            )
-        if not callable(self.run) or not callable(self.reporter):
-            raise ConfigurationError(
-                f"experiment {self.name!r} needs callable run and reporter"
-            )
-        if self.default_runs < 1:
-            raise ConfigurationError(
-                f"experiment {self.name!r}: default_runs must be >= 1"
-            )
-        if self.min_runs is not None and self.min_runs < 1:
-            raise ConfigurationError(
-                f"experiment {self.name!r}: min_runs must be >= 1"
-            )
-        # Freeze the parameter mappings: a caller-held dict cannot mutate the
-        # spec after registration, and the spec stays hashable/picklable for
-        # the sweep engine's process pool (the lint S1 contract).
-        object.__setattr__(self, "params", FrozenDict(self.params))
-        object.__setattr__(self, "quick_params", FrozenDict(self.quick_params))
-        object.__setattr__(
-            self, "capability_overrides", FrozenDict(self.capability_overrides)
-        )
-        stray = set(self.quick_params) - set(self.params)
-        if stray:
-            raise ConfigurationError(
-                f"experiment {self.name!r}: quick_params {sorted(stray)} do "
-                "not override any declared default parameter"
-            )
-        for option, superseded in self.capability_overrides.items():
-            if option not in CAPABILITIES:
-                raise ConfigurationError(
-                    f"experiment {self.name!r}: capability_overrides key "
-                    f"{option!r} is not one of {CAPABILITIES}"
-                )
-            if superseded not in self.params:
-                raise ConfigurationError(
-                    f"experiment {self.name!r}: capability_overrides[{option!r}] "
-                    f"names unknown parameter {superseded!r}"
-                )
-
-    @property
-    def capabilities(self) -> tuple[str, ...]:
-        """The sweep-wide options this spec opted into, in CLI order."""
-        return tuple(
-            option
-            for option in CAPABILITIES
-            if getattr(self, f"supports_{option}")
-        )
+    params: Mapping[str, object]
+    quick_params: Mapping[str, object]
 
     def resolved_params(
         self, quick: bool = False, **overrides: object
@@ -228,6 +126,79 @@ class ExperimentSpec:
             resolved.update(self.quick_params)
         resolved.update(overrides)
         return resolved
+
+
+@dataclass(frozen=True)
+class ExperimentSpec(DeclaredParameters):
+    """Descriptor for one registered experiment that is not a sweep.
+
+    Attributes:
+        name: registry key and CLI name (e.g. ``"adapter-redis"``); must be
+            non-empty and free of whitespace, commas and path syntax.
+        title: display label used in the registry table.
+        paper_ref: the paper figure/section this experiment reproduces
+            (``"--"`` for extensions the paper only implies).
+        description: one-line summary shown in ``--list`` help output.
+        run: the run callable (see :data:`RunCallable`).
+        reporter: renders the result as the report the CLI prints.
+        default_runs: the run count ``run_experiment`` uses when the caller
+            does not pass one (the module's documented default).
+        params: default parameter set forwarded to *run* as keyword
+            arguments; the only keys ``run_experiment`` accepts as overrides.
+        quick_params: overrides applied on top of *params* in quick mode
+            (must be a subset of *params*' keys).
+        supports_workers: whether *run* takes the sweep engine's
+            ``progress``/``workers`` keywords; ``False`` for in-process
+            models that would only pay pool start-up (the CLI notes that
+            ``--workers`` is ignored).
+        min_runs: optional floor on the run count (e.g. the Redis adapter
+            needs enough runs for stable collision rates); requests below it
+            are raised with a note in the envelope.
+        exporter: binding consumed by the generic export path; every
+            built-in experiment has one so ``--output DIR`` works uniformly.
+    """
+
+    name: str
+    title: str
+    run: RunCallable
+    reporter: Reporter
+    paper_ref: str = "--"
+    description: str = ""
+    default_runs: int = 30
+    params: Mapping[str, object] = field(default_factory=FrozenDict)
+    quick_params: Mapping[str, object] = field(default_factory=FrozenDict)
+    supports_workers: bool = True
+    min_runs: int | None = None
+    exporter: ExporterBinding | None = None
+
+    #: A plain spec understands no sweep-wide option.
+    capabilities = ()
+
+    def __post_init__(self) -> None:
+        validate_experiment_name(self.name)
+        if not callable(self.run) or not callable(self.reporter):
+            raise ConfigurationError(
+                f"experiment {self.name!r} needs callable run and reporter"
+            )
+        if self.default_runs < 1:
+            raise ConfigurationError(
+                f"experiment {self.name!r}: default_runs must be >= 1"
+            )
+        if self.min_runs is not None and self.min_runs < 1:
+            raise ConfigurationError(
+                f"experiment {self.name!r}: min_runs must be >= 1"
+            )
+        # Freeze the parameter mappings: a caller-held dict cannot mutate the
+        # spec after registration, and the spec stays hashable/picklable for
+        # the sweep engine's process pool (the lint S1 contract).
+        object.__setattr__(self, "params", FrozenDict(self.params))
+        object.__setattr__(self, "quick_params", FrozenDict(self.quick_params))
+        stray = set(self.quick_params) - set(self.params)
+        if stray:
+            raise ConfigurationError(
+                f"experiment {self.name!r}: quick_params {sorted(stray)} do "
+                "not override any declared default parameter"
+            )
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ gate:
 * **Registry rules** (``S1``-``S2``) import the four spec registries
   (protocols, experiments, network conditions, chaos plans) through their
   ``registered_specs()`` introspection hooks and verify every registered
-  value is a frozen, hashable, picklable dataclass whose declared
-  capabilities match its callables.
+  value is a frozen, hashable, picklable dataclass, and that every
+  experiments module registers exactly one.
 
 Findings can be suppressed line-by-line with a justification pragma::
 

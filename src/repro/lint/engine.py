@@ -101,9 +101,8 @@ RULES: tuple[Rule, ...] = (
         id="S2",
         name="registry-completeness",
         description=(
-            "each experiments module registers exactly one ExperimentSpec "
-            "whose capability flags match the keywords its run callable "
-            "accepts"
+            "each non-infrastructure module of repro.experiments registers "
+            "exactly one experiment declaration"
         ),
         kind="registry",
         check=check_experiment_registry,

@@ -127,6 +127,7 @@ class LintConfig:
             "registry",
             "runner",
             "spec",
+            "sweep",
         }
     )
 

@@ -14,10 +14,12 @@ line, so the same ``repro: allow[rule-id]`` pragma mechanism applies.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import pickle
 import pkgutil
 from pathlib import Path
+from typing import Mapping
 
 from repro.lint.model import Finding, LintConfig
 
@@ -158,123 +160,47 @@ def check_registered_specs(config: LintConfig) -> list[Finding]:
 # --------------------------------------------------------------------------- #
 # S2 -- experiment registry completeness
 # --------------------------------------------------------------------------- #
-def _accepted_keywords(callable_obj) -> tuple[set[str], bool]:
-    """(explicit keyword names, accepts **kwargs) for a run callable."""
-    signature = inspect.signature(callable_obj)
-    names = {
-        parameter.name
-        for parameter in signature.parameters.values()
-        if parameter.kind
-        in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        )
-    }
-    var_kw = any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in signature.parameters.values()
-    )
-    return names, var_kw
-
-
 def check_experiment_registry(
-    config: LintConfig, specs_by_name=None
+    config: LintConfig, modules: Mapping[str, Mapping[str, object]] | None = None
 ) -> list[Finding]:
-    """S2: each experiments module registers exactly one spec, flags match.
+    """S2: each experiments module registers exactly one experiment.
 
-    Checks three things against the live registry (or *specs_by_name*, for
-    tests): every non-infrastructure module under :mod:`repro.experiments`
-    registers exactly one :class:`ExperimentSpec`; every declared capability
-    (``scenario``/``protocols``/``plan``, plus ``workers``) is a keyword its
-    run callable actually accepts; and every declared default parameter is
-    accepted as well, so a spec cannot advertise knobs its run would reject.
+    Every non-infrastructure module under :mod:`repro.experiments` (or each
+    ``name -> namespace`` of *modules*, for tests) must bind, at module
+    level, exactly one declaration the live registry holds -- so no module
+    is left unregistered and none registers two.  What a declaration may say
+    is not checked here: a sweep's capabilities and parameters are derived
+    from its grid, so they cannot disagree with it.
     """
+    import repro.experiments as experiments_package
+    from repro.experiments import registry as experiment_registry
+
+    registered = {
+        id(spec): name for name, spec in experiment_registry.registered_specs()
+    }
+    if modules is None:
+        modules = {
+            info.name: vars(
+                importlib.import_module(f"{experiments_package.__name__}.{info.name}")
+            )
+            for info in pkgutil.iter_modules(experiments_package.__path__)
+            if info.name not in config.experiment_infra_modules
+        }
+    package_dir = Path(next(iter(experiments_package.__path__)))
     findings: list[Finding] = []
-    if specs_by_name is None:
-        import repro.experiments  # noqa: F401 - importing registers the specs
-        from repro.experiments import registry as experiment_registry
-
-        specs_by_name = dict(experiment_registry.registered_specs())
-
-    by_module: dict[str, list[str]] = {}
-    for name, spec in specs_by_name.items():
-        module = getattr(spec.run, "__module__", "")
-        by_module.setdefault(module, []).append(name)
-
-        run_path, run_line = _anchor(spec.run)
-        accepted, var_kw = _accepted_keywords(spec.run)
-
-        required = {"runs", "seed"}
-        required.update(spec.params)
-        required.update(spec.capabilities)
-        if spec.supports_workers:
-            required.update({"workers", "progress"})
-        if not var_kw:
-            for keyword in sorted(required - accepted):
-                findings.append(
-                    Finding(
-                        run_path,
-                        run_line,
-                        "S2",
-                        f"experiment {name!r} declares {keyword!r} (capability "
-                        "flag or default parameter) but its run callable "
-                        "accepts no such keyword",
-                    )
-                )
-        from repro.experiments.spec import CAPABILITIES
-
-        for option in CAPABILITIES:
-            if option in accepted and not getattr(spec, f"supports_{option}"):
-                findings.append(
-                    Finding(
-                        run_path,
-                        run_line,
-                        "S2",
-                        f"experiment {name!r}: run callable accepts {option!r} "
-                        f"but the spec does not declare supports_{option} -- "
-                        "the capability would be silently unreachable",
-                    )
-                )
-
-    for module, names in sorted(by_module.items()):
-        if len(names) > 1 and module.startswith("repro.experiments."):
-            spec = specs_by_name[names[0]]
-            run_path, run_line = _anchor(spec.run)
+    for short, namespace in sorted(modules.items()):
+        names = sorted(
+            {registered[id(value)] for value in namespace.values() if id(value) in registered}
+        )
+        if len(names) != 1:
             findings.append(
                 Finding(
-                    run_path,
-                    run_line,
+                    str(package_dir / f"{short}.py"),
+                    1,
                     "S2",
-                    f"module {module} registers {len(names)} experiment specs "
-                    f"({', '.join(sorted(names))}); each experiments module "
-                    "must register exactly one",
+                    f"experiments module {short!r} registers {len(names)} "
+                    f"experiments ({', '.join(names) or 'none'}); every "
+                    "non-infrastructure module must register exactly one",
                 )
             )
-
-    if specs_by_name and all(
-        getattr(spec.run, "__module__", "").startswith("repro.experiments.")
-        for spec in specs_by_name.values()
-    ):
-        import repro.experiments as experiments_package
-
-        package_dir = Path(next(iter(experiments_package.__path__)))
-        registered_modules = {
-            getattr(spec.run, "__module__", "").rsplit(".", 1)[-1]
-            for spec in specs_by_name.values()
-        }
-        for module_info in pkgutil.iter_modules(experiments_package.__path__):
-            short = module_info.name
-            if short in config.experiment_infra_modules:
-                continue
-            if short not in registered_modules:
-                findings.append(
-                    Finding(
-                        str(package_dir / f"{short}.py"),
-                        1,
-                        "S2",
-                        f"experiments module {short!r} registers no "
-                        "ExperimentSpec; every non-infrastructure module must "
-                        "register exactly one",
-                    )
-                )
     return findings

@@ -7,6 +7,7 @@ from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 from repro.common.errors import ClusterError
 from repro.common.types import Milliseconds, ServerId, Term
+from repro.metrics.stats import SummaryStatistics, summarize
 
 M = TypeVar("M")
 
@@ -232,9 +233,30 @@ class MeasurementSet(RecordSet[ElectionMeasurement]):
             return 0.0
         return sum(1 for m in self._measurements if m.converged) / len(self._measurements)
 
+    def _converged(self, values: list[float]) -> list[float]:
+        if not values:
+            raise ClusterError(f"no converged runs in measurement set {self.label!r}")
+        return values
+
+    def _converged_mean(self, values: list[float]) -> float:
+        return sum(self._converged(values)) / len(values)
+
     def mean_total_ms(self) -> float:
         """Average total election time over converged runs."""
-        totals = self.totals_ms()
-        if not totals:
-            raise ClusterError(f"no converged runs in measurement set {self.label!r}")
-        return sum(totals) / len(totals)
+        return self._converged_mean(self.totals_ms())
+
+    def mean_detection_ms(self) -> float:
+        """Average detection period over converged runs."""
+        return self._converged_mean(self.detections_ms())
+
+    def mean_election_ms(self) -> float:
+        """Average election period over converged runs."""
+        return self._converged_mean(self.elections_ms())
+
+    def mean_campaigns(self) -> float:
+        """Average campaign count over converged runs."""
+        return self._converged_mean(self.values(lambda m: float(m.campaign_count)))
+
+    def total_summary(self) -> SummaryStatistics:
+        """Summary statistics of the converged total election times."""
+        return summarize(self._converged(self.totals_ms()))

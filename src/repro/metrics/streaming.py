@@ -587,6 +587,30 @@ class ElectionAggregate:
         """The (sketched) CDF of the converged total election times."""
         return self.total_ms.cumulative_distribution()
 
+    def to_row(self, label: str) -> dict[str, object]:
+        """This cell as one scalar export row.
+
+        An aggregate sweep never retains episodes, so its export is one row
+        per cell -- counts, fractions and the summary statistics of the
+        converged total election time (``None`` when nothing converged).
+        """
+        summary = self.total_summary() if self.converged else None
+        return {
+            "label": label,
+            "runs": self.runs,
+            "converged": self.converged,
+            "convergence": round(self.convergence_fraction(), 6),
+            "split_vote_fraction": round(self.split_vote_fraction(), 6),
+            "mean_campaigns": round(self.mean_campaigns(), 6) if self.runs else None,
+            "mean_total_ms": round(summary.mean, 3) if summary else None,
+            "p50_total_ms": round(summary.median, 3) if summary else None,
+            "p95_total_ms": round(summary.p95, 3) if summary else None,
+            "p99_total_ms": round(summary.p99, 3) if summary else None,
+            "min_total_ms": round(summary.minimum, 3) if summary else None,
+            "max_total_ms": round(summary.maximum, 3) if summary else None,
+            "std_total_ms": round(summary.std_dev, 3) if summary else None,
+        }
+
     def __len__(self) -> int:
         return self.runs
 

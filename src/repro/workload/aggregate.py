@@ -115,19 +115,22 @@ class WorkloadAggregate:
             raise ClusterError(f"no runs in aggregate {self.label!r}")
         return self.committed / (self.window_ms / 1000.0)
 
-    def percentile_ms(self, q: float) -> float:
-        """The *q*-th commit-latency percentile (exact under capacity)."""
-        return self.latency_ms.percentile(q)
+    def percentile_ms(self, q: float) -> float | None:
+        """The *q*-th commit-latency percentile (exact under capacity).
 
-    def p50_ms(self) -> float:
+        ``None`` when no op committed, so there is no latency to report.
+        """
+        return self.latency_ms.percentile(q) if self.latency_ms.count else None
+
+    def p50_ms(self) -> float | None:
         """Median commit latency."""
         return self.percentile_ms(50.0)
 
-    def p99_ms(self) -> float:
+    def p99_ms(self) -> float | None:
         """99th-percentile commit latency."""
         return self.percentile_ms(99.0)
 
-    def p999_ms(self) -> float:
+    def p999_ms(self) -> float | None:
         """99.9th-percentile commit latency."""
         return self.percentile_ms(99.9)
 
@@ -166,6 +169,29 @@ class WorkloadAggregate:
         if available_rate == 0.0:
             return 0.0
         return 100.0 * (1.0 - overall_rate / available_rate)
+
+    def to_row(self, label: str) -> dict[str, object]:
+        """This cell as one scalar export row (latencies ``None`` if no op committed)."""
+        with_latency = self.latency_ms.count > 0
+        return {
+            "label": label,
+            "runs": self.runs,
+            "proposed": self.proposed,
+            "committed": self.committed,
+            "retries": self.retries,
+            "dropped": self.dropped,
+            "rejected": self.rejected,
+            "lost": self.lost,
+            "outages": self.outages,
+            "ops_per_s": round(self.ops_per_s(), 3),
+            "dip_percent": round(self.election_dip_percent(), 3),
+            "lost_per_failover": round(self.lost_per_failover(), 6),
+            "p50_ms": round(self.p50_ms(), 3) if with_latency else None,
+            "p99_ms": round(self.p99_ms(), 3) if with_latency else None,
+            "p999_ms": round(self.p999_ms(), 3) if with_latency else None,
+            "mean_ms": round(self.latency_ms.mean, 3) if with_latency else None,
+            "max_ms": round(self.latency_ms.maximum, 3) if with_latency else None,
+        }
 
     def __len__(self) -> int:
         return self.runs

@@ -1,8 +1,8 @@
 """Integration tests: the experiment CLI and the example scripts run end-to-end."""
 
-import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -218,14 +218,34 @@ class TestGoldenReports:
         assert golden in capsys.readouterr().out
 
 
-def _sequential_reference(scenarios, runs, seed, aggregate):
-    """Aggregates of the plain per-label loop the sweep engine must reproduce."""
-    return {
-        label: aggregate.from_measurements(
-            [scenario.run(s) for s in paired_seeds(runs, seed, label)], label
+def _sequential_reference(name, swept, **overrides):
+    """*swept* with its cells replaced by aggregating the plain per-label loop.
+
+    The scenario table comes from the declaration's own ``build_scenarios``,
+    the seeds from the shared per-label derivation: what the sweep engine
+    must reproduce, computed without it.
+    """
+    spec = registry.get(name)
+    by_label = {
+        label: spec.container.from_measurements(
+            [
+                scenario.run(seed)
+                for seed in paired_seeds(swept.runs, swept.seed, label)
+            ],
+            label,
         )
-        for label, scenario in scenarios.items()
+        for label, scenario in spec.build_scenarios(swept.seed, **overrides).items()
     }
+    return replace(swept.result, by_label=by_label)
+
+
+def _assert_equal_to_the_reference(name, swept, **overrides):
+    """Same cells, same rendered report, same exported rows, to the byte."""
+    spec = registry.get(name)
+    reference = _sequential_reference(name, swept, **overrides)
+    assert swept.result.by_label == reference.by_label
+    assert swept.report == spec.reporter(reference)
+    assert spec.exporter.extract(swept.result) == spec.exporter.extract(reference)
 
 
 class TestFig9XlPathEquality:
@@ -237,34 +257,17 @@ class TestFig9XlPathEquality:
     """
 
     def test_sweep_reproduces_the_sequential_reference(self):
-        from dataclasses import replace
-
-        from repro.experiments import fig09_xl_scale
-        from repro.metrics.streaming import ElectionAggregate
-
-        swept = fig09_xl_scale.run(runs=3, seed=11, sizes=(8, 16), workers=2)
-        reference = replace(
-            swept,
-            by_label=_sequential_reference(
-                fig09_xl_scale.build_scenarios((8, 16), swept.protocols),
-                3,
-                11,
-                ElectionAggregate,
-            ),
-        )
-        assert swept.by_label == reference.by_label
-        assert fig09_xl_scale.report(swept) == fig09_xl_scale.report(reference)
-        assert fig09_xl_scale._export_rows(swept) == fig09_xl_scale._export_rows(
-            reference
-        )
+        swept = run_experiment("fig9-xl", runs=3, seed=11, sizes=(8, 16), workers=2)
+        _assert_equal_to_the_reference("fig9-xl", swept, sizes=(8, 16))
 
     def test_cli_checkpoint_run_resumes_to_the_same_report(self, tmp_path, capsys):
-        args = ["fig9-xl", "--runs", "2", "--seed", "4", "--quick"]
+        args = ["fig9-xl", "--runs", "3", "--seed", "4", "--quick"]
         checkpointed = args + ["--checkpoint", str(tmp_path)]
         assert experiments_main(checkpointed) == 0
         first = capsys.readouterr().out
-        # Every chunk is on disk now; the re-run replays the checkpoint.
-        assert experiments_main(checkpointed) == 0
+        # Every chunk is on disk now; the re-run replays the checkpoint,
+        # under another worker count.
+        assert experiments_main(checkpointed + ["--workers", "2"]) == 0
         second = capsys.readouterr().out
         assert experiments_main(args) == 0
         plain = capsys.readouterr().out
@@ -286,45 +289,21 @@ class TestThroughputPathEquality:
     ARGS = dict(runs=2, seed=3, horizon_ms=30_000.0, workloads=("closed-loop",))
 
     def test_worker_counts_agree(self):
-        from repro.experiments import exp_throughput
-
-        serial = exp_throughput.run(workers=1, **self.ARGS)
-        fanned = exp_throughput.run(workers=4, **self.ARGS)
-        assert serial.by_label == fanned.by_label
-        assert exp_throughput.report(serial) == exp_throughput.report(fanned)
+        serial = run_experiment("throughput", workers=1, **self.ARGS)
+        fanned = run_experiment("throughput", workers=4, **self.ARGS)
+        assert serial.result.by_label == fanned.result.by_label
+        assert serial.report == fanned.report
 
     def test_sweep_reproduces_the_sequential_reference(self):
-        from dataclasses import replace
-
-        from repro.experiments import exp_throughput
-        from repro.workload import WorkloadAggregate
-
-        swept = exp_throughput.run(workers=2, **self.ARGS)
-        reference = replace(
-            swept,
-            by_label=_sequential_reference(
-                exp_throughput.build_scenarios(
-                    swept.plan, workloads=swept.workloads
-                ),
-                2,
-                3,
-                WorkloadAggregate,
-            ),
-        )
-        assert swept.by_label == reference.by_label
-        assert exp_throughput.report(swept) == exp_throughput.report(reference)
-        assert exp_throughput._export_rows(swept) == exp_throughput._export_rows(
-            reference
+        swept = run_experiment("throughput", workers=2, **self.ARGS)
+        _assert_equal_to_the_reference(
+            "throughput", swept, horizon_ms=30_000.0, workloads=("closed-loop",)
         )
 
     def test_engines_agree(self):
-        from repro.experiments import exp_throughput
-        from repro.sim import engines
-
-        flat = exp_throughput.run(**self.ARGS)
-        with engines.using_engine("classic"):
-            classic = exp_throughput.run(**self.ARGS)
-        assert classic.by_label == flat.by_label
+        flat = run_experiment("throughput", **self.ARGS)
+        classic = run_experiment("throughput", engine="classic", **self.ARGS)
+        assert classic.result.by_label == flat.result.by_label
 
     def test_cli_checkpoint_run_resumes_to_the_same_report(self, tmp_path, capsys):
         args = ["throughput", "--runs", "1", "--seed", "4", "--quick"]

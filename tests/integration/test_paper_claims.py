@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis.theory import escape_expected_detection_ms, raft_expected_detection_ms
 from repro.cluster import ElectionScenario
+from repro.experiments import ablation_ppf, fig03_randomization, run_experiment
 from repro.metrics.records import MeasurementSet
 
 RUNS = 6
@@ -139,6 +140,104 @@ class TestSectionVID:
                 ).mean_total_ms()
             )
         assert means[2] > means[0]
+
+
+class TestRegisteredSweepShapes:
+    """The shape every registered sweep's report must have, at quick sizes.
+
+    These were the assertions of the per-figure benchmark suite (paper-shape
+    checks, never timings); they run through ``run_experiment`` so they also
+    pin the declarations end to end.  Margins allow one stray run of slack
+    so a reduced-run sample cannot fail by chance.
+    """
+
+    RUNS = 10
+
+    def sweep(self, name, seed, **overrides):
+        return run_experiment(name, runs=self.RUNS, seed=seed, **overrides).result
+
+    def test_wide_timeout_randomness_removes_the_slow_election_tail(self):
+        # Section III / Figure 3: with little randomness a visible fraction
+        # of elections drags past 3.5 s; wide randomization removes it.
+        ranges = fig03_randomization.PAPER_TIMEOUT_RANGES[:4]
+        result = self.sweep("fig3", 0, timeout_ranges=ranges)
+        narrow, wide = (
+            fig03_randomization.slow_fraction(result.cell(timeout_range=timeout_range))
+            for timeout_range in (ranges[0], ranges[-1])
+        )
+        assert wide <= narrow + 0.2
+
+    def test_detection_grows_with_timeout_randomness(self):
+        # Figure 4: the cost side of the trade-off.
+        ranges = fig03_randomization.PAPER_TIMEOUT_RANGES[:4]
+        result = self.sweep("fig4", 1, timeout_ranges=ranges)
+        detections = [cell.mean_detection_ms() for cell in result.by_label.values()]
+        assert all(b >= a - 100.0 for a, b in zip(detections, detections[1:]))
+
+    def test_heavy_loss_costs_raft_more_than_escape(self):
+        # Figure 11: the loss penalty hits Raft harder than ESCAPE.
+        result = self.sweep("fig11", 4, quick=True)
+
+        def penalty(protocol):
+            return (
+                result.cell(protocol=protocol, size=10, loss_rate=0.4).mean_total_ms()
+                - result.cell(protocol=protocol, size=10, loss_rate=0.0).mean_total_ms()
+            )
+
+        assert 0.0 < penalty("raft") and penalty("escape") < penalty("raft")
+
+    def test_escape_splits_votes_no_more_than_raft_across_wan_splits(self):
+        # Section II-B: split votes are what priority-driven elections avoid.
+        result = self.sweep("wan", 11, quick=True)
+        assert all(m.converged for cell in result.by_label.values() for m in cell)
+        raft, escape = (
+            sum(
+                result.cell(protocol=protocol, condition=condition).split_vote_fraction()
+                for condition in result.axes["condition"]
+            )
+            for protocol in ("raft", "escape")
+        )
+        assert escape <= raft + 1.0 / self.RUNS
+
+    def test_escape_is_leaderless_no_longer_than_raft(self):
+        # The end-to-end quantity faster elections are supposed to buy.
+        result = self.sweep("avail", 13, quick=True)
+        raft, escape = (
+            result.cell(protocol=protocol).mean_unavailability()
+            for protocol in ("raft", "escape")
+        )
+        assert escape <= raft + 1.0 / self.RUNS
+
+    @pytest.mark.parametrize("k_ms", [50.0, 200.0, 500.0, 1000.0])
+    def test_a_generous_priority_gap_needs_one_campaign(self, k_ms):
+        # Eq. 1: with k >= 2x latency (here >= 400 ms) elections finish in a
+        # single campaign; a tight k costs campaigns but still converges.
+        cell = self.sweep("ablation-k", 6, k_values=(k_ms,)).cell(k_ms=k_ms)
+        assert cell.convergence_fraction() == 1.0
+        if k_ms >= 400.0:
+            assert cell.mean_campaigns() <= 1.5
+
+    def test_the_patrol_never_hurts_and_is_idle_without_faults(self):
+        # The historical Z-Raft-vs-ESCAPE pair of the PPF ablation.
+        result = self.sweep("ablation-ppf", 5, protocols=("zraft", "escape"))
+        assert abs(ablation_ppf.ppf_benefit_percent(result, loss_rate=0.0)) < 35.0
+        escape, zraft = (
+            result.cell(protocol=protocol, loss_rate=0.4).mean_total_ms()
+            for protocol in ("escape", "zraft")
+        )
+        assert escape < zraft * 1.3
+
+    def test_the_groomed_redis_failover_never_collides_or_loses(self):
+        # Section IV-C: the advantage grows as rank information degrades.
+        result = run_experiment("adapter-redis", runs=200, seed=7).result
+        reductions = [
+            result.escape_reduction_for(confusion)
+            for confusion in result.confusion_levels
+        ]
+        for confusion, reduction in zip(result.confusion_levels, reductions):
+            assert result.summary_for(confusion, "escape-redis")["collision_rate"] == 0.0
+            assert reduction >= 0.0
+        assert reductions[-1] >= reductions[0] - 5.0
 
 
 class TestAnalyticalCrossCheck:

@@ -1,13 +1,15 @@
 """Conformance suite for the experiment registry.
 
-Every registered :class:`ExperimentSpec` is exercised generically: a quick
-run through :func:`run_experiment` returns a picklable envelope whose report
-matches the spec's reporter, the exporter binding round-trips through the
-generic export path, and the registry-derived rejection messages cover
-unknown names, unsupported sweep-wide options and unsweepable protocols.
-Registering an eleventh experiment automatically subjects it to this suite.
+Every registered declaration (a :class:`SweepExperiment` or a plain
+:class:`ExperimentSpec`) is exercised generically: a quick run through
+:func:`run_experiment` returns a picklable envelope whose report matches the
+declaration's reporter, the exporter round-trips through the generic export
+path, and the registry-derived rejection messages cover unknown names,
+unsupported sweep-wide options and unsweepable protocols.  Registering
+another experiment automatically subjects it to this suite.
 """
 
+import dataclasses
 import pickle
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from repro.common.errors import ConfigurationError
 from repro.experiments import (
     ExperimentRun,
     ExperimentSpec,
+    SweepExperiment,
     registry,
     run_experiment,
 )
@@ -35,7 +38,7 @@ class TestSpecConformance:
         spec = registry.get(name)
         assert spec.name == name
         assert spec.title and spec.paper_ref and spec.description
-        assert callable(spec.run) and callable(spec.reporter)
+        assert callable(spec.reporter)
         assert spec.default_runs >= 1
         assert set(spec.quick_params) <= set(spec.params)
         assert set(spec.capabilities) <= set(CAPABILITIES)
@@ -47,13 +50,24 @@ class TestSpecConformance:
     def test_spec_pickles_by_reference(self, name):
         spec = registry.get(name)
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone.name == spec.name
-        assert clone.run is spec.run
-        assert clone.reporter is spec.reporter
+        assert clone == spec
         assert clone.params == spec.params
+        if isinstance(spec, SweepExperiment):
+            assert clone.label is spec.label and clone.scenario is spec.scenario
+        else:
+            assert clone.run is spec.run and clone.reporter is spec.reporter
+
+    def test_the_registry_stores_the_declarations_themselves(self):
+        """Every sweep is a SweepExperiment; only adapter-redis is a plain spec."""
+        plain = [
+            name
+            for name, spec in registry.registered_specs()
+            if not isinstance(spec, SweepExperiment)
+        ]
+        assert plain == ["adapter-redis"]
 
     def test_invalid_specs_are_rejected(self):
-        good = registry.get("fig3")
+        good = registry.get("adapter-redis")
         with pytest.raises(ConfigurationError, match="whitespace"):
             ExperimentSpec(
                 name="bad name", title="t", run=good.run, reporter=good.reporter
@@ -77,23 +91,11 @@ class TestSpecConformance:
             ExperimentSpec(
                 name="..escape", title="t", run=good.run, reporter=good.reporter
             )
-        with pytest.raises(ConfigurationError, match="capability_overrides"):
-            ExperimentSpec(
-                name="ok",
-                title="t",
-                run=good.run,
-                reporter=good.reporter,
-                capability_overrides={"scenario": "no-such-param"},
-            )
-        with pytest.raises(ConfigurationError, match="capability_overrides"):
-            ExperimentSpec(
-                name="ok",
-                title="t",
-                run=good.run,
-                reporter=good.reporter,
-                params={"knob": 1},
-                capability_overrides={"no-such-capability": "knob"},
-            )
+        sweep = registry.get("fig3")
+        with pytest.raises(ConfigurationError, match="path"):
+            dataclasses.replace(sweep, name="a/b")
+        with pytest.raises(ConfigurationError, match="to_row"):
+            dataclasses.replace(sweep, container=dict)
 
 
 class TestRunExperiment:
@@ -183,19 +185,6 @@ class TestRunExperiment:
             phase: round(seconds, 3) for phase, seconds in run.profile.items()
         }
 
-    def test_trace_out_archives_one_episode_per_label(self, tmp_path):
-        import json
-
-        run = run_experiment(
-            "fig3", runs=1, seed=0, quick=True, trace=str(tmp_path)
-        )
-        assert run.parameters["trace"] == str(tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert set(manifest["labels"]) == set(run.result.by_range)
-        for entry in manifest["labels"].values():
-            assert (tmp_path / entry["file"]).exists()
-            assert entry["records"] > 0
-
     def test_engine_selection_is_recorded_and_scoped_to_the_run(self):
         from repro.sim import engines
 
@@ -239,34 +228,6 @@ class TestRunExperiment:
 
 
 class TestGenericExport:
-    def test_election_kind_round_trips(self, tmp_path):
-        run = run_experiment("fig3", runs=2, seed=5, timeout_ranges=((500.0, 900.0),))
-        paths = save_run(run, tmp_path)
-        assert paths["csv"].exists()
-        assert paths["report"].read_text() == run.report + "\n"
-        metadata, loaded = load_run("fig3", tmp_path)
-        assert metadata["seed"] == 5 and metadata["export_kind"] == "election"
-        original = registry.get("fig3").exporter.extract(run.result)
-        assert set(loaded) == set(original)
-        for label, measurement_set in original.items():
-            assert loaded[label].measurements == measurement_set.measurements
-
-    def test_availability_kind_round_trips(self, tmp_path):
-        run = run_experiment(
-            "avail",
-            runs=1,
-            seed=5,
-            quick=True,
-            horizon_ms=10_000.0,
-            protocols=("raft",),
-        )
-        save_run(run, tmp_path)
-        metadata, loaded = load_run("avail", tmp_path)
-        assert metadata["export_kind"] == "availability"
-        original = registry.get("avail").exporter.extract(run.result)
-        for label, availability_set in original.items():
-            assert loaded[label].measurements == availability_set.measurements
-
     def test_rows_kind_round_trips(self, tmp_path):
         run = run_experiment("adapter-redis", runs=50, seed=5)
         save_run(run, tmp_path)

@@ -1,28 +1,69 @@
-"""Unit tests for the experiment modules' structure and reporting.
+"""Unit tests for the experiment declarations' structure and the CLI wiring.
 
-These tests run the sweeps with tiny run counts and cluster sizes: they verify
-the plumbing (labels, series shapes, report rendering, CLI wiring), while the
-integration suite checks the paper-level claims on realistic settings.
+One contract suite runs over every registered
+:class:`~repro.experiments.sweep.SweepExperiment` at quick sizes: the grid is
+the axis product in build order, ``cell`` addresses it by coordinates, the
+derived capabilities equal the pinned EXPERIMENTS.md table, overrides reach
+the grid, ``--protocols`` / ``--trace-out`` / ``--output`` work wherever the
+declaration makes them available.  The integration suite checks the
+paper-level claims on realistic settings.
 """
+
+import functools
+import itertools
+import json
+from pathlib import Path
 
 import pytest
 
+from repro import protocols as protocol_registry
+from repro.cluster.scenarios import ElectionScenario
+from repro.common.errors import ConfigurationError
 from repro.experiments import (
-    ablation_k_sweep,
+    SweepExperiment,
     ablation_ppf,
     exp_availability,
     exp_wan,
-    fig03_randomization,
-    fig04_randomization_average,
     fig09_scale,
-    fig10_competing_candidates,
     fig11_message_loss,
+    registry,
+    run_experiment,
 )
-from repro.experiments import registry
 from repro.experiments.__main__ import build_parser
 from repro.experiments.base import flatten_sets, paired_seeds
+from repro.experiments.export import load_run, save_run
 from repro.experiments.runner import run_sweep
-from repro.cluster.scenarios import ElectionScenario
+from repro.obs.trace import TRACE_MANIFEST_SCHEMA
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+SWEEPS = [
+    spec.name for spec in registry.specs() if isinstance(spec, SweepExperiment)
+]
+
+
+#: Every protocol a sweep may run (the acceptance bar for worker parity).
+LIVENESS_PROTOCOLS = tuple(
+    spec.name for spec in protocol_registry.specs() if spec.guarantees_liveness
+)
+
+
+def sweeps_with(option):
+    return [name for name in SWEEPS if option in registry.get(name).capabilities]
+
+
+@functools.lru_cache(maxsize=None)
+def quick_run(name):
+    """One shared quick run per sweep (two runs so every mean is defined)."""
+    return run_experiment(name, runs=2, seed=3, quick=True)
+
+
+def grid_points(result):
+    """Every cell's coordinates, in build order."""
+    return [
+        dict(zip(result.axes, point))
+        for point in itertools.product(*result.axes.values())
+    ]
 
 
 class TestBaseHelpers:
@@ -56,226 +97,165 @@ class TestBaseHelpers:
         assert len(merged) == 2
 
 
-class TestFig03:
-    def test_sweep_covers_requested_ranges(self):
-        ranges = ((500.0, 700.0), (500.0, 1_200.0))
-        result = fig03_randomization.run(
-            runs=2,
-            seed=0,
-            timeout_ranges=ranges,
-            cluster_size=3,
+@pytest.mark.parametrize("name", SWEEPS)
+class TestSweepContract:
+    def test_cells_are_the_axis_product_in_build_order(self, name):
+        spec, result = registry.get(name), quick_run(name).result
+        quick = spec.resolved_params(quick=True)
+        for axis in spec.axes:
+            if axis.coord:
+                assert result.axes[axis.coord] == quick.get(axis.name, axis.values)
+            else:
+                assert result.context[axis.name] == quick[axis.name]
+        assert list(result.by_label) == [
+            spec.label(**coords) for coords in grid_points(result)
+        ]
+        assert all(len(cell) == 2 for cell in result.by_label.values())
+
+    def test_cell_addresses_the_grid_by_coordinates(self, name):
+        spec, result = registry.get(name), quick_run(name).result
+        for coords in grid_points(result):
+            assert result.cell(**coords) is result.by_label[spec.label(**coords)]
+
+    def test_derived_capabilities_equal_the_pinned_table(self, name):
+        text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+        table = text[text.index("registry-table:begin") : text.index("registry-table:end")]
+        (row,) = [
+            line.split(" | ")
+            for line in table.splitlines()
+            if line.startswith(f"| `{name}` |")
+        ]
+        assert row[3] == (", ".join(registry.get(name).capabilities) or "-")
+
+    def test_an_axis_override_reaches_the_grid(self, name):
+        spec = registry.get(name)
+        default = spec.build_scenarios()
+        fixed = {"cluster_size": 3, "horizon_ms": 10_000.0}
+        for axis in spec.axes:
+            if axis.coord:
+                narrowed = spec.build_scenarios(**{axis.name: axis.values[:1]})
+                assert len(narrowed) * len(axis.values) == len(default)
+            else:
+                changed = spec.build_scenarios(**{axis.name: fixed[axis.name]})
+                assert list(changed) == list(default) and changed != default
+
+    def test_an_unknown_override_is_rejected_with_the_declared_names(self, name):
+        with pytest.raises(ConfigurationError, match="no parameter") as info:
+            run_experiment(name, runs=1, no_such_axis=1)
+        for declared in registry.get(name).params:
+            assert declared in str(info.value)
+
+    def test_the_export_round_trips(self, name, tmp_path):
+        run = quick_run(name)
+        exporter = registry.get(name).exporter
+        paths = save_run(run, tmp_path)
+        assert paths["csv"].exists()
+        assert paths["report"].read_text() == run.report + "\n"
+        metadata, loaded = load_run(name, tmp_path)
+        assert metadata["seed"] == 3 and metadata["export_kind"] == exporter.kind
+        original = exporter.extract(run.result)
+        if exporter.kind == "rows":
+            assert loaded == original and len(original) == len(run.result.by_label)
+        else:
+            assert list(loaded) == sorted(original)
+            for label, cell in original.items():
+                assert loaded[label].measurements == cell.measurements
+
+
+class TestSweepCapabilities:
+    @pytest.mark.parametrize("name", sweeps_with("protocols"))
+    def test_protocols_narrow_the_sweep_end_to_end(self, name):
+        run = run_experiment(name, runs=1, seed=0, quick=True, protocols=["escape"])
+        assert run.parameters["protocols"] == ("escape",)
+        assert run.result.axes["protocol"] == ("escape",)
+        assert len(run.result.by_label) * len(quick_run(name).result.axes["protocol"]) == len(
+            quick_run(name).result.by_label
         )
-        assert result.timeout_ranges == ranges
-        assert set(result.by_range) == {"500-700", "500-1200"}
-        cdf = result.cdf_for(ranges[0])
-        assert cdf and cdf[-1][1] == pytest.approx(1.0)
+        assert "ESCAPE" in run.report
+        assert "Raft" not in run.report.split("\n", 1)[1]
 
-    def test_report_contains_one_row_per_range(self):
-        result = fig03_randomization.run(
-            runs=2, seed=0, timeout_ranges=((500.0, 900.0),), cluster_size=3
+    @pytest.mark.parametrize("name", sweeps_with("trace"))
+    def test_trace_out_leaves_a_schema_valid_manifest(self, name, tmp_path):
+        narrowed = (
+            {"protocols": ("escape",)}
+            if "protocols" in registry.get(name).capabilities
+            else {}
         )
-        report = fig03_randomization.report(result)
-        assert "500-900" in report
-        assert "split votes" in report
-
-
-class TestFig04:
-    def test_averages_derived_from_fig03(self):
-        fig3 = fig03_randomization.run(
-            runs=2, seed=0, timeout_ranges=((500.0, 800.0), (500.0, 1_500.0)), cluster_size=3
+        run = run_experiment(
+            name, runs=1, seed=0, quick=True, trace=str(tmp_path), **narrowed
         )
-        result = fig04_randomization_average.from_fig03(fig3)
-        assert len(result.average_total_ms) == 2
-        assert all(total > 0 for total in result.average_total_ms)
-        for detection, election, total in zip(
-            result.average_detection_ms, result.average_election_ms, result.average_total_ms
-        ):
-            assert total == pytest.approx(detection + election)
-        assert len(result.as_series()) == 2
-        assert "Figure 4" in fig04_randomization_average.report(result)
+        assert run.parameters["trace"] == str(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["schema"] == TRACE_MANIFEST_SCHEMA
+        assert set(manifest["labels"]) == set(run.result.by_label)
+        for entry in manifest["labels"].values():
+            assert (tmp_path / entry["file"]).exists()
+            assert entry["records"] > 0
 
+    @pytest.mark.parametrize(
+        "name, workers, overrides",
+        [
+            (
+                "wan",
+                2,
+                dict(conditions=("geo-two-region", "chaos-composite"), cluster_size=3),
+            ),
+            (
+                "avail",
+                4,
+                dict(
+                    plan="chaos-storm",
+                    protocols=LIVENESS_PROTOCOLS,
+                    horizon_ms=15_000.0,
+                ),
+            ),
+        ],
+    )
+    def test_parallel_equals_sequential(self, name, workers, overrides):
+        """The sweep is bit-for-bit identical at any worker count."""
+        sequential = run_experiment(name, runs=2, seed=7, workers=1, **overrides)
+        parallel = run_experiment(name, runs=2, seed=7, workers=workers, **overrides)
+        assert list(sequential.result.by_label) == list(parallel.result.by_label)
+        for label, cell in sequential.result.by_label.items():
+            assert parallel.result.by_label[label].measurements == cell.measurements
+        assert parallel.report == sequential.report
 
-class TestFig09:
-    def test_result_exposes_cdf_average_and_reduction(self):
-        result = fig09_scale.run(runs=2, seed=0, sizes=(3, 4))
-        assert result.sizes == (3, 4)
-        assert result.average_for("raft", 3) > 0
-        assert result.average_for("escape", 4) > 0
-        assert isinstance(result.reduction_for(3), float)
-        assert result.cdf_for("escape", 3)
-        report = fig09_scale.report(result)
-        assert "Figure 9" in report and "reduction" in report
-
-
-class TestFig10:
-    def test_cells_cover_sizes_and_phases(self):
-        result = fig10_competing_candidates.run(runs=1, seed=0, sizes=(4,), phases=(0, 1))
-        assert set(result.by_label) == {
-            "raft@4/0cc",
-            "escape@4/0cc",
-            "raft@4/1cc",
-            "escape@4/1cc",
-        }
-        detection, election = result.detection_election_for("escape", 4, 1)
-        assert detection > 0 and election >= 0
-        assert "Figure 10" in fig10_competing_candidates.report(result)
-
-
-class TestFig11:
-    def test_cells_cover_protocols_sizes_and_losses(self):
-        result = fig11_message_loss.run(
-            runs=1, seed=0, sizes=(4,), loss_rates=(0.0, 0.2)
-        )
-        assert len(result.by_label) == 6  # 3 protocols x 1 size x 2 loss rates
-        assert result.average_for("zraft", 4, 0.2) > 0
-        assert isinstance(result.reduction_vs_raft("escape", 4, 0.0), float)
-        assert "Figure 11" in fig11_message_loss.report(result)
-
-
-class TestAblations:
-    def test_ppf_ablation_structure(self):
-        result = ablation_ppf.run(runs=1, seed=0, cluster_size=4, loss_rates=(0.0,))
-        assert result.average_for("escape", 0.0) > 0
-        assert isinstance(result.ppf_benefit_percent(0.0), float)
-        assert "PPF" in ablation_ppf.report(result)
-
-    def test_k_sweep_structure(self):
-        result = ablation_k_sweep.run(runs=1, seed=0, cluster_size=4, k_values=(100.0, 500.0))
-        assert result.average_for(100.0) > 0
-        assert result.mean_campaigns_for(500.0) >= 1.0
-        assert "k" in ablation_k_sweep.report(result)
-
-
-class TestWan:
-    def test_cells_cover_protocols_and_conditions(self):
-        result = exp_wan.run(
-            runs=1,
-            seed=0,
-            conditions=("paper-default", "geo-two-region"),
-            cluster_size=4,
-        )
-        assert set(result.by_label) == {
-            f"{protocol}+{condition}"
-            for protocol in ("raft", "zraft", "escape")
-            for condition in ("paper-default", "geo-two-region")
-        }
-        assert result.average_for("escape", "geo-two-region") > 0
-        assert isinstance(
-            result.reduction_vs_raft("zraft", "paper-default"), float
-        )
-        report = exp_wan.report(result)
-        assert "WAN failover" in report and "geo-two-region" in report
-
-    def test_narrowed_protocols_are_respected_end_to_end(self):
-        result = exp_wan.run(
-            runs=1,
-            seed=0,
-            conditions=("paper-default",),
-            protocols=("raft", "escape"),
-            cluster_size=3,
-        )
-        assert result.protocols == ("raft", "escape")
-        assert set(result.by_label) == {
-            "raft+paper-default",
-            "escape+paper-default",
-        }
-        report = exp_wan.report(result)
-        assert "Z-Raft" not in report
-        assert "ESCAPE vs Raft" in report
-
-    def test_unknown_condition_fails_fast(self):
-        from repro.common.errors import ConfigurationError
-
+    def test_the_build_phase_times_the_grid_and_fails_before_any_worker(self):
+        assert quick_run("fig9-xl").profile["build"] > 0.0
+        started = []
         with pytest.raises(ConfigurationError, match="no-such"):
-            exp_wan.build_scenarios(conditions=("no-such",))
-
-    def test_parallel_equals_sequential(self):
-        """The wan sweep is bit-for-bit identical at any worker count."""
-        kwargs = dict(
-            runs=2,
-            seed=7,
-            conditions=("geo-two-region", "chaos-composite"),
-            cluster_size=3,
-        )
-        sequential = exp_wan.run(workers=1, **kwargs)
-        parallel = exp_wan.run(workers=2, **kwargs)
-        assert set(sequential.by_label) == set(parallel.by_label)
-        for label, measurement_set in sequential.by_label.items():
-            assert (
-                parallel.by_label[label].measurements
-                == measurement_set.measurements
+            run_experiment(
+                "wan",
+                runs=1,
+                workers=2,
+                conditions=("no-such",),
+                progress=lambda *call: started.append(call),
             )
+        assert not started
 
-
-class TestAvailability:
-    def test_cells_cover_protocols_and_share_one_plan(self):
-        result = exp_availability.run(
+    def test_a_scenario_narrows_wan_and_layers_under_a_plan(self):
+        assert list(registry.get("wan").build_scenarios(scenario="dup-heavy-udp")) == [
+            f"{protocol}+dup-heavy-udp" for protocol in exp_wan.PROTOCOLS
+        ]
+        run = run_experiment(
+            "avail",
             runs=1,
-            seed=0,
-            plan="repeated-leader-kill",
-            protocols=("raft", "escape"),
-            cluster_size=3,
-            horizon_ms=20_000.0,
-        )
-        assert set(result.by_protocol) == {"raft", "escape"}
-        assert result.plan.name == "repeated-leader-kill"
-        for protocol in ("raft", "escape"):
-            availability_set = result.set_for(protocol)
-            assert len(availability_set) == 1
-            (measurement,) = availability_set.measurements
-            assert measurement.plan == "repeated-leader-kill"
-            assert 0.0 <= measurement.unavailability <= 1.0
-        assert isinstance(result.downtime_saved_vs_raft("escape"), float)
-        report = exp_availability.report(result)
-        assert "Steady-state availability" in report
-        assert "ESCAPE" in report
-
-    def test_catalog_condition_layers_under_the_plan(self):
-        result = exp_availability.run(
-            runs=1,
-            seed=0,
             plan="partition-flap",
             protocols=("raft",),
             cluster_size=4,
             horizon_ms=15_000.0,
-            condition="geo-two-region",
+            scenario="geo-two-region",
         )
-        assert result.condition == "geo-two-region"
-        assert "condition=geo-two-region" in exp_availability.report(result)
+        assert run.result.context["condition"] == "geo-two-region"
+        assert run.result.context["plan"].name == "partition-flap"
+        (measurement,) = run.result.cell(protocol="raft").measurements
+        assert measurement.plan == "partition-flap"
+        assert "condition=geo-two-region" in run.report
 
-    def test_liveness_free_protocols_are_rejected(self):
-        from repro.common.errors import ConfigurationError
-        from repro.chaos.plans import build_plan
-
-        plan = build_plan("repeated-leader-kill", horizon_ms=10_000.0)
-        with pytest.raises(ConfigurationError, match="livelock"):
-            exp_availability.build_scenarios(plan, protocols=("raft-fixed",))
-
-    def test_parallel_equals_sequential_for_every_liveness_protocol(self):
-        """The acceptance bar: bit-identical sweeps at any worker count."""
-        from repro import protocols as protocol_registry
-
-        liveness = tuple(
-            spec.name
-            for spec in protocol_registry.specs()
-            if spec.guarantees_liveness
-        )
-        kwargs = dict(
-            runs=2,
-            seed=7,
-            plan="chaos-storm",
-            protocols=liveness,
-            cluster_size=5,
-            horizon_ms=15_000.0,
-        )
-        sequential = exp_availability.run(workers=1, **kwargs)
-        parallel = exp_availability.run(workers=4, **kwargs)
-        assert set(sequential.by_protocol) == set(parallel.by_protocol)
-        for protocol in liveness:
-            assert (
-                parallel.set_for(protocol).measurements
-                == sequential.set_for(protocol).measurements
-            )
+    def test_liveness_free_protocols_are_rejected_while_the_grid_is_built(self):
+        for name in sweeps_with("protocols"):
+            with pytest.raises(ConfigurationError, match="livelock"):
+                registry.get(name).build_scenarios(protocols=("raft-fixed",))
 
 
 class TestCli:
@@ -364,7 +344,6 @@ class TestCli:
         assert parser.parse_args(["fig9-xl"]).checkpoint is None
 
     def test_checkpoint_rejected_for_unsupporting_experiments(self, capsys):
-        from repro.common.errors import ConfigurationError
         from repro.experiments.__main__ import main
 
         with pytest.raises(SystemExit):
@@ -374,7 +353,12 @@ class TestCli:
             registry.run_experiment("fig3", runs=1, checkpoint="x")
 
     def test_trace_capable_experiments_exist(self):
-        assert registry.supporting("trace") == ("fig3", "fig9", "throughput")
+        # Every ElectionScenario / ThroughputScenario sweep; avail's
+        # ChaosScenario has no run_traced, adapter-redis is not a sweep.
+        assert set(registry.names()) - set(registry.supporting("trace")) == {
+            "avail",
+            "adapter-redis",
+        }
 
     def test_trace_out_option_takes_a_directory(self):
         # dest is "trace" so the registry's capability loop sees the option
@@ -384,12 +368,10 @@ class TestCli:
         assert parser.parse_args(["fig3"]).trace is None
 
     def test_trace_rejected_for_unsupporting_experiments(self):
-        from repro.common.errors import ConfigurationError
-
         with pytest.raises(
-            ConfigurationError, match="--trace is not supported by: fig4"
+            ConfigurationError, match="--trace is not supported by: avail"
         ):
-            registry.run_experiment("fig4", runs=1, trace="traces")
+            registry.run_experiment("avail", runs=1, trace="traces")
 
     def test_progress_options_parse(self):
         parser = build_parser()

@@ -96,102 +96,41 @@ class TestS1SpecPurity:
 
 
 # --------------------------------------------------------------------------- #
-# S2 fixtures
+# S2
 # --------------------------------------------------------------------------- #
-def _report(result) -> str:
-    return "fixture report"
-
-
-def _run_full(*, runs, seed, workers=None, progress=None, scenario=None):
-    return None
-
-
-def _run_no_scenario(*, runs, seed, workers=None, progress=None):
-    return None
-
-
-def _run_minimal(*, runs, seed):
-    return None
-
-
-def _s2(specs):
-    return check_experiment_registry(
-        DEFAULT_CONFIG, specs_by_name={spec.name: spec for spec in specs}
-    )
+def _s2(modules):
+    return check_experiment_registry(DEFAULT_CONFIG, modules=modules)
 
 
 class TestS2RegistryCompleteness:
-    def test_matching_flags_pass(self):
-        spec = ExperimentSpec(
-            name="fx-ok",
-            title="fixture",
-            run=_run_full,
-            reporter=_report,
-            supports_scenario=True,
-        )
-        assert _s2([spec]) == []
+    def test_one_registered_experiment_per_module_passes(self):
+        from repro.experiments import registry
 
-    def test_declared_capability_missing_from_run_is_flagged(self):
-        spec = ExperimentSpec(
-            name="fx-missing",
-            title="fixture",
-            run=_run_no_scenario,
-            reporter=_report,
-            supports_scenario=True,
-        )
-        findings = _s2([spec])
-        assert len(findings) == 1
-        assert "declares 'scenario'" in findings[0].message
+        assert _s2({"fx_one": {"EXPERIMENT": registry.get("fig3"), "other": 1}}) == []
 
-    def test_undeclared_capability_in_run_is_flagged(self):
-        spec = ExperimentSpec(
-            name="fx-hidden",
-            title="fixture",
-            run=_run_full,
-            reporter=_report,
-        )
-        findings = _s2([spec])
-        assert len(findings) == 1
-        assert "silently unreachable" in findings[0].message
+    def test_a_module_registering_nothing_is_flagged(self):
+        # An unregistered declaration does not count: the registry is the
+        # dispatch layer, so only what it holds exists.
+        spec = ExperimentSpec(name="fx-loose", title="t", run=_run, reporter=_report)
+        (finding,) = _s2({"fx_none": {"SPEC": spec}})
+        assert finding.rule_id == "S2"
+        assert "registers 0 experiments (none)" in finding.message
+        assert finding.path.endswith("fx_none.py")
 
-    def test_missing_worker_keywords_are_flagged(self):
-        spec = ExperimentSpec(
-            name="fx-serial",
-            title="fixture",
-            run=_run_minimal,
-            reporter=_report,
-        )
-        messages = _messages(_s2([spec]))
-        assert any("'progress'" in m for m in messages)
-        assert any("'workers'" in m for m in messages)
-        # Declaring supports_workers=False makes the same callable complete.
-        quiet = dataclasses.replace(spec, supports_workers=False)
-        assert _s2([quiet]) == []
+    def test_two_experiments_from_one_module_are_flagged(self):
+        from repro.experiments import registry
 
-    def test_two_specs_from_one_experiments_module_are_flagged(self):
-        first = ExperimentSpec(
-            name="fx-a", title="a", run=_run_full, reporter=_report
-        )
-        second = ExperimentSpec(
-            name="fx-b", title="b", run=_run_full, reporter=_report
-        )
-        # Simulate both run callables living in one repro.experiments module.
-        object.__setattr__(first, "run", _fake_module_run_a)
-        object.__setattr__(second, "run", _fake_module_run_b)
-        messages = _messages(_s2([first, second]))
-        assert any("registers 2 experiment specs" in m for m in messages)
+        namespace = {"A": registry.get("fig3"), "B": registry.get("fig4")}
+        messages = _messages(_s2({"fx_two": namespace}))
+        assert any("registers 2 experiments (fig3, fig4)" in m for m in messages)
 
     def test_live_experiment_registry_is_complete(self):
         assert check_experiment_registry(DEFAULT_CONFIG) == []
 
 
-def _fake_module_run_a(*, runs, seed, workers=None, progress=None):
+def _run(*, runs, seed, workers=None, progress=None):
     return None
 
 
-def _fake_module_run_b(*, runs, seed, workers=None, progress=None):
-    return None
-
-
-_fake_module_run_a.__module__ = "repro.experiments.fx_fixture"
-_fake_module_run_b.__module__ = "repro.experiments.fx_fixture"
+def _report(result) -> str:
+    return "fixture report"

@@ -80,6 +80,29 @@ class TestMeasurementSet:
         with pytest.raises(ClusterError):
             empty.mean_total_ms()
 
+    @pytest.mark.parametrize(
+        "statistic",
+        ["mean_detection_ms", "mean_election_ms", "mean_campaigns", "total_summary"],
+    )
+    def test_a_cell_with_no_converged_run_fails_with_its_label(self, statistic):
+        # Not ZeroDivisionError: the report of a sweep names the empty cell.
+        stalled = MeasurementSet([measurement(converged=False)], label="raft@8")
+        with pytest.raises(ClusterError, match="no converged runs .* 'raft@8'"):
+            getattr(stalled, statistic)()
+
+    def test_means_cover_the_converged_runs(self):
+        measurements = MeasurementSet(
+            [
+                measurement(2000.0, detection=1500.0, campaigns=1),
+                measurement(9000.0, converged=False, campaigns=7),
+                measurement(4000.0, detection=3000.0, campaigns=3),
+            ]
+        )
+        assert measurements.mean_detection_ms() == 2250.0
+        assert measurements.mean_election_ms() == 750.0
+        assert measurements.mean_campaigns() == 2.0
+        assert measurements.total_summary() == summarize([2000.0, 4000.0])
+
     def test_values_selector(self):
         measurements = MeasurementSet([measurement(campaigns=2), measurement(campaigns=4)])
         assert measurements.values(lambda m: m.campaign_count) == [2, 4]

@@ -79,7 +79,7 @@ class TestExperimentSpecMappings:
     )
     def test_parameter_mappings_are_immutable(self, name):
         spec = experiment_registry.get(name)
-        for field in ("params", "quick_params", "capability_overrides"):
+        for field in ("params", "quick_params"):
             mapping = getattr(spec, field)
             assert hash(mapping) == hash(mapping)
             with pytest.raises(TypeError):
