@@ -50,12 +50,13 @@ def measure(args: argparse.Namespace) -> dict:
     from repro.experiments.runner import run_sweep
     from repro.metrics.records import MeasurementSet
     from repro.metrics.streaming import ElectionAggregate
-    from repro.sim import engines
 
-    engines.set_default_engine(args.engine)
-    scenarios = build_scenarios(
-        sizes=_parse_sizes(args.sizes), protocols=args.protocols.split(",")
-    )
+    scenarios = {
+        label: scenario.with_engine(args.engine)
+        for label, scenario in build_scenarios(
+            sizes=_parse_sizes(args.sizes), protocols=args.protocols.split(",")
+        ).items()
+    }
     episodes = args.runs * len(scenarios)
 
     started = time.perf_counter()

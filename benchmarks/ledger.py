@@ -1,12 +1,15 @@
 """The committed benchmark ledger: record and compare simulator performance.
 
-The ledger makes the repo's performance trajectory *visible*: a recording run
-measures episodes/sec on the single-failover micro-benchmark (per cluster
-size, per engine, plus the flat/classic speedup) and per-experiment wall
-time, and writes them to a JSON file that is committed next to the code
+The ledger keeps the measurements the acceptance benchmark (``bench/``,
+``BENCHMARK.json``) cannot produce: what the ``classic`` reference engine
+costs (``core``: episodes/sec on the single-failover micro-benchmark per
+cluster size and engine, plus the flat/classic speedup) and how the sweep
+engine scales (``experiments``: the fig9-xl tail, the parent's memory
+high-water per container kind, the task-queue weight of a work item).  A
+recording run writes them to a JSON file that is committed next to the code
 (``BENCH_core.json`` / ``BENCH_experiments.json``).  A compare run diffs two
 ledgers and exits non-zero when any shared metric regressed by more than the
-threshold (25% by default), so CI and future PRs can see their perf delta::
+threshold (25% by default)::
 
     PYTHONPATH=src python benchmarks/ledger.py record core --bench-json BENCH_core.json
     PYTHONPATH=src python benchmarks/ledger.py record experiments --bench-json BENCH_experiments.json
@@ -28,7 +31,6 @@ same-machine before/after runs (and CI compares a ledger against itself as a
 self-check).  The flat/classic *speedup* entries are the
 machine-portable part.
 
-Env knobs: ``REPRO_BENCH_LEDGER_REPS`` overrides ``--reps``;
 ``--quick`` shrinks the size grid and episode counts for smoke runs.
 """
 
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
@@ -48,7 +49,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 SCHEMA_VERSION = 1
 DEFAULT_THRESHOLD = 0.25
-DEFAULT_REPS = int(os.environ.get("REPRO_BENCH_LEDGER_REPS", "6"))
+DEFAULT_REPS = 6
 
 #: Cluster sizes of the single-failover micro-benchmark (``--quick`` uses the
 #: reduced grid).  The flat engine's advantage grows with size and plateaus
@@ -137,149 +138,7 @@ def record_core(reps: int, quick: bool) -> dict:
             )
         )
         print(f"  size={size:>4} speedup {speedup:18.2f}x", flush=True)
-    entries.extend(_record_obs_overhead(reps, quick))
     return _ledger("core", quick, reps, entries)
-
-
-def _record_obs_overhead(reps: int, quick: bool) -> list[dict]:
-    """Telemetry cost on a fig9 slice: episodes/sec with telemetry off vs on.
-
-    The off/on scenarios are interleaved inside every repetition (same
-    methodology as the engine comparison) and the ratio entry pins the
-    contract that the *disabled* path is free: telemetry-off episodes must
-    not regress against the committed baseline, and the on/off ratio
-    documents what opting in costs (harvest + live node listener).
-    """
-    from repro.cluster.scenarios import ElectionScenario
-
-    size = 8 if quick else 16
-    episodes = _episodes_for(size, quick)
-    entries: list[dict] = []
-    for engine in ENGINES:
-        base = ElectionScenario(
-            protocol="escape", cluster_size=size
-        ).with_engine(engine)
-        variants = {"off": base, "on": base.with_telemetry()}
-        rates: dict[str, list[float]] = {variant: [] for variant in variants}
-        for _ in range(reps):
-            for variant, scenario in variants.items():
-                rates[variant].append(_measure_rate(scenario, episodes))
-        best = {variant: _second_highest(rates[variant]) for variant in variants}
-        for variant in variants:
-            entries.append(
-                _entry(
-                    f"obs-overhead/size={size}/engine={engine}/telemetry={variant}",
-                    "episodes_per_s",
-                    best[variant],
-                    "1/s",
-                    higher_is_better=True,
-                )
-            )
-        ratio = best["on"] / best["off"]
-        entries.append(
-            _entry(
-                f"obs-overhead/size={size}/engine={engine}/ratio",
-                "telemetry_on_over_off",
-                ratio,
-                "x",
-                higher_is_better=True,
-            )
-        )
-        print(
-            f"  obs  size={size:>4} engine={engine:<7} "
-            f"off {best['off']:8.2f}  on {best['on']:8.2f} episodes/s "
-            f"({ratio:.2f}x)",
-            flush=True,
-        )
-    return entries
-
-
-def record_experiments(reps: int, quick: bool) -> dict:
-    """Quick-mode wall time per registered experiment, per engine."""
-    from repro.experiments import registry
-
-    runs = 1 if quick else 2
-    entries: list[dict] = []
-    for name in registry.names():
-        for engine in ENGINES:
-            elapsed: list[float] = []
-            profiles: list[dict] = []
-            for _ in range(max(1, reps // 3)):
-                run = registry.run_experiment(
-                    name, runs=runs, seed=0, quick=True, workers=1, engine=engine
-                )
-                elapsed.append(run.elapsed_s)
-                profiles.append(dict(run.profile))
-            best = min(elapsed)
-            entries.append(
-                _entry(
-                    f"experiment/{name}/engine={engine}",
-                    "quick_wall_s",
-                    best,
-                    "s",
-                    higher_is_better=False,
-                )
-            )
-            # The envelope's phase profile rides along: where did the best
-            # repetition's wall time go (parameter build, the sweep itself,
-            # report rendering)?  Sub-millisecond phases sit below timer
-            # noise and would make the relative regression gate flap, so
-            # they are left out.
-            best_profile = profiles[elapsed.index(best)]
-            for phase, seconds in best_profile.items():
-                if seconds < 0.001:
-                    continue
-                entries.append(
-                    _entry(
-                        f"experiment/{name}/engine={engine}/phase={phase}",
-                        "quick_wall_s",
-                        seconds,
-                        "s",
-                        higher_is_better=False,
-                    )
-                )
-            print(f"  {name:<14} engine={engine:<7} {best:8.3f} s", flush=True)
-    entries.extend(_record_workload_entries(quick))
-    entries.extend(_record_sweep_entries(quick))
-    return _ledger("experiments", quick, reps, entries)
-
-
-def _record_workload_entries(quick: bool) -> list[dict]:
-    """Simulated serving throughput: closed- vs open-loop ops/sec at s=16.
-
-    Unlike every other ledger metric these are *simulated* quantities --
-    committed ops per simulated second under the default chaos plan -- so
-    they are deterministic per seed and machine-portable.  They document the
-    client-side throughput the workload subsystem sustains and gate against
-    semantic regressions (a scheduling or commit-tracking change that alters
-    serving behaviour moves them; a slower laptop does not).
-    """
-    from repro.chaos.plans import build_plan
-    from repro.workload.scenario import ThroughputScenario
-
-    horizon_ms = 30_000.0 if quick else 60_000.0
-    plan = build_plan("repeated-leader-kill", horizon_ms, seed=0)
-    entries: list[dict] = []
-    for label, workload in (("closed-loop", "closed-loop"), ("open-loop", "open-poisson")):
-        scenario = ThroughputScenario(
-            protocol="escape", cluster_size=16, plan=plan, workload=workload
-        )
-        measurement = scenario.run(seed=0)
-        entries.append(
-            _entry(
-                f"workload/{label}/s=16",
-                "ops_per_s",
-                measurement.ops_per_s,
-                "1/s",
-                higher_is_better=True,
-            )
-        )
-        print(
-            f"  workload {label:<12} s=16 {measurement.ops_per_s:8.2f} ops/s "
-            f"(simulated, deterministic)",
-            flush=True,
-        )
-    return entries
 
 
 def _sweep_bench(argv: list[str]) -> dict:
@@ -301,7 +160,7 @@ def _sweep_bench(argv: list[str]) -> dict:
     return json.loads(completed.stdout)
 
 
-def _record_sweep_entries(quick: bool) -> list[dict]:
+def record_experiments(reps: int, quick: bool) -> dict:
     """Sweep-engine metrics: scale throughput, parent RSS, IPC weight.
 
     Three stories, each measurement its own subprocess:
@@ -390,7 +249,7 @@ def _record_sweep_entries(quick: bool) -> list[dict]:
         f"({weight['reduction_x']:.2f}x lighter)",
         flush=True,
     )
-    return entries
+    return _ledger("experiments", quick, reps, entries)
 
 
 def _ledger(suite: str, quick: bool, reps: int, entries: list[dict]) -> dict:
@@ -461,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--reps",
         type=int,
         default=DEFAULT_REPS,
-        help=f"repetitions per metric (default {DEFAULT_REPS}; "
-        "also REPRO_BENCH_LEDGER_REPS)",
+        help=f"repetitions per core metric (default {DEFAULT_REPS}); the "
+        "experiments suite measures each entry once, in its own subprocess",
     )
     record.add_argument(
         "--quick",

@@ -9,9 +9,11 @@ The harness is what the experiment modules (and the examples) drive:
 * :mod:`repro.cluster.observers` records election events cluster-wide;
 * :mod:`repro.cluster.harness` runs elections and produces
   :class:`~repro.metrics.records.ElectionMeasurement` records;
-* :mod:`repro.cluster.scenarios` packages the paper's fault scenarios (leader
-  crash, forced contention, broadcast message loss) into one reusable
-  :class:`~repro.cluster.scenarios.ElectionScenario`;
+* :mod:`repro.cluster.scenarios` declares the condition every episode kind
+  shares (:class:`~repro.cluster.scenarios.Scenario`: protocol, size, timing,
+  network, engine, and the run template) and packages the paper's fault
+  scenarios (leader crash, forced contention, broadcast message loss) into
+  one reusable :class:`~repro.cluster.scenarios.ElectionScenario`;
 * :mod:`repro.cluster.catalog` names ready-made network conditions (WAN
   splits, heavy tails, loss, duplication, chaos) as declarative specs any
   scenario can run under.
@@ -29,7 +31,7 @@ from repro.cluster.catalog import (
 from repro.cluster.environment import SimNodeEnvironment
 from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
-from repro.cluster.scenarios import ElectionScenario
+from repro.cluster.scenarios import ElectionScenario, Scenario
 
 __all__ = [
     "CATALOG",
@@ -37,6 +39,7 @@ __all__ = [
     "ElectionObserver",
     "ElectionScenario",
     "NetworkCondition",
+    "Scenario",
     "SimNodeEnvironment",
     "SimulatedCluster",
     "build_cluster",

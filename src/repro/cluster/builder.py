@@ -274,9 +274,9 @@ def build_cluster(
         trace: whether to record the world trace (disable in large sweeps).
         engine: simulation engine name registered in
             :mod:`repro.sim.engines` (``"classic"`` or ``"flat"``); ``None``
-            uses the session default.  Engines are bit-identical -- same
-            measurements, stats and traces for the same seed -- and differ
-            only in speed and in-run observability.
+            means ``flat``.  Engines are bit-identical -- same measurements,
+            stats and traces for the same seed -- and differ only in speed
+            and in-run observability.
     """
     spec = protocols.get(protocol)
     cluster_config = ClusterConfig.of_size(size)

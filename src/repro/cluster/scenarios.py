@@ -1,16 +1,23 @@
 """Reusable fault scenarios: the paper's evaluation conditions in one place.
 
-:class:`ElectionScenario` captures one experimental condition (protocol,
-cluster size, timeout configuration, latency, message loss, forced contention,
-client workload) and knows how to run one measured leader-failure episode from
-a seed.  Every experiment module in :mod:`repro.experiments` is a thin sweep
-over these scenarios.
+A scenario is a self-contained, frozen, picklable value: everything one
+measured episode depends on -- protocol, cluster size, timing, network
+condition, simulation engine -- is a field, and ``scenario.run(seed)`` is a
+pure function of the two.  :class:`Scenario` declares the condition every
+episode kind shares and owns the machinery around an episode (cluster
+construction, the ``with_*`` variants, the ``run``/``run_traced``/``run_many``
+template and its telemetry wrapper); a concrete scenario adds its own fields
+and one episode body.  :class:`ElectionScenario` is the leader-failure
+episode of the paper's figures; the windowed availability and serving
+episodes live in :mod:`repro.chaos.scenario` and
+:mod:`repro.workload.scenario`.  Every experiment module in
+:mod:`repro.experiments` is a thin sweep over these scenarios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Self
 
 from repro import protocols as protocol_registry
 from repro.sim import engines as engine_registry
@@ -36,10 +43,13 @@ from repro.raft.timers import (
     ScriptedTimeoutPolicy,
 )
 
+#: Per-node election-timeout policy factory (see :func:`build_cluster`).
+_PolicyFactory = Callable[[ServerId], ElectionTimeoutPolicy | None]
+
 
 @dataclass(frozen=True)
-class ElectionScenario:
-    """One experimental condition for a leader-failure episode.
+class Scenario:
+    """The condition every episode kind shares, and the run template.
 
     Attributes:
         protocol: any protocol name registered in :mod:`repro.protocols`
@@ -57,7 +67,7 @@ class ElectionScenario:
         loss_rate: broadcast message-loss rate Δ (Section VI-D); 0 disables
             fault injection.  Shorthand for
             ``fault=BroadcastOmissionSpec(loss_rate)``; may not be combined
-            with an explicit ``fault`` spec.
+            with an explicit ``fault`` spec (rejected at construction).
         latency: declarative latency condition (any
             :class:`~repro.net.specs.LatencySpec`), resolved against the
             cluster membership at build time.  Takes precedence over
@@ -65,25 +75,19 @@ class ElectionScenario:
         fault: declarative fault condition (any
             :class:`~repro.net.specs.FaultSpec`).  Mutually exclusive with
             the ``loss_rate`` shorthand.
-        contention_phases: number of competing-candidate phases to force
-            (Figure 10); 0 leaves timeouts entirely protocol-driven.
-        workload_interval_ms: client proposal period during the pre-crash
-            window (0 disables the workload).
-        pre_crash_ms: how long to run after stabilisation before crashing the
-            leader (lets the workload build up log divergence under loss).
         stabilize_ms: budget for electing the initial leader.
-        max_election_ms: budget for the measured election.
         trace: keep the world trace (disable for large sweeps).
         telemetry: record per-episode observability counters (scheduler,
-            network, protocol events) and attach the snapshot state to
+            network, protocol events, and whatever drivers the episode
+            runs) and attach the snapshot state to
             ``measurement.extra["telemetry"]``.  Off by default: sweeps pay
             nothing for the instrumentation unless they opt in.
         engine: simulation engine name from :mod:`repro.sim.engines`
-            (e.g. ``"classic"``, ``"flat"``); the empty string defers to the
-            process default (:func:`repro.sim.engines.default_engine_name`),
-            so sweeps inherit the runner's ``--engine`` selection.  Engines
-            are bit-identical by contract, so this never changes results --
-            only how fast they arrive.
+            (``"flat"`` or ``"classic"``).  The scenario itself says what it
+            runs on -- there is no process default to defer to -- so a sweep
+            worker, a checkpoint fingerprint and a reader of ``repr()`` all
+            see the engine.  Engines are bit-identical by contract, so this
+            never changes results -- only how fast they arrive.
     """
 
     protocol: str
@@ -95,22 +99,23 @@ class ElectionScenario:
     loss_rate: float = 0.0
     latency: LatencySpec | None = None
     fault: FaultSpec | None = None
-    contention_phases: int = 0
-    workload_interval_ms: Milliseconds = 0.0
-    pre_crash_ms: Milliseconds = 2_000.0
     stabilize_ms: Milliseconds = 120_000.0
-    max_election_ms: Milliseconds = 120_000.0
     trace: bool = False
     telemetry: bool = False
-    engine: str = ""
+    engine: str = "flat"
 
     def __post_init__(self) -> None:
-        # Fail fast with the registry's own error (it lists every registered
-        # name) instead of deep inside build(); unpickling skips this, so a
-        # sweep worker never re-validates what the parent already accepted.
+        # Fail fast, with the registries' own errors (they list every
+        # registered name), while the grid is built instead of inside the
+        # first episode of a pool worker; unpickling skips this, so a worker
+        # never re-validates what the parent already accepted.
         protocol_registry.get(self.protocol)
-        if self.engine:
-            engine_registry.get(self.engine)
+        engine_registry.get(self.engine)
+        if self.fault is not None and self.loss_rate > 0.0:
+            raise ConfigurationError(
+                "give either an explicit fault spec or the loss_rate "
+                "shorthand, not both"
+            )
 
     # ------------------------------------------------------------------ #
     # Derived pieces
@@ -140,26 +145,21 @@ class ElectionScenario:
     def fault_injector(self) -> FaultInjector:
         """The fault injector this scenario implies."""
         if self.fault is not None:
-            if self.loss_rate > 0.0:
-                raise ConfigurationError(
-                    "give either an explicit fault spec or the loss_rate "
-                    "shorthand, not both"
-                )
             return self.fault.resolve(self.server_ids())
         if self.loss_rate <= 0.0:
             return NoFault()
         return BroadcastOmissionFault(self.loss_rate)
 
-    def with_protocol(self, protocol: str) -> "ElectionScenario":
+    def with_protocol(self, protocol: str) -> Self:
         """The same condition for a different protocol (paired comparison)."""
         return replace(self, protocol=protocol)
 
-    def with_engine(self, engine: str) -> "ElectionScenario":
+    def with_engine(self, engine: str) -> Self:
         """The same condition on a different simulation engine (differential
         testing and benchmarking; results are engine-invariant by contract)."""
         return replace(self, engine=engine)
 
-    def with_telemetry(self, enabled: bool = True) -> "ElectionScenario":
+    def with_telemetry(self, enabled: bool = True) -> Self:
         """The same condition with per-episode telemetry recording toggled."""
         return replace(self, telemetry=enabled)
 
@@ -167,22 +167,28 @@ class ElectionScenario:
     # Running
     # ------------------------------------------------------------------ #
     def build(
-        self, seed: int, extra_listeners: tuple = ()
+        self,
+        seed: int,
+        extra_listeners: tuple = (),
+        metrics: MetricsRegistry | None = None,
     ) -> tuple[SimulatedCluster, ElectionHarness]:
         """Build (but do not run) the cluster and harness for one episode.
 
         Args:
             seed: root seed of the episode.
             extra_listeners: additional node listeners attached to every node
-                alongside the harness's :class:`ElectionObserver` (the chaos
-                layer attaches its :class:`~repro.chaos.AvailabilityObserver`
-                this way).
+                alongside the harness's :class:`ElectionObserver` (the
+                windowed episodes attach their
+                :class:`~repro.chaos.AvailabilityObserver` this way).
+            metrics: the episode's telemetry registry, when it records one; a
+                :class:`~repro.obs.harvest.TelemetryListener` feeding it is
+                attached last.
         """
-        if self.contention_phases < 0:
-            raise ConfigurationError("contention_phases must be >= 0")
         observer = ElectionObserver()
-        seeds = SeedSequence(seed)
-        timeout_policy_factory, override_factory = self._contention_factories(seeds)
+        listeners = (observer, *extra_listeners)
+        if metrics is not None:
+            listeners += (TelemetryListener(metrics),)
+        timeout_policy_factory, override_factory = self._timeout_factories(seed)
         cluster = build_cluster(
             protocol=self.protocol,
             size=self.cluster_size,
@@ -190,28 +196,40 @@ class ElectionScenario:
             latency=self.latency_model(),
             fault=self.fault_injector(),
             protocol_config=self.protocol_config(),
-            listeners=(observer, *extra_listeners),
+            listeners=listeners,
             timeout_policy_factory=timeout_policy_factory,
             timeout_override_factory=override_factory,
             trace=self.trace,
-            engine=self.engine or None,
+            engine=self.engine,
         )
         return cluster, ElectionHarness(cluster, observer)
 
-    def run(self, seed: int) -> ElectionMeasurement:
-        """Run one measured leader-failure episode.
+    def _timeout_factories(
+        self, seed: int
+    ) -> tuple[_PolicyFactory | None, _PolicyFactory | None]:
+        """Per-node timeout policy and override factories (none by default)."""
+        return None, None
 
-        The measurement's ``extra`` mapping records the scenario parameters so
-        downstream reports can re-group measurements without carrying the
-        scenario object around.  With ``telemetry=True`` it additionally
-        carries the episode's observability snapshot under ``"telemetry"``
-        (as plain JSON state, so measurements keep pickling and exporting
-        unchanged).
+    def _episode(self, seed: int, metrics: MetricsRegistry | None):
+        """Run one episode; returns ``(measurement, cluster)``.
+
+        The one method a concrete scenario must provide.  With a *metrics*
+        registry the body passes it to :meth:`build` and harvests the drivers
+        it ran; the template adds the cluster's own counters.
         """
-        measurement, _ = self._run_measured(seed)
-        return measurement
+        raise NotImplementedError
 
-    def run_traced(self, seed: int) -> tuple[ElectionMeasurement, tuple]:
+    def run(self, seed: int):
+        """Run one measured episode.
+
+        With ``telemetry=True`` the measurement's ``extra`` mapping
+        additionally carries the episode's observability snapshot under
+        ``"telemetry"`` (as plain JSON state, so measurements keep pickling
+        and exporting unchanged).
+        """
+        return self._run_measured(seed)[0]
+
+    def run_traced(self, seed: int) -> tuple[object, tuple]:
         """Run one episode with tracing forced on; returns the trace too.
 
         The measurement is identical to :meth:`run`'s for the same seed
@@ -223,28 +241,64 @@ class ElectionScenario:
         measurement, cluster = traced._run_measured(seed)
         return measurement, cluster.world.tracer.records
 
-    def _run_measured(
-        self, seed: int
-    ) -> tuple[ElectionMeasurement, SimulatedCluster]:
+    def _run_measured(self, seed: int) -> tuple[object, SimulatedCluster]:
         """Run one episode, attaching telemetry when the scenario opts in."""
         if not self.telemetry:
-            return self._run_episode(seed)
+            return self._episode(seed, None)
         registry = MetricsRegistry()
-        listener = TelemetryListener(registry)
-        measurement, cluster = self._run_episode(
-            seed, extra_listeners=(listener,), metrics=registry
-        )
+        measurement, cluster = self._episode(seed, registry)
         harvest_cluster(cluster, registry)
         measurement.extra["telemetry"] = registry.snapshot().to_state()
         return measurement, cluster
 
-    def _run_episode(
-        self,
-        seed: int,
-        extra_listeners: tuple = (),
-        metrics: MetricsRegistry | None = None,
+    def run_many(self, runs: int, base_seed: int = 0, label: str = "run") -> list:
+        """Run *runs* independent episodes with derived seeds.
+
+        Seeds delegate to :func:`repro.common.rng.paired_seeds` -- the same
+        single source of truth the sweep engine uses -- so
+        ``run_many(runs, seed, label)`` observes exactly the seeds a
+        ``run_sweep({label: scenario}, runs, seed)`` sweep would.
+        """
+        return [self.run(seed) for seed in paired_seeds(runs, base_seed, label)]
+
+
+@dataclass(frozen=True)
+class ElectionScenario(Scenario):
+    """One experimental condition for a leader-failure episode.
+
+    Adds to the shared condition (see :class:`Scenario`):
+
+    Attributes:
+        contention_phases: number of competing-candidate phases to force
+            (Figure 10); 0 leaves timeouts entirely protocol-driven.
+            Negative values are rejected at construction.
+        workload_interval_ms: client proposal period during the pre-crash
+            window (0 disables the workload).
+        pre_crash_ms: how long to run after stabilisation before crashing the
+            leader (lets the workload build up log divergence under loss).
+        max_election_ms: budget for the measured election.
+    """
+
+    contention_phases: int = 0
+    workload_interval_ms: Milliseconds = 0.0
+    pre_crash_ms: Milliseconds = 2_000.0
+    max_election_ms: Milliseconds = 120_000.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.contention_phases < 0:
+            raise ConfigurationError("contention_phases must be >= 0")
+
+    def _episode(
+        self, seed: int, metrics: MetricsRegistry | None
     ) -> tuple[ElectionMeasurement, SimulatedCluster]:
-        cluster, harness = self.build(seed, extra_listeners=extra_listeners)
+        """One measured leader-failure episode.
+
+        The measurement's ``extra`` mapping records the scenario parameters so
+        downstream reports can re-group measurements without carrying the
+        scenario object around.
+        """
+        cluster, harness = self.build(seed, metrics=metrics)
         cluster.start_all()
         harness.stabilize(max_time_ms=self.stabilize_ms)
 
@@ -291,27 +345,12 @@ class ElectionScenario:
             measurement.extra["fault_spec"] = repr(self.fault)
         return measurement, cluster
 
-    def run_many(
-        self, runs: int, base_seed: int = 0, label: str = "run"
-    ) -> list[ElectionMeasurement]:
-        """Run *runs* independent episodes with derived seeds.
-
-        Seeds delegate to :func:`repro.common.rng.paired_seeds` -- the same
-        single source of truth the sweep engine uses -- so
-        ``run_many(runs, seed, label)`` observes exactly the seeds a
-        ``run_sweep({label: scenario}, runs, seed)`` sweep would.
-        """
-        return [self.run(seed) for seed in paired_seeds(runs, base_seed, label)]
-
     # ------------------------------------------------------------------ #
     # Forced contention (Figure 10)
     # ------------------------------------------------------------------ #
-    def _contention_factories(
-        self, seeds: SeedSequence
-    ) -> tuple[
-        Callable[[ServerId], ElectionTimeoutPolicy | None] | None,
-        Callable[[ServerId], ElectionTimeoutPolicy | None] | None,
-    ]:
+    def _timeout_factories(
+        self, seed: int
+    ) -> tuple[_PolicyFactory | None, _PolicyFactory | None]:
         """Build the per-node timeout policies that force competing candidates.
 
         Every follower of the (future) crashed leader receives the *same*
@@ -324,7 +363,9 @@ class ElectionScenario:
         if self.contention_phases <= 0:
             return None, None
         low, high = self.raft_timeout_range
-        collision_timeout = seeds.stream("scenario", "contention").uniform(low, high)
+        collision_timeout = (
+            SeedSequence(seed).stream("scenario", "contention").uniform(low, high)
+        )
         script = tuple([collision_timeout] * self.contention_phases)
 
         def policy_factory(server_id: ServerId) -> ElectionTimeoutPolicy:

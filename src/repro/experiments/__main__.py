@@ -33,7 +33,9 @@ the chaos fault timeline from :data:`repro.chaos.plans.CHAOS_CATALOG`.
 changes wall-clock time only; the default is ``flat``).
 ``--checkpoint DIR`` makes a checkpoint-capable experiment's sweep resumable:
 completed chunks persist to a JSON-lines file in DIR and a re-run of the same
-command continues bit-identically where the killed one stopped.
+command continues bit-identically where the killed one stopped (same
+``--engine`` included: the checkpoint fingerprint covers each scenario's
+engine).
 ``--output DIR`` saves every experiment's raw measurements (CSV), a lossless
 JSON export with the run metadata, and the rendered report.
 ``--trace-out DIR`` makes trace-capable experiments archive one traced
@@ -132,46 +134,43 @@ def build_parser() -> argparse.ArgumentParser:
             "(small cluster sizes / short horizons) for a fast smoke pass"
         ),
     )
-    parser.add_argument(
-        "--scenario",
+
+    def capability(option: str, summary: str, **kwargs: object) -> None:
+        """One sweep-wide option, under the flag the registry names for it."""
+        supported = ", ".join(sorted(registry.supporting(option)))
+        parser.add_argument(
+            registry.CAPABILITIES[option],
+            dest=option,
+            default=None,
+            help=f"{summary} (supported by: {supported})",
+            **kwargs,
+        )
+
+    capability(
+        "scenario",
+        "run under a single named network condition from the scenario catalog",
         choices=condition_names(),
-        default=None,
-        help=(
-            "run under a single named network condition from the scenario "
-            f"catalog (supported by: {', '.join(sorted(registry.supporting('scenario')))})"
-        ),
     )
-    parser.add_argument(
-        "--protocols",
+    capability(
+        "protocols",
+        "comma-separated protocols from the registry "
+        f"({', '.join(protocol_registry.names())}) replacing the "
+        "experiment's default comparison",
         type=_protocol_list,
-        default=None,
         metavar="NAME[,NAME...]",
-        help=(
-            "comma-separated protocols from the registry "
-            f"({', '.join(protocol_registry.names())}) replacing the "
-            "experiment's default comparison (supported by: "
-            f"{', '.join(sorted(registry.supporting('protocols')))})"
-        ),
     )
-    parser.add_argument(
-        "--plan",
+    capability(
+        "plan",
+        "run under a named chaos plan from the chaos catalog",
         choices=plan_names(),
-        default=None,
-        help=(
-            "run under a named chaos plan from the chaos catalog "
-            f"(supported by: {', '.join(sorted(registry.supporting('plan')))})"
-        ),
     )
-    parser.add_argument(
-        "--checkpoint",
+    capability(
+        "checkpoint",
+        "persist completed sweep chunks to a JSON-lines checkpoint in DIR; "
+        "re-running the same sweep with the same DIR resumes bit-identically "
+        "after a kill.  The checkpoint's fingerprint covers each scenario's "
+        "engine, so a run resumes the chunks written under the same --engine",
         metavar="DIR",
-        default=None,
-        help=(
-            "persist completed sweep chunks to a JSON-lines checkpoint in "
-            "DIR; re-running the same sweep with the same DIR resumes "
-            "bit-identically after a kill (supported by: "
-            f"{', '.join(sorted(registry.supporting('checkpoint')))})"
-        ),
     )
     parser.add_argument(
         "--engine",
@@ -192,17 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
             "into DIR"
         ),
     )
-    parser.add_argument(
-        "--trace-out",
-        dest="trace",
+    capability(
+        "trace",
+        "archive one traced episode per scenario label into DIR as JSONL, "
+        "with a manifest and per-label telemetry snapshots",
         metavar="DIR",
-        default=None,
-        help=(
-            "archive one traced episode per scenario label into DIR as "
-            "JSONL, with a manifest and per-label telemetry snapshots "
-            "(supported by: "
-            f"{', '.join(sorted(registry.supporting('trace')))})"
-        ),
     )
     parser.add_argument(
         "--heartbeat",

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.common.rng import derive_run_seed, paired_seeds
-from repro.metrics.records import MeasurementSet
 
 __all__ = [
     "ProgressCallback",
     "derive_run_seed",
-    "flatten_sets",
     "paired_seeds",
     "progress_printer",
 ]
@@ -34,11 +32,3 @@ def progress_printer() -> ProgressCallback:
 
     return report
 
-
-def flatten_sets(sets: Iterable[MeasurementSet]) -> MeasurementSet:
-    """Merge several measurement sets into one (for aggregate statistics)."""
-    merged = MeasurementSet(label="merged")
-    for measurement_set in sets:
-        for measurement in measurement_set:
-            merged.add(measurement)
-    return merged

@@ -155,11 +155,11 @@ def supporting(option: str) -> tuple[str, ...]:
 def unsupported_option_message(
     option: str, experiment_names: Sequence[str]
 ) -> str | None:
-    """CLI-style error for ``--<option>`` given to unsupporting experiments.
+    """CLI-style error for capability *option* given to unsupporting experiments.
 
     Returns ``None`` when every experiment in *experiment_names* supports the
     option, otherwise the registry-derived message the CLI (and
-    :func:`run_experiment`) report.
+    :func:`run_experiment`) report, naming the option's real CLI flag.
     """
     supported = supporting(option)
     unsupported = [
@@ -168,7 +168,7 @@ def unsupported_option_message(
     if not unsupported:
         return None
     return (
-        f"--{option} is not supported by: {', '.join(unsupported)} "
+        f"{CAPABILITIES[option]} is not supported by: {', '.join(unsupported)} "
         f"(supported: {', '.join(sorted(supported))})"
     )
 
@@ -212,19 +212,22 @@ def run_experiment(
             traced episode per scenario label (JSONL + manifest + telemetry
             snapshots; see :func:`repro.obs.trace.archive_election_traces`).
         engine: simulation engine name from :mod:`repro.sim.engines`
-            (``None`` keeps the process default).  Engines are bit-identical
-            by contract, so this changes wall-clock time only; the resolved
-            name is recorded on the returned envelope.  The selection is
-            installed as the process default for the duration of the run, so
-            sweep workers and scenario builds inherit it.
+            (``None`` means ``flat``).  Engines are bit-identical by
+            contract, so this changes wall-clock time only.  The name is
+            stamped onto every scenario of the built grid
+            (``scenario.with_engine``) -- so sweep workers, the checkpoint
+            fingerprint and the trace archive all read it off the scenario
+            -- and recorded on the returned envelope.
         **param_overrides: overrides for the spec's declared parameters
             (e.g. ``sizes=(8, 16)`` for ``fig9``).
 
     Raises:
-        ConfigurationError: for unknown experiments, unsupported sweep-wide
-            options, unknown parameter overrides, or unsweepable protocols.
+        ConfigurationError: for unknown experiments or engines, unsupported
+            sweep-wide options, unknown parameter overrides, or unsweepable
+            protocols.
     """
     spec = get(name)
+    engine_name = engine_registry.resolve(engine).name
     # The sweep-wide options the caller actually supplied, by capability.
     options = {
         "scenario": scenario,
@@ -258,44 +261,48 @@ def run_experiment(
     # wall-clock-allowlisted repro.obs.profiling module.  ``build`` covers the
     # whole scenario grid (so a bad condition, plan or workload name fails
     # before any worker starts); elapsed_s keeps its historical meaning: the
-    # sweep itself, excluding report rendering.
-    with engine_registry.using_engine(engine) as resolved_engine:
-        with profiler.phase("build"):
-            params = spec.resolved_params(quick=quick, **param_overrides)
-            if isinstance(spec, SweepExperiment):
-                axes, context, scenarios = spec.build(
-                    params, seed, scenario=scenario, protocols=protocols, plan=plan
-                )
-                # The archived metadata must not claim a grid the run never
-                # executed: an axis a capability value narrowed is dropped.
-                for axis in spec.axes:
-                    if axis.narrowed_by in supplied:
-                        del params[axis.name]
-        with profiler.phase("sweep"):
-            if isinstance(spec, SweepExperiment):
-                # Imported here so --list and the registry never load
-                # multiprocessing.
-                from repro.experiments.runner import run_sweep
+    # sweep itself, excluding the traced re-runs and report rendering.
+    with profiler.phase("build"):
+        params = spec.resolved_params(quick=quick, **param_overrides)
+        if isinstance(spec, SweepExperiment):
+            axes, context, scenarios = spec.build(
+                params, seed, scenario=scenario, protocols=protocols, plan=plan
+            )
+            scenarios = {
+                label: built.with_engine(engine_name)
+                for label, built in scenarios.items()
+            }
+            # The archived metadata must not claim a grid the run never
+            # executed: an axis a capability value narrowed is dropped.
+            for axis in spec.axes:
+                if axis.narrowed_by in supplied:
+                    del params[axis.name]
+    with profiler.phase("sweep"):
+        if isinstance(spec, SweepExperiment):
+            # Imported here so --list and the registry never load
+            # multiprocessing.
+            from repro.experiments.runner import run_sweep
 
-                by_label = run_sweep(
-                    scenarios,
-                    runs=resolved_runs,
-                    seed=seed,
-                    progress=progress,
-                    workers=workers,
-                    container=spec.container,
-                    checkpoint=checkpoint,
-                )
-                if trace is not None:
-                    archive_election_traces(scenarios, seed, trace)
-                result: object = GridResult(
-                    axes, resolved_runs, by_label, context, spec.label
-                )
-            else:
-                call_kwargs: dict[str, object] = dict(params, runs=resolved_runs, seed=seed)
-                if spec.supports_workers:
-                    call_kwargs.update(progress=progress, workers=workers)
-                result = spec.run(**call_kwargs)
+            by_label = run_sweep(
+                scenarios,
+                runs=resolved_runs,
+                seed=seed,
+                progress=progress,
+                workers=workers,
+                container=spec.container,
+                checkpoint=checkpoint,
+            )
+            result: object = GridResult(
+                axes, resolved_runs, by_label, context, spec.label
+            )
+        else:
+            call_kwargs: dict[str, object] = dict(params, runs=resolved_runs, seed=seed)
+            if spec.supports_workers:
+                call_kwargs.update(progress=progress, workers=workers)
+            result = spec.run(**call_kwargs)
+    if trace is not None:
+        with profiler.phase("trace"):
+            archive_election_traces(scenarios, seed, trace)
     with profiler.phase("report"):
         report = spec.reporter(result)
     elapsed_s = profiler.elapsed("sweep")
@@ -315,7 +322,7 @@ def run_experiment(
         elapsed_s=elapsed_s,
         parameters=parameters,
         notes=tuple(notes),
-        engine=resolved_engine,
+        engine=engine_name,
         profile=profiler.snapshot(),
     )
 

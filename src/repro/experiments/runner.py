@@ -66,8 +66,6 @@ from repro.experiments.base import ProgressCallback, paired_seeds
 from repro.experiments.checkpoint import SweepCheckpoint, checkpoint_fingerprint
 from repro.metrics.records import MeasurementSet
 from repro.protocols import ProtocolSpec
-from repro.sim import engines
-from repro.sim.engines import EngineSpec
 
 __all__ = [
     "Container",
@@ -248,31 +246,12 @@ def _swept_specs(scenarios: Mapping[str, ElectionScenario]) -> tuple[ProtocolSpe
     )
 
 
-def _swept_engine_specs(
-    scenarios: Mapping[str, ElectionScenario],
-) -> tuple[EngineSpec, ...]:
-    """The engine specs named by the sweep's scenarios (deduplicated).
-
-    Mirrors :func:`_swept_specs`: a scenario may pin a custom engine the
-    parent registered at runtime, which ``spawn`` workers would not know.
-    """
-    names = {getattr(scenario, "engine", "") for scenario in scenarios.values()}
-    names.add(engines.default_engine_name())
-    return tuple(
-        engines.get(name)
-        for name in sorted(name for name in names if name)
-        if engines.is_registered(name)
-    )
-
-
 def _register_worker_specs(
     specs: tuple[ProtocolSpec, ...],
-    engine_specs: tuple[EngineSpec, ...] = (),
-    default_engine: str | None = None,
     scenarios: Mapping[str, ElectionScenario] | None = None,
     container: Container | None = None,
 ) -> None:
-    """Pool initializer: mirror the parent's registries and scenario table.
+    """Pool initializer: mirror the parent's protocols and scenario table.
 
     ``spawn`` workers re-import :mod:`repro.protocols` and therefore only see
     the built-in registrations; any custom spec the parent registered would
@@ -283,23 +262,14 @@ def _register_worker_specs(
     (under ``fork`` the worker inherits the parent registry and this is a
     no-op).
 
-    The parent's *resolved* default engine travels the same way: scenarios
-    with an empty ``engine`` field resolve against the worker's process
-    default, so without this a ``spawn`` worker would silently fall back to
-    ``"flat"`` even when the parent selected ``--engine classic``.  Engines
-    are bit-identical by contract, so this is a provenance guarantee, not a
-    correctness one.
-
     The label -> scenario table also rides in here exactly once per worker:
     work items then only carry ``(label, index, seed)``, which shrinks the
-    task-queue pickle traffic by the full scenario size per episode.
+    task-queue pickle traffic by the full scenario size per episode.  Every
+    scenario names its own simulation engine, so the table is also all a
+    worker needs to run what the parent selected, on any start method.
     """
     for spec in specs:
         protocols.register(spec, replace=True)
-    for engine_spec in engine_specs:
-        engines.register(engine_spec, replace=True)
-    if default_engine is not None:
-        engines.set_default_engine(default_engine)
     if scenarios is not None:
         global _WORKER_SCENARIOS
         _WORKER_SCENARIOS = scenarios
@@ -330,17 +300,11 @@ def _make_pool(
     scenarios: Mapping[str, ElectionScenario],
     container: Container,
 ):
-    """A pool whose workers carry the parent's registries + scenario table."""
+    """A pool whose workers carry the parent's protocols + scenario table."""
     return context.Pool(
         processes=workers,
         initializer=_register_worker_specs,
-        initargs=(
-            _swept_specs(scenarios),
-            _swept_engine_specs(scenarios),
-            engines.default_engine_name(),
-            dict(scenarios),
-            container,
-        ),
+        initargs=(_swept_specs(scenarios), dict(scenarios), container),
     )
 
 

@@ -44,17 +44,24 @@ RunCallable = Callable[..., object]
 #: Renders a run's result object as the plain-text report the CLI prints.
 Reporter = Callable[[object], str]
 
-#: The sweep-wide options a sweep can understand, in CLI order; which of them
-#: one does is derived from its declaration (see
+#: The sweep-wide options a sweep can understand, in CLI order, each with the
+#: CLI flag that supplies it (the one spelling the parser and every
+#: "not supported" message use); which of them a sweep understands is derived
+#: from its declaration (see
 #: :attr:`repro.experiments.sweep.SweepExperiment.capabilities`).
 #: ``scenario`` names a network condition from :mod:`repro.cluster.catalog`,
 #: ``protocols`` replaces the swept protocols, ``plan`` names a chaos plan.
-#: ``checkpoint`` accepts a directory (CLI ``--checkpoint``) in which the
-#: sweep persists completed chunks so a killed run resumes bit-identically.
-#: ``trace`` accepts a directory (CLI ``--trace-out``) into which the
-#: sweep archives one traced episode per scenario label as JSONL (see
-#: :func:`repro.obs.trace.archive_election_traces`).
-CAPABILITIES = ("scenario", "protocols", "plan", "checkpoint", "trace")
+#: ``checkpoint`` accepts a directory in which the sweep persists completed
+#: chunks so a killed run resumes bit-identically.  ``trace`` accepts a
+#: directory into which the sweep archives one traced episode per scenario
+#: label as JSONL (see :func:`repro.obs.trace.archive_election_traces`).
+CAPABILITIES = {
+    "scenario": "--scenario",
+    "protocols": "--protocols",
+    "plan": "--plan",
+    "checkpoint": "--checkpoint",
+    "trace": "--trace-out",
+}
 
 #: How an exporter binding's extracted payload is persisted:
 #: ``"election"`` -- a mapping of label -> :class:`~repro.metrics.records.MeasurementSet`;

@@ -27,21 +27,11 @@ class PartitionManager:
         # Mutated in place (never rebound) so engines can cache the dict:
         # empty means "no partition installed".
         self._cell_of: dict[ServerId, int] = {}
-        self._version = 0
 
     @property
     def members(self) -> frozenset[ServerId]:
         """The full cluster membership this manager knows about."""
         return self._members
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped by every :meth:`partition`/:meth:`heal`.
-
-        Engines cache the reachability table and use this to invalidate the
-        cache instead of paying a :meth:`can_communicate` call per delivery.
-        """
-        return self._version
 
     @property
     def cell_map(self) -> dict[ServerId, int]:
@@ -51,7 +41,7 @@ class PartitionManager:
         :meth:`partition`/:meth:`heal` mutate it in place -- so engine fast
         paths may hold it and test ``if cells and cells[src] != cells[dst]``
         per message instead of calling :meth:`can_communicate`.  Treat it as
-        read-only; :attr:`version` counts the mutations.
+        read-only.
         """
         return self._cell_of
 
@@ -81,12 +71,10 @@ class PartitionManager:
             cell_of.setdefault(server_id, leftover_cell)
         self._cell_of.clear()
         self._cell_of.update(cell_of)
-        self._version += 1
 
     def heal(self) -> None:
         """Remove the current partition; all servers can communicate again."""
         self._cell_of.clear()
-        self._version += 1
 
     def can_communicate(self, src: ServerId, dst: ServerId) -> bool:
         """Whether a message from *src* can currently reach *dst*."""

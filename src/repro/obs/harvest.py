@@ -119,9 +119,9 @@ class TelemetryListener(NodeListenerBase):
     """A node listener recording protocol events into a registry.
 
     Counter handles are resolved once at construction so each callback is a
-    single attribute bump; attach via ``ElectionScenario.build``'s
-    ``extra_listeners`` (which :meth:`ElectionScenario.run` does automatically
-    when the scenario has ``telemetry=True``).
+    single attribute bump; :meth:`repro.cluster.scenarios.Scenario.build`
+    attaches one when handed the episode's ``metrics`` registry (which every
+    scenario's ``run`` does when it has ``telemetry=True``).
     """
 
     def __init__(self, metrics: MetricsRegistry) -> None:

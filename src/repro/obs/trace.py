@@ -25,7 +25,7 @@ from repro.common.rng import paired_seeds
 from repro.sim.tracing import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids layer cycles
-    from repro.cluster.scenarios import ElectionScenario
+    from repro.cluster.scenarios import Scenario
 
 __all__ = [
     "JsonlTraceSink",
@@ -223,7 +223,7 @@ def read_trace_jsonl(path: str | os.PathLike[str]) -> list[TraceRecord]:
 
 
 def archive_election_traces(
-    scenarios: "dict[str, ElectionScenario]",
+    scenarios: "dict[str, Scenario]",
     seed: int,
     directory: str | os.PathLike[str],
     trace_filter: TraceFilter | None = None,
@@ -232,11 +232,11 @@ def archive_election_traces(
 
     For each label, episode 0's seed is re-derived exactly as the sweep
     derives it (``paired_seeds(1, seed, label)``) and the episode is re-run
-    with tracing (and telemetry, when the scenario supports it) enabled, so
-    the archive matches what the sweep actually executed.  Writes one
-    ``<label>.jsonl`` per scenario plus ``manifest.json`` and -- when any
-    scenario produced telemetry -- ``telemetry.json`` with the per-label
-    snapshot states.  Returns the manifest dict.
+    with tracing and telemetry enabled (every
+    :class:`~repro.cluster.scenarios.Scenario` has both), so the archive
+    matches what the sweep actually executed.  Writes one ``<label>.jsonl``
+    per scenario plus ``manifest.json`` and ``telemetry.json`` with the
+    per-label snapshot states.  Returns the manifest dict.
     """
     out_dir = os.fspath(directory)
     os.makedirs(out_dir, exist_ok=True)
@@ -254,12 +254,7 @@ def archive_election_traces(
     telemetry: dict[str, dict] = {}
     for label, scenario in scenarios.items():
         episode_seed = paired_seeds(1, seed, label)[0]
-        source = (
-            scenario.with_telemetry()
-            if hasattr(scenario, "with_telemetry")
-            else scenario
-        )
-        measurement, records = source.run_traced(episode_seed)
+        measurement, records = scenario.with_telemetry().run_traced(episode_seed)
         # Labels may contain path separators (e.g. "raft/closed-loop");
         # flatten them so every archive file lands directly in out_dir.
         file_name = f"{label.replace('/', '--')}.jsonl"
@@ -272,14 +267,10 @@ def archive_election_traces(
             "records": written,
             "filtered_out": len(records) - written,
         }
-        state = getattr(measurement, "extra", {}).get("telemetry")
-        if state is not None:
-            telemetry[label] = state
-    if telemetry:
-        telemetry_path = os.path.join(out_dir, "telemetry.json")
-        with open(telemetry_path, "w", encoding="utf-8") as handle:
-            json.dump({"labels": telemetry}, handle, indent=2, sort_keys=True)
-        manifest["telemetry"] = "telemetry.json"
+        telemetry[label] = measurement.extra["telemetry"]
+    with open(os.path.join(out_dir, "telemetry.json"), "w", encoding="utf-8") as handle:
+        json.dump({"labels": telemetry}, handle, indent=2, sort_keys=True)
+    manifest["telemetry"] = "telemetry.json"
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
     return manifest

@@ -16,12 +16,14 @@ Determinism guarantees:
 Two interchangeable *engines* provide the kernel: the ``classic`` engine
 (:class:`EventScheduler` and friends, optimised for readability) and the
 ``flat`` engine (:class:`FlatEventScheduler`, array-backed records for large
-sweeps).  Engines are registered in :mod:`repro.sim.engines` and are
-bit-identical by contract -- selecting one changes wall-clock time only.
+sweeps).  Both are listed in :mod:`repro.sim.engines` and are bit-identical by
+contract -- selecting one changes wall-clock time only.  The choice is an
+argument (``SimulationWorld(engine=...)``, a scenario's ``engine`` field),
+never process state; naming none means ``flat``.
 """
 
 from repro.sim.clock import VirtualClock
-from repro.sim.engines import EngineSpec, default_engine_name, using_engine
+from repro.sim.engines import EngineSpec
 from repro.sim.events import EventHandle
 from repro.sim.flatcore import FlatEventScheduler
 from repro.sim.scheduler import EventScheduler
@@ -37,6 +39,4 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "VirtualClock",
-    "default_engine_name",
-    "using_engine",
 ]

@@ -18,9 +18,8 @@ scheduler, the network fabric, and the per-node environment adapter.  Their
 Everything *behind* those surfaces -- how events are represented, whether
 envelopes are materialised, how partition reachability is looked up -- is
 engine-owned.  An :class:`EngineSpec` names one consistent implementation of
-all three, and the registry mirrors :mod:`repro.protocols` /
-:mod:`repro.experiments` so the lint S1 rule and the pickle/hash conformance
-suite cover engine specs for free.
+all three; the lint S1 rule and the pickle/hash conformance suite cover the
+specs through :func:`registered_specs`, as they do every other registry.
 
 Two engines are built in:
 
@@ -38,62 +37,40 @@ produce bit-identical measurements, stats and traces -- engines may only
 remove *allocation and indirection*, never reorder RNG draws or events.  The
 differential suite (``tests/property/test_engine_differential.py``) pins this.
 
-Engine selection resolves in priority order: an explicit ``engine`` argument
+Engine selection is data, never process state: an explicit ``engine``
 (scenario field, ``build_cluster``/``SimulationWorld`` parameter, CLI
-``--engine``), then a process-wide :func:`set_default_engine` override, then
-``"flat"``.
+``--engine``), else ``flat``.  A scenario names its engine, so a sweep worker
+runs what the parent built on any start method.
 
 Class references are stored as ``"module:ClassName"`` dotted paths and
-resolved lazily, so specs stay hashable and picklable (plain strings cross
-the sweep engine's process pool by value) and registering an engine never
-imports its implementation until a world is actually built with it.
+resolved lazily, so specs stay hashable and picklable and listing the engines
+never imports an implementation until a world is actually built with it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Iterator
 
 from repro.common.errors import ConfigurationError
 
 __all__ = [
     "EngineSpec",
-    "default_engine_name",
     "get",
-    "is_registered",
     "names",
-    "register",
     "registered_specs",
     "resolve",
-    "set_default_engine",
-    "specs",
-    "titles",
-    "unregister",
-    "using_engine",
 ]
-
-#: Lazily resolved ``"module:ClassName"`` path -> class cache (one import per
-#: path per process; resolution happens at world-build time, not at
-#: registration time).
-_CLASS_CACHE: dict[str, type] = {}
 
 
 def _resolve_class(path: str) -> type:
-    try:
-        return _CLASS_CACHE[path]
-    except KeyError:
-        pass
     module_name, _, attribute = path.partition(":")
     try:
-        resolved = getattr(import_module(module_name), attribute)
+        return getattr(import_module(module_name), attribute)
     except (ImportError, AttributeError) as exc:
         raise ConfigurationError(
             f"engine class path {path!r} does not resolve: {exc}"
         ) from exc
-    _CLASS_CACHE[path] = resolved
-    return resolved
 
 
 @dataclass(frozen=True)
@@ -113,7 +90,6 @@ class EngineSpec:
         environment_path: ``"module:Class"`` of the per-node environment;
             same constructor signature as
             :class:`~repro.cluster.environment.SimNodeEnvironment`.
-        description: one-line summary of the implementation strategy.
     """
 
     name: str
@@ -121,7 +97,6 @@ class EngineSpec:
     scheduler_path: str
     network_path: str
     environment_path: str
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not self.name or any(ch.isspace() or ch == "," for ch in self.name):
@@ -151,31 +126,28 @@ class EngineSpec:
         return _resolve_class(self.environment_path)
 
 
-_REGISTRY: dict[str, EngineSpec] = {}
-_DEFAULT_OVERRIDE: str | None = None
-
-
-def register(spec: EngineSpec, *, replace: bool = False) -> EngineSpec:
-    """Register *spec* under its name and return it.
-
-    Raises:
-        ConfigurationError: when the name is already registered and *replace*
-            is false.
-    """
-    if spec.name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"engine {spec.name!r} is already registered; "
-            "pass replace=True to overwrite it"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister(name: str) -> EngineSpec:
-    """Remove a registration (plugin teardown, test hygiene) and return it."""
-    spec = get(name)
-    del _REGISTRY[name]
-    return spec
+# --------------------------------------------------------------------------- #
+# The engines
+# --------------------------------------------------------------------------- #
+_REGISTRY: dict[str, EngineSpec] = {
+    spec.name: spec
+    for spec in (
+        EngineSpec(
+            name="classic",
+            title="Classic object-graph engine",
+            scheduler_path="repro.sim.scheduler:EventScheduler",
+            network_path="repro.net.network:SimulatedNetwork",
+            environment_path="repro.cluster.environment:SimNodeEnvironment",
+        ),
+        EngineSpec(
+            name="flat",
+            title="Flat-core array-backed engine",
+            scheduler_path="repro.sim.flatcore:FlatEventScheduler",
+            network_path="repro.net.flatnet:FlatNetwork",
+            environment_path="repro.cluster.environment:FlatSimNodeEnvironment",
+        ),
+    )
+}
 
 
 def get(name: str) -> EngineSpec:
@@ -193,19 +165,9 @@ def get(name: str) -> EngineSpec:
         ) from None
 
 
-def is_registered(name: str) -> bool:
-    """Whether *name* is a registered engine."""
-    return name in _REGISTRY
-
-
 def names() -> tuple[str, ...]:
     """Every registered engine name, in registration order."""
     return tuple(_REGISTRY)
-
-
-def specs() -> tuple[EngineSpec, ...]:
-    """Every registered spec, in registration order."""
-    return tuple(_REGISTRY.values())
 
 
 def registered_specs() -> tuple[tuple[str, EngineSpec], ...]:
@@ -213,92 +175,15 @@ def registered_specs() -> tuple[tuple[str, EngineSpec], ...]:
     return tuple(_REGISTRY.items())
 
 
-def titles() -> dict[str, str]:
-    """Mapping of every registered name to its display title."""
-    return {name: spec.title for name, spec in _REGISTRY.items()}
-
-
-def default_engine_name() -> str:
-    """The engine used when nothing selects one explicitly.
-
-    Resolution order: :func:`set_default_engine` override, then ``"flat"``
-    (the engine the benchmark and the large sweeps run on; ``classic`` stays
-    the readable reference the differential suite compares it against).
-    """
-    if _DEFAULT_OVERRIDE is not None:
-        return _DEFAULT_OVERRIDE
-    return "flat"
-
-
-def set_default_engine(name: str | None) -> None:
-    """Install (or with ``None`` clear) the process-wide default engine.
-
-    The sweep engine's pool initializer calls this in every worker so workers
-    inherit the parent's resolved default deterministically even under the
-    ``spawn`` start method.
-    """
-    global _DEFAULT_OVERRIDE
-    if name is not None:
-        get(name)
-    _DEFAULT_OVERRIDE = name
-
-
-@contextmanager
-def using_engine(name: str | None) -> Iterator[str]:
-    """Temporarily make *name* the default engine (``None`` keeps the current
-    default).  Yields the resolved default name; always restores the previous
-    override, so a failing experiment cannot leak an engine selection."""
-    global _DEFAULT_OVERRIDE
-    previous = _DEFAULT_OVERRIDE
-    if name is not None:
-        set_default_engine(name)
-    try:
-        yield default_engine_name()
-    finally:
-        _DEFAULT_OVERRIDE = previous
-
-
 def resolve(engine: str | EngineSpec | None) -> EngineSpec:
-    """Normalise an engine selection to a registered spec.
+    """Normalise an engine selection to a spec.
 
-    ``None`` resolves to the current default; a string is looked up in the
-    registry (unknown names raise with the registered list); a spec passes
-    through unchanged.
+    ``None`` resolves to ``flat`` (the engine the benchmark and the large
+    sweeps run on); a string is looked up in the registry (unknown names raise
+    with the registered list); a spec passes through unchanged.
     """
     if engine is None:
-        return get(default_engine_name())
+        return _REGISTRY["flat"]
     if isinstance(engine, EngineSpec):
         return engine
     return get(engine)
-
-
-# --------------------------------------------------------------------------- #
-# Built-in engines
-# --------------------------------------------------------------------------- #
-register(
-    EngineSpec(
-        name="classic",
-        title="Classic object-graph engine",
-        scheduler_path="repro.sim.scheduler:EventScheduler",
-        network_path="repro.net.network:SimulatedNetwork",
-        environment_path="repro.cluster.environment:SimNodeEnvironment",
-        description=(
-            "Reference implementation: one ScheduledEvent + EventHandle per "
-            "timer, one Envelope + delivery closure per message"
-        ),
-    )
-)
-register(
-    EngineSpec(
-        name="flat",
-        title="Flat-core array-backed engine",
-        scheduler_path="repro.sim.flatcore:FlatEventScheduler",
-        network_path="repro.net.flatnet:FlatNetwork",
-        environment_path="repro.cluster.environment:FlatSimNodeEnvironment",
-        description=(
-            "Slotted list records instead of event/handle objects, pooled "
-            "argument tuples instead of envelopes, cached partition "
-            "reachability, inlined latency sampling; bit-identical to classic"
-        ),
-    )
-)

@@ -23,11 +23,10 @@ class SimulationWorld:
         trace: whether to keep trace records (disable for large sweeps).
         max_events: event budget passed to the scheduler.
         engine: simulation engine name or spec (see :mod:`repro.sim.engines`);
-            ``None`` uses the session default (normally ``flat``).  The
-            world owns the engine choice: it builds the engine's scheduler,
-            and :func:`repro.cluster.builder.build_cluster` reads
-            :attr:`engine` to pick the matching network and node-environment
-            classes.
+            ``None`` means ``flat``.  The world owns the engine choice: it
+            builds the engine's scheduler, and
+            :func:`repro.cluster.builder.build_cluster` reads :attr:`engine`
+            to pick the matching network and node-environment classes.
     """
 
     def __init__(

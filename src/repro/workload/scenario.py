@@ -1,15 +1,13 @@
 """The throughput scenario: one client-observed serving episode from a seed.
 
 :class:`ThroughputScenario` is to the ``throughput`` experiment what
-:class:`~repro.chaos.scenario.ChaosScenario` is to ``avail``: one frozen,
-picklable experimental condition (protocol, cluster size, network specs,
-chaos plan, *workload name*) that runs one measured episode.  The episode
-stabilises a first leader, opens the window, lets the chaos driver inject
-the plan while a :class:`~repro.workload.driver.WorkloadDriver` issues and
-tracks client requests, and closes the window into a
-:class:`~repro.workload.records.WorkloadMeasurement` -- the client-side view
-(commit latencies, drops, failover losses) of the same disruption the
-availability experiment measures cluster-side.
+:class:`~repro.chaos.scenario.ChaosScenario` is to ``avail``: the same
+windowed episode (:class:`~repro.chaos.scenario.WindowedScenario` --
+stabilise a first leader, open the window, inject the plan while a
+:class:`~repro.workload.driver.WorkloadDriver` issues and tracks client
+requests), closed into a :class:`~repro.workload.records.WorkloadMeasurement`
+-- the client-side view (commit latencies, drops, failover losses) of the
+disruption the availability experiment measures cluster-side.
 
 This module intentionally lives outside ``repro.workload``'s package
 ``__init__``: the cluster layer imports the workload driver, and this
@@ -19,168 +17,47 @@ scenario imports the cluster layer, so experiments import it as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, fields
 
-from repro.chaos.availability import AvailabilityObserver, quorum_leader
-from repro.chaos.driver import ChaosDriver
-from repro.chaos.plans import ChaosPlan
-from repro.cluster.scenarios import ElectionScenario
-from repro.common.config import ScaParameters
-from repro.common.types import Milliseconds
-from repro.net.specs import FaultSpec, LatencySpec
-from repro.obs.harvest import (
-    TelemetryListener,
-    harvest_chaos,
-    harvest_cluster,
-    harvest_workload,
-)
+from repro.chaos.scenario import WindowedScenario
+from repro.cluster.builder import SimulatedCluster
+from repro.cluster.scenarios import ElectionScenario, Scenario
 from repro.obs.telemetry import MetricsRegistry
 from repro.workload import specs as workload_specs
-from repro.workload.driver import WorkloadDriver
 from repro.workload.records import WorkloadMeasurement
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.cluster.builder import SimulatedCluster
 
 __all__ = ["ThroughputScenario"]
 
 
 @dataclass(frozen=True)
-class ThroughputScenario:
+class ThroughputScenario(WindowedScenario):
     """One experimental condition for a client-observed serving episode.
 
     Attributes:
-        protocol / cluster_size / plan: as on
-            :class:`~repro.chaos.scenario.ChaosScenario`; the plan's
-            ``horizon_ms`` is the measured window.
         workload: a registered workload name (validated at construction
-            time against :mod:`repro.workload.specs`).
-        raft_timeout_range / sca / heartbeat_interval_ms: timing knobs,
-            exactly as on :class:`~repro.cluster.scenarios.ElectionScenario`.
-        latency / fault: declarative network condition specs.
-        stabilize_ms: budget for electing the initial leader before the
-            window opens.
-        preserve_quorum: skip crash injections that would destroy the
-            voting quorum.
-        trace: keep the world trace (disable for large sweeps).
-        telemetry: record per-episode observability counters -- including
-            the documented ``workload.*`` names -- into
-            ``measurement.extra["telemetry"]``.
-        engine: simulation engine name; the empty string defers to the
-            process default.
+            time against :mod:`repro.workload.specs`).  With
+            ``telemetry=True`` the snapshot includes the documented
+            ``workload.*`` names.
     """
 
-    protocol: str
-    cluster_size: int
-    plan: ChaosPlan
     workload: str = "closed-loop"
-    raft_timeout_range: tuple[Milliseconds, Milliseconds] = (1500.0, 3000.0)
-    sca: ScaParameters = field(default_factory=lambda: ScaParameters(1500.0, 500.0))
-    heartbeat_interval_ms: Milliseconds = 150.0
-    latency_range: tuple[Milliseconds, Milliseconds] = (100.0, 200.0)
-    latency: LatencySpec | None = None
-    fault: FaultSpec | None = None
-    stabilize_ms: Milliseconds = 120_000.0
-    preserve_quorum: bool = True
-    trace: bool = False
-    telemetry: bool = False
-    engine: str = ""
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         workload_specs.get(self.workload)
-        self.election_scenario()
 
     def election_scenario(self) -> ElectionScenario:
-        """The election-layer view of this condition (shared build path)."""
+        """The election-layer view of this condition: the shared fields."""
         return ElectionScenario(
-            protocol=self.protocol,
-            cluster_size=self.cluster_size,
-            raft_timeout_range=self.raft_timeout_range,
-            sca=self.sca,
-            heartbeat_interval_ms=self.heartbeat_interval_ms,
-            latency_range=self.latency_range,
-            latency=self.latency,
-            fault=self.fault,
-            stabilize_ms=self.stabilize_ms,
-            trace=self.trace,
-            engine=self.engine,
+            **{spec.name: getattr(self, spec.name) for spec in fields(Scenario)}
         )
 
-    def with_protocol(self, protocol: str) -> "ThroughputScenario":
-        """The same condition for a different protocol (paired comparison)."""
-        return replace(self, protocol=protocol)
-
-    def with_engine(self, engine: str) -> "ThroughputScenario":
-        """The same condition on a different simulation engine."""
-        return replace(self, engine=engine)
-
-    def with_telemetry(self, enabled: bool = True) -> "ThroughputScenario":
-        """The same condition with per-episode telemetry toggled."""
-        return replace(self, telemetry=enabled)
-
-    # ------------------------------------------------------------------ #
-    # Running
-    # ------------------------------------------------------------------ #
-    def run(self, seed: int) -> WorkloadMeasurement:
-        """Run one measured serving episode.
-
-        The window opens after the initial leader stabilises and spans
-        exactly ``plan.horizon_ms`` of simulated time.  With
-        ``telemetry=True`` the measurement's ``extra["telemetry"]``
-        additionally carries the episode's observability snapshot.
-        """
-        measurement, _ = self._run_measured(seed)
-        return measurement
-
-    def run_traced(self, seed: int) -> tuple[WorkloadMeasurement, tuple]:
-        """Run one episode with tracing forced on; returns the trace too."""
-        traced = self if self.trace else replace(self, trace=True)
-        measurement, cluster = traced._run_measured(seed)
-        return measurement, cluster.world.tracer.records
-
-    def _run_measured(
-        self, seed: int
-    ) -> tuple[WorkloadMeasurement, "SimulatedCluster"]:
-        registry = MetricsRegistry() if self.telemetry else None
-        observer = AvailabilityObserver()
-        listeners: tuple = (observer,)
-        if registry is not None:
-            listeners = (observer, TelemetryListener(registry))
-        cluster, harness = self.election_scenario().build(
-            seed, extra_listeners=listeners
+    def _episode(
+        self, seed: int, metrics: MetricsRegistry | None
+    ) -> tuple[WorkloadMeasurement, SimulatedCluster]:
+        cluster, report, workload, driver, _ = self._run_window(
+            seed, self.workload, metrics
         )
-        cluster.start_all()
-        harness.stabilize(max_time_ms=self.stabilize_ms)
-
-        start_ms = cluster.world.now()
-        observer.begin(cluster, start_ms)
-
-        # A quorum-aware selector: requests during a partition count as
-        # dropped at the client instead of landing on a stale leader that
-        # can never acknowledge them.
-        workload = WorkloadDriver(
-            cluster,
-            self.workload,
-            seed=seed,
-            leader_selector=lambda: quorum_leader(cluster),
-        )
-        workload.start()
-
-        driver = ChaosDriver(
-            cluster,
-            self.plan,
-            observer=observer,
-            preserve_quorum=self.preserve_quorum,
-        )
-        driver.start()
-        harness.run_for(self.plan.horizon_ms)
-
-        end_ms = cluster.world.now()
-        report = observer.finalize(end_ms)
-        workload.finalize()
-        harness.assert_at_most_one_leader_per_term()
-
         measurement = WorkloadMeasurement(
             protocol=cluster.protocol,
             cluster_size=self.cluster_size,
@@ -203,9 +80,4 @@ class ThroughputScenario:
                 "skipped_injections": len(driver.skipped),
             },
         )
-        if registry is not None:
-            harvest_cluster(cluster, registry)
-            harvest_chaos(driver, registry)
-            harvest_workload(workload, registry)
-            measurement.extra["telemetry"] = registry.snapshot().to_state()
         return measurement, cluster

@@ -6,7 +6,8 @@ must produce the same measurements, the same :class:`NetworkStats`, the same
 trace stream, and the same availability timeline -- an engine may only remove
 allocation and indirection, never reorder RNG draws or events.  This suite
 states that contract as properties over random seeds, the registered
-liveness-guaranteeing protocols, and the catalog's network conditions.
+liveness-guaranteeing protocols, the catalog's network conditions, and all
+three scenario types (election, availability window, serving window).
 
 ``raft-fixed`` is deliberately absent: it livelocks by design (degenerate
 baseline) and cannot finish a measured episode on *either* engine.
@@ -23,6 +24,7 @@ from repro.chaos.scenario import ChaosScenario
 from repro.cluster.catalog import condition_names, scenario_for
 from repro.cluster.scenarios import ElectionScenario
 from repro.sim.engines import names as engine_names
+from repro.workload.scenario import ThroughputScenario
 
 #: Every registered protocol that can finish a measured election episode.
 LIVENESS_PROTOCOLS = ("raft", "zraft", "escape", "raft-stagger", "escape-noppf")
@@ -88,14 +90,38 @@ class TestElectionDifferential:
         assert all(result == baseline for result in results.values())
 
 
-class TestAvailabilityDifferential:
+def _election(plan) -> ElectionScenario:
+    return ElectionScenario(
+        protocol="escape", cluster_size=5, loss_rate=0.1, workload_interval_ms=250.0
+    )
+
+
+def _chaos(plan) -> ChaosScenario:
+    return ChaosScenario(protocol="escape", cluster_size=5, plan=plan)
+
+
+def _throughput(plan) -> ThroughputScenario:
+    return ThroughputScenario(
+        protocol="escape", cluster_size=5, plan=plan, workload="open-poisson"
+    )
+
+
+class TestScenarioTypeDifferential:
+    """Every scenario type, through the one run template, on every engine."""
+
+    @pytest.mark.parametrize("build", [_election, _chaos, _throughput])
     @pytest.mark.parametrize("seed", [0, 7, 42])
-    def test_chaos_timeline_identical_across_engines(self, seed):
+    def test_measurement_telemetry_and_trace_identical_across_engines(
+        self, build, seed
+    ):
         plan = build_plan("partition-flap", horizon_ms=60_000.0, seed=seed)
-        scenario = ChaosScenario(protocol="escape", cluster_size=5, plan=plan)
-        baseline = scenario.with_engine(ENGINES[0]).run(seed)
+        scenario = build(plan).with_telemetry()
+        baseline, baseline_records = scenario.with_engine(ENGINES[0]).run_traced(seed)
+        assert baseline.extra["telemetry"]["counters"]["net.delivered"] > 0
         for engine in ENGINES[1:]:
-            other = scenario.with_engine(engine).run(seed)
-            # Full-record equality covers the availability aggregates, the
-            # recovery latencies and the raw leaderless-interval timeline.
-            assert other == baseline
+            other, records = scenario.with_engine(engine).run_traced(seed)
+            # Full-record equality covers the aggregates, the raw
+            # leaderless-interval timeline / per-op latencies and -- through
+            # ``extra`` -- every harvested telemetry counter.
+            assert other == baseline, "measurement or telemetry diverged"
+            assert records == baseline_records, "trace stream diverged"

@@ -34,19 +34,19 @@ def _rate(name, value):
     }
 
 
-def _wall(name, value):
+def _rss(name, value):
     return {
         "name": name,
-        "metric": "quick_wall_s",
+        "metric": "parent_max_rss_mb",
         "value": value,
-        "unit": "s",
+        "unit": "MiB",
         "higher_is_better": False,
     }
 
 
 class TestCompare:
     def test_identical_ledgers_have_no_regressions(self, capsys):
-        base = _ledger_with([_rate("a", 100.0), _wall("b", 2.0)])
+        base = _ledger_with([_rate("a", 100.0), _rss("b", 2.0)])
         assert ledger.compare(base, base, threshold=0.25) == 0
 
     def test_rate_drop_beyond_threshold_is_a_regression(self):
@@ -60,14 +60,14 @@ class TestCompare:
         assert ledger.compare(base, slightly_worse, threshold=0.25) == 0
 
     def test_improvement_is_never_a_regression(self):
-        base = _ledger_with([_rate("a", 100.0), _wall("b", 2.0)])
-        better = _ledger_with([_rate("a", 400.0), _wall("b", 0.5)])
+        base = _ledger_with([_rate("a", 100.0), _rss("b", 2.0)])
+        better = _ledger_with([_rate("a", 400.0), _rss("b", 0.5)])
         assert ledger.compare(base, better, threshold=0.25) == 0
 
-    def test_wall_time_direction_is_lower_is_better(self):
-        base = _ledger_with([_wall("b", 2.0)])
-        slower = _ledger_with([_wall("b", 3.0)])
-        assert ledger.compare(base, slower, threshold=0.25) == 1
+    def test_memory_direction_is_lower_is_better(self):
+        base = _ledger_with([_rss("b", 2.0)])
+        larger = _ledger_with([_rss("b", 3.0)])
+        assert ledger.compare(base, larger, threshold=0.25) == 1
 
     def test_new_and_missing_entries_are_reported_not_fatal(self, capsys):
         base = _ledger_with([_rate("gone", 10.0)])

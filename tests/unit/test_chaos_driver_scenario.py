@@ -292,16 +292,3 @@ class TestChaosScenario:
         measurement = scenario.run(seed=4)
         assert measurement.proposals_proposed == 0
         assert measurement.proposals_dropped == 0
-
-    def test_election_scenario_view_shares_the_condition(self):
-        plan = build_plan("partition-flap", horizon_ms=20_000.0)
-        scenario = ChaosScenario(
-            protocol="zraft",
-            cluster_size=7,
-            plan=plan,
-            latency_range=(10.0, 20.0),
-        )
-        view = scenario.election_scenario()
-        assert view.protocol == "zraft"
-        assert view.cluster_size == 7
-        assert view.latency_range == (10.0, 20.0)

@@ -1,16 +1,103 @@
-"""Unit tests for the reusable election scenarios."""
+"""Unit tests for the reusable scenarios: the shared base and the election episode."""
 
+import dataclasses
 import pickle
+from functools import partial
 
 import pytest
 
-from repro.cluster.scenarios import ElectionScenario
+from repro.chaos.plans import build_plan
+from repro.chaos.scenario import ChaosScenario
+from repro.cluster.scenarios import ElectionScenario, Scenario
 from repro.common.config import ScaParameters
 from repro.common.errors import ConfigurationError
 from repro.common.rng import paired_seeds
 from repro.net.faults import BroadcastOmissionFault, MessageDuplicationFault, NoFault
 from repro.net.latency import GeoGroupLatency
-from repro.net.specs import DuplicationSpec, GeoLatencySpec
+from repro.net.specs import DuplicationSpec, GeoLatencySpec, PacketLossSpec
+from repro.workload.scenario import ThroughputScenario
+
+_PLAN = build_plan("repeated-leader-kill", horizon_ms=10_000.0, seed=0)
+
+#: One constructor per scenario type, taking the shared condition's keywords.
+SCENARIO_TYPES = {
+    "election": ElectionScenario,
+    "chaos": partial(ChaosScenario, plan=_PLAN),
+    "throughput": partial(ThroughputScenario, plan=_PLAN),
+}
+
+
+class TestOneConditionBase:
+    """The shared condition is declared once and every episode kind runs on it."""
+
+    SHARED = {spec.name for spec in dataclasses.fields(Scenario)}
+
+    def test_the_shared_fields_are_the_documented_condition(self):
+        assert self.SHARED == {
+            "protocol", "cluster_size", "raft_timeout_range", "sca",
+            "heartbeat_interval_ms", "latency_range", "loss_rate", "latency",
+            "fault", "stabilize_ms", "trace", "telemetry", "engine",
+        }  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "scenario_type", [ElectionScenario, ChaosScenario, ThroughputScenario]
+    )
+    def test_no_subclass_redeclares_a_field(self, scenario_type):
+        declared: dict[str, type] = {}
+        for cls in reversed(scenario_type.__mro__[:-1]):
+            for name in vars(cls).get("__annotations__", {}):
+                assert name not in declared, (
+                    f"{cls.__name__}.{name} re-declares {declared[name].__name__}'s"
+                )
+                declared[name] = cls
+        assert set(declared) == {
+            spec.name for spec in dataclasses.fields(scenario_type)
+        }
+
+    @pytest.mark.parametrize("kind", SCENARIO_TYPES)
+    def test_every_type_exposes_the_run_template_and_variants(self, kind):
+        scenario = SCENARIO_TYPES[kind]("escape", 3)
+        assert scenario.engine == "flat"
+        for variant in (
+            scenario.with_protocol("raft"),
+            scenario.with_engine("classic"),
+            scenario.with_telemetry(),
+        ):
+            assert type(variant) is type(scenario) and variant != scenario
+        measurement = scenario.run(seed=3)
+        traced, records = scenario.with_telemetry().run_traced(seed=3)
+        assert records and "telemetry" in traced.extra
+        del traced.extra["telemetry"]
+        assert traced == measurement  # neither tracing nor telemetry perturbs
+        assert scenario.run_many(2, base_seed=1, label="x") == [
+            scenario.run(seed) for seed in paired_seeds(2, 1, "x")
+        ]
+
+    @pytest.mark.parametrize("kind", SCENARIO_TYPES)
+    def test_fault_spec_and_loss_rate_shorthand_conflict_at_construction(self, kind):
+        with pytest.raises(ConfigurationError, match="not both"):
+            SCENARIO_TYPES[kind](
+                "raft", 3, fault=PacketLossSpec(0.1), loss_rate=0.2
+            )
+
+    def test_negative_contention_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="contention_phases"):
+            ElectionScenario(protocol="raft", cluster_size=5, contention_phases=-1)
+
+    def test_election_view_of_a_throughput_scenario_copies_every_shared_field(self):
+        scenario = ThroughputScenario(
+            "zraft",
+            7,
+            plan=_PLAN,
+            latency_range=(10.0, 20.0),
+            loss_rate=0.1,
+            engine="classic",
+            telemetry=True,
+        )
+        view = scenario.election_scenario()
+        assert type(view) is ElectionScenario
+        for name in self.SHARED:
+            assert getattr(view, name) == getattr(scenario, name), name
 
 
 class TestScenarioConfiguration:
@@ -49,11 +136,6 @@ class TestScenarioConfiguration:
         assert other.cluster_size == 10
         assert other.loss_rate == 0.2
 
-    def test_negative_contention_rejected_at_build_time(self):
-        scenario = ElectionScenario(protocol="raft", cluster_size=5, contention_phases=-1)
-        with pytest.raises(ConfigurationError):
-            scenario.build(seed=0)
-
 
 class TestScenarioSpecs:
     def test_latency_spec_takes_precedence_over_range(self):
@@ -74,16 +156,6 @@ class TestScenarioSpecs:
         fault = scenario.fault_injector()
         assert isinstance(fault, MessageDuplicationFault)
         assert fault.rate == 0.4
-
-    def test_fault_spec_and_loss_rate_shorthand_conflict(self):
-        scenario = ElectionScenario(
-            protocol="raft",
-            cluster_size=5,
-            loss_rate=0.2,
-            fault=DuplicationSpec(0.1),
-        )
-        with pytest.raises(ConfigurationError, match="not both"):
-            scenario.fault_injector()
 
     def test_spec_carrying_scenario_pickles(self):
         scenario = ElectionScenario(

@@ -185,29 +185,28 @@ class TestRunExperiment:
             phase: round(seconds, 3) for phase, seconds in run.profile.items()
         }
 
-    def test_engine_selection_is_recorded_and_scoped_to_the_run(self):
-        from repro.sim import engines
+    def test_trace_archiving_is_its_own_profile_phase(self, tmp_path):
+        """elapsed_s is the sweep; the traced re-runs are timed apart from it."""
+        traced = run_experiment("fig3", runs=1, seed=0, quick=True, trace=str(tmp_path))
+        assert list(traced.profile) == ["build", "sweep", "trace", "report"]
+        assert traced.elapsed_s == traced.profile["sweep"]
+        assert "trace" not in run_experiment("fig3", runs=1, seed=0, quick=True).profile
 
-        before = engines.default_engine_name()
-        run = run_experiment("fig3", runs=1, seed=0, quick=True, engine="flat")
-        assert run.engine == "flat"
-        assert run.metadata()["engine"] == "flat"
-        # The selection must not leak past the run.
-        assert engines.default_engine_name() == before
+    def test_engine_selection_is_stamped_on_the_grid_and_recorded(self, monkeypatch):
+        from repro.experiments import runner
 
-    def test_engine_defaults_to_the_process_default(self):
-        from repro.sim import engines
+        swept = []
+        real = runner.run_sweep
 
-        run = run_experiment("fig3", runs=1, seed=0, quick=True)
-        assert run.engine == "flat"
-        engines.set_default_engine("classic")
-        try:
-            assert (
-                run_experiment("fig3", runs=1, seed=0, quick=True).engine
-                == "classic"
-            )
-        finally:
-            engines.set_default_engine(None)
+        def spy(scenarios, **kwargs):
+            swept.append({scenario.engine for scenario in scenarios.values()})
+            return real(scenarios, **kwargs)
+
+        monkeypatch.setattr(runner, "run_sweep", spy)
+        for engine, expected in ((None, "flat"), ("flat", "flat"), ("classic", "classic")):
+            run = run_experiment("fig3", runs=1, seed=0, quick=True, engine=engine)
+            assert run.engine == run.metadata()["engine"] == expected
+            assert swept.pop() == {expected}
 
     def test_unknown_engine_rejected_with_registered_list(self):
         with pytest.raises(ConfigurationError, match="unknown engine") as info:

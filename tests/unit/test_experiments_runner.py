@@ -8,6 +8,9 @@ sweep was scheduled across processes.
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
+import os
 import re
 from dataclasses import dataclass
 
@@ -16,6 +19,7 @@ import pytest
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import SweepError
 from repro.common.rng import SeedSequence
+from repro.experiments import registry, run_experiment, runner
 from repro.experiments.base import derive_run_seed, paired_seeds
 from repro.experiments.runner import (
     SweepItem,
@@ -174,55 +178,52 @@ class TestWorkerResolution:
         assert len(results["only"]) == 2
 
 
-class TestEngineInheritance:
-    """Sweep workers must inherit the parent's engine selection."""
+@dataclass(frozen=True)
+class _EngineProbe(ElectionScenario):
+    """An election scenario that reports where, and on which scheduler, it ran."""
 
-    def test_swept_engine_specs_collect_pinned_and_default(self):
-        from repro.experiments.runner import _swept_engine_specs
-        from repro.sim import engines
+    def _episode(self, seed, metrics):
+        measurement, cluster = super()._episode(seed, metrics)
+        measurement.extra["ran_on"] = (
+            type(cluster.world.scheduler).__name__,
+            os.getpid(),
+        )
+        return measurement, cluster
 
-        scenarios = {
-            "pinned": ElectionScenario(
-                protocol="raft", cluster_size=3, engine="classic"
-            ),
-            "deferred": ElectionScenario(protocol="raft", cluster_size=3),
-        }
-        names = {spec.name for spec in _swept_engine_specs(scenarios)}
-        assert names == {"classic", engines.default_engine_name()}
 
-    def test_register_worker_specs_installs_engine_default(self):
-        from repro.experiments.runner import _register_worker_specs
-        from repro.sim import engines
+def _probe_scenario(timeout_range, cluster_size: int = 5) -> _EngineProbe:
+    return _EngineProbe("raft", cluster_size, raft_timeout_range=timeout_range)
 
+
+class TestEngineReachesTheWorkers:
+    """The engine is a field of the scenarios a worker receives: nothing else
+    has to be handed to the pool, on either start method."""
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_workers_build_the_engine_the_run_selected(self, method, monkeypatch):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        monkeypatch.setattr(
+            runner, "_pool_context", lambda: multiprocessing.get_context(method)
+        )
+        probe = dataclasses.replace(
+            registry.get("fig3"), name="fig3-engine-probe", scenario=_probe_scenario
+        )
+        registry.register(probe)
         try:
-            _register_worker_specs(
-                (), engine_specs=(engines.get("classic"),), default_engine="classic"
+            classic = run_experiment(
+                probe.name, engine="classic", workers=2, runs=2, seed=5, quick=True
             )
-            assert engines.default_engine_name() == "classic"
         finally:
-            engines.set_default_engine(None)
-
-    def test_pool_sweep_matches_sequential_under_flat_engine(self):
-        scenario = ElectionScenario(protocol="escape", cluster_size=3, engine="flat")
-        sequential = run_sweep({"s": scenario}, runs=4, seed=9, workers=1)
-        pooled = run_sweep({"s": scenario}, runs=4, seed=9, workers=2)
-        assert [m.election_ms for m in pooled["s"]] == [
-            m.election_ms for m in sequential["s"]
+            registry.unregister(probe.name)
+        ran_on = [
+            measurement.extra.pop("ran_on")
+            for cell in classic.result.by_label.values()
+            for measurement in cell
         ]
-
-    def test_engine_selection_never_changes_sweep_results(self):
-        classic = run_sweep(
-            {"s": ElectionScenario(protocol="raft", cluster_size=3, engine="classic")},
-            runs=4,
-            seed=2,
-            workers=1,
-        )
-        flat = run_sweep(
-            {"s": ElectionScenario(protocol="raft", cluster_size=3, engine="flat")},
-            runs=4,
-            seed=2,
-            workers=1,
-        )
-        assert [m.election_ms for m in flat["s"]] == [
-            m.election_ms for m in classic["s"]
-        ]
+        assert {scheduler for scheduler, _ in ran_on} == {"EventScheduler"}
+        assert os.getpid() not in {pid for _, pid in ran_on}
+        flat = run_experiment("fig3", engine="flat", runs=2, seed=5, quick=True)
+        assert classic.report == flat.report
+        for label, cell in flat.result.by_label.items():
+            assert classic.result.by_label[label].measurements == cell.measurements

@@ -30,7 +30,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.__main__ import build_parser
-from repro.experiments.base import flatten_sets, paired_seeds
+from repro.experiments.base import paired_seeds
 from repro.experiments.export import load_run, save_run
 from repro.experiments.runner import run_sweep
 from repro.obs.trace import TRACE_MANIFEST_SCHEMA
@@ -89,12 +89,6 @@ class TestBaseHelpers:
             progress=lambda label, done, total: calls.append((label, done, total)),
         )
         assert calls == [("only", 1, 2), ("only", 2, 2)]
-
-    def test_flatten_sets_merges_measurements(self):
-        scenarios = {"a": ElectionScenario(protocol="escape", cluster_size=3)}
-        results = run_sweep(scenarios, runs=2, seed=0)
-        merged = flatten_sets(results.values())
-        assert len(merged) == 2
 
 
 @pytest.mark.parametrize("name", SWEEPS)
@@ -191,6 +185,10 @@ class TestSweepCapabilities:
         for entry in manifest["labels"].values():
             assert (tmp_path / entry["file"]).exists()
             assert entry["records"] > 0
+        # Every scenario type records telemetry, so every label has a snapshot.
+        telemetry = json.loads((tmp_path / manifest["telemetry"]).read_text())
+        assert set(telemetry["labels"]) == set(manifest["labels"])
+        assert all(state["counters"] for state in telemetry["labels"].values())
 
     @pytest.mark.parametrize(
         "name, workers, overrides",
@@ -353,11 +351,10 @@ class TestCli:
             registry.run_experiment("fig3", runs=1, checkpoint="x")
 
     def test_trace_capable_experiments_exist(self):
-        # Every ElectionScenario / ThroughputScenario sweep; avail's
-        # ChaosScenario has no run_traced, adapter-redis is not a sweep.
+        # Every sweep: all three scenario types inherit run_traced from the
+        # one Scenario base.  adapter-redis is not a sweep.
         assert set(registry.names()) - set(registry.supporting("trace")) == {
-            "avail",
-            "adapter-redis",
+            "adapter-redis"
         }
 
     def test_trace_out_option_takes_a_directory(self):
@@ -367,11 +364,28 @@ class TestCli:
         assert parser.parse_args(["fig3", "--trace-out", "traces"]).trace == "traces"
         assert parser.parse_args(["fig3"]).trace is None
 
-    def test_trace_rejected_for_unsupporting_experiments(self):
-        with pytest.raises(
-            ConfigurationError, match="--trace is not supported by: avail"
-        ):
-            registry.run_experiment("avail", runs=1, trace="traces")
+    def test_trace_rejected_for_unsupporting_experiments(self, capsys):
+        """The message names the flag that exists (--trace-out), not the capability."""
+        from repro.experiments.__main__ import main
+
+        expected = "--trace-out is not supported by: adapter-redis"
+        with pytest.raises(ConfigurationError, match=expected):
+            registry.run_experiment("adapter-redis", runs=1, trace="traces")
+        with pytest.raises(SystemExit):
+            main(["adapter-redis", "--trace-out", "traces"])
+        assert expected in capsys.readouterr().err
+
+    def test_every_capability_is_parsed_under_the_flag_its_message_names(self):
+        parser = build_parser()
+        flags = {
+            flag: action.dest
+            for action in parser._actions
+            for flag in action.option_strings
+        }
+        for capability, flag in registry.CAPABILITIES.items():
+            assert flags[flag] == capability
+            message = registry.unsupported_option_message(capability, ["adapter-redis"])
+            assert message.startswith(f"{flag} is not supported by: adapter-redis")
 
     def test_progress_options_parse(self):
         parser = build_parser()

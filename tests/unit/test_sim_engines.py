@@ -1,10 +1,10 @@
-"""The simulation-engine registry and the engine seam.
+"""The simulation-engine table and the engine seam.
 
-Covers the registry conformance contract (mirroring
-:mod:`repro.protocols` / :mod:`repro.experiments`): registration collisions,
-unknown-name errors that list the registered names, lazy ``module:ClassName``
-resolution, and the default-engine resolution order (explicit argument >
-:func:`set_default_engine` override > ``flat``).
+Covers what the table promises: the two built-ins resolve, an unknown name is
+rejected with the registered names, ``module:ClassName`` paths are validated
+at construction and resolved lazily, and an engine choice is threaded as data
+(explicit argument, else ``flat``) from a scenario down to the world, network
+and node environments -- there is no process-wide default to consult.
 
 Also pins two regressions on the scheduler seam itself: non-finite
 ``call_at`` deadlines must be rejected by *both* engines (a NaN would poison
@@ -35,13 +35,6 @@ from repro.sim.world import SimulationWorld
 ENGINE_NAMES = ("classic", "flat")
 
 
-@pytest.fixture(autouse=True)
-def _clean_default_engine():
-    """No test may leak a process-wide default-engine override."""
-    yield
-    engines.set_default_engine(None)
-
-
 def _spec(name: str = "custom") -> EngineSpec:
     return EngineSpec(
         name=name,
@@ -54,35 +47,22 @@ def _spec(name: str = "custom") -> EngineSpec:
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert set(ENGINE_NAMES) <= set(engines.names())
-        assert engines.is_registered("classic")
-        assert engines.is_registered("flat")
+        assert engines.names() == ENGINE_NAMES
+        assert tuple(name for name, _ in engines.registered_specs()) == ENGINE_NAMES
 
     def test_unknown_name_lists_registered(self):
         with pytest.raises(ConfigurationError, match="classic.*flat|flat.*classic"):
             engines.get("warp")
 
-    def test_register_unregister_round_trip(self):
-        spec = engines.register(_spec())
-        try:
-            assert engines.get("custom") is spec
-            assert "custom" in engines.names()
-            assert engines.titles()["custom"] == "Custom engine"
-        finally:
-            assert engines.unregister("custom") is spec
-        assert not engines.is_registered("custom")
-
-    def test_duplicate_registration_needs_replace(self):
-        engines.register(_spec())
-        try:
-            with pytest.raises(ConfigurationError, match="already registered"):
-                engines.register(_spec())
-            engines.register(_spec(), replace=True)
-        finally:
-            engines.unregister("custom")
-
-    def test_registered_specs_pairs_match_names(self):
-        assert tuple(name for name, _ in engines.registered_specs()) == engines.names()
+    def test_resolve_accepts_name_spec_and_none(self):
+        flat = engines.get("flat")
+        assert engines.resolve("flat") is flat
+        assert engines.resolve(flat) is flat
+        assert engines.resolve(None) is flat
+        custom = _spec()
+        assert engines.resolve(custom) is custom
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            engines.resolve("warp")
 
 
 class TestEngineSpecValidation:
@@ -101,7 +81,7 @@ class TestEngineSpecValidation:
                 environment_path="repro.cluster.environment:SimNodeEnvironment",
             )
 
-    def test_unresolvable_path_fails_at_use_not_registration(self):
+    def test_unresolvable_path_fails_at_use_not_construction(self):
         spec = EngineSpec(
             name="ghost",
             title="ghost",
@@ -122,56 +102,12 @@ class TestEngineSpecValidation:
         assert flat.environment_class() is FlatSimNodeEnvironment
 
 
-class TestDefaultResolution:
-    def test_default_is_flat_and_ignores_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "classic")
-        assert engines.default_engine_name() == "flat"
-
-    def test_override_beats_the_default(self):
-        engines.set_default_engine("classic")
-        assert engines.default_engine_name() == "classic"
-        engines.set_default_engine(None)
-        assert engines.default_engine_name() == "flat"
-
-    def test_set_default_engine_validates(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            engines.set_default_engine("warp")
-
-    def test_using_engine_yields_and_restores(self):
-        with engines.using_engine("classic") as resolved:
-            assert resolved == "classic"
-            assert engines.default_engine_name() == "classic"
-        assert engines.default_engine_name() == "flat"
-
-    def test_using_engine_none_keeps_current(self):
-        engines.set_default_engine("flat")
-        with engines.using_engine(None) as resolved:
-            assert resolved == "flat"
-
-    def test_using_engine_restores_after_exception(self):
-        before = engines.default_engine_name()
-        other = "flat" if before != "flat" else "classic"
-        with pytest.raises(RuntimeError):
-            with engines.using_engine(other):
-                raise RuntimeError("boom")
-        assert engines.default_engine_name() == before
-
-    def test_resolve_accepts_name_spec_and_none(self):
-        flat = engines.get("flat")
-        assert engines.resolve("flat") is flat
-        assert engines.resolve(flat) is flat
-        assert engines.resolve(None) is engines.get(engines.default_engine_name())
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            engines.resolve("warp")
-
-
 class TestWorldAndClusterWiring:
     def test_world_builds_the_engine_scheduler(self):
         assert isinstance(SimulationWorld(engine="classic").scheduler, EventScheduler)
         assert isinstance(SimulationWorld(engine="flat").scheduler, FlatEventScheduler)
 
-    def test_world_default_engine_follows_process_default(self):
-        engines.set_default_engine("flat")
+    def test_world_without_an_engine_is_flat(self):
         assert SimulationWorld().engine.name == "flat"
 
     def test_build_cluster_uses_matching_network_and_environment(self):
@@ -191,22 +127,22 @@ class TestWorldAndClusterWiring:
     def test_scenario_engine_field_is_validated_and_threaded(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
             ElectionScenario(protocol="raft", cluster_size=3, engine="warp")
-        scenario = ElectionScenario(protocol="raft", cluster_size=3).with_engine("flat")
+        scenario = ElectionScenario(protocol="raft", cluster_size=3)
         assert scenario.engine == "flat"
         cluster, _ = scenario.build(seed=1)
         assert isinstance(cluster.network, FlatNetwork)
+        classic = scenario.with_engine("classic")
+        assert "engine='classic'" in repr(classic)
+        cluster, _ = classic.build(seed=1)
+        assert isinstance(cluster.network, SimulatedNetwork)
 
-    def test_scenario_empty_engine_defers_to_process_default(self):
-        engines.set_default_engine("flat")
-        cluster, _ = ElectionScenario(protocol="raft", cluster_size=3).build(seed=1)
-        assert isinstance(cluster.network, FlatNetwork)
-
-    def test_chaos_scenario_threads_engine(self):
+    def test_windowed_scenario_threads_engine(self):
         plan = build_plan("repeated-leader-kill", horizon_ms=30_000.0, seed=0)
         scenario = ChaosScenario(
             protocol="raft", cluster_size=3, plan=plan
-        ).with_engine("flat")
-        assert scenario.election_scenario().engine == "flat"
+        ).with_engine("classic")
+        cluster, _ = scenario.build(seed=1)
+        assert isinstance(cluster.world.scheduler, EventScheduler)
 
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
