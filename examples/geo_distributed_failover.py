@@ -26,8 +26,7 @@ from repro.chaos import ChaosScenario, build_plan
 from repro.cluster import ElectionHarness, ElectionObserver, build_cluster
 from repro.common.config import ProtocolConfig
 from repro.metrics import MeasurementSet, render_table, summarize
-from repro.net.latency import GeoGroupLatency
-from repro.net.specs import GeoLatencySpec
+from repro.net.latency import GeoGroupLatency, GeoLatencySpec
 
 #: Three regions, three servers each.
 REGIONS = {

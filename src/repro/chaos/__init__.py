@@ -44,9 +44,7 @@ from repro.chaos.plans import (
     ChaosPlanEntry,
     build_plan,
     chaos_storm,
-    get_plan_entry,
     partition_flap,
-    plan_names,
     repeated_leader_kill,
     rolling_restart,
 )
@@ -82,9 +80,7 @@ __all__ = [
     "build_plan",
     "chaos_storm",
     "cluster_available",
-    "get_plan_entry",
     "partition_flap",
-    "plan_names",
     "quorum_leader",
     "repeated_leader_kill",
     "rolling_restart",

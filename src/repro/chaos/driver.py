@@ -40,7 +40,8 @@ from repro.chaos.plans import ChaosPlan
 from repro.cluster.builder import SimulatedCluster
 from repro.common.errors import SimulationError
 from repro.common.types import Milliseconds, ServerId
-from repro.net.specs import FaultSpec, assign_regions
+from repro.net.faults import FaultInjector, bind
+from repro.net.latency import assign_regions
 
 __all__ = ["ChaosDriver", "DisruptionRecord"]
 
@@ -63,17 +64,11 @@ class ChaosDriver:
         plan: ChaosPlan,
         observer: AvailabilityObserver | None = None,
         preserve_quorum: bool = True,
-        metrics=None,
     ) -> None:
         self._cluster = cluster
         self._plan = plan
         self._observer = observer
         self._preserve_quorum = preserve_quorum
-        # Optional live repro.obs MetricsRegistry: when attached, applied and
-        # skipped injections bump chaos.* counters as they fire.  Post-hoc
-        # harvesting (repro.obs.harvest.harvest_chaos) reads the record lists
-        # instead, so the default None costs nothing.
-        self._metrics = metrics
         # The injector the cluster entered the chaos run with; SwapFault
         # events with fault=None restore it (NOT a healthy network -- the
         # scenario may layer the plan over a lossy baseline condition).
@@ -209,8 +204,8 @@ class ChaosDriver:
         self._cluster.world.trace("chaos.heal")
         self._record(now, "heal", "partition removed")
 
-    def swap_fault(self, fault: FaultSpec | None) -> None:
-        """Replace the network fault injector with the resolved *fault*.
+    def swap_fault(self, fault: FaultInjector | None) -> None:
+        """Replace the network fault injector with *fault*, bound to the members.
 
         ``None`` restores the baseline injector the chaos run started with.
         """
@@ -219,7 +214,7 @@ class ChaosDriver:
             self._cluster.set_fault(self._baseline_fault)
             self._record(now, "swap-fault", "restored baseline fault")
             return
-        self._cluster.set_fault(fault.resolve(self._cluster.config.server_ids))
+        self._cluster.set_fault(bind(fault, self._cluster.config.server_ids))
         self._record(now, "swap-fault", repr(fault))
 
     # ------------------------------------------------------------------ #
@@ -237,16 +232,10 @@ class ChaosDriver:
 
     def _record(self, time_ms: Milliseconds, kind: str, detail: str) -> None:
         self.applied.append(DisruptionRecord(time_ms, kind, detail))
-        if self._metrics is not None:
-            self._metrics.counter("chaos.applied").inc()
-            self._metrics.counter(f"chaos.applied.{kind}").inc()
 
     def _skip(self, time_ms: Milliseconds, kind: str, detail: str) -> None:
         self._cluster.world.trace("chaos.skip", kind=kind, detail=detail)
         self.skipped.append(DisruptionRecord(time_ms, kind, detail))
-        if self._metrics is not None:
-            self._metrics.counter("chaos.skipped").inc()
-            self._metrics.counter(f"chaos.skipped.{kind}").inc()
 
     @staticmethod
     def _contiguous_groups(
@@ -254,8 +243,8 @@ class ChaosDriver:
     ) -> list[tuple[ServerId, ...]]:
         """Split *members* into contiguous, balanced groups (3/2 for 5-in-2).
 
-        Delegates to :func:`repro.net.specs.assign_regions` -- the same
-        balanced-split rule the geo latency specs use -- so partition cells
+        Delegates to :func:`repro.net.latency.assign_regions` -- the same
+        balanced-split rule the geo latency spec uses -- so partition cells
         and latency regions can never drift apart; the only difference is
         that an oversized ``group_count`` clamps instead of raising.
         """

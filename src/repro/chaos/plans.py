@@ -37,10 +37,11 @@ from repro.chaos.specs import (
     SwapFault,
 )
 from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 from repro.common.rng import SeedSequence
 from repro.common.types import Milliseconds
 from repro.common.validation import require_non_negative, require_positive
-from repro.net.specs import PacketLossSpec
+from repro.net.faults import PacketLossFault
 
 __all__ = [
     "CHAOS_CATALOG",
@@ -49,10 +50,7 @@ __all__ = [
     "DEFAULT_HORIZON_MS",
     "build_plan",
     "chaos_storm",
-    "get_plan_entry",
     "partition_flap",
-    "plan_names",
-    "registered_specs",
     "repeated_leader_kill",
     "rolling_restart",
 ]
@@ -255,7 +253,7 @@ def chaos_storm(
         horizon_ms, period_ms=31_000.0, outage_ms=7_000.0, seed=seed
     )
     lossy_phase: list[ChaosEvent] = [
-        SwapFault(at_ms=horizon_ms / 3.0, fault=PacketLossSpec(0.05)),
+        SwapFault(at_ms=horizon_ms / 3.0, fault=PacketLossFault(0.05)),
         SwapFault(at_ms=2.0 * horizon_ms / 3.0, fault=None),
     ]
     return _sorted_plan(
@@ -277,70 +275,45 @@ class ChaosPlanEntry:
     build: Callable[..., ChaosPlan] = field(repr=False)
 
 
-def _entries(*entries: ChaosPlanEntry) -> dict[str, ChaosPlanEntry]:
-    return {entry.name: entry for entry in entries}
-
-
 #: Every named chaos plan, in presentation order.
-CHAOS_CATALOG: dict[str, ChaosPlanEntry] = _entries(
-    ChaosPlanEntry(
-        name="repeated-leader-kill",
-        description=(
-            "Crash whoever is leader every ~15 s, recover it 5 s later: the "
-            "steady-state cost of elections themselves."
+CHAOS_CATALOG: Registry[ChaosPlanEntry] = Registry(
+    "chaos plan",
+    (
+        ChaosPlanEntry(
+            name="repeated-leader-kill",
+            description=(
+                "Crash whoever is leader every ~15 s, recover it 5 s later: the "
+                "steady-state cost of elections themselves."
+            ),
+            build=repeated_leader_kill,
         ),
-        build=repeated_leader_kill,
-    ),
-    ChaosPlanEntry(
-        name="rolling-restart",
-        description=(
-            "Restart one server at a time every ~12 s (4 s down), cycling "
-            "through the membership: a maintenance wave that periodically "
-            "hits the leader."
+        ChaosPlanEntry(
+            name="rolling-restart",
+            description=(
+                "Restart one server at a time every ~12 s (4 s down), cycling "
+                "through the membership: a maintenance wave that periodically "
+                "hits the leader."
+            ),
+            build=rolling_restart,
         ),
-        build=rolling_restart,
-    ),
-    ChaosPlanEntry(
-        name="partition-flap",
-        description=(
-            "Isolate the leader behind a partition every ~20 s, heal 8 s "
-            "later: the Section II-B split-brain setting, repeated."
+        ChaosPlanEntry(
+            name="partition-flap",
+            description=(
+                "Isolate the leader behind a partition every ~20 s, heal 8 s "
+                "later: the Section II-B split-brain setting, repeated."
+            ),
+            build=partition_flap,
         ),
-        build=partition_flap,
-    ),
-    ChaosPlanEntry(
-        name="chaos-storm",
-        description=(
-            "Composite: leader kills + rolling restarts + partition flaps, "
-            "with 5 % packet loss through the middle third of the horizon."
+        ChaosPlanEntry(
+            name="chaos-storm",
+            description=(
+                "Composite: leader kills + rolling restarts + partition flaps, "
+                "with 5 % packet loss through the middle third of the horizon."
+            ),
+            build=chaos_storm,
         ),
-        build=chaos_storm,
     ),
 )
-
-
-def plan_names() -> tuple[str, ...]:
-    """Every catalog plan name, in presentation order."""
-    return tuple(CHAOS_CATALOG)
-
-
-def registered_specs() -> tuple[tuple[str, ChaosPlanEntry], ...]:
-    """``(name, entry)`` pairs for introspection tooling (``repro.lint`` S1)."""
-    return tuple(CHAOS_CATALOG.items())
-
-
-def get_plan_entry(name: str) -> ChaosPlanEntry:
-    """Look a plan entry up by name.
-
-    Raises:
-        ConfigurationError: naming the available plans when *name* is unknown.
-    """
-    try:
-        return CHAOS_CATALOG[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown chaos plan {name!r}; available: {', '.join(CHAOS_CATALOG)}"
-        ) from exc
 
 
 def build_plan(
@@ -353,5 +326,8 @@ def build_plan(
     The returned plan is a plain frozen value: embed it in a
     :class:`~repro.chaos.scenario.ChaosScenario` and it pickles into sweep
     workers unchanged, so ``--workers N`` stays bit-for-bit deterministic.
+
+    Raises:
+        ConfigurationError: listing the catalog's names when *name* is unknown.
     """
-    return get_plan_entry(name).build(horizon_ms=horizon_ms, seed=seed)
+    return CHAOS_CATALOG.get(name).build(horizon_ms=horizon_ms, seed=seed)

@@ -12,10 +12,10 @@ and runs that window once, for both episode kinds that read it:
 the same disruption).
 
 Because the condition is the shared one, every network condition from
-:mod:`repro.cluster.catalog` (latency and fault specs) composes with every
-chaos plan -- "partition flaps over a two-region WAN" is one scenario value,
-and it rides the parallel sweep engine's process pool bit-for-bit
-deterministically.
+:mod:`repro.cluster.catalog` (a latency model and a fault injector) composes
+with every chaos plan -- "partition flaps over a two-region WAN" is one
+scenario value, and it rides the parallel sweep engine's process pool
+bit-for-bit deterministically.
 """
 
 from __future__ import annotations

@@ -10,11 +10,10 @@ leader 12 s in", "split the membership in two", "recover the longest-crashed
 server" -- and ``apply(driver)`` performs it through the
 :class:`~repro.chaos.driver.ChaosDriver` when its scheduled time arrives.
 
-The same two properties that make :mod:`repro.net.specs` the unit the
-scenario layer ships around hold here:
+Two properties make events the unit a plan ships around:
 
 * **Picklable.**  Every event is a frozen module-level dataclass with only
-  plain values (floats, ints, nested net specs), so a
+  plain values (floats, ints, a nested :mod:`repro.net.faults` injector), so a
   :class:`~repro.chaos.plans.ChaosPlan` carrying events round-trips through
   the :mod:`multiprocessing` pool used by
   :func:`repro.experiments.runner.run_sweep` bit-for-bit.
@@ -32,7 +31,7 @@ from typing import TYPE_CHECKING
 from repro.common.errors import ConfigurationError
 from repro.common.types import Milliseconds
 from repro.common.validation import require_non_negative, require_positive
-from repro.net.specs import FaultSpec
+from repro.net.faults import FaultInjector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (driver -> specs)
     from repro.chaos.driver import ChaosDriver
@@ -126,7 +125,7 @@ class PartitionGroups(ChaosEvent):
     the contiguous split.  Otherwise the membership is split into
     ``group_count`` contiguous, balanced cells (the first ``n % group_count``
     cells get one extra server), mirroring
-    :func:`repro.net.specs.assign_regions`.
+    :func:`repro.net.latency.assign_regions`.
     """
 
     group_count: int = 2
@@ -152,24 +151,25 @@ class Heal(ChaosEvent):
 
 @dataclass(frozen=True)
 class SwapFault(ChaosEvent):
-    """Replace the network fault injector with the one *fault* describes.
+    """Replace the network fault injector with *fault*.
 
-    The :class:`~repro.net.specs.FaultSpec` is resolved against the cluster
-    membership at fire time, so the same event works for any cluster size.
+    *fault* is any :mod:`repro.net.faults` injector, bound to the cluster
+    membership at fire time (:func:`repro.net.faults.bind`), so the same
+    event works for any cluster size.
     ``fault=None`` ends a degraded phase by restoring the *baseline* injector
     the cluster started the chaos run with -- which matters when a scenario
     layers a chaos plan over a lossy catalog condition: swapping in
-    :class:`~repro.net.specs.NoFaultSpec` would silently upgrade the network
+    :class:`~repro.net.faults.NoFault` would silently upgrade the network
     to a healthier one than the condition describes.
     """
 
-    fault: FaultSpec | None = None
+    fault: FaultInjector | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.fault is not None and not isinstance(self.fault, FaultSpec):
+        if self.fault is not None and not isinstance(self.fault, FaultInjector):
             raise ConfigurationError(
-                f"SwapFault needs a FaultSpec (or None to restore the "
+                f"SwapFault needs a fault injector (or None to restore the "
                 f"baseline), got {self.fault!r}"
             )
 

@@ -15,19 +15,12 @@ The harness is what the experiment modules (and the examples) drive:
   scenarios (leader crash, forced contention, broadcast message loss) into
   one reusable :class:`~repro.cluster.scenarios.ElectionScenario`;
 * :mod:`repro.cluster.catalog` names ready-made network conditions (WAN
-  splits, heavy tails, loss, duplication, chaos) as declarative specs any
-  scenario can run under.
+  splits, heavy tails, loss, duplication, chaos) any scenario can run under
+  (:func:`~repro.cluster.catalog.network_specs`).
 """
 
 from repro.cluster.builder import SimulatedCluster, build_cluster
-from repro.cluster.catalog import (
-    CATALOG,
-    NetworkCondition,
-    catalog_scenarios,
-    condition_names,
-    get_condition,
-    scenario_for,
-)
+from repro.cluster.catalog import CATALOG, NetworkCondition, network_specs
 from repro.cluster.environment import SimNodeEnvironment
 from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
@@ -43,8 +36,5 @@ __all__ = [
     "SimNodeEnvironment",
     "SimulatedCluster",
     "build_cluster",
-    "catalog_scenarios",
-    "condition_names",
-    "get_condition",
-    "scenario_for",
+    "network_specs",
 ]

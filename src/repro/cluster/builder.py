@@ -24,7 +24,7 @@ from repro.cluster.environment import SimNodeEnvironment
 from repro.net.faults import FaultInjector
 from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.network import SimulatedNetwork
-from repro.raft.listeners import NodeListener
+from repro.raft.listeners import NodeListener, NodeListenerBase
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
 from repro.raft.timers import ElectionTimeoutPolicy
@@ -37,7 +37,7 @@ TimeoutPolicyFactory = Callable[[ServerId], ElectionTimeoutPolicy | None]
 StateMachineFactory = Callable[[ServerId], StateMachine]
 
 
-class _LeaderTracker:
+class _LeaderTracker(NodeListenerBase):
     """Maintains the set of running nodes whose role is currently LEADER.
 
     Every role transition funnels through ``RaftNode._change_role`` (which
@@ -59,22 +59,6 @@ class _LeaderTracker:
             self.leader_ids.add(node_id)
         elif old_role is Role.LEADER:
             self.leader_ids.discard(node_id)
-
-    # No-op remainder of the NodeListener protocol.
-    def on_election_timeout(self, node_id, term, attempt, time_ms) -> None:
-        return None
-
-    def on_election_started(self, node_id, term, time_ms) -> None:
-        return None
-
-    def on_vote_granted(self, voter_id, candidate_id, term, time_ms) -> None:
-        return None
-
-    def on_leader_elected(self, leader_id, term, votes, time_ms) -> None:
-        return None
-
-    def on_entry_committed(self, node_id, index, term, time_ms) -> None:
-        return None
 
 
 class SimulatedCluster:
@@ -116,17 +100,6 @@ class SimulatedCluster:
     def running_nodes(self) -> list[RaftNode]:
         """Nodes that are currently running (not crashed)."""
         return [node for node in self.nodes.values() if node.is_running]
-
-    def harvest_telemetry(self, metrics) -> None:
-        """Fold this cluster's scheduler/network counters into a
-        :class:`repro.obs.telemetry.MetricsRegistry`.
-
-        Imported lazily: the cluster layer must stay importable without the
-        observability layer (repro.obs depends on sim/net, not vice versa).
-        """
-        from repro.obs.harvest import harvest_cluster
-
-        harvest_cluster(self, metrics)
 
     @property
     def crashed(self) -> frozenset[ServerId]:

@@ -29,13 +29,12 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import SeedSequence, paired_seeds
 from repro.common.types import Milliseconds, ServerId
 from repro.metrics.records import ElectionMeasurement
-from repro.net.faults import BroadcastOmissionFault, FaultInjector, NoFault
+from repro.net.faults import BroadcastOmissionFault, FaultInjector, NoFault, bind
 from repro.obs.harvest import TelemetryListener, harvest_cluster, harvest_workload
 from repro.obs.telemetry import MetricsRegistry
 from repro.workload import legacy_interval
 from repro.workload.driver import WorkloadDriver
-from repro.net.latency import LatencyModel, UniformLatency
-from repro.net.specs import FaultSpec, LatencySpec
+from repro.net.latency import GeoLatencySpec, LatencyModel, UniformLatency
 from repro.raft.timers import (
     ElectionTimeoutPolicy,
     RandomizedTimeoutPolicy,
@@ -62,19 +61,19 @@ class Scenario:
         sca: ESCAPE/Z-Raft SCA parameters (baseTime/k of Eq. 1).
         heartbeat_interval_ms: leader heartbeat period.
         latency_range: one-way message latency ``(low_ms, high_ms)``.
-            Shorthand for ``latency=UniformLatencySpec(low_ms, high_ms)``;
-            ignored when an explicit ``latency`` spec is given.
+            Shorthand for ``latency=UniformLatency(low_ms, high_ms)``;
+            ignored when an explicit ``latency`` is given.
         loss_rate: broadcast message-loss rate Δ (Section VI-D); 0 disables
             fault injection.  Shorthand for
-            ``fault=BroadcastOmissionSpec(loss_rate)``; may not be combined
-            with an explicit ``fault`` spec (rejected at construction).
-        latency: declarative latency condition (any
-            :class:`~repro.net.specs.LatencySpec`), resolved against the
-            cluster membership at build time.  Takes precedence over
+            ``fault=BroadcastOmissionFault(loss_rate)``; may not be combined
+            with an explicit ``fault`` (rejected at construction).
+        latency: the latency condition: any :mod:`repro.net.latency` model,
+            which the network then samples from as it is, or a
+            :class:`~repro.net.latency.GeoLatencySpec`, bound to the
+            membership at build time.  Takes precedence over
             ``latency_range``.
-        fault: declarative fault condition (any
-            :class:`~repro.net.specs.FaultSpec`).  Mutually exclusive with
-            the ``loss_rate`` shorthand.
+        fault: the fault condition: any :mod:`repro.net.faults` injector.
+            Mutually exclusive with the ``loss_rate`` shorthand.
         stabilize_ms: budget for electing the initial leader.
         trace: keep the world trace (disable for large sweeps).
         telemetry: record per-episode observability counters (scheduler,
@@ -97,8 +96,8 @@ class Scenario:
     heartbeat_interval_ms: Milliseconds = 150.0
     latency_range: tuple[Milliseconds, Milliseconds] = (100.0, 200.0)
     loss_rate: float = 0.0
-    latency: LatencySpec | None = None
-    fault: FaultSpec | None = None
+    latency: LatencyModel | GeoLatencySpec | None = None
+    fault: FaultInjector | None = None
     stabilize_ms: Milliseconds = 120_000.0
     trace: bool = False
     telemetry: bool = False
@@ -111,11 +110,20 @@ class Scenario:
         # never re-validates what the parent already accepted.
         protocol_registry.get(self.protocol)
         engine_registry.get(self.engine)
-        if self.fault is not None and self.loss_rate > 0.0:
+        if self.fault is not None and self.loss_rate != 0.0:
             raise ConfigurationError(
-                "give either an explicit fault spec or the loss_rate "
-                "shorthand, not both"
+                "give either an explicit fault or the loss_rate shorthand, "
+                "not both"
             )
+        # Everything an episode derives from the fields is built here once
+        # and discarded, so each piece's own checks (the cluster size, the
+        # timeout and latency ranges, the rates, the membership a geo split
+        # or a cut link must fit) reject a bad value with the grid, not with
+        # episode one.
+        self.server_ids()
+        self.protocol_config()
+        self.latency_model()
+        self.fault_injector()
 
     # ------------------------------------------------------------------ #
     # Derived pieces
@@ -129,24 +137,25 @@ class Scenario:
         )
 
     def server_ids(self) -> tuple[ServerId, ...]:
-        """The membership the scenario's network specs resolve against."""
+        """The membership the scenario's network condition is bound to."""
         return ClusterConfig.of_size(self.cluster_size).server_ids
 
     def latency_model(self) -> LatencyModel:
-        """The latency model this scenario implies.
+        """The latency model this scenario's network samples from.
 
-        An explicit :class:`~repro.net.specs.LatencySpec` wins; otherwise the
-        ``latency_range`` shorthand resolves to the paper's uniform model.
+        An explicit ``latency`` wins (bound to the membership, see
+        :func:`repro.net.faults.bind`); otherwise the ``latency_range``
+        shorthand is the paper's uniform model.
         """
         if self.latency is not None:
-            return self.latency.resolve(self.server_ids())
+            return bind(self.latency, self.server_ids())
         return UniformLatency(*self.latency_range)
 
     def fault_injector(self) -> FaultInjector:
-        """The fault injector this scenario implies."""
+        """The fault injector this scenario's network starts with."""
         if self.fault is not None:
-            return self.fault.resolve(self.server_ids())
-        if self.loss_rate <= 0.0:
+            return bind(self.fault, self.server_ids())
+        if self.loss_rate == 0.0:
             return NoFault()
         return BroadcastOmissionFault(self.loss_rate)
 
@@ -336,8 +345,8 @@ class ElectionScenario(Scenario):
                 "workload_proposed": workload.proposed if workload else 0,
             }
         )
-        # Spec-driven network conditions would otherwise be invisible here
-        # (loss_rate stays 0.0 for them); record the specs' reprs so
+        # An explicit network condition would otherwise be invisible here
+        # (loss_rate stays 0.0 for it); record the models' reprs so
         # downstream reports can still re-group by condition.
         if self.latency is not None:
             measurement.extra["latency_spec"] = repr(self.latency)

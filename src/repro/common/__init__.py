@@ -12,6 +12,9 @@ part of the library.  It provides:
   that every experiment is a pure function of ``(parameters, seed)``.
 * :mod:`repro.common.validation` -- small argument-checking helpers shared by
   the configuration dataclasses and the protocol implementations.
+* :mod:`repro.common.registry` -- the one name -> frozen-value table behind
+  every spec registry (protocols, experiments, engines, workloads, chaos
+  plans, network conditions).
 """
 
 from repro.common.config import (

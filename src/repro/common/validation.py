@@ -17,15 +17,15 @@ Number = TypeVar("Number", int, float)
 
 
 def require_positive(value: Number, name: str) -> Number:
-    """Return *value* if it is strictly positive, otherwise raise."""
-    if value <= 0:
+    """Return *value* if it is strictly positive, otherwise raise (NaN included)."""
+    if not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
     return value
 
 
 def require_non_negative(value: Number, name: str) -> Number:
-    """Return *value* if it is zero or positive, otherwise raise."""
-    if value < 0:
+    """Return *value* if it is zero or positive, otherwise raise (NaN included)."""
+    if not value >= 0:
         raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
     return value
 
@@ -45,8 +45,8 @@ def require_fraction(value: float, name: str) -> float:
 
 
 def require_ordered_pair(low: Number, high: Number, name: str) -> tuple[Number, Number]:
-    """Return ``(low, high)`` if ``low <= high``, otherwise raise."""
-    if low > high:
+    """Return ``(low, high)`` if ``low <= high``, otherwise raise (NaN included)."""
+    if not low <= high:
         raise ConfigurationError(
             f"{name} must be an ordered pair, got ({low!r}, {high!r})"
         )

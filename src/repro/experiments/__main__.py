@@ -56,8 +56,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.chaos.plans import plan_names
-from repro.cluster.catalog import condition_names
+from repro.chaos.plans import CHAOS_CATALOG
+from repro.cluster.catalog import CATALOG
 from repro.common.errors import ConfigurationError
 from repro.experiments import registry
 from repro.experiments.base import progress_printer
@@ -65,6 +65,13 @@ from repro.experiments.export import save_run
 from repro.obs.profiling import Profiler
 from repro.obs.progress import ProgressReporter
 from repro.sim import engines as engine_registry
+
+
+def _run_count(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"--runs must be >= 1, got {count}")
+    return count
 
 
 def _worker_count(value: str) -> int:
@@ -109,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--runs",
-        type=int,
+        type=_run_count,
         default=None,
         help=(
             "independent runs per data point (default: the experiment's "
@@ -149,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     capability(
         "scenario",
         "run under a single named network condition from the scenario catalog",
-        choices=condition_names(),
+        choices=CATALOG.names(),
     )
     capability(
         "protocols",
@@ -162,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     capability(
         "plan",
         "run under a named chaos plan from the chaos catalog",
-        choices=plan_names(),
+        choices=CHAOS_CATALOG.names(),
     )
     capability(
         "checkpoint",

@@ -18,7 +18,7 @@ latency / i.i.d. loss / duplication / chaos?".
 from __future__ import annotations
 
 from repro import protocols as protocol_registry
-from repro.cluster.catalog import scenario_for
+from repro.cluster.catalog import network_specs
 from repro.cluster.scenarios import ElectionScenario
 from repro.experiments.registry import register
 from repro.experiments.sweep import (
@@ -59,7 +59,9 @@ def scenario(protocol: str, condition: str, cluster_size: int) -> ElectionScenar
     The condition is resolved through the catalog, so an unknown name fails
     while the grid is built, with the list of valid ones.
     """
-    return scenario_for(condition, protocol, cluster_size)
+    return ElectionScenario(
+        protocol=protocol, cluster_size=cluster_size, **network_specs(condition)
+    )
 
 
 EXPERIMENT = register(

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 from repro.obs.profiling import Profiler
 from repro.obs.trace import archive_election_traces
 from repro.sim import engines as engine_registry
@@ -49,16 +50,13 @@ from repro.metrics.tables import render_table
 __all__ = [
     "CAPABILITIES",
     "get",
-    "is_registered",
+    "items",
     "names",
     "register",
-    "registered_specs",
     "registry_table",
     "registry_table_markdown",
     "run_experiment",
-    "specs",
     "supporting",
-    "titles",
     "unregister",
     "unsupported_option_message",
     "validate_sweep_protocols",
@@ -67,75 +65,13 @@ __all__ = [
 #: What the registry holds: a declared sweep, or a plain spec.
 Declaration = SweepExperiment | ExperimentSpec
 
-_REGISTRY: dict[str, Declaration] = {}
+_REGISTRY: Registry[Declaration] = Registry("experiment")
 
-
-def register(spec: Declaration, *, replace: bool = False) -> Declaration:
-    """Register *spec* under its name and return it.
-
-    Args:
-        spec: the experiment declaration.
-        replace: allow overwriting an existing registration (tests and
-            notebooks re-registering tweaked variants).
-
-    Raises:
-        ConfigurationError: when the name is already registered and *replace*
-            is false.
-    """
-    if spec.name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"experiment {spec.name!r} is already registered; "
-            "pass replace=True to overwrite it"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister(name: str) -> Declaration:
-    """Remove a registration (plugin teardown, test hygiene) and return it."""
-    spec = get(name)
-    del _REGISTRY[name]
-    return spec
-
-
-def get(name: str) -> Declaration:
-    """The spec registered under *name*.
-
-    Raises:
-        ConfigurationError: listing every registered name when *name* is
-            unknown.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; registered: {', '.join(_REGISTRY)}"
-        ) from None
-
-
-def is_registered(name: str) -> bool:
-    """Whether *name* is a registered experiment."""
-    return name in _REGISTRY
-
-
-def names() -> tuple[str, ...]:
-    """Every registered experiment name, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def specs() -> tuple[Declaration, ...]:
-    """Every registered spec, in registration order."""
-    return tuple(_REGISTRY.values())
-
-
-def registered_specs() -> tuple[tuple[str, Declaration], ...]:
-    """``(name, spec)`` pairs for introspection tooling (``repro.lint`` S1/S2)."""
-    return tuple(_REGISTRY.items())
-
-
-def titles() -> dict[str, str]:
-    """Mapping of every registered name to its display title."""
-    return {name: spec.title for name, spec in _REGISTRY.items()}
+register = _REGISTRY.register
+unregister = _REGISTRY.unregister
+get = _REGISTRY.get
+names = _REGISTRY.names
+items = _REGISTRY.items
 
 
 def supporting(option: str) -> tuple[str, ...]:
@@ -145,11 +81,7 @@ def supporting(option: str) -> tuple[str, ...]:
             f"unknown capability {option!r}; capabilities: "
             f"{', '.join(CAPABILITIES)}"
         )
-    return tuple(
-        name
-        for name, spec in _REGISTRY.items()
-        if option in spec.capabilities
-    )
+    return tuple(name for name, spec in items() if option in spec.capabilities)
 
 
 def unsupported_option_message(
@@ -222,11 +154,13 @@ def run_experiment(
             (e.g. ``sizes=(8, 16)`` for ``fig9``).
 
     Raises:
-        ConfigurationError: for unknown experiments or engines, unsupported
-            sweep-wide options, unknown parameter overrides, or unsweepable
-            protocols.
+        ConfigurationError: for unknown experiments or engines, a run count
+            below 1, unsupported sweep-wide options, unknown parameter
+            overrides, or unsweepable protocols.
     """
     spec = get(name)
+    if runs is not None and runs < 1:
+        raise ConfigurationError(f"runs must be >= 1, got {runs}")
     engine_name = engine_registry.resolve(engine).name
     # The sweep-wide options the caller actually supplied, by capability.
     options = {
@@ -357,7 +291,7 @@ def _capabilities_cell(spec: ExperimentSpec) -> str:
 def _table_rows() -> list[list[str]]:
     """One row of cells per registered spec (shared by both renderers)."""
     rows = []
-    for spec in specs():
+    for _, spec in items():
         runs_cell = str(spec.default_runs)
         if spec.min_runs is not None:
             runs_cell += f" (min {spec.min_runs})"

@@ -93,12 +93,11 @@ class ExporterBinding:
 
 
 def validate_experiment_name(name: str) -> None:
-    """Reject names the CLI or the export path (``<name>.csv``) cannot carry."""
-    if not name or any(ch.isspace() or ch == "," for ch in name):
-        raise ConfigurationError(
-            f"experiment name {name!r} must be non-empty and free of "
-            "whitespace and commas"
-        )
+    """Reject names the export path (``<name>.csv``) cannot carry.
+
+    What the CLI cannot carry (whitespace, commas) the registry rejects, as
+    it does for every kind of spec.
+    """
     if "/" in name or "\\" in name or ".." in name:
         raise ConfigurationError(
             f"experiment name {name!r} must not contain path separators or '..'"
@@ -140,8 +139,8 @@ class ExperimentSpec(DeclaredParameters):
     """Descriptor for one registered experiment that is not a sweep.
 
     Attributes:
-        name: registry key and CLI name (e.g. ``"adapter-redis"``); must be
-            non-empty and free of whitespace, commas and path syntax.
+        name: registry key, CLI name and export file stem (e.g.
+            ``"adapter-redis"``); must be free of path syntax.
         title: display label used in the registry table.
         paper_ref: the paper figure/section this experiment reproduces
             (``"--"`` for extensions the paper only implies).

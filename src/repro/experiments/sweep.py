@@ -28,6 +28,7 @@ from repro import protocols as protocol_registry
 from repro.chaos.plans import build_plan
 from repro.common.errors import ConfigurationError
 from repro.common.frozen import FrozenDict
+from repro.common.validation import require_unique
 from repro.experiments.spec import (
     CAPABILITIES,
     DeclaredParameters,
@@ -71,14 +72,16 @@ def validate_sweep_protocols(protocol_names: Sequence[str]) -> tuple[str, ...]:
 
     Raises:
         ConfigurationError: naming the offending protocol, with the list of
-            registered (or sweepable) ones.
+            registered (or sweepable) ones; or the name given twice (it
+            would render every column twice over one cell).
     """
+    require_unique(protocol_names, "protocols")
     for name in protocol_names:
         # get() rejects an unregistered name with the registered ones.
         if not protocol_registry.get(name).guarantees_liveness:
             sweepable = [
-                spec.name
-                for spec in protocol_registry.specs()
+                other
+                for other, spec in protocol_registry.items()
                 if spec.guarantees_liveness
             ]
             raise ConfigurationError(

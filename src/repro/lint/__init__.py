@@ -10,11 +10,11 @@ gate:
   -- wall-clock and entropy sources, RNGs built outside the derivation
   helpers, ordered consumption of unordered ``set`` values on the simulation
   path, and wall-clock waits in simulated code.
-* **Registry rules** (``S1``-``S2``) import the four spec registries
-  (protocols, experiments, network conditions, chaos plans) through their
-  ``registered_specs()`` introspection hooks and verify every registered
-  value is a frozen, hashable, picklable dataclass, and that every
-  experiments module registers exactly one.
+* **Registry rules** (``S1``-``S2``) import the six spec registries
+  (protocols, experiments, network conditions, chaos plans, engines,
+  workloads), enumerate each through ``Registry.items()`` and verify every
+  registered value is a frozen, hashable, picklable dataclass, and that
+  every experiments module registers exactly one.
 
 Findings can be suppressed line-by-line with a justification pragma::
 

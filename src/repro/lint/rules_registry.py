@@ -1,11 +1,14 @@
 """The registry rules (``S1`` spec purity, ``S2`` experiment completeness).
 
 Unlike the AST rules these run once per lint invocation: they import the six
-spec registries through their ``registered_specs()`` introspection hooks and
-inspect the *registered values themselves*.  That is deliberate -- the
-reproducibility contract is about what actually reaches the parallel sweep
-engine's process pool, and the registries are the single dispatch layer, so
-checking them covers every spec a plugin can ship without parsing its source.
+spec registries (each one :class:`repro.common.registry.Registry`), enumerate
+them through :func:`load_registries` and inspect the *registered values
+themselves*.  That is deliberate -- the reproducibility contract is about
+what actually reaches the parallel sweep engine's process pool, and the
+registries are the single dispatch layer, so checking them covers every spec
+a plugin can ship without parsing its source.  The runtime half of the same
+contract, ``tests/unit/test_spec_conformance.py``, parametrizes over the same
+:func:`load_registries`, so the two cannot cover different registries.
 
 Findings anchor to the spec class's (or offending callable's) definition
 line, so the same ``repro: allow[rule-id]`` pragma mechanism applies.
@@ -30,36 +33,38 @@ __all__ = [
     "load_registries",
 ]
 
-#: The six spec registries, each enumerated through its
-#: ``registered_specs()`` hook.  Chaos additionally checks the plan each
-#: catalog entry builds (a short horizon keeps it cheap), since the *plan*
-#: is what actually crosses the process boundary.
 def load_registries() -> dict[str, tuple[tuple[str, object], ...]]:
-    """Import the registries and enumerate ``(name, spec)`` pairs per source."""
-    from repro.chaos import plans as chaos_plans
-    from repro.cluster import catalog as net_catalog
+    """Import the six spec registries and enumerate each one's
+    ``(name, spec)`` pairs, in registration order."""
+    from repro.chaos.plans import CHAOS_CATALOG
+    from repro.cluster.catalog import CATALOG
     from repro.experiments import registry as experiment_registry
     from repro.protocols import registry as protocol_registry
     from repro.sim import engines as engine_registry
     from repro.workload import specs as workload_registry
 
-    chaos_specs: list[tuple[str, object]] = []
-    for name, entry in chaos_plans.registered_specs():
-        chaos_specs.append((name, entry))
+    return {
+        "protocols": protocol_registry.items(),
+        "experiments": experiment_registry.items(),
+        "net-conditions": CATALOG.items(),
+        "chaos-plans": CHAOS_CATALOG.items(),
+        "engines": engine_registry.items(),
+        "workloads": workload_registry.items(),
+    }
+
+
+def _built_plans(entries) -> tuple[tuple[str, object], ...]:
+    """What each chaos entry ships across the process boundary: the plan it
+    builds (a short horizon keeps it cheap) and that plan's events."""
+    built: list[tuple[str, object]] = []
+    for name, entry in entries:
         plan = entry.build(horizon_ms=30_000.0, seed=0)
-        chaos_specs.append((f"{name}:plan", plan))
-        chaos_specs.extend(
+        built.append((f"{name}:plan", plan))
+        built.extend(
             (f"{name}:event[{index}]", event)
             for index, event in enumerate(plan.events)
         )
-    return {
-        "protocols": tuple(protocol_registry.registered_specs()),
-        "experiments": tuple(experiment_registry.registered_specs()),
-        "net-conditions": tuple(net_catalog.registered_specs()),
-        "chaos-plans": tuple(chaos_specs),
-        "engines": tuple(engine_registry.registered_specs()),
-        "workloads": tuple(workload_registry.registered_specs()),
-    }
+    return tuple(built)
 
 
 def _anchor(obj: object) -> tuple[str, int]:
@@ -149,9 +154,11 @@ def iter_spec_problems(registry: str, name: str, spec: object) -> list[Finding]:
 
 
 def check_registered_specs(config: LintConfig) -> list[Finding]:
-    """S1 over every spec in all six registries."""
+    """S1 over every spec in all six registries, and over every built plan."""
+    registries = load_registries()
+    registries["chaos-plans"] += _built_plans(registries["chaos-plans"])
     findings: list[Finding] = []
-    for registry, pairs in load_registries().items():
+    for registry, pairs in registries.items():
         for name, spec in pairs:
             findings.extend(iter_spec_problems(registry, name, spec))
     return findings
@@ -175,9 +182,7 @@ def check_experiment_registry(
     import repro.experiments as experiments_package
     from repro.experiments import registry as experiment_registry
 
-    registered = {
-        id(spec): name for name, spec in experiment_registry.registered_specs()
-    }
+    registered = {id(spec): name for name, spec in experiment_registry.items()}
     if modules is None:
         modules = {
             info.name: vars(

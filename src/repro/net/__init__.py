@@ -20,10 +20,12 @@ from repro.net.faults import (
     MessageDuplicationFault,
     NoFault,
     PacketLossFault,
+    bind,
 )
 from repro.net.latency import (
     ConstantLatency,
     GeoGroupLatency,
+    GeoLatencySpec,
     LatencyModel,
     LogNormalLatency,
     UniformLatency,
@@ -31,48 +33,24 @@ from repro.net.latency import (
 from repro.net.message import Envelope
 from repro.net.network import NetworkStats, SimulatedNetwork
 from repro.net.partition import PartitionManager
-from repro.net.specs import (
-    BroadcastOmissionSpec,
-    CompositeFaultSpec,
-    ConstantLatencySpec,
-    DuplicationSpec,
-    FaultSpec,
-    GeoLatencySpec,
-    LatencySpec,
-    LinkFaultSpec,
-    LogNormalLatencySpec,
-    NoFaultSpec,
-    PacketLossSpec,
-    UniformLatencySpec,
-)
 
 __all__ = [
     "BroadcastOmissionFault",
-    "BroadcastOmissionSpec",
     "CompositeFault",
-    "CompositeFaultSpec",
     "ConstantLatency",
-    "ConstantLatencySpec",
-    "DuplicationSpec",
     "Envelope",
     "FaultInjector",
-    "FaultSpec",
     "GeoGroupLatency",
     "GeoLatencySpec",
     "LatencyModel",
-    "LatencySpec",
     "LinkFault",
-    "LinkFaultSpec",
     "LogNormalLatency",
-    "LogNormalLatencySpec",
     "MessageDuplicationFault",
     "NetworkStats",
     "NoFault",
-    "NoFaultSpec",
     "PacketLossFault",
-    "PacketLossSpec",
     "PartitionManager",
     "SimulatedNetwork",
     "UniformLatency",
-    "UniformLatencySpec",
+    "bind",
 ]

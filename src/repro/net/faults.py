@@ -10,17 +10,35 @@ Two message-loss models are provided:
 
 :class:`LinkFault` cuts specific directed links and :class:`CompositeFault`
 combines several injectors.
+
+Like the latency models, every injector is a frozen, validated, picklable
+dataclass, so a scenario's ``fault=``, a catalog condition and a
+:class:`~repro.chaos.specs.SwapFault` event hold the injector itself.
+:func:`bind` is where such a condition meets a concrete membership.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass, field, replace
+from typing import Any, Protocol, Sequence, runtime_checkable
 
+from repro.common.errors import ConfigurationError
 from repro.common.types import ServerId
 from repro.common.validation import require_fraction
+
+def bind(condition: object, server_ids: Sequence[ServerId]) -> Any:
+    """The runtime model of a latency or fault *condition* for one membership.
+
+    A condition that cannot be final before the membership is known has a
+    ``resolve(server_ids)``: :class:`~repro.net.latency.GeoLatencySpec`
+    assigns its regions, :class:`LinkFault` checks that its links name
+    members, :class:`CompositeFault` binds its parts.  Every other model
+    depends on no membership and is returned as it is.
+    """
+    resolve = getattr(condition, "resolve", None)
+    return condition if resolve is None else resolve(server_ids)
 
 
 @runtime_checkable
@@ -119,6 +137,17 @@ class LinkFault:
     broken_links: frozenset[tuple[ServerId, ServerId]] = field(default_factory=frozenset)
     symmetric: bool = True
 
+    def resolve(self, server_ids: Sequence[ServerId]) -> "LinkFault":
+        """This fault, once every broken link is known to join two members."""
+        members = set(server_ids)
+        for src, dst in self.broken_links:
+            if src not in members or dst not in members:
+                raise ConfigurationError(
+                    f"broken link ({src}, {dst}) names a server outside the "
+                    f"cluster membership"
+                )
+        return self
+
     def _is_broken(self, src: ServerId, dst: ServerId) -> bool:
         if (src, dst) in self.broken_links:
             return True
@@ -171,6 +200,19 @@ class CompositeFault:
     """
 
     injectors: tuple[FaultInjector, ...] = ()
+
+    def __post_init__(self) -> None:
+        for injector in self.injectors:
+            if not isinstance(injector, FaultInjector):
+                raise ConfigurationError(
+                    f"CompositeFault parts must be fault injectors, got {injector!r}"
+                )
+
+    def resolve(self, server_ids: Sequence[ServerId]) -> "CompositeFault":
+        """This composite with every part bound to the membership."""
+        return replace(
+            self, injectors=tuple(bind(part, server_ids) for part in self.injectors)
+        )
 
     def drop_unicast(self, rng: random.Random, src: ServerId, dst: ServerId) -> bool:
         return any(injector.drop_unicast(rng, src, dst) for injector in self.injectors)

@@ -5,6 +5,14 @@ a <2 ms data-centre network (Section VI-A); :class:`UniformLatency` reproduces
 that setting and is the default throughout the experiment harness.  The other
 models support the geo-distributed discussion of Section II-B (low in-group,
 high between-group latency) and general sensitivity analysis.
+
+Every model is a frozen, validated, picklable dataclass, so the model a user
+configures -- as a scenario's ``latency=``, or in a catalog
+:class:`~repro.cluster.catalog.NetworkCondition` -- is the object the network
+samples from.  The one condition that cannot be written down before the
+membership is known is the geo split: :class:`GeoLatencySpec` names a region
+*count*, and ``resolve(server_ids)`` binds it to a :class:`GeoGroupLatency`
+for one cluster (see :func:`repro.net.faults.bind`).
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import Milliseconds, ServerId
@@ -123,6 +131,63 @@ class GeoGroupLatency:
         else:
             low, high = self.inter_ms
         return rng.uniform(low, high)
+
+
+def assign_regions(
+    server_ids: Sequence[ServerId], region_count: int
+) -> dict[ServerId, str]:
+    """Split *server_ids* into *region_count* contiguous, balanced regions.
+
+    The first ``n % region_count`` regions receive one extra server, so e.g.
+    7 servers over 3 regions become blocks of 3/2/2.  Contiguous blocks (not
+    round-robin) mirror how real deployments are provisioned: S1-S3 in one
+    data centre, S4-S5 in the next.
+    """
+    require_positive(region_count, "region_count")
+    if region_count > len(server_ids):
+        raise ConfigurationError(
+            f"region_count ({region_count}) exceeds the cluster size "
+            f"({len(server_ids)})"
+        )
+    base, extra = divmod(len(server_ids), region_count)
+    regions: dict[ServerId, str] = {}
+    cursor = 0
+    for index in range(region_count):
+        size = base + (1 if index < extra else 0)
+        for server_id in server_ids[cursor : cursor + size]:
+            regions[server_id] = f"region-{index}"
+        cursor += size
+    return regions
+
+
+@dataclass(frozen=True)
+class GeoLatencySpec:
+    """Two-tier geo latency over *region_count* balanced regions.
+
+    The spec never names concrete servers, so one value applies to any
+    cluster size (Section II-B's "low in-group, high between-group" setting):
+    :meth:`resolve` assigns the membership to contiguous regions via
+    :func:`assign_regions` and returns the :class:`GeoGroupLatency` the
+    network samples from.
+    """
+
+    region_count: int = 2
+    intra_ms: tuple[Milliseconds, Milliseconds] = (5.0, 15.0)
+    inter_ms: tuple[Milliseconds, Milliseconds] = (100.0, 200.0)
+
+    def __post_init__(self) -> None:
+        require_positive(self.region_count, "region_count")
+        require_non_negative(self.intra_ms[0], "intra_ms low")
+        require_non_negative(self.inter_ms[0], "inter_ms low")
+        require_ordered_pair(self.intra_ms[0], self.intra_ms[1], "intra_ms")
+        require_ordered_pair(self.inter_ms[0], self.inter_ms[1], "inter_ms")
+
+    def resolve(self, server_ids: Sequence[ServerId]) -> GeoGroupLatency:
+        return GeoGroupLatency(
+            regions=assign_regions(server_ids, self.region_count),
+            intra_ms=self.intra_ms,
+            inter_ms=self.inter_ms,
+        )
 
 
 def paper_latency() -> UniformLatency:

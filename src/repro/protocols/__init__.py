@@ -38,38 +38,31 @@ reference), so registry-driven scenarios round-trip through the parallel
 sweep engine's process pool with bit-for-bit identical results.
 """
 
-from repro.protocols.spec import (
-    ConfigAdapter,
-    ProtocolSpec,
-    TimeoutPolicyFactory,
-)
+from repro.protocols.spec import ProtocolSpec, TimeoutPolicyFactory
 from repro.protocols.registry import (
     PAPER_PROTOCOLS,
     RAFT_VS_ESCAPE,
     get,
     is_registered,
+    items,
     names,
     register,
-    specs,
     title,
-    titles,
     unregister,
     validated,
 )
 
 __all__ = [
-    "ConfigAdapter",
     "PAPER_PROTOCOLS",
     "ProtocolSpec",
     "RAFT_VS_ESCAPE",
     "TimeoutPolicyFactory",
     "get",
     "is_registered",
+    "items",
     "names",
     "register",
-    "specs",
     "title",
-    "titles",
     "unregister",
     "validated",
 ]

@@ -20,7 +20,7 @@ probe its arguments:
 from __future__ import annotations
 
 from repro.common.config import ClusterConfig, ProtocolConfig
-from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 from repro.common.types import ServerId
 from repro.escape.node import EscapeNode, EscapeNoPpfNode
 from repro.protocols.spec import ProtocolSpec
@@ -33,91 +33,27 @@ __all__ = [
     "RAFT_VS_ESCAPE",
     "get",
     "is_registered",
+    "items",
     "names",
     "register",
-    "registered_specs",
-    "specs",
     "title",
-    "titles",
     "unregister",
     "validated",
 ]
 
-_REGISTRY: dict[str, ProtocolSpec] = {}
+_REGISTRY: Registry[ProtocolSpec] = Registry("protocol")
 
-
-def register(spec: ProtocolSpec, *, replace: bool = False) -> ProtocolSpec:
-    """Register *spec* under its name and return it.
-
-    Args:
-        spec: the protocol descriptor.
-        replace: allow overwriting an existing registration (tests and
-            notebooks re-registering tweaked variants).
-
-    Raises:
-        ConfigurationError: when the name is already registered and *replace*
-            is false.
-    """
-    if spec.name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"protocol {spec.name!r} is already registered; "
-            "pass replace=True to overwrite it"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister(name: str) -> ProtocolSpec:
-    """Remove a registration (plugin teardown, test hygiene) and return it."""
-    spec = get(name)
-    del _REGISTRY[name]
-    return spec
-
-
-def get(name: str) -> ProtocolSpec:
-    """The spec registered under *name*.
-
-    Raises:
-        ConfigurationError: listing every registered name when *name* is
-            unknown.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown protocol {name!r}; registered: {', '.join(_REGISTRY)}"
-        ) from None
-
-
-def is_registered(name: str) -> bool:
-    """Whether *name* is a registered protocol."""
-    return name in _REGISTRY
-
-
-def names() -> tuple[str, ...]:
-    """Every registered protocol name, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def specs() -> tuple[ProtocolSpec, ...]:
-    """Every registered spec, in registration order."""
-    return tuple(_REGISTRY.values())
-
-
-def registered_specs() -> tuple[tuple[str, ProtocolSpec], ...]:
-    """``(name, spec)`` pairs for introspection tooling (``repro.lint`` S1)."""
-    return tuple(_REGISTRY.items())
+register = _REGISTRY.register
+unregister = _REGISTRY.unregister
+get = _REGISTRY.get
+names = _REGISTRY.names
+items = _REGISTRY.items
+is_registered = _REGISTRY.__contains__
 
 
 def title(name: str) -> str:
     """Display label for *name* (the raw name when it is not registered)."""
-    spec = _REGISTRY.get(name)
-    return spec.title if spec is not None else name
-
-
-def titles() -> dict[str, str]:
-    """Mapping of every registered name to its display label."""
-    return {name: spec.title for name, spec in _REGISTRY.items()}
+    return get(name).title if name in _REGISTRY else name
 
 
 def validated(*protocol_names: str) -> tuple[str, ...]:

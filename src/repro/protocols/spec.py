@@ -3,9 +3,8 @@
 A spec bundles everything the rest of the codebase needs to know about a
 protocol: the node class to instantiate, how its election timeouts are chosen
 (a randomized/fixed *policy* for the Raft family, a scripted *override* on top
-of configuration-driven timeouts for the ESCAPE family), an optional adapter
-massaging the shared :class:`~repro.common.config.ProtocolConfig`, and the
-presentation metadata (display title, paper section) the reports use.
+of configuration-driven timeouts for the ESCAPE family), and the presentation
+metadata (display title, paper section) the reports use.
 
 Specs are frozen dataclasses whose callable fields are module-level functions
 or classes, so they pickle by reference and survive the parallel sweep
@@ -27,7 +26,7 @@ from repro.raft.timers import ElectionTimeoutPolicy
 from repro.statemachine.base import StateMachine
 from repro.storage.persistent import PersistentState
 
-__all__ = ["ConfigAdapter", "ProtocolSpec", "TimeoutPolicyFactory", "TIMEOUT_KINDS"]
+__all__ = ["ProtocolSpec", "TimeoutPolicyFactory", "TIMEOUT_KINDS"]
 
 #: Builds a node's default timeout policy/override from its configuration and
 #: place in the cluster.  Must be a module-level function (pickled by
@@ -35,10 +34,6 @@ __all__ = ["ConfigAdapter", "ProtocolSpec", "TimeoutPolicyFactory", "TIMEOUT_KIN
 TimeoutPolicyFactory = Callable[
     [ProtocolConfig, ServerId, ClusterConfig], ElectionTimeoutPolicy | None
 ]
-
-#: Adapts the shared protocol configuration for one protocol (e.g. a variant
-#: that tightens the heartbeat).  Must be a module-level function.
-ConfigAdapter = Callable[[ProtocolConfig], ProtocolConfig]
 
 #: How a protocol's election timeouts are wired into its node class:
 #: ``"policy"`` protocols (the Raft family) take a ``timeout_policy`` that is
@@ -53,9 +48,7 @@ class ProtocolSpec:
     """Descriptor for one registered election protocol.
 
     Attributes:
-        name: registry key and CLI name (e.g. ``"escape-noppf"``); must be
-            non-empty and free of whitespace/commas (the CLI splits protocol
-            lists on commas).
+        name: registry key and CLI name (e.g. ``"escape-noppf"``).
         node_class: the :class:`~repro.raft.node.RaftNode` subclass to
             instantiate.  ``"policy"`` specs need its constructor to accept
             ``timeout_policy``; ``"override"`` specs need ``timeout_override``.
@@ -68,8 +61,6 @@ class ProtocolSpec:
         default_timeout_policy: optional :data:`TimeoutPolicyFactory` applied
             when the caller does not supply a per-node policy/override (e.g.
             ``raft-fixed`` pins every server to one deterministic timeout).
-        config_adapter: optional :data:`ConfigAdapter` applied to the
-            :class:`ProtocolConfig` before node construction.
         guarantees_liveness: whether the protocol is expected to elect a
             leader under the paper's healthy-network conditions.  ``False``
             only for degenerate baselines (``raft-fixed`` livelocks by
@@ -84,15 +75,9 @@ class ProtocolSpec:
     paper_section: str = ""
     timeout_kind: str = "policy"
     default_timeout_policy: TimeoutPolicyFactory | None = None
-    config_adapter: ConfigAdapter | None = None
     guarantees_liveness: bool = True
 
     def __post_init__(self) -> None:
-        if not self.name or any(ch.isspace() or ch == "," for ch in self.name):
-            raise ConfigurationError(
-                f"protocol name {self.name!r} must be non-empty and free of "
-                "whitespace and commas"
-            )
         if self.timeout_kind not in TIMEOUT_KINDS:
             raise ConfigurationError(
                 f"timeout_kind {self.timeout_kind!r} must be one of {TIMEOUT_KINDS}"
@@ -105,13 +90,6 @@ class ProtocolSpec:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def adapt_config(self, protocol_config: ProtocolConfig | None) -> ProtocolConfig:
-        """The :class:`ProtocolConfig` this spec's nodes actually receive."""
-        config = protocol_config or ProtocolConfig.paper_defaults()
-        if self.config_adapter is not None:
-            config = self.config_adapter(config)
-        return config
-
     def build_node(
         self,
         *,
@@ -137,7 +115,7 @@ class ProtocolSpec:
             timeout_override: per-node override for ``"override"`` specs
                 (ignored by ``"policy"`` specs); same fallback chain.
         """
-        config = self.adapt_config(protocol_config)
+        config = protocol_config or ProtocolConfig.paper_defaults()
         common = dict(
             node_id=node_id,
             cluster=cluster,

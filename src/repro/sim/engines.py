@@ -19,7 +19,7 @@ Everything *behind* those surfaces -- how events are represented, whether
 envelopes are materialised, how partition reachability is looked up -- is
 engine-owned.  An :class:`EngineSpec` names one consistent implementation of
 all three; the lint S1 rule and the pickle/hash conformance suite cover the
-specs through :func:`registered_specs`, as they do every other registry.
+specs through :func:`items`, as they do every other registry.
 
 Two engines are built in:
 
@@ -53,12 +53,13 @@ from dataclasses import dataclass
 from importlib import import_module
 
 from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 
 __all__ = [
     "EngineSpec",
     "get",
+    "items",
     "names",
-    "registered_specs",
     "resolve",
 ]
 
@@ -78,8 +79,7 @@ class EngineSpec:
     """Descriptor for one simulation engine.
 
     Attributes:
-        name: registry key and CLI name (e.g. ``"classic"``, ``"flat"``);
-            must be non-empty and free of whitespace and commas.
+        name: registry key and CLI name (e.g. ``"classic"``, ``"flat"``).
         title: display label for docs and ``--list`` style tables.
         scheduler_path: ``"module:Class"`` of the event scheduler; the class
             must accept ``(clock, max_events=...)`` and implement the
@@ -99,11 +99,6 @@ class EngineSpec:
     environment_path: str
 
     def __post_init__(self) -> None:
-        if not self.name or any(ch.isspace() or ch == "," for ch in self.name):
-            raise ConfigurationError(
-                f"engine name {self.name!r} must be non-empty and free of "
-                "whitespace and commas"
-            )
         for field_name in ("scheduler_path", "network_path", "environment_path"):
             path = getattr(self, field_name)
             module_name, separator, attribute = str(path).partition(":")
@@ -129,9 +124,9 @@ class EngineSpec:
 # --------------------------------------------------------------------------- #
 # The engines
 # --------------------------------------------------------------------------- #
-_REGISTRY: dict[str, EngineSpec] = {
-    spec.name: spec
-    for spec in (
+_REGISTRY: Registry[EngineSpec] = Registry(
+    "engine",
+    (
         EngineSpec(
             name="classic",
             title="Classic object-graph engine",
@@ -146,33 +141,12 @@ _REGISTRY: dict[str, EngineSpec] = {
             network_path="repro.net.flatnet:FlatNetwork",
             environment_path="repro.cluster.environment:FlatSimNodeEnvironment",
         ),
-    )
-}
+    ),
+)
 
-
-def get(name: str) -> EngineSpec:
-    """The spec registered under *name*.
-
-    Raises:
-        ConfigurationError: listing every registered name when *name* is
-            unknown.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown engine {name!r}; registered: {', '.join(_REGISTRY)}"
-        ) from None
-
-
-def names() -> tuple[str, ...]:
-    """Every registered engine name, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def registered_specs() -> tuple[tuple[str, EngineSpec], ...]:
-    """``(name, spec)`` pairs for introspection tooling (``repro.lint`` S1)."""
-    return tuple(_REGISTRY.items())
+get = _REGISTRY.get
+names = _REGISTRY.names
+items = _REGISTRY.items
 
 
 def resolve(engine: str | EngineSpec | None) -> EngineSpec:
@@ -183,7 +157,7 @@ def resolve(engine: str | EngineSpec | None) -> EngineSpec:
     with the registered list); a spec passes through unchanged.
     """
     if engine is None:
-        return _REGISTRY["flat"]
+        return get("flat")
     if isinstance(engine, EngineSpec):
         return engine
     return get(engine)

@@ -20,11 +20,10 @@ from repro.workload.specs import (
     ValueSizeSpec,
     WorkloadSpec,
     get,
-    is_registered,
+    items,
     legacy_interval,
     names,
     register,
-    registered_specs,
 )
 
 __all__ = [
@@ -36,9 +35,8 @@ __all__ = [
     "WorkloadSet",
     "WorkloadSpec",
     "get",
-    "is_registered",
+    "items",
     "legacy_interval",
     "names",
     "register",
-    "registered_specs",
 ]

@@ -8,7 +8,7 @@ model and a value-size model, as a frozen, hashable, picklable value.  Like
 the protocol/engine/chaos registries, workloads are registered by name so the
 ``throughput`` experiment, the CLI and the benchmarks all select them the
 same way, and every registered value is enumerated by ``repro.lint``'s S1
-spec-purity rule through :func:`registered_specs`.
+spec-purity rule through :func:`items`.
 
 A spec is *resolved* against a live cluster by
 :class:`repro.workload.driver.WorkloadDriver`; this module is pure data.
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.common.errors import ConfigurationError
+from repro.common.registry import Registry
 from repro.common.types import Milliseconds
 
 __all__ = [
@@ -26,11 +27,10 @@ __all__ = [
     "ValueSizeSpec",
     "WorkloadSpec",
     "get",
-    "is_registered",
+    "items",
     "legacy_interval",
     "names",
     "register",
-    "registered_specs",
 ]
 
 #: The closed-loop / open-loop / legacy driver modes a spec may select.
@@ -154,8 +154,6 @@ class WorkloadSpec:
     value_size: ValueSizeSpec = ValueSizeSpec()
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("a workload spec needs a name")
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"unknown workload mode {self.mode!r}; one of {MODES}"
@@ -210,50 +208,12 @@ class WorkloadSpec:
 # --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
-_REGISTRY: dict[str, WorkloadSpec] = {}
+_REGISTRY: Registry[WorkloadSpec] = Registry("workload")
 
-
-def register(spec: WorkloadSpec) -> WorkloadSpec:
-    """Register *spec* under its name; returns it for assignment chaining.
-
-    Raises:
-        ConfigurationError: when the name is already taken (workloads are
-            immutable conditions; redefinition is always a bug).
-    """
-    if spec.name in _REGISTRY:
-        raise ConfigurationError(f"workload {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def get(name: str) -> WorkloadSpec:
-    """Look a workload up by name.
-
-    Raises:
-        ConfigurationError: naming the available workloads when *name* is
-            unknown.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown workload {name!r}; available: {', '.join(_REGISTRY)}"
-        ) from exc
-
-
-def names() -> tuple[str, ...]:
-    """Every registered workload name, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def is_registered(name: str) -> bool:
-    """Whether *name* is a registered workload."""
-    return name in _REGISTRY
-
-
-def registered_specs() -> tuple[tuple[str, WorkloadSpec], ...]:
-    """``(name, spec)`` pairs for introspection tooling (``repro.lint`` S1)."""
-    return tuple(_REGISTRY.items())
+register = _REGISTRY.register
+get = _REGISTRY.get
+names = _REGISTRY.names
+items = _REGISTRY.items
 
 
 def legacy_interval(interval_ms: Milliseconds) -> WorkloadSpec:

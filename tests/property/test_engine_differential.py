@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.chaos.plans import build_plan
 from repro.chaos.scenario import ChaosScenario
-from repro.cluster.catalog import condition_names, scenario_for
+from repro.cluster.catalog import CATALOG, network_specs
 from repro.cluster.scenarios import ElectionScenario
 from repro.sim.engines import names as engine_names
 from repro.workload.scenario import ThroughputScenario
@@ -60,13 +60,15 @@ class TestElectionDifferential:
             assert scenario.with_engine(engine).run(seed) == baseline
 
     @settings(max_examples=8, deadline=None)
-    @given(seed=SEEDS, condition=st.sampled_from(condition_names()))
+    @given(seed=SEEDS, condition=st.sampled_from(CATALOG.names()))
     def test_catalog_conditions_identical_including_stats_and_traces(
         self, seed, condition
     ):
         # trace=True makes this the strongest form of the contract: not just
         # the final numbers but the entire event narrative must match.
-        scenario = scenario_for(condition, protocol="escape", cluster_size=5, trace=True)
+        scenario = ElectionScenario(
+            protocol="escape", cluster_size=5, trace=True, **network_specs(condition)
+        )
         baseline = _episode(scenario.with_engine(ENGINES[0]), seed)
         for engine in ENGINES[1:]:
             other = _episode(scenario.with_engine(engine), seed)

@@ -17,19 +17,22 @@ from repro.chaos.specs import (
     SwapFault,
 )
 from repro.cluster.builder import build_cluster
+from repro.cluster.catalog import CATALOG
 from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.net.faults import PacketLossFault
-from repro.net.specs import PacketLossSpec
 
 
-def _stabilized_cluster(protocol="raft", size=5, seed=0, extra_listeners=()):
+def _stabilized_cluster(
+    protocol="raft", size=5, seed=0, extra_listeners=(), fault=None
+):
     observer = ElectionObserver()
     cluster = build_cluster(
         protocol=protocol,
         size=size,
         seed=seed,
+        fault=fault,
         listeners=(observer, *extra_listeners),
         trace=False,
     )
@@ -39,8 +42,10 @@ def _stabilized_cluster(protocol="raft", size=5, seed=0, extra_listeners=()):
     return cluster, harness
 
 
-def _drive(plan, seed=0, extra_listeners=(), **driver_kwargs):
-    cluster, harness = _stabilized_cluster(seed=seed, extra_listeners=extra_listeners)
+def _drive(plan, seed=0, extra_listeners=(), fault=None, **driver_kwargs):
+    cluster, harness = _stabilized_cluster(
+        seed=seed, extra_listeners=extra_listeners, fault=fault
+    )
     driver = ChaosDriver(cluster, plan, **driver_kwargs)
     driver.start()
     harness.run_for(plan.horizon_ms)
@@ -144,14 +149,14 @@ class TestChaosDriver:
         _, driver = _drive(plan)
         assert [record.kind for record in driver.skipped] == ["recover"]
 
-    def test_swap_fault_installs_the_resolved_injector(self):
+    def test_swap_fault_installs_the_events_own_injector(self):
         plan = ChaosPlan(
             name="degrade",
             horizon_ms=5_000.0,
-            events=(SwapFault(at_ms=1_000.0, fault=PacketLossSpec(0.2)),),
+            events=(SwapFault(at_ms=1_000.0, fault=PacketLossFault(0.2)),),
         )
         cluster, driver = _drive(plan)
-        assert isinstance(cluster.network.fault, PacketLossFault)
+        assert cluster.network.fault is plan.events[0].fault
         assert driver.disruption_count == 0  # fault swaps are not disruptions
 
     def test_swap_fault_none_restores_the_baseline_injector(self):
@@ -159,14 +164,15 @@ class TestChaosDriver:
             name="degrade-then-restore",
             horizon_ms=5_000.0,
             events=(
-                SwapFault(at_ms=1_000.0, fault=PacketLossSpec(0.2)),
+                SwapFault(at_ms=1_000.0, fault=PacketLossFault(0.2)),
                 SwapFault(at_ms=2_000.0, fault=None),
             ),
         )
-        cluster, driver = _drive(plan)
-        # The cluster was built with its default injector; after the restore
-        # event the degraded-phase injector must be gone again.
-        assert not isinstance(cluster.network.fault, PacketLossFault)
+        # Layered over a lossy catalog condition, the restore event must
+        # bring back that condition's own injector, not a healthy network.
+        baseline = CATALOG.get("lossy-unicast").fault
+        cluster, driver = _drive(plan, fault=baseline)
+        assert cluster.network.fault is baseline
         assert any(
             "baseline" in record.detail for record in driver.applied
         )

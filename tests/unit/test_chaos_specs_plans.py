@@ -9,9 +9,7 @@ from repro.chaos.plans import (
     ChaosPlan,
     build_plan,
     chaos_storm,
-    get_plan_entry,
     partition_flap,
-    plan_names,
     repeated_leader_kill,
     rolling_restart,
 )
@@ -25,7 +23,7 @@ from repro.chaos.specs import (
     SwapFault,
 )
 from repro.common.errors import ConfigurationError
-from repro.net.specs import PacketLossSpec
+from repro.net.faults import PacketLossFault
 
 
 class TestChaosEvents:
@@ -47,8 +45,8 @@ class TestChaosEvents:
         with pytest.raises(ConfigurationError, match="group_count"):
             PartitionGroups(at_ms=0.0, group_count=0)
 
-    def test_swap_fault_requires_a_fault_spec(self):
-        with pytest.raises(ConfigurationError, match="FaultSpec"):
+    def test_swap_fault_requires_a_fault_injector(self):
+        with pytest.raises(ConfigurationError, match="fault injector"):
             SwapFault(at_ms=0.0, fault="loss")  # type: ignore[arg-type]
 
     def test_every_event_kind_pickles(self):
@@ -58,7 +56,7 @@ class TestChaosEvents:
             Recover(at_ms=3.0, all_servers=True),
             PartitionGroups(at_ms=4.0, group_count=3, isolate_leader=True),
             Heal(at_ms=5.0),
-            SwapFault(at_ms=6.0, fault=PacketLossSpec(0.1)),
+            SwapFault(at_ms=6.0, fault=PacketLossFault(0.1)),
         )
         assert pickle.loads(pickle.dumps(events)) == events
 
@@ -161,7 +159,7 @@ class TestGenerators:
 
 class TestCatalog:
     def test_catalog_names_every_required_plan(self):
-        assert plan_names() == (
+        assert CHAOS_CATALOG.names() == (
             "repeated-leader-kill",
             "rolling-restart",
             "partition-flap",
@@ -173,7 +171,7 @@ class TestCatalog:
 
     def test_unknown_plan_fails_with_the_available_names(self):
         with pytest.raises(ConfigurationError, match="repeated-leader-kill"):
-            get_plan_entry("no-such-plan")
+            build_plan("no-such-plan")
 
     def test_build_plan_is_deterministic_and_picklable(self):
         plan = build_plan("chaos-storm", horizon_ms=60_000.0, seed=9)

@@ -1,33 +1,33 @@
 """Unit tests for the named scenario catalog.
 
 The acceptance bar for the catalog is operational: every condition must build
-a runnable scenario, pickle round-trip (the process pool ships scenarios to
-workers), and produce bit-for-bit identical sweep results at any worker
-count.
+a runnable scenario whose network runs on the condition's own model objects,
+pickle round-trip (the process pool ships scenarios to workers), and produce
+bit-for-bit identical sweep results at any worker count.
 """
 
 import pickle
 
 import pytest
 
-from repro.cluster.catalog import (
-    CATALOG,
-    NetworkCondition,
-    catalog_scenarios,
-    condition_names,
-    get_condition,
-    scenario_for,
-)
+from repro.cluster.catalog import CATALOG, NetworkCondition, network_specs
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import ConfigurationError
 from repro.experiments.runner import run_sweep
-from repro.net.faults import CompositeFault, NoFault
+from repro.net.faults import NoFault, bind
 from repro.net.latency import GeoGroupLatency, UniformLatency
+
+
+def _scenario(name: str, protocol: str, size: int, **fields) -> ElectionScenario:
+    return ElectionScenario(protocol, size, **network_specs(name), **fields)
+
+
+def _one_scenario_per_condition(protocol: str, size: int) -> dict[str, ElectionScenario]:
+    return {name: _scenario(name, protocol, size) for name in CATALOG.names()}
 
 
 class TestCatalogContents:
     def test_catalog_has_the_documented_breadth(self):
-        assert len(CATALOG) >= 6
         assert {
             "paper-default",
             "geo-two-region",
@@ -35,30 +35,22 @@ class TestCatalogContents:
             "lossy-unicast",
             "dup-heavy-udp",
             "chaos-composite",
-        } <= set(CATALOG)
+        } <= set(CATALOG.names())
 
     def test_names_and_keys_agree(self):
-        assert condition_names() == tuple(CATALOG)
         for name, condition in CATALOG.items():
             assert condition.name == name
             assert condition.description
 
-    def test_get_condition_names_available_ones_on_miss(self):
-        assert get_condition("paper-default") is CATALOG["paper-default"]
-        with pytest.raises(ConfigurationError, match="paper-default"):
-            get_condition("no-such-condition")
-
     def test_paper_default_matches_the_testbed(self):
-        scenario = scenario_for("paper-default", "raft", 5)
+        scenario = _scenario("paper-default", "raft", 5)
         assert scenario.latency_model() == UniformLatency(100.0, 200.0)
         assert isinstance(scenario.fault_injector(), NoFault)
 
 
-class TestScenarioConstruction:
-    def test_scenario_for_applies_condition_and_overrides(self):
-        scenario = scenario_for(
-            "geo-two-region", "escape", 8, workload_interval_ms=50.0
-        )
+class TestNetworkSpecs:
+    def test_layers_the_condition_under_any_other_field(self):
+        scenario = _scenario("geo-two-region", "escape", 8, workload_interval_ms=50.0)
         assert scenario.protocol == "escape"
         assert scenario.cluster_size == 8
         assert scenario.workload_interval_ms == 50.0
@@ -66,55 +58,50 @@ class TestScenarioConstruction:
         assert isinstance(model, GeoGroupLatency)
         assert len(set(model.regions.values())) == 2
 
-    def test_apply_clears_the_loss_rate_shorthand(self):
-        base = ElectionScenario(protocol="raft", cluster_size=5, loss_rate=0.3)
-        applied = CATALOG["chaos-composite"].apply(base)
-        assert applied.loss_rate == 0.0
-        assert isinstance(applied.fault_injector(), CompositeFault)
+    def test_no_condition_means_no_keywords(self):
+        assert network_specs(None) == {}
 
-    def test_explicit_spec_overrides_beat_the_condition(self):
-        from repro.net.specs import DuplicationSpec
-        from repro.net.faults import MessageDuplicationFault
-
-        scenario = scenario_for(
-            "geo-two-region", "raft", 5, fault=DuplicationSpec(0.5)
-        )
-        assert isinstance(scenario.fault_injector(), MessageDuplicationFault)
-
-    def test_shorthand_overrides_are_rejected_not_shadowed(self):
-        # The condition's specs would shadow the latency_range/loss_rate
-        # shorthands; a silently ignored override is worse than an error.
+    def test_the_loss_rate_shorthand_still_conflicts_with_a_condition(self):
         with pytest.raises(ConfigurationError, match="loss_rate"):
-            scenario_for("chaos-composite", "raft", 5, loss_rate=0.2)
-        with pytest.raises(ConfigurationError, match="latency_range"):
-            scenario_for("paper-default", "raft", 5, latency_range=(10.0, 20.0))
+            _scenario("chaos-composite", "raft", 5, loss_rate=0.2)
 
-    def test_catalog_scenarios_covers_every_condition(self):
-        scenarios = catalog_scenarios("raft", 4)
-        assert set(scenarios) == set(CATALOG)
-        for scenario in scenarios.values():
-            assert scenario.cluster_size == 4
-
-    @pytest.mark.parametrize("name", condition_names())
-    def test_every_condition_builds_a_cluster(self, name):
-        cluster, _harness = scenario_for(name, "escape", 3).build(seed=0)
-        assert cluster.config.size == 3
+    @pytest.mark.parametrize("size", [3, 5, 9])
+    @pytest.mark.parametrize("name", CATALOG.names())
+    def test_the_network_runs_on_the_conditions_own_objects(self, name, size):
+        """The value a user configures is the value that runs."""
+        condition = CATALOG.get(name)
+        scenario = _scenario(name, "escape", size)
+        assert scenario.latency is condition.latency
+        assert scenario.fault is condition.fault
+        cluster, _harness = scenario.build(seed=0)
+        assert cluster.config.size == size
+        latency = cluster.network._latency  # the network exposes only its fault
+        if isinstance(latency, GeoGroupLatency):
+            assert latency == bind(condition.latency, cluster.config.server_ids)
+        else:
+            assert latency is condition.latency
+        # No catalog fault depends on the membership; a composite is rebuilt
+        # around the same parts.
+        assert cluster.network.fault == condition.fault
+        assert type(cluster.network.fault) is type(condition.fault)
 
 
 class TestPicklability:
-    @pytest.mark.parametrize("name", condition_names())
+    @pytest.mark.parametrize("name", CATALOG.names())
     def test_condition_round_trips(self, name):
-        condition = CATALOG[name]
+        condition = CATALOG.get(name)
         clone = pickle.loads(pickle.dumps(condition))
         assert clone == condition
         assert isinstance(clone, NetworkCondition)
 
-    @pytest.mark.parametrize("name", condition_names())
-    def test_catalog_scenario_round_trips(self, name):
-        scenario = scenario_for(name, "escape", 5)
+    @pytest.mark.parametrize("size", [3, 5, 9])
+    @pytest.mark.parametrize("name", CATALOG.names())
+    def test_catalog_scenario_round_trips_and_hashes(self, name, size):
+        scenario = _scenario(name, "escape", size)
         clone = pickle.loads(pickle.dumps(scenario))
         assert clone == scenario
-        # The clone resolves to the same network models (what a pool worker
+        assert hash(clone) == hash(scenario)
+        # The clone runs on the same network models (what a pool worker
         # actually uses).
         assert clone.latency_model() == scenario.latency_model()
         assert clone.fault_injector() == scenario.fault_injector()
@@ -123,7 +110,7 @@ class TestPicklability:
 class TestParallelDeterminism:
     def test_every_catalog_scenario_is_pool_deterministic(self):
         """Acceptance: workers=2 must reproduce workers=1 bit-for-bit."""
-        scenarios = catalog_scenarios("escape", 3)
+        scenarios = _one_scenario_per_condition("escape", 3)
         sequential = run_sweep(scenarios, runs=2, seed=5, workers=1)
         parallel = run_sweep(scenarios, runs=2, seed=5, workers=2)
         assert list(sequential) == list(parallel)

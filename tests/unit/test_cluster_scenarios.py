@@ -12,9 +12,14 @@ from repro.cluster.scenarios import ElectionScenario, Scenario
 from repro.common.config import ScaParameters
 from repro.common.errors import ConfigurationError
 from repro.common.rng import paired_seeds
-from repro.net.faults import BroadcastOmissionFault, MessageDuplicationFault, NoFault
-from repro.net.latency import GeoGroupLatency
-from repro.net.specs import DuplicationSpec, GeoLatencySpec, PacketLossSpec
+from repro.net.faults import (
+    BroadcastOmissionFault,
+    LinkFault,
+    MessageDuplicationFault,
+    NoFault,
+    PacketLossFault,
+)
+from repro.net.latency import GeoGroupLatency, GeoLatencySpec
 from repro.workload.scenario import ThroughputScenario
 
 _PLAN = build_plan("repeated-leader-kill", horizon_ms=10_000.0, seed=0)
@@ -77,8 +82,33 @@ class TestOneConditionBase:
     def test_fault_spec_and_loss_rate_shorthand_conflict_at_construction(self, kind):
         with pytest.raises(ConfigurationError, match="not both"):
             SCENARIO_TYPES[kind](
-                "raft", 3, fault=PacketLossSpec(0.1), loss_rate=0.2
+                "raft", 3, fault=PacketLossFault(0.1), loss_rate=0.2
             )
+
+    @pytest.mark.parametrize(
+        "bad_fields, message",
+        [
+            ({"raft_timeout_range": (3000.0, 1500.0)}, "timeout range"),
+            ({"latency_range": (200.0, 100.0)}, "latency range"),
+            ({"loss_rate": 1.5}, "loss_rate"),
+            ({"loss_rate": -0.5}, "loss_rate"),
+            ({"heartbeat_interval_ms": -5.0}, "heartbeat_interval_ms"),
+            ({"cluster_size": 0}, "cluster size"),
+            ({"latency": GeoLatencySpec(region_count=4)}, "region_count"),
+            ({"fault": LinkFault(frozenset({(1, 9)}))}, "outside the cluster"),
+            ({"latency_range": (float("nan"), 200.0)}, "low_ms"),
+        ],
+        ids=[
+            "timeout-range", "latency-range", "loss-above-1", "loss-below-0",
+            "heartbeat", "cluster-size", "geo-regions", "link-members", "nan",
+        ],
+    )  # fmt: skip
+    @pytest.mark.parametrize("kind", SCENARIO_TYPES)
+    def test_every_range_is_checked_at_construction(self, kind, bad_fields, message):
+        """Fail-fast: in the build phase, not as a SweepError from episode one."""
+        fields = {"protocol": "raft", "cluster_size": 3, **bad_fields}
+        with pytest.raises(ConfigurationError, match=message):
+            SCENARIO_TYPES[kind](**fields)
 
     def test_negative_contention_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="contention_phases"):
@@ -149,20 +179,18 @@ class TestScenarioSpecs:
         assert isinstance(model, GeoGroupLatency)
         assert set(model.regions) == set(range(1, 7))
 
-    def test_fault_spec_resolves_against_the_membership(self):
+    def test_a_fault_model_is_the_injector_that_runs(self):
         scenario = ElectionScenario(
-            protocol="raft", cluster_size=5, fault=DuplicationSpec(0.4)
+            protocol="raft", cluster_size=5, fault=MessageDuplicationFault(0.4)
         )
-        fault = scenario.fault_injector()
-        assert isinstance(fault, MessageDuplicationFault)
-        assert fault.rate == 0.4
+        assert scenario.fault_injector() is scenario.fault
 
     def test_spec_carrying_scenario_pickles(self):
         scenario = ElectionScenario(
             protocol="escape",
             cluster_size=9,
             latency=GeoLatencySpec(region_count=3),
-            fault=DuplicationSpec(0.2),
+            fault=MessageDuplicationFault(0.2),
         )
         clone = pickle.loads(pickle.dumps(scenario))
         assert clone == scenario
@@ -184,13 +212,13 @@ class TestScenarioSpecs:
             protocol="escape",
             cluster_size=4,
             latency=GeoLatencySpec(region_count=2),
-            fault=DuplicationSpec(0.2),
+            fault=MessageDuplicationFault(0.2),
         )
         measurement = scenario.run(seed=5)
         assert measurement.extra["latency_spec"] == repr(
             GeoLatencySpec(region_count=2)
         )
-        assert measurement.extra["fault_spec"] == repr(DuplicationSpec(0.2))
+        assert measurement.extra["fault_spec"] == "MessageDuplicationFault(rate=0.2)"
 
 
 class TestScenarioRuns:

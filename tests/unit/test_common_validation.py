@@ -65,6 +65,34 @@ class TestRequireOrderedPair:
             require_ordered_pair(3, 2, "pair")
 
 
+class TestNotANumber:
+    """``nan`` compares false with everything, so every helper must refuse it
+    explicitly -- or the run dies much later, scheduling at a non-finite time."""
+
+    NAN = float("nan")
+
+    def test_no_range_helper_lets_nan_through(self):
+        for check in (require_positive, require_non_negative, require_fraction):
+            with pytest.raises(ConfigurationError, match="x must be"):
+                check(self.NAN, "x")
+        with pytest.raises(ConfigurationError, match=r"\[1, 10\]"):
+            require_in_range(self.NAN, 1, 10, "x")
+
+    @pytest.mark.parametrize("pair", [(NAN, 1.0), (1.0, NAN), (NAN, NAN)])
+    def test_no_ordered_pair_contains_nan(self, pair):
+        with pytest.raises(ConfigurationError, match="ordered pair"):
+            require_ordered_pair(*pair, "pair")
+
+    def test_the_models_that_use_them_refuse_nan(self):
+        from repro.net.latency import UniformLatency
+        from repro.raft.timers import RandomizedTimeoutPolicy
+
+        with pytest.raises(ConfigurationError):
+            UniformLatency(self.NAN, 200.0)
+        with pytest.raises(ConfigurationError):
+            RandomizedTimeoutPolicy(self.NAN, self.NAN)
+
+
 class TestRequireUnique:
     def test_accepts_unique_values(self):
         assert list(require_unique([1, 2, 3], "ids")) == [1, 2, 3]

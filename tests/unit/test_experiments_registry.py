@@ -61,7 +61,7 @@ class TestSpecConformance:
         """Every sweep is a SweepExperiment; only adapter-redis is a plain spec."""
         plain = [
             name
-            for name, spec in registry.registered_specs()
+            for name, spec in registry.items()
             if not isinstance(spec, SweepExperiment)
         ]
         assert plain == ["adapter-redis"]
@@ -69,8 +69,10 @@ class TestSpecConformance:
     def test_invalid_specs_are_rejected(self):
         good = registry.get("adapter-redis")
         with pytest.raises(ConfigurationError, match="whitespace"):
-            ExperimentSpec(
-                name="bad name", title="t", run=good.run, reporter=good.reporter
+            registry.register(
+                ExperimentSpec(
+                    name="bad name", title="t", run=good.run, reporter=good.reporter
+                )
             )
         with pytest.raises(ConfigurationError, match="quick_params"):
             ExperimentSpec(
@@ -247,8 +249,8 @@ class TestRegistryTables:
 
     def test_markdown_table_lists_every_experiment(self):
         table = registry.registry_table_markdown()
-        for spec in registry.specs():
-            assert f"`{spec.name}`" in table
+        for name, spec in registry.items():
+            assert f"`{name}`" in table
             assert spec.title in table
 
     def test_experiments_md_registry_table_is_up_to_date(self):
@@ -300,10 +302,10 @@ class TestRegisterSemantics:
                 reporter=_dummy_report,
             )
             assert registry.register(replacement, replace=True).title == "Dummy v2"
-            assert registry.titles()["dummy-experiment"] == "Dummy v2"
+            assert registry.get("dummy-experiment") is replacement
         finally:
             registry.unregister("dummy-experiment")
-        assert not registry.is_registered("dummy-experiment")
+        assert "dummy-experiment" not in registry.names()
 
     def test_registered_dummy_is_runnable_through_the_one_entry_point(self):
         registry.register(

@@ -38,13 +38,13 @@ from repro.obs.trace import TRACE_MANIFEST_SCHEMA
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SWEEPS = [
-    spec.name for spec in registry.specs() if isinstance(spec, SweepExperiment)
+    name for name, spec in registry.items() if isinstance(spec, SweepExperiment)
 ]
 
 
 #: Every protocol a sweep may run (the acceptance bar for worker parity).
 LIVENESS_PROTOCOLS = tuple(
-    spec.name for spec in protocol_registry.specs() if spec.guarantees_liveness
+    name for name, spec in protocol_registry.items() if spec.guarantees_liveness
 )
 
 
@@ -255,6 +255,18 @@ class TestSweepCapabilities:
             with pytest.raises(ConfigurationError, match="livelock"):
                 registry.get(name).build_scenarios(protocols=("raft-fixed",))
 
+    def test_a_protocol_named_twice_is_rejected_while_the_grid_is_built(self):
+        # It would render every column twice over one shared cell.
+        for name in sweeps_with("protocols"):
+            with pytest.raises(ConfigurationError, match="duplicate value 'raft'"):
+                run_experiment(name, runs=1, quick=True, protocols=("raft", "raft"))
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_a_run_count_below_one_is_rejected_before_the_build_phase(self, runs):
+        for name in ("fig3", "adapter-redis"):
+            with pytest.raises(ConfigurationError, match="runs must be >= 1"):
+                run_experiment(name, runs=runs, quick=True)
+
 
 class TestCli:
     def test_parser_knows_every_experiment(self):
@@ -270,14 +282,14 @@ class TestCli:
             assert parser.parse_args([name]).experiment == name
 
     def test_scenario_option_accepts_catalog_names(self):
-        from repro.cluster.catalog import condition_names
+        from repro.cluster.catalog import CATALOG
 
         parser = build_parser()
         args = parser.parse_args(["wan", "--scenario", "chaos-composite"])
         assert args.scenario == "chaos-composite"
         with pytest.raises(SystemExit):
             parser.parse_args(["wan", "--scenario", "not-a-condition"])
-        assert "chaos-composite" in condition_names()
+        assert "chaos-composite" in CATALOG
 
     def test_scenario_capable_experiments_exist(self):
         scenario_capable = registry.supporting("scenario")
@@ -286,14 +298,14 @@ class TestCli:
         assert "avail" in scenario_capable
 
     def test_plan_option_accepts_chaos_catalog_names(self):
-        from repro.chaos.plans import plan_names
+        from repro.chaos.plans import CHAOS_CATALOG
 
         parser = build_parser()
         args = parser.parse_args(["avail", "--plan", "partition-flap"])
         assert args.plan == "partition-flap"
         with pytest.raises(SystemExit):
             parser.parse_args(["avail", "--plan", "not-a-plan"])
-        assert "partition-flap" in plan_names()
+        assert "partition-flap" in CHAOS_CATALOG
 
     def test_plan_capable_experiments_exist(self):
         assert registry.supporting("plan") == ("avail", "throughput")
@@ -310,6 +322,19 @@ class TestCli:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["wan", "--protocols", "raft-fixed,escape"])
+
+    def test_protocols_option_rejects_a_name_given_twice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["fig9", "--protocols", "raft,raft"])
+        assert exit_info.value.code == 2
+        assert "duplicate value 'raft'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_runs_option_rejects_counts_below_one(self, runs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["fig3", "--quick", "--runs", runs])
+        assert exit_info.value.code == 2
+        assert "--runs must be >= 1" in capsys.readouterr().err
 
     def test_protocol_capable_experiments_exist(self):
         assert {

@@ -1,9 +1,11 @@
-"""Unit tests for the declarative latency/fault specs.
+"""Unit tests for binding a network condition to a membership.
 
-Every spec variant must resolve to the matching :mod:`repro.net` model with
-its parameters carried across, validate its inputs at construction, and
-pickle round-trip unchanged -- the properties the scenario layer and the
-parallel sweep engine rely on.
+A condition is the :mod:`repro.net` model itself; ``resolve(server_ids)``
+exists only where the membership matters -- the geo spec assigns regions, a
+link fault checks its links name members, a composite binds its parts -- and
+:func:`repro.net.faults.bind` returns every other model as it is.  Conditions
+validate at construction and pickle round-trip unchanged: the properties the
+scenario layer and the parallel sweep engine rely on.
 """
 
 import pickle
@@ -18,64 +20,53 @@ from repro.net.faults import (
     MessageDuplicationFault,
     NoFault,
     PacketLossFault,
+    bind,
 )
 from repro.net.latency import (
     ConstantLatency,
     GeoGroupLatency,
+    GeoLatencySpec,
     LogNormalLatency,
     UniformLatency,
-)
-from repro.net.specs import (
-    BroadcastOmissionSpec,
-    CompositeFaultSpec,
-    ConstantLatencySpec,
-    DuplicationSpec,
-    GeoLatencySpec,
-    LinkFaultSpec,
-    LogNormalLatencySpec,
-    NoFaultSpec,
-    PacketLossSpec,
-    UniformLatencySpec,
     assign_regions,
 )
 
 SERVERS = (1, 2, 3, 4, 5)
 
-ALL_SPECS = [
-    UniformLatencySpec(50.0, 80.0),
-    ConstantLatencySpec(25.0),
-    LogNormalLatencySpec(median_ms=120.0, sigma=0.6, max_ms=2_000.0),
+#: The models no membership can change: binding is the identity.
+MEMBERSHIP_FREE = [
+    UniformLatency(50.0, 80.0),
+    ConstantLatency(25.0),
+    LogNormalLatency(median_ms=120.0, sigma=0.6, max_ms=2_000.0),
+    NoFault(),
+    BroadcastOmissionFault(0.2, affect_unicast=True),
+    PacketLossFault(0.1),
+    MessageDuplicationFault(0.3),
+]
+
+ALL_CONDITIONS = MEMBERSHIP_FREE + [
     GeoLatencySpec(region_count=2, intra_ms=(1.0, 5.0), inter_ms=(90.0, 140.0)),
-    NoFaultSpec(),
-    BroadcastOmissionSpec(0.2, affect_unicast=True),
-    PacketLossSpec(0.1),
-    LinkFaultSpec(broken_links=frozenset({(1, 2)}), symmetric=False),
-    DuplicationSpec(0.3),
-    CompositeFaultSpec(parts=(BroadcastOmissionSpec(0.2), DuplicationSpec(0.1))),
+    LinkFault(broken_links=frozenset({(1, 2)}), symmetric=False),
+    CompositeFault(
+        injectors=(BroadcastOmissionFault(0.2), MessageDuplicationFault(0.1))
+    ),
 ]
 
 
-class TestLatencySpecResolution:
-    def test_uniform_resolves_with_range(self):
-        model = UniformLatencySpec(50.0, 80.0).resolve(SERVERS)
-        assert isinstance(model, UniformLatency)
-        assert (model.low_ms, model.high_ms) == (50.0, 80.0)
+class TestBind:
+    @pytest.mark.parametrize(
+        "model", MEMBERSHIP_FREE, ids=lambda model: type(model).__name__
+    )
+    def test_a_membership_free_model_is_its_own_runtime_form(self, model):
+        assert bind(model, SERVERS) is model
 
-    def test_constant_resolves_with_value(self):
-        model = ConstantLatencySpec(25.0).resolve(SERVERS)
-        assert isinstance(model, ConstantLatency)
-        assert model.latency_ms == 25.0
 
-    def test_lognormal_resolves_with_parameters(self):
-        model = LogNormalLatencySpec(120.0, 0.6, 2_000.0).resolve(SERVERS)
-        assert isinstance(model, LogNormalLatency)
-        assert (model.median_ms, model.sigma, model.max_ms) == (120.0, 0.6, 2_000.0)
-
+class TestGeoBinding:
     def test_geo_resolves_with_balanced_regions(self):
         spec = GeoLatencySpec(
             region_count=2, intra_ms=(1.0, 5.0), inter_ms=(90.0, 140.0)
         )
-        model = spec.resolve(SERVERS)
+        model = bind(spec, SERVERS)
         assert isinstance(model, GeoGroupLatency)
         assert model.intra_ms == (1.0, 5.0)
         assert model.inter_ms == (90.0, 140.0)
@@ -91,13 +82,7 @@ class TestLatencySpecResolution:
         assert len(set(small.regions.values())) == 3
         assert len(set(large.regions.values())) == 3
 
-    def test_validation_mirrors_the_models(self):
-        with pytest.raises(ConfigurationError):
-            UniformLatencySpec(200.0, 100.0)
-        with pytest.raises(ConfigurationError):
-            ConstantLatencySpec(-1.0)
-        with pytest.raises(ConfigurationError):
-            LogNormalLatencySpec(median_ms=0.0)
+    def test_geo_spec_validates_at_construction(self):
         with pytest.raises(ConfigurationError):
             GeoLatencySpec(region_count=0)
         with pytest.raises(ConfigurationError):
@@ -108,6 +93,12 @@ class TestLatencySpecResolution:
     def test_geo_rejects_more_regions_than_servers(self):
         with pytest.raises(ConfigurationError):
             GeoLatencySpec(region_count=4).resolve((1, 2, 3))
+
+    def test_geo_spec_keeps_its_name_in_repr(self):
+        # The repr is what election exports record as ``extra.latency_spec``.
+        assert repr(GeoLatencySpec(region_count=3)).startswith(
+            "GeoLatencySpec(region_count=3, "
+        )
 
 
 class TestAssignRegions:
@@ -126,66 +117,54 @@ class TestAssignRegions:
         assert set(regions.values()) == {"region-0"}
 
 
-class TestFaultSpecResolution:
-    def test_no_fault(self):
-        assert isinstance(NoFaultSpec().resolve(SERVERS), NoFault)
-
-    def test_broadcast_omission(self):
-        fault = BroadcastOmissionSpec(0.2, affect_unicast=True).resolve(SERVERS)
-        assert isinstance(fault, BroadcastOmissionFault)
-        assert fault.loss_rate == 0.2
-        assert fault.affect_unicast
-
-    def test_packet_loss(self):
-        fault = PacketLossSpec(0.1).resolve(SERVERS)
-        assert isinstance(fault, PacketLossFault)
-        assert fault.loss_rate == 0.1
-
-    def test_link_fault(self):
-        spec = LinkFaultSpec(broken_links=frozenset({(1, 2)}), symmetric=False)
-        fault = spec.resolve(SERVERS)
-        assert isinstance(fault, LinkFault)
-        assert fault.broken_links == frozenset({(1, 2)})
-        assert not fault.symmetric
+class TestFaultBinding:
+    def test_link_fault_binds_to_itself_when_its_links_name_members(self):
+        fault = LinkFault(broken_links=frozenset({(1, 2)}), symmetric=False)
+        assert bind(fault, SERVERS) is fault
 
     def test_link_fault_rejects_unknown_servers(self):
-        spec = LinkFaultSpec(broken_links=frozenset({(1, 99)}))
-        with pytest.raises(ConfigurationError):
-            spec.resolve(SERVERS)
+        fault = LinkFault(broken_links=frozenset({(1, 99)}))
+        with pytest.raises(ConfigurationError, match="outside the cluster"):
+            fault.resolve(SERVERS)
 
-    def test_duplication(self):
-        fault = DuplicationSpec(0.3).resolve(SERVERS)
-        assert isinstance(fault, MessageDuplicationFault)
-        assert fault.rate == 0.3
-
-    def test_composite_resolves_every_part_in_order(self):
-        spec = CompositeFaultSpec(
-            parts=(BroadcastOmissionSpec(0.2), DuplicationSpec(0.1))
+    def test_composite_binds_every_part_in_order(self):
+        parts = (
+            BroadcastOmissionFault(0.2),
+            LinkFault(broken_links=frozenset({(1, 2)})),
+            MessageDuplicationFault(0.1),
         )
-        fault = spec.resolve(SERVERS)
-        assert isinstance(fault, CompositeFault)
-        assert isinstance(fault.injectors[0], BroadcastOmissionFault)
-        assert isinstance(fault.injectors[1], MessageDuplicationFault)
+        composite = CompositeFault(injectors=parts)
+        bound = bind(composite, SERVERS)
+        assert bound == composite
+        assert all(mine is theirs for mine, theirs in zip(bound.injectors, parts))
 
-    def test_rate_validation(self):
-        with pytest.raises(ConfigurationError):
-            BroadcastOmissionSpec(1.5)
-        with pytest.raises(ConfigurationError):
-            PacketLossSpec(-0.1)
-        with pytest.raises(ConfigurationError):
-            DuplicationSpec(2.0)
+    def test_composite_recurses_into_nested_parts(self):
+        nested = CompositeFault(
+            injectors=(
+                PacketLossFault(0.1),
+                CompositeFault(
+                    injectors=(LinkFault(broken_links=frozenset({(1, 99)})),)
+                ),
+            )
+        )
+        with pytest.raises(ConfigurationError, match="outside the cluster"):
+            bind(nested, SERVERS)
 
-    def test_composite_rejects_non_spec_parts(self):
-        with pytest.raises(ConfigurationError):
-            CompositeFaultSpec(parts=(BroadcastOmissionFault(0.2),))
+    def test_composite_rejects_parts_that_are_not_injectors(self):
+        with pytest.raises(ConfigurationError, match="fault injectors"):
+            CompositeFault(injectors=(UniformLatency(100.0, 200.0),))
 
 
 class TestPicklability:
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
-    def test_every_spec_round_trips(self, spec):
-        assert pickle.loads(pickle.dumps(spec)) == spec
+    @pytest.mark.parametrize(
+        "condition", ALL_CONDITIONS, ids=lambda c: type(c).__name__
+    )
+    def test_every_condition_round_trips_and_hashes(self, condition):
+        clone = pickle.loads(pickle.dumps(condition))
+        assert clone == condition
+        assert hash(clone) == hash(condition)
 
-    def test_resolution_after_round_trip_is_identical(self):
+    def test_binding_after_round_trip_is_identical(self):
         spec = GeoLatencySpec(region_count=2)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.resolve(SERVERS) == spec.resolve(SERVERS)

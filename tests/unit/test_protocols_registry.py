@@ -14,7 +14,7 @@ import pytest
 
 from repro import protocols
 from repro.cluster.builder import build_cluster
-from repro.cluster.catalog import scenario_for
+from repro.cluster.catalog import network_specs
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import ClusterError, ConfigurationError
 from repro.experiments.runner import run_sweep
@@ -22,7 +22,7 @@ from repro.raft.node import RaftNode
 from repro.raft.timers import FixedTimeoutPolicy, ScriptOnlyPolicy
 
 LIVE_PROTOCOLS = [
-    spec.name for spec in protocols.specs() if spec.guarantees_liveness
+    name for name, spec in protocols.items() if spec.guarantees_liveness
 ]
 
 
@@ -70,11 +70,14 @@ class TestRegistryApi:
     def test_titles_and_fallback(self):
         assert protocols.title("zraft") == "Z-Raft"
         assert protocols.title("unregistered-name") == "unregistered-name"
-        assert protocols.titles()["escape"] == "ESCAPE"
 
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError, match="non-empty"):
-            protocols.ProtocolSpec(name="has space", node_class=RaftNode, title="x")
+            protocols.register(
+                protocols.ProtocolSpec(
+                    name="has space", node_class=RaftNode, title="x"
+                )
+            )
         with pytest.raises(ConfigurationError, match="timeout_kind"):
             protocols.ProtocolSpec(
                 name="x", node_class=RaftNode, title="x", timeout_kind="magic"
@@ -83,7 +86,7 @@ class TestRegistryApi:
             protocols.ProtocolSpec(name="x", node_class=dict, title="x")
 
     def test_specs_pickle_by_reference(self):
-        for spec in protocols.specs():
+        for _, spec in protocols.items():
             assert pickle.loads(pickle.dumps(spec)) == spec
 
 
@@ -138,7 +141,7 @@ class TestCustomSpecEndToEnd:
 
 
 class TestConformance:
-    @pytest.mark.parametrize("name", [spec.name for spec in protocols.specs()])
+    @pytest.mark.parametrize("name", protocols.names())
     def test_builds_the_spec_node_class(self, name):
         spec = protocols.get(name)
         cluster = build_cluster(name, size=3)
@@ -161,8 +164,8 @@ class TestConformance:
 
     @pytest.mark.parametrize("name", ["raft-stagger", "escape-noppf"])
     def test_variants_run_under_catalog_conditions(self, name):
-        measurement = scenario_for("geo-two-region", name, 4).run(seed=3)
-        assert measurement.converged
+        scenario = ElectionScenario(name, 4, **network_specs("geo-two-region"))
+        assert scenario.run(seed=3).converged
 
     def test_raft_fixed_livelocks_as_the_paper_predicts(self):
         """Identical deterministic timeouts collide forever (Fig. 10)."""
@@ -232,9 +235,8 @@ class TestGoldenPairedResults:
             "escape": (3594564750, 1829.077887171983, 1),
         }
         for protocol, (seed, total_ms, winner) in golden.items():
-            measurement = scenario_for("paper-default", protocol, 5).run_many(
-                1, 0, label="golden"
-            )[0]
+            scenario = ElectionScenario(protocol, 5, **network_specs("paper-default"))
+            measurement = scenario.run_many(1, 0, label="golden")[0]
             assert measurement.seed == seed
             assert measurement.total_ms == total_ms
             assert measurement.winner_id == winner

@@ -1,11 +1,13 @@
 """Cross-registry spec conformance: pickle, hash, ``dataclasses.replace``.
 
-Every value registered with any of the five dispatch registries (protocols,
-experiments, network conditions, chaos plans, simulation engines) must cross
-the parallel sweep engine's multiprocessing boundary intact.  This suite states that contract
-directly -- one parametrized case per registered spec -- so registering a new
-spec anywhere subjects it to the same checks automatically.  The lint S1
-rule enforces the same properties statically; this is the runtime half.
+Every value registered with any of the six dispatch registries (protocols,
+experiments, network conditions, chaos plans, simulation engines, workloads)
+must cross the parallel sweep engine's multiprocessing boundary intact.  This
+suite states that contract directly -- one parametrized case per registered
+spec -- so registering a new spec anywhere subjects it to the same checks
+automatically.  The lint S1 rule enforces the same properties statically;
+this is the runtime half, and it reads the registries through the same
+:func:`repro.lint.rules_registry.load_registries` S1 does.
 """
 
 import dataclasses
@@ -13,33 +15,16 @@ import pickle
 
 import pytest
 
-from repro.chaos import plans as chaos_plans
-from repro.cluster import catalog as net_catalog
 from repro.experiments import registry as experiment_registry
 from repro.experiments.spec import ExperimentSpec
-from repro.protocols import registry as protocol_registry
-from repro.sim import engines as engine_registry
+from repro.lint.rules_registry import load_registries
 
-
-def _all_registered():
-    import repro.experiments  # noqa: F401 - importing registers the specs
-
-    cases = []
-    for registry_name, pairs in (
-        ("protocols", protocol_registry.registered_specs()),
-        ("experiments", experiment_registry.registered_specs()),
-        ("net-conditions", net_catalog.registered_specs()),
-        ("chaos-plans", chaos_plans.registered_specs()),
-        ("engines", engine_registry.registered_specs()),
-    ):
-        cases.extend(
-            pytest.param(spec, id=f"{registry_name}:{name}")
-            for name, spec in pairs
-        )
-    return cases
-
-
-ALL_SPECS = _all_registered()
+#: ``test_lint_registry_rules.py`` pins that this enumerates six registries.
+ALL_SPECS = [
+    pytest.param(spec, id=f"{registry_name}:{name}")
+    for registry_name, pairs in load_registries().items()
+    for name, spec in pairs
+]
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -74,9 +59,7 @@ class TestSpecConformance:
 class TestExperimentSpecMappings:
     """The FrozenDict fields behind S1's hashability requirement."""
 
-    @pytest.mark.parametrize(
-        "name", [spec.name for spec in experiment_registry.specs()]
-    )
+    @pytest.mark.parametrize("name", experiment_registry.names())
     def test_parameter_mappings_are_immutable(self, name):
         spec = experiment_registry.get(name)
         for field in ("params", "quick_params"):

@@ -35,12 +35,8 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="already registered"):
             specs.register(WorkloadSpec(name="closed-loop"))
 
-    def test_is_registered(self):
-        assert specs.is_registered("open-burst")
-        assert not specs.is_registered("open-pareto")
-
-    def test_registered_specs_enumerates_name_spec_pairs(self):
-        pairs = specs.registered_specs()
+    def test_items_enumerates_name_spec_pairs(self):
+        pairs = specs.items()
         assert tuple(name for name, _ in pairs) == BUILTINS
         assert all(isinstance(spec, WorkloadSpec) for _, spec in pairs)
 
@@ -53,7 +49,7 @@ class TestRegistry:
         assert specs.get("legacy-interval").interval_ms == 250.0
 
     def test_every_builtin_survives_pickling(self):
-        for _, spec in specs.registered_specs():
+        for _, spec in specs.items():
             assert pickle.loads(pickle.dumps(spec)) == spec
             hash(spec)
 
@@ -64,9 +60,9 @@ class TestWorkloadSpecValidation:
         assert WorkloadSpec(name="w", mode="open").tracked
         assert not WorkloadSpec(name="w", mode="legacy-interval").tracked
 
-    def test_name_required(self):
-        with pytest.raises(ConfigurationError, match="needs a name"):
-            WorkloadSpec(name="")
+    def test_a_nameless_spec_cannot_be_registered(self):
+        with pytest.raises(ConfigurationError, match="workload name '' must be"):
+            specs.register(WorkloadSpec(name=""))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown workload mode"):
