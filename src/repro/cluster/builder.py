@@ -42,23 +42,34 @@ class _LeaderTracker(NodeListenerBase):
 
     Every role transition funnels through ``RaftNode._change_role`` (which
     notifies listeners), so this set is exactly the nodes a full scan for
-    ``is_running and role is LEADER`` would find -- the harness polls
-    :meth:`SimulatedCluster.has_leader` after every executed event, and the
-    scan was the single hottest line of an election sweep.  Crash/recover
-    bypass ``_change_role`` (a stopped leader keeps its role), so
+    ``is_running and role is LEADER`` would find.  Crash/recover bypass
+    ``_change_role`` (a stopped leader keeps its role), so
     :meth:`SimulatedCluster.crash` evicts the crashed server explicitly.
+
+    The leadership predicates (:meth:`SimulatedCluster.has_leader`,
+    :meth:`~SimulatedCluster.has_leader_other_than`) can only change when this
+    set does -- a leader's term is fixed for as long as it leads -- so every
+    change calls *interrupt* (the scheduler's) and the harness, waiting in
+    ``run_until_interrupted``, re-evaluates its predicate then and only then.
     """
 
-    __slots__ = ("leader_ids",)
+    __slots__ = ("leader_ids", "_interrupt")
 
-    def __init__(self) -> None:
+    def __init__(self, interrupt: Callable[[], None]) -> None:
         self.leader_ids: set[ServerId] = set()
+        self._interrupt = interrupt
 
     def on_role_change(self, node_id, old_role, new_role, term, time_ms) -> None:
         if new_role is Role.LEADER:
             self.leader_ids.add(node_id)
+            self._interrupt()
         elif old_role is Role.LEADER:
-            self.leader_ids.discard(node_id)
+            self.evict(node_id)
+
+    def evict(self, node_id: ServerId) -> None:
+        """Stop tracking *node_id* (it stepped down or crashed)."""
+        self.leader_ids.discard(node_id)
+        self._interrupt()
 
 
 class SimulatedCluster:
@@ -78,7 +89,7 @@ class SimulatedCluster:
         self.network = network
         self.nodes: dict[ServerId, RaftNode] = dict(nodes)
         self._crashed: set[ServerId] = set()
-        self._leader_tracker = _LeaderTracker()
+        self._leader_tracker = _LeaderTracker(world.scheduler.interrupt)
         for node in self.nodes.values():
             node.add_listener(self._leader_tracker)
 
@@ -96,6 +107,22 @@ class SimulatedCluster:
             return self.nodes[server_id]
         except KeyError as exc:
             raise ClusterError(f"S{server_id} is not part of this cluster") from exc
+
+    def close(self) -> None:
+        """Release a finished cluster so it is freed by reference count.
+
+        Drops what ties the object graph into cycles -- the network's delivery
+        callbacks, the scheduler's queued records (pending timers and
+        deliveries, and with them the nodes' timer handles) and the nodes'
+        listeners (observers and drivers refer back to the cluster) -- without
+        a trace record or a listener call.  Every counter, the tracer's
+        records and the nodes' state stay readable; nothing can run
+        afterwards.
+        """
+        self.network.close()
+        self.world.scheduler.close()
+        for node in self.nodes.values():
+            node.remove_listeners()
 
     def running_nodes(self) -> list[RaftNode]:
         """Nodes that are currently running (not crashed)."""
@@ -131,11 +158,11 @@ class SimulatedCluster:
     def has_leader_other_than(self, exclude: ServerId) -> bool:
         """Whether :meth:`leader` would return a node other than *exclude*.
 
-        The harness polls this after every executed event while waiting for
-        failover convergence, so the common cases (no leader yet; a leader
-        that is not *exclude*) stay O(1) on the tracker set.  Only the
-        ambiguous case -- *exclude* still among the tracked leaders -- falls
-        back to the full highest-term comparison.
+        The harness's failover wait evaluates this each time the tracked
+        leader set changes.  The common cases (no leader yet; a leader that
+        is not *exclude*) are O(1) on the tracker set; only the ambiguous
+        case -- *exclude* still among the tracked leaders -- falls back to
+        the full highest-term comparison.
         """
         leader_ids = self._leader_tracker.leader_ids
         if not leader_ids:
@@ -157,7 +184,7 @@ class SimulatedCluster:
         # stop() keeps the node's role (a crashed leader stays LEADER on
         # disk), so evict it from the live-leader set explicitly; recover()
         # rejoins as follower, which needs no tracker update.
-        self._leader_tracker.leader_ids.discard(server_id)
+        self._leader_tracker.evict(server_id)
         self.network.disconnect(server_id)
         self._crashed.add(server_id)
         self.world.trace("cluster.crash", node=server_id)

@@ -48,8 +48,8 @@ class SimNodeEnvironment:
     def now(self) -> Milliseconds:
         return self._clock.now()
 
-    def send(self, dst: ServerId, message: Any) -> None:
-        self._network.send(self._node_id, dst, message)
+    def send(self, dst: ServerId, message: Any, inert: bool = False) -> None:
+        self._network.send(self._node_id, dst, message, inert)
 
     def broadcast(
         self,

@@ -13,6 +13,8 @@ figure of the paper:
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.cluster.builder import SimulatedCluster
 from repro.cluster.observers import ElectionObserver
 from repro.common.errors import ClusterError
@@ -50,9 +52,8 @@ class ElectionHarness:
         Raises:
             ClusterError: if no leader emerges within *max_time_ms*.
         """
-        scheduler = self._cluster.world.scheduler
-        elected = scheduler.run_until_condition(
-            self._cluster.has_leader, max_time_ms=scheduler.now() + max_time_ms
+        elected = self._run_until(
+            self._cluster.has_leader, self._cluster.world.now() + max_time_ms
         )
         if not elected:
             raise ClusterError(
@@ -65,6 +66,21 @@ class ElectionHarness:
     def run_for(self, duration_ms: Milliseconds) -> None:
         """Advance the simulation by *duration_ms* of simulated time."""
         self._cluster.world.run_for(duration_ms)
+
+    def _run_until(
+        self, leadership: Callable[[], bool], deadline_ms: Milliseconds
+    ) -> bool:
+        """Run until a cluster leadership predicate holds, or the deadline.
+
+        Returns at the same event as polling *leadership* after every event
+        would: the cluster interrupts the scheduler whenever its set of
+        leaders changes, which is the only time such a predicate can.
+        """
+        scheduler = self._cluster.world.scheduler
+        while not leadership():
+            if not scheduler.run_until_interrupted(deadline_ms):
+                return leadership()
+        return True
 
     # ------------------------------------------------------------------ #
     # Leader failure measurement
@@ -83,15 +99,9 @@ class ElectionHarness:
         """
         crashed_leader = self._cluster.crash_leader()
         crash_time = self._cluster.world.now()
-        scheduler = self._cluster.world.scheduler
-
-        has_leader_other_than = self._cluster.has_leader_other_than
-
-        def new_leader_running() -> bool:
-            return has_leader_other_than(crashed_leader)
-
-        converged = scheduler.run_until_condition(
-            new_leader_running, max_time_ms=crash_time + max_election_ms
+        converged = self._run_until(
+            lambda: self._cluster.has_leader_other_than(crashed_leader),
+            crash_time + max_election_ms,
         )
 
         first_timeout = self._observer.first_timeout_after(crash_time)

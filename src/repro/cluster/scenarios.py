@@ -236,7 +236,9 @@ class Scenario:
         ``"telemetry"`` (as plain JSON state, so measurements keep pickling
         and exporting unchanged).
         """
-        return self._run_measured(seed)[0]
+        measurement, cluster = self._run_measured(seed)
+        cluster.close()
+        return measurement
 
     def run_traced(self, seed: int) -> tuple[object, tuple]:
         """Run one episode with tracing forced on; returns the trace too.
@@ -248,10 +250,17 @@ class Scenario:
         """
         traced = self if self.trace else replace(self, trace=True)
         measurement, cluster = traced._run_measured(seed)
-        return measurement, cluster.world.tracer.records
+        records = cluster.world.tracer.records
+        cluster.close()
+        return measurement, records
 
     def _run_measured(self, seed: int) -> tuple[object, SimulatedCluster]:
-        """Run one episode, attaching telemetry when the scenario opts in."""
+        """Run one episode, attaching telemetry when the scenario opts in.
+
+        The cluster comes back still open (the harvest above reads its queue
+        gauges, ``run_traced`` its trace); the caller closes it, so no
+        finished episode is left to the cycle collector.
+        """
         if not self.telemetry:
             return self._episode(seed, None)
         registry = MetricsRegistry()

@@ -142,12 +142,19 @@ class FlatNetwork(SimulatedNetwork):
     # ------------------------------------------------------------------ #
     # Sending
     # ------------------------------------------------------------------ #
-    def send(self, src: ServerId, dst: ServerId, payload: Any) -> None:
+    def send(
+        self, src: ServerId, dst: ServerId, payload: Any, inert: bool = False
+    ) -> None:
         """Send one point-to-point message.
 
         Unlike the classic engine this returns ``None`` even for messages
         put in flight: the flat engine materialises no envelopes (engine
-        contract -- receipts are classic-engine observability).
+        contract -- receipts are classic-engine observability).  An *inert*
+        message goes through every check and draw below and is then counted
+        in ``stats.elided`` instead of pushed, exactly like the classic
+        engine (see :meth:`SimulatedNetwork.send`); an elided copy takes no
+        sequence number, which leaves the order of every other event as it
+        was.
         """
         member_set = self._member_set
         if src not in member_set or dst not in member_set:
@@ -183,15 +190,20 @@ class FlatNetwork(SimulatedNetwork):
             latency = self._constant_latency
         else:
             latency = self._sample_latency(self._latency_rng, src, dst)
-        time_ms = self._clock._now_ms + latency
-        if not time_ms < _INF:  # rejects +inf and NaN in one comparison
-            raise SimulationError(
-                f"cannot schedule event at non-finite time: {time_ms!r}"
+        if inert:
+            stats.elided += 1
+        else:
+            time_ms = self._clock._now_ms + latency
+            if not time_ms < _INF:  # rejects +inf and NaN in one comparison
+                raise SimulationError(
+                    f"cannot schedule event at non-finite time: {time_ms!r}"
+                )
+            scheduler = self._flat_scheduler
+            seq = scheduler._sequence
+            scheduler._sequence = seq + 1
+            heappush(
+                self._heap, [time_ms, seq, self._deliver_fast, (src, dst, payload)]
             )
-        scheduler = self._flat_scheduler
-        seq = scheduler._sequence
-        scheduler._sequence = seq + 1
-        heappush(self._heap, [time_ms, seq, self._deliver_fast, (src, dst, payload)])
         duplicator = self._duplicator
         if duplicator is not None and duplicator(self._fault_rng, src, dst):
             stats.duplicated += 1
@@ -201,11 +213,15 @@ class FlatNetwork(SimulatedNetwork):
                 latency = self._constant_latency
             else:
                 latency = self._sample_latency(self._latency_rng, src, dst)
+            if inert:
+                stats.elided += 1
+                return None
             time_ms = self._clock._now_ms + latency
             if not time_ms < _INF:
                 raise SimulationError(
                     f"cannot schedule event at non-finite time: {time_ms!r}"
                 )
+            scheduler = self._flat_scheduler
             seq = scheduler._sequence
             scheduler._sequence = seq + 1
             heappush(

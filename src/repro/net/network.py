@@ -19,7 +19,9 @@ Every dropped message emits one ``net.drop`` trace with a ``reason`` of
 ``"fault"``, ``"broadcast_omission"``, ``"partition"`` or ``"disconnected"``;
 drops that happen at delivery time rather than send time additionally carry
 ``in_flight=True``.  Stats and traces therefore account for exactly the same
-set of drops.
+set of drops.  A message sent as *inert* (see :meth:`SimulatedNetwork.send`)
+is accounted for like any other up to the point of scheduling and then
+counted as ``elided``: it is never in flight, so it is never dropped there.
 """
 
 from __future__ import annotations
@@ -40,10 +42,18 @@ DeliveryCallback = Callable[[ServerId, Any], None]
 
 @dataclass
 class NetworkStats:
-    """Counters describing what the network did during a run."""
+    """Counters describing what the network did during a run.
+
+    Once nothing is in flight every message copy has ended in exactly one
+    terminal state, so ``sent + duplicated == delivered + dropped + elided``.
+    """
 
     sent: int = 0
     delivered: int = 0
+    # Copies of inert messages (see ``Environment.send``) that passed every
+    # send-time check and were then not scheduled: delivering them would have
+    # changed nothing, so they are neither delivered nor dropped.
+    elided: int = 0
     dropped_by_fault: int = 0
     dropped_by_partition: int = 0
     dropped_disconnected: int = 0
@@ -134,6 +144,10 @@ class SimulatedNetwork:
             raise NetworkError(f"S{server_id} is not a cluster member")
         self._handlers[server_id] = handler
 
+    def close(self) -> None:
+        """Forget every delivery callback (they hold the nodes alive)."""
+        self._handlers.clear()
+
     def disconnect(self, server_id: ServerId) -> None:
         """Detach a server: nothing is delivered to or accepted from it.
 
@@ -155,11 +169,20 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------ #
     # Sending
     # ------------------------------------------------------------------ #
-    def send(self, src: ServerId, dst: ServerId, payload: Any) -> Envelope | None:
+    def send(
+        self, src: ServerId, dst: ServerId, payload: Any, inert: bool = False
+    ) -> Envelope | None:
         """Send one point-to-point message.
 
+        An *inert* message (the sender's guarantee that no receiver acts on
+        it, see :meth:`repro.raft.environment.Environment.send`) is counted,
+        fault- and partition-checked and draws its latency and duplication
+        samples like any other, so every counter and RNG stream reads as if
+        it had been sent; only the delivery is not scheduled, and each copy
+        is counted in :attr:`NetworkStats.elided`.
+
         Returns the in-flight envelope, or ``None`` if the message was dropped
-        at send time (sender disconnected, or unicast fault).
+        at send time (sender disconnected, or unicast fault) or elided.
         """
         self._require_member(src)
         self._require_member(dst)
@@ -172,7 +195,7 @@ class SimulatedNetwork:
             self.stats.dropped_by_fault += 1
             self._world.trace("net.drop", node=src, dst=dst, reason="fault")
             return None
-        return self._enqueue(src, dst, payload)
+        return self._enqueue(src, dst, payload, inert)
 
     def broadcast(
         self,
@@ -228,20 +251,27 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _enqueue(self, src: ServerId, dst: ServerId, payload: Any) -> Envelope | None:
+    def _enqueue(
+        self, src: ServerId, dst: ServerId, payload: Any, inert: bool = False
+    ) -> Envelope | None:
         if not self._partitions.can_communicate(src, dst):
             self.stats.dropped_by_partition += 1
             self._world.trace("net.drop", node=src, dst=dst, reason="partition")
             return None
-        envelope = self._schedule_delivery(src, dst, payload)
+        envelope = self._schedule_delivery(src, dst, payload, inert)
         duplicator = getattr(self._fault, "should_duplicate", None)
         if duplicator is not None and duplicator(self._fault_rng, src, dst):
             self.stats.duplicated += 1
-            self._schedule_delivery(src, dst, payload)
+            self._schedule_delivery(src, dst, payload, inert)
         return envelope
 
-    def _schedule_delivery(self, src: ServerId, dst: ServerId, payload: Any) -> Envelope:
+    def _schedule_delivery(
+        self, src: ServerId, dst: ServerId, payload: Any, inert: bool
+    ) -> Envelope | None:
         latency = self._latency.sample(self._latency_rng, src, dst)
+        if inert:
+            self.stats.elided += 1
+            return None
         now = self._world.now()
         envelope = Envelope(
             message_id=self._next_message_id,

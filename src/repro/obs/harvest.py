@@ -8,25 +8,45 @@ node events need a live listener (:class:`TelemetryListener`), and it is
 attached only when a scenario opts into telemetry.
 
 Metric names are dotted and stable -- they are part of the snapshot contract
-pinned by the engine/worker parity tests:
+pinned by the engine/worker parity tests.  The table is the whole vocabulary:
+``tests/unit/test_obs_telemetry.py`` checks it against what an episode emits,
+name for name in both directions (``<...>`` stands for one dotted segment).
 
-========================  =====================================================
-``sim.events.*``          scheduled / executed / cancelled counts, pending gauge
-``sim.heap.*``            compactions counter, size gauge
-``net.*``                 sent / delivered / duplicated / broadcasts counters
-``net.dropped.*``         fault / partition / disconnected / in_flight counters
-``net.sent.<MsgType>``    per-message-type send counters
-``chaos.applied[.kind]``  applied disruptions, total and per kind
-``chaos.skipped[.kind]``  quorum-guard skips, total and per kind
-``node.*``                election timeouts, campaigns, votes, wins, role
-                          changes, commits, and the attempt-number histogram
-``workload.proposed``     client proposals a leader accepted
-``workload.rejected``     proposals abandoned after ``NotLeaderError``
-``workload.dropped``      proposals dropped while leaderless
-``workload.committed``    tracked ops applied to the state machine
-``workload.retries``      extra attempts after ``NotLeaderError``
-``workload.lost``         proposed ops that never committed (failover loss)
-========================  =====================================================
+============================  =================================================
+``sim.events.scheduled``      events given a sequence number (counter)
+``sim.events.executed``       events run (counter)
+``sim.events.cancelled``      live events cancelled (counter)
+``sim.events.pending``        live events still queued at harvest (gauge)
+``sim.heap.compactions``      heap rebuilds (counter)
+``sim.heap.size``             heap records, dead ones included (gauge)
+``net.sent``                  messages handed to the network (counter)
+``net.sent.<MsgType>``        the same, per payload type
+``net.delivered``             copies handed to a node
+``net.elided``                copies of inert messages never scheduled
+``net.duplicated``            extra copies made by a duplication fault
+``net.broadcasts``            logical broadcasts
+``net.dropped.fault``         copies lost to the fault injector
+``net.dropped.partition``     copies lost to a partition
+``net.dropped.disconnected``  copies lost to a crashed endpoint
+``net.dropped.in_flight``     how many of the last two were lost at delivery
+``chaos.applied``             applied disruptions
+``chaos.applied.<kind>``      the same, per event kind
+``chaos.skipped``             quorum-guard skips
+``chaos.skipped.<kind>``      the same, per event kind
+``node.election_timeouts``    election timers that fired
+``node.timeout_attempts``     their attempt numbers (histogram)
+``node.campaigns``            elections started
+``node.votes_granted``        votes granted
+``node.elections_won``        leaders elected
+``node.role_changes``         role transitions
+``node.commits``              entries applied, summed over nodes
+``workload.proposed``         client proposals a leader accepted
+``workload.rejected``         proposals abandoned after ``NotLeaderError``
+``workload.dropped``          proposals dropped while leaderless
+``workload.committed``        tracked ops applied to the state machine
+``workload.retries``          extra attempts after ``NotLeaderError``
+``workload.lost``             proposed ops that never committed (failover loss)
+============================  =================================================
 
 The ``workload.*`` counters come from :func:`harvest_workload`; the tracked
 trio stays zero under the untracked ``legacy-interval`` workload.
@@ -77,6 +97,7 @@ def harvest_network(network, metrics: MetricsRegistry) -> None:
     stats = network.stats
     metrics.counter("net.sent").inc(stats.sent)
     metrics.counter("net.delivered").inc(stats.delivered)
+    metrics.counter("net.elided").inc(stats.elided)
     metrics.counter("net.duplicated").inc(stats.duplicated)
     metrics.counter("net.broadcasts").inc(stats.broadcast_count)
     metrics.counter("net.dropped.fault").inc(stats.dropped_by_fault)

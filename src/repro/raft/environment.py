@@ -4,7 +4,8 @@ A :class:`~repro.raft.node.RaftNode` interacts with the outside world only
 through an :class:`Environment`:
 
 * reading the current time,
-* sending a message to one peer or broadcasting to many,
+* sending a message to one peer or broadcasting to many (and saying when a
+  message is provably *inert*, see :meth:`Environment.send`),
 * arming and cancelling timers,
 * drawing random numbers from its private stream, and
 * emitting trace events.
@@ -39,8 +40,20 @@ class Environment(Protocol):
         """Current time in milliseconds (simulated or wall-clock)."""
         ...
 
-    def send(self, dst: ServerId, message: Any) -> None:  # pragma: no cover
-        """Send one message to one peer (fire-and-forget)."""
+    def send(
+        self, dst: ServerId, message: Any, inert: bool = False
+    ) -> None:  # pragma: no cover
+        """Send one message to one peer (fire-and-forget).
+
+        ``inert=True`` is the *sender's* proof obligation: no receiver, in any
+        state it can reach, changes state, sends, arms or cancels a timer,
+        traces or notifies a listener on this message.  A simulated transport
+        may then account for the message exactly as for any other -- counters,
+        fault and partition checks, latency and duplication draws -- and skip
+        the delivery itself; a real transport ignores the flag and sends.
+        Nodes pass it positionally (the flat engine binds ``send`` through
+        :func:`functools.partial`).
+        """
         ...
 
     def broadcast(

@@ -110,21 +110,6 @@ class RaftNode:
             "append_entries_received": 0,
         }
 
-        # Message dispatch by exact payload type; subclassed RPCs (ESCAPE
-        # extends the Raft messages) are resolved through the isinstance
-        # chain on first sight and memoised.  Bound here so subclass handler
-        # overrides are picked up.
-        self._message_handlers: dict[type, Callable[[ServerId, Any], None]] = {
-            RequestVoteRequest: self._handle_request_vote,
-            RequestVoteResponse: self._handle_request_vote_response,
-            AppendEntriesRequest: self._handle_append_entries,
-            AppendEntriesResponse: self._handle_append_entries_response,
-        }
-        # Bound-method alias: the dispatch dict is only ever mutated in place
-        # (memoising newly seen subclassed RPC types), so the bound ``get``
-        # stays valid for the node's lifetime.
-        self._dispatch_get = self._message_handlers.get
-
         # Hot-path caches.  Membership is static, so the peer tuple is fixed
         # for the node's lifetime.  The two hook flags let the heartbeat path
         # skip no-op subclass hooks; they are per-class facts, not per-call.
@@ -179,6 +164,10 @@ class RaftNode:
     def add_listener(self, listener: NodeListener) -> None:
         """Attach an observer for protocol events."""
         self._listeners.append(listener)
+
+    def remove_listeners(self) -> None:
+        """Detach every observer (nothing is notified)."""
+        self._listeners.clear()
 
     def start(self) -> None:
         """Join the cluster as a follower and start the election timer."""
@@ -257,29 +246,43 @@ class RaftNode:
     # ------------------------------------------------------------------ #
     # Message dispatch
     # ------------------------------------------------------------------ #
+    #: ``type(message)`` -> handler, as plain functions memoised per node class
+    #: on first sight of each type (a per-node dict of the node's own bound
+    #: methods made every node a reference cycle).
+    _message_handlers: dict[type, Callable[["RaftNode", ServerId, Any], None]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # Its own memo: a subclass may override a handler.
+        cls._message_handlers = {}
+
     def on_message(self, src: ServerId, message: RpcMessage) -> None:
         """Entry point for every message delivered to this node."""
         if not self._running:
             return
-        handler = self._dispatch_get(type(message))
+        handler = self._message_handlers.get(type(message))
         if handler is None:
             handler = self._resolve_message_handler(message)
-            self._message_handlers[type(message)] = handler
-        handler(src, message)
+        handler(self, src, message)
 
     def _resolve_message_handler(
         self, message: RpcMessage
-    ) -> Callable[[ServerId, Any], None]:
-        """Map a not-yet-seen message type to its handler (isinstance chain)."""
+    ) -> Callable[["RaftNode", ServerId, Any], None]:
+        """Map a not-yet-seen message type to its handler (isinstance chain,
+        so subclassed RPCs -- ESCAPE extends the Raft messages -- resolve)."""
+        cls = type(self)
         if isinstance(message, RequestVoteRequest):
-            return self._handle_request_vote
-        if isinstance(message, RequestVoteResponse):
-            return self._handle_request_vote_response
-        if isinstance(message, AppendEntriesRequest):
-            return self._handle_append_entries
-        if isinstance(message, AppendEntriesResponse):
-            return self._handle_append_entries_response
-        raise ProtocolError(f"unknown message type {type(message).__name__}")
+            handler = cls._handle_request_vote
+        elif isinstance(message, RequestVoteResponse):
+            handler = cls._handle_request_vote_response
+        elif isinstance(message, AppendEntriesRequest):
+            handler = cls._handle_append_entries
+        elif isinstance(message, AppendEntriesResponse):
+            handler = cls._handle_append_entries_response
+        else:
+            raise ProtocolError(f"unknown message type {type(message).__name__}")
+        cls._message_handlers[type(message)] = handler
+        return handler
 
     # ------------------------------------------------------------------ #
     # Leader election: timeouts and campaigns
@@ -405,9 +408,18 @@ class RaftNode:
             )
         memo = self._vote_response_memo
         if memo is not None and memo[0] == self.current_term and memo[1] is granted:
-            self.env.send(src, memo[2])
+            response = memo[2]
         else:
-            self.env.send(src, self._make_vote_response(granted=granted))
+            response = self._make_vote_response(granted=granted)
+        if granted:
+            self.env.send(src, response)
+        else:
+            # Inert (see Environment.send): past the stale-term branch this
+            # node's term equals the request's, so the refusal's term can
+            # never exceed the candidate's (terms only grow), and a reply
+            # that is not newer and grants nothing returns from
+            # _handle_request_vote_response before it touches anything.
+            self.env.send(src, response, True)
 
     def _make_vote_response(self, granted: bool) -> RequestVoteResponse:
         """Build (or reuse) the frozen vote response for the current term.
@@ -813,3 +825,4 @@ class RaftNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.describe()}>"
+

@@ -62,7 +62,9 @@ class AsyncNodeEnvironment:
         """Milliseconds since this environment was created (monotonic)."""
         return (time.monotonic() - self._origin) * 1000.0
 
-    def send(self, dst: ServerId, message: Any) -> None:
+    def send(self, dst: ServerId, message: Any, inert: bool = False) -> None:
+        # A real transport cannot know the receiver's state: inert or not,
+        # the message goes on the wire.
         self._transport.send(dst, message)
 
     def broadcast(

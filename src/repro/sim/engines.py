@@ -5,15 +5,30 @@ scheduler, the network fabric, and the per-node environment adapter.  Their
 *public surfaces* are the contract everything above them is written against:
 
 * scheduler -- ``call_at`` / ``call_after`` / ``step`` / ``run_until`` /
-  ``run_until_idle`` / ``run_until_condition``, the ``pending_count`` /
-  ``heap_size`` / ``compaction_count`` / ``executed_count`` observability
-  properties, and strict ``(time, insertion sequence)`` execution order;
+  ``run_until_idle`` / ``run_until_condition`` (the predicate is called after
+  every event) / ``run_until_interrupted`` + ``interrupt`` (the same wait for
+  a condition whose every change calls ``interrupt()``: one attribute load
+  per event instead of a predicate call; what the harness uses) / ``close``
+  (drop everything queued, so a finished cluster is freed by reference
+  count), the ``pending_count`` / ``heap_size`` / ``compaction_count`` /
+  ``executed_count`` observability properties, and strict ``(time, insertion
+  sequence)`` execution order;
 * network -- ``send`` / ``broadcast`` / ``register`` / ``disconnect`` /
-  ``reconnect``, the :class:`~repro.net.network.NetworkStats` counters, the
-  partition manager, and the ``net.drop`` trace schema;
+  ``reconnect`` / ``close``, the :class:`~repro.net.network.NetworkStats`
+  counters, the partition manager, and the ``net.drop`` trace schema.
+  ``send(src, dst, payload, inert=True)`` -- the sender's guarantee that no
+  receiver acts on the message -- is honoured by *both* engines in the same
+  way: counted in ``sent`` / ``per_type_sent``, checked against the
+  disconnected sender, the unicast fault and the partition, its latency (and
+  duplication, and the duplicate's latency) drawn in the usual order, and
+  then counted in ``stats.elided`` instead of scheduled.  An elided copy
+  takes no sequence number and is never queued, so ``scheduled_count``,
+  ``heap_size`` and ``pending_count`` do not include it on either engine,
+  and it can no longer be dropped in flight;
 * environment -- the :class:`~repro.raft.environment.Environment` protocol
   nodes are written against (``send``/``broadcast``/``set_timer``/
-  ``cancel_timer``/``rng``/``trace``).
+  ``cancel_timer``/``rng``/``trace``), whose ``send(dst, message, inert)``
+  passes the flag through.
 
 Everything *behind* those surfaces -- how events are represented, whether
 envelopes are materialised, how partition reachability is looked up -- is
@@ -35,7 +50,9 @@ Two engines are built in:
 Determinism contract: for the same ``(scenario, seed)``, every engine must
 produce bit-identical measurements, stats and traces -- engines may only
 remove *allocation and indirection*, never reorder RNG draws or events.  The
-differential suite (``tests/property/test_engine_differential.py``) pins this.
+differential suite (``tests/property/test_engine_differential.py``) pins this,
+and ``tests/property/test_inert_sends.py`` pins that eliding inert sends
+changes no result against delivering them.
 
 Engine selection is data, never process state: an explicit ``engine``
 (scenario field, ``build_cluster``/``SimulationWorld`` parameter, CLI

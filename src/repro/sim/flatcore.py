@@ -121,6 +121,7 @@ class FlatEventScheduler:
         self._cancelled_in_heap = 0
         self._cancellations = 0
         self._compactions = 0
+        self._interrupted = False
 
     @property
     def clock(self) -> VirtualClock:
@@ -377,6 +378,66 @@ class FlatEventScheduler:
             if condition():
                 return True
         return False
+
+    def interrupt(self) -> None:
+        """Make :meth:`run_until_interrupted` return after the current event."""
+        self._interrupted = True
+
+    def run_until_interrupted(self, max_time_ms: Milliseconds) -> bool:
+        """Execute events until one of them calls :meth:`interrupt`.
+
+        The waiting side of a condition only some events can change: whoever
+        changes it interrupts, and the waiter re-evaluates it between runs,
+        instead of :meth:`run_until_condition` calling it after every event.
+
+        Returns:
+            ``True`` if an executed event interrupted the run; ``False`` if
+            the queue drained first, or *max_time_ms* elapsed (the clock then
+            ends at *max_time_ms*, as in :meth:`run_until_condition`).
+        """
+        self._interrupted = False
+        heap = self._heap
+        clock = self._clock
+        pop = heapq.heappop
+        max_events = self._max_events
+        while heap:
+            entry = heap[0]
+            fn = entry[_FN]
+            if fn is None:
+                pop(heap)
+                self._cancelled_in_heap -= 1
+                continue
+            if entry[_TIME] > max_time_ms:
+                clock.advance_to(max_time_ms)
+                return False
+            pop(heap)
+            if self._executed >= max_events:
+                self._budget_exhausted()
+            clock._now_ms = entry[_TIME]
+            self._executed += 1
+            entry[_FN] = None
+            arg = entry[_ARG]
+            if arg is None:
+                fn()
+            else:
+                fn(arg)
+            if self._interrupted:
+                return True
+        return False
+
+    def close(self) -> None:
+        """Drop every queued record (the end of a finished simulation).
+
+        Records are cleared as well as unqueued: node timers hold their raw
+        records, whose ``fn`` slot is the node's own bound method, and the
+        delivery tuples hold payloads -- the references that would otherwise
+        leave a finished cluster to the cycle collector.
+        """
+        heap = self._heap
+        for entry in heap:
+            entry[_FN] = entry[_ARG] = None
+        heap.clear()
+        self._cancelled_in_heap = 0
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -29,6 +29,10 @@ from repro.sim.clock import VirtualClock
 from repro.sim.events import EventHandle, ScheduledEvent
 
 
+def _closed() -> None:
+    """Callback of an event dropped by :meth:`EventScheduler.close`."""
+
+
 class EventScheduler:
     """Priority-queue scheduler driving a virtual clock.
 
@@ -60,6 +64,7 @@ class EventScheduler:
         self._cancelled_in_heap = 0
         self._cancellations = 0
         self._compactions = 0
+        self._interrupted = False
 
     @property
     def clock(self) -> VirtualClock:
@@ -209,6 +214,48 @@ class EventScheduler:
             self.step()
             if condition():
                 return True
+
+    def interrupt(self) -> None:
+        """Make :meth:`run_until_interrupted` return after the current event."""
+        self._interrupted = True
+
+    def run_until_interrupted(self, max_time_ms: Milliseconds) -> bool:
+        """Execute events until one of them calls :meth:`interrupt`.
+
+        The waiting side of a condition only some events can change: whoever
+        changes it interrupts, and the waiter re-evaluates it between runs,
+        instead of :meth:`run_until_condition` calling it after every event.
+
+        Returns:
+            ``True`` if an executed event interrupted the run; ``False`` if
+            the queue drained first, or *max_time_ms* elapsed (the clock then
+            ends at *max_time_ms*, as in :meth:`run_until_condition`).
+        """
+        self._interrupted = False
+        while True:
+            head = self._next_pending()
+            if head is None:
+                return False
+            if head.time_ms > max_time_ms:
+                self._clock.advance_to(max_time_ms)
+                return False
+            self.step()
+            if self._interrupted:
+                return True
+
+    def close(self) -> None:
+        """Drop every queued event (the end of a finished simulation).
+
+        Events are cancelled and stripped of their callback as well as
+        unqueued, so a timer handle a node still holds no longer refers back
+        to the node.
+        """
+        for event in self._heap:
+            event.cancelled = True
+            event.in_heap = False
+            event.callback = _closed
+        self._heap = []
+        self._cancelled_in_heap = 0
 
     # ------------------------------------------------------------------ #
     # Internals

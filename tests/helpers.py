@@ -16,6 +16,9 @@ class SentMessage:
 
     dst: ServerId
     payload: Any
+    #: The sender's ``inert`` flag (see ``Environment.send``); the fake
+    #: records it and keeps the message, like a real transport.
+    inert: bool = False
 
 
 @dataclass
@@ -69,8 +72,8 @@ class FakeEnvironment:
     def now(self) -> Milliseconds:
         return self.time_ms
 
-    def send(self, dst: ServerId, message: Any) -> None:
-        self.sent.append(SentMessage(dst, message))
+    def send(self, dst: ServerId, message: Any, inert: bool = False) -> None:
+        self.sent.append(SentMessage(dst, message, inert))
 
     def broadcast(
         self, targets: Sequence[ServerId], payload_factory: Callable[[ServerId], Any]

@@ -86,3 +86,50 @@ class TestLiveCluster:
                 await cluster.shutdown()
 
         run_async(scenario())
+
+
+class TestInertSendsStillGoOnTheWire:
+    """``inert`` is a licence for a *simulated* transport to skip a delivery;
+    the real runtime cannot see its receivers and sends everything."""
+
+    def test_a_same_term_refusal_reaches_the_candidates_socket(self):
+        from repro.common.config import ClusterConfig
+        from repro.raft.messages import RequestVoteRequest, RequestVoteResponse
+        from repro.raft.node import RaftNode
+        from repro.runtime.environment import AsyncNodeEnvironment
+        from repro.runtime.transport import UdpJsonTransport
+
+        async def scenario():
+            # S3 has an address and no socket: its grant goes nowhere.
+            book = {n: ("127.0.0.1", 29699 + n) for n in (1, 2, 3)}
+            heard: list = []
+            arrived = asyncio.Event()
+
+            def candidate_hears(src, message):
+                heard.append((src, message))
+                arrived.set()
+
+            candidate = UdpJsonTransport(1, book, candidate_hears)
+            voter_socket = UdpJsonTransport(2, book, lambda src, message: None)
+            await candidate.start()
+            await voter_socket.start()
+            voter = RaftNode(
+                2, ClusterConfig.of_size(3), AsyncNodeEnvironment(2, voter_socket)
+            )
+            try:
+                voter.start()
+                # S2 votes for S3 in term 1, then refuses S1 in the same term:
+                # the one reply RaftNode flags inert.
+                voter.on_message(3, RequestVoteRequest(term=1, candidate_id=3))
+                voter.on_message(1, RequestVoteRequest(term=1, candidate_id=1))
+                await asyncio.wait_for(arrived.wait(), 5.0)
+            finally:
+                voter.stop()
+                candidate.close()
+                voter_socket.close()
+                await asyncio.sleep(0)
+            assert heard == [
+                (2, RequestVoteResponse(term=1, voter_id=2, vote_granted=False))
+            ]
+
+        run_async(scenario())

@@ -3,11 +3,13 @@
 The invariant under test: once every in-flight message has drained, every
 message copy ends in exactly one terminal state, so
 
-    sent + duplicated == delivered + dropped
+    sent + duplicated == delivered + dropped + elided
 
 (``duplicated`` counts the extra copies the duplication fault schedules; each
-such copy is delivered or dropped in flight but was never counted as sent).
-The invariant must hold for any interleaving of unicasts, broadcasts,
+such copy is delivered or dropped in flight but was never counted as sent;
+``elided`` counts the copies of inert sends that passed every send-time check
+and were then not scheduled).  The invariant must hold on both engines'
+networks for any interleaving of unicasts, inert unicasts, broadcasts,
 disconnects, reconnects and partitions under any fault injector -- including
 the historical bug case of a *disconnected sender broadcasting*, which used
 to count drops without the matching sends.
@@ -15,6 +17,7 @@ to count drops without the matching sends.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +30,7 @@ from repro.net.faults import (
     PacketLossFault,
 )
 from repro.net.latency import ConstantLatency
-from repro.net.network import SimulatedNetwork
+from repro.sim.engines import names as engine_names
 from repro.sim.world import SimulationWorld
 
 MEMBERS = (1, 2, 3, 4, 5)
@@ -52,7 +55,7 @@ FAULTS = st.sampled_from(
 OPS = st.lists(
     st.one_of(
         st.tuples(
-            st.just("send"),
+            st.sampled_from(["send", "send-inert"]),
             st.sampled_from(MEMBERS),
             st.sampled_from(MEMBERS),
         ),
@@ -67,22 +70,27 @@ OPS = st.lists(
 )
 
 
+@pytest.mark.parametrize("engine", engine_names())
 @given(ops=OPS, fault=FAULTS, seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
-def test_sent_equals_delivered_plus_dropped_after_drain(ops, fault, seed):
-    world = SimulationWorld(seed=seed)
-    network = SimulatedNetwork(
+def test_sent_equals_delivered_plus_dropped_after_drain(engine, ops, fault, seed):
+    world = SimulationWorld(seed=seed, engine=engine)
+    network = world.engine.network_class()(
         world, MEMBERS, latency=ConstantLatency(10.0), fault=fault
     )
     for member in MEMBERS:
         network.register(member, lambda src, payload: None)
 
+    inert_passed = 0
     for op in ops:
         kind = op[0]
-        if kind == "send":
+        if kind in ("send", "send-inert"):
             _, src, dst = op
             if src != dst:
-                network.send(src, dst, "m")
+                dropped_before = network.stats.dropped
+                network.send(src, dst, "m", kind == "send-inert")
+                if kind == "send-inert" and network.stats.dropped == dropped_before:
+                    inert_passed += 1
         elif kind == "broadcast":
             (_, src) = op
             targets = [member for member in MEMBERS if member != src]
@@ -103,7 +111,12 @@ def test_sent_equals_delivered_plus_dropped_after_drain(ops, fault, seed):
     # Drain everything still in flight, then check the books balance.
     world.scheduler.run_until_idle()
     stats = network.stats
-    assert stats.sent + stats.duplicated == stats.delivered + stats.dropped, (
-        f"sent={stats.sent} delivered={stats.delivered} "
+    assert stats.sent + stats.duplicated == (
+        stats.delivered + stats.dropped + stats.elided
+    ), (
+        f"sent={stats.sent} delivered={stats.delivered} elided={stats.elided} "
         f"duplicated={stats.duplicated} dropped={stats.dropped}"
     )
+    # Elision is per copy and only ever of inert sends that were not dropped
+    # at send time: each such send elides itself and, at most, its duplicate.
+    assert inert_passed <= stats.elided <= 2 * inert_passed

@@ -132,6 +132,94 @@ class TestLeadershipLifecycle:
         assert measurement.total_ms == 3_000.0
 
 
+@pytest.mark.parametrize("engine", ("classic", "flat"))
+class TestWaitingOnInterruptsEqualsPollingEveryEvent:
+    """The harness waits in ``run_until_interrupted`` and re-evaluates its
+    predicate when the leader set changes; ``run_until_condition``, which
+    polls after every event, is the reference it must return with: same
+    simulated instant, same number of events executed."""
+
+    @staticmethod
+    def _pair(engine, **kwargs):
+        """The same cluster twice: one for the harness, one for the poll."""
+        return [build(engine=engine, trace=False, **kwargs) for _ in range(2)]
+
+    @staticmethod
+    def _position(cluster):
+        scheduler = cluster.world.scheduler
+        return cluster.world.now(), scheduler.executed_count, cluster.leader_id()
+
+    @pytest.mark.parametrize("protocol", ("raft", "escape"))
+    def test_stabilize_and_failover(self, engine, protocol):
+        (waited, harness), (polled, _) = self._pair(
+            engine, protocol=protocol, size=7, seed=11, latency=None
+        )
+        for cluster in (waited, polled):
+            cluster.start_all()
+        harness.stabilize()
+        scheduler = polled.world.scheduler
+        assert scheduler.run_until_condition(polled.has_leader, 60_000.0)
+        assert self._position(waited) == self._position(polled)
+
+        crashed = polled.crash_leader()
+        deadline = polled.world.now() + 120_000.0
+        assert scheduler.run_until_condition(
+            lambda: polled.has_leader_other_than(crashed), deadline
+        )
+        measurement = harness.crash_leader_and_measure()
+        assert measurement.converged
+        assert measurement.extra["crashed_leader"] == crashed
+        assert self._position(waited) == self._position(polled)
+
+    def test_a_second_leader_while_the_excluded_one_is_still_tracked(self, engine):
+        # The ambiguous case of has_leader_other_than: the old leader is cut
+        # off, not crashed, so it stays a tracked leader while the majority
+        # elects another; the predicate turns true on the highest term.
+        positions = []
+        for poll, (cluster, harness) in enumerate(self._pair(engine, size=5, seed=4)):
+            cluster.start_all()
+            old = harness.stabilize()
+            others = [member for member in cluster.nodes if member != old]
+            cluster.network.partitions.partition([old], others)
+            deadline = cluster.world.now() + 60_000.0
+
+            def elsewhere(cluster=cluster, old=old):
+                return cluster.has_leader_other_than(old)
+
+            if poll:
+                assert cluster.world.scheduler.run_until_condition(elsewhere, deadline)
+            else:
+                assert harness._run_until(elsewhere, deadline)
+            assert cluster.node(old).role is Role.LEADER
+            assert cluster.leader_id() != old
+            positions.append(self._position(cluster))
+        assert positions[0] == positions[1]
+
+    def test_a_budget_that_expires_with_no_leader(self, engine):
+        (waited, harness), (polled, polled_harness) = self._pair(engine, size=3, seed=2)
+        for cluster in (waited, polled):
+            cluster.start_all()
+        # Too short for any election timeout to fire.
+        with pytest.raises(ClusterError):
+            harness.stabilize(max_time_ms=50.0)
+        assert not polled.world.scheduler.run_until_condition(polled.has_leader, 50.0)
+        assert self._position(waited) == self._position(polled) == (50.0, 0, None)
+
+        # And a failover nobody can win: the followers cannot reach a quorum.
+        for cluster, own_harness in ((waited, harness), (polled, polled_harness)):
+            leader = own_harness.stabilize()
+            for member in cluster.nodes:
+                if member != leader:
+                    cluster.network.disconnect(member)
+        measurement = harness.crash_leader_and_measure(max_election_ms=3_000.0)
+        crashed = polled.crash_leader()
+        assert not polled.world.scheduler.run_until_condition(
+            lambda: polled.has_leader_other_than(crashed), polled.world.now() + 3_000.0
+        )
+        assert not measurement.converged
+        assert self._position(waited) == self._position(polled)
+
+
 class TestClientPath:
     def test_propose_via_leader_and_replication(self):
         cluster, harness = build(size=3)

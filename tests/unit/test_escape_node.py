@@ -114,6 +114,9 @@ class TestConfigurationClockVoteGate:
         )
         response = env.sent_to(3)[0]
         assert not response.vote_granted
+        # The clock gate refuses in the candidate's own term: sent, and inert.
+        assert response.term == 10
+        assert [item.inert for item in env.sent] == [True]
 
     def test_grants_candidate_with_equal_or_newer_clock(self):
         configuration = Configuration(priority=2, timer_period_ms=150.0, conf_clock=5)

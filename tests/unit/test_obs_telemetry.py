@@ -193,3 +193,66 @@ class TestSweepTelemetry:
         assert TelemetrySnapshot.from_state(
             restored.extra["telemetry"]
         ) == TelemetrySnapshot.from_state(measurement.extra["telemetry"])
+
+
+class TestHarvestNameTable:
+    """The metric-name table in ``repro.obs.harvest``'s docstring is the
+    vocabulary, name for name: nothing emitted is undocumented and nothing
+    documented is never emitted."""
+
+    @staticmethod
+    def _documented() -> list[str]:
+        import re
+
+        from repro.obs import harvest
+
+        return re.findall(r"^``([a-z_.]+(?:<\w+>)?)``  ", harvest.__doc__, re.MULTILINE)
+
+    @staticmethod
+    def _emitted() -> set[str]:
+        from types import SimpleNamespace
+
+        from repro.chaos.plans import build_plan
+        from repro.obs.harvest import harvest_chaos
+        from repro.workload.scenario import ThroughputScenario
+
+        # One serving window runs every harvester: cluster, node listener,
+        # workload and chaos driver.
+        plan = build_plan("chaos-storm", horizon_ms=30_000.0, seed=0)
+        scenario = ThroughputScenario(
+            "escape", 5, plan=plan, workload="open-poisson", telemetry=True
+        )
+        snapshot = TelemetrySnapshot.from_state(scenario.run(3).extra["telemetry"])
+        # The window skipped no disruption; fold one skip in by hand.
+        skipped = MetricsRegistry()
+        harvest_chaos(
+            SimpleNamespace(applied=(), skipped=(SimpleNamespace(kind="crash-leader"),)),
+            skipped,
+        )
+        names: set[str] = set()
+        for part in (snapshot, skipped.snapshot()):
+            names.update(part.counters, part.gauges, part.histograms)
+        return names
+
+    def test_every_emitted_name_is_in_the_table_and_vice_versa(self):
+        import re
+
+        documented = self._documented()
+        assert len(documented) == len(set(documented)) > 30
+        emitted = self._emitted()
+        patterns = {
+            row: re.compile(re.sub(r"<\w+>", "[^.]+", re.escape(row)))
+            for row in documented
+        }
+        undocumented = {
+            name
+            for name in emitted
+            if not any(pattern.fullmatch(name) for pattern in patterns.values())
+        }
+        assert not undocumented
+        never_emitted = {
+            row
+            for row, pattern in patterns.items()
+            if not any(pattern.fullmatch(name) for name in emitted)
+        }
+        assert not never_emitted

@@ -160,6 +160,9 @@ class TestGrantingVotes:
         first, second = env.sent_to(3)[0], env.sent_to(1)[0]
         assert first.vote_granted
         assert not second.vote_granted
+        # Both replies reach the environment; only the refusal, which the
+        # candidate cannot act on, is flagged inert.
+        assert [(item.dst, item.inert) for item in env.sent] == [(3, False), (1, True)]
 
     def test_repeated_request_from_same_candidate_is_granted_again(self):
         # Idempotent re-grant supports the candidate's retransmission.
@@ -180,6 +183,21 @@ class TestGrantingVotes:
         assert not response.vote_granted
         assert response.term == 5
 
+    def test_only_a_same_term_refusal_is_flagged_inert(self):
+        # The stale-term refusal carries a newer term the candidate must
+        # adopt, and a grant counts toward its quorum: both are real sends.
+        store = InMemoryStore()
+        store.save_term_and_vote(5, None)
+        node, env = make_node(node_id=2, store=store)
+        node.start()
+        node.on_message(3, RequestVoteRequest(term=4, candidate_id=3))
+        node.on_message(3, RequestVoteRequest(term=6, candidate_id=3))
+        node.on_message(3, RequestVoteRequest(term=6, candidate_id=3))
+        stale, grant, regrant = env.sent
+        assert (stale.payload.term, stale.payload.vote_granted) == (5, False)
+        assert grant.payload.vote_granted and regrant.payload.vote_granted
+        assert not (stale.inert or grant.inert or regrant.inert)
+
     def test_refuses_candidate_with_stale_log(self):
         store = InMemoryStore()
         store.load_log().append_entry(LogEntry(term=2, index=1, command="x"))
@@ -192,6 +210,9 @@ class TestGrantingVotes:
         assert not response.vote_granted
         # The term still advances (Eq. 3 / Raft rule) even though the vote is denied.
         assert node.current_term == 3
+        # The refusal carries the candidate's own term, so it is inert.
+        assert response.term == 3
+        assert [item.inert for item in env.sent] == [True]
 
     def test_granting_a_vote_restarts_the_election_timer(self):
         node, env = make_node(node_id=2)
@@ -209,6 +230,8 @@ class TestGrantingVotes:
         first_timer = env.pending_timers()[0]
         node.on_message(3, RequestVoteRequest(term=3, candidate_id=3))
         assert not first_timer.cancelled
+        (refusal,) = env.sent
+        assert not refusal.payload.vote_granted and refusal.inert
 
 
 class TestTermHandling:
@@ -232,6 +255,23 @@ class TestTermHandling:
         node.start()
         with pytest.raises(ProtocolError):
             node.on_message(2, object())
+
+    def test_dispatch_is_memoised_per_class_so_handler_overrides_are_honoured(self):
+        seen = []
+
+        class Eavesdropper(RaftNode):
+            def _handle_request_vote_response(self, src, response):
+                seen.append((src, response))
+
+        reply = RequestVoteResponse(term=0, voter_id=2, vote_granted=False)
+        plain, _ = make_node()
+        plain.start()
+        plain.on_message(2, reply)  # memoises RaftNode's own handler first
+        eavesdropper = Eavesdropper(1, small_cluster(3), FakeEnvironment(node_id=1))
+        eavesdropper.start()
+        eavesdropper.on_message(2, reply)
+        plain.on_message(2, reply)
+        assert seen == [(2, reply)]
 
 
 class TestProposalsRequireLeadership:

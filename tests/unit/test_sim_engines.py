@@ -9,7 +9,10 @@ and node environments -- there is no process-wide default to consult.
 Also pins two regressions on the scheduler seam itself: non-finite
 ``call_at`` deadlines must be rejected by *both* engines (a NaN would poison
 the heap invariant silently), and in-flight drops must emit the same
-``net.drop`` trace schema on both engines.
+``net.drop`` trace schema on both engines.  And the three parts of the
+contract a finished or waiting episode leans on, on both engines: an inert
+send is accounted for but never scheduled, ``run_until_interrupted`` returns
+right after the interrupting event, and ``close()`` leaves nothing queued.
 """
 
 from __future__ import annotations
@@ -210,3 +213,116 @@ class TestInFlightDropTraces:
             {"dst": 2, "reason": "partition", "in_flight": True}
         ]
         assert network.stats.dropped_by_partition == 1
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+class TestInertSends:
+    """An inert send does everything a send does except get delivered."""
+
+    @staticmethod
+    def _world_and_network(engine, fault=None):
+        from repro.net.latency import UniformLatency
+
+        world = SimulationWorld(seed=7, engine=engine)
+        network = engines.get(engine).network_class()(
+            world, members=(1, 2, 3), latency=UniformLatency(5.0, 10.0), fault=fault
+        )
+        delivered: list = []
+        for member in (1, 2, 3):
+            network.register(
+                member, lambda src, payload: delivered.append((world.now(), payload))
+            )
+        return world, network, delivered
+
+    def test_counted_and_sampled_but_never_scheduled(self, engine):
+        world, network, delivered = self._world_and_network(engine)
+        network.send(1, 2, "refusal", True)
+        stats = network.stats
+        assert (stats.sent, stats.elided, stats.per_type_sent) == (1, 1, {"str": 1})
+        # No record and no sequence number...
+        assert world.scheduler.pending_count == world.scheduler.scheduled_count == 0
+        # ...but the latency draw was made: the next message arrives when it
+        # would have had the refusal been delivered.
+        network.send(1, 3, "next")
+        world.scheduler.run_until_idle()
+        reference_world, reference, both = self._world_and_network(engine)
+        reference.send(1, 2, "refusal")
+        reference.send(1, 3, "next")
+        reference_world.scheduler.run_until_idle()
+        assert len(both) == 2 and stats.delivered == 1
+        assert delivered == [item for item in both if item[1] == "next"]
+
+    def test_send_time_drops_are_still_drops(self, engine):
+        world, network, _ = self._world_and_network(engine)
+        network.partitions.partition([1], [2, 3])
+        network.send(1, 2, "refusal", True)
+        network.partitions.heal()
+        network.disconnect(1)
+        network.send(1, 2, "refusal", True)
+        stats = network.stats
+        assert (stats.sent, stats.dropped, stats.elided) == (2, 2, 0)
+        assert [record.detail["reason"] for record in world.tracer.records] == [
+            "partition",
+            "disconnected",
+        ]
+
+    def test_the_duplicate_of_an_inert_send_is_elided_too(self, engine):
+        from repro.net.faults import MessageDuplicationFault
+
+        world, network, _ = self._world_and_network(
+            engine, fault=MessageDuplicationFault(1.0)
+        )
+        network.send(1, 2, "refusal", True)
+        stats = network.stats
+        assert (stats.sent, stats.duplicated, stats.elided) == (1, 1, 2)
+        assert world.scheduler.pending_count == 0
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+class TestInterruptAndClose:
+    @staticmethod
+    def _scheduler(engine):
+        return SimulationWorld(seed=0, engine=engine).scheduler
+
+    def test_returns_right_after_the_interrupting_event(self, engine):
+        scheduler = self._scheduler(engine)
+        ran: list[float] = []
+        for time_ms in (10.0, 20.0, 30.0):
+            scheduler.call_at(time_ms, lambda t=time_ms: ran.append(t))
+        scheduler.call_at(20.0, scheduler.interrupt)
+        assert scheduler.run_until_interrupted(100.0) is True
+        assert (ran, scheduler.now(), scheduler.executed_count) == ([10.0, 20.0], 20.0, 3)
+        # The rest is still queued; the next run starts uninterrupted.
+        assert scheduler.run_until_interrupted(100.0) is False
+        assert ran == [10.0, 20.0, 30.0]
+
+    def test_deadline_and_drain_return_false(self, engine):
+        scheduler = self._scheduler(engine)
+        scheduler.call_at(50.0, lambda: None)
+        assert scheduler.run_until_interrupted(40.0) is False
+        assert (scheduler.now(), scheduler.executed_count) == (40.0, 0)
+        assert scheduler.run_until_interrupted(100.0) is False
+        # Drained before the deadline: the clock stays at the last event,
+        # exactly as run_until_condition leaves it.
+        assert (scheduler.now(), scheduler.executed_count) == (50.0, 1)
+
+    def test_an_interrupt_outside_a_run_is_forgotten(self, engine):
+        scheduler = self._scheduler(engine)
+        scheduler.call_at(10.0, lambda: None)
+        scheduler.interrupt()
+        assert scheduler.run_until_interrupted(100.0) is False
+        assert scheduler.executed_count == 1
+
+    def test_close_leaves_nothing_to_run_and_handles_harmless(self, engine):
+        scheduler = self._scheduler(engine)
+        ran: list[int] = []
+        handles = [
+            scheduler.call_at(10.0 * n, lambda n=n: ran.append(n)) for n in (1, 2, 3)
+        ]
+        handles[0].cancel()
+        scheduler.close()
+        assert (scheduler.pending_count, scheduler.heap_size) == (0, 0)
+        for handle in handles:
+            handle.cancel()
+        scheduler.run_until_idle()
+        assert ran == [] and scheduler.pending_count == 0
