@@ -23,15 +23,15 @@ model of Redis Cluster's replica failover:
 from repro.adapters.redis_cluster import (
     EscapeFailoverModel,
     FailoverMeasurement,
+    FailoverSet,
     RedisClusterParameters,
     RedisFailoverModel,
-    compare_failover_models,
 )
 
 __all__ = [
     "EscapeFailoverModel",
     "FailoverMeasurement",
+    "FailoverSet",
     "RedisClusterParameters",
     "RedisFailoverModel",
-    "compare_failover_models",
 ]

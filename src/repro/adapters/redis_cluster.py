@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Self
 
-from repro.common.errors import ConfigurationError
 from repro.common.rng import SeedSequence
 from repro.common.types import Milliseconds
 from repro.common.validation import require_fraction, require_positive
-from repro.metrics.stats import summarize
+from repro.metrics.records import RecordSet
+from repro.metrics.stats import SummaryStatistics, summarize
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,44 @@ class FailoverMeasurement:
     extra: dict[str, float] = field(default_factory=dict)
 
 
+class FailoverSet(RecordSet[FailoverMeasurement]):
+    """Failover measurements from repeated runs of one model.
+
+    The queries are the quantities Section IV-C argues ESCAPE improves.
+    """
+
+    record_type = FailoverMeasurement
+
+    def _converged_summary(self) -> SummaryStatistics | None:
+        times = [m.failover_ms for m in self._measurements if m.converged]
+        return summarize(times) if times else None
+
+    def mean_ms(self) -> float | None:
+        """Average failover time of the converged runs (``None`` if none did)."""
+        summary = self._converged_summary()
+        return summary.mean if summary else None
+
+    def p95_ms(self) -> float | None:
+        """95th-percentile failover time of the converged runs."""
+        summary = self._converged_summary()
+        return summary.p95 if summary else None
+
+    def collision_rate(self) -> float:
+        """Fraction of runs with at least one same-epoch collision."""
+        runs = self._require_runs()
+        return sum(1 for m in runs if m.epoch_collisions > 0) / len(runs)
+
+    def mean_attempts(self) -> float:
+        """Average number of failover attempts per run."""
+        runs = self._require_runs()
+        return sum(m.attempts for m in runs) / len(runs)
+
+    def convergence_fraction(self) -> float:
+        """Fraction of runs that promoted a replica."""
+        runs = self._require_runs()
+        return sum(1 for m in runs if m.converged) / len(runs)
+
+
 @dataclass(frozen=True)
 class _Attempt:
     """One replica's failover attempt."""
@@ -96,13 +135,22 @@ class _Attempt:
     conf_clock: int
 
 
+@dataclass(frozen=True)
 class _FailoverModelBase:
-    """Shared vote-counting machinery for both variants."""
+    """Shared vote-counting machinery for both variants.
+
+    A model is a frozen value and ``run(seed)`` a pure function of the two,
+    so a model is itself the scenario of a sweep cell (picklable, with a
+    deterministic ``repr``).
+    """
+
+    params: RedisClusterParameters
 
     variant = "base"
 
-    def __init__(self, params: RedisClusterParameters) -> None:
-        self.params = params
+    def with_engine(self, engine: str) -> Self:
+        """The model itself: an analytic model runs on no simulation engine."""
+        return self
 
     # Subclasses provide the per-replica schedule of attempts.
     def _attempt_schedule(self, rng: random.Random) -> list[_Attempt]:
@@ -173,15 +221,8 @@ class _FailoverModelBase:
             converged=False,
         )
 
-    def run_many(self, runs: int, base_seed: int = 0) -> list[FailoverMeasurement]:
-        """Repeat :meth:`run` with derived seeds."""
-        seeds = SeedSequence(base_seed)
-        return [
-            self.run(seeds.stream("redis-run", self.variant, index).getrandbits(32))
-            for index in range(runs)
-        ]
 
-
+@dataclass(frozen=True)
 class RedisFailoverModel(_FailoverModelBase):
     """The stock Redis Cluster failover (rank-based delays, shared epochs)."""
 
@@ -220,20 +261,20 @@ class RedisFailoverModel(_FailoverModelBase):
         return attempts
 
 
+@dataclass(frozen=True)
 class EscapeFailoverModel(_FailoverModelBase):
     """Redis failover with ESCAPE-style groomed configurations."""
+
+    #: Fraction of replicas whose groomed assignment is one clock behind.
+    stale_assignment_rate: float = 0.0
 
     variant = "escape-redis"
 
     #: Configuration clock the master stamped on the current assignments.
     GROOMED_CLOCK = 1
 
-    def __init__(
-        self, params: RedisClusterParameters, stale_assignment_rate: float = 0.0
-    ) -> None:
-        super().__init__(params)
-        require_fraction(stale_assignment_rate, "stale_assignment_rate")
-        self.stale_assignment_rate = stale_assignment_rate
+    def __post_init__(self) -> None:
+        require_fraction(self.stale_assignment_rate, "stale_assignment_rate")
 
     def _master_clock(self) -> int:
         return self.GROOMED_CLOCK
@@ -268,34 +309,3 @@ class EscapeFailoverModel(_FailoverModelBase):
                     _Attempt(time_ms=delay, replica=replica, epoch=epoch, conf_clock=clock)
                 )
         return attempts
-
-
-def compare_failover_models(
-    runs: int = 100,
-    seed: int = 0,
-    params: RedisClusterParameters | None = None,
-) -> dict[str, dict[str, float]]:
-    """Run both variants and summarise the comparison.
-
-    Returns:
-        ``{variant: {"mean_ms", "p95_ms", "collision_rate", "mean_attempts",
-        "convergence"}}`` -- the quantities Section IV-C argues ESCAPE improves.
-    """
-    if runs <= 0:
-        raise ConfigurationError("runs must be positive")
-    params = params if params is not None else RedisClusterParameters()
-    results: dict[str, dict[str, float]] = {}
-    for model in (RedisFailoverModel(params), EscapeFailoverModel(params)):
-        measurements = model.run_many(runs, base_seed=seed)
-        converged = [m for m in measurements if m.converged]
-        times = [m.failover_ms for m in converged]
-        summary = summarize(times) if times else None
-        results[model.variant] = {
-            "mean_ms": summary.mean if summary else float("inf"),
-            "p95_ms": summary.p95 if summary else float("inf"),
-            "collision_rate": sum(1 for m in measurements if m.epoch_collisions > 0)
-            / len(measurements),
-            "mean_attempts": sum(m.attempts for m in measurements) / len(measurements),
-            "convergence": len(converged) / len(measurements),
-        }
-    return results

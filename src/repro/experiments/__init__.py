@@ -1,11 +1,11 @@
 """Experiment harness: a plugin registry of the paper's evaluation figures.
 
 Every module under this package declares one experiment and registers it with
-:mod:`repro.experiments.registry`.  A sweep -- every paper figure and every
-extension built on one -- is a frozen
+:mod:`repro.experiments.registry`.  Every experiment -- each paper figure and
+each extension -- is a frozen
 :class:`~repro.experiments.sweep.SweepExperiment` (axes, a label and a
 scenario function, a container, a report table) from which its run, result
-(:class:`~repro.experiments.sweep.GridResult`), capabilities and exporter are
+(:class:`~repro.experiments.sweep.GridResult`), capabilities and archive are
 derived.  The registry is the single source of truth for "which experiments
 exist": the CLI (``python -m repro.experiments``), ``--output DIR`` and the
 registry table embedded in EXPERIMENTS.md are all generated from it.
@@ -45,13 +45,11 @@ from repro.experiments import ablation_k_sweep
 from repro.experiments import adapter_redis
 from repro.experiments import registry
 from repro.experiments.registry import run_experiment
-from repro.experiments.spec import ExperimentRun, ExperimentSpec, ExporterBinding
+from repro.experiments.spec import ExperimentRun
 from repro.experiments.sweep import GridResult, SweepExperiment
 
 __all__ = [
     "ExperimentRun",
-    "ExperimentSpec",
-    "ExporterBinding",
     "GridResult",
     "SweepExperiment",
     "ablation_k_sweep",

@@ -14,9 +14,9 @@ Usage::
 The CLI is generated from the experiment registry
 (:mod:`repro.experiments.registry`): the experiment choices, the help text,
 which experiments accept ``--scenario``/``--protocols``/``--plan``, and the
-quick-mode parameter overrides all come from the registered declarations
-(:class:`~repro.experiments.sweep.SweepExperiment` for every sweep) --
-registering another experiment extends the CLI without touching this module.
+quick-mode parameter overrides all come from the registered
+:class:`~repro.experiments.sweep.SweepExperiment` declarations -- registering
+another experiment extends the CLI without touching this module.
 
 ``--workers N`` fans the episodes of a sweep out over N processes
 (``--workers 0`` uses every CPU); results are bit-for-bit identical to a
@@ -36,8 +36,9 @@ completed chunks persist to a JSON-lines file in DIR and a re-run of the same
 command continues bit-identically where the killed one stopped (same
 ``--engine`` included: the checkpoint fingerprint covers each scenario's
 engine).
-``--output DIR`` saves every experiment's raw measurements (CSV), a lossless
-JSON export with the run metadata, and the rendered report.
+``--output DIR`` saves every experiment's measurements (CSV: the episodes of
+a collecting sweep, one row per cell otherwise), a lossless JSON export with
+the run metadata, and the rendered report.
 ``--trace-out DIR`` makes trace-capable experiments archive one traced
 episode per scenario label (JSONL + manifest + telemetry snapshots; see
 :mod:`repro.obs.trace`).  ``--heartbeat FILE`` keeps a machine-readable
@@ -241,17 +242,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 parser.error(message)
     workers = None if args.workers == 0 else args.workers
     output_dir = Path(args.output) if args.output else None
-    if output_dir is not None:
-        # Fail before the sweep, not after: a long run whose results cannot
-        # be persisted would otherwise be lost to a post-hoc error.
-        exporterless = [
-            name for name in names if registry.get(name).exporter is None
-        ]
-        if exporterless:
-            parser.error(
-                "--output needs an exporter binding, which is not declared "
-                f"by: {', '.join(exporterless)}"
-            )
     for name in names:
         option_note = "".join(
             f", {option}={','.join(value) if option == 'protocols' else value}"
@@ -292,8 +282,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         finally:
             if reporter is not None:
                 reporter.finish()
-        for note in run.notes:
-            print(f"   note: {note}", flush=True)
         print(run.report)
         if output_dir is not None:
             profiler = Profiler()

@@ -5,119 +5,83 @@ Not a paper figure -- it substantiates the Section IV-C claim that ESCAPE's
 elections.  The sweep compares the stock Redis replica election against the
 ESCAPE-groomed variant while the quality of the replicas' rank information
 degrades (``rank_confusion``) and vote messages get lost.
+
+The two analytic models of :mod:`repro.adapters.redis_cluster` are the
+scenarios themselves (``run(seed)`` is all a sweep cell needs), so the grid,
+the seeds, the worker pool and the archive are the ones every figure uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-from repro.adapters.redis_cluster import RedisClusterParameters, compare_failover_models
+from repro.adapters.redis_cluster import (
+    EscapeFailoverModel,
+    FailoverSet,
+    RedisClusterParameters,
+    RedisFailoverModel,
+)
+from repro.common.errors import ConfigurationError
 from repro.experiments.registry import register
-from repro.experiments.spec import ExperimentSpec, ExporterBinding
+from repro.experiments.sweep import (
+    Axis,
+    Column,
+    Derived,
+    GridResult,
+    PerProtocol,
+    RowHeader,
+    SweepExperiment,
+    Table,
+    percent,
+)
 from repro.metrics.stats import reduction_percent
-from repro.metrics.tables import render_table
 
 DEFAULT_CONFUSION_LEVELS: tuple[float, ...] = (0.0, 0.3, 0.6)
 DEFAULT_VOTE_LOSS: float = 0.1
 
+#: The compared failover models, by variant name.
+MODELS = {"redis": RedisFailoverModel, "escape-redis": EscapeFailoverModel}
 
-@dataclass(frozen=True)
-class RedisAdapterResult:
-    """Comparison summaries per rank-confusion level."""
 
-    confusion_levels: tuple[float, ...]
-    runs: int
-    by_level: Mapping[float, Mapping[str, Mapping[str, float]]]
+def cell_label(confusion: float, variant: str) -> str:
+    """Label for one cell, e.g. ``"redis@confusion30"``."""
+    return f"{variant}@confusion{int(round(confusion * 100))}"
 
-    def summary_for(self, confusion: float, variant: str) -> Mapping[str, float]:
-        """The summary dict for one (confusion level, variant) cell."""
-        return self.by_level[confusion][variant]
 
-    def escape_reduction_for(self, confusion: float) -> float:
-        """ESCAPE-variant failover-time reduction vs stock Redis."""
-        return reduction_percent(
-            self.summary_for(confusion, "redis")["mean_ms"],
-            self.summary_for(confusion, "escape-redis")["mean_ms"],
+def scenario(
+    confusion: float, variant: str, vote_loss_rate: float, replicas: int
+) -> RedisFailoverModel | EscapeFailoverModel:
+    """The failover model of one (rank confusion, variant) cell."""
+    if variant not in MODELS:
+        raise ConfigurationError(
+            f"unknown failover variant {variant!r}; variants: {', '.join(MODELS)}"
         )
-
-
-def run(
-    runs: int = 200,
-    seed: int = 0,
-    confusion_levels: Sequence[float] = DEFAULT_CONFUSION_LEVELS,
-    vote_loss_rate: float = DEFAULT_VOTE_LOSS,
-    replicas: int = 5,
-) -> RedisAdapterResult:
-    """Execute the adapter comparison sweep."""
-    by_level: dict[float, Mapping[str, Mapping[str, float]]] = {}
-    for confusion in confusion_levels:
-        params = RedisClusterParameters(
-            replicas=replicas,
-            rank_confusion=confusion,
-            vote_loss_rate=vote_loss_rate,
+    return MODELS[variant](
+        RedisClusterParameters(
+            replicas=replicas, rank_confusion=confusion, vote_loss_rate=vote_loss_rate
         )
-        by_level[confusion] = compare_failover_models(runs=runs, seed=seed, params=params)
-    return RedisAdapterResult(
-        confusion_levels=tuple(confusion_levels), runs=runs, by_level=by_level
     )
 
 
-def report(result: RedisAdapterResult) -> str:
-    """Render the comparison as a table (one row per confusion level)."""
-    rows = []
-    for confusion in result.confusion_levels:
-        stock = result.summary_for(confusion, "redis")
-        groomed = result.summary_for(confusion, "escape-redis")
-        rows.append(
-            [
-                f"{confusion:.0%}",
-                f"{stock['mean_ms']:.0f}",
-                f"{100 * stock['collision_rate']:.1f}%",
-                f"{groomed['mean_ms']:.0f}",
-                f"{100 * groomed['collision_rate']:.1f}%",
-                f"{result.escape_reduction_for(confusion):.1f}%",
-            ]
-        )
-    return render_table(
-        headers=[
-            "rank confusion",
-            "Redis mean (ms)",
-            "Redis epoch collisions",
-            "ESCAPE-Redis mean (ms)",
-            "ESCAPE-Redis collisions",
-            "reduction",
-        ],
-        rows=rows,
-        title=(
-            "Adapter — Redis-Cluster replica failover with and without ESCAPE "
-            f"({result.runs} runs per cell)"
-        ),
-    )
+def variant_title(variant: str) -> str:
+    """The variant's name in the report's column headers."""
+    return {"redis": "Redis", "escape-redis": "ESCAPE-Redis"}[variant]
 
 
-def _export_rows(result: RedisAdapterResult) -> list[dict[str, object]]:
-    """Exporter binding: one aggregate row per (confusion level, variant)."""
-    rows: list[dict[str, object]] = []
-    for confusion in result.confusion_levels:
-        for variant in sorted(result.by_level[confusion]):
-            summary = result.summary_for(confusion, variant)
-            rows.append(
-                {
-                    "rank_confusion": confusion,
-                    "variant": variant,
-                    **{key: summary[key] for key in sorted(summary)},
-                }
-            )
-    return rows
+def both_swept(result: GridResult) -> bool:
+    """Whether the reduction's two variants are both present."""
+    return set(MODELS) <= set(result.axes["variant"])
 
 
-#: The adapter model is cheap; the spec's floor keeps the collision rates
-#: stable even when the CLI's default/quick run counts are tiny.  It also
-#: opts out of ``--workers``: the sweep finishes in milliseconds, so a pool
-#: would only pay start-up cost.
-SPEC = register(
-    ExperimentSpec(
+def escape_reduction(result: GridResult, confusion: float) -> float | None:
+    """ESCAPE-variant failover-time reduction vs stock Redis, in percent."""
+    stock = result.cell(confusion=confusion, variant="redis").mean_ms()
+    groomed = result.cell(confusion=confusion, variant="escape-redis").mean_ms()
+    if stock is None or groomed is None:
+        return None
+    return reduction_percent(stock, groomed)
+
+
+EXPERIMENT = register(
+    SweepExperiment(
         name="adapter-redis",
         title="ESCAPE grooming applied to Redis-Cluster failover",
         paper_ref="Section IV-C (transfer claim)",
@@ -125,16 +89,33 @@ SPEC = register(
             "stock Redis replica election vs the ESCAPE-groomed variant "
             "while rank information degrades and votes get lost"
         ),
-        run=run,
-        reporter=report,
         default_runs=200,
-        params={
-            "confusion_levels": DEFAULT_CONFUSION_LEVELS,
-            "vote_loss_rate": DEFAULT_VOTE_LOSS,
-            "replicas": 5,
-        },
-        supports_workers=False,
-        min_runs=50,
-        exporter=ExporterBinding(kind="rows", extract=_export_rows),
+        axes=(
+            Axis("confusion_levels", DEFAULT_CONFUSION_LEVELS, coord="confusion"),
+            Axis("variants", tuple(MODELS), coord="variant"),
+            Axis("vote_loss_rate", DEFAULT_VOTE_LOSS),
+            Axis("replicas", 5),
+        ),
+        label=cell_label,
+        scenario=scenario,
+        container=FailoverSet,
+        table=Table(
+            title=(
+                "Adapter — Redis-Cluster replica failover with and without "
+                "ESCAPE ({runs} runs per cell)"
+            ),
+            rows=(RowHeader("confusion", "rank confusion", percent),),
+            columns=(
+                PerProtocol(
+                    (
+                        Column("mean (ms)", "mean_ms"),
+                        Column("epoch collisions", "collision_rate", "{:.1%}"),
+                    ),
+                    coord="variant",
+                    title=variant_title,
+                ),
+                Derived("reduction", escape_reduction, when=both_swept),
+            ),
+        ),
     )
 )

@@ -1,9 +1,11 @@
 """Figure 4: average Raft leader-election time vs timeout randomness.
 
-Figure 4 averages the same sweep as Figure 3.  The paper's observation is the
-*trade-off*: a small amount of randomness leaves frequent split votes (long
-elections); a large amount avoids split votes but inflates the detection
-period, so the average first drops and then climbs again as the range widens.
+Figure 4 averages the same sweep as Figure 3 (same labels, same seeds, so the
+archived episodes are Figure 3's; the averages are the report).  The paper's
+observation is the *trade-off*: a small amount of randomness leaves frequent
+split votes (long elections); a large amount avoids split votes but inflates
+the detection period, so the average first drops and then climbs again as the
+range widens.
 """
 
 from __future__ import annotations
@@ -14,28 +16,8 @@ from repro.experiments.fig03_randomization import (
     scenario,
 )
 from repro.experiments.registry import register
-from repro.experiments.sweep import (
-    Column,
-    GridResult,
-    RowHeader,
-    SweepExperiment,
-    Table,
-)
+from repro.experiments.sweep import Column, RowHeader, SweepExperiment, Table
 from repro.metrics.records import MeasurementSet
-
-
-def average_rows(result: GridResult) -> list[dict[str, object]]:
-    """The archive of Figure 4: one row of averages per timeout range."""
-    return [
-        {
-            "timeout_range": label,
-            "detection_ms": cell.mean_detection_ms(),
-            "election_ms": cell.mean_election_ms(),
-            "total_ms": cell.mean_total_ms(),
-        }
-        for label, cell in result.by_label.items()
-    ]
-
 
 EXPERIMENT = register(
     SweepExperiment(
@@ -63,6 +45,5 @@ EXPERIMENT = register(
                 Column("total (ms)", "mean_total_ms"),
             ),
         ),
-        rows=average_rows,
     )
 )

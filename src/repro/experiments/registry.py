@@ -1,13 +1,12 @@
 """The experiment registry and the one programmatic entry point.
 
 Mirrors :mod:`repro.protocols`: every experiment module registers one frozen
-declaration at import time -- a
-:class:`~repro.experiments.sweep.SweepExperiment` for a sweep, an
-:class:`~repro.experiments.spec.ExperimentSpec` otherwise -- and the registry
-stores that declaration itself.  Everything else consumes it: the CLI derives
-its choices, help text, capability validation and quick-mode overrides from
-it; the ``all`` runner iterates :func:`names`; ``--output`` persists any
-result through the declaration's exporter; EXPERIMENTS.md embeds
+:class:`~repro.experiments.sweep.SweepExperiment` at import time and the
+registry stores that declaration itself.  Everything else consumes it: the
+CLI derives its choices, help text, capability validation and quick-mode
+overrides from it; the ``all`` runner iterates :func:`names`; ``--output``
+archives any result by its declared container
+(:mod:`repro.experiments.export`); EXPERIMENTS.md embeds
 :func:`registry_table_markdown`.
 
 The programmatic surface is :func:`run_experiment`::
@@ -35,11 +34,7 @@ from repro.common.registry import Registry
 from repro.obs.profiling import Profiler
 from repro.obs.trace import archive_election_traces
 from repro.sim import engines as engine_registry
-from repro.experiments.spec import (
-    CAPABILITIES,
-    ExperimentRun,
-    ExperimentSpec,
-)
+from repro.experiments.spec import CAPABILITIES, ExperimentRun
 from repro.experiments.sweep import (
     GridResult,
     SweepExperiment,
@@ -62,10 +57,7 @@ __all__ = [
     "validate_sweep_protocols",
 ]
 
-#: What the registry holds: a declared sweep, or a plain spec.
-Declaration = SweepExperiment | ExperimentSpec
-
-_REGISTRY: Registry[Declaration] = Registry("experiment")
+_REGISTRY: Registry[SweepExperiment] = Registry("experiment")
 
 register = _REGISTRY.register
 unregister = _REGISTRY.unregister
@@ -126,12 +118,11 @@ def run_experiment(
     Args:
         name: a registered experiment name (see :func:`names`).
         runs: independent runs per data point; ``None`` uses the spec's
-            default (raised to the spec's ``min_runs`` floor, with a note).
+            default.
         seed: root random seed (results are deterministic per seed).
         quick: apply the spec's quick-mode parameter overrides (small
             cluster sizes / short horizons for smoke passes).
-        workers: sweep-engine worker processes (``None`` = one per CPU);
-            ignored, with a note, by specs that do not support workers.
+        workers: sweep-engine worker processes (``None`` = one per CPU).
         progress: optional progress callback forwarded to the sweep engine.
         scenario: named network condition (scenario-capable experiments).
         protocols: protocol names replacing the experiment's default
@@ -176,19 +167,7 @@ def run_experiment(
             raise ConfigurationError(unsupported_option_message(option, [name]))
 
     profiler = Profiler()
-    notes: list[str] = []
     resolved_runs = spec.default_runs if runs is None else runs
-    if spec.min_runs is not None and resolved_runs < spec.min_runs:
-        notes.append(
-            f"runs raised from {resolved_runs} to {spec.min_runs} "
-            f"({name} needs at least {spec.min_runs} runs for stable rates)"
-        )
-        resolved_runs = spec.min_runs
-    if not spec.supports_workers and workers != 1:
-        notes.append(
-            f"--workers ignored ({name} runs in-process; a pool would only "
-            "pay start-up cost)"
-        )
 
     # Phase timings are run *metadata* (how long each stage took on this
     # machine), never an input to the simulation; the Profiler lives in the
@@ -198,42 +177,33 @@ def run_experiment(
     # sweep itself, excluding the traced re-runs and report rendering.
     with profiler.phase("build"):
         params = spec.resolved_params(quick=quick, **param_overrides)
-        if isinstance(spec, SweepExperiment):
-            axes, context, scenarios = spec.build(
-                params, seed, scenario=scenario, protocols=protocols, plan=plan
-            )
-            scenarios = {
-                label: built.with_engine(engine_name)
-                for label, built in scenarios.items()
-            }
-            # The archived metadata must not claim a grid the run never
-            # executed: an axis a capability value narrowed is dropped.
-            for axis in spec.axes:
-                if axis.narrowed_by in supplied:
-                    del params[axis.name]
+        axes, context, scenarios = spec.build(
+            params, seed, scenario=scenario, protocols=protocols, plan=plan
+        )
+        scenarios = {
+            label: built.with_engine(engine_name)
+            for label, built in scenarios.items()
+        }
+        # The archived metadata must not claim a grid the run never
+        # executed: an axis a capability value narrowed is dropped.
+        for axis in spec.axes:
+            if axis.narrowed_by in supplied:
+                del params[axis.name]
     with profiler.phase("sweep"):
-        if isinstance(spec, SweepExperiment):
-            # Imported here so --list and the registry never load
-            # multiprocessing.
-            from repro.experiments.runner import run_sweep
+        # Imported here so --list and the registry never load
+        # multiprocessing.
+        from repro.experiments.runner import run_sweep
 
-            by_label = run_sweep(
-                scenarios,
-                runs=resolved_runs,
-                seed=seed,
-                progress=progress,
-                workers=workers,
-                container=spec.container,
-                checkpoint=checkpoint,
-            )
-            result: object = GridResult(
-                axes, resolved_runs, by_label, context, spec.label
-            )
-        else:
-            call_kwargs: dict[str, object] = dict(params, runs=resolved_runs, seed=seed)
-            if spec.supports_workers:
-                call_kwargs.update(progress=progress, workers=workers)
-            result = spec.run(**call_kwargs)
+        by_label = run_sweep(
+            scenarios,
+            runs=resolved_runs,
+            seed=seed,
+            progress=progress,
+            workers=workers,
+            container=spec.container,
+            checkpoint=checkpoint,
+        )
+        result = GridResult(axes, resolved_runs, by_label, context, spec.label)
     if trace is not None:
         with profiler.phase("trace"):
             archive_election_traces(scenarios, seed, trace)
@@ -252,10 +222,9 @@ def run_experiment(
         runs=resolved_runs,
         seed=seed,
         quick=quick,
-        workers=workers if spec.supports_workers else None,
+        workers=workers,
         elapsed_s=elapsed_s,
         parameters=parameters,
-        notes=tuple(notes),
         engine=engine_name,
         profile=profiler.snapshot(),
     )
@@ -281,31 +250,19 @@ def _params_cell(params) -> str:
     return ", ".join(f"{key}={value!r}" for key, value in sorted(params.items()))
 
 
-def _capabilities_cell(spec: ExperimentSpec) -> str:
-    extras = list(spec.capabilities)
-    if not spec.supports_workers:
-        extras.append("no-workers")
-    return ", ".join(extras) if extras else "-"
-
-
 def _table_rows() -> list[list[str]]:
     """One row of cells per registered spec (shared by both renderers)."""
-    rows = []
-    for _, spec in items():
-        runs_cell = str(spec.default_runs)
-        if spec.min_runs is not None:
-            runs_cell += f" (min {spec.min_runs})"
-        rows.append(
-            [
-                spec.name,
-                spec.title,
-                spec.paper_ref,
-                _capabilities_cell(spec),
-                runs_cell,
-                _params_cell(spec.quick_params),
-            ]
-        )
-    return rows
+    return [
+        [
+            spec.name,
+            spec.title,
+            spec.paper_ref,
+            ", ".join(spec.capabilities) or "-",
+            str(spec.default_runs),
+            _params_cell(spec.quick_params),
+        ]
+        for _, spec in items()
+    ]
 
 
 def registry_table() -> str:

@@ -13,8 +13,9 @@ The *container* decides what a sweep keeps.  It is any class built as
 ``merge(other)`` and ``__len__``:
 
 * collecting containers (:class:`~repro.metrics.records.MeasurementSet`, the
-  default; :class:`~repro.metrics.records.AvailabilitySet`) keep every
-  episode record, in run-index order;
+  default; :class:`~repro.metrics.records.AvailabilitySet`;
+  :class:`~repro.adapters.redis_cluster.FailoverSet`) keep every episode
+  record, in run-index order;
 * mergeable aggregates (:class:`~repro.metrics.streaming.ElectionAggregate`,
   :class:`~repro.workload.aggregate.WorkloadAggregate`) keep O(labels)
   state no matter how many episodes ran, and -- because they also provide
@@ -22,7 +23,7 @@ The *container* decides what a sweep keeps.  It is any class built as
   JSON-lines checkpoint (:mod:`repro.experiments.checkpoint`) from which a
   killed sweep resumes bit-identically.
 
-Those four are what the registered experiments sweep into.
+Those five are what the registered experiments sweep into.
 :class:`~repro.workload.records.WorkloadSet` also satisfies the contract and
 stays as the exact reference the workload tests compare
 :class:`~repro.workload.aggregate.WorkloadAggregate` against.

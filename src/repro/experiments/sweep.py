@@ -8,8 +8,11 @@ scenario, the container the cells are swept into, and the report table --
 and everything else is derived here, once: the grid (the axis product,
 outermost axis first, so labels, seeds and reports are stable), the
 :class:`GridResult` a run returns, the capabilities (read off the
-declaration instead of hand-set flags), the exporter (chosen by the
-container) and the report (rendered from the :class:`Table`'s columns).
+declaration instead of hand-set flags), the archive (chosen by the
+container: episodes for a collecting
+:class:`~repro.metrics.records.RecordSet`, one ``to_row(label)`` per cell
+otherwise; see :mod:`repro.experiments.export`) and the report (rendered from
+the :class:`Table`'s columns).
 
 The module imports neither :mod:`repro.experiments.runner` nor
 :mod:`multiprocessing`: ``--list`` and the registry never pay for the pool.
@@ -29,13 +32,8 @@ from repro.chaos.plans import build_plan
 from repro.common.errors import ConfigurationError
 from repro.common.frozen import FrozenDict
 from repro.common.validation import require_unique
-from repro.experiments.spec import (
-    CAPABILITIES,
-    DeclaredParameters,
-    ExporterBinding,
-    validate_experiment_name,
-)
-from repro.metrics.records import AvailabilitySet, MeasurementSet
+from repro.experiments.spec import CAPABILITIES, validate_experiment_name
+from repro.metrics.records import RecordSet
 from repro.metrics.stats import reduction_percent
 from repro.metrics.tables import render_table
 
@@ -57,10 +55,6 @@ __all__ = [
 #: The chaos plan a plan-taking sweep runs when ``--plan`` is not given: the
 #: steady-state cost of elections themselves.
 DEFAULT_PLAN = "repeated-leader-kill"
-
-#: Collecting containers persist their episodes; any other container persists
-#: one ``to_row(label)`` per cell (exporter kind ``"rows"``).
-_EPISODE_EXPORT_KINDS = {MeasurementSet: "election", AvailabilitySet: "availability"}
 
 
 def validate_sweep_protocols(protocol_names: Sequence[str]) -> tuple[str, ...]:
@@ -171,6 +165,11 @@ def _statistic(cell: object, path: str) -> object:
     return value
 
 
+def _cell_text(value: object, format: str) -> str:
+    """A statistic as table text; an undefined one (``None``) renders as ``-``."""
+    return "-" if value is None else format.format(value)
+
+
 #: One expanded table column: its header and the text of a row's cell.
 _Expanded = tuple[str, Callable[[Mapping[str, object]], str]]
 
@@ -199,7 +198,7 @@ class Column:
 
     def text(self, cell: object) -> str:
         value = self.value(cell) if callable(self.value) else _statistic(cell, self.value)
-        return "-" if value is None else self.format.format(value)
+        return _cell_text(value, self.format)
 
     def expand(self, result: GridResult) -> list[_Expanded]:
         return [(self.header, lambda coords: self.text(result.cell(**coords)))]
@@ -210,21 +209,21 @@ class PerProtocol:
     """Statistics repeated for every swept protocol (protocol-major).
 
     Headers are prefixed with the protocol's display title, so the table
-    follows ``--protocols``.
+    follows ``--protocols``.  A sweep comparing something else along another
+    axis names that axis's *coord* and the *title* of one of its points.
     """
 
     columns: tuple[Column, ...]
+    coord: str = "protocol"
+    title: Callable[[object], str] = protocol_registry.title
 
     def expand(self, result: GridResult) -> list[_Expanded]:
-        def text(column: Column, protocol: str, coords: Mapping[str, object]) -> str:
-            return column.text(result.cell(protocol=protocol, **coords))
+        def text(column: Column, point: object, coords: Mapping[str, object]) -> str:
+            return column.text(result.cell(**{self.coord: point}, **coords))
 
         return [
-            (
-                f"{protocol_registry.title(protocol)} {column.header}",
-                partial(text, column, protocol),
-            )
-            for protocol in result.axes["protocol"]
+            (f"{self.title(point)} {column.header}", partial(text, column, point))
+            for point in result.axes[self.coord]
             for column in self.columns
         ]
 
@@ -265,7 +264,7 @@ class Derived:
     """A column computed from the whole result, present when *when* says so.
 
     *value* is called as ``value(result, **row_coords)``; both callables are
-    module-level functions.
+    module-level functions; ``None`` renders as ``-``.
     """
 
     header: str
@@ -276,9 +275,11 @@ class Derived:
     def expand(self, result: GridResult) -> list[_Expanded]:
         if not self.when(result):
             return []
-        return [
-            (self.header, lambda coords: self.format.format(self.value(result, **coords)))
-        ]
+
+        def text(coords: Mapping[str, object]) -> str:
+            return _cell_text(self.value(result, **coords), self.format)
+
+        return [(self.header, text)]
 
 
 @dataclass(frozen=True)
@@ -320,21 +321,18 @@ class Table:
 # --------------------------------------------------------------------------- #
 # The declaration
 # --------------------------------------------------------------------------- #
-def _by_label(result: GridResult) -> Mapping[str, object]:
-    return result.by_label
-
-
-def _cell_rows(result: GridResult) -> list[dict[str, object]]:
-    return [cell.to_row(label) for label, cell in result.by_label.items()]
-
-
 @dataclass(frozen=True)
-class SweepExperiment(DeclaredParameters):
-    """One registered sweep, declared as a grid.
+class SweepExperiment:
+    """One registered experiment, declared as a grid.
 
     Attributes:
-        name / title / paper_ref / description / default_runs: as on
-            :class:`~repro.experiments.spec.ExperimentSpec`.
+        name: registry key, CLI name and export file stem (e.g. ``"fig9"``);
+            must be free of path syntax.
+        title: display label used in the registry table.
+        paper_ref: the paper figure/section this experiment reproduces.
+        description: one-line summary.
+        default_runs: the run count ``run_experiment`` uses when the caller
+            does not pass one.
         axes: the declared parameters, swept axes outermost first (this
             order is the grid order, hence the label and seed order).
         label: module-level function from the swept coordinates (by
@@ -347,10 +345,10 @@ class SweepExperiment(DeclaredParameters):
             built for the fixed ``horizon_ms`` axis and the run's seed).  Its
             return annotation names the scenario type.
         container: the per-cell result container class (see
-            :mod:`repro.experiments.runner`).
+            :mod:`repro.experiments.runner`).  It also decides the archive: a
+            :class:`~repro.metrics.records.RecordSet` archives its episodes,
+            anything else one ``to_row(label)`` per cell.
         table: the report.
-        rows: module-level function from the result to export rows, for a
-            sweep whose archive is a derived table rather than its cells.
     """
 
     name: str
@@ -361,17 +359,18 @@ class SweepExperiment(DeclaredParameters):
     axes: tuple[Axis, ...]
     label: Callable[..., str]
     scenario: Callable[..., object]
-    container: Callable[..., object]
+    container: type
     table: Table
-    rows: Callable[[GridResult], list[dict[str, object]]] | None = None
-
-    #: Sweeps always run through the pool-capable engine, at any run count.
-    supports_workers = True
-    min_runs = None
 
     def __post_init__(self) -> None:
         validate_experiment_name(self.name)
-        self.exporter  # an unexportable container fails here, not after a sweep
+        # An unarchivable container fails here, not after a sweep.
+        container = self.container
+        if not (issubclass(container, RecordSet) or hasattr(container, "to_row")):
+            raise ConfigurationError(
+                f"experiment {self.name!r}: container {container!r} neither "
+                "collects episodes (a RecordSet) nor has to_row(label)"
+            )
 
     def _shared_keywords(self) -> set[str]:
         """The scenario function's keywords that are not swept coordinates."""
@@ -380,7 +379,7 @@ class SweepExperiment(DeclaredParameters):
         }
 
     # ------------------------------------------------------------------ #
-    # Derived: parameters, capabilities, exporter, reporter
+    # Derived: parameters, capabilities, reporter
     # ------------------------------------------------------------------ #
     @property
     def params(self) -> FrozenDict:
@@ -396,6 +395,28 @@ class SweepExperiment(DeclaredParameters):
             {axis.name: axis.quick for axis in self.axes if axis.quick is not None}
         )
 
+    def resolved_params(
+        self, quick: bool = False, **overrides: object
+    ) -> dict[str, object]:
+        """The parameter set a run with these settings receives.
+
+        Raises:
+            ConfigurationError: listing the declared parameters when an
+                override names an unknown one.
+        """
+        unknown = set(overrides) - set(self.params)
+        if unknown:
+            raise ConfigurationError(
+                f"experiment {self.name!r} has no parameter(s) "
+                f"{', '.join(sorted(repr(key) for key in unknown))}; "
+                f"declared: {', '.join(sorted(self.params)) or '(none)'}"
+            )
+        resolved = dict(self.params)
+        if quick:
+            resolved.update(self.quick_params)
+        resolved.update(overrides)
+        return resolved
+
     @property
     def capabilities(self) -> tuple[str, ...]:
         """The sweep-wide options this declaration understands, in CLI order."""
@@ -410,21 +431,6 @@ class SweepExperiment(DeclaredParameters):
             "trace": hasattr(scenario_type, "run_traced"),
         }
         return tuple(option for option in CAPABILITIES if understood[option])
-
-    @property
-    def exporter(self) -> ExporterBinding:
-        """How the result persists, chosen by the container (or *rows*)."""
-        if self.rows is not None:
-            return ExporterBinding(kind="rows", extract=self.rows)
-        kind = _EPISODE_EXPORT_KINDS.get(self.container)
-        if kind is not None:
-            return ExporterBinding(kind=kind, extract=_by_label)
-        if not hasattr(self.container, "to_row"):
-            raise ConfigurationError(
-                f"experiment {self.name!r}: container {self.container!r} has no "
-                "to_row(label); declare a rows function to export it"
-            )
-        return ExporterBinding(kind="rows", extract=_cell_rows)
 
     def reporter(self, result: GridResult) -> str:
         """Render the declared table for *result*."""
@@ -449,6 +455,11 @@ class SweepExperiment(DeclaredParameters):
         ``context`` are what the :class:`GridResult` will carry, and
         ``scenarios`` is the label -> scenario table in grid order.  Swept
         protocols are checked for liveness here, once, for every sweep.
+
+        Raises:
+            ConfigurationError: for a grid that is not one -- a swept axis
+                with no point, or two cells under one label (a point given
+                twice, or two points the label function cannot tell apart).
         """
         supplied = {"scenario": scenario, "protocols": protocols}
         context = dict(params)
@@ -462,6 +473,11 @@ class SweepExperiment(DeclaredParameters):
             elif supplied.get(axis.name) is not None:
                 points = supplied[axis.name]
             axes[axis.coord] = tuple(points)
+            if not axes[axis.coord]:
+                raise ConfigurationError(
+                    f"experiment {self.name!r}: axis {axis.name!r} is empty; "
+                    "a sweep needs at least one point on every axis"
+                )
         validate_sweep_protocols(axes.get("protocol", ()))
         keywords = self._shared_keywords()
         if "condition" in keywords:
@@ -469,10 +485,19 @@ class SweepExperiment(DeclaredParameters):
         if "plan" in keywords:
             context["plan"] = build_plan(plan or DEFAULT_PLAN, context["horizon_ms"], seed)
         shared = {key: value for key, value in context.items() if key in keywords}
-        scenarios = {}
+        cells: dict[str, dict[str, object]] = {}
         for point in itertools.product(*axes.values()):
             coords = dict(zip(axes, point))
-            scenarios[self.label(**coords)] = self.scenario(**coords, **shared)
+            label = self.label(**coords)
+            if label in cells:
+                raise ConfigurationError(
+                    f"experiment {self.name!r}: label {label!r} names two "
+                    f"cells, {cells[label]} and {coords}"
+                )
+            cells[label] = coords
+        scenarios = {
+            label: self.scenario(**coords, **shared) for label, coords in cells.items()
+        }
         return axes, context, scenarios
 
     def build_scenarios(self, seed: int = 0, **overrides: object) -> dict[str, object]:

@@ -17,8 +17,12 @@ class RecordSet(Generic[M]):
 
     Holds the ``add`` / ``merge`` / ``__len__`` half of the container
     contract of :func:`repro.experiments.runner.run_sweep` once for the
-    per-measurement-type sets below, which add only their statistics.
+    per-measurement-type sets below, which add only their statistics and
+    name the record class they hold (``record_type``, from which
+    :mod:`repro.experiments.export` rebuilds an archived set).
     """
+
+    record_type: type
 
     def __init__(self, measurements: Iterable[M] = (), label: str = "") -> None:
         self._measurements = list(measurements)
@@ -36,6 +40,11 @@ class RecordSet(Generic[M]):
     def measurements(self) -> tuple[M, ...]:
         """Every recorded measurement."""
         return tuple(self._measurements)
+
+    def _require_runs(self) -> list[M]:
+        if not self._measurements:
+            raise ClusterError(f"no runs in {type(self).__name__} {self.label!r}")
+        return self._measurements
 
     def __len__(self) -> int:
         return len(self._measurements)
@@ -128,26 +137,11 @@ class AvailabilityMeasurement:
         """Available fraction of the window."""
         return 1.0 - self.unavailability
 
-    @property
-    def mean_recovery_ms(self) -> float | None:
-        """Average outage duration, or ``None`` when no outage occurred."""
-        if not self.recovery_ms:
-            return None
-        return sum(self.recovery_ms) / len(self.recovery_ms)
-
-    @property
-    def max_recovery_ms(self) -> float | None:
-        """Longest outage duration, or ``None`` when no outage occurred."""
-        return max(self.recovery_ms) if self.recovery_ms else None
-
 
 class AvailabilitySet(RecordSet[AvailabilityMeasurement]):
     """Availability measurements from repeated runs of one configuration."""
 
-    def _require_runs(self) -> list[AvailabilityMeasurement]:
-        if not self._measurements:
-            raise ClusterError(f"no runs in availability set {self.label!r}")
-        return self._measurements
+    record_type = AvailabilityMeasurement
 
     def mean_unavailability(self) -> float:
         """Average leaderless fraction over the runs."""
@@ -195,6 +189,8 @@ class AvailabilitySet(RecordSet[AvailabilityMeasurement]):
 
 class MeasurementSet(RecordSet[ElectionMeasurement]):
     """A collection of measurements from repeated runs of one configuration."""
+
+    record_type = ElectionMeasurement
 
     @property
     def converged(self) -> "MeasurementSet":

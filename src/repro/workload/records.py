@@ -67,10 +67,7 @@ class WorkloadMeasurement:
 class WorkloadSet(RecordSet[WorkloadMeasurement]):
     """Workload measurements from repeated runs of one configuration."""
 
-    def _require_runs(self) -> list[WorkloadMeasurement]:
-        if not self._measurements:
-            raise ClusterError(f"no runs in workload set {self.label!r}")
-        return self._measurements
+    record_type = WorkloadMeasurement
 
     def pooled_latencies_ms(self) -> list[Milliseconds]:
         """Every commit latency across every run (for percentiles)."""

@@ -10,7 +10,12 @@ import pytest
 
 from repro.analysis.theory import escape_expected_detection_ms, raft_expected_detection_ms
 from repro.cluster import ElectionScenario
-from repro.experiments import ablation_ppf, fig03_randomization, run_experiment
+from repro.experiments import (
+    ablation_ppf,
+    adapter_redis,
+    fig03_randomization,
+    run_experiment,
+)
 from repro.metrics.records import MeasurementSet
 
 RUNS = 6
@@ -230,12 +235,13 @@ class TestRegisteredSweepShapes:
     def test_the_groomed_redis_failover_never_collides_or_loses(self):
         # Section IV-C: the advantage grows as rank information degrades.
         result = run_experiment("adapter-redis", runs=200, seed=7).result
+        levels = result.axes["confusion"]
         reductions = [
-            result.escape_reduction_for(confusion)
-            for confusion in result.confusion_levels
+            adapter_redis.escape_reduction(result, confusion) for confusion in levels
         ]
-        for confusion, reduction in zip(result.confusion_levels, reductions):
-            assert result.summary_for(confusion, "escape-redis")["collision_rate"] == 0.0
+        for confusion, reduction in zip(levels, reductions):
+            groomed = result.cell(confusion=confusion, variant="escape-redis")
+            assert groomed.collision_rate() == 0.0
             assert reduction >= 0.0
         assert reductions[-1] >= reductions[0] - 5.0
 

@@ -1,12 +1,12 @@
 """Conformance suite for the experiment registry.
 
-Every registered declaration (a :class:`SweepExperiment` or a plain
-:class:`ExperimentSpec`) is exercised generically: a quick run through
-:func:`run_experiment` returns a picklable envelope whose report matches the
-declaration's reporter, the exporter round-trips through the generic export
-path, and the registry-derived rejection messages cover unknown names,
-unsupported sweep-wide options and unsweepable protocols.  Registering
-another experiment automatically subjects it to this suite.
+Every registered declaration (a :class:`SweepExperiment`, the one kind there
+is) is exercised generically: a quick run through :func:`run_experiment`
+returns a picklable envelope whose report matches the declaration's reporter,
+and the registry-derived rejection messages cover unknown names, unsupported
+sweep-wide options and unsweepable protocols.  Registering another experiment
+automatically subjects it to this suite (and to the grid / archive contract
+in ``test_experiments_structure.py``).
 """
 
 import dataclasses
@@ -18,13 +18,11 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.experiments import (
     ExperimentRun,
-    ExperimentSpec,
     SweepExperiment,
     registry,
     run_experiment,
 )
-from repro.experiments.export import load_run, save_run
-from repro.experiments.spec import CAPABILITIES, EXPORT_KINDS, ExporterBinding
+from repro.experiments.spec import CAPABILITIES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -42,9 +40,6 @@ class TestSpecConformance:
         assert spec.default_runs >= 1
         assert set(spec.quick_params) <= set(spec.params)
         assert set(spec.capabilities) <= set(CAPABILITIES)
-        # Every built-in experiment must be persistable via --output.
-        assert spec.exporter is not None
-        assert spec.exporter.kind in EXPORT_KINDS
 
     @pytest.mark.parametrize("name", registry.names())
     def test_spec_pickles_by_reference(self, name):
@@ -52,50 +47,30 @@ class TestSpecConformance:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.params == spec.params
-        if isinstance(spec, SweepExperiment):
-            assert clone.label is spec.label and clone.scenario is spec.scenario
-        else:
-            assert clone.run is spec.run and clone.reporter is spec.reporter
+        assert clone.label is spec.label and clone.scenario is spec.scenario
 
     def test_the_registry_stores_the_declarations_themselves(self):
-        """Every sweep is a SweepExperiment; only adapter-redis is a plain spec."""
-        plain = [
-            name
-            for name, spec in registry.items()
-            if not isinstance(spec, SweepExperiment)
+        """One kind: the registry table reads no other, adapter-redis included."""
+        assert len(registry.names()) == 12
+        assert all(isinstance(spec, SweepExperiment) for _, spec in registry.items())
+        text = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        table = text[text.index("registry-table:begin") : text.index("registry-table:end")]
+        (row,) = [
+            line.split(" | ")
+            for line in table.splitlines()
+            if line.startswith("| `adapter-redis` |")
         ]
-        assert plain == ["adapter-redis"]
+        assert row[3:5] == ["-", "200"]
 
     def test_invalid_specs_are_rejected(self):
-        good = registry.get("adapter-redis")
-        with pytest.raises(ConfigurationError, match="whitespace"):
-            registry.register(
-                ExperimentSpec(
-                    name="bad name", title="t", run=good.run, reporter=good.reporter
-                )
-            )
-        with pytest.raises(ConfigurationError, match="quick_params"):
-            ExperimentSpec(
-                name="ok",
-                title="t",
-                run=good.run,
-                reporter=good.reporter,
-                quick_params={"no_such_param": 1},
-            )
-        with pytest.raises(ConfigurationError, match="exporter kind"):
-            ExporterBinding(kind="no-such-kind", extract=lambda result: result)
-        # Names become export file names; path syntax must be rejected.
-        with pytest.raises(ConfigurationError, match="path"):
-            ExperimentSpec(
-                name="a/b", title="t", run=good.run, reporter=good.reporter
-            )
-        with pytest.raises(ConfigurationError, match="path"):
-            ExperimentSpec(
-                name="..escape", title="t", run=good.run, reporter=good.reporter
-            )
         sweep = registry.get("fig3")
-        with pytest.raises(ConfigurationError, match="path"):
-            dataclasses.replace(sweep, name="a/b")
+        with pytest.raises(ConfigurationError, match="whitespace"):
+            registry.register(dataclasses.replace(sweep, name="bad name"))
+        # Names become export file names; path syntax must be rejected.
+        for name in ("a/b", "..escape"):
+            with pytest.raises(ConfigurationError, match="path"):
+                dataclasses.replace(sweep, name=name)
+        # Neither a collecting RecordSet nor a to_row(label): unarchivable.
         with pytest.raises(ConfigurationError, match="to_row"):
             dataclasses.replace(sweep, container=dict)
 
@@ -117,10 +92,6 @@ class TestRunExperiment:
         clone = pickle.loads(pickle.dumps(run))
         assert clone.report == run.report
         assert clone.parameters == run.parameters
-        assert clone.notes == run.notes
-        # The exporter binding understands the result it was registered for.
-        payload = spec.exporter.extract(run.result)
-        assert payload
 
     def test_unknown_experiment_rejected_with_registered_list(self):
         with pytest.raises(ConfigurationError, match="unknown experiment") as info:
@@ -156,13 +127,6 @@ class TestRunExperiment:
     def test_unknown_parameter_override_rejected(self):
         with pytest.raises(ConfigurationError, match="no parameter"):
             run_experiment("fig3", cluster_sizes=(3,))
-
-    def test_min_runs_floor_and_ignored_workers_are_noted(self):
-        run = run_experiment("adapter-redis", runs=2, seed=0, workers=4)
-        assert run.runs == 50
-        assert run.workers is None
-        assert any("raised" in note for note in run.notes)
-        assert any("--workers ignored" in note for note in run.notes)
 
     def test_capability_value_supersedes_param_in_recorded_metadata(self):
         """A wan run narrowed to one scenario must not claim the full grid."""
@@ -228,19 +192,6 @@ class TestRunExperiment:
         )
 
 
-class TestGenericExport:
-    def test_rows_kind_round_trips(self, tmp_path):
-        run = run_experiment("adapter-redis", runs=50, seed=5)
-        save_run(run, tmp_path)
-        metadata, loaded = load_run("adapter-redis", tmp_path)
-        assert metadata["export_kind"] == "rows"
-        assert loaded == registry.get("adapter-redis").exporter.extract(run.result)
-
-    def test_loading_a_missing_run_fails_fast(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="no such results file"):
-            load_run("fig3", tmp_path)
-
-
 class TestRegistryTables:
     def test_text_table_lists_every_experiment(self):
         table = registry.registry_table()
@@ -271,36 +222,14 @@ class TestRegistryTables:
         )
 
 
-def _dummy_run(**kwargs):
-    return kwargs
-
-
-def _dummy_report(result):
-    return "dummy report"
-
-
 class TestRegisterSemantics:
     def test_duplicate_registration_needs_replace(self):
-        spec = ExperimentSpec(
-            name="dummy-experiment",
-            title="Dummy",
-            paper_ref="--",
-            description="registration semantics fixture",
-            run=_dummy_run,
-            reporter=_dummy_report,
-        )
+        spec = dataclasses.replace(registry.get("fig3"), name="dummy-experiment")
         registry.register(spec)
         try:
             with pytest.raises(ConfigurationError, match="already registered"):
                 registry.register(spec)
-            replacement = ExperimentSpec(
-                name="dummy-experiment",
-                title="Dummy v2",
-                paper_ref="--",
-                description="registration semantics fixture",
-                run=_dummy_run,
-                reporter=_dummy_report,
-            )
+            replacement = dataclasses.replace(spec, title="Dummy v2")
             assert registry.register(replacement, replace=True).title == "Dummy v2"
             assert registry.get("dummy-experiment") is replacement
         finally:
@@ -309,22 +238,14 @@ class TestRegisterSemantics:
 
     def test_registered_dummy_is_runnable_through_the_one_entry_point(self):
         registry.register(
-            ExperimentSpec(
-                name="dummy-experiment",
-                title="Dummy",
-                paper_ref="--",
-                description="one-entry-point fixture",
-                run=_dummy_run,
-                reporter=_dummy_report,
-                default_runs=7,
-                params={"knob": "default"},
-                supports_workers=False,
+            dataclasses.replace(
+                registry.get("fig3"), name="dummy-experiment", default_runs=2
             )
         )
         try:
-            run = run_experiment("dummy-experiment", knob="turned")
-            assert run.runs == 7
-            assert run.result == {"runs": 7, "seed": 0, "knob": "turned"}
-            assert run.report == "dummy report"
+            run = run_experiment("dummy-experiment", quick=True, cluster_size=3)
+            assert run.runs == 2
+            assert run.result.context == {"cluster_size": 3}
+            assert run.report.startswith("Figure 3")
         finally:
             registry.unregister("dummy-experiment")

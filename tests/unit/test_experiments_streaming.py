@@ -2,7 +2,7 @@
 
 Three contracts are pinned here on real (small) scenarios:
 
-* **container contract** -- for each of the five result containers, folding
+* **container contract** -- for each of the six result containers, folding
   a measurement list in one pass equals merging any chunk split of it in
   order, and a sweep returns that same container at any worker count (for
   the collecting ones: the episodes of the sequential reference loop);
@@ -22,6 +22,11 @@ import json
 
 import pytest
 
+from repro.adapters.redis_cluster import (
+    FailoverSet,
+    RedisClusterParameters,
+    RedisFailoverModel,
+)
 from repro.chaos.plans import build_plan
 from repro.chaos.scenario import ChaosScenario
 from repro.cluster.scenarios import ElectionScenario
@@ -60,6 +65,7 @@ CONTAINERS = {
     AvailabilitySet: _CHAOS,
     WorkloadSet: _SERVING,
     WorkloadAggregate: _SERVING,
+    FailoverSet: RedisFailoverModel(RedisClusterParameters(rank_confusion=0.6)),
 }
 
 

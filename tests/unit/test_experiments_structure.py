@@ -1,14 +1,17 @@
 """Unit tests for the experiment declarations' structure and the CLI wiring.
 
-One contract suite runs over every registered
-:class:`~repro.experiments.sweep.SweepExperiment` at quick sizes: the grid is
+One contract suite runs over every registered experiment (each is a
+:class:`~repro.experiments.sweep.SweepExperiment`) at quick sizes: the grid is
 the axis product in build order, ``cell`` addresses it by coordinates, the
 derived capabilities equal the pinned EXPERIMENTS.md table, overrides reach
-the grid, ``--protocols`` / ``--trace-out`` / ``--output`` work wherever the
-declaration makes them available.  The integration suite checks the
+the grid, a grid that is not one (a point twice, an empty axis) is refused
+while it is built, ``save_run`` -> ``load_run`` is the identity, and
+``--protocols`` / ``--trace-out`` work wherever the declaration makes them
+available.  The integration suite checks the
 paper-level claims on realistic settings.
 """
 
+import csv
 import functools
 import itertools
 import json
@@ -20,7 +23,6 @@ from repro import protocols as protocol_registry
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import ConfigurationError
 from repro.experiments import (
-    SweepExperiment,
     ablation_ppf,
     exp_availability,
     exp_wan,
@@ -37,19 +39,11 @@ from repro.obs.trace import TRACE_MANIFEST_SCHEMA
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-SWEEPS = [
-    name for name, spec in registry.items() if isinstance(spec, SweepExperiment)
-]
-
 
 #: Every protocol a sweep may run (the acceptance bar for worker parity).
 LIVENESS_PROTOCOLS = tuple(
     name for name, spec in protocol_registry.items() if spec.guarantees_liveness
 )
-
-
-def sweeps_with(option):
-    return [name for name in SWEEPS if option in registry.get(name).capabilities]
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,7 +85,7 @@ class TestBaseHelpers:
         assert calls == [("only", 1, 2), ("only", 2, 2)]
 
 
-@pytest.mark.parametrize("name", SWEEPS)
+@pytest.mark.parametrize("name", registry.names())
 class TestSweepContract:
     def test_cells_are_the_axis_product_in_build_order(self, name):
         spec, result = registry.get(name), quick_run(name).result
@@ -124,7 +118,12 @@ class TestSweepContract:
     def test_an_axis_override_reaches_the_grid(self, name):
         spec = registry.get(name)
         default = spec.build_scenarios()
-        fixed = {"cluster_size": 3, "horizon_ms": 10_000.0}
+        fixed = {
+            "cluster_size": 3,
+            "horizon_ms": 10_000.0,
+            "vote_loss_rate": 0.5,
+            "replicas": 3,
+        }
         for axis in spec.axes:
             if axis.coord:
                 narrowed = spec.build_scenarios(**{axis.name: axis.values[:1]})
@@ -139,25 +138,53 @@ class TestSweepContract:
         for declared in registry.get(name).params:
             assert declared in str(info.value)
 
+    def test_a_point_given_twice_is_refused_naming_the_label(self, name):
+        spec = registry.get(name)
+        for axis in spec.axes:
+            if not axis.coord:
+                continue
+            twice = (axis.values[0], *axis.values)
+            if axis.name == "protocols":
+                match = "protocols contains duplicate value"
+            else:
+                match = f"experiment {name!r}: label '.*' names two cells, {{.*}} and {{.*}}"
+            with pytest.raises(ConfigurationError, match=match):
+                spec.build_scenarios(**{axis.name: twice})
+
+    def test_an_empty_axis_is_refused_naming_the_axis(self, name):
+        spec = registry.get(name)
+        for axis in spec.axes:
+            if axis.coord:
+                with pytest.raises(
+                    ConfigurationError, match=f"axis {axis.name!r} is empty"
+                ):
+                    spec.build_scenarios(**{axis.name: ()})
+
     def test_the_export_round_trips(self, name, tmp_path):
         run = quick_run(name)
-        exporter = registry.get(name).exporter
+        cells = run.result.by_label
         paths = save_run(run, tmp_path)
-        assert paths["csv"].exists()
-        assert paths["report"].read_text() == run.report + "\n"
+        assert paths["report"].read_text(encoding="utf-8") == run.report + "\n"
+        with paths["csv"].open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
         metadata, loaded = load_run(name, tmp_path)
-        assert metadata["seed"] == 3 and metadata["export_kind"] == exporter.kind
-        original = exporter.extract(run.result)
-        if exporter.kind == "rows":
-            assert loaded == original and len(original) == len(run.result.by_label)
+        assert metadata["seed"] == 3 and "notes" not in metadata
+        if metadata["export_kind"] == "rows":
+            assert loaded == [cell.to_row(label) for label, cell in cells.items()]
+            assert [row["label"] for row in rows] == list(cells)
         else:
-            assert list(loaded) == sorted(original)
-            for label, cell in original.items():
+            assert metadata["export_kind"] == "episodes"
+            assert list(loaded) == sorted(cells)
+            for label, cell in cells.items():
+                assert type(loaded[label]) is type(cell)
                 assert loaded[label].measurements == cell.measurements
+            assert [row["label"] for row in rows] == [
+                label for label, cell in cells.items() for _ in cell
+            ]
 
 
 class TestSweepCapabilities:
-    @pytest.mark.parametrize("name", sweeps_with("protocols"))
+    @pytest.mark.parametrize("name", registry.supporting("protocols"))
     def test_protocols_narrow_the_sweep_end_to_end(self, name):
         run = run_experiment(name, runs=1, seed=0, quick=True, protocols=["escape"])
         assert run.parameters["protocols"] == ("escape",)
@@ -168,7 +195,7 @@ class TestSweepCapabilities:
         assert "ESCAPE" in run.report
         assert "Raft" not in run.report.split("\n", 1)[1]
 
-    @pytest.mark.parametrize("name", sweeps_with("trace"))
+    @pytest.mark.parametrize("name", registry.supporting("trace"))
     def test_trace_out_leaves_a_schema_valid_manifest(self, name, tmp_path):
         narrowed = (
             {"protocols": ("escape",)}
@@ -207,9 +234,11 @@ class TestSweepCapabilities:
                     horizon_ms=15_000.0,
                 ),
             ),
+            # The analytic models cross the pool boundary like any scenario.
+            ("adapter-redis", 2, dict(confusion_levels=(0.3, 0.6))),
         ],
     )
-    def test_parallel_equals_sequential(self, name, workers, overrides):
+    def test_parallel_equals_sequential(self, name, workers, overrides, tmp_path):
         """The sweep is bit-for-bit identical at any worker count."""
         sequential = run_experiment(name, runs=2, seed=7, workers=1, **overrides)
         parallel = run_experiment(name, runs=2, seed=7, workers=workers, **overrides)
@@ -217,6 +246,13 @@ class TestSweepCapabilities:
         for label, cell in sequential.result.by_label.items():
             assert parallel.result.by_label[label].measurements == cell.measurements
         assert parallel.report == sequential.report
+        # ... and so is the archive, bar the metadata that names the run.
+        first = save_run(sequential, tmp_path / "sequential")
+        second = save_run(parallel, tmp_path / "parallel")
+        assert first["csv"].read_bytes() == second["csv"].read_bytes()
+        assert first["report"].read_bytes() == second["report"].read_bytes()
+        cells = [json.loads(paths["json"].read_text())["cells"] for paths in (first, second)]
+        assert cells[0] == cells[1]
 
     def test_the_build_phase_times_the_grid_and_fails_before_any_worker(self):
         assert quick_run("fig9-xl").profile["build"] > 0.0
@@ -250,14 +286,38 @@ class TestSweepCapabilities:
         assert measurement.plan == "partition-flap"
         assert "condition=geo-two-region" in run.report
 
+    def test_two_points_under_one_label_are_refused_with_both_coordinates(self):
+        """Unrefused, one cell runs, 10.4 % never does and the 10 % row prints twice."""
+        started = []
+        with pytest.raises(ConfigurationError, match="names two cells") as info:
+            run_experiment(
+                "fig11",
+                runs=1,
+                sizes=(10,),
+                loss_rates=(0.1, 0.104),
+                protocols=("escape",),
+                progress=lambda *call: started.append(call),
+            )
+        message = str(info.value)
+        assert "'escape@10/loss10'" in message
+        assert "'loss_rate': 0.1," in message and "'loss_rate': 0.104," in message
+        assert not started
+
+    def test_an_empty_axis_is_refused_before_the_sweep(self):
+        """Unrefused, nothing is swept and ``Table.render`` dies on an IndexError."""
+        with pytest.raises(ConfigurationError, match="axis 'sizes' is empty"):
+            run_experiment("fig9", runs=1, quick=True, sizes=())
+        with pytest.raises(ConfigurationError, match="axis 'protocols' is empty"):
+            run_experiment("fig9", runs=1, quick=True, protocols=())
+
     def test_liveness_free_protocols_are_rejected_while_the_grid_is_built(self):
-        for name in sweeps_with("protocols"):
+        for name in registry.supporting("protocols"):
             with pytest.raises(ConfigurationError, match="livelock"):
                 registry.get(name).build_scenarios(protocols=("raft-fixed",))
 
     def test_a_protocol_named_twice_is_rejected_while_the_grid_is_built(self):
         # It would render every column twice over one shared cell.
-        for name in sweeps_with("protocols"):
+        for name in registry.supporting("protocols"):
             with pytest.raises(ConfigurationError, match="duplicate value 'raft'"):
                 run_experiment(name, runs=1, quick=True, protocols=("raft", "raft"))
 
@@ -376,8 +436,9 @@ class TestCli:
             registry.run_experiment("fig3", runs=1, checkpoint="x")
 
     def test_trace_capable_experiments_exist(self):
-        # Every sweep: all three scenario types inherit run_traced from the
-        # one Scenario base.  adapter-redis is not a sweep.
+        # Every simulated sweep: all three scenario types inherit run_traced
+        # from the one Scenario base.  adapter-redis sweeps analytic models,
+        # which have no cluster to trace.
         assert set(registry.names()) - set(registry.supporting("trace")) == {
             "adapter-redis"
         }

@@ -8,7 +8,6 @@ drown the violation under test.
 
 import dataclasses
 
-from repro.experiments.spec import ExperimentSpec
 from repro.lint.model import DEFAULT_CONFIG
 from repro.lint.rules_registry import (
     check_experiment_registry,
@@ -111,7 +110,9 @@ class TestS2RegistryCompleteness:
     def test_a_module_registering_nothing_is_flagged(self):
         # An unregistered declaration does not count: the registry is the
         # dispatch layer, so only what it holds exists.
-        spec = ExperimentSpec(name="fx-loose", title="t", run=_run, reporter=_report)
+        from repro.experiments import registry
+
+        spec = dataclasses.replace(registry.get("fig3"), name="fx-loose")
         (finding,) = _s2({"fx_none": {"SPEC": spec}})
         assert finding.rule_id == "S2"
         assert "registers 0 experiments (none)" in finding.message
@@ -126,11 +127,3 @@ class TestS2RegistryCompleteness:
 
     def test_live_experiment_registry_is_complete(self):
         assert check_experiment_registry(DEFAULT_CONFIG) == []
-
-
-def _run(*, runs, seed, workers=None, progress=None):
-    return None
-
-
-def _report(result) -> str:
-    return "fixture report"

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.common.errors import ClusterError
-from repro.metrics.records import ElectionMeasurement, MeasurementSet
+from repro.metrics.records import (
+    AvailabilityMeasurement,
+    AvailabilitySet,
+    ElectionMeasurement,
+    MeasurementSet,
+)
 from repro.metrics.stats import (
     cumulative_distribution,
     fraction_at_or_below,
@@ -111,6 +116,49 @@ class TestMeasurementSet:
         measurements = MeasurementSet()
         measurements.add(measurement())
         assert len(list(measurements)) == 1
+
+
+def _measurement(seed=1, protocol="raft", outages=2):
+    intervals = tuple(
+        (10_000.0 * (i + 1), 10_000.0 * (i + 1) + 1_500.0) for i in range(outages)
+    )
+    leaderless = sum(end - start for start, end in intervals)
+    return AvailabilityMeasurement(
+        protocol=protocol,
+        cluster_size=5,
+        seed=seed,
+        plan="repeated-leader-kill",
+        start_ms=5_000.0,
+        end_ms=65_000.0,
+        available_ms=60_000.0 - leaderless,
+        leaderless_ms=leaderless,
+        unavailability=leaderless / 60_000.0,
+        disruption_count=outages,
+        skipped_disruptions=0,
+        outage_count=outages,
+        recovery_ms=tuple(end - start for start, end in intervals),
+        proposals_proposed=200,
+        proposals_dropped=12,
+        leaderless_intervals=intervals,
+        extra={"committed_entries": 180},
+    )
+
+
+class TestAvailabilitySetAggregates:
+    def test_empty_set_refuses_aggregates(self):
+        empty = AvailabilitySet(label="empty")
+        with pytest.raises(Exception, match="no runs"):
+            empty.mean_unavailability()
+        assert empty.mean_recovery_ms() is None
+        assert empty.total_proposed() == 0
+
+    def test_means_are_per_run_and_recovery_is_pooled(self):
+        availability_set = AvailabilitySet(
+            [_measurement(1, outages=2), _measurement(2, outages=2)]
+        )
+        assert availability_set.mean_outages() == 2.0
+        assert len(availability_set.pooled_recovery_ms()) == 4
+        assert availability_set.mean_recovery_ms() == pytest.approx(1_500.0)
 
 
 class TestStats:

@@ -174,26 +174,6 @@ class TestSweepTelemetry:
         assert set(tables) == {"with"}
         assert tables["with"].counters["n"] == 6
 
-    def test_telemetry_extra_survives_the_json_export(self, tmp_path):
-        from repro.cluster.scenarios import ElectionScenario
-        from repro.experiments.export import (
-            read_measurements_json,
-            write_measurements_json,
-        )
-        from repro.metrics.records import MeasurementSet
-
-        measurement = ElectionScenario(
-            protocol="raft", cluster_size=3, telemetry=True
-        ).run(0)
-        path = tmp_path / "out.json"
-        write_measurements_json(path, {"raft@3": MeasurementSet([measurement])})
-        restored = read_measurements_json(path)["raft@3"].measurements[0]
-        # The export layer restores arrays as tuples; from_state normalises
-        # both spellings to the same snapshot.
-        assert TelemetrySnapshot.from_state(
-            restored.extra["telemetry"]
-        ) == TelemetrySnapshot.from_state(measurement.extra["telemetry"])
-
 
 class TestHarvestNameTable:
     """The metric-name table in ``repro.obs.harvest``'s docstring is the

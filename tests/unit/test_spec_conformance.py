@@ -15,8 +15,8 @@ import pickle
 
 import pytest
 
+from repro.common.frozen import FrozenDict
 from repro.experiments import registry as experiment_registry
-from repro.experiments.spec import ExperimentSpec
 from repro.lint.rules_registry import load_registries
 
 #: ``test_lint_registry_rules.py`` pins that this enumerates six registries.
@@ -75,27 +75,7 @@ class TestExperimentSpecMappings:
         assert resolved == dict(spec.params)
 
     def test_equal_specs_hash_equal_across_field_order(self):
-        first = ExperimentSpec(
-            name="fx-order",
-            title="fixture",
-            run=_fixture_run,
-            reporter=_fixture_report,
-            params={"a": 1, "b": 2},
-        )
-        second = ExperimentSpec(
-            name="fx-order",
-            title="fixture",
-            run=_fixture_run,
-            reporter=_fixture_report,
-            params={"b": 2, "a": 1},
-        )
+        first = FrozenDict({"a": 1, "b": 2})
+        second = FrozenDict({"b": 2, "a": 1})
         assert first == second
         assert hash(first) == hash(second)
-
-
-def _fixture_run(*, runs, seed, workers=None, progress=None):
-    return None
-
-
-def _fixture_report(result) -> str:
-    return "fixture"
