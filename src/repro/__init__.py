@@ -1,7 +1,8 @@
 """repro -- a full Python reproduction of "ESCAPE to Precaution against Leader
 Failures" (Zhang & Jacobsen, ICDCS 2022).
 
-The package is organised in layers (see DESIGN.md for the full inventory):
+The package is organised in layers (README.md, "Architecture", has the full
+inventory):
 
 * substrates -- :mod:`repro.sim` (discrete-event kernel), :mod:`repro.net`
   (latency / loss / partitions), :mod:`repro.storage` (replicated log,
@@ -13,9 +14,9 @@ The package is organised in layers (see DESIGN.md for the full inventory):
   baselines ``raft-fixed``/``raft-stagger`` and the ``escape-noppf``
   ablation variant);
 * harnesses -- :mod:`repro.cluster` (simulated clusters, fault scenarios,
-  election measurement), :mod:`repro.runtime` (asyncio real-time runtime),
-  :mod:`repro.metrics`, :mod:`repro.analysis`, :mod:`repro.experiments`
-  (one module per paper figure).
+  election measurement), :mod:`repro.chaos`, :mod:`repro.workload`,
+  :mod:`repro.metrics`, :mod:`repro.analysis`, :mod:`repro.obs`,
+  :mod:`repro.experiments` (one module per paper figure).
 
 Quick start::
 
@@ -39,6 +40,7 @@ from repro.zraft import ZRaftNode
 from repro import protocols
 from repro.protocols import ProtocolSpec
 
+#: The one version number; ``pyproject.toml`` reads it from here.
 __version__ = "1.1.0"
 
 __all__ = [

@@ -153,11 +153,6 @@ class AvailabilityTimeline:
         """When the measured window opened."""
         return self._transitions[0][0]
 
-    @property
-    def current_state(self) -> bool:
-        """The availability state after the latest transition."""
-        return self._transitions[-1][1]
-
     def record(self, time_ms: Milliseconds, available: bool) -> None:
         """Record the availability state observed at *time_ms*."""
         last_time, last_state = self._transitions[-1]
@@ -217,11 +212,6 @@ class AvailabilityObserver(NodeListenerBase):
     def __init__(self) -> None:
         self._cluster: "SimulatedCluster" | None = None
         self._timeline: AvailabilityTimeline | None = None
-
-    @property
-    def is_measuring(self) -> bool:
-        """Whether :meth:`begin` has been called."""
-        return self._timeline is not None
 
     def begin(self, cluster: "SimulatedCluster", time_ms: Milliseconds) -> None:
         """Open the measured window at *time_ms* with the current state."""

@@ -283,7 +283,6 @@ def build_cluster(
     config = protocol_config or ProtocolConfig.paper_defaults()
     world = SimulationWorld(seed=seed, trace=trace, engine=engine)
     network_class = world.engine.network_class()
-    environment_class = world.engine.environment_class()
     network = network_class(
         world,
         cluster_config.server_ids,
@@ -294,7 +293,7 @@ def build_cluster(
     nodes: dict[ServerId, RaftNode] = {}
     shared_listeners = list(listeners)
     for server_id in cluster_config.server_ids:
-        env = environment_class(world, network, server_id)
+        env = SimNodeEnvironment(world, network, server_id)
         node = spec.build_node(
             node_id=server_id,
             cluster=cluster_config,

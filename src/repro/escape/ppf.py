@@ -215,17 +215,6 @@ class ProbingPatrol:
         except KeyError as exc:
             raise ConfigurationError(f"S{follower} has no assigned configuration") from exc
 
-    def ranked_followers(
-        self, now_ms: Milliseconds, leader_last_index: LogIndex
-    ) -> list[ServerId]:
-        """Followers ordered best-first: up-to-date before lagging, stable otherwise.
-
-        Within each group the order follows the currently held priority (so a
-        healthy groomed future leader keeps its configuration), with server id
-        as the final deterministic tie-break.
-        """
-        return self._rank(self._lagging_verdicts(now_ms, leader_last_index))
-
     def groomed_future_leader(self) -> ServerId:
         """The follower currently holding the highest-priority configuration."""
         return max(

@@ -24,9 +24,6 @@ The *container* decides what a sweep keeps.  It is any class built as
   killed sweep resumes bit-identically.
 
 Those five are what the registered experiments sweep into.
-:class:`~repro.workload.records.WorkloadSet` also satisfies the contract and
-stays as the exact reference the workload tests compare
-:class:`~repro.workload.aggregate.WorkloadAggregate` against.
 
 Work items are lean ``(label, index, seed)`` triples: the label -> scenario
 table ships **once** per worker through the pool initializer instead of being

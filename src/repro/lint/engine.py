@@ -50,8 +50,8 @@ RULES: tuple[Rule, ...] = (
         name="wall-clock",
         description=(
             "no wall-clock or entropy sources (time.time, datetime.now, "
-            "module-level random.*, os.urandom, uuid.uuid4) outside the live "
-            "runtime allowlist"
+            "module-level random.*, os.urandom, uuid.uuid4) outside the "
+            "wall-clock allowlist"
         ),
         kind="file",
         check=check_wall_clock,

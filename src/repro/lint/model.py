@@ -3,8 +3,8 @@
 A :class:`Finding` is one localised violation (file, line, rule id, message);
 a :class:`Rule` is a frozen descriptor binding a stable id (``D1``, ``S2``,
 ...) to its checker; :class:`LintConfig` carries the explicit allowlists that
-scope each rule to the parts of the tree where its hazard is real (the live
-asyncio runtime is *supposed* to read the wall clock).  Suppression pragmas
+scope each rule to the parts of the tree where its hazard is real (the
+progress reporter is *supposed* to read the wall clock).  Suppression pragmas
 (``repro: allow[rule-id]`` comments) are parsed here so the engine and the
 tests share one definition of the syntax.
 """
@@ -78,21 +78,19 @@ class LintConfig:
     """Scoping allowlists for the rule set.
 
     Paths are matched against the *package-relative* path of each linted
-    file (``repro/runtime/transport.py``); files that do not live under a
+    file (``repro/obs/progress.py``); files that do not live under a
     ``repro`` package root (e.g. test fixtures in a temp directory) are never
     allowlisted and are in scope for every rule, so the strictest reading
     applies to unknown code.
     """
 
     #: D1/D4 -- module prefixes allowed to read the wall clock and wait on
-    #: it: the asyncio runtime layer is wall-clock by design, the Redis
-    #: adapter models a live deployment, and the observability layer's
-    #: progress/profiling modules report wall-clock rates and phase timings
-    #: by definition.  Deliberately *files*, not the whole ``repro/obs/``
+    #: it: the Redis adapter models a live deployment, and the observability
+    #: layer's progress/profiling modules report wall-clock rates and phase
+    #: timings by definition.  Deliberately *files*, not the whole ``repro/obs/``
     #: package: telemetry and trace modules measure simulated facts and stay
     #: under the full determinism rules.
     wall_clock_allowed: tuple[str, ...] = (
-        "repro/runtime/",
         "repro/adapters/",
         "repro/obs/profiling.py",
         "repro/obs/progress.py",

@@ -6,8 +6,8 @@ heuristic -- a linter cannot type-infer arbitrary Python -- but every
 heuristic errs toward the failure modes this repo has actually shipped:
 PR 1's scheduler relied on insertion order, PR 2's ``run_many`` derived
 sweep seeds from a locally-constructed ``random.Random(seed)`` and drifted
-from the paired design, and the asyncio transport defaulted to an
-*unseeded* RNG.
+from the paired design, and the (since deleted) asyncio transport defaulted
+to an *unseeded* RNG.
 """
 
 from __future__ import annotations
@@ -393,7 +393,7 @@ class _D4Visitor(ast.NodeVisitor):
 def check_wall_clock_waits(
     path: str, rel_path: str | None, tree: ast.AST, config: LintConfig
 ) -> list[Finding]:
-    """D4: no ``time.sleep``/wall-clock asyncio waits outside the runtime."""
+    """D4: no ``time.sleep``/wall-clock asyncio waits outside the allowlist."""
     if config.is_allowed(rel_path, config.wall_clock_allowed):
         return []
     visitor = _D4Visitor(path)

@@ -25,7 +25,7 @@ from repro.metrics.streaming import (
     MergeableCDF,
     StreamingSummary,
 )
-from repro.metrics.tables import render_comparison_table, render_table
+from repro.metrics.tables import render_table
 
 __all__ = [
     "AvailabilityMeasurement",
@@ -40,7 +40,6 @@ __all__ = [
     "cumulative_distribution",
     "percentile",
     "reduction_percent",
-    "render_comparison_table",
     "render_table",
     "summarize",
 ]

@@ -250,8 +250,10 @@ class MeasurementSet(RecordSet[ElectionMeasurement]):
         return self._converged_mean(self.elections_ms())
 
     def mean_campaigns(self) -> float:
-        """Average campaign count over converged runs."""
-        return self._converged_mean(self.values(lambda m: float(m.campaign_count)))
+        """Average campaign count per run, over every run (like
+        :meth:`split_vote_fraction`: a run that never converged campaigned too)."""
+        runs = self._require_runs()
+        return sum(m.campaign_count for m in runs) / len(runs)
 
     def total_summary(self) -> SummaryStatistics:
         """Summary statistics of the converged total election times."""

@@ -566,7 +566,7 @@ class ElectionAggregate:
         return self.converged / self.runs if self.runs else 0.0
 
     def mean_campaigns(self) -> float:
-        """Average campaign count per run."""
+        """Average campaign count per run, over every run (as the batch path)."""
         if not self.runs:
             raise ClusterError(f"no runs in aggregate {self.label!r}")
         return self.campaigns / self.runs

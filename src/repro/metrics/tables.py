@@ -6,7 +6,7 @@ helpers keep the formatting consistent and dependency-free.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def render_table(
@@ -38,29 +38,6 @@ def render_table(
     for row in normalized_rows:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(columns)))
     return "\n".join(lines)
-
-
-def render_comparison_table(
-    row_labels: Sequence[object],
-    series: Mapping[str, Sequence[float]],
-    row_header: str = "parameter",
-    value_format: str = "{:.1f}",
-    title: str | None = None,
-) -> str:
-    """Render one row per parameter value with one column per named series.
-
-    This is the layout of the paper's averaged comparisons (e.g. Figure 9
-    right: cluster size vs average election time for Raft and ESCAPE).
-    """
-    headers = [row_header, *series.keys()]
-    rows = []
-    for index, label in enumerate(row_labels):
-        row: list[object] = [label]
-        for name in series:
-            values = series[name]
-            row.append(value_format.format(values[index]) if index < len(values) else "-")
-        rows.append(row)
-    return render_table(headers, rows, title=title)
 
 
 def _format_cell(cell: object) -> str:

@@ -30,7 +30,6 @@ from repro.net.latency import (
     LogNormalLatency,
     UniformLatency,
 )
-from repro.net.message import Envelope
 from repro.net.network import NetworkStats, SimulatedNetwork
 from repro.net.partition import PartitionManager
 
@@ -38,7 +37,6 @@ __all__ = [
     "BroadcastOmissionFault",
     "CompositeFault",
     "ConstantLatency",
-    "Envelope",
     "FaultInjector",
     "GeoGroupLatency",
     "GeoLatencySpec",

@@ -1,4 +1,4 @@
-"""The ``flat`` engine's network fabric: envelope-free, allocation-lean.
+"""The ``flat`` engine's network fabric: allocation-lean.
 
 :class:`FlatNetwork` subclasses :class:`~repro.net.network.SimulatedNetwork`
 -- registration, connectivity control, partition management and the
@@ -7,10 +7,7 @@ and replaces the hot send/broadcast/delivery paths:
 
 * deliveries are pushed straight onto the flat scheduler's heap as 4-slot
   records (``[time, seq, self._deliver_fast, (src, dst, payload)]``); no
-  :class:`~repro.net.message.Envelope`, no closure, no label f-string and no
-  scheduler call frame per message.  ``send`` returns ``None`` and
-  ``broadcast`` returns ``[]`` -- envelope receipts are ``classic``-engine
-  observability, and nothing in the node/harness layers consumes them;
+  timer object, no closure and no scheduler call frame per message;
 * the latency sampler is inlined for the common models:
   :class:`~repro.net.latency.UniformLatency` becomes
   ``low + spread * rng.random()`` (bit-identical to ``rng.uniform`` --
@@ -63,7 +60,7 @@ _INF = math.inf
 
 
 class FlatNetwork(SimulatedNetwork):
-    """Envelope-free network fabric, bit-identical to the classic one.
+    """Closure-free network fabric, bit-identical to the classic one.
 
     Requires a world built with the ``flat`` engine: the network reaches
     into :class:`~repro.sim.flatcore.FlatEventScheduler` internals (its heap
@@ -147,14 +144,11 @@ class FlatNetwork(SimulatedNetwork):
     ) -> None:
         """Send one point-to-point message.
 
-        Unlike the classic engine this returns ``None`` even for messages
-        put in flight: the flat engine materialises no envelopes (engine
-        contract -- receipts are classic-engine observability).  An *inert*
-        message goes through every check and draw below and is then counted
-        in ``stats.elided`` instead of pushed, exactly like the classic
-        engine (see :meth:`SimulatedNetwork.send`); an elided copy takes no
-        sequence number, which leaves the order of every other event as it
-        was.
+        An *inert* message goes through every check and draw below and is
+        then counted in ``stats.elided`` instead of pushed, exactly like the
+        classic engine (see :meth:`SimulatedNetwork.send`); an elided copy
+        takes no sequence number, which leaves the order of every other
+        event as it was.
         """
         member_set = self._member_set
         if src not in member_set or dst not in member_set:
@@ -234,12 +228,11 @@ class FlatNetwork(SimulatedNetwork):
         src: ServerId,
         targets: Sequence[ServerId],
         payload_factory: Callable[[ServerId], Any],
-    ) -> list:
+    ) -> None:
         """Broadcast to *targets* in one batched pass.
 
-        Returns ``[]`` (no envelopes; see :meth:`send`).  The per-target
-        order of RNG draws -- latency, duplication check, duplicate latency
-        -- matches the classic engine exactly.
+        The per-target order of RNG draws -- latency, duplication check,
+        duplicate latency -- matches the classic engine exactly.
         """
         member_set = self._member_set
         if src not in member_set:
@@ -258,7 +251,7 @@ class FlatNetwork(SimulatedNetwork):
                 per_type[name] = per_type.get(name, 0) + 1
                 stats.dropped_disconnected += 1
                 trace("net.drop", node=src, dst=dst, reason="disconnected")
-            return []
+            return
         if self._skip_broadcast_fault:
             omitted: frozenset[ServerId] | tuple = ()
         else:
@@ -334,7 +327,6 @@ class FlatNetwork(SimulatedNetwork):
                 heappush(heap, [time_ms, seq, deliver, (src, dst, payload)])
                 seq += 1
         scheduler._sequence = seq
-        return []
 
     # ------------------------------------------------------------------ #
     # Delivery

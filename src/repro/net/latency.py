@@ -188,8 +188,3 @@ class GeoLatencySpec:
             intra_ms=self.intra_ms,
             inter_ms=self.inter_ms,
         )
-
-
-def paper_latency() -> UniformLatency:
-    """The latency model used by every experiment in the paper (100-200 ms)."""
-    return UniformLatency(100.0, 200.0)

@@ -6,14 +6,14 @@ disconnection (used to model crashed servers).  Delivery happens through the
 shared :class:`~repro.sim.world.SimulationWorld` scheduler, so the whole run
 stays deterministic.
 
-This class is the ``classic`` engine's network implementation *and* the
-definition of the engine-seam contract (see :mod:`repro.sim.engines`): the
-public surface -- ``send``/``broadcast``/``register``, connectivity control,
-``NetworkStats``, the partition manager, and the ``net.drop`` trace schema --
-is what scenarios and nodes may rely on; envelope materialisation and
-delivery internals are engine-owned (the ``flat`` engine in
-:mod:`repro.net.flatnet` schedules deliveries without envelopes and returns
-``None``/``[]`` from ``send``/``broadcast``).
+This class is the ``classic`` engine's network -- the reference the ``flat``
+engine's :class:`~repro.net.flatnet.FlatNetwork` is diffed against -- *and*
+the definition of the engine-seam contract (see :mod:`repro.sim.engines`):
+the public surface -- ``send``/``broadcast``/``register``, connectivity
+control, ``NetworkStats``, the partition manager, and the ``net.drop`` trace
+schema -- is what scenarios and nodes may rely on.  ``send`` and ``broadcast``
+return nothing on either engine; how a delivery is queued is engine-owned
+(here: one scheduler event per copy, in the order the copies were sent).
 
 Every dropped message emits one ``net.drop`` trace with a ``reason`` of
 ``"fault"``, ``"broadcast_omission"``, ``"partition"`` or ``"disconnected"``;
@@ -33,7 +33,6 @@ from repro.common.errors import NetworkError
 from repro.common.types import ServerId
 from repro.net.faults import FaultInjector, NoFault
 from repro.net.latency import LatencyModel, UniformLatency
-from repro.net.message import Envelope
 from repro.net.partition import PartitionManager
 from repro.sim.world import SimulationWorld
 
@@ -110,7 +109,6 @@ class SimulatedNetwork:
         self._handlers: dict[ServerId, DeliveryCallback] = {}
         self._disconnected: set[ServerId] = set()
         self._partitions = PartitionManager(self._members)
-        self._next_message_id = 1
         self.stats = NetworkStats()
 
     # ------------------------------------------------------------------ #
@@ -171,7 +169,7 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------ #
     def send(
         self, src: ServerId, dst: ServerId, payload: Any, inert: bool = False
-    ) -> Envelope | None:
+    ) -> None:
         """Send one point-to-point message.
 
         An *inert* message (the sender's guarantee that no receiver acts on
@@ -180,9 +178,6 @@ class SimulatedNetwork:
         samples like any other, so every counter and RNG stream reads as if
         it had been sent; only the delivery is not scheduled, and each copy
         is counted in :attr:`NetworkStats.elided`.
-
-        Returns the in-flight envelope, or ``None`` if the message was dropped
-        at send time (sender disconnected, or unicast fault) or elided.
         """
         self._require_member(src)
         self._require_member(dst)
@@ -190,19 +185,18 @@ class SimulatedNetwork:
         if src in self._disconnected:
             self.stats.dropped_disconnected += 1
             self._world.trace("net.drop", node=src, dst=dst, reason="disconnected")
-            return None
-        if self._fault.drop_unicast(self._fault_rng, src, dst):
+        elif self._fault.drop_unicast(self._fault_rng, src, dst):
             self.stats.dropped_by_fault += 1
             self._world.trace("net.drop", node=src, dst=dst, reason="fault")
-            return None
-        return self._enqueue(src, dst, payload, inert)
+        else:
+            self._enqueue(src, dst, payload, inert)
 
     def broadcast(
         self,
         src: ServerId,
         targets: Sequence[ServerId],
         payload_factory: Callable[[ServerId], Any],
-    ) -> list[Envelope]:
+    ) -> None:
         """Broadcast to *targets*, applying the broadcast-omission fault model.
 
         Args:
@@ -215,9 +209,6 @@ class SimulatedNetwork:
                 per-follower data (log entries, ESCAPE configurations) on one
                 broadcast; factories must therefore be pure reads of node
                 state.
-
-        Returns:
-            The envelopes actually put in flight.
         """
         self._require_member(src)
         self.stats.broadcast_count += 1
@@ -231,11 +222,10 @@ class SimulatedNetwork:
                 self._world.trace(
                     "net.drop", node=src, dst=dst, reason="disconnected"
                 )
-            return []
+            return
         omitted = self._fault.omitted_broadcast_targets(
             self._fault_rng, src, list(targets)
         )
-        envelopes: list[Envelope] = []
         for dst in targets:
             payload = payload_factory(dst)
             self.stats.record_sent(payload)
@@ -243,54 +233,36 @@ class SimulatedNetwork:
                 self.stats.dropped_by_fault += 1
                 self._world.trace("net.drop", node=src, dst=dst, reason="broadcast_omission")
                 continue
-            envelope = self._enqueue(src, dst, payload)
-            if envelope is not None:
-                envelopes.append(envelope)
-        return envelopes
+            self._enqueue(src, dst, payload)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
     def _enqueue(
         self, src: ServerId, dst: ServerId, payload: Any, inert: bool = False
-    ) -> Envelope | None:
+    ) -> None:
         if not self._partitions.can_communicate(src, dst):
             self.stats.dropped_by_partition += 1
             self._world.trace("net.drop", node=src, dst=dst, reason="partition")
-            return None
-        envelope = self._schedule_delivery(src, dst, payload, inert)
+            return
+        self._schedule_delivery(src, dst, payload, inert)
         duplicator = getattr(self._fault, "should_duplicate", None)
         if duplicator is not None and duplicator(self._fault_rng, src, dst):
             self.stats.duplicated += 1
             self._schedule_delivery(src, dst, payload, inert)
-        return envelope
 
     def _schedule_delivery(
         self, src: ServerId, dst: ServerId, payload: Any, inert: bool
-    ) -> Envelope | None:
+    ) -> None:
         latency = self._latency.sample(self._latency_rng, src, dst)
         if inert:
             self.stats.elided += 1
-            return None
-        now = self._world.now()
-        envelope = Envelope(
-            message_id=self._next_message_id,
-            src=src,
-            dst=dst,
-            payload=payload,
-            sent_at_ms=now,
-            deliver_at_ms=now + latency,
-        )
-        self._next_message_id += 1
+            return
         self._world.scheduler.call_at(
-            envelope.deliver_at_ms,
-            lambda: self._deliver(envelope),
-            label=f"deliver:{type(payload).__name__}:S{src}->S{dst}",
+            self._world.now() + latency, lambda: self._deliver(src, dst, payload)
         )
-        return envelope
 
-    def _deliver(self, envelope: Envelope) -> None:
-        dst = envelope.dst
+    def _deliver(self, src: ServerId, dst: ServerId, payload: Any) -> None:
         if dst in self._disconnected:
             # The destination crashed while the message was in flight.  Messages
             # already in flight from a server that crashes are still delivered,
@@ -299,29 +271,21 @@ class SimulatedNetwork:
             self.stats.dropped_disconnected += 1
             self.stats.dropped_in_flight += 1
             self._world.trace(
-                "net.drop",
-                node=envelope.src,
-                dst=dst,
-                reason="disconnected",
-                in_flight=True,
+                "net.drop", node=src, dst=dst, reason="disconnected", in_flight=True
             )
             return
-        if not self._partitions.can_communicate(envelope.src, dst):
+        if not self._partitions.can_communicate(src, dst):
             self.stats.dropped_by_partition += 1
             self.stats.dropped_in_flight += 1
             self._world.trace(
-                "net.drop",
-                node=envelope.src,
-                dst=dst,
-                reason="partition",
-                in_flight=True,
+                "net.drop", node=src, dst=dst, reason="partition", in_flight=True
             )
             return
         handler = self._handlers.get(dst)
         if handler is None:
             raise NetworkError(f"no handler registered for S{dst}")
         self.stats.delivered += 1
-        handler(envelope.src, envelope.payload)
+        handler(src, payload)
 
     def _require_member(self, server_id: ServerId) -> None:
         if server_id not in self._members:

@@ -8,10 +8,8 @@ election timeouts are chosen, display label, paper section -- and registered
 here.  Everything that used to branch on protocol strings now consumes the
 registry instead:
 
-* :func:`repro.cluster.builder.build_cluster` and
-  :class:`repro.runtime.cluster.LocalAsyncCluster` call
-  :meth:`ProtocolSpec.build_node`, so the simulated and the live asyncio
-  runtime provably construct identical nodes;
+* :func:`repro.cluster.builder.build_cluster` constructs every node through
+  :meth:`ProtocolSpec.build_node`;
 * :class:`repro.cluster.scenarios.ElectionScenario` validates its protocol
   against the registry at construction time;
 * the experiment modules derive their default ``PROTOCOLS`` tuples from

@@ -105,8 +105,7 @@ class ProtocolSpec:
     ) -> RaftNode:
         """Construct one node of this protocol.
 
-        Every runtime (the discrete-event builder and the asyncio cluster)
-        funnels node construction through here, so they cannot drift apart.
+        The cluster builder funnels all node construction through here.
 
         Args:
             timeout_policy: per-node policy for ``"policy"`` specs (ignored by

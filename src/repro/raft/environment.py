@@ -11,8 +11,8 @@ through an :class:`Environment`:
 * emitting trace events.
 
 Two implementations exist: the simulator's
-:class:`repro.cluster.environment.SimNodeEnvironment` and the real-time
-:class:`repro.runtime.environment.AsyncNodeEnvironment`.
+:class:`repro.cluster.environment.SimNodeEnvironment` (one class for either
+engine) and the tests' hand-driven ``FakeEnvironment`` (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -23,13 +23,9 @@ from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 from repro.common.types import Milliseconds, ServerId
 
 
-@runtime_checkable
-class TimerHandle(Protocol):
-    """A cancellable timer returned by :meth:`Environment.set_timer`."""
-
-    def cancel(self) -> None:  # pragma: no cover - protocol signature
-        """Prevent the timer from firing.  Must be idempotent."""
-        ...
+#: What :meth:`Environment.set_timer` returns: an opaque token.  A node only
+#: ever stores it and passes it back to :meth:`Environment.cancel_timer`.
+TimerHandle = Any
 
 
 @runtime_checkable
@@ -50,8 +46,9 @@ class Environment(Protocol):
         traces or notifies a listener on this message.  A simulated transport
         may then account for the message exactly as for any other -- counters,
         fault and partition checks, latency and duplication draws -- and skip
-        the delivery itself; a real transport ignores the flag and sends.
-        Nodes pass it positionally (the flat engine binds ``send`` through
+        the delivery itself; a transport is free to ignore the flag and send
+        (the tests' fake records it and keeps the message).  Nodes pass it
+        positionally (the simulator binds ``send`` through
         :func:`functools.partial`).
         """
         ...
@@ -73,7 +70,8 @@ class Environment(Protocol):
     def set_timer(
         self, delay_ms: Milliseconds, callback: Callable[[], None], label: str = ""
     ) -> TimerHandle:  # pragma: no cover
-        """Arm a one-shot timer."""
+        """Arm a one-shot timer; *label* names it for whoever inspects timers
+        (the tests' fake selects timers by it)."""
         ...
 
     def cancel_timer(self, handle: TimerHandle) -> None:  # pragma: no cover

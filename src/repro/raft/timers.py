@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.common.config import RaftTimeoutConfig
 from repro.common.types import Milliseconds
@@ -115,25 +115,3 @@ class ScriptOnlyPolicy:
         if 0 <= attempt < len(self.script):
             return self.script[attempt]
         return 0.0
-
-
-@dataclass(frozen=True)
-class OffsetTimeoutPolicy:
-    """A base policy plus a constant offset, useful for composing scenarios."""
-
-    base: ElectionTimeoutPolicy
-    offset_ms: Milliseconds = 0.0
-
-    def next_timeout_ms(self, rng: random.Random, attempt: int) -> Milliseconds:
-        return self.base.next_timeout_ms(rng, attempt) + self.offset_ms
-
-
-def scripted_then_random(
-    script: Sequence[Milliseconds],
-    low_ms: Milliseconds,
-    high_ms: Milliseconds,
-) -> ScriptedTimeoutPolicy:
-    """Convenience constructor used by the contention scenarios."""
-    return ScriptedTimeoutPolicy(
-        script=tuple(script), fallback=RandomizedTimeoutPolicy(low_ms, high_ms)
-    )

@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel.
 
 The kernel is intentionally small: a virtual clock, an event scheduler with
-cancellable timer handles, a trace recorder, and a :class:`SimulationWorld`
+cancellable timers, a trace recorder, and a :class:`SimulationWorld`
 that bundles the three together with a seeded random-number tree.  Everything
 else in the library (network, nodes, harnesses) is built on top of these
 primitives.
@@ -13,18 +13,17 @@ Determinism guarantees:
   tie-breaking), so repeated runs with the same seed are bit-identical;
 * all randomness flows through :class:`repro.common.rng.SeedSequence`.
 
-Two interchangeable *engines* provide the kernel: the ``classic`` engine
-(:class:`EventScheduler` and friends, optimised for readability) and the
-``flat`` engine (:class:`FlatEventScheduler`, array-backed records for large
-sweeps).  Both are listed in :mod:`repro.sim.engines` and are bit-identical by
-contract -- selecting one changes wall-clock time only.  The choice is an
+Two *engines* provide the kernel: ``flat`` (:class:`FlatEventScheduler`,
+array-backed records; what everything runs on) and ``classic``
+(:class:`EventScheduler`, the minimal reference ``flat`` is diffed against).
+Both are listed in :mod:`repro.sim.engines` and are bit-identical by contract
+-- selecting one changes wall-clock time only.  The choice is an
 argument (``SimulationWorld(engine=...)``, a scenario's ``engine`` field),
 never process state; naming none means ``flat``.
 """
 
 from repro.sim.clock import VirtualClock
 from repro.sim.engines import EngineSpec
-from repro.sim.events import EventHandle
 from repro.sim.flatcore import FlatEventScheduler
 from repro.sim.scheduler import EventScheduler
 from repro.sim.tracing import TraceRecord, Tracer
@@ -32,7 +31,6 @@ from repro.sim.world import SimulationWorld
 
 __all__ = [
     "EngineSpec",
-    "EventHandle",
     "EventScheduler",
     "FlatEventScheduler",
     "SimulationWorld",

@@ -1,58 +1,67 @@
 """Simulation engine registry: the seam between contract and implementation.
 
-The simulation stack has exactly three engine-owned classes -- the event
-scheduler, the network fabric, and the per-node environment adapter.  Their
-*public surfaces* are the contract everything above them is written against:
+An engine is a scheduler and a network.  ``flat`` is production -- the engine
+the benchmark, every sweep and every default run on; ``classic`` is the
+reference it is diffed against, kept as the smallest obviously correct
+implementation of the same contract.  Nodes see neither: they are written
+against one :class:`~repro.cluster.environment.SimNodeEnvironment`, which
+binds its entry points to the two surfaces below once, for either engine.
 
-* scheduler -- ``call_at`` / ``call_after`` / ``step`` / ``run_until`` /
-  ``run_until_idle`` / ``run_until_condition`` (the predicate is called after
-  every event) / ``run_until_interrupted`` + ``interrupt`` (the same wait for
-  a condition whose every change calls ``interrupt()``: one attribute load
-  per event instead of a predicate call; what the harness uses) / ``close``
-  (drop everything queued, so a finished cluster is freed by reference
-  count), the ``pending_count`` / ``heap_size`` / ``compaction_count`` /
-  ``executed_count`` observability properties, and strict ``(time, insertion
-  sequence)`` execution order;
-* network -- ``send`` / ``broadcast`` / ``register`` / ``disconnect`` /
-  ``reconnect`` / ``close``, the :class:`~repro.net.network.NetworkStats`
-  counters, the partition manager, and the ``net.drop`` trace schema.
+The *public surfaces* of the two engine-owned classes are the contract
+everything above them is written against:
+
+* scheduler -- ``call_at`` / ``call_after`` (returning a handle with
+  ``cancel()``), ``schedule_timer_entry(delay, callback, label="")`` /
+  ``cancel_entry(token)`` (a node timer: the token is opaque and only ever
+  passed back), ``step`` / ``run_until`` / ``run_until_idle`` /
+  ``run_until_condition`` (the predicate is called after every event) /
+  ``run_until_interrupted`` + ``interrupt`` (the same wait for a condition
+  whose every change calls ``interrupt()``: one attribute load per event
+  instead of a predicate call; what the harness uses -- an interrupt raised
+  during any other ``run_*`` neither stops that run nor is remembered) /
+  ``close`` (drop everything queued, so a finished cluster is freed by
+  reference count), the ``scheduled_count`` / ``executed_count`` /
+  ``cancelled_count`` / ``pending_count`` counters, the ``max_events``
+  budget, and strict ``(time, insertion sequence)`` execution order;
+* network -- ``send`` / ``broadcast`` (both return nothing) / ``register`` /
+  ``disconnect`` / ``reconnect`` / ``close``, the
+  :class:`~repro.net.network.NetworkStats` counters, the partition manager,
+  and the ``net.drop`` trace schema.
   ``send(src, dst, payload, inert=True)`` -- the sender's guarantee that no
   receiver acts on the message -- is honoured by *both* engines in the same
   way: counted in ``sent`` / ``per_type_sent``, checked against the
   disconnected sender, the unicast fault and the partition, its latency (and
   duplication, and the duplicate's latency) drawn in the usual order, and
   then counted in ``stats.elided`` instead of scheduled.  An elided copy
-  takes no sequence number and is never queued, so ``scheduled_count``,
-  ``heap_size`` and ``pending_count`` do not include it on either engine,
-  and it can no longer be dropped in flight;
-* environment -- the :class:`~repro.raft.environment.Environment` protocol
-  nodes are written against (``send``/``broadcast``/``set_timer``/
-  ``cancel_timer``/``rng``/``trace``), whose ``send(dst, message, inert)``
-  passes the flag through.
+  takes no sequence number and is never queued, so ``scheduled_count`` and
+  ``pending_count`` do not include it on either engine, and it can no longer
+  be dropped in flight.
 
-Everything *behind* those surfaces -- how events are represented, whether
-envelopes are materialised, how partition reachability is looked up -- is
-engine-owned.  An :class:`EngineSpec` names one consistent implementation of
-all three; the lint S1 rule and the pickle/hash conformance suite cover the
-specs through :func:`items`, as they do every other registry.
+Everything *behind* those surfaces is engine-owned: how a queued event is
+represented, how partition reachability is looked up, and **how the heap is
+kept small**.  ``flat`` compacts dead records away; ``classic`` lets a
+cancelled timer sit until its time comes.  ``heap_size`` and
+``compaction_count`` (harvested as ``sim.heap.size`` and
+``sim.heap.compactions``, see :data:`repro.obs.harvest.ENGINE_OWNED_METRICS`)
+therefore describe one engine's queue and are compared between runs of the
+*same* engine only (worker-count parity), never across engines.
 
-Two engines are built in:
+* ``classic`` -- :class:`~repro.sim.scheduler.EventScheduler` (a heap of
+  timer objects with a cancelled flag, every ``run_*`` a loop over ``step``)
+  and :class:`~repro.net.network.SimulatedNetwork` (one scheduler event and
+  one closure per message copy).
+* ``flat`` -- :mod:`repro.sim.flatcore` and :mod:`repro.net.flatnet`: slotted
+  list records instead of timer objects, one hot run loop, no per-message
+  closures, cached partition reachability, inlined latency sampling.
 
-* ``classic`` -- the original object-graph implementation (one
-  :class:`~repro.sim.events.ScheduledEvent` + handle per timer, one
-  :class:`~repro.net.message.Envelope` + closure per message).  It is the
-  readable reference implementation.
-* ``flat`` -- the array-backed fast core (:mod:`repro.sim.flatcore`,
-  :mod:`repro.net.flatnet`): slotted list records instead of event objects,
-  no per-message envelopes or closures, cached partition reachability,
-  inlined latency sampling.  Bit-identical results, several times faster.
-
-Determinism contract: for the same ``(scenario, seed)``, every engine must
-produce bit-identical measurements, stats and traces -- engines may only
-remove *allocation and indirection*, never reorder RNG draws or events.  The
+Determinism contract: for the same ``(scenario, seed)``, both engines produce
+bit-identical measurements, stats, traces, final simulated time and every
+telemetry name but the two engine-owned gauges -- ``flat`` may only remove
+*allocation and indirection*, never reorder RNG draws or events.  The
 differential suite (``tests/property/test_engine_differential.py``) pins this,
-and ``tests/property/test_inert_sends.py`` pins that eliding inert sends
-changes no result against delivering them.
+``tests/unit/test_engine_contract.py`` runs the unit-level contract on every
+registered engine, and ``tests/property/test_inert_sends.py`` pins that
+eliding inert sends changes no result against delivering them.
 
 Engine selection is data, never process state: an explicit ``engine``
 (scenario field, ``build_cluster``/``SimulationWorld`` parameter, CLI
@@ -104,19 +113,15 @@ class EngineSpec:
         network_path: ``"module:Class"`` of the network fabric; same
             constructor signature as
             :class:`~repro.net.network.SimulatedNetwork`.
-        environment_path: ``"module:Class"`` of the per-node environment;
-            same constructor signature as
-            :class:`~repro.cluster.environment.SimNodeEnvironment`.
     """
 
     name: str
     title: str
     scheduler_path: str
     network_path: str
-    environment_path: str
 
     def __post_init__(self) -> None:
-        for field_name in ("scheduler_path", "network_path", "environment_path"):
+        for field_name in ("scheduler_path", "network_path"):
             path = getattr(self, field_name)
             module_name, separator, attribute = str(path).partition(":")
             if not module_name or not separator or not attribute:
@@ -133,10 +138,6 @@ class EngineSpec:
         """The engine's network-fabric class (imported lazily)."""
         return _resolve_class(self.network_path)
 
-    def environment_class(self) -> type:
-        """The engine's node-environment class (imported lazily)."""
-        return _resolve_class(self.environment_path)
-
 
 # --------------------------------------------------------------------------- #
 # The engines
@@ -146,17 +147,15 @@ _REGISTRY: Registry[EngineSpec] = Registry(
     (
         EngineSpec(
             name="classic",
-            title="Classic object-graph engine",
+            title="Classic reference engine",
             scheduler_path="repro.sim.scheduler:EventScheduler",
             network_path="repro.net.network:SimulatedNetwork",
-            environment_path="repro.cluster.environment:SimNodeEnvironment",
         ),
         EngineSpec(
             name="flat",
             title="Flat-core array-backed engine",
             scheduler_path="repro.sim.flatcore:FlatEventScheduler",
             network_path="repro.net.flatnet:FlatNetwork",
-            environment_path="repro.cluster.environment:FlatSimNodeEnvironment",
         ),
     ),
 )

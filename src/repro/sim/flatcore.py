@@ -1,13 +1,13 @@
 """The ``flat`` engine's event core: slotted list records instead of objects.
 
-This scheduler implements exactly the contract of
-:class:`~repro.sim.scheduler.EventScheduler` (see :mod:`repro.sim.engines`
-for the contract's definition) but represents every queued event as a plain
-4-slot list ``[time_ms, sequence, fn, arg]`` on a binary heap:
+This is the production scheduler.  It implements the contract of
+:mod:`repro.sim.engines` -- the one the ``classic`` reference,
+:class:`~repro.sim.scheduler.EventScheduler`, states in its simplest form --
+but represents every queued event as a plain 4-slot list
+``[time_ms, sequence, fn, arg]`` on a binary heap:
 
-* no :class:`~repro.sim.events.ScheduledEvent` dataclass, no
-  :class:`~repro.sim.events.EventHandle` object, no label f-string per timer
-  -- a re-armed election timer is one list allocation and one ``heappush``;
+* no :class:`~repro.sim.scheduler.Timer` object per node timer -- a re-armed
+  election timer is one list allocation and one ``heappush``;
 * list comparison happens element-wise in C and the unique ``sequence``
   slot guarantees ``fn`` is never compared, preserving the classic engine's
   strict ``(time, insertion sequence)`` execution order;
@@ -15,21 +15,28 @@ for the contract's definition) but represents every queued event as a plain
   dead); popped records clear their own ``fn`` slot before firing, so a
   callback cancelling its own just-fired record is a no-op and dead-record
   accounting can rely on ``fn is None`` alone;
-* message deliveries are scheduled *handle-free* through
-  :meth:`schedule_call` with ``fn(arg)`` dispatch -- the network passes one
-  bound method plus one ``(src, dst, payload)`` tuple instead of building an
-  envelope and a closure per message;
-* the run loops advance the clock by writing ``VirtualClock._now_ms``
+* a record with an ``arg`` is dispatched as ``fn(arg)``: the flat network
+  pushes one bound method plus one ``(src, dst, payload)`` tuple per message
+  straight onto this heap instead of building a closure;
+* there is one hot run loop, :meth:`FlatEventScheduler._run` ("events at or
+  before a limit until one interrupts"); ``run_until`` / ``run_until_idle``
+  re-enter it when an event interrupted, ``run_until_interrupted`` adds the
+  clock-to-deadline step, and ``step`` is the same body for one event;
+* the loop advances the clock by writing ``VirtualClock._now_ms``
   directly.  This is safe because heap pops yield non-decreasing times and
   every entry time was validated finite and non-past at scheduling time
   (the boundary advances at ``run_until*`` limits still go through the
   validating :meth:`~repro.sim.clock.VirtualClock.advance_to`).
 
-Lazy cancellation, compaction (dead records are filtered out as soon as they
-outnumber live ones, above ``compact_min_size``), the O(1) ``pending_count``,
-and the ``max_events`` budget all match the classic engine observably:
-``pending_count`` / ``heap_size`` / ``compaction_count`` / ``executed_count``
-report the same state transitions for the same workload.
+Cancellation is lazy, but a workload that re-arms timers constantly would
+grow the heap with dead records, so they are filtered out (filter plus
+``heapify``; records are totally ordered by ``(time, sequence)``, so the
+survivors pop in the order they would have anyway) as soon as they outnumber
+the live ones in a heap of at least :data:`COMPACT_MIN_SIZE` records.  That
+makes ``heap_size`` and ``compaction_count`` this engine's own gauges; the
+``scheduled_count`` / ``executed_count`` / ``cancelled_count`` /
+``pending_count`` counters and the ``max_events`` budget read the same as the
+classic engine's for the same workload.
 """
 
 from __future__ import annotations
@@ -46,6 +53,10 @@ __all__ = ["FlatEventHandle", "FlatEventScheduler"]
 
 _INF = math.inf
 
+#: Heaps smaller than this are never compacted, so tiny simulations pay no
+#: rebuild churn; above it the heap holds at most ~2x the live records.
+COMPACT_MIN_SIZE = 64
+
 #: Record slot indices (records are plain lists for C-level heap compares).
 _TIME, _SEQ, _FN, _ARG = 0, 1, 2, 3
 
@@ -53,10 +64,10 @@ _TIME, _SEQ, _FN, _ARG = 0, 1, 2, 3
 class FlatEventHandle:
     """Cancellable handle for events scheduled through the *public* API.
 
-    The flat engine's node environments bypass handles entirely (they pass
-    raw records around), but ``call_at``/``call_after`` keep returning a
-    handle-shaped object so harness code, the client workload and the chaos
-    driver work unchanged on either engine.
+    Node environments bypass handles entirely (a timer token is the raw
+    record), but ``call_at``/``call_after`` return an object with the classic
+    :class:`~repro.sim.scheduler.Timer`'s ``cancel()`` / ``cancelled`` /
+    ``time_ms`` / ``label`` so callers read the same on either engine.
     """
 
     __slots__ = ("_scheduler", "_entry", "_cancelled", "_label")
@@ -97,27 +108,22 @@ class FlatEventHandle:
 
 
 class FlatEventScheduler:
-    """Array-backed scheduler, drop-in behind the classic scheduler contract.
+    """Array-backed scheduler behind the engine-seam scheduler contract.
 
     Args:
         clock: the virtual clock to advance (fresh one when omitted).
         max_events: execution budget; exceeding it raises
             :class:`SimulationError` exactly like the classic engine.
-        compact_min_size: heaps smaller than this are never compacted.
     """
 
     def __init__(
-        self,
-        clock: VirtualClock | None = None,
-        max_events: int = 10_000_000,
-        compact_min_size: int = 64,
+        self, clock: VirtualClock | None = None, max_events: int = 10_000_000
     ) -> None:
         self._clock = clock if clock is not None else VirtualClock()
         self._heap: list[list] = []
         self._sequence = 0
         self._executed = 0
         self._max_events = max_events
-        self._compact_min_size = compact_min_size
         self._cancelled_in_heap = 0
         self._cancellations = 0
         self._compactions = 0
@@ -191,34 +197,16 @@ class FlatEventScheduler:
         return self.call_at(self._clock.now() + delay_ms, callback, label=label)
 
     # ------------------------------------------------------------------ #
-    # Scheduling -- engine-internal fast paths (no handle objects)
+    # Scheduling -- node timers (no handle objects)
     # ------------------------------------------------------------------ #
-    def schedule_call(self, time_ms: float, fn, arg) -> None:
-        """Queue ``fn(arg)`` at *time_ms*; no handle, no cancellation.
-
-        The flat network's delivery path: one bound method and one argument
-        tuple per message.  *time_ms* must be ``now + latency`` with a
-        non-negative finite latency (the network guarantees this); only
-        non-finite times are rejected, since they would silently corrupt
-        heap ordering.
-        """
-        if not time_ms < _INF:  # rejects +inf and NaN in one comparison
-            raise SimulationError(
-                f"cannot schedule event at non-finite time: {time_ms!r}"
-            )
-        seq = self._sequence
-        self._sequence = seq + 1
-        heapq.heappush(self._heap, [time_ms, seq, fn, arg])
-
     def schedule_timer_entry(
         self, delay_ms: Milliseconds, callback: Callable[[], None], label: str = ""
     ) -> list:
         """Queue a node timer and return the raw record as its handle.
 
-        The flat node environment binds this method directly as its
-        ``set_timer`` (zero adapter frames), so the signature accepts -- and
-        ignores -- the environment contract's ``label`` keyword; labels are
-        classic-engine observability.  Timers are cancelled via
+        The node environment binds this method directly as its ``set_timer``
+        (zero adapter frames), so the signature accepts -- and ignores -- the
+        environment contract's ``label`` keyword.  Timers are cancelled via
         :meth:`cancel_entry`, so re-arming an election timer allocates one
         list and nothing else.
         """
@@ -248,11 +236,7 @@ class FlatEventScheduler:
     # Execution
     # ------------------------------------------------------------------ #
     def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns:
-            ``True`` if an event was executed, ``False`` if the queue is empty.
-        """
+        """Execute the next pending event; ``False`` if the queue is empty."""
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
@@ -273,76 +257,70 @@ class FlatEventScheduler:
             return True
         return False
 
+    def _run(self, limit_ms: Milliseconds) -> bool:
+        """The run loop: events at or before *limit_ms* until one interrupts.
+
+        Returns ``True`` right after an event that called :meth:`interrupt`;
+        ``False`` once nothing live is queued at or before *limit_ms* -- the
+        heap is then empty, or its head is a live record later than the limit
+        (dead records reaching the head are dropped on the way).
+        """
+        self._interrupted = False
+        heap = self._heap
+        clock = self._clock
+        pop = heapq.heappop
+        max_events = self._max_events
+        while heap:
+            entry = heap[0]
+            fn = entry[_FN]
+            if fn is None:
+                pop(heap)
+                self._cancelled_in_heap -= 1
+                continue
+            if entry[_TIME] > limit_ms:
+                return False
+            pop(heap)
+            if self._executed >= max_events:
+                self._budget_exhausted()
+            clock._now_ms = entry[_TIME]
+            self._executed += 1
+            entry[_FN] = None
+            arg = entry[_ARG]
+            if arg is None:
+                fn()
+            else:
+                fn(arg)
+            if self._interrupted:
+                return True
+        return False
+
     def run_until(self, time_ms: Milliseconds) -> None:
         """Execute every event scheduled at or before *time_ms*.
 
         The clock ends exactly at *time_ms* even if the last event fired
         earlier, so periodic measurements line up with wall-clock sweeps.
         """
-        heap = self._heap
-        clock = self._clock
-        pop = heapq.heappop
-        max_events = self._max_events
-        while heap:
-            entry = heap[0]
-            fn = entry[_FN]
-            if fn is None:
-                pop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            if entry[_TIME] > time_ms:
-                break
-            pop(heap)
-            if self._executed >= max_events:
-                self._budget_exhausted()
-            clock._now_ms = entry[_TIME]
-            self._executed += 1
-            entry[_FN] = None
-            arg = entry[_ARG]
-            if arg is None:
-                fn()
-            else:
-                fn(arg)
-        if time_ms > clock.now():
-            clock.advance_to(time_ms)
+        while self._run(time_ms):
+            pass  # an interrupt is for run_until_interrupted; carry on
+        if time_ms > self._clock.now():
+            self._clock.advance_to(time_ms)
 
-    def run_until_idle(self, max_time_ms: Milliseconds | None = None) -> None:
+    def run_until_idle(self, max_time_ms: Milliseconds = _INF) -> None:
         """Execute events until the queue drains (or *max_time_ms* is hit)."""
-        heap = self._heap
-        clock = self._clock
-        pop = heapq.heappop
-        max_events = self._max_events
-        while heap:
-            entry = heap[0]
-            fn = entry[_FN]
-            if fn is None:
-                pop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            if max_time_ms is not None and entry[_TIME] > max_time_ms:
-                clock.advance_to(max_time_ms)
-                return
-            pop(heap)
-            if self._executed >= max_events:
-                self._budget_exhausted()
-            clock._now_ms = entry[_TIME]
-            self._executed += 1
-            entry[_FN] = None
-            arg = entry[_ARG]
-            if arg is None:
-                fn()
-            else:
-                fn(arg)
+        while self._run(max_time_ms):
+            pass
+        if self._heap:
+            self._clock.advance_to(max_time_ms)
 
     def run_until_condition(
-        self,
-        condition: Callable[[], bool],
-        max_time_ms: Milliseconds,
+        self, condition: Callable[[], bool], max_time_ms: Milliseconds
     ) -> bool:
         """Execute events until *condition()* becomes true.
 
         The condition is evaluated before the run starts and after every
-        executed event, exactly like the classic engine.
+        executed event.  Nothing in ``src/`` waits this way (see
+        :meth:`run_until_interrupted`); it is the reference the interrupt
+        path is tested against, written as a loop over :meth:`step`.
 
         Returns:
             ``True`` if the condition became true, ``False`` if the queue
@@ -351,33 +329,18 @@ class FlatEventScheduler:
         if condition():
             return True
         heap = self._heap
-        clock = self._clock
-        pop = heapq.heappop
-        max_events = self._max_events
-        while heap:
-            entry = heap[0]
-            fn = entry[_FN]
-            if fn is None:
-                pop(heap)
+        while True:
+            while heap and heap[0][_FN] is None:
+                heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
-                continue
-            if entry[_TIME] > max_time_ms:
-                clock.advance_to(max_time_ms)
+            if not heap:
+                return False
+            if heap[0][_TIME] > max_time_ms:
+                self._clock.advance_to(max_time_ms)
                 return condition()
-            pop(heap)
-            if self._executed >= max_events:
-                self._budget_exhausted()
-            clock._now_ms = entry[_TIME]
-            self._executed += 1
-            entry[_FN] = None
-            arg = entry[_ARG]
-            if arg is None:
-                fn()
-            else:
-                fn(arg)
+            self.step()
             if condition():
                 return True
-        return False
 
     def interrupt(self) -> None:
         """Make :meth:`run_until_interrupted` return after the current event."""
@@ -395,34 +358,10 @@ class FlatEventScheduler:
             the queue drained first, or *max_time_ms* elapsed (the clock then
             ends at *max_time_ms*, as in :meth:`run_until_condition`).
         """
-        self._interrupted = False
-        heap = self._heap
-        clock = self._clock
-        pop = heapq.heappop
-        max_events = self._max_events
-        while heap:
-            entry = heap[0]
-            fn = entry[_FN]
-            if fn is None:
-                pop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            if entry[_TIME] > max_time_ms:
-                clock.advance_to(max_time_ms)
-                return False
-            pop(heap)
-            if self._executed >= max_events:
-                self._budget_exhausted()
-            clock._now_ms = entry[_TIME]
-            self._executed += 1
-            entry[_FN] = None
-            arg = entry[_ARG]
-            if arg is None:
-                fn()
-            else:
-                fn(arg)
-            if self._interrupted:
-                return True
+        if self._run(max_time_ms):
+            return True
+        if self._heap:
+            self._clock.advance_to(max_time_ms)
         return False
 
     def close(self) -> None:
@@ -448,7 +387,7 @@ class FlatEventScheduler:
         self._cancelled_in_heap += 1
         heap = self._heap
         if (
-            len(heap) >= self._compact_min_size
+            len(heap) >= COMPACT_MIN_SIZE
             and self._cancelled_in_heap * 2 > len(heap)
         ):
             # In place (slice assignment, not rebinding): the run loops hold

@@ -1,20 +1,18 @@
-"""Deterministic discrete-event scheduler.
+"""The ``classic`` engine's scheduler: the reference ``flat`` is diffed against.
 
-The scheduler owns a :class:`~repro.sim.clock.VirtualClock` and a binary heap
-of :class:`~repro.sim.events.ScheduledEvent` entries.  Execution is strictly
-ordered by ``(time, insertion sequence)``; cancelled events are skipped lazily
-when they reach the head of the heap.
+A binary heap of :class:`Timer` objects ordered by ``(time_ms, sequence)``.
+The sequence number is assigned at insertion, so events scheduled for the same
+instant run in the order they were scheduled -- the stable tie-break that
+makes a run reproducible.  Cancelling sets a flag; a cancelled timer is
+dropped when it reaches the head of the heap.  No compaction, no cancelled-
+entry bookkeeping, no fast path: every ``run_*`` method is one loop over
+:meth:`EventScheduler.step`, so the order events run in can be read off here.
 
-Cancellation is O(1) but leaves the entry in the heap.  Workloads that
-re-arm timers constantly (election timeouts reset on every heartbeat) would
-grow the heap without bound if cancelled entries were *only* dropped at the
-head, so the scheduler keeps an exact count of cancelled-but-queued entries
-and compacts the heap -- filter plus ``heapify`` -- whenever they outnumber
-the live ones.  Compaction never reorders execution: entries are totally
-ordered by ``(time, sequence)``, so rebuilding the heap from the surviving
-entries pops them in exactly the same order as the lazy path would have.
-The same counter makes :attr:`EventScheduler.pending_count` O(1) instead of
-a full heap scan.
+Lazy deletion does not leak: a cancelled timer leaves the heap at the latest
+when its time comes, and nothing arms a timer further ahead than one election-
+timeout window, so the heap is bounded by what is scheduled inside one window.
+(``flat`` compacts instead, which is why ``heap_size`` and ``compaction_count``
+are engine-owned gauges; see :mod:`repro.sim.engines`.)
 """
 
 from __future__ import annotations
@@ -26,276 +24,177 @@ from typing import Callable
 from repro.common.errors import SimulationError
 from repro.common.types import Milliseconds
 from repro.sim.clock import VirtualClock
-from repro.sim.events import EventHandle, ScheduledEvent
 
 
-def _closed() -> None:
-    """Callback of an event dropped by :meth:`EventScheduler.close`."""
+class Timer:
+    """One queued event, and the handle its scheduler hands back for it.
+    ``callback`` is ``None`` once it fired or its scheduler was closed: the
+    timer is then in no heap, and cancelling it counts for nothing."""
+
+    __slots__ = ("time_ms", "sequence", "callback", "label", "cancelled", "_scheduler")
+
+    def __init__(self, scheduler, time_ms, sequence, callback, label) -> None:
+        self._scheduler: EventScheduler = scheduler
+        self.time_ms: Milliseconds = time_ms
+        self.sequence: int = sequence
+        self.callback: Callable[[], None] | None = callback
+        self.label: str = label
+        self.cancelled = False
+
+    def __lt__(self, other: "Timer") -> bool:
+        return (self.time_ms, self.sequence) < (other.time_ms, other.sequence)
+
+    def cancel(self) -> None:
+        """Prevent the event from firing.  Idempotent."""
+        self._scheduler.cancel_entry(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Timer({self.time_ms:.3f}ms {self.label!r} cancelled={self.cancelled})"
 
 
 class EventScheduler:
-    """Priority-queue scheduler driving a virtual clock.
+    """Priority-queue scheduler driving *clock* (a fresh one when omitted).
+    *max_events* bounds how many events it will ever execute, so a runaway
+    simulation raises :class:`SimulationError` instead of hanging."""
 
-    Args:
-        clock: the virtual clock to advance.  A fresh clock is created when
-            none is supplied.
-        max_events: safety valve -- the total number of events the scheduler
-            will ever execute.  Runaway simulations (for example a node
-            rescheduling a zero-delay timer forever) raise
-            :class:`SimulationError` instead of hanging the test suite.
-        compact_min_size: heaps smaller than this are never compacted, so
-            tiny simulations do not pay rebuild churn.  Above it, the heap is
-            compacted as soon as cancelled entries outnumber live ones, which
-            bounds the heap at ~2x the live event count.
-    """
+    compaction_count = 0  # never compacts
 
     def __init__(
-        self,
-        clock: VirtualClock | None = None,
-        max_events: int = 10_000_000,
-        compact_min_size: int = 64,
+        self, clock: VirtualClock | None = None, max_events: int = 10_000_000
     ) -> None:
-        self._clock = clock if clock is not None else VirtualClock()
-        self._heap: list[ScheduledEvent] = []
-        self._sequence = 0
-        self._executed = 0
+        self.clock = clock if clock is not None else VirtualClock()
+        self.scheduled_count = 0  # events ever given a sequence number
+        self.executed_count = 0
+        self.cancelled_count = 0  # live events that were cancelled
+        self._heap: list[Timer] = []
         self._max_events = max_events
-        self._compact_min_size = compact_min_size
-        self._cancelled_in_heap = 0
-        self._cancellations = 0
-        self._compactions = 0
         self._interrupted = False
-
-    @property
-    def clock(self) -> VirtualClock:
-        """The virtual clock advanced by this scheduler."""
-        return self._clock
 
     def now(self) -> Milliseconds:
         """Current simulated time in milliseconds."""
-        return self._clock.now()
+        return self.clock.now()
 
     @property
     def pending_count(self) -> int:
-        """Number of not-yet-cancelled events still queued.  O(1)."""
-        return len(self._heap) - self._cancelled_in_heap
+        """Number of not-yet-cancelled events still queued (a heap scan)."""
+        return sum(1 for timer in self._heap if not timer.cancelled)
 
     @property
     def heap_size(self) -> int:
-        """Total heap entries, including cancelled ones awaiting removal."""
+        """Heap entries, cancelled ones that have not reached the head included."""
         return len(self._heap)
 
-    @property
-    def compaction_count(self) -> int:
-        """How many times the heap has been compacted (observability)."""
-        return self._compactions
-
-    @property
-    def executed_count(self) -> int:
-        """Total number of events executed so far."""
-        return self._executed
-
-    @property
-    def scheduled_count(self) -> int:
-        """Total number of events ever scheduled (executed or not)."""
-        return self._sequence
-
-    @property
-    def cancelled_count(self) -> int:
-        """Total number of live events that were cancelled."""
-        return self._cancellations
-
-    # ------------------------------------------------------------------ #
-    # Scheduling
-    # ------------------------------------------------------------------ #
     def call_at(
         self, time_ms: Milliseconds, callback: Callable[[], None], label: str = ""
-    ) -> EventHandle:
+    ) -> Timer:
         """Schedule *callback* to run at absolute simulated time *time_ms*."""
-        # NaN passes the past-check below (every comparison against NaN is
-        # false) and would silently corrupt heap ordering; infinities would
-        # wedge run_until_idle.  Reject both outright.
-        if not math.isfinite(time_ms):
+        # A NaN would corrupt heap order, an infinity wedge run_until_idle.
+        if not self.now() <= time_ms < math.inf:
             raise SimulationError(
-                f"cannot schedule event at non-finite time: {time_ms!r}"
+                f"cannot schedule event at {time_ms!r}: non-finite time, or in "
+                f"the past of {self.now()}"
             )
-        if time_ms < self.now():
-            raise SimulationError(
-                f"cannot schedule event in the past: {time_ms} < {self.now()}"
-            )
-        event = ScheduledEvent(
-            time_ms=float(time_ms),
-            sequence=self._sequence,
-            callback=callback,
-            label=label,
-        )
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
-        return EventHandle(event, on_cancel=self._note_cancelled)
+        timer = Timer(self, float(time_ms), self.scheduled_count, callback, label)
+        self.scheduled_count += 1
+        heapq.heappush(self._heap, timer)
+        return timer
 
     def call_after(
         self, delay_ms: Milliseconds, callback: Callable[[], None], label: str = ""
-    ) -> EventHandle:
+    ) -> Timer:
         """Schedule *callback* to run *delay_ms* milliseconds from now."""
         if delay_ms < 0:
             raise SimulationError(f"negative delay: {delay_ms}")
-        return self.call_at(self.now() + delay_ms, callback, label=label)
+        return self.call_at(self.now() + delay_ms, callback, label)
 
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
+    #: A node timer, what ``Environment.set_timer`` is bound to on either
+    #: engine; its token is only ever passed back to :meth:`cancel_entry`.
+    schedule_timer_entry = call_after
+
+    def cancel_entry(self, timer: Timer) -> None:
+        """Cancel a timer.  Idempotent; one that already fired is not counted."""
+        if timer.cancelled:
+            return
+        timer.cancelled = True
+        if timer.callback is not None:
+            self.cancelled_count += 1
+
     def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns:
-            ``True`` if an event was executed, ``False`` if the queue is empty.
-        """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            event.in_heap = False
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            self._check_budget()
-            self._clock.advance_to(event.time_ms)
-            self._executed += 1
-            event.callback()
-            return True
-        return False
+        """Execute the next live event; ``False`` if there is none."""
+        if not self._due(math.inf):
+            return False
+        if self.executed_count >= self._max_events:
+            raise SimulationError(
+                f"event budget exhausted after {self.executed_count} events; "
+                "the simulation is probably not converging"
+            )
+        timer = heapq.heappop(self._heap)
+        self.clock.advance_to(timer.time_ms)
+        self.executed_count += 1
+        callback, timer.callback = timer.callback, None
+        callback()
+        return True
 
     def run_until(self, time_ms: Milliseconds) -> None:
-        """Execute every event scheduled at or before *time_ms*.
-
-        The clock ends exactly at *time_ms* even if the last event fired
-        earlier, so periodic measurements line up with wall-clock sweeps.
-        """
-        while self._heap:
-            head = self._next_pending()
-            if head is None or head.time_ms > time_ms:
-                break
+        """Execute every event at or before *time_ms*; the clock ends there."""
+        while self._due(time_ms):
             self.step()
         if time_ms > self.now():
-            self._clock.advance_to(time_ms)
+            self.clock.advance_to(time_ms)
 
-    def run_until_idle(self, max_time_ms: Milliseconds | None = None) -> None:
-        """Execute events until the queue drains (or *max_time_ms* is hit)."""
-        while True:
-            head = self._next_pending()
-            if head is None:
-                return
-            if max_time_ms is not None and head.time_ms > max_time_ms:
-                self._clock.advance_to(max_time_ms)
-                return
+    def run_until_idle(self, max_time_ms: Milliseconds = math.inf) -> None:
+        """Execute events until the queue drains, or up to *max_time_ms*
+        (the clock ends there if anything later is still queued)."""
+        while self._due(max_time_ms):
             self.step()
+        if self._heap:
+            self.clock.advance_to(max_time_ms)
 
     def run_until_condition(
-        self,
-        condition: Callable[[], bool],
-        max_time_ms: Milliseconds,
+        self, condition: Callable[[], bool], max_time_ms: Milliseconds
     ) -> bool:
-        """Execute events until *condition()* becomes true.
-
-        The condition is evaluated before the run starts and after every
-        executed event.
-
-        Returns:
-            ``True`` if the condition became true, ``False`` if the queue
-            drained or *max_time_ms* elapsed first.
-        """
+        """Execute events until *condition()* holds: checked before the run
+        and after every event.  ``False`` if the queue drained or *max_time_ms*
+        elapsed first (the clock then ends at *max_time_ms*)."""
         if condition():
             return True
-        while True:
-            head = self._next_pending()
-            if head is None:
-                return False
-            if head.time_ms > max_time_ms:
-                self._clock.advance_to(max_time_ms)
-                return condition()
+        while self._due(max_time_ms):
             self.step()
             if condition():
                 return True
+        if not self._heap:
+            return False
+        self.clock.advance_to(max_time_ms)
+        return condition()
 
     def interrupt(self) -> None:
         """Make :meth:`run_until_interrupted` return after the current event."""
         self._interrupted = True
 
     def run_until_interrupted(self, max_time_ms: Milliseconds) -> bool:
-        """Execute events until one of them calls :meth:`interrupt`.
-
-        The waiting side of a condition only some events can change: whoever
-        changes it interrupts, and the waiter re-evaluates it between runs,
-        instead of :meth:`run_until_condition` calling it after every event.
-
-        Returns:
-            ``True`` if an executed event interrupted the run; ``False`` if
-            the queue drained first, or *max_time_ms* elapsed (the clock then
-            ends at *max_time_ms*, as in :meth:`run_until_condition`).
-        """
+        """Execute events until one of them calls :meth:`interrupt`: the wait
+        for a condition whose every change interrupts, re-evaluated by the
+        waiter between runs.  ``False`` if the queue drained or *max_time_ms*
+        elapsed first (the clock then ends at *max_time_ms*)."""
         self._interrupted = False
-        while True:
-            head = self._next_pending()
-            if head is None:
-                return False
-            if head.time_ms > max_time_ms:
-                self._clock.advance_to(max_time_ms)
-                return False
+        while self._due(max_time_ms):
             self.step()
             if self._interrupted:
                 return True
+        if self._heap:
+            self.clock.advance_to(max_time_ms)
+        return False
 
     def close(self) -> None:
-        """Drop every queued event (the end of a finished simulation).
-
-        Events are cancelled and stripped of their callback as well as
-        unqueued, so a timer handle a node still holds no longer refers back
-        to the node.
-        """
-        for event in self._heap:
-            event.cancelled = True
-            event.in_heap = False
-            event.callback = _closed
+        """Drop every queued event, callbacks included, so that a timer a
+        node still holds no longer refers back to the node."""
+        for timer in self._heap:
+            timer.callback = None
         self._heap = []
-        self._cancelled_in_heap = 0
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _next_pending(self) -> ScheduledEvent | None:
-        """Return (without removing) the earliest non-cancelled event."""
-        while self._heap and self._heap[0].cancelled:
-            discarded = heapq.heappop(self._heap)
-            discarded.in_heap = False
-            self._cancelled_in_heap -= 1
-        return self._heap[0] if self._heap else None
-
-    def _note_cancelled(self, event: ScheduledEvent) -> None:
-        """Account for a cancellation and compact the heap when it pays off."""
-        if not event.in_heap:
-            return
-        self._cancellations += 1
-        self._cancelled_in_heap += 1
-        if (
-            len(self._heap) >= self._compact_min_size
-            and self._cancelled_in_heap * 2 > len(self._heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry and rebuild the heap in place."""
-        survivors = []
-        for event in self._heap:
-            if event.cancelled:
-                event.in_heap = False
-            else:
-                survivors.append(event)
-        self._heap = survivors
-        heapq.heapify(self._heap)
-        self._cancelled_in_heap = 0
-        self._compactions += 1
-
-    def _check_budget(self) -> None:
-        if self._executed >= self._max_events:
-            raise SimulationError(
-                f"event budget exhausted after {self._executed} events; "
-                "the simulation is probably not converging"
-            )
+    def _due(self, limit_ms: Milliseconds) -> bool:
+        """Is a live event queued at or before *limit_ms*?  Drops cancelled heads."""
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
+        return bool(heap) and heap[0].time_ms <= limit_ms

@@ -3,13 +3,11 @@
 Raft (and therefore ESCAPE) persists three things before answering any RPC:
 the current term, the vote cast in that term, and the log.  This package
 provides the log structure with Raft's up-to-date comparison and consistency
-check, plus in-memory and file-backed persistent stores and a simple snapshot
-facility for log compaction.
+check, plus in-memory and file-backed persistent stores.
 """
 
 from repro.storage.log import LogEntry, ReplicatedLog
 from repro.storage.persistent import FileStore, InMemoryStore, PersistentState
-from repro.storage.snapshot import Snapshot, SnapshotStore
 
 __all__ = [
     "FileStore",
@@ -17,6 +15,4 @@ __all__ = [
     "LogEntry",
     "PersistentState",
     "ReplicatedLog",
-    "Snapshot",
-    "SnapshotStore",
 ]

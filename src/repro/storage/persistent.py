@@ -6,8 +6,8 @@ Two implementations are provided:
 
 * :class:`InMemoryStore` -- used by the simulator, where "durability" only
   needs to survive the simulated crash/recover cycle of a node object;
-* :class:`FileStore` -- a JSON-file-backed store for the asyncio runtime and
-  for tests exercising recovery from disk.
+* :class:`FileStore` -- a JSON-file-backed store for tests exercising
+  recovery from disk.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from :mod:`repro.workload.scenario` directly.
 
 from repro.workload.aggregate import WorkloadAggregate
 from repro.workload.driver import WorkloadDriver
-from repro.workload.records import WorkloadMeasurement, WorkloadSet
+from repro.workload.records import WorkloadMeasurement
 from repro.workload.specs import (
     KeyspaceSpec,
     ValueSizeSpec,
@@ -32,7 +32,6 @@ __all__ = [
     "WorkloadAggregate",
     "WorkloadDriver",
     "WorkloadMeasurement",
-    "WorkloadSet",
     "WorkloadSpec",
     "get",
     "items",

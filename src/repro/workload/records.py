@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
 from repro.common.errors import ClusterError
 from repro.common.types import Milliseconds
-from repro.metrics.records import RecordSet
 
 
 @dataclass(frozen=True)
@@ -62,26 +62,3 @@ class WorkloadMeasurement:
     def issued(self) -> int:
         """Ops the workload tried to issue (any outcome)."""
         return self.proposed + self.dropped + self.rejected
-
-
-class WorkloadSet(RecordSet[WorkloadMeasurement]):
-    """Workload measurements from repeated runs of one configuration."""
-
-    record_type = WorkloadMeasurement
-
-    def pooled_latencies_ms(self) -> list[Milliseconds]:
-        """Every commit latency across every run (for percentiles)."""
-        return [
-            latency
-            for measurement in self._measurements
-            for latency in measurement.latencies_ms
-        ]
-
-    def total_committed(self) -> int:
-        """Committed ops summed over runs."""
-        return sum(m.committed for m in self._measurements)
-
-    def mean_ops_per_s(self) -> float:
-        """Average sustained throughput over the runs."""
-        runs = self._require_runs()
-        return sum(m.ops_per_s for m in runs) / len(runs)

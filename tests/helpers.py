@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.common.config import ClusterConfig, ProtocolConfig, RaftTimeoutConfig, ScaParameters
 from repro.common.types import Milliseconds, ServerId
+from repro.obs.harvest import ENGINE_OWNED_METRICS
 
 
 @dataclass
@@ -84,8 +85,6 @@ class FakeEnvironment:
     def set_timer(
         self, delay_ms: Milliseconds, callback: Callable[[], None], label: str = ""
     ) -> FakeTimer:
-        # Mirror SimNodeEnvironment's labelling so tests read the same way
-        # against either environment.
         timer = FakeTimer(
             delay_ms=delay_ms,
             callback=callback,
@@ -158,3 +157,17 @@ def fast_protocol_config(**overrides: Any) -> ProtocolConfig:
     )
     defaults.update(overrides)
     return ProtocolConfig(**defaults)
+
+
+def cross_engine_view(telemetry: Any) -> dict[str, dict[str, Any]]:
+    """A telemetry snapshot (or its ``to_state`` dict) as the engines must
+    agree on it: every metric but the engine-owned heap gauges."""
+    state = telemetry if isinstance(telemetry, Mapping) else telemetry.to_state()
+    return {
+        kind: {
+            name: value
+            for name, value in values.items()
+            if name not in ENGINE_OWNED_METRICS
+        }
+        for kind, values in state.items()
+    }

@@ -355,18 +355,3 @@ class TestExamples:
         # same WAN topology and reports steady-state availability.
         assert "partition-flap chaos" in result.stdout
         assert "availability" in result.stdout
-
-    def test_live_asyncio_example_small_run(self):
-        result = subprocess.run(
-            [
-                sys.executable,
-                str(EXAMPLES / "live_asyncio_cluster.py"),
-                "--base-port",
-                "29720",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "took over" in result.stdout

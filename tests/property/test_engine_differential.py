@@ -3,17 +3,20 @@
 The engine contract (:mod:`repro.sim.engines`) says the ``classic`` and
 ``flat`` engines are *bit-identical*: for the same ``(scenario, seed)`` they
 must produce the same measurements, the same :class:`NetworkStats`, the same
-trace stream, and the same availability timeline -- an engine may only remove
-allocation and indirection, never reorder RNG draws or events.  This suite
-states that contract as properties over random seeds, the registered
-liveness-guaranteeing protocols, the catalog's network conditions, and all
-three scenario types (election, availability window, serving window).
+trace stream, the same availability timeline and the same telemetry but for
+the two engine-owned heap gauges -- an engine may only remove allocation and
+indirection, never reorder RNG draws or events.  This suite states that
+contract as properties over random seeds, the registered liveness-guaranteeing
+protocols, the catalog's network conditions, and all three scenario types
+(election, availability window, serving window).
 
 ``raft-fixed`` is deliberately absent: it livelocks by design (degenerate
 baseline) and cannot finish a measured episode on *either* engine.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,8 @@ from repro.cluster.catalog import CATALOG, network_specs
 from repro.cluster.scenarios import ElectionScenario
 from repro.sim.engines import names as engine_names
 from repro.workload.scenario import ThroughputScenario
+
+from helpers import cross_engine_view
 
 #: Every registered protocol that can finish a measured election episode.
 LIVENESS_PROTOCOLS = ("raft", "zraft", "escape", "raft-stagger", "escape-noppf")
@@ -92,6 +97,12 @@ class TestElectionDifferential:
         assert all(result == baseline for result in results.values())
 
 
+def _cross_engine(measurement):
+    """The record with its telemetry reduced to what engines must agree on."""
+    telemetry = cross_engine_view(measurement.extra["telemetry"])
+    return replace(measurement, extra={**measurement.extra, "telemetry": telemetry})
+
+
 def _election(plan) -> ElectionScenario:
     return ElectionScenario(
         protocol="escape", cluster_size=5, loss_rate=0.1, workload_interval_ms=250.0
@@ -120,10 +131,14 @@ class TestScenarioTypeDifferential:
         scenario = build(plan).with_telemetry()
         baseline, baseline_records = scenario.with_engine(ENGINES[0]).run_traced(seed)
         assert baseline.extra["telemetry"]["counters"]["net.delivered"] > 0
+        assert "sim.heap.size" in baseline.extra["telemetry"]["gauges"]
         for engine in ENGINES[1:]:
             other, records = scenario.with_engine(engine).run_traced(seed)
             # Full-record equality covers the aggregates, the raw
             # leaderless-interval timeline / per-op latencies and -- through
-            # ``extra`` -- every harvested telemetry counter.
-            assert other == baseline, "measurement or telemetry diverged"
+            # ``extra`` -- every harvested telemetry name that is not
+            # engine-owned (``sim.events.*`` included).
+            assert _cross_engine(other) == _cross_engine(
+                baseline
+            ), "measurement or telemetry diverged"
             assert records == baseline_records, "trace stream diverged"

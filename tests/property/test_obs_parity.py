@@ -2,9 +2,11 @@
 
 The telemetry snapshot is part of the repo's determinism claim: a
 telemetry-enabled sweep must produce *bit-identical* per-label snapshots at
-any ``--workers`` count, and the engine contract extends to every harvested
-counter -- ``classic`` and ``flat`` must agree on scheduler, network and
-node metrics, not just on measurements.
+any ``--workers`` count -- the engine-owned heap gauges included -- and the
+engine contract extends to every other harvested name: ``classic`` and
+``flat`` must agree on scheduler, network and node metrics, not just on
+measurements.  Only ``repro.obs.harvest.ENGINE_OWNED_METRICS`` (how one
+engine keeps its heap small) are left out of the cross-engine comparison.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from repro.cluster.scenarios import ElectionScenario
 from repro.experiments.runner import run_sweep
 from repro.obs.telemetry import sweep_telemetry
 from repro.sim.engines import names as engine_names
+
+from helpers import cross_engine_view
 
 ENGINES = tuple(engine_names())
 
@@ -44,29 +48,39 @@ class TestWorkerParity:
         assert fanned_out == sequential
         # The snapshots carry real work, not zeros.
         for snapshot in sequential.values():
+            assert snapshot.gauges["sim.heap.size"] > 0
             assert snapshot.counters["sim.events.executed"] > 0
             assert snapshot.counters["net.delivered"] > 0
             assert snapshot.counters["node.elections_won"] >= 4
 
 
 class TestEngineParity:
-    def test_snapshots_bit_identical_across_engines(self):
-        baseline = sweep_telemetry(
-            run_sweep(_scenarios(ENGINES[0]), runs=3, seed=5, workers=1)
+    @staticmethod
+    def _sweep(engine: str) -> dict[str, dict]:
+        snapshots = sweep_telemetry(
+            run_sweep(_scenarios(engine), runs=3, seed=5, workers=1)
         )
+        return {label: cross_engine_view(snap) for label, snap in snapshots.items()}
+
+    def test_snapshots_bit_identical_across_engines(self):
+        baseline = self._sweep(ENGINES[0])
+        assert baseline["raft@3"]["counters"]["sim.events.cancelled"] > 0
+        assert baseline["raft@3"]["gauges"]["sim.events.pending"] > 0
         for engine in ENGINES[1:]:
-            other = sweep_telemetry(
-                run_sweep(_scenarios(engine), runs=3, seed=5, workers=1)
-            )
-            assert other == baseline
+            assert self._sweep(engine) == baseline
 
     def test_single_episode_snapshots_agree_across_engines(self):
         scenario = ElectionScenario(
             protocol="escape", cluster_size=5, loss_rate=0.1, telemetry=True
         )
-        baseline = scenario.with_engine(ENGINES[0]).run(17).extra["telemetry"]
+
+        def telemetry(engine: str) -> dict:
+            measurement = scenario.with_engine(engine).run(17)
+            return cross_engine_view(measurement.extra["telemetry"])
+
+        baseline = telemetry(ENGINES[0])
         for engine in ENGINES[1:]:
-            assert scenario.with_engine(engine).run(17).extra["telemetry"] == baseline
+            assert telemetry(engine) == baseline
 
 
 class TestPlainRunsStayTelemetryFree:

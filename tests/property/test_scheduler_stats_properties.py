@@ -1,21 +1,18 @@
-"""Property-based tests for the event scheduler, statistics and the codec."""
+"""Property-based tests for the event schedulers (every engine) and statistics."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.escape.configuration import Configuration
-from repro.escape.messages import EscapeAppendEntriesRequest, EscapeRequestVoteRequest
 from repro.metrics.stats import cumulative_distribution, percentile, summarize
-from repro.raft.messages import AppendEntriesRequest, RequestVoteResponse
-from repro.runtime.codec import decode_message, encode_message
-from repro.sim.scheduler import EventScheduler
-from repro.storage.log import LogEntry
+from repro.sim import engines
 
 
+@pytest.mark.parametrize("engine", engines.names())
 class TestSchedulerProperties:
     @given(st.lists(st.floats(min_value=0.0, max_value=10_000.0), max_size=50))
-    def test_events_always_execute_in_non_decreasing_time_order(self, delays):
-        scheduler = EventScheduler()
+    def test_events_always_execute_in_non_decreasing_time_order(self, engine, delays):
+        scheduler = engines.get(engine).scheduler_class()()
         executed = []
         for delay in delays:
             scheduler.call_after(delay, lambda: executed.append(scheduler.now()))
@@ -29,8 +26,8 @@ class TestSchedulerProperties:
             max_size=40,
         )
     )
-    def test_cancelled_events_never_run(self, schedule):
-        scheduler = EventScheduler()
+    def test_cancelled_events_never_run(self, engine, schedule):
+        scheduler = engines.get(engine).scheduler_class()()
         fired = []
         handles = []
         for index, (delay, cancel) in enumerate(schedule):
@@ -84,76 +81,3 @@ class TestStatsProperties:
         assert self._leq(summary.p95, summary.p99)
         assert self._leq(summary.p99, summary.maximum)
         assert summary.std_dev >= 0.0
-
-
-commands = st.one_of(
-    st.none(),
-    st.integers(min_value=-1_000, max_value=1_000),
-    st.text(max_size=8),
-    st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
-)
-
-
-@st.composite
-def append_entries_messages(draw):
-    entry_count = draw(st.integers(min_value=0, max_value=5))
-    start = draw(st.integers(min_value=1, max_value=50))
-    term = draw(st.integers(min_value=1, max_value=20))
-    entries = tuple(
-        LogEntry(term=term, index=start + offset, command=draw(commands))
-        for offset in range(entry_count)
-    )
-    escape = draw(st.booleans())
-    base = dict(
-        term=term,
-        leader_id=draw(st.integers(min_value=1, max_value=16)),
-        prev_log_index=start - 1,
-        prev_log_term=draw(st.integers(min_value=0, max_value=term)),
-        entries=entries,
-        leader_commit=draw(st.integers(min_value=0, max_value=start + entry_count)),
-    )
-    if not escape:
-        return AppendEntriesRequest(**base)
-    config = None
-    if draw(st.booleans()):
-        config = Configuration(
-            priority=draw(st.integers(min_value=1, max_value=16)),
-            timer_period_ms=draw(st.floats(min_value=1.0, max_value=10_000.0)),
-            conf_clock=draw(st.integers(min_value=0, max_value=100)),
-        )
-    return EscapeAppendEntriesRequest(**base, new_config=config)
-
-
-class TestCodecProperties:
-    @given(append_entries_messages())
-    @settings(max_examples=80, deadline=None)
-    def test_append_entries_round_trip(self, message):
-        assert decode_message(encode_message(message)) == message
-
-    @given(
-        st.integers(min_value=1, max_value=100),
-        st.integers(min_value=1, max_value=16),
-        st.booleans(),
-    )
-    def test_vote_response_round_trip(self, term, voter, granted):
-        message = RequestVoteResponse(term=term, voter_id=voter, vote_granted=granted)
-        assert decode_message(encode_message(message)) == message
-
-    @given(
-        st.integers(min_value=1, max_value=200),
-        st.integers(min_value=1, max_value=16),
-        st.integers(min_value=0, max_value=50),
-        st.integers(min_value=1, max_value=16),
-    )
-    def test_escape_vote_request_round_trip(self, term, candidate, clock, priority):
-        message = EscapeRequestVoteRequest(
-            term=term,
-            candidate_id=candidate,
-            last_log_index=0,
-            last_log_term=0,
-            conf_clock=clock,
-            priority=priority,
-        )
-        decoded = decode_message(encode_message(message))
-        assert decoded == message
-        assert type(decoded) is EscapeRequestVoteRequest

@@ -8,7 +8,10 @@ chunking and **any** merge order of :class:`StreamingSummary` partials
 reproduce the batch ``summarize``/``cumulative_distribution`` results
 bit-identically; the JSON state round-trip (the checkpoint format) is
 bit-exact; and beyond the capacity the compression stays deterministic while
-count/min/max remain exact.
+count/min/max remain exact.  The election containers themselves --
+:class:`MeasurementSet` (batch) and :class:`ElectionAggregate` (streaming) --
+answer every query they share identically on any mix of converged and
+non-converged runs, under any chunking.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
+    ElectionAggregate,
+    ElectionMeasurement,
+    MeasurementSet,
     MergeableCDF,
     StreamingSummary,
     cumulative_distribution,
@@ -125,3 +131,67 @@ def test_sketch_merge_is_lossless_while_exact(values, cuts):
         merged.merge(partial)
     assert merged.exact
     assert merged.values() == sorted(values)
+
+
+@st.composite
+def _episodes(draw):
+    """Election runs, converged or not; a stalled run still campaigned."""
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.booleans(),  # converged
+                st.integers(min_value=1, max_value=12),  # campaigns
+                st.integers(min_value=1, max_value=800_000),  # total, in 1/100 ms
+            ),
+            min_size=1,
+            max_size=CAPACITY,
+        )
+    )
+    return [
+        ElectionMeasurement(
+            protocol="raft",
+            cluster_size=5,
+            seed=index,
+            converged=converged,
+            crash_time_ms=0.0,
+            detection_ms=total / 200.0,
+            election_ms=total / 200.0,
+            total_ms=total / 100.0,
+            campaign_count=campaigns,
+            split_vote=campaigns > 1,
+            winner_id=1 if converged else None,
+            winner_term=2 if converged else None,
+        )
+        for index, (converged, campaigns, total) in enumerate(runs)
+    ]
+
+
+def test_mean_campaigns_counts_the_run_that_never_converged():
+    """The case the two containers used to answer 1.0 and 5.0."""
+    converged, stalled = (
+        ElectionMeasurement("raft", 5, 0, True, 0.0, 1.0, 1.0, 2.0, 1, False, 1, 2),
+        ElectionMeasurement("raft", 5, 1, False, 0.0, 1.0, 1.0, 2.0, 9, True, None, None),
+    )
+    batch = MeasurementSet([converged, stalled], label="cell")
+    streamed = ElectionAggregate.from_measurements([converged, stalled], label="cell")
+    assert batch.mean_campaigns() == streamed.mean_campaigns() == 5.0
+
+
+@given(episodes=_episodes(), cuts=CUTS)
+def test_batch_and_streaming_containers_agree_on_any_mix(episodes, cuts):
+    batch = MeasurementSet(episodes, label="cell")
+    streamed = ElectionAggregate("cell", capacity=CAPACITY)
+    for chunk in _chunks(episodes, cuts):
+        streamed.merge(
+            ElectionAggregate.from_measurements(chunk, label="cell", capacity=CAPACITY)
+        )
+    assert streamed.runs == len(batch)
+    assert streamed.mean_campaigns() == batch.mean_campaigns()
+    assert streamed.split_vote_fraction() == batch.split_vote_fraction()
+    assert streamed.convergence_fraction() == batch.convergence_fraction()
+    if streamed.converged:
+        assert streamed.total_summary() == batch.total_summary()
+        # (mean_total_ms is the summary's mean on the streaming side and an
+        # insertion-order sum on the batch side: equal to an ulp, not bitwise.)
+        assert streamed.mean_total_ms() == batch.total_summary().mean
+        assert streamed.total_cdf() == cumulative_distribution(batch.totals_ms())

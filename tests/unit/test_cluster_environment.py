@@ -1,68 +1,13 @@
-"""Unit tests for the simulator-backed node environment."""
+"""The package's top-level surface.
 
-from repro.cluster.environment import SimNodeEnvironment
-from repro.net.latency import ConstantLatency
-from repro.net.network import SimulatedNetwork
-from repro.sim.world import SimulationWorld
+The simulator-backed node environment is covered, on every engine, by
+``tests/unit/test_engine_contract.py``.
+"""
+
+import tomllib
+from pathlib import Path
 
 import repro
-
-
-def make_env(node_id=1, members=(1, 2, 3), seed=0):
-    world = SimulationWorld(seed=seed)
-    network = SimulatedNetwork(world, members, latency=ConstantLatency(10.0))
-    inbox = {member: [] for member in members}
-    for member in members:
-        network.register(
-            member, lambda src, payload, member=member: inbox[member].append((src, payload))
-        )
-    return world, network, inbox, SimNodeEnvironment(world, network, node_id)
-
-
-class TestSimNodeEnvironment:
-    def test_now_tracks_the_world_clock(self):
-        world, _, _, env = make_env()
-        assert env.now() == 0.0
-        world.run_for(42.0)
-        assert env.now() == 42.0
-
-    def test_send_and_broadcast_go_through_the_network(self):
-        world, network, inbox, env = make_env()
-        env.send(2, "direct")
-        env.broadcast([2, 3], lambda dst: f"hello-{dst}")
-        world.run_for(50.0)
-        assert (1, "direct") in inbox[2]
-        assert (1, "hello-2") in inbox[2]
-        assert (1, "hello-3") in inbox[3]
-
-    def test_timers_fire_through_the_scheduler_and_can_be_cancelled(self):
-        world, _, _, env = make_env()
-        fired = []
-        keep = env.set_timer(20.0, lambda: fired.append("keep"), label="keep")
-        drop = env.set_timer(10.0, lambda: fired.append("drop"), label="drop")
-        env.cancel_timer(drop)
-        world.run_for(50.0)
-        assert fired == ["keep"]
-        assert keep.label.startswith("S1:")
-
-    def test_trace_records_are_attributed_to_the_node(self):
-        world, _, _, env = make_env(node_id=2)
-        env.trace("unit.test", detail=1)
-        record = world.tracer.records[0]
-        assert record.node == 2
-        assert record.category == "unit.test"
-
-    def test_each_node_has_an_independent_deterministic_rng(self):
-        _, _, _, env_a = make_env(node_id=1, seed=5)
-        _, _, _, env_b = make_env(node_id=2, seed=5)
-        _, _, _, env_a_again = make_env(node_id=1, seed=5)
-        draws_a = [env_a.rng.random() for _ in range(3)]
-        assert draws_a == [env_a_again.rng.random() for _ in range(3)]
-        assert draws_a != [env_b.rng.random() for _ in range(3)]
-
-    def test_node_id_property(self):
-        _, _, _, env = make_env(node_id=3)
-        assert env.node_id == 3
 
 
 class TestPackageSurface:
@@ -74,3 +19,14 @@ class TestPackageSurface:
         assert repro.EscapeNoPpfNode.protocol_name == "escape-noppf"
         assert repro.protocols.get("escape").node_class is repro.EscapeNode
         assert repro.ClusterConfig.of_size(3).quorum_size == 2
+
+    def test_there_is_one_version_number(self):
+        """``repro.__version__`` is the source; pyproject.toml derives from it."""
+        pyproject = tomllib.loads(
+            (Path(__file__).parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+        )
+        assert "version" not in pyproject["project"]
+        assert pyproject["project"]["dynamic"] == ["version"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }

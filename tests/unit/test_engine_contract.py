@@ -1,0 +1,781 @@
+"""The engine contract, run on every registered engine.
+
+:mod:`repro.sim.engines` says what a scheduler and a network owe everything
+above them; this suite states it once and runs it on ``classic`` (the
+reference) *and* ``flat`` (what the benchmark and every sweep run) through the
+``engine`` fixture.  It covers the scheduler (ordering, cancellation, the
+``run_*`` clock semantics, ``interrupt`` / ``close``, the event budget,
+non-finite deadlines), the network (delivery, disconnection, broadcast,
+partitions, in-flight drop traces, inert sends) and the one node environment
+on top of both.  What only one engine does -- ``flat`` compacts its heap -- is
+at the end, and says so.
+
+The property-level half of the contract (whole episodes, bit-identical across
+engines) lives in ``tests/property/test_engine_differential.py``,
+``test_obs_parity.py`` and ``test_inert_sends.py``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from repro.cluster.environment import SimNodeEnvironment
+from repro.common.errors import NetworkError, SimulationError
+from repro.net.faults import (
+    BroadcastOmissionFault,
+    MessageDuplicationFault,
+    PacketLossFault,
+)
+from repro.net.latency import ConstantLatency, UniformLatency
+from repro.sim import engines
+from repro.sim.flatcore import COMPACT_MIN_SIZE, FlatEventScheduler
+from repro.sim.world import SimulationWorld
+
+
+@pytest.fixture(params=engines.names())
+def engine(request) -> str:
+    return request.param
+
+
+@pytest.fixture
+def scheduler(engine):
+    return engines.get(engine).scheduler_class()()
+
+
+def make_network(engine, members=(1, 2, 3), latency=None, fault=None, seed=0):
+    """A world, its engine's network, and per-member inboxes of
+    ``(delivery time, src, payload)``."""
+    world = SimulationWorld(seed=seed, engine=engine)
+    network = world.engine.network_class()(
+        world, members, latency=latency, fault=fault
+    )
+    inboxes = {member: [] for member in members}
+    for member in members:
+        network.register(
+            member,
+            lambda src, payload, member=member: inboxes[member].append(
+                (world.now(), src, payload)
+            ),
+        )
+    return world, network, inboxes
+
+
+def received(inbox):
+    """An inbox without its delivery times."""
+    return [(src, payload) for _, src, payload in inbox]
+
+
+# --------------------------------------------------------------------------- #
+# Scheduler
+# --------------------------------------------------------------------------- #
+class TestSchedulerOrdering:
+    def test_events_run_in_time_order(self, scheduler):
+        order = []
+        scheduler.call_after(30.0, lambda: order.append("c"))
+        scheduler.call_after(10.0, lambda: order.append("a"))
+        scheduler.call_after(20.0, lambda: order.append("b"))
+        scheduler.run_until_idle()
+        assert order == ["a", "b", "c"]
+
+    def test_same_time_events_run_in_insertion_order(self, scheduler):
+        order = []
+        for name in ("first", "second", "third"):
+            scheduler.call_at(50.0, lambda name=name: order.append(name))
+        scheduler.run_until_idle()
+        assert order == ["first", "second", "third"]
+
+    def test_clock_reflects_last_executed_event(self, scheduler):
+        scheduler.call_after(40.0, lambda: None)
+        scheduler.run_until_idle()
+        assert scheduler.now() == 40.0
+
+    def test_events_scheduled_during_execution_run(self, scheduler):
+        seen = []
+
+        def outer():
+            seen.append("outer")
+            scheduler.call_after(5.0, lambda: seen.append("inner"))
+
+        scheduler.call_after(10.0, outer)
+        scheduler.run_until_idle()
+        assert seen == ["outer", "inner"]
+        assert scheduler.now() == 15.0
+
+
+class TestSchedulerCancellation:
+    def test_cancelled_events_do_not_run(self, scheduler):
+        fired = []
+        handle = scheduler.call_after(10.0, lambda: fired.append(1))
+        handle.cancel()
+        scheduler.run_until_idle()
+        assert fired == []
+        assert handle.cancelled
+        assert (scheduler.cancelled_count, scheduler.executed_count) == (1, 0)
+
+    def test_cancel_is_idempotent(self, scheduler):
+        handle = scheduler.call_after(10.0, lambda: None)
+        handle.cancel()
+        handle.cancel()
+        assert (scheduler.pending_count, scheduler.cancelled_count) == (0, 1)
+
+    def test_pending_count_ignores_cancelled(self, scheduler):
+        keep = scheduler.call_after(5.0, lambda: None)
+        drop = scheduler.call_after(6.0, lambda: None)
+        drop.cancel()
+        assert scheduler.pending_count == 1
+        assert not keep.cancelled
+
+    def test_pending_count_is_exact_under_mass_cancellation(self, scheduler):
+        keep = [scheduler.call_after(float(i + 1), lambda: None) for i in range(50)]
+        drop = [scheduler.call_after(float(i + 100), lambda: None) for i in range(51)]
+        for handle in drop:
+            handle.cancel()
+        assert scheduler.pending_count == 50
+        for handle in keep[:20]:
+            handle.cancel()
+        assert (scheduler.pending_count, scheduler.cancelled_count) == (30, 71)
+        assert scheduler.scheduled_count == 101
+
+    def test_cancelling_an_executed_event_does_not_corrupt_accounting(
+        self, scheduler
+    ):
+        handles = [scheduler.call_after(1.0, lambda: None) for _ in range(5)]
+        scheduler.run_until_idle()
+        for handle in handles:
+            handle.cancel()  # cancelling after execution must be a no-op
+        assert (scheduler.pending_count, scheduler.heap_size) == (0, 0)
+        assert scheduler.cancelled_count == 0
+
+    def test_callback_cancelling_itself_is_harmless(self, scheduler):
+        state = {}
+
+        def fire():
+            state["handle"].cancel()
+
+        state["handle"] = scheduler.call_after(1.0, fire)
+        scheduler.call_after(2.0, lambda: None)
+        scheduler.run_until_idle()
+        assert (scheduler.pending_count, scheduler.cancelled_count) == (0, 0)
+        assert scheduler.executed_count == 2
+
+    def test_node_timer_tokens_cancel_through_the_scheduler(self, scheduler):
+        """The two entry points the node environment binds on either engine."""
+        fired = []
+        keep = scheduler.schedule_timer_entry(20.0, lambda: fired.append("keep"))
+        drop = scheduler.schedule_timer_entry(
+            10.0, lambda: fired.append("drop"), label="election"
+        )
+        scheduler.cancel_entry(drop)
+        scheduler.cancel_entry(drop)
+        scheduler.run_until_idle()
+        scheduler.cancel_entry(keep)  # already fired: not a cancellation
+        assert fired == ["keep"]
+        assert (scheduler.cancelled_count, scheduler.executed_count) == (1, 1)
+        with pytest.raises(SimulationError, match="negative"):
+            scheduler.schedule_timer_entry(-1.0, lambda: None)
+
+
+class TestSchedulerRunModes:
+    def test_run_until_executes_only_due_events(self, scheduler):
+        fired = []
+        scheduler.call_after(10.0, lambda: fired.append("early"))
+        scheduler.call_after(100.0, lambda: fired.append("late"))
+        scheduler.run_until(50.0)
+        assert fired == ["early"]
+        assert scheduler.now() == 50.0
+        scheduler.run_until_idle()
+        assert fired == ["early", "late"]
+
+    def test_run_until_skips_cancelled_heads(self, scheduler):
+        fired = []
+        scheduler.call_after(10.0, lambda: fired.append("dead")).cancel()
+        scheduler.call_after(20.0, lambda: fired.append("live"))
+        scheduler.run_until(30.0)
+        assert (fired, scheduler.now(), scheduler.executed_count) == (["live"], 30.0, 1)
+
+    def test_run_until_idle_stops_at_its_deadline(self, scheduler):
+        fired = []
+        scheduler.call_after(10.0, lambda: fired.append("early"))
+        scheduler.call_after(100.0, lambda: fired.append("late"))
+        scheduler.run_until_idle(50.0)
+        assert (fired, scheduler.now(), scheduler.pending_count) == (["early"], 50.0, 1)
+        # Drained before the deadline: the clock stays at the last event.
+        scheduler.run_until_idle(500.0)
+        assert (fired, scheduler.now()) == (["early", "late"], 100.0)
+
+    def test_run_until_condition_stops_when_condition_holds(self, scheduler):
+        state = {"count": 0}
+        for n in range(10):
+            scheduler.call_after(
+                10.0 * (n + 1), lambda: state.update(count=state["count"] + 1)
+            )
+        satisfied = scheduler.run_until_condition(
+            lambda: state["count"] >= 3, max_time_ms=1_000.0
+        )
+        assert satisfied
+        assert (state["count"], scheduler.now()) == (3, 30.0)
+
+    def test_run_until_condition_times_out(self, scheduler):
+        scheduler.call_after(500.0, lambda: None)
+        satisfied = scheduler.run_until_condition(lambda: False, max_time_ms=100.0)
+        assert not satisfied
+        assert scheduler.now() == 100.0
+
+    def test_run_until_condition_drains(self, scheduler):
+        scheduler.call_after(50.0, lambda: None)
+        assert not scheduler.run_until_condition(lambda: False, max_time_ms=100.0)
+        assert scheduler.now() == 50.0
+
+    def test_run_until_condition_true_immediately(self, scheduler):
+        assert scheduler.run_until_condition(lambda: True, max_time_ms=10.0)
+
+    def test_step_returns_false_when_empty(self, scheduler):
+        assert scheduler.step() is False
+
+    def test_step_runs_one_live_event(self, scheduler):
+        fired = []
+        scheduler.call_after(5.0, lambda: fired.append("dead")).cancel()
+        scheduler.call_after(10.0, lambda: fired.append("a"))
+        scheduler.call_after(20.0, lambda: fired.append("b"))
+        assert scheduler.step() is True
+        assert (fired, scheduler.now(), scheduler.pending_count) == (["a"], 10.0, 1)
+
+
+class TestInterruptAndClose:
+    def test_returns_right_after_the_interrupting_event(self, scheduler):
+        ran: list[float] = []
+        for time_ms in (10.0, 20.0, 30.0):
+            scheduler.call_at(time_ms, lambda t=time_ms: ran.append(t))
+        scheduler.call_at(20.0, scheduler.interrupt)
+        assert scheduler.run_until_interrupted(100.0) is True
+        assert (ran, scheduler.now(), scheduler.executed_count) == ([10.0, 20.0], 20.0, 3)
+        # The rest is still queued; the next run starts uninterrupted.
+        assert scheduler.run_until_interrupted(100.0) is False
+        assert ran == [10.0, 20.0, 30.0]
+
+    def test_deadline_and_drain_return_false(self, scheduler):
+        scheduler.call_at(50.0, lambda: None)
+        assert scheduler.run_until_interrupted(40.0) is False
+        assert (scheduler.now(), scheduler.executed_count) == (40.0, 0)
+        assert scheduler.run_until_interrupted(100.0) is False
+        # Drained before the deadline: the clock stays at the last event,
+        # exactly as run_until_condition leaves it.
+        assert (scheduler.now(), scheduler.executed_count) == (50.0, 1)
+
+    def test_an_interrupt_outside_a_run_is_forgotten(self, scheduler):
+        scheduler.call_at(10.0, lambda: None)
+        scheduler.interrupt()
+        assert scheduler.run_until_interrupted(100.0) is False
+        assert scheduler.executed_count == 1
+
+    @pytest.mark.parametrize("run", ["run_until", "run_until_idle"])
+    def test_an_interrupt_neither_stops_another_run_nor_leaks(self, scheduler, run):
+        """``interrupt()`` is for ``run_until_interrupted`` alone: raised
+        during ``run_until`` / ``run_until_idle`` it does not end that run
+        early, and the next ``run_until_interrupted`` does not see it."""
+        ran: list[float] = []
+        for time_ms in (10.0, 20.0, 30.0):
+            scheduler.call_at(time_ms, lambda t=time_ms: ran.append(t))
+        scheduler.call_at(10.0, scheduler.interrupt)
+        scheduler.call_at(30.0, scheduler.interrupt)  # the run's last event
+        getattr(scheduler, run)(40.0)
+        assert (ran, scheduler.executed_count) == ([10.0, 20.0, 30.0], 5)
+        scheduler.call_at(50.0, lambda: ran.append(50.0))
+        assert scheduler.run_until_interrupted(100.0) is False
+        assert ran[-1] == 50.0
+
+    def test_close_leaves_nothing_to_run_and_handles_harmless(self, scheduler):
+        ran: list[int] = []
+        handles = [
+            scheduler.call_at(10.0 * n, lambda n=n: ran.append(n)) for n in (1, 2, 3)
+        ]
+        handles[0].cancel()
+        scheduler.close()
+        assert (scheduler.pending_count, scheduler.heap_size) == (0, 0)
+        for handle in handles:
+            handle.cancel()
+        scheduler.run_until_idle()
+        assert ran == [] and scheduler.pending_count == 0
+        assert scheduler.cancelled_count == 1
+
+
+class TestSchedulerSafety:
+    def test_cannot_schedule_in_the_past(self, scheduler):
+        scheduler.call_after(10.0, lambda: None)
+        scheduler.run_until_idle()
+        with pytest.raises(SimulationError):
+            scheduler.call_at(5.0, lambda: None)
+
+    def test_negative_delay_rejected(self, scheduler):
+        with pytest.raises(SimulationError):
+            scheduler.call_after(-1.0, lambda: None)
+
+    def test_rejects_nan(self, scheduler):
+        """Regression: a NaN deadline used to be accepted and poison heap order."""
+        with pytest.raises(SimulationError, match="non-finite"):
+            scheduler.call_at(math.nan, lambda: None)
+
+    def test_rejects_infinity(self, scheduler):
+        for deadline in (math.inf, -math.inf):
+            with pytest.raises(SimulationError, match="non-finite"):
+                scheduler.call_at(deadline, lambda: None)
+
+    def test_accepts_a_finite_deadline(self, scheduler):
+        fired = []
+        scheduler.call_at(5.0, lambda: fired.append(scheduler.now()))
+        scheduler.run_until_idle()
+        assert fired == [5.0]
+
+    def test_event_budget_stops_runaway_simulations(self, engine):
+        scheduler = engines.get(engine).scheduler_class()(max_events=50)
+
+        def reschedule():
+            scheduler.call_after(1.0, reschedule)
+
+        scheduler.call_after(1.0, reschedule)
+        with pytest.raises(SimulationError, match="budget"):
+            scheduler.run_until_idle()
+        assert scheduler.executed_count == 50
+
+    def test_executed_count_tracks_events(self, scheduler):
+        for _ in range(5):
+            scheduler.call_after(1.0, lambda: None)
+        scheduler.run_until_idle()
+        assert (scheduler.executed_count, scheduler.scheduled_count) == (5, 5)
+
+
+# --------------------------------------------------------------------------- #
+# Network
+# --------------------------------------------------------------------------- #
+class TestDelivery:
+    def test_message_is_delivered_after_sampled_latency(self, engine):
+        world, network, inboxes = make_network(engine, latency=ConstantLatency(50.0))
+        assert network.send(1, 2, "hello") is None
+        world.run_for(49.0)
+        assert inboxes[2] == []
+        world.run_for(2.0)
+        assert inboxes[2] == [(50.0, 1, "hello")]
+
+    def test_latency_is_sampled_within_model_range(self, engine):
+        world, network, inboxes = make_network(
+            engine, latency=UniformLatency(100.0, 200.0)
+        )
+        for index in range(50):
+            network.send(1, 2, index)
+        world.scheduler.run_until_idle()
+        assert len(inboxes[2]) == 50
+        assert all(100.0 <= arrived <= 200.0 for arrived, _, _ in inboxes[2])
+
+    def test_stats_count_sent_and_delivered(self, engine):
+        world, network, _ = make_network(engine, latency=ConstantLatency(10.0))
+        network.send(1, 2, "a")
+        network.send(2, 3, "b")
+        world.run_for(20.0)
+        assert network.stats.sent == 2
+        assert network.stats.delivered == 2
+        assert network.stats.dropped == 0
+
+    def test_per_type_stats(self, engine):
+        _, network, _ = make_network(engine, latency=ConstantLatency(1.0))
+        network.send(1, 2, "x")
+        network.send(1, 2, 5)
+        assert network.stats.per_type_sent == {"str": 1, "int": 1}
+
+    def test_unknown_member_rejected(self, engine):
+        _, network, _ = make_network(engine)
+        with pytest.raises(NetworkError):
+            network.send(1, 99, "x")
+        with pytest.raises(NetworkError):
+            network.register(99, lambda src, payload: None)
+
+    def test_same_seed_reproduces_latencies(self, engine):
+        def run(seed):
+            world, network, inboxes = make_network(
+                engine, latency=UniformLatency(100.0, 200.0), seed=seed
+            )
+            for index in range(10):
+                network.send(1, 2, index)
+            world.scheduler.run_until_idle()
+            return sorted((payload, arrived) for arrived, _, payload in inboxes[2])
+
+        assert run(5) == run(5)
+        assert run(5) != run(6)
+
+
+class TestDisconnection:
+    def test_disconnected_destination_drops_in_flight_messages(self, engine):
+        world, network, inboxes = make_network(engine, latency=ConstantLatency(100.0))
+        network.send(1, 2, "late")
+        network.disconnect(2)
+        world.run_for(200.0)
+        assert inboxes[2] == []
+        assert network.stats.dropped_disconnected == 1
+
+    def test_messages_already_in_flight_from_a_crashed_sender_still_deliver(
+        self, engine
+    ):
+        # A killed process cannot recall packets already on the wire.
+        world, network, inboxes = make_network(engine, latency=ConstantLatency(100.0))
+        network.send(1, 2, "heartbeat")
+        network.disconnect(1)
+        world.run_for(200.0)
+        assert received(inboxes[2]) == [(1, "heartbeat")]
+
+    def test_disconnected_sender_cannot_send_new_messages(self, engine):
+        world, network, inboxes = make_network(engine, latency=ConstantLatency(10.0))
+        network.disconnect(1)
+        network.send(1, 2, "x")
+        assert world.scheduler.pending_count == 0
+        world.run_for(50.0)
+        assert inboxes[2] == []
+        assert network.stats.dropped_disconnected == 1
+
+    def test_reconnect_restores_delivery(self, engine):
+        world, network, inboxes = make_network(engine, latency=ConstantLatency(10.0))
+        network.disconnect(2)
+        network.reconnect(2)
+        network.send(1, 2, "back")
+        world.run_for(20.0)
+        assert received(inboxes[2]) == [(1, "back")]
+
+    def test_is_connected_reflects_state(self, engine):
+        _, network, _ = make_network(engine)
+        assert network.is_connected(1)
+        network.disconnect(1)
+        assert not network.is_connected(1)
+
+
+class TestBroadcast:
+    def test_broadcast_builds_payload_per_target(self, engine):
+        world, network, inboxes = make_network(engine, latency=ConstantLatency(5.0))
+        assert network.broadcast(1, [2, 3], lambda dst: f"for-{dst}") is None
+        world.run_for(10.0)
+        assert inboxes[2] == [(5.0, 1, "for-2")]
+        assert inboxes[3] == [(5.0, 1, "for-3")]
+
+    def test_broadcast_omission_fault_drops_a_subset(self, engine):
+        world, network, inboxes = make_network(
+            engine,
+            members=tuple(range(1, 11)),
+            latency=ConstantLatency(5.0),
+            fault=BroadcastOmissionFault(0.4),
+        )
+        targets = list(range(2, 11))
+        network.broadcast(1, targets, lambda dst: "hb")
+        world.run_for(10.0)
+        reached = sum(1 for member in targets if inboxes[member])
+        assert reached == len(targets) - 4  # ceil(0.4 * 9) == 4 omitted
+        assert network.stats.dropped_by_fault == 4
+
+    def test_disconnected_sender_broadcast_keeps_accounting_balanced(self, engine):
+        # Regression: a disconnected sender's broadcast used to bump
+        # dropped_disconnected without recording the messages as sent,
+        # breaking sent == delivered + dropped once everything drained.
+        world, network, inboxes = make_network(engine, latency=ConstantLatency(5.0))
+        network.disconnect(1)
+        network.broadcast(1, [2, 3], lambda dst: f"for-{dst}")
+        assert world.scheduler.pending_count == 0
+        world.run_for(10.0)
+        assert inboxes[2] == [] and inboxes[3] == []
+        assert network.stats.sent == 2
+        assert network.stats.dropped_disconnected == 2
+        assert network.stats.sent == network.stats.delivered + network.stats.dropped
+        assert network.stats.per_type_sent == {"str": 2}
+
+    def test_unicast_loss_fault_counts_drops(self, engine):
+        world, network, _ = make_network(
+            engine, latency=ConstantLatency(5.0), fault=PacketLossFault(1.0)
+        )
+        network.send(1, 2, "x")
+        assert network.stats.dropped_by_fault == 1
+        assert world.scheduler.pending_count == 0
+
+    def test_set_fault_replaces_injector(self, engine):
+        world, network, _ = make_network(engine, latency=ConstantLatency(5.0))
+        network.set_fault(PacketLossFault(1.0))
+        network.send(1, 2, "x")
+        assert network.stats.dropped_by_fault == 1
+        assert world.scheduler.pending_count == 0
+
+
+class TestPartitions:
+    def test_partition_blocks_cross_cell_messages(self, engine):
+        world, network, inboxes = make_network(
+            engine, members=(1, 2, 3, 4, 5), latency=ConstantLatency(5.0)
+        )
+        network.partitions.partition([1, 2], [3, 4, 5])
+        network.send(1, 2, "same-cell")
+        network.send(1, 3, "cross-cell")
+        world.run_for(10.0)
+        assert received(inboxes[2]) == [(1, "same-cell")]
+        assert inboxes[3] == []
+        assert network.stats.dropped_by_partition == 1
+
+    def test_heal_restores_connectivity(self, engine):
+        world, network, inboxes = make_network(engine, latency=ConstantLatency(5.0))
+        network.partitions.partition([1], [2, 3])
+        network.partitions.heal()
+        network.send(1, 2, "healed")
+        world.run_for(10.0)
+        assert received(inboxes[2]) == [(1, "healed")]
+
+    def test_partition_applies_to_messages_in_flight(self, engine):
+        world, network, inboxes = make_network(engine, latency=ConstantLatency(100.0))
+        network.send(1, 2, "will-be-cut")
+        network.partitions.partition([1], [2, 3])
+        world.run_for(200.0)
+        assert inboxes[2] == []
+
+
+class TestInFlightDropTraces:
+    """Both engines emit the ``net.drop`` schema for delivery-time drops."""
+
+    @staticmethod
+    def _drops(world):
+        return [
+            dict(record.detail)
+            for record in world.tracer.records
+            if record.category == "net.drop"
+        ]
+
+    def test_disconnect_drop_carries_in_flight_flag(self, engine):
+        world, network, _ = make_network(engine, latency=ConstantLatency(10.0), seed=7)
+        network.send(1, 2, "hello")
+        network.disconnect(2)
+        world.scheduler.run_until_idle()
+        assert self._drops(world) == [
+            {"dst": 2, "reason": "disconnected", "in_flight": True}
+        ]
+        assert network.stats.dropped_disconnected == 1
+        assert network.stats.delivered == 0
+
+    def test_partition_drop_carries_in_flight_flag(self, engine):
+        world, network, _ = make_network(engine, latency=ConstantLatency(10.0), seed=7)
+        network.send(1, 2, "hello")
+        network.partitions.partition([1], [2, 3])
+        world.scheduler.run_until_idle()
+        assert self._drops(world) == [
+            {"dst": 2, "reason": "partition", "in_flight": True}
+        ]
+        assert network.stats.dropped_by_partition == 1
+
+
+class TestInertSends:
+    """An inert send does everything a send does except get delivered."""
+
+    @staticmethod
+    def _network(engine, fault=None):
+        return make_network(
+            engine, latency=UniformLatency(5.0, 10.0), fault=fault, seed=7
+        )
+
+    def test_counted_and_sampled_but_never_scheduled(self, engine):
+        world, network, inboxes = self._network(engine)
+        network.send(1, 2, "refusal", True)
+        stats = network.stats
+        assert (stats.sent, stats.elided, stats.per_type_sent) == (1, 1, {"str": 1})
+        # No record and no sequence number...
+        assert world.scheduler.pending_count == world.scheduler.scheduled_count == 0
+        # ...but the latency draw was made: the next message arrives when it
+        # would have had the refusal been delivered.
+        network.send(1, 3, "next")
+        world.scheduler.run_until_idle()
+        reference_world, reference, both = self._network(engine)
+        reference.send(1, 2, "refusal")
+        reference.send(1, 3, "next")
+        reference_world.scheduler.run_until_idle()
+        assert len(both[2]) == len(both[3]) == 1 and stats.delivered == 1
+        assert (inboxes[2], inboxes[3]) == ([], both[3])
+
+    def test_send_time_drops_are_still_drops(self, engine):
+        world, network, _ = self._network(engine)
+        network.partitions.partition([1], [2, 3])
+        network.send(1, 2, "refusal", True)
+        network.partitions.heal()
+        network.disconnect(1)
+        network.send(1, 2, "refusal", True)
+        stats = network.stats
+        assert (stats.sent, stats.dropped, stats.elided) == (2, 2, 0)
+        assert [record.detail["reason"] for record in world.tracer.records] == [
+            "partition",
+            "disconnected",
+        ]
+
+    def test_the_duplicate_of_an_inert_send_is_elided_too(self, engine):
+        world, network, _ = self._network(engine, fault=MessageDuplicationFault(1.0))
+        network.send(1, 2, "refusal", True)
+        stats = network.stats
+        assert (stats.sent, stats.duplicated, stats.elided) == (1, 1, 2)
+        assert world.scheduler.pending_count == 0
+
+
+# --------------------------------------------------------------------------- #
+# The node environment (one class, bound to either engine)
+# --------------------------------------------------------------------------- #
+def make_env(engine, node_id=1, seed=0):
+    world, network, inboxes = make_network(
+        engine, latency=ConstantLatency(10.0), seed=seed
+    )
+    return world, network, inboxes, SimNodeEnvironment(world, network, node_id)
+
+
+class TestSimNodeEnvironment:
+    def test_now_tracks_the_world_clock(self, engine):
+        world, _, _, env = make_env(engine)
+        assert env.now() == 0.0
+        world.run_for(42.0)
+        assert env.now() == 42.0
+
+    def test_send_and_broadcast_go_through_the_network(self, engine):
+        world, network, inboxes, env = make_env(engine)
+        env.send(2, "direct")
+        env.send(3, "refusal", True)  # inert: positional, as nodes pass it
+        env.broadcast([2, 3], lambda dst: f"hello-{dst}")
+        world.run_for(50.0)
+        assert received(inboxes[2]) == [(1, "direct"), (1, "hello-2")]
+        assert received(inboxes[3]) == [(1, "hello-3")]
+        assert (network.stats.sent, network.stats.elided) == (4, 1)
+
+    def test_timers_fire_through_the_scheduler_and_can_be_cancelled(self, engine):
+        world, _, _, env = make_env(engine)
+        fired = []
+        env.set_timer(20.0, lambda: fired.append("keep"), label="keep")
+        drop = env.set_timer(10.0, lambda: fired.append("drop"), label="drop")
+        env.cancel_timer(drop)
+        env.cancel_timer(drop)  # a timer handle is a token; twice is safe
+        world.run_for(50.0)
+        assert fired == ["keep"]
+        assert world.scheduler.cancelled_count == 1
+
+    def test_trace_records_are_attributed_to_the_node(self, engine):
+        world, _, _, env = make_env(engine, node_id=2)
+        assert env.trace_enabled
+        env.trace("unit.test", detail=1)
+        record = world.tracer.records[0]
+        assert (record.node, record.category) == (2, "unit.test")
+        assert dict(record.detail) == {"detail": 1}
+
+    def test_trace_is_a_no_op_when_the_world_records_nothing(self, engine):
+        world = SimulationWorld(seed=0, trace=False, engine=engine)
+        network = world.engine.network_class()(world, (1, 2, 3))
+        env = SimNodeEnvironment(world, network, 1)
+        assert not env.trace_enabled
+        env.trace("unit.test", detail=1)
+        assert list(world.tracer.records) == []
+
+    def test_each_node_has_an_independent_deterministic_rng(self, engine):
+        _, _, _, env_a = make_env(engine, node_id=1, seed=5)
+        _, _, _, env_b = make_env(engine, node_id=2, seed=5)
+        _, _, _, env_a_again = make_env(engine, node_id=1, seed=5)
+        draws_a = [env_a.rng.random() for _ in range(3)]
+        assert draws_a == [env_a_again.rng.random() for _ in range(3)]
+        assert draws_a != [env_b.rng.random() for _ in range(3)]
+
+    def test_node_id_attribute(self, engine):
+        _, _, _, env = make_env(engine, node_id=3)
+        assert env.node_id == 3
+
+
+# --------------------------------------------------------------------------- #
+# Engine-owned: how the heap is kept small
+# --------------------------------------------------------------------------- #
+def _heartbeat_churn(scheduler, beats=5_000):
+    """The election-timer pattern: every heartbeat cancels the previous
+    far-future timeout and arms a new one."""
+    state = {"timer": None, "beats": 0}
+
+    def heartbeat():
+        if state["timer"] is not None:
+            state["timer"].cancel()
+        state["timer"] = scheduler.call_after(10_000.0, lambda: None)
+        state["beats"] += 1
+        if state["beats"] < beats:
+            scheduler.call_after(1.0, heartbeat)
+
+    scheduler.call_after(1.0, heartbeat)
+    scheduler.run_until(beats + 1_000.0)
+    assert state["beats"] == beats
+    return scheduler
+
+
+class TestHeapGauges:
+    """``heap_size`` / ``compaction_count`` are not part of the cross-engine
+    contract: ``flat`` compacts dead records away at a fixed threshold,
+    ``classic`` lets a cancelled timer sit until its time comes."""
+
+    def test_flat_heap_stays_bounded_under_reschedule_churn(self):
+        """The cancelled-event leak: re-arming a timer must not grow the heap
+        of the engine the sweeps run on."""
+        scheduler = _heartbeat_churn(FlatEventScheduler())
+        # One live timeout + one live heartbeat chain entry at most, and the
+        # heap never retains more than ~2x the live entries after compaction.
+        assert scheduler.pending_count <= 2
+        assert scheduler.heap_size <= 2 * COMPACT_MIN_SIZE
+        assert scheduler.compaction_count > 0
+
+    def test_a_dead_timer_leaves_the_heap_once_nothing_live_is_ahead_of_it(
+        self, engine
+    ):
+        """Both engines agree on what is live; only the reference still holds
+        the dead timers, and only while a live event sits ahead of them --
+        which ends, at the latest, when their own time comes."""
+        scheduler = engines.get(engine).scheduler_class()()
+        scheduler.call_at(9_000.0, lambda: None)  # live, ahead of every timeout
+        _heartbeat_churn(scheduler, 500)
+        assert (scheduler.pending_count, scheduler.cancelled_count) == (2, 499)
+        if engine == "classic":
+            assert (scheduler.heap_size, scheduler.compaction_count) == (501, 0)
+        scheduler.run_until(9_000.0)
+        assert (scheduler.pending_count, scheduler.heap_size) == (1, 1)
+        scheduler.run_until_idle()
+        assert (scheduler.now(), scheduler.executed_count) == (10_500.0, 502)
+
+    def test_small_flat_heaps_are_not_compacted(self):
+        scheduler = FlatEventScheduler()
+        handles = [
+            scheduler.call_after(10.0, lambda: None)
+            for _ in range(COMPACT_MIN_SIZE - 1)
+        ]
+        for handle in handles:
+            handle.cancel()
+        assert (scheduler.compaction_count, scheduler.pending_count) == (0, 0)
+        assert scheduler.heap_size == COMPACT_MIN_SIZE - 1
+
+    def test_flat_pending_count_is_exact_through_compaction(self):
+        scheduler = FlatEventScheduler()
+        keep = [scheduler.call_after(float(i + 1), lambda: None) for i in range(50)]
+        drop = [scheduler.call_after(float(i + 100), lambda: None) for i in range(51)]
+        for handle in drop:
+            handle.cancel()
+        # Cancelled entries (51) outnumber live ones (50) -> compacted.
+        assert scheduler.compaction_count >= 1
+        assert (scheduler.pending_count, scheduler.heap_size) == (50, 50)
+        for handle in keep[:20]:
+            handle.cancel()
+        assert scheduler.pending_count == 30
+
+    def test_compaction_preserves_execution_order(self):
+        """Same schedule-and-cancel pattern on the engine that compacts and
+        on the one that never does: same order."""
+
+        def run(engine):
+            scheduler = engines.get(engine).scheduler_class()()
+            order = []
+            handles = [
+                scheduler.call_after(
+                    float(index % 17) + 1.0, lambda index=index: order.append(index)
+                )
+                for index in range(200)
+            ]
+            for index, handle in enumerate(handles):
+                if index % 3 != 0:
+                    handle.cancel()
+            scheduler.run_until_idle()
+            return order, scheduler.compaction_count
+
+        flat_order, flat_compactions = run("flat")
+        classic_order, classic_compactions = run("classic")
+        assert flat_order == classic_order and len(flat_order) == 67
+        assert flat_compactions > 0 and classic_compactions == 0

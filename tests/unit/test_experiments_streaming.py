@@ -42,7 +42,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.records import AvailabilitySet, MeasurementSet
 from repro.metrics.streaming import ElectionAggregate
-from repro.workload import WorkloadAggregate, WorkloadSet
+from repro.workload import WorkloadAggregate
 from repro.workload.scenario import ThroughputScenario
 
 SCENARIOS = {
@@ -63,7 +63,6 @@ CONTAINERS = {
     MeasurementSet: SCENARIOS["raft-small"],
     ElectionAggregate: SCENARIOS["raft-small"],
     AvailabilitySet: _CHAOS,
-    WorkloadSet: _SERVING,
     WorkloadAggregate: _SERVING,
     FailoverSet: RedisFailoverModel(RedisClusterParameters(rank_confusion=0.6)),
 }

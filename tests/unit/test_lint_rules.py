@@ -226,8 +226,8 @@ class TestD4SimSleep:
         )
         assert _ids(findings) == ["D4"]
 
-    def test_runtime_modules_are_allowlisted(self, tmp_path):
-        pkg = tmp_path / "repro" / "runtime"
+    def test_allowlisted_modules_are_exempt(self, tmp_path):
+        pkg = tmp_path / "repro" / "adapters"
         pkg.mkdir(parents=True)
         path = pkg / "loop.py"
         path.write_text(

@@ -16,7 +16,7 @@ from repro.metrics.stats import (
     reduction_percent,
     summarize,
 )
-from repro.metrics.tables import render_comparison_table, render_table
+from repro.metrics.tables import render_table
 
 
 def measurement(total=2000.0, converged=True, split=False, protocol="raft", **kwargs):
@@ -87,13 +87,25 @@ class TestMeasurementSet:
 
     @pytest.mark.parametrize(
         "statistic",
-        ["mean_detection_ms", "mean_election_ms", "mean_campaigns", "total_summary"],
+        ["mean_detection_ms", "mean_election_ms", "total_summary"],
     )
     def test_a_cell_with_no_converged_run_fails_with_its_label(self, statistic):
         # Not ZeroDivisionError: the report of a sweep names the empty cell.
         stalled = MeasurementSet([measurement(converged=False)], label="raft@8")
         with pytest.raises(ClusterError, match="no converged runs .* 'raft@8'"):
             getattr(stalled, statistic)()
+
+    def test_mean_campaigns_is_per_run_over_every_run(self):
+        # A run that never converged campaigned too; the streaming aggregate
+        # answers the same (tests/property/test_streaming_equivalence.py).
+        mixed = MeasurementSet(
+            [measurement(campaigns=1), measurement(converged=False, campaigns=9)]
+        )
+        assert mixed.mean_campaigns() == 5.0
+        stalled = MeasurementSet([measurement(converged=False, campaigns=4)])
+        assert stalled.mean_campaigns() == 4.0
+        with pytest.raises(ClusterError, match="no runs in MeasurementSet 'empty'"):
+            MeasurementSet(label="empty").mean_campaigns()
 
     def test_means_cover_the_converged_runs(self):
         measurements = MeasurementSet(
@@ -105,7 +117,6 @@ class TestMeasurementSet:
         )
         assert measurements.mean_detection_ms() == 2250.0
         assert measurements.mean_election_ms() == 750.0
-        assert measurements.mean_campaigns() == 2.0
         assert measurements.total_summary() == summarize([2000.0, 4000.0])
 
     def test_values_selector(self):
@@ -242,17 +253,3 @@ class TestTables:
     def test_render_table_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             render_table(headers=["a", "b"], rows=[[1]])
-
-    def test_render_comparison_table(self):
-        text = render_comparison_table(
-            row_labels=[8, 16],
-            series={"raft": [2000.0, 2500.0], "escape": [1800.0, 1900.0]},
-            row_header="servers",
-        )
-        assert "servers" in text
-        assert "2500.0" in text
-        assert "escape" in text
-
-    def test_render_comparison_table_with_missing_values(self):
-        text = render_comparison_table(row_labels=[1, 2], series={"x": [10.0]})
-        assert "-" in text

@@ -18,7 +18,6 @@ from repro.net.latency import (
     GeoGroupLatency,
     LogNormalLatency,
     UniformLatency,
-    paper_latency,
 )
 
 
@@ -34,10 +33,6 @@ class TestLatencyModels:
         samples = [model.sample(rng, 1, 2) for _ in range(500)]
         assert all(100.0 <= sample <= 200.0 for sample in samples)
         assert max(samples) - min(samples) > 50.0  # actually spreads out
-
-    def test_paper_latency_matches_netem_setting(self):
-        model = paper_latency()
-        assert (model.low_ms, model.high_ms) == (100.0, 200.0)
 
     def test_uniform_latency_rejects_inverted_range(self):
         with pytest.raises(ConfigurationError):

@@ -1,185 +1,13 @@
-"""Unit tests for the simulated network and partitions."""
+"""Unit tests for the partition manager.
+
+The networks built on it are covered, on every engine, by
+``tests/unit/test_engine_contract.py``.
+"""
 
 import pytest
 
 from repro.common.errors import NetworkError
-from repro.net.faults import BroadcastOmissionFault, PacketLossFault
-from repro.net.latency import ConstantLatency, UniformLatency
-from repro.net.network import SimulatedNetwork
 from repro.net.partition import PartitionManager
-from repro.sim.world import SimulationWorld
-
-
-def make_network(members=(1, 2, 3), latency=None, fault=None, seed=0):
-    world = SimulationWorld(seed=seed)
-    network = SimulatedNetwork(world, members, latency=latency, fault=fault)
-    inboxes = {member: [] for member in members}
-    for member in members:
-        network.register(member, lambda src, payload, member=member: inboxes[member].append((src, payload)))
-    return world, network, inboxes
-
-
-class TestDelivery:
-    def test_message_is_delivered_after_sampled_latency(self):
-        world, network, inboxes = make_network(latency=ConstantLatency(50.0))
-        envelope = network.send(1, 2, "hello")
-        assert envelope is not None and envelope.latency_ms == 50.0
-        assert inboxes[2] == []
-        world.run_for(49.0)
-        assert inboxes[2] == []
-        world.run_for(2.0)
-        assert inboxes[2] == [(1, "hello")]
-
-    def test_latency_is_sampled_within_model_range(self):
-        world, network, inboxes = make_network(latency=UniformLatency(100.0, 200.0))
-        envelopes = [network.send(1, 2, index) for index in range(50)]
-        assert all(100.0 <= envelope.latency_ms <= 200.0 for envelope in envelopes)
-
-    def test_stats_count_sent_and_delivered(self):
-        world, network, inboxes = make_network(latency=ConstantLatency(10.0))
-        network.send(1, 2, "a")
-        network.send(2, 3, "b")
-        world.run_for(20.0)
-        assert network.stats.sent == 2
-        assert network.stats.delivered == 2
-        assert network.stats.dropped == 0
-
-    def test_per_type_stats(self):
-        world, network, _ = make_network(latency=ConstantLatency(1.0))
-        network.send(1, 2, "x")
-        network.send(1, 2, 5)
-        assert network.stats.per_type_sent == {"str": 1, "int": 1}
-
-    def test_unknown_member_rejected(self):
-        _, network, _ = make_network()
-        with pytest.raises(NetworkError):
-            network.send(1, 99, "x")
-        with pytest.raises(NetworkError):
-            network.register(99, lambda src, payload: None)
-
-    def test_same_seed_reproduces_latencies(self):
-        def run(seed):
-            world, network, _ = make_network(latency=UniformLatency(100.0, 200.0), seed=seed)
-            return [network.send(1, 2, i).latency_ms for i in range(10)]
-
-        assert run(5) == run(5)
-        assert run(5) != run(6)
-
-
-class TestDisconnection:
-    def test_disconnected_destination_drops_in_flight_messages(self):
-        world, network, inboxes = make_network(latency=ConstantLatency(100.0))
-        network.send(1, 2, "late")
-        network.disconnect(2)
-        world.run_for(200.0)
-        assert inboxes[2] == []
-        assert network.stats.dropped_disconnected == 1
-
-    def test_messages_already_in_flight_from_a_crashed_sender_still_deliver(self):
-        # A killed process cannot recall packets already on the wire.
-        world, network, inboxes = make_network(latency=ConstantLatency(100.0))
-        network.send(1, 2, "heartbeat")
-        network.disconnect(1)
-        world.run_for(200.0)
-        assert inboxes[2] == [(1, "heartbeat")]
-
-    def test_disconnected_sender_cannot_send_new_messages(self):
-        world, network, inboxes = make_network(latency=ConstantLatency(10.0))
-        network.disconnect(1)
-        assert network.send(1, 2, "x") is None
-        world.run_for(50.0)
-        assert inboxes[2] == []
-
-    def test_reconnect_restores_delivery(self):
-        world, network, inboxes = make_network(latency=ConstantLatency(10.0))
-        network.disconnect(2)
-        network.reconnect(2)
-        network.send(1, 2, "back")
-        world.run_for(20.0)
-        assert inboxes[2] == [(1, "back")]
-
-    def test_is_connected_reflects_state(self):
-        _, network, _ = make_network()
-        assert network.is_connected(1)
-        network.disconnect(1)
-        assert not network.is_connected(1)
-
-
-class TestBroadcast:
-    def test_broadcast_builds_payload_per_target(self):
-        world, network, inboxes = make_network(latency=ConstantLatency(5.0))
-        network.broadcast(1, [2, 3], lambda dst: f"for-{dst}")
-        world.run_for(10.0)
-        assert inboxes[2] == [(1, "for-2")]
-        assert inboxes[3] == [(1, "for-3")]
-
-    def test_broadcast_omission_fault_drops_a_subset(self):
-        world, network, inboxes = make_network(
-            members=tuple(range(1, 11)),
-            latency=ConstantLatency(5.0),
-            fault=BroadcastOmissionFault(0.4),
-        )
-        targets = list(range(2, 11))
-        network.broadcast(1, targets, lambda dst: "hb")
-        world.run_for(10.0)
-        reached = sum(1 for member in targets if inboxes[member])
-        assert reached == len(targets) - 4  # ceil(0.4 * 9) == 4 omitted
-        assert network.stats.dropped_by_fault == 4
-
-    def test_disconnected_sender_broadcast_keeps_accounting_balanced(self):
-        # Regression: a disconnected sender's broadcast used to bump
-        # dropped_disconnected without recording the messages as sent,
-        # breaking sent == delivered + dropped once everything drained.
-        world, network, inboxes = make_network(latency=ConstantLatency(5.0))
-        network.disconnect(1)
-        assert network.broadcast(1, [2, 3], lambda dst: f"for-{dst}") == []
-        world.run_for(10.0)
-        assert inboxes[2] == [] and inboxes[3] == []
-        assert network.stats.sent == 2
-        assert network.stats.dropped_disconnected == 2
-        assert network.stats.sent == network.stats.delivered + network.stats.dropped
-        assert network.stats.per_type_sent == {"str": 2}
-
-    def test_unicast_loss_fault_counts_drops(self):
-        world, network, inboxes = make_network(
-            latency=ConstantLatency(5.0), fault=PacketLossFault(1.0)
-        )
-        assert network.send(1, 2, "x") is None
-        assert network.stats.dropped_by_fault == 1
-
-    def test_set_fault_replaces_injector(self):
-        world, network, inboxes = make_network(latency=ConstantLatency(5.0))
-        network.set_fault(PacketLossFault(1.0))
-        assert network.send(1, 2, "x") is None
-
-
-class TestPartitions:
-    def test_partition_blocks_cross_cell_messages(self):
-        world, network, inboxes = make_network(
-            members=(1, 2, 3, 4, 5), latency=ConstantLatency(5.0)
-        )
-        network.partitions.partition([1, 2], [3, 4, 5])
-        network.send(1, 2, "same-cell")
-        network.send(1, 3, "cross-cell")
-        world.run_for(10.0)
-        assert inboxes[2] == [(1, "same-cell")]
-        assert inboxes[3] == []
-        assert network.stats.dropped_by_partition == 1
-
-    def test_heal_restores_connectivity(self):
-        world, network, inboxes = make_network(latency=ConstantLatency(5.0))
-        network.partitions.partition([1], [2, 3])
-        network.partitions.heal()
-        network.send(1, 2, "healed")
-        world.run_for(10.0)
-        assert inboxes[2] == [(1, "healed")]
-
-    def test_partition_applies_to_messages_in_flight(self):
-        world, network, inboxes = make_network(latency=ConstantLatency(100.0))
-        network.send(1, 2, "will-be-cut")
-        network.partitions.partition([1], [2, 3])
-        world.run_for(200.0)
-        assert inboxes[2] == []
 
 
 class TestPartitionManager:

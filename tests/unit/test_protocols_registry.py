@@ -200,15 +200,6 @@ class TestConformance:
         # Eq. 1 with paper defaults (base 1500, k 500): highest id is fastest.
         assert ladder == {1: 3000.0, 2: 2500.0, 3: 2000.0, 4: 1500.0}
 
-    def test_async_cluster_dispatches_through_the_registry(self):
-        from repro.runtime.cluster import LocalAsyncCluster
-
-        cluster = LocalAsyncCluster(protocol="escape-noppf", size=3)
-        assert cluster.spec is protocols.get("escape-noppf")
-        assert cluster.protocol == "escape-noppf"
-        with pytest.raises(ConfigurationError, match="registered"):
-            LocalAsyncCluster(protocol="paxos")
-
     def test_escape_noppf_never_starts_a_patrol(self):
         scenario = ElectionScenario(protocol="escape-noppf", cluster_size=3)
         cluster, harness = scenario.build(seed=6)

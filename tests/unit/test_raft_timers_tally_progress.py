@@ -10,11 +10,9 @@ from repro.raft.election import VoteTally
 from repro.raft.replication import ReplicationProgress
 from repro.raft.timers import (
     FixedTimeoutPolicy,
-    OffsetTimeoutPolicy,
     RandomizedTimeoutPolicy,
     ScriptOnlyPolicy,
     ScriptedTimeoutPolicy,
-    scripted_then_random,
 )
 from repro.storage.log import LogEntry, ReplicatedLog
 
@@ -51,16 +49,6 @@ class TestTimeoutPolicies:
         rng = random.Random(0)
         assert policy.next_timeout_ms(rng, 0) == 100.0
         assert policy.next_timeout_ms(rng, 1) == 0.0
-
-    def test_offset_policy_adds_constant(self):
-        policy = OffsetTimeoutPolicy(base=FixedTimeoutPolicy(100.0), offset_ms=25.0)
-        assert policy.next_timeout_ms(random.Random(0), 0) == 125.0
-
-    def test_scripted_then_random_helper(self):
-        policy = scripted_then_random([50.0], 100.0, 200.0)
-        rng = random.Random(0)
-        assert policy.next_timeout_ms(rng, 0) == 50.0
-        assert 100.0 <= policy.next_timeout_ms(rng, 1) <= 200.0
 
     def test_invalid_policies_rejected(self):
         with pytest.raises(ConfigurationError):

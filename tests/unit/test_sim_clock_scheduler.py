@@ -1,10 +1,13 @@
-"""Unit tests for the virtual clock and the discrete-event scheduler."""
+"""Unit tests for the virtual clock.
+
+The schedulers driving it are covered, on every engine, by
+``tests/unit/test_engine_contract.py``.
+"""
 
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim.clock import VirtualClock
-from repro.sim.scheduler import EventScheduler
 
 
 class TestVirtualClock:
@@ -32,237 +35,3 @@ class TestVirtualClock:
     def test_cannot_start_negative(self):
         with pytest.raises(SimulationError):
             VirtualClock(-1.0)
-
-
-class TestSchedulerOrdering:
-    def test_events_run_in_time_order(self):
-        scheduler = EventScheduler()
-        order = []
-        scheduler.call_after(30.0, lambda: order.append("c"))
-        scheduler.call_after(10.0, lambda: order.append("a"))
-        scheduler.call_after(20.0, lambda: order.append("b"))
-        scheduler.run_until_idle()
-        assert order == ["a", "b", "c"]
-
-    def test_same_time_events_run_in_insertion_order(self):
-        scheduler = EventScheduler()
-        order = []
-        for name in ("first", "second", "third"):
-            scheduler.call_at(50.0, lambda name=name: order.append(name))
-        scheduler.run_until_idle()
-        assert order == ["first", "second", "third"]
-
-    def test_clock_reflects_last_executed_event(self):
-        scheduler = EventScheduler()
-        scheduler.call_after(40.0, lambda: None)
-        scheduler.run_until_idle()
-        assert scheduler.now() == 40.0
-
-    def test_events_scheduled_during_execution_run(self):
-        scheduler = EventScheduler()
-        seen = []
-
-        def outer():
-            seen.append("outer")
-            scheduler.call_after(5.0, lambda: seen.append("inner"))
-
-        scheduler.call_after(10.0, outer)
-        scheduler.run_until_idle()
-        assert seen == ["outer", "inner"]
-        assert scheduler.now() == 15.0
-
-
-class TestSchedulerCancellation:
-    def test_cancelled_events_do_not_run(self):
-        scheduler = EventScheduler()
-        fired = []
-        handle = scheduler.call_after(10.0, lambda: fired.append(1))
-        handle.cancel()
-        scheduler.run_until_idle()
-        assert fired == []
-        assert handle.cancelled
-
-    def test_cancel_is_idempotent(self):
-        scheduler = EventScheduler()
-        handle = scheduler.call_after(10.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert scheduler.pending_count == 0
-
-    def test_pending_count_ignores_cancelled(self):
-        scheduler = EventScheduler()
-        keep = scheduler.call_after(5.0, lambda: None)
-        drop = scheduler.call_after(6.0, lambda: None)
-        drop.cancel()
-        assert scheduler.pending_count == 1
-        assert not keep.cancelled
-
-
-class TestSchedulerRunModes:
-    def test_run_until_executes_only_due_events(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.call_after(10.0, lambda: fired.append("early"))
-        scheduler.call_after(100.0, lambda: fired.append("late"))
-        scheduler.run_until(50.0)
-        assert fired == ["early"]
-        assert scheduler.now() == 50.0
-        scheduler.run_until_idle()
-        assert fired == ["early", "late"]
-
-    def test_run_until_condition_stops_when_condition_holds(self):
-        scheduler = EventScheduler()
-        state = {"count": 0}
-        for _ in range(10):
-            scheduler.call_after(10.0 * (_ + 1), lambda: state.update(count=state["count"] + 1))
-        satisfied = scheduler.run_until_condition(
-            lambda: state["count"] >= 3, max_time_ms=1_000.0
-        )
-        assert satisfied
-        assert state["count"] == 3
-
-    def test_run_until_condition_times_out(self):
-        scheduler = EventScheduler()
-        scheduler.call_after(500.0, lambda: None)
-        satisfied = scheduler.run_until_condition(lambda: False, max_time_ms=100.0)
-        assert not satisfied
-        assert scheduler.now() == 100.0
-
-    def test_run_until_condition_true_immediately(self):
-        scheduler = EventScheduler()
-        assert scheduler.run_until_condition(lambda: True, max_time_ms=10.0)
-
-    def test_step_returns_false_when_empty(self):
-        assert EventScheduler().step() is False
-
-
-class TestSchedulerCompaction:
-    def test_heap_stays_bounded_under_reschedule_churn(self):
-        """The cancelled-event leak: re-arming a timer must not grow the heap.
-
-        This is exactly the election-timer pattern -- every heartbeat cancels
-        the previous timeout and schedules a new one.  Before compaction the
-        heap held every cancelled entry until its (far-future) deadline
-        reached the head, i.e. it grew linearly with simulated time.
-        """
-        scheduler = EventScheduler()
-        state = {"timer": None, "beats": 0}
-
-        def heartbeat():
-            if state["timer"] is not None:
-                state["timer"].cancel()
-            # Far-future timeout: the lazy head-pop alone would never reach it.
-            state["timer"] = scheduler.call_after(10_000.0, lambda: None)
-            state["beats"] += 1
-            if state["beats"] < 5_000:
-                scheduler.call_after(1.0, heartbeat)
-
-        scheduler.call_after(1.0, heartbeat)
-        scheduler.run_until(6_000.0)
-        assert state["beats"] == 5_000
-        # One live timeout + one live heartbeat chain entry at most, and the
-        # heap never retains more than ~2x the live entries after compaction.
-        assert scheduler.pending_count <= 2
-        assert scheduler.heap_size <= 128
-        assert scheduler.compaction_count > 0
-
-    def test_small_heaps_are_not_compacted(self):
-        scheduler = EventScheduler(compact_min_size=64)
-        handles = [scheduler.call_after(10.0, lambda: None) for _ in range(10)]
-        for handle in handles:
-            handle.cancel()
-        assert scheduler.compaction_count == 0
-        assert scheduler.pending_count == 0
-
-    def test_pending_count_is_exact_through_compaction(self):
-        scheduler = EventScheduler(compact_min_size=8)
-        keep = [scheduler.call_after(float(i + 1), lambda: None) for i in range(50)]
-        drop = [scheduler.call_after(float(i + 100), lambda: None) for i in range(51)]
-        for handle in drop:
-            handle.cancel()
-        # Cancelled entries (51) outnumber live ones (50) -> compacted.
-        assert scheduler.compaction_count >= 1
-        assert scheduler.pending_count == 50
-        assert scheduler.heap_size == 50
-        for handle in keep[:20]:
-            handle.cancel()
-        assert scheduler.pending_count == 30
-
-    def test_compaction_preserves_execution_order(self):
-        """Same schedule-and-cancel pattern, compacting vs not: same order."""
-
-        def run(compact_min_size):
-            scheduler = EventScheduler(compact_min_size=compact_min_size)
-            order = []
-            handles = []
-            for index in range(200):
-                handles.append(
-                    scheduler.call_after(
-                        float(index % 17) + 1.0,
-                        lambda index=index: order.append(index),
-                    )
-                )
-            for index, handle in enumerate(handles):
-                if index % 3 != 0:
-                    handle.cancel()
-            scheduler.run_until_idle()
-            return order
-
-        assert run(compact_min_size=8) == run(compact_min_size=10**9)
-
-    def test_cancelling_an_executed_event_does_not_corrupt_accounting(self):
-        scheduler = EventScheduler()
-        handles = []
-
-        def fire():
-            pass
-
-        for _ in range(5):
-            handles.append(scheduler.call_after(1.0, fire))
-        scheduler.run_until_idle()
-        for handle in handles:
-            handle.cancel()  # cancelling after execution must be a no-op
-        assert scheduler.pending_count == 0
-        assert scheduler.heap_size == 0
-
-    def test_callback_cancelling_itself_is_harmless(self):
-        scheduler = EventScheduler()
-        state = {}
-
-        def fire():
-            state["handle"].cancel()
-
-        state["handle"] = scheduler.call_after(1.0, fire)
-        scheduler.call_after(2.0, lambda: None)
-        scheduler.run_until_idle()
-        assert scheduler.pending_count == 0
-
-
-class TestSchedulerSafety:
-    def test_cannot_schedule_in_the_past(self):
-        scheduler = EventScheduler()
-        scheduler.call_after(10.0, lambda: None)
-        scheduler.run_until_idle()
-        with pytest.raises(SimulationError):
-            scheduler.call_at(5.0, lambda: None)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            EventScheduler().call_after(-1.0, lambda: None)
-
-    def test_event_budget_stops_runaway_simulations(self):
-        scheduler = EventScheduler(max_events=50)
-
-        def reschedule():
-            scheduler.call_after(1.0, reschedule)
-
-        scheduler.call_after(1.0, reschedule)
-        with pytest.raises(SimulationError, match="budget"):
-            scheduler.run_until_idle()
-
-    def test_executed_count_tracks_events(self):
-        scheduler = EventScheduler()
-        for _ in range(5):
-            scheduler.call_after(1.0, lambda: None)
-        scheduler.run_until_idle()
-        assert scheduler.executed_count == 5

@@ -1,11 +1,10 @@
-"""Unit tests for the persistent stores and snapshots."""
+"""Unit tests for the persistent stores."""
 
 import pytest
 
 from repro.common.errors import StorageError
 from repro.storage.log import LogEntry, ReplicatedLog
 from repro.storage.persistent import FileStore, InMemoryStore
-from repro.storage.snapshot import Snapshot, SnapshotStore
 
 
 class TestInMemoryStore:
@@ -93,38 +92,3 @@ class TestFileStore:
         (tmp_path / "server-4-log.json").write_text("][")
         with pytest.raises(StorageError):
             FileStore(tmp_path, server_id=4).load_log()
-
-
-class TestSnapshots:
-    def test_install_and_read_latest(self):
-        store = SnapshotStore()
-        assert store.latest is None
-        store.install(Snapshot(last_included_index=3, last_included_term=2, state={"x": 1}))
-        assert store.latest.last_included_index == 3
-
-    def test_snapshot_cannot_move_backwards(self):
-        store = SnapshotStore()
-        store.install(Snapshot(5, 2, {}))
-        with pytest.raises(StorageError):
-            store.install(Snapshot(3, 2, {}))
-
-    def test_compact_without_snapshot_returns_log_unchanged(self):
-        store = SnapshotStore()
-        log = ReplicatedLog([LogEntry(term=1, index=1, command="a")])
-        assert store.compact(log) is log
-
-    def test_compact_drops_covered_prefix(self):
-        store = SnapshotStore()
-        log = ReplicatedLog(
-            [LogEntry(term=1, index=index, command=index) for index in range(1, 6)]
-        )
-        store.install(Snapshot(last_included_index=3, last_included_term=1, state=None))
-        compacted = store.compact(log)
-        assert len(compacted) == 2
-        assert [entry.command for entry in compacted] == [4, 5]
-
-    def test_invalid_snapshot_fields_rejected(self):
-        with pytest.raises(StorageError):
-            Snapshot(-1, 0, None)
-        with pytest.raises(StorageError):
-            Snapshot(0, -2, None)

@@ -12,7 +12,6 @@ from repro.workload import (
     WorkloadAggregate,
     WorkloadDriver,
     WorkloadMeasurement,
-    WorkloadSet,
     legacy_interval,
 )
 from repro.workload.specs import KeyspaceSpec, ValueSizeSpec, WorkloadSpec
@@ -266,19 +265,6 @@ class TestWorkloadMeasurement:
     def test_losing_more_than_proposed_rejected(self):
         with pytest.raises(ClusterError, match="cannot lose"):
             self._measurement(lost=51)
-
-    def test_workload_set_pools_runs(self):
-        collection = WorkloadSet(label="x")
-        collection.add(self._measurement())
-        collection.add(self._measurement(committed=90, latencies_ms=(100.0,)))
-        assert len(collection) == 2
-        assert collection.total_committed() == 135
-        assert collection.pooled_latencies_ms() == [250.0, 300.0, 100.0]
-        assert collection.mean_ops_per_s() == pytest.approx((4.5 + 9.0) / 2)
-
-    def test_empty_set_refuses_statistics(self):
-        with pytest.raises(ClusterError, match="no runs"):
-            WorkloadSet(label="empty").mean_ops_per_s()
 
 
 class TestWorkloadAggregate:
