@@ -20,13 +20,14 @@ class SimNodeEnvironment:
 
     One class for either engine.  Every entry point a node calls is bound in
     ``__init__`` as an instance attribute, so a call pays no adapter frame:
-    ``set_timer`` / ``cancel_timer`` are the scheduler's
-    ``schedule_timer_entry`` / ``cancel_entry`` (a timer handle is whatever
-    opaque token the engine's scheduler returns), ``send`` / ``broadcast`` are
-    the network's with this node as the sender (:func:`functools.partial`
-    dispatches in C, which is why nodes pass ``inert`` positionally), ``now``
-    is the clock's, and ``trace`` is a no-op when the world records nothing
-    (a Tracer's enabled flag is fixed at construction).
+    ``set_timer`` / ``cancel_timer`` / ``rearm_timer`` are the scheduler's
+    ``schedule_timer_entry`` / ``cancel_entry`` / ``rearm_timer_entry`` (a
+    timer handle is whatever opaque token the engine's scheduler returns),
+    ``send`` / ``broadcast`` are the network's with this node as the sender
+    (:func:`functools.partial` dispatches in C, which is why nodes pass
+    ``inert`` positionally), ``now`` is the clock's, and ``trace`` is a no-op
+    when the world records nothing (a Tracer's enabled flag is fixed at
+    construction).
 
     Each node gets a private random stream (``seeds.stream("node", node_id)``)
     so adding or removing one node never perturbs another's timeout draws.
@@ -42,6 +43,7 @@ class SimNodeEnvironment:
         self.now = world.clock.now
         self.set_timer = world.scheduler.schedule_timer_entry
         self.cancel_timer = world.scheduler.cancel_entry
+        self.rearm_timer = world.scheduler.rearm_timer_entry
         self.send = partial(network.send, node_id)
         self.broadcast = partial(network.broadcast, node_id)
         self.trace = (

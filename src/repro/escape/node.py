@@ -203,13 +203,13 @@ class EscapeNode(RaftNode):
         if last is not None and last[0] is request and last[1].new_config is new_config:
             return last[1]
         decorated = EscapeAppendEntriesRequest(
-            term=request.term,
-            leader_id=request.leader_id,
-            prev_log_index=request.prev_log_index,
-            prev_log_term=request.prev_log_term,
-            entries=request.entries,
-            leader_commit=request.leader_commit,
-            new_config=new_config,
+            request.term,
+            request.leader_id,
+            request.prev_log_index,
+            request.prev_log_term,
+            request.entries,
+            request.leader_commit,
+            new_config,
         )
         self._decorated_requests[follower] = (request, decorated)
         return decorated
@@ -223,17 +223,12 @@ class EscapeNode(RaftNode):
         if isinstance(response, EscapeAppendEntriesResponse) and response.config_status:
             status = response.config_status
             self.patrol.record_reply(
-                src,
-                log_index=status.log_index,
-                now_ms=self.env.now(),
-                reported_conf_clock=status.conf_clock,
+                src, status.log_index, self.env.now(), status.conf_clock
             )
         else:
             # A plain Raft reply (mixed-version cluster) still proves liveness
             # and reports progress through match_index.
-            self.patrol.record_reply(
-                src, log_index=response.match_index, now_ms=self.env.now()
-            )
+            self.patrol.record_reply(src, response.match_index, self.env.now())
 
     # ------------------------------------------------------------------ #
     # PPF: follower side
@@ -275,9 +270,7 @@ class EscapeNode(RaftNode):
         ):
             return memo[1]
         status = ConfigStatus(
-            log_index=self.log.last_index,
-            timer_period_ms=configuration.timer_period_ms,
-            conf_clock=configuration.conf_clock,
+            self.log.last_index, configuration.timer_period_ms, configuration.conf_clock
         )
         self._config_status_memo = (configuration, status)
         return status
@@ -287,11 +280,7 @@ class EscapeNode(RaftNode):
     ) -> AppendEntriesResponse:
         """Attach this follower's ``configStatus`` to the reply."""
         return EscapeAppendEntriesResponse(
-            term=self.current_term,
-            follower_id=self.node_id,
-            success=success,
-            match_index=match_index,
-            config_status=extra,
+            self.current_term, self.node_id, success, match_index, extra
         )
 
     # ------------------------------------------------------------------ #

@@ -238,8 +238,9 @@ class MeasurementSet(RecordSet[ElectionMeasurement]):
         return sum(self._converged(values)) / len(values)
 
     def mean_total_ms(self) -> float:
-        """Average total election time over converged runs."""
-        return self._converged_mean(self.totals_ms())
+        """Average total election time over converged runs: the summary's mean
+        (a sorted-order sum), bit for bit the streaming aggregate's."""
+        return self.total_summary().mean
 
     def mean_detection_ms(self) -> float:
         """Average detection period over converged runs."""

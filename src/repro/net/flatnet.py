@@ -8,6 +8,8 @@ and replaces the hot send/broadcast/delivery paths:
 * deliveries are pushed straight onto the flat scheduler's heap as 4-slot
   records (``[time, seq, self._deliver_fast, (src, dst, payload)]``); no
   timer object, no closure and no scheduler call frame per message;
+* a delivery to a protocol node goes from that record straight to the node's
+  handler for the message's type (see :meth:`FlatNetwork.register`);
 * the latency sampler is inlined for the common models:
   :class:`~repro.net.latency.UniformLatency` becomes
   ``low + spread * rng.random()`` (bit-identical to ``rng.uniform`` --
@@ -95,6 +97,8 @@ class FlatNetwork(SimulatedNetwork):
         # aliases stay valid for the network's lifetime.
         self._stats = self.stats
         self._handler_for = self._handlers.get
+        self._nodes: dict[ServerId, Any] = {}  # see register()
+        self._node_for = self._nodes.get
         self._configure_latency_fast_path()
         self._configure_fault_fast_path()
 
@@ -135,6 +139,22 @@ class FlatNetwork(SimulatedNetwork):
         """Replace the fault injector and recompute its fast-path flags."""
         super().set_fault(fault)
         self._configure_fault_fast_path()
+
+    def register(self, server_id: ServerId, handler: Callable[..., None]) -> None:
+        """As :meth:`SimulatedNetwork.register`.  A bound method marked
+        ``dispatches_by_type`` (:meth:`repro.raft.node.RaftNode.on_message`)
+        is a running check plus a per-type table lookup by its own promise,
+        and :meth:`_deliver_fast` does those two itself."""
+        super().register(server_id, handler)
+        if getattr(handler, "dispatches_by_type", False):
+            self._nodes[server_id] = handler.__self__
+        else:
+            self._nodes.pop(server_id, None)
+
+    def close(self) -> None:
+        """Forget every delivery callback (they hold the nodes alive)."""
+        super().close()
+        self._nodes.clear()
 
     # ------------------------------------------------------------------ #
     # Sending
@@ -348,8 +368,16 @@ class FlatNetwork(SimulatedNetwork):
                 "net.drop", node=src, dst=dst, reason="partition", in_flight=True
             )
             return
-        handler = self._handler_for(dst)
-        if handler is None:
-            raise NetworkError(f"no handler registered for S{dst}")
-        self._stats.delivered += 1
-        handler(src, payload)
+        node = self._node_for(dst)
+        if node is None:
+            handler = self._handler_for(dst)
+            if handler is None:
+                raise NetworkError(f"no handler registered for S{dst}")
+            self._stats.delivered += 1
+            return handler(src, payload)
+        self._stats.delivered += 1  # then node.on_message, minus its frame
+        if node._running:
+            typed = node._message_handlers.get(type(payload))
+            if typed is not None:
+                return typed(node, src, payload)
+            node.on_message(src, payload)  # first of its type: resolves it

@@ -6,7 +6,7 @@ through an :class:`Environment`:
 * reading the current time,
 * sending a message to one peer or broadcasting to many (and saying when a
   message is provably *inert*, see :meth:`Environment.send`),
-* arming and cancelling timers,
+* arming, cancelling and re-arming timers,
 * drawing random numbers from its private stream, and
 * emitting trace events.
 
@@ -24,7 +24,8 @@ from repro.common.types import Milliseconds, ServerId
 
 
 #: What :meth:`Environment.set_timer` returns: an opaque token.  A node only
-#: ever stores it and passes it back to :meth:`Environment.cancel_timer`.
+#: ever stores it and passes it back to :meth:`Environment.cancel_timer` or
+#: :meth:`Environment.rearm_timer`.
 TimerHandle = Any
 
 
@@ -76,6 +77,20 @@ class Environment(Protocol):
 
     def cancel_timer(self, handle: TimerHandle) -> None:  # pragma: no cover
         """Cancel a previously armed timer (safe to call twice)."""
+        ...
+
+    def rearm_timer(
+        self,
+        handle: TimerHandle | None,
+        delay_ms: Milliseconds,
+        callback: Callable[[], None],
+        label: str = "",
+    ) -> TimerHandle:  # pragma: no cover
+        """``cancel_timer(handle)`` (when there is one; it may have fired or
+        been cancelled) then ``set_timer(delay_ms, callback, label)``, by
+        definition.  A follower does this per heartbeat, so an implementation
+        may do it cheaper (``flat`` moves the queued record) -- never
+        observably differently, to a node or to a counter."""
         ...
 
     @property

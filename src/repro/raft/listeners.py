@@ -5,11 +5,13 @@ quantities the paper's figures decompose: when the leader crash was *detected*
 (first election timeout), when each campaign started, when a new leader
 emerged, and whether votes split.  Applications can attach their own listeners
 for logging or metrics export.
+
+A node calls, per event, only the listeners :func:`enter_listener` found to listen.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.common.types import LogIndex, Milliseconds, ServerId, Term
 from repro.raft.state import Role
@@ -116,3 +118,23 @@ class NodeListenerBase:
         time_ms: Milliseconds,
     ) -> None:
         return None
+
+
+_NOOPS = tuple(
+    (name, noop) for name, noop in vars(NodeListenerBase).items() if name[:3] == "on_"
+)
+
+
+def listener_table() -> dict[str, tuple[Callable[..., Any], ...]]:
+    """An empty listener table: per event, the bound methods to call."""
+    return {event: () for event, _ in _NOOPS}
+
+
+def enter_listener(table: dict[str, tuple], listener: NodeListener) -> None:
+    """Enter *listener* under every event it listens to: those its class does
+    not leave at :class:`NodeListenerBase`'s no-op (so a listener that does not
+    derive from the base is told everything)."""
+    cls = type(listener)
+    for event, noop in _NOOPS:
+        if getattr(cls, event, None) is not noop:
+            table[event] += (getattr(listener, event),)

@@ -17,9 +17,9 @@ proportional to what the reply changed:
   (:meth:`~repro.storage.log.ReplicatedLog.append_entry` enforces it), so
   nothing below such an entry can be of the current term.
 
-All match-index updates must go through :class:`ReplicationProgress` (not
-through the :class:`PeerProgress` records it hands out) to keep the ordered
-list in step.
+Every update goes through :class:`ReplicationProgress` (the
+:class:`PeerProgress` records it hands out are plain data), which keeps the
+ordered list in step.
 """
 
 from __future__ import annotations
@@ -39,20 +39,6 @@ class PeerProgress:
 
     next_index: LogIndex
     match_index: LogIndex = 0
-
-    def record_success(self, match_index: LogIndex) -> None:
-        """A successful AppendEntries response confirmed *match_index*."""
-        self.match_index = max(self.match_index, match_index)
-        self.next_index = max(self.next_index, self.match_index + 1)
-
-    def record_failure(self, follower_last_index: LogIndex) -> None:
-        """A failed consistency check: rewind ``next_index``.
-
-        The follower includes its last log index in the reply, letting the
-        leader skip the entire missing suffix in one step instead of
-        decrementing one index per round trip.
-        """
-        self.next_index = max(1, min(self.next_index - 1, follower_last_index + 1))
 
 
 class ReplicationProgress:
@@ -79,13 +65,14 @@ class ReplicationProgress:
         except KeyError as exc:
             raise ProtocolError(f"S{peer} is not a tracked follower") from exc
 
+    # Below, one dict read per call; the fallback only ever raises (unknown id).
     def next_index(self, peer: ServerId) -> LogIndex:
         """The next log index to send to *peer*."""
-        return self.progress_of(peer).next_index
+        return (self._peers.get(peer) or self.progress_of(peer)).next_index
 
     def match_index(self, peer: ServerId) -> LogIndex:
         """The highest index known replicated on *peer*."""
-        return self.progress_of(peer).match_index
+        return (self._peers.get(peer) or self.progress_of(peer)).match_index
 
     def record_local_append(self, last_log_index: LogIndex) -> None:
         """The leader appended up to *last_log_index* locally."""
@@ -94,15 +81,22 @@ class ReplicationProgress:
             self._leader_match_index = last_log_index
 
     def record_success(self, peer: ServerId, match_index: LogIndex) -> None:
-        """Record a successful AppendEntries response from *peer*."""
-        progress = self.progress_of(peer)
-        if match_index > progress.match_index:
-            self._raise_match(progress.match_index, match_index)
-        progress.record_success(match_index)
+        """Record a successful AppendEntries response from *peer*: its match
+        index never falls, and its next index ends beyond it (a failure may
+        have rewound it below)."""
+        record = self._peers.get(peer) or self.progress_of(peer)
+        if match_index > record.match_index:
+            self._raise_match(record.match_index, match_index)
+            record.match_index = match_index
+        if record.next_index <= record.match_index:
+            record.next_index = record.match_index + 1
 
     def record_failure(self, peer: ServerId, follower_last_index: LogIndex) -> None:
-        """Record a failed AppendEntries response from *peer*."""
-        self.progress_of(peer).record_failure(follower_last_index)
+        """Record a failed AppendEntries response from *peer*: rewind its next
+        index -- to just past the last log index the follower reported, which
+        skips a missing suffix in one step instead of one index per round trip."""
+        record = self._peers.get(peer) or self.progress_of(peer)
+        record.next_index = max(1, min(record.next_index - 1, follower_last_index + 1))
 
     def _raise_match(self, old: LogIndex, new: LogIndex) -> None:
         """Move one member's match index from *old* up to *new* in the ordered list."""

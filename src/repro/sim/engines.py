@@ -12,9 +12,11 @@ everything above them is written against:
 
 * scheduler -- ``call_at`` / ``call_after`` (returning a handle with
   ``cancel()``), ``schedule_timer_entry(delay, callback, label="")`` /
-  ``cancel_entry(token)`` (a node timer: the token is opaque and only ever
-  passed back), ``step`` / ``run_until`` / ``run_until_idle`` /
-  ``run_until_condition`` (the predicate is called after every event) /
+  ``cancel_entry(token)`` / ``rearm_timer_entry(token, delay, callback)`` (a
+  node timer: the token is opaque and only ever passed back; re-arming *is*
+  cancel then schedule to every counter and event -- ``classic`` spells it
+  out, ``flat`` moves the queued record), ``step`` / ``run_until`` /
+  ``run_until_idle`` / ``run_until_condition`` (predicate after every event) /
   ``run_until_interrupted`` + ``interrupt`` (the same wait for a condition
   whose every change calls ``interrupt()``: one attribute load per event
   instead of a predicate call; what the harness uses -- an interrupt raised
@@ -23,8 +25,9 @@ everything above them is written against:
   reference count), the ``scheduled_count`` / ``executed_count`` /
   ``cancelled_count`` / ``pending_count`` counters, the ``max_events``
   budget, and strict ``(time, insertion sequence)`` execution order;
-* network -- ``send`` / ``broadcast`` (both return nothing) / ``register`` /
-  ``disconnect`` / ``reconnect`` / ``close``, the
+* network -- ``send`` / ``broadcast`` (both return nothing) / ``register``
+  (any callable; ``flat`` delivers to a node's own ``on_message`` without that
+  frame) / ``disconnect`` / ``reconnect`` / ``close``, the
   :class:`~repro.net.network.NetworkStats` counters, the partition manager,
   and the ``net.drop`` trace schema.
   ``send(src, dst, payload, inert=True)`` -- the sender's guarantee that no
@@ -60,8 +63,9 @@ telemetry name but the two engine-owned gauges -- ``flat`` may only remove
 *allocation and indirection*, never reorder RNG draws or events.  The
 differential suite (``tests/property/test_engine_differential.py``) pins this,
 ``tests/unit/test_engine_contract.py`` runs the unit-level contract on every
-registered engine, and ``tests/property/test_inert_sends.py`` pins that
-eliding inert sends changes no result against delivering them.
+registered engine, ``tests/property/test_timer_rearm.py`` checks re-arming
+against the spelled-out pair, and ``tests/property/test_inert_sends.py`` pins
+that eliding inert sends changes no result against delivering them.
 
 Engine selection is data, never process state: an explicit ``engine``
 (scenario field, ``build_cluster``/``SimulationWorld`` parameter, CLI

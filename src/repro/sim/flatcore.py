@@ -6,8 +6,9 @@ This is the production scheduler.  It implements the contract of
 but represents every queued event as a plain 4-slot list
 ``[time_ms, sequence, fn, arg]`` on a binary heap:
 
-* no :class:`~repro.sim.scheduler.Timer` object per node timer -- a re-armed
-  election timer is one list allocation and one ``heappush``;
+* no :class:`~repro.sim.scheduler.Timer` object per node timer -- arming one
+  is one list allocation and one ``heappush``, re-arming a queued one
+  (:meth:`FlatEventScheduler.rearm_timer_entry`) a few slot writes;
 * list comparison happens element-wise in C and the unique ``sequence``
   slot guarantees ``fn`` is never compared, preserving the classic engine's
   strict ``(time, insertion sequence)`` execution order;
@@ -58,7 +59,10 @@ _INF = math.inf
 COMPACT_MIN_SIZE = 64
 
 #: Record slot indices (records are plain lists for C-level heap compares).
-_TIME, _SEQ, _FN, _ARG = 0, 1, 2, 3
+#: A record is live when ``fn`` is set and dead when ``fn`` and ``arg`` are
+#: ``None``; a node timer is *moved* (:meth:`FlatEventScheduler.rearm_timer_entry`)
+#: when ``arg`` holds its callback: its two extra slots are the key it moves to.
+_TIME, _SEQ, _FN, _ARG, _MOVED_TIME, _MOVED_SEQ = 0, 1, 2, 3, 4, 5
 
 
 class FlatEventHandle:
@@ -207,8 +211,7 @@ class FlatEventScheduler:
         The node environment binds this method directly as its ``set_timer``
         (zero adapter frames), so the signature accepts -- and ignores -- the
         environment contract's ``label`` keyword.  Timers are cancelled via
-        :meth:`cancel_entry`, so re-arming an election timer allocates one
-        list and nothing else.
+        :meth:`cancel_entry` and moved via :meth:`rearm_timer_entry`.
         """
         if delay_ms < 0:
             raise SimulationError(f"negative delay: {delay_ms}")
@@ -219,18 +222,53 @@ class FlatEventScheduler:
             )
         seq = self._sequence
         self._sequence = seq + 1
-        entry = [time_ms, seq, callback, None]
+        entry = [time_ms, seq, callback, None, 0.0, 0]
         heapq.heappush(self._heap, entry)
         return entry
 
     def cancel_entry(self, entry: list) -> None:
         """Cancel a queued record in place.  Idempotent; a no-op for records
         that already fired (their ``fn`` slot is cleared on pop)."""
-        if entry[_FN] is None:
+        if entry[_FN] is None and entry[_ARG] is None:
             return
         entry[_FN] = None
         entry[_ARG] = None
         self._note_cancelled()
+
+    def rearm_timer_entry(
+        self,
+        entry: list | None,
+        delay_ms: Milliseconds,
+        callback: Callable[[], None],
+        label: str = "",
+    ) -> list:
+        """``cancel_entry(entry)`` then ``schedule_timer_entry(delay_ms,
+        callback)``, without the dead record when *entry* is still queued.
+
+        The pair would push a record keyed ``(now + delay_ms, next sequence
+        number)``.  A queued record sitting no later than that keeps its slot,
+        remembers the key, and :meth:`_drop_head` re-queues it under it when it
+        surfaces: live events pop in the pair's order and the four counters
+        read the same; only ``heap_size`` / ``compaction_count`` differ.
+        Any other case *is* the pair.
+        """
+        if entry is not None:
+            deadline = self._clock._now_ms + delay_ms
+            if (
+                (entry[_FN] is not None or entry[_ARG] is not None)
+                and 0 <= delay_ms
+                and entry[_TIME] <= deadline < _INF
+            ):
+                seq = self._sequence
+                self._sequence = seq + 1
+                self._cancellations += 1
+                entry[_FN] = None
+                entry[_ARG] = callback
+                entry[_MOVED_TIME] = deadline
+                entry[_MOVED_SEQ] = seq
+                return entry
+            self.cancel_entry(entry)
+        return self.schedule_timer_entry(delay_ms, callback)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -239,11 +277,11 @@ class FlatEventScheduler:
         """Execute the next pending event; ``False`` if the queue is empty."""
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
-            fn = entry[_FN]
+            fn = heap[0][_FN]
             if fn is None:
-                self._cancelled_in_heap -= 1
+                self._drop_head()
                 continue
+            entry = heapq.heappop(heap)
             if self._executed >= self._max_events:
                 self._budget_exhausted()
             self._clock._now_ms = entry[_TIME]
@@ -263,7 +301,7 @@ class FlatEventScheduler:
         Returns ``True`` right after an event that called :meth:`interrupt`;
         ``False`` once nothing live is queued at or before *limit_ms* -- the
         heap is then empty, or its head is a live record later than the limit
-        (dead records reaching the head are dropped on the way).
+        (dead and moved records reaching the head go through :meth:`_drop_head`).
         """
         self._interrupted = False
         heap = self._heap
@@ -274,8 +312,7 @@ class FlatEventScheduler:
             entry = heap[0]
             fn = entry[_FN]
             if fn is None:
-                pop(heap)
-                self._cancelled_in_heap -= 1
+                self._drop_head()
                 continue
             if entry[_TIME] > limit_ms:
                 return False
@@ -331,8 +368,7 @@ class FlatEventScheduler:
         heap = self._heap
         while True:
             while heap and heap[0][_FN] is None:
-                heapq.heappop(heap)
-                self._cancelled_in_heap -= 1
+                self._drop_head()
             if not heap:
                 return False
             if heap[0][_TIME] > max_time_ms:
@@ -381,6 +417,20 @@ class FlatEventScheduler:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _drop_head(self) -> None:
+        """Take a head record with an empty ``fn`` slot off the heap: a dead
+        one for good, a moved one back in under its new key.  Not an event."""
+        entry = heapq.heappop(self._heap)
+        callback = entry[_ARG]
+        if callback is None:
+            self._cancelled_in_heap -= 1
+            return
+        entry[_TIME] = entry[_MOVED_TIME]
+        entry[_SEQ] = entry[_MOVED_SEQ]
+        entry[_FN] = callback
+        entry[_ARG] = None
+        heapq.heappush(self._heap, entry)
+
     def _note_cancelled(self) -> None:
         """Account for a cancellation; compact when dead records dominate."""
         self._cancellations += 1
@@ -394,7 +444,7 @@ class FlatEventScheduler:
             # the heap list in a local, so the compacted heap must keep its
             # identity or a compaction fired from inside a callback would
             # leave the running loop draining a stale list.
-            heap[:] = [entry for entry in heap if entry[_FN] is not None]
+            heap[:] = [e for e in heap if e[_FN] is not None or e[_ARG] is not None]
             heapq.heapify(heap)
             self._cancelled_in_heap = 0
             self._compactions += 1

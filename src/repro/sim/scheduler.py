@@ -108,7 +108,8 @@ class EventScheduler:
         return self.call_at(self.now() + delay_ms, callback, label)
 
     #: A node timer, what ``Environment.set_timer`` is bound to on either
-    #: engine; its token is only ever passed back to :meth:`cancel_entry`.
+    #: engine; its token is only ever passed back to :meth:`cancel_entry` or
+    #: :meth:`rearm_timer_entry`.
     schedule_timer_entry = call_after
 
     def cancel_entry(self, timer: Timer) -> None:
@@ -118,6 +119,19 @@ class EventScheduler:
         timer.cancelled = True
         if timer.callback is not None:
             self.cancelled_count += 1
+
+    def rearm_timer_entry(
+        self,
+        timer: Timer | None,
+        delay_ms: Milliseconds,
+        callback: Callable[[], None],
+        label: str = "",
+    ) -> Timer:
+        """Replace a node timer: cancel *timer* (if any), arm a new one.  This
+        is the definition ``flat`` must be indistinguishable from."""
+        if timer is not None:
+            self.cancel_entry(timer)
+        return self.call_after(delay_ms, callback, label)
 
     def step(self) -> bool:
         """Execute the next live event; ``False`` if there is none."""

@@ -97,6 +97,17 @@ class FakeEnvironment:
     def cancel_timer(self, handle: FakeTimer) -> None:
         handle.cancel()
 
+    def rearm_timer(
+        self,
+        handle: FakeTimer | None,
+        delay_ms: Milliseconds,
+        callback: Callable[[], None],
+        label: str = "",
+    ) -> FakeTimer:
+        if handle is not None:
+            self.cancel_timer(handle)
+        return self.set_timer(delay_ms, callback, label)
+
     def trace(self, category: str, **detail: Any) -> None:
         self.traces.append((category, detail))
 

@@ -4,24 +4,30 @@
 above them; this suite states it once and runs it on ``classic`` (the
 reference) *and* ``flat`` (what the benchmark and every sweep run) through the
 ``engine`` fixture.  It covers the scheduler (ordering, cancellation, the
-``run_*`` clock semantics, ``interrupt`` / ``close``, the event budget,
-non-finite deadlines), the network (delivery, disconnection, broadcast,
-partitions, in-flight drop traces, inert sends) and the one node environment
-on top of both.  What only one engine does -- ``flat`` compacts its heap -- is
-at the end, and says so.
+``run_*`` clock semantics, re-arming a node timer, ``interrupt`` / ``close``,
+the event budget, non-finite deadlines), the network (delivery to plain
+callables and to protocol nodes, disconnection, broadcast, partitions,
+in-flight drop traces, inert sends) and the one node environment on top of
+both.  What only one engine does -- ``flat`` compacts its heap -- is at the
+end, and says so.
 
 The property-level half of the contract (whole episodes, bit-identical across
 engines) lives in ``tests/property/test_engine_differential.py``,
-``test_obs_parity.py`` and ``test_inert_sends.py``.
+``test_obs_parity.py`` and ``test_inert_sends.py``; ``test_timer_rearm.py``
+checks re-arming against the spelled-out cancel + arm pair on random programs.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 
 from repro.cluster.environment import SimNodeEnvironment
+from repro.common.config import ClusterConfig
 from repro.common.errors import NetworkError, SimulationError
 from repro.net.faults import (
     BroadcastOmissionFault,
@@ -29,6 +35,8 @@ from repro.net.faults import (
     PacketLossFault,
 )
 from repro.net.latency import ConstantLatency, UniformLatency
+from repro.raft.messages import AppendEntriesRequest
+from repro.raft.node import RaftNode
 from repro.sim import engines
 from repro.sim.flatcore import COMPACT_MIN_SIZE, FlatEventScheduler
 from repro.sim.world import SimulationWorld
@@ -175,6 +183,177 @@ class TestSchedulerCancellation:
         assert (scheduler.cancelled_count, scheduler.executed_count) == (1, 1)
         with pytest.raises(SimulationError, match="negative"):
             scheduler.schedule_timer_entry(-1.0, lambda: None)
+
+
+class TestRearmTimer:
+    """``rearm_timer_entry(token, delay, callback)`` *is* ``cancel_entry(token)``
+    then ``schedule_timer_entry(delay, callback)`` -- firing order, clock and the
+    four counters -- however an engine carries it out (``flat`` moves a queued
+    record instead of killing it)."""
+
+    @staticmethod
+    def _counters(scheduler):
+        return (
+            scheduler.scheduled_count,
+            scheduler.cancelled_count,
+            scheduler.executed_count,
+            scheduler.pending_count,
+        )
+
+    def test_a_later_deadline_fires_once_at_the_new_time(self, scheduler):
+        fired = []
+        token = scheduler.schedule_timer_entry(100.0, lambda: fired.append("old"))
+        scheduler.run_until(10.0)
+        token = scheduler.rearm_timer_entry(
+            token, 200.0, lambda: fired.append(scheduler.now()), "election-timeout"
+        )
+        assert self._counters(scheduler) == (2, 1, 0, 1)
+        scheduler.run_until_idle()
+        assert fired == [210.0]
+        assert self._counters(scheduler) == (2, 1, 1, 0)
+
+    def test_an_equal_deadline_queues_behind_what_was_scheduled_since(self, scheduler):
+        order = []
+        token = scheduler.schedule_timer_entry(100.0, lambda: order.append("timer"))
+        scheduler.call_at(100.0, lambda: order.append("between"))
+        scheduler.rearm_timer_entry(token, 100.0, lambda: order.append("timer"))
+        scheduler.call_at(100.0, lambda: order.append("after"))
+        scheduler.run_until_idle()
+        assert order == ["between", "timer", "after"]
+        assert self._counters(scheduler) == (4, 1, 3, 0)
+
+    def test_an_earlier_deadline_fires_early_and_not_again(self, scheduler):
+        fired = []
+        token = scheduler.schedule_timer_entry(100.0, lambda: fired.append("old"))
+        scheduler.rearm_timer_entry(token, 50.0, lambda: fired.append(scheduler.now()))
+        assert self._counters(scheduler) == (2, 1, 0, 1)
+        scheduler.run_until_idle()
+        assert (fired, scheduler.now()) == ([50.0], 50.0)
+
+    def test_repeated_rearming_keeps_one_live_timer(self, scheduler):
+        fired = []
+        token = None
+        for beat in range(1, 51):
+            scheduler.run_until(10.0 * beat)
+            token = scheduler.rearm_timer_entry(
+                token, 150.0, lambda: fired.append(scheduler.now())
+            )
+            assert scheduler.pending_count == 1
+        scheduler.run_until_idle()
+        assert fired == [650.0]
+        assert self._counters(scheduler) == (50, 49, 1, 0)
+
+    def test_a_fired_a_cancelled_and_no_handle_just_arm(self, scheduler):
+        fired = []
+        spent = scheduler.schedule_timer_entry(10.0, lambda: fired.append("first"))
+        scheduler.run_until_idle()
+        again = scheduler.rearm_timer_entry(spent, 10.0, lambda: fired.append("again"))
+        dropped = scheduler.schedule_timer_entry(5.0, lambda: fired.append("dropped"))
+        scheduler.cancel_entry(dropped)
+        scheduler.rearm_timer_entry(dropped, 15.0, lambda: fired.append("revived"))
+        scheduler.rearm_timer_entry(None, 20.0, lambda: fired.append("fresh"))
+        assert self._counters(scheduler) == (5, 1, 1, 3)
+        scheduler.run_until_idle()
+        assert fired == ["first", "again", "revived", "fresh"]
+        scheduler.cancel_entry(again)  # fired: not a cancellation
+        assert self._counters(scheduler) == (5, 1, 4, 0)
+
+    def test_rearm_then_cancel_fires_nothing(self, scheduler):
+        fired = []
+        token = scheduler.schedule_timer_entry(100.0, lambda: fired.append("old"))
+        token = scheduler.rearm_timer_entry(token, 200.0, lambda: fired.append("new"))
+        scheduler.cancel_entry(token)
+        scheduler.cancel_entry(token)
+        assert self._counters(scheduler) == (2, 2, 0, 0)
+        scheduler.run_until_idle()
+        assert fired == [] and scheduler.executed_count == 0
+        # A cancelled token re-arms like any spent one.
+        scheduler.rearm_timer_entry(token, 1.0, lambda: fired.append("later"))
+        scheduler.run_until_idle()
+        assert (fired, self._counters(scheduler)) == (["later"], (3, 2, 1, 0))
+
+    def test_rearming_from_inside_the_timers_own_callback(self, scheduler):
+        fired = []
+        state = {}
+
+        def fire():
+            fired.append(scheduler.now())
+            if len(fired) < 3:
+                state["token"] = scheduler.rearm_timer_entry(state["token"], 10.0, fire)
+
+        state["token"] = scheduler.schedule_timer_entry(10.0, fire)
+        scheduler.run_until_idle()
+        assert fired == [10.0, 20.0, 30.0]
+        assert self._counters(scheduler) == (3, 0, 3, 0)
+
+    def test_a_limit_between_the_queued_time_and_the_deadline(self, scheduler):
+        fired = []
+        token = scheduler.schedule_timer_entry(100.0, lambda: fired.append("old"))
+        scheduler.run_until(50.0)
+        scheduler.rearm_timer_entry(token, 200.0, lambda: fired.append(scheduler.now()))
+        for run in (scheduler.run_until, scheduler.run_until_idle):
+            run(150.0)  # past where the old timer sat, short of the deadline
+            assert (fired, scheduler.now(), scheduler.pending_count) == ([], 150.0, 1)
+        assert scheduler.run_until_interrupted(160.0) is False
+        assert not scheduler.run_until_condition(lambda: bool(fired), 170.0)
+        assert (scheduler.now(), scheduler.executed_count) == (170.0, 0)
+        scheduler.run_until(300.0)
+        assert fired == [250.0]
+
+    def test_step_never_reports_a_move_as_an_event(self, scheduler):
+        fired = []
+        token = scheduler.schedule_timer_entry(100.0, lambda: fired.append("old"))
+        scheduler.rearm_timer_entry(token, 250.0, lambda: fired.append("timer"))
+        scheduler.call_at(120.0, lambda: fired.append("other"))
+        assert scheduler.step() is True
+        assert (fired, scheduler.now()) == (["other"], 120.0)
+        assert scheduler.step() is True
+        assert (fired, scheduler.now()) == (["other", "timer"], 250.0)
+        assert scheduler.step() is False
+        assert scheduler.executed_count == 2
+
+    def test_the_event_budget_counts_only_callbacks(self, engine):
+        scheduler = engines.get(engine).scheduler_class()(max_events=4)
+        state = {"token": scheduler.schedule_timer_entry(20.0, lambda: None)}
+
+        def beat():
+            state["token"] = scheduler.rearm_timer_entry(
+                state["token"], 20.0, lambda: None
+            )
+
+        for time_ms in (5.0, 15.0, 25.0):  # the timer would surface at 20 and 35
+            scheduler.call_at(time_ms, beat)
+        scheduler.run_until_idle()
+        assert (scheduler.now(), scheduler.executed_count) == (45.0, 4)
+
+    def test_rejected_delays_are_the_eager_pairs(self, scheduler):
+        token = scheduler.schedule_timer_entry(100.0, lambda: None)
+        for delay in (-1.0, math.nan, math.inf):
+            with pytest.raises(SimulationError):
+                scheduler.rearm_timer_entry(token, delay, lambda: None)
+        # The cancel half had already happened.
+        assert (scheduler.cancelled_count, scheduler.pending_count) == (1, 0)
+
+    def test_close_leaves_a_rearmed_timer_to_the_reference_count(self, scheduler):
+        class Owner:
+            def fire(self):
+                raise AssertionError("closed schedulers run nothing")
+
+        owner = Owner()
+        alive = weakref.ref(owner)
+        owner.token = scheduler.schedule_timer_entry(100.0, owner.fire)
+        owner.token = scheduler.rearm_timer_entry(owner.token, 200.0, owner.fire)
+        gc.collect()
+        gc.disable()
+        try:
+            scheduler.close()
+            assert (scheduler.pending_count, scheduler.heap_size) == (0, 0)
+            del owner
+            assert alive() is None  # no cycle through the record outlives close()
+        finally:
+            gc.enable()
+        scheduler.run_until_idle()
+        assert scheduler.executed_count == 0
 
 
 class TestSchedulerRunModes:
@@ -611,6 +790,84 @@ class TestInertSends:
         assert world.scheduler.pending_count == 0
 
 
+class TestDeliveryToNodes:
+    """A protocol node registered by its own ``on_message`` (which ``flat``
+    delivers to without that frame) receives, drops and counts exactly like
+    the same node behind a plain callable, on either engine."""
+
+    @staticmethod
+    def _episode(engine, plain_callable: bool):
+        world = SimulationWorld(seed=3, engine=engine)
+        members = (1, 2, 3, 4)
+        network = world.engine.network_class()(
+            world, members, latency=ConstantLatency(10.0)
+        )
+        nodes = {}
+        for member in members:
+            node = RaftNode(
+                member,
+                ClusterConfig.of_size(4),
+                SimNodeEnvironment(world, network, member),
+            )
+            handler = node.on_message
+            if plain_callable:
+                handler = lambda src, payload, node=node: node.on_message(src, payload)
+            network.register(member, handler)
+            nodes[member] = node
+            node.start()
+        heartbeat = AppendEntriesRequest(term=1, leader_id=1)
+        network.broadcast(1, [2, 3, 4], lambda dst: heartbeat)
+        nodes[2].stop()  # crashed, still attached: delivered to, ignored
+        network.disconnect(3)  # dropped in flight
+        world.run_for(15.0)
+        network.reconnect(3)
+        network.partitions.partition([1, 2, 3], [4])
+        world.run_for(15.0)  # node 4's reply to node 1 is cut off in flight
+        network.send(1, 4, heartbeat)  # and this one at send time
+        world.run_for(15.0)
+        return (
+            dataclasses.asdict(network.stats),
+            {member: node.stats["append_entries_received"] for member, node in nodes.items()},
+            {member: node.leader_id for member, node in nodes.items()},
+            world.scheduler.executed_count,
+        )
+
+    def test_a_crashed_a_disconnected_and_a_partitioned_node(self, engine):
+        stats, received_by, leaders, executed = self._episode(engine, False)
+        assert received_by == {1: 0, 2: 0, 3: 0, 4: 1}
+        assert leaders == {1: None, 2: None, 3: None, 4: 1}
+        assert (stats["sent"], stats["delivered"]) == (5, 2)
+        assert (stats["dropped_disconnected"], stats["dropped_by_partition"]) == (1, 2)
+        assert (stats["dropped_in_flight"], executed) == (2, 4)
+        assert self._episode(engine, True) == (stats, received_by, leaders, executed)
+        assert self._episode("classic", False) == (stats, received_by, leaders, executed)
+
+    def test_an_overridden_on_message_is_called_as_registered(self, engine):
+        seen = []
+
+        class Tapped(RaftNode):
+            def on_message(self, src, message):
+                seen.append((src, type(message).__name__))
+                super().on_message(src, message)
+
+        world = SimulationWorld(seed=3, engine=engine)
+        network = world.engine.network_class()(
+            world, (1, 2), latency=ConstantLatency(10.0)
+        )
+        node = Tapped(2, ClusterConfig.of_size(2), SimNodeEnvironment(world, network, 2))
+        network.register(2, node.on_message)
+        network.register(1, lambda src, payload: seen.append((src, "reply")))
+        node.start()
+        network.send(1, 2, AppendEntriesRequest(term=1, leader_id=1))
+        world.run_for(25.0)
+        assert seen == [(1, "AppendEntriesRequest"), (2, "reply")]
+        # Re-registering a plain callable replaces the node.
+        network.register(2, lambda src, payload: seen.append("plain"))
+        network.send(1, 2, "x")
+        world.run_for(15.0)
+        assert seen[-1] == "plain" and node.stats["append_entries_received"] == 1
+
+
 # --------------------------------------------------------------------------- #
 # The node environment (one class, bound to either engine)
 # --------------------------------------------------------------------------- #
@@ -731,6 +988,41 @@ class TestHeapGauges:
         assert (scheduler.pending_count, scheduler.heap_size) == (1, 1)
         scheduler.run_until_idle()
         assert (scheduler.now(), scheduler.executed_count) == (10_500.0, 502)
+
+    def test_a_rearmed_flat_timer_leaves_no_dead_record(self):
+        """The same churn through ``rearm_timer_entry``: the record moves, so
+        there is nothing to compact away."""
+        scheduler = FlatEventScheduler()
+        state = {"timer": None, "beats": 0}
+
+        def heartbeat():
+            state["timer"] = scheduler.rearm_timer_entry(
+                state["timer"], 10_000.0, lambda: None
+            )
+            state["beats"] += 1
+            if state["beats"] < 5_000:
+                scheduler.call_after(1.0, heartbeat)
+            assert scheduler.heap_size <= 2
+
+        scheduler.call_after(1.0, heartbeat)
+        scheduler.run_until(6_000.0)
+        assert (scheduler.cancelled_count, scheduler.compaction_count) == (4_999, 0)
+        assert (scheduler.pending_count, scheduler.heap_size) == (1, 1)
+
+    def test_compaction_keeps_a_moved_timer(self):
+        scheduler = FlatEventScheduler()
+        fired = []
+        token = scheduler.schedule_timer_entry(50.0, lambda: fired.append("old"))
+        scheduler.rearm_timer_entry(token, 500.0, lambda: fired.append(scheduler.now()))
+        handles = [
+            scheduler.call_after(100.0, lambda: None) for _ in range(COMPACT_MIN_SIZE)
+        ]
+        for handle in handles:
+            handle.cancel()
+        assert (scheduler.compaction_count, scheduler.pending_count) == (1, 1)
+        assert scheduler.heap_size < COMPACT_MIN_SIZE
+        scheduler.run_until_idle()
+        assert fired == [500.0]
 
     def test_small_flat_heaps_are_not_compacted(self):
         scheduler = FlatEventScheduler()

@@ -71,6 +71,14 @@ class TestMeasurementSet:
         assert measurements.mean_total_ms() == 3000.0
         assert len(measurements.converged) == 2
 
+    def test_mean_total_is_the_summarys_mean_bit_for_bit(self):
+        """Regression: the batch mean summed in insertion order, the summary
+        (and the streaming aggregate) in sorted order -- one ulp apart here."""
+        totals = (0.3, 1.1, 0.1)
+        assert sum(totals) / 3 != sum(sorted(totals)) / 3
+        measurements = MeasurementSet([measurement(total) for total in totals])
+        assert measurements.mean_total_ms() == measurements.total_summary().mean == 0.5
+
     def test_split_vote_and_convergence_fractions(self):
         measurements = MeasurementSet(
             [measurement(split=True), measurement(), measurement(converged=False)]

@@ -5,6 +5,16 @@ import pytest
 from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 
 from repro.common.errors import NotLeaderError, ProtocolError
+from repro.raft.listeners import NodeListenerBase, listener_table
+
+LISTENER_EVENTS = (
+    "on_role_change",
+    "on_election_timeout",
+    "on_election_started",
+    "on_vote_granted",
+    "on_leader_elected",
+    "on_entry_committed",
+)
 from repro.raft.messages import (
     AppendEntriesRequest,
     RequestVoteRequest,
@@ -13,6 +23,7 @@ from repro.raft.messages import (
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
 from repro.raft.timers import FixedTimeoutPolicy
+from repro.statemachine.kvstore import PutCommand
 from repro.storage.log import LogEntry
 from repro.storage.persistent import InMemoryStore
 
@@ -272,6 +283,119 @@ class TestTermHandling:
         eavesdropper.on_message(2, reply)
         plain.on_message(2, reply)
         assert seen == [(2, reply)]
+
+
+class _Calls(NodeListenerBase):
+    """A base-derived listener: listens to what it (or a parent) overrides."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_election_started(self, node_id, term, time_ms):
+        self.calls.append(("on_election_started", node_id, term, time_ms))
+
+
+class _CallsAndRoles(_Calls):
+    """A subclass of a subclass that overrides one more event."""
+
+    def on_role_change(self, node_id, old_role, new_role, term, time_ms):
+        self.calls.append(("on_role_change", node_id, str(new_role), term, time_ms))
+
+
+class _DuckListener:
+    """Not derived from the base: it is told everything."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        if name not in LISTENER_EVENTS:
+            raise AttributeError(name)
+        return lambda *args: self.calls.append(name)
+
+
+class TestListenerTables:
+    """A node calls, per event, only the listeners that listen to it."""
+
+    CAMPAIGN = ["on_election_timeout", "on_role_change", "on_election_started"]
+
+    @staticmethod
+    def _campaign(node, env, at_ms=0.0):
+        env.advance(at_ms)
+        env.fire_next_timer("S1:election-timeout")
+        return env.now()
+
+    def test_a_listener_is_called_for_the_events_it_overrides(self):
+        plain, inherited, duck = _Calls(), _CallsAndRoles(), _DuckListener()
+        node, env = make_node(listeners=[plain, inherited, duck])
+        table = node._listening
+        assert tuple(table) == tuple(listener_table()) == LISTENER_EVENTS
+        assert [len(table[event]) for event in LISTENER_EVENTS] == [2, 1, 3, 1, 1, 1]
+        node.start()
+        now = self._campaign(node, env)
+        assert plain.calls == [("on_election_started", 1, 1, now)]
+        assert inherited.calls == [
+            ("on_role_change", 1, "candidate", 1, now),
+            ("on_election_started", 1, 1, now),
+        ]
+        assert duck.calls == self.CAMPAIGN
+
+    def test_listeners_attach_after_construction_and_after_removal(self):
+        node, env = make_node()
+        node.start()
+        early, late = _DuckListener(), _CallsAndRoles()
+        node.add_listener(early)
+        self._campaign(node, env)
+        assert early.calls == self.CAMPAIGN
+        node.remove_listeners()
+        assert not any(node._listening.values())
+        node.add_listener(late)
+        now = self._campaign(node, env, at_ms=5.0)
+        assert early.calls == self.CAMPAIGN  # detached: nothing more
+        assert late.calls == [("on_election_started", 1, 2, now)]
+
+    def test_every_notification_of_a_handler_carries_the_same_time(self):
+        class Stamps(_Calls):
+            def on_entry_committed(self, node_id, index, term, time_ms):
+                self.calls.append((index, time_ms))
+
+        stamps = Stamps()
+        node, env = make_node(node_id=2, listeners=[_Calls(), stamps])
+        node.start()
+        env.advance(7.0)
+        entries = tuple(
+            LogEntry(term=1, index=index, command=PutCommand("k", index))
+            for index in (1, 2, 3)
+        )
+        node.on_message(
+            1, AppendEntriesRequest(term=1, leader_id=1, entries=entries, leader_commit=3)
+        )
+        assert stamps.calls == [(1, 7.0), (2, 7.0), (3, 7.0)]
+
+
+class TestFakeEnvironmentRearm:
+    """``FakeEnvironment.rearm_timer`` is cancel + set, label kept."""
+
+    def test_a_heartbeat_rearms_the_election_timer_under_its_label(self):
+        node, env = make_node(node_id=2)
+        node.start()
+        (first,) = env.pending_timers()
+        node.on_message(1, AppendEntriesRequest(term=1, leader_id=1))
+        (second,) = env.pending_timers()
+        assert first.cancelled and second is not first
+        assert second.label == "S2:election-timeout"
+        assert env.fire_next_timer("S2:election-timeout") is second
+        assert node.role is Role.CANDIDATE
+
+    def test_rearming_nothing_or_a_spent_timer_just_arms(self):
+        env = FakeEnvironment(node_id=3)
+        fired = []
+        first = env.rearm_timer(None, 10.0, lambda: fired.append("first"), "t")
+        env.fire_next_timer("S3:t")
+        second = env.rearm_timer(first, 10.0, lambda: fired.append("second"), "t")
+        assert env.pending_timers() == [second]
+        env.fire_next_timer("S3:t")
+        assert (fired, env.now()) == (["first", "second"], 20.0)
 
 
 class TestProposalsRequireLeadership:

@@ -108,6 +108,7 @@ class TestWorldAndClusterWiring:
                 assert type(node.env) is SimNodeEnvironment
                 assert node.env.set_timer == scheduler.schedule_timer_entry
                 assert node.env.cancel_timer == scheduler.cancel_entry
+                assert node.env.rearm_timer == scheduler.rearm_timer_entry
 
     def test_scenario_engine_field_is_validated_and_threaded(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
