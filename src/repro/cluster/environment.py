@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from functools import partial
 from typing import Any
 
@@ -31,13 +30,16 @@ class SimNodeEnvironment:
 
     Each node gets a private random stream (``seeds.stream("node", node_id)``)
     so adding or removing one node never perturbs another's timeout draws.
+    ``rng`` is created on first read (ESCAPE and Z-Raft nodes draw only under
+    a contention script); the stream is fixed by the seed and the node id, so
+    no draw depends on when it was created.
     """
 
     def __init__(
         self, world: SimulationWorld, network: SimulatedNetwork, node_id: ServerId
     ) -> None:
         self.node_id = node_id
-        self.rng: random.Random = world.seeds.stream("node", node_id)
+        self._seeds = world.seeds
         # Nodes skip building trace kwargs entirely when nothing records them.
         self.trace_enabled = world.tracer.enabled
         self.now = world.clock.now
@@ -49,3 +51,10 @@ class SimNodeEnvironment:
         self.trace = (
             partial(world.trace, node=node_id) if self.trace_enabled else _noop_trace
         )
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached while the instance lacks the name: ``rng``'s first read.
+        if name != "rng":
+            raise AttributeError(name)
+        rng = self.__dict__["rng"] = self._seeds.stream("node", self.node_id)
+        return rng

@@ -16,6 +16,7 @@ episodes live in :mod:`repro.chaos.scenario` and
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from typing import Callable, Self
 
@@ -235,10 +236,12 @@ class Scenario:
         additionally carries the episode's observability snapshot under
         ``"telemetry"`` (as plain JSON state, so measurements keep pickling
         and exporting unchanged).
+
+        The cyclic garbage collector is paused, process-wide, for the episode
+        (build, run, ``close()``) and left as found, also if it raises: an
+        episode makes no reference cycles, so it would only re-scan objects.
         """
-        measurement, cluster = self._run_measured(seed)
-        cluster.close()
-        return measurement
+        return self._run_closed(seed)[0]
 
     def run_traced(self, seed: int) -> tuple[object, tuple]:
         """Run one episode with tracing forced on; returns the trace too.
@@ -246,13 +249,24 @@ class Scenario:
         The measurement is identical to :meth:`run`'s for the same seed
         (tracing never perturbs results); the second element is the world's
         :class:`~repro.sim.tracing.TraceRecord` tuple, ready for
-        :mod:`repro.obs.trace` sinks.
+        :mod:`repro.obs.trace` sinks.  The collector is paused as for
+        :meth:`run`.
         """
         traced = self if self.trace else replace(self, trace=True)
-        measurement, cluster = traced._run_measured(seed)
-        records = cluster.world.tracer.records
-        cluster.close()
-        return measurement, records
+        return traced._run_closed(seed)
+
+    def _run_closed(self, seed: int) -> tuple[object, tuple]:
+        """One episode, closed, collector paused: ``(measurement, trace)``."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            measurement, cluster = self._run_measured(seed)
+            records = cluster.world.tracer.records
+            cluster.close()
+            return measurement, records
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def _run_measured(self, seed: int) -> tuple[object, SimulatedCluster]:
         """Run one episode, attaching telemetry when the scenario opts in.

@@ -11,6 +11,7 @@ Hook                              ESCAPE behaviour
 ``_hook_may_grant_vote``          reject candidates with a stale configuration clock
 ``_hook_make_vote_request``       include configuration clock (and priority)
 ``_hook_decorate_append_request`` piggyback the follower's newly assigned configuration
+``_hook_payload_token``           the patrol and its clock (what that piggyback reads)
 ``_hook_append_response_extra``   the follower's current ``configStatus`` (memoised)
 ``_hook_build_append_response``   attach that ``configStatus`` to the reply
 ``_hook_on_leader_heartbeat``     adopt a newer configuration carried by a heartbeat
@@ -213,6 +214,12 @@ class EscapeNode(RaftNode):
         )
         self._decorated_requests[follower] = (request, decorated)
         return decorated
+
+    def _hook_payload_token(self) -> tuple[ProbingPatrol, int] | None:
+        """The patrol, held (not its ``id()``), and its clock, which moves with
+        every rearrangement: the assignment the piggyback reads."""
+        patrol = self.patrol
+        return None if patrol is None else (patrol, patrol.conf_clock)
 
     def _hook_on_append_response(
         self, src: ServerId, response: AppendEntriesResponse

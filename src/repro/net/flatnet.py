@@ -184,18 +184,21 @@ class FlatNetwork(SimulatedNetwork):
             per_type[name] = 1
         if src in self._disconnected:
             stats.dropped_disconnected += 1
-            self._world.trace("net.drop", node=src, dst=dst, reason="disconnected")
+            if self._trace_on:
+                self._world.trace("net.drop", node=src, dst=dst, reason="disconnected")
             return None
         if not self._skip_unicast_fault and self._fault.drop_unicast(
             self._fault_rng, src, dst
         ):
             stats.dropped_by_fault += 1
-            self._world.trace("net.drop", node=src, dst=dst, reason="fault")
+            if self._trace_on:
+                self._world.trace("net.drop", node=src, dst=dst, reason="fault")
             return None
         cells = self._cells
         if cells and cells[src] != cells[dst]:
             stats.dropped_by_partition += 1
-            self._world.trace("net.drop", node=src, dst=dst, reason="partition")
+            if self._trace_on:
+                self._world.trace("net.drop", node=src, dst=dst, reason="partition")
             return None
         low = self._uniform_low
         if low is not None:
@@ -270,7 +273,8 @@ class FlatNetwork(SimulatedNetwork):
                 stats.sent += 1
                 per_type[name] = per_type.get(name, 0) + 1
                 stats.dropped_disconnected += 1
-                trace("net.drop", node=src, dst=dst, reason="disconnected")
+                if self._trace_on:
+                    trace("net.drop", node=src, dst=dst, reason="disconnected")
             return
         if self._skip_broadcast_fault:
             omitted: frozenset[ServerId] | tuple = ()
@@ -305,16 +309,18 @@ class FlatNetwork(SimulatedNetwork):
                 per_type[name] = 1
             if dst in omitted:
                 stats.dropped_by_fault += 1
-                self._world.trace(
-                    "net.drop", node=src, dst=dst, reason="broadcast_omission"
-                )
+                if self._trace_on:
+                    self._world.trace(
+                        "net.drop", node=src, dst=dst, reason="broadcast_omission"
+                    )
                 continue
             if dst not in member_set:
                 scheduler._sequence = seq
                 raise NetworkError(f"unknown servers S{src} or S{dst}")
             if cells and cells[src] != cells[dst]:
                 stats.dropped_by_partition += 1
-                self._world.trace("net.drop", node=src, dst=dst, reason="partition")
+                if self._trace_on:
+                    self._world.trace("net.drop", node=src, dst=dst, reason="partition")
                 continue
             if low is not None:
                 latency = low + spread * rng_random()
@@ -356,17 +362,19 @@ class FlatNetwork(SimulatedNetwork):
         if dst in self._disconnected:
             self._stats.dropped_disconnected += 1
             self._stats.dropped_in_flight += 1
-            self._world.trace(
-                "net.drop", node=src, dst=dst, reason="disconnected", in_flight=True
-            )
+            if self._trace_on:
+                self._world.trace(
+                    "net.drop", node=src, dst=dst, reason="disconnected", in_flight=True
+                )
             return
         cells = self._cells
         if cells and cells[src] != cells[dst]:
             self._stats.dropped_by_partition += 1
             self._stats.dropped_in_flight += 1
-            self._world.trace(
-                "net.drop", node=src, dst=dst, reason="partition", in_flight=True
-            )
+            if self._trace_on:
+                self._world.trace(
+                    "net.drop", node=src, dst=dst, reason="partition", in_flight=True
+                )
             return
         node = self._node_for(dst)
         if node is None:

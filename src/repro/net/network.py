@@ -19,8 +19,9 @@ Every dropped message emits one ``net.drop`` trace with a ``reason`` of
 ``"fault"``, ``"broadcast_omission"``, ``"partition"`` or ``"disconnected"``;
 drops that happen at delivery time rather than send time additionally carry
 ``in_flight=True``.  Stats and traces therefore account for exactly the same
-set of drops.  A message sent as *inert* (see :meth:`SimulatedNetwork.send`)
-is accounted for like any other up to the point of scheduling and then
+set of drops (when the world traces; otherwise no trace call is made).  A
+message sent as *inert* (see :meth:`SimulatedNetwork.send`) is accounted for
+like any other up to the point of scheduling and then
 counted as ``elided``: it is never in flight, so it is never dropped there.
 """
 
@@ -99,6 +100,8 @@ class SimulatedNetwork:
         fault: FaultInjector | None = None,
     ) -> None:
         self._world = world
+        # Fixed, like the tracer's flag: no drop builds a trace call unread.
+        self._trace_on = world.tracer.enabled
         self._members = tuple(members)
         if not self._members:
             raise NetworkError("network requires at least one member")
@@ -184,10 +187,12 @@ class SimulatedNetwork:
         self.stats.record_sent(payload)
         if src in self._disconnected:
             self.stats.dropped_disconnected += 1
-            self._world.trace("net.drop", node=src, dst=dst, reason="disconnected")
+            if self._trace_on:
+                self._world.trace("net.drop", node=src, dst=dst, reason="disconnected")
         elif self._fault.drop_unicast(self._fault_rng, src, dst):
             self.stats.dropped_by_fault += 1
-            self._world.trace("net.drop", node=src, dst=dst, reason="fault")
+            if self._trace_on:
+                self._world.trace("net.drop", node=src, dst=dst, reason="fault")
         else:
             self._enqueue(src, dst, payload, inert)
 
@@ -219,9 +224,10 @@ class SimulatedNetwork:
             for dst in targets:
                 self.stats.record_sent(payload_factory(dst))
                 self.stats.dropped_disconnected += 1
-                self._world.trace(
-                    "net.drop", node=src, dst=dst, reason="disconnected"
-                )
+                if self._trace_on:
+                    self._world.trace(
+                        "net.drop", node=src, dst=dst, reason="disconnected"
+                    )
             return
         omitted = self._fault.omitted_broadcast_targets(
             self._fault_rng, src, list(targets)
@@ -231,7 +237,10 @@ class SimulatedNetwork:
             self.stats.record_sent(payload)
             if dst in omitted:
                 self.stats.dropped_by_fault += 1
-                self._world.trace("net.drop", node=src, dst=dst, reason="broadcast_omission")
+                if self._trace_on:
+                    self._world.trace(
+                        "net.drop", node=src, dst=dst, reason="broadcast_omission"
+                    )
                 continue
             self._enqueue(src, dst, payload)
 
@@ -243,7 +252,8 @@ class SimulatedNetwork:
     ) -> None:
         if not self._partitions.can_communicate(src, dst):
             self.stats.dropped_by_partition += 1
-            self._world.trace("net.drop", node=src, dst=dst, reason="partition")
+            if self._trace_on:
+                self._world.trace("net.drop", node=src, dst=dst, reason="partition")
             return
         self._schedule_delivery(src, dst, payload, inert)
         duplicator = getattr(self._fault, "should_duplicate", None)
@@ -270,16 +280,18 @@ class SimulatedNetwork:
             # are not recalled).
             self.stats.dropped_disconnected += 1
             self.stats.dropped_in_flight += 1
-            self._world.trace(
-                "net.drop", node=src, dst=dst, reason="disconnected", in_flight=True
-            )
+            if self._trace_on:
+                self._world.trace(
+                    "net.drop", node=src, dst=dst, reason="disconnected", in_flight=True
+                )
             return
         if not self._partitions.can_communicate(src, dst):
             self.stats.dropped_by_partition += 1
             self.stats.dropped_in_flight += 1
-            self._world.trace(
-                "net.drop", node=src, dst=dst, reason="partition", in_flight=True
-            )
+            if self._trace_on:
+                self._world.trace(
+                    "net.drop", node=src, dst=dst, reason="partition", in_flight=True
+                )
             return
         handler = self._handlers.get(dst)
         if handler is None:

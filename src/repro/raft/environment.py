@@ -95,7 +95,8 @@ class Environment(Protocol):
 
     @property
     def rng(self) -> random.Random:  # pragma: no cover
-        """This node's private random stream (timeout draws)."""
+        """This node's private random stream (timeout draws).  The simulator
+        creates it on first read; when that happens changes no draw."""
         ...
 
     def trace(self, category: str, **detail: Any) -> None:  # pragma: no cover

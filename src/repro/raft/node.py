@@ -148,6 +148,9 @@ class RaftNode:
         # is unchanged (see _append_entries_factory).
         self._append_request_cache_key: tuple[Term, LogIndex, LogIndex] | None = None
         self._append_request_cache: dict[LogIndex, AppendEntriesRequest] = {}
+        # (cache, (progress version, payload token), payloads) of the last
+        # AppendEntries broadcast (see _append_entries_factory).
+        self._payload_table: tuple | None = None
         self._vote_response_memo: tuple[Term, bool, RequestVoteResponse] | None = None
 
     # ------------------------------------------------------------------ #
@@ -634,8 +637,15 @@ class RaftNode:
         rounds for as long as ``(current_term, log.last_index, commit_index)``
         is unchanged: a leader's log only grows while its term lasts, so those
         three fix every field of the base request for a given index.  The
-        decorate hook still runs per follower (ESCAPE piggybacks per-follower
+        decorate hook runs per follower (ESCAPE piggybacks per-follower
         configurations) unless the subclass left it at the no-op default.
+
+        The factory records what it hands each follower, and the next round
+        serves that table as ``payloads.__getitem__`` (a C call, no frame per
+        follower) while the cache is the same object (a new leadership has a
+        new term, hence a new cache), no next index moved
+        (``progress.version``), :meth:`_hook_payload_token` is equal and the
+        table covers every peer: an idle heartbeat round.
         """
         progress = self.progress
         assert progress is not None
@@ -644,6 +654,17 @@ class RaftNode:
             self._append_request_cache_key = key
             self._append_request_cache = {}
         cache = self._append_request_cache
+        stamp = (progress.version, self._hook_payload_token())
+        table = self._payload_table
+        if (
+            table is not None
+            and table[0] is cache
+            and table[1] == stamp
+            and len(table[2]) == len(self._peer_ids)
+        ):
+            return table[2].__getitem__
+        payloads: dict[ServerId, AppendEntriesRequest] = {}
+        self._payload_table = (cache, stamp, payloads)
         build = self._build_append_entries
         next_index = progress.next_index
         if self._decorate_is_default:
@@ -653,6 +674,7 @@ class RaftNode:
                 request = cache.get(index)
                 if request is None:
                     request = cache[index] = build(index)
+                payloads[follower] = request
                 return request
 
             return factory
@@ -663,7 +685,8 @@ class RaftNode:
             request = cache.get(index)
             if request is None:
                 request = cache[index] = build(index)
-            return decorate(request, follower)
+            request = payloads[follower] = decorate(request, follower)
+            return request
 
         return factory
 
@@ -772,6 +795,13 @@ class RaftNode:
     ) -> AppendEntriesRequest:
         """Let subclasses piggyback data on an outgoing AppendEntries."""
         return request
+
+    def _hook_payload_token(self) -> Any:
+        """Compared by ``==`` between broadcasts (see the payload table in
+        :meth:`_append_entries_factory`): it must change whenever the decorate
+        hook could return something else for an unchanged base request.  Hold
+        objects by strong reference, never by ``id()`` (ids are reused)."""
+        return None
 
     def _hook_append_response_extra(self) -> Any:
         """What an AppendEntries reply carries beyond Raft's fields.

@@ -52,6 +52,9 @@ class ReplicationProgress:
         self._leader_match_index: LogIndex = last_log_index
         # Every member's match index, ascending (followers start at 0).
         self._ordered_matches: list[LogIndex] = [0] * len(self._peers) + [last_log_index]
+        #: Bumped whenever, and only when, some follower's next index moves:
+        #: the same version, the same ``next_index(peer)`` for every peer.
+        self.version = 0
 
     @property
     def peers(self) -> Mapping[ServerId, PeerProgress]:
@@ -90,13 +93,17 @@ class ReplicationProgress:
             record.match_index = match_index
         if record.next_index <= record.match_index:
             record.next_index = record.match_index + 1
+            self.version += 1
 
     def record_failure(self, peer: ServerId, follower_last_index: LogIndex) -> None:
         """Record a failed AppendEntries response from *peer*: rewind its next
         index -- to just past the last log index the follower reported, which
         skips a missing suffix in one step instead of one index per round trip."""
         record = self._peers.get(peer) or self.progress_of(peer)
-        record.next_index = max(1, min(record.next_index - 1, follower_last_index + 1))
+        next_index = max(1, min(record.next_index - 1, follower_last_index + 1))
+        if next_index != record.next_index:
+            record.next_index = next_index
+            self.version += 1
 
     def _raise_match(self, old: LogIndex, new: LogIndex) -> None:
         """Move one member's match index from *old* up to *new* in the ordered list."""

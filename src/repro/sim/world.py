@@ -48,7 +48,8 @@ class SimulationWorld:
 
     def trace(self, category: str, node: int | None = None, **detail: object) -> None:
         """Record a trace event stamped with the current simulated time."""
-        self.tracer.record(self.now(), category, node=node, **detail)
+        if self.tracer.enabled:
+            self.tracer.record(self.clock.now(), category, node=node, **detail)
 
     def run_for(self, duration_ms: Milliseconds) -> None:
         """Run the scheduler for *duration_ms* simulated milliseconds."""

@@ -39,6 +39,7 @@ class ZRaftNode(EscapeNode):
     # is no configuration clock to gate votes on.
     _hook_before_heartbeat_round = RaftNode._hook_before_heartbeat_round
     _hook_decorate_append_request = RaftNode._hook_decorate_append_request
+    _hook_payload_token = RaftNode._hook_payload_token
     _hook_on_append_response = RaftNode._hook_on_append_response
     _hook_on_leader_heartbeat = RaftNode._hook_on_leader_heartbeat
     _hook_may_grant_vote = RaftNode._hook_may_grant_vote
