@@ -20,7 +20,7 @@ import argparse
 
 from repro import protocols as protocol_registry
 from repro.cluster import ElectionScenario
-from repro.metrics import MeasurementSet, render_table, summarize
+from repro.metrics import MeasurementSet, render_table
 
 
 def compare(
@@ -40,8 +40,7 @@ def compare(
                 scenario.run_many(runs, base_seed=seed), label=protocol
             )
         summaries = {
-            protocol: summarize(cells[protocol].totals_ms())
-            for protocol in protocols
+            protocol: cells[protocol].total_summary() for protocol in protocols
         }
         row: list[object] = [size]
         row += [

@@ -25,7 +25,7 @@ import argparse
 from repro.chaos import ChaosScenario, build_plan
 from repro.cluster import ElectionHarness, ElectionObserver, build_cluster
 from repro.common.config import ProtocolConfig
-from repro.metrics import MeasurementSet, render_table, summarize
+from repro.metrics import MeasurementSet, render_table
 from repro.net.latency import GeoGroupLatency, GeoLatencySpec
 
 #: Three regions, three servers each.
@@ -108,7 +108,7 @@ def main() -> None:
     rows = []
     for protocol in ("raft", "escape"):
         measurements = run_protocol(protocol, args.runs, args.seed)
-        summary = summarize(measurements.totals_ms())
+        summary = measurements.total_summary()
         rows.append(
             [
                 protocol,

@@ -51,7 +51,7 @@ def scenario(
 
 def slow_fraction(cell: MeasurementSet) -> float:
     """Fraction of converged elections longer than 3500 ms (the split-vote tail)."""
-    return 1 - fraction_at_or_below(cell.totals_ms(), 3500.0)
+    return 1 - fraction_at_or_below(cell.values(lambda m: m.total_ms), 3500.0)
 
 
 EXPERIMENT = register(

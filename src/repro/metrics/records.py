@@ -7,7 +7,8 @@ from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 from repro.common.errors import ClusterError
 from repro.common.types import Milliseconds, ServerId, Term
-from repro.metrics.stats import SummaryStatistics, summarize
+from repro.metrics.stats import SummaryStatistics
+from repro.metrics.streaming import DEFAULT_CDF_CAPACITY, ElectionAggregate
 
 M = TypeVar("M")
 
@@ -188,7 +189,13 @@ class AvailabilitySet(RecordSet[AvailabilityMeasurement]):
 
 
 class MeasurementSet(RecordSet[ElectionMeasurement]):
-    """A collection of measurements from repeated runs of one configuration."""
+    """A collection of measurements from repeated runs of one configuration.
+
+    The set keeps its records (the archive and :meth:`values` read them) and
+    computes nothing over them itself: every statistic forwards to
+    :meth:`aggregate`, the :class:`~repro.metrics.streaming.ElectionAggregate`
+    the streaming sweeps fold, sized so that it stays exact.
+    """
 
     record_type = ElectionMeasurement
 
@@ -199,63 +206,42 @@ class MeasurementSet(RecordSet[ElectionMeasurement]):
             (m for m in self._measurements if m.converged), label=self.label
         )
 
-    def totals_ms(self) -> list[Milliseconds]:
-        """Total election times (OTS) of the converged runs."""
-        return [m.total_ms for m in self._measurements if m.converged]
-
-    def detections_ms(self) -> list[Milliseconds]:
-        """Detection periods of the converged runs."""
-        return [m.detection_ms for m in self._measurements if m.converged]
-
-    def elections_ms(self) -> list[Milliseconds]:
-        """Election periods of the converged runs."""
-        return [m.election_ms for m in self._measurements if m.converged]
-
     def values(
         self, selector: Callable[[ElectionMeasurement], float]
     ) -> list[float]:
         """Arbitrary per-measurement values from the converged runs."""
         return [selector(m) for m in self._measurements if m.converged]
 
+    def aggregate(self) -> ElectionAggregate:
+        """These runs as one aggregate whose sketches never compress, so its
+        statistics are the exact ones at any run count."""
+        capacity = max(DEFAULT_CDF_CAPACITY, len(self))
+        return ElectionAggregate.from_measurements(self, self.label, capacity=capacity)
+
     def split_vote_fraction(self) -> float:
         """Fraction of runs that experienced at least one split vote."""
-        if not self._measurements:
-            return 0.0
-        return sum(1 for m in self._measurements if m.split_vote) / len(self._measurements)
+        return self.aggregate().split_vote_fraction()
 
     def convergence_fraction(self) -> float:
         """Fraction of runs that elected a new leader within the time budget."""
-        if not self._measurements:
-            return 0.0
-        return sum(1 for m in self._measurements if m.converged) / len(self._measurements)
+        return self.aggregate().convergence_fraction()
 
-    def _converged(self, values: list[float]) -> list[float]:
-        if not values:
-            raise ClusterError(f"no converged runs in measurement set {self.label!r}")
-        return values
-
-    def _converged_mean(self, values: list[float]) -> float:
-        return sum(self._converged(values)) / len(values)
+    def mean_campaigns(self) -> float:
+        """Average campaign count per run, over every run."""
+        return self.aggregate().mean_campaigns()
 
     def mean_total_ms(self) -> float:
-        """Average total election time over converged runs: the summary's mean
-        (a sorted-order sum), bit for bit the streaming aggregate's."""
-        return self.total_summary().mean
+        """Average total election time over converged runs."""
+        return self.aggregate().mean_total_ms()
 
     def mean_detection_ms(self) -> float:
         """Average detection period over converged runs."""
-        return self._converged_mean(self.detections_ms())
+        return self.aggregate().mean_detection_ms()
 
     def mean_election_ms(self) -> float:
         """Average election period over converged runs."""
-        return self._converged_mean(self.elections_ms())
-
-    def mean_campaigns(self) -> float:
-        """Average campaign count per run, over every run (like
-        :meth:`split_vote_fraction`: a run that never converged campaigned too)."""
-        runs = self._require_runs()
-        return sum(m.campaign_count for m in runs) / len(runs)
+        return self.aggregate().mean_election_ms()
 
     def total_summary(self) -> SummaryStatistics:
         """Summary statistics of the converged total election times."""
-        return summarize(self._converged(self.totals_ms()))
+        return self.aggregate().total_summary()

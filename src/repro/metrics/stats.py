@@ -33,13 +33,14 @@ def percentile(values: Sequence[float], q: float) -> float:
     """The *q*-th percentile (0-100) using linear interpolation."""
     if not values:
         raise ClusterError("cannot take a percentile of an empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ClusterError(f"percentile must be in [0, 100], got {q}")
     return _percentile_sorted(sorted(values), q)
 
 
 def _percentile_sorted(ordered: Sequence[float], q: float) -> float:
-    """:func:`percentile` over an already-sorted, non-empty sequence."""
+    """:func:`percentile` over an already-sorted, non-empty sequence (the
+    kernel the streaming sketches share, so *q* is checked here, once)."""
+    if not 0.0 <= q <= 100.0:
+        raise ClusterError(f"percentile must be in [0, 100], got {q}")
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)

@@ -1,35 +1,42 @@
-"""Mergeable streaming aggregates for memory-bounded sweeps.
+"""Mergeable aggregates: the one implementation of the election statistics.
 
-The batch measurement path (:class:`~repro.metrics.records.MeasurementSet` +
-:func:`~repro.metrics.stats.summarize`) keeps every episode in memory, which
-makes million-run sweeps O(runs) in the parent process.  This module provides
-the streaming alternative: small, *mergeable* accumulators that workers fill
-chunk by chunk and the sweep engine folds together, so parent memory is
-O(labels) regardless of how many episodes ran.
+Every election statistic the reports print -- split-vote and convergence
+fractions, campaigns per run, the means and summary of the total / detection
+/ election periods -- is computed here, once.  A streaming sweep fills
+:class:`ElectionAggregate` partials chunk by chunk and the sweep engine folds
+them together, so parent memory is O(labels) regardless of how many episodes
+ran; a collecting :class:`~repro.metrics.records.MeasurementSet` keeps its
+records for the archive and answers every statistic by building one
+aggregate over them, sized so that it never compresses.
 
-Three layers:
+Four layers:
 
-* :class:`StreamingSummary` -- count/mean/M2 moments (Welford updates, Chan
-  parallel merge), exact min/max, and a :class:`MergeableCDF` for the order
-  statistics.
 * :class:`MergeableCDF` -- a sorted-sample sketch that is **exact** while the
   observation count stays at or below its capacity (merging sorted blocks
   loses nothing), and compresses deterministically to an equi-depth grid of
   representatives beyond it.
-* :class:`ElectionAggregate` -- the per-label election accumulator the sweep
-  engine ships across the process boundary: episode/convergence/split-vote
-  counters plus streaming summaries of the total/detection/election periods.
+* :class:`StreamingSummary` -- count/mean/M2 moments (Welford updates, Chan
+  parallel merge), exact min/max, and a :class:`MergeableCDF` for the order
+  statistics.
+* :class:`Aggregate` -- the base of the per-label accumulators.  A subclass
+  declares its state as dataclass fields and writes only ``add`` and its
+  queries; ``merge``, ``to_state`` / ``from_state``, ``==``,
+  ``from_measurements`` and ``__len__`` are derived from the field list:
+  ``label`` comes first, ``int`` / ``float`` fields are counters (summed on
+  merge), :class:`StreamingSummary` fields are merged, and the state holds
+  the fields in declaration order.
+* :class:`ElectionAggregate` -- episode/convergence/split-vote/campaign
+  counters plus streaming summaries of the total/detection/election periods
+  (:class:`repro.workload.WorkloadAggregate` is the throughput sibling).
 
 Exactness contract (pinned by ``tests/property/test_streaming_equivalence.py``):
 as long as a summary has seen at most ``capacity`` values, any chunking and
 any merge order produce **bit-identical** results to the batch
 :func:`~repro.metrics.stats.summarize` /
-:func:`~repro.metrics.stats.cumulative_distribution` path on the same values.
-The paper-scale experiments (<= a few thousand runs per label) therefore get
-the aggregates' memory bounds for free, without changing a single
-reported digit; only beyond the capacity do percentiles become (still
-deterministic) equi-depth approximations while count/mean/std/min/max stay
-exact up to float accumulation.
+:func:`~repro.metrics.stats.cumulative_distribution` on the same values.
+Beyond the capacity percentiles become (still deterministic) equi-depth
+approximations while count/mean/std/min/max stay exact up to float
+accumulation.
 
 Every accumulator serialises to plain JSON-able state (``to_state`` /
 ``from_state``), which is what the sweep checkpoint persists; floats
@@ -40,11 +47,12 @@ bit-identical to an uninterrupted one.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Iterable, Mapping, Self, Sequence, get_type_hints
 
 from repro.common.errors import ClusterError
-from repro.metrics.records import ElectionMeasurement
 from repro.metrics.stats import (
     SummaryStatistics,
     _percentile_sorted,
@@ -52,8 +60,12 @@ from repro.metrics.stats import (
     summarize,
 )
 
+if TYPE_CHECKING:
+    from repro.metrics.records import ElectionMeasurement
+
 __all__ = [
     "DEFAULT_CDF_CAPACITY",
+    "Aggregate",
     "ElectionAggregate",
     "MergeableCDF",
     "StreamingSummary",
@@ -474,47 +486,106 @@ class StreamingSummary:
         return summary
 
 
-class ElectionAggregate:
-    """Per-label mergeable aggregate of election measurements.
+@functools.cache
+def _layout(cls: type) -> tuple[tuple[str, type], ...]:
+    """``(name, type)`` of every field of an :class:`Aggregate` subclass after
+    ``label``, in declaration order -- the order of its state's keys."""
+    hints = get_type_hints(cls)
+    return tuple((field.name, hints[field.name]) for field in fields(cls)[1:])
 
-    The O(1)-memory counterpart of
-    :class:`~repro.metrics.records.MeasurementSet`: workers fill one per label
-    per chunk, the parent merges them in chunk order, and the result answers
-    exactly the questions the figure reports ask (mean/max/percentiles of the
-    converged election times, split-vote and convergence fractions) without
-    ever retaining an episode record.
 
-    Mirroring the batch path, the period summaries cover **converged** runs
-    only (``MeasurementSet.totals_ms`` filters the same way), while the
-    episode/split-vote counters cover every run.
+@dataclass(slots=True, init=False)
+class Aggregate:
+    """Base of the per-label mergeable accumulators the sweep engine folds.
+
+    A subclass is a ``@dataclass(slots=True, init=False)`` field list plus
+    ``add`` and its queries.  Everything else is derived from the fields
+    (see the module docstring for the rules): workers fill one aggregate per
+    label per chunk, the parent merges them in chunk order, and the state is
+    what a checkpoint persists.  ``runs`` counts the episodes absorbed.
     """
 
-    __slots__ = (
-        "label",
-        "runs",
-        "converged",
-        "split_votes",
-        "campaigns",
-        "total_ms",
-        "detection_ms",
-        "election_ms",
-    )
+    label: str
+    runs: int
 
-    def __init__(
-        self, label: str = "", capacity: int = DEFAULT_CDF_CAPACITY
-    ) -> None:
+    def __init__(self, label: str = "", capacity: int = DEFAULT_CDF_CAPACITY) -> None:
         self.label = label
-        self.runs = 0
-        self.converged = 0
-        self.split_votes = 0
-        self.campaigns = 0
-        self.total_ms = StreamingSummary(capacity=capacity)
-        self.detection_ms = StreamingSummary(capacity=capacity)
-        self.election_ms = StreamingSummary(capacity=capacity)
+        for name, kind in _layout(type(self)):
+            value = StreamingSummary(capacity) if kind is StreamingSummary else kind()
+            setattr(self, name, value)
 
-    # ------------------------------------------------------------------ #
-    # Building
-    # ------------------------------------------------------------------ #
+    def add(self, measurement: object) -> None:
+        """Absorb one episode's measurement."""
+        raise NotImplementedError
+
+    @classmethod
+    def from_measurements(
+        cls,
+        measurements: Iterable[object],
+        label: str = "",
+        capacity: int = DEFAULT_CDF_CAPACITY,
+    ) -> Self:
+        """Aggregate an in-memory measurement collection."""
+        aggregate = cls(label, capacity)
+        for measurement in measurements:
+            aggregate.add(measurement)
+        return aggregate
+
+    def merge(self, other: Self) -> None:
+        """Fold another partial aggregate for the same label in."""
+        if other.label and self.label and other.label != self.label:
+            raise ClusterError(
+                f"cannot merge aggregate for {other.label!r} into {self.label!r}"
+            )
+        for name, kind in _layout(type(self)):
+            if kind is StreamingSummary:
+                getattr(self, name).merge(getattr(other, name))
+            else:
+                setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def __len__(self) -> int:
+        return self.runs
+
+    def to_state(self) -> dict[str, object]:
+        """JSON-able snapshot used by the sweep checkpoint."""
+        state: dict[str, object] = {"label": self.label}
+        for name, kind in _layout(type(self)):
+            value = getattr(self, name)
+            state[name] = value.to_state() if kind is StreamingSummary else value
+        return state
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, object]) -> Self:
+        """Rebuild an aggregate from :meth:`to_state` output."""
+        aggregate = cls.__new__(cls)
+        aggregate.label = str(state["label"])
+        for name, kind in _layout(cls):
+            value = state[name]
+            if kind is StreamingSummary:
+                setattr(aggregate, name, StreamingSummary.from_state(value))  # type: ignore[arg-type]
+            else:
+                setattr(aggregate, name, kind(value))
+        return aggregate
+
+
+@dataclass(slots=True, init=False)
+class ElectionAggregate(Aggregate):
+    """Per-label mergeable aggregate of election measurements.
+
+    ``fig9-xl`` sweeps straight into these; every collecting
+    :class:`~repro.metrics.records.MeasurementSet` builds one over its
+    records to answer a statistic, so the reports of both kinds of sweep read
+    the same code.  The period summaries cover **converged** runs only, while
+    the split-vote and campaign counters cover every run.
+    """
+
+    converged: int
+    split_votes: int
+    campaigns: int
+    total_ms: StreamingSummary
+    detection_ms: StreamingSummary
+    election_ms: StreamingSummary
+
     def add(self, measurement: ElectionMeasurement) -> None:
         """Absorb one episode's measurement."""
         self.runs += 1
@@ -527,35 +598,8 @@ class ElectionAggregate:
             self.detection_ms.add(measurement.detection_ms)
             self.election_ms.add(measurement.election_ms)
 
-    def merge(self, other: "ElectionAggregate") -> None:
-        """Fold another partial aggregate for the same label in."""
-        if other.label and self.label and other.label != self.label:
-            raise ClusterError(
-                f"cannot merge aggregate for {other.label!r} into {self.label!r}"
-            )
-        self.runs += other.runs
-        self.converged += other.converged
-        self.split_votes += other.split_votes
-        self.campaigns += other.campaigns
-        self.total_ms.merge(other.total_ms)
-        self.detection_ms.merge(other.detection_ms)
-        self.election_ms.merge(other.election_ms)
-
-    @classmethod
-    def from_measurements(
-        cls,
-        measurements: Iterable[ElectionMeasurement],
-        label: str = "",
-        capacity: int = DEFAULT_CDF_CAPACITY,
-    ) -> "ElectionAggregate":
-        """Aggregate an in-memory measurement collection (the batch bridge)."""
-        aggregate = cls(label=label, capacity=capacity)
-        for measurement in measurements:
-            aggregate.add(measurement)
-        return aggregate
-
     # ------------------------------------------------------------------ #
-    # Queries (MeasurementSet-compatible where the reports need it)
+    # Queries (what the figure reports ask)
     # ------------------------------------------------------------------ #
     def split_vote_fraction(self) -> float:
         """Fraction of runs with at least one split vote."""
@@ -566,22 +610,32 @@ class ElectionAggregate:
         return self.converged / self.runs if self.runs else 0.0
 
     def mean_campaigns(self) -> float:
-        """Average campaign count per run, over every run (as the batch path)."""
+        """Average campaign count per run, over every run (a run that never
+        converged campaigned too)."""
         if not self.runs:
             raise ClusterError(f"no runs in aggregate {self.label!r}")
         return self.campaigns / self.runs
 
     def mean_total_ms(self) -> float:
         """Average total election time over converged runs."""
-        if not self.converged:
-            raise ClusterError(f"no converged runs in aggregate {self.label!r}")
-        return self.total_ms.summary().mean
+        return self.total_summary().mean
+
+    def mean_detection_ms(self) -> float:
+        """Average detection period over converged runs."""
+        return self._converged_summary(self.detection_ms).mean
+
+    def mean_election_ms(self) -> float:
+        """Average election period over converged runs."""
+        return self._converged_summary(self.election_ms).mean
 
     def total_summary(self) -> SummaryStatistics:
         """Summary statistics of the converged total election times."""
+        return self._converged_summary(self.total_ms)
+
+    def _converged_summary(self, periods: StreamingSummary) -> SummaryStatistics:
         if not self.converged:
             raise ClusterError(f"no converged runs in aggregate {self.label!r}")
-        return self.total_ms.summary()
+        return periods.summary()
 
     def total_cdf(self) -> list[tuple[float, float]]:
         """The (sketched) CDF of the converged total election times."""
@@ -610,56 +664,3 @@ class ElectionAggregate:
             "max_total_ms": round(summary.maximum, 3) if summary else None,
             "std_total_ms": round(summary.std_dev, 3) if summary else None,
         }
-
-    def __len__(self) -> int:
-        return self.runs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ElectionAggregate):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.runs == other.runs
-            and self.converged == other.converged
-            and self.split_votes == other.split_votes
-            and self.campaigns == other.campaigns
-            and self.total_ms == other.total_ms
-            and self.detection_ms == other.detection_ms
-            and self.election_ms == other.election_ms
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ElectionAggregate(label={self.label!r}, runs={self.runs}, "
-            f"converged={self.converged})"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Serialisation (the checkpoint format)
-    # ------------------------------------------------------------------ #
-    def to_state(self) -> dict[str, object]:
-        """JSON-able snapshot used by the sweep checkpoint."""
-        return {
-            "label": self.label,
-            "runs": self.runs,
-            "converged": self.converged,
-            "split_votes": self.split_votes,
-            "campaigns": self.campaigns,
-            "total_ms": self.total_ms.to_state(),
-            "detection_ms": self.detection_ms.to_state(),
-            "election_ms": self.election_ms.to_state(),
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "ElectionAggregate":
-        """Rebuild an aggregate from :meth:`to_state` output."""
-        aggregate = cls.__new__(cls)
-        aggregate.label = str(state["label"])
-        aggregate.runs = int(state["runs"])  # type: ignore[arg-type]
-        aggregate.converged = int(state["converged"])  # type: ignore[arg-type]
-        aggregate.split_votes = int(state["split_votes"])  # type: ignore[arg-type]
-        aggregate.campaigns = int(state["campaigns"])  # type: ignore[arg-type]
-        aggregate.total_ms = StreamingSummary.from_state(state["total_ms"])  # type: ignore[arg-type]
-        aggregate.detection_ms = StreamingSummary.from_state(state["detection_ms"])  # type: ignore[arg-type]
-        aggregate.election_ms = StreamingSummary.from_state(state["election_ms"])  # type: ignore[arg-type]
-        return aggregate

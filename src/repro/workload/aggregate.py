@@ -14,52 +14,31 @@ election path pins).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from dataclasses import dataclass
 
 from repro.common.errors import ClusterError
-from repro.metrics.streaming import DEFAULT_CDF_CAPACITY, StreamingSummary
+from repro.metrics.streaming import Aggregate, StreamingSummary
 from repro.workload.records import WorkloadMeasurement
 
 __all__ = ["WorkloadAggregate"]
 
 
-class WorkloadAggregate:
-    """Mergeable accumulator of :class:`WorkloadMeasurement` records."""
+@dataclass(slots=True, init=False)
+class WorkloadAggregate(Aggregate):
+    """Mergeable accumulator of :class:`WorkloadMeasurement` records (merge,
+    state codec and equality derived from these fields by :class:`Aggregate`)."""
 
-    __slots__ = (
-        "label",
-        "runs",
-        "proposed",
-        "committed",
-        "retries",
-        "dropped",
-        "rejected",
-        "lost",
-        "outages",
-        "window_ms",
-        "leaderless_ms",
-        "latency_ms",
-    )
+    proposed: int
+    committed: int
+    retries: int
+    dropped: int
+    rejected: int
+    lost: int
+    outages: int
+    window_ms: float
+    leaderless_ms: float
+    latency_ms: StreamingSummary
 
-    def __init__(
-        self, label: str = "", capacity: int = DEFAULT_CDF_CAPACITY
-    ) -> None:
-        self.label = label
-        self.runs = 0
-        self.proposed = 0
-        self.committed = 0
-        self.retries = 0
-        self.dropped = 0
-        self.rejected = 0
-        self.lost = 0
-        self.outages = 0
-        self.window_ms = 0.0
-        self.leaderless_ms = 0.0
-        self.latency_ms = StreamingSummary(capacity=capacity)
-
-    # ------------------------------------------------------------------ #
-    # Building
-    # ------------------------------------------------------------------ #
     def add(self, measurement: WorkloadMeasurement) -> None:
         """Absorb one episode's measurement."""
         self.runs += 1
@@ -74,37 +53,6 @@ class WorkloadAggregate:
         self.leaderless_ms += measurement.leaderless_ms
         for latency in measurement.latencies_ms:
             self.latency_ms.add(latency)
-
-    def merge(self, other: "WorkloadAggregate") -> None:
-        """Fold another partial aggregate for the same label in."""
-        if other.label and self.label and other.label != self.label:
-            raise ClusterError(
-                f"cannot merge aggregate for {other.label!r} into {self.label!r}"
-            )
-        self.runs += other.runs
-        self.proposed += other.proposed
-        self.committed += other.committed
-        self.retries += other.retries
-        self.dropped += other.dropped
-        self.rejected += other.rejected
-        self.lost += other.lost
-        self.outages += other.outages
-        self.window_ms += other.window_ms
-        self.leaderless_ms += other.leaderless_ms
-        self.latency_ms.merge(other.latency_ms)
-
-    @classmethod
-    def from_measurements(
-        cls,
-        measurements: Iterable[WorkloadMeasurement],
-        label: str = "",
-        capacity: int = DEFAULT_CDF_CAPACITY,
-    ) -> "WorkloadAggregate":
-        """Aggregate an in-memory measurement collection (the batch bridge)."""
-        aggregate = cls(label=label, capacity=capacity)
-        for measurement in measurements:
-            aggregate.add(measurement)
-        return aggregate
 
     # ------------------------------------------------------------------ #
     # Queries (what the throughput report asks)
@@ -192,68 +140,3 @@ class WorkloadAggregate:
             "mean_ms": round(self.latency_ms.mean, 3) if with_latency else None,
             "max_ms": round(self.latency_ms.maximum, 3) if with_latency else None,
         }
-
-    def __len__(self) -> int:
-        return self.runs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WorkloadAggregate):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.runs == other.runs
-            and self.proposed == other.proposed
-            and self.committed == other.committed
-            and self.retries == other.retries
-            and self.dropped == other.dropped
-            and self.rejected == other.rejected
-            and self.lost == other.lost
-            and self.outages == other.outages
-            and self.window_ms == other.window_ms
-            and self.leaderless_ms == other.leaderless_ms
-            and self.latency_ms == other.latency_ms
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"WorkloadAggregate(label={self.label!r}, runs={self.runs}, "
-            f"committed={self.committed})"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Serialisation (the checkpoint format)
-    # ------------------------------------------------------------------ #
-    def to_state(self) -> dict[str, object]:
-        """JSON-able snapshot used by the sweep checkpoint."""
-        return {
-            "label": self.label,
-            "runs": self.runs,
-            "proposed": self.proposed,
-            "committed": self.committed,
-            "retries": self.retries,
-            "dropped": self.dropped,
-            "rejected": self.rejected,
-            "lost": self.lost,
-            "outages": self.outages,
-            "window_ms": self.window_ms,
-            "leaderless_ms": self.leaderless_ms,
-            "latency_ms": self.latency_ms.to_state(),
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "WorkloadAggregate":
-        """Rebuild an aggregate from :meth:`to_state` output."""
-        aggregate = cls.__new__(cls)
-        aggregate.label = str(state["label"])
-        aggregate.runs = int(state["runs"])  # type: ignore[arg-type]
-        aggregate.proposed = int(state["proposed"])  # type: ignore[arg-type]
-        aggregate.committed = int(state["committed"])  # type: ignore[arg-type]
-        aggregate.retries = int(state["retries"])  # type: ignore[arg-type]
-        aggregate.dropped = int(state["dropped"])  # type: ignore[arg-type]
-        aggregate.rejected = int(state["rejected"])  # type: ignore[arg-type]
-        aggregate.lost = int(state["lost"])  # type: ignore[arg-type]
-        aggregate.outages = int(state["outages"])  # type: ignore[arg-type]
-        aggregate.window_ms = float(state["window_ms"])  # type: ignore[arg-type]
-        aggregate.leaderless_ms = float(state["leaderless_ms"])  # type: ignore[arg-type]
-        aggregate.latency_ms = StreamingSummary.from_state(state["latency_ms"])  # type: ignore[arg-type]
-        return aggregate

@@ -98,5 +98,5 @@ class TestProtocolComparison:
         measurements = MeasurementSet(
             ElectionScenario(protocol="escape", cluster_size=8).run_many(RUNS, base_seed=13)
         )
-        for detection in measurements.detections_ms():
+        for detection in measurements.values(lambda m: m.detection_ms):
             assert 1_300.0 <= detection <= 1_750.0

@@ -1,47 +1,56 @@
-"""Property-based pins for the streaming/batch equivalence contract.
+"""Property-based pins for the streaming exactness contract.
 
-The streaming sweep engine only preserves the repository's determinism
-guarantee if its aggregates are *exactly* the batch statistics in disguise.
-These properties pin the contract declared by :mod:`repro.metrics.streaming`
-for arbitrary samples: in the exact regime (count <= capacity), **any**
-chunking and **any** merge order of :class:`StreamingSummary` partials
-reproduce the batch ``summarize``/``cumulative_distribution`` results
-bit-identically; the JSON state round-trip (the checkpoint format) is
-bit-exact; and beyond the capacity the compression stays deterministic while
-count/min/max remain exact.  The election containers themselves --
-:class:`MeasurementSet` (batch) and :class:`ElectionAggregate` (streaming) --
-answer every query they share identically on any mix of converged and
-non-converged runs, under any chunking.
+Every election statistic is computed once, by the mergeable aggregates of
+:mod:`repro.metrics.streaming`; a :class:`MeasurementSet` answers through an
+aggregate sized to its run count.  What remains to pin is where those
+aggregates stop being the batch ``summarize`` / ``cumulative_distribution``
+in disguise: at ``count == capacity`` any chunking and any merge order are
+still bit-identical to the batch path, one value past it the sketch
+compresses (count, min and max stay exact, the support is observed values),
+a :class:`MeasurementSet` never crosses that line however many runs it
+holds, and the aggregates' JSON state -- the checkpoint format -- is the one
+the hand-written codecs wrote.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
+    DEFAULT_CDF_CAPACITY,
     ElectionAggregate,
     ElectionMeasurement,
     MeasurementSet,
-    MergeableCDF,
     StreamingSummary,
     cumulative_distribution,
     summarize,
 )
+from repro.workload import WorkloadAggregate
+from repro.workload.records import WorkloadMeasurement
 
 CAPACITY = 64
 
-# Finite floats in a measurement-like range; duplicates are likely (small
-# grid) so ties exercise the stable-merge path.
-VALUES = st.lists(
-    st.floats(min_value=0.0, max_value=10_000.0, allow_nan=False).map(
-        lambda value: round(value, 2)
-    ),
-    min_size=1,
-    max_size=CAPACITY,
-)
+
+def _values(min_size: int, max_size: int) -> st.SearchStrategy[list[float]]:
+    # Finite floats in a measurement-like range; duplicates are likely (small
+    # grid) so ties exercise the stable-merge path.
+    return st.lists(
+        st.floats(min_value=0.0, max_value=10_000.0, allow_nan=False).map(
+            lambda value: round(value, 2)
+        ),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+VALUES = _values(1, CAPACITY)
+AT_CAPACITY = _values(CAPACITY, CAPACITY)
+PAST_CAPACITY = _values(CAPACITY + 1, CAPACITY + 1)
 
 # Chunk boundaries as a list of relative cut weights; normalised per sample.
 CUTS = st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=8)
@@ -61,11 +70,16 @@ def _chunks(values, cuts):
     return chunks
 
 
-@given(values=VALUES, cuts=CUTS)
-def test_any_chunking_matches_batch_summary_bit_identically(values, cuts):
+def _merged(values, cuts) -> StreamingSummary:
     merged = StreamingSummary(capacity=CAPACITY)
     for chunk in _chunks(values, cuts):
         merged.merge(StreamingSummary(capacity=CAPACITY).extend(chunk))
+    return merged
+
+
+@given(values=VALUES, cuts=CUTS)
+def test_any_chunking_matches_batch_summary_bit_identically(values, cuts):
+    merged = _merged(values, cuts)
     assert merged.count == len(values)
     # Bit-identical, not approximately equal: summarize returns a frozen
     # dataclass, so == compares every statistic exactly.
@@ -86,6 +100,26 @@ def test_merge_order_is_irrelevant_in_the_exact_regime(values, cuts, seed):
         permuted.merge(partials[index])
     assert permuted.summary() == summarize(values)
     assert permuted.cumulative_distribution() == cumulative_distribution(values)
+
+
+@given(values=AT_CAPACITY, cuts=CUTS)
+def test_a_summary_at_capacity_is_still_exact(values, cuts):
+    merged = _merged(values, cuts)
+    assert merged.cdf.exact
+    assert merged.summary() == summarize(values)
+    assert merged.cumulative_distribution() == cumulative_distribution(values)
+
+
+@given(values=PAST_CAPACITY, cuts=CUTS)
+def test_one_value_past_capacity_compresses_to_observed_values(values, cuts):
+    merged = _merged(values, cuts)
+    assert not merged.cdf.exact
+    stats = merged.summary()
+    assert stats.count == len(values)
+    assert (stats.minimum, stats.maximum) == (min(values), max(values))
+    observed = set(values)
+    assert all(value in observed for value, _ in merged.cumulative_distribution())
+    assert min(values) <= stats.median <= stats.p99 <= max(values)
 
 
 @given(values=VALUES)
@@ -121,75 +155,99 @@ def test_compressed_regime_is_deterministic_and_exact_on_extremes(values):
     assert min(values) <= stats.p99 <= max(values)
 
 
-@given(values=VALUES, cuts=CUTS)
-def test_sketch_merge_is_lossless_while_exact(values, cuts):
-    merged = MergeableCDF(capacity=CAPACITY)
-    for chunk in _chunks(values, cuts):
-        partial = MergeableCDF(capacity=CAPACITY)
-        for value in chunk:
-            partial.add(value)
-        merged.merge(partial)
-    assert merged.exact
-    assert merged.values() == sorted(values)
-
-
-@st.composite
-def _episodes(draw):
-    """Election runs, converged or not; a stalled run still campaigned."""
-    runs = draw(
-        st.lists(
-            st.tuples(
-                st.booleans(),  # converged
-                st.integers(min_value=1, max_value=12),  # campaigns
-                st.integers(min_value=1, max_value=800_000),  # total, in 1/100 ms
-            ),
-            min_size=1,
-            max_size=CAPACITY,
-        )
+def _election(seed: int, total: float, converged: bool = True) -> ElectionMeasurement:
+    return ElectionMeasurement(
+        "raft", 5, seed, converged, 0.0, total / 4, total - total / 4, total,
+        1 if converged else 3, not converged, 1 if converged else None,
+        2 if converged else None,
     )
-    return [
-        ElectionMeasurement(
-            protocol="raft",
-            cluster_size=5,
-            seed=index,
-            converged=converged,
-            crash_time_ms=0.0,
-            detection_ms=total / 200.0,
-            election_ms=total / 200.0,
-            total_ms=total / 100.0,
-            campaign_count=campaigns,
-            split_vote=campaigns > 1,
-            winner_id=1 if converged else None,
-            winner_term=2 if converged else None,
-        )
-        for index, (converged, campaigns, total) in enumerate(runs)
-    ]
 
 
-def test_mean_campaigns_counts_the_run_that_never_converged():
-    """The case the two containers used to answer 1.0 and 5.0."""
-    converged, stalled = (
-        ElectionMeasurement("raft", 5, 0, True, 0.0, 1.0, 1.0, 2.0, 1, False, 1, 2),
-        ElectionMeasurement("raft", 5, 1, False, 0.0, 1.0, 1.0, 2.0, 9, True, None, None),
+def test_a_measurement_set_past_the_default_capacity_stays_exact():
+    runs = DEFAULT_CDF_CAPACITY + 1
+    totals = [((index * 7919) % 100_003) / 7.0 for index in range(runs)]
+    episodes = [_election(index, total) for index, total in enumerate(totals)]
+    episodes.append(_election(runs, 0.0, converged=False))
+    cell = MeasurementSet(episodes, label="cell")
+    # An aggregate of the default capacity would compress here ...
+    assert not ElectionAggregate.from_measurements(episodes).total_ms.cdf.exact
+    # ... the set's own one does not, so it equals the batch path bit for bit.
+    assert cell.total_summary() == summarize(totals)
+    assert cell.mean_total_ms() == summarize(totals).mean
+    assert cell.mean_detection_ms() == summarize([m.detection_ms for m in episodes[:-1]]).mean
+    assert cell.mean_election_ms() == summarize([m.election_ms for m in episodes[:-1]]).mean
+    assert cell.mean_campaigns() == (runs + 3) / (runs + 1)
+
+
+def _election_aggregate() -> ElectionAggregate:
+    return ElectionAggregate.from_measurements(
+        [
+            ElectionMeasurement("raft", 5, 0, True, 0.0, 1200.5, 300.25, 1500.75, 2, True, 1, 3),
+            ElectionMeasurement("raft", 5, 1, False, 0.0, 0.0, 0.0, 0.0, 4, True, None, None),
+        ],
+        "cell",
+        capacity=4,
     )
-    batch = MeasurementSet([converged, stalled], label="cell")
-    streamed = ElectionAggregate.from_measurements([converged, stalled], label="cell")
-    assert batch.mean_campaigns() == streamed.mean_campaigns() == 5.0
 
 
-@given(episodes=_episodes(), cuts=CUTS)
-def test_batch_and_streaming_containers_agree_on_any_mix(episodes, cuts):
-    batch = MeasurementSet(episodes, label="cell")
-    streamed = ElectionAggregate("cell", capacity=CAPACITY)
-    for chunk in _chunks(episodes, cuts):
-        streamed.merge(
-            ElectionAggregate.from_measurements(chunk, label="cell", capacity=CAPACITY)
-        )
-    assert streamed.runs == len(batch)
-    assert streamed.mean_campaigns() == batch.mean_campaigns()
-    assert streamed.split_vote_fraction() == batch.split_vote_fraction()
-    assert streamed.convergence_fraction() == batch.convergence_fraction()
-    if streamed.converged:
-        assert streamed.total_summary() == batch.total_summary()
-        assert streamed.mean_total_ms() == batch.mean_total_ms()
-        assert streamed.total_cdf() == cumulative_distribution(batch.totals_ms())
+def _workload_aggregate() -> WorkloadAggregate:
+    measurement = WorkloadMeasurement(
+        "raft", 5, 0, "p", "closed-loop", 10_000.0, 50, 45, 2, 3, 1, 5, 2, 1_000.0,
+        (250.0, 300.5),
+    )
+    return WorkloadAggregate.from_measurements([measurement], "cell", capacity=4)
+
+
+def _summary_state(count, mean, m2, values):
+    return {
+        "count": count,
+        "mean": mean,
+        "m2": m2,
+        "cdf": {"capacity": 4, "values": values, "points": None, "points_count": 0},
+        "min": values[0],
+        "max": values[-1],
+    }
+
+
+# The states the hand-written codecs wrote for the two samples above, key
+# order included: a checkpoint written before the codec was derived from the
+# field list still resumes.
+ELECTION_STATE = {
+    "label": "cell",
+    "runs": 2,
+    "converged": 1,
+    "split_votes": 2,
+    "campaigns": 6,
+    "total_ms": _summary_state(1, 1500.75, 0.0, [1500.75]),
+    "detection_ms": _summary_state(1, 1200.5, 0.0, [1200.5]),
+    "election_ms": _summary_state(1, 300.25, 0.0, [300.25]),
+}
+WORKLOAD_STATE = {
+    "label": "cell",
+    "runs": 1,
+    "proposed": 50,
+    "committed": 45,
+    "retries": 2,
+    "dropped": 3,
+    "rejected": 1,
+    "lost": 5,
+    "outages": 2,
+    "window_ms": 10000.0,
+    "leaderless_ms": 1000.0,
+    "latency_ms": _summary_state(2, 275.25, 1275.125, [250.0, 300.5]),
+}
+
+
+@pytest.mark.parametrize(
+    "build, state",
+    [(_election_aggregate, ELECTION_STATE), (_workload_aggregate, WORKLOAD_STATE)],
+    ids=["ElectionAggregate", "WorkloadAggregate"],
+)
+def test_aggregate_state_codec(build, state):
+    aggregate = build()
+    written = aggregate.to_state()
+    assert list(written) == [field.name for field in dataclasses.fields(aggregate)]
+    assert json.dumps(written) == json.dumps(state)
+    restored = type(aggregate).from_state(json.loads(json.dumps(state)))
+    assert restored == aggregate
+    assert restored.to_state() == written

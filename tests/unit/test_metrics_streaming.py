@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import Callable
 
 import pytest
 
@@ -24,9 +25,12 @@ from repro.metrics import (
     MergeableCDF,
     StreamingSummary,
     cumulative_distribution,
+    percentile,
     summarize,
 )
 from repro.metrics.records import ElectionMeasurement
+from repro.workload import WorkloadAggregate
+from repro.workload.records import WorkloadMeasurement
 
 
 def _measurement(
@@ -230,3 +234,53 @@ class TestElectionAggregate:
         aggregate = ElectionAggregate.from_measurements(measurements, "cell")
         state = json.loads(json.dumps(aggregate.to_state()))
         assert ElectionAggregate.from_state(state).to_state() == aggregate.to_state()
+
+    def test_period_means_cover_converged_runs(self):
+        aggregate = ElectionAggregate.from_measurements(
+            [
+                _measurement(1, total_ms=1500.0),
+                _measurement(2, total_ms=3000.0),
+                _measurement(3, converged=False, total_ms=9000.0),
+            ]
+        )
+        assert aggregate.mean_detection_ms() == 750.0
+        assert aggregate.mean_election_ms() == 1500.0
+        with pytest.raises(ClusterError, match="no converged runs"):
+            ElectionAggregate("cell").mean_detection_ms()
+
+
+def _three_values(q: float) -> dict[str, Callable[[], float | None]]:
+    """Every percentile path over the sample ``1, 2, 3``, at *q*."""
+    sketch = MergeableCDF(capacity=8)
+    for value in (1.0, 2.0, 3.0):
+        sketch.add(value)
+    workload = WorkloadAggregate.from_measurements(
+        [
+            WorkloadMeasurement(
+                "raft", 3, 0, "p", "closed-loop", 1_000.0, 3, 3, 0, 0, 0, 0, 0, 0.0,
+                (1.0, 2.0, 3.0),
+            )
+        ]
+    )
+    return {
+        "stats.percentile": lambda: percentile([1.0, 2.0, 3.0], q),
+        "MergeableCDF": lambda: sketch.percentile(q),
+        "StreamingSummary": lambda: StreamingSummary().extend([1.0, 2.0, 3.0]).percentile(q),
+        "WorkloadAggregate.percentile_ms": lambda: workload.percentile_ms(q),
+    }
+
+
+PERCENTILE_PATHS = sorted(_three_values(50.0))
+
+
+@pytest.mark.parametrize("path", PERCENTILE_PATHS)
+@pytest.mark.parametrize("q", [-50.0, 150.0, math.nan])
+def test_every_percentile_path_refuses_q_outside_0_100(path, q):
+    with pytest.raises(ClusterError, match=r"percentile must be in \[0, 100\]"):
+        _three_values(q)[path]()
+
+
+@pytest.mark.parametrize("path", PERCENTILE_PATHS)
+def test_every_percentile_path_accepts_both_ends(path):
+    assert _three_values(0.0)[path]() == 1.0
+    assert _three_values(100.0)[path]() == 3.0
