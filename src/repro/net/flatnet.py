@@ -28,14 +28,19 @@ and replaces the hot send/broadcast/delivery paths:
   :attr:`~repro.net.partition.PartitionManager.cell_map` dict, held once at
   construction and tested with ``if cells and cells[src] != cells[dst]``
   per message instead of a ``can_communicate`` call;
+* a send is counted by one increment of
+  :attr:`~repro.net.network.NetworkStats.sent_by_class` (keyed by the
+  payload's class, no name lookup), and a broadcast of one message for every
+  target by one increment for the whole broadcast;
 * broadcasts run in a single pass with every per-message attribute lookup
   hoisted out of the loop.  The pass keeps the classic per-destination
   order -- latency draw, then duplication check, then the duplicate's
   latency draw -- so the latency and fault RNG streams stay bit-identical.
 
 The drop bookkeeping (stats + ``net.drop`` traces, including the in-flight
-variants) mirrors :class:`SimulatedNetwork` exactly; the differential suite
-asserts equality of stats and traces across engines.
+variants) mirrors :class:`SimulatedNetwork` exactly; the engine-contract and
+differential suites assert equality of stats and traces across engines and
+across the two broadcast forms.
 """
 
 from __future__ import annotations
@@ -92,10 +97,12 @@ class FlatNetwork(SimulatedNetwork):
         # Identity-stable: PartitionManager mutates this dict on
         # partition()/heal(); empty means no partition installed.
         self._cells = self._partitions.cell_map
-        # stats is assigned exactly once (in SimulatedNetwork.__init__) and
-        # _handlers is only ever mutated in place by register(), so both
-        # aliases stay valid for the network's lifetime.
+        # stats is assigned exactly once (in SimulatedNetwork.__init__), and
+        # its sent_by_class and _handlers (by register()) are only ever
+        # mutated in place, so these aliases stay valid for the network's
+        # lifetime.
         self._stats = self.stats
+        self._sent_by_class = self.stats.sent_by_class
         self._handler_for = self._handlers.get
         self._nodes: dict[ServerId, Any] = {}  # see register()
         self._node_for = self._nodes.get
@@ -174,14 +181,13 @@ class FlatNetwork(SimulatedNetwork):
         if src not in member_set or dst not in member_set:
             self._require_member(src)
             self._require_member(dst)
-        stats = self._stats
-        stats.sent += 1
-        per_type = stats.per_type_sent
-        name = type(payload).__name__
+        sent = self._sent_by_class
+        cls = type(payload)
         try:
-            per_type[name] += 1
+            sent[cls] += 1
         except KeyError:
-            per_type[name] = 1
+            sent[cls] = 1
+        stats = self._stats
         if src in self._disconnected:
             stats.dropped_disconnected += 1
             if self._trace_on:
@@ -250,31 +256,38 @@ class FlatNetwork(SimulatedNetwork):
         self,
         src: ServerId,
         targets: Sequence[ServerId],
-        payload_factory: Callable[[ServerId], Any],
+        payload: Any | Callable[[ServerId], Any],
     ) -> None:
         """Broadcast to *targets* in one batched pass.
 
-        The per-target order of RNG draws -- latency, duplication check,
-        duplicate latency -- matches the classic engine exactly.
+        *payload* is one message for every target or, when callable, a
+        per-target factory (see :meth:`SimulatedNetwork.broadcast`); one loop
+        serves both.  A factory's payloads are counted as they are built; the
+        one message is counted once for the broadcast, after the loop -- or,
+        should the loop raise, for the targets it had reached, exactly what
+        counting per copy would have left.  The per-target order of RNG draws
+        -- latency, duplication check, duplicate latency -- matches the
+        classic engine exactly.
         """
         member_set = self._member_set
         if src not in member_set:
             self._require_member(src)
         stats = self._stats
         stats.broadcast_count += 1
-        per_type = stats.per_type_sent
+        factory = payload if callable(payload) else None
         if src in self._disconnected:
             # Mirror the unicast path: every attempted message is counted as
             # sent *and* dropped (the payload factory is pure; see the
             # classic broadcast()).
             trace = self._world.trace
             for dst in targets:
-                name = type(payload_factory(dst)).__name__
-                stats.sent += 1
-                per_type[name] = per_type.get(name, 0) + 1
+                if factory is not None:
+                    stats.record_sent(factory(dst))
                 stats.dropped_disconnected += 1
                 if self._trace_on:
                     trace("net.drop", node=src, dst=dst, reason="disconnected")
+            if factory is None:
+                stats.record_sent(payload, len(targets))
             return
         if self._skip_broadcast_fault:
             omitted: frozenset[ServerId] | tuple = ()
@@ -295,49 +308,37 @@ class FlatNetwork(SimulatedNetwork):
         heap = self._heap
         scheduler = self._flat_scheduler
         now = self._clock._now_ms
+        sent = self._sent_by_class
         # The sequence counter can be carried in a local: payload factories
         # and fault hooks are pure reads / RNG draws (documented contract),
         # so nothing schedules events while this loop runs.
         seq = scheduler._sequence
-        for dst in targets:
-            payload = payload_factory(dst)
-            stats.sent += 1
-            name = type(payload).__name__
-            try:
-                per_type[name] += 1
-            except KeyError:
-                per_type[name] = 1
-            if dst in omitted:
-                stats.dropped_by_fault += 1
-                if self._trace_on:
-                    self._world.trace(
-                        "net.drop", node=src, dst=dst, reason="broadcast_omission"
-                    )
-                continue
-            if dst not in member_set:
-                scheduler._sequence = seq
-                raise NetworkError(f"unknown servers S{src} or S{dst}")
-            if cells and cells[src] != cells[dst]:
-                stats.dropped_by_partition += 1
-                if self._trace_on:
-                    self._world.trace("net.drop", node=src, dst=dst, reason="partition")
-                continue
-            if low is not None:
-                latency = low + spread * rng_random()
-            elif constant is not None:
-                latency = constant
-            else:
-                latency = sample(latency_rng, src, dst)
-            time_ms = now + latency
-            if not time_ms < _INF:
-                scheduler._sequence = seq
-                raise SimulationError(
-                    f"cannot schedule event at non-finite time: {time_ms!r}"
-                )
-            heappush(heap, [time_ms, seq, deliver, (src, dst, payload)])
-            seq += 1
-            if duplicator is not None and duplicator(fault_rng, src, dst):
-                stats.duplicated += 1
+        unreached = iter(targets)
+        try:
+            for dst in unreached:
+                if factory is not None:
+                    payload = factory(dst)
+                    cls = type(payload)
+                    try:
+                        sent[cls] += 1
+                    except KeyError:
+                        sent[cls] = 1
+                if dst in omitted:
+                    stats.dropped_by_fault += 1
+                    if self._trace_on:
+                        self._world.trace(
+                            "net.drop", node=src, dst=dst, reason="broadcast_omission"
+                        )
+                    continue
+                if dst not in member_set:
+                    raise NetworkError(f"unknown servers S{src} or S{dst}")
+                if cells and cells[src] != cells[dst]:
+                    stats.dropped_by_partition += 1
+                    if self._trace_on:
+                        self._world.trace(
+                            "net.drop", node=src, dst=dst, reason="partition"
+                        )
+                    continue
                 if low is not None:
                     latency = low + spread * rng_random()
                 elif constant is not None:
@@ -346,13 +347,37 @@ class FlatNetwork(SimulatedNetwork):
                     latency = sample(latency_rng, src, dst)
                 time_ms = now + latency
                 if not time_ms < _INF:
-                    scheduler._sequence = seq
                     raise SimulationError(
                         f"cannot schedule event at non-finite time: {time_ms!r}"
                     )
                 heappush(heap, [time_ms, seq, deliver, (src, dst, payload)])
                 seq += 1
+                if duplicator is not None and duplicator(fault_rng, src, dst):
+                    stats.duplicated += 1
+                    if low is not None:
+                        latency = low + spread * rng_random()
+                    elif constant is not None:
+                        latency = constant
+                    else:
+                        latency = sample(latency_rng, src, dst)
+                    time_ms = now + latency
+                    if not time_ms < _INF:
+                        raise SimulationError(
+                            f"cannot schedule event at non-finite time: {time_ms!r}"
+                        )
+                    heappush(heap, [time_ms, seq, deliver, (src, dst, payload)])
+                    seq += 1
+        except BaseException:
+            # Whatever raised (an unknown target, a non-finite deadline, a
+            # hook), the records pushed keep their sequence numbers and the
+            # targets reached count as sent; the rest were never attempted.
+            scheduler._sequence = seq
+            if factory is None:
+                stats.record_sent(payload, len(targets) - sum(1 for _ in unreached))
+            raise
         scheduler._sequence = seq
+        if factory is None:
+            stats.record_sent(payload, len(targets))
 
     # ------------------------------------------------------------------ #
     # Delivery

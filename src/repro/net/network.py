@@ -12,8 +12,10 @@ the definition of the engine-seam contract (see :mod:`repro.sim.engines`):
 the public surface -- ``send``/``broadcast``/``register``, connectivity
 control, ``NetworkStats``, the partition manager, and the ``net.drop`` trace
 schema -- is what scenarios and nodes may rely on.  ``send`` and ``broadcast``
-return nothing on either engine; how a delivery is queued is engine-owned
-(here: one scheduler event per copy, in the order the copies were sent).
+return nothing on either engine; ``broadcast`` takes one message for every
+target or a per-target factory.  How a delivery is queued and how a send is
+counted are engine-owned (here: one scheduler event and one count per copy,
+in the order the copies were sent).
 
 Every dropped message emits one ``net.drop`` trace with a ``reason`` of
 ``"fault"``, ``"broadcast_omission"``, ``"partition"`` or ``"disconnected"``;
@@ -44,11 +46,13 @@ DeliveryCallback = Callable[[ServerId, Any], None]
 class NetworkStats:
     """Counters describing what the network did during a run.
 
-    Once nothing is in flight every message copy has ended in exactly one
-    terminal state, so ``sent + duplicated == delivered + dropped + elided``.
+    A send is counted once per copy, in :attr:`sent_by_class` under its
+    payload's class; :attr:`sent` and :attr:`per_type_sent` are read-only
+    views of that one count.  Once nothing is in flight every message copy
+    has ended in exactly one terminal state, so
+    ``sent + duplicated == delivered + dropped + elided``.
     """
 
-    sent: int = 0
     delivered: int = 0
     # Copies of inert messages (see ``Environment.send``) that passed every
     # send-time check and were then not scheduled: delivering them would have
@@ -64,7 +68,23 @@ class NetworkStats:
     dropped_in_flight: int = 0
     duplicated: int = 0
     broadcast_count: int = 0
-    per_type_sent: dict[str, int] = field(default_factory=dict)
+    # Payload class -> copies sent, in order of first send.  Mutated in place,
+    # never rebound, so an engine may hold the dict.
+    sent_by_class: dict[type, int] = field(default_factory=dict)
+
+    @property
+    def sent(self) -> int:
+        """Message copies handed to the network (duplicates not included)."""
+        return sum(self.sent_by_class.values())
+
+    @property
+    def per_type_sent(self) -> dict[str, int]:
+        """Copies sent per payload class name (a fresh dict on every read)."""
+        per_name: dict[str, int] = {}
+        for cls, copies in self.sent_by_class.items():
+            name = cls.__name__
+            per_name[name] = per_name.get(name, 0) + copies
+        return per_name
 
     @property
     def dropped(self) -> int:
@@ -75,10 +95,12 @@ class NetworkStats:
             + self.dropped_disconnected
         )
 
-    def record_sent(self, payload: Any) -> None:
-        self.sent += 1
-        name = type(payload).__name__
-        self.per_type_sent[name] = self.per_type_sent.get(name, 0) + 1
+    def record_sent(self, payload: Any, copies: int = 1) -> None:
+        """Count *copies* sends of *payload*'s class (none: nothing recorded)."""
+        if copies:
+            sent = self.sent_by_class
+            cls = type(payload)
+            sent[cls] = sent.get(cls, 0) + copies
 
 
 class SimulatedNetwork:
@@ -200,29 +222,33 @@ class SimulatedNetwork:
         self,
         src: ServerId,
         targets: Sequence[ServerId],
-        payload_factory: Callable[[ServerId], Any],
+        payload: Any | Callable[[ServerId], Any],
     ) -> None:
         """Broadcast to *targets*, applying the broadcast-omission fault model.
 
         Args:
             src: sending server.
             targets: destination servers (normally every peer of *src*).
-            payload_factory: called once per target to build that target's
-                payload -- including targets the fault model omits or that a
-                disconnected sender never reaches, whose payloads are counted
-                as sent but not put in flight.  Leaders use this to piggyback
-                per-follower data (log entries, ESCAPE configurations) on one
-                broadcast; factories must therefore be pure reads of node
-                state.
+            payload: the one message every target receives (a candidate's
+                RequestVote), or -- when callable -- a factory called once per
+                target to build that target's payload, including targets the
+                fault model omits or that a disconnected sender never reaches,
+                whose payloads are counted as sent but not put in flight.
+                Leaders use a factory to piggyback per-follower data (log
+                entries, ESCAPE configurations) on one broadcast; factories
+                must therefore be pure reads of node state.  Either form is
+                counted per copy here; an engine may count the one message
+                once per broadcast (see :class:`~repro.net.flatnet.FlatNetwork`).
         """
         self._require_member(src)
         self.stats.broadcast_count += 1
+        factory = payload if callable(payload) else None
         if src in self._disconnected:
             # Mirror the unicast path: every attempted message is counted as
             # sent *and* dropped, keeping ``sent == delivered + dropped +
             # in-flight`` intact (the payload factory is pure; see send()).
             for dst in targets:
-                self.stats.record_sent(payload_factory(dst))
+                self.stats.record_sent(payload if factory is None else factory(dst))
                 self.stats.dropped_disconnected += 1
                 if self._trace_on:
                     self._world.trace(
@@ -233,7 +259,8 @@ class SimulatedNetwork:
             self._fault_rng, src, list(targets)
         )
         for dst in targets:
-            payload = payload_factory(dst)
+            if factory is not None:
+                payload = factory(dst)
             self.stats.record_sent(payload)
             if dst in omitted:
                 self.stats.dropped_by_fault += 1

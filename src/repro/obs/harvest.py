@@ -115,10 +115,9 @@ def harvest_network(network, metrics: MetricsRegistry) -> None:
     metrics.counter("net.dropped.partition").inc(stats.dropped_by_partition)
     metrics.counter("net.dropped.disconnected").inc(stats.dropped_disconnected)
     metrics.counter("net.dropped.in_flight").inc(stats.dropped_in_flight)
-    for message_type in sorted(stats.per_type_sent):
-        metrics.counter(f"net.sent.{message_type}").inc(
-            stats.per_type_sent[message_type]
-        )
+    per_type_sent = stats.per_type_sent  # a view, built on each read
+    for message_type in sorted(per_type_sent):
+        metrics.counter(f"net.sent.{message_type}").inc(per_type_sent[message_type])
 
 
 def harvest_chaos(driver: "ChaosDriver", metrics: MetricsRegistry) -> None:

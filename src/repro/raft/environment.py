@@ -57,14 +57,22 @@ class Environment(Protocol):
     def broadcast(
         self,
         targets: Sequence[ServerId],
-        payload_factory: Callable[[ServerId], Any],
+        payload: Any | Callable[[ServerId], Any],
     ) -> None:  # pragma: no cover
-        """Send one logical broadcast.
+        """Send one logical broadcast, in one of two forms.
 
-        The payload factory is invoked per target so leaders can piggyback
-        per-follower data (log entries, ESCAPE configurations); the transport
-        applies broadcast-level fault injection (Section VI-D's loss model)
-        to the broadcast as a whole.
+        * One message for every target (a candidate's RequestVote): the
+          transport hands out that object and calls nothing per target.
+        * A per-target factory -- *payload* is callable -- invoked once per
+          target, so leaders can piggyback per-follower data (log entries,
+          ESCAPE configurations).  A factory must be a pure read of node
+          state.  No message is callable, so the two forms cannot be
+          confused.
+
+        Either way the transport applies broadcast-level fault injection
+        (Section VI-D's loss model) to the broadcast as a whole, and both
+        forms of the same payloads are the same broadcast to every counter,
+        draw and delivery.
         """
         ...
 

@@ -331,8 +331,7 @@ class RaftNode:
         for notify in self._listening["on_election_started"]:
             notify(self.node_id, new_term, now)
         self._reset_election_timer()
-        request = self._hook_make_vote_request()
-        self.env.broadcast(self._peer_ids, lambda dst: request)
+        self.env.broadcast(self._peer_ids, self._hook_make_vote_request())
         self._schedule_vote_retry()
         if self.votes.has_quorum():
             # Single-node cluster: the candidate's own vote is already a quorum.
@@ -359,8 +358,7 @@ class RaftNode:
         voted = self.votes.votes
         pending = [peer for peer in self._peer_ids if peer not in voted]
         if pending:
-            request = self._hook_make_vote_request()
-            self.env.broadcast(pending, lambda dst: request)
+            self.env.broadcast(pending, self._hook_make_vote_request())
             if self._trace_on:
                 self.env.trace(
                     "election.vote_retry", term=self.current_term, pending=len(pending)

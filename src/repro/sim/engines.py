@@ -25,11 +25,14 @@ everything above them is written against:
   reference count), the ``scheduled_count`` / ``executed_count`` /
   ``cancelled_count`` / ``pending_count`` counters, the ``max_events``
   budget, and strict ``(time, insertion sequence)`` execution order;
-* network -- ``send`` / ``broadcast`` (both return nothing) / ``register``
-  (any callable; ``flat`` delivers to a node's own ``on_message`` without that
-  frame) / ``disconnect`` / ``reconnect`` / ``close``, the
-  :class:`~repro.net.network.NetworkStats` counters, the partition manager,
-  and the ``net.drop`` trace schema.
+* network -- ``send`` / ``broadcast`` (both return nothing; a broadcast takes
+  one message for every target or a per-target factory, and the two forms
+  of the same payloads are the same broadcast to every counter, draw and
+  event) / ``register`` (any callable; ``flat`` delivers to a node's own
+  ``on_message`` without that frame) / ``disconnect`` / ``reconnect`` /
+  ``close``, the :class:`~repro.net.network.NetworkStats` counters (one count
+  per copy by payload class; ``sent`` and ``per_type_sent`` are views of it),
+  the partition manager, and the ``net.drop`` trace schema.
   ``send(src, dst, payload, inert=True)`` -- the sender's guarantee that no
   receiver acts on the message -- is honoured by *both* engines in the same
   way: counted in ``sent`` / ``per_type_sent``, checked against the

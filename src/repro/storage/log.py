@@ -96,13 +96,14 @@ class ReplicatedLog:
     def entries_from(
         self, start_index: LogIndex, limit: int | None = None
     ) -> list[LogEntry]:
-        """Entries with index >= *start_index*, up to *limit* of them."""
+        """Entries with index >= *start_index*, up to *limit* of them (a new
+        list, copied in one slice: O(*limit*), whatever the log's length)."""
         if start_index < 1:
             raise StorageError(f"start index must be >= 1, got {start_index}")
-        selected = self._entries[start_index - 1 :]
-        if limit is not None:
-            selected = selected[:limit]
-        return list(selected)
+        start = start_index - 1
+        if limit is None:
+            return self._entries[start:]
+        return self._entries[start : start + limit]
 
     # ------------------------------------------------------------------ #
     # Mutation

@@ -59,6 +59,9 @@ class FakeEnvironment:
     sent: list[SentMessage] = field(default_factory=list)
     timers: list[FakeTimer] = field(default_factory=list)
     traces: list[tuple[str, dict[str, Any]]] = field(default_factory=list)
+    #: Per ``broadcast`` call, the form it used: ``"message"`` (one object
+    #: for every target) or ``"factory"`` (called per target).
+    broadcast_forms: list[str] = field(default_factory=list)
     seed: int = 0
     trace_enabled: bool = True
 
@@ -77,10 +80,14 @@ class FakeEnvironment:
         self.sent.append(SentMessage(dst, message, inert))
 
     def broadcast(
-        self, targets: Sequence[ServerId], payload_factory: Callable[[ServerId], Any]
+        self, targets: Sequence[ServerId], payload: Any | Callable[[ServerId], Any]
     ) -> None:
+        factory = payload if callable(payload) else None
+        self.broadcast_forms.append("message" if factory is None else "factory")
         for dst in targets:
-            self.sent.append(SentMessage(dst, payload_factory(dst)))
+            self.sent.append(
+                SentMessage(dst, payload if factory is None else factory(dst))
+            )
 
     def set_timer(
         self, delay_ms: Milliseconds, callback: Callable[[], None], label: str = ""

@@ -10,7 +10,8 @@ such copy is delivered or dropped in flight but was never counted as sent;
 ``elided`` counts the copies of inert sends that passed every send-time check
 and were then not scheduled).  The invariant must hold on both engines'
 networks for any interleaving of unicasts, inert unicasts, broadcasts,
-disconnects, reconnects and partitions under any fault injector -- including
+disconnects, reconnects and partitions under any fault injector, with
+broadcasts of one message and through a per-target factory -- including
 the historical bug case of a *disconnected sender broadcasting*, which used
 to count drops without the matching sends.
 """
@@ -59,7 +60,8 @@ OPS = st.lists(
             st.sampled_from(MEMBERS),
             st.sampled_from(MEMBERS),
         ),
-        st.tuples(st.just("broadcast"), st.sampled_from(MEMBERS)),
+        # The flag picks the form: one message, or a per-target factory.
+        st.tuples(st.just("broadcast"), st.sampled_from(MEMBERS), st.booleans()),
         st.tuples(st.just("disconnect"), st.sampled_from(MEMBERS)),
         st.tuples(st.just("reconnect"), st.sampled_from(MEMBERS)),
         st.tuples(st.just("partition"), st.integers(1, len(MEMBERS) - 1)),
@@ -92,9 +94,9 @@ def test_sent_equals_delivered_plus_dropped_after_drain(engine, ops, fault, seed
                 if kind == "send-inert" and network.stats.dropped == dropped_before:
                     inert_passed += 1
         elif kind == "broadcast":
-            (_, src) = op
+            _, src, one_message = op
             targets = [member for member in MEMBERS if member != src]
-            network.broadcast(src, targets, lambda dst: "b")
+            network.broadcast(src, targets, "b" if one_message else lambda dst: "b")
         elif kind == "disconnect":
             network.disconnect(op[1])
         elif kind == "reconnect":

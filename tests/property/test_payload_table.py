@@ -81,6 +81,8 @@ class _CheckingEnvironment(FakeEnvironment):
         self.served_from_table = 0
 
     def broadcast(self, targets, payload_factory) -> None:
+        if not callable(payload_factory):  # a campaign's one RequestVote
+            return super().broadcast(targets, payload_factory)
         limit, self.partial = self.partial, None
         chosen = list(targets)[:limit] if limit is not None else list(targets)
         # The table is served as its own bound ``__getitem__``.

@@ -6,10 +6,11 @@ reference) *and* ``flat`` (what the benchmark and every sweep run) through the
 ``engine`` fixture.  It covers the scheduler (ordering, cancellation, the
 ``run_*`` clock semantics, re-arming a node timer, ``interrupt`` / ``close``,
 the event budget, non-finite deadlines), the network (delivery to plain
-callables and to protocol nodes, disconnection, broadcast, partitions,
-in-flight drop traces, inert sends) and the one node environment on top of
-both.  What only one engine does -- ``flat`` compacts its heap -- is at the
-end, and says so.
+callables and to protocol nodes, disconnection, broadcast -- one message or a
+per-target factory, the same broadcast either way --, partitions, in-flight
+drop traces, inert sends, the derived send counts) and the one node
+environment on top of both.  What only one engine does -- ``flat`` compacts
+its heap -- is at the end, and says so.
 
 The property-level half of the contract (whole episodes, bit-identical across
 engines) lives in ``tests/property/test_engine_differential.py``,
@@ -22,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import random
 import weakref
 
 import pytest
@@ -31,6 +33,7 @@ from repro.common.config import ClusterConfig
 from repro.common.errors import NetworkError, SimulationError
 from repro.net.faults import (
     BroadcastOmissionFault,
+    CompositeFault,
     MessageDuplicationFault,
     PacketLossFault,
 )
@@ -73,6 +76,19 @@ def make_network(engine, members=(1, 2, 3), latency=None, fault=None, seed=0):
 def received(inbox):
     """An inbox without its delivery times."""
     return [(src, payload) for _, src, payload in inbox]
+
+
+@pytest.fixture(params=["message", "factory"])
+def form(request) -> str:
+    return request.param
+
+
+def broadcast(network, src, targets, message, form):
+    """``network.broadcast`` handing every target *message*, in *form*: the
+    object itself, or a per-target factory that returns it."""
+    network.broadcast(
+        src, targets, message if form == "message" else lambda dst: message
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -562,6 +578,21 @@ class TestDelivery:
         network.send(1, 2, 5)
         assert network.stats.per_type_sent == {"str": 1, "int": 1}
 
+    def test_sent_and_per_type_sent_are_views_of_one_count(self, engine):
+        _, network, _ = make_network(engine, latency=ConstantLatency(1.0))
+        Ping = type("Ping", (), {})
+        OtherPing = type("Ping", (), {})  # same name, another class
+        network.send(1, 2, Ping())
+        network.broadcast(1, [2, 3], OtherPing())
+        network.broadcast(1, [2, 3], lambda dst: dst)
+        stats = network.stats
+        assert stats.sent_by_class == {Ping: 1, OtherPing: 2, int: 2}
+        assert stats.per_type_sent == {"Ping": 3, "int": 2}
+        assert stats.sent == sum(stats.per_type_sent.values()) == 5
+        for view in ("sent", "per_type_sent"):
+            with pytest.raises(AttributeError):
+                setattr(stats, view, None)
+
     def test_unknown_member_rejected(self, engine):
         _, network, _ = make_network(engine)
         with pytest.raises(NetworkError):
@@ -634,6 +665,14 @@ class TestBroadcast:
         assert inboxes[2] == [(5.0, 1, "for-2")]
         assert inboxes[3] == [(5.0, 1, "for-3")]
 
+    def test_broadcast_hands_one_message_to_every_target(self, engine):
+        world, network, inboxes = make_network(engine, latency=ConstantLatency(5.0))
+        message = ["not", "callable"]
+        assert network.broadcast(1, [2, 3], message) is None
+        world.run_for(10.0)
+        assert inboxes[2][0][2] is message and inboxes[3][0][2] is message
+        assert network.stats.per_type_sent == {"list": 2}
+
     def test_broadcast_omission_fault_drops_a_subset(self, engine):
         world, network, inboxes = make_network(
             engine,
@@ -677,6 +716,159 @@ class TestBroadcast:
         network.send(1, 2, "x")
         assert network.stats.dropped_by_fault == 1
         assert world.scheduler.pending_count == 0
+
+
+class _UnreachableLatency:
+    """Uniform latency, except that nothing can be scheduled to *dst*."""
+
+    def __init__(self, dst):
+        self.dst = dst
+
+    def sample(self, rng, src, dst):
+        return math.inf if dst == self.dst else rng.uniform(5.0, 10.0)
+
+
+def observe(world, network, inboxes):
+    """Everything a broadcast can leave behind, once the queue has drained:
+    stats (class order included), scheduler counts, both network RNG
+    streams' states, the inboxes and the ``net.drop`` traces."""
+    world.scheduler.run_until_idle()
+    stats = network.stats
+    assert stats.sent == sum(stats.per_type_sent.values())
+    return (
+        dataclasses.asdict(stats),
+        list(stats.sent_by_class.items()),
+        world.scheduler.scheduled_count,
+        world.scheduler.executed_count,
+        network._latency_rng.getstate(),
+        network._fault_rng.getstate(),
+        inboxes,
+        [dict(record.detail) for record in world.tracer.records],
+    )
+
+
+class TestBroadcastForms:
+    """One message for every target, or a factory returning it: the same
+    broadcast to every counter, RNG draw, queued event and trace, on every
+    engine.  The reference is ``classic`` with the factory."""
+
+    MEMBERS = tuple(range(1, 8))
+    CASES = {
+        "omission": dict(fault=BroadcastOmissionFault(0.4)),
+        "duplication": dict(fault=MessageDuplicationFault(0.5)),
+        "omission and duplication": dict(
+            fault=CompositeFault(
+                injectors=(BroadcastOmissionFault(0.3), MessageDuplicationFault(0.5))
+            )
+        ),
+        "partition": dict(partition=([1, 2, 3], [4, 5, 6, 7])),
+        "disconnected sender": dict(disconnect=1),
+        "no targets": dict(targets=()),
+        "unknown target": dict(targets=(2, 3, 99, 4)),
+        "non-finite deadline": dict(latency=_UnreachableLatency(4)),
+    }
+
+    def _program(
+        self,
+        engine,
+        form,
+        fault=None,
+        latency=None,
+        partition=None,
+        disconnect=None,
+        targets=(2, 3, 4, 5, 6, 7),
+    ):
+        world, network, inboxes = make_network(
+            engine,
+            members=self.MEMBERS,
+            latency=latency or UniformLatency(5.0, 10.0),
+            fault=fault,
+            seed=11,
+        )
+        if partition:
+            network.partitions.partition(*partition)
+        if disconnect:
+            network.disconnect(disconnect)
+        raised = []
+        for round_number in range(3):
+            try:
+                broadcast(network, 1, targets, f"vote-{round_number}", form)
+            except (NetworkError, SimulationError) as error:
+                raised.append(type(error))
+            # Interleaved traffic: a sequence number lost to a raising
+            # broadcast would reorder these deliveries.
+            network.send(2, 3, round_number)
+            world.run_for(4.0)
+        return raised, observe(world, network, inboxes)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_both_forms_are_the_same_broadcast(self, engine, form, case):
+        assert self._program(engine, form, **self.CASES[case]) == self._program(
+            "classic", "factory", **self.CASES[case]
+        )
+
+    def test_a_raising_broadcast_counts_the_targets_it_reached(self, engine, form):
+        raised, (stats, *_) = self._program(engine, form, targets=(2, 3, 99, 4))
+        assert raised == [NetworkError] * 3
+        # 2, 3 and the unknown 99 each round; 4 was never attempted.
+        assert stats["sent_by_class"] == {str: 9, int: 3}
+        assert stats["delivered"] == 9
+        raised, (stats, *_) = self._program(
+            engine, form, latency=_UnreachableLatency(4)
+        )
+        assert raised == [SimulationError] * 3
+        assert stats["sent_by_class"] == {str: 9, int: 3}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_programs_balance_and_match_the_reference(self, engine, seed):
+        """Random unicasts (some inert) and broadcasts in a random form, under
+        loss, omission and duplication, with partitions and disconnects
+        coming and going: identical to the all-factory reference, and the
+        books balance once the queue drains."""
+
+        def run(engine, only_form):
+            chooser = random.Random(seed)
+            world, network, inboxes = make_network(
+                engine,
+                members=self.MEMBERS,
+                latency=UniformLatency(1.0, 30.0),
+                fault=CompositeFault(
+                    injectors=(
+                        PacketLossFault(0.2),
+                        BroadcastOmissionFault(0.3),
+                        MessageDuplicationFault(0.3),
+                    )
+                ),
+                seed=seed,
+            )
+            for step in range(120):
+                src, dst = chooser.sample(self.MEMBERS, 2)
+                action = chooser.random()
+                if action < 0.4:
+                    network.send(src, dst, step, chooser.random() < 0.3)
+                elif action < 0.8:
+                    targets = [m for m in self.MEMBERS if m != src]
+                    # Drawn either way, so both runs are the same program.
+                    form = chooser.choice(["message", "factory"])
+                    broadcast(network, src, targets, f"b{step}", only_form or form)
+                elif action < 0.85:
+                    network.disconnect(src)
+                elif action < 0.9:
+                    network.reconnect(src)
+                elif action < 0.95:
+                    network.partitions.partition(self.MEMBERS[: 1 + step % 6])
+                else:
+                    network.partitions.heal()
+                world.run_for(chooser.uniform(0.0, 10.0))
+            observed = observe(world, network, inboxes)
+            stats = network.stats
+            assert stats.sent + stats.duplicated == (
+                stats.delivered + stats.dropped + stats.elided
+            )
+            assert stats.elided and stats.duplicated and stats.dropped
+            return observed
+
+        assert run(engine, None) == run("classic", "factory")
 
 
 class TestPartitions:
@@ -836,7 +1028,7 @@ class TestDeliveryToNodes:
         stats, received_by, leaders, executed = self._episode(engine, False)
         assert received_by == {1: 0, 2: 0, 3: 0, 4: 1}
         assert leaders == {1: None, 2: None, 3: None, 4: 1}
-        assert (stats["sent"], stats["delivered"]) == (5, 2)
+        assert (sum(stats["sent_by_class"].values()), stats["delivered"]) == (5, 2)
         assert (stats["dropped_disconnected"], stats["dropped_by_partition"]) == (1, 2)
         assert (stats["dropped_in_flight"], executed) == (2, 4)
         assert self._episode(engine, True) == (stats, received_by, leaders, executed)

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 
+from repro import protocols
 from repro.common.errors import NotLeaderError, ProtocolError
 from repro.raft.listeners import NodeListenerBase, listener_table
 
@@ -138,6 +139,25 @@ class TestBecomingCandidate:
         # Peers 3, 4, 5 have not granted yet; peer 2 must not be spammed again.
         assert {message.dst for message in env.sent} == {3, 4, 5}
         assert all(request.term == 1 for request in retried)
+
+    @pytest.mark.parametrize("protocol", ["raft", "escape", "zraft"])
+    def test_a_campaign_and_a_vote_retry_each_hand_over_one_request(self, protocol):
+        env = FakeEnvironment(node_id=1)
+        node = protocols.get(protocol).build_node(
+            node_id=1,
+            cluster=small_cluster(5),
+            env=env,
+            protocol_config=fast_protocol_config(),
+        )
+        node.start()
+        env.fire_next_timer("S1:election-timeout")
+        env.fire_next_timer("S1:vote-retry")
+        assert env.broadcast_forms == ["message", "message"]
+        campaign, retry = env.sent[:4], env.sent[4:]
+        for copies in (campaign, retry):
+            assert len(copies) == 4
+            assert all(item.payload is copies[0].payload for item in copies)
+            assert isinstance(copies[0].payload, RequestVoteRequest)
 
     def test_vote_retry_stops_after_becoming_leader(self):
         node, env = make_node(size=3)

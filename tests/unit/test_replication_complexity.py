@@ -155,6 +155,32 @@ class TestCommitRuleWork:
         assert len(calls) <= 2
 
 
+class _SliceCounter(list):
+    """A list that counts the elements its slices copy."""
+
+    copied = 0
+
+    def __getitem__(self, key):
+        result = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.copied += len(result)
+        return result
+
+
+class TestAppendBuildWork:
+    def test_a_follower_far_behind_costs_one_batch_not_the_log(self):
+        store = InMemoryStore()
+        log = ReplicatedLog(LogEntry(term=1, index=index) for index in range(1, 10_001))
+        store.save_log(log)
+        store.save_term_and_vote(1, None)
+        node = make_leader(store=store)
+        node.log._entries = counter = _SliceCounter(node.log._entries)
+        request = node._build_append_entries(1)  # a follower at next index 1
+        assert counter.copied <= 64
+        assert len(request.entries) == node.config.max_entries_per_append == 64
+        assert request.entries == tuple(node.log)[:64]
+
+
 class TestMergeWork:
     def test_a_fully_stored_window_is_not_walked(self, monkeypatch):
         log = ReplicatedLog(LogEntry(term=1, index=index) for index in range(1, 65))
