@@ -114,11 +114,6 @@ class FailoverSet(RecordSet[FailoverMeasurement]):
         runs = self._require_runs()
         return sum(1 for m in runs if m.epoch_collisions > 0) / len(runs)
 
-    def mean_attempts(self) -> float:
-        """Average number of failover attempts per run."""
-        runs = self._require_runs()
-        return sum(m.attempts for m in runs) / len(runs)
-
     def convergence_fraction(self) -> float:
         """Fraction of runs that promoted a replica."""
         runs = self._require_runs()

@@ -31,7 +31,7 @@ def expected_minimum_uniform(low: float, high: float, n: int) -> float:
     return low + (high - low) / (n + 1)
 
 
-def raft_expected_detection_ms(
+def raft_expected_detection_ms(  # repro: allow[U1] -- ROADMAP 4(d); test_paper_claims
     timeout_min_ms: Milliseconds,
     timeout_max_ms: Milliseconds,
     followers: int,
@@ -48,7 +48,7 @@ def raft_expected_detection_ms(
     return max(0.0, base - heartbeat_interval_ms / 2.0)
 
 
-def escape_expected_detection_ms(
+def escape_expected_detection_ms(  # repro: allow[U1] -- ROADMAP 4(d); test_paper_claims
     base_time_ms: Milliseconds,
     heartbeat_interval_ms: Milliseconds = 0.0,
 ) -> Milliseconds:
@@ -60,7 +60,7 @@ def escape_expected_detection_ms(
     return max(0.0, base_time_ms - heartbeat_interval_ms / 2.0)
 
 
-def simultaneous_timeout_probability(
+def simultaneous_timeout_probability(  # repro: allow[U1] -- ROADMAP 4(d); test_paper_claims
     timeout_min_ms: Milliseconds,
     timeout_max_ms: Milliseconds,
     followers: int,
@@ -87,7 +87,9 @@ def simultaneous_timeout_probability(
     return 1.0 - per_follower_miss ** (followers - 1)
 
 
-def split_vote_probability_two_candidates(cluster_size: int) -> float:
+def split_vote_probability_two_candidates(  # repro: allow[U1] -- ROADMAP 4(d); test_paper_claims
+    cluster_size: int,
+) -> float:
     """Probability that two simultaneous candidates split the vote.
 
     Both candidates vote for themselves; each of the remaining

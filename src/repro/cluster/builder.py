@@ -29,12 +29,10 @@ from repro.raft.node import RaftNode
 from repro.raft.state import Role
 from repro.raft.timers import ElectionTimeoutPolicy
 from repro.sim.world import SimulationWorld
-from repro.statemachine.base import StateMachine
 from repro.statemachine.kvstore import KeyValueStore
 from repro.storage.persistent import InMemoryStore
 
 TimeoutPolicyFactory = Callable[[ServerId], ElectionTimeoutPolicy | None]
-StateMachineFactory = Callable[[ServerId], StateMachine]
 
 
 class _LeaderTracker(NodeListenerBase):
@@ -210,23 +208,6 @@ class SimulatedCluster:
         """Install (or replace) the network fault injector."""
         self.network.set_fault(fault)
 
-    # ------------------------------------------------------------------ #
-    # Client access
-    # ------------------------------------------------------------------ #
-    def propose_via_leader(self, command: object) -> int:
-        """Propose *command* on the current leader.
-
-        Returns:
-            The log index assigned to the command.
-
-        Raises:
-            ClusterError: when no leader is currently running.
-        """
-        leader = self.leader()
-        if leader is None:
-            raise ClusterError("no leader available to accept the proposal")
-        return leader.propose(command)
-
     def describe(self) -> str:
         """Multi-line summary of every node (used by the examples)."""
         lines = [f"cluster protocol={self.protocol} size={self.config.size}"]
@@ -247,7 +228,6 @@ def build_cluster(
     listeners: Iterable[NodeListener] = (),
     timeout_policy_factory: TimeoutPolicyFactory | None = None,
     timeout_override_factory: TimeoutPolicyFactory | None = None,
-    state_machine_factory: StateMachineFactory | None = None,
     trace: bool = True,
     engine: str | None = None,
 ) -> SimulatedCluster:
@@ -269,8 +249,6 @@ def build_cluster(
         timeout_override_factory: per-node timeout override for
             override-driven protocols (the ESCAPE family, including Z-Raft;
             used by the contention scenarios).
-        state_machine_factory: per-node state machine (defaults to a
-            :class:`~repro.statemachine.kvstore.KeyValueStore`).
         trace: whether to record the world trace (disable in large sweeps).
         engine: simulation engine name registered in
             :mod:`repro.sim.engines` (``"classic"`` or ``"flat"``); ``None``
@@ -299,11 +277,7 @@ def build_cluster(
             cluster=cluster_config,
             env=env,
             store=InMemoryStore(),
-            state_machine=(
-                state_machine_factory(server_id)
-                if state_machine_factory is not None
-                else KeyValueStore()
-            ),
+            state_machine=KeyValueStore(),
             protocol_config=config,
             listeners=shared_listeners,
             timeout_policy=(

@@ -20,7 +20,6 @@ from repro.cluster.observers import ElectionObserver
 from repro.common.errors import ClusterError
 from repro.common.types import Milliseconds, ServerId
 from repro.metrics.records import ElectionMeasurement
-from repro.raft.state import Role
 
 
 class ElectionHarness:
@@ -174,7 +173,3 @@ class ElectionHarness:
             if len(terms) > 1:
                 return False
         return True
-
-    def current_roles(self) -> dict[ServerId, Role]:
-        """Role of every running node (crashed nodes are omitted)."""
-        return {node.node_id: node.role for node in self._cluster.running_nodes()}

@@ -160,10 +160,6 @@ class Scenario:
             return NoFault()
         return BroadcastOmissionFault(self.loss_rate)
 
-    def with_protocol(self, protocol: str) -> Self:
-        """The same condition for a different protocol (paired comparison)."""
-        return replace(self, protocol=protocol)
-
     def with_engine(self, engine: str) -> Self:
         """The same condition on a different simulation engine (differential
         testing and benchmarking; results are engine-invariant by contract)."""

@@ -3,8 +3,8 @@
 The :mod:`repro.common` package deliberately has no dependency on any other
 part of the library.  It provides:
 
-* :mod:`repro.common.types` -- typed aliases and tiny value objects
-  (server identifiers, terms, log indexes, millisecond durations).
+* :mod:`repro.common.types` -- typed aliases (server identifiers, terms,
+  log indexes, millisecond durations).
 * :mod:`repro.common.errors` -- the exception hierarchy.
 * :mod:`repro.common.config` -- configuration dataclasses for clusters and
   protocols (heartbeat intervals, election-timeout ranges, SCA parameters).
@@ -36,10 +36,8 @@ from repro.common.rng import SeedSequence
 from repro.common.types import (
     LogIndex,
     Milliseconds,
-    NodeName,
     ServerId,
     Term,
-    format_server,
 )
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "LogIndex",
     "Milliseconds",
     "NetworkError",
-    "NodeName",
     "ProtocolConfig",
     "ProtocolError",
     "RaftTimeoutConfig",
@@ -60,5 +57,4 @@ __all__ = [
     "SimulationError",
     "StorageError",
     "Term",
-    "format_server",
 ]

@@ -15,7 +15,7 @@ here directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.common.errors import ConfigurationError
@@ -76,11 +76,6 @@ class ClusterConfig:
         """
         return self.size // 2 + 1
 
-    @property
-    def fault_tolerance(self) -> int:
-        """Number of benign faults tolerated (``f`` where ``n >= 2f + 1``)."""
-        return (self.size - 1) // 2
-
     def peers_of(self, server_id: ServerId) -> tuple[ServerId, ...]:
         """Every member except *server_id*."""
         position = self._position_of.get(server_id)
@@ -114,19 +109,6 @@ class RaftTimeoutConfig:
     def __post_init__(self) -> None:
         require_positive(self.timeout_min_ms, "timeout_min_ms")
         require_ordered_pair(self.timeout_min_ms, self.timeout_max_ms, "timeout range")
-
-    @property
-    def randomness_ms(self) -> Milliseconds:
-        """Width of the randomized window (the paper's "amount of randomness")."""
-        return self.timeout_max_ms - self.timeout_min_ms
-
-    def with_range(
-        self, timeout_min_ms: Milliseconds, timeout_max_ms: Milliseconds
-    ) -> "RaftTimeoutConfig":
-        """Return a copy with a different randomized range."""
-        return replace(
-            self, timeout_min_ms=timeout_min_ms, timeout_max_ms=timeout_max_ms
-        )
 
 
 @dataclass(frozen=True)
@@ -162,14 +144,6 @@ class ScaParameters:
         require_positive(cluster_size, "cluster_size")
         require_in_range(priority, 1, cluster_size, "priority")
         return self.base_time_ms + self.k_ms * (cluster_size - priority)
-
-    def slowest_timeout_ms(self, cluster_size: int) -> Milliseconds:
-        """Election timeout of the lowest-priority server (priority 1)."""
-        return self.election_timeout_ms(1, cluster_size)
-
-    def fastest_timeout_ms(self, cluster_size: int) -> Milliseconds:
-        """Election timeout of the highest-priority server (priority n)."""
-        return self.election_timeout_ms(cluster_size, cluster_size)
 
 
 @dataclass(frozen=True)

@@ -65,12 +65,6 @@ class Registry(Generic[SpecT]):
         self._specs[name] = spec
         return spec
 
-    def unregister(self, name: str) -> SpecT:
-        """Remove a registration and return it (test-fixture teardown)."""
-        spec = self.get(name)
-        del self._specs[name]
-        return spec
-
     def get(self, name: str) -> SpecT:
         """The spec registered under *name*.
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable
 
 __all__ = ["SeedSequence", "derive_run_seed", "derive_seed", "paired_seeds"]
 
@@ -81,16 +80,6 @@ class SeedSequence:
     def spawn(self, count: int, *names: object) -> list["SeedSequence"]:
         """Return *count* numbered children under the given names."""
         return [self.child(*names, index) for index in range(count)]
-
-    def integers(self, count: int, *names: object) -> list[int]:
-        """Return *count* deterministic integers from the named stream."""
-        rng = self.stream(*names)
-        return [rng.getrandbits(63) for _ in range(count)]
-
-    @classmethod
-    def from_values(cls, root_seed: int, names: Iterable[object]) -> "SeedSequence":
-        """Build a sub-tree directly from an iterable path."""
-        return cls(root_seed, tuple(names))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         path = "/".join(str(part) for part in self._path)

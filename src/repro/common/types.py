@@ -1,15 +1,12 @@
-"""Typed aliases and tiny value helpers shared across the library.
+"""Typed aliases shared across the library.
 
 The paper identifies servers by small integers (``S1`` ... ``Sn``) and uses the
 server identifier directly as the initial priority in the stochastic
 configuration assignment (Section IV-A).  We therefore model a server
-identifier as a positive ``int`` and provide :func:`format_server` for the
-human-readable ``"S3"`` style used in traces and reports.
+identifier as a positive ``int``.
 """
 
 from __future__ import annotations
-
-from typing import NewType
 
 # A server identifier.  Positive integer, unique within a cluster.  The paper
 # assigns priorities from server identifiers, so keeping this an ``int`` keeps
@@ -30,35 +27,3 @@ LogIndex = int
 # throughout the paper's evaluation (election timeouts of 1500-3000 ms,
 # network latency of 100-200 ms).
 Milliseconds = float
-
-# Human-readable node name such as ``"S7"``.
-NodeName = NewType("NodeName", str)
-
-
-def format_server(server_id: ServerId) -> str:
-    """Return the paper-style name for a server identifier.
-
-    >>> format_server(3)
-    'S3'
-    """
-    return f"S{server_id}"
-
-
-def parse_server(name: str) -> ServerId:
-    """Parse a paper-style server name back into a :data:`ServerId`.
-
-    >>> parse_server("S12")
-    12
-
-    Raises:
-        ValueError: if the name does not look like ``"S<integer>"``.
-    """
-    if not name or name[0] not in ("S", "s"):
-        raise ValueError(f"not a server name: {name!r}")
-    try:
-        server_id = int(name[1:])
-    except ValueError as exc:
-        raise ValueError(f"not a server name: {name!r}") from exc
-    if server_id <= 0:
-        raise ValueError(f"server identifiers are positive: {name!r}")
-    return server_id

@@ -9,9 +9,8 @@ priority drives term growth (Eq. 2); the timeout drives failure detection
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError
 from repro.common.types import LogIndex, Milliseconds
 from repro.common.validation import require_non_negative, require_positive
 
@@ -38,18 +37,6 @@ class Configuration:
         require_positive(self.priority, "priority")
         require_positive(self.timer_period_ms, "timer_period_ms")
         require_non_negative(self.conf_clock, "conf_clock")
-
-    def with_clock(self, conf_clock: int) -> "Configuration":
-        """The same priority/timeout re-stamped with a newer clock."""
-        if conf_clock < self.conf_clock:
-            raise ConfigurationError(
-                f"configuration clock cannot move backwards: {conf_clock} < {self.conf_clock}"
-            )
-        return replace(self, conf_clock=conf_clock)
-
-    def is_fresher_than(self, other: "Configuration") -> bool:
-        """Whether this configuration was assigned in a later PPF round."""
-        return self.conf_clock > other.conf_clock
 
     def describe(self) -> str:
         """Paper-style rendering ``π(P=3, k=17, timeout=2000ms)``."""

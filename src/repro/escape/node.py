@@ -26,7 +26,7 @@ unchanged, which is the code-level expression of the paper's safety argument.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.common.config import ClusterConfig, ProtocolConfig
 from repro.common.types import LogIndex, Milliseconds, ServerId, Term
@@ -228,14 +228,12 @@ class EscapeNode(RaftNode):
         if self.patrol is None:
             return
         if isinstance(response, EscapeAppendEntriesResponse) and response.config_status:
-            status = response.config_status
-            self.patrol.record_reply(
-                src, status.log_index, self.env.now(), status.conf_clock
-            )
+            log_index = response.config_status.log_index
         else:
             # A plain Raft reply (mixed-version cluster) still proves liveness
             # and reports progress through match_index.
-            self.patrol.record_reply(src, response.match_index, self.env.now())
+            log_index = response.match_index
+        self.patrol.record_reply(src, log_index, self.env.now())
 
     # ------------------------------------------------------------------ #
     # PPF: follower side
@@ -296,19 +294,6 @@ class EscapeNode(RaftNode):
     def describe(self) -> str:
         base = super().describe()
         return f"{base} {self.configuration.describe()}"
-
-    def snapshot_state(self) -> dict[str, Any]:
-        """Structured summary used by examples and debugging tools."""
-        return {
-            "node_id": self.node_id,
-            "role": str(self.role),
-            "term": self.current_term,
-            "priority": self.configuration.priority,
-            "timer_period_ms": self.configuration.timer_period_ms,
-            "conf_clock": self.configuration.conf_clock,
-            "log_last_index": self.log.last_index,
-            "commit_index": self.commit_index,
-        }
 
 
 class EscapeNoPpfNode(EscapeNode):

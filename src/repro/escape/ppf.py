@@ -58,12 +58,6 @@ class FollowerResponsiveness:
     follower_id: ServerId
     log_index: LogIndex = 0
     last_reply_ms: Milliseconds | None = None
-    reported_conf_clock: int = -1
-
-    @property
-    def has_replied(self) -> bool:
-        """Whether any reply has been received from this follower."""
-        return self.last_reply_ms is not None
 
 
 class ProbingPatrol:
@@ -149,7 +143,6 @@ class ProbingPatrol:
         follower: ServerId,
         log_index: LogIndex,
         now_ms: Milliseconds,
-        reported_conf_clock: int | None = None,
     ) -> None:
         """Record a follower's AppendEntries reply (its responsiveness probe)."""
         # One dict read per call; the fallback only ever raises (unknown id).
@@ -157,8 +150,6 @@ class ProbingPatrol:
         if log_index > record.log_index:
             record.log_index = log_index
         record.last_reply_ms = now_ms
-        if reported_conf_clock is not None and reported_conf_clock > record.reported_conf_clock:
-            record.reported_conf_clock = reported_conf_clock
 
     def is_lagging(
         self,

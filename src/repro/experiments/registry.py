@@ -52,7 +52,6 @@ __all__ = [
     "registry_table_markdown",
     "run_experiment",
     "supporting",
-    "unregister",
     "unsupported_option_message",
     "validate_sweep_protocols",
 ]
@@ -60,7 +59,6 @@ __all__ = [
 _REGISTRY: Registry[SweepExperiment] = Registry("experiment")
 
 register = _REGISTRY.register
-unregister = _REGISTRY.unregister
 get = _REGISTRY.get
 names = _REGISTRY.names
 items = _REGISTRY.items
@@ -275,7 +273,7 @@ def registry_table() -> str:
     )
 
 
-def registry_table_markdown() -> str:
+def registry_table_markdown() -> str:  # repro: allow[U1] -- test pins EXPERIMENTS.md
     """The registry as a Markdown table (embedded in EXPERIMENTS.md).
 
     A test pins the EXPERIMENTS.md copy against this output, so the docs

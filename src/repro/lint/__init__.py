@@ -15,6 +15,9 @@ gate:
   workloads), enumerate each through ``Registry.items()`` and verify every
   registered value is a frozen, hashable, picklable dataclass, and that
   every experiments module registers exactly one.
+* **Reachability rule** (``U1``) reports every top-level name and public
+  method of the package that nothing outside ``tests/`` uses: not the
+  package itself, ``examples/``, ``bench/`` or ``benchmarks/``.
 
 Findings can be suppressed line-by-line with a justification pragma::
 

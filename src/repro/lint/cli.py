@@ -21,7 +21,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Static analyzer enforcing the repo's reproducibility contract "
-            "(determinism hazards D1-D4, spec purity S1-S2)."
+            "(determinism hazards D1-D4, spec purity S1-S2, test-only "
+            "code U1)."
         ),
     )
     parser.add_argument(

@@ -2,8 +2,8 @@
 
 ``lint_file`` parses one source file once and hands the tree to every
 selected file rule; ``lint_paths`` walks directories, adds the
-once-per-invocation registry rules, applies ``repro: allow[rule-id]``
-suppressions uniformly (including to registry findings, which anchor to real
+once-per-invocation tree rules, applies ``repro: allow[rule-id]``
+suppressions uniformly (including to tree findings, which anchor to real
 source lines), and reports unknown pragma ids as ``P1`` findings.
 """
 
@@ -32,6 +32,7 @@ from repro.lint.rules_registry import (
     check_experiment_registry,
     check_registered_specs,
 )
+from repro.lint.rules_unused import check_unused_names
 
 __all__ = [
     "ALL_RULE_IDS",
@@ -94,7 +95,7 @@ RULES: tuple[Rule, ...] = (
             "net-conditions/chaos registries is a frozen, hashable, picklable "
             "dataclass with module-level callables and immutable defaults"
         ),
-        kind="registry",
+        kind="tree",
         check=check_registered_specs,
     ),
     Rule(
@@ -104,8 +105,18 @@ RULES: tuple[Rule, ...] = (
             "each non-infrastructure module of repro.experiments registers "
             "exactly one experiment declaration"
         ),
-        kind="registry",
+        kind="tree",
         check=check_experiment_registry,
+    ),
+    Rule(
+        id="U1",
+        name="test-only",
+        description=(
+            "every top-level name and public method in src/repro has a use "
+            "outside tests/: in the package, examples/, bench/ or benchmarks/"
+        ),
+        kind="tree",
+        check=check_unused_names,
     ),
     Rule(
         id="E1",
@@ -201,7 +212,7 @@ def lint_file(
 ) -> list[Finding]:
     """Run the (selected) file rules over one source file.
 
-    Registry rules are invocation-wide and are not run here; use
+    Tree rules are invocation-wide and are not run here; use
     :func:`lint_paths` for the full gate.
     """
     path = Path(path)
@@ -254,15 +265,15 @@ def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
     return sorted(files)
 
 
-def _registry_findings(
+def _tree_findings(
     selected: tuple[Rule, ...],
     roots: Sequence[Path],
     config: LintConfig,
 ) -> list[Finding]:
-    """Run the registry rules; keep findings anchored inside the linted roots.
+    """Run the tree rules; keep findings anchored inside the linted roots.
 
-    Registry findings anchor to spec-definition lines wherever the spec's
-    module lives; dropping anchors outside the linted tree keeps ``repro.lint
+    Tree findings anchor to definition lines wherever the module lives;
+    dropping anchors outside the linted tree keeps ``repro.lint
     some/fixture/dir`` focused on the caller's files while the default
     ``repro.lint src`` invocation sees everything.  Suppression pragmas apply
     through the anchored file like any other finding.
@@ -270,7 +281,7 @@ def _registry_findings(
     resolved_roots = [Path(root).resolve() for root in roots]
     findings: list[Finding] = []
     for rule in selected:
-        if rule.kind == "registry" and rule.check is not None:
+        if rule.kind == "tree" and rule.check is not None:
             findings.extend(rule.check(config))
     kept: list[Finding] = []
     pragma_cache: dict[str, Mapping[int, frozenset[str]]] = {}
@@ -304,10 +315,10 @@ def lint_paths(
     selected = _select(rule_ids)
     files = iter_python_files(paths)
     findings: list[Finding] = []
-    file_rule_ids = [rule.id for rule in selected if rule.kind != "registry"]
+    file_rule_ids = [rule.id for rule in selected if rule.kind != "tree"]
     for path in files:
         findings.extend(lint_file(path, file_rule_ids, config))
-    findings.extend(_registry_findings(selected, [Path(p) for p in paths], config))
+    findings.extend(_tree_findings(selected, [Path(p) for p in paths], config))
     return LintReport(
         findings=tuple(sorted(findings)),
         checked_files=len(files),

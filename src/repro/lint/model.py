@@ -56,8 +56,9 @@ class Rule:
         id: stable short id used in reports and suppression pragmas.
         name: short kebab-case label.
         description: one-line summary shown by ``--list-rules``.
-        kind: ``"file"`` rules receive each parsed file; ``"registry"`` rules
-            run once per invocation against the imported spec registries;
+        kind: ``"file"`` rules receive each parsed file; ``"tree"`` rules
+            run once per invocation against the whole package (its imported
+            spec registries, or its source with the reference directories);
             ``"meta"`` rules (the pragma rule) are applied by the engine
             itself and cannot be invoked directly.
         check: the checker callable (signature depends on *kind*); excluded

@@ -2,8 +2,8 @@
 
 The experiment harness produces one
 :class:`~repro.metrics.records.ElectionMeasurement` per run; this package
-turns collections of measurements into the CDFs, averages and comparison
-tables that the paper's figures report.
+turns collections of measurements into the percentiles, averages and
+comparison tables that the paper's figures report.
 """
 
 from repro.metrics.records import (
@@ -13,7 +13,6 @@ from repro.metrics.records import (
     MeasurementSet,
 )
 from repro.metrics.stats import (
-    cumulative_distribution,
     percentile,
     reduction_percent,
     summarize,
@@ -37,7 +36,6 @@ __all__ = [
     "MergeableCDF",
     "StreamingSummary",
     "SummaryStatistics",
-    "cumulative_distribution",
     "percentile",
     "reduction_percent",
     "render_table",

@@ -1,4 +1,4 @@
-"""Statistics helpers: CDFs, percentiles, summaries, baseline reductions."""
+"""Statistics helpers: percentiles, summaries, baseline reductions."""
 
 from __future__ import annotations
 
@@ -7,19 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.common.errors import ClusterError
-
-
-def cumulative_distribution(values: Sequence[float]) -> list[tuple[float, float]]:
-    """Empirical CDF of *values* as ``(value, cumulative_fraction)`` pairs.
-
-    This is the series plotted by Figures 3 and 9 of the paper ("cumulative
-    percent" of the leader-election-time distribution).
-    """
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
 
 
 def fraction_at_or_below(values: Sequence[float], threshold: float) -> float:

@@ -32,8 +32,7 @@ Four layers:
 Exactness contract (pinned by ``tests/property/test_streaming_equivalence.py``):
 as long as a summary has seen at most ``capacity`` values, any chunking and
 any merge order produce **bit-identical** results to the batch
-:func:`~repro.metrics.stats.summarize` /
-:func:`~repro.metrics.stats.cumulative_distribution` on the same values.
+:func:`~repro.metrics.stats.summarize` on the same values.
 Beyond the capacity percentiles become (still deterministic) equi-depth
 approximations while count/mean/std/min/max stay exact up to float
 accumulation.
@@ -56,7 +55,6 @@ from repro.common.errors import ClusterError
 from repro.metrics.stats import (
     SummaryStatistics,
     _percentile_sorted,
-    cumulative_distribution,
     summarize,
 )
 
@@ -83,7 +81,7 @@ class MergeableCDF:
 
     Exact while ``count <= capacity``: the sketch simply keeps the sorted
     observations, so merging is a lossless sorted-list merge and every
-    percentile/CDF query delegates to the batch helpers in
+    percentile query delegates to the batch helpers in
     :mod:`repro.metrics.stats`.  Past the capacity it compresses to
     ``capacity // 2`` equi-depth representatives (actual observed values at
     evenly spaced weighted ranks -- never interpolated ghosts), which keeps
@@ -161,19 +159,6 @@ class MergeableCDF:
         if self.count == 0:
             raise ClusterError("cannot take a percentile of an empty sketch")
         return _percentile_sorted(self._support(), q)
-
-    def cumulative_distribution(self) -> list[tuple[float, float]]:
-        """The (approximate beyond capacity) empirical CDF of the sample.
-
-        While exact this is byte-identical to
-        :func:`repro.metrics.stats.cumulative_distribution` on the same
-        values.
-        """
-        if self.exact:
-            return cumulative_distribution(self._values)
-        support = self._support()
-        n = len(support)
-        return [(value, (index + 1) / n) for index, value in enumerate(support)]
 
     def _support(self) -> list[float]:
         """The sorted point set queries read from (folds any exact buffer)."""
@@ -400,10 +385,6 @@ class StreamingSummary:
     def percentile(self, q: float) -> float:
         """The *q*-th percentile (exact while under capacity)."""
         return self.cdf.percentile(q)
-
-    def cumulative_distribution(self) -> list[tuple[float, float]]:
-        """The (sketched) empirical CDF; exact while under capacity."""
-        return self.cdf.cumulative_distribution()
 
     def summary(self) -> SummaryStatistics:
         """The :class:`SummaryStatistics` of everything absorbed so far.
@@ -636,10 +617,6 @@ class ElectionAggregate(Aggregate):
         if not self.converged:
             raise ClusterError(f"no converged runs in aggregate {self.label!r}")
         return periods.summary()
-
-    def total_cdf(self) -> list[tuple[float, float]]:
-        """The (sketched) CDF of the converged total election times."""
-        return self.total_ms.cumulative_distribution()
 
     def to_row(self, label: str) -> dict[str, object]:
         """This cell as one scalar export row.

@@ -16,7 +16,6 @@ from repro.net.faults import (
     BroadcastOmissionFault,
     CompositeFault,
     FaultInjector,
-    LinkFault,
     MessageDuplicationFault,
     NoFault,
     PacketLossFault,
@@ -41,7 +40,6 @@ __all__ = [
     "GeoGroupLatency",
     "GeoLatencySpec",
     "LatencyModel",
-    "LinkFault",
     "LogNormalLatency",
     "MessageDuplicationFault",
     "NetworkStats",

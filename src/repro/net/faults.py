@@ -8,8 +8,8 @@ Two message-loss models are provided:
 * :class:`PacketLossFault` -- i.i.d. per-message loss, provided for
   sensitivity analysis (it is the model NetEm's ``loss`` option implements).
 
-:class:`LinkFault` cuts specific directed links and :class:`CompositeFault`
-combines several injectors.
+:class:`MessageDuplicationFault` delivers some messages twice and
+:class:`CompositeFault` combines several injectors.
 
 Like the latency models, every injector is a frozen, validated, picklable
 dataclass, so a scenario's ``fault=``, a catalog condition and a
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Protocol, Sequence, runtime_checkable
 
 from repro.common.errors import ConfigurationError
@@ -33,8 +33,7 @@ def bind(condition: object, server_ids: Sequence[ServerId]) -> Any:
 
     A condition that cannot be final before the membership is known has a
     ``resolve(server_ids)``: :class:`~repro.net.latency.GeoLatencySpec`
-    assigns its regions, :class:`LinkFault` checks that its links name
-    members, :class:`CompositeFault` binds its parts.  Every other model
+    assigns its regions.  Every other model, every fault injector included,
     depends on no membership and is returned as it is.
     """
     resolve = getattr(condition, "resolve", None)
@@ -126,43 +125,6 @@ class BroadcastOmissionFault:
 
 
 @dataclass(frozen=True)
-class LinkFault:
-    """Drops every message on an explicit set of directed links.
-
-    Args:
-        broken_links: pairs ``(src, dst)`` that can no longer communicate.
-        symmetric: when true, ``(dst, src)`` is broken as well.
-    """
-
-    broken_links: frozenset[tuple[ServerId, ServerId]] = field(default_factory=frozenset)
-    symmetric: bool = True
-
-    def resolve(self, server_ids: Sequence[ServerId]) -> "LinkFault":
-        """This fault, once every broken link is known to join two members."""
-        members = set(server_ids)
-        for src, dst in self.broken_links:
-            if src not in members or dst not in members:
-                raise ConfigurationError(
-                    f"broken link ({src}, {dst}) names a server outside the "
-                    f"cluster membership"
-                )
-        return self
-
-    def _is_broken(self, src: ServerId, dst: ServerId) -> bool:
-        if (src, dst) in self.broken_links:
-            return True
-        return self.symmetric and (dst, src) in self.broken_links
-
-    def drop_unicast(self, rng: random.Random, src: ServerId, dst: ServerId) -> bool:
-        return self._is_broken(src, dst)
-
-    def omitted_broadcast_targets(
-        self, rng: random.Random, src: ServerId, targets: Sequence[ServerId]
-    ) -> frozenset[ServerId]:
-        return frozenset(target for target in targets if self._is_broken(src, target))
-
-
-@dataclass(frozen=True)
 class MessageDuplicationFault:
     """Duplicates (rather than drops) messages with probability *rate*.
 
@@ -207,12 +169,6 @@ class CompositeFault:
                 raise ConfigurationError(
                     f"CompositeFault parts must be fault injectors, got {injector!r}"
                 )
-
-    def resolve(self, server_ids: Sequence[ServerId]) -> "CompositeFault":
-        """This composite with every part bound to the membership."""
-        return replace(
-            self, injectors=tuple(bind(part, server_ids) for part in self.injectors)
-        )
 
     def drop_unicast(self, rng: random.Random, src: ServerId, dst: ServerId) -> bool:
         return any(injector.drop_unicast(rng, src, dst) for injector in self.injectors)

@@ -21,9 +21,8 @@ and replaces the hot send/broadcast/delivery paths:
   :class:`~repro.net.faults.BroadcastOmissionFault` unicasts when
   ``affect_unicast`` is off, and
   :class:`~repro.net.faults.MessageDuplicationFault` drop checks.  Anything
-  else (including :class:`~repro.net.faults.LinkFault`, which draws nothing
-  but can drop) is called exactly like the classic engine, preserving the
-  fault RNG stream draw-for-draw;
+  else is called exactly like the classic engine, preserving the fault RNG
+  stream draw-for-draw;
 * partition reachability is the manager's identity-stable
   :attr:`~repro.net.partition.PartitionManager.cell_map` dict, held once at
   construction and tested with ``if cells and cells[src] != cells[dst]``

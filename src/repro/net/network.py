@@ -185,10 +185,6 @@ class SimulatedNetwork:
         self._require_member(server_id)
         self._disconnected.discard(server_id)
 
-    def is_connected(self, server_id: ServerId) -> bool:
-        """Whether the server is currently attached to the network."""
-        return server_id not in self._disconnected
-
     # ------------------------------------------------------------------ #
     # Sending
     # ------------------------------------------------------------------ #

@@ -5,8 +5,8 @@ Three pillars, all safe under the determinism contract:
 * :mod:`repro.obs.telemetry` + :mod:`repro.obs.harvest` -- named counters/
   gauges/histograms over *simulated* facts, with frozen, mergeable,
   JSON-round-tripping snapshots (bit-identical at any worker count).
-* :mod:`repro.obs.trace` -- trace sinks (JSONL / memory / bounded ring),
-  frozen filters, and the ``--trace-out`` experiment archive.
+* :mod:`repro.obs.trace` -- the JSONL trace codec and the ``--trace-out``
+  experiment archive.
 * :mod:`repro.obs.progress` + :mod:`repro.obs.profiling` -- the only two
   modules allowed to read wall-clock (see the :mod:`repro.lint` D1
   allowlist): sweep progress/heartbeat reporting and named phase timers.
@@ -27,19 +27,10 @@ from repro.obs.telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_METRICS,
     TelemetrySnapshot,
-    merge_snapshots,
-    sweep_telemetry,
 )
 from repro.obs.trace import (
-    JsonlTraceSink,
-    MemoryTraceSink,
-    RingTraceSink,
-    TraceFilter,
-    TraceSink,
     archive_election_traces,
-    export_records,
     read_trace_jsonl,
     write_trace_jsonl,
 )
@@ -50,25 +41,16 @@ __all__ = [
     "Gauge",
     "HEARTBEAT_SCHEMA",
     "Histogram",
-    "JsonlTraceSink",
-    "MemoryTraceSink",
     "MetricsRegistry",
-    "NULL_METRICS",
     "Profiler",
     "ProgressReporter",
-    "RingTraceSink",
     "TelemetryListener",
     "TelemetrySnapshot",
-    "TraceFilter",
-    "TraceSink",
     "archive_election_traces",
-    "export_records",
     "harvest_chaos",
     "harvest_cluster",
     "harvest_network",
     "harvest_scheduler",
-    "merge_snapshots",
     "read_trace_jsonl",
-    "sweep_telemetry",
     "write_trace_jsonl",
 ]

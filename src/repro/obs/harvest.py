@@ -80,7 +80,7 @@ __all__ = [
 #: comes, so the two read differently for the same episode.  Every other name
 #: is bit-identical across engines (``tests/property/test_obs_parity.py``);
 #: these two are compared between runs of the same engine only.
-ENGINE_OWNED_METRICS: frozenset[str] = frozenset(
+ENGINE_OWNED_METRICS: frozenset[str] = frozenset(  # repro: allow[U1] -- test_obs_parity's exclusion set
     {"sim.heap.size", "sim.heap.compactions"}
 )
 

@@ -12,8 +12,7 @@ Two design rules keep telemetry sweep-safe:
   per-event callbacks at all: their existing counters (``executed_count``,
   ``NetworkStats``) are *harvested* into a registry after the run
   (:mod:`repro.obs.harvest`).  Only the node-event listener is live, and it
-  is attached only when a scenario opts in.  :data:`NULL_METRICS` exists for
-  call sites that want an always-present handle.
+  is attached only when a scenario opts in.
 * **Mergeable snapshots.**  :meth:`MetricsRegistry.snapshot` freezes the
   registry into a :class:`TelemetrySnapshot` -- picklable, JSON-round-
   tripping, and mergeable exactly like the streaming sweep aggregates in
@@ -24,7 +23,7 @@ Two design rules keep telemetry sweep-safe:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.frozen import FrozenDict
@@ -35,10 +34,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRICS",
     "TelemetrySnapshot",
-    "merge_snapshots",
-    "sweep_telemetry",
 ]
 
 #: Default histogram bucket upper bounds (values above the last bound land in
@@ -106,32 +102,6 @@ class Histogram:
         self.total += value
 
 
-class _NullCounter:
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        return None
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        return None
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
     """A namespace of named metrics, created on first use.
 
@@ -142,10 +112,6 @@ class MetricsRegistry:
     """
 
     __slots__ = ("_counters", "_gauges", "_histograms")
-
-    #: Real registries record; :data:`NULL_METRICS` reports ``False`` so call
-    #: sites can skip building expensive labels for a disabled sink.
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
@@ -208,30 +174,6 @@ class MetricsRegistry:
                 for name in sorted(self._histograms)
             ),
         )
-
-
-class _NullMetrics(MetricsRegistry):
-    """The always-off registry: every handle is a shared no-op."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def counter(self, name: str) -> Counter:  # type: ignore[override]
-        return _NULL_COUNTER  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> Gauge:  # type: ignore[override]
-        return _NULL_GAUGE  # type: ignore[return-value]
-
-    def histogram(  # type: ignore[override]
-        self, name: str, bounds: Sequence[float] = DEFAULT_HISTOGRAM_BOUNDS
-    ) -> Histogram:
-        return _NULL_HISTOGRAM  # type: ignore[return-value]
-
-
-#: Shared disabled registry: hand this to instrumented code when telemetry is
-#: off and every ``inc``/``set``/``observe`` becomes a no-op method call.
-NULL_METRICS = _NullMetrics()
 
 
 #: Histogram state: ``(bounds, bucket counts, observation count, sum)``.
@@ -339,37 +281,3 @@ class TelemetrySnapshot:
             ),
             histograms=FrozenDict(sorted(histograms.items())),
         )
-
-
-def merge_snapshots(snapshots: Iterable[TelemetrySnapshot]) -> TelemetrySnapshot:
-    """Fold an iterable of snapshots into one (empty iterable -> empty)."""
-    merged = TelemetrySnapshot()
-    for snapshot in snapshots:
-        merged = merged.merge(snapshot)
-    return merged
-
-
-def sweep_telemetry(
-    results: Mapping[str, Iterable],
-) -> dict[str, TelemetrySnapshot]:
-    """Per-label merged telemetry from a sweep into collecting sets.
-
-    Telemetry-enabled scenarios attach each episode's snapshot state to
-    ``measurement.extra["telemetry"]``; this folds them per label, in slot
-    (episode-index) order, so the table is bit-identical at any worker count.
-    Labels whose measurements carry no telemetry are omitted.  Aggregate
-    containers never retain per-episode extras, so this helper applies to
-    measurement-set results only.
-    """
-    tables: dict[str, TelemetrySnapshot] = {}
-    for label, measurements in results.items():
-        states = [
-            measurement.extra["telemetry"]
-            for measurement in measurements
-            if "telemetry" in getattr(measurement, "extra", {})
-        ]
-        if states:
-            tables[label] = merge_snapshots(
-                TelemetrySnapshot.from_state(state) for state in states
-            )
-    return tables

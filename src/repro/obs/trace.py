@@ -1,10 +1,9 @@
-"""Trace persistence: sinks, filters, JSONL round-tripping, and archiving.
+"""Trace persistence: JSONL round-tripping and archiving.
 
 The in-memory :class:`~repro.sim.tracing.Tracer` powers assertions and
 timelines inside one process; this module gets traces *out* -- to JSONL files
 an experiment can archive next to its ``--output`` artifacts (the
-``--trace-out`` capability), or into bounded rings that report how much they
-dropped instead of discarding silently.
+``--trace-out`` capability).
 
 JSONL schema (one object per line)::
 
@@ -18,8 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.common.rng import paired_seeds
 from repro.sim.tracing import TraceRecord
@@ -28,14 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids layer cycles
     from repro.cluster.scenarios import Scenario
 
 __all__ = [
-    "JsonlTraceSink",
-    "MemoryTraceSink",
-    "RingTraceSink",
     "TRACE_MANIFEST_SCHEMA",
-    "TraceFilter",
-    "TraceSink",
     "archive_election_traces",
-    "export_records",
     "read_trace_jsonl",
     "record_from_json",
     "record_to_json",
@@ -66,152 +58,22 @@ def record_from_json(payload: dict) -> TraceRecord:
     )
 
 
-@runtime_checkable
-class TraceSink(Protocol):
-    """Anything trace records can be written into."""
-
-    def write(self, record: TraceRecord) -> None:  # pragma: no cover - protocol
-        ...
-
-    def close(self) -> None:  # pragma: no cover - protocol
-        ...
-
-
-class MemoryTraceSink:
-    """Collects records in memory (mainly for tests and tooling)."""
-
-    def __init__(self) -> None:
-        self._records: list[TraceRecord] = []
-        self.closed = False
-
-    @property
-    def records(self) -> tuple[TraceRecord, ...]:
-        return tuple(self._records)
-
-    def write(self, record: TraceRecord) -> None:
-        self._records.append(record)
-
-    def close(self) -> None:
-        self.closed = True
-
-
-class RingTraceSink:
-    """Keeps only the *last* ``capacity`` records, counting what it evicted.
-
-    The complement of the ``Tracer`` capacity cap (which keeps the oldest):
-    a ring keeps the most recent window, which is what you want when a long
-    run fails at the end -- and ``dropped_count`` says exactly how much of
-    the head was lost.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"ring capacity must be positive, got {capacity}")
-        self._capacity = capacity
-        self._records: list[TraceRecord] = []
-        self._dropped = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def dropped_count(self) -> int:
-        """Records evicted from the head to stay within capacity."""
-        return self._dropped
-
-    @property
-    def records(self) -> tuple[TraceRecord, ...]:
-        return tuple(self._records)
-
-    def write(self, record: TraceRecord) -> None:
-        if len(self._records) >= self._capacity:
-            del self._records[0]
-            self._dropped += 1
-        self._records.append(record)
-
-    def close(self) -> None:
-        return None
-
-
-class JsonlTraceSink:
-    """Streams records to a JSONL file, one object per line."""
-
-    def __init__(self, path: str | os.PathLike[str]) -> None:
-        self.path = os.fspath(path)
-        self._handle = open(self.path, "w", encoding="utf-8")
-        self.written = 0
-
-    def write(self, record: TraceRecord) -> None:
-        json.dump(record_to_json(record), self._handle, sort_keys=True)
-        self._handle.write("\n")
-        self.written += 1
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlTraceSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-@dataclass(frozen=True)
-class TraceFilter:
-    """A frozen, picklable record predicate for sinks and archives.
-
-    Attributes:
-        categories: category *prefixes*; a record matches when its category
-            starts with any of them (empty means match all categories).
-        nodes: server ids to keep; records with ``node=None`` (cluster-wide
-            events) always pass the node filter (empty means match all).
-    """
-
-    categories: tuple[str, ...] = ()
-    nodes: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "categories", tuple(self.categories))
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-
-    def matches(self, record: TraceRecord) -> bool:
-        """Whether *record* passes both the category and node filters."""
-        if self.categories and not any(
-            record.category.startswith(prefix) for prefix in self.categories
-        ):
-            return False
-        if self.nodes and record.node is not None and record.node not in self.nodes:
-            return False
-        return True
-
-
-def export_records(
-    records: Iterable[TraceRecord],
-    sink: TraceSink,
-    trace_filter: TraceFilter | None = None,
+def write_trace_jsonl(
+    path: str | os.PathLike[str], records: Iterable[TraceRecord]
 ) -> int:
-    """Write every matching record into *sink*; returns the count written."""
+    """Write *records* to a JSONL file at *path*; returns the count written."""
     written = 0
-    for record in records:
-        if trace_filter is None or trace_filter.matches(record):
-            sink.write(record)
+    with open(os.fspath(path), "w", encoding="utf-8") as handle:
+        for record in records:
+            json.dump(record_to_json(record), handle, sort_keys=True)
+            handle.write("\n")
             written += 1
     return written
 
 
-def write_trace_jsonl(
+def read_trace_jsonl(  # repro: allow[U1] -- CI trace-archive check; ROADMAP 3
     path: str | os.PathLike[str],
-    records: Iterable[TraceRecord],
-    trace_filter: TraceFilter | None = None,
-) -> int:
-    """Write *records* to a JSONL file at *path*; returns the count written."""
-    with JsonlTraceSink(path) as sink:
-        return export_records(records, sink, trace_filter)
-
-
-def read_trace_jsonl(path: str | os.PathLike[str]) -> list[TraceRecord]:
+) -> list[TraceRecord]:
     """Load the records written by :func:`write_trace_jsonl`, in order."""
     records = []
     with open(os.fspath(path), encoding="utf-8") as handle:
@@ -226,7 +88,6 @@ def archive_election_traces(
     scenarios: "dict[str, Scenario]",
     seed: int,
     directory: str | os.PathLike[str],
-    trace_filter: TraceFilter | None = None,
 ) -> dict:
     """Archive one traced episode per scenario label under *directory*.
 
@@ -243,12 +104,9 @@ def archive_election_traces(
     manifest: dict = {
         "schema": TRACE_MANIFEST_SCHEMA,
         "seed": seed,
-        "filter": None
-        if trace_filter is None
-        else {
-            "categories": list(trace_filter.categories),
-            "nodes": list(trace_filter.nodes),
-        },
+        # Part of the v1 archive schema: every record is archived, so no
+        # filter is named and each label reports 0 filtered out.
+        "filter": None,
         "labels": {},
     }
     telemetry: dict[str, dict] = {}
@@ -258,14 +116,12 @@ def archive_election_traces(
         # Labels may contain path separators (e.g. "raft/closed-loop");
         # flatten them so every archive file lands directly in out_dir.
         file_name = f"{label.replace('/', '--')}.jsonl"
-        written = write_trace_jsonl(
-            os.path.join(out_dir, file_name), records, trace_filter
-        )
+        written = write_trace_jsonl(os.path.join(out_dir, file_name), records)
         manifest["labels"][label] = {
             "file": file_name,
             "episode_seed": episode_seed,
             "records": written,
-            "filtered_out": len(records) - written,
+            "filtered_out": 0,
         }
         telemetry[label] = measurement.extra["telemetry"]
     with open(os.path.join(out_dir, "telemetry.json"), "w", encoding="utf-8") as handle:

@@ -46,7 +46,6 @@ from repro.protocols.registry import (
     names,
     register,
     title,
-    unregister,
     validated,
 )
 
@@ -61,6 +60,5 @@ __all__ = [
     "names",
     "register",
     "title",
-    "unregister",
     "validated",
 ]

@@ -37,14 +37,12 @@ __all__ = [
     "names",
     "register",
     "title",
-    "unregister",
     "validated",
 ]
 
 _REGISTRY: Registry[ProtocolSpec] = Registry("protocol")
 
 register = _REGISTRY.register
-unregister = _REGISTRY.unregister
 get = _REGISTRY.get
 names = _REGISTRY.names
 items = _REGISTRY.items

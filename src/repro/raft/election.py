@@ -66,7 +66,3 @@ class VoteTally:
     def has_quorum(self) -> bool:
         """Whether the collected votes reach the quorum."""
         return len(self._voters) >= self._quorum_size
-
-    def votes_needed(self) -> int:
-        """How many more votes are required to reach the quorum."""
-        return max(0, self._quorum_size - len(self._voters))

@@ -72,11 +72,6 @@ class AppendEntriesRequest(RpcMessage):
     entries: tuple[LogEntry, ...] = field(default_factory=tuple)
     leader_commit: LogIndex = 0
 
-    @property
-    def is_heartbeat(self) -> bool:
-        """True when the request carries no entries."""
-        return not self.entries
-
 
 @dataclass(frozen=True, slots=True)
 class AppendEntriesResponse(RpcMessage):

@@ -97,7 +97,6 @@ class RaftNode:
         self.last_applied: LogIndex = 0
         self.votes = VoteTally(cluster.quorum_size)
         self.progress: ReplicationProgress | None = None
-        self.apply_results: dict[LogIndex, Any] = {}
 
         # Timers and counters.
         self._election_timer: TimerHandle | None = None
@@ -105,12 +104,7 @@ class RaftNode:
         self._vote_retry_timer: TimerHandle | None = None
         self._timeout_attempt = 0
         self._running = False
-        self.stats: dict[str, int] = {
-            "elections_started": 0,
-            "votes_granted": 0,
-            "heartbeats_sent": 0,
-            "append_entries_received": 0,
-        }
+        self.stats: dict[str, int] = {"votes_granted": 0}
 
         # Hot-path caches.  Membership is static, so the peer tuple is fixed
         # for the node's lifetime.  The two hook flags let the heartbeat path
@@ -238,16 +232,6 @@ class RaftNode:
             self._replicate_to_followers()
         return entry.index
 
-    def result_for(self, index: LogIndex) -> Any:
-        """Result produced by the state machine for the entry at *index*.
-
-        Raises:
-            ProtocolError: if the entry has not been applied yet.
-        """
-        if index not in self.apply_results:
-            raise ProtocolError(f"entry {index} has not been applied on S{self.node_id}")
-        return self.apply_results[index]
-
     # ------------------------------------------------------------------ #
     # Message dispatch
     # ------------------------------------------------------------------ #
@@ -324,7 +308,6 @@ class RaftNode:
         self.leader_id = None
         self.votes.start_campaign(new_term)
         self.votes.record_vote(new_term, self.node_id)
-        self.stats["elections_started"] += 1
         if self._trace_on:
             self.env.trace("election.start", term=new_term)
         now = self.env.now()
@@ -465,7 +448,6 @@ class RaftNode:
     # Log replication: AppendEntries
     # ------------------------------------------------------------------ #
     def _handle_append_entries(self, src: ServerId, request: AppendEntriesRequest) -> None:
-        self.stats["append_entries_received"] += 1
         if request.term < self.current_term:
             self.env.send(src, self._make_append_response(False, self.log.last_index))
             return
@@ -615,7 +597,6 @@ class RaftNode:
             return
         if not self._round_hook_is_default:
             self._hook_before_heartbeat_round()
-        self.stats["heartbeats_sent"] += 1
         self.env.broadcast(self._peer_ids, self._append_entries_factory())
         self._heartbeat_timer = self.env.set_timer(
             self.config.heartbeat_interval_ms, self._send_heartbeats, label="heartbeat"
@@ -726,8 +707,7 @@ class RaftNode:
         while self.last_applied < self.commit_index:
             self.last_applied += 1
             entry = self.log.entry_at(self.last_applied)
-            result = self.state_machine.apply(entry.command)
-            self.apply_results[entry.index] = result
+            self.state_machine.apply(entry.command)
             if self._trace_on:
                 self.env.trace("log.apply", index=entry.index, term=entry.term)
             for notify in listening:

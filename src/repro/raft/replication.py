@@ -134,11 +134,3 @@ class ReplicationProgress:
                 return 0
             candidate_index -= 1
         return 0
-
-    def stale_followers(self, last_log_index: LogIndex) -> list[ServerId]:
-        """Followers whose known match index is behind the leader's log tail."""
-        return [
-            peer
-            for peer, progress in self._peers.items()
-            if progress.match_index < last_log_index
-        ]

@@ -10,7 +10,7 @@ controlled number of competing-candidate phases.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.common.config import RaftTimeoutConfig
@@ -76,13 +76,12 @@ class ScriptedTimeoutPolicy:
     same instant for the first *k* waits, which forces *k* phases of competing
     candidates in Raft.  Index *attempt* selects the scripted value, so the
     first timeout after losing the leader uses ``script[0]``, the second
-    ``script[1]``, and so on.
+    ``script[1]``, and so on.  *fallback* has no default: a script has no
+    range of its own, so the caller names the one its scenario configured.
     """
 
     script: tuple[Milliseconds, ...]
-    fallback: ElectionTimeoutPolicy = field(
-        default_factory=lambda: RandomizedTimeoutPolicy()
-    )
+    fallback: ElectionTimeoutPolicy
 
     def __post_init__(self) -> None:
         for value in self.script:

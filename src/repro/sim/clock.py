@@ -35,11 +35,5 @@ class VirtualClock:
             )
         self._now_ms = float(time_ms)
 
-    def advance_by(self, delta_ms: Milliseconds) -> None:
-        """Move the clock forward by *delta_ms* milliseconds."""
-        if delta_ms < 0:
-            raise SimulationError(f"cannot advance by a negative delta: {delta_ms}")
-        self._now_ms += float(delta_ms)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now_ms:.3f}ms)"

@@ -8,7 +8,7 @@ ESCAPE run ever records a ``split_vote`` event).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.common.types import Milliseconds, ServerId
 
@@ -45,11 +45,9 @@ class Tracer:
     sweeps cheaper; recording becomes a no-op but the API stays identical.
     """
 
-    def __init__(self, enabled: bool = True, capacity: int | None = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self._enabled = enabled
-        self._capacity = capacity
         self._records: list[TraceRecord] = []
-        self._dropped = 0
 
     @property
     def enabled(self) -> bool:
@@ -61,11 +59,6 @@ class Tracer:
         """All recorded events in chronological (insertion) order."""
         return tuple(self._records)
 
-    @property
-    def dropped_count(self) -> int:
-        """Records discarded because the tracer was at capacity."""
-        return self._dropped
-
     def record(
         self,
         time_ms: Milliseconds,
@@ -76,58 +69,9 @@ class Tracer:
         """Append a record (no-op when the tracer is disabled)."""
         if not self._enabled:
             return
-        if self._capacity is not None and len(self._records) >= self._capacity:
-            self._dropped += 1
-            return
         self._records.append(
             TraceRecord(time_ms=time_ms, category=category, node=node, detail=detail)
         )
-
-    def filter(
-        self,
-        category: str | None = None,
-        node: ServerId | None = None,
-        prefix: str | None = None,
-    ) -> list[TraceRecord]:
-        """Return records matching the given filters.
-
-        Args:
-            category: exact category match.
-            node: only records concerning this server.
-            prefix: category prefix match (e.g. ``"election."``).
-        """
-        result: Iterable[TraceRecord] = self._records
-        if category is not None:
-            result = (record for record in result if record.category == category)
-        if prefix is not None:
-            result = (record for record in result if record.category.startswith(prefix))
-        if node is not None:
-            result = (record for record in result if record.node == node)
-        return list(result)
-
-    def count(self, category: str) -> int:
-        """Number of records with exactly this category."""
-        return sum(1 for record in self._records if record.category == category)
-
-    def clear(self) -> None:
-        """Drop all recorded events and reset the dropped counter."""
-        self._records.clear()
-        self._dropped = 0
-
-    def timeline(self, limit: int | None = None) -> str:
-        """Render the trace as a multi-line human-readable timeline.
-
-        When the capacity cap discarded records, the timeline ends with a
-        summary line saying how many -- a truncated trace must never read
-        like a complete one.
-        """
-        records = self._records if limit is None else self._records[:limit]
-        lines = [record.describe() for record in records]
-        if self._dropped:
-            lines.append(
-                f"... {self._dropped} record(s) dropped at capacity {self._capacity}"
-            )
-        return "\n".join(lines)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)

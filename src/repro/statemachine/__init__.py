@@ -2,9 +2,8 @@
 
 Leader election itself does not need a state machine, but log replication
 (which ESCAPE leaves untouched and which the correctness arguments in
-Section V rely on) does.  The examples replicate a key-value store; tests use
-both the key-value store and the simpler append-only register to check that
-every node applies the same command sequence.
+Section V rely on) does.  The examples and the workload replicate a
+key-value store.
 """
 
 from repro.statemachine.base import Command, StateMachine
@@ -15,13 +14,10 @@ from repro.statemachine.kvstore import (
     PutCommand,
     CompareAndSwapCommand,
 )
-from repro.statemachine.register import AppendRegister, CounterMachine
 
 __all__ = [
-    "AppendRegister",
     "Command",
     "CompareAndSwapCommand",
-    "CounterMachine",
     "DeleteCommand",
     "GetCommand",
     "KeyValueStore",

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Protocol, runtime_checkable
 
-# A command is any value a client proposes; it ends up in a log entry.  To be
-# stored by a ``FileStore`` it must be JSON-serialisable; dataclass commands
-# in this package provide ``to_dict``/``from_dict`` for that purpose.
+# A command is any value a client proposes; it ends up in a log entry.
 Command = Any
 
 

@@ -21,9 +21,6 @@ class PutCommand:
     key: str
     value: Any
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"op": "put", "key": self.key, "value": self.value}
-
 
 @dataclass(frozen=True)
 class GetCommand:
@@ -31,18 +28,12 @@ class GetCommand:
 
     key: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"op": "get", "key": self.key}
-
 
 @dataclass(frozen=True)
 class DeleteCommand:
     """Remove *key*; returns ``True`` when the key existed."""
 
     key: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"op": "delete", "key": self.key}
 
 
 @dataclass(frozen=True)
@@ -56,30 +47,6 @@ class CompareAndSwapCommand:
     expected: Any
     new_value: Any
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "op": "cas",
-            "key": self.key,
-            "expected": self.expected,
-            "new_value": self.new_value,
-        }
-
-
-def command_from_dict(payload: dict[str, Any]) -> Any:
-    """Rebuild a key-value command from its JSON representation."""
-    op = payload.get("op")
-    if op == "put":
-        return PutCommand(payload["key"], payload["value"])
-    if op == "get":
-        return GetCommand(payload["key"])
-    if op == "delete":
-        return DeleteCommand(payload["key"])
-    if op == "cas":
-        return CompareAndSwapCommand(
-            payload["key"], payload["expected"], payload["new_value"]
-        )
-    raise ProtocolError(f"unknown key-value command {payload!r}")
-
 
 class KeyValueStore:
     """Deterministic in-memory key-value map."""
@@ -92,24 +59,27 @@ class KeyValueStore:
     # StateMachine interface
     # ------------------------------------------------------------------ #
     def apply(self, command: Any) -> Any:
-        """Apply a committed command and return its result."""
-        if isinstance(command, dict):
-            command = command_from_dict(command)
-        self.applied_count += 1
+        """Apply a committed command and return its result.
+
+        Raises:
+            ProtocolError: for anything but the four commands above; a
+                refused command is not counted in ``applied_count``.
+        """
         if isinstance(command, PutCommand):
-            previous = self._data.get(command.key)
+            result = self._data.get(command.key)
             self._data[command.key] = command.value
-            return previous
-        if isinstance(command, GetCommand):
-            return self._data.get(command.key)
-        if isinstance(command, DeleteCommand):
-            return self._data.pop(command.key, None) is not None
-        if isinstance(command, CompareAndSwapCommand):
-            if self._data.get(command.key) == command.expected:
+        elif isinstance(command, GetCommand):
+            result = self._data.get(command.key)
+        elif isinstance(command, DeleteCommand):
+            result = self._data.pop(command.key, None) is not None
+        elif isinstance(command, CompareAndSwapCommand):
+            result = self._data.get(command.key) == command.expected
+            if result:
                 self._data[command.key] = command.new_value
-                return True
-            return False
-        raise ProtocolError(f"KeyValueStore cannot apply {command!r}")
+        else:
+            raise ProtocolError(f"KeyValueStore cannot apply {command!r}")
+        self.applied_count += 1
+        return result
 
     def snapshot(self) -> dict[str, Any]:
         """A copy of the current map, suitable for JSON serialisation."""

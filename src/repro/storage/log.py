@@ -212,19 +212,6 @@ class ReplicatedLog:
             return False
         return self._entries[prev_index - 1].term == prev_term
 
-    def is_at_least_as_up_to_date_as(
-        self, other_last_term: Term, other_last_index: LogIndex
-    ) -> bool:
-        """Raft's vote-granting log comparison, from this log's point of view.
-
-        ``log_a`` is at least as up to date as ``log_b`` when its last term is
-        higher, or the last terms are equal and its last index is >=.
-        """
-        last_term = self._last_term
-        if last_term != other_last_term:
-            return last_term > other_last_term
-        return self._last_index >= other_last_index
-
     def candidate_is_acceptable(
         self, candidate_last_term: Term, candidate_last_index: LogIndex
     ) -> bool:

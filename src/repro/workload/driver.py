@@ -150,11 +150,6 @@ class WorkloadDriver:
         return self._spec
 
     @property
-    def is_active(self) -> bool:
-        """Whether the workload is currently issuing requests."""
-        return self._active
-
-    @property
     def latencies_ms(self) -> tuple[float, ...]:
         """Commit latency of every op observed committing, in commit order."""
         return tuple(self._latencies)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.common.config import ClusterConfig, ProtocolConfig, RaftTimeoutConfig, ScaParameters
 from repro.common.types import Milliseconds, ServerId
 from repro.obs.harvest import ENGINE_OWNED_METRICS
+from repro.obs.telemetry import TelemetrySnapshot
 
 
 @dataclass
@@ -160,6 +162,20 @@ class FakeEnvironment:
         self.sent.clear()
 
 
+@contextmanager
+def registrations(registry_module: Any) -> Iterator[None]:
+    """Restore a spec-registry module's table (``repro.protocols.registry``,
+    ``repro.experiments.registry``) to its current contents when the block
+    exits: whatever the block registers or replaces is undone."""
+    table = registry_module._REGISTRY._specs
+    saved = dict(table)
+    try:
+        yield
+    finally:
+        table.clear()
+        table.update(saved)
+
+
 def small_cluster(n: int = 3) -> ClusterConfig:
     """A small cluster config used across node unit tests."""
     return ClusterConfig.of_size(n)
@@ -189,3 +205,59 @@ def cross_engine_view(telemetry: Any) -> dict[str, dict[str, Any]]:
         }
         for kind, values in state.items()
     }
+
+
+class AppendRegister:
+    """Records every applied command in order.
+
+    Tests use this to assert the fundamental state-machine-replication
+    property: every server applies the same command sequence in the same
+    order.
+    """
+
+    def __init__(self) -> None:
+        self.history: list[Any] = []
+
+    def apply(self, command: Any) -> Any:
+        self.history.append(command)
+        return len(self.history)
+
+    def snapshot(self) -> list[Any]:
+        return list(self.history)
+
+    def restore(self, snapshot: list[Any]) -> None:
+        self.history = list(snapshot)
+
+
+def merge_snapshots(snapshots: Iterable[TelemetrySnapshot]) -> TelemetrySnapshot:
+    """Fold an iterable of snapshots into one (empty iterable -> empty)."""
+    merged = TelemetrySnapshot()
+    for snapshot in snapshots:
+        merged = merged.merge(snapshot)
+    return merged
+
+
+def sweep_telemetry(
+    results: Mapping[str, Iterable],
+) -> dict[str, TelemetrySnapshot]:
+    """Per-label merged telemetry from a sweep into collecting sets.
+
+    Telemetry-enabled scenarios attach each episode's snapshot state to
+    ``measurement.extra["telemetry"]``; this folds them per label, in slot
+    (episode-index) order, so the table is bit-identical at any worker count.
+    Labels whose measurements carry no telemetry are omitted.  Aggregate
+    containers never retain per-episode extras, so this helper applies to
+    measurement-set results only.
+    """
+    tables: dict[str, TelemetrySnapshot] = {}
+    for label, measurements in results.items():
+        states = [
+            measurement.extra["telemetry"]
+            for measurement in measurements
+            if "telemetry" in getattr(measurement, "extra", {})
+        ]
+        if states:
+            tables[label] = merge_snapshots(
+                TelemetrySnapshot.from_state(state) for state in states
+            )
+    return tables

@@ -36,7 +36,7 @@ class TestFollowerCrashRecovery:
         )
         cluster.crash(victim)
         for index in range(3):
-            cluster.propose_via_leader(PutCommand(f"k{index}", index))
+            cluster.leader().propose(PutCommand(f"k{index}", index))
             harness.run_for(100.0)
         harness.run_for(500.0)
         cluster.recover(victim)
@@ -113,7 +113,7 @@ class TestPartitions:
             node_id for node_id in cluster.nodes if node_id not in minority
         ]
         cluster.network.partitions.partition(majority, minority)
-        index = cluster.propose_via_leader(PutCommand("partitioned", 1))
+        index = cluster.leader().propose(PutCommand("partitioned", 1))
         harness.run_for(2_000.0)
         assert cluster.leader().commit_index >= index
 

@@ -43,7 +43,7 @@ class TestMessageDuplication:
     def test_duplicated_rpcs_do_not_break_safety_or_replication(self, protocol):
         cluster, harness = build(protocol=protocol, fault=MessageDuplicationFault(rate=0.5))
         for index in range(4):
-            cluster.propose_via_leader(PutCommand(f"k{index}", index))
+            cluster.leader().propose(PutCommand(f"k{index}", index))
             harness.run_for(100.0)
         harness.run_for(1_000.0)
         harness.crash_leader_and_measure(seed=1)

@@ -5,11 +5,12 @@ import pytest
 from repro.cluster import ElectionHarness, ElectionObserver, build_cluster
 from repro.net.latency import ConstantLatency
 from repro.statemachine.kvstore import KeyValueStore, PutCommand
-from repro.statemachine.register import AppendRegister
 from repro.workload import WorkloadDriver, legacy_interval
 
+from helpers import AppendRegister
 
-def build(protocol="escape", size=5, seed=1, state_machine_factory=None):
+
+def build(protocol="escape", size=5, seed=1, state_machine=None):
     observer = ElectionObserver()
     cluster = build_cluster(
         protocol=protocol,
@@ -17,9 +18,11 @@ def build(protocol="escape", size=5, seed=1, state_machine_factory=None):
         seed=seed,
         latency=ConstantLatency(10.0),
         listeners=(observer,),
-        state_machine_factory=state_machine_factory,
         trace=False,
     )
+    if state_machine is not None:
+        for node in cluster.nodes.values():
+            node.state_machine = state_machine()
     harness = ElectionHarness(cluster, observer)
     cluster.start_all()
     harness.stabilize()
@@ -31,7 +34,7 @@ class TestReplication:
     def test_commands_replicate_to_every_running_node(self, protocol):
         cluster, harness = build(protocol=protocol)
         for index in range(5):
-            cluster.propose_via_leader(PutCommand(f"key-{index}", index))
+            cluster.leader().propose(PutCommand(f"key-{index}", index))
             harness.run_for(100.0)
         harness.run_for(1_000.0)
         logs = [node.log.last_index for node in cluster.running_nodes()]
@@ -42,10 +45,10 @@ class TestReplication:
 
     def test_every_replica_applies_the_same_state(self, protocol):
         cluster, harness = build(protocol=protocol)
-        cluster.propose_via_leader(PutCommand("a", 1))
+        cluster.leader().propose(PutCommand("a", 1))
         harness.run_for(500.0)
-        cluster.propose_via_leader(PutCommand("a", 2))
-        cluster.propose_via_leader(PutCommand("b", "x"))
+        cluster.leader().propose(PutCommand("a", 2))
+        cluster.leader().propose(PutCommand("b", "x"))
         harness.run_for(1_500.0)
         snapshots = [
             node.state_machine.snapshot()
@@ -59,7 +62,7 @@ class TestReplication:
 class TestReplicationUnderFailover:
     def test_committed_entries_survive_a_leader_crash(self):
         cluster, harness = build(protocol="escape")
-        index = cluster.propose_via_leader(PutCommand("durable", "yes"))
+        index = cluster.leader().propose(PutCommand("durable", "yes"))
         harness.run_for(1_000.0)
         assert cluster.leader().commit_index >= index
         harness.crash_leader_and_measure(seed=1)
@@ -72,10 +75,10 @@ class TestReplicationUnderFailover:
 
     def test_new_leader_accepts_new_writes_after_failover(self):
         cluster, harness = build(protocol="raft")
-        cluster.propose_via_leader(PutCommand("before", 1))
+        cluster.leader().propose(PutCommand("before", 1))
         harness.run_for(1_000.0)
         harness.crash_leader_and_measure(seed=2)
-        cluster.propose_via_leader(PutCommand("after", 2))
+        cluster.leader().propose(PutCommand("after", 2))
         harness.run_for(1_500.0)
         for node in cluster.running_nodes():
             assert node.state_machine.get("before") == 1
@@ -95,12 +98,9 @@ class TestReplicationUnderFailover:
 
 class TestOrderingGuarantees:
     def test_all_replicas_apply_commands_in_the_same_order(self):
-        cluster, harness = build(
-            protocol="escape",
-            state_machine_factory=lambda server_id: AppendRegister(),
-        )
+        cluster, harness = build(protocol="escape", state_machine=AppendRegister)
         for value in ("a", "b", "c", "d"):
-            cluster.propose_via_leader(value)
+            cluster.leader().propose(value)
             harness.run_for(50.0)
         harness.run_for(1_500.0)
         histories = [node.state_machine.history for node in cluster.running_nodes()]

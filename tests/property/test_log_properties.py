@@ -159,19 +159,19 @@ class TestUpToDateComparison:
     def test_comparison_is_total(self, a, b):
         # For any two logs, at least one is "at least as up to date" as the other.
         log_a, log_b = log_from_terms(a), log_from_terms(b)
-        a_ok = log_a.is_at_least_as_up_to_date_as(log_b.last_term, log_b.last_index)
-        b_ok = log_b.is_at_least_as_up_to_date_as(log_a.last_term, log_a.last_index)
+        a_ok = log_b.candidate_is_acceptable(log_a.last_term, log_a.last_index)
+        b_ok = log_a.candidate_is_acceptable(log_b.last_term, log_b.last_index)
         assert a_ok or b_ok
 
     @given(term_sequences())
     def test_comparison_is_reflexive(self, terms):
         log = log_from_terms(terms)
-        assert log.is_at_least_as_up_to_date_as(log.last_term, log.last_index)
+        assert log.candidate_is_acceptable(log.last_term, log.last_index)
 
     @given(term_sequences(), st.integers(min_value=1, max_value=3))
     def test_extending_a_log_keeps_it_at_least_as_up_to_date(self, terms, extra):
+        shorter = log_from_terms(terms)
         log = log_from_terms(terms)
-        shorter_term, shorter_index = log.last_term, log.last_index
         for _ in range(extra):
             log.append_command(max(log.last_term, 1), command=None)
-        assert log.is_at_least_as_up_to_date_as(shorter_term, shorter_index)
+        assert shorter.candidate_is_acceptable(log.last_term, log.last_index)

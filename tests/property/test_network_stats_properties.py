@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.net.faults import (
     BroadcastOmissionFault,
     CompositeFault,
-    LinkFault,
     MessageDuplicationFault,
     NoFault,
     PacketLossFault,
@@ -43,7 +42,6 @@ FAULTS = st.sampled_from(
         BroadcastOmissionFault(0.4),
         BroadcastOmissionFault(0.5, affect_unicast=True),
         MessageDuplicationFault(0.5),
-        LinkFault(broken_links=frozenset({(1, 2), (3, 4)})),
         CompositeFault(
             injectors=(BroadcastOmissionFault(0.2), MessageDuplicationFault(0.3))
         ),

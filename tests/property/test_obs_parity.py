@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from repro.cluster.scenarios import ElectionScenario
 from repro.experiments.runner import run_sweep
-from repro.obs.telemetry import sweep_telemetry
 from repro.sim.engines import names as engine_names
 
-from helpers import cross_engine_view
+from helpers import cross_engine_view, sweep_telemetry
 
 ENGINES = tuple(engine_names())
 

@@ -23,14 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FakeEnvironment, SentMessage, fast_protocol_config, small_cluster
+from helpers import (
+    AppendRegister,
+    FakeEnvironment,
+    SentMessage,
+    fast_protocol_config,
+    small_cluster,
+)
 
 from repro import protocols
 from repro.raft import node as raft_node
 from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse, RequestVoteResponse
 from repro.raft.replication import ReplicationProgress
 from repro.raft.state import Role
-from repro.statemachine.register import AppendRegister
 
 PROTOCOLS = ("raft", "escape", "zraft")
 CLUSTER_SIZE = 5

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics.stats import cumulative_distribution, percentile, summarize
+from repro.metrics.stats import percentile, summarize
 from repro.sim import engines
 
 
@@ -44,15 +44,6 @@ class TestSchedulerProperties:
 
 
 class TestStatsProperties:
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
-    def test_cdf_is_monotone_and_normalised(self, values):
-        cdf = cumulative_distribution(values)
-        xs = [point[0] for point in cdf]
-        ys = [point[1] for point in cdf]
-        assert xs == sorted(xs)
-        assert ys == sorted(ys)
-        assert abs(ys[-1] - 1.0) < 1e-9
-
     @staticmethod
     def _leq(a: float, b: float) -> bool:
         """``a <= b`` up to one part in 10^9 of floating-point slack.

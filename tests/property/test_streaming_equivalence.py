@@ -3,8 +3,8 @@
 Every election statistic is computed once, by the mergeable aggregates of
 :mod:`repro.metrics.streaming`; a :class:`MeasurementSet` answers through an
 aggregate sized to its run count.  What remains to pin is where those
-aggregates stop being the batch ``summarize`` / ``cumulative_distribution``
-in disguise: at ``count == capacity`` any chunking and any merge order are
+aggregates stop being the batch ``summarize`` over the sorted sample in
+disguise: at ``count == capacity`` any chunking and any merge order are
 still bit-identical to the batch path, one value past it the sketch
 compresses (count, min and max stay exact, the support is observed values),
 a :class:`MeasurementSet` never crosses that line however many runs it
@@ -27,7 +27,6 @@ from repro.metrics import (
     ElectionMeasurement,
     MeasurementSet,
     StreamingSummary,
-    cumulative_distribution,
     summarize,
 )
 from repro.workload import WorkloadAggregate
@@ -84,7 +83,7 @@ def test_any_chunking_matches_batch_summary_bit_identically(values, cuts):
     # Bit-identical, not approximately equal: summarize returns a frozen
     # dataclass, so == compares every statistic exactly.
     assert merged.summary() == summarize(values)
-    assert merged.cumulative_distribution() == cumulative_distribution(values)
+    assert merged.cdf.values() == sorted(values)
 
 
 @given(values=VALUES, cuts=CUTS, seed=st.integers(min_value=0, max_value=2**31))
@@ -99,7 +98,7 @@ def test_merge_order_is_irrelevant_in_the_exact_regime(values, cuts, seed):
     for index in order:
         permuted.merge(partials[index])
     assert permuted.summary() == summarize(values)
-    assert permuted.cumulative_distribution() == cumulative_distribution(values)
+    assert permuted.cdf.values() == sorted(values)
 
 
 @given(values=AT_CAPACITY, cuts=CUTS)
@@ -107,7 +106,7 @@ def test_a_summary_at_capacity_is_still_exact(values, cuts):
     merged = _merged(values, cuts)
     assert merged.cdf.exact
     assert merged.summary() == summarize(values)
-    assert merged.cumulative_distribution() == cumulative_distribution(values)
+    assert merged.cdf.values() == sorted(values)
 
 
 @given(values=PAST_CAPACITY, cuts=CUTS)
@@ -118,7 +117,8 @@ def test_one_value_past_capacity_compresses_to_observed_values(values, cuts):
     assert stats.count == len(values)
     assert (stats.minimum, stats.maximum) == (min(values), max(values))
     observed = set(values)
-    assert all(value in observed for value, _ in merged.cumulative_distribution())
+    state = merged.cdf.to_state()
+    assert all(value in observed for value in state["points"] + state["values"])
     assert min(values) <= stats.median <= stats.p99 <= max(values)
 
 

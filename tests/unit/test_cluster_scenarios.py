@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import pickle
+import random
 from functools import partial
 
 import pytest
@@ -15,7 +16,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import paired_seeds
 from repro.net.faults import (
     BroadcastOmissionFault,
-    LinkFault,
     MessageDuplicationFault,
     NoFault,
     PacketLossFault,
@@ -65,7 +65,7 @@ class TestOneConditionBase:
         scenario = SCENARIO_TYPES[kind]("escape", 3)
         assert scenario.engine == "flat"
         for variant in (
-            scenario.with_protocol("raft"),
+            dataclasses.replace(scenario, protocol="raft"),
             scenario.with_engine("classic"),
             scenario.with_telemetry(),
         ):
@@ -96,12 +96,11 @@ class TestOneConditionBase:
             ({"heartbeat_interval_ms": -5.0}, "heartbeat_interval_ms"),
             ({"cluster_size": 0}, "cluster size"),
             ({"latency": GeoLatencySpec(region_count=4)}, "region_count"),
-            ({"fault": LinkFault(frozenset({(1, 9)}))}, "outside the cluster"),
             ({"latency_range": (float("nan"), 200.0)}, "low_ms"),
         ],
         ids=[
             "timeout-range", "latency-range", "loss-above-1", "loss-below-0",
-            "heartbeat", "cluster-size", "geo-regions", "link-members", "nan",
+            "heartbeat", "cluster-size", "geo-regions", "nan",
         ],
     )  # fmt: skip
     @pytest.mark.parametrize("kind", SCENARIO_TYPES)
@@ -160,12 +159,31 @@ class TestScenarioConfiguration:
         assert isinstance(fault, BroadcastOmissionFault)
         assert fault.loss_rate == 0.3
 
-    def test_with_protocol_keeps_everything_else(self):
-        scenario = ElectionScenario(protocol="raft", cluster_size=10, loss_rate=0.2)
-        other = scenario.with_protocol("escape")
-        assert other.protocol == "escape"
-        assert other.cluster_size == 10
-        assert other.loss_rate == 0.2
+    @pytest.mark.parametrize(
+        "timeout_range", [(500.0, 800.0), (1500.0, 3000.0), (4000.0, 9000.0)]
+    )
+    def test_a_contention_script_falls_back_to_the_configured_range(self, timeout_range):
+        scenario = ElectionScenario(
+            protocol="raft",
+            cluster_size=5,
+            raft_timeout_range=timeout_range,
+            contention_phases=2,
+        )
+        policy_factory, override_factory = scenario._timeout_factories(seed=4)
+        policy = policy_factory(2)
+        low, high = timeout_range
+        rng = random.Random(0)
+        first, second = (policy.next_timeout_ms(rng, attempt) for attempt in (0, 1))
+        assert first == second and low <= first <= high
+        assert override_factory(2).script == policy.script
+        assert all(
+            low <= policy.next_timeout_ms(rng, attempt) <= high
+            for attempt in range(2, 50)
+        )
+
+    def test_no_contention_installs_no_timeout_policies(self):
+        scenario = ElectionScenario(protocol="raft", cluster_size=5)
+        assert scenario._timeout_factories(seed=4) == (None, None)
 
 
 class TestScenarioSpecs:
@@ -286,7 +304,7 @@ class TestScenarioRuns:
 
     def test_paired_protocol_comparison_uses_same_seed(self):
         raft = ElectionScenario(protocol="raft", cluster_size=5)
-        escape = raft.with_protocol("escape")
+        escape = dataclasses.replace(raft, protocol="escape")
         assert raft.run(seed=77).crash_time_ms != 0
         assert escape.run(seed=77).converged
 

@@ -28,10 +28,6 @@ class TestClusterConfig:
         assert ClusterConfig.of_size(5).quorum_size == 3
         assert ClusterConfig.of_size(7).quorum_size == 4
 
-    def test_fault_tolerance_is_floor_half(self):
-        assert ClusterConfig.of_size(5).fault_tolerance == 2
-        assert ClusterConfig.of_size(8).fault_tolerance == 3
-
     def test_peers_of_excludes_self(self):
         config = ClusterConfig.of_size(4)
         assert config.peers_of(2) == (1, 3, 4)
@@ -80,15 +76,6 @@ class TestRaftTimeoutConfig:
         config = RaftTimeoutConfig()
         assert (config.timeout_min_ms, config.timeout_max_ms) == (1500.0, 3000.0)
 
-    def test_randomness_is_range_width(self):
-        assert RaftTimeoutConfig(1500.0, 1800.0).randomness_ms == 300.0
-
-    def test_with_range_returns_modified_copy(self):
-        base = RaftTimeoutConfig()
-        widened = base.with_range(1500.0, 6000.0)
-        assert widened.timeout_max_ms == 6000.0
-        assert base.timeout_max_ms == 3000.0
-
     def test_rejects_inverted_range(self):
         with pytest.raises(ConfigurationError):
             RaftTimeoutConfig(2000.0, 1500.0)
@@ -103,11 +90,11 @@ class TestScaParameters:
 
     def test_highest_priority_gets_base_time(self):
         params = ScaParameters(base_time_ms=1500.0, k_ms=500.0)
-        assert params.fastest_timeout_ms(cluster_size=8) == 1500.0
+        assert params.election_timeout_ms(priority=8, cluster_size=8) == 1500.0
 
     def test_lowest_priority_gets_longest_timeout(self):
         params = ScaParameters(base_time_ms=1500.0, k_ms=500.0)
-        assert params.slowest_timeout_ms(cluster_size=8) == 1500.0 + 500.0 * 7
+        assert params.election_timeout_ms(priority=1, cluster_size=8) == 1500.0 + 500.0 * 7
 
     def test_timeouts_strictly_decrease_with_priority(self):
         params = ScaParameters(base_time_ms=1500.0, k_ms=500.0)

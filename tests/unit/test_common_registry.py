@@ -78,13 +78,6 @@ class TestRegistry:
             "unknown widget 'omega'; registered: zeta, alpha, mid"
         )
 
-    def test_unregister_returns_the_spec_and_forgets_it(self):
-        registry = _registry()
-        assert registry.unregister("alpha") == _Spec("alpha")
-        assert registry.names() == ("zeta", "mid")
-        with pytest.raises(ConfigurationError, match="unknown widget 'alpha'"):
-            registry.unregister("alpha")
-
 
 #: Per registry, as ``load_registries`` keys it: the kind its errors name and
 #: the lookup a user reaches it through.

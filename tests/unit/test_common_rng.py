@@ -42,12 +42,3 @@ class TestSeedSequence:
             ("run", 1),
             ("run", 2),
         ]
-
-    def test_integers_are_deterministic_and_distinct(self):
-        values = SeedSequence(5).integers(4, "ids")
-        again = SeedSequence(5).integers(4, "ids")
-        assert values == again
-        assert len(set(values)) == 4
-
-    def test_from_values_builds_subtree(self):
-        assert SeedSequence.from_values(3, ["a", 1]).path == ("a", 1)

@@ -21,20 +21,6 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             Configuration(priority=1, timer_period_ms=100.0, conf_clock=-1)
 
-    def test_with_clock_restamps_forward_only(self):
-        config = Configuration(priority=3, timer_period_ms=2_000.0, conf_clock=4)
-        fresher = config.with_clock(7)
-        assert fresher.conf_clock == 7
-        assert fresher.priority == 3
-        with pytest.raises(ConfigurationError):
-            config.with_clock(2)
-
-    def test_is_fresher_than_compares_clocks(self):
-        older = Configuration(priority=1, timer_period_ms=100.0, conf_clock=1)
-        newer = Configuration(priority=2, timer_period_ms=100.0, conf_clock=5)
-        assert newer.is_fresher_than(older)
-        assert not older.is_fresher_than(newer)
-
     def test_describe_uses_paper_notation(self):
         config = Configuration(priority=3, timer_period_ms=2_000.0, conf_clock=17)
         assert config.describe() == "π(P=3, k=17, timeout=2000ms)"

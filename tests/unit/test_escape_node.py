@@ -177,7 +177,7 @@ class TestPpfOnLeader:
             config_status=None,
         )
         node.on_message(2, reply)
-        assert node.patrol.responsiveness_of(2).has_replied
+        assert node.patrol.responsiveness_of(2).last_reply_ms is not None
 
     def test_plain_raft_replies_also_feed_the_patrol(self):
         from repro.raft.messages import AppendEntriesResponse
@@ -312,9 +312,6 @@ class TestPpfOnFollower:
         assert (after.match_index, after.config_status.log_index) == (0, 1)
         assert after.config_status is grown.config_status
 
-    def test_describe_and_snapshot_state_mention_configuration(self):
+    def test_describe_mentions_configuration(self):
         node, _ = make_node(node_id=3, size=5)
         assert "π(P=3" in node.describe()
-        state = node.snapshot_state()
-        assert state["priority"] == 3
-        assert state["node_id"] == 3

@@ -55,11 +55,10 @@ class TestConstruction:
 class TestResponsivenessTracking:
     def test_record_reply_updates_knowledge(self):
         patrol = make_patrol()
-        patrol.record_reply(3, log_index=7, now_ms=100.0, reported_conf_clock=2)
+        patrol.record_reply(3, log_index=7, now_ms=100.0)
         record = patrol.responsiveness_of(3)
         assert record.log_index == 7
         assert record.last_reply_ms == 100.0
-        assert record.reported_conf_clock == 2
 
     def test_log_index_never_regresses(self):
         patrol = make_patrol()

@@ -24,6 +24,8 @@ from repro.experiments import (
 )
 from repro.experiments.spec import CAPABILITIES
 
+from helpers import registrations
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Tiny run counts so the whole registry smokes in seconds.
@@ -225,27 +227,23 @@ class TestRegistryTables:
 class TestRegisterSemantics:
     def test_duplicate_registration_needs_replace(self):
         spec = dataclasses.replace(registry.get("fig3"), name="dummy-experiment")
-        registry.register(spec)
-        try:
+        with registrations(registry):
+            registry.register(spec)
             with pytest.raises(ConfigurationError, match="already registered"):
                 registry.register(spec)
             replacement = dataclasses.replace(spec, title="Dummy v2")
             assert registry.register(replacement, replace=True).title == "Dummy v2"
             assert registry.get("dummy-experiment") is replacement
-        finally:
-            registry.unregister("dummy-experiment")
         assert "dummy-experiment" not in registry.names()
 
     def test_registered_dummy_is_runnable_through_the_one_entry_point(self):
-        registry.register(
-            dataclasses.replace(
-                registry.get("fig3"), name="dummy-experiment", default_runs=2
+        with registrations(registry):
+            registry.register(
+                dataclasses.replace(
+                    registry.get("fig3"), name="dummy-experiment", default_runs=2
+                )
             )
-        )
-        try:
             run = run_experiment("dummy-experiment", quick=True, cluster_size=3)
             assert run.runs == 2
             assert run.result.context == {"cluster_size": 3}
             assert run.report.startswith("Figure 3")
-        finally:
-            registry.unregister("dummy-experiment")

@@ -28,6 +28,8 @@ from repro.experiments.runner import (
     run_sweep,
 )
 
+from helpers import registrations
+
 SCENARIOS = {
     "escape-small": ElectionScenario(protocol="escape", cluster_size=3),
     "raft-small": ElectionScenario(protocol="raft", cluster_size=3),
@@ -209,13 +211,11 @@ class TestEngineReachesTheWorkers:
         probe = dataclasses.replace(
             registry.get("fig3"), name="fig3-engine-probe", scenario=_probe_scenario
         )
-        registry.register(probe)
-        try:
+        with registrations(registry):
+            registry.register(probe)
             classic = run_experiment(
                 probe.name, engine="classic", workers=2, runs=2, seed=5, quick=True
             )
-        finally:
-            registry.unregister(probe.name)
         ran_on = [
             measurement.extra.pop("ran_on")
             for cell in classic.result.by_label.values()

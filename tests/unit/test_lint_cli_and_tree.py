@@ -6,6 +6,7 @@ suite (and CI's dedicated lint job) the moment it is introduced.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,14 @@ class TestRuleTable:
         assert len(set(ALL_RULE_IDS)) == len(ALL_RULE_IDS)
         for rule in RULES:
             assert rule.description
-            assert rule.kind in ("file", "registry", "meta")
+            assert rule.kind in ("file", "tree", "meta")
+
+    def test_readme_rule_table_lists_every_non_meta_rule(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Determinism contract (`repro.lint`)", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `([A-Z]\d)` ", section, re.MULTILINE)
+        assert documented == [rule.id for rule in RULES if rule.kind != "meta"]
 
     def test_get_rule_rejects_unknown_ids(self):
         assert get_rule("D1").name == "wall-clock"

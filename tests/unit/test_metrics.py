@@ -10,7 +10,6 @@ from repro.metrics.records import (
     MeasurementSet,
 )
 from repro.metrics.stats import (
-    cumulative_distribution,
     fraction_at_or_below,
     percentile,
     reduction_percent,
@@ -180,13 +179,6 @@ class TestAvailabilitySetAggregates:
 
 
 class TestStats:
-    def test_cdf_is_monotone_and_ends_at_one(self):
-        cdf = cumulative_distribution([30.0, 10.0, 20.0])
-        assert cdf == [(10.0, pytest.approx(1 / 3)), (20.0, pytest.approx(2 / 3)), (30.0, 1.0)]
-
-    def test_cdf_of_empty_sequence(self):
-        assert cumulative_distribution([]) == []
-
     def test_fraction_at_or_below(self):
         values = [1.0, 2.0, 3.0, 4.0]
         assert fraction_at_or_below(values, 2.5) == 0.5

@@ -2,7 +2,7 @@
 
 The streaming sweep engine's correctness rests on three claims pinned here:
 in the exact regime (count <= capacity) the accumulators report
-bit-identically to the batch ``summarize``/``cumulative_distribution`` path;
+bit-identically to the batch ``summarize`` path;
 beyond the capacity the compression stays deterministic and keeps
 count/min/max exact; and every accumulator's ``to_state``/``from_state``
 round-trips bit-exactly through JSON (the checkpoint format's contract).
@@ -24,7 +24,6 @@ from repro.metrics import (
     ElectionAggregate,
     MergeableCDF,
     StreamingSummary,
-    cumulative_distribution,
     percentile,
     summarize,
 )
@@ -68,7 +67,6 @@ class TestMergeableCDF:
         assert sketch.exact
         assert sketch.count == len(SAMPLE)
         assert sketch.values() == sorted(SAMPLE)
-        assert sketch.cumulative_distribution() == cumulative_distribution(SAMPLE)
 
     def test_exact_merge_is_lossless(self):
         left, right = MergeableCDF(capacity=16), MergeableCDF(capacity=16)
@@ -130,7 +128,7 @@ class TestStreamingSummary:
     def test_exact_regime_summary_is_bit_identical_to_batch(self):
         summary = StreamingSummary(capacity=16).extend(SAMPLE)
         assert summary.summary() == summarize(SAMPLE)
-        assert summary.cumulative_distribution() == cumulative_distribution(SAMPLE)
+        assert summary.cdf.values() == sorted(SAMPLE)
 
     def test_chunked_merge_equals_single_pass(self):
         whole = StreamingSummary(capacity=16).extend(SAMPLE)
@@ -214,7 +212,7 @@ class TestElectionAggregate:
         whole = ElectionAggregate.from_measurements(measurements, "cell")
         assert left == whole
         assert left.total_summary() == whole.total_summary()
-        assert left.total_cdf() == whole.total_cdf()
+        assert left.total_ms.cdf.values() == whole.total_ms.cdf.values()
 
     def test_label_mismatch_rejected(self):
         with pytest.raises(ClusterError):

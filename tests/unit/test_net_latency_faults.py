@@ -8,7 +8,6 @@ from repro.common.errors import ConfigurationError
 from repro.net.faults import (
     BroadcastOmissionFault,
     CompositeFault,
-    LinkFault,
     MessageDuplicationFault,
     NoFault,
     PacketLossFault,
@@ -131,38 +130,15 @@ class TestBroadcastOmissionFault:
         assert fault.drop_unicast(rng, 1, 2)
 
 
-class TestLinkFault:
-    def test_drops_only_broken_links(self):
-        fault = LinkFault(broken_links=frozenset({(1, 2)}))
-        rng = random.Random(0)
-        assert fault.drop_unicast(rng, 1, 2)
-        assert fault.drop_unicast(rng, 2, 1)  # symmetric by default
-        assert not fault.drop_unicast(rng, 1, 3)
-
-    def test_asymmetric_mode(self):
-        fault = LinkFault(broken_links=frozenset({(1, 2)}), symmetric=False)
-        rng = random.Random(0)
-        assert fault.drop_unicast(rng, 1, 2)
-        assert not fault.drop_unicast(rng, 2, 1)
-
-    def test_broadcast_omits_broken_targets(self):
-        fault = LinkFault(broken_links=frozenset({(1, 3)}))
-        rng = random.Random(0)
-        assert fault.omitted_broadcast_targets(rng, 1, [2, 3, 4]) == frozenset({3})
-
-
 class TestCompositeFault:
     def test_union_of_drop_decisions(self):
-        fault = CompositeFault(
-            injectors=(
-                LinkFault(broken_links=frozenset({(1, 2)})),
-                BroadcastOmissionFault(0.0),
-            )
-        )
         rng = random.Random(0)
-        assert fault.drop_unicast(rng, 1, 2)
-        assert not fault.drop_unicast(rng, 1, 3)
-        assert fault.omitted_broadcast_targets(rng, 1, [2, 3]) == frozenset({2})
+        dropping = CompositeFault(injectors=(NoFault(), PacketLossFault(1.0)))
+        assert dropping.drop_unicast(rng, 1, 2)
+        assert dropping.omitted_broadcast_targets(rng, 1, [2, 3]) == frozenset({2, 3})
+        healthy = CompositeFault(injectors=(NoFault(), BroadcastOmissionFault(0.0)))
+        assert not healthy.drop_unicast(rng, 1, 3)
+        assert healthy.omitted_broadcast_targets(rng, 1, [2, 3]) == frozenset()
 
     def test_forwards_duplication_from_wrapped_injectors(self):
         # Regression: a MessageDuplicationFault inside a composite used to be

@@ -16,7 +16,6 @@ from repro.common.errors import ConfigurationError
 from repro.net.faults import (
     BroadcastOmissionFault,
     CompositeFault,
-    LinkFault,
     MessageDuplicationFault,
     NoFault,
     PacketLossFault,
@@ -42,14 +41,13 @@ MEMBERSHIP_FREE = [
     BroadcastOmissionFault(0.2, affect_unicast=True),
     PacketLossFault(0.1),
     MessageDuplicationFault(0.3),
+    CompositeFault(
+        injectors=(BroadcastOmissionFault(0.2), MessageDuplicationFault(0.1))
+    ),
 ]
 
 ALL_CONDITIONS = MEMBERSHIP_FREE + [
     GeoLatencySpec(region_count=2, intra_ms=(1.0, 5.0), inter_ms=(90.0, 140.0)),
-    LinkFault(broken_links=frozenset({(1, 2)}), symmetric=False),
-    CompositeFault(
-        injectors=(BroadcastOmissionFault(0.2), MessageDuplicationFault(0.1))
-    ),
 ]
 
 
@@ -118,38 +116,6 @@ class TestAssignRegions:
 
 
 class TestFaultBinding:
-    def test_link_fault_binds_to_itself_when_its_links_name_members(self):
-        fault = LinkFault(broken_links=frozenset({(1, 2)}), symmetric=False)
-        assert bind(fault, SERVERS) is fault
-
-    def test_link_fault_rejects_unknown_servers(self):
-        fault = LinkFault(broken_links=frozenset({(1, 99)}))
-        with pytest.raises(ConfigurationError, match="outside the cluster"):
-            fault.resolve(SERVERS)
-
-    def test_composite_binds_every_part_in_order(self):
-        parts = (
-            BroadcastOmissionFault(0.2),
-            LinkFault(broken_links=frozenset({(1, 2)})),
-            MessageDuplicationFault(0.1),
-        )
-        composite = CompositeFault(injectors=parts)
-        bound = bind(composite, SERVERS)
-        assert bound == composite
-        assert all(mine is theirs for mine, theirs in zip(bound.injectors, parts))
-
-    def test_composite_recurses_into_nested_parts(self):
-        nested = CompositeFault(
-            injectors=(
-                PacketLossFault(0.1),
-                CompositeFault(
-                    injectors=(LinkFault(broken_links=frozenset({(1, 99)})),)
-                ),
-            )
-        )
-        with pytest.raises(ConfigurationError, match="outside the cluster"):
-            bind(nested, SERVERS)
-
     def test_composite_rejects_parts_that_are_not_injectors(self):
         with pytest.raises(ConfigurationError, match="fault injectors"):
             CompositeFault(injectors=(UniformLatency(100.0, 200.0),))

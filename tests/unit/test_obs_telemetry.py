@@ -10,11 +10,9 @@ from repro.obs.telemetry import (
     DEFAULT_HISTOGRAM_BOUNDS,
     Histogram,
     MetricsRegistry,
-    NULL_METRICS,
     TelemetrySnapshot,
-    merge_snapshots,
-    sweep_telemetry,
 )
+from helpers import merge_snapshots, sweep_telemetry
 
 
 class TestHandles:
@@ -52,16 +50,6 @@ class TestHandles:
         registry.histogram("attempts", bounds=(1.0, 2.0))  # same bounds fine
         with pytest.raises(ConfigurationError, match="already registered"):
             registry.histogram("attempts", bounds=(1.0, 3.0))
-
-    def test_null_metrics_is_a_shared_noop(self):
-        assert NULL_METRICS.enabled is False
-        assert MetricsRegistry().enabled is True
-        NULL_METRICS.counter("anything").inc(100)
-        NULL_METRICS.gauge("anything").set(1.0)
-        NULL_METRICS.histogram("anything").observe(1.0)
-        # Handles are shared singletons and the registry stays empty.
-        assert NULL_METRICS.counter("a") is NULL_METRICS.counter("b")
-        assert NULL_METRICS.snapshot() == TelemetrySnapshot()
 
 
 class TestSnapshot:

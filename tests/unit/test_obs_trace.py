@@ -1,20 +1,11 @@
-"""Unit tests for trace sinks, filters, JSONL round-trips and archiving."""
+"""Unit tests for the JSONL trace codec and archiving."""
 
 import json
-import pickle
-
-import pytest
 
 from repro.cluster.scenarios import ElectionScenario
 from repro.obs.trace import (
-    JsonlTraceSink,
-    MemoryTraceSink,
-    RingTraceSink,
     TRACE_MANIFEST_SCHEMA,
-    TraceFilter,
-    TraceSink,
     archive_election_traces,
-    export_records,
     read_trace_jsonl,
     record_from_json,
     record_to_json,
@@ -40,80 +31,36 @@ class TestRecordJson:
         assert record_from_json(json.loads(json.dumps(record_to_json(record)))) == record
 
 
-class TestSinks:
-    def test_memory_sink_collects_and_closes(self):
-        sink = MemoryTraceSink()
-        assert isinstance(sink, TraceSink)
-        for record in _records(3):
-            sink.write(record)
-        assert len(sink.records) == 3
-        sink.close()
-        assert sink.closed
-
-    def test_ring_sink_keeps_newest_and_counts_drops(self):
-        sink = RingTraceSink(capacity=3)
-        assert isinstance(sink, TraceSink)
-        records = _records(5)
-        for record in records:
-            sink.write(record)
-        assert sink.records == tuple(records[2:])
-        assert sink.dropped_count == 2
-        assert sink.capacity == 3
-
-    def test_ring_sink_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError, match="positive"):
-            RingTraceSink(capacity=0)
-
-    def test_jsonl_sink_round_trips_losslessly(self, tmp_path):
+class TestJsonl:
+    def test_write_then_read_round_trips_losslessly(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         records = _records(4)
-        with JsonlTraceSink(path) as sink:
-            for record in records:
-                sink.write(record)
-        assert sink.written == 4
+        assert write_trace_jsonl(path, records) == 4
         assert read_trace_jsonl(path) == records
 
+    def test_write_consumes_any_iterable(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        assert write_trace_jsonl(path, (record for record in _records(3))) == 3
+        assert read_trace_jsonl(path) == _records(3)
 
-class TestTraceFilter:
-    def test_is_frozen_hashable_and_picklable(self):
-        trace_filter = TraceFilter(categories=("election.",), nodes=(1, 2))
-        assert hash(trace_filter) == hash(TraceFilter(("election.",), (1, 2)))
-        assert pickle.loads(pickle.dumps(trace_filter)) == trace_filter
+    def test_no_records_make_an_empty_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        assert write_trace_jsonl(path, []) == 0
+        assert path.read_text(encoding="utf-8") == ""
+        assert read_trace_jsonl(path) == []
 
-    def test_coerces_sequences_to_tuples(self):
-        trace_filter = TraceFilter(categories=["a"], nodes=[1])
-        assert trace_filter.categories == ("a",)
-        assert trace_filter.nodes == (1,)
+    def test_each_line_is_one_object_with_sorted_keys(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(path, [TraceRecord(2.0, "net.drop", None, {"b": 1, "a": 2})])
+        assert path.read_text(encoding="utf-8") == (
+            '{"cat": "net.drop", "detail": {"a": 2, "b": 1}, "node": null, "t": 2.0}\n'
+        )
 
-    def test_category_prefix_matching(self):
-        trace_filter = TraceFilter(categories=("election.",))
-        assert trace_filter.matches(TraceRecord(0.0, "election.start"))
-        assert not trace_filter.matches(TraceRecord(0.0, "net.drop"))
-
-    def test_cluster_wide_records_pass_the_node_filter(self):
-        trace_filter = TraceFilter(nodes=(1,))
-        assert trace_filter.matches(TraceRecord(0.0, "crash", node=None))
-        assert trace_filter.matches(TraceRecord(0.0, "x", node=1))
-        assert not trace_filter.matches(TraceRecord(0.0, "x", node=2))
-
-    def test_empty_filter_matches_everything(self):
-        trace_filter = TraceFilter()
-        for record in _records(3):
-            assert trace_filter.matches(record)
-
-    def test_export_records_applies_the_filter(self):
-        sink = MemoryTraceSink()
-        records = _records(4, category="election.start") + _records(2, category="net.drop")
-        written = export_records(records, sink, TraceFilter(categories=("election.",)))
-        assert written == 4
-        assert all(r.category == "election.start" for r in sink.records)
-
-    def test_write_trace_jsonl_reports_the_written_count(self, tmp_path):
-        path = tmp_path / "filtered.jsonl"
-        records = _records(4, category="a") + _records(2, category="b")
-        written = write_trace_jsonl(path, records, TraceFilter(categories=("b",)))
-        assert written == 2
-        assert len(read_trace_jsonl(path)) == 2
+    def test_read_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(path, _records(2))
+        path.write_text("\n" + path.read_text(encoding="utf-8") + "\n  \n", encoding="utf-8")
+        assert read_trace_jsonl(path) == _records(2)
 
 
 class TestArchive:
@@ -125,6 +72,7 @@ class TestArchive:
         manifest = archive_election_traces(scenarios, seed=7, directory=tmp_path)
         assert manifest["schema"] == TRACE_MANIFEST_SCHEMA
         assert manifest["seed"] == 7
+        assert manifest["filter"] is None
         assert set(manifest["labels"]) == set(scenarios)
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk == manifest
@@ -139,17 +87,12 @@ class TestArchive:
             assert state["counters"]["node.elections_won"] >= 1
         assert manifest["telemetry"] == "telemetry.json"
 
-    def test_archive_honours_a_filter(self, tmp_path):
-        scenarios = {"raft@3": ElectionScenario(protocol="raft", cluster_size=3)}
-        trace_filter = TraceFilter(categories=("election.",))
-        manifest = archive_election_traces(
-            scenarios, seed=0, directory=tmp_path, trace_filter=trace_filter
-        )
-        entry = manifest["labels"]["raft@3"]
-        assert entry["filtered_out"] > 0
-        assert manifest["filter"] == {"categories": ["election."], "nodes": []}
-        for record in read_trace_jsonl(tmp_path / entry["file"]):
-            assert record.category.startswith("election.")
+    def test_a_label_with_a_slash_lands_flat_in_the_directory(self, tmp_path):
+        scenarios = {"raft/closed-loop": ElectionScenario(protocol="raft", cluster_size=3)}
+        manifest = archive_election_traces(scenarios, seed=3, directory=tmp_path)
+        entry = manifest["labels"]["raft/closed-loop"]
+        assert entry["file"] == "raft--closed-loop.jsonl"
+        assert len(read_trace_jsonl(tmp_path / entry["file"])) == entry["records"]
 
     def test_archived_episode_matches_the_sweep_seed_derivation(self, tmp_path):
         from repro.common.rng import paired_seeds

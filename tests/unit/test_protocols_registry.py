@@ -18,8 +18,11 @@ from repro.cluster.catalog import network_specs
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import ClusterError, ConfigurationError
 from repro.experiments.runner import run_sweep
+from repro.protocols import registry as protocol_registry
 from repro.raft.node import RaftNode
 from repro.raft.timers import FixedTimeoutPolicy, ScriptOnlyPolicy
+
+from helpers import registrations
 
 LIVE_PROTOCOLS = [
     name for name, spec in protocols.items() if spec.guarantees_liveness
@@ -47,19 +50,17 @@ class TestRegistryApi:
             protocols.register(spec)
         assert protocols.register(spec, replace=True) is spec
 
-    def test_register_unregister_round_trip(self):
+    def test_register_round_trip(self):
         custom = protocols.ProtocolSpec(
             name="test-custom",
             node_class=RaftNode,
             title="Custom",
             description="a test-only variant",
         )
-        protocols.register(custom)
-        try:
+        with registrations(protocol_registry):
+            assert protocols.register(custom) is custom
             assert protocols.is_registered("test-custom")
             assert protocols.get("test-custom") is custom
-        finally:
-            assert protocols.unregister("test-custom") is custom
         assert not protocols.is_registered("test-custom")
 
     def test_validated_accepts_registered_and_rejects_unknown(self):
@@ -99,14 +100,14 @@ class TestCustomSpecEndToEnd:
         re-import :mod:`repro.protocols` and would otherwise only know the
         built-ins.
         """
-        protocols.register(
-            protocols.ProtocolSpec(
-                name="test-pool-raft",
-                node_class=RaftNode,
-                title="Pool Raft",
+        with registrations(protocol_registry):
+            protocols.register(
+                protocols.ProtocolSpec(
+                    name="test-pool-raft",
+                    node_class=RaftNode,
+                    title="Pool Raft",
+                )
             )
-        )
-        try:
             scenarios = {
                 "custom": ElectionScenario(protocol="test-pool-raft", cluster_size=3)
             }
@@ -115,25 +116,21 @@ class TestCustomSpecEndToEnd:
             assert (
                 sequential["custom"].measurements == parallel["custom"].measurements
             )
-        finally:
-            protocols.unregister("test-pool-raft")
 
     def test_registered_custom_spec_builds_and_elects(self):
-        protocols.register(
-            protocols.ProtocolSpec(
-                name="test-slow-raft",
-                node_class=RaftNode,
-                title="Slow Raft",
-                description="plain Raft under another name",
+        with registrations(protocol_registry):
+            protocols.register(
+                protocols.ProtocolSpec(
+                    name="test-slow-raft",
+                    node_class=RaftNode,
+                    title="Slow Raft",
+                    description="plain Raft under another name",
+                )
             )
-        )
-        try:
             scenario = ElectionScenario(protocol="test-slow-raft", cluster_size=3)
             measurement = scenario.run(seed=2)
             assert measurement.converged
             assert measurement.protocol == "test-slow-raft"
-        finally:
-            protocols.unregister("test-slow-raft")
 
     def test_scenario_rejects_unregistered_protocol_at_construction(self):
         with pytest.raises(ConfigurationError, match="registered"):

@@ -95,7 +95,7 @@ class TestBecomingCandidate:
         assert node.leader_id == 1
         heartbeats = env.sent_payloads(AppendEntriesRequest)
         assert len(heartbeats) == 2
-        assert all(hb.is_heartbeat for hb in heartbeats)
+        assert all(not hb.entries for hb in heartbeats)
 
     def test_denied_votes_do_not_promote(self):
         node, env = make_node(size=5)

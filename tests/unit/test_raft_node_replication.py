@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import FakeEnvironment, fast_protocol_config, small_cluster
+from helpers import AppendRegister, FakeEnvironment, fast_protocol_config, small_cluster
 
 from repro.raft.messages import (
     AppendEntriesRequest,
@@ -11,7 +11,6 @@ from repro.raft.messages import (
 )
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
-from repro.statemachine.register import AppendRegister
 from repro.storage.log import LogEntry
 from repro.storage.persistent import InMemoryStore
 
@@ -169,7 +168,6 @@ class TestLeaderReplication:
         )
         assert leader.commit_index == index
         assert machine.history == ["value"]
-        assert leader.result_for(index) == 1
 
     def test_minority_acks_do_not_commit(self):
         leader, env = make_leader(size=5)
@@ -222,12 +220,6 @@ class TestLeaderReplication:
             AppendEntriesResponse(term=0, follower_id=2, success=True, match_index=index),
         )
         assert leader.commit_index == 0
-
-    def test_result_for_unapplied_entry_raises(self):
-        leader, env = make_leader()
-        index = leader.propose("x")
-        with pytest.raises(Exception):
-            leader.result_for(index)
 
     def test_single_node_cluster_commits_immediately(self):
         env = FakeEnvironment(node_id=1)

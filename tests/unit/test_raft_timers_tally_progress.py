@@ -44,6 +44,11 @@ class TestTimeoutPolicies:
         assert policy.next_timeout_ms(rng, 1) == 200.0
         assert policy.next_timeout_ms(rng, 2) == 999.0
 
+    def test_scripted_policy_needs_a_fallback(self):
+        # No silent 1500-3000 ms default behind a scenario's own range.
+        with pytest.raises(TypeError, match="fallback"):
+            ScriptedTimeoutPolicy(script=(100.0,))
+
     def test_script_only_policy_opts_out_after_script(self):
         policy = ScriptOnlyPolicy(script=(100.0,))
         rng = random.Random(0)
@@ -66,7 +71,6 @@ class TestVoteTally:
         tally.record_vote(5, 1)
         tally.record_vote(5, 2)
         assert not tally.has_quorum()
-        assert tally.votes_needed() == 1
         tally.record_vote(5, 3)
         assert tally.has_quorum()
 
@@ -204,11 +208,6 @@ class TestReplicationProgress:
         progress.record_local_append(1)
         progress.record_success(2, 1)
         assert progress.commit_index_for_quorum(5, log, current_term=1) == 0
-
-    def test_stale_followers_lists_lagging_peers(self):
-        progress = ReplicationProgress(1, [2, 3], last_log_index=5)
-        progress.record_success(2, 5)
-        assert progress.stale_followers(5) == [3]
 
     def test_peers_view_is_a_copy(self):
         progress = ReplicationProgress(1, [2], last_log_index=0)

@@ -1,5 +1,9 @@
 """Unit tests for the tracer and the simulation world."""
 
+import dataclasses
+
+import pytest
+
 from repro.sim.tracing import Tracer
 from repro.sim.world import SimulationWorld
 
@@ -12,79 +16,44 @@ class TestTracer:
         assert [record.category for record in tracer] == ["a", "b"]
         assert tracer.records[1].detail == {"detail_key": "x"}
 
-    def test_filter_by_category_node_and_prefix(self):
-        tracer = Tracer()
-        tracer.record(1.0, "election.start", node=1)
-        tracer.record(2.0, "election.won", node=2)
-        tracer.record(3.0, "net.drop", node=1)
-        assert len(tracer.filter(category="election.won")) == 1
-        assert len(tracer.filter(prefix="election.")) == 2
-        assert len(tracer.filter(node=1)) == 2
-        assert len(tracer.filter(prefix="election.", node=1)) == 1
-
-    def test_count_by_category(self):
-        tracer = Tracer()
-        for _ in range(3):
-            tracer.record(0.0, "x")
-        assert tracer.count("x") == 3
-        assert tracer.count("y") == 0
-
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer(enabled=False)
         tracer.record(1.0, "a")
         assert len(tracer) == 0
 
-    def test_capacity_caps_recording(self):
-        tracer = Tracer(capacity=2)
-        for index in range(5):
-            tracer.record(float(index), "x")
-        assert len(tracer) == 2
-
-    def test_capacity_drops_are_counted_not_silent(self):
-        tracer = Tracer(capacity=2)
-        assert tracer.dropped_count == 0
-        for index in range(5):
-            tracer.record(float(index), "x")
-        assert tracer.dropped_count == 3
-        # The kept records are the oldest (the ring complement lives in
-        # repro.obs.trace.RingTraceSink).
-        assert [record.time_ms for record in tracer] == [0.0, 1.0]
-
-    def test_clear_resets(self):
-        tracer = Tracer(capacity=1)
-        tracer.record(1.0, "a")
-        tracer.record(2.0, "b")
-        assert tracer.dropped_count == 1
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.dropped_count == 0
-
-    def test_timeline_renders_one_line_per_record(self):
+    def test_describe_renders_one_line(self):
         tracer = Tracer()
         tracer.record(1.0, "a", node=2, foo="bar")
         tracer.record(2.0, "b")
-        timeline = tracer.timeline()
-        assert "S2" in timeline
-        assert "foo=bar" in timeline
-        assert len(timeline.splitlines()) == 2
+        first, second = (record.describe() for record in tracer)
+        assert "S2" in first and "foo=bar" in first
+        assert "cluster" in second
+        assert "\n" not in first + second
 
-    def test_timeline_limit_truncates_from_the_front(self):
+    def test_describe_sorts_the_detail_keys(self):
         tracer = Tracer()
-        for index in range(4):
-            tracer.record(float(index), f"cat{index}")
-        limited = tracer.timeline(limit=2)
-        assert len(limited.splitlines()) == 2
-        assert "cat0" in limited and "cat1" in limited
-        assert "cat3" not in limited
+        tracer.record(3.5, "role.change", node=1, to="leader", from_="candidate")
+        line = tracer.records[0].describe()
+        assert line.startswith("[       3.5 ms] S1")
+        assert line.endswith("from_=candidate to=leader")
 
-    def test_timeline_discloses_capacity_drops(self):
-        tracer = Tracer(capacity=2)
-        for index in range(5):
-            tracer.record(float(index), "x")
-        timeline = tracer.timeline()
-        lines = timeline.splitlines()
-        assert len(lines) == 3
-        assert lines[-1] == "... 3 record(s) dropped at capacity 2"
+    def test_records_is_a_snapshot_not_a_live_view(self):
+        tracer = Tracer()
+        tracer.record(1.0, "a")
+        snapshot = tracer.records
+        tracer.record(2.0, "b")
+        assert [record.category for record in snapshot] == ["a"]
+        assert len(tracer) == len(tracer.records) == 2
+
+    def test_enabled_reflects_the_constructor(self):
+        assert Tracer().enabled is True
+        assert Tracer(enabled=False).enabled is False
+
+    def test_a_record_is_frozen(self):
+        tracer = Tracer()
+        tracer.record(1.0, "a")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tracer.records[0].category = "b"
 
 
 class TestSimulationWorld:

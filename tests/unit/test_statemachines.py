@@ -9,9 +9,9 @@ from repro.statemachine.kvstore import (
     GetCommand,
     KeyValueStore,
     PutCommand,
-    command_from_dict,
 )
-from repro.statemachine.register import AppendRegister, CounterMachine
+
+from helpers import AppendRegister
 
 
 class TestKeyValueStore:
@@ -41,19 +41,55 @@ class TestKeyValueStore:
         assert store.apply(CompareAndSwapCommand("k", expected=1, new_value=3)) is False
         assert store.get("k") == 2
 
-    def test_apply_accepts_dict_commands(self):
-        # The asyncio runtime delivers commands in their JSON form.
-        store = KeyValueStore()
-        store.apply({"op": "put", "key": "a", "value": 10})
-        assert store.apply({"op": "get", "key": "a"}) == 10
-        assert store.apply({"op": "cas", "key": "a", "expected": 10, "new_value": 11}) is True
-        assert store.apply({"op": "delete", "key": "a"}) is True
-
     def test_unknown_command_rejected(self):
         with pytest.raises(ProtocolError):
             KeyValueStore().apply(("unknown",))
+        # Commands are objects; their JSON form is not a command.
         with pytest.raises(ProtocolError):
-            command_from_dict({"op": "exotic"})
+            KeyValueStore().apply({"op": "put", "key": "a", "value": 10})
+
+    def test_refused_command_is_not_counted(self):
+        store = KeyValueStore()
+        store.apply(PutCommand("x", 1))
+        with pytest.raises(ProtocolError):
+            store.apply("exotic")
+        assert store.applied_count == 1
+        assert store.snapshot() == {"x": 1}
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(PutCommand("x", 1), id="put"),
+            pytest.param(GetCommand("missing"), id="get-of-a-missing-key"),
+            pytest.param(DeleteCommand("missing"), id="delete-of-a-missing-key"),
+            pytest.param(CompareAndSwapCommand("x", None, 2), id="cas-that-swaps"),
+            pytest.param(CompareAndSwapCommand("x", 7, 2), id="cas-that-does-not"),
+        ],
+    )
+    def test_every_accepted_command_is_counted_once(self, command):
+        # A command that reports "nothing happened" was still applied: the
+        # count tracks log entries consumed, which is what commit_index counts.
+        store = KeyValueStore()
+        store.apply(command)
+        assert store.applied_count == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(None, id="none"),
+            pytest.param(42, id="int"),
+            pytest.param("PUT x 2", id="text"),
+            pytest.param({"op": "put", "key": "x", "value": 2}, id="json-dict"),
+            pytest.param(("put", "x", 2), id="tuple"),
+            pytest.param(AppendRegister(), id="foreign-object"),
+        ],
+    )
+    def test_a_refused_command_changes_nothing(self, command):
+        store = KeyValueStore()
+        store.apply(PutCommand("x", 1))
+        with pytest.raises(ProtocolError, match="cannot apply"):
+            store.apply(command)
+        assert (store.applied_count, store.snapshot()) == (1, {"x": 1})
 
     def test_snapshot_and_restore(self):
         store = KeyValueStore()
@@ -86,15 +122,6 @@ class TestKeyValueStore:
         assert store.applied_count == 2
         assert len(store) == 2
 
-    def test_command_to_dict_round_trip(self):
-        for command in (
-            PutCommand("k", 5),
-            GetCommand("k"),
-            DeleteCommand("k"),
-            CompareAndSwapCommand("k", 1, 2),
-        ):
-            assert command_from_dict(command.to_dict()) == command
-
 
 class TestAppendRegister:
     def test_records_commands_in_order(self):
@@ -109,22 +136,3 @@ class TestAppendRegister:
         clone = AppendRegister()
         clone.restore(register.snapshot())
         assert clone.history == ["a"]
-
-
-class TestCounterMachine:
-    def test_incr_decr_add(self):
-        counter = CounterMachine()
-        assert counter.apply("incr") == 1
-        assert counter.apply(("add", 5)) == 6
-        assert counter.apply("decr") == 5
-
-    def test_unknown_command_rejected(self):
-        with pytest.raises(ProtocolError):
-            CounterMachine().apply("unknown")
-
-    def test_snapshot_restore(self):
-        counter = CounterMachine()
-        counter.apply(("add", 7))
-        clone = CounterMachine()
-        clone.restore(counter.snapshot())
-        assert clone.value == 7

@@ -198,14 +198,7 @@ class TestUpToDateComparison:
         assert mine.candidate_is_acceptable(candidate_last_term=1, candidate_last_index=3)
         assert not mine.candidate_is_acceptable(candidate_last_term=1, candidate_last_index=1)
 
-    def test_is_at_least_as_up_to_date_as_is_symmetric_complement(self):
-        log_a = build_log([1, 2])
-        log_b = build_log([1, 1, 1])
-        # A has the higher last term, so A >= B and not B >= A.
-        assert log_a.is_at_least_as_up_to_date_as(log_b.last_term, log_b.last_index)
-        assert not log_b.is_at_least_as_up_to_date_as(log_a.last_term, log_a.last_index)
-
     def test_empty_logs_are_mutually_up_to_date(self):
         log_a = ReplicatedLog()
         log_b = ReplicatedLog()
-        assert log_a.is_at_least_as_up_to_date_as(log_b.last_term, log_b.last_index)
+        assert log_b.candidate_is_acceptable(log_a.last_term, log_a.last_index)
