@@ -9,13 +9,12 @@ priority drives term growth (Eq. 2); the timeout drives failure detection
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.common.frozen import value_object
 from repro.common.types import LogIndex, Milliseconds
 from repro.common.validation import require_non_negative, require_positive
 
 
-@dataclass(frozen=True, order=True)
+@value_object(order=True)
 class Configuration:
     """A prioritized configuration ``π(P, k)``.
 
@@ -34,9 +33,14 @@ class Configuration:
     conf_clock: int = 0
 
     def __post_init__(self) -> None:
-        require_positive(self.priority, "priority")
-        require_positive(self.timer_period_ms, "timer_period_ms")
-        require_non_negative(self.conf_clock, "conf_clock")
+        # One chained test on the success path (NaN fails it); the helpers
+        # run only to raise their usual error for the first bad field.
+        if not (
+            self.priority > 0 and self.timer_period_ms > 0 and self.conf_clock >= 0
+        ):
+            require_positive(self.priority, "priority")
+            require_positive(self.timer_period_ms, "timer_period_ms")
+            require_non_negative(self.conf_clock, "conf_clock")
 
     def describe(self) -> str:
         """Paper-style rendering ``π(P=3, k=17, timeout=2000ms)``."""
@@ -46,7 +50,7 @@ class Configuration:
         )
 
 
-@dataclass(frozen=True)
+@value_object
 class ConfigStatus:
     """The follower-side status piggybacked on AppendEntries replies.
 
@@ -61,6 +65,10 @@ class ConfigStatus:
     conf_clock: int
 
     def __post_init__(self) -> None:
-        require_non_negative(self.log_index, "log_index")
-        require_positive(self.timer_period_ms, "timer_period_ms")
-        require_non_negative(self.conf_clock, "conf_clock")
+        # As in Configuration: the helpers run only on failure.
+        if not (
+            self.log_index >= 0 and self.timer_period_ms > 0 and self.conf_clock >= 0
+        ):
+            require_non_negative(self.log_index, "log_index")
+            require_positive(self.timer_period_ms, "timer_period_ms")
+            require_non_negative(self.conf_clock, "conf_clock")

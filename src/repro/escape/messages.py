@@ -17,8 +17,7 @@ treat them identically -- the mechanical expression of the paper's Lemma 2
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.common.frozen import value_object
 from repro.escape.configuration import ConfigStatus, Configuration
 from repro.raft.messages import (
     AppendEntriesRequest,
@@ -27,7 +26,7 @@ from repro.raft.messages import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@value_object
 class EscapeRequestVoteRequest(RequestVoteRequest):
     """RequestVote extended with the candidate's configuration metadata."""
 
@@ -35,7 +34,7 @@ class EscapeRequestVoteRequest(RequestVoteRequest):
     priority: int = 1
 
 
-@dataclass(frozen=True, slots=True)
+@value_object
 class EscapeAppendEntriesRequest(AppendEntriesRequest):
     """AppendEntries extended with the follower's newly assigned configuration.
 
@@ -47,7 +46,7 @@ class EscapeAppendEntriesRequest(AppendEntriesRequest):
     new_config: Configuration | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@value_object
 class EscapeAppendEntriesResponse(AppendEntriesResponse):
     """AppendEntries reply extended with the follower's ``configStatus``."""
 

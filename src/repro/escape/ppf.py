@@ -100,9 +100,11 @@ class ProbingPatrol:
             raise ConfigurationError("lag_entries_threshold must be >= 1")
         if stale_after_ms <= 0:
             raise ConfigurationError("stale_after_ms must be positive")
-        self._cluster_size = cluster_size
         self._ladder = tuple(follower_priority_ladder(cluster_size))
-        self._sca = sca
+        # Eq. 1 for each rung, evaluated once: a rebuild only re-stamps.
+        self._timeouts = tuple(
+            sca.election_timeout_ms(priority, cluster_size) for priority in self._ladder
+        )
         self._clock = max(0, initial_clock)
         self._lag_entries_threshold = lag_entries_threshold
         self._stale_after_ms = stale_after_ms
@@ -236,13 +238,8 @@ class ProbingPatrol:
 
     def _rebuild_from(self, ranking: list[ServerId]) -> None:
         assignments: dict[ServerId, Configuration] = {}
-        for priority, follower in zip(self._ladder, ranking):
-            assignments[follower] = Configuration(
-                priority=priority,
-                timer_period_ms=self._sca.election_timeout_ms(
-                    priority, self._cluster_size
-                ),
-                conf_clock=self._clock,
-            )
+        clock = self._clock
+        for priority, timeout, follower in zip(self._ladder, self._timeouts, ranking):
+            assignments[follower] = Configuration(priority, timeout, clock)
         validate_assignment(assignments)
         self._assignments = assignments

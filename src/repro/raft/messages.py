@@ -10,20 +10,21 @@ on the receiving side).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from repro.common.frozen import value_object
 from repro.common.types import LogIndex, ServerId, Term
 from repro.storage.log import LogEntry
 
 
-@dataclass(frozen=True, slots=True)
+@value_object
 class RpcMessage:
     """Base class for every protocol message; all carry the sender's term."""
 
     term: Term
 
 
-@dataclass(frozen=True, slots=True)
+@value_object
 class RequestVoteRequest(RpcMessage):
     """A candidate's vote solicitation.
 
@@ -39,7 +40,7 @@ class RequestVoteRequest(RpcMessage):
     last_log_term: Term = 0
 
 
-@dataclass(frozen=True, slots=True)
+@value_object
 class RequestVoteResponse(RpcMessage):
     """A voter's reply to :class:`RequestVoteRequest`.
 
@@ -53,7 +54,7 @@ class RequestVoteResponse(RpcMessage):
     vote_granted: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@value_object
 class AppendEntriesRequest(RpcMessage):
     """The leader's replication/heartbeat RPC.
 
@@ -73,7 +74,7 @@ class AppendEntriesRequest(RpcMessage):
     leader_commit: LogIndex = 0
 
 
-@dataclass(frozen=True, slots=True)
+@value_object
 class AppendEntriesResponse(RpcMessage):
     """A follower's reply to :class:`AppendEntriesRequest`.
 

@@ -677,8 +677,8 @@ class RaftNode:
         entries = tuple(
             log.entries_from(next_index, limit=self.config.max_entries_per_append)
         )
-        # Positional, like every message built per AppendEntries: a frozen
-        # dataclass takes a quarter less time that way than by keyword.
+        # Positional, like every message built per AppendEntries: a value
+        # object takes about two fifths less time that way than by keyword.
         return AppendEntriesRequest(
             self.current_term,
             self.node_id,
@@ -705,9 +705,13 @@ class RaftNode:
         listening = self._listening["on_entry_committed"]
         now = self.env.now() if listening else 0.0
         while self.last_applied < self.commit_index:
-            self.last_applied += 1
-            entry = self.log.entry_at(self.last_applied)
+            entry = self.log.entry_at(self.last_applied + 1)
             self.state_machine.apply(entry.command)
+            # Only now: an entry the state machine refused was not applied.
+            # It stays next in line, so every later call raises on it again
+            # and applies nothing after it: entries apply in log order or
+            # not at all.
+            self.last_applied = entry.index
             if self._trace_on:
                 self.env.trace("log.apply", index=entry.index, term=entry.term)
             for notify in listening:

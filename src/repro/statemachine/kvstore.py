@@ -8,13 +8,13 @@ can be driven through the log as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ProtocolError
+from repro.common.frozen import value_object
 
 
-@dataclass(frozen=True)
+@value_object
 class PutCommand:
     """Set *key* to *value*; returns the previous value (or ``None``)."""
 
@@ -22,21 +22,21 @@ class PutCommand:
     value: Any
 
 
-@dataclass(frozen=True)
+@value_object
 class GetCommand:
     """Read *key* through the log (linearisable read); returns the value."""
 
     key: str
 
 
-@dataclass(frozen=True)
+@value_object
 class DeleteCommand:
     """Remove *key*; returns ``True`` when the key existed."""
 
     key: str
 
 
-@dataclass(frozen=True)
+@value_object
 class CompareAndSwapCommand:
     """Set *key* to *new_value* only when it currently equals *expected*.
 

@@ -15,14 +15,14 @@ The log exposes exactly the operations the protocol needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.common.errors import StorageError
+from repro.common.frozen import value_object
 from repro.common.types import LogIndex, Term
 
 
-@dataclass(frozen=True, slots=True)
+@value_object
 class LogEntry:
     """One entry of the replicated log.
 

@@ -1,9 +1,13 @@
 """Unit tests for ESCAPE configurations and the stochastic configuration assignment."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.common.config import ScaParameters
 from repro.common.errors import ConfigurationError
+from repro.common.validation import require_non_negative, require_positive
 from repro.escape.configuration import ConfigStatus, Configuration
 from repro.escape.sca import (
     assign_initial_configurations,
@@ -30,6 +34,45 @@ class TestConfiguration:
             ConfigStatus(log_index=-1, timer_period_ms=100.0, conf_clock=0)
         status = ConfigStatus(log_index=3, timer_period_ms=100.0, conf_clock=2)
         assert status.log_index == 3
+
+    @pytest.mark.parametrize(
+        "cls, checks",
+        [
+            (
+                Configuration,
+                (
+                    (require_positive, "priority"),
+                    (require_positive, "timer_period_ms"),
+                    (require_non_negative, "conf_clock"),
+                ),
+            ),
+            (
+                ConfigStatus,
+                (
+                    (require_non_negative, "log_index"),
+                    (require_positive, "timer_period_ms"),
+                    (require_non_negative, "conf_clock"),
+                ),
+            ),
+        ],
+    )
+    def test_validation_raises_what_the_helpers_raise_in_field_order(self, cls, checks):
+        """The chained success test must fail exactly when a helper would."""
+        bad_values = (-1, 0, -0.0, 0.5, math.nan, -math.inf, math.inf)
+        for values in itertools.product(bad_values + (3,), repeat=3):
+            expected = None
+            for (check, name), value in zip(checks, values):
+                try:
+                    check(value, name)
+                except ConfigurationError as exc:
+                    expected = str(exc)
+                    break
+            if expected is None:
+                assert [getattr(cls(*values), name) for _, name in checks] == list(values)
+            else:
+                with pytest.raises(ConfigurationError) as raised:
+                    cls(*values)
+                assert str(raised.value) == expected
 
 
 class TestInitialAssignment:

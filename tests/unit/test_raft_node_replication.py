@@ -4,6 +4,7 @@ import pytest
 
 from helpers import AppendRegister, FakeEnvironment, fast_protocol_config, small_cluster
 
+from repro.common.errors import ProtocolError
 from repro.raft.messages import (
     AppendEntriesRequest,
     AppendEntriesResponse,
@@ -11,6 +12,7 @@ from repro.raft.messages import (
 )
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
+from repro.statemachine.kvstore import PutCommand
 from repro.storage.log import LogEntry
 from repro.storage.persistent import InMemoryStore
 
@@ -235,6 +237,24 @@ class TestLeaderReplication:
         assert node.role is Role.LEADER
         index = node.propose("solo")
         assert node.commit_index == index
+
+    def test_refused_command_is_not_counted_as_applied(self):
+        env = FakeEnvironment(node_id=1)
+        node = RaftNode(1, small_cluster(1), env, protocol_config=fast_protocol_config())
+        node.start()
+        env.fire_next_timer("S1:election-timeout")
+        node.propose(PutCommand("k", 1))
+        assert node.last_applied == node.state_machine.applied_count == 1
+        with pytest.raises(ProtocolError):
+            node.propose("not a command")
+        assert node.commit_index == 2
+        assert node.last_applied == node.state_machine.applied_count == 1
+        # The refused entry blocks the ones after it: a later put commits
+        # but is not applied, since the node retries the refused entry first.
+        with pytest.raises(ProtocolError):
+            node.propose(PutCommand("k", 2))
+        assert node.commit_index == 3
+        assert node.last_applied == node.state_machine.applied_count == 1
 
 
 class TestCrashRecovery:

@@ -79,3 +79,14 @@ class TestExperimentSpecMappings:
         second = FrozenDict({"b": 2, "a": 1})
         assert first == second
         assert hash(first) == hash(second)
+
+    def test_frozen_dict_refuses_attribute_set_and_delete(self):
+        mapping = FrozenDict({"a": 1})
+        for mutate in (
+            lambda: setattr(mapping, "_data", {}),
+            lambda: delattr(mapping, "_data"),
+            lambda: delattr(mapping, "_hash"),
+        ):
+            with pytest.raises(AttributeError, match="FrozenDict is immutable"):
+                mutate()
+        assert mapping == {"a": 1} and hash(mapping) == hash(FrozenDict(a=1))
