@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping
 from repro import protocols
 from repro.common.config import ClusterConfig, ProtocolConfig
 from repro.common.errors import ClusterError
-from repro.common.types import ServerId
+from repro.common.types import Milliseconds, ServerId
 from repro.cluster.environment import SimNodeEnvironment
 from repro.net.faults import FaultInjector
 from repro.net.latency import LatencyModel, UniformLatency
@@ -27,12 +27,9 @@ from repro.net.network import SimulatedNetwork
 from repro.raft.listeners import NodeListener, NodeListenerBase
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
-from repro.raft.timers import ElectionTimeoutPolicy
 from repro.sim.world import SimulationWorld
 from repro.statemachine.kvstore import KeyValueStore
 from repro.storage.persistent import InMemoryStore
-
-TimeoutPolicyFactory = Callable[[ServerId], ElectionTimeoutPolicy | None]
 
 
 class _LeaderTracker(NodeListenerBase):
@@ -226,8 +223,7 @@ def build_cluster(
     fault: FaultInjector | None = None,
     protocol_config: ProtocolConfig | None = None,
     listeners: Iterable[NodeListener] = (),
-    timeout_policy_factory: TimeoutPolicyFactory | None = None,
-    timeout_override_factory: TimeoutPolicyFactory | None = None,
+    timeout_script: tuple[Milliseconds, ...] = (),
     trace: bool = True,
     engine: str | None = None,
 ) -> SimulatedCluster:
@@ -243,12 +239,10 @@ def build_cluster(
         protocol_config: timing knobs (defaults to the paper's values).
         listeners: listeners attached to every node (e.g. an
             :class:`~repro.cluster.observers.ElectionObserver`).
-        timeout_policy_factory: per-node election timeout policy for
-            policy-driven protocols (the Raft family; used by the contention
-            scenarios); return ``None`` to keep the spec's default policy.
-        timeout_override_factory: per-node timeout override for
-            override-driven protocols (the ESCAPE family, including Z-Raft;
-            used by the contention scenarios).
+        timeout_script: every node's contention script: its first waits
+            after losing the leader, before the protocol's own timeouts (see
+            :class:`~repro.raft.node.RaftNode`; used by the contention
+            scenarios).
         trace: whether to record the world trace (disable in large sweeps).
         engine: simulation engine name registered in
             :mod:`repro.sim.engines` (``"classic"`` or ``"flat"``); ``None``
@@ -280,16 +274,7 @@ def build_cluster(
             state_machine=KeyValueStore(),
             protocol_config=config,
             listeners=shared_listeners,
-            timeout_policy=(
-                timeout_policy_factory(server_id)
-                if timeout_policy_factory is not None
-                else None
-            ),
-            timeout_override=(
-                timeout_override_factory(server_id)
-                if timeout_override_factory is not None
-                else None
-            ),
+            timeout_script=timeout_script,
         )
         network.register(server_id, node.on_message)
         nodes[server_id] = node

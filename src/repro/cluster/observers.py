@@ -3,7 +3,7 @@
 One :class:`ElectionObserver` instance is attached (as a node listener) to
 every node in a cluster.  It records, with simulated timestamps, the events
 the paper's figures decompose: election timeouts (failure *detection*),
-campaign starts, votes, and leader elections.  The harness then derives
+campaign starts and leader elections.  The harness then derives
 detection/election periods and split-vote occurrence from these records.
 """
 
@@ -14,7 +14,6 @@ from typing import Iterable
 
 from repro.common.types import Milliseconds, ServerId, Term
 from repro.raft.listeners import NodeListenerBase
-from repro.raft.state import Role
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class TimeoutEvent:
     time_ms: Milliseconds
     node_id: ServerId
     term: Term
-    attempt: int
 
 
 @dataclass(frozen=True)
@@ -33,16 +31,6 @@ class CampaignEvent:
 
     time_ms: Milliseconds
     node_id: ServerId
-    term: Term
-
-
-@dataclass(frozen=True)
-class VoteEvent:
-    """A voter granted its vote to a candidate."""
-
-    time_ms: Milliseconds
-    voter_id: ServerId
-    candidate_id: ServerId
     term: Term
 
 
@@ -56,26 +44,13 @@ class LeaderElectedEvent:
     votes: int
 
 
-@dataclass(frozen=True)
-class RoleChangeEvent:
-    """A server changed its role."""
-
-    time_ms: Milliseconds
-    node_id: ServerId
-    old_role: Role
-    new_role: Role
-    term: Term
-
-
 @dataclass
 class ElectionObserver(NodeListenerBase):
     """Accumulates protocol events from every node in one cluster."""
 
     timeouts: list[TimeoutEvent] = field(default_factory=list)
     campaigns: list[CampaignEvent] = field(default_factory=list)
-    votes: list[VoteEvent] = field(default_factory=list)
     leaders: list[LeaderElectedEvent] = field(default_factory=list)
-    role_changes: list[RoleChangeEvent] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
     # NodeListener callbacks
@@ -83,38 +58,17 @@ class ElectionObserver(NodeListenerBase):
     def on_election_timeout(
         self, node_id: ServerId, term: Term, attempt: int, time_ms: Milliseconds
     ) -> None:
-        self.timeouts.append(TimeoutEvent(time_ms, node_id, term, attempt))
+        self.timeouts.append(TimeoutEvent(time_ms, node_id, term))
 
     def on_election_started(
         self, node_id: ServerId, term: Term, time_ms: Milliseconds
     ) -> None:
         self.campaigns.append(CampaignEvent(time_ms, node_id, term))
 
-    def on_vote_granted(
-        self,
-        voter_id: ServerId,
-        candidate_id: ServerId,
-        term: Term,
-        time_ms: Milliseconds,
-    ) -> None:
-        self.votes.append(VoteEvent(time_ms, voter_id, candidate_id, term))
-
     def on_leader_elected(
         self, leader_id: ServerId, term: Term, votes: int, time_ms: Milliseconds
     ) -> None:
         self.leaders.append(LeaderElectedEvent(time_ms, leader_id, term, votes))
-
-    def on_role_change(
-        self,
-        node_id: ServerId,
-        old_role: Role,
-        new_role: Role,
-        term: Term,
-        time_ms: Milliseconds,
-    ) -> None:
-        self.role_changes.append(
-            RoleChangeEvent(time_ms, node_id, old_role, new_role, term)
-        )
 
     # ------------------------------------------------------------------ #
     # Queries used by the harness
@@ -164,11 +118,3 @@ class ElectionObserver(NodeListenerBase):
             if len(candidates) >= 2 and term not in elected_terms:
                 return True
         return False
-
-    def clear(self) -> None:
-        """Forget everything recorded so far."""
-        self.timeouts.clear()
-        self.campaigns.clear()
-        self.votes.clear()
-        self.leaders.clear()
-        self.role_changes.clear()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field, replace
-from typing import Callable, Self
+from typing import Self
 
 from repro import protocols as protocol_registry
 from repro.sim import engines as engine_registry
@@ -36,15 +36,6 @@ from repro.obs.telemetry import MetricsRegistry
 from repro.workload import legacy_interval
 from repro.workload.driver import WorkloadDriver
 from repro.net.latency import GeoLatencySpec, LatencyModel, UniformLatency
-from repro.raft.timers import (
-    ElectionTimeoutPolicy,
-    RandomizedTimeoutPolicy,
-    ScriptOnlyPolicy,
-    ScriptedTimeoutPolicy,
-)
-
-#: Per-node election-timeout policy factory (see :func:`build_cluster`).
-_PolicyFactory = Callable[[ServerId], ElectionTimeoutPolicy | None]
 
 
 @dataclass(frozen=True)
@@ -194,7 +185,6 @@ class Scenario:
         listeners = (observer, *extra_listeners)
         if metrics is not None:
             listeners += (TelemetryListener(metrics),)
-        timeout_policy_factory, override_factory = self._timeout_factories(seed)
         cluster = build_cluster(
             protocol=self.protocol,
             size=self.cluster_size,
@@ -203,18 +193,15 @@ class Scenario:
             fault=self.fault_injector(),
             protocol_config=self.protocol_config(),
             listeners=listeners,
-            timeout_policy_factory=timeout_policy_factory,
-            timeout_override_factory=override_factory,
+            timeout_script=self._timeout_script(seed),
             trace=self.trace,
             engine=self.engine,
         )
         return cluster, ElectionHarness(cluster, observer)
 
-    def _timeout_factories(
-        self, seed: int
-    ) -> tuple[_PolicyFactory | None, _PolicyFactory | None]:
-        """Per-node timeout policy and override factories (none by default)."""
-        return None, None
+    def _timeout_script(self, seed: int) -> tuple[Milliseconds, ...]:
+        """Every node's contention script (none by default)."""
+        return ()
 
     def _episode(self, seed: int, metrics: MetricsRegistry | None):
         """Run one episode; returns ``(measurement, cluster)``.
@@ -376,32 +363,20 @@ class ElectionScenario(Scenario):
     # ------------------------------------------------------------------ #
     # Forced contention (Figure 10)
     # ------------------------------------------------------------------ #
-    def _timeout_factories(
-        self, seed: int
-    ) -> tuple[_PolicyFactory | None, _PolicyFactory | None]:
-        """Build the per-node timeout policies that force competing candidates.
+    def _timeout_script(self, seed: int) -> tuple[Milliseconds, ...]:
+        """The contention script that forces competing candidates.
 
-        Every follower of the (future) crashed leader receives the *same*
-        scripted timeout for its first ``contention_phases`` waits, so those
-        waits expire (nearly) simultaneously: in Raft each collision produces
-        one phase of competing candidates, while ESCAPE's priority-driven term
+        Every follower of the (future) crashed leader waits the *same*
+        timeout for its first ``contention_phases`` waits, so those waits
+        expire (nearly) simultaneously: in Raft each collision produces one
+        phase of competing candidates, while ESCAPE's priority-driven term
         growth resolves the very first collision in a single campaign -- which
-        is precisely the comparison Figure 10 draws.
+        is precisely the comparison Figure 10 draws.  After the script every
+        node is back on its protocol's own timeouts.
         """
         if self.contention_phases <= 0:
-            return None, None
-        low, high = self.raft_timeout_range
-        collision_timeout = (
-            SeedSequence(seed).stream("scenario", "contention").uniform(low, high)
+            return ()
+        collision_timeout = SeedSequence(seed).stream("scenario", "contention").uniform(
+            *self.raft_timeout_range
         )
-        script = tuple([collision_timeout] * self.contention_phases)
-
-        def policy_factory(server_id: ServerId) -> ElectionTimeoutPolicy:
-            return ScriptedTimeoutPolicy(
-                script=script, fallback=RandomizedTimeoutPolicy(low, high)
-            )
-
-        def override_factory(server_id: ServerId) -> ElectionTimeoutPolicy:
-            return ScriptOnlyPolicy(script=script)
-
-        return policy_factory, override_factory
+        return (collision_timeout,) * self.contention_phases

@@ -46,7 +46,6 @@ from repro.raft.messages import (
     RequestVoteRequest,
 )
 from repro.raft.node import RaftNode
-from repro.raft.timers import ElectionTimeoutPolicy
 from repro.statemachine.base import StateMachine
 from repro.storage.persistent import PersistentState
 
@@ -56,16 +55,11 @@ class EscapeNode(RaftNode):
 
     Args:
         node_id, cluster, env, store, state_machine, protocol_config,
-        listeners: as for :class:`~repro.raft.node.RaftNode`.
+        listeners, timeout_script: as for :class:`~repro.raft.node.RaftNode`.
         initial_configuration: the SCA configuration this server starts with.
             When omitted it is derived from the server's own id, the cluster
             size and the SCA parameters in ``protocol_config`` (Eq. 1 with
             priority = server id).
-        timeout_override: optional scripted policy consulted *before* the
-            configuration's timer period.  The Figure 10 harness uses this to
-            force simultaneous timeouts (stale-configuration contention); it
-            returns to the configuration-driven timeout once the script is
-            exhausted.
     """
 
     protocol_name = "escape"
@@ -80,7 +74,7 @@ class EscapeNode(RaftNode):
         protocol_config: ProtocolConfig | None = None,
         listeners: Iterable[NodeListener] = (),
         initial_configuration: Configuration | None = None,
-        timeout_override: ElectionTimeoutPolicy | None = None,
+        timeout_script: tuple[Milliseconds, ...] = (),
     ) -> None:
         super().__init__(
             node_id=node_id,
@@ -88,16 +82,15 @@ class EscapeNode(RaftNode):
             env=env,
             store=store,
             state_machine=state_machine,
-            timeout_policy=None,
             protocol_config=protocol_config,
             listeners=listeners,
+            timeout_script=timeout_script,
         )
         if initial_configuration is None:
             initial_configuration = joining_configuration(
                 node_id, cluster.size, self.config.sca
             )
         self.configuration: Configuration = initial_configuration
-        self._timeout_override = timeout_override
         self.patrol: ProbingPatrol | None = None
         self.configuration_updates = 0
         # Steady-state memos, all compared by identity (the objects are
@@ -117,17 +110,7 @@ class EscapeNode(RaftNode):
         return self.current_term + self.configuration.priority
 
     def _hook_election_timeout_ms(self) -> Milliseconds:
-        """The timeout paired with the current configuration (Eq. 1).
-
-        A scripted override (contention scenarios) takes precedence while its
-        script lasts; afterwards the configuration timeout applies again.
-        """
-        if self._timeout_override is not None:
-            value = self._timeout_override.next_timeout_ms(
-                self.env.rng, self._timeout_attempt
-            )
-            if value is not None and value > 0:
-                return value
+        """The timeout paired with the current configuration (Eq. 1)."""
         return self.configuration.timer_period_ms
 
     # ------------------------------------------------------------------ #

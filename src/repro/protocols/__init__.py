@@ -3,8 +3,8 @@
 The paper's core claim is a *comparison* between election protocols, so the
 codebase treats "which protocols exist" as data, not control flow.  Every
 protocol (and every experimental variant of one) is described by a frozen
-:class:`~repro.protocols.spec.ProtocolSpec` -- name, node class, how its
-election timeouts are chosen, display label, paper section -- and registered
+:class:`~repro.protocols.spec.ProtocolSpec` -- name, node class, an optional
+default timeout policy, display label, paper section -- and registered
 here.  Everything that used to branch on protocol strings now consumes the
 registry instead:
 

@@ -104,7 +104,6 @@ register(
         title="Raft",
         description="baseline Raft with randomized election timeouts",
         paper_section="Section II",
-        timeout_kind="policy",
     )
 )
 register(
@@ -114,7 +113,6 @@ register(
         title="Z-Raft",
         description="ZooKeeper-style static priorities (SCA without PPF or clock)",
         paper_section="Section VI-D",
-        timeout_kind="override",
     )
 )
 register(
@@ -124,7 +122,6 @@ register(
         title="ESCAPE",
         description="the paper's contribution: SCA + PPF + configuration clock",
         paper_section="Sections IV-V",
-        timeout_kind="override",
     )
 )
 register(
@@ -137,7 +134,6 @@ register(
             "(livelocks by design -- the Figure 10 collision argument)"
         ),
         paper_section="Section VI-C (implied baseline)",
-        timeout_kind="policy",
         default_timeout_policy=_fixed_midpoint_policy,
         guarantees_liveness=False,
     )
@@ -152,7 +148,6 @@ register(
             "priority-driven term growth"
         ),
         paper_section="Section IV-A (implied baseline)",
-        timeout_kind="policy",
         default_timeout_policy=_staggered_ladder_policy,
     )
 )
@@ -166,7 +161,6 @@ register(
             "configurations are permanent (the PPF ablation, first-class)"
         ),
         paper_section="Section IV-B (ablation)",
-        timeout_kind="override",
     )
 )
 

@@ -1,10 +1,9 @@
 """The :class:`ProtocolSpec` descriptor: how one named protocol builds nodes.
 
 A spec bundles everything the rest of the codebase needs to know about a
-protocol: the node class to instantiate, how its election timeouts are chosen
-(a randomized/fixed *policy* for the Raft family, a scripted *override* on top
-of configuration-driven timeouts for the ESCAPE family), and the presentation
-metadata (display title, paper section) the reports use.
+protocol: the node class to instantiate, an optional default election-timeout
+policy (for node classes that read one), and the presentation metadata
+(display title, paper section) the reports use.
 
 Specs are frozen dataclasses whose callable fields are module-level functions
 or classes, so they pickle by reference and survive the parallel sweep
@@ -18,7 +17,7 @@ from typing import Callable, Iterable
 
 from repro.common.config import ClusterConfig, ProtocolConfig
 from repro.common.errors import ConfigurationError
-from repro.common.types import ServerId
+from repro.common.types import Milliseconds, ServerId
 from repro.raft.environment import Environment
 from repro.raft.listeners import NodeListener
 from repro.raft.node import RaftNode
@@ -26,21 +25,13 @@ from repro.raft.timers import ElectionTimeoutPolicy
 from repro.statemachine.base import StateMachine
 from repro.storage.persistent import PersistentState
 
-__all__ = ["ProtocolSpec", "TimeoutPolicyFactory", "TIMEOUT_KINDS"]
+__all__ = ["ProtocolSpec", "TimeoutPolicyFactory"]
 
-#: Builds a node's default timeout policy/override from its configuration and
-#: place in the cluster.  Must be a module-level function (pickled by
-#: reference).  Return ``None`` to fall back to the node class's own default.
+#: Builds a node's timeout policy from its configuration and place in the
+#: cluster.  Must be a module-level function (pickled by reference).
 TimeoutPolicyFactory = Callable[
-    [ProtocolConfig, ServerId, ClusterConfig], ElectionTimeoutPolicy | None
+    [ProtocolConfig, ServerId, ClusterConfig], ElectionTimeoutPolicy
 ]
-
-#: How a protocol's election timeouts are wired into its node class:
-#: ``"policy"`` protocols (the Raft family) take a ``timeout_policy`` that is
-#: the *only* source of timeouts; ``"override"`` protocols (the ESCAPE family)
-#: derive timeouts from their configuration and take a ``timeout_override``
-#: consulted first (the contention scenarios script it).
-TIMEOUT_KINDS = ("policy", "override")
 
 
 @dataclass(frozen=True)
@@ -50,17 +41,16 @@ class ProtocolSpec:
     Attributes:
         name: registry key and CLI name (e.g. ``"escape-noppf"``).
         node_class: the :class:`~repro.raft.node.RaftNode` subclass to
-            instantiate.  ``"policy"`` specs need its constructor to accept
-            ``timeout_policy``; ``"override"`` specs need ``timeout_override``.
+            instantiate.
         title: display label used in report tables (e.g. ``"Z-Raft"``).
         description: one-line summary shown in the registry table.
         paper_section: where the paper discusses this protocol (``""`` for
             variants the paper only implies).
-        timeout_kind: ``"policy"`` or ``"override"`` (see
-            :data:`TIMEOUT_KINDS`).
-        default_timeout_policy: optional :data:`TimeoutPolicyFactory` applied
-            when the caller does not supply a per-node policy/override (e.g.
-            ``raft-fixed`` pins every server to one deterministic timeout).
+        default_timeout_policy: optional :data:`TimeoutPolicyFactory` whose
+            policy every node is built with (e.g. ``raft-fixed`` pins every
+            server to one deterministic timeout).  Only for a node class that
+            reads its policy: one that overrides ``_hook_election_timeout_ms``
+            (the ESCAPE family) is rejected with it.
         guarantees_liveness: whether the protocol is expected to elect a
             leader under the paper's healthy-network conditions.  ``False``
             only for degenerate baselines (``raft-fixed`` livelocks by
@@ -73,18 +63,22 @@ class ProtocolSpec:
     title: str
     description: str = ""
     paper_section: str = ""
-    timeout_kind: str = "policy"
     default_timeout_policy: TimeoutPolicyFactory | None = None
     guarantees_liveness: bool = True
 
     def __post_init__(self) -> None:
-        if self.timeout_kind not in TIMEOUT_KINDS:
-            raise ConfigurationError(
-                f"timeout_kind {self.timeout_kind!r} must be one of {TIMEOUT_KINDS}"
-            )
         if not (isinstance(self.node_class, type) and issubclass(self.node_class, RaftNode)):
             raise ConfigurationError(
                 f"node_class {self.node_class!r} must be a RaftNode subclass"
+            )
+        if (
+            self.default_timeout_policy is not None
+            and self.node_class._hook_election_timeout_ms
+            is not RaftNode._hook_election_timeout_ms
+        ):
+            raise ConfigurationError(
+                f"{self.node_class.__name__} overrides _hook_election_timeout_ms, "
+                "so it would never read default_timeout_policy"
             )
 
     # ------------------------------------------------------------------ #
@@ -100,22 +94,20 @@ class ProtocolSpec:
         state_machine: StateMachine | None = None,
         protocol_config: ProtocolConfig | None = None,
         listeners: Iterable[NodeListener] = (),
-        timeout_policy: ElectionTimeoutPolicy | None = None,
-        timeout_override: ElectionTimeoutPolicy | None = None,
+        timeout_script: tuple[Milliseconds, ...] = (),
     ) -> RaftNode:
         """Construct one node of this protocol.
 
         The cluster builder funnels all node construction through here.
-
-        Args:
-            timeout_policy: per-node policy for ``"policy"`` specs (ignored by
-                ``"override"`` specs); ``None`` consults
-                ``default_timeout_policy`` and then the node class's default.
-            timeout_override: per-node override for ``"override"`` specs
-                (ignored by ``"policy"`` specs); same fallback chain.
+        *timeout_script* is the node's contention script (see
+        :class:`~repro.raft.node.RaftNode`); it comes before the protocol's
+        own timeouts, whichever they are.
         """
         config = protocol_config or ProtocolConfig.paper_defaults()
-        common = dict(
+        policy = {}
+        if self.default_timeout_policy is not None:
+            policy["timeout_policy"] = self.default_timeout_policy(config, node_id, cluster)
+        return self.node_class(
             node_id=node_id,
             cluster=cluster,
             env=env,
@@ -123,13 +115,6 @@ class ProtocolSpec:
             state_machine=state_machine,
             protocol_config=config,
             listeners=listeners,
+            timeout_script=timeout_script,
+            **policy,
         )
-        if self.timeout_kind == "policy":
-            policy = timeout_policy
-            if policy is None and self.default_timeout_policy is not None:
-                policy = self.default_timeout_policy(config, node_id, cluster)
-            return self.node_class(timeout_policy=policy, **common)
-        override = timeout_override
-        if override is None and self.default_timeout_policy is not None:
-            override = self.default_timeout_policy(config, node_id, cluster)
-        return self.node_class(timeout_override=override, **common)

@@ -23,7 +23,6 @@ from repro.raft.timers import (
     ElectionTimeoutPolicy,
     FixedTimeoutPolicy,
     RandomizedTimeoutPolicy,
-    ScriptedTimeoutPolicy,
 )
 
 __all__ = [
@@ -39,6 +38,5 @@ __all__ = [
     "RequestVoteRequest",
     "RequestVoteResponse",
     "Role",
-    "ScriptedTimeoutPolicy",
     "TimerHandle",
 ]

@@ -19,6 +19,7 @@ from typing import Any, Callable, Iterable
 from repro.common.config import ClusterConfig, ProtocolConfig
 from repro.common.errors import NotLeaderError, ProtocolError
 from repro.common.types import LogIndex, Milliseconds, ServerId, Term
+from repro.common.validation import require_positive
 from repro.raft.election import VoteTally
 from repro.raft.environment import Environment, TimerHandle
 from repro.raft.listeners import NodeListener, enter_listener, listener_table
@@ -34,7 +35,6 @@ from repro.raft.state import Role, is_valid_transition
 from repro.raft.timers import ElectionTimeoutPolicy, RandomizedTimeoutPolicy
 from repro.statemachine.base import StateMachine
 from repro.statemachine.kvstore import KeyValueStore
-from repro.storage.log import LogEntry
 from repro.storage.persistent import InMemoryStore, PersistentState
 
 
@@ -52,6 +52,11 @@ class RaftNode:
             policy built from ``protocol_config.raft_timeouts``).
         protocol_config: heartbeat interval and related timing knobs.
         listeners: observers notified of protocol events.
+        timeout_script: the first waits after losing the leader, in order
+            (each positive).  Wait *i* is ``timeout_script[i]`` while the
+            script lasts; after it the protocol's own timeout applies again.
+            The Figure 10 harness gives every node the same script to force
+            competing candidates.
     """
 
     protocol_name = "raft"
@@ -66,9 +71,13 @@ class RaftNode:
         timeout_policy: ElectionTimeoutPolicy | None = None,
         protocol_config: ProtocolConfig | None = None,
         listeners: Iterable[NodeListener] = (),
+        timeout_script: tuple[Milliseconds, ...] = (),
     ) -> None:
         if node_id not in cluster:
             raise ProtocolError(f"S{node_id} is not a member of the cluster")
+        for value in timeout_script:
+            require_positive(value, "scripted timeout")
+        self.timeout_script = tuple(timeout_script)
         self.node_id = node_id
         self.cluster = cluster
         self.env = env
@@ -721,8 +730,12 @@ class RaftNode:
     # Timers
     # ------------------------------------------------------------------ #
     def _reset_election_timer(self) -> None:
+        script = self.timeout_script
         policy = self.timeout_policy
-        if self._timeout_hook_is_default and type(policy) is RandomizedTimeoutPolicy:
+        if script and self._timeout_attempt < len(script):
+            # A scripted wait draws nothing, whatever the protocol.
+            timeout = script[self._timeout_attempt]
+        elif self._timeout_hook_is_default and type(policy) is RandomizedTimeoutPolicy:
             # Inlined RandomizedTimeoutPolicy.next_timeout_ms: bit-identical
             # to rng.uniform(low, high) == low + (high - low) * rng.random().
             low = policy.low_ms
@@ -756,8 +769,8 @@ class RaftNode:
         return self.current_term + 1
 
     def _hook_election_timeout_ms(self) -> Milliseconds:
-        """Length of the next election-timeout wait."""
-        return self.timeout_policy.next_timeout_ms(self.env.rng, self._timeout_attempt)
+        """Length of the next unscripted election-timeout wait."""
+        return self.timeout_policy.next_timeout_ms(self.env.rng)
 
     def _hook_may_grant_vote(self, request: RequestVoteRequest) -> bool:
         """Protocol-specific extra vote checks (ESCAPE: configuration clock)."""

@@ -3,7 +3,7 @@
 ``SimNodeEnvironment.rng`` is created the first time it is read, as
 ``world.seeds.stream("node", node_id)``.  Two things follow and are checked
 here: a node that never draws never pays for its stream (ESCAPE and Z-Raft
-draw only under a contention script), and a node that does draw sees exactly
+never draw, a contention script included), and a node that does draw sees exactly
 the stream an eagerly seeded environment would have given it, whenever the
 first read happens.
 """
@@ -41,24 +41,28 @@ def _episode(scenario: ElectionScenario, seed: int, before_start=None):
 # --------------------------------------------------------------------------- #
 # A node that never draws never creates its stream
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("loss_rate", (0.0, 0.2), ids=("no-loss", "loss20"))
+@pytest.mark.parametrize(
+    "loss_rate, contention_phases",
+    ((0.0, 0), (0.2, 0), (0.0, 2), (0.2, 2)),
+    ids=("no-loss", "loss20", "no-loss-contention2", "loss20-contention2"),
+)
 @pytest.mark.parametrize("engine", engines.names())
 @pytest.mark.parametrize("protocol", ("escape", "zraft", "escape-noppf"))
-def test_an_escape_episode_creates_no_node_stream(protocol, engine, loss_rate):
-    scenario = ElectionScenario(protocol, 16, loss_rate=loss_rate, engine=engine)
+def test_an_escape_episode_creates_no_node_stream(
+    protocol, engine, loss_rate, contention_phases
+):
+    scenario = ElectionScenario(
+        protocol,
+        16,
+        loss_rate=loss_rate,
+        contention_phases=contention_phases,
+        engine=engine,
+    )
     measurement, cluster = _episode(scenario, seed=5)
     assert measurement.converged
     assert [
         server_id for server_id, node in cluster.nodes.items() if "rng" in vars(node.env)
     ] == []
-    cluster.close()
-
-
-def test_a_contention_script_creates_the_streams_it_draws_from():
-    # Control: the scripted override is handed the node's stream.
-    scenario = ElectionScenario("escape", 16, contention_phases=2)
-    _, cluster = _episode(scenario, seed=5)
-    assert all("rng" in vars(node.env) for node in cluster.nodes.values())
     cluster.close()
 
 

@@ -1,7 +1,7 @@
 """Unit tests for the cluster-wide election observer."""
 
 from repro.cluster.observers import ElectionObserver
-from repro.raft.state import Role
+from repro.raft.listeners import enter_listener, listener_table
 
 
 def populated_observer():
@@ -12,29 +12,27 @@ def populated_observer():
     observer.on_election_timeout(3, term=1, attempt=0, time_ms=1_450.0)
     observer.on_election_started(2, term=2, time_ms=1_400.0)
     observer.on_election_started(3, term=2, time_ms=1_450.0)
-    observer.on_vote_granted(4, 2, term=2, time_ms=1_600.0)
-    observer.on_vote_granted(5, 3, term=2, time_ms=1_650.0)
     observer.on_election_timeout(2, term=2, attempt=1, time_ms=3_000.0)
     observer.on_election_started(2, term=3, time_ms=3_000.0)
     observer.on_leader_elected(2, term=3, votes=3, time_ms=3_400.0)
-    observer.on_role_change(2, Role.CANDIDATE, Role.LEADER, term=3, time_ms=3_400.0)
     return observer
 
 
 class TestEventCollection:
     def test_events_are_recorded_with_timestamps(self):
         observer = populated_observer()
-        assert len(observer.timeouts) == 3
+        assert [event.time_ms for event in observer.timeouts] == [1_400.0, 1_450.0, 3_000.0]
         assert len(observer.campaigns) == 3
-        assert len(observer.votes) == 2
         assert len(observer.leaders) == 1
-        assert len(observer.role_changes) == 1
 
-    def test_clear_resets_all_collections(self):
-        observer = populated_observer()
-        observer.clear()
-        assert not observer.timeouts and not observer.campaigns
-        assert not observer.votes and not observer.leaders
+    def test_listens_only_to_the_events_it_records(self):
+        table = listener_table()
+        enter_listener(table, ElectionObserver())
+        assert sorted(event for event, calls in table.items() if calls) == [
+            "on_election_started",
+            "on_election_timeout",
+            "on_leader_elected",
+        ]
 
 
 class TestQueries:

@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import pickle
-import random
 from functools import partial
 
 import pytest
@@ -13,7 +12,7 @@ from repro.chaos.scenario import ChaosScenario
 from repro.cluster.scenarios import ElectionScenario, Scenario
 from repro.common.config import ScaParameters
 from repro.common.errors import ConfigurationError
-from repro.common.rng import paired_seeds
+from repro.common.rng import SeedSequence, paired_seeds
 from repro.net.faults import (
     BroadcastOmissionFault,
     MessageDuplicationFault,
@@ -169,21 +168,49 @@ class TestScenarioConfiguration:
             raft_timeout_range=timeout_range,
             contention_phases=2,
         )
-        policy_factory, override_factory = scenario._timeout_factories(seed=4)
-        policy = policy_factory(2)
+        script = scenario._timeout_script(seed=4)
         low, high = timeout_range
-        rng = random.Random(0)
-        first, second = (policy.next_timeout_ms(rng, attempt) for attempt in (0, 1))
-        assert first == second and low <= first <= high
-        assert override_factory(2).script == policy.script
+        assert len(script) == 2 and script[0] == script[1]
+        assert low <= script[0] <= high
+        cluster, _ = scenario.build(seed=4)
+        # After the script, each node draws from the scenario's own range.
         assert all(
-            low <= policy.next_timeout_ms(rng, attempt) <= high
-            for attempt in range(2, 50)
+            node.timeout_script == script
+            and (node.timeout_policy.low_ms, node.timeout_policy.high_ms) == timeout_range
+            for node in cluster.nodes.values()
         )
 
-    def test_no_contention_installs_no_timeout_policies(self):
+    def test_no_contention_scripts_no_timeout(self):
         scenario = ElectionScenario(protocol="raft", cluster_size=5)
-        assert scenario._timeout_factories(seed=4) == (None, None)
+        assert scenario._timeout_script(seed=4) == ()
+
+    def test_a_policy_protocol_keeps_its_own_timeouts_after_the_script(self):
+        # raft-stagger's nodes wait their Eq. 1 ladder value, not a Raft draw,
+        # once the contention script is spent.
+        seed = 4
+        scenario = ElectionScenario("raft-stagger", 4, contention_phases=1)
+        cluster, harness = scenario.build(seed)
+        waits = {server_id: [] for server_id in cluster.nodes}
+
+        def recording(rearm, armed):
+            def rearm_and_record(handle, delay_ms, callback, label):
+                if label == "election-timeout":
+                    armed.append(delay_ms)
+                return rearm(handle, delay_ms, callback, label)
+
+            return rearm_and_record
+
+        for server_id, node in cluster.nodes.items():
+            node.env.rearm_timer = recording(node.env.rearm_timer, waits[server_id])
+        cluster.start_all()
+        (collision,) = {armed[0] for armed in waits.values()}
+        harness.run_for(collision + 1.0)
+        ladder = {1: 3000.0, 2: 2500.0, 3: 2000.0, 4: 1500.0}
+        assert {server_id: armed[1] for server_id, armed in waits.items()} == ladder
+        for server_id, node in cluster.nodes.items():
+            fresh = SeedSequence(seed).stream("node", server_id)
+            assert node.env.rng.getstate() == fresh.getstate()  # no draw
+        cluster.close()
 
 
 class TestScenarioSpecs:

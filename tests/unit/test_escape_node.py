@@ -1,7 +1,5 @@
 """Unit tests for the ESCAPE node (SCA term growth, PPF piggyback, clock gate)."""
 
-import pytest
-
 from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 
 from repro.escape.configuration import Configuration
@@ -13,9 +11,7 @@ from repro.escape.messages import (
 from repro.escape.node import EscapeNode
 from repro.raft.messages import RequestVoteResponse
 from repro.raft.state import Role
-from repro.raft.timers import ScriptOnlyPolicy
 from repro.storage.log import LogEntry
-from repro.storage.persistent import InMemoryStore
 
 
 def make_node(node_id=1, size=5, configuration=None, **kwargs):
@@ -91,10 +87,8 @@ class TestScaBehaviour:
         assert request.conf_clock == 6
         assert request.priority == 4
 
-    def test_timeout_override_takes_precedence_then_expires(self):
-        node, env = make_node(
-            node_id=2, size=5, timeout_override=ScriptOnlyPolicy(script=(77.0,))
-        )
+    def test_timeout_script_takes_precedence_then_expires(self):
+        node, env = make_node(node_id=2, size=5, timeout_script=(77.0,))
         node.start()
         assert env.pending_timers()[0].delay_ms == 77.0
         env.fire_next_timer("S2:election-timeout")

@@ -17,10 +17,12 @@ from repro.cluster.builder import build_cluster
 from repro.cluster.catalog import network_specs
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import ClusterError, ConfigurationError
+from repro.escape.node import EscapeNode
 from repro.experiments.runner import run_sweep
 from repro.protocols import registry as protocol_registry
 from repro.raft.node import RaftNode
-from repro.raft.timers import FixedTimeoutPolicy, ScriptOnlyPolicy
+from repro.raft.timers import FixedTimeoutPolicy
+from repro.zraft.node import ZRaftNode
 
 from helpers import registrations
 
@@ -79,12 +81,19 @@ class TestRegistryApi:
                     name="has space", node_class=RaftNode, title="x"
                 )
             )
-        with pytest.raises(ConfigurationError, match="timeout_kind"):
-            protocols.ProtocolSpec(
-                name="x", node_class=RaftNode, title="x", timeout_kind="magic"
-            )
         with pytest.raises(ConfigurationError, match="RaftNode subclass"):
             protocols.ProtocolSpec(name="x", node_class=dict, title="x")
+
+    @pytest.mark.parametrize("node_class", [EscapeNode, ZRaftNode])
+    def test_a_policy_is_refused_where_no_node_reads_it(self, node_class):
+        # Their timeouts come from the configuration (Eq. 1), never a policy.
+        with pytest.raises(ConfigurationError, match="_hook_election_timeout_ms"):
+            protocols.ProtocolSpec(
+                name="x",
+                node_class=node_class,
+                title="x",
+                default_timeout_policy=protocol_registry._fixed_midpoint_policy,
+            )
 
     def test_specs_pickle_by_reference(self):
         for _, spec in protocols.items():
@@ -230,13 +239,10 @@ class TestGoldenPairedResults:
             assert measurement.winner_id == winner
 
 
-class TestTimeoutOverrideFactory:
-    @pytest.mark.parametrize("protocol", ["escape", "zraft"])
-    def test_override_reaches_every_override_driven_node(self, protocol):
-        override = ScriptOnlyPolicy(script=(1_234.0,))
-        cluster = build_cluster(
-            protocol, size=3, timeout_override_factory=lambda server_id: override
-        )
+class TestTimeoutScript:
+    @pytest.mark.parametrize("name", protocols.names())
+    def test_the_script_reaches_every_node(self, name):
+        cluster = build_cluster(name, size=3, timeout_script=(1_234.0,))
         assert all(
-            node._timeout_override is override for node in cluster.nodes.values()
+            node.timeout_script == (1_234.0,) for node in cluster.nodes.values()
         )

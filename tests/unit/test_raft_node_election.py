@@ -5,7 +5,7 @@ import pytest
 from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 
 from repro import protocols
-from repro.common.errors import NotLeaderError, ProtocolError
+from repro.common.errors import ConfigurationError, NotLeaderError, ProtocolError
 from repro.raft.listeners import NodeListenerBase, listener_table
 
 LISTENER_EVENTS = (
@@ -437,3 +437,44 @@ class TestProposalsRequireLeadership:
         assert node.role is Role.LEADER
         # The election timer is cancelled for a leader.
         assert "S1:election-timeout" not in env.pending_timer_labels()
+
+
+def election_waits(env):
+    """Every election-timer delay the node armed, in order."""
+    return [timer.delay_ms for timer in env.timers if timer.label.endswith(":election-timeout")]
+
+
+class TestTimeoutScript:
+    def test_the_script_comes_first_then_the_policy(self):
+        node, env = make_node(
+            node_id=2, timeout_policy=FixedTimeoutPolicy(999.0), timeout_script=(100.0, 200.0)
+        )
+        node.start()
+        env.fire_next_timer("S2:election-timeout")
+        env.fire_next_timer("S2:election-timeout")
+        assert election_waits(env) == [100.0, 200.0, 999.0]
+
+    def test_hearing_a_leader_restarts_the_script(self):
+        node, env = make_node(node_id=2, timeout_script=(100.0, 200.0))
+        node.start()
+        env.fire_next_timer("S2:election-timeout")
+        node.on_message(
+            1, AppendEntriesRequest(term=1, leader_id=1, prev_log_index=0, prev_log_term=0)
+        )
+        assert election_waits(env) == [100.0, 200.0, 100.0]
+
+    def test_a_scripted_wait_draws_nothing(self):
+        node, env = make_node(timeout_script=(100.0,))
+        untouched = env.rng.getstate()
+        node.start()
+        assert env.rng.getstate() == untouched
+        env.fire_next_timer("S1:election-timeout")
+        # After the script, Raft draws from its configured range again.
+        timeouts = node.config.raft_timeouts
+        assert env.rng.getstate() != untouched
+        assert timeouts.timeout_min_ms <= election_waits(env)[1] <= timeouts.timeout_max_ms
+
+    @pytest.mark.parametrize("script", [(0.0,), (100.0, -1.0), (float("nan"),)])
+    def test_every_scripted_value_must_be_positive(self, script):
+        with pytest.raises(ConfigurationError, match="scripted timeout"):
+            make_node(timeout_script=script)

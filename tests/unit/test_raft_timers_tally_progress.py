@@ -8,12 +8,7 @@ from repro.common.config import RaftTimeoutConfig
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.raft.election import VoteTally
 from repro.raft.replication import ReplicationProgress
-from repro.raft.timers import (
-    FixedTimeoutPolicy,
-    RandomizedTimeoutPolicy,
-    ScriptOnlyPolicy,
-    ScriptedTimeoutPolicy,
-)
+from repro.raft.timers import FixedTimeoutPolicy, RandomizedTimeoutPolicy
 from repro.storage.log import LogEntry, ReplicatedLog
 
 
@@ -21,7 +16,7 @@ class TestTimeoutPolicies:
     def test_randomized_policy_stays_in_range(self):
         policy = RandomizedTimeoutPolicy(1500.0, 3000.0)
         rng = random.Random(0)
-        draws = [policy.next_timeout_ms(rng, attempt=0) for _ in range(200)]
+        draws = [policy.next_timeout_ms(rng) for _ in range(200)]
         assert all(1500.0 <= draw <= 3000.0 for draw in draws)
         assert len(set(draws)) > 100
 
@@ -32,36 +27,14 @@ class TestTimeoutPolicies:
     def test_fixed_policy_always_returns_value(self):
         policy = FixedTimeoutPolicy(1500.0)
         rng = random.Random(0)
-        assert policy.next_timeout_ms(rng, 0) == 1500.0
-        assert policy.next_timeout_ms(rng, 5) == 1500.0
-
-    def test_scripted_policy_replays_then_falls_back(self):
-        policy = ScriptedTimeoutPolicy(
-            script=(100.0, 200.0), fallback=FixedTimeoutPolicy(999.0)
-        )
-        rng = random.Random(0)
-        assert policy.next_timeout_ms(rng, 0) == 100.0
-        assert policy.next_timeout_ms(rng, 1) == 200.0
-        assert policy.next_timeout_ms(rng, 2) == 999.0
-
-    def test_scripted_policy_needs_a_fallback(self):
-        # No silent 1500-3000 ms default behind a scenario's own range.
-        with pytest.raises(TypeError, match="fallback"):
-            ScriptedTimeoutPolicy(script=(100.0,))
-
-    def test_script_only_policy_opts_out_after_script(self):
-        policy = ScriptOnlyPolicy(script=(100.0,))
-        rng = random.Random(0)
-        assert policy.next_timeout_ms(rng, 0) == 100.0
-        assert policy.next_timeout_ms(rng, 1) == 0.0
+        assert policy.next_timeout_ms(rng) == 1500.0
+        assert policy.next_timeout_ms(rng) == 1500.0
 
     def test_invalid_policies_rejected(self):
         with pytest.raises(ConfigurationError):
             RandomizedTimeoutPolicy(300.0, 200.0)
         with pytest.raises(ConfigurationError):
             FixedTimeoutPolicy(0.0)
-        with pytest.raises(ConfigurationError):
-            ScriptOnlyPolicy(script=(0.0,))
 
 
 class TestVoteTally:
