@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 from repro.common.errors import SimulationError
 from repro.common.types import Milliseconds
 from repro.raft.listeners import NodeListenerBase
-from repro.raft.state import Role
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.cluster.builder import SimulatedCluster
@@ -53,22 +52,25 @@ def quorum_leader(cluster: "SimulatedCluster") -> "RaftNode | None":
     both need a majority of the full membership).  This is also the leader a
     well-behaved client would end up talking to -- requests to a stale
     isolated leader time out and the client fails over to the majority side.
+
+    The workload's clients ask before every attempt, so this reads the
+    cluster's leader tracker instead of scanning the nodes: a started
+    cluster's member runs unless :meth:`SimulatedCluster.crash` stopped it.
+    Ties on term go to the lowest server id.
     """
+    leader_ids = cluster.leader_ids
+    if not leader_ids:
+        return None
     quorum = cluster.config.quorum_size
     partitions = cluster.network.partitions
-    capable = []
-    for node in cluster.running_nodes():
-        if node.role is not Role.LEADER:
-            continue
-        cell = partitions.cell_members(node.node_id)
-        running_in_cell = sum(
-            1 for member in cell if cluster.node(member).is_running
-        )
-        if running_in_cell >= quorum:
-            capable.append(node)
-    if not capable:
-        return None
-    return max(capable, key=lambda node: node.current_term)
+    crashed = cluster.crashed
+    best = None
+    for leader_id in sorted(leader_ids):
+        if len(partitions.cell_members(leader_id) - crashed) >= quorum:
+            leader = cluster.nodes[leader_id]
+            if best is None or leader.current_term > best.current_term:
+                best = leader
+    return best
 
 
 def cluster_available(cluster: "SimulatedCluster") -> bool:

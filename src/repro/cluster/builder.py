@@ -46,6 +46,10 @@ class _LeaderTracker(NodeListenerBase):
     set does -- a leader's term is fixed for as long as it leads -- so every
     change calls *interrupt* (the scheduler's) and the harness, waiting in
     ``run_until_interrupted``, re-evaluates its predicate then and only then.
+
+    It is every node's first listener, so a listener that reads the set
+    (:func:`repro.chaos.availability.quorum_leader`, from the availability
+    observer) sees the role change that is being announced.
     """
 
     __slots__ = ("leader_ids", "_interrupt")
@@ -77,6 +81,7 @@ class SimulatedCluster:
         world: SimulationWorld,
         network: SimulatedNetwork,
         nodes: Mapping[ServerId, RaftNode],
+        leader_tracker: _LeaderTracker,
     ) -> None:
         self.protocol = protocol
         self.config = config
@@ -84,9 +89,10 @@ class SimulatedCluster:
         self.network = network
         self.nodes: dict[ServerId, RaftNode] = dict(nodes)
         self._crashed: set[ServerId] = set()
-        self._leader_tracker = _LeaderTracker(world.scheduler.interrupt)
-        for node in self.nodes.values():
-            node.add_listener(self._leader_tracker)
+        self._leader_tracker = leader_tracker
+        #: The running nodes whose role is LEADER: the tracker's live set,
+        #: kept current in place.  Read-only.
+        self.leader_ids: set[ServerId] = leader_tracker.leader_ids
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -133,7 +139,7 @@ class SimulatedCluster:
     # ------------------------------------------------------------------ #
     def leader(self) -> RaftNode | None:
         """The running leader with the highest term, if any."""
-        leader_ids = self._leader_tracker.leader_ids
+        leader_ids = self.leader_ids
         if not leader_ids:
             return None
         # sorted() keeps the answer deterministic if two leaders ever tie on
@@ -148,7 +154,7 @@ class SimulatedCluster:
 
     def has_leader(self) -> bool:
         """Whether a running node currently considers itself leader.  O(1)."""
-        return bool(self._leader_tracker.leader_ids)
+        return bool(self.leader_ids)
 
     def has_leader_other_than(self, exclude: ServerId) -> bool:
         """Whether :meth:`leader` would return a node other than *exclude*.
@@ -159,7 +165,7 @@ class SimulatedCluster:
         case -- *exclude* still among the tracked leaders -- falls back to
         the full highest-term comparison.
         """
-        leader_ids = self._leader_tracker.leader_ids
+        leader_ids = self.leader_ids
         if not leader_ids:
             return False
         if exclude not in leader_ids:
@@ -263,7 +269,8 @@ def build_cluster(
     )
 
     nodes: dict[ServerId, RaftNode] = {}
-    shared_listeners = list(listeners)
+    leader_tracker = _LeaderTracker(world.scheduler.interrupt)
+    shared_listeners = [leader_tracker, *listeners]
     for server_id in cluster_config.server_ids:
         env = SimNodeEnvironment(world, network, server_id)
         node = spec.build_node(
@@ -279,4 +286,6 @@ def build_cluster(
         network.register(server_id, node.on_message)
         nodes[server_id] = node
 
-    return SimulatedCluster(spec.name, cluster_config, world, network, nodes)
+    return SimulatedCluster(
+        spec.name, cluster_config, world, network, nodes, leader_tracker
+    )

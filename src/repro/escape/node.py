@@ -7,18 +7,23 @@
 Hook                              ESCAPE behaviour
 ================================  ====================================================
 ``_hook_next_election_term``      term grows by the node's priority (Eq. 2)
-``_hook_election_timeout_ms``     the timeout paired with the current configuration
 ``_hook_may_grant_vote``          reject candidates with a stale configuration clock
 ``_hook_make_vote_request``       include configuration clock (and priority)
 ``_hook_decorate_append_request`` piggyback the follower's newly assigned configuration
 ``_hook_payload_token``           the patrol and its clock (what that piggyback reads)
-``_hook_append_response_extra``   the follower's current ``configStatus`` (memoised)
-``_hook_build_append_response``   attach that ``configStatus`` to the reply
+``_hook_build_append_response``   attach the current ``configStatus`` (memoised)
 ``_hook_on_leader_heartbeat``     adopt a newer configuration carried by a heartbeat
 ``_hook_on_append_response``      feed the PPF with follower responsiveness
 ``_hook_before_heartbeat_round``  run one PPF round (clock bump + re-ranking)
 ``_hook_on_become_leader``        instantiate the PPF for this leadership period
 ================================  ====================================================
+
+Two more differences are node state, read by Raft's own code with no call:
+the node :attr:`~repro.raft.node.RaftNode.sets_own_timeouts` -- every
+unscripted election-timeout wait is the timeout paired with the held
+configuration (Eq. 1) -- and the held configuration is the reply token that,
+with the log tail, keys Raft's reply memo (the ``configStatus`` is a function
+of the two).  :meth:`EscapeNode._hold` keeps both current.
 
 Everything else -- log replication, commitment, vote counting -- is inherited
 unchanged, which is the code-level expression of the paper's safety argument.
@@ -63,6 +68,7 @@ class EscapeNode(RaftNode):
     """
 
     protocol_name = "escape"
+    sets_own_timeouts = True
 
     def __init__(
         self,
@@ -90,7 +96,7 @@ class EscapeNode(RaftNode):
             initial_configuration = joining_configuration(
                 node_id, cluster.size, self.config.sca
             )
-        self.configuration: Configuration = initial_configuration
+        self._hold(initial_configuration)
         self.patrol: ProbingPatrol | None = None
         self.configuration_updates = 0
         # Steady-state memos, all compared by identity (the objects are
@@ -103,15 +109,19 @@ class EscapeNode(RaftNode):
         ] = {}
 
     # ------------------------------------------------------------------ #
-    # SCA: term growth and election timeouts
+    # SCA: the held configuration, term growth
     # ------------------------------------------------------------------ #
+    def _hold(self, configuration: Configuration) -> None:
+        """Hold *configuration*: its timeout (Eq. 1) is every unscripted
+        election-timeout wait from the next timer reset on, and it is the
+        reply token (see :meth:`RaftNode._make_append_response`)."""
+        self.configuration: Configuration = configuration
+        self._own_timeout_ms = configuration.timer_period_ms
+        self._reply_token = configuration
+
     def _hook_next_election_term(self) -> Term:
         """Eq. 2: the campaign term grows by this server's priority."""
         return self.current_term + self.configuration.priority
-
-    def _hook_election_timeout_ms(self) -> Milliseconds:
-        """The timeout paired with the current configuration (Eq. 1)."""
-        return self.configuration.timer_period_ms
 
     # ------------------------------------------------------------------ #
     # Configuration-clock vote gating
@@ -239,15 +249,17 @@ class EscapeNode(RaftNode):
                     old=self.configuration.describe(),
                     new=new_config.describe(),
                 )
-            self.configuration = new_config
+            self._hold(new_config)
             self.configuration_updates += 1
 
-    def _hook_append_response_extra(self) -> ConfigStatus:
-        """This follower's ``configStatus``, rebuilt only when it changed.
+    def _hook_build_append_response(
+        self, success: bool, match_index: LogIndex
+    ) -> AppendEntriesResponse:
+        """Attach this follower's ``configStatus`` to the reply.
 
-        The status is a function of the log tail and the held configuration;
-        the configuration is frozen, so holding the same object means holding
-        the same values.
+        The status is a function of the log tail and the held configuration,
+        and is rebuilt only when one of them changed: the configuration is
+        frozen, so holding the same object means holding the same values.
         """
         configuration = self.configuration
         memo = self._config_status_memo
@@ -256,19 +268,14 @@ class EscapeNode(RaftNode):
             and memo[0] is configuration
             and memo[1].log_index == self.log.last_index
         ):
-            return memo[1]
-        status = ConfigStatus(
-            self.log.last_index, configuration.timer_period_ms, configuration.conf_clock
-        )
-        self._config_status_memo = (configuration, status)
-        return status
-
-    def _hook_build_append_response(
-        self, success: bool, match_index: LogIndex, extra: ConfigStatus
-    ) -> AppendEntriesResponse:
-        """Attach this follower's ``configStatus`` to the reply."""
+            status = memo[1]
+        else:
+            status = ConfigStatus(
+                self.log.last_index, configuration.timer_period_ms, configuration.conf_clock
+            )
+            self._config_status_memo = (configuration, status)
         return EscapeAppendEntriesResponse(
-            self.current_term, self.node_id, success, match_index, extra
+            self.current_term, self.node_id, success, match_index, status
         )
 
     # ------------------------------------------------------------------ #

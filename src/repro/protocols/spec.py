@@ -49,8 +49,9 @@ class ProtocolSpec:
         default_timeout_policy: optional :data:`TimeoutPolicyFactory` whose
             policy every node is built with (e.g. ``raft-fixed`` pins every
             server to one deterministic timeout).  Only for a node class that
-            reads its policy: one that overrides ``_hook_election_timeout_ms``
-            (the ESCAPE family) is rejected with it.
+            reads its policy: one that
+            :attr:`~repro.raft.node.RaftNode.sets_own_timeouts` (the ESCAPE
+            family) is rejected with it.
         guarantees_liveness: whether the protocol is expected to elect a
             leader under the paper's healthy-network conditions.  ``False``
             only for degenerate baselines (``raft-fixed`` livelocks by
@@ -71,13 +72,9 @@ class ProtocolSpec:
             raise ConfigurationError(
                 f"node_class {self.node_class!r} must be a RaftNode subclass"
             )
-        if (
-            self.default_timeout_policy is not None
-            and self.node_class._hook_election_timeout_ms
-            is not RaftNode._hook_election_timeout_ms
-        ):
+        if self.default_timeout_policy is not None and self.node_class.sets_own_timeouts:
             raise ConfigurationError(
-                f"{self.node_class.__name__} overrides _hook_election_timeout_ms, "
+                f"{self.node_class.__name__} sets its own election timeouts, "
                 "so it would never read default_timeout_policy"
             )
 

@@ -49,7 +49,8 @@ class RaftNode:
         state_machine: the replicated state machine (defaults to a
             :class:`~repro.statemachine.kvstore.KeyValueStore`).
         timeout_policy: election-timeout policy (defaults to Raft's randomized
-            policy built from ``protocol_config.raft_timeouts``).
+            policy built from ``protocol_config.raft_timeouts``); ``None`` on
+            a class that :attr:`sets_own_timeouts`.
         protocol_config: heartbeat interval and related timing knobs.
         listeners: observers notified of protocol events.
         timeout_script: the first waits after losing the leader, in order
@@ -60,6 +61,11 @@ class RaftNode:
     """
 
     protocol_name = "raft"
+
+    #: Whether the class sets its own election timeouts (ESCAPE: the one its
+    #: configuration carries, Eq. 1) in ``_own_timeout_ms`` instead of
+    #: drawing them from a timeout policy.
+    sets_own_timeouts = False
 
     def __init__(
         self,
@@ -84,11 +90,13 @@ class RaftNode:
         self.config = protocol_config or ProtocolConfig.paper_defaults()
         self.store = store if store is not None else InMemoryStore()
         self.state_machine = state_machine if state_machine is not None else KeyValueStore()
-        self.timeout_policy: ElectionTimeoutPolicy = (
-            timeout_policy
-            if timeout_policy is not None
-            else RandomizedTimeoutPolicy.from_config(self.config.raft_timeouts)
-        )
+        if timeout_policy is None and not self.sets_own_timeouts:
+            timeout_policy = RandomizedTimeoutPolicy.from_config(self.config.raft_timeouts)
+        self.timeout_policy: ElectionTimeoutPolicy | None = timeout_policy
+        # Every unscripted election-timeout wait, for a class that sets its
+        # own timeouts (which keeps it current); None draws each wait from
+        # the policy.
+        self._own_timeout_ms: Milliseconds | None = None
         self._listening = listener_table()
         for listener in listeners:
             enter_listener(self._listening, listener)
@@ -104,7 +112,8 @@ class RaftNode:
         self.leader_id: ServerId | None = None
         self.commit_index: LogIndex = 0
         self.last_applied: LogIndex = 0
-        self.votes = VoteTally(cluster.quorum_size)
+        self.quorum_size = cluster.quorum_size
+        self.votes = VoteTally(self.quorum_size)
         self.progress: ReplicationProgress | None = None
 
         # Timers and counters.
@@ -123,9 +132,6 @@ class RaftNode:
         self._decorate_is_default = (
             cls._hook_decorate_append_request is RaftNode._hook_decorate_append_request
         )
-        self._timeout_hook_is_default = (
-            cls._hook_election_timeout_ms is RaftNode._hook_election_timeout_ms
-        )
         self._grant_hook_is_default = (
             cls._hook_may_grant_vote is RaftNode._hook_may_grant_vote
         )
@@ -138,14 +144,13 @@ class RaftNode:
         self._round_hook_is_default = (
             cls._hook_before_heartbeat_round is RaftNode._hook_before_heartbeat_round
         )
-        self._reply_extra_is_default = (
-            cls._hook_append_response_extra is RaftNode._hook_append_response_extra
-        )
         self._trace_on: bool = getattr(env, "trace_enabled", True)
-        # Reply memo: (term, success, match_index, extra) -> the frozen reply.
-        self._append_response_memo: tuple[
-            Term, bool, LogIndex, Any, AppendEntriesResponse
-        ] | None = None
+        # Reply memo: ((term, success, match_index, log.last_index, reply
+        # token), the frozen reply).  A subclass whose replies carry more than
+        # Raft's fields keeps ``_reply_token`` such that the token and the log
+        # tail fix that content (ESCAPE: the held configuration).
+        self._reply_token: Any = None
+        self._append_response_memo: tuple[tuple, AppendEntriesResponse] | None = None
         # Base AppendEntries per next-index, valid while the key -- the
         # (current_term, log.last_index, commit_index) it was built under --
         # is unchanged (see _append_entries_factory).
@@ -235,7 +240,7 @@ class RaftNode:
         assert self.progress is not None
         self.progress.record_local_append(entry.index)
         self.env.trace("log.propose", index=entry.index, term=entry.term)
-        if self.cluster.quorum_size == 1:
+        if self.quorum_size == 1:
             self._advance_commit_index()
         else:
             self._replicate_to_followers()
@@ -474,23 +479,26 @@ class RaftNode:
             self._hook_on_leader_heartbeat(request)
         self._reset_election_timer()
 
+        log = self.log
         prev_log_index = request.prev_log_index
-        if prev_log_index and not self.log.matches(prev_log_index, request.prev_log_term):
-            if self._trace_on:
-                self.env.trace(
-                    "log.reject",
-                    leader=request.leader_id,
-                    prev_index=request.prev_log_index,
-                    prev_term=request.prev_log_term,
-                )
-            self.env.send(src, self._make_append_response(False, self.log.last_index))
-            return
-
         entries = request.entries
-        if entries and self.log.merge_entries(prev_log_index, entries):
-            self.store.save_log(self.log)
+        # An empty window after index 0 passes the check and changes nothing.
+        if prev_log_index or entries:
+            changed = log.check_and_merge(prev_log_index, request.prev_log_term, entries)
+            if changed is None:
+                if self._trace_on:
+                    self.env.trace(
+                        "log.reject",
+                        leader=request.leader_id,
+                        prev_index=request.prev_log_index,
+                        prev_term=request.prev_log_term,
+                    )
+                self.env.send(src, self._make_append_response(False, log.last_index))
+                return
+            if changed:
+                self.store.save_log(log)
         if request.leader_commit > self.commit_index:
-            self.commit_index = min(request.leader_commit, self.log.last_index)
+            self.commit_index = min(request.leader_commit, log.last_index)
             self._apply_committed_entries()
         self.env.send(
             src, self._make_append_response(True, prev_log_index + len(entries))
@@ -502,24 +510,17 @@ class RaftNode:
         """The reply to an AppendEntries request, reused while nothing changed.
 
         Replies are value-frozen, so the steady heartbeat stream (same term,
-        same match index, same protocol-specific extra) reuses one instance
-        instead of allocating per reply.
+        same match index, same log tail and reply token) reuses one instance
+        instead of allocating per reply; only a miss calls the build hook.
         """
-        term = self.current_term
-        extra = (
-            None if self._reply_extra_is_default else self._hook_append_response_extra()
+        key = (
+            self.current_term, success, match_index, self.log.last_index, self._reply_token
         )
         memo = self._append_response_memo
-        if (
-            memo is not None
-            and memo[0] == term
-            and memo[1] is success
-            and memo[2] == match_index
-            and memo[3] is extra
-        ):
-            return memo[4]
-        response = self._hook_build_append_response(success, match_index, extra)
-        self._append_response_memo = (term, success, match_index, extra, response)
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        response = self._hook_build_append_response(success, match_index)
+        self._append_response_memo = (key, response)
         return response
 
     def _handle_append_entries_response(
@@ -704,18 +705,25 @@ class RaftNode:
             # log tail, so there is nothing further to commit.
             return
         new_commit = self.progress.commit_index_for_quorum(
-            self.cluster.quorum_size, self.log, self.current_term
+            self.quorum_size, self.log, self.current_term
         )
         if new_commit > self.commit_index:
             self.commit_index = new_commit
             self._apply_committed_entries()
 
     def _apply_committed_entries(self) -> None:
+        """Apply the newly committed range, read from the log in one slice.
+
+        Listeners are notified synchronously and must not re-enter the node.
+        """
         listening = self._listening["on_entry_committed"]
         now = self.env.now() if listening else 0.0
-        while self.last_applied < self.commit_index:
-            entry = self.log.entry_at(self.last_applied + 1)
-            self.state_machine.apply(entry.command)
+        apply = self.state_machine.apply
+        last_applied = self.last_applied
+        for entry in self.log.entries_from(
+            last_applied + 1, self.commit_index - last_applied
+        ):
+            apply(entry.command)
             # Only now: an entry the state machine refused was not applied.
             # It stays next in line, so every later call raises on it again
             # and applies nothing after it: entries apply in log order or
@@ -731,17 +739,21 @@ class RaftNode:
     # ------------------------------------------------------------------ #
     def _reset_election_timer(self) -> None:
         script = self.timeout_script
-        policy = self.timeout_policy
         if script and self._timeout_attempt < len(script):
             # A scripted wait draws nothing, whatever the protocol.
             timeout = script[self._timeout_attempt]
-        elif self._timeout_hook_is_default and type(policy) is RandomizedTimeoutPolicy:
-            # Inlined RandomizedTimeoutPolicy.next_timeout_ms: bit-identical
-            # to rng.uniform(low, high) == low + (high - low) * rng.random().
-            low = policy.low_ms
-            timeout = low + (policy.high_ms - low) * self.env.rng.random()
         else:
-            timeout = self._hook_election_timeout_ms()
+            timeout = self._own_timeout_ms
+            if timeout is None:
+                policy = self.timeout_policy
+                if type(policy) is RandomizedTimeoutPolicy:
+                    # Inlined RandomizedTimeoutPolicy.next_timeout_ms:
+                    # bit-identical to rng.uniform(low, high), which is
+                    # low + (high - low) * rng.random().
+                    low = policy.low_ms
+                    timeout = low + (policy.high_ms - low) * self.env.rng.random()
+                else:
+                    timeout = policy.next_timeout_ms(self.env.rng)
         self._election_timer = self.env.rearm_timer(
             self._election_timer, timeout, self._on_election_timeout, "election-timeout"
         )
@@ -767,10 +779,6 @@ class RaftNode:
     def _hook_next_election_term(self) -> Term:
         """Term used for the next campaign.  Raft: ``current_term + 1``."""
         return self.current_term + 1
-
-    def _hook_election_timeout_ms(self) -> Milliseconds:
-        """Length of the next unscripted election-timeout wait."""
-        return self.timeout_policy.next_timeout_ms(self.env.rng)
 
     def _hook_may_grant_vote(self, request: RequestVoteRequest) -> bool:
         """Protocol-specific extra vote checks (ESCAPE: configuration clock)."""
@@ -798,20 +806,15 @@ class RaftNode:
         objects by strong reference, never by ``id()`` (ids are reused)."""
         return None
 
-    def _hook_append_response_extra(self) -> Any:
-        """What an AppendEntries reply carries beyond Raft's fields.
-
-        The returned object is part of the reply-memo key, compared by
-        identity, and is handed to :meth:`_hook_build_append_response`; a
-        subclass must return the same object for as long as the extra content
-        of its replies is unchanged (ESCAPE: its current ``configStatus``).
-        """
-        return None
-
     def _hook_build_append_response(
-        self, success: bool, match_index: LogIndex, extra: Any
+        self, success: bool, match_index: LogIndex
     ) -> AppendEntriesResponse:
-        """Construct the reply to an AppendEntries request (memo miss only)."""
+        """Construct the reply to an AppendEntries request (memo miss only).
+
+        Whatever a subclass adds beyond Raft's fields (ESCAPE: its current
+        ``configStatus``) must be a function of the log tail and
+        ``_reply_token`` (see :meth:`_make_append_response`).
+        """
         return AppendEntriesResponse(
             self.current_term, self.node_id, success, match_index
         )

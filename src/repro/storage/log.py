@@ -3,11 +3,11 @@
 Raft's log is 1-indexed; index 0 denotes the empty-log sentinel with term 0.
 The log exposes exactly the operations the protocol needs:
 
-* append new entries (leader) or overwrite conflicting suffixes (follower)
-  -- :meth:`ReplicatedLog.merge_entries`, which recognises an already-stored
+* append new entries (leader);
+* the follower's side of AppendEntries in one call -- the *consistency check*
+  and the merge that overwrites conflicting suffixes
+  (:meth:`ReplicatedLog.check_and_merge`), which recognises an already-stored
   (retransmitted) window with one slice comparison before its per-entry loop;
-* the *consistency check* used by AppendEntries (``matches(prev_index,
-  prev_term)``);
 * the *up-to-date comparison* used when granting votes (Section II-A,
   requirement 3): candidate logs are compared first by last term, then by
   last index.
@@ -48,27 +48,18 @@ class ReplicatedLog:
 
     def __init__(self, entries: Iterable[LogEntry] = ()) -> None:
         self._entries: list[LogEntry] = []
-        # Tail cache, maintained by every mutation: the vote-granting
-        # comparison runs once per RequestVote received, so the tail must not
-        # cost a list index per read.
-        self._last_index: LogIndex = 0
-        self._last_term: Term = 0
+        #: Index and term of the last entry (0 and 0 when the log is empty).
+        #: Plain attributes, maintained by every mutation and read-only to
+        #: everyone else: the AppendEntries and RequestVote handlers read the
+        #: tail several times per message.
+        self.last_index: LogIndex = 0
+        self.last_term: Term = 0
         for entry in entries:
             self.append_entry(entry)
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def last_index(self) -> LogIndex:
-        """Index of the last entry, or 0 when the log is empty."""
-        return self._last_index
-
-    @property
-    def last_term(self) -> Term:
-        """Term of the last entry, or 0 when the log is empty."""
-        return self._last_term
-
     def term_at(self, index: LogIndex) -> Term:
         """Term of the entry at *index*; index 0 is the sentinel with term 0.
 
@@ -82,16 +73,16 @@ class ReplicatedLog:
 
     def entry_at(self, index: LogIndex) -> LogEntry:
         """The entry stored at *index* (1-based)."""
-        if index < 1 or index > self._last_index:
+        if index < 1 or index > self.last_index:
             raise StorageError(
-                f"log index {index} out of range [1, {self._last_index}]"
+                f"log index {index} out of range [1, {self.last_index}]"
             )
         entry = self._entries[index - 1]
         return entry
 
     def has_entry(self, index: LogIndex) -> bool:
         """Whether an entry exists at *index*."""
-        return 1 <= index <= self._last_index
+        return 1 <= index <= self.last_index
 
     def entries_from(
         self, start_index: LogIndex, limit: int | None = None
@@ -110,23 +101,23 @@ class ReplicatedLog:
     # ------------------------------------------------------------------ #
     def append_entry(self, entry: LogEntry) -> None:
         """Append a pre-built entry; its index must be contiguous."""
-        expected = self._last_index + 1
+        expected = self.last_index + 1
         if entry.index != expected:
             raise StorageError(
                 f"non-contiguous append: expected index {expected}, got {entry.index}"
             )
-        if self._entries and entry.term < self._last_term:
+        if self._entries and entry.term < self.last_term:
             raise StorageError(
                 f"entry term {entry.term} is lower than the previous entry's term "
-                f"{self._last_term}"
+                f"{self.last_term}"
             )
         self._entries.append(entry)
-        self._last_index = entry.index
-        self._last_term = entry.term
+        self.last_index = entry.index
+        self.last_term = entry.term
 
     def append_command(self, term: Term, command: Any) -> LogEntry:
         """Create and append a new entry for *command* in *term* (leader path)."""
-        entry = LogEntry(term=term, index=self._last_index + 1, command=command)
+        entry = LogEntry(term=term, index=self.last_index + 1, command=command)
         self.append_entry(entry)
         return entry
 
@@ -138,26 +129,29 @@ class ReplicatedLog:
         """
         if index < 1:
             raise StorageError(f"truncate index must be >= 1, got {index}")
-        removed = max(0, self._last_index - index + 1)
+        removed = max(0, self.last_index - index + 1)
         del self._entries[index - 1 :]
         if self._entries:
             tail = self._entries[-1]
-            self._last_index = tail.index
-            self._last_term = tail.term
+            self.last_index = tail.index
+            self.last_term = tail.term
         else:
-            self._last_index = 0
-            self._last_term = 0
+            self.last_index = 0
+            self.last_term = 0
         return removed
 
-    def merge_entries(
-        self, prev_index: LogIndex, entries: Sequence[LogEntry]
-    ) -> bool:
-        """Apply the AppendEntries merge rule for *entries* following *prev_index*.
+    def check_and_merge(
+        self, prev_index: LogIndex, prev_term: Term, entries: Sequence[LogEntry]
+    ) -> bool | None:
+        """The follower's side of AppendEntries: the consistency check, then
+        the merge rule for *entries* following *prev_index*.
 
-        Existing entries that conflict (same index, different term) are removed
-        together with everything after them; new entries are appended.  Entries
-        that already match are left untouched (so a delayed, duplicated
-        AppendEntries never truncates committed data).
+        The check passes when this log holds an entry at *prev_index* whose
+        term is *prev_term*; index 0, the empty-log sentinel, always passes.
+        Then existing entries that conflict (same index, different term) are
+        removed together with everything after them, and new entries are
+        appended.  Entries that already match are left untouched, so a
+        delayed, duplicated AppendEntries never truncates committed data.
 
         A retransmitted window costs one slice comparison, not a per-entry
         walk: the part of *entries* that overlaps the stored log is compared
@@ -170,29 +164,35 @@ class ReplicatedLog:
         window when the overlap differs anywhere).
 
         Returns:
-            ``True`` if the log changed.
+            ``None`` if the consistency check failed (the log is untouched),
+            otherwise whether the log changed.
         """
-        stored = self._last_index - prev_index
+        stored_entries = self._entries
+        if prev_index and not (
+            0 < prev_index <= self.last_index
+            and stored_entries[prev_index - 1].term == prev_term
+        ):
+            return None
+        if not entries:
+            return False
+        stored = self.last_index - prev_index
         if stored > 0:
             stored = min(stored, len(entries))
-            if self._entries[prev_index : prev_index + stored] == list(entries[:stored]):
+            if stored_entries[prev_index : prev_index + stored] == list(entries[:stored]):
                 if stored == len(entries):
                     return False
                 entries = entries[stored:]
                 prev_index += stored
         changed = False
-        next_index = prev_index + 1
-        for offset, entry in enumerate(entries):
-            index = next_index + offset
+        for index, entry in enumerate(entries, prev_index + 1):
             if entry.index != index:
                 raise StorageError(
                     f"entry index {entry.index} does not match position {index}"
                 )
-            if self.has_entry(index):
-                if self.term_at(index) == entry.term:
+            if index <= self.last_index:
+                if stored_entries[index - 1].term == entry.term:
                     continue
                 self.truncate_from(index)
-                changed = True
             self.append_entry(entry)
             changed = True
         return changed
@@ -200,26 +200,14 @@ class ReplicatedLog:
     # ------------------------------------------------------------------ #
     # Protocol predicates
     # ------------------------------------------------------------------ #
-    def matches(self, prev_index: LogIndex, prev_term: Term) -> bool:
-        """AppendEntries consistency check.
-
-        True when this log contains an entry at *prev_index* whose term is
-        *prev_term* (index 0 always matches).
-        """
-        if prev_index == 0:
-            return True
-        if not 1 <= prev_index <= self._last_index:
-            return False
-        return self._entries[prev_index - 1].term == prev_term
-
     def candidate_is_acceptable(
         self, candidate_last_term: Term, candidate_last_index: LogIndex
     ) -> bool:
         """Whether a candidate with the given log tail may receive our vote."""
-        last_term = self._last_term
+        last_term = self.last_term
         if candidate_last_term != last_term:
             return candidate_last_term > last_term
-        return candidate_last_index >= self._last_index
+        return candidate_last_index >= self.last_index
 
     # ------------------------------------------------------------------ #
     # Dunder helpers

@@ -32,8 +32,8 @@ class ZRaftNode(EscapeNode):
         self.patrol = None
 
     # Each PPF hook is handed back to Raft by alias, not by a fresh no-op
-    # body: RaftNode skips a hook (and keeps its reply memo) only when the
-    # class still holds RaftNode's own function.  Heartbeats carry no
+    # body: RaftNode skips a hook only when the class still holds
+    # RaftNode's own function.  Heartbeats carry no
     # configuration, replies are plain Raft replies with no configStatus,
     # followers never change configuration, and without rearrangement there
     # is no configuration clock to gate votes on.
@@ -43,7 +43,6 @@ class ZRaftNode(EscapeNode):
     _hook_on_append_response = RaftNode._hook_on_append_response
     _hook_on_leader_heartbeat = RaftNode._hook_on_leader_heartbeat
     _hook_may_grant_vote = RaftNode._hook_may_grant_vote
-    _hook_append_response_extra = RaftNode._hook_append_response_extra
     _hook_build_append_response = RaftNode._hook_build_append_response
 
     def _hook_next_election_term(self) -> Term:

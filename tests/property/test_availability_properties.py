@@ -9,13 +9,16 @@ intervals are each ordered and non-overlapping, together they tile the
 measured horizon exactly, and the leaderless fraction stays in ``[0, 1]``.
 """
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from repro.chaos.availability import AvailabilityTimeline
+from repro.chaos.availability import AvailabilityTimeline, quorum_leader
+from repro.cluster.builder import build_cluster
 from repro.common.errors import SimulationError
+from repro.raft.listeners import NodeListenerBase
+from repro.raft.state import Role
 
 # An arbitrary fault history: the window's starting state, then a sequence of
 # (time delta, observed availability) observations.  Deltas of zero exercise
@@ -124,3 +127,93 @@ class TestTimelineEdgeCases:
         assert report.available_intervals == ()
         assert report.leaderless_intervals == ()
         assert report.unavailability == 0.0
+
+
+# ---------------------------------------------------------------------- #
+# quorum_leader: the leader tracker against a scan of every node
+# ---------------------------------------------------------------------- #
+def scanned_quorum_leader(cluster):
+    """The highest-term running leader whose cell holds a running quorum,
+    found by asking every node (the tracker-free reference)."""
+    quorum = cluster.config.quorum_size
+    partitions = cluster.network.partitions
+    capable = []
+    for node in cluster.running_nodes():
+        if node.role is not Role.LEADER:
+            continue
+        cell = partitions.cell_members(node.node_id)
+        if sum(1 for member in cell if cluster.node(member).is_running) >= quorum:
+            capable.append(node)
+    return max(capable, key=lambda node: node.current_term) if capable else None
+
+
+class _AgreementCheck(NodeListenerBase):
+    """Compares the two answers wherever the availability observer asks."""
+
+    def __init__(self):
+        self.cluster = None
+        self.checks = 0
+
+    def check(self):
+        if self.cluster is not None:
+            assert quorum_leader(self.cluster) is scanned_quorum_leader(self.cluster)
+            self.checks += 1
+
+    def on_role_change(self, node_id, old_role, new_role, term, time_ms):
+        self.check()
+
+    def on_leader_elected(self, leader_id, term, votes, time_ms):
+        self.check()
+
+
+CLUSTER_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("run"), st.floats(min_value=10.0, max_value=4_000.0)),
+        st.tuples(st.just("crash"), st.integers(min_value=0, max_value=99)),
+        st.tuples(st.just("recover"), st.integers(min_value=0, max_value=99)),
+        st.tuples(
+            st.just("partition"),
+            st.lists(st.integers(min_value=0, max_value=2), min_size=7, max_size=7),
+        ),
+        st.tuples(st.just("heal"), st.none()),
+    ),
+    max_size=20,
+)
+
+
+class TestQuorumLeaderAgreesWithTheScan:
+    @given(
+        protocol=st.sampled_from(["raft", "escape"]),
+        size=st.integers(min_value=3, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**16),
+        operations=CLUSTER_OPERATIONS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_under_crash_recover_partition_and_heal(
+        self, protocol, size, seed, operations
+    ):
+        checker = _AgreementCheck()
+        cluster = build_cluster(protocol, size, seed=seed, listeners=(checker,), trace=False)
+        checker.cluster = cluster
+        cluster.start_all()
+        cluster.world.run_for(4_000.0)
+        for operation, argument in operations:
+            if operation == "run":
+                cluster.world.run_for(argument)
+            elif operation == "crash":
+                running = sorted(set(cluster.nodes) - cluster.crashed)
+                if running:
+                    cluster.crash(running[argument % len(running)])
+            elif operation == "recover":
+                crashed = sorted(cluster.crashed)
+                if crashed:
+                    cluster.recover(crashed[argument % len(crashed)])
+            elif operation == "partition":
+                cells = {}
+                for server_id, cell in zip(sorted(cluster.nodes), argument):
+                    cells.setdefault(cell, []).append(server_id)
+                cluster.network.partitions.partition(*cells.values())
+            else:
+                cluster.network.partitions.heal()
+            checker.check()
+        assert checker.checks > len(operations)

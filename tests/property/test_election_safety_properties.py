@@ -9,11 +9,10 @@ invariants that must hold regardless of parameters:
 * ESCAPE-specific -- without faults, ESCAPE never splits votes and converges.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ElectionScenario
-from repro.raft.state import Role
 
 scenario_parameters = st.fixed_dictionaries(
     {
@@ -33,8 +32,12 @@ SETTINGS = settings(
 
 class TestClusterSafetyProperties:
     @given(scenario_parameters)
+    # A leader may trail a campaign at a higher term (S7 leads at term 16
+    # while S8 campaigns at term 17); one leader per term still holds.
+    @example({"protocol": "zraft", "cluster_size": 9, "loss_rate": 0.4, "seed": 623})
     @SETTINGS
     def test_at_most_one_leader_per_term_under_any_conditions(self, params):
+        params = dict(params)
         seed = params.pop("seed")
         scenario = ElectionScenario(
             workload_interval_ms=200.0 if params["loss_rate"] else 0.0,
@@ -48,27 +51,6 @@ class TestClusterSafetyProperties:
         harness.crash_leader_and_measure(seed=seed, max_election_ms=60_000.0)
         harness.assert_at_most_one_leader_per_term()
         assert harness.committed_prefixes_consistent()
-
-    @given(scenario_parameters)
-    @SETTINGS
-    def test_at_most_one_running_leader_holds_the_highest_term(self, params):
-        seed = params.pop("seed")
-        scenario = ElectionScenario(
-            workload_interval_ms=200.0 if params["loss_rate"] else 0.0,
-            max_election_ms=60_000.0,
-            **params,
-        )
-        cluster, harness = scenario.build(seed)
-        cluster.start_all()
-        harness.stabilize()
-        harness.crash_leader_and_measure(seed=seed, max_election_ms=60_000.0)
-        leaders = [
-            node for node in cluster.running_nodes() if node.role is Role.LEADER
-        ]
-        terms = [node.current_term for node in cluster.running_nodes()]
-        if leaders:
-            top = max(leaders, key=lambda node: node.current_term)
-            assert top.current_term == max(terms)
 
     @given(
         st.integers(min_value=3, max_value=10),

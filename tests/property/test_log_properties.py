@@ -1,7 +1,7 @@
 """Property-based tests for the replicated log (hypothesis)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import StorageError
@@ -53,9 +53,9 @@ class TestMergeProperties:
         log = log_from_terms(terms)
         replica = ReplicatedLog()
         entries = list(log)
-        replica.merge_entries(0, entries)
-        changed_again = replica.merge_entries(0, entries)
-        assert not changed_again
+        replica.check_and_merge(0, 0, entries)
+        changed_again = replica.check_and_merge(0, 0, entries)
+        assert changed_again is False
         assert replica.last_index == log.last_index
         assert [entry.term for entry in replica] == [entry.term for entry in log]
 
@@ -70,10 +70,21 @@ class TestMergeProperties:
                 break
             prev = index
         follower.truncate_from(prev + 1)
-        follower.merge_entries(prev, leader.entries_from(prev + 1))
+        assert follower.check_and_merge(
+            prev, leader.term_at(prev), leader.entries_from(prev + 1)
+        ) is not None
         assert follower.last_index == leader.last_index
         for index in range(1, leader.last_index + 1):
             assert follower.term_at(index) == leader.term_at(index)
+
+
+def reference_matches(log, prev_index, prev_term):
+    """The AppendEntries consistency check on its own (index 0 always matches)."""
+    if prev_index == 0:
+        return True
+    if not 1 <= prev_index <= log.last_index:
+        return False
+    return log.term_at(prev_index) == prev_term
 
 
 def reference_merge(log, prev_index, entries):
@@ -124,6 +135,13 @@ def merge_windows(draw):
     return stored, prev_index, draw(st.sampled_from((tuple, list)))(window)
 
 
+def reference_check_and_merge(log, prev_index, prev_term, entries):
+    """The two-call form: the consistency check, then the merge."""
+    if not reference_matches(log, prev_index, prev_term):
+        return None
+    return reference_merge(log, prev_index, entries)
+
+
 def merge_outcome(merge, stored, prev_index, window):
     log = ReplicatedLog(stored)
     try:
@@ -133,13 +151,59 @@ def merge_outcome(merge, stored, prev_index, window):
     return result, list(log), log.last_index, log.last_term
 
 
+def merge_with_passing_check(log, prev_index, entries):
+    return log.check_and_merge(prev_index, log.term_at(prev_index), entries)
+
+
+@st.composite
+def append_entries_cases(draw):
+    """A stored log, an AppendEntries aimed at it, and how often it arrives.
+
+    On top of :func:`merge_windows`: the previous term matches, is off by
+    one, or the previous index is negative (malformed); a window entry may
+    carry a term below its predecessor's; and the request may be delivered
+    twice (a duplicated or stale retransmission).
+    """
+    stored, prev_index, window = draw(merge_windows())
+    kind = draw(st.sampled_from(("match",) * 4 + ("lower", "higher", "negative")))
+    stored_term = stored[prev_index - 1].term if 0 < prev_index <= len(stored) else 0
+    prev_term = stored_term + {"lower": -1, "higher": 1}.get(kind, 0)
+    if kind == "negative":
+        prev_index = -draw(st.integers(min_value=1, max_value=3))
+    if len(window) > 1 and draw(st.booleans()):
+        position = draw(st.integers(min_value=1, max_value=len(window) - 1))
+        entry = window[position]
+        window = type(window)(
+            [
+                *window[:position],
+                LogEntry(max(0, window[position - 1].term - 1), entry.index, entry.command),
+                *window[position + 1 :],
+            ]
+        )
+    return stored, prev_index, prev_term, window, draw(st.integers(1, 2))
+
+
+def delivery_outcomes(check_and_merge, stored, prev_index, prev_term, window, deliveries):
+    log = ReplicatedLog(stored)
+    outcomes = []
+    for _ in range(deliveries):
+        try:
+            result = check_and_merge(log, prev_index, prev_term, window)
+        except StorageError as error:
+            result = type(error)
+        outcomes.append((result, list(log), log.last_index, log.last_term))
+    return outcomes
+
+
 class TestMergeEquivalence:
     @given(merge_windows())
     @settings(max_examples=300, deadline=None)
     def test_prefix_skip_merges_exactly_like_the_per_entry_loop(self, case):
         stored, prev_index, window = case
+        # Past the tail the check fails first (see TestCheckAndMerge).
+        assume(prev_index <= len(stored))
         assert merge_outcome(
-            ReplicatedLog.merge_entries, stored, prev_index, window
+            merge_with_passing_check, stored, prev_index, window
         ) == merge_outcome(reference_merge, stored, prev_index, window)
 
     @pytest.mark.parametrize("reload", (False, True))
@@ -150,8 +214,20 @@ class TestMergeEquivalence:
             LogEntry(entry.term, entry.index, entry.command) if reload else entry
             for entry in held[1:]
         )
-        assert log.merge_entries(1, window) is False
+        assert log.check_and_merge(1, 1, window) is False
         assert all(kept is original for kept, original in zip(log, held))
+
+
+class TestCheckAndMerge:
+    @given(append_entries_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_one_call_does_what_the_check_then_the_merge_do(self, case):
+        stored, prev_index, prev_term, window, deliveries = case
+        assert delivery_outcomes(
+            ReplicatedLog.check_and_merge, stored, prev_index, prev_term, window, deliveries
+        ) == delivery_outcomes(
+            reference_check_and_merge, stored, prev_index, prev_term, window, deliveries
+        )
 
 
 class TestUpToDateComparison:

@@ -1,12 +1,17 @@
 """Property-based tests for SCA and the Probing Patrol Function."""
 
+from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import ScaParameters
+from repro.escape.configuration import Configuration
+from repro.escape.messages import EscapeAppendEntriesRequest
+from repro.escape.node import EscapeNode
 from repro.escape.ppf import ProbingPatrol
 from repro.escape.sca import assign_initial_configurations, follower_priority_ladder
 from repro.escape.sca import validate_assignment
+from repro.zraft.node import ZRaftNode
 
 
 class TestScaProperties:
@@ -171,3 +176,76 @@ class TestPpfEarlyReturn:
             assert patrol.assignments == always_ranking.assignments
             assert patrol.conf_clock == always_ranking.conf_clock
             assert patrol.rearrangement_count == always_ranking.rearrangement_count
+
+
+# A follower's life: heartbeats (each maybe carrying a configuration, with a
+# clock that may be older than the held one) and election timeouts firing.
+FOLLOWER_STEPS = st.lists(
+    st.one_of(
+        st.just("timeout"),
+        st.none(),
+        st.builds(
+            Configuration,
+            priority=st.integers(min_value=1, max_value=5),
+            timer_period_ms=st.sampled_from([100.0, 140.0, 180.0, 2_000.0]),
+            conf_clock=st.integers(min_value=0, max_value=4),
+        ),
+    ),
+    max_size=25,
+)
+
+
+class TestEscapeTimeoutFollowsTheHeldConfiguration:
+    @given(
+        node_class=st.sampled_from([EscapeNode, ZRaftNode]),
+        script=st.lists(st.sampled_from([30.0, 60.0]), max_size=2),
+        steps=FOLLOWER_STEPS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_the_very_next_reset_waits_the_adopted_configuration_s_timeout(
+        self, node_class, script, steps
+    ):
+        env = FakeEnvironment(node_id=2)
+        node = node_class(
+            node_id=2,
+            cluster=small_cluster(5),
+            env=env,
+            protocol_config=fast_protocol_config(),
+            timeout_script=tuple(script),
+        )
+        held = node.configuration
+        waits_since_leader = 0
+        node.start()
+        for step in steps:
+            if step == "timeout":
+                env.fire_next_timer("S2:election-timeout")
+                waits_since_leader += 1
+            else:
+                node.on_message(
+                    1,
+                    EscapeAppendEntriesRequest(
+                        term=node.current_term, leader_id=1, new_config=step
+                    ),
+                )
+                waits_since_leader = 0
+                # Z-Raft never adopts; ESCAPE adopts a changed configuration
+                # whose clock is not older than the held one's.
+                if (
+                    node_class is EscapeNode
+                    and step is not None
+                    and step.conf_clock >= held.conf_clock
+                    and step != held
+                ):
+                    held = step
+            assert node.configuration == held
+            (timer,) = [
+                timer
+                for timer in env.pending_timers()
+                if timer.label == "S2:election-timeout"
+            ]
+            expected = (
+                script[waits_since_leader]
+                if waits_since_leader < len(script)
+                else held.timer_period_ms
+            )
+            assert timer.delay_ms == expected

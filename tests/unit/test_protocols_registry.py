@@ -87,7 +87,7 @@ class TestRegistryApi:
     @pytest.mark.parametrize("node_class", [EscapeNode, ZRaftNode])
     def test_a_policy_is_refused_where_no_node_reads_it(self, node_class):
         # Their timeouts come from the configuration (Eq. 1), never a policy.
-        with pytest.raises(ConfigurationError, match="_hook_election_timeout_ms"):
+        with pytest.raises(ConfigurationError, match="sets its own election timeouts"):
             protocols.ProtocolSpec(
                 name="x",
                 node_class=node_class,

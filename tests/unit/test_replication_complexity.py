@@ -17,6 +17,7 @@ from repro.raft.node import RaftNode
 from repro.raft.replication import ReplicationProgress
 from repro.raft.state import Role
 from repro.statemachine.kvstore import PutCommand
+from repro.storage import log as log_module
 from repro.storage.log import LogEntry, ReplicatedLog
 from repro.storage.persistent import InMemoryStore
 
@@ -185,7 +186,17 @@ class TestMergeWork:
     def test_a_fully_stored_window_is_not_walked(self, monkeypatch):
         log = ReplicatedLog(LogEntry(term=1, index=index) for index in range(1, 65))
         window = tuple(log)
-        calls = count_method_calls(monkeypatch, ReplicatedLog, "term_at")
-        assert log.merge_entries(0, window) is False
-        assert calls == []
+        walks = []
+
+        def counting_enumerate(*args):
+            walks.append(args)
+            return enumerate(*args)
+
+        # The per-entry loop is the module's only enumerate() call.
+        monkeypatch.setattr(log_module, "enumerate", counting_enumerate, raising=False)
+        assert log.check_and_merge(0, 0, window) is False
+        assert walks == []
         assert log.last_index == 64
+        assert log.check_and_merge(0, 0, window + (LogEntry(term=1, index=65),)) is True
+        [(walked, _)] = walks
+        assert len(walked) == 1  # only the new entry

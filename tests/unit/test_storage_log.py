@@ -96,23 +96,28 @@ class TestTruncate:
             build_log([1]).truncate_from(0)
 
 
+def merge(log, prev_index, entries):
+    """The AppendEntries merge rule, after a consistency check that passes."""
+    return log.check_and_merge(prev_index, log.term_at(prev_index), entries)
+
+
 class TestMergeEntries:
     def test_appends_new_entries(self):
         log = build_log([1])
-        changed = log.merge_entries(1, [LogEntry(term=1, index=2, command="b")])
+        changed = merge(log, 1, [LogEntry(term=1, index=2, command="b")])
         assert changed
         assert log.last_index == 2
 
     def test_duplicate_entries_do_not_change_log(self):
         log = build_log([1, 1])
-        changed = log.merge_entries(0, list(log))
+        changed = merge(log, 0, list(log))
         assert not changed
         assert log.last_index == 2
 
     def test_conflicting_suffix_is_replaced(self):
         log = build_log([1, 1, 1])
         incoming = [LogEntry(term=2, index=2, command="new2"), LogEntry(term=2, index=3, command="new3")]
-        changed = log.merge_entries(1, incoming)
+        changed = merge(log, 1, incoming)
         assert changed
         assert log.term_at(2) == 2
         assert log.entry_at(3).command == "new3"
@@ -121,18 +126,18 @@ class TestMergeEntries:
         # A delayed AppendEntries carrying an old prefix must never delete
         # entries the follower already has beyond it.
         log = build_log([1, 1, 2])
-        changed = log.merge_entries(1, [LogEntry(term=1, index=2, command="cmd2")])
+        changed = merge(log, 1, [LogEntry(term=1, index=2, command="cmd2")])
         assert not changed
         assert log.last_index == 3
 
     def test_mismatched_entry_position_rejected(self):
         log = build_log([1])
         with pytest.raises(StorageError):
-            log.merge_entries(1, [LogEntry(term=1, index=5, command="x")])
+            merge(log, 1, [LogEntry(term=1, index=5, command="x")])
 
     def test_empty_batch_is_a_heartbeat_noop(self):
         log = build_log([1, 2])
-        assert not log.merge_entries(2, [])
+        assert not merge(log, 2, [])
         assert log.last_index == 2
 
     def test_matching_prefix_survives_a_conflicting_tail(self):
@@ -143,7 +148,7 @@ class TestMergeEntries:
             LogEntry(term=1, index=2, command="cmd2"),
             LogEntry(term=3, index=3, command="new3"),
         ]
-        assert log.merge_entries(1, incoming)
+        assert merge(log, 1, incoming)
         assert log.entry_at(2).command == "cmd2"
         assert log.term_at(3) == 3
         # The old index-4 entry sat behind the conflict and is gone with it.
@@ -151,7 +156,7 @@ class TestMergeEntries:
 
     def test_conflict_at_batch_start_replaces_everything_after_prev(self):
         log = build_log([1, 2, 2])
-        assert log.merge_entries(0, [LogEntry(term=3, index=1, command="n1")])
+        assert merge(log, 0, [LogEntry(term=3, index=1, command="n1")])
         assert (log.last_index, log.last_term) == (1, 3)
 
     def test_merge_past_the_end_appends_the_overlap_and_the_rest(self):
@@ -163,27 +168,30 @@ class TestMergeEntries:
             LogEntry(term=1, index=3, command="c3"),
             LogEntry(term=2, index=4, command="c4"),
         ]
-        assert log.merge_entries(1, incoming)
+        assert merge(log, 1, incoming)
         assert log.entry_at(2).command == "cmd2"
         assert [entry.index for entry in log] == [1, 2, 3, 4]
 
     def test_merge_is_idempotent_for_the_same_batch(self):
         log = build_log([1])
         batch = [LogEntry(term=2, index=2, command="b")]
-        assert log.merge_entries(1, batch)
-        assert not log.merge_entries(1, batch)
+        assert merge(log, 1, batch)
+        assert not merge(log, 1, batch)
         assert log.last_index == 2
 
 
 class TestConsistencyCheck:
     def test_index_zero_always_matches(self):
-        assert ReplicatedLog().matches(0, 0)
+        assert ReplicatedLog().check_and_merge(0, 0, ()) is False
 
     def test_matching_prev_entry(self):
         log = build_log([1, 2])
-        assert log.matches(2, 2)
-        assert not log.matches(2, 1)
-        assert not log.matches(3, 2)
+        entry = LogEntry(term=2, index=3, command="c")
+        assert log.check_and_merge(2, 1, (entry,)) is None
+        assert log.check_and_merge(3, 2, (entry,)) is None
+        assert log.check_and_merge(-1, 0, (entry,)) is None
+        assert log.last_index == 2  # a failed check leaves the log untouched
+        assert log.check_and_merge(2, 2, (entry,)) is True
 
 
 class TestUpToDateComparison:
