@@ -152,18 +152,19 @@ class ProtocolConfig:
 
     Attributes:
         heartbeat_interval_ms: period of the leader's AppendEntries heartbeat.
-            Must be well below the smallest election timeout so followers do
-            not time out under a healthy leader.
+            Must be well below the smallest election timeout (Raft's
+            ``timeout_min_ms`` or SCA's ``base_time_ms``, whichever is
+            smaller) so followers do not time out under a healthy leader.
         vote_retry_interval_ms: how often a candidate retransmits its
             RequestVote to peers that have not granted yet, within one
             campaign.  Raft candidates retry vote RPCs until the campaign ends;
             without retransmission a single lost broadcast (Section VI-D's
             loss model) could make a quorum unreachable in small clusters.
         max_entries_per_append: batch cap for log replication.
-        raft_timeouts: the randomized election-timeout range used by baseline
-            Raft (and by ESCAPE only as a fallback before the first
-            configuration is known).
-        sca: SCA parameters used by ESCAPE and Z-Raft.
+        raft_timeouts: the randomized election-timeout range baseline Raft
+            draws from (``raft-fixed`` waits its midpoint).
+        sca: SCA parameters used by ESCAPE, Z-Raft and the ``raft-stagger``
+            ladder.
     """
 
     heartbeat_interval_ms: Milliseconds = 150.0
@@ -176,17 +177,18 @@ class ProtocolConfig:
         require_positive(self.heartbeat_interval_ms, "heartbeat_interval_ms")
         require_positive(self.vote_retry_interval_ms, "vote_retry_interval_ms")
         require_positive(self.max_entries_per_append, "max_entries_per_append")
-        if self.heartbeat_interval_ms >= self.raft_timeouts.timeout_min_ms:
+        # Raft draws from raft_timeouts; the ESCAPE family and raft-stagger
+        # wait an Eq. 1 period, which is never below sca.base_time_ms.
+        smallest = min(self.raft_timeouts.timeout_min_ms, self.sca.base_time_ms)
+        if self.heartbeat_interval_ms >= smallest:
             raise ConfigurationError(
                 "heartbeat_interval_ms must be smaller than the minimum election "
-                f"timeout ({self.heartbeat_interval_ms} >= "
-                f"{self.raft_timeouts.timeout_min_ms})"
+                f"timeout ({self.heartbeat_interval_ms} >= {smallest})"
             )
-        if self.vote_retry_interval_ms >= self.raft_timeouts.timeout_min_ms:
+        if self.vote_retry_interval_ms >= smallest:
             raise ConfigurationError(
                 "vote_retry_interval_ms must be smaller than the minimum election "
-                f"timeout ({self.vote_retry_interval_ms} >= "
-                f"{self.raft_timeouts.timeout_min_ms})"
+                f"timeout ({self.vote_retry_interval_ms} >= {smallest})"
             )
 
     @classmethod

@@ -19,11 +19,12 @@ Hook                              ESCAPE behaviour
 ================================  ====================================================
 
 Two more differences are node state, read by Raft's own code with no call:
-the node :attr:`~repro.raft.node.RaftNode.sets_own_timeouts` -- every
-unscripted election-timeout wait is the timeout paired with the held
-configuration (Eq. 1) -- and the held configuration is the reply token that,
-with the log tail, keys Raft's reply memo (the ``configStatus`` is a function
-of the two).  :meth:`EscapeNode._hold` keeps both current.
+the node's own timeout ``_own_timeout_ms`` -- every unscripted
+election-timeout wait is the timeout paired with the held configuration
+(Eq. 1), where Raft would draw from its randomized range -- and the held
+configuration is the reply token that, with the log tail, keys Raft's reply
+memo (the ``configStatus`` is a function of the two).
+:meth:`EscapeNode._hold` keeps both current.
 
 Everything else -- log replication, commitment, vote counting -- is inherited
 unchanged, which is the code-level expression of the paper's safety argument.
@@ -68,7 +69,6 @@ class EscapeNode(RaftNode):
     """
 
     protocol_name = "escape"
-    sets_own_timeouts = True
 
     def __init__(
         self,

@@ -3,10 +3,9 @@
 The paper's core claim is a *comparison* between election protocols, so the
 codebase treats "which protocols exist" as data, not control flow.  Every
 protocol (and every experimental variant of one) is described by a frozen
-:class:`~repro.protocols.spec.ProtocolSpec` -- name, node class, an optional
-default timeout policy, display label, paper section -- and registered
-here.  Everything that used to branch on protocol strings now consumes the
-registry instead:
+:class:`~repro.protocols.spec.ProtocolSpec` -- name, node class, display
+label, paper section -- and registered here.  Everything that used to branch
+on protocol strings now consumes the registry instead:
 
 * :func:`repro.cluster.builder.build_cluster` constructs every node through
   :meth:`ProtocolSpec.build_node`;
@@ -27,16 +26,16 @@ Registering a new variant makes it available everywhere at once::
             name="my-raft",
             node_class=RaftNode,
             title="My Raft",
-            description="Raft with a custom timeout policy",
+            description="Raft with a custom election rule",
         )
     )
 
-Specs are frozen and picklable (classes and hook functions are pickled by
-reference), so registry-driven scenarios round-trip through the parallel
-sweep engine's process pool with bit-for-bit identical results.
+Specs are frozen and picklable (node classes are pickled by reference), so
+registry-driven scenarios round-trip through the parallel sweep engine's
+process pool with bit-for-bit identical results.
 """
 
-from repro.protocols.spec import ProtocolSpec, TimeoutPolicyFactory
+from repro.protocols.spec import ProtocolSpec
 from repro.protocols.registry import (
     PAPER_PROTOCOLS,
     RAFT_VS_ESCAPE,
@@ -53,7 +52,6 @@ __all__ = [
     "PAPER_PROTOCOLS",
     "ProtocolSpec",
     "RAFT_VS_ESCAPE",
-    "TimeoutPolicyFactory",
     "get",
     "is_registered",
     "items",

@@ -19,13 +19,12 @@ probe its arguments:
 
 from __future__ import annotations
 
-from repro.common.config import ClusterConfig, ProtocolConfig
+from typing import Any
+
 from repro.common.registry import Registry
-from repro.common.types import ServerId
 from repro.escape.node import EscapeNode, EscapeNoPpfNode
 from repro.protocols.spec import ProtocolSpec
 from repro.raft.node import RaftNode
-from repro.raft.timers import ElectionTimeoutPolicy, FixedTimeoutPolicy
 from repro.zraft.node import ZRaftNode
 
 __all__ = [
@@ -66,32 +65,34 @@ def validated(*protocol_names: str) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------- #
-# Default timeout policies for the deterministic Raft baselines
+# The deterministic Raft baselines: Raft nodes that wait a fixed time
 # ---------------------------------------------------------------------- #
-def _fixed_midpoint_policy(
-    config: ProtocolConfig, node_id: ServerId, cluster: ClusterConfig
-) -> ElectionTimeoutPolicy:
+class FixedTimeoutRaftNode(RaftNode):
     """``raft-fixed``: every server waits the midpoint of the Raft range."""
-    timeouts = config.raft_timeouts
-    return FixedTimeoutPolicy(
-        (timeouts.timeout_min_ms + timeouts.timeout_max_ms) / 2.0
-    )
+
+    protocol_name = "raft-fixed"
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        timeouts = self.config.raft_timeouts
+        self._own_timeout_ms = (timeouts.timeout_min_ms + timeouts.timeout_max_ms) / 2.0
 
 
-def _staggered_ladder_policy(
-    config: ProtocolConfig, node_id: ServerId, cluster: ClusterConfig
-) -> ElectionTimeoutPolicy:
+class StaggeredTimeoutRaftNode(RaftNode):
     """``raft-stagger``: the Eq. 1 ladder as plain fixed timeouts.
 
     Reuses SCA's priority convention (priority = server id, highest id gets
-    the shortest timeout) but feeds the ladder to an unmodified Raft node, so
-    campaigns never collide yet terms still grow by one per campaign.
+    the shortest timeout) but keeps Raft's term rule, so campaigns never
+    collide yet terms still grow by one per campaign.
     """
-    return FixedTimeoutPolicy(
-        config.sca.election_timeout_ms(
-            priority=node_id, cluster_size=cluster.size
+
+    protocol_name = "raft-stagger"
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._own_timeout_ms = self.config.sca.election_timeout_ms(
+            priority=self.node_id, cluster_size=self.cluster.size
         )
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -127,28 +128,26 @@ register(
 register(
     ProtocolSpec(
         name="raft-fixed",
-        node_class=RaftNode,
+        node_class=FixedTimeoutRaftNode,
         title="Raft (fixed timeout)",
         description=(
             "degenerate baseline: one deterministic timeout for every server "
             "(livelocks by design -- the Figure 10 collision argument)"
         ),
         paper_section="Section VI-C (implied baseline)",
-        default_timeout_policy=_fixed_midpoint_policy,
         guarantees_liveness=False,
     )
 )
 register(
     ProtocolSpec(
         name="raft-stagger",
-        node_class=RaftNode,
+        node_class=StaggeredTimeoutRaftNode,
         title="Raft (staggered timeouts)",
         description=(
             "deterministic per-server timeouts laddered by Eq. 1, without "
             "priority-driven term growth"
         ),
         paper_section="Section IV-A (implied baseline)",
-        default_timeout_policy=_staggered_ladder_policy,
     )
 )
 register(

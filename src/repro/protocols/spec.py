@@ -1,19 +1,19 @@
 """The :class:`ProtocolSpec` descriptor: how one named protocol builds nodes.
 
 A spec bundles everything the rest of the codebase needs to know about a
-protocol: the node class to instantiate, an optional default election-timeout
-policy (for node classes that read one), and the presentation metadata
-(display title, paper section) the reports use.
+protocol: the node class to instantiate (which decides its own election
+timeouts) and the presentation metadata (display title, paper section) the
+reports use.
 
-Specs are frozen dataclasses whose callable fields are module-level functions
-or classes, so they pickle by reference and survive the parallel sweep
-engine's process boundary unchanged.
+Specs are frozen dataclasses whose node class is module-level, so they pickle
+by reference and survive the parallel sweep engine's process boundary
+unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.common.config import ClusterConfig, ProtocolConfig
 from repro.common.errors import ConfigurationError
@@ -21,17 +21,10 @@ from repro.common.types import Milliseconds, ServerId
 from repro.raft.environment import Environment
 from repro.raft.listeners import NodeListener
 from repro.raft.node import RaftNode
-from repro.raft.timers import ElectionTimeoutPolicy
 from repro.statemachine.base import StateMachine
 from repro.storage.persistent import PersistentState
 
-__all__ = ["ProtocolSpec", "TimeoutPolicyFactory"]
-
-#: Builds a node's timeout policy from its configuration and place in the
-#: cluster.  Must be a module-level function (pickled by reference).
-TimeoutPolicyFactory = Callable[
-    [ProtocolConfig, ServerId, ClusterConfig], ElectionTimeoutPolicy
-]
+__all__ = ["ProtocolSpec"]
 
 
 @dataclass(frozen=True)
@@ -46,12 +39,6 @@ class ProtocolSpec:
         description: one-line summary shown in the registry table.
         paper_section: where the paper discusses this protocol (``""`` for
             variants the paper only implies).
-        default_timeout_policy: optional :data:`TimeoutPolicyFactory` whose
-            policy every node is built with (e.g. ``raft-fixed`` pins every
-            server to one deterministic timeout).  Only for a node class that
-            reads its policy: one that
-            :attr:`~repro.raft.node.RaftNode.sets_own_timeouts` (the ESCAPE
-            family) is rejected with it.
         guarantees_liveness: whether the protocol is expected to elect a
             leader under the paper's healthy-network conditions.  ``False``
             only for degenerate baselines (``raft-fixed`` livelocks by
@@ -64,18 +51,12 @@ class ProtocolSpec:
     title: str
     description: str = ""
     paper_section: str = ""
-    default_timeout_policy: TimeoutPolicyFactory | None = None
     guarantees_liveness: bool = True
 
     def __post_init__(self) -> None:
         if not (isinstance(self.node_class, type) and issubclass(self.node_class, RaftNode)):
             raise ConfigurationError(
                 f"node_class {self.node_class!r} must be a RaftNode subclass"
-            )
-        if self.default_timeout_policy is not None and self.node_class.sets_own_timeouts:
-            raise ConfigurationError(
-                f"{self.node_class.__name__} sets its own election timeouts, "
-                "so it would never read default_timeout_policy"
             )
 
     # ------------------------------------------------------------------ #
@@ -100,18 +81,13 @@ class ProtocolSpec:
         :class:`~repro.raft.node.RaftNode`); it comes before the protocol's
         own timeouts, whichever they are.
         """
-        config = protocol_config or ProtocolConfig.paper_defaults()
-        policy = {}
-        if self.default_timeout_policy is not None:
-            policy["timeout_policy"] = self.default_timeout_policy(config, node_id, cluster)
         return self.node_class(
             node_id=node_id,
             cluster=cluster,
             env=env,
             store=store,
             state_machine=state_machine,
-            protocol_config=config,
+            protocol_config=protocol_config,
             listeners=listeners,
             timeout_script=timeout_script,
-            **policy,
         )

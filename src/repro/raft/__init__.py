@@ -19,22 +19,14 @@ from repro.raft.messages import (
 )
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
-from repro.raft.timers import (
-    ElectionTimeoutPolicy,
-    FixedTimeoutPolicy,
-    RandomizedTimeoutPolicy,
-)
 
 __all__ = [
     "AppendEntriesRequest",
     "AppendEntriesResponse",
-    "ElectionTimeoutPolicy",
     "Environment",
-    "FixedTimeoutPolicy",
     "NodeListener",
     "NodeListenerBase",
     "RaftNode",
-    "RandomizedTimeoutPolicy",
     "RequestVoteRequest",
     "RequestVoteResponse",
     "Role",

@@ -32,7 +32,6 @@ from repro.raft.messages import (
 )
 from repro.raft.replication import ReplicationProgress
 from repro.raft.state import Role, is_valid_transition
-from repro.raft.timers import ElectionTimeoutPolicy, RandomizedTimeoutPolicy
 from repro.statemachine.base import StateMachine
 from repro.statemachine.kvstore import KeyValueStore
 from repro.storage.persistent import InMemoryStore, PersistentState
@@ -48,9 +47,6 @@ class RaftNode:
         store: durable state (defaults to a fresh in-memory store).
         state_machine: the replicated state machine (defaults to a
             :class:`~repro.statemachine.kvstore.KeyValueStore`).
-        timeout_policy: election-timeout policy (defaults to Raft's randomized
-            policy built from ``protocol_config.raft_timeouts``); ``None`` on
-            a class that :attr:`sets_own_timeouts`.
         protocol_config: heartbeat interval and related timing knobs.
         listeners: observers notified of protocol events.
         timeout_script: the first waits after losing the leader, in order
@@ -62,11 +58,6 @@ class RaftNode:
 
     protocol_name = "raft"
 
-    #: Whether the class sets its own election timeouts (ESCAPE: the one its
-    #: configuration carries, Eq. 1) in ``_own_timeout_ms`` instead of
-    #: drawing them from a timeout policy.
-    sets_own_timeouts = False
-
     def __init__(
         self,
         node_id: ServerId,
@@ -74,7 +65,6 @@ class RaftNode:
         env: Environment,
         store: PersistentState | None = None,
         state_machine: StateMachine | None = None,
-        timeout_policy: ElectionTimeoutPolicy | None = None,
         protocol_config: ProtocolConfig | None = None,
         listeners: Iterable[NodeListener] = (),
         timeout_script: tuple[Milliseconds, ...] = (),
@@ -90,12 +80,13 @@ class RaftNode:
         self.config = protocol_config or ProtocolConfig.paper_defaults()
         self.store = store if store is not None else InMemoryStore()
         self.state_machine = state_machine if state_machine is not None else KeyValueStore()
-        if timeout_policy is None and not self.sets_own_timeouts:
-            timeout_policy = RandomizedTimeoutPolicy.from_config(self.config.raft_timeouts)
-        self.timeout_policy: ElectionTimeoutPolicy | None = timeout_policy
+        # Raft's randomized range, ``[low, low + span]``.
+        timeouts = self.config.raft_timeouts
+        self._timeout_low = timeouts.timeout_min_ms
+        self._timeout_span = timeouts.timeout_max_ms - timeouts.timeout_min_ms
         # Every unscripted election-timeout wait, for a class that sets its
-        # own timeouts (which keeps it current); None draws each wait from
-        # the policy.
+        # own timeouts (and keeps this current); None draws each wait from
+        # Raft's range.
         self._own_timeout_ms: Milliseconds | None = None
         self._listening = listener_table()
         for listener in listeners:
@@ -745,15 +736,9 @@ class RaftNode:
         else:
             timeout = self._own_timeout_ms
             if timeout is None:
-                policy = self.timeout_policy
-                if type(policy) is RandomizedTimeoutPolicy:
-                    # Inlined RandomizedTimeoutPolicy.next_timeout_ms:
-                    # bit-identical to rng.uniform(low, high), which is
-                    # low + (high - low) * rng.random().
-                    low = policy.low_ms
-                    timeout = low + (policy.high_ms - low) * self.env.rng.random()
-                else:
-                    timeout = policy.next_timeout_ms(self.env.rng)
+                # Bit-identical to rng.uniform(low, high), which is
+                # low + (high - low) * rng.random().
+                timeout = self._timeout_low + self._timeout_span * self.env.rng.random()
         self._election_timer = self.env.rearm_timer(
             self._election_timer, timeout, self._on_election_timeout, "election-timeout"
         )

@@ -2,10 +2,10 @@
 
 ``SimNodeEnvironment.rng`` is created the first time it is read, as
 ``world.seeds.stream("node", node_id)``.  Two things follow and are checked
-here: a node that never draws never pays for its stream (ESCAPE and Z-Raft
-never draw, a contention script included), and a node that does draw sees exactly
-the stream an eagerly seeded environment would have given it, whenever the
-first read happens.
+here: a node that never draws never pays for its stream (ESCAPE, Z-Raft and
+the fixed-timeout Raft baselines never draw, a contention script included),
+and a node that does draw sees exactly the stream an eagerly seeded
+environment would have given it, whenever the first read happens.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ def _episode(scenario: ElectionScenario, seed: int, before_start=None):
     ids=("no-loss", "loss20", "no-loss-contention2", "loss20-contention2"),
 )
 @pytest.mark.parametrize("engine", engines.names())
-@pytest.mark.parametrize("protocol", ("escape", "zraft", "escape-noppf"))
-def test_an_escape_episode_creates_no_node_stream(
+@pytest.mark.parametrize("protocol", ("escape", "zraft", "escape-noppf", "raft-stagger"))
+def test_an_episode_that_never_draws_creates_no_node_stream(
     protocol, engine, loss_rate, contention_phases
 ):
     scenario = ElectionScenario(
@@ -63,6 +63,17 @@ def test_an_escape_episode_creates_no_node_stream(
     assert [
         server_id for server_id, node in cluster.nodes.items() if "rng" in vars(node.env)
     ] == []
+    cluster.close()
+
+
+@pytest.mark.parametrize("engine", engines.names())
+def test_raft_fixed_creates_no_node_stream(engine):
+    # raft-fixed livelocks by design, so it runs for a while, not an episode.
+    cluster, harness = ElectionScenario("raft-fixed", 16, engine=engine).build(seed=5)
+    cluster.start_all()
+    harness.run_for(20_000.0)
+    assert max(node.current_term for node in cluster.nodes.values()) > 1
+    assert not any("rng" in vars(node.env) for node in cluster.nodes.values())
     cluster.close()
 
 

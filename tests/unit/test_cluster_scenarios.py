@@ -93,13 +93,15 @@ class TestOneConditionBase:
             ({"loss_rate": 1.5}, "loss_rate"),
             ({"loss_rate": -0.5}, "loss_rate"),
             ({"heartbeat_interval_ms": -5.0}, "heartbeat_interval_ms"),
+            ({"sca": ScaParameters(100.0, 10.0)}, "heartbeat_interval_ms"),
             ({"cluster_size": 0}, "cluster size"),
             ({"latency": GeoLatencySpec(region_count=4)}, "region_count"),
             ({"latency_range": (float("nan"), 200.0)}, "low_ms"),
         ],
         ids=[
             "timeout-range", "latency-range", "loss-above-1", "loss-below-0",
-            "heartbeat", "cluster-size", "geo-regions", "nan",
+            "heartbeat", "heartbeat-above-sca-base", "cluster-size", "geo-regions",
+            "nan",
         ],
     )  # fmt: skip
     @pytest.mark.parametrize("kind", SCENARIO_TYPES)
@@ -176,7 +178,7 @@ class TestScenarioConfiguration:
         # After the script, each node draws from the scenario's own range.
         assert all(
             node.timeout_script == script
-            and (node.timeout_policy.low_ms, node.timeout_policy.high_ms) == timeout_range
+            and (node._timeout_low, node._timeout_span) == (low, high - low)
             for node in cluster.nodes.values()
         )
 

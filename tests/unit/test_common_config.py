@@ -131,3 +131,11 @@ class TestProtocolConfig:
                 vote_retry_interval_ms=1800.0,
                 raft_timeouts=RaftTimeoutConfig(1500.0, 3000.0),
             )
+
+    def test_the_smallest_timeout_may_be_sca_s_base_time(self):
+        # An ESCAPE follower's shortest wait is base_time_ms (Eq. 1), below
+        # Raft's range here: a heartbeat or vote retry it cannot outwait.
+        with pytest.raises(ConfigurationError, match=r"heartbeat_interval_ms.*\(150.0 >= 100.0\)"):
+            ProtocolConfig(heartbeat_interval_ms=150.0, sca=ScaParameters(100.0, 10.0))
+        with pytest.raises(ConfigurationError, match=r"vote_retry_interval_ms.*\(300.0 >= 200.0\)"):
+            ProtocolConfig(heartbeat_interval_ms=50.0, sca=ScaParameters(200.0, 10.0))

@@ -84,13 +84,13 @@ class TestNotANumber:
             require_ordered_pair(*pair, "pair")
 
     def test_the_models_that_use_them_refuse_nan(self):
+        from repro.common.config import RaftTimeoutConfig
         from repro.net.latency import UniformLatency
-        from repro.raft.timers import RandomizedTimeoutPolicy
 
         with pytest.raises(ConfigurationError):
             UniformLatency(self.NAN, 200.0)
         with pytest.raises(ConfigurationError):
-            RandomizedTimeoutPolicy(self.NAN, self.NAN)
+            RaftTimeoutConfig(self.NAN, self.NAN)
 
 
 class TestRequireUnique:

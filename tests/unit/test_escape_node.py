@@ -53,9 +53,8 @@ class TestScaBehaviour:
         assert node.configuration.timer_period_ms == 140.0
         assert node.configuration.conf_clock == 0
 
-    def test_the_timeout_is_node_state_and_no_policy_is_built(self):
+    def test_the_timeout_is_node_state(self):
         node, _ = make_node(node_id=3, size=5)
-        assert node.timeout_policy is None
         assert node._own_timeout_ms == node.configuration.timer_period_ms == 140.0
 
     def test_election_timeout_comes_from_configuration(self):

@@ -9,6 +9,8 @@ Figure 10 argument -- a dedicated test pins the predicted livelock.
 """
 
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,14 +19,13 @@ from repro.cluster.builder import build_cluster
 from repro.cluster.catalog import network_specs
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import ClusterError, ConfigurationError
-from repro.escape.node import EscapeNode
 from repro.experiments.runner import run_sweep
 from repro.protocols import registry as protocol_registry
 from repro.raft.node import RaftNode
-from repro.raft.timers import FixedTimeoutPolicy
-from repro.zraft.node import ZRaftNode
 
 from helpers import registrations
+
+README = Path(__file__).resolve().parents[2] / "README.md"
 
 LIVE_PROTOCOLS = [
     name for name, spec in protocols.items() if spec.guarantees_liveness
@@ -83,17 +84,6 @@ class TestRegistryApi:
             )
         with pytest.raises(ConfigurationError, match="RaftNode subclass"):
             protocols.ProtocolSpec(name="x", node_class=dict, title="x")
-
-    @pytest.mark.parametrize("node_class", [EscapeNode, ZRaftNode])
-    def test_a_policy_is_refused_where_no_node_reads_it(self, node_class):
-        # Their timeouts come from the configuration (Eq. 1), never a policy.
-        with pytest.raises(ConfigurationError, match="sets its own election timeouts"):
-            protocols.ProtocolSpec(
-                name="x",
-                node_class=node_class,
-                title="x",
-                default_timeout_policy=protocol_registry._fixed_midpoint_policy,
-            )
 
     def test_specs_pickle_by_reference(self):
         for _, spec in protocols.items():
@@ -187,24 +177,32 @@ class TestConformance:
         terms = {node.current_term for node in cluster.nodes.values()}
         assert max(terms) > 1  # campaigns kept firing, none won
 
-    def test_default_policies_reach_the_nodes(self):
-        fixed = build_cluster("raft-fixed", size=4)
-        assert all(
-            isinstance(node.timeout_policy, FixedTimeoutPolicy)
-            for node in fixed.nodes.values()
-        )
-        timeouts = {
-            node.timeout_policy.timeout_ms for node in fixed.nodes.values()
-        }
-        assert timeouts == {2250.0}  # midpoint of the 1500-3000 ms range
+    @staticmethod
+    def armed_waits(protocol):
+        """Each node's first election-timer delay, per server id."""
+        cluster = build_cluster(protocol, size=4)
+        waits = {}
 
-        stagger = build_cluster("raft-stagger", size=4)
-        ladder = {
-            node_id: node.timeout_policy.timeout_ms
-            for node_id, node in stagger.nodes.items()
-        }
+        def recording(node_id, rearm):
+            def rearm_and_record(handle, delay_ms, callback, label):
+                waits[node_id] = delay_ms
+                return rearm(handle, delay_ms, callback, label)
+
+            return rearm_and_record
+
+        for node_id, node in cluster.nodes.items():
+            node.env.rearm_timer = recording(node_id, node.env.rearm_timer)
+        cluster.start_all()
+        cluster.close()
+        return waits
+
+    def test_the_fixed_baselines_arm_their_own_timeouts(self):
+        # raft-fixed: the midpoint of the 1500-3000 ms range.
+        assert set(self.armed_waits("raft-fixed").values()) == {2250.0}
         # Eq. 1 with paper defaults (base 1500, k 500): highest id is fastest.
-        assert ladder == {1: 3000.0, 2: 2500.0, 3: 2000.0, 4: 1500.0}
+        assert self.armed_waits("raft-stagger") == {
+            1: 3000.0, 2: 2500.0, 3: 2000.0, 4: 1500.0
+        }
 
     def test_escape_noppf_never_starts_a_patrol(self):
         scenario = ElectionScenario(protocol="escape-noppf", cluster_size=3)
@@ -246,3 +244,14 @@ class TestTimeoutScript:
         assert all(
             node.timeout_script == (1_234.0,) for node in cluster.nodes.values()
         )
+
+
+class TestReadmeExample:
+    def test_the_adding_a_protocol_example_runs(self, capsys):
+        section = README.read_text(encoding="utf-8").split("### Adding a protocol\n", 1)[1]
+        (code,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.DOTALL)
+        with registrations(protocol_registry):
+            exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
+            assert protocols.get("raft-eager").node_class.protocol_name == "raft-eager"
+        assert not protocols.is_registered("raft-eager")
+        assert float(capsys.readouterr().out) > 0.0

@@ -1,10 +1,13 @@
 """Unit tests for RaftNode leader election, driven through a fake environment."""
 
+import random
+
 import pytest
 
 from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 
 from repro import protocols
+from repro.common.config import RaftTimeoutConfig
 from repro.common.errors import ConfigurationError, NotLeaderError, ProtocolError
 from repro.raft.listeners import NodeListenerBase, listener_table
 
@@ -23,15 +26,14 @@ from repro.raft.messages import (
 )
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
-from repro.raft.timers import FixedTimeoutPolicy
 from repro.statemachine.kvstore import PutCommand
 from repro.storage.log import LogEntry
 from repro.storage.persistent import InMemoryStore
 
 
-def make_node(node_id=1, size=3, env=None, **kwargs):
+def make_node(node_id=1, size=3, env=None, node_class=RaftNode, **kwargs):
     env = env if env is not None else FakeEnvironment(node_id=node_id)
-    node = RaftNode(
+    node = node_class(
         node_id=node_id,
         cluster=small_cluster(size),
         env=env,
@@ -429,8 +431,8 @@ class TestProposalsRequireLeadership:
             node.propose("x")
         assert excinfo.value.known_leader == 1
 
-    def test_leader_timeout_policy_not_used_while_leading(self):
-        node, env = make_node(timeout_policy=FixedTimeoutPolicy(100.0))
+    def test_a_leader_arms_no_election_timer(self):
+        node, env = make_node(node_class=protocols.get("raft-fixed").node_class)
         node.start()
         env.fire_next_timer("S1:election-timeout")
         node.on_message(2, RequestVoteResponse(term=1, voter_id=2, vote_granted=True))
@@ -445,14 +447,17 @@ def election_waits(env):
 
 
 class TestTimeoutScript:
-    def test_the_script_comes_first_then_the_policy(self):
+    def test_the_script_comes_first_then_the_protocol_timeout(self):
         node, env = make_node(
-            node_id=2, timeout_policy=FixedTimeoutPolicy(999.0), timeout_script=(100.0, 200.0)
+            node_id=2,
+            node_class=protocols.get("raft-fixed").node_class,
+            timeout_script=(10.0, 20.0),
         )
         node.start()
         env.fire_next_timer("S2:election-timeout")
         env.fire_next_timer("S2:election-timeout")
-        assert election_waits(env) == [100.0, 200.0, 999.0]
+        # raft-fixed: the midpoint of fast_protocol_config's 100-200 ms range.
+        assert election_waits(env) == [10.0, 20.0, 150.0]
 
     def test_hearing_a_leader_restarts_the_script(self):
         node, env = make_node(node_id=2, timeout_script=(100.0, 200.0))
@@ -478,3 +483,19 @@ class TestTimeoutScript:
     def test_every_scripted_value_must_be_positive(self, script):
         with pytest.raises(ConfigurationError, match="scripted timeout"):
             make_node(timeout_script=script)
+
+
+class TestRandomizedTimeouts:
+    @pytest.mark.parametrize("low, high", [(100.0, 200.0), (123.4, 987.6), (150.0, 150.0)])
+    def test_every_wait_is_a_uniform_draw_from_the_node_stream(self, low, high):
+        """Value for value what ``rng.uniform(low, high)`` returns on a copy
+        of the node's stream: the node keeps ``low`` and ``high - low``."""
+        node, env = make_node(
+            protocol_config=fast_protocol_config(raft_timeouts=RaftTimeoutConfig(low, high))
+        )
+        copy = random.Random()
+        copy.setstate(env.rng.getstate())
+        node.start()
+        for _ in range(5):
+            env.fire_next_timer("S1:election-timeout")
+        assert election_waits(env) == [copy.uniform(low, high) for _ in range(6)]

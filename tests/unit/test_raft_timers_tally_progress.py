@@ -1,40 +1,11 @@
-"""Unit tests for timeout policies, vote tallying and replication progress."""
-
-import random
+"""Unit tests for vote tallying and replication progress."""
 
 import pytest
 
-from repro.common.config import RaftTimeoutConfig
-from repro.common.errors import ConfigurationError, ProtocolError
+from repro.common.errors import ProtocolError
 from repro.raft.election import VoteTally
 from repro.raft.replication import ReplicationProgress
-from repro.raft.timers import FixedTimeoutPolicy, RandomizedTimeoutPolicy
 from repro.storage.log import LogEntry, ReplicatedLog
-
-
-class TestTimeoutPolicies:
-    def test_randomized_policy_stays_in_range(self):
-        policy = RandomizedTimeoutPolicy(1500.0, 3000.0)
-        rng = random.Random(0)
-        draws = [policy.next_timeout_ms(rng) for _ in range(200)]
-        assert all(1500.0 <= draw <= 3000.0 for draw in draws)
-        assert len(set(draws)) > 100
-
-    def test_randomized_policy_from_config(self):
-        policy = RandomizedTimeoutPolicy.from_config(RaftTimeoutConfig(1500.0, 1800.0))
-        assert (policy.low_ms, policy.high_ms) == (1500.0, 1800.0)
-
-    def test_fixed_policy_always_returns_value(self):
-        policy = FixedTimeoutPolicy(1500.0)
-        rng = random.Random(0)
-        assert policy.next_timeout_ms(rng) == 1500.0
-        assert policy.next_timeout_ms(rng) == 1500.0
-
-    def test_invalid_policies_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RandomizedTimeoutPolicy(300.0, 200.0)
-        with pytest.raises(ConfigurationError):
-            FixedTimeoutPolicy(0.0)
 
 
 class TestVoteTally:

@@ -88,9 +88,8 @@ class TestNoPpf:
     def test_disabled_hooks_are_raft_s_own_so_the_hot_path_skips_them(self):
         node, env = make_node(node_id=2)
         flags = {name: value for name, value in vars(node).items() if name.endswith("_is_default")}
-        # SCA's timeout is node state, not a hook: no flag, and no policy.
+        # SCA's timeout is node state, not a hook: no flag.
         assert node._own_timeout_ms == node.configuration.timer_period_ms
-        assert node.timeout_policy is None
         assert flags and all(flags.values()), flags
         node.start()
         node.on_message(1, AppendEntriesRequest(term=1, leader_id=1))
