@@ -20,7 +20,8 @@ import argparse
 
 from repro import protocols as protocol_registry
 from repro.cluster import ElectionScenario
-from repro.metrics import MeasurementSet, render_table
+from repro.metrics.records import MeasurementSet
+from repro.metrics.tables import render_table
 
 
 def compare(

@@ -25,7 +25,8 @@ import argparse
 from repro.chaos import ChaosScenario, build_plan
 from repro.cluster import ElectionHarness, ElectionObserver, build_cluster
 from repro.common.config import ProtocolConfig
-from repro.metrics import MeasurementSet, render_table
+from repro.metrics.records import MeasurementSet
+from repro.metrics.tables import render_table
 from repro.net.latency import GeoGroupLatency, GeoLatencySpec
 
 #: Three regions, three servers each.

@@ -16,25 +16,23 @@ The harness is what the experiment modules (and the examples) drive:
   one reusable :class:`~repro.cluster.scenarios.ElectionScenario`;
 * :mod:`repro.cluster.catalog` names ready-made network conditions (WAN
   splits, heavy tails, loss, duplication, chaos) any scenario can run under
-  (:func:`~repro.cluster.catalog.network_specs`).
+  (:func:`~repro.cluster.catalog.network_specs`).  It is not re-exported:
+  import ``CATALOG``, ``NetworkCondition`` and ``network_specs`` from it, so
+  an election that names no condition never loads it.
 """
 
 from repro.cluster.builder import SimulatedCluster, build_cluster
-from repro.cluster.catalog import CATALOG, NetworkCondition, network_specs
 from repro.cluster.environment import SimNodeEnvironment
 from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
 from repro.cluster.scenarios import ElectionScenario, Scenario
 
 __all__ = [
-    "CATALOG",
     "ElectionHarness",
     "ElectionObserver",
     "ElectionScenario",
-    "NetworkCondition",
     "Scenario",
     "SimNodeEnvironment",
     "SimulatedCluster",
     "build_cluster",
-    "network_specs",
 ]

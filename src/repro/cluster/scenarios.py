@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field, replace
-from typing import Self
+from typing import TYPE_CHECKING, Self
 
 from repro import protocols as protocol_registry
 from repro.sim import engines as engine_registry
@@ -31,11 +31,13 @@ from repro.common.rng import SeedSequence, paired_seeds
 from repro.common.types import Milliseconds, ServerId
 from repro.metrics.records import ElectionMeasurement
 from repro.net.faults import BroadcastOmissionFault, FaultInjector, NoFault, bind
-from repro.obs.harvest import TelemetryListener, harvest_cluster, harvest_workload
-from repro.obs.telemetry import MetricsRegistry
-from repro.workload import legacy_interval
-from repro.workload.driver import WorkloadDriver
 from repro.net.latency import GeoLatencySpec, LatencyModel, UniformLatency
+
+# Telemetry and the client workload are imported on their own branches, so
+# an election that runs neither never loads (or compiles) them.
+if TYPE_CHECKING:
+    from repro.obs.telemetry import MetricsRegistry
+    from repro.workload.driver import WorkloadDriver
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,8 @@ class Scenario:
         observer = ElectionObserver()
         listeners = (observer, *extra_listeners)
         if metrics is not None:
+            from repro.obs.harvest import TelemetryListener
+
             listeners += (TelemetryListener(metrics),)
         cluster = build_cluster(
             protocol=self.protocol,
@@ -260,6 +264,9 @@ class Scenario:
         """
         if not self.telemetry:
             return self._episode(seed, None)
+        from repro.obs.harvest import harvest_cluster
+        from repro.obs.telemetry import MetricsRegistry
+
         registry = MetricsRegistry()
         measurement, cluster = self._episode(seed, registry)
         harvest_cluster(cluster, registry)
@@ -321,6 +328,9 @@ class ElectionScenario(Scenario):
         # loop, so pre-subsystem reports stay byte-identical.
         workload: WorkloadDriver | None = None
         if self.workload_interval_ms > 0:
+            from repro.workload import legacy_interval
+            from repro.workload.driver import WorkloadDriver
+
             workload = WorkloadDriver(
                 cluster, legacy_interval(self.workload_interval_ms), seed=seed
             )
@@ -341,6 +351,8 @@ class ElectionScenario(Scenario):
         if workload is not None:
             workload.stop()
             if metrics is not None:
+                from repro.obs.harvest import harvest_workload
+
                 harvest_workload(workload, metrics)
         harness.assert_at_most_one_leader_per_term()
         measurement.extra.update(

@@ -4,40 +4,15 @@ The experiment harness produces one
 :class:`~repro.metrics.records.ElectionMeasurement` per run; this package
 turns collections of measurements into the percentiles, averages and
 comparison tables that the paper's figures report.
+
+The package re-exports nothing, so an election that never aggregates or
+renders loads only the records.  Import each name from its module:
+
+* :mod:`repro.metrics.records` -- ``ElectionMeasurement``,
+  ``MeasurementSet``, ``AvailabilityMeasurement``, ``AvailabilitySet``;
+* :mod:`repro.metrics.stats` -- ``percentile``, ``summarize``,
+  ``SummaryStatistics``, ``reduction_percent``;
+* :mod:`repro.metrics.streaming` -- ``ElectionAggregate``,
+  ``StreamingSummary``, ``MergeableCDF``, ``DEFAULT_CDF_CAPACITY``;
+* :mod:`repro.metrics.tables` -- ``render_table``.
 """
-
-from repro.metrics.records import (
-    AvailabilityMeasurement,
-    AvailabilitySet,
-    ElectionMeasurement,
-    MeasurementSet,
-)
-from repro.metrics.stats import (
-    percentile,
-    reduction_percent,
-    summarize,
-    SummaryStatistics,
-)
-from repro.metrics.streaming import (
-    DEFAULT_CDF_CAPACITY,
-    ElectionAggregate,
-    MergeableCDF,
-    StreamingSummary,
-)
-from repro.metrics.tables import render_table
-
-__all__ = [
-    "AvailabilityMeasurement",
-    "AvailabilitySet",
-    "DEFAULT_CDF_CAPACITY",
-    "ElectionAggregate",
-    "ElectionMeasurement",
-    "MeasurementSet",
-    "MergeableCDF",
-    "StreamingSummary",
-    "SummaryStatistics",
-    "percentile",
-    "reduction_percent",
-    "render_table",
-    "summarize",
-]

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generic, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Generic, Iterable, Iterator, TypeVar
 
 from repro.common.errors import ClusterError
 from repro.common.types import Milliseconds, ServerId, Term
-from repro.metrics.stats import SummaryStatistics
-from repro.metrics.streaming import DEFAULT_CDF_CAPACITY, ElectionAggregate
+
+# The statistics load with the first aggregate: an episode that only records
+# its measurement never imports them.
+if TYPE_CHECKING:
+    from repro.metrics.stats import SummaryStatistics
+    from repro.metrics.streaming import ElectionAggregate
 
 M = TypeVar("M")
 
@@ -215,6 +219,8 @@ class MeasurementSet(RecordSet[ElectionMeasurement]):
     def aggregate(self) -> ElectionAggregate:
         """These runs as one aggregate whose sketches never compress, so its
         statistics are the exact ones at any run count."""
+        from repro.metrics.streaming import DEFAULT_CDF_CAPACITY, ElectionAggregate
+
         capacity = max(DEFAULT_CDF_CAPACITY, len(self))
         return ElectionAggregate.from_measurements(self, self.label, capacity=capacity)
 

@@ -15,23 +15,25 @@ Determinism guarantees:
 
 Two *engines* provide the kernel: ``flat`` (:class:`FlatEventScheduler`,
 array-backed records; what everything runs on) and ``classic``
-(:class:`EventScheduler`, the minimal reference ``flat`` is diffed against).
-Both are listed in :mod:`repro.sim.engines` and are bit-identical by contract
--- selecting one changes wall-clock time only.  The choice is an
-argument (``SimulationWorld(engine=...)``, a scenario's ``engine`` field),
-never process state; naming none means ``flat``.
+(:class:`~repro.sim.scheduler.EventScheduler`, the minimal reference ``flat``
+is diffed against).  Both are listed in :mod:`repro.sim.engines` and are
+bit-identical by contract -- selecting one changes wall-clock time only.  The
+choice is an argument (``SimulationWorld(engine=...)``, a scenario's
+``engine`` field), never process state; naming none means ``flat``.
+
+``EventScheduler`` is not re-exported: the engine registry loads
+:mod:`repro.sim.scheduler` by its ``module:Class`` path only when a run
+selects ``classic``, so import it from there.
 """
 
 from repro.sim.clock import VirtualClock
 from repro.sim.engines import EngineSpec
 from repro.sim.flatcore import FlatEventScheduler
-from repro.sim.scheduler import EventScheduler
 from repro.sim.tracing import TraceRecord, Tracer
 from repro.sim.world import SimulationWorld
 
 __all__ = [
     "EngineSpec",
-    "EventScheduler",
     "FlatEventScheduler",
     "SimulationWorld",
     "TraceRecord",

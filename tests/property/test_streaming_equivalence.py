@@ -21,13 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import (
+from repro.metrics.records import ElectionMeasurement, MeasurementSet
+from repro.metrics.stats import summarize
+from repro.metrics.streaming import (
     DEFAULT_CDF_CAPACITY,
     ElectionAggregate,
-    ElectionMeasurement,
-    MeasurementSet,
     StreamingSummary,
-    summarize,
 )
 from repro.workload import WorkloadAggregate
 from repro.workload.records import WorkloadMeasurement

@@ -19,15 +19,14 @@ from typing import Callable
 import pytest
 
 from repro.common.errors import ClusterError
-from repro.metrics import (
+from repro.metrics.records import ElectionMeasurement
+from repro.metrics.stats import percentile, summarize
+from repro.metrics.streaming import (
     DEFAULT_CDF_CAPACITY,
     ElectionAggregate,
     MergeableCDF,
     StreamingSummary,
-    percentile,
-    summarize,
 )
-from repro.metrics.records import ElectionMeasurement
 from repro.workload import WorkloadAggregate
 from repro.workload.records import WorkloadMeasurement
 
