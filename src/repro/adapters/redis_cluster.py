@@ -26,9 +26,10 @@ masters reject attempts carrying a stale configuration clock.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Self
 
+from repro.common.frozen import value_object
 from repro.common.rng import SeedSequence
 from repro.common.types import Milliseconds
 from repro.common.validation import require_fraction, require_positive
@@ -36,7 +37,7 @@ from repro.metrics.records import RecordSet
 from repro.metrics.stats import SummaryStatistics, summarize
 
 
-@dataclass(frozen=True)
+@value_object
 class RedisClusterParameters:
     """Timing and topology parameters of the failover model.
 
@@ -74,7 +75,7 @@ class RedisClusterParameters:
         return self.voting_masters // 2 + 1
 
 
-@dataclass(frozen=True)
+@value_object
 class FailoverMeasurement:
     """Outcome of one simulated master failure."""
 
@@ -120,7 +121,7 @@ class FailoverSet(RecordSet[FailoverMeasurement]):
         return sum(1 for m in runs if m.converged) / len(runs)
 
 
-@dataclass(frozen=True)
+@value_object
 class _Attempt:
     """One replica's failover attempt."""
 
@@ -130,7 +131,7 @@ class _Attempt:
     conf_clock: int
 
 
-@dataclass(frozen=True)
+@value_object
 class _FailoverModelBase:
     """Shared vote-counting machinery for both variants.
 
@@ -217,7 +218,7 @@ class _FailoverModelBase:
         )
 
 
-@dataclass(frozen=True)
+@value_object
 class RedisFailoverModel(_FailoverModelBase):
     """The stock Redis Cluster failover (rank-based delays, shared epochs)."""
 
@@ -256,7 +257,7 @@ class RedisFailoverModel(_FailoverModelBase):
         return attempts
 
 
-@dataclass(frozen=True)
+@value_object
 class EscapeFailoverModel(_FailoverModelBase):
     """Redis failover with ESCAPE-style groomed configurations."""
 

@@ -22,10 +22,10 @@ this for arbitrary transition sequences).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.common.errors import SimulationError
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds
 from repro.raft.listeners import NodeListenerBase
 
@@ -78,7 +78,7 @@ def cluster_available(cluster: "SimulatedCluster") -> bool:
     return quorum_leader(cluster) is not None
 
 
-@dataclass(frozen=True)
+@value_object
 class AvailabilityReport:
     """The finalized availability decomposition of one measured window.
 

@@ -33,12 +33,12 @@ worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.chaos.availability import AvailabilityObserver
 from repro.chaos.plans import ChaosPlan
 from repro.cluster.builder import SimulatedCluster
 from repro.common.errors import SimulationError
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds, ServerId
 from repro.net.faults import FaultInjector, bind
 from repro.net.latency import assign_regions
@@ -46,7 +46,7 @@ from repro.net.latency import assign_regions
 __all__ = ["ChaosDriver", "DisruptionRecord"]
 
 
-@dataclass(frozen=True)
+@value_object
 class DisruptionRecord:
     """One injection the driver applied (or skipped), with its fire time."""
 

@@ -24,7 +24,7 @@ The catalog names the generators (mirroring
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Iterable
 
 from repro.chaos.specs import (
@@ -37,6 +37,7 @@ from repro.chaos.specs import (
     SwapFault,
 )
 from repro.common.errors import ConfigurationError
+from repro.common.frozen import value_object
 from repro.common.registry import Registry
 from repro.common.rng import SeedSequence
 from repro.common.types import Milliseconds
@@ -60,7 +61,7 @@ __all__ = [
 DEFAULT_HORIZON_MS: Milliseconds = 120_000.0
 
 
-@dataclass(frozen=True)
+@value_object
 class ChaosPlan:
     """One deterministic fault timeline over a fixed measurement horizon.
 
@@ -266,7 +267,7 @@ def chaos_storm(
 # --------------------------------------------------------------------------- #
 # The named catalog
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
+@value_object
 class ChaosPlanEntry:
     """One named plan generator: a description plus its seeded builder."""
 

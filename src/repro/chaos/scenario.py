@@ -20,8 +20,8 @@ bit-for-bit deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import field
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.chaos.availability import (
     AvailabilityObserver,
@@ -32,13 +32,15 @@ from repro.chaos.driver import ChaosDriver
 from repro.chaos.plans import ChaosPlan
 from repro.cluster.builder import SimulatedCluster
 from repro.cluster.scenarios import Scenario
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds
 from repro.metrics.records import AvailabilityMeasurement
-from repro.obs.harvest import harvest_chaos, harvest_workload
-from repro.obs.telemetry import MetricsRegistry
 from repro.workload import legacy_interval
 from repro.workload.driver import WorkloadDriver
 from repro.workload.specs import WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.obs.telemetry import MetricsRegistry
 
 __all__ = ["ChaosScenario", "WindowedScenario"]
 
@@ -58,7 +60,7 @@ def _commit_index(cluster: SimulatedCluster) -> int:
     return max((node.commit_index for node in cluster.running_nodes()), default=0)
 
 
-@dataclass(frozen=True)
+@value_object
 class WindowedScenario(Scenario):
     """The shared condition plus a chaos plan injected over a measured window.
 
@@ -119,6 +121,8 @@ class WindowedScenario(Scenario):
             clients.finalize()
         harness.assert_at_most_one_leader_per_term()
         if metrics is not None:
+            from repro.obs.harvest import harvest_chaos, harvest_workload
+
             harvest_chaos(driver, metrics)
             if clients is not None:
                 harvest_workload(clients, metrics)
@@ -127,7 +131,7 @@ class WindowedScenario(Scenario):
         )
 
 
-@dataclass(frozen=True)
+@value_object
 class ChaosScenario(WindowedScenario):
     """One experimental condition for a steady-state availability episode.
 

@@ -25,10 +25,10 @@ Two properties make events the unit a plan ships around:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds
 from repro.common.validation import require_non_negative, require_positive
 from repro.net.faults import FaultInjector
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@value_object
 class ChaosEvent:
     """Base class for timed chaos injections.
 
@@ -66,7 +66,7 @@ class ChaosEvent:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@value_object
 class CrashLeader(ChaosEvent):
     """Crash whoever is leader when the event fires.
 
@@ -80,7 +80,7 @@ class CrashLeader(ChaosEvent):
         driver.crash_leader()
 
 
-@dataclass(frozen=True)
+@value_object
 class CrashServer(ChaosEvent):
     """Crash the server at *server_index* into the membership.
 
@@ -100,7 +100,7 @@ class CrashServer(ChaosEvent):
         driver.crash_server(self.server_index)
 
 
-@dataclass(frozen=True)
+@value_object
 class Recover(ChaosEvent):
     """Recover the longest-crashed server (or every crashed one).
 
@@ -115,7 +115,7 @@ class Recover(ChaosEvent):
         driver.recover(all_servers=self.all_servers)
 
 
-@dataclass(frozen=True)
+@value_object
 class PartitionGroups(ChaosEvent):
     """Split the membership into disjoint cells (messages stay inside a cell).
 
@@ -141,7 +141,7 @@ class PartitionGroups(ChaosEvent):
         )
 
 
-@dataclass(frozen=True)
+@value_object
 class Heal(ChaosEvent):
     """Remove the current partition; every server can communicate again."""
 
@@ -149,7 +149,7 @@ class Heal(ChaosEvent):
         driver.heal()
 
 
-@dataclass(frozen=True)
+@value_object
 class SwapFault(ChaosEvent):
     """Replace the network fault injector with *fault*.
 

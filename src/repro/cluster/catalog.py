@@ -20,8 +20,8 @@ deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro.common.frozen import value_object
 from repro.common.registry import Registry
 from repro.net.faults import (
     BroadcastOmissionFault,
@@ -41,7 +41,7 @@ from repro.net.latency import (
 __all__ = ["CATALOG", "NetworkCondition", "network_specs"]
 
 
-@dataclass(frozen=True)
+@value_object
 class NetworkCondition:
     """One named network condition: a latency model plus a fault injector."""
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds, ServerId, Term
 from repro.raft.listeners import NodeListenerBase
 
 
-@dataclass(frozen=True)
+@value_object
 class TimeoutEvent:
     """A follower's election timer expired (it detected a missing leader)."""
 
@@ -25,7 +26,7 @@ class TimeoutEvent:
     term: Term
 
 
-@dataclass(frozen=True)
+@value_object
 class CampaignEvent:
     """A candidate started an election campaign."""
 
@@ -34,7 +35,7 @@ class CampaignEvent:
     term: Term
 
 
-@dataclass(frozen=True)
+@value_object
 class LeaderElectedEvent:
     """A candidate collected a quorum and became leader."""
 

@@ -17,7 +17,7 @@ episodes live in :mod:`repro.chaos.scenario` and
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import TYPE_CHECKING, Self
 
 from repro import protocols as protocol_registry
@@ -27,6 +27,7 @@ from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
 from repro.common.config import ClusterConfig, ProtocolConfig, RaftTimeoutConfig, ScaParameters
 from repro.common.errors import ConfigurationError
+from repro.common.frozen import value_object
 from repro.common.rng import SeedSequence, paired_seeds
 from repro.common.types import Milliseconds, ServerId
 from repro.metrics.records import ElectionMeasurement
@@ -40,7 +41,7 @@ if TYPE_CHECKING:
     from repro.workload.driver import WorkloadDriver
 
 
-@dataclass(frozen=True)
+@value_object
 class Scenario:
     """The condition every episode kind shares, and the run template.
 
@@ -284,7 +285,7 @@ class Scenario:
         return [self.run(seed) for seed in paired_seeds(runs, base_seed, label)]
 
 
-@dataclass(frozen=True)
+@value_object
 class ElectionScenario(Scenario):
     """One experimental condition for a leader-failure episode.
 

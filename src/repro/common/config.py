@@ -15,10 +15,11 @@ here directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterator
 
 from repro.common.errors import ConfigurationError
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds, ServerId
 from repro.common.validation import (
     require_in_range,
@@ -29,7 +30,7 @@ from repro.common.validation import (
 )
 
 
-@dataclass(frozen=True)
+@value_object
 class ClusterConfig:
     """Static membership of a consensus cluster.
 
@@ -93,7 +94,7 @@ class ClusterConfig:
         return self.size
 
 
-@dataclass(frozen=True)
+@value_object
 class RaftTimeoutConfig:
     """Randomized election-timeout range used by baseline Raft.
 
@@ -111,7 +112,7 @@ class RaftTimeoutConfig:
         require_ordered_pair(self.timeout_min_ms, self.timeout_max_ms, "timeout range")
 
 
-@dataclass(frozen=True)
+@value_object
 class ScaParameters:
     """Parameters of ESCAPE's stochastic configuration assignment (Eq. 1).
 
@@ -146,7 +147,7 @@ class ScaParameters:
         return self.base_time_ms + self.k_ms * (cluster_size - priority)
 
 
-@dataclass(frozen=True)
+@value_object
 class ProtocolConfig:
     """Timing knobs shared by every protocol implementation.
 

@@ -14,7 +14,7 @@ from repro.common.types import LogIndex, Milliseconds
 from repro.common.validation import require_non_negative, require_positive
 
 
-@value_object(order=True)
+@value_object(order=True, slots=True)
 class Configuration:
     """A prioritized configuration ``π(P, k)``.
 
@@ -50,7 +50,7 @@ class Configuration:
         )
 
 
-@value_object
+@value_object(slots=True)
 class ConfigStatus:
     """The follower-side status piggybacked on AppendEntries replies.
 

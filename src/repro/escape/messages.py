@@ -26,7 +26,7 @@ from repro.raft.messages import (
 )
 
 
-@value_object
+@value_object(slots=True)
 class EscapeRequestVoteRequest(RequestVoteRequest):
     """RequestVote extended with the candidate's configuration metadata."""
 
@@ -34,7 +34,7 @@ class EscapeRequestVoteRequest(RequestVoteRequest):
     priority: int = 1
 
 
-@value_object
+@value_object(slots=True)
 class EscapeAppendEntriesRequest(AppendEntriesRequest):
     """AppendEntries extended with the follower's newly assigned configuration.
 
@@ -46,7 +46,7 @@ class EscapeAppendEntriesRequest(AppendEntriesRequest):
     new_config: Configuration | None = None
 
 
-@value_object
+@value_object(slots=True)
 class EscapeAppendEntriesResponse(AppendEntriesResponse):
     """AppendEntries reply extended with the follower's ``configStatus``."""
 

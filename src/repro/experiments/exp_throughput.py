@@ -25,7 +25,7 @@ from repro.cluster.catalog import network_specs
 from repro.common.types import Milliseconds
 from repro.experiments.registry import register
 from repro.experiments.sweep import Axis, Column, RowHeader, SweepExperiment, Table
-from repro.workload import WorkloadAggregate
+from repro.workload.aggregate import WorkloadAggregate
 from repro.workload.scenario import ThroughputScenario
 
 #: The protocols compared (the paper's three-way comparison).

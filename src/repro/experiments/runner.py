@@ -54,12 +54,12 @@ import contextlib
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro import protocols
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import SweepError
+from repro.common.frozen import value_object
 from repro.experiments.base import ProgressCallback, paired_seeds
 from repro.experiments.checkpoint import SweepCheckpoint, checkpoint_fingerprint
 from repro.metrics.records import MeasurementSet
@@ -91,7 +91,7 @@ Container = Callable[..., object]
 MAX_CHUNK_ITEMS = 64
 
 
-@dataclass(frozen=True)
+@value_object
 class SweepItem:
     """One unit of sweep work: a single seeded episode of one scenario.
 
@@ -106,7 +106,7 @@ class SweepItem:
     seed: int
 
 
-@dataclass(frozen=True)
+@value_object
 class SweepChunk:
     """A contiguous slice of the interleaved work-item list.
 

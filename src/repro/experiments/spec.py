@@ -10,10 +10,11 @@ relies on, and the :class:`ExperimentRun` envelope one run returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping
 
 from repro.common.errors import ConfigurationError
+from repro.common.frozen import value_object
 
 __all__ = [
     "CAPABILITIES",
@@ -53,7 +54,7 @@ def validate_experiment_name(name: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@value_object
 class ExperimentRun:
     """Structured envelope returned by one programmatic experiment run.
 

@@ -23,14 +23,13 @@ from __future__ import annotations
 import inspect
 import itertools
 import typing
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from repro import protocols as protocol_registry
 from repro.chaos.plans import build_plan
 from repro.common.errors import ConfigurationError
-from repro.common.frozen import FrozenDict
+from repro.common.frozen import FrozenDict, value_object
 from repro.common.validation import require_unique
 from repro.experiments.spec import CAPABILITIES, validate_experiment_name
 from repro.metrics.records import RecordSet
@@ -89,7 +88,7 @@ def validate_sweep_protocols(protocol_names: Sequence[str]) -> tuple[str, ...]:
 # --------------------------------------------------------------------------- #
 # The grid
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
+@value_object
 class Axis:
     """One declared parameter of a sweep.
 
@@ -118,7 +117,7 @@ class Axis:
     narrowed_by: str = ""
 
 
-@dataclass(frozen=True)
+@value_object
 class GridResult:
     """What every sweep returns: the swept grid and one container per cell.
 
@@ -174,7 +173,7 @@ def _cell_text(value: object, format: str) -> str:
 _Expanded = tuple[str, Callable[[Mapping[str, object]], str]]
 
 
-@dataclass(frozen=True)
+@value_object
 class RowHeader:
     """A swept axis that spans the table's rows: its header and its cell text."""
 
@@ -183,7 +182,7 @@ class RowHeader:
     show: Callable[[object], str] = str
 
 
-@dataclass(frozen=True)
+@value_object
 class Column:
     """A statistic of the row's cell.
 
@@ -204,7 +203,7 @@ class Column:
         return [(self.header, lambda coords: self.text(result.cell(**coords)))]
 
 
-@dataclass(frozen=True)
+@value_object
 class PerProtocol:
     """Statistics repeated for every swept protocol (protocol-major).
 
@@ -228,7 +227,7 @@ class PerProtocol:
         ]
 
 
-@dataclass(frozen=True)
+@value_object
 class Reduction:
     """Percentage reduction of the mean election time versus a baseline protocol.
 
@@ -259,7 +258,7 @@ class Reduction:
         ]
 
 
-@dataclass(frozen=True)
+@value_object
 class Derived:
     """A column computed from the whole result, present when *when* says so.
 
@@ -282,7 +281,7 @@ class Derived:
         return [(self.header, text)]
 
 
-@dataclass(frozen=True)
+@value_object
 class Table:
     """A sweep's report: a title, the row axes and the columns.
 
@@ -321,7 +320,7 @@ class Table:
 # --------------------------------------------------------------------------- #
 # The declaration
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
+@value_object
 class SweepExperiment:
     """One registered experiment, declared as a grid.
 

@@ -10,10 +10,10 @@ source lines), and reports unknown pragma ids as ``P1`` findings.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from repro.common.frozen import value_object
 from repro.lint.model import (
     DEFAULT_CONFIG,
     Finding,
@@ -153,7 +153,7 @@ def get_rule(rule_id: str) -> Rule:
         ) from None
 
 
-@dataclass(frozen=True)
+@value_object
 class LintReport:
     """The outcome of one lint invocation."""
 

@@ -12,8 +12,10 @@ tests share one definition of the syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Mapping
+
+from repro.common.frozen import value_object
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -25,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@value_object(order=True)
 class Finding:
     """One rule violation anchored to a source line."""
 
@@ -48,7 +50,7 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule_id}] {self.message}"
 
 
-@dataclass(frozen=True)
+@value_object
 class Rule:
     """Descriptor for one lint rule.
 
@@ -74,7 +76,7 @@ class Rule:
     )
 
 
-@dataclass(frozen=True)
+@value_object
 class LintConfig:
     """Scoping allowlists for the rule set.
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Callable, Generic, Iterable, Iterator, TypeVar
 
 from repro.common.errors import ClusterError
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds, ServerId, Term
 
 # The statistics load with the first aggregate: an episode that only records
@@ -58,7 +59,7 @@ class RecordSet(Generic[M]):
         return iter(self._measurements)
 
 
-@dataclass(frozen=True)
+@value_object
 class ElectionMeasurement:
     """Everything measured about one leader-failure / re-election episode.
 
@@ -88,7 +89,7 @@ class ElectionMeasurement:
             raise ClusterError("a converged measurement must name the winner")
 
 
-@dataclass(frozen=True)
+@value_object
 class AvailabilityMeasurement:
     """Everything measured about one chaos-disrupted availability window.
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.common.errors import ClusterError
+from repro.common.frozen import value_object
 
 
 def fraction_at_or_below(values: Sequence[float], threshold: float) -> float:
@@ -39,7 +39,7 @@ def _percentile_sorted(ordered: Sequence[float], q: float) -> float:
     return ordered[low] * (1.0 - weight) + ordered[high] * weight
 
 
-@dataclass(frozen=True)
+@value_object
 class SummaryStatistics:
     """Summary of a sample of election times (or any positive metric)."""
 

@@ -27,7 +27,7 @@ Four layers:
   the fields in declaration order.
 * :class:`ElectionAggregate` -- episode/convergence/split-vote/campaign
   counters plus streaming summaries of the total/detection/election periods
-  (:class:`repro.workload.WorkloadAggregate` is the throughput sibling).
+  (:class:`repro.workload.aggregate.WorkloadAggregate` is the throughput sibling).
 
 Exactness contract (pinned by ``tests/property/test_streaming_equivalence.py``):
 as long as a summary has seen at most ``capacity`` values, any chunking and

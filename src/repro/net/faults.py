@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Any, Protocol, Sequence, runtime_checkable
 
 from repro.common.errors import ConfigurationError
+from repro.common.frozen import value_object
 from repro.common.types import ServerId
 from repro.common.validation import require_fraction
 
@@ -57,7 +57,7 @@ class FaultInjector(Protocol):
         ...
 
 
-@dataclass(frozen=True)
+@value_object
 class NoFault:
     """The fault injector used when the network is healthy (Δ = 0)."""
 
@@ -70,7 +70,7 @@ class NoFault:
         return frozenset()
 
 
-@dataclass(frozen=True)
+@value_object
 class PacketLossFault:
     """Independent per-message loss with probability *loss_rate*."""
 
@@ -90,7 +90,7 @@ class PacketLossFault:
         )
 
 
-@dataclass(frozen=True)
+@value_object
 class BroadcastOmissionFault:
     """The paper's broadcast loss model (Section VI-D).
 
@@ -124,7 +124,7 @@ class BroadcastOmissionFault:
         return frozenset(rng.sample(list(targets), omit_count))
 
 
-@dataclass(frozen=True)
+@value_object
 class MessageDuplicationFault:
     """Duplicates (rather than drops) messages with probability *rate*.
 
@@ -152,7 +152,7 @@ class MessageDuplicationFault:
         return rng.random() < self.rate
 
 
-@dataclass(frozen=True)
+@value_object
 class CompositeFault:
     """Union of several fault injectors: a message is dropped if any says so.
 

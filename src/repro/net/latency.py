@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.common.errors import ConfigurationError
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds, ServerId
 from repro.common.validation import require_non_negative, require_ordered_pair, require_positive
 
@@ -38,7 +39,7 @@ class LatencyModel(Protocol):
         ...
 
 
-@dataclass(frozen=True)
+@value_object
 class ConstantLatency:
     """Every message takes exactly *latency_ms* milliseconds."""
 
@@ -51,7 +52,7 @@ class ConstantLatency:
         return self.latency_ms
 
 
-@dataclass(frozen=True)
+@value_object
 class UniformLatency:
     """Latency drawn uniformly from ``[low_ms, high_ms]``.
 
@@ -70,7 +71,7 @@ class UniformLatency:
         return rng.uniform(self.low_ms, self.high_ms)
 
 
-@dataclass(frozen=True)
+@value_object
 class LogNormalLatency:
     """Heavy-tailed latency, parameterised by median and sigma.
 
@@ -92,7 +93,7 @@ class LogNormalLatency:
         return min(rng.lognormvariate(mu, self.sigma), self.max_ms)
 
 
-@dataclass(frozen=True)
+@value_object
 class GeoGroupLatency:
     """Two-tier latency: fast within a region, slow across regions.
 
@@ -160,7 +161,7 @@ def assign_regions(
     return regions
 
 
-@dataclass(frozen=True)
+@value_object
 class GeoLatencySpec:
     """Two-tier geo latency over *region_count* balanced regions.
 

@@ -22,11 +22,11 @@ Two design rules keep telemetry sweep-safe:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.common.frozen import FrozenDict
+from repro.common.frozen import FrozenDict, value_object
 
 __all__ = [
     "Counter",
@@ -180,7 +180,7 @@ class MetricsRegistry:
 _HistState = tuple[tuple[float, ...], tuple[int, ...], int, float]
 
 
-@dataclass(frozen=True)
+@value_object
 class TelemetrySnapshot:
     """An immutable point-in-time copy of a :class:`MetricsRegistry`.
 

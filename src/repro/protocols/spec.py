@@ -12,11 +12,11 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.common.config import ClusterConfig, ProtocolConfig
 from repro.common.errors import ConfigurationError
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds, ServerId
 from repro.raft.environment import Environment
 from repro.raft.listeners import NodeListener
@@ -27,7 +27,7 @@ from repro.storage.persistent import PersistentState
 __all__ = ["ProtocolSpec"]
 
 
-@dataclass(frozen=True)
+@value_object
 class ProtocolSpec:
     """Descriptor for one registered election protocol.
 

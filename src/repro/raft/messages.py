@@ -17,14 +17,14 @@ from repro.common.types import LogIndex, ServerId, Term
 from repro.storage.log import LogEntry
 
 
-@value_object
+@value_object(slots=True)
 class RpcMessage:
     """Base class for every protocol message; all carry the sender's term."""
 
     term: Term
 
 
-@value_object
+@value_object(slots=True)
 class RequestVoteRequest(RpcMessage):
     """A candidate's vote solicitation.
 
@@ -40,7 +40,7 @@ class RequestVoteRequest(RpcMessage):
     last_log_term: Term = 0
 
 
-@value_object
+@value_object(slots=True)
 class RequestVoteResponse(RpcMessage):
     """A voter's reply to :class:`RequestVoteRequest`.
 
@@ -54,7 +54,7 @@ class RequestVoteResponse(RpcMessage):
     vote_granted: bool = False
 
 
-@value_object
+@value_object(slots=True)
 class AppendEntriesRequest(RpcMessage):
     """The leader's replication/heartbeat RPC.
 
@@ -74,7 +74,7 @@ class AppendEntriesRequest(RpcMessage):
     leader_commit: LogIndex = 0
 
 
-@value_object
+@value_object(slots=True)
 class AppendEntriesResponse(RpcMessage):
     """A follower's reply to :class:`AppendEntriesRequest`.
 

@@ -82,10 +82,10 @@ never imports an implementation until a world is actually built with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
 
 from repro.common.errors import ConfigurationError
+from repro.common.frozen import value_object
 from repro.common.registry import Registry
 
 __all__ = [
@@ -107,7 +107,7 @@ def _resolve_class(path: str) -> type:
         ) from exc
 
 
-@dataclass(frozen=True)
+@value_object
 class EngineSpec:
     """Descriptor for one simulation engine.
 

@@ -7,13 +7,14 @@ ESCAPE run ever records a ``split_vote`` event).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Iterator
 
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds, ServerId
 
 
-@dataclass(frozen=True)
+@value_object
 class TraceRecord:
     """A single trace event.
 

@@ -14,7 +14,7 @@ from repro.common.errors import ProtocolError
 from repro.common.frozen import value_object
 
 
-@value_object
+@value_object(slots=True)
 class PutCommand:
     """Set *key* to *value*; returns the previous value (or ``None``)."""
 
@@ -22,21 +22,21 @@ class PutCommand:
     value: Any
 
 
-@value_object
+@value_object(slots=True)
 class GetCommand:
     """Read *key* through the log (linearisable read); returns the value."""
 
     key: str
 
 
-@value_object
+@value_object(slots=True)
 class DeleteCommand:
     """Remove *key*; returns ``True`` when the key existed."""
 
     key: str
 
 
-@value_object
+@value_object(slots=True)
 class CompareAndSwapCommand:
     """Set *key* to *new_value* only when it currently equals *expected*.
 

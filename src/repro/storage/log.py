@@ -22,7 +22,7 @@ from repro.common.frozen import value_object
 from repro.common.types import LogIndex, Term
 
 
-@value_object
+@value_object(slots=True)
 class LogEntry:
     """One entry of the replicated log.
 

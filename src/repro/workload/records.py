@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from repro.common.errors import ClusterError
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds
 
 
-@dataclass(frozen=True)
+@value_object
 class WorkloadMeasurement:
     """Everything a workload observed over one measured episode.
 

@@ -17,19 +17,23 @@ scenario imports the cluster layer, so experiments import it as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from typing import TYPE_CHECKING
 
 from repro.chaos.scenario import WindowedScenario
 from repro.cluster.builder import SimulatedCluster
 from repro.cluster.scenarios import ElectionScenario, Scenario
-from repro.obs.telemetry import MetricsRegistry
+from repro.common.frozen import value_object
 from repro.workload import specs as workload_specs
 from repro.workload.records import WorkloadMeasurement
+
+if TYPE_CHECKING:
+    from repro.obs.telemetry import MetricsRegistry
 
 __all__ = ["ThroughputScenario"]
 
 
-@dataclass(frozen=True)
+@value_object
 class ThroughputScenario(WindowedScenario):
     """One experimental condition for a client-observed serving episode.
 

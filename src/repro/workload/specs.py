@@ -16,9 +16,10 @@ A spec is *resolved* against a live cluster by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.common.errors import ConfigurationError
+from repro.common.frozen import value_object
 from repro.common.registry import Registry
 from repro.common.types import Milliseconds
 
@@ -46,7 +47,7 @@ KEY_MODES: tuple[str, ...] = ("round-robin", "uniform", "hotspot")
 VALUE_MODES: tuple[str, ...] = ("fixed", "uniform")
 
 
-@dataclass(frozen=True)
+@value_object
 class KeyspaceSpec:
     """How clients pick keys.
 
@@ -82,7 +83,7 @@ class KeyspaceSpec:
                 )
 
 
-@dataclass(frozen=True)
+@value_object
 class ValueSizeSpec:
     """How large proposed values are (payload characters)."""
 
@@ -105,7 +106,7 @@ class ValueSizeSpec:
             )
 
 
-@dataclass(frozen=True)
+@value_object
 class WorkloadSpec:
     """One named client-traffic shape.
 

@@ -28,7 +28,7 @@ from repro.metrics.streaming import (
     ElectionAggregate,
     StreamingSummary,
 )
-from repro.workload import WorkloadAggregate
+from repro.workload.aggregate import WorkloadAggregate
 from repro.workload.records import WorkloadMeasurement
 
 CAPACITY = 64

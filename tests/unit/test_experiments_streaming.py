@@ -42,7 +42,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.records import AvailabilitySet, MeasurementSet
 from repro.metrics.streaming import ElectionAggregate
-from repro.workload import WorkloadAggregate
+from repro.workload.aggregate import WorkloadAggregate
 from repro.workload.scenario import ThroughputScenario
 
 SCENARIOS = {

@@ -27,7 +27,7 @@ from repro.metrics.streaming import (
     MergeableCDF,
     StreamingSummary,
 )
-from repro.workload import WorkloadAggregate
+from repro.workload.aggregate import WorkloadAggregate
 from repro.workload.records import WorkloadMeasurement
 
 

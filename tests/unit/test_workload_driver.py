@@ -8,12 +8,8 @@ from repro.cluster.observers import ElectionObserver
 from repro.common.errors import ClusterError, SimulationError
 from repro.net.latency import ConstantLatency
 from repro.statemachine.kvstore import PutCommand
-from repro.workload import (
-    WorkloadAggregate,
-    WorkloadDriver,
-    WorkloadMeasurement,
-    legacy_interval,
-)
+from repro.workload import WorkloadDriver, WorkloadMeasurement, legacy_interval
+from repro.workload.aggregate import WorkloadAggregate
 from repro.workload.specs import KeyspaceSpec, ValueSizeSpec, WorkloadSpec
 
 FAST_LATENCY = ConstantLatency(5.0)
