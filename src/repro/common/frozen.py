@@ -3,7 +3,7 @@
 The registries dispatch frozen dataclasses into the parallel sweep engine's
 process pool, so every spec field must be hashable and picklable.  Plain
 ``dict`` fields break that contract (``hash(spec)`` raises), which is exactly
-what the ``repro.lint`` S1 rule rejects.  :class:`FrozenDict` is the
+what the spec conformance suite rejects.  :class:`FrozenDict` is the
 replacement: a read-only :class:`~collections.abc.Mapping` that preserves
 insertion order for iteration and ``repr`` but hashes order-independently, so
 two specs built from differently-ordered literals still compare and hash
@@ -48,7 +48,8 @@ class FrozenDict(Mapping[str, Any]):
     Accepts anything ``dict()`` accepts; equality follows mapping semantics
     (order-insensitive, interoperable with plain dicts), and the hash is the
     hash of the item set, so it is defined exactly when every value is
-    hashable -- the property S1 enforces for registered specs.
+    hashable -- the property the conformance suite requires of registered
+    specs.
     """
 
     __slots__ = ("_data", "_hash")

@@ -9,8 +9,8 @@ survive the CLI, which splits lists on commas), and an unknown name raises
 one :class:`~repro.common.errors.ConfigurationError` that lists every
 registered name.  Each registry module binds the verbs it offers to one
 instance and keeps only what is its own (``protocols.title``,
-``engines.resolve``, ``build_plan``, ...); ``repro.lint``'s S1 rule and the
-conformance suite enumerate all six through :meth:`Registry.items`.
+``engines.resolve``, ``build_plan``, ...); the spec conformance suite
+enumerates all six through :meth:`Registry.items`.
 """
 
 from __future__ import annotations

@@ -3,21 +3,22 @@
 Every claim this reproduction makes rests on one invariant: a sweep is
 bit-for-bit identical at any ``--workers`` count, because all randomness flows
 from :mod:`repro.common.rng` seed derivation and every registered spec is a
-frozen, picklable value.  This package turns that convention into a mechanical
-gate:
+frozen, picklable value.  This package turns the source half of that
+convention into a mechanical gate; it parses the files it checks and never
+imports them:
 
 * **AST rules** (``D1``-``D4``) scan each source file for determinism hazards
   -- wall-clock and entropy sources, RNGs built outside the derivation
   helpers, ordered consumption of unordered ``set`` values on the simulation
   path, and wall-clock waits in simulated code.
-* **Registry rules** (``S1``-``S2``) import the six spec registries
-  (protocols, experiments, network conditions, chaos plans, engines,
-  workloads), enumerate each through ``Registry.items()`` and verify every
-  registered value is a frozen, hashable, picklable dataclass, and that
-  every experiments module registers exactly one.
 * **Reachability rule** (``U1``) reports every top-level name and public
   method of the package that nothing outside ``tests/`` uses: not the
   package itself, ``examples/``, ``bench/`` or ``benchmarks/``.
+
+The spec half -- every registered value is frozen, hashes and pickles, and
+every experiments module registers exactly one declaration -- is a runtime
+property, so the test suite checks it (``tests/unit/test_spec_conformance.py``
+and ``tests/unit/test_experiments_registry.py``).
 
 Findings can be suppressed line-by-line with a justification pragma::
 

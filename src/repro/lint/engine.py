@@ -28,10 +28,6 @@ from repro.lint.rules_ast import (
     check_wall_clock,
     check_wall_clock_waits,
 )
-from repro.lint.rules_registry import (
-    check_experiment_registry,
-    check_registered_specs,
-)
 from repro.lint.rules_unused import check_unused_names
 
 __all__ = [
@@ -86,27 +82,6 @@ RULES: tuple[Rule, ...] = (
         ),
         kind="file",
         check=check_wall_clock_waits,
-    ),
-    Rule(
-        id="S1",
-        name="spec-purity",
-        description=(
-            "every value registered with the protocols/experiments/"
-            "net-conditions/chaos registries is a frozen, hashable, picklable "
-            "dataclass with module-level callables and immutable defaults"
-        ),
-        kind="tree",
-        check=check_registered_specs,
-    ),
-    Rule(
-        id="S2",
-        name="registry-completeness",
-        description=(
-            "each non-infrastructure module of repro.experiments registers "
-            "exactly one experiment declaration"
-        ),
-        kind="tree",
-        check=check_experiment_registry,
     ),
     Rule(
         id="U1",
@@ -272,7 +247,7 @@ def _tree_findings(
 ) -> list[Finding]:
     """Run the tree rules; keep findings anchored inside the linted roots.
 
-    Tree findings anchor to definition lines wherever the module lives;
+    A tree rule reads this ``repro`` package's source wherever it lives;
     dropping anchors outside the linted tree keeps ``repro.lint
     some/fixture/dir`` focused on the caller's files while the default
     ``repro.lint src`` invocation sees everything.  Suppression pragmas apply

@@ -1,7 +1,7 @@
 """Core lint vocabulary: findings, rule descriptors, config, and pragmas.
 
 A :class:`Finding` is one localised violation (file, line, rule id, message);
-a :class:`Rule` is a frozen descriptor binding a stable id (``D1``, ``S2``,
+a :class:`Rule` is a frozen descriptor binding a stable id (``D1``, ``U1``,
 ...) to its checker; :class:`LintConfig` carries the explicit allowlists that
 scope each rule to the parts of the tree where its hazard is real (the
 progress reporter is *supposed* to read the wall clock).  Suppression pragmas
@@ -59,10 +59,9 @@ class Rule:
         name: short kebab-case label.
         description: one-line summary shown by ``--list-rules``.
         kind: ``"file"`` rules receive each parsed file; ``"tree"`` rules
-            run once per invocation against the whole package (its imported
-            spec registries, or its source with the reference directories);
-            ``"meta"`` rules (the pragma rule) are applied by the engine
-            itself and cannot be invoked directly.
+            run once per invocation against the whole package's source and
+            the reference directories; ``"meta"`` rules (the pragma rule)
+            are applied by the engine itself and cannot be invoked directly.
         check: the checker callable (signature depends on *kind*); excluded
             from equality so rules compare by identity metadata.
     """
@@ -116,21 +115,6 @@ class LintConfig:
         "repro/cluster/",
         "repro/zraft/",
     )
-    #: S2 -- modules of :mod:`repro.experiments` that are harness
-    #: infrastructure rather than experiment definitions.
-    experiment_infra_modules: frozenset[str] = frozenset(
-        {
-            "__init__",
-            "__main__",
-            "base",
-            "checkpoint",
-            "export",
-            "registry",
-            "runner",
-            "spec",
-            "sweep",
-        }
-    )
 
     def is_allowed(self, rel_path: str | None, prefixes: tuple[str, ...]) -> bool:
         """Whether a package-relative path falls under an allowlist."""
@@ -164,7 +148,7 @@ def package_relative_path(path: str) -> str | None:
     return None
 
 
-#: ``# repro: allow[D1]`` or ``# repro: allow[D1,S1]`` -- same-line
+#: ``# repro: allow[D1]`` or ``# repro: allow[D1,D3]`` -- same-line
 #: suppression; trailing prose after the bracket is the justification.
 _PRAGMA_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]*)\]")
 

@@ -104,7 +104,6 @@ register(
         node_class=RaftNode,
         title="Raft",
         description="baseline Raft with randomized election timeouts",
-        paper_section="Section II",
     )
 )
 register(
@@ -113,7 +112,6 @@ register(
         node_class=ZRaftNode,
         title="Z-Raft",
         description="ZooKeeper-style static priorities (SCA without PPF or clock)",
-        paper_section="Section VI-D",
     )
 )
 register(
@@ -122,7 +120,6 @@ register(
         node_class=EscapeNode,
         title="ESCAPE",
         description="the paper's contribution: SCA + PPF + configuration clock",
-        paper_section="Sections IV-V",
     )
 )
 register(
@@ -134,7 +131,6 @@ register(
             "degenerate baseline: one deterministic timeout for every server "
             "(livelocks by design -- the Figure 10 collision argument)"
         ),
-        paper_section="Section VI-C (implied baseline)",
         guarantees_liveness=False,
     )
 )
@@ -147,7 +143,6 @@ register(
             "deterministic per-server timeouts laddered by Eq. 1, without "
             "priority-driven term growth"
         ),
-        paper_section="Section IV-A (implied baseline)",
     )
 )
 register(
@@ -159,7 +154,6 @@ register(
             "ESCAPE with the Probing Patrol disabled: initial SCA "
             "configurations are permanent (the PPF ablation, first-class)"
         ),
-        paper_section="Section IV-B (ablation)",
     )
 )
 

@@ -37,8 +37,6 @@ class ProtocolSpec:
             instantiate.
         title: display label used in report tables (e.g. ``"Z-Raft"``).
         description: one-line summary shown in the registry table.
-        paper_section: where the paper discusses this protocol (``""`` for
-            variants the paper only implies).
         guarantees_liveness: whether the protocol is expected to elect a
             leader under the paper's healthy-network conditions.  ``False``
             only for degenerate baselines (``raft-fixed`` livelocks by
@@ -50,7 +48,6 @@ class ProtocolSpec:
     node_class: type[RaftNode]
     title: str
     description: str = ""
-    paper_section: str = ""
     guarantees_liveness: bool = True
 
     def __post_init__(self) -> None:

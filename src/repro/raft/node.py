@@ -542,9 +542,7 @@ class RaftNode:
         self.leader_id = self.node_id
         self._timeout_attempt = 0
         self._cancel_election_timer()
-        self.progress = ReplicationProgress(
-            self.node_id, self.peers, self.log.last_index
-        )
+        self.progress = ReplicationProgress(self.peers, self.log.last_index)
         if self._trace_on:
             self.env.trace("election.won", term=self.current_term, votes=self.votes.count)
         now = self.env.now()

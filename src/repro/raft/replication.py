@@ -44,8 +44,7 @@ class PeerProgress:
 class ReplicationProgress:
     """Tracks every follower's progress and derives the commit index."""
 
-    def __init__(self, leader_id: ServerId, peers: Iterable[ServerId], last_log_index: LogIndex) -> None:
-        self._leader_id = leader_id
+    def __init__(self, peers: Iterable[ServerId], last_log_index: LogIndex) -> None:
         self._peers: dict[ServerId, PeerProgress] = {
             peer: PeerProgress(next_index=last_log_index + 1) for peer in peers
         }

@@ -7,8 +7,8 @@ with think time, or an open-loop arrival process -- together with a keyspace
 model and a value-size model, as a frozen, hashable, picklable value.  Like
 the protocol/engine/chaos registries, workloads are registered by name so the
 ``throughput`` experiment, the CLI and the benchmarks all select them the
-same way, and every registered value is enumerated by ``repro.lint``'s S1
-spec-purity rule through :func:`items`.
+same way, and the spec conformance suite checks every registered value
+through :func:`items`.
 
 A spec is *resolved* against a live cluster by
 :class:`repro.workload.driver.WorkloadDriver`; this module is pure data.

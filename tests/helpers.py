@@ -176,6 +176,26 @@ def registrations(registry_module: Any) -> Iterator[None]:
         table.update(saved)
 
 
+def load_registries() -> dict[str, tuple[tuple[str, object], ...]]:
+    """Import the six spec registries and enumerate each one's
+    ``(name, spec)`` pairs, in registration order."""
+    from repro.chaos.plans import CHAOS_CATALOG
+    from repro.cluster.catalog import CATALOG
+    from repro.experiments import registry as experiment_registry
+    from repro.protocols import registry as protocol_registry
+    from repro.sim import engines as engine_registry
+    from repro.workload import specs as workload_registry
+
+    return {
+        "protocols": protocol_registry.items(),
+        "experiments": experiment_registry.items(),
+        "net-conditions": CATALOG.items(),
+        "chaos-plans": CHAOS_CATALOG.items(),
+        "engines": engine_registry.items(),
+        "workloads": workload_registry.items(),
+    }
+
+
 def small_cluster(n: int = 3) -> ClusterConfig:
     """A small cluster config used across node unit tests."""
     return ClusterConfig.of_size(n)

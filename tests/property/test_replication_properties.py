@@ -52,7 +52,7 @@ class TestCommitRuleEquivalence:
         log = ReplicatedLog(
             LogEntry(term=term, index=index) for index, term in enumerate(terms, start=1)
         )
-        progress = ReplicationProgress(1, peers, initial_last_index)
+        progress = ReplicationProgress(peers, initial_last_index)
         leader_match = initial_last_index
         for kind, peer, index in [("start", 1, 0)] + steps:
             if kind == "success":

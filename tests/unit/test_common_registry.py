@@ -10,9 +10,10 @@ from repro.cluster.catalog import network_specs
 from repro.common.errors import ConfigurationError
 from repro.common.registry import Registry
 from repro.experiments import registry as experiments
-from repro.lint.rules_registry import load_registries
 from repro.sim import engines
 from repro.workload import specs as workloads
+
+from helpers import load_registries
 
 
 @dataclass(frozen=True)

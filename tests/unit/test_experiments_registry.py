@@ -10,11 +10,14 @@ in ``test_experiments_structure.py``).
 """
 
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import repro.experiments
 from repro.common.errors import ConfigurationError
 from repro.experiments import (
     ExperimentRun,
@@ -27,6 +30,12 @@ from repro.experiments.spec import CAPABILITIES
 from helpers import registrations
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Modules of :mod:`repro.experiments` that are harness infrastructure rather
+#: than experiment declarations.
+INFRASTRUCTURE = frozenset(
+    {"__main__", "base", "checkpoint", "export", "registry", "runner", "spec", "sweep"}
+)
 
 #: Tiny run counts so the whole registry smokes in seconds.
 QUICK_RUNS = {"fig3": 2, "fig4": 2, "ablation-k": 2, "adapter-redis": 2}
@@ -247,3 +256,44 @@ class TestRegisterSemantics:
             assert run.runs == 2
             assert run.result.context == {"cluster_size": 3}
             assert run.report.startswith("Figure 3")
+
+
+def _misregistered(modules):
+    """Each module namespace (``name -> vars``) that does not bind exactly one
+    registered declaration, with the registered names it binds."""
+    registered = {id(spec): name for name, spec in registry.items()}
+    bound = {
+        module: sorted(
+            {registered[id(v)] for v in namespace.values() if id(v) in registered}
+        )
+        for module, namespace in modules.items()
+    }
+    return {module: names for module, names in bound.items() if len(names) != 1}
+
+
+class TestOneDeclarationPerModule:
+    """A module left out of the registry never reaches the CLI, ``all`` or
+    the golden and contract suites; one registering two hides which is which."""
+
+    def test_every_experiment_module_registers_exactly_one(self):
+        modules = {
+            info.name: vars(importlib.import_module(f"repro.experiments.{info.name}"))
+            for info in pkgutil.iter_modules(repro.experiments.__path__)
+            if info.name not in INFRASTRUCTURE
+        }
+        assert modules
+        assert _misregistered(modules) == {}
+
+    def test_one_registered_declaration_passes(self):
+        namespace = {"EXPERIMENT": registry.get("fig3"), "other": 1}
+        assert _misregistered({"fx_one": namespace}) == {}
+
+    def test_a_module_registering_nothing_fails(self):
+        # An unregistered declaration does not count: the registry is the
+        # dispatch layer, so only what it holds exists.
+        loose = dataclasses.replace(registry.get("fig3"), name="fx-loose")
+        assert _misregistered({"fx_none": {"SPEC": loose}}) == {"fx_none": []}
+
+    def test_a_module_registering_two_fails(self):
+        namespace = {"A": registry.get("fig3"), "B": registry.get("fig4")}
+        assert _misregistered({"fx_two": namespace}) == {"fx_two": ["fig3", "fig4"]}

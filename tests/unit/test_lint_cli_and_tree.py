@@ -3,10 +3,16 @@
 ``test_src_tree_is_lint_clean`` is the point of the whole subsystem: the
 shipped tree has zero findings, so any new determinism hazard fails the test
 suite (and CI's dedicated lint job) the moment it is introduced.
+``TestSourceOnly`` holds the linter to reading what it checks: a full lint in
+a fresh interpreter loads no ``repro`` module beyond those ``repro.lint``
+itself imports.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +38,40 @@ class TestTreeGate:
         report = lint_paths([SRC], rule_ids=["D3"])
         assert report.rule_ids == ("D3",)
         assert report.clean
+
+
+CHILD = """
+import json, sys
+from repro.lint import lint_paths
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "repro")
+
+imported = loaded()
+report = lint_paths([sys.argv[1]])
+print(json.dumps({"imported": imported, "linted": loaded(), "clean": report.clean}))
+"""
+
+
+class TestSourceOnly:
+    def test_a_full_lint_imports_nothing_it_checks(self):
+        path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        result = subprocess.run(
+            [sys.executable, "-c", CHILD, SRC],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        child = json.loads(result.stdout)
+        print(
+            f"repro.lint: {len(child['imported'])} repro modules imported, "
+            f"{len(child['linted'])} after a full lint"
+        )
+        assert child["clean"]
+        assert sorted(set(child["linted"]) - set(child["imported"])) == []
 
 
 class TestRuleTable:

@@ -62,40 +62,40 @@ def log_with(terms):
 
 class TestReplicationProgress:
     def test_initial_next_index_is_after_leader_log(self):
-        progress = ReplicationProgress(leader_id=1, peers=[2, 3], last_log_index=4)
+        progress = ReplicationProgress(peers=[2, 3], last_log_index=4)
         assert progress.next_index(2) == 5
         assert progress.match_index(2) == 0
 
     def test_success_advances_match_and_next(self):
-        progress = ReplicationProgress(1, [2], last_log_index=4)
+        progress = ReplicationProgress([2], last_log_index=4)
         progress.record_success(2, match_index=4)
         assert progress.match_index(2) == 4
         assert progress.next_index(2) == 5
 
     def test_success_never_moves_match_backwards(self):
-        progress = ReplicationProgress(1, [2], last_log_index=4)
+        progress = ReplicationProgress([2], last_log_index=4)
         progress.record_success(2, 4)
         progress.record_success(2, 2)  # stale duplicate reply
         assert progress.match_index(2) == 4
 
     def test_failure_rewinds_next_index_using_follower_hint(self):
-        progress = ReplicationProgress(1, [2], last_log_index=10)
+        progress = ReplicationProgress([2], last_log_index=10)
         progress.record_failure(2, follower_last_index=3)
         assert progress.next_index(2) == 4
 
     def test_failure_never_goes_below_one(self):
-        progress = ReplicationProgress(1, [2], last_log_index=0)
+        progress = ReplicationProgress([2], last_log_index=0)
         progress.record_failure(2, follower_last_index=0)
         assert progress.next_index(2) == 1
 
     def test_unknown_peer_rejected(self):
-        progress = ReplicationProgress(1, [2], last_log_index=0)
+        progress = ReplicationProgress([2], last_log_index=0)
         with pytest.raises(ProtocolError):
             progress.record_success(9, 1)
 
     def test_commit_index_requires_quorum_in_current_term(self):
         log = log_with([1, 1, 2])
-        progress = ReplicationProgress(1, [2, 3, 4, 5], last_log_index=3)
+        progress = ReplicationProgress([2, 3, 4, 5], last_log_index=3)
         progress.record_local_append(3)
         # Leader + one follower hold index 3: that is 2 replicas, below the
         # quorum of 3 in a 5-server cluster, so nothing commits yet.
@@ -108,7 +108,7 @@ class TestReplicationProgress:
     def test_commit_index_ignores_entries_from_older_terms(self):
         # Raft never commits an older-term entry by counting replicas.
         log = log_with([1, 1])
-        progress = ReplicationProgress(1, [2, 3], last_log_index=2)
+        progress = ReplicationProgress([2, 3], last_log_index=2)
         progress.record_local_append(2)
         progress.record_success(2, 2)
         progress.record_success(3, 2)
@@ -119,7 +119,7 @@ class TestReplicationProgress:
         # a current-term entry replicated at least as widely -- the walk-down
         # must find it rather than give up at the stale candidate.
         log = log_with([1, 2, 2])
-        progress = ReplicationProgress(1, [2, 3, 4, 5], last_log_index=3)
+        progress = ReplicationProgress([2, 3, 4, 5], last_log_index=3)
         progress.record_local_append(3)
         progress.record_success(2, 3)
         progress.record_success(3, 2)  # quorum index is 2 (term 2): commits
@@ -130,7 +130,7 @@ class TestReplicationProgress:
         # term-1 entries beneath it are committed with it (the commit index
         # jumps straight to 3, never pausing at the stale entries).
         log = log_with([1, 1, 2])
-        progress = ReplicationProgress(1, [2, 3, 4, 5], last_log_index=3)
+        progress = ReplicationProgress([2, 3, 4, 5], last_log_index=3)
         progress.record_local_append(3)
         progress.record_success(2, 3)
         progress.record_success(3, 3)
@@ -140,7 +140,7 @@ class TestReplicationProgress:
         # One follower racing ahead on term-2 entries does not move the
         # commit index while the quorum still sits on the term-1 prefix.
         log = log_with([1, 2, 2])
-        progress = ReplicationProgress(1, [2, 3, 4, 5], last_log_index=3)
+        progress = ReplicationProgress([2, 3, 4, 5], last_log_index=3)
         progress.record_local_append(3)
         progress.record_success(2, 1)
         progress.record_success(3, 1)  # quorum at index 1, term 1: stale
@@ -148,12 +148,12 @@ class TestReplicationProgress:
 
     def test_quorum_larger_than_cluster_commits_nothing(self):
         log = log_with([1])
-        progress = ReplicationProgress(1, [2], last_log_index=1)
+        progress = ReplicationProgress([2], last_log_index=1)
         progress.record_local_append(1)
         progress.record_success(2, 1)
         assert progress.commit_index_for_quorum(5, log, current_term=1) == 0
 
     def test_peers_view_is_a_copy(self):
-        progress = ReplicationProgress(1, [2], last_log_index=0)
+        progress = ReplicationProgress([2], last_log_index=0)
         view = progress.peers
         assert set(view) == {2}

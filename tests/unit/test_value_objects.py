@@ -44,9 +44,10 @@ from repro.escape.configuration import ConfigStatus, Configuration
 from repro.experiments.runner import SweepItem
 from repro.lint.engine import RULES, Finding
 from repro.lint.model import DEFAULT_CONFIG
-from repro.lint.rules_registry import load_registries
 from repro.raft.messages import RpcMessage
 from repro.storage.log import LogEntry
+
+from helpers import load_registries
 
 
 def _all_classes() -> list[type]:
