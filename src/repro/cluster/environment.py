@@ -23,10 +23,9 @@ class SimNodeEnvironment:
     ``schedule_timer_entry`` / ``cancel_entry`` / ``rearm_timer_entry`` (a
     timer handle is whatever opaque token the engine's scheduler returns),
     ``send`` / ``broadcast`` are the network's with this node as the sender
-    (:func:`functools.partial` dispatches in C, which is why nodes pass
-    ``inert`` positionally), ``now`` is the clock's, and ``trace`` is a no-op
-    when the world records nothing (a Tracer's enabled flag is fixed at
-    construction).
+    (:func:`functools.partial` dispatches in C), ``now`` is the clock's, and
+    ``trace`` is a no-op when the world records nothing (a Tracer's enabled
+    flag is fixed at construction).
 
     Each node gets a private random stream (``seeds.stream("node", node_id)``)
     so adding or removing one node never perturbs another's timeout draws.

@@ -157,10 +157,12 @@ class ProtocolConfig:
             ``timeout_min_ms`` or SCA's ``base_time_ms``, whichever is
             smaller) so followers do not time out under a healthy leader.
         vote_retry_interval_ms: how often a candidate retransmits its
-            RequestVote to peers that have not granted yet, within one
-            campaign.  Raft candidates retry vote RPCs until the campaign ends;
-            without retransmission a single lost broadcast (Section VI-D's
-            loss model) could make a quorum unreachable in small clusters.
+            RequestVote, within one campaign, to the peers it has not heard
+            from (neither a grant nor a refusal).  Raft candidates retry vote
+            RPCs until the campaign ends; without retransmission a single lost
+            broadcast (Section VI-D's loss model) could make a quorum
+            unreachable in small clusters.  Once every peer has answered, the
+            candidate stops retrying and waits for its election timeout.
         max_entries_per_append: batch cap for log replication.
         raft_timeouts: the randomized election-timeout range baseline Raft
             draws from (``raft-fixed`` waits its midpoint).

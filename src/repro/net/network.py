@@ -21,10 +21,7 @@ Every dropped message emits one ``net.drop`` trace with a ``reason`` of
 ``"fault"``, ``"broadcast_omission"``, ``"partition"`` or ``"disconnected"``;
 drops that happen at delivery time rather than send time additionally carry
 ``in_flight=True``.  Stats and traces therefore account for exactly the same
-set of drops (when the world traces; otherwise no trace call is made).  A
-message sent as *inert* (see :meth:`SimulatedNetwork.send`) is accounted for
-like any other up to the point of scheduling and then
-counted as ``elided``: it is never in flight, so it is never dropped there.
+set of drops (when the world traces; otherwise no trace call is made).
 """
 
 from __future__ import annotations
@@ -50,14 +47,10 @@ class NetworkStats:
     payload's class; :attr:`sent` and :attr:`per_type_sent` are read-only
     views of that one count.  Once nothing is in flight every message copy
     has ended in exactly one terminal state, so
-    ``sent + duplicated == delivered + dropped + elided``.
+    ``sent + duplicated == delivered + dropped``.
     """
 
     delivered: int = 0
-    # Copies of inert messages (see ``Environment.send``) that passed every
-    # send-time check and were then not scheduled: delivering them would have
-    # changed nothing, so they are neither delivered nor dropped.
-    elided: int = 0
     dropped_by_fault: int = 0
     dropped_by_partition: int = 0
     dropped_disconnected: int = 0
@@ -188,18 +181,8 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------ #
     # Sending
     # ------------------------------------------------------------------ #
-    def send(
-        self, src: ServerId, dst: ServerId, payload: Any, inert: bool = False
-    ) -> None:
-        """Send one point-to-point message.
-
-        An *inert* message (the sender's guarantee that no receiver acts on
-        it, see :meth:`repro.raft.environment.Environment.send`) is counted,
-        fault- and partition-checked and draws its latency and duplication
-        samples like any other, so every counter and RNG stream reads as if
-        it had been sent; only the delivery is not scheduled, and each copy
-        is counted in :attr:`NetworkStats.elided`.
-        """
+    def send(self, src: ServerId, dst: ServerId, payload: Any) -> None:
+        """Send one point-to-point message."""
         self._require_member(src)
         self._require_member(dst)
         self.stats.record_sent(payload)
@@ -212,7 +195,7 @@ class SimulatedNetwork:
             if self._trace_on:
                 self._world.trace("net.drop", node=src, dst=dst, reason="fault")
         else:
-            self._enqueue(src, dst, payload, inert)
+            self._enqueue(src, dst, payload)
 
     def broadcast(
         self,
@@ -270,27 +253,20 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _enqueue(
-        self, src: ServerId, dst: ServerId, payload: Any, inert: bool = False
-    ) -> None:
+    def _enqueue(self, src: ServerId, dst: ServerId, payload: Any) -> None:
         if not self._partitions.can_communicate(src, dst):
             self.stats.dropped_by_partition += 1
             if self._trace_on:
                 self._world.trace("net.drop", node=src, dst=dst, reason="partition")
             return
-        self._schedule_delivery(src, dst, payload, inert)
+        self._schedule_delivery(src, dst, payload)
         duplicator = getattr(self._fault, "should_duplicate", None)
         if duplicator is not None and duplicator(self._fault_rng, src, dst):
             self.stats.duplicated += 1
-            self._schedule_delivery(src, dst, payload, inert)
+            self._schedule_delivery(src, dst, payload)
 
-    def _schedule_delivery(
-        self, src: ServerId, dst: ServerId, payload: Any, inert: bool
-    ) -> None:
+    def _schedule_delivery(self, src: ServerId, dst: ServerId, payload: Any) -> None:
         latency = self._latency.sample(self._latency_rng, src, dst)
-        if inert:
-            self.stats.elided += 1
-            return
         self._world.scheduler.call_at(
             self._world.now() + latency, lambda: self._deliver(src, dst, payload)
         )

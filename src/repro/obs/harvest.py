@@ -24,7 +24,6 @@ keeps its heap small and are left out of cross-engine comparison.
 ``net.sent``                  messages handed to the network (counter)
 ``net.sent.<MsgType>``        the same, per payload type
 ``net.delivered``             copies handed to a node
-``net.elided``                copies of inert messages never scheduled
 ``net.duplicated``            extra copies made by a duplication fault
 ``net.broadcasts``            logical broadcasts
 ``net.dropped.fault``         copies lost to the fault injector
@@ -108,7 +107,6 @@ def harvest_network(network, metrics: MetricsRegistry) -> None:
     stats = network.stats
     metrics.counter("net.sent").inc(stats.sent)
     metrics.counter("net.delivered").inc(stats.delivered)
-    metrics.counter("net.elided").inc(stats.elided)
     metrics.counter("net.duplicated").inc(stats.duplicated)
     metrics.counter("net.broadcasts").inc(stats.broadcast_count)
     metrics.counter("net.dropped.fault").inc(stats.dropped_by_fault)

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.common.errors import ProtocolError
 from repro.common.types import ServerId, Term
 from repro.common.validation import require_positive
 
 
 class VoteTally:
-    """Counts the votes a candidate has collected in its current campaign.
+    """Who has answered a candidate in its current campaign, and how.
 
-    A fresh tally is started for every campaign term; votes recorded for any
-    other term are rejected, which is how stale (delayed) vote replies are
-    ignored.
+    A fresh tally is started for every campaign term; answers recorded for
+    any other term are rejected, which is how stale (delayed) vote replies are
+    ignored.  Refusals are kept next to grants so that the candidate re-asks
+    only the peers it has not heard from (Raft's TLA+ specification sends
+    RequestVote only to servers outside ``votesResponded``).
     """
 
     def __init__(self, quorum_size: int) -> None:
@@ -20,6 +24,7 @@ class VoteTally:
         self._quorum_size = quorum_size
         self._term: Term | None = None
         self._voters: set[ServerId] = set()
+        self._refusers: set[ServerId] = set()
 
     @property
     def quorum_size(self) -> int:
@@ -49,6 +54,7 @@ class VoteTally:
             )
         self._term = term
         self._voters = set()
+        self._refusers = set()
 
     def record_vote(self, term: Term, voter: ServerId) -> bool:
         """Record a granted vote.
@@ -62,6 +68,17 @@ class VoteTally:
             return False
         self._voters.add(voter)
         return True
+
+    def record_refusal(self, term: Term, voter: ServerId) -> None:
+        """Record a refused vote (ignored unless *term* is the campaign's)."""
+        if term == self._term:
+            self._refusers.add(voter)
+
+    def silent(self, peers: Iterable[ServerId]) -> list[ServerId]:
+        """The *peers*, in order, that have neither granted nor refused."""
+        voters = self._voters
+        refusers = self._refusers
+        return [peer for peer in peers if peer not in voters and peer not in refusers]
 
     def has_quorum(self) -> bool:
         """Whether the collected votes reach the quorum."""

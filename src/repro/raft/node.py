@@ -335,23 +335,28 @@ class RaftNode:
         )
 
     def _retry_vote_requests(self) -> None:
-        """Retransmit the campaign's RequestVote to peers that have not granted.
+        """Retransmit the campaign's RequestVote to the peers still silent.
 
         Raft candidates keep soliciting votes until the campaign ends; the
-        retransmission makes a campaign robust to lost broadcasts (duplicate
-        requests are harmless because voters answer them idempotently).
+        retransmission makes a campaign robust to lost requests and replies
+        (duplicate requests are harmless because voters answer them
+        idempotently).  A peer that has answered this campaign, granting or
+        refusing, is not asked again: a voter that refused a candidate in a
+        term refuses it for the rest of that term, unless a leader of the
+        term has since replaced its log -- and then the candidate cannot win
+        the term anyway.  Once every peer has answered, the timer is not
+        re-armed; the next campaign arms it again.
         """
         if not self._running or self.role is not Role.CANDIDATE:
             return
-        voted = self.votes.votes
-        pending = [peer for peer in self._peer_ids if peer not in voted]
+        pending = self.votes.silent(self._peer_ids)
         if pending:
             self.env.broadcast(pending, self._hook_make_vote_request())
             if self._trace_on:
                 self.env.trace(
                     "election.vote_retry", term=self.current_term, pending=len(pending)
                 )
-        self._schedule_vote_retry()
+            self._schedule_vote_retry()
 
     def _handle_request_vote(self, src: ServerId, request: RequestVoteRequest) -> None:
         if request.term < self.current_term:
@@ -407,15 +412,7 @@ class RaftNode:
             response = memo[2]
         else:
             response = self._make_vote_response(granted=granted)
-        if granted:
-            self.env.send(src, response)
-        else:
-            # Inert (see Environment.send): past the stale-term branch this
-            # node's term equals the request's, so the refusal's term can
-            # never exceed the candidate's (terms only grow), and a reply
-            # that is not newer and grants nothing returns from
-            # _handle_request_vote_response before it touches anything.
-            self.env.send(src, response, True)
+        self.env.send(src, response)
 
     def _make_vote_response(self, granted: bool) -> RequestVoteResponse:
         """Build (or reuse) the frozen vote response for the current term.
@@ -444,6 +441,8 @@ class RaftNode:
         if self.role is not Role.CANDIDATE or response.term != self.current_term:
             return
         if not response.vote_granted:
+            # Recorded so that the vote retry does not ask this voter again.
+            self.votes.record_refusal(response.term, response.voter_id)
             return
         self.votes.record_vote(response.term, response.voter_id)
         if self.votes.has_quorum():

@@ -33,15 +33,6 @@ everything above them is written against:
   ``close``, the :class:`~repro.net.network.NetworkStats` counters (one count
   per copy by payload class; ``sent`` and ``per_type_sent`` are views of it),
   the partition manager, and the ``net.drop`` trace schema.
-  ``send(src, dst, payload, inert=True)`` -- the sender's guarantee that no
-  receiver acts on the message -- is honoured by *both* engines in the same
-  way: counted in ``sent`` / ``per_type_sent``, checked against the
-  disconnected sender, the unicast fault and the partition, its latency (and
-  duplication, and the duplicate's latency) drawn in the usual order, and
-  then counted in ``stats.elided`` instead of scheduled.  An elided copy
-  takes no sequence number and is never queued, so ``scheduled_count`` and
-  ``pending_count`` do not include it on either engine, and it can no longer
-  be dropped in flight.
 
 Everything *behind* those surfaces is engine-owned: how a queued event is
 represented, how partition reachability is looked up, and **how the heap is
@@ -66,9 +57,8 @@ telemetry name but the two engine-owned gauges -- ``flat`` may only remove
 *allocation and indirection*, never reorder RNG draws or events.  The
 differential suite (``tests/property/test_engine_differential.py``) pins this,
 ``tests/unit/test_engine_contract.py`` runs the unit-level contract on every
-registered engine, ``tests/property/test_timer_rearm.py`` checks re-arming
-against the spelled-out pair, and ``tests/property/test_inert_sends.py`` pins
-that eliding inert sends changes no result against delivering them.
+registered engine, and ``tests/property/test_timer_rearm.py`` checks re-arming
+against the spelled-out pair.
 
 Engine selection is data, never process state: an explicit ``engine``
 (scenario field, ``build_cluster``/``SimulationWorld`` parameter, CLI

@@ -19,9 +19,6 @@ class SentMessage:
 
     dst: ServerId
     payload: Any
-    #: The sender's ``inert`` flag (see ``Environment.send``); the fake
-    #: records it and keeps the message, like a real transport.
-    inert: bool = False
 
 
 @dataclass
@@ -78,8 +75,8 @@ class FakeEnvironment:
     def now(self) -> Milliseconds:
         return self.time_ms
 
-    def send(self, dst: ServerId, message: Any, inert: bool = False) -> None:
-        self.sent.append(SentMessage(dst, message, inert))
+    def send(self, dst: ServerId, message: Any) -> None:
+        self.sent.append(SentMessage(dst, message))
 
     def broadcast(
         self, targets: Sequence[ServerId], payload: Any | Callable[[ServerId], Any]

@@ -3,13 +3,12 @@
 The invariant under test: once every in-flight message has drained, every
 message copy ends in exactly one terminal state, so
 
-    sent + duplicated == delivered + dropped + elided
+    sent + duplicated == delivered + dropped
 
 (``duplicated`` counts the extra copies the duplication fault schedules; each
-such copy is delivered or dropped in flight but was never counted as sent;
-``elided`` counts the copies of inert sends that passed every send-time check
-and were then not scheduled).  The invariant must hold on both engines'
-networks for any interleaving of unicasts, inert unicasts, broadcasts,
+such copy is delivered or dropped in flight but was never counted as sent).
+The invariant must hold on both engines' networks for any interleaving of
+unicasts, broadcasts,
 disconnects, reconnects and partitions under any fault injector, with
 broadcasts of one message and through a per-target factory -- including
 the historical bug case of a *disconnected sender broadcasting*, which used
@@ -54,7 +53,7 @@ FAULTS = st.sampled_from(
 OPS = st.lists(
     st.one_of(
         st.tuples(
-            st.sampled_from(["send", "send-inert"]),
+            st.just("send"),
             st.sampled_from(MEMBERS),
             st.sampled_from(MEMBERS),
         ),
@@ -81,16 +80,12 @@ def test_sent_equals_delivered_plus_dropped_after_drain(engine, ops, fault, seed
     for member in MEMBERS:
         network.register(member, lambda src, payload: None)
 
-    inert_passed = 0
     for op in ops:
         kind = op[0]
-        if kind in ("send", "send-inert"):
+        if kind == "send":
             _, src, dst = op
             if src != dst:
-                dropped_before = network.stats.dropped
-                network.send(src, dst, "m", kind == "send-inert")
-                if kind == "send-inert" and network.stats.dropped == dropped_before:
-                    inert_passed += 1
+                network.send(src, dst, "m")
         elif kind == "broadcast":
             _, src, one_message = op
             targets = [member for member in MEMBERS if member != src]
@@ -111,12 +106,7 @@ def test_sent_equals_delivered_plus_dropped_after_drain(engine, ops, fault, seed
     # Drain everything still in flight, then check the books balance.
     world.scheduler.run_until_idle()
     stats = network.stats
-    assert stats.sent + stats.duplicated == (
-        stats.delivered + stats.dropped + stats.elided
-    ), (
-        f"sent={stats.sent} delivered={stats.delivered} elided={stats.elided} "
+    assert stats.sent + stats.duplicated == stats.delivered + stats.dropped, (
+        f"sent={stats.sent} delivered={stats.delivered} "
         f"duplicated={stats.duplicated} dropped={stats.dropped}"
     )
-    # Elision is per copy and only ever of inert sends that were not dropped
-    # at send time: each such send elides itself and, at most, its duplicate.
-    assert inert_passed <= stats.elided <= 2 * inert_passed

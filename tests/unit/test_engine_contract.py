@@ -8,14 +8,14 @@ reference) *and* ``flat`` (what the benchmark and every sweep run) through the
 the event budget, non-finite deadlines), the network (delivery to plain
 callables and to protocol nodes, disconnection, broadcast -- one message or a
 per-target factory, the same broadcast either way --, partitions, in-flight
-drop traces, inert sends, the derived send counts) and the one node
+drop traces, the derived send counts) and the one node
 environment on top of both.  What only one engine does -- ``flat`` compacts
 its heap -- is at the end, and says so.
 
 The property-level half of the contract (whole episodes, bit-identical across
-engines) lives in ``tests/property/test_engine_differential.py``,
-``test_obs_parity.py`` and ``test_inert_sends.py``; ``test_timer_rearm.py``
-checks re-arming against the spelled-out cancel + arm pair on random programs.
+engines) lives in ``tests/property/test_engine_differential.py`` and
+``test_obs_parity.py``; ``test_timer_rearm.py`` checks re-arming against the
+spelled-out cancel + arm pair on random programs.
 """
 
 from __future__ import annotations
@@ -815,7 +815,7 @@ class TestBroadcastForms:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mixed_programs_balance_and_match_the_reference(self, engine, seed):
-        """Random unicasts (some inert) and broadcasts in a random form, under
+        """Random unicasts and broadcasts in a random form, under
         loss, omission and duplication, with partitions and disconnects
         coming and going: identical to the all-factory reference, and the
         books balance once the queue drains."""
@@ -839,7 +839,7 @@ class TestBroadcastForms:
                 src, dst = chooser.sample(self.MEMBERS, 2)
                 action = chooser.random()
                 if action < 0.4:
-                    network.send(src, dst, step, chooser.random() < 0.3)
+                    network.send(src, dst, step)
                 elif action < 0.8:
                     targets = [m for m in self.MEMBERS if m != src]
                     # Drawn either way, so both runs are the same program.
@@ -856,10 +856,8 @@ class TestBroadcastForms:
                 world.run_for(chooser.uniform(0.0, 10.0))
             observed = observe(world, network, inboxes)
             stats = network.stats
-            assert stats.sent + stats.duplicated == (
-                stats.delivered + stats.dropped + stats.elided
-            )
-            assert stats.elided and stats.duplicated and stats.dropped
+            assert stats.sent + stats.duplicated == stats.delivered + stats.dropped
+            assert stats.duplicated and stats.dropped
             return observed
 
         assert run(engine, None) == run("classic", "factory")
@@ -925,55 +923,6 @@ class TestInFlightDropTraces:
             {"dst": 2, "reason": "partition", "in_flight": True}
         ]
         assert network.stats.dropped_by_partition == 1
-
-
-class TestInertSends:
-    """An inert send does everything a send does except get delivered."""
-
-    @staticmethod
-    def _network(engine, fault=None):
-        return make_network(
-            engine, latency=UniformLatency(5.0, 10.0), fault=fault, seed=7
-        )
-
-    def test_counted_and_sampled_but_never_scheduled(self, engine):
-        world, network, inboxes = self._network(engine)
-        network.send(1, 2, "refusal", True)
-        stats = network.stats
-        assert (stats.sent, stats.elided, stats.per_type_sent) == (1, 1, {"str": 1})
-        # No record and no sequence number...
-        assert world.scheduler.pending_count == world.scheduler.scheduled_count == 0
-        # ...but the latency draw was made: the next message arrives when it
-        # would have had the refusal been delivered.
-        network.send(1, 3, "next")
-        world.scheduler.run_until_idle()
-        reference_world, reference, both = self._network(engine)
-        reference.send(1, 2, "refusal")
-        reference.send(1, 3, "next")
-        reference_world.scheduler.run_until_idle()
-        assert len(both[2]) == len(both[3]) == 1 and stats.delivered == 1
-        assert (inboxes[2], inboxes[3]) == ([], both[3])
-
-    def test_send_time_drops_are_still_drops(self, engine):
-        world, network, _ = self._network(engine)
-        network.partitions.partition([1], [2, 3])
-        network.send(1, 2, "refusal", True)
-        network.partitions.heal()
-        network.disconnect(1)
-        network.send(1, 2, "refusal", True)
-        stats = network.stats
-        assert (stats.sent, stats.dropped, stats.elided) == (2, 2, 0)
-        assert [record.detail["reason"] for record in world.tracer.records] == [
-            "partition",
-            "disconnected",
-        ]
-
-    def test_the_duplicate_of_an_inert_send_is_elided_too(self, engine):
-        world, network, _ = self._network(engine, fault=MessageDuplicationFault(1.0))
-        network.send(1, 2, "refusal", True)
-        stats = network.stats
-        assert (stats.sent, stats.duplicated, stats.elided) == (1, 1, 2)
-        assert world.scheduler.pending_count == 0
 
 
 class TestDeliveryToNodes:
@@ -1076,12 +1025,12 @@ class TestSimNodeEnvironment:
     def test_send_and_broadcast_go_through_the_network(self, engine):
         world, network, inboxes, env = make_env(engine)
         env.send(2, "direct")
-        env.send(3, "refusal", True)  # inert: positional, as nodes pass it
+        env.send(3, "refusal")
         env.broadcast([2, 3], lambda dst: f"hello-{dst}")
         world.run_for(50.0)
         assert received(inboxes[2]) == [(1, "direct"), (1, "hello-2")]
-        assert received(inboxes[3]) == [(1, "hello-3")]
-        assert (network.stats.sent, network.stats.elided) == (4, 1)
+        assert received(inboxes[3]) == [(1, "refusal"), (1, "hello-3")]
+        assert (network.stats.sent, network.stats.delivered) == (4, 4)
 
     def test_timers_fire_through_the_scheduler_and_can_be_cancelled(self, engine):
         world, _, _, env = make_env(engine)

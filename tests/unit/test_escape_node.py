@@ -1,6 +1,6 @@
 """Unit tests for the ESCAPE node (SCA term growth, PPF piggyback, clock gate)."""
 
-from helpers import FakeEnvironment, fast_protocol_config, small_cluster
+from helpers import FakeEnvironment, SentMessage, fast_protocol_config, small_cluster
 
 from repro.escape.configuration import Configuration
 from repro.escape.messages import (
@@ -112,9 +112,10 @@ class TestConfigurationClockVoteGate:
         )
         response = env.sent_to(3)[0]
         assert not response.vote_granted
-        # The clock gate refuses in the candidate's own term: sent, and inert.
+        # The clock gate refuses in the candidate's own term, as an ordinary
+        # send: the candidate records the refusal and stops asking this voter.
         assert response.term == 10
-        assert [item.inert for item in env.sent] == [True]
+        assert env.sent == [SentMessage(3, response)]
 
     def test_grants_candidate_with_equal_or_newer_clock(self):
         configuration = Configuration(priority=2, timer_period_ms=150.0, conf_clock=5)

@@ -225,7 +225,7 @@ class TestGoldenPairedResults:
         ``paper-default`` catalog condition at five servers.
         """
         golden = {
-            "raft": (3594564750, 1934.9910609358967, 4),
+            "raft": (3594564750, 1904.5156644603985, 4),
             "zraft": (3594564750, 2321.8354988627807, 4),
             "escape": (3594564750, 1829.077887171983, 1),
         }

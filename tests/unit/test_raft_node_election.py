@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import FakeEnvironment, fast_protocol_config, small_cluster
+from helpers import FakeEnvironment, SentMessage, fast_protocol_config, small_cluster
 
 from repro import protocols
 from repro.common.config import RaftTimeoutConfig
@@ -142,6 +142,76 @@ class TestBecomingCandidate:
         assert {message.dst for message in env.sent} == {3, 4, 5}
         assert all(request.term == 1 for request in retried)
 
+    def test_a_retry_skips_a_peer_that_refused_and_a_peer_that_granted(self):
+        node, env = make_node(size=5)
+        node.start()
+        env.fire_next_timer("S1:election-timeout")
+        node.on_message(2, RequestVoteResponse(term=1, voter_id=2, vote_granted=True))
+        node.on_message(3, RequestVoteResponse(term=1, voter_id=3, vote_granted=False))
+        env.clear_sent()
+        env.fire_next_timer("S1:vote-retry")
+        assert [message.dst for message in env.sent] == [4, 5]
+        assert node.role is Role.CANDIDATE
+
+    def test_a_peer_whose_refusal_was_lost_is_asked_again(self):
+        node, env = make_node(size=5)
+        node.start()
+        env.fire_next_timer("S1:election-timeout")
+        # Peer 3 refused, but its reply never arrived: the candidate has not
+        # heard from it, so it is still silent.
+        node.on_message(2, RequestVoteResponse(term=1, voter_id=2, vote_granted=False))
+        env.clear_sent()
+        env.fire_next_timer("S1:vote-retry")
+        assert [message.dst for message in env.sent] == [3, 4, 5]
+        env.clear_sent()
+        env.fire_next_timer("S1:vote-retry")
+        assert [message.dst for message in env.sent] == [3, 4, 5]
+
+    def test_a_reply_from_an_older_term_is_not_recorded(self):
+        node, env = make_node(size=5)
+        node.start()
+        env.fire_next_timer("S1:election-timeout")  # term 1
+        env.fire_next_timer("S1:election-timeout")  # term 2
+        node.on_message(2, RequestVoteResponse(term=1, voter_id=2, vote_granted=False))
+        node.on_message(3, RequestVoteResponse(term=1, voter_id=3, vote_granted=True))
+        env.clear_sent()
+        env.fire_next_timer("S1:vote-retry")
+        assert [message.dst for message in env.sent] == [2, 3, 4, 5]
+        assert {request.term for request in env.sent_payloads()} == {2}
+
+    def test_a_new_campaign_clears_the_responders(self):
+        node, env = make_node(size=5)
+        node.start()
+        env.fire_next_timer("S1:election-timeout")  # term 1
+        node.on_message(2, RequestVoteResponse(term=1, voter_id=2, vote_granted=False))
+        node.on_message(3, RequestVoteResponse(term=1, voter_id=3, vote_granted=True))
+        env.fire_next_timer("S1:election-timeout")  # term 2
+        env.clear_sent()
+        env.fire_next_timer("S1:vote-retry")
+        assert [message.dst for message in env.sent] == [2, 3, 4, 5]
+
+    def test_the_retry_stops_once_every_peer_has_answered(self):
+        node, env = make_node(size=5)
+        node.start()
+        env.fire_next_timer("S1:election-timeout")
+        for voter in (2, 3, 4):
+            node.on_message(
+                voter, RequestVoteResponse(term=1, voter_id=voter, vote_granted=False)
+            )
+        env.clear_sent()
+        env.fire_next_timer("S1:vote-retry")
+        assert [message.dst for message in env.sent] == [5]
+        node.on_message(5, RequestVoteResponse(term=1, voter_id=5, vote_granted=False))
+        env.clear_sent()
+        env.fire_next_timer("S1:vote-retry")
+        # Nobody is left to ask, so nothing is sent and nothing re-armed; the
+        # election timer still ends the campaign.
+        assert env.sent == []
+        assert "S1:vote-retry" not in env.pending_timer_labels()
+        assert "S1:election-timeout" in env.pending_timer_labels()
+        env.fire_next_timer("S1:election-timeout")  # term 2 asks everyone
+        assert "S1:vote-retry" in env.pending_timer_labels()
+
     @pytest.mark.parametrize("protocol", ["raft", "escape", "zraft"])
     def test_a_campaign_and_a_vote_retry_each_hand_over_one_request(self, protocol):
         env = FakeEnvironment(node_id=1)
@@ -193,9 +263,9 @@ class TestGrantingVotes:
         first, second = env.sent_to(3)[0], env.sent_to(1)[0]
         assert first.vote_granted
         assert not second.vote_granted
-        # Both replies reach the environment; only the refusal, which the
-        # candidate cannot act on, is flagged inert.
-        assert [(item.dst, item.inert) for item in env.sent] == [(3, False), (1, True)]
+        # Both replies are ordinary sends: the refusal tells candidate 1 not
+        # to ask this voter again in term 1.
+        assert env.sent == [SentMessage(3, first), SentMessage(1, second)]
 
     def test_repeated_request_from_same_candidate_is_granted_again(self):
         # Idempotent re-grant supports the candidate's retransmission.
@@ -216,21 +286,6 @@ class TestGrantingVotes:
         assert not response.vote_granted
         assert response.term == 5
 
-    def test_only_a_same_term_refusal_is_flagged_inert(self):
-        # The stale-term refusal carries a newer term the candidate must
-        # adopt, and a grant counts toward its quorum: both are real sends.
-        store = InMemoryStore()
-        store.save_term_and_vote(5, None)
-        node, env = make_node(node_id=2, store=store)
-        node.start()
-        node.on_message(3, RequestVoteRequest(term=4, candidate_id=3))
-        node.on_message(3, RequestVoteRequest(term=6, candidate_id=3))
-        node.on_message(3, RequestVoteRequest(term=6, candidate_id=3))
-        stale, grant, regrant = env.sent
-        assert (stale.payload.term, stale.payload.vote_granted) == (5, False)
-        assert grant.payload.vote_granted and regrant.payload.vote_granted
-        assert not (stale.inert or grant.inert or regrant.inert)
-
     def test_refuses_candidate_with_stale_log(self):
         store = InMemoryStore()
         store.load_log().append_entry(LogEntry(term=2, index=1, command="x"))
@@ -243,9 +298,10 @@ class TestGrantingVotes:
         assert not response.vote_granted
         # The term still advances (Eq. 3 / Raft rule) even though the vote is denied.
         assert node.current_term == 3
-        # The refusal carries the candidate's own term, so it is inert.
+        # The refusal carries the candidate's own term and is an ordinary
+        # send, which the candidate records as an answer.
         assert response.term == 3
-        assert [item.inert for item in env.sent] == [True]
+        assert env.sent == [SentMessage(3, response)]
 
     def test_granting_a_vote_restarts_the_election_timer(self):
         node, env = make_node(node_id=2)
@@ -263,8 +319,9 @@ class TestGrantingVotes:
         first_timer = env.pending_timers()[0]
         node.on_message(3, RequestVoteRequest(term=3, candidate_id=3))
         assert not first_timer.cancelled
-        (refusal,) = env.sent
-        assert not refusal.payload.vote_granted and refusal.inert
+        assert env.sent == [
+            SentMessage(3, RequestVoteResponse(term=3, voter_id=2, vote_granted=False))
+        ]
 
 
 class TestTermHandling:

@@ -52,6 +52,32 @@ class TestVoteTally:
         tally.record_vote(1, 9)
         assert tally.votes == frozenset({9})
 
+    def test_silent_peers_exclude_grants_and_refusals_in_order(self):
+        tally = VoteTally(quorum_size=3)
+        tally.start_campaign(4)
+        assert tally.record_vote(4, 2)
+        tally.record_refusal(4, 5)
+        tally.record_refusal(4, 5)
+        assert tally.silent([5, 4, 3, 2]) == [4, 3]
+        # A refusal is an answer, not a vote.
+        assert tally.count == 1
+
+    def test_refusals_from_other_terms_or_before_a_campaign_are_ignored(self):
+        tally = VoteTally(quorum_size=2)
+        tally.record_refusal(1, 2)
+        tally.start_campaign(3)
+        tally.record_refusal(2, 2)
+        tally.record_refusal(4, 2)
+        assert tally.silent([2]) == [2]
+
+    def test_new_campaign_resets_refusals(self):
+        tally = VoteTally(quorum_size=2)
+        tally.start_campaign(1)
+        tally.record_refusal(1, 2)
+        tally.record_vote(1, 3)
+        tally.start_campaign(2)
+        assert tally.silent([2, 3]) == [2, 3]
+
 
 def log_with(terms):
     log = ReplicatedLog()
