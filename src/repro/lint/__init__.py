@@ -13,7 +13,7 @@ imports them:
   path, and wall-clock waits in simulated code.
 * **Reachability rule** (``U1``) reports every top-level name and public
   method of the package that nothing outside ``tests/`` uses: not the
-  package itself, ``examples/``, ``bench/`` or ``benchmarks/``.
+  package itself, ``examples/`` or ``bench/``.
 
 The spec half -- every registered value is frozen, hashes and pickles, and
 every experiments module registers exactly one declaration -- is a runtime

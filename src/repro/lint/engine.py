@@ -88,7 +88,7 @@ RULES: tuple[Rule, ...] = (
         name="test-only",
         description=(
             "every top-level name and public method in src/repro has a use "
-            "outside tests/: in the package, examples/, bench/ or benchmarks/"
+            "outside tests/: in the package, examples/ or bench/"
         ),
         kind="tree",
         check=check_unused_names,

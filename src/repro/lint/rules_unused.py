@@ -9,11 +9,11 @@ A *use* is a read through an ``ast.Name`` or ``ast.Attribute``, or an
 identifier inside a string constant -- which covers engine paths such as
 ``"repro.net.flatnet:FlatNetwork"`` and ``Column`` paths such as
 ``"total_summary.mean"``.  Uses count anywhere in the package and in the
-reference directories (``examples/``, ``bench/``, ``benchmarks/``) except
-inside a definition of the same name, in a docstring, in an import or in
-``__all__``; a ``tests`` directory never counts.  A name with no use is
-reported at its ``def`` / ``class`` line.  Deleting one hit can expose
-another, so the gate holds the tree at a fixed point.
+reference directories (``examples/``, ``bench/``) except inside a definition
+of the same name, in a docstring, in an import or in ``__all__``; a ``tests``
+directory never counts.  A name with no use is reported at its ``def`` /
+``class`` line.  Deleting one hit can expose another, so the gate holds the
+tree at a fixed point.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def find_unused_names(
             node.lineno,
             "U1",
             f"{qualified} has no use outside tests/ (nothing in the package, "
-            "examples/, bench/ or benchmarks/ reads it)",
+            "examples/ or bench/ reads it)",
         )
         for qualified, text_path, node in definitions
         if qualified.rpartition(".")[2] not in used
@@ -152,5 +152,5 @@ def check_unused_names(config: LintConfig) -> list[Finding]:
     repo_root = package_dir.parents[1]
     return find_unused_names(
         package_dir,
-        [repo_root / name for name in ("examples", "bench", "benchmarks")],
+        [repo_root / name for name in ("examples", "bench")],
     )

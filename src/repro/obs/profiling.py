@@ -22,7 +22,8 @@ class Profiler:
     Phases are recorded with the :meth:`phase` context manager; re-entering a
     name accumulates into the same bucket.  ``snapshot`` returns a plain
     ``{name: seconds}`` dict in first-seen order, suitable for the
-    ``ExperimentRun.profile`` envelope field and the benchmark ledger.
+    ``ExperimentRun.profile`` envelope field (``bench/`` reports it as
+    ``experiments.profile.*``).
 
     A *clock* callable may be injected for deterministic tests; the default
     is :func:`time.perf_counter`.

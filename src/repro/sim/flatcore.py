@@ -349,7 +349,7 @@ class FlatEventScheduler:
         if self._heap:
             self._clock.advance_to(max_time_ms)
 
-    def run_until_condition(  # repro: allow[U1] -- reference poll; ROADMAP 6(b)
+    def run_until_condition(  # repro: allow[U1] -- test_engine_contract, test_duplication_and_churn
         self, condition: Callable[[], bool], max_time_ms: Milliseconds
     ) -> bool:
         """Execute events until *condition()* becomes true.

@@ -164,7 +164,7 @@ class EventScheduler:
         if self._heap:
             self.clock.advance_to(max_time_ms)
 
-    def run_until_condition(  # repro: allow[U1] -- reference poll; ROADMAP 6(b)
+    def run_until_condition(  # repro: allow[U1] -- test_engine_contract, test_duplication_and_churn
         self, condition: Callable[[], bool], max_time_ms: Milliseconds
     ) -> bool:
         """Execute events until *condition()* holds: checked before the run

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import re
 from dataclasses import dataclass
 
@@ -83,6 +84,21 @@ class TestSeedDerivation:
         results = run_sweep(SCENARIOS, runs=2, seed=9)
         for label, measurement_set in results.items():
             assert [m.seed for m in measurement_set] == paired_seeds(2, 9, label)
+
+
+class TestLeanWorkItems:
+    """The task queue carries ``(label, index, seed)`` an episode; the
+    scenario table reaches each worker once, through the pool initializer."""
+
+    @pytest.mark.parametrize("name", registry.names())
+    def test_every_work_item_pickles_to_at_most_128_bytes(self, name):
+        experiment = registry.get(name)
+        scenarios = experiment.build_scenarios()
+        items = build_work_items(scenarios, runs=experiment.default_runs, seed=0)
+        assert max(len(pickle.dumps(item)) for item in items) <= 128
+        # Not blind: the heaviest label with its scenario embedded is over it.
+        label = max(scenarios, key=len)
+        assert len(pickle.dumps((label, scenarios[label], 0, items[-1].seed))) > 128
 
 
 class TestDeterminism:

@@ -17,12 +17,12 @@ from repro.lint.rules_unused import find_unused_names
 # --------------------------------------------------------------------------- #
 def _fixture_tree(tmp_path, files):
     """Write *files* (relative path -> source) under *tmp_path*; return the
-    package dir and the three reference dirs U1 reads."""
+    package dir and the two reference dirs U1 reads."""
     for relative, source in files.items():
         path = tmp_path / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    references = [tmp_path / name for name in ("examples", "bench", "benchmarks")]
+    references = [tmp_path / name for name in ("examples", "bench")]
     return tmp_path / "pkg", references
 
 
@@ -95,7 +95,7 @@ class TestU1TestOnlyNames:
                         pass
 
 
-                    def for_benchmarks():
+                    def for_examples_via_the_package():
                         pass
 
 
@@ -104,7 +104,9 @@ class TestU1TestOnlyNames:
                 """,
                 "examples/a.py": "import pkg.api as api\napi.for_examples()\n",
                 "bench/b.py": "from pkg.api import for_bench\nfor_bench()\n",
-                "benchmarks/c.py": "from pkg import api\napi.for_benchmarks()\n",
+                "examples/c.py": (
+                    "from pkg import api\napi.for_examples_via_the_package()\n"
+                ),
                 "bench/tests/test_b.py": "from pkg import api\napi.for_bench_tests()\n",
             },
         ) == ["for_bench_tests"]
@@ -386,13 +388,13 @@ class TestU1Uses:
             pytest.param(
                 {
                     **_TARGET_FUNCTION,
-                    "benchmarks/c.py": (
+                    "bench/c.py": (
                         "from pkg.core import target\n\n\n"
                         "def main(hook=target):\n    return hook\n"
                     ),
                 },
                 "target",
-                id="default-argument-in-benchmarks",
+                id="default-argument-in-bench",
             ),
             pytest.param(
                 {

@@ -182,6 +182,42 @@ class TestStreamingSummary:
         assert DEFAULT_CDF_CAPACITY >= 2048  # every registered default stays exact
 
 
+class TestBoundedState:
+    """Past its capacity a sketch stops growing: it holds at most
+    ``capacity`` exact values not yet folded and ``capacity // 2`` points,
+    however many values it has seen.  (Below the capacity it keeps every
+    value, so an aggregate's memory does grow with run count up to there.)"""
+
+    CAPACITY = 16
+
+    @staticmethod
+    def _value(index: int) -> float:
+        return float((index * 37) % 1009)
+
+    def _assert_bounded(self, sketch: MergeableCDF, count: int) -> None:
+        state = sketch.to_state()
+        assert sketch.count == count
+        assert len(state["values"]) <= self.CAPACITY
+        assert len(state["points"]) == self.CAPACITY // 2
+
+    @pytest.mark.parametrize("times", (10, 100))
+    def test_adding_past_the_capacity_keeps_the_state_bounded(self, times):
+        sketch = MergeableCDF(capacity=self.CAPACITY)
+        for index in range(times * self.CAPACITY):
+            sketch.add(self._value(index))
+        self._assert_bounded(sketch, times * self.CAPACITY)
+
+    @pytest.mark.parametrize("times", (10, 100))
+    def test_merging_chunks_past_the_capacity_keeps_the_state_bounded(self, times):
+        # The sweep's path: each chunk folds into a partial, the parent merges.
+        values = [self._value(index) for index in range(times * self.CAPACITY)]
+        summary = StreamingSummary(capacity=self.CAPACITY)
+        for start in range(0, len(values), 10):
+            chunk = values[start : start + 10]
+            summary.merge(StreamingSummary(capacity=self.CAPACITY).extend(chunk))
+        self._assert_bounded(summary.cdf, len(values))
+
+
 class TestElectionAggregate:
     def test_counters_and_fractions(self):
         aggregate = ElectionAggregate("cell")
