@@ -144,7 +144,7 @@ class _FailoverModelBase:
 
     variant = "base"
 
-    def with_engine(self, engine: str) -> Self:
+    def with_engine(self, engine: object) -> Self:
         """The model itself: an analytic model runs on no simulation engine."""
         return self
 

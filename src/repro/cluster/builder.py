@@ -27,6 +27,7 @@ from repro.net.network import SimulatedNetwork
 from repro.raft.listeners import NodeListener, NodeListenerBase
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
+from repro.sim.engines import EngineSpec
 from repro.sim.world import SimulationWorld
 from repro.statemachine.kvstore import KeyValueStore
 from repro.storage.persistent import InMemoryStore
@@ -231,7 +232,7 @@ def build_cluster(
     listeners: Iterable[NodeListener] = (),
     timeout_script: tuple[Milliseconds, ...] = (),
     trace: bool = True,
-    engine: str | None = None,
+    engine: str | EngineSpec | None = None,
 ) -> SimulatedCluster:
     """Build a ready-to-start simulated cluster.
 
@@ -251,10 +252,7 @@ def build_cluster(
             scenarios).
         trace: whether to record the world trace (disable in large sweeps).
         engine: simulation engine name registered in
-            :mod:`repro.sim.engines` (``"classic"`` or ``"flat"``); ``None``
-            means ``flat``.  Engines are bit-identical -- same measurements,
-            stats and traces for the same seed -- and differ only in speed
-            and in-run observability.
+            :mod:`repro.sim.engines`, or its spec; ``None`` means ``flat``.
     """
     spec = protocols.get(protocol)
     cluster_config = ClusterConfig.of_size(size)

@@ -17,7 +17,7 @@ def _noop_trace(category: str, **detail: Any) -> None:
 class SimNodeEnvironment:
     """The :class:`~repro.raft.environment.Environment` backed by the simulator.
 
-    One class for either engine.  Every entry point a node calls is bound in
+    One class whatever the engine.  Every entry point a node calls is bound in
     ``__init__`` as an instance attribute, so a call pays no adapter frame:
     ``set_timer`` / ``cancel_timer`` / ``rearm_timer`` are the scheduler's
     ``schedule_timer_entry`` / ``cancel_entry`` / ``rearm_timer_entry`` (a

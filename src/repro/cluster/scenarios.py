@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Self
 
 from repro import protocols as protocol_registry
 from repro.sim import engines as engine_registry
+from repro.sim.engines import EngineSpec
 from repro.cluster.builder import SimulatedCluster, build_cluster
 from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
@@ -77,11 +78,12 @@ class Scenario:
             ``measurement.extra["telemetry"]``.  Off by default: sweeps pay
             nothing for the instrumentation unless they opt in.
         engine: simulation engine name from :mod:`repro.sim.engines`
-            (``"flat"`` or ``"classic"``).  The scenario itself says what it
-            runs on -- there is no process default to defer to -- so a sweep
-            worker, a checkpoint fingerprint and a reader of ``repr()`` all
-            see the engine.  Engines are bit-identical by contract, so this
-            never changes results -- only how fast they arrive.
+            (``"flat"``), or an :class:`~repro.sim.engines.EngineSpec` (how
+            the test suite selects its reference engine).  The scenario
+            itself says what it runs on -- there is no process default to
+            defer to -- so a sweep worker, a checkpoint fingerprint and a
+            reader of ``repr()`` all see the engine.  Engines are
+            bit-identical by contract, so this never changes results.
     """
 
     protocol: str
@@ -96,7 +98,7 @@ class Scenario:
     stabilize_ms: Milliseconds = 120_000.0
     trace: bool = False
     telemetry: bool = False
-    engine: str = "flat"
+    engine: str | EngineSpec = "flat"
 
     def __post_init__(self) -> None:
         # Fail fast, with the registries' own errors (they list every
@@ -104,7 +106,7 @@ class Scenario:
         # first episode of a pool worker; unpickling skips this, so a worker
         # never re-validates what the parent already accepted.
         protocol_registry.get(self.protocol)
-        engine_registry.get(self.engine)
+        engine_registry.resolve(self.engine)
         if self.fault is not None and self.loss_rate != 0.0:
             raise ConfigurationError(
                 "give either an explicit fault or the loss_rate shorthand, "
@@ -154,7 +156,7 @@ class Scenario:
             return NoFault()
         return BroadcastOmissionFault(self.loss_rate)
 
-    def with_engine(self, engine: str) -> Self:
+    def with_engine(self, engine: str | EngineSpec) -> Self:
         """The same condition on a different simulation engine (differential
         testing and benchmarking; results are engine-invariant by contract)."""
         return replace(self, engine=engine)

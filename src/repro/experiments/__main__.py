@@ -28,14 +28,11 @@ registered in :mod:`repro.protocols` (unknown names are rejected with the
 list of registered ones; so are protocols that do not guarantee leader
 election, since every sweep must stabilise one).  ``--plan NAME`` selects
 the chaos fault timeline from :data:`repro.chaos.plans.CHAOS_CATALOG`.
-``--engine NAME`` selects the simulation engine from
-:mod:`repro.sim.engines` (engines are bit-identical by contract, so this
-changes wall-clock time only; the default is ``flat``).
+``--engine NAME`` names the simulation engine from :mod:`repro.sim.engines`
+(``flat``, the only one and the default).
 ``--checkpoint DIR`` makes a checkpoint-capable experiment's sweep resumable:
 completed chunks persist to a JSON-lines file in DIR and a re-run of the same
-command continues bit-identically where the killed one stopped (same
-``--engine`` included: the checkpoint fingerprint covers each scenario's
-engine).
+command continues bit-identically where the killed one stopped.
 ``--output DIR`` saves every experiment's measurements (CSV: the episodes of
 a collecting sweep, one row per cell otherwise), a lossless JSON export with
 the run metadata, and the rendered report.
@@ -176,18 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint",
         "persist completed sweep chunks to a JSON-lines checkpoint in DIR; "
         "re-running the same sweep with the same DIR resumes bit-identically "
-        "after a kill.  The checkpoint's fingerprint covers each scenario's "
-        "engine, so a run resumes the chunks written under the same --engine",
+        "after a kill",
         metavar="DIR",
     )
     parser.add_argument(
         "--engine",
         choices=engine_registry.names(),
         default=None,
-        help=(
-            "simulation engine (default: 'flat'); engines are bit-identical "
-            "by contract, so this changes wall-clock time only"
-        ),
+        help="simulation engine (default: 'flat')",
     )
     parser.add_argument(
         "--output",

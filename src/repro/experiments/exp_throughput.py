@@ -14,7 +14,7 @@ timeline, ``--scenario`` layers a network condition underneath,
 ``--protocols`` changes the comparison, ``--checkpoint`` makes the sweep
 resumable, and ``--trace-out`` archives one traced episode per cell.
 Latencies feed :class:`~repro.metrics.streaming.StreamingSummary`, so results
-are bit-identical at any ``--workers`` count and across both engines.
+are bit-identical at any ``--workers`` count.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from repro.common.registry import Registry
 from repro.obs.profiling import Profiler
 from repro.obs.trace import archive_election_traces
 from repro.sim import engines as engine_registry
+from repro.sim.engines import EngineSpec
 from repro.experiments.spec import CAPABILITIES, ExperimentRun
 from repro.experiments.sweep import (
     GridResult,
@@ -108,7 +109,7 @@ def run_experiment(
     plan: str | None = None,
     checkpoint: str | None = None,
     trace: str | None = None,
-    engine: str | None = None,
+    engine: str | EngineSpec | None = None,
     **param_overrides: object,
 ) -> ExperimentRun:
     """Run one registered experiment and return its structured envelope.
@@ -132,13 +133,13 @@ def run_experiment(
         trace: directory into which trace-capable experiments archive one
             traced episode per scenario label (JSONL + manifest + telemetry
             snapshots; see :func:`repro.obs.trace.archive_election_traces`).
-        engine: simulation engine name from :mod:`repro.sim.engines`
-            (``None`` means ``flat``).  Engines are bit-identical by
-            contract, so this changes wall-clock time only.  The name is
-            stamped onto every scenario of the built grid
-            (``scenario.with_engine``) -- so sweep workers, the checkpoint
-            fingerprint and the trace archive all read it off the scenario
-            -- and recorded on the returned envelope.
+        engine: simulation engine name from :mod:`repro.sim.engines`, or a
+            spec (``None`` means ``flat``).  Engines are bit-identical by
+            contract, so this changes wall-clock time only.  A name stays a
+            name, a spec a spec, when it is stamped onto every scenario of
+            the built grid (``scenario.with_engine``) -- so sweep workers,
+            the checkpoint fingerprint and the trace archive all read it off
+            the scenario -- and the envelope records the engine's name.
         **param_overrides: overrides for the spec's declared parameters
             (e.g. ``sizes=(8, 16)`` for ``fig9``).
 
@@ -150,7 +151,10 @@ def run_experiment(
     spec = get(name)
     if runs is not None and runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    engine_name = engine_registry.resolve(engine).name
+    engine_spec = engine_registry.resolve(engine)
+    # A registered engine travels by name, so a flat grid's repr and
+    # checkpoint fingerprint do not depend on how it was selected.
+    selected = engine if isinstance(engine, EngineSpec) else engine_spec.name
     # The sweep-wide options the caller actually supplied, by capability.
     options = {
         "scenario": scenario,
@@ -179,7 +183,7 @@ def run_experiment(
             params, seed, scenario=scenario, protocols=protocols, plan=plan
         )
         scenarios = {
-            label: built.with_engine(engine_name)
+            label: built.with_engine(selected)
             for label, built in scenarios.items()
         }
         # The archived metadata must not claim a grid the run never
@@ -223,7 +227,7 @@ def run_experiment(
         workers=workers,
         elapsed_s=elapsed_s,
         parameters=parameters,
-        engine=engine_name,
+        engine=engine_spec.name,
         profile=profiler.snapshot(),
     )
 

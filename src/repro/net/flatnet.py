@@ -21,8 +21,8 @@ and replaces the hot send/broadcast/delivery paths:
   :class:`~repro.net.faults.BroadcastOmissionFault` unicasts when
   ``affect_unicast`` is off, and
   :class:`~repro.net.faults.MessageDuplicationFault` drop checks.  Anything
-  else is called exactly like the classic engine, preserving the fault RNG
-  stream draw-for-draw;
+  else is called once per copy, preserving the fault RNG stream
+  draw-for-draw;
 * partition reachability is the manager's identity-stable
   :attr:`~repro.net.partition.PartitionManager.cell_map` dict, held once at
   construction and tested with ``if cells and cells[src] != cells[dst]``
@@ -32,14 +32,15 @@ and replaces the hot send/broadcast/delivery paths:
   payload's class, no name lookup), and a broadcast of one message for every
   target by one increment for the whole broadcast;
 * broadcasts run in a single pass with every per-message attribute lookup
-  hoisted out of the loop.  The pass keeps the classic per-destination
-  order -- latency draw, then duplication check, then the duplicate's
-  latency draw -- so the latency and fault RNG streams stay bit-identical.
+  hoisted out of the loop.  The pass keeps the per-destination order --
+  latency draw, then duplication check, then the duplicate's latency draw
+  -- of one unicast per target, so the latency and fault RNG streams stay
+  bit-identical.
 
 The drop bookkeeping (stats + ``net.drop`` traces, including the in-flight
-variants) mirrors :class:`SimulatedNetwork` exactly; the engine-contract and
-differential suites assert equality of stats and traces across engines and
-across the two broadcast forms.
+variants) is the schema of :mod:`repro.net.network`; the engine-contract and
+differential suites assert equality of stats and traces with the test
+suite's reference engine and across the two broadcast forms.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ _INF = math.inf
 
 
 class FlatNetwork(SimulatedNetwork):
-    """Closure-free network fabric, bit-identical to the classic one.
+    """Closure-free network fabric, bit-identical to the reference one.
 
     Requires a world built with the ``flat`` engine: the network reaches
     into :class:`~repro.sim.flatcore.FlatEventScheduler` internals (its heap
@@ -129,8 +130,8 @@ class FlatNetwork(SimulatedNetwork):
         fault = self._fault
         fault_type = type(fault)
         # Skip flags are only set where the hook provably draws no RNG and
-        # always answers "don't drop"; everything else calls the hook exactly
-        # like the classic engine so the fault stream stays draw-identical.
+        # always answers "don't drop"; everything else calls the hook once
+        # per copy so the fault stream stays draw-identical.
         self._skip_unicast_fault = (
             fault_type is NoFault
             or fault_type is MessageDuplicationFault
@@ -248,8 +249,7 @@ class FlatNetwork(SimulatedNetwork):
         one message is counted once for the broadcast, after the loop -- or,
         should the loop raise, for the targets it had reached, exactly what
         counting per copy would have left.  The per-target order of RNG draws
-        -- latency, duplication check, duplicate latency -- matches the
-        classic engine exactly.
+        is latency, duplication check, duplicate latency.
         """
         member_set = self._member_set
         if src not in member_set:
@@ -259,8 +259,8 @@ class FlatNetwork(SimulatedNetwork):
         factory = payload if callable(payload) else None
         if src in self._disconnected:
             # Mirror the unicast path: every attempted message is counted as
-            # sent *and* dropped (the payload factory is pure; see the
-            # classic broadcast()).
+            # sent *and* dropped (the payload factory is pure; see
+            # SimulatedNetwork.broadcast()).
             trace = self._world.trace
             for dst in targets:
                 if factory is not None:

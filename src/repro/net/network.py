@@ -6,16 +6,13 @@ disconnection (used to model crashed servers).  Delivery happens through the
 shared :class:`~repro.sim.world.SimulationWorld` scheduler, so the whole run
 stays deterministic.
 
-This class is the ``classic`` engine's network -- the reference the ``flat``
-engine's :class:`~repro.net.flatnet.FlatNetwork` is diffed against -- *and*
-the definition of the engine-seam contract (see :mod:`repro.sim.engines`):
-the public surface -- ``send``/``broadcast``/``register``, connectivity
-control, ``NetworkStats``, the partition manager, and the ``net.drop`` trace
-schema -- is what scenarios and nodes may rely on.  ``send`` and ``broadcast``
-return nothing on either engine; ``broadcast`` takes one message for every
+:class:`SimulatedNetwork` is the part every engine shares -- registration,
+connectivity control, the partition manager and :class:`NetworkStats` -- and
+names the engine-seam contract (see :mod:`repro.sim.engines`): ``send`` and
+``broadcast`` return nothing, and ``broadcast`` takes one message for every
 target or a per-target factory.  How a delivery is queued and how a send is
-counted are engine-owned (here: one scheduler event and one count per copy,
-in the order the copies were sent).
+counted are engine-owned: :class:`~repro.net.flatnet.FlatNetwork` is the
+send path everything runs on.
 
 Every dropped message emits one ``net.drop`` trace with a ``reason`` of
 ``"fault"``, ``"broadcast_omission"``, ``"partition"`` or ``"disconnected"``;
@@ -97,7 +94,8 @@ class NetworkStats:
 
 
 class SimulatedNetwork:
-    """Latency- and fault-injecting message fabric between servers.
+    """Latency- and fault-injecting message fabric between servers; an
+    engine's subclass supplies :meth:`send` and :meth:`broadcast`.
 
     Args:
         world: the simulation world supplying the clock, scheduler and RNG.
@@ -179,23 +177,11 @@ class SimulatedNetwork:
         self._disconnected.discard(server_id)
 
     # ------------------------------------------------------------------ #
-    # Sending
+    # Sending: engine-owned (see :mod:`repro.sim.engines`)
     # ------------------------------------------------------------------ #
     def send(self, src: ServerId, dst: ServerId, payload: Any) -> None:
         """Send one point-to-point message."""
-        self._require_member(src)
-        self._require_member(dst)
-        self.stats.record_sent(payload)
-        if src in self._disconnected:
-            self.stats.dropped_disconnected += 1
-            if self._trace_on:
-                self._world.trace("net.drop", node=src, dst=dst, reason="disconnected")
-        elif self._fault.drop_unicast(self._fault_rng, src, dst):
-            self.stats.dropped_by_fault += 1
-            if self._trace_on:
-                self._world.trace("net.drop", node=src, dst=dst, reason="fault")
-        else:
-            self._enqueue(src, dst, payload)
+        raise NotImplementedError
 
     def broadcast(
         self,
@@ -205,98 +191,15 @@ class SimulatedNetwork:
     ) -> None:
         """Broadcast to *targets*, applying the broadcast-omission fault model.
 
-        Args:
-            src: sending server.
-            targets: destination servers (normally every peer of *src*).
-            payload: the one message every target receives (a candidate's
-                RequestVote), or -- when callable -- a factory called once per
-                target to build that target's payload, including targets the
-                fault model omits or that a disconnected sender never reaches,
-                whose payloads are counted as sent but not put in flight.
-                Leaders use a factory to piggyback per-follower data (log
-                entries, ESCAPE configurations) on one broadcast; factories
-                must therefore be pure reads of node state.  Either form is
-                counted per copy here; an engine may count the one message
-                once per broadcast (see :class:`~repro.net.flatnet.FlatNetwork`).
+        *payload* is the one message every target receives (a candidate's
+        RequestVote), or -- when callable -- a factory called once per
+        target to build that target's payload, including targets the fault
+        model omits or that a disconnected sender never reaches.  Leaders use
+        a factory to piggyback per-follower data (log entries, ESCAPE
+        configurations) on one broadcast; factories must therefore be pure
+        reads of node state.
         """
-        self._require_member(src)
-        self.stats.broadcast_count += 1
-        factory = payload if callable(payload) else None
-        if src in self._disconnected:
-            # Mirror the unicast path: every attempted message is counted as
-            # sent *and* dropped, keeping ``sent == delivered + dropped +
-            # in-flight`` intact (the payload factory is pure; see send()).
-            for dst in targets:
-                self.stats.record_sent(payload if factory is None else factory(dst))
-                self.stats.dropped_disconnected += 1
-                if self._trace_on:
-                    self._world.trace(
-                        "net.drop", node=src, dst=dst, reason="disconnected"
-                    )
-            return
-        omitted = self._fault.omitted_broadcast_targets(
-            self._fault_rng, src, list(targets)
-        )
-        for dst in targets:
-            if factory is not None:
-                payload = factory(dst)
-            self.stats.record_sent(payload)
-            if dst in omitted:
-                self.stats.dropped_by_fault += 1
-                if self._trace_on:
-                    self._world.trace(
-                        "net.drop", node=src, dst=dst, reason="broadcast_omission"
-                    )
-                continue
-            self._enqueue(src, dst, payload)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _enqueue(self, src: ServerId, dst: ServerId, payload: Any) -> None:
-        if not self._partitions.can_communicate(src, dst):
-            self.stats.dropped_by_partition += 1
-            if self._trace_on:
-                self._world.trace("net.drop", node=src, dst=dst, reason="partition")
-            return
-        self._schedule_delivery(src, dst, payload)
-        duplicator = getattr(self._fault, "should_duplicate", None)
-        if duplicator is not None and duplicator(self._fault_rng, src, dst):
-            self.stats.duplicated += 1
-            self._schedule_delivery(src, dst, payload)
-
-    def _schedule_delivery(self, src: ServerId, dst: ServerId, payload: Any) -> None:
-        latency = self._latency.sample(self._latency_rng, src, dst)
-        self._world.scheduler.call_at(
-            self._world.now() + latency, lambda: self._deliver(src, dst, payload)
-        )
-
-    def _deliver(self, src: ServerId, dst: ServerId, payload: Any) -> None:
-        if dst in self._disconnected:
-            # The destination crashed while the message was in flight.  Messages
-            # already in flight from a server that crashes are still delivered,
-            # matching a process kill on a real network (packets on the wire
-            # are not recalled).
-            self.stats.dropped_disconnected += 1
-            self.stats.dropped_in_flight += 1
-            if self._trace_on:
-                self._world.trace(
-                    "net.drop", node=src, dst=dst, reason="disconnected", in_flight=True
-                )
-            return
-        if not self._partitions.can_communicate(src, dst):
-            self.stats.dropped_by_partition += 1
-            self.stats.dropped_in_flight += 1
-            if self._trace_on:
-                self._world.trace(
-                    "net.drop", node=src, dst=dst, reason="partition", in_flight=True
-                )
-            return
-        handler = self._handlers.get(dst)
-        if handler is None:
-            raise NetworkError(f"no handler registered for S{dst}")
-        self.stats.delivered += 1
-        handler(src, payload)
+        raise NotImplementedError
 
     def _require_member(self, server_id: ServerId) -> None:
         if server_id not in self._members:

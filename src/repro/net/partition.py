@@ -76,7 +76,7 @@ class PartitionManager:
         """Remove the current partition; all servers can communicate again."""
         self._cell_of.clear()
 
-    def can_communicate(self, src: ServerId, dst: ServerId) -> bool:
+    def can_communicate(self, src: ServerId, dst: ServerId) -> bool:  # repro: allow[U1] -- the classic oracle, tests/oracle/network.py
         """Whether a message from *src* can currently reach *dst*."""
         if src not in self._members or dst not in self._members:
             raise NetworkError(f"unknown servers S{src} or S{dst}")

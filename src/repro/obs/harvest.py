@@ -1,6 +1,6 @@
 """Folding simulator-layer counters into a :class:`MetricsRegistry`.
 
-The scheduler, the network engines and the chaos driver already keep cheap
+The scheduler, the network and the chaos driver already keep cheap
 internal counters on their hot paths; rather than threading a metrics handle
 through every event (which would tax the telemetry-disabled case), these
 helpers *harvest* those counters into a registry after a run.  Only protocol
@@ -11,8 +11,7 @@ Metric names are dotted and stable -- they are part of the snapshot contract
 pinned by the engine/worker parity tests.  The table is the whole vocabulary:
 ``tests/unit/test_obs_telemetry.py`` checks it against what an episode emits,
 name for name in both directions (``<...>`` stands for one dotted segment).
-Two of the names, :data:`ENGINE_OWNED_METRICS`, describe how *one* engine
-keeps its heap small and are left out of cross-engine comparison.
+The two ``sim.heap.*`` names describe how the engine keeps its heap small.
 
 ============================  =================================================
 ``sim.events.scheduled``      events given a sequence number (counter)
@@ -65,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids layer cycles
     from repro.chaos.driver import ChaosDriver
 
 __all__ = [
-    "ENGINE_OWNED_METRICS",
     "TelemetryListener",
     "harvest_chaos",
     "harvest_cluster",
@@ -73,15 +71,6 @@ __all__ = [
     "harvest_scheduler",
     "harvest_workload",
 ]
-
-#: The metrics of the table above that are *engine-owned*: ``flat`` compacts
-#: dead records away, ``classic`` lets a cancelled timer sit until its time
-#: comes, so the two read differently for the same episode.  Every other name
-#: is bit-identical across engines (``tests/property/test_obs_parity.py``);
-#: these two are compared between runs of the same engine only.
-ENGINE_OWNED_METRICS: frozenset[str] = frozenset(  # repro: allow[U1] -- test_obs_parity's exclusion set
-    {"sim.heap.size", "sim.heap.compactions"}
-)
 
 #: Bucket bounds for the election-timeout attempt histogram: attempts are
 #: small integers, so one bucket per attempt up to 8, then overflow.
@@ -91,8 +80,8 @@ ATTEMPT_BOUNDS: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 def harvest_scheduler(scheduler, metrics: MetricsRegistry) -> None:
     """Fold a scheduler's event/heap counters into *metrics*.
 
-    Works for either engine's scheduler; the engine contract guarantees the
-    ``sim.events.*`` counts agree (the ``sim.heap.*`` pair is engine-owned).
+    The ``sim.events.*`` counts are the engine contract's; the
+    ``sim.heap.*`` pair is engine-owned.
     """
     metrics.counter("sim.events.scheduled").inc(scheduler.scheduled_count)
     metrics.counter("sim.events.executed").inc(scheduler.executed_count)

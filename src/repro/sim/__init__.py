@@ -13,17 +13,11 @@ Determinism guarantees:
   tie-breaking), so repeated runs with the same seed are bit-identical;
 * all randomness flows through :class:`repro.common.rng.SeedSequence`.
 
-Two *engines* provide the kernel: ``flat`` (:class:`FlatEventScheduler`,
-array-backed records; what everything runs on) and ``classic``
-(:class:`~repro.sim.scheduler.EventScheduler`, the minimal reference ``flat``
-is diffed against).  Both are listed in :mod:`repro.sim.engines` and are
-bit-identical by contract -- selecting one changes wall-clock time only.  The
-choice is an argument (``SimulationWorld(engine=...)``, a scenario's
-``engine`` field), never process state; naming none means ``flat``.
-
-``EventScheduler`` is not re-exported: the engine registry loads
-:mod:`repro.sim.scheduler` by its ``module:Class`` path only when a run
-selects ``classic``, so import it from there.
+The kernel's scheduler is :class:`FlatEventScheduler` (array-backed
+records), the scheduler of the ``flat`` engine listed in
+:mod:`repro.sim.engines`.  The engine is an argument
+(``SimulationWorld(engine=...)``, a scenario's ``engine`` field), never
+process state; naming none means ``flat``.
 """
 
 from repro.sim.clock import VirtualClock

@@ -1,11 +1,12 @@
 """Simulation engine registry: the seam between contract and implementation.
 
-An engine is a scheduler and a network.  ``flat`` is production -- the engine
-the benchmark, every sweep and every default run on; ``classic`` is the
-reference it is diffed against, kept as the smallest obviously correct
-implementation of the same contract.  Nodes see neither: they are written
-against one :class:`~repro.cluster.environment.SimNodeEnvironment`, which
-binds its entry points to the two surfaces below once, for either engine.
+An engine is a scheduler and a network.  ``flat`` is the one engine in
+``src/``: :mod:`repro.sim.flatcore` (slotted list records instead of timer
+objects, one hot run loop) and :mod:`repro.net.flatnet` (no per-message
+closures, cached partition reachability, inlined latency sampling).  Nodes
+never see it: they are written against one
+:class:`~repro.cluster.environment.SimNodeEnvironment`, which binds its entry
+points to the two surfaces below once.
 
 The *public surfaces* of the two engine-owned classes are the contract
 everything above them is written against:
@@ -14,8 +15,7 @@ everything above them is written against:
   ``cancel()``), ``schedule_timer_entry(delay, callback, label="")`` /
   ``cancel_entry(token)`` / ``rearm_timer_entry(token, delay, callback)`` (a
   node timer: the token is opaque and only ever passed back; re-arming *is*
-  cancel then schedule to every counter and event -- ``classic`` spells it
-  out, ``flat`` moves the queued record), ``step`` / ``run_until`` /
+  cancel then schedule to every counter and event), ``step`` / ``run_until`` /
   ``run_until_idle`` / ``run_until_condition`` (predicate after every event) /
   ``run_until_interrupted`` + ``interrupt`` (the same wait for a condition
   whose every change calls ``interrupt()``: one attribute load per event
@@ -35,30 +35,11 @@ everything above them is written against:
   the partition manager, and the ``net.drop`` trace schema.
 
 Everything *behind* those surfaces is engine-owned: how a queued event is
-represented, how partition reachability is looked up, and **how the heap is
-kept small**.  ``flat`` compacts dead records away; ``classic`` lets a
-cancelled timer sit until its time comes.  ``heap_size`` and
-``compaction_count`` (harvested as ``sim.heap.size`` and
-``sim.heap.compactions``, see :data:`repro.obs.harvest.ENGINE_OWNED_METRICS`)
-therefore describe one engine's queue and are compared between runs of the
-*same* engine only (worker-count parity), never across engines.
-
-* ``classic`` -- :class:`~repro.sim.scheduler.EventScheduler` (a heap of
-  timer objects with a cancelled flag, every ``run_*`` a loop over ``step``)
-  and :class:`~repro.net.network.SimulatedNetwork` (one scheduler event and
-  one closure per message copy).
-* ``flat`` -- :mod:`repro.sim.flatcore` and :mod:`repro.net.flatnet`: slotted
-  list records instead of timer objects, one hot run loop, no per-message
-  closures, cached partition reachability, inlined latency sampling.
-
-Determinism contract: for the same ``(scenario, seed)``, both engines produce
-bit-identical measurements, stats, traces, final simulated time and every
-telemetry name but the two engine-owned gauges -- ``flat`` may only remove
-*allocation and indirection*, never reorder RNG draws or events.  The
-differential suite (``tests/property/test_engine_differential.py``) pins this,
-``tests/unit/test_engine_contract.py`` runs the unit-level contract on every
-registered engine, and ``tests/property/test_timer_rearm.py`` checks re-arming
-against the spelled-out pair.
+represented, how partition reachability is looked up, and how the heap is
+kept small (``heap_size`` and ``compaction_count``, harvested as
+``sim.heap.size`` and ``sim.heap.compactions``).  An engine may only remove
+*allocation and indirection*, never reorder RNG draws or events: the test
+suite keeps a minimal reference engine and diffs ``flat`` against it.
 
 Engine selection is data, never process state: an explicit ``engine``
 (scenario field, ``build_cluster``/``SimulationWorld`` parameter, CLI
@@ -102,13 +83,13 @@ class EngineSpec:
     """Descriptor for one simulation engine.
 
     Attributes:
-        name: registry key and CLI name (e.g. ``"classic"``, ``"flat"``).
+        name: registry key and CLI name (``"flat"``).
         title: display label for docs and ``--list`` style tables.
         scheduler_path: ``"module:Class"`` of the event scheduler; the class
             must accept ``(clock, max_events=...)`` and implement the
             scheduler contract described in the module docstring.
         network_path: ``"module:Class"`` of the network fabric; same
-            constructor signature as
+            constructor signature as, and a subclass of,
             :class:`~repro.net.network.SimulatedNetwork`.
     """
 
@@ -137,17 +118,11 @@ class EngineSpec:
 
 
 # --------------------------------------------------------------------------- #
-# The engines
+# The engine
 # --------------------------------------------------------------------------- #
 _REGISTRY: Registry[EngineSpec] = Registry(
     "engine",
     (
-        EngineSpec(
-            name="classic",
-            title="Classic reference engine",
-            scheduler_path="repro.sim.scheduler:EventScheduler",
-            network_path="repro.net.network:SimulatedNetwork",
-        ),
         EngineSpec(
             name="flat",
             title="Flat-core array-backed engine",

@@ -1,16 +1,16 @@
 """The ``flat`` engine's event core: slotted list records instead of objects.
 
 This is the production scheduler.  It implements the contract of
-:mod:`repro.sim.engines` -- the one the ``classic`` reference,
-:class:`~repro.sim.scheduler.EventScheduler`, states in its simplest form --
-but represents every queued event as a plain 4-slot list
-``[time_ms, sequence, fn, arg]`` on a binary heap:
+:mod:`repro.sim.engines` -- the one the test suite's reference engine states
+in its simplest form, a heap of timer objects -- but represents every queued
+event as a plain 4-slot list ``[time_ms, sequence, fn, arg]`` on a binary
+heap:
 
-* no :class:`~repro.sim.scheduler.Timer` object per node timer -- arming one
+* no timer object per node timer -- arming one
   is one list allocation and one ``heappush``, re-arming a queued one
   (:meth:`FlatEventScheduler.rearm_timer_entry`) a few slot writes;
 * list comparison happens element-wise in C and the unique ``sequence``
-  slot guarantees ``fn`` is never compared, preserving the classic engine's
+  slot guarantees ``fn`` is never compared, preserving the contract's
   strict ``(time, insertion sequence)`` execution order;
 * cancellation clears the ``fn`` slot in place (``None`` marks the record
   dead); popped records clear their own ``fn`` slot before firing, so a
@@ -37,7 +37,7 @@ the live ones in a heap of at least :data:`COMPACT_MIN_SIZE` records.  That
 makes ``heap_size`` and ``compaction_count`` this engine's own gauges; the
 ``scheduled_count`` / ``executed_count`` / ``cancelled_count`` /
 ``pending_count`` counters and the ``max_events`` budget read the same as the
-classic engine's for the same workload.
+reference engine's for the same workload.
 """
 
 from __future__ import annotations
@@ -69,9 +69,8 @@ class FlatEventHandle:
     """Cancellable handle for events scheduled through the *public* API.
 
     Node environments bypass handles entirely (a timer token is the raw
-    record), but ``call_at``/``call_after`` return an object with the classic
-    :class:`~repro.sim.scheduler.Timer`'s ``cancel()`` / ``cancelled`` /
-    ``time_ms`` / ``label`` so callers read the same on either engine.
+    record), but ``call_at``/``call_after`` return an object with a timer's
+    ``cancel()`` / ``cancelled`` / ``time_ms`` / ``label``.
     """
 
     __slots__ = ("_scheduler", "_entry", "_cancelled", "_label")
@@ -117,7 +116,7 @@ class FlatEventScheduler:
     Args:
         clock: the virtual clock to advance (fresh one when omitted).
         max_events: execution budget; exceeding it raises
-            :class:`SimulationError` exactly like the classic engine.
+            :class:`SimulationError`.
     """
 
     def __init__(

@@ -26,7 +26,7 @@ cluster's applied state -- the ground-truth verification the ISSUE asks for.
 
 All randomness draws from named :class:`~repro.common.rng.SeedSequence`
 streams and all scheduling goes through the simulated scheduler, so a driver
-is bit-deterministic per seed on either engine.
+is bit-deterministic per seed.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.common.config import ClusterConfig, ProtocolConfig, RaftTimeoutConfig, ScaParameters
 from repro.common.types import Milliseconds, ServerId
-from repro.obs.harvest import ENGINE_OWNED_METRICS
 from repro.obs.telemetry import TelemetrySnapshot
+
+from oracle import ENGINE_OWNED_METRICS
 
 
 @dataclass

@@ -12,6 +12,8 @@ from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.base import paired_seeds
 from repro.experiments.export import load_run
 
+from oracle import CLASSIC
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 EXAMPLES = REPO_ROOT / "examples"
 GOLDEN_REPORTS = REPO_ROOT / "tests" / "golden" / "experiment_reports"
@@ -270,7 +272,7 @@ class TestThroughputPathEquality:
 
     def test_engines_agree(self):
         flat = run_experiment("throughput", **self.ARGS)
-        classic = run_experiment("throughput", engine="classic", **self.ARGS)
+        classic = run_experiment("throughput", engine=CLASSIC, **self.ARGS)
         assert classic.result.by_label == flat.result.by_label
 
     def test_cli_checkpoint_run_resumes_to_the_same_report(self, tmp_path, capsys):

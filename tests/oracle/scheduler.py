@@ -1,4 +1,5 @@
-"""The ``classic`` engine's scheduler: the reference ``flat`` is diffed against.
+"""The ``classic`` engine's scheduler: the reference ``FlatEventScheduler`` is
+diffed against.
 
 A binary heap of :class:`Timer` objects ordered by ``(time_ms, sequence)``.
 The sequence number is assigned at insertion, so events scheduled for the same
@@ -12,7 +13,7 @@ Lazy deletion does not leak: a cancelled timer leaves the heap at the latest
 when its time comes, and nothing arms a timer further ahead than one election-
 timeout window, so the heap is bounded by what is scheduled inside one window.
 (``flat`` compacts instead, which is why ``heap_size`` and ``compaction_count``
-are engine-owned gauges; see :mod:`repro.sim.engines`.)
+are engine-owned gauges; see :mod:`oracle`.)
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class EventScheduler:
         if self._heap:
             self.clock.advance_to(max_time_ms)
 
-    def run_until_condition(  # repro: allow[U1] -- test_engine_contract, test_duplication_and_churn
+    def run_until_condition(
         self, condition: Callable[[], bool], max_time_ms: Milliseconds
     ) -> bool:
         """Execute events until *condition()* holds: checked before the run

@@ -1,14 +1,15 @@
 """Differential testing of the simulation engines.
 
-The engine contract (:mod:`repro.sim.engines`) says the ``classic`` and
-``flat`` engines are *bit-identical*: for the same ``(scenario, seed)`` they
-must produce the same measurements, the same :class:`NetworkStats`, the same
-trace stream, the same availability timeline and the same telemetry but for
-the two engine-owned heap gauges -- an engine may only remove allocation and
+The engine contract (:mod:`repro.sim.engines`) says ``flat`` and the
+``classic`` oracle (``tests/oracle/``) are *bit-identical*: for the same
+``(scenario, seed)`` they must produce the same measurements, the same
+:class:`NetworkStats`, the same trace stream, the same availability timeline
+and the same telemetry but for the two engine-owned heap gauges -- an engine may only remove allocation and
 indirection, never reorder RNG draws or events.  This suite states that
 contract as properties over random seeds, the registered liveness-guaranteeing
 protocols, the catalog's network conditions, and all three scenario types
-(election, availability window, serving window).
+(election, availability window, serving window), and as one case per cell of
+every registered experiment's quick grid -- every condition a sweep runs.
 
 ``raft-fixed`` is deliberately absent: it livelocks by design (degenerate
 baseline) and cannot finish a measured episode on *either* engine.
@@ -25,16 +26,16 @@ from hypothesis import strategies as st
 from repro.chaos.plans import build_plan
 from repro.chaos.scenario import ChaosScenario
 from repro.cluster.catalog import CATALOG, network_specs
-from repro.cluster.scenarios import ElectionScenario
-from repro.sim.engines import names as engine_names
+from repro.cluster.scenarios import ElectionScenario, Scenario
+from repro.common.rng import paired_seeds
+from repro.experiments import registry
 from repro.workload.scenario import ThroughputScenario
 
 from helpers import cross_engine_view
+from oracle import CLASSIC, ENGINES
 
 #: Every registered protocol that can finish a measured election episode.
 LIVENESS_PROTOCOLS = ("raft", "zraft", "escape", "raft-stagger", "escape-noppf")
-
-ENGINES = tuple(engine_names())
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -142,3 +143,34 @@ class TestScenarioTypeDifferential:
                 baseline
             ), "measurement or telemetry diverged"
             assert records == baseline_records, "trace stream diverged"
+
+
+def _quick_grid_cells():
+    """``(scenario, seed)`` for every simulated cell of every registered
+    experiment's quick grid (an analytic model runs on no engine)."""
+    for name in registry.names():
+        spec = registry.get(name)
+        for label, scenario in spec.build(spec.resolved_params(quick=True), 0)[2].items():
+            if isinstance(scenario, Scenario):
+                seed = paired_seeds(1, 0, label)[0]
+                yield pytest.param(scenario, seed, id=f"{name}:{label}")
+
+
+QUICK_GRID_CELLS = list(_quick_grid_cells())
+
+
+class TestEveryQuickGridCell:
+    """Every condition a registered experiment sweeps, on both engines: the
+    plain run every sweep makes, and the observed run (telemetry and trace)."""
+
+    @pytest.mark.parametrize(("scenario", "seed"), QUICK_GRID_CELLS)
+    def test_a_plain_run_is_identical(self, scenario, seed):
+        assert scenario.with_engine(CLASSIC).run(seed) == scenario.run(seed)
+
+    @pytest.mark.parametrize(("scenario", "seed"), QUICK_GRID_CELLS)
+    def test_an_observed_run_is_identical(self, scenario, seed):
+        observed = scenario.with_telemetry()
+        flat, flat_records = observed.run_traced(seed)
+        classic, records = observed.with_engine(CLASSIC).run_traced(seed)
+        assert _cross_engine(classic) == _cross_engine(flat)
+        assert records == flat_records

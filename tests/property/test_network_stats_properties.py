@@ -7,12 +7,12 @@ message copy ends in exactly one terminal state, so
 
 (``duplicated`` counts the extra copies the duplication fault schedules; each
 such copy is delivered or dropped in flight but was never counted as sent).
-The invariant must hold on both engines' networks for any interleaving of
-unicasts, broadcasts,
-disconnects, reconnects and partitions under any fault injector, with
-broadcasts of one message and through a per-target factory -- including
-the historical bug case of a *disconnected sender broadcasting*, which used
-to count drops without the matching sends.
+The invariant must hold on ``flat``'s network and the ``classic`` oracle's
+for any interleaving of unicasts, broadcasts, disconnects, reconnects and
+partitions under any fault injector, with broadcasts of one message and
+through a per-target factory -- including the historical bug case of a
+*disconnected sender broadcasting*, which used to count drops without the
+matching sends.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from repro.net.faults import (
     PacketLossFault,
 )
 from repro.net.latency import ConstantLatency
-from repro.sim.engines import names as engine_names
 from repro.sim.world import SimulationWorld
+
+from oracle import ENGINES
 
 MEMBERS = (1, 2, 3, 4, 5)
 
@@ -69,7 +70,7 @@ OPS = st.lists(
 )
 
 
-@pytest.mark.parametrize("engine", engine_names())
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda spec: spec.name)
 @given(ops=OPS, fault=FAULTS, seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
 def test_sent_equals_delivered_plus_dropped_after_drain(engine, ops, fault, seed):

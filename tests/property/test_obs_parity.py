@@ -3,24 +3,22 @@
 The telemetry snapshot is part of the repo's determinism claim: a
 telemetry-enabled sweep must produce *bit-identical* per-label snapshots at
 any ``--workers`` count -- the engine-owned heap gauges included -- and the
-engine contract extends to every other harvested name: ``classic`` and
-``flat`` must agree on scheduler, network and node metrics, not just on
-measurements.  Only ``repro.obs.harvest.ENGINE_OWNED_METRICS`` (how one
-engine keeps its heap small) are left out of the cross-engine comparison.
+engine contract extends to every other harvested name: ``flat`` and the
+``classic`` oracle must agree on scheduler, network and node metrics, not just
+on measurements.  Only ``oracle.ENGINE_OWNED_METRICS`` (how one engine keeps
+its heap small) are left out of the cross-engine comparison.
 """
 
 from __future__ import annotations
 
 from repro.cluster.scenarios import ElectionScenario
 from repro.experiments.runner import run_sweep
-from repro.sim.engines import names as engine_names
 
 from helpers import cross_engine_view, sweep_telemetry
+from oracle import ENGINES
 
-ENGINES = tuple(engine_names())
 
-
-def _scenarios(engine: str | None = None) -> dict[str, ElectionScenario]:
+def _scenarios(engine=None) -> dict[str, ElectionScenario]:
     scenarios = {
         "raft@3": ElectionScenario(protocol="raft", cluster_size=3, telemetry=True),
         "escape@5": ElectionScenario(
@@ -55,7 +53,7 @@ class TestWorkerParity:
 
 class TestEngineParity:
     @staticmethod
-    def _sweep(engine: str) -> dict[str, dict]:
+    def _sweep(engine) -> dict[str, dict]:
         snapshots = sweep_telemetry(
             run_sweep(_scenarios(engine), runs=3, seed=5, workers=1)
         )
@@ -73,7 +71,7 @@ class TestEngineParity:
             protocol="escape", cluster_size=5, loss_rate=0.1, telemetry=True
         )
 
-        def telemetry(engine: str) -> dict:
+        def telemetry(engine) -> dict:
             measurement = scenario.with_engine(engine).run(17)
             return cross_engine_view(measurement.extra["telemetry"])
 

@@ -2,12 +2,12 @@
 
 ``rearm_timer_entry(token, delay, callback)`` is defined as
 ``cancel_entry(token)`` followed by ``schedule_timer_entry(delay, callback)``.
-``classic`` does literally that; ``flat`` moves a queued record instead of
-killing it and re-queues it under the key the pair would have pushed.  This
-suite runs random programs -- arm, re-arm, cancel, plain events, events that
-re-arm a timer when they fire, ``run_until`` and ``step`` -- twice on every
-engine, once through ``rearm_timer_entry`` and once through the spelled-out
-pair, and requires the same firing sequence, the same clock and the same four
+The ``classic`` oracle does literally that; ``flat`` moves a queued record
+instead of killing it and re-queues it under the key the pair would have
+pushed.  This suite runs random programs -- arm, re-arm, cancel, plain
+events, events that re-arm a timer when they fire, ``run_until`` and
+``step`` -- twice on each engine, once through ``rearm_timer_entry`` and once
+through the spelled-out pair, and requires the same firing sequence, the same clock and the same four
 counters after every operation.  Delays come from a handful of values so that
 ties, which only the sequence number orders, are the common case.
 
@@ -24,8 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import engines
 from repro.sim.flatcore import FlatEventScheduler
+
+from oracle import CLASSIC, ENGINES
 
 SLOTS = st.integers(min_value=0, max_value=2)
 DELAYS = st.sampled_from([0.0, 1.0, 5.0, 5.0, 10.0, 10.0, 20.0, 40.0])
@@ -97,10 +98,10 @@ def execute(scheduler, program, eager: bool):
     return log
 
 
-@pytest.mark.parametrize("engine", engines.names())
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda spec: spec.name)
 @given(PROGRAMS)
 def test_rearming_is_the_eager_pair(engine, program):
-    scheduler_class = engines.get(engine).scheduler_class()
+    scheduler_class = engine.scheduler_class()
     assert execute(scheduler_class(), program, eager=False) == execute(
         scheduler_class(), program, eager=True
     )
@@ -109,8 +110,8 @@ def test_rearming_is_the_eager_pair(engine, program):
 @given(PROGRAMS)
 def test_the_engines_agree_on_rearming(program):
     flat, classic = (
-        execute(engines.get(name).scheduler_class()(), program, eager=False)
-        for name in ("flat", "classic")
+        execute(scheduler_class(), program, eager=False)
+        for scheduler_class in (FlatEventScheduler, CLASSIC.scheduler_class())
     )
     assert flat == classic
 

@@ -105,7 +105,7 @@ class TestModelsAreScenarios:
         assert repr(clone) == repr(model) and "rank_confusion=0.5" in repr(model)
         assert clone.run(11) == model.run(11)
         # An analytic model runs on no simulation engine.
-        assert model.with_engine("classic") is model
+        assert model.with_engine("flat") is model
 
 
 class TestComparison:

@@ -10,6 +10,7 @@ from repro.escape.node import EscapeNode
 from repro.net.latency import ConstantLatency
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
+from repro.sim import engines
 from repro.statemachine.kvstore import PutCommand
 from repro.workload import WorkloadDriver, legacy_interval
 from repro.zraft.node import ZRaftNode
@@ -133,7 +134,7 @@ class TestLeadershipLifecycle:
         assert measurement.total_ms == 3_000.0
 
 
-@pytest.mark.parametrize("engine", ("classic", "flat"))
+@pytest.mark.parametrize("engine", engines.names())
 class TestWaitingOnInterruptsEqualsPollingEveryEvent:
     """The harness waits in ``run_until_interrupted`` and re-evaluates its
     predicate when the leader set changes; ``run_until_condition``, which

@@ -22,6 +22,8 @@ from repro.net.faults import (
 from repro.net.latency import GeoGroupLatency, GeoLatencySpec
 from repro.workload.scenario import ThroughputScenario
 
+from oracle import CLASSIC
+
 _PLAN = build_plan("repeated-leader-kill", horizon_ms=10_000.0, seed=0)
 
 #: One constructor per scenario type, taking the shared condition's keywords.
@@ -65,7 +67,7 @@ class TestOneConditionBase:
         assert scenario.engine == "flat"
         for variant in (
             dataclasses.replace(scenario, protocol="raft"),
-            scenario.with_engine("classic"),
+            scenario.with_engine(CLASSIC),
             scenario.with_telemetry(),
         ):
             assert type(variant) is type(scenario) and variant != scenario
@@ -122,7 +124,7 @@ class TestOneConditionBase:
             plan=_PLAN,
             latency_range=(10.0, 20.0),
             loss_rate=0.1,
-            engine="classic",
+            engine=CLASSIC,
             telemetry=True,
         )
         view = scenario.election_scenario()

@@ -41,7 +41,6 @@ OFF_PATH = (
     "repro.metrics.stats",
     "repro.metrics.streaming",
     "repro.metrics.tables",
-    "repro.sim.scheduler",
     "repro.cluster.catalog",
 )
 

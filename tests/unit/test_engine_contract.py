@@ -1,10 +1,10 @@
-"""The engine contract, run on every registered engine.
+"""The engine contract, run on ``flat`` and on the ``classic`` oracle.
 
 :mod:`repro.sim.engines` says what a scheduler and a network owe everything
 above them; this suite states it once and runs it on ``classic`` (the
-reference) *and* ``flat`` (what the benchmark and every sweep run) through the
-``engine`` fixture.  It covers the scheduler (ordering, cancellation, the
-``run_*`` clock semantics, re-arming a node timer, ``interrupt`` / ``close``,
+reference in ``tests/oracle/``) *and* ``flat`` (the engine in ``src/``)
+through the ``engine`` fixture.  It covers the scheduler (ordering,
+cancellation, the ``run_*`` clock semantics, re-arming a node timer, ``interrupt`` / ``close``,
 the event budget, non-finite deadlines), the network (delivery to plain
 callables and to protocol nodes, disconnection, broadcast -- one message or a
 per-target factory, the same broadcast either way --, partitions, in-flight
@@ -40,19 +40,20 @@ from repro.net.faults import (
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse
 from repro.raft.node import RaftNode
-from repro.sim import engines
 from repro.sim.flatcore import COMPACT_MIN_SIZE, FlatEventScheduler
 from repro.sim.world import SimulationWorld
 
+from oracle import CLASSIC, ENGINES
 
-@pytest.fixture(params=engines.names())
-def engine(request) -> str:
+
+@pytest.fixture(params=ENGINES, ids=lambda spec: spec.name)
+def engine(request):
     return request.param
 
 
 @pytest.fixture
 def scheduler(engine):
-    return engines.get(engine).scheduler_class()()
+    return engine.scheduler_class()()
 
 
 def make_network(engine, members=(1, 2, 3), latency=None, fault=None, seed=0):
@@ -329,7 +330,7 @@ class TestRearmTimer:
         assert scheduler.executed_count == 2
 
     def test_the_event_budget_counts_only_callbacks(self, engine):
-        scheduler = engines.get(engine).scheduler_class()(max_events=4)
+        scheduler = engine.scheduler_class()(max_events=4)
         state = {"token": scheduler.schedule_timer_entry(20.0, lambda: None)}
 
         def beat():
@@ -524,7 +525,7 @@ class TestSchedulerSafety:
         assert fired == [5.0]
 
     def test_event_budget_stops_runaway_simulations(self, engine):
-        scheduler = engines.get(engine).scheduler_class()(max_events=50)
+        scheduler = engine.scheduler_class()(max_events=50)
 
         def reschedule():
             scheduler.call_after(1.0, reschedule)
@@ -798,7 +799,7 @@ class TestBroadcastForms:
     @pytest.mark.parametrize("case", CASES)
     def test_both_forms_are_the_same_broadcast(self, engine, form, case):
         assert self._program(engine, form, **self.CASES[case]) == self._program(
-            "classic", "factory", **self.CASES[case]
+            CLASSIC, "factory", **self.CASES[case]
         )
 
     def test_a_raising_broadcast_counts_the_targets_it_reached(self, engine, form):
@@ -860,7 +861,7 @@ class TestBroadcastForms:
             assert stats.duplicated and stats.dropped
             return observed
 
-        assert run(engine, None) == run("classic", "factory")
+        assert run(engine, None) == run(CLASSIC, "factory")
 
 
 class TestPartitions:
@@ -976,7 +977,7 @@ class TestDeliveryToNodes:
         assert (stats["dropped_disconnected"], stats["dropped_by_partition"]) == (1, 2)
         assert (stats["dropped_in_flight"], executed) == (2, 4)
         assert self._episode(engine, True) == (stats, leaders, executed)
-        assert self._episode("classic", False) == (stats, leaders, executed)
+        assert self._episode(CLASSIC, False) == (stats, leaders, executed)
 
     def test_an_overridden_on_message_is_called_as_registered(self, engine):
         seen = []
@@ -1115,11 +1116,11 @@ class TestHeapGauges:
         """Both engines agree on what is live; only the reference still holds
         the dead timers, and only while a live event sits ahead of them --
         which ends, at the latest, when their own time comes."""
-        scheduler = engines.get(engine).scheduler_class()()
+        scheduler = engine.scheduler_class()()
         scheduler.call_at(9_000.0, lambda: None)  # live, ahead of every timeout
         _heartbeat_churn(scheduler, 500)
         assert (scheduler.pending_count, scheduler.cancelled_count) == (2, 499)
-        if engine == "classic":
+        if engine is CLASSIC:
             assert (scheduler.heap_size, scheduler.compaction_count) == (501, 0)
         scheduler.run_until(9_000.0)
         assert (scheduler.pending_count, scheduler.heap_size) == (1, 1)
@@ -1189,8 +1190,8 @@ class TestHeapGauges:
         """Same schedule-and-cancel pattern on the engine that compacts and
         on the one that never does: same order."""
 
-        def run(engine):
-            scheduler = engines.get(engine).scheduler_class()()
+        def run(scheduler_class):
+            scheduler = scheduler_class()
             order = []
             handles = [
                 scheduler.call_after(
@@ -1204,7 +1205,7 @@ class TestHeapGauges:
             scheduler.run_until_idle()
             return order, scheduler.compaction_count
 
-        flat_order, flat_compactions = run("flat")
-        classic_order, classic_compactions = run("classic")
+        flat_order, flat_compactions = run(FlatEventScheduler)
+        classic_order, classic_compactions = run(CLASSIC.scheduler_class())
         assert flat_order == classic_order and len(flat_order) == 67
         assert flat_compactions > 0 and classic_compactions == 0

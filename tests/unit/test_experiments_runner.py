@@ -30,6 +30,7 @@ from repro.experiments.runner import (
 )
 
 from helpers import registrations
+from oracle import CLASSIC
 
 SCENARIOS = {
     "escape-small": ElectionScenario(protocol="escape", cluster_size=3),
@@ -230,7 +231,7 @@ class TestEngineReachesTheWorkers:
         with registrations(registry):
             registry.register(probe)
             classic = run_experiment(
-                probe.name, engine="classic", workers=2, runs=2, seed=5, quick=True
+                probe.name, engine=CLASSIC, workers=2, runs=2, seed=5, quick=True
             )
         ran_on = [
             measurement.extra.pop("ran_on")

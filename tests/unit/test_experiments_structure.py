@@ -389,6 +389,14 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "duplicate value 'raft'" in capsys.readouterr().err
 
+    def test_engine_option_offers_flat_only(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["fig3", "--engine", "flat"]).engine == "flat"
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["fig3", "--quick", "--engine", "classic"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'classic'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("runs", ["0", "-1"])
     def test_runs_option_rejects_counts_below_one(self, runs, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -2,7 +2,9 @@
 
 ``test_src_tree_is_lint_clean`` is the point of the whole subsystem: the
 shipped tree has zero findings, so any new determinism hazard fails the test
-suite (and CI's dedicated lint job) the moment it is introduced.
+suite (and CI's dedicated lint job) the moment it is introduced.  The
+``classic`` oracle in ``tests/oracle/`` is held to the same rules: it is the
+reference the simulator is diffed against.
 ``TestSourceOnly`` holds the linter to reading what it checks: a full lint in
 a fresh interpreter loads no ``repro`` module beyond those ``repro.lint``
 itself imports.
@@ -22,6 +24,7 @@ from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = str(REPO_ROOT / "src")
+ORACLE = str(REPO_ROOT / "tests" / "oracle")
 
 
 class TestTreeGate:
@@ -33,6 +36,11 @@ class TestTreeGate:
             finding.render() for finding in report.findings
         )
         assert report.clean
+        oracle = lint_paths([ORACLE])
+        assert oracle.checked_files == 3
+        assert oracle.findings == (), "\n".join(
+            finding.render() for finding in oracle.findings
+        )
 
     def test_single_rule_selection_runs_only_that_rule(self):
         report = lint_paths([SRC], rule_ids=["D3"])

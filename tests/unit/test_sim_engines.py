@@ -1,11 +1,12 @@
 """The simulation-engine table.
 
-Covers what the table promises: the two built-ins resolve, an unknown name is
+Covers what the table promises: ``flat`` is its one entry, an unknown name is
 rejected with the registered names, ``module:ClassName`` paths are validated
-at construction and resolved lazily, and an engine choice is threaded as data
-(explicit argument, else ``flat``) from a scenario down to the world and the
-network -- there is no process-wide default to consult -- while nodes see one
-environment class whatever the engine.
+at construction and resolved lazily, and an engine choice -- a name, or a spec
+such as the ``classic`` oracle's -- is threaded as data (explicit argument,
+else ``flat``) from a scenario down to the world and the network -- there is
+no process-wide default to consult -- while nodes see one environment class
+whatever the engine.
 
 What the engines owe everything above them is
 ``tests/unit/test_engine_contract.py``.
@@ -22,41 +23,33 @@ from repro.chaos.plans import build_plan
 from repro.chaos.scenario import ChaosScenario
 from repro.common.errors import ConfigurationError
 from repro.net.flatnet import FlatNetwork
-from repro.net.network import SimulatedNetwork
 from repro.sim import engines
 from repro.sim.engines import EngineSpec
 from repro.sim.flatcore import FlatEventScheduler
-from repro.sim.scheduler import EventScheduler
 from repro.sim.world import SimulationWorld
 
-ENGINE_NAMES = ("classic", "flat")
-
-
-def _spec(name: str = "custom") -> EngineSpec:
-    return EngineSpec(
-        name=name,
-        title="Custom engine",
-        scheduler_path="repro.sim.scheduler:EventScheduler",
-        network_path="repro.net.network:SimulatedNetwork",
-    )
+from oracle import CLASSIC
+from oracle.network import ClassicNetwork
+from oracle.scheduler import EventScheduler
 
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert engines.names() == ENGINE_NAMES
-        assert tuple(name for name, _ in engines.items()) == ENGINE_NAMES
+        assert engines.names() == ("flat",)
+        assert tuple(name for name, _ in engines.items()) == ("flat",)
 
     def test_unknown_name_lists_registered(self):
-        with pytest.raises(ConfigurationError, match="classic.*flat|flat.*classic"):
+        with pytest.raises(ConfigurationError, match="registered: flat$"):
             engines.get("warp")
+        with pytest.raises(ConfigurationError, match="unknown engine 'classic'"):
+            engines.get("classic")
 
     def test_resolve_accepts_name_spec_and_none(self):
         flat = engines.get("flat")
         assert engines.resolve("flat") is flat
         assert engines.resolve(flat) is flat
         assert engines.resolve(None) is flat
-        custom = _spec()
-        assert engines.resolve(custom) is custom
+        assert engines.resolve(CLASSIC) is CLASSIC
         with pytest.raises(ConfigurationError, match="unknown engine"):
             engines.resolve("warp")
 
@@ -67,31 +60,31 @@ class TestEngineSpecValidation:
             EngineSpec(
                 name="broken",
                 title="broken",
-                scheduler_path="repro.sim.scheduler.EventScheduler",  # dot, no colon
-                network_path="repro.net.network:SimulatedNetwork",
+                scheduler_path="repro.sim.flatcore.FlatEventScheduler",  # no colon
+                network_path="repro.net.flatnet:FlatNetwork",
             )
 
     def test_unresolvable_path_fails_at_use_not_construction(self):
         spec = EngineSpec(
             name="ghost",
             title="ghost",
-            scheduler_path="repro.sim.scheduler:NoSuchClass",
-            network_path="repro.net.network:SimulatedNetwork",
+            scheduler_path="repro.sim.flatcore:NoSuchClass",
+            network_path="repro.net.flatnet:FlatNetwork",
         )
         with pytest.raises(ConfigurationError, match="does not resolve"):
             spec.scheduler_class()
 
     def test_builtin_paths_resolve_to_the_engine_classes(self):
-        classic, flat = engines.get("classic"), engines.get("flat")
-        assert classic.scheduler_class() is EventScheduler
-        assert classic.network_class() is SimulatedNetwork
+        flat = engines.get("flat")
         assert flat.scheduler_class() is FlatEventScheduler
         assert flat.network_class() is FlatNetwork
+        assert CLASSIC.scheduler_class() is EventScheduler
+        assert CLASSIC.network_class() is ClassicNetwork
 
 
 class TestWorldAndClusterWiring:
     def test_world_builds_the_engine_scheduler(self):
-        assert isinstance(SimulationWorld(engine="classic").scheduler, EventScheduler)
+        assert isinstance(SimulationWorld(engine=CLASSIC).scheduler, EventScheduler)
         assert isinstance(SimulationWorld(engine="flat").scheduler, FlatEventScheduler)
 
     def test_world_without_an_engine_is_flat(self):
@@ -100,8 +93,8 @@ class TestWorldAndClusterWiring:
     def test_build_cluster_uses_the_matching_network_and_one_environment(self):
         flat = build_cluster("raft", size=3, engine="flat", trace=False)
         assert type(flat.network) is FlatNetwork
-        classic = build_cluster("raft", size=3, engine="classic", trace=False)
-        assert type(classic.network) is SimulatedNetwork
+        classic = build_cluster("raft", size=3, engine=CLASSIC, trace=False)
+        assert type(classic.network) is ClassicNetwork
         for cluster in (flat, classic):
             scheduler = cluster.world.scheduler
             for node in cluster.nodes.values():
@@ -114,18 +107,18 @@ class TestWorldAndClusterWiring:
         with pytest.raises(ConfigurationError, match="unknown engine"):
             ElectionScenario(protocol="raft", cluster_size=3, engine="warp")
         scenario = ElectionScenario(protocol="raft", cluster_size=3)
-        assert scenario.engine == "flat"
+        assert scenario.engine == "flat" and "engine='flat'" in repr(scenario)
         cluster, _ = scenario.build(seed=1)
         assert isinstance(cluster.network, FlatNetwork)
-        classic = scenario.with_engine("classic")
-        assert "engine='classic'" in repr(classic)
+        classic = scenario.with_engine(CLASSIC)
+        assert "engine=EngineSpec(name='classic'" in repr(classic)
         cluster, _ = classic.build(seed=1)
-        assert isinstance(cluster.network, SimulatedNetwork)
+        assert isinstance(cluster.network, ClassicNetwork)
 
     def test_windowed_scenario_threads_engine(self):
         plan = build_plan("repeated-leader-kill", horizon_ms=30_000.0, seed=0)
         scenario = ChaosScenario(
             protocol="raft", cluster_size=3, plan=plan
-        ).with_engine("classic")
+        ).with_engine(CLASSIC)
         cluster, _ = scenario.build(seed=1)
         assert isinstance(cluster.world.scheduler, EventScheduler)

@@ -9,7 +9,8 @@ contract once -- a frozen dataclass whose defaults are immutable, whose
 callables are module-level and whose fields hash, and which itself hashes,
 pickles bit-for-bit and survives ``dataclasses.replace`` -- and one
 parametrized case per value applies it, so registering a new spec anywhere
-subjects it to the same checks automatically.  This suite is the contract's
+subjects it to the same checks automatically.  The ``classic`` oracle's engine
+spec is held to them too: oracle sweeps ship it to their workers.  This suite is the contract's
 only home: ``repro.lint`` reads source and never imports the registries.  The
 fixture specs below hold the helper to each way a spec can break it.
 """
@@ -24,6 +25,7 @@ from repro.common.frozen import FrozenDict
 from repro.experiments import registry as experiment_registry
 
 from helpers import load_registries
+from oracle import CLASSIC
 
 
 def _is_local_callable(value: object) -> bool:
@@ -77,9 +79,12 @@ def assert_conforms(spec: object) -> None:
 REGISTRIES = load_registries()
 
 REGISTERED = [
-    pytest.param(spec, id=f"{registry_name}:{name}")
-    for registry_name, pairs in REGISTRIES.items()
-    for name, spec in pairs
+    *(
+        pytest.param(spec, id=f"{registry_name}:{name}")
+        for registry_name, pairs in REGISTRIES.items()
+        for name, spec in pairs
+    ),
+    pytest.param(CLASSIC, id="engines:classic"),
 ]
 
 
