@@ -60,7 +60,7 @@ def escape_expected_detection_ms(  # repro: allow[U1] -- ROADMAP 4(d); test_pape
     return max(0.0, base_time_ms - heartbeat_interval_ms / 2.0)
 
 
-def simultaneous_timeout_probability(  # repro: allow[U1] -- ROADMAP 4(d); test_paper_claims
+def simultaneous_timeout_probability(  # repro: allow[U1] -- ROADMAP 4(d); test_analysis_theory
     timeout_min_ms: Milliseconds,
     timeout_max_ms: Milliseconds,
     followers: int,
@@ -87,7 +87,7 @@ def simultaneous_timeout_probability(  # repro: allow[U1] -- ROADMAP 4(d); test_
     return 1.0 - per_follower_miss ** (followers - 1)
 
 
-def split_vote_probability_two_candidates(  # repro: allow[U1] -- ROADMAP 4(d); test_paper_claims
+def split_vote_probability_two_candidates(  # repro: allow[U1] -- ROADMAP 4(d); test_analysis_theory
     cluster_size: int,
 ) -> float:
     """Probability that two simultaneous candidates split the vote.

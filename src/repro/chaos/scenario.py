@@ -141,9 +141,10 @@ class ChaosScenario(WindowedScenario):
     Attributes:
         workload_interval_ms: client proposal period throughout the window
             (on by default -- unavailability is measured at the client, not
-            just the leader flag; 0 disables the workload).  The
-            legacy-interval workload keeps the original fixed-interval loop,
-            so reports stay byte-identical.
+            just the leader flag; 0 disables the workload).  The clients
+            are :func:`~repro.workload.legacy_interval`, a tracked open-loop
+            spec with uniform gaps, so every op resolves as committed or
+            lost when the window closes.
     """
 
     workload_interval_ms: Milliseconds = 250.0

@@ -327,8 +327,7 @@ class ElectionScenario(Scenario):
         cluster.start_all()
         harness.stabilize(max_time_ms=self.stabilize_ms)
 
-        # The legacy-interval workload keeps the original fixed-interval
-        # loop, so pre-subsystem reports stay byte-identical.
+        # Fixed-interval clients: a tracked open-loop spec with uniform gaps.
         workload: WorkloadDriver | None = None
         if self.workload_interval_ms > 0:
             from repro.workload import legacy_interval
@@ -352,7 +351,7 @@ class ElectionScenario(Scenario):
             max_election_ms=self.max_election_ms, seed=seed
         )
         if workload is not None:
-            workload.stop()
+            workload.finalize()
             if metrics is not None:
                 from repro.obs.harvest import harvest_workload
 

@@ -48,8 +48,7 @@ The two ``sim.heap.*`` names describe how the engine keeps its heap small.
 ``workload.lost``             proposed ops that never committed (failover loss)
 ============================  =================================================
 
-The ``workload.*`` counters come from :func:`harvest_workload`; the tracked
-trio stays zero under the untracked ``legacy-interval`` workload.
+The ``workload.*`` counters come from :func:`harvest_workload`.
 """
 
 from __future__ import annotations

@@ -2,12 +2,8 @@
 
 :class:`WorkloadDriver` is the runtime half of the workload subsystem: it
 schedules client requests on the simulated cluster's own event scheduler and
-tracks every op from ``propose()`` to state-machine apply.  Three modes:
+tracks every op from ``propose()`` to state-machine apply.  Two modes:
 
-* ``legacy-interval`` is the original fixed-interval client loop -- one
-  ``workload``-labelled tick per interval, one proposal per tick, no commit
-  tracking -- pinned so the fig11/avail experiments that predate this
-  subsystem keep producing byte-identical reports.
 * ``closed`` runs ``spec.clients`` closed-loop clients, each keeping at most
   one request in flight and thinking for an exponential ``think_time_ms``
   between completions (a client also moves on after ``request_timeout_ms``;
@@ -15,7 +11,7 @@ tracks every op from ``propose()`` to state-machine apply.  Three modes:
 * ``open`` issues requests on a deterministic arrival process (Poisson,
   fixed-gap or bursts) regardless of completions.
 
-Tracked modes attach one listener to every node and match
+Both modes attach one listener to every node and match
 ``on_entry_committed(index, term)`` events against the ``(index, term)`` the
 leader assigned at proposal time -- the Raft identity of an op, immune to the
 entry being overwritten after a failover.  :meth:`finalize` resolves every
@@ -99,7 +95,7 @@ class WorkloadDriver:
         ops abandoned because no (quorum-capable) leader existed at issue
         time.
     ``retries``
-        extra attempts after a ``NotLeaderError`` (tracked modes only).
+        extra attempts after a ``NotLeaderError``.
     ``committed``
         proposed ops whose ``(index, term)`` reached the state machine.
     ``lost``
@@ -167,9 +163,6 @@ class WorkloadDriver:
         if self._active:
             return
         self._active = True
-        if self._spec.mode == "legacy-interval":
-            self._schedule_legacy_tick()
-            return
         listener = _CommitListener(self)
         for node in self._cluster.nodes.values():
             node.add_listener(listener)
@@ -198,8 +191,7 @@ class WorkloadDriver:
                 property).
         """
         self.stop()
-        if self._finalized or not self._spec.tracked:
-            self._finalized = True
+        if self._finalized:
             return
         self._finalized = True
         scan = self._scan_node()
@@ -244,33 +236,6 @@ class WorkloadDriver:
             )
 
     # ------------------------------------------------------------------ #
-    # Legacy mode (the original fixed-interval loop)
-    # ------------------------------------------------------------------ #
-    def _schedule_legacy_tick(self) -> None:
-        self._scheduler.call_after(
-            self._spec.interval_ms, self._legacy_tick, label="workload"
-        )
-
-    def _legacy_tick(self) -> None:
-        if not self._active:
-            return
-        leader = self._leader_selector()
-        if leader is None:
-            self.dropped += 1
-        else:
-            sequence = self._sequence
-            self._sequence += 1
-            command = PutCommand(
-                key=f"key-{sequence % self._spec.keyspace.keys}", value=sequence
-            )
-            try:
-                leader.propose(command)
-                self.proposed += 1
-            except NotLeaderError:
-                self.rejected += 1
-        self._schedule_legacy_tick()
-
-    # ------------------------------------------------------------------ #
     # Closed loop
     # ------------------------------------------------------------------ #
     def _schedule_think(self, client: int) -> None:
@@ -300,7 +265,7 @@ class WorkloadDriver:
         elif spec.arrival == "poisson":
             delay = self._arrival_rng.expovariate(spec.rate_per_s / 1000.0)
         else:
-            delay = 1000.0 / spec.rate_per_s
+            delay = spec.interval_ms
         self._scheduler.call_after(delay, self._arrival_tick, label="workload-arrival")
 
     def _arrival_tick(self) -> None:
@@ -312,7 +277,7 @@ class WorkloadDriver:
         self._schedule_arrival()
 
     # ------------------------------------------------------------------ #
-    # Shared issue path (tracked modes)
+    # Shared issue path
     # ------------------------------------------------------------------ #
     def _issue(self, client: int | None) -> None:
         sequence = self._sequence

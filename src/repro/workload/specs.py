@@ -34,8 +34,8 @@ __all__ = [
     "register",
 ]
 
-#: The closed-loop / open-loop / legacy driver modes a spec may select.
-MODES: tuple[str, ...] = ("closed", "open", "legacy-interval")
+#: The closed-loop / open-loop driver modes a spec may select.
+MODES: tuple[str, ...] = ("closed", "open")
 
 #: Open-loop arrival processes.
 ARRIVALS: tuple[str, ...] = ("poisson", "uniform", "burst")
@@ -52,10 +52,9 @@ class KeyspaceSpec:
     """How clients pick keys.
 
     ``round-robin`` cycles deterministically through the keyspace (the shape
-    of the ``legacy-interval`` workload);
-    ``uniform`` samples keys uniformly; ``hotspot`` sends ``hot_share`` of
-    the traffic to the hottest ``hot_fraction`` of the keys (a YCSB-style
-    skew).
+    of the fixed-interval :func:`legacy_interval` clients); ``uniform``
+    samples keys uniformly; ``hotspot`` sends ``hot_share`` of the traffic
+    to the hottest ``hot_fraction`` of the keys (a YCSB-style skew).
     """
 
     keys: int = 16
@@ -114,22 +113,21 @@ class WorkloadSpec:
         name / description: registry identity and human summary.
         mode: ``"closed"`` (each of *clients* keeps at most one request in
             flight and thinks for an exponential ``think_time_ms`` between
-            completions), ``"open"`` (requests arrive on an *arrival* process
-            regardless of completions), or ``"legacy-interval"`` (the
-            original fixed-interval loop, kept so the fig11/avail reports
-            stay byte-identical).
+            completions) or ``"open"`` (requests arrive on an *arrival*
+            process regardless of completions).
         clients: closed-loop client count.
         think_time_ms: mean exponential think time between a closed-loop
             client's completions.
         arrival: open-loop arrival process -- ``"poisson"`` (exponential
-            gaps), ``"uniform"`` (fixed gaps) or ``"burst"`` (``burst_size``
-            back-to-back arrivals every ``burst_interval_ms``).
-        rate_per_s: open-loop mean arrival rate (poisson/uniform).
+            gaps), ``"uniform"`` (one arrival every ``interval_ms``) or
+            ``"burst"`` (``burst_size`` back-to-back arrivals every
+            ``burst_interval_ms``).
+        rate_per_s: poisson mean arrival rate.
         burst_size / burst_interval_ms: burst-arrival shape.
-        interval_ms: legacy fixed proposal period.
+        interval_ms: the uniform arrival's gap, carried as given rather than
+            derived from a rate (``1000 / (1000 / 30)`` is not 30).
         max_retries: extra proposal attempts after a ``NotLeaderError``
-            (the leader moved between lookup and proposal); the legacy mode
-            never retries.
+            (the leader moved between lookup and proposal).
         retry_backoff_ms: delay before each retry attempt.
         request_timeout_ms: how long a closed-loop client waits for its
             in-flight request to commit before giving up and moving on (the
@@ -172,9 +170,13 @@ class WorkloadSpec:
                 raise ConfigurationError(
                     f"unknown arrival process {self.arrival!r}; one of {ARRIVALS}"
                 )
-            if self.arrival in ("poisson", "uniform") and self.rate_per_s <= 0:
+            if self.arrival == "poisson" and self.rate_per_s <= 0:
                 raise ConfigurationError(
                     f"rate_per_s must be > 0, got {self.rate_per_s}"
+                )
+            if self.arrival == "uniform" and self.interval_ms <= 0:
+                raise ConfigurationError(
+                    f"interval_ms must be > 0, got {self.interval_ms}"
                 )
             if self.arrival == "burst" and (
                 self.burst_size < 1 or self.burst_interval_ms <= 0
@@ -183,10 +185,6 @@ class WorkloadSpec:
                     "a burst arrival needs burst_size >= 1 and "
                     "burst_interval_ms > 0"
                 )
-        if self.mode == "legacy-interval" and self.interval_ms <= 0:
-            raise ConfigurationError(
-                f"interval_ms must be > 0, got {self.interval_ms}"
-            )
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
@@ -199,11 +197,6 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"request_timeout_ms must be > 0, got {self.request_timeout_ms}"
             )
-
-    @property
-    def tracked(self) -> bool:
-        """Whether the driver tracks per-op commit outcomes for this spec."""
-        return self.mode != "legacy-interval"
 
 
 # --------------------------------------------------------------------------- #
@@ -218,27 +211,17 @@ items = _REGISTRY.items
 
 
 def legacy_interval(interval_ms: Milliseconds) -> WorkloadSpec:
-    """The legacy fixed-interval workload at a scenario-chosen period."""
-    return replace(get("legacy-interval"), interval_ms=interval_ms)
+    """Fixed-interval clients: one proposal every *interval_ms*, no retries.
+
+    The fig11/avail client workload -- ``open-uniform`` at a scenario-chosen
+    gap, round-robin keys and fixed-size values, so it draws no randomness.
+    """
+    return replace(get("open-uniform"), interval_ms=interval_ms, max_retries=0)
 
 
 # --------------------------------------------------------------------------- #
 # Built-in workloads
 # --------------------------------------------------------------------------- #
-register(
-    WorkloadSpec(
-        name="legacy-interval",
-        description=(
-            "The original fixed-interval loop: one proposal every "
-            "interval_ms, no retries, no per-op tracking (fig11/avail "
-            "compatibility)."
-        ),
-        mode="legacy-interval",
-        interval_ms=250.0,
-        max_retries=0,
-    )
-)
-
 register(
     WorkloadSpec(
         name="closed-loop",
@@ -265,10 +248,10 @@ register(
 register(
     WorkloadSpec(
         name="open-uniform",
-        description="Open-loop fixed-gap arrivals at 20 req/s.",
+        description="Open-loop fixed-gap arrivals, one every interval_ms.",
         mode="open",
         arrival="uniform",
-        rate_per_s=20.0,
+        interval_ms=50.0,
     )
 )
 

@@ -281,6 +281,19 @@ class TestChaosScenario:
         assert measurement.extra["committed_entries"] >= 0
         assert 0.0 < measurement.unavailability < 1.0
 
+    def test_clients_resolve_every_op(self):
+        plan = build_plan("repeated-leader-kill", horizon_ms=40_000.0, seed=1)
+        scenario = ChaosScenario(protocol="raft", cluster_size=5, plan=plan)
+        counters = scenario.with_telemetry().run(seed=4).extra["telemetry"][
+            "counters"
+        ]
+        # finalize() resolved every proposed op: committed or lost at failover.
+        assert counters["workload.committed"] > 0
+        assert (
+            counters["workload.committed"] + counters["workload.lost"]
+            == counters["workload.proposed"]
+        )
+
     def test_partition_outages_are_visible_at_the_client(self):
         plan = build_plan("partition-flap", horizon_ms=40_000.0, seed=1)
         scenario = ChaosScenario(protocol="raft", cluster_size=5, plan=plan)

@@ -322,6 +322,19 @@ class TestScenarioRuns:
         assert measurement.extra["contention_phases"] == 0
         assert measurement.extra["workload_proposed"] > 0
 
+    def test_lossy_clients_resolve_every_op(self):
+        scenario = ElectionScenario(
+            protocol="raft", cluster_size=10, loss_rate=0.2, workload_interval_ms=50.0
+        )
+        counters = scenario.with_telemetry().run(seed=0).extra["telemetry"][
+            "counters"
+        ]
+        assert counters["workload.committed"] > 0
+        assert (
+            counters["workload.committed"] + counters["workload.lost"]
+            == counters["workload.proposed"]
+        )
+
     def test_contention_scenario_forces_split_votes_in_raft(self):
         scenario = ElectionScenario(protocol="raft", cluster_size=5, contention_phases=2)
         measurements = scenario.run_many(runs=3, base_seed=1)

@@ -42,12 +42,26 @@ def drive(spec, seed=0, duration_ms=3_000.0, leader_selector=None, finalize=True
     return driver, cluster, harness
 
 
-class TestLegacyMode:
+class _RecordingLeader:
+    """A stand-in leader that accepts every proposal and records its time."""
+
+    current_term = 1
+
+    def __init__(self, world):
+        self._world = world
+        self.times = []
+
+    def propose(self, command):
+        self.times.append(self._world.now())
+        return len(self.times)
+
+
+class TestFixedIntervalClients:
     def test_replays_the_retired_client_workload_exactly(self):
-        # The counters and S1's log that the retired ClientWorkload loop
-        # produced for seed 7 (captured before it was deleted): the
-        # byte-identity contract that keeps the fig11/avail golden reports
-        # valid.
+        # The counters and S1's (index, term, key) log that the retired
+        # ClientWorkload loop produced for seed 7 (captured before it was
+        # deleted), which keep the fig11/avail golden reports valid; the
+        # values are the open-loop driver's padded "<sequence>:" strings.
         cluster, harness = stabilized(seed=7)
         driver = WorkloadDriver(cluster, legacy_interval(100.0), seed=7)
         driver.start()
@@ -57,16 +71,42 @@ class TestLegacyMode:
         assert (driver.proposed, driver.rejected, driver.dropped) == (20, 0, 0)
         log = [(e.index, e.term, e.command) for e in cluster.node(1).log]
         assert log == [
-            (index, 1, PutCommand(key=f"key-{(index - 1) % 16}", value=index - 1))
+            (
+                index,
+                1,
+                PutCommand(
+                    key=f"key-{(index - 1) % 16}",
+                    value=f"{index - 1}:".ljust(16, "x"),
+                ),
+            )
             for index in range(1, 20)
         ]
 
-    def test_legacy_mode_tracks_nothing(self):
+    def test_every_op_resolves(self):
         driver, _, _ = drive(legacy_interval(100.0), duration_ms=1_000.0)
-        assert driver.proposed > 0
-        assert driver.committed == 0
-        assert driver.latencies_ms == ()
+        assert driver.committed > 0
+        assert driver.committed + driver.lost == driver.proposed
+        assert len(driver.latencies_ms) == driver.committed
         assert driver.pending_count == 0
+
+    def test_proposes_exactly_every_interval(self):
+        # 1000 / (1000 / 30) is 29.999999999999996: a gap derived from a
+        # rate drifts off the 30 ms grid from the first arrival on.  The
+        # cluster is never started, so the schedule begins at 0 ms, where
+        # that error is not rounded away as it is at larger clock values.
+        cluster = build_cluster(
+            protocol="raft", size=3, seed=0, latency=FAST_LATENCY
+        )
+        leader = _RecordingLeader(cluster.world)
+        driver = WorkloadDriver(
+            cluster, legacy_interval(30.0), leader_selector=lambda: leader
+        )
+        start = cluster.world.now()
+        driver.start()
+        cluster.world.run_for(301.0)
+        driver.stop()
+        assert leader.times == [start + 30.0 * k for k in range(1, 11)]
+        assert driver.proposed == 10
 
 
 class TestClosedLoop:
@@ -95,10 +135,10 @@ class TestClosedLoop:
 class TestOpenLoop:
     def test_uniform_arrivals_issue_at_the_configured_rate(self):
         spec = WorkloadSpec(
-            name="t-uniform", mode="open", arrival="uniform", rate_per_s=10.0
+            name="t-uniform", mode="open", arrival="uniform", interval_ms=100.0
         )
         driver, _, _ = drive(spec, duration_ms=3_000.0)
-        # 10/s over 3 s of healthy cluster: every arrival proposes.
+        # One per 100 ms over 3 s of healthy cluster: every arrival proposes.
         assert driver.proposed == 30
         assert driver.committed + driver.lost == driver.proposed
 
@@ -126,7 +166,7 @@ class TestKeyAndValueModels:
             name="t-rr",
             mode="open",
             arrival="uniform",
-            rate_per_s=10.0,
+            interval_ms=100.0,
             keyspace=KeyspaceSpec(keys=4),
         )
         driver, cluster, _ = drive(spec, duration_ms=1_000.0)
@@ -138,7 +178,7 @@ class TestKeyAndValueModels:
             name="t-hot",
             mode="open",
             arrival="uniform",
-            rate_per_s=20.0,
+            interval_ms=50.0,
             keyspace=KeyspaceSpec(mode="hotspot", keys=8),
         )
         driver, cluster, _ = drive(spec, duration_ms=2_000.0)
@@ -153,7 +193,7 @@ class TestKeyAndValueModels:
             name="t-val",
             mode="open",
             arrival="uniform",
-            rate_per_s=10.0,
+            interval_ms=100.0,
             value_size=ValueSizeSpec(mode="uniform", min_size=8, max_size=12),
         )
         driver, cluster, _ = drive(spec, duration_ms=1_000.0)
@@ -165,7 +205,7 @@ class TestKeyAndValueModels:
 class TestFailurePaths:
     def test_no_leader_counts_dropped(self):
         spec = WorkloadSpec(
-            name="t-drop", mode="open", arrival="uniform", rate_per_s=10.0
+            name="t-drop", mode="open", arrival="uniform", interval_ms=100.0
         )
         driver, _, _ = drive(
             spec, duration_ms=2_000.0, leader_selector=lambda: None
@@ -178,7 +218,7 @@ class TestFailurePaths:
             name="t-retry",
             mode="open",
             arrival="uniform",
-            rate_per_s=5.0,
+            interval_ms=200.0,
             max_retries=2,
             retry_backoff_ms=10.0,
         )

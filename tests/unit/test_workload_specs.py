@@ -10,7 +10,6 @@ from repro.workload import specs
 from repro.workload.specs import KeyspaceSpec, ValueSizeSpec, WorkloadSpec
 
 BUILTINS = (
-    "legacy-interval",
     "closed-loop",
     "open-poisson",
     "open-uniform",
@@ -40,13 +39,15 @@ class TestRegistry:
         assert tuple(name for name, _ in pairs) == BUILTINS
         assert all(isinstance(spec, WorkloadSpec) for _, spec in pairs)
 
-    def test_legacy_interval_rebinds_the_period(self):
+    def test_legacy_interval_rebinds_the_gap(self):
         spec = specs.legacy_interval(125.0)
-        assert spec.mode == "legacy-interval"
+        assert (spec.mode, spec.arrival) == ("open", "uniform")
         assert spec.interval_ms == 125.0
-        assert not spec.tracked
+        assert spec.max_retries == 0
+        assert spec.keyspace == KeyspaceSpec()
+        assert spec.value_size == ValueSizeSpec()
         # The registered prototype is untouched.
-        assert specs.get("legacy-interval").interval_ms == 250.0
+        assert specs.get("open-uniform").interval_ms == 50.0
 
     def test_every_builtin_survives_pickling(self):
         for _, spec in specs.items():
@@ -55,10 +56,10 @@ class TestRegistry:
 
 
 class TestWorkloadSpecValidation:
-    def test_tracked_covers_all_but_legacy(self):
-        assert WorkloadSpec(name="w", mode="closed").tracked
-        assert WorkloadSpec(name="w", mode="open").tracked
-        assert not WorkloadSpec(name="w", mode="legacy-interval").tracked
+    def test_modes_are_closed_and_open(self):
+        assert specs.MODES == ("closed", "open")
+        with pytest.raises(ConfigurationError, match="unknown workload mode"):
+            WorkloadSpec(name="w", mode="legacy-interval")
 
     def test_a_nameless_spec_cannot_be_registered(self):
         with pytest.raises(ConfigurationError, match="workload name '' must be"):
@@ -75,10 +76,10 @@ class TestWorkloadSpecValidation:
             {"mode": "closed", "think_time_ms": 0.0},
             {"mode": "open", "arrival": "pareto"},
             {"mode": "open", "arrival": "poisson", "rate_per_s": 0.0},
-            {"mode": "open", "arrival": "uniform", "rate_per_s": -1.0},
+            {"mode": "open", "arrival": "uniform", "interval_ms": -1.0},
             {"mode": "open", "arrival": "burst", "burst_size": 0},
             {"mode": "open", "arrival": "burst", "burst_interval_ms": 0.0},
-            {"mode": "legacy-interval", "interval_ms": 0.0},
+            {"mode": "open", "arrival": "uniform", "interval_ms": 0.0},
             {"max_retries": -1},
             {"retry_backoff_ms": -1.0},
             {"request_timeout_ms": 0.0},
@@ -95,7 +96,7 @@ class TestWorkloadSpecValidation:
 
 
 class TestKeyspaceSpec:
-    def test_defaults_match_the_legacy_keyspace(self):
+    def test_defaults_are_the_fixed_interval_keyspace(self):
         assert KeyspaceSpec().keys == 16
         assert KeyspaceSpec().mode == "round-robin"
 
