@@ -3,7 +3,11 @@
 The harness packages the measurement procedure used for every evaluation
 figure of the paper:
 
-1. start the cluster and wait for the first leader (*stabilisation*);
+1. start the cluster and elect its first leader (*stabilisation*): the node
+   whose first election-timeout wait is shortest fires that timeout at once,
+   so a fresh cluster's first leader comes from one uncontested campaign
+   instead of a cold-start split-vote storm (the paper measures elections
+   after a leader fails, never this one);
 2. optionally run a client workload so logs keep growing;
 3. crash the leader at a randomly chosen point inside a heartbeat interval;
 4. run the simulation until a new leader emerges (or the time budget runs
@@ -45,12 +49,25 @@ class ElectionHarness:
     def stabilize(self, max_time_ms: Milliseconds = 60_000.0) -> ServerId:
         """Run until the cluster has elected its first leader.
 
+        A cluster that has not campaigned yet -- no leader, every running
+        node still in term 0 -- is bootstrapped: of its running nodes, the
+        one whose first election-timeout wait is shortest (the lowest server
+        id on a tie) fires that timeout now, through the node's normal
+        timeout path, and every other node keeps the wait it drew.  That node
+        is the one whose timer would have expired first; every wait is at
+        least the protocol's minimum timeout, far above a round trip, so on a
+        healthy network nobody else campaigns.  A cluster that needs the
+        contested cold start runs it without this method (``node.start()``
+        on each node, then the world).
+
         Returns:
             The leader's identifier.
 
         Raises:
             ClusterError: if no leader emerges within *max_time_ms*.
         """
+        if not self._cluster.has_leader():
+            self._bootstrap_campaign()
         elected = self._run_until(
             self._cluster.has_leader, self._cluster.world.now() + max_time_ms
         )
@@ -61,6 +78,16 @@ class ElectionHarness:
         leader_id = self._cluster.leader_id()
         assert leader_id is not None
         return leader_id
+
+    def _bootstrap_campaign(self) -> None:
+        """Fire the first election timeout of a fresh cluster now."""
+        nodes = self._cluster.running_nodes()
+        if not nodes or any(node.current_term for node in nodes):
+            return
+        first = min(
+            nodes, key=lambda node: (node.first_election_wait_ms, node.node_id)
+        )
+        first.expire_election_timer()
 
     def run_for(self, duration_ms: Milliseconds) -> None:
         """Advance the simulation by *duration_ms* of simulated time."""

@@ -59,9 +59,10 @@ DEFAULT_PLAN = "repeated-leader-kill"
 def validate_sweep_protocols(protocol_names: Sequence[str]) -> tuple[str, ...]:
     """Check *protocol_names* can run in an experiment sweep.
 
-    Every sweep stabilises a leader before measuring, so beyond being
+    Every sweep measures elections that must complete, so beyond being
     registered in :mod:`repro.protocols` each protocol must guarantee
-    liveness (``raft-fixed`` livelocks by design and can only abort a sweep).
+    liveness (``raft-fixed`` gets a first leader, then every failover
+    livelocks by design: each episode would burn its whole election budget).
 
     Raises:
         ConfigurationError: naming the offending protocol, with the list of
@@ -78,8 +79,9 @@ def validate_sweep_protocols(protocol_names: Sequence[str]) -> tuple[str, ...]:
                 if spec.guarantees_liveness
             ]
             raise ConfigurationError(
-                f"protocol {name!r} does not guarantee leader election (it "
-                "livelocks by design) and cannot run in an experiment sweep; "
+                f"protocol {name!r} does not guarantee leader election (its "
+                "failovers livelock by design) and cannot run in an experiment "
+                "sweep; "
                 f"sweepable protocols: {', '.join(sweepable)}"
             )
     return tuple(protocol_names)

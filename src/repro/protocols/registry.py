@@ -6,8 +6,10 @@ probe its arguments:
 * ``raft-fixed`` -- Raft with one deterministic timeout shared by every
   server: the degenerate baseline the Figure 10 collision argument predicts
   will livelock (every wait expires simultaneously, every campaign splits).
-  Registered with ``guarantees_liveness=False``; a regression test pins the
-  predicted livelock.
+  The harness's bootstrap campaign still gives it a first leader; every
+  failover after that livelocks.  Registered with
+  ``guarantees_liveness=False``; a regression test pins the predicted
+  livelock.
 * ``raft-stagger`` -- Raft with deterministic per-server timeouts laddered by
   Eq. 1 but *without* ESCAPE's priority-driven term growth: the cheapest
   collision-free baseline, isolating how much of ESCAPE's win is just

@@ -37,11 +37,13 @@ class ProtocolSpec:
             instantiate.
         title: display label used in report tables (e.g. ``"Z-Raft"``).
         description: one-line summary shown in the registry table.
-        guarantees_liveness: whether the protocol is expected to elect a
-            leader under the paper's healthy-network conditions.  ``False``
-            only for degenerate baselines (``raft-fixed`` livelocks by
-            design, which is exactly the Figure 10 collision argument); the
-            conformance suite asserts liveness for every spec that claims it.
+        guarantees_liveness: whether the protocol is expected to complete a
+            failover under the paper's healthy-network conditions.  ``False``
+            only for degenerate baselines (``raft-fixed`` gets its first
+            leader from the harness's bootstrap campaign, then every failover
+            livelocks by design, which is exactly the Figure 10 collision
+            argument); the conformance suite asserts liveness for every spec
+            that claims it.
     """
 
     name: str

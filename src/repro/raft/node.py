@@ -113,6 +113,9 @@ class RaftNode:
         self._vote_retry_timer: TimerHandle | None = None
         self._timeout_attempt = 0
         self._running = False
+        #: The wait :meth:`start` armed the election timer with (``None``
+        #: before it runs): the harness's bootstrap campaign reads it.
+        self.first_election_wait_ms: Milliseconds | None = None
         self.stats: dict[str, int] = {"votes_granted": 0}
 
         # Hot-path caches.  Membership is static, so the peer tuple is fixed
@@ -182,7 +185,19 @@ class RaftNode:
         self.leader_id = None
         self._timeout_attempt = 0
         self.env.trace("node.start", term=self.current_term)
-        self._reset_election_timer()
+        self.first_election_wait_ms = self._reset_election_timer()
+
+    def expire_election_timer(self) -> None:
+        """Fire the election timeout now instead of when its timer expires.
+
+        The timeout runs its normal path (listeners, trace, a campaign unless
+        the node leads); the campaign re-arms the pending timer, so it does
+        not expire as well.  The harness uses this to elect a fresh
+        cluster's first leader in one uncontested campaign.
+        """
+        if not self._running:
+            raise ProtocolError(f"S{self.node_id} is not running")
+        self._on_election_timeout()
 
     def stop(self) -> None:
         """Stop the node (models a crash): timers are cancelled, state kept."""
@@ -725,7 +740,8 @@ class RaftNode:
     # ------------------------------------------------------------------ #
     # Timers
     # ------------------------------------------------------------------ #
-    def _reset_election_timer(self) -> None:
+    def _reset_election_timer(self) -> Milliseconds:
+        """Arm the election timer with the next wait; returns the wait."""
         script = self.timeout_script
         if script and self._timeout_attempt < len(script):
             # A scripted wait draws nothing, whatever the protocol.
@@ -739,6 +755,7 @@ class RaftNode:
         self._election_timer = self.env.rearm_timer(
             self._election_timer, timeout, self._on_election_timeout, "election-timeout"
         )
+        return timeout
 
     def _cancel_election_timer(self) -> None:
         if self._election_timer is not None:

@@ -16,7 +16,7 @@ A spec is *resolved* against a live cluster by
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from repro.common.errors import ConfigurationError
 from repro.common.frozen import value_object
@@ -45,6 +45,16 @@ KEY_MODES: tuple[str, ...] = ("round-robin", "uniform", "hotspot")
 
 #: Value-size models.
 VALUE_MODES: tuple[str, ...] = ("fixed", "uniform")
+
+#: The :class:`WorkloadSpec` fields only one mode or arrival reads, by the
+#: mode (closed) or arrival (open) that reads them; the arrival itself is
+#: read only by open specs.
+_SHAPE_FIELDS: dict[str, tuple[str, ...]] = {
+    "closed": ("clients", "think_time_ms", "request_timeout_ms"),
+    "poisson": ("arrival", "rate_per_s"),
+    "uniform": ("arrival", "interval_ms"),
+    "burst": ("arrival", "burst_size", "burst_interval_ms"),
+}
 
 
 @value_object
@@ -108,6 +118,12 @@ class ValueSizeSpec:
 @value_object
 class WorkloadSpec:
     """One named client-traffic shape.
+
+    Of ``clients``, ``think_time_ms``, ``request_timeout_ms``, ``arrival``
+    and the arrival fields, a spec may set only those its mode and arrival
+    read: any other left off its default is refused at construction, since
+    nothing would read it (a uniform spec given ``rate_per_s`` would
+    silently keep its ``interval_ms`` gap).
 
     Attributes:
         name / description: registry identity and human summary.
@@ -185,6 +201,7 @@ class WorkloadSpec:
                     "a burst arrival needs burst_size >= 1 and "
                     "burst_interval_ms > 0"
                 )
+        self._refuse_unread_fields()
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
@@ -197,6 +214,27 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"request_timeout_ms must be > 0, got {self.request_timeout_ms}"
             )
+
+    def _refuse_unread_fields(self) -> None:
+        """Refuse a shape field set off its default that nothing would read."""
+        shape = "closed" if self.mode == "closed" else self.arrival
+        shape_fields = {name for names in _SHAPE_FIELDS.values() for name in names}
+        for spec_field in fields(self):
+            name, value = spec_field.name, getattr(self, spec_field.name)
+            if (
+                name in shape_fields
+                and name not in _SHAPE_FIELDS[shape]
+                and value != spec_field.default
+            ):
+                reader = (
+                    "a closed-loop workload"
+                    if shape == "closed"
+                    else f"an open-loop {shape} arrival"
+                )
+                raise ConfigurationError(
+                    f"{name}={value!r} is not read by {reader}; "
+                    f"leave it at its default {spec_field.default!r}"
+                )
 
 
 # --------------------------------------------------------------------------- #

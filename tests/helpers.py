@@ -194,6 +194,17 @@ def load_registries() -> dict[str, tuple[tuple[str, object], ...]]:
     }
 
 
+def bootstrap_by_hand(cluster: Any) -> None:
+    """``ElectionHarness.stabilize``'s bootstrap, restated without the harness:
+    the running node whose first election-timeout wait is shortest (the
+    lowest id on a tie) fires its timeout now."""
+    first = min(
+        cluster.running_nodes(),
+        key=lambda node: (node.first_election_wait_ms, node.node_id),
+    )
+    first.expire_election_timer()
+
+
 def small_cluster(n: int = 3) -> ClusterConfig:
     """A small cluster config used across node unit tests."""
     return ClusterConfig.of_size(n)

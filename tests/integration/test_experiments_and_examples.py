@@ -164,7 +164,10 @@ class TestGoldenReports:
     The files under ``tests/golden/experiment_reports/`` were captured from
     the hand-written ``_run_*`` CLI wrappers the registry replaced (runs as
     in ``GOLDEN_RUNS``, seed 3, quick mode).  Every CLI invocation must
-    still produce byte-identical report tables.
+    still produce byte-identical report tables.  A change that moves the
+    random stream re-pins the reports it moves once, from these commands
+    (the harness's bootstrap campaign moved all but ``avail`` and
+    ``adapter-redis``), after ``tests/stat_gate.py`` passes its panel.
     """
 
     def test_every_builtin_experiment_has_a_golden_report(self):

@@ -15,6 +15,8 @@ from repro.statemachine.kvstore import PutCommand
 from repro.workload import WorkloadDriver, legacy_interval
 from repro.zraft.node import ZRaftNode
 
+from helpers import bootstrap_by_hand
+
 FAST_LATENCY = ConstantLatency(5.0)
 
 
@@ -139,7 +141,8 @@ class TestWaitingOnInterruptsEqualsPollingEveryEvent:
     """The harness waits in ``run_until_interrupted`` and re-evaluates its
     predicate when the leader set changes; ``run_until_condition``, which
     polls after every event, is the reference it must return with: same
-    simulated instant, same number of events executed."""
+    simulated instant, same number of events executed.  The polled side
+    bootstraps a fresh cluster as ``stabilize`` does, by hand."""
 
     @staticmethod
     def _pair(engine, **kwargs):
@@ -160,6 +163,7 @@ class TestWaitingOnInterruptsEqualsPollingEveryEvent:
             cluster.start_all()
         harness.stabilize()
         scheduler = polled.world.scheduler
+        bootstrap_by_hand(polled)
         assert scheduler.run_until_condition(polled.has_leader, 60_000.0)
         assert self._position(waited) == self._position(polled)
 
@@ -198,12 +202,15 @@ class TestWaitingOnInterruptsEqualsPollingEveryEvent:
         assert positions[0] == positions[1]
 
     def test_a_budget_that_expires_with_no_leader(self, engine):
-        (waited, harness), (polled, polled_harness) = self._pair(engine, size=3, seed=2)
+        (waited, harness), (polled, polled_harness) = self._pair(
+            engine, size=3, seed=2, latency=None
+        )
         for cluster in (waited, polled):
             cluster.start_all()
-        # Too short for any election timeout to fire.
+        # Too short for the bootstrap campaign's vote requests to arrive.
         with pytest.raises(ClusterError):
             harness.stabilize(max_time_ms=50.0)
+        bootstrap_by_hand(polled)
         assert not polled.world.scheduler.run_until_condition(polled.has_leader, 50.0)
         assert self._position(waited) == self._position(polled) == (50.0, 0, None)
 

@@ -18,7 +18,7 @@ from repro import protocols
 from repro.cluster.builder import build_cluster
 from repro.cluster.catalog import network_specs
 from repro.cluster.scenarios import ElectionScenario
-from repro.common.errors import ClusterError, ConfigurationError
+from repro.common.errors import ConfigurationError
 from repro.experiments.runner import run_sweep
 from repro.protocols import registry as protocol_registry
 from repro.raft.node import RaftNode
@@ -164,18 +164,28 @@ class TestConformance:
         assert scenario.run(seed=3).converged
 
     def test_raft_fixed_livelocks_as_the_paper_predicts(self):
-        """Identical deterministic timeouts collide forever (Fig. 10)."""
+        """Identical deterministic timeouts collide forever (Fig. 10).
+
+        The bootstrap campaign gives the cluster its first leader; once that
+        leader fails, the survivors' equal waits expire together after every
+        heartbeat they last heard, and no failover ever completes.
+        """
         spec = protocols.get("raft-fixed")
         assert not spec.guarantees_liveness
         scenario = ElectionScenario(protocol="raft-fixed", cluster_size=3)
-        cluster, harness = scenario.build(seed=4)
-        cluster.start_all()
-        with pytest.raises(ClusterError, match="no leader"):
-            harness.stabilize(max_time_ms=20_000.0)
-        # Safety is never at risk -- the cluster just never converges.
-        harness.assert_at_most_one_leader_per_term()
-        terms = {node.current_term for node in cluster.nodes.values()}
-        assert max(terms) > 1  # campaigns kept firing, none won
+        for seed in range(20):
+            cluster, harness = scenario.build(seed=seed)
+            cluster.start_all()
+            harness.stabilize()
+            harness.run_for(scenario.pre_crash_ms)
+            measurement = harness.crash_leader_and_measure(max_election_ms=20_000.0)
+            assert not measurement.converged
+            assert measurement.split_vote
+            # Safety is never at risk -- the cluster just never converges.
+            harness.assert_at_most_one_leader_per_term()
+            terms = {node.current_term for node in cluster.nodes.values()}
+            assert max(terms) > 1  # campaigns kept firing, none won
+            cluster.close()
 
     @staticmethod
     def armed_waits(protocol):
@@ -222,10 +232,13 @@ class TestGoldenPairedResults:
 
         Golden values captured from the string-dispatch implementation:
         the first ``run_many`` episode per protocol under the
-        ``paper-default`` catalog condition at five servers.
+        ``paper-default`` catalog condition at five servers.  Raft's was
+        re-pinned once (1904.5156644603985 ms before) when the harness began
+        bootstrapping the first leader, which moves Raft's random stream;
+        Z-Raft's and ESCAPE's did not move.
         """
         golden = {
-            "raft": (3594564750, 1904.5156644603985, 4),
+            "raft": (3594564750, 1875.9497762712472, 4),
             "zraft": (3594564750, 2321.8354988627807, 4),
             "escape": (3594564750, 1829.077887171983, 1),
         }

@@ -89,6 +89,39 @@ class TestWorkloadSpecValidation:
         with pytest.raises(ConfigurationError):
             WorkloadSpec(name="w", **overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, unread",
+        [
+            ({"mode": "open", "arrival": "uniform", "rate_per_s": 10.0}, "rate_per_s"),
+            ({"mode": "open", "arrival": "burst", "rate_per_s": 10.0}, "rate_per_s"),
+            ({"mode": "open", "arrival": "poisson", "clients": 8}, "clients"),
+            ({"mode": "open", "arrival": "uniform", "think_time_ms": 50.0}, "think_time_ms"),
+            (
+                {"mode": "open", "arrival": "poisson", "request_timeout_ms": 100.0},
+                "request_timeout_ms",
+            ),
+            ({"mode": "open", "arrival": "poisson", "interval_ms": 30.0}, "interval_ms"),
+            ({"mode": "open", "arrival": "uniform", "burst_size": 4}, "burst_size"),
+            (
+                {"mode": "open", "arrival": "poisson", "burst_interval_ms": 100.0},
+                "burst_interval_ms",
+            ),
+            ({"mode": "closed", "arrival": "uniform"}, "arrival"),
+            ({"mode": "closed", "rate_per_s": 10.0}, "rate_per_s"),
+            ({"mode": "closed", "interval_ms": 30.0}, "interval_ms"),
+        ],
+    )
+    def test_a_field_nothing_reads_is_refused(self, overrides, unread):
+        with pytest.raises(ConfigurationError, match=f"^{unread}=.* is not read by"):
+            WorkloadSpec(name="w", **overrides)
+
+    def test_every_builtin_and_the_fixed_interval_spec_build(self):
+        for _, spec in specs.items():
+            assert replace(spec) == spec
+        assert specs.legacy_interval(30.0).interval_ms == 30.0
+        with pytest.raises(ConfigurationError, match="rate_per_s"):
+            replace(specs.get("open-uniform"), rate_per_s=10.0)
+
     def test_specs_are_frozen(self):
         spec = specs.get("open-poisson")
         with pytest.raises(AttributeError):
