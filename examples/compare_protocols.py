@@ -22,6 +22,7 @@ from repro import protocols as protocol_registry
 from repro.cluster import ElectionScenario
 from repro.metrics.records import MeasurementSet
 from repro.metrics.tables import render_table
+from repro.net.faults import BroadcastOmissionFault
 
 
 def compare(
@@ -34,7 +35,7 @@ def compare(
             scenario = ElectionScenario(
                 protocol=protocol,
                 cluster_size=size,
-                loss_rate=loss,
+                fault=BroadcastOmissionFault(loss) if loss != 0.0 else None,
                 workload_interval_ms=250.0 if loss > 0 else 0.0,
             )
             cells[protocol] = MeasurementSet(

@@ -22,7 +22,7 @@ from repro.common.errors import ClusterError
 from repro.common.types import Milliseconds, ServerId
 from repro.cluster.environment import SimNodeEnvironment
 from repro.net.faults import FaultInjector
-from repro.net.latency import LatencyModel, UniformLatency
+from repro.net.latency import LatencyModel
 from repro.net.network import SimulatedNetwork
 from repro.raft.listeners import NodeListener, NodeListenerBase
 from repro.raft.node import RaftNode
@@ -241,7 +241,7 @@ def build_cluster(
             ``"raft"``, ``"escape"``, ``"zraft"``, ``"escape-noppf"``).
         size: number of servers (``S1 .. Sn``).
         seed: root seed of the run (drives every random decision).
-        latency: latency model (defaults to the paper's 100-200 ms uniform).
+        latency: latency model (defaults to :data:`~repro.net.latency.PAPER_LATENCY`).
         fault: fault injector (defaults to a healthy network).
         protocol_config: timing knobs (defaults to the paper's values).
         listeners: listeners attached to every node (e.g. an
@@ -262,7 +262,7 @@ def build_cluster(
     network = network_class(
         world,
         cluster_config.server_ids,
-        latency=latency if latency is not None else UniformLatency(100.0, 200.0),
+        latency=latency,
         fault=fault,
     )
 

@@ -32,6 +32,7 @@ from repro.net.faults import (
     PacketLossFault,
 )
 from repro.net.latency import (
+    PAPER_LATENCY,
     GeoLatencySpec,
     LatencyModel,
     LogNormalLatency,
@@ -61,7 +62,7 @@ CATALOG: Registry[NetworkCondition] = Registry(
                 "The paper's testbed (Section VI-A): uniform 100-200 ms NetEm "
                 "latency, healthy network."
             ),
-            latency=UniformLatency(100.0, 200.0),
+            latency=PAPER_LATENCY,
             fault=NoFault(),
         ),
         NetworkCondition(
@@ -102,7 +103,7 @@ CATALOG: Registry[NetworkCondition] = Registry(
                 "broadcast alike) is dropped, unlike the paper's broadcast-only "
                 "omission model."
             ),
-            latency=UniformLatency(100.0, 200.0),
+            latency=PAPER_LATENCY,
             fault=PacketLossFault(0.1),
         ),
         NetworkCondition(

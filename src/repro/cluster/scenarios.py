@@ -33,7 +33,7 @@ from repro.common.rng import SeedSequence, paired_seeds
 from repro.common.types import Milliseconds, ServerId
 from repro.metrics.records import ElectionMeasurement
 from repro.net.faults import BroadcastOmissionFault, FaultInjector, NoFault, bind
-from repro.net.latency import GeoLatencySpec, LatencyModel, UniformLatency
+from repro.net.latency import PAPER_LATENCY, GeoLatencySpec, LatencyModel
 
 # Telemetry and the client workload are imported on their own branches, so
 # an election that runs neither never loads (or compiles) them.
@@ -56,20 +56,13 @@ class Scenario:
             (1500, 3000).
         sca: ESCAPE/Z-Raft SCA parameters (baseTime/k of Eq. 1).
         heartbeat_interval_ms: leader heartbeat period.
-        latency_range: one-way message latency ``(low_ms, high_ms)``.
-            Shorthand for ``latency=UniformLatency(low_ms, high_ms)``;
-            ignored when an explicit ``latency`` is given.
-        loss_rate: broadcast message-loss rate Δ (Section VI-D); 0 disables
-            fault injection.  Shorthand for
-            ``fault=BroadcastOmissionFault(loss_rate)``; may not be combined
-            with an explicit ``fault`` (rejected at construction).
         latency: the latency condition: any :mod:`repro.net.latency` model,
             which the network then samples from as it is, or a
             :class:`~repro.net.latency.GeoLatencySpec`, bound to the
-            membership at build time.  Takes precedence over
-            ``latency_range``.
-        fault: the fault condition: any :mod:`repro.net.faults` injector.
-            Mutually exclusive with the ``loss_rate`` shorthand.
+            membership at build time; ``None`` is ``PAPER_LATENCY``.
+        fault: the fault condition: any :mod:`repro.net.faults` injector;
+            ``None`` is a healthy network.  Section VI-D's broadcast loss Δ
+            is ``BroadcastOmissionFault(Δ)``.
         stabilize_ms: budget for electing the initial leader.
         trace: keep the world trace (disable for large sweeps).
         telemetry: record per-episode observability counters (scheduler,
@@ -91,8 +84,6 @@ class Scenario:
     raft_timeout_range: tuple[Milliseconds, Milliseconds] = (1500.0, 3000.0)
     sca: ScaParameters = field(default_factory=lambda: ScaParameters(1500.0, 500.0))
     heartbeat_interval_ms: Milliseconds = 150.0
-    latency_range: tuple[Milliseconds, Milliseconds] = (100.0, 200.0)
-    loss_rate: float = 0.0
     latency: LatencyModel | GeoLatencySpec | None = None
     fault: FaultInjector | None = None
     stabilize_ms: Milliseconds = 120_000.0
@@ -107,11 +98,6 @@ class Scenario:
         # never re-validates what the parent already accepted.
         protocol_registry.get(self.protocol)
         engine_registry.resolve(self.engine)
-        if self.fault is not None and self.loss_rate != 0.0:
-            raise ConfigurationError(
-                "give either an explicit fault or the loss_rate shorthand, "
-                "not both"
-            )
         # Everything an episode derives from the fields is built here once
         # and discarded, so each piece's own checks (the cluster size, the
         # timeout and latency ranges, the rates, the membership a geo split
@@ -138,23 +124,18 @@ class Scenario:
         return ClusterConfig.of_size(self.cluster_size).server_ids
 
     def latency_model(self) -> LatencyModel:
-        """The latency model this scenario's network samples from.
-
-        An explicit ``latency`` wins (bound to the membership, see
-        :func:`repro.net.faults.bind`); otherwise the ``latency_range``
-        shorthand is the paper's uniform model.
-        """
+        """The latency model this scenario's network samples from: the
+        explicit ``latency`` bound to the membership (see
+        :func:`repro.net.faults.bind`), else the paper's uniform model."""
         if self.latency is not None:
             return bind(self.latency, self.server_ids())
-        return UniformLatency(*self.latency_range)
+        return PAPER_LATENCY
 
     def fault_injector(self) -> FaultInjector:
         """The fault injector this scenario's network starts with."""
         if self.fault is not None:
             return bind(self.fault, self.server_ids())
-        if self.loss_rate == 0.0:
-            return NoFault()
-        return BroadcastOmissionFault(self.loss_rate)
+        return NoFault()
 
     def with_engine(self, engine: str | EngineSpec) -> Self:
         """The same condition on a different simulation engine (differential
@@ -314,6 +295,12 @@ class ElectionScenario(Scenario):
         if self.contention_phases < 0:
             raise ConfigurationError("contention_phases must be >= 0")
 
+    @property
+    def loss_rate(self) -> float:
+        """Δ of Section VI-D: a ``BroadcastOmissionFault``'s rate, else 0.0."""
+        fault = self.fault
+        return fault.loss_rate if isinstance(fault, BroadcastOmissionFault) else 0.0
+
     def _episode(
         self, seed: int, metrics: MetricsRegistry | None
     ) -> tuple[ElectionMeasurement, SimulatedCluster]:
@@ -365,9 +352,8 @@ class ElectionScenario(Scenario):
                 "workload_proposed": workload.proposed if workload else 0,
             }
         )
-        # An explicit network condition would otherwise be invisible here
-        # (loss_rate stays 0.0 for it); record the models' reprs so
-        # downstream reports can still re-group by condition.
+        # loss_rate names only the broadcast-omission condition; record the
+        # models' reprs so downstream reports can re-group by any condition.
         if self.latency is not None:
             measurement.extra["latency_spec"] = repr(self.latency)
         if self.fault is not None:

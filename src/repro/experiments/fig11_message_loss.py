@@ -29,6 +29,7 @@ from repro.experiments.sweep import (
     percent,
 )
 from repro.metrics.records import MeasurementSet
+from repro.net.faults import BroadcastOmissionFault
 
 #: Cluster sizes evaluated by the paper.
 PAPER_SIZES: tuple[int, ...] = (10, 50, 100)
@@ -46,7 +47,7 @@ def cell_label(protocol: str, size: int, loss_rate: float) -> str:
 
 
 def scenario(protocol: str, size: int, loss_rate: float) -> ElectionScenario:
-    """The scenario of one (protocol, size, loss) cell.
+    """The scenario of one (protocol, size, loss) cell (Δ = 0 is no fault).
 
     The client workload keeps the log growing before the crash, so lost
     broadcasts leave some followers behind.
@@ -54,7 +55,7 @@ def scenario(protocol: str, size: int, loss_rate: float) -> ElectionScenario:
     return ElectionScenario(
         protocol=protocol,
         cluster_size=size,
-        loss_rate=loss_rate,
+        fault=BroadcastOmissionFault(loss_rate) if loss_rate != 0.0 else None,
         workload_interval_ms=50.0,
         pre_crash_ms=2_000.0,
     )

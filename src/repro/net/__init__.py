@@ -3,8 +3,8 @@
 This package models the testbed network from the paper's evaluation:
 
 * per-message latency sampled from a configurable model
-  (:class:`~repro.net.latency.UniformLatency` reproduces the 100-200 ms NetEm
-  setting of Section VI-A);
+  (:data:`~repro.net.latency.PAPER_LATENCY`, a uniform 100-200 ms model,
+  reproduces the NetEm setting of Section VI-A);
 * broadcast omission faults (:class:`~repro.net.faults.BroadcastOmissionFault`)
   implementing the message-loss model of Section VI-D, where a broadcast only
   reaches ``1 - Δ`` of the servers;

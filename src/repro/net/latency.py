@@ -1,7 +1,7 @@
 """Per-message latency models.
 
 The paper's testbed injects a uniform 100-200 ms latency with NetEm on top of
-a <2 ms data-centre network (Section VI-A); :class:`UniformLatency` reproduces
+a <2 ms data-centre network (Section VI-A); :data:`PAPER_LATENCY` reproduces
 that setting and is the default throughout the experiment harness.  The other
 models support the geo-distributed discussion of Section II-B (low in-group,
 high between-group latency) and general sensitivity analysis.
@@ -54,14 +54,11 @@ class ConstantLatency:
 
 @value_object
 class UniformLatency:
-    """Latency drawn uniformly from ``[low_ms, high_ms]``.
+    """Latency drawn uniformly from ``[low_ms, high_ms]`` (the paper's
+    setting is :data:`PAPER_LATENCY`)."""
 
-    ``UniformLatency(100, 200)`` reproduces the NetEm configuration used in
-    every experiment of the paper.
-    """
-
-    low_ms: Milliseconds = 100.0
-    high_ms: Milliseconds = 200.0
+    low_ms: Milliseconds
+    high_ms: Milliseconds
 
     def __post_init__(self) -> None:
         require_non_negative(self.low_ms, "low_ms")
@@ -69,6 +66,11 @@ class UniformLatency:
 
     def sample(self, rng: random.Random, src: ServerId, dst: ServerId) -> Milliseconds:
         return rng.uniform(self.low_ms, self.high_ms)
+
+
+#: The paper's NetEm setting (Section VI-A): the default of every network,
+#: scenario and the ``paper-default`` catalog condition.
+PAPER_LATENCY = UniformLatency(100.0, 200.0)
 
 
 @value_object

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.common.errors import NetworkError
 from repro.common.types import ServerId
 from repro.net.faults import FaultInjector, NoFault
-from repro.net.latency import LatencyModel, UniformLatency
+from repro.net.latency import PAPER_LATENCY, LatencyModel
 from repro.net.partition import PartitionManager
 from repro.sim.world import SimulationWorld
 
@@ -100,8 +100,7 @@ class SimulatedNetwork:
     Args:
         world: the simulation world supplying the clock, scheduler and RNG.
         members: the full cluster membership.
-        latency: per-message latency model (defaults to the paper's
-            100-200 ms uniform latency).
+        latency: per-message latency model (defaults to ``PAPER_LATENCY``).
         fault: fault injector (defaults to no faults).
     """
 
@@ -118,7 +117,7 @@ class SimulatedNetwork:
         self._members = tuple(members)
         if not self._members:
             raise NetworkError("network requires at least one member")
-        self._latency = latency if latency is not None else UniformLatency(100.0, 200.0)
+        self._latency = latency if latency is not None else PAPER_LATENCY
         self._fault = fault if fault is not None else NoFault()
         self._latency_rng = world.seeds.stream("net", "latency")
         self._fault_rng = world.seeds.stream("net", "fault")

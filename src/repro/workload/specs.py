@@ -40,12 +40,6 @@ MODES: tuple[str, ...] = ("closed", "open")
 #: Open-loop arrival processes.
 ARRIVALS: tuple[str, ...] = ("poisson", "uniform", "burst")
 
-#: Key-selection models.
-KEY_MODES: tuple[str, ...] = ("round-robin", "uniform", "hotspot")
-
-#: Value-size models.
-VALUE_MODES: tuple[str, ...] = ("fixed", "uniform")
-
 #: The :class:`WorkloadSpec` fields only one mode or arrival reads, by the
 #: mode (closed) or arrival (open) that reads them; the arrival itself is
 #: read only by open specs.
@@ -55,6 +49,35 @@ _SHAPE_FIELDS: dict[str, tuple[str, ...]] = {
     "uniform": ("arrival", "interval_ms"),
     "burst": ("arrival", "burst_size", "burst_interval_ms"),
 }
+
+#: Key-selection models, with the :class:`KeyspaceSpec` fields only each reads.
+KEY_MODES: dict[str, tuple[str, ...]] = {
+    "round-robin": (),
+    "uniform": (),
+    "hotspot": ("hot_fraction", "hot_share"),
+}
+
+#: Value-size models, with the :class:`ValueSizeSpec` fields only each reads.
+VALUE_MODES: dict[str, tuple[str, ...]] = {
+    "fixed": ("size",),
+    "uniform": ("min_size", "max_size"),
+}
+
+
+def _refuse_unread_fields(
+    spec: object, shape: str, shape_fields: dict[str, tuple[str, ...]], reader: str
+) -> None:
+    """Refuse a field of *spec* set off its default that *reader* ignores:
+    one *shape_fields* gives only to shapes other than *spec*'s *shape*."""
+    own = shape_fields[shape]
+    governed = {name for names in shape_fields.values() for name in names}
+    for spec_field in fields(spec):
+        name, value = spec_field.name, getattr(spec, spec_field.name)
+        if name in governed and name not in own and value != spec_field.default:
+            raise ConfigurationError(
+                f"{name}={value!r} is not read by {reader}; "
+                f"leave it at its default {spec_field.default!r}"
+            )
 
 
 @value_object
@@ -75,7 +98,7 @@ class KeyspaceSpec:
     def __post_init__(self) -> None:
         if self.mode not in KEY_MODES:
             raise ConfigurationError(
-                f"unknown keyspace mode {self.mode!r}; one of {KEY_MODES}"
+                f"unknown keyspace mode {self.mode!r}; one of {tuple(KEY_MODES)}"
             )
         if self.keys < 1:
             raise ConfigurationError(f"keyspace needs >= 1 key, got {self.keys}")
@@ -90,6 +113,8 @@ class KeyspaceSpec:
                 raise ConfigurationError(
                     f"hot_share must be in (0, 1], got {self.hot_share}"
                 )
+        reader = f"a {self.mode} keyspace"
+        _refuse_unread_fields(self, self.mode, KEY_MODES, reader)
 
 
 @value_object
@@ -104,7 +129,7 @@ class ValueSizeSpec:
     def __post_init__(self) -> None:
         if self.mode not in VALUE_MODES:
             raise ConfigurationError(
-                f"unknown value-size mode {self.mode!r}; one of {VALUE_MODES}"
+                f"unknown value-size mode {self.mode!r}; one of {tuple(VALUE_MODES)}"
             )
         if self.mode == "fixed" and self.size < 1:
             raise ConfigurationError(f"value size must be >= 1, got {self.size}")
@@ -113,6 +138,8 @@ class ValueSizeSpec:
                 f"need 1 <= min_size <= max_size, got "
                 f"({self.min_size}, {self.max_size})"
             )
+        reader = f"a {self.mode} value size"
+        _refuse_unread_fields(self, self.mode, VALUE_MODES, reader)
 
 
 @value_object
@@ -201,7 +228,11 @@ class WorkloadSpec:
                     "a burst arrival needs burst_size >= 1 and "
                     "burst_interval_ms > 0"
                 )
-        self._refuse_unread_fields()
+        if self.mode == "closed":
+            shape, reader = "closed", "a closed-loop workload"
+        else:
+            shape, reader = self.arrival, f"an open-loop {self.arrival} arrival"
+        _refuse_unread_fields(self, shape, _SHAPE_FIELDS, reader)
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
@@ -214,27 +245,6 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"request_timeout_ms must be > 0, got {self.request_timeout_ms}"
             )
-
-    def _refuse_unread_fields(self) -> None:
-        """Refuse a shape field set off its default that nothing would read."""
-        shape = "closed" if self.mode == "closed" else self.arrival
-        shape_fields = {name for names in _SHAPE_FIELDS.values() for name in names}
-        for spec_field in fields(self):
-            name, value = spec_field.name, getattr(self, spec_field.name)
-            if (
-                name in shape_fields
-                and name not in _SHAPE_FIELDS[shape]
-                and value != spec_field.default
-            ):
-                reader = (
-                    "a closed-loop workload"
-                    if shape == "closed"
-                    else f"an open-loop {shape} arrival"
-                )
-                raise ConfigurationError(
-                    f"{name}={value!r} is not read by {reader}; "
-                    f"leave it at its default {spec_field.default!r}"
-                )
 
 
 # --------------------------------------------------------------------------- #

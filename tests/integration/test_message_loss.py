@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ElectionScenario
 from repro.metrics.records import MeasurementSet
+from repro.net.faults import BroadcastOmissionFault
 from repro.workload import WorkloadDriver, legacy_interval
 
 RUNS = 5
@@ -21,7 +22,7 @@ class TestLiveness:
         scenario = ElectionScenario(
             protocol=protocol,
             cluster_size=10,
-            loss_rate=loss,
+            fault=BroadcastOmissionFault(loss),
             workload_interval_ms=250.0,
         )
         measurement = scenario.run(seed=17)
@@ -29,7 +30,10 @@ class TestLiveness:
 
     def test_replication_continues_under_loss(self):
         scenario = ElectionScenario(
-            protocol="escape", cluster_size=5, loss_rate=0.2, workload_interval_ms=100.0
+            protocol="escape",
+            cluster_size=5,
+            fault=BroadcastOmissionFault(0.2),
+            workload_interval_ms=100.0,
         )
         cluster, harness = scenario.build(seed=4)
         cluster.start_all()
@@ -48,25 +52,34 @@ class TestPaperOrdering:
         # Figure 11: the gap between ESCAPE and Raft widens with the loss rate.
         raft = MeasurementSet(
             ElectionScenario(
-                protocol="raft", cluster_size=10, loss_rate=0.4, workload_interval_ms=250.0
+                protocol="raft",
+                cluster_size=10,
+                fault=BroadcastOmissionFault(0.4),
+                workload_interval_ms=250.0,
             ).run_many(HEAVY_LOSS_RUNS, base_seed=29)
         )
         escape = MeasurementSet(
             ElectionScenario(
-                protocol="escape", cluster_size=10, loss_rate=0.4, workload_interval_ms=250.0
+                protocol="escape",
+                cluster_size=10,
+                fault=BroadcastOmissionFault(0.4),
+                workload_interval_ms=250.0,
             ).run_many(HEAVY_LOSS_RUNS, base_seed=29)
         )
         assert escape.mean_total_ms() < raft.mean_total_ms()
 
     def test_raft_split_votes_increase_with_loss(self):
         low_loss = MeasurementSet(
-            ElectionScenario(
-                protocol="raft", cluster_size=10, loss_rate=0.0
-            ).run_many(RUNS, base_seed=31)
+            ElectionScenario(protocol="raft", cluster_size=10).run_many(
+                RUNS, base_seed=31
+            )
         )
         high_loss = MeasurementSet(
             ElectionScenario(
-                protocol="raft", cluster_size=10, loss_rate=0.4, workload_interval_ms=250.0
+                protocol="raft",
+                cluster_size=10,
+                fault=BroadcastOmissionFault(0.4),
+                workload_interval_ms=250.0,
             ).run_many(RUNS, base_seed=31)
         )
         assert high_loss.split_vote_fraction() >= low_loss.split_vote_fraction()
@@ -82,7 +95,7 @@ class TestPaperOrdering:
                 ElectionScenario(
                     protocol=protocol,
                     cluster_size=10,
-                    loss_rate=0.4,
+                    fault=BroadcastOmissionFault(0.4),
                     workload_interval_ms=250.0,
                 ).run_many(RUNS, base_seed=37)
             )

@@ -17,6 +17,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.metrics.records import MeasurementSet
+from repro.net.faults import BroadcastOmissionFault
 
 RUNS = 6
 SIZES = (8, 16, 32)
@@ -119,7 +120,7 @@ class TestSectionVID:
                 ElectionScenario(
                     protocol=protocol,
                     cluster_size=10,
-                    loss_rate=0.4,
+                    fault=BroadcastOmissionFault(0.4),
                     workload_interval_ms=250.0,
                 ).run_many(8, base_seed=83)
             )
@@ -142,7 +143,7 @@ class TestSectionVID:
                     ElectionScenario(
                         protocol="raft",
                         cluster_size=10,
-                        loss_rate=loss,
+                        fault=BroadcastOmissionFault(loss) if loss else None,
                         workload_interval_ms=250.0 if loss else 0.0,
                     ).run_many(6, base_seed=89)
                 ).mean_total_ms()

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ElectionScenario
+from repro.net.faults import BroadcastOmissionFault
 
 scenario_parameters = st.fixed_dictionaries(
     {
@@ -39,8 +40,10 @@ class TestClusterSafetyProperties:
     def test_at_most_one_leader_per_term_under_any_conditions(self, params):
         params = dict(params)
         seed = params.pop("seed")
+        loss_rate = params.pop("loss_rate")
         scenario = ElectionScenario(
-            workload_interval_ms=200.0 if params["loss_rate"] else 0.0,
+            fault=BroadcastOmissionFault(loss_rate) if loss_rate else None,
+            workload_interval_ms=200.0 if loss_rate else 0.0,
             max_election_ms=60_000.0,
             **params,
         )

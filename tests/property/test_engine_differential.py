@@ -29,6 +29,7 @@ from repro.cluster.catalog import CATALOG, network_specs
 from repro.cluster.scenarios import ElectionScenario, Scenario
 from repro.common.rng import paired_seeds
 from repro.experiments import registry
+from repro.net.faults import BroadcastOmissionFault
 from repro.workload.scenario import ThroughputScenario
 
 from helpers import cross_engine_view
@@ -106,7 +107,10 @@ def _cross_engine(measurement):
 
 def _election(plan) -> ElectionScenario:
     return ElectionScenario(
-        protocol="escape", cluster_size=5, loss_rate=0.1, workload_interval_ms=250.0
+        protocol="escape",
+        cluster_size=5,
+        fault=BroadcastOmissionFault(0.1),
+        workload_interval_ms=250.0,
     )
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.cluster.environment import SimNodeEnvironment
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.rng import SeedSequence
+from repro.net.faults import BroadcastOmissionFault
 from repro.sim import engines
 from repro.sim.world import SimulationWorld
 
@@ -54,7 +55,7 @@ def test_an_episode_that_never_draws_creates_no_node_stream(
     scenario = ElectionScenario(
         protocol,
         16,
-        loss_rate=loss_rate,
+        fault=BroadcastOmissionFault(loss_rate) if loss_rate else None,
         contention_phases=contention_phases,
         engine=engine,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.cluster.scenarios import ElectionScenario
 from repro.experiments.runner import run_sweep
+from repro.net.faults import BroadcastOmissionFault
 
 from helpers import cross_engine_view, sweep_telemetry
 from oracle import ENGINES
@@ -68,7 +69,10 @@ class TestEngineParity:
 
     def test_single_episode_snapshots_agree_across_engines(self):
         scenario = ElectionScenario(
-            protocol="escape", cluster_size=5, loss_rate=0.1, telemetry=True
+            protocol="escape",
+            cluster_size=5,
+            fault=BroadcastOmissionFault(0.1),
+            telemetry=True,
         )
 
         def telemetry(engine) -> dict:

@@ -12,7 +12,6 @@ import pytest
 
 from repro.cluster.catalog import CATALOG, NetworkCondition, network_specs
 from repro.cluster.scenarios import ElectionScenario
-from repro.common.errors import ConfigurationError
 from repro.experiments.runner import run_sweep
 from repro.net.faults import NoFault, bind
 from repro.net.latency import GeoGroupLatency, UniformLatency
@@ -61,9 +60,10 @@ class TestNetworkSpecs:
     def test_no_condition_means_no_keywords(self):
         assert network_specs(None) == {}
 
-    def test_the_loss_rate_shorthand_still_conflicts_with_a_condition(self):
-        with pytest.raises(ConfigurationError, match="loss_rate"):
-            _scenario("chaos-composite", "raft", 5, loss_rate=0.2)
+    @pytest.mark.parametrize("name", CATALOG.names())
+    def test_no_condition_reads_as_the_papers_broadcast_loss(self, name):
+        """``loss_rate`` is Δ of a bare broadcast omission only, as in Figure 11."""
+        assert _scenario(name, "raft", 5).loss_rate == 0.0
 
     @pytest.mark.parametrize("size", [3, 5, 9])
     @pytest.mark.parametrize("name", CATALOG.names())

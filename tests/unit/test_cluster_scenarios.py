@@ -15,11 +15,12 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import SeedSequence, paired_seeds
 from repro.net.faults import (
     BroadcastOmissionFault,
+    CompositeFault,
     MessageDuplicationFault,
     NoFault,
     PacketLossFault,
 )
-from repro.net.latency import GeoGroupLatency, GeoLatencySpec
+from repro.net.latency import GeoGroupLatency, GeoLatencySpec, UniformLatency
 from repro.workload.scenario import ThroughputScenario
 
 from oracle import CLASSIC
@@ -42,8 +43,8 @@ class TestOneConditionBase:
     def test_the_shared_fields_are_the_documented_condition(self):
         assert self.SHARED == {
             "protocol", "cluster_size", "raft_timeout_range", "sca",
-            "heartbeat_interval_ms", "latency_range", "loss_rate", "latency",
-            "fault", "stabilize_ms", "trace", "telemetry", "engine",
+            "heartbeat_interval_ms", "latency", "fault", "stabilize_ms",
+            "trace", "telemetry", "engine",
         }  # fmt: skip
 
     @pytest.mark.parametrize(
@@ -80,25 +81,18 @@ class TestOneConditionBase:
             scenario.run(seed) for seed in paired_seeds(2, 1, "x")
         ]
 
-    @pytest.mark.parametrize("kind", SCENARIO_TYPES)
-    def test_fault_spec_and_loss_rate_shorthand_conflict_at_construction(self, kind):
-        with pytest.raises(ConfigurationError, match="not both"):
-            SCENARIO_TYPES[kind](
-                "raft", 3, fault=PacketLossFault(0.1), loss_rate=0.2
-            )
-
     @pytest.mark.parametrize(
         "bad_fields, message",
         [
-            ({"raft_timeout_range": (3000.0, 1500.0)}, "timeout range"),
-            ({"latency_range": (200.0, 100.0)}, "latency range"),
-            ({"loss_rate": 1.5}, "loss_rate"),
-            ({"loss_rate": -0.5}, "loss_rate"),
-            ({"heartbeat_interval_ms": -5.0}, "heartbeat_interval_ms"),
-            ({"sca": ScaParameters(100.0, 10.0)}, "heartbeat_interval_ms"),
-            ({"cluster_size": 0}, "cluster size"),
-            ({"latency": GeoLatencySpec(region_count=4)}, "region_count"),
-            ({"latency_range": (float("nan"), 200.0)}, "low_ms"),
+            (lambda: {"raft_timeout_range": (3000.0, 1500.0)}, "timeout range"),
+            (lambda: {"latency": UniformLatency(200.0, 100.0)}, "latency range"),
+            (lambda: {"fault": BroadcastOmissionFault(1.5)}, "loss_rate"),
+            (lambda: {"fault": BroadcastOmissionFault(-0.5)}, "loss_rate"),
+            (lambda: {"heartbeat_interval_ms": -5.0}, "heartbeat_interval_ms"),
+            (lambda: {"sca": ScaParameters(100.0, 10.0)}, "heartbeat_interval_ms"),
+            (lambda: {"cluster_size": 0}, "cluster size"),
+            (lambda: {"latency": GeoLatencySpec(region_count=4)}, "region_count"),
+            (lambda: {"latency": UniformLatency(float("nan"), 200.0)}, "low_ms"),
         ],
         ids=[
             "timeout-range", "latency-range", "loss-above-1", "loss-below-0",
@@ -108,9 +102,12 @@ class TestOneConditionBase:
     )  # fmt: skip
     @pytest.mark.parametrize("kind", SCENARIO_TYPES)
     def test_every_range_is_checked_at_construction(self, kind, bad_fields, message):
-        """Fail-fast: in the build phase, not as a SweepError from episode one."""
-        fields = {"protocol": "raft", "cluster_size": 3, **bad_fields}
+        """Fail-fast: in the build phase, not as a SweepError from episode one.
+
+        A network condition is checked by its own model as it is built, so
+        each bad condition is built inside the ``raises`` block."""
         with pytest.raises(ConfigurationError, match=message):
+            fields = {"protocol": "raft", "cluster_size": 3, **bad_fields()}
             SCENARIO_TYPES[kind](**fields)
 
     def test_negative_contention_rejected_at_construction(self):
@@ -122,8 +119,8 @@ class TestOneConditionBase:
             "zraft",
             7,
             plan=_PLAN,
-            latency_range=(10.0, 20.0),
-            loss_rate=0.1,
+            latency=UniformLatency(10.0, 20.0),
+            fault=BroadcastOmissionFault(0.1),
             engine=CLASSIC,
             telemetry=True,
         )
@@ -148,19 +145,47 @@ class TestScenarioConfiguration:
         assert config.sca.k_ms == 250.0
 
     def test_latency_model_uses_range(self):
-        scenario = ElectionScenario(protocol="raft", cluster_size=5, latency_range=(10.0, 20.0))
-        model = scenario.latency_model()
-        assert (model.low_ms, model.high_ms) == (10.0, 20.0)
+        scenario = ElectionScenario(
+            protocol="raft", cluster_size=5, latency=UniformLatency(10.0, 20.0)
+        )
+        assert scenario.latency_model() is scenario.latency
+        default = ElectionScenario(protocol="raft", cluster_size=5).latency_model()
+        assert default == UniformLatency(100.0, 200.0)
 
     def test_fault_injector_depends_on_loss_rate(self):
         assert isinstance(
             ElectionScenario(protocol="raft", cluster_size=5).fault_injector(), NoFault
         )
-        fault = ElectionScenario(
-            protocol="raft", cluster_size=5, loss_rate=0.3
-        ).fault_injector()
-        assert isinstance(fault, BroadcastOmissionFault)
-        assert fault.loss_rate == 0.3
+        scenario = ElectionScenario(
+            protocol="raft", cluster_size=5, fault=BroadcastOmissionFault(0.3)
+        )
+        assert scenario.fault_injector() is scenario.fault
+
+    @pytest.mark.parametrize(
+        "fault, loss_rate",
+        [
+            (None, 0.0),
+            (NoFault(), 0.0),
+            (BroadcastOmissionFault(0.2), 0.2),
+            (BroadcastOmissionFault(0.4, affect_unicast=True), 0.4),
+            (PacketLossFault(0.1), 0.0),
+            (MessageDuplicationFault(0.3), 0.0),
+            (
+                CompositeFault(
+                    injectors=(BroadcastOmissionFault(0.2), PacketLossFault(0.05))
+                ),
+                0.0,
+            ),
+        ],
+        ids=[
+            "none", "no-fault", "omission", "omission-unicast", "packet-loss",
+            "duplication", "composite",
+        ],
+    )  # fmt: skip
+    def test_loss_rate_is_the_broadcast_omission_rate(self, fault, loss_rate):
+        """Δ of Section VI-D, derived from the fault: what Figure 11 groups by."""
+        scenario = ElectionScenario(protocol="raft", cluster_size=5, fault=fault)
+        assert scenario.loss_rate == loss_rate
 
     @pytest.mark.parametrize(
         "timeout_range", [(500.0, 800.0), (1500.0, 3000.0), (4000.0, 9000.0)]
@@ -220,10 +245,7 @@ class TestScenarioConfiguration:
 class TestScenarioSpecs:
     def test_latency_spec_takes_precedence_over_range(self):
         scenario = ElectionScenario(
-            protocol="raft",
-            cluster_size=6,
-            latency_range=(10.0, 20.0),
-            latency=GeoLatencySpec(region_count=2),
+            protocol="raft", cluster_size=6, latency=GeoLatencySpec(region_count=2)
         )
         model = scenario.latency_model()
         assert isinstance(model, GeoGroupLatency)
@@ -315,7 +337,10 @@ class TestScenarioRuns:
 
     def test_measurement_extra_records_scenario_parameters(self):
         scenario = ElectionScenario(
-            protocol="escape", cluster_size=4, loss_rate=0.2, workload_interval_ms=100.0
+            protocol="escape",
+            cluster_size=4,
+            fault=BroadcastOmissionFault(0.2),
+            workload_interval_ms=100.0,
         )
         measurement = scenario.run(seed=5)
         assert measurement.extra["loss_rate"] == 0.2
@@ -324,7 +349,10 @@ class TestScenarioRuns:
 
     def test_lossy_clients_resolve_every_op(self):
         scenario = ElectionScenario(
-            protocol="raft", cluster_size=10, loss_rate=0.2, workload_interval_ms=50.0
+            protocol="raft",
+            cluster_size=10,
+            fault=BroadcastOmissionFault(0.2),
+            workload_interval_ms=50.0,
         )
         counters = scenario.with_telemetry().run(seed=0).extra["telemetry"][
             "counters"

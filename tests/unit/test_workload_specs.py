@@ -9,6 +9,9 @@ from repro.common.errors import ConfigurationError
 from repro.workload import specs
 from repro.workload.specs import KeyspaceSpec, ValueSizeSpec, WorkloadSpec
 
+#: The nested specs a ``test_a_field_nothing_reads_is_refused`` case builds.
+NESTED = {"keyspace": KeyspaceSpec, "value_size": ValueSizeSpec}
+
 BUILTINS = (
     "closed-loop",
     "open-poisson",
@@ -109,11 +112,25 @@ class TestWorkloadSpecValidation:
             ({"mode": "closed", "arrival": "uniform"}, "arrival"),
             ({"mode": "closed", "rate_per_s": 10.0}, "rate_per_s"),
             ({"mode": "closed", "interval_ms": 30.0}, "interval_ms"),
+            ({"keyspace": {"mode": "uniform", "hot_share": 0.5}}, "hot_share"),
+            ({"keyspace": {"hot_fraction": 0.25}}, "hot_fraction"),
+            ({"value_size": {"mode": "uniform", "size": 99}}, "size"),
+            (
+                {"value_size": {"mode": "fixed", "min_size": 3, "max_size": 4}},
+                "min_size",
+            ),
         ],
     )
     def test_a_field_nothing_reads_is_refused(self, overrides, unread):
+        """A nested keyspace / value-size dict is built inside the block."""
         with pytest.raises(ConfigurationError, match=f"^{unread}=.* is not read by"):
-            WorkloadSpec(name="w", **overrides)
+            WorkloadSpec(
+                name="w",
+                **{
+                    name: NESTED[name](**value) if name in NESTED else value
+                    for name, value in overrides.items()
+                },
+            )
 
     def test_every_builtin_and_the_fixed_interval_spec_build(self):
         for _, spec in specs.items():
