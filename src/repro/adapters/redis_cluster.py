@@ -5,16 +5,16 @@ The model follows the failover mechanism of the Redis Cluster specification
 the paper discusses, while staying small:
 
 * a shard has one master and ``replicas`` replicas; the cluster also contains
-  ``voting_masters`` other masters that vote on failover requests;
+  ``VOTING_MASTERS`` other masters that vote on failover requests;
 * when the master fails, each replica waits a *failover delay* and then asks
   the voting masters for votes in a new ``configEpoch``;
 * a voting master grants at most one vote per epoch, so two replicas that land
   in the same epoch can split the vote and must retry after
-  ``retry_timeout_ms`` -- this is the same-epoch competition of Section IV-C;
-* the stock delay is ``base_delay + jitter + rank * rank_step`` where the rank
-  orders replicas by replication offset (Redis's ``SLAVE_RANK``); ranks are
-  computed from possibly *stale* offset information, so equal-looking replicas
-  can pick the same rank.
+  ``RETRY_TIMEOUT_MS`` -- this is the same-epoch competition of Section IV-C;
+* the stock delay is ``BASE_DELAY_MS + jitter + rank * RANK_STEP_MS`` where
+  the rank orders replicas by replication offset (Redis's ``SLAVE_RANK``);
+  ranks are computed from possibly *stale* offset information, so
+  equal-looking replicas can pick the same rank.
 
 The ESCAPE variant replaces the rank with a groomed configuration: the master
 assigns each replica a unique priority derived from its replication
@@ -37,42 +37,45 @@ from repro.metrics.records import RecordSet
 from repro.metrics.stats import SummaryStatistics, summarize
 
 
+# The timing constants follow the Redis Cluster specification: a fixed 500 ms
+# base delay, up to 500 ms of random jitter, 1000 ms per rank step, and a
+# 10 s node timeout before a new attempt (scaled down here to 2 s to keep
+# simulated episodes short while preserving the ratios).
+
+#: Masters outside the failed shard that vote on failover requests.
+VOTING_MASTERS = 5
+#: Votes needed to win a failover election (majority of voting masters).
+QUORUM = VOTING_MASTERS // 2 + 1
+#: Fixed part of every failover delay.
+BASE_DELAY_MS: Milliseconds = 500.0
+#: Upper bound of the stock failover delay's random part.
+JITTER_MS: Milliseconds = 500.0
+#: Extra delay per rank step (Redis's ``SLAVE_RANK``).
+RANK_STEP_MS: Milliseconds = 1_000.0
+#: Vote round trip; requests this close in one epoch compete for votes.
+VOTE_RTT_MS: Milliseconds = 150.0
+#: Wait before a replica retries a failover attempt.
+RETRY_TIMEOUT_MS: Milliseconds = 2_000.0
+#: Failover attempts each replica schedules.
+MAX_ATTEMPTS = 20
+
+
 @value_object
 class RedisClusterParameters:
-    """Timing and topology parameters of the failover model.
-
-    The defaults follow the Redis Cluster specification: a fixed 500 ms base
-    delay, up to 500 ms of random jitter, 1000 ms per rank step, and a 10 s
-    node timeout before a new attempt (scaled down here to keep simulated
-    episodes short while preserving the ratios).
-    """
+    """The swept parameters of the failover model; its timing and the voting
+    masters are the module constants above."""
 
     replicas: int = 5
-    voting_masters: int = 5
-    base_delay_ms: Milliseconds = 500.0
-    jitter_ms: Milliseconds = 500.0
-    rank_step_ms: Milliseconds = 1_000.0
-    vote_rtt_ms: Milliseconds = 150.0
-    retry_timeout_ms: Milliseconds = 2_000.0
     # Probability that a replica mis-estimates its own rank (stale replication
     # offset information), which is what makes two replicas pick the same rank.
     rank_confusion: float = 0.3
     # Fraction of vote requests lost on the way to a voting master.
     vote_loss_rate: float = 0.0
-    max_attempts: int = 20
 
     def __post_init__(self) -> None:
         require_positive(self.replicas, "replicas")
-        require_positive(self.voting_masters, "voting_masters")
-        require_positive(self.rank_step_ms, "rank_step_ms")
-        require_positive(self.retry_timeout_ms, "retry_timeout_ms")
         require_fraction(self.rank_confusion, "rank_confusion")
         require_fraction(self.vote_loss_rate, "vote_loss_rate")
-
-    @property
-    def quorum(self) -> int:
-        """Votes needed to win a failover election (majority of voting masters)."""
-        return self.voting_masters // 2 + 1
 
 
 @value_object
@@ -183,13 +186,13 @@ class _FailoverModelBase:
                 other
                 for other in attempts
                 if other.epoch == attempt.epoch
-                and abs(other.time_ms - attempt.time_ms) <= params.vote_rtt_ms
+                and abs(other.time_ms - attempt.time_ms) <= VOTE_RTT_MS
                 and self._clock_gate(other, master_clock)
             ]
             if len({other.replica for other in contenders}) > 1:
                 collisions += 1
             epoch_votes = votes_used_in_epoch.setdefault(attempt.epoch, {})
-            for master in range(params.voting_masters):
+            for master in range(VOTING_MASTERS):
                 if master in epoch_votes:
                     continue  # this master already voted in this epoch
                 if params.vote_loss_rate and rng.random() < params.vote_loss_rate:
@@ -198,11 +201,11 @@ class _FailoverModelBase:
                 epoch_votes[master] = chosen.replica
                 key = (attempt.epoch, chosen.replica)
                 granted_votes[key] = granted_votes.get(key, 0) + 1
-            if granted_votes.get((attempt.epoch, attempt.replica), 0) >= params.quorum:
+            if granted_votes.get((attempt.epoch, attempt.replica), 0) >= QUORUM:
                 return FailoverMeasurement(
                     variant=self.variant,
                     promoted_replica=attempt.replica,
-                    failover_ms=attempt.time_ms + params.vote_rtt_ms,
+                    failover_ms=attempt.time_ms + VOTE_RTT_MS,
                     attempts=index + 1,
                     epoch_collisions=collisions,
                     converged=True,
@@ -211,7 +214,7 @@ class _FailoverModelBase:
         return FailoverMeasurement(
             variant=self.variant,
             promoted_replica=None,
-            failover_ms=last_time + params.retry_timeout_ms,
+            failover_ms=last_time + RETRY_TIMEOUT_MS,
             attempts=len(attempts),
             epoch_collisions=collisions,
             converged=False,
@@ -237,12 +240,12 @@ class RedisFailoverModel(_FailoverModelBase):
             perceived_rank = true_rank
             if rng.random() < params.rank_confusion and true_rank > 0:
                 perceived_rank = true_rank - 1
-            for retry in range(params.max_attempts):
+            for retry in range(MAX_ATTEMPTS):
                 delay = (
-                    params.base_delay_ms
-                    + rng.uniform(0.0, params.jitter_ms)
-                    + perceived_rank * params.rank_step_ms
-                    + retry * params.retry_timeout_ms
+                    BASE_DELAY_MS
+                    + rng.uniform(0.0, JITTER_MS)
+                    + perceived_rank * RANK_STEP_MS
+                    + retry * RETRY_TIMEOUT_MS
                 )
                 # Every attempt bumps the shared failover epoch by one, so
                 # concurrent attempts frequently share an epoch.
@@ -292,11 +295,11 @@ class EscapeFailoverModel(_FailoverModelBase):
             clock = self.GROOMED_CLOCK - 1 if stale else self.GROOMED_CLOCK
             delay_rank = params.replicas - priority  # freshest replica waits least
             epoch = 0
-            for retry in range(params.max_attempts):
+            for retry in range(MAX_ATTEMPTS):
                 delay = (
-                    params.base_delay_ms
-                    + delay_rank * params.rank_step_ms / max(1, params.replicas)
-                    + retry * params.retry_timeout_ms
+                    BASE_DELAY_MS
+                    + delay_rank * RANK_STEP_MS / max(1, params.replicas)
+                    + retry * RETRY_TIMEOUT_MS
                 )
                 # Eq. 2 transplanted: the epoch grows by the priority, so
                 # concurrent attempts always land in different epochs.

@@ -41,7 +41,7 @@ from repro.common.frozen import value_object
 from repro.common.registry import Registry
 from repro.common.rng import SeedSequence
 from repro.common.types import Milliseconds
-from repro.common.validation import require_non_negative, require_positive
+from repro.common.validation import require_positive
 from repro.net.faults import PacketLossFault
 
 __all__ = [
@@ -59,6 +59,12 @@ __all__ = [
 #: Default measurement horizon of the generated plans (two minutes of
 #: simulated time, enough for several full disruption cycles).
 DEFAULT_HORIZON_MS: Milliseconds = 120_000.0
+
+#: The most each generator delays a cycle past its period; the offset is
+#: drawn uniformly from the generator's own seeded stream.
+KILL_JITTER_MS: Milliseconds = 2_000.0
+RESTART_JITTER_MS: Milliseconds = 1_000.0
+FLAP_JITTER_MS: Milliseconds = 2_000.0
 
 
 @value_object
@@ -137,7 +143,6 @@ def repeated_leader_kill(
     horizon_ms: Milliseconds = DEFAULT_HORIZON_MS,
     period_ms: Milliseconds = 15_000.0,
     downtime_ms: Milliseconds = 5_000.0,
-    jitter_ms: Milliseconds = 2_000.0,
     seed: int = 0,
 ) -> ChaosPlan:
     """Kill whoever is leader once per period; recover it *downtime_ms* later.
@@ -148,12 +153,11 @@ def repeated_leader_kill(
     """
     require_positive(period_ms, "period_ms")
     require_positive(downtime_ms, "downtime_ms")
-    require_non_negative(jitter_ms, "jitter_ms")
     rng = SeedSequence(seed).stream("chaos", "repeated-leader-kill")
     events: list[ChaosEvent] = []
     cycle = 1
     while True:
-        crash_at = cycle * period_ms + rng.uniform(0.0, jitter_ms)
+        crash_at = cycle * period_ms + rng.uniform(0.0, KILL_JITTER_MS)
         if crash_at >= horizon_ms:
             break
         events.append(CrashLeader(at_ms=crash_at))
@@ -166,7 +170,6 @@ def rolling_restart(
     horizon_ms: Milliseconds = DEFAULT_HORIZON_MS,
     interval_ms: Milliseconds = 12_000.0,
     downtime_ms: Milliseconds = 4_000.0,
-    jitter_ms: Milliseconds = 1_000.0,
     seed: int = 0,
 ) -> ChaosPlan:
     """Restart the membership one server at a time, cycling by index.
@@ -177,12 +180,11 @@ def rolling_restart(
     """
     require_positive(interval_ms, "interval_ms")
     require_positive(downtime_ms, "downtime_ms")
-    require_non_negative(jitter_ms, "jitter_ms")
     rng = SeedSequence(seed).stream("chaos", "rolling-restart")
     events: list[ChaosEvent] = []
     index = 0
     while True:
-        crash_at = (index + 1) * interval_ms + rng.uniform(0.0, jitter_ms)
+        crash_at = (index + 1) * interval_ms + rng.uniform(0.0, RESTART_JITTER_MS)
         if crash_at >= horizon_ms:
             break
         events.append(CrashServer(at_ms=crash_at, server_index=index))
@@ -195,34 +197,24 @@ def partition_flap(
     horizon_ms: Milliseconds = DEFAULT_HORIZON_MS,
     period_ms: Milliseconds = 20_000.0,
     outage_ms: Milliseconds = 8_000.0,
-    jitter_ms: Milliseconds = 2_000.0,
-    group_count: int = 2,
-    isolate_leader: bool = True,
     seed: int = 0,
 ) -> ChaosPlan:
     """Repeatedly partition the cluster, then heal it *outage_ms* later.
 
-    With ``isolate_leader`` (the default) each flap cuts the current leader
-    off alone -- the Section II-B setting where the majority side must detect
-    the silence and elect anew while the old leader keeps believing.
+    Each flap cuts the current leader off alone -- the Section II-B setting
+    where the majority side must detect the silence and elect anew while the
+    old leader keeps believing.
     """
     require_positive(period_ms, "period_ms")
     require_positive(outage_ms, "outage_ms")
-    require_non_negative(jitter_ms, "jitter_ms")
     rng = SeedSequence(seed).stream("chaos", "partition-flap")
     events: list[ChaosEvent] = []
     cycle = 1
     while True:
-        split_at = cycle * period_ms + rng.uniform(0.0, jitter_ms)
+        split_at = cycle * period_ms + rng.uniform(0.0, FLAP_JITTER_MS)
         if split_at >= horizon_ms:
             break
-        events.append(
-            PartitionGroups(
-                at_ms=split_at,
-                group_count=group_count,
-                isolate_leader=isolate_leader,
-            )
-        )
+        events.append(PartitionGroups(at_ms=split_at, isolate_leader=True))
         events.append(Heal(at_ms=_clamp(split_at + outage_ms, horizon_ms)))
         cycle += 1
     return _sorted_plan("partition-flap", horizon_ms, events)

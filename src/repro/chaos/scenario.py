@@ -70,12 +70,13 @@ class WindowedScenario(Scenario):
             relative to the window start.  A
             :class:`~repro.chaos.specs.SwapFault` event replaces the
             scenario's *baseline* fault condition mid-run.
-        preserve_quorum: skip crash injections that would destroy the voting
-            quorum (see :class:`~repro.chaos.driver.ChaosDriver`).
     """
 
+    #: Skip crash injections that would destroy the voting quorum (see
+    #: :class:`~repro.chaos.driver.ChaosDriver`).
+    preserve_quorum = True
+
     plan: ChaosPlan = field(kw_only=True)
-    preserve_quorum: bool = True
 
     def _run_window(
         self,

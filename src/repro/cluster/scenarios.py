@@ -63,7 +63,6 @@ class Scenario:
         fault: the fault condition: any :mod:`repro.net.faults` injector;
             ``None`` is a healthy network.  Section VI-D's broadcast loss Δ
             is ``BroadcastOmissionFault(Δ)``.
-        stabilize_ms: budget for electing the initial leader.
         trace: keep the world trace (disable for large sweeps).
         telemetry: record per-episode observability counters (scheduler,
             network, protocol events, and whatever drivers the episode
@@ -79,6 +78,9 @@ class Scenario:
             bit-identical by contract, so this never changes results.
     """
 
+    #: Budget, in simulated ms, for electing the initial leader.
+    stabilize_ms = 120_000.0
+
     protocol: str
     cluster_size: int
     raft_timeout_range: tuple[Milliseconds, Milliseconds] = (1500.0, 3000.0)
@@ -86,7 +88,6 @@ class Scenario:
     heartbeat_interval_ms: Milliseconds = 150.0
     latency: LatencyModel | GeoLatencySpec | None = None
     fault: FaultInjector | None = None
-    stabilize_ms: Milliseconds = 120_000.0
     trace: bool = False
     telemetry: bool = False
     engine: str | EngineSpec = "flat"
@@ -280,15 +281,16 @@ class ElectionScenario(Scenario):
             Negative values are rejected at construction.
         workload_interval_ms: client proposal period during the pre-crash
             window (0 disables the workload).
-        pre_crash_ms: how long to run after stabilisation before crashing the
-            leader (lets the workload build up log divergence under loss).
-        max_election_ms: budget for the measured election.
     """
+
+    #: How long to run after stabilisation before crashing the leader (lets
+    #: the workload build up log divergence under loss).
+    pre_crash_ms = 2_000.0
+    #: Budget, in simulated ms, for the measured election.
+    max_election_ms = 120_000.0
 
     contention_phases: int = 0
     workload_interval_ms: Milliseconds = 0.0
-    pre_crash_ms: Milliseconds = 2_000.0
-    max_election_ms: Milliseconds = 120_000.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -324,8 +326,7 @@ class ElectionScenario(Scenario):
                 cluster, legacy_interval(self.workload_interval_ms), seed=seed
             )
             workload.start()
-        if self.pre_crash_ms > 0:
-            harness.run_for(self.pre_crash_ms)
+        harness.run_for(self.pre_crash_ms)
 
         # Crash at a random point inside a heartbeat interval so the measured
         # detection time is not synchronised with the heartbeat phase.

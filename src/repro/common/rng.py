@@ -89,11 +89,11 @@ class SeedSequence:
 def derive_run_seed(seed: int, label: str, index: int) -> int:
     """The seed of run *index* of the scenario labelled *label*.
 
-    This is the single source of truth for sweep seed derivation: the
-    experiment helpers (:func:`repro.experiments.base.paired_seeds`, and
-    through it the sweep engine) and
-    :meth:`repro.cluster.scenarios.ElectionScenario.run_many` all call it, so the paired A/B design cannot drift no matter which entry
-    point ran the episodes.
+    This is the single source of truth for sweep seed derivation:
+    :func:`paired_seeds` (and through it the sweep engine) and
+    :meth:`repro.cluster.scenarios.ElectionScenario.run_many` all call it, so
+    the paired A/B design cannot drift no matter which entry point ran the
+    episodes.
     """
     return SeedSequence(seed).stream("experiment", label, index).getrandbits(32)
 

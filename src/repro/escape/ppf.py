@@ -33,10 +33,10 @@ Three engineering decisions deserve a note:
   nothing skips the sort (see :meth:`ProbingPatrol.advance_round`).
 
 Followers that have stopped responding (or whose logs trail the leader's by
-more than ``lag_entries_threshold``) sink to the bottom of the ranking, so a
-crashed or partitioned server can never hold the groomed "future leader"
-configuration for long -- this is exactly the scenario of Figure 5b in the
-paper.
+``LAG_ENTRIES_THRESHOLD`` entries or more) sink to the bottom of the ranking,
+so a crashed or partitioned server can never hold the groomed "future
+leader" configuration for long -- this is exactly the scenario of Figure 5b
+in the paper.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import LogIndex, Milliseconds, ServerId
 from repro.escape.configuration import Configuration
 from repro.escape.sca import follower_priority_ladder, validate_assignment
+
+#: A follower whose last reported log index trails the leader's log by at
+#: least this many entries counts as lagging.
+LAG_ENTRIES_THRESHOLD = 2
 
 
 @dataclass
@@ -74,8 +78,6 @@ class ProbingPatrol:
             uses its own configuration's clock + 1 so newly issued
             configurations always dominate anything assigned by a previous
             leader.
-        lag_entries_threshold: a follower whose last reported log index trails
-            the leader's log by at least this many entries counts as lagging.
         stale_after_ms: a follower that has not replied for this long counts
             as lagging (covers crashed and partitioned servers).
     """
@@ -87,7 +89,6 @@ class ProbingPatrol:
         cluster_size: int,
         sca: ScaParameters,
         initial_clock: int = 1,
-        lag_entries_threshold: int = 2,
         stale_after_ms: Milliseconds = 600.0,
     ) -> None:
         self._leader_id = leader_id
@@ -96,8 +97,6 @@ class ProbingPatrol:
             raise ConfigurationError(
                 f"expected {cluster_size - 1} followers, got {len(self._followers)}"
             )
-        if lag_entries_threshold < 1:
-            raise ConfigurationError("lag_entries_threshold must be >= 1")
         if stale_after_ms <= 0:
             raise ConfigurationError("stale_after_ms must be positive")
         self._ladder = tuple(follower_priority_ladder(cluster_size))
@@ -106,7 +105,6 @@ class ProbingPatrol:
             sca.election_timeout_ms(priority, cluster_size) for priority in self._ladder
         )
         self._clock = max(0, initial_clock)
-        self._lag_entries_threshold = lag_entries_threshold
         self._stale_after_ms = stale_after_ms
         self._responsiveness: dict[ServerId, FollowerResponsiveness] = {
             follower: FollowerResponsiveness(follower) for follower in self._followers
@@ -165,7 +163,7 @@ class ProbingPatrol:
         last_reply_ms = record.last_reply_ms
         if last_reply_ms is None or now_ms - last_reply_ms > self._stale_after_ms:
             return True
-        return leader_last_index - record.log_index >= self._lag_entries_threshold
+        return leader_last_index - record.log_index >= LAG_ENTRIES_THRESHOLD
 
     # ------------------------------------------------------------------ #
     # Rearrangement (called right before each heartbeat broadcast)

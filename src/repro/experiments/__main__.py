@@ -58,10 +58,9 @@ from repro.chaos.plans import CHAOS_CATALOG
 from repro.cluster.catalog import CATALOG
 from repro.common.errors import ConfigurationError
 from repro.experiments import registry
-from repro.experiments.base import progress_printer
 from repro.experiments.export import save_run
 from repro.obs.profiling import Profiler
-from repro.obs.progress import ProgressReporter
+from repro.obs.progress import ProgressReporter, progress_printer
 from repro.sim import engines as engine_registry
 
 

@@ -57,7 +57,6 @@ def scenario(protocol: str, size: int, loss_rate: float) -> ElectionScenario:
         cluster_size=size,
         fault=BroadcastOmissionFault(loss_rate) if loss_rate != 0.0 else None,
         workload_interval_ms=50.0,
-        pre_crash_ms=2_000.0,
     )
 
 

@@ -34,7 +34,7 @@ straggler chunk of only-huge episodes, and a label's partials arrive in
 run-index order.
 
 Determinism is preserved bit-for-bit: seeds are derived by the shared
-per-``(label, index)`` scheme (:func:`repro.experiments.base.paired_seeds`),
+per-``(label, index)`` scheme (:func:`repro.common.rng.paired_seeds`),
 workers never share random state, the chunk partition depends on the item
 count alone, and partials merge strictly in chunk-index order regardless of
 completion order.  ``run_sweep(..., workers=4)`` therefore returns the same
@@ -54,16 +54,19 @@ import contextlib
 import multiprocessing
 import os
 import sys
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro import protocols
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import SweepError
 from repro.common.frozen import value_object
-from repro.experiments.base import ProgressCallback, paired_seeds
+from repro.common.rng import paired_seeds
 from repro.experiments.checkpoint import SweepCheckpoint, checkpoint_fingerprint
 from repro.metrics.records import MeasurementSet
 from repro.protocols import ProtocolSpec
+
+if TYPE_CHECKING:
+    from repro.obs.progress import ProgressCallback
 
 __all__ = [
     "Container",
@@ -124,7 +127,7 @@ def build_work_items(
 ) -> list[SweepItem]:
     """Expand a scenario mapping into per-``(label, index)`` work items.
 
-    Seed derivation delegates to :func:`repro.experiments.base.paired_seeds`
+    Seed derivation delegates to :func:`repro.common.rng.paired_seeds`
     so the parallel engine and the paired A/B helpers can never drift apart.
 
     Items are interleaved across labels (run 0 of every label, then run 1,

@@ -43,13 +43,11 @@ from repro.lint.engine import (
     lint_file,
     lint_paths,
 )
-from repro.lint.model import DEFAULT_CONFIG, Finding, LintConfig, Rule
+from repro.lint.model import Finding, Rule
 
 __all__ = [
     "ALL_RULE_IDS",
-    "DEFAULT_CONFIG",
     "Finding",
-    "LintConfig",
     "LintReport",
     "RULES",
     "Rule",

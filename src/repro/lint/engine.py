@@ -2,9 +2,10 @@
 
 ``lint_file`` parses one source file once and hands the tree to every
 selected file rule; ``lint_paths`` walks directories, adds the
-once-per-invocation tree rules, applies ``repro: allow[rule-id]``
-suppressions uniformly (including to tree findings, which anchor to real
-source lines), and reports unknown pragma ids as ``P1`` findings.
+once-per-invocation tree rules when a linted root overlaps the package they
+anchor in, applies ``repro: allow[rule-id]`` suppressions uniformly
+(including to tree findings, which anchor to real source lines), and
+reports unknown pragma ids as ``P1`` findings.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.common.frozen import value_object
 from repro.lint.model import (
-    DEFAULT_CONFIG,
+    PACKAGE_DIR,
     Finding,
-    LintConfig,
     Rule,
     package_relative_path,
     parse_pragmas,
@@ -77,8 +77,8 @@ RULES: tuple[Rule, ...] = (
         id="D4",
         name="sim-sleep",
         description=(
-            "no time.sleep or wall-clock asyncio waits in simulation-path "
-            "modules; simulated time comes from sim/clock.py only"
+            "no time.sleep or wall-clock asyncio waits outside the "
+            "wall-clock allowlist; simulated time comes from sim/clock.py only"
         ),
         kind="file",
         check=check_wall_clock_waits,
@@ -183,7 +183,6 @@ def _apply_pragmas(
 def lint_file(
     path: str | Path,
     rule_ids: Sequence[str] | None = None,
-    config: LintConfig = DEFAULT_CONFIG,
 ) -> list[Finding]:
     """Run the (selected) file rules over one source file.
 
@@ -209,7 +208,7 @@ def lint_file(
     findings: list[Finding] = []
     for rule in selected:
         if rule.kind == "file" and rule.check is not None:
-            findings.extend(rule.check(text_path, rel, tree, config))
+            findings.extend(rule.check(text_path, rel, tree))
     return sorted(
         _apply_pragmas(
             findings,
@@ -241,23 +240,29 @@ def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
 
 
 def _tree_findings(
-    selected: tuple[Rule, ...],
-    roots: Sequence[Path],
-    config: LintConfig,
+    selected: tuple[Rule, ...], roots: Sequence[Path]
 ) -> list[Finding]:
     """Run the tree rules; keep findings anchored inside the linted roots.
 
-    A tree rule reads this ``repro`` package's source wherever it lives;
-    dropping anchors outside the linted tree keeps ``repro.lint
-    some/fixture/dir`` focused on the caller's files while the default
-    ``repro.lint src`` invocation sees everything.  Suppression pragmas apply
-    through the anchored file like any other finding.
+    A tree rule reads this ``repro`` package's source wherever it lives and
+    anchors its findings in it, so it runs only when a linted root contains
+    the package or lies inside it: ``repro.lint some/fixture/dir`` never pays
+    for a rule whose every finding it would drop.  Dropping anchors outside
+    the linted roots keeps ``repro.lint src/repro/net`` focused on that
+    directory while the default ``repro.lint src`` invocation sees
+    everything.  Suppression pragmas apply through the anchored file like any
+    other finding.
     """
     resolved_roots = [Path(root).resolve() for root in roots]
+    if not any(
+        PACKAGE_DIR.is_relative_to(root) or root.is_relative_to(PACKAGE_DIR)
+        for root in resolved_roots
+    ):
+        return []
     findings: list[Finding] = []
     for rule in selected:
         if rule.kind == "tree" and rule.check is not None:
-            findings.extend(rule.check(config))
+            findings.extend(rule.check())
     kept: list[Finding] = []
     pragma_cache: dict[str, Mapping[int, frozenset[str]]] = {}
     for finding in findings:
@@ -284,7 +289,6 @@ def _tree_findings(
 def lint_paths(
     paths: Sequence[str | Path],
     rule_ids: Sequence[str] | None = None,
-    config: LintConfig = DEFAULT_CONFIG,
 ) -> LintReport:
     """Lint every Python file under *paths* with the selected rules."""
     selected = _select(rule_ids)
@@ -292,8 +296,8 @@ def lint_paths(
     findings: list[Finding] = []
     file_rule_ids = [rule.id for rule in selected if rule.kind != "tree"]
     for path in files:
-        findings.extend(lint_file(path, file_rule_ids, config))
-    findings.extend(_tree_findings(selected, [Path(p) for p in paths], config))
+        findings.extend(lint_file(path, file_rule_ids))
+    findings.extend(_tree_findings(selected, [Path(p) for p in paths]))
     return LintReport(
         findings=tuple(sorted(findings)),
         checked_files=len(files),

@@ -1,7 +1,14 @@
 """The AST determinism rules (``D1``-``D4``).
 
-Each rule is a function ``(path, rel_path, tree, config) -> list[Finding]``
-driven by its own :class:`ast.NodeVisitor`.  The rules are deliberately
+Each rule is a function ``(path, rel_path, tree) -> list[Finding]`` driven
+by its own :class:`ast.NodeVisitor`, scoped by the allowlists below.  Paths
+are matched against the *package-relative* path of each linted file
+(``repro/obs/progress.py``); files that do not live under a ``repro``
+package root (e.g. test fixtures in a temp directory) are never allowlisted
+and are in scope for every rule, so the strictest reading applies to
+unknown code.
+
+The rules are deliberately
 heuristic -- a linter cannot type-infer arbitrary Python -- but every
 heuristic errs toward the failure modes this repo has actually shipped:
 PR 1's scheduler relied on insertion order, PR 2's ``run_many`` derived
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.model import Finding, LintConfig
+from repro.lint.model import Finding
 
 __all__ = [
     "check_rng_construction",
@@ -22,6 +29,42 @@ __all__ = [
     "check_wall_clock",
     "check_wall_clock_waits",
 ]
+
+
+#: D1/D4 -- module prefixes allowed to read the wall clock and wait on it:
+#: the Redis adapter models a live deployment, and the observability layer's
+#: progress/profiling modules report wall-clock rates and phase timings by
+#: definition.  Deliberately *files*, not the whole ``repro/obs/`` package:
+#: telemetry and trace modules measure simulated facts and stay under the
+#: full determinism rules.
+_WALL_CLOCK_ALLOWED = (
+    "repro/adapters/",
+    "repro/obs/profiling.py",
+    "repro/obs/progress.py",
+)
+#: D2 -- modules allowed to construct ``random.Random`` directly (the
+#: derivation helpers themselves live here).
+_RNG_CONSTRUCTION_ALLOWED = ("repro/common/rng.py",)
+#: D2 -- call names accepted as seed-derivation helpers.
+_DERIVATION_HELPERS = ("derive_seed", "derive_run_seed")
+#: D3 -- module prefixes on the simulation path, where unordered ``set``
+#: iteration feeding scheduling or RNG draws is the classic
+#: workers=1-vs-N divergence.  Files outside any ``repro`` package are
+#: always in scope.
+_SET_ITERATION_SCOPE = (
+    "repro/sim/",
+    "repro/net/",
+    "repro/raft/",
+    "repro/escape/",
+    "repro/chaos/",
+    "repro/cluster/",
+    "repro/zraft/",
+)
+
+
+def _allowed(rel_path: str | None, prefixes: tuple[str, ...]) -> bool:
+    """Whether a package-relative path falls under an allowlist."""
+    return rel_path is not None and rel_path.startswith(prefixes)
 
 
 def _dotted_name(node: ast.AST) -> str | None:
@@ -147,11 +190,9 @@ class _D1Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def check_wall_clock(
-    path: str, rel_path: str | None, tree: ast.AST, config: LintConfig
-) -> list[Finding]:
+def check_wall_clock(path: str, rel_path: str | None, tree: ast.AST) -> list[Finding]:
     """D1: no wall-clock or entropy sources outside the allowlist."""
-    if config.is_allowed(rel_path, config.wall_clock_allowed):
+    if _allowed(rel_path, _WALL_CLOCK_ALLOWED):
         return []
     visitor = _D1Visitor(path)
     visitor.visit(tree)
@@ -162,9 +203,8 @@ def check_wall_clock(
 # D2 -- RNG construction outside the derivation helpers
 # --------------------------------------------------------------------------- #
 class _D2Visitor(ast.NodeVisitor):
-    def __init__(self, path: str, config: LintConfig) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.config = config
         self.findings: list[Finding] = []
 
     def _is_derived(self, seed_expr: ast.AST) -> bool:
@@ -174,7 +214,7 @@ class _D2Visitor(ast.NodeVisitor):
                 dotted = _dotted_name(node.func)
                 if dotted is not None:
                     leaf = dotted.split(".")[-1]
-                    if leaf in self.config.derivation_helpers:
+                    if leaf in _DERIVATION_HELPERS:
                         return True
         return False
 
@@ -209,12 +249,12 @@ class _D2Visitor(ast.NodeVisitor):
 
 
 def check_rng_construction(
-    path: str, rel_path: str | None, tree: ast.AST, config: LintConfig
+    path: str, rel_path: str | None, tree: ast.AST
 ) -> list[Finding]:
     """D2: ``random.Random`` only via the ``common.rng`` derivation helpers."""
-    if config.is_allowed(rel_path, config.rng_construction_allowed):
+    if _allowed(rel_path, _RNG_CONSTRUCTION_ALLOWED):
         return []
-    visitor = _D2Visitor(path, config)
+    visitor = _D2Visitor(path)
     visitor.visit(tree)
     return visitor.findings
 
@@ -335,7 +375,7 @@ class _D3Visitor(ast.NodeVisitor):
 
 
 def check_set_iteration(
-    path: str, rel_path: str | None, tree: ast.AST, config: LintConfig
+    path: str, rel_path: str | None, tree: ast.AST
 ) -> list[Finding]:
     """D3: no bare iteration over set values in simulation-path modules.
 
@@ -346,7 +386,7 @@ def check_set_iteration(
     tests, ``len``, set algebra, ``sorted(...)`` and conversions back into
     sets are all order-insensitive and stay legal.
     """
-    if not config.in_set_iteration_scope(rel_path):
+    if rel_path is not None and not rel_path.startswith(_SET_ITERATION_SCOPE):
         return []
     collector = _SetNameCollector()
     collector.visit(tree)
@@ -382,19 +422,19 @@ class _D4Visitor(ast.NodeVisitor):
                     self.path,
                     node.lineno,
                     "D4",
-                    f"wall-clock wait {dotted}() in a simulation-path module; "
-                    "simulated time advances only through sim/clock.py and "
-                    "the scheduler",
+                    f"wall-clock wait {dotted}() outside the wall-clock "
+                    "allowlist; simulated time advances only through "
+                    "sim/clock.py and the scheduler",
                 )
             )
         self.generic_visit(node)
 
 
 def check_wall_clock_waits(
-    path: str, rel_path: str | None, tree: ast.AST, config: LintConfig
+    path: str, rel_path: str | None, tree: ast.AST
 ) -> list[Finding]:
     """D4: no ``time.sleep``/wall-clock asyncio waits outside the allowlist."""
-    if config.is_allowed(rel_path, config.wall_clock_allowed):
+    if _allowed(rel_path, _WALL_CLOCK_ALLOWED):
         return []
     visitor = _D4Visitor(path)
     visitor.visit(tree)

@@ -23,7 +23,7 @@ import re
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.lint.model import Finding, LintConfig
+from repro.lint.model import PACKAGE_DIR, Finding
 
 __all__ = ["check_unused_names", "find_unused_names"]
 
@@ -145,12 +145,11 @@ def find_unused_names(
     ]
 
 
-def check_unused_names(config: LintConfig) -> list[Finding]:
+def check_unused_names() -> list[Finding]:
     """U1 over this ``repro`` package, with the repository's reference
     directories (siblings of ``src/``) as roots."""
-    package_dir = Path(__file__).resolve().parents[1]
-    repo_root = package_dir.parents[1]
+    repo_root = PACKAGE_DIR.parents[1]
     return find_unused_names(
-        package_dir,
+        PACKAGE_DIR,
         [repo_root / name for name in ("examples", "bench")],
     )

@@ -1,11 +1,12 @@
-"""Sweep progress reporting: stderr ticker and machine-readable heartbeat.
+"""Sweep progress reporting: plain lines, stderr ticker and heartbeat.
 
 Like :mod:`repro.obs.profiling`, this module is on the :mod:`repro.lint` D1
 allowlist -- progress rates and ETAs are wall-clock by nature and never feed
 back into simulated behaviour.
 
-A :class:`ProgressReporter` is a drop-in ``ProgressCallback`` (it is called
-as ``reporter(label, completed, total)`` by the sweep accounting), plus two
+The sweep accounting reports progress through a :data:`ProgressCallback`,
+called as ``callback(label, completed, total)``.  :func:`progress_printer`
+prints plain lines; a :class:`ProgressReporter` is a callback too, plus two
 optional hooks the sweep engine invokes when present:
 
 * ``sweep_begin(labels, runs, workers)`` -- announces the full work plan up
@@ -23,10 +24,35 @@ import sys
 import time
 from typing import Callable, Sequence, TextIO
 
-__all__ = ["HEARTBEAT_SCHEMA", "ProgressReporter"]
+__all__ = [
+    "HEARTBEAT_SCHEMA",
+    "ProgressCallback",
+    "ProgressReporter",
+    "progress_printer",
+]
 
 #: Schema tag written into every heartbeat file.
 HEARTBEAT_SCHEMA = "repro.obs.heartbeat/v1"
+
+#: What a sweep calls as ``callback(label, completed, total)``.
+ProgressCallback = Callable[[str, int, int], None]
+
+
+def progress_printer() -> ProgressCallback:
+    """A progress callback printing a line per label per completed tenth.
+
+    Stateful because the sweep reports once per merged chunk, so a label's
+    count advances in uneven steps and may jump over any fixed multiple.
+    """
+    tenths: dict[str, int] = {}
+
+    def report(label: str, done: int, total: int) -> None:
+        tenth = done * 10 // total
+        if tenth > tenths.get(label, 0):
+            tenths[label] = tenth
+            print(f"  [{label}] {done}/{total} runs", flush=True)
+
+    return report
 
 
 class ProgressReporter:

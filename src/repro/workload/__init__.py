@@ -19,7 +19,6 @@ from repro.workload.driver import WorkloadDriver
 from repro.workload.records import WorkloadMeasurement
 from repro.workload.specs import (
     KeyspaceSpec,
-    ValueSizeSpec,
     WorkloadSpec,
     get,
     items,
@@ -30,7 +29,6 @@ from repro.workload.specs import (
 
 __all__ = [
     "KeyspaceSpec",
-    "ValueSizeSpec",
     "WorkloadDriver",
     "WorkloadMeasurement",
     "WorkloadSpec",

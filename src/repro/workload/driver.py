@@ -6,7 +6,7 @@ tracks every op from ``propose()`` to state-machine apply.  Two modes:
 
 * ``closed`` runs ``spec.clients`` closed-loop clients, each keeping at most
   one request in flight and thinking for an exponential ``think_time_ms``
-  between completions (a client also moves on after ``request_timeout_ms``;
+  between completions (a client also moves on after ``REQUEST_TIMEOUT_MS``;
   its request may still commit later and is accounted either way).
 * ``open`` issues requests on a deterministic arrival process (Poisson,
   fixed-gap or bursts) regardless of completions.
@@ -42,6 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.raft.node import RaftNode
 
 __all__ = ["WorkloadDriver"]
+
+#: How long a closed-loop client waits for its in-flight request to commit
+#: before giving up and moving on.
+REQUEST_TIMEOUT_MS = 4_000.0
+#: Delay before each retry of a proposal a non-leader refused.
+RETRY_BACKOFF_MS = 50.0
+#: Length of every proposed value, in characters (the sequence number, a
+#: colon, then padding).
+VALUE_SIZE = 16
 
 
 class _Op:
@@ -135,7 +144,6 @@ class WorkloadDriver:
             ]
         self._arrival_rng = seeds.stream("workload", "arrivals")
         self._key_rng = seeds.stream("workload", "keys")
-        self._value_rng = seeds.stream("workload", "values")
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -300,7 +308,7 @@ class WorkloadDriver:
                 op.attempts += 1
                 self.retries += 1
                 self._scheduler.call_after(
-                    self._spec.retry_backoff_ms,
+                    RETRY_BACKOFF_MS,
                     partial(self._retry, op),
                     label="workload-retry",
                 )
@@ -314,7 +322,7 @@ class WorkloadDriver:
         self._pending[key] = op
         if op.client is not None:
             self._scheduler.call_after(
-                self._spec.request_timeout_ms,
+                REQUEST_TIMEOUT_MS,
                 partial(self._request_timeout, key),
                 label="workload-timeout",
             )
@@ -339,12 +347,9 @@ class WorkloadDriver:
                 key = self._key_rng.randrange(hot)
             else:
                 key = hot + self._key_rng.randrange(keyspace.keys - hot)
-        sizes = self._spec.value_size
-        if sizes.mode == "fixed":
-            size = sizes.size
-        else:
-            size = self._value_rng.randint(sizes.min_size, sizes.max_size)
-        return PutCommand(key=f"key-{key}", value=f"{sequence}:".ljust(size, "x"))
+        return PutCommand(
+            key=f"key-{key}", value=f"{sequence}:".ljust(VALUE_SIZE, "x")
+        )
 
     # ------------------------------------------------------------------ #
     # Resolution

@@ -4,7 +4,7 @@ The election experiments measure how fast a cluster finds a leader; what a
 user feels is how commit latency and goodput behave *while* it does.  A
 :class:`WorkloadSpec` captures one client-traffic shape -- closed-loop clients
 with think time, or an open-loop arrival process -- together with a keyspace
-model and a value-size model, as a frozen, hashable, picklable value.  Like
+model, as a frozen, hashable, picklable value.  Like
 the protocol/engine/chaos registries, workloads are registered by name so the
 ``throughput`` experiment, the CLI and the benchmarks all select them the
 same way, and the spec conformance suite checks every registered value
@@ -25,7 +25,6 @@ from repro.common.types import Milliseconds
 
 __all__ = [
     "KeyspaceSpec",
-    "ValueSizeSpec",
     "WorkloadSpec",
     "get",
     "items",
@@ -44,7 +43,7 @@ ARRIVALS: tuple[str, ...] = ("poisson", "uniform", "burst")
 #: mode (closed) or arrival (open) that reads them; the arrival itself is
 #: read only by open specs.
 _SHAPE_FIELDS: dict[str, tuple[str, ...]] = {
-    "closed": ("clients", "think_time_ms", "request_timeout_ms"),
+    "closed": ("clients", "think_time_ms"),
     "poisson": ("arrival", "rate_per_s"),
     "uniform": ("arrival", "interval_ms"),
     "burst": ("arrival", "burst_size", "burst_interval_ms"),
@@ -55,12 +54,6 @@ KEY_MODES: dict[str, tuple[str, ...]] = {
     "round-robin": (),
     "uniform": (),
     "hotspot": ("hot_fraction", "hot_share"),
-}
-
-#: Value-size models, with the :class:`ValueSizeSpec` fields only each reads.
-VALUE_MODES: dict[str, tuple[str, ...]] = {
-    "fixed": ("size",),
-    "uniform": ("min_size", "max_size"),
 }
 
 
@@ -118,39 +111,14 @@ class KeyspaceSpec:
 
 
 @value_object
-class ValueSizeSpec:
-    """How large proposed values are (payload characters)."""
-
-    mode: str = "fixed"
-    size: int = 16
-    min_size: int = 8
-    max_size: int = 64
-
-    def __post_init__(self) -> None:
-        if self.mode not in VALUE_MODES:
-            raise ConfigurationError(
-                f"unknown value-size mode {self.mode!r}; one of {tuple(VALUE_MODES)}"
-            )
-        if self.mode == "fixed" and self.size < 1:
-            raise ConfigurationError(f"value size must be >= 1, got {self.size}")
-        if self.mode == "uniform" and not 1 <= self.min_size <= self.max_size:
-            raise ConfigurationError(
-                f"need 1 <= min_size <= max_size, got "
-                f"({self.min_size}, {self.max_size})"
-            )
-        reader = f"a {self.mode} value size"
-        _refuse_unread_fields(self, self.mode, VALUE_MODES, reader)
-
-
-@value_object
 class WorkloadSpec:
     """One named client-traffic shape.
 
-    Of ``clients``, ``think_time_ms``, ``request_timeout_ms``, ``arrival``
-    and the arrival fields, a spec may set only those its mode and arrival
-    read: any other left off its default is refused at construction, since
-    nothing would read it (a uniform spec given ``rate_per_s`` would
-    silently keep its ``interval_ms`` gap).
+    Of ``clients``, ``think_time_ms``, ``arrival`` and the arrival fields, a
+    spec may set only those its mode and arrival read: any other left off
+    its default is refused at construction, since nothing would read it (a
+    uniform spec given ``rate_per_s`` would silently keep its
+    ``interval_ms`` gap).
 
     Attributes:
         name / description: registry identity and human summary.
@@ -171,12 +139,10 @@ class WorkloadSpec:
             derived from a rate (``1000 / (1000 / 30)`` is not 30).
         max_retries: extra proposal attempts after a ``NotLeaderError``
             (the leader moved between lookup and proposal).
-        retry_backoff_ms: delay before each retry attempt.
-        request_timeout_ms: how long a closed-loop client waits for its
-            in-flight request to commit before giving up and moving on (the
-            request itself may still commit later and is accounted either
-            way).
-        keyspace / value_size: what the proposed commands look like.
+        keyspace: which keys the proposed commands write.
+
+    The retry backoff, the closed-loop request timeout and the value size
+    are :mod:`repro.workload.driver` constants.
     """
 
     name: str
@@ -190,10 +156,7 @@ class WorkloadSpec:
     burst_interval_ms: Milliseconds = 500.0
     interval_ms: Milliseconds = 250.0
     max_retries: int = 2
-    retry_backoff_ms: Milliseconds = 50.0
-    request_timeout_ms: Milliseconds = 4_000.0
     keyspace: KeyspaceSpec = KeyspaceSpec()
-    value_size: ValueSizeSpec = ValueSizeSpec()
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -237,14 +200,6 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.retry_backoff_ms < 0:
-            raise ConfigurationError(
-                f"retry_backoff_ms must be >= 0, got {self.retry_backoff_ms}"
-            )
-        if self.request_timeout_ms <= 0:
-            raise ConfigurationError(
-                f"request_timeout_ms must be > 0, got {self.request_timeout_ms}"
-            )
 
 
 # --------------------------------------------------------------------------- #
@@ -262,7 +217,7 @@ def legacy_interval(interval_ms: Milliseconds) -> WorkloadSpec:
     """Fixed-interval clients: one proposal every *interval_ms*, no retries.
 
     The fig11/avail client workload -- ``open-uniform`` at a scenario-chosen
-    gap, round-robin keys and fixed-size values, so it draws no randomness.
+    gap and round-robin keys, so it draws no randomness.
     """
     return replace(get("open-uniform"), interval_ms=interval_ms, max_retries=0)
 

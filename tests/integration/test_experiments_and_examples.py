@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.rng import paired_seeds
 from repro.experiments import registry, run_experiment
 from repro.experiments.__main__ import main as experiments_main
-from repro.experiments.base import paired_seeds
 from repro.experiments.export import load_run
 
 from oracle import CLASSIC

@@ -44,7 +44,6 @@ class TestClusterSafetyProperties:
         scenario = ElectionScenario(
             fault=BroadcastOmissionFault(loss_rate) if loss_rate else None,
             workload_interval_ms=200.0 if loss_rate else 0.0,
-            max_election_ms=60_000.0,
             **params,
         )
         cluster, harness = scenario.build(seed)

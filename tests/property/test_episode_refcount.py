@@ -83,7 +83,7 @@ def test_an_episode_leaves_no_cyclic_garbage(run, seed):
 # --------------------------------------------------------------------------- #
 # The pause leaves the collector as it found it
 # --------------------------------------------------------------------------- #
-SCENARIO = ElectionScenario("escape", 5, pre_crash_ms=0.0)
+SCENARIO = ElectionScenario("escape", 5)
 
 
 @pytest.fixture

@@ -23,10 +23,6 @@ def run_many(model, runs, base_seed):
 
 
 class TestParameters:
-    def test_quorum_is_majority_of_voting_masters(self):
-        assert RedisClusterParameters(voting_masters=5).quorum == 3
-        assert RedisClusterParameters(voting_masters=7).quorum == 4
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RedisClusterParameters(replicas=0)

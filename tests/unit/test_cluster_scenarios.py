@@ -43,8 +43,8 @@ class TestOneConditionBase:
     def test_the_shared_fields_are_the_documented_condition(self):
         assert self.SHARED == {
             "protocol", "cluster_size", "raft_timeout_range", "sca",
-            "heartbeat_interval_ms", "latency", "fault", "stabilize_ms",
-            "trace", "telemetry", "engine",
+            "heartbeat_interval_ms", "latency", "fault", "trace", "telemetry",
+            "engine",
         }  # fmt: skip
 
     @pytest.mark.parametrize(

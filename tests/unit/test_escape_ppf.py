@@ -47,8 +47,6 @@ class TestConstruction:
 
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_patrol(lag_entries_threshold=0)
-        with pytest.raises(ConfigurationError):
             make_patrol(stale_after_ms=0.0)
 
 
@@ -78,7 +76,7 @@ class TestResponsivenessTracking:
             assert str(error.value) == "S1 is not a tracked follower"
 
     def test_lagging_classification(self):
-        patrol = make_patrol(stale_after_ms=500.0, lag_entries_threshold=2)
+        patrol = make_patrol(stale_after_ms=500.0)
         # Never replied -> lagging.
         assert patrol.is_lagging(2, now_ms=0.0, leader_last_index=0)
         patrol.record_reply(2, log_index=10, now_ms=100.0)

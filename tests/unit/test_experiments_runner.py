@@ -19,9 +19,8 @@ import pytest
 
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import SweepError
-from repro.common.rng import SeedSequence
+from repro.common.rng import SeedSequence, derive_run_seed, paired_seeds
 from repro.experiments import registry, run_experiment, runner
-from repro.experiments.base import derive_run_seed, paired_seeds
 from repro.experiments.runner import (
     SweepItem,
     build_work_items,

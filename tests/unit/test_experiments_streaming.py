@@ -31,7 +31,7 @@ from repro.chaos.plans import build_plan
 from repro.chaos.scenario import ChaosScenario
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import SweepError
-from repro.experiments.base import paired_seeds
+from repro.common.rng import paired_seeds
 from repro.experiments.checkpoint import SweepCheckpoint, checkpoint_fingerprint
 from repro.experiments.runner import (
     MAX_CHUNK_ITEMS,

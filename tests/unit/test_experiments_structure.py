@@ -22,6 +22,7 @@ import pytest
 from repro import protocols as protocol_registry
 from repro.cluster.scenarios import ElectionScenario
 from repro.common.errors import ConfigurationError
+from repro.common.rng import paired_seeds
 from repro.experiments import (
     ablation_ppf,
     exp_availability,
@@ -32,7 +33,6 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.__main__ import build_parser
-from repro.experiments.base import paired_seeds
 from repro.experiments.export import load_run, save_run
 from repro.experiments.runner import run_sweep
 from repro.obs.trace import TRACE_MANIFEST_SCHEMA

@@ -7,9 +7,11 @@ suite (and CI's dedicated lint job) the moment it is introduced.  The
 reference the simulator is diffed against.
 ``TestSourceOnly`` holds the linter to reading what it checks: a full lint in
 a fresh interpreter loads no ``repro`` module beyond those ``repro.lint``
-itself imports.
+itself imports.  The CLI's output shape is checked on a small clean fixture,
+so ``src`` is linted in full once in-process, by the gate.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -19,12 +21,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import ALL_RULE_IDS, RULES, get_rule, lint_paths
+from repro.lint import ALL_RULE_IDS, RULES, engine, get_rule, lint_paths
 from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = str(REPO_ROOT / "src")
 ORACLE = str(REPO_ROOT / "tests" / "oracle")
+
+
+def _clean_fixture(tmp_path: Path) -> str:
+    """A two-file tree with no findings under any rule."""
+    (tmp_path / "core.py").write_text(
+        "def double(value):\n    return sorted({value, 2 * value})\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "main.py").write_text(
+        "from core import double\n\nprint(double(3))\n", encoding="utf-8"
+    )
+    return str(tmp_path)
 
 
 class TestTreeGate:
@@ -46,6 +60,41 @@ class TestTreeGate:
         report = lint_paths([SRC], rule_ids=["D3"])
         assert report.rule_ids == ("D3",)
         assert report.clean
+
+
+class TestTreeRulesRunWhereTheyAnchor:
+    """U1 reads the whole package; it runs only when a linted root can hold
+    one of its findings."""
+
+    @pytest.fixture
+    def u1_calls(self, monkeypatch) -> list[None]:
+        """Replace U1's check, ``check_unused_names``, with a recording stub."""
+        calls: list[None] = []
+
+        def check_unused_names():
+            calls.append(None)
+            return []
+
+        monkeypatch.setattr(
+            engine,
+            "RULES",
+            tuple(
+                dataclasses.replace(rule, check=check_unused_names)
+                if rule.id == "U1"
+                else rule
+                for rule in RULES
+            ),
+        )
+        return calls
+
+    def test_a_fixture_lint_never_calls_check_unused_names(self, tmp_path, u1_calls):
+        report = lint_paths([_clean_fixture(tmp_path)])
+        assert report.rule_ids == ALL_RULE_IDS and report.clean
+        assert u1_calls == []
+
+    def test_a_root_inside_the_package_runs_it_once(self, u1_calls):
+        lint_paths([str(REPO_ROOT / "src" / "repro" / "lint")])
+        assert len(u1_calls) == 1
 
 
 CHILD = """
@@ -103,18 +152,18 @@ class TestRuleTable:
 
 
 class TestCli:
-    def test_clean_tree_exits_zero(self, capsys):
-        assert main([SRC]) == 0
+    def test_clean_tree_exits_zero(self, tmp_path, capsys):
+        assert main([_clean_fixture(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "repro.lint: clean" in out
+        assert "repro.lint: clean in 2 file(s)" in out
 
-    def test_json_report_shape(self, capsys):
-        assert main([SRC, "--json"]) == 0
+    def test_json_report_shape(self, tmp_path, capsys):
+        assert main([_clean_fixture(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["clean"] is True
         assert payload["findings"] == []
         assert payload["rules"] == list(ALL_RULE_IDS)
-        assert payload["checked_files"] > 90
+        assert payload["checked_files"] == 2
 
     def test_findings_exit_one_and_render(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

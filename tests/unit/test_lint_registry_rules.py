@@ -215,9 +215,10 @@ class TestU1TestOnlyNames:
             },
         )
         fixture_rule = dataclasses.replace(
-            get_rule("U1"), check=lambda config: find_unused_names(package, references)
+            get_rule("U1"), check=lambda: find_unused_names(package, references)
         )
         monkeypatch.setitem(engine._RULES_BY_ID, "U1", fixture_rule)
+        monkeypatch.setattr(engine, "PACKAGE_DIR", package)
         report = lint_paths([package], rule_ids=["U1"])
         assert [(f.line, f.message.split(" ")[0]) for f in report.findings] == [
             (5, "dropped")

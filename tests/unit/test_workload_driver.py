@@ -10,7 +10,8 @@ from repro.net.latency import ConstantLatency
 from repro.statemachine.kvstore import PutCommand
 from repro.workload import WorkloadDriver, WorkloadMeasurement, legacy_interval
 from repro.workload.aggregate import WorkloadAggregate
-from repro.workload.specs import KeyspaceSpec, ValueSizeSpec, WorkloadSpec
+from repro.workload.driver import VALUE_SIZE
+from repro.workload.specs import KeyspaceSpec, WorkloadSpec
 
 FAST_LATENCY = ConstantLatency(5.0)
 
@@ -188,18 +189,13 @@ class TestKeyAndValueModels:
         }
         assert indexes <= set(range(8))
 
-    def test_value_sizes_follow_the_spec(self):
+    def test_every_value_has_the_fixed_size(self):
         spec = WorkloadSpec(
-            name="t-val",
-            mode="open",
-            arrival="uniform",
-            interval_ms=100.0,
-            value_size=ValueSizeSpec(mode="uniform", min_size=8, max_size=12),
+            name="t-val", mode="open", arrival="uniform", interval_ms=100.0
         )
         driver, cluster, _ = drive(spec, duration_ms=1_000.0)
         lengths = {len(entry.command.value) for entry in cluster.node(1).log}
-        assert lengths
-        assert all(8 <= length <= 12 for length in lengths)
+        assert lengths == {VALUE_SIZE}
 
 
 class TestFailurePaths:
@@ -220,7 +216,6 @@ class TestFailurePaths:
             arrival="uniform",
             interval_ms=200.0,
             max_retries=2,
-            retry_backoff_ms=10.0,
         )
         cluster, harness = stabilized()
         leader = cluster.leader()
@@ -234,7 +229,7 @@ class TestFailurePaths:
         )
         driver.start()
         # 10 arrivals at 200 ms gaps; the extra 100 ms lets the last op's
-        # retry chain (2 x 10 ms backoff) finish inside the window.
+        # retry chain (2 x 50 ms backoff) finish inside the window.
         harness.run_for(2_100.0)
         driver.finalize()
         assert driver.proposed == 0

@@ -7,10 +7,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.workload import specs
-from repro.workload.specs import KeyspaceSpec, ValueSizeSpec, WorkloadSpec
-
-#: The nested specs a ``test_a_field_nothing_reads_is_refused`` case builds.
-NESTED = {"keyspace": KeyspaceSpec, "value_size": ValueSizeSpec}
+from repro.workload.specs import KeyspaceSpec, WorkloadSpec
 
 BUILTINS = (
     "closed-loop",
@@ -48,7 +45,6 @@ class TestRegistry:
         assert spec.interval_ms == 125.0
         assert spec.max_retries == 0
         assert spec.keyspace == KeyspaceSpec()
-        assert spec.value_size == ValueSizeSpec()
         # The registered prototype is untouched.
         assert specs.get("open-uniform").interval_ms == 50.0
 
@@ -84,8 +80,6 @@ class TestWorkloadSpecValidation:
             {"mode": "open", "arrival": "burst", "burst_interval_ms": 0.0},
             {"mode": "open", "arrival": "uniform", "interval_ms": 0.0},
             {"max_retries": -1},
-            {"retry_backoff_ms": -1.0},
-            {"request_timeout_ms": 0.0},
         ],
     )
     def test_invalid_shapes_rejected(self, overrides):
@@ -99,10 +93,6 @@ class TestWorkloadSpecValidation:
             ({"mode": "open", "arrival": "burst", "rate_per_s": 10.0}, "rate_per_s"),
             ({"mode": "open", "arrival": "poisson", "clients": 8}, "clients"),
             ({"mode": "open", "arrival": "uniform", "think_time_ms": 50.0}, "think_time_ms"),
-            (
-                {"mode": "open", "arrival": "poisson", "request_timeout_ms": 100.0},
-                "request_timeout_ms",
-            ),
             ({"mode": "open", "arrival": "poisson", "interval_ms": 30.0}, "interval_ms"),
             ({"mode": "open", "arrival": "uniform", "burst_size": 4}, "burst_size"),
             (
@@ -114,20 +104,15 @@ class TestWorkloadSpecValidation:
             ({"mode": "closed", "interval_ms": 30.0}, "interval_ms"),
             ({"keyspace": {"mode": "uniform", "hot_share": 0.5}}, "hot_share"),
             ({"keyspace": {"hot_fraction": 0.25}}, "hot_fraction"),
-            ({"value_size": {"mode": "uniform", "size": 99}}, "size"),
-            (
-                {"value_size": {"mode": "fixed", "min_size": 3, "max_size": 4}},
-                "min_size",
-            ),
         ],
     )
     def test_a_field_nothing_reads_is_refused(self, overrides, unread):
-        """A nested keyspace / value-size dict is built inside the block."""
+        """A nested keyspace dict is built inside the block."""
         with pytest.raises(ConfigurationError, match=f"^{unread}=.* is not read by"):
             WorkloadSpec(
                 name="w",
                 **{
-                    name: NESTED[name](**value) if name in NESTED else value
+                    name: KeyspaceSpec(**value) if name == "keyspace" else value
                     for name, value in overrides.items()
                 },
             )
@@ -169,22 +154,3 @@ class TestKeyspaceSpec:
     def test_hotspot_shape_accepted(self):
         spec = KeyspaceSpec(mode="hotspot", keys=32, hot_fraction=0.25)
         assert replace(spec, hot_share=1.0).hot_share == 1.0
-
-
-class TestValueSizeSpec:
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"mode": "lognormal"},
-            {"mode": "fixed", "size": 0},
-            {"mode": "uniform", "min_size": 0},
-            {"mode": "uniform", "min_size": 9, "max_size": 8},
-        ],
-    )
-    def test_invalid_sizes_rejected(self, overrides):
-        with pytest.raises(ConfigurationError):
-            ValueSizeSpec(**overrides)
-
-    def test_uniform_range_accepted(self):
-        spec = ValueSizeSpec(mode="uniform", min_size=8, max_size=8)
-        assert (spec.min_size, spec.max_size) == (8, 8)
