@@ -5,6 +5,8 @@ import pickle
 import pytest
 
 from repro.adapters.redis_cluster import (
+    QUORUM,
+    VOTING_MASTERS,
     EscapeFailoverModel,
     FailoverSet,
     RedisClusterParameters,
@@ -23,6 +25,10 @@ def run_many(model, runs, base_seed):
 
 
 class TestParameters:
+    def test_quorum_is_majority_of_voting_masters(self):
+        assert (VOTING_MASTERS, QUORUM) == (5, 3)
+        assert 2 * QUORUM > VOTING_MASTERS >= 2 * (QUORUM - 1)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RedisClusterParameters(replicas=0)
