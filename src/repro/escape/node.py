@@ -12,19 +12,25 @@ Hook                              ESCAPE behaviour
 ``_hook_decorate_append_request`` piggyback the follower's newly assigned configuration
 ``_hook_payload_token``           the patrol and its clock (what that piggyback reads)
 ``_hook_build_append_response``   attach the current ``configStatus`` (memoised)
-``_hook_on_leader_heartbeat``     adopt a newer configuration carried by a heartbeat
-``_hook_on_append_response``      feed the PPF with follower responsiveness
 ``_hook_before_heartbeat_round``  run one PPF round (clock bump + re-ranking)
 ``_hook_on_become_leader``        instantiate the PPF for this leadership period
 ================================  ====================================================
 
-Two more differences are node state, read by Raft's own code with no call:
-the node's own timeout ``_own_timeout_ms`` -- every unscripted
-election-timeout wait is the timeout paired with the held configuration
-(Eq. 1), where Raft would draw from its randomized range -- and the held
-configuration is the reply token that, with the log tail, keys Raft's reply
-memo (the ``configStatus`` is a function of the two).
-:meth:`EscapeNode._hold` keeps both current.
+The rest is node state, read by Raft's own code with no call:
+
+* the node's own timeout ``_own_timeout_ms``: every unscripted
+  election-timeout wait is the timeout paired with the held configuration
+  (Eq. 1), where Raft would draw from its randomized range;
+* the held configuration is the reply token that, with the log tail, keys
+  Raft's reply memo (the ``configStatus`` is a function of the two);
+  :meth:`EscapeNode._hold` keeps the timeout and the token current;
+* ``_adopts_piggyback``: the follower's AppendEntries handler compares the
+  heartbeat's ``new_config`` with the reply token by identity and calls
+  :meth:`EscapeNode._adopt_configuration` only when they differ, so an idle
+  round makes no call;
+* ``_reply_records``: the patrol's per-follower records, which the leader's
+  reply handler updates in place as :meth:`ProbingPatrol.record_reply` would,
+  with no call into ESCAPE or the patrol.
 
 Everything else -- log replication, commitment, vote counting -- is inherited
 unchanged, which is the code-level expression of the paper's safety argument.
@@ -69,6 +75,7 @@ class EscapeNode(RaftNode):
     """
 
     protocol_name = "escape"
+    _adopts_piggyback = True
 
     def __init__(
         self,
@@ -158,6 +165,8 @@ class EscapeNode(RaftNode):
             initial_clock=self.configuration.conf_clock + 1,
             stale_after_ms=4.0 * self.config.heartbeat_interval_ms,
         )
+        # Raft's reply handler keeps these (see RaftNode._reply_records).
+        self._reply_records = self.patrol.records
         if self._trace_on:
             self.env.trace(
                 "ppf.start",
@@ -214,40 +223,24 @@ class EscapeNode(RaftNode):
         patrol = self.patrol
         return None if patrol is None else (patrol, patrol.conf_clock)
 
-    def _hook_on_append_response(
-        self, src: ServerId, response: AppendEntriesResponse
-    ) -> None:
-        """Feed follower responsiveness into the patrol."""
-        if self.patrol is None:
-            return
-        if isinstance(response, EscapeAppendEntriesResponse) and response.config_status:
-            log_index = response.config_status.log_index
-        else:
-            # A plain Raft reply (mixed-version cluster) still proves liveness
-            # and reports progress through match_index.
-            log_index = response.match_index
-        self.patrol.record_reply(src, log_index, self.env.now())
-
     # ------------------------------------------------------------------ #
     # PPF: follower side
     # ------------------------------------------------------------------ #
-    def _hook_on_leader_heartbeat(self, request: AppendEntriesRequest) -> None:
-        """Adopt a newer configuration carried by the leader's heartbeat."""
-        if not isinstance(request, EscapeAppendEntriesRequest):
-            return
-        new_config = request.new_config
-        if new_config is None or new_config is self.configuration:
-            return
-        if new_config.conf_clock < self.configuration.conf_clock:
+    def _adopt_configuration(self, new_config: Configuration) -> None:
+        """Adopt a newer configuration carried by the leader's heartbeat.
+
+        Raft's AppendEntries handler calls this, before it re-arms the
+        election timer, only when the piggyback is not the object held.
+        """
+        held = self.configuration
+        if new_config.conf_clock < held.conf_clock:
             # A delayed heartbeat carrying an older assignment must never roll
             # the configuration back (the clock exists precisely for this).
             return
-        if new_config != self.configuration:
+        if new_config != held:
             if self._trace_on:
                 self.env.trace(
-                    "config.update",
-                    old=self.configuration.describe(),
-                    new=new_config.describe(),
+                    "config.update", old=held.describe(), new=new_config.describe()
                 )
             self._hold(new_config)
             self.configuration_updates += 1
@@ -300,7 +293,7 @@ class EscapeNoPpfNode(EscapeNode):
     Every other hook inherits from :class:`EscapeNode` and degrades
     gracefully when ``patrol is None``: heartbeats carry no new
     configuration, follower replies still report their (static)
-    ``configStatus``, and responsiveness records are dropped.
+    ``configStatus``, and the leader keeps no reply records.
     """
 
     protocol_name = "escape-noppf"

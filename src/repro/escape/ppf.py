@@ -55,7 +55,7 @@ from repro.escape.sca import follower_priority_ladder, validate_assignment
 LAG_ENTRIES_THRESHOLD = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class FollowerResponsiveness:
     """What the leader currently knows about one follower."""
 
@@ -106,7 +106,11 @@ class ProbingPatrol:
         )
         self._clock = max(0, initial_clock)
         self._stale_after_ms = stale_after_ms
-        self._responsiveness: dict[ServerId, FollowerResponsiveness] = {
+        #: Follower -> what the leader knows of it, in ``followers`` order.
+        #: A leader may update a record in place exactly as
+        #: :meth:`record_reply` does (ESCAPE's reply handler does, with no
+        #: call per reply).
+        self.records: dict[ServerId, FollowerResponsiveness] = {
             follower: FollowerResponsiveness(follower) for follower in self._followers
         }
         self._assignments: dict[ServerId, Configuration] = {}
@@ -134,7 +138,7 @@ class ProbingPatrol:
     def responsiveness_of(self, follower: ServerId) -> FollowerResponsiveness:
         """The leader's current knowledge about one follower."""
         try:
-            return self._responsiveness[follower]
+            return self.records[follower]
         except KeyError as exc:
             raise ConfigurationError(f"S{follower} is not a tracked follower") from exc
 
@@ -146,12 +150,12 @@ class ProbingPatrol:
     ) -> None:
         """Record a follower's AppendEntries reply (its responsiveness probe)."""
         # One dict read per call; the fallback only ever raises (unknown id).
-        record = self._responsiveness.get(follower) or self.responsiveness_of(follower)
+        record = self.records.get(follower) or self.responsiveness_of(follower)
         if log_index > record.log_index:
             record.log_index = log_index
         record.last_reply_ms = now_ms
 
-    def is_lagging(
+    def is_lagging(  # repro: allow[U1] -- reference verdict; test_sca_ppf_properties
         self,
         follower: ServerId,
         now_ms: Milliseconds,
@@ -159,7 +163,7 @@ class ProbingPatrol:
     ) -> bool:
         """Whether the leader currently considers *follower* to be lagging."""
         # One dict read per call; the fallback only ever raises (unknown id).
-        record = self._responsiveness.get(follower) or self.responsiveness_of(follower)
+        record = self.records.get(follower) or self.responsiveness_of(follower)
         last_reply_ms = record.last_reply_ms
         if last_reply_ms is None or now_ms - last_reply_ms > self._stale_after_ms:
             return True
@@ -182,8 +186,17 @@ class ProbingPatrol:
         into the same order and reach the same "nothing to reassign" answer:
         it returns without ranking.  Any other round ranks and compares in
         full.
+
+        The verdicts are :meth:`is_lagging` for every follower, in
+        ``followers`` order, computed in one pass over the records.
         """
-        verdicts = self._lagging_verdicts(now_ms, leader_last_index)
+        stale_after_ms = self._stale_after_ms
+        verdicts = [
+            (last_reply_ms := record.last_reply_ms) is None
+            or now_ms - last_reply_ms > stale_after_ms
+            or leader_last_index - record.log_index >= LAG_ENTRIES_THRESHOLD
+            for record in self.records.values()
+        ]
         if verdicts == self._settled_verdicts:
             return
         ranking = self._rank(verdicts)
@@ -215,16 +228,6 @@ class ProbingPatrol:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _lagging_verdicts(
-        self, now_ms: Milliseconds, leader_last_index: LogIndex
-    ) -> list[bool]:
-        """:meth:`is_lagging` for every follower, in ``self._followers`` order."""
-        is_lagging = self.is_lagging
-        return [
-            is_lagging(follower, now_ms, leader_last_index)
-            for follower in self._followers
-        ]
-
     def _rank(self, verdicts: list[bool]) -> list[ServerId]:
         """Sort the followers best-first under the given lagging *verdicts*."""
         held = self._assignments

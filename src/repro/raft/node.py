@@ -6,10 +6,12 @@ the three vote-granting requirements, log replication with the consistency
 check and quorum commitment, and heartbeat-based leadership maintenance.
 
 The class exposes a small set of protected extension hooks (all prefixed
-``_hook_``) that :class:`repro.escape.node.EscapeNode` overrides to implement
-the paper's contribution without touching the replication logic -- mirroring
-the paper's Lemma 2 argument that ESCAPE elections are indistinguishable from
-Raft elections on the receiving side.
+``_hook_``) and some node state that its handlers read with no call, where a
+hook would run once per follower per heartbeat.
+:class:`repro.escape.node.EscapeNode` uses both to implement the paper's
+contribution without touching the replication logic -- mirroring the paper's
+Lemma 2 argument that ESCAPE elections are indistinguishable from Raft
+elections on the receiving side.
 """
 
 from __future__ import annotations
@@ -119,26 +121,13 @@ class RaftNode:
         self.stats: dict[str, int] = {"votes_granted": 0}
 
         # Hot-path caches.  Membership is static, so the peer tuple is fixed
-        # for the node's lifetime.  The two hook flags let the heartbeat path
-        # skip no-op subclass hooks; they are per-class facts, not per-call.
+        # for the node's lifetime.
         self._peer_ids: tuple[ServerId, ...] = cluster.peers_of(node_id)
-        cls = type(self)
-        self._decorate_is_default = (
-            cls._hook_decorate_append_request is RaftNode._hook_decorate_append_request
-        )
-        self._grant_hook_is_default = (
-            cls._hook_may_grant_vote is RaftNode._hook_may_grant_vote
-        )
-        self._heartbeat_hook_is_default = (
-            cls._hook_on_leader_heartbeat is RaftNode._hook_on_leader_heartbeat
-        )
-        self._response_hook_is_default = (
-            cls._hook_on_append_response is RaftNode._hook_on_append_response
-        )
-        self._round_hook_is_default = (
-            cls._hook_before_heartbeat_round is RaftNode._hook_before_heartbeat_round
-        )
         self._trace_on: bool = getattr(env, "trace_enabled", True)
+        # A leader's per-follower reply records, updated in place by the reply
+        # handler (ESCAPE: its patrol's records, see
+        # _handle_append_entries_response); None keeps nothing.
+        self._reply_records: dict[ServerId, Any] | None = None
         # Reply memo: ((term, success, match_index, log.last_index, reply
         # token), the frozen reply).  A subclass whose replies carry more than
         # Raft's fields keeps ``_reply_token`` such that the token and the log
@@ -184,7 +173,8 @@ class RaftNode:
         self.role = Role.FOLLOWER
         self.leader_id = None
         self._timeout_attempt = 0
-        self.env.trace("node.start", term=self.current_term)
+        if self._trace_on:
+            self.env.trace("node.start", term=self.current_term)
         self.first_election_wait_ms = self._reset_election_timer()
 
     def expire_election_timer(self) -> None:
@@ -205,7 +195,8 @@ class RaftNode:
         self._cancel_election_timer()
         self._cancel_heartbeat_timer()
         self._cancel_vote_retry_timer()
-        self.env.trace("node.stop", term=self.current_term, role=str(self.role))
+        if self._trace_on:
+            self.env.trace("node.stop", term=self.current_term, role=str(self.role))
 
     def recover(self) -> None:
         """Restart after a crash: reload durable state and rejoin as follower.
@@ -224,7 +215,8 @@ class RaftNode:
         self.progress = None
         self._timeout_attempt = 0
         self._running = True
-        self.env.trace("node.recover", term=self.current_term)
+        if self._trace_on:
+            self.env.trace("node.recover", term=self.current_term)
         self._reset_election_timer()
 
     # ------------------------------------------------------------------ #
@@ -245,7 +237,8 @@ class RaftNode:
         self.store.save_log(self.log)
         assert self.progress is not None
         self.progress.record_local_append(entry.index)
-        self.env.trace("log.propose", index=entry.index, term=entry.term)
+        if self._trace_on:
+            self.env.trace("log.propose", index=entry.index, term=entry.term)
         if self.quorum_size == 1:
             self._advance_commit_index()
         else:
@@ -260,10 +253,32 @@ class RaftNode:
     #: methods made every node a reference cycle).
     _message_handlers: dict[type, Callable[["RaftNode", ServerId, Any], None]] = {}
 
+    #: Per-class facts that let the hot paths skip a hook the class left at
+    #: RaftNode's no-op (set here for RaftNode, in ``__init_subclass__`` for
+    #: every subclass).
+    _decorate_is_default = True
+    _grant_hook_is_default = True
+    _round_hook_is_default = True
+
+    #: Whether the class adopts a configuration piggybacked on AppendEntries
+    #: (``request.new_config``, ESCAPE's PPF).  The follower compares it with
+    #: the configuration it holds -- its reply token -- by identity and calls
+    #: ``_adopt_configuration`` only when the two differ.
+    _adopts_piggyback = False
+
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         # Its own memo: a subclass may override a handler.
         cls._message_handlers = {}
+        cls._decorate_is_default = (
+            cls._hook_decorate_append_request is RaftNode._hook_decorate_append_request
+        )
+        cls._grant_hook_is_default = (
+            cls._hook_may_grant_vote is RaftNode._hook_may_grant_vote
+        )
+        cls._round_hook_is_default = (
+            cls._hook_before_heartbeat_round is RaftNode._hook_before_heartbeat_round
+        )
 
     def on_message(self, src: ServerId, message: RpcMessage) -> None:
         """Entry point for every message delivered to this node."""
@@ -477,11 +492,14 @@ class RaftNode:
             self._change_role(Role.FOLLOWER)
         self.leader_id = request.leader_id
         self._timeout_attempt = 0
-        # The hook runs before the timer reset so a configuration carried by
-        # this heartbeat (ESCAPE's PPF piggyback) takes effect for the very
-        # next election-timeout wait.
-        if not self._heartbeat_hook_is_default:
-            self._hook_on_leader_heartbeat(request)
+        # A configuration carried by this heartbeat (ESCAPE's PPF piggyback)
+        # is adopted before the timer reset, so that it sets the very next
+        # election-timeout wait.  An idle round carries the object the node
+        # already holds, so it makes no call.
+        if self._adopts_piggyback:
+            piggyback = getattr(request, "new_config", None)
+            if piggyback is not self._reply_token and piggyback is not None:
+                self._adopt_configuration(piggyback)
         self._reset_election_timer()
 
         log = self.log
@@ -537,8 +555,18 @@ class RaftNode:
         if self.role is not Role.LEADER or response.term != self.current_term:
             return
         assert self.progress is not None
-        if not self._response_hook_is_default:
-            self._hook_on_append_response(src, response)
+        records = self._reply_records
+        if records is not None:
+            # The follower's record, kept as ProbingPatrol.record_reply keeps
+            # it but with no call per reply: the largest log index it reported
+            # (its configStatus; the match index of a plain Raft reply) and
+            # the time of its last reply.
+            record = records[src]
+            status = getattr(response, "config_status", None)
+            index = response.match_index if status is None else status.log_index
+            if index > record.log_index:
+                record.log_index = index
+            record.last_reply_ms = self.env.now()
         if response.success:
             self.progress.record_success(src, response.match_index)
             # A quorum index this reply raised is at most its match index, so
@@ -817,16 +845,6 @@ class RaftNode:
         return AppendEntriesResponse(
             self.current_term, self.node_id, success, match_index
         )
-
-    def _hook_on_leader_heartbeat(self, request: AppendEntriesRequest) -> None:
-        """Called on the follower whenever a legitimate leader is heard."""
-        return None
-
-    def _hook_on_append_response(
-        self, src: ServerId, response: AppendEntriesResponse
-    ) -> None:
-        """Called on the leader for every AppendEntries reply (PPF tracking)."""
-        return None
 
     def _hook_before_heartbeat_round(self) -> None:
         """Called on the leader right before each heartbeat broadcast."""

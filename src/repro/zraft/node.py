@@ -35,15 +35,15 @@ class ZRaftNode(EscapeNode):
     # body: RaftNode skips a hook only when the class still holds
     # RaftNode's own function.  Heartbeats carry no
     # configuration, replies are plain Raft replies with no configStatus,
-    # followers never change configuration, and without rearrangement there
-    # is no configuration clock to gate votes on.
+    # and without rearrangement there is no configuration clock to gate
+    # votes on.  Followers never change configuration, and a leader keeps no
+    # reply records (it starts no patrol).
     _hook_before_heartbeat_round = RaftNode._hook_before_heartbeat_round
     _hook_decorate_append_request = RaftNode._hook_decorate_append_request
     _hook_payload_token = RaftNode._hook_payload_token
-    _hook_on_append_response = RaftNode._hook_on_append_response
-    _hook_on_leader_heartbeat = RaftNode._hook_on_leader_heartbeat
     _hook_may_grant_vote = RaftNode._hook_may_grant_vote
     _hook_build_append_response = RaftNode._hook_build_append_response
+    _adopts_piggyback = False
 
     def _hook_next_election_term(self) -> Term:
         """Term growth still follows Eq. 2, with the *static* priority."""

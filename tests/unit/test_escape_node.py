@@ -270,6 +270,33 @@ class TestPpfOnFollower:
         )
         assert node.configuration == configuration
 
+    def assert_adoption_refused(self, node, env, held, offered):
+        env.traces.clear()
+        node.on_message(1, EscapeAppendEntriesRequest(term=1, leader_id=1, new_config=offered))
+        assert node.configuration is held
+        assert node.configuration_updates == 0
+        assert "config.update" not in {category for category, _ in env.traces}
+        rearmed = [
+            timer for timer in env.pending_timers() if timer.label == "S2:election-timeout"
+        ]
+        assert rearmed[-1].delay_ms == held.timer_period_ms
+        assert env.sent_to(1)[-1].config_status.conf_clock == held.conf_clock
+
+    def test_an_equal_configuration_in_a_new_object_changes_nothing(self):
+        held = Configuration(priority=4, timer_period_ms=120.0, conf_clock=7)
+        node, env = make_node(node_id=2, size=5, configuration=held)
+        node.start()
+        twin = Configuration(priority=4, timer_period_ms=120.0, conf_clock=7)
+        assert twin == held and twin is not held
+        self.assert_adoption_refused(node, env, held, twin)
+
+    def test_an_older_clock_changes_nothing_even_at_a_higher_priority(self):
+        held = Configuration(priority=2, timer_period_ms=160.0, conf_clock=7)
+        node, env = make_node(node_id=2, size=5, configuration=held)
+        node.start()
+        older = Configuration(priority=5, timer_period_ms=100.0, conf_clock=6)
+        self.assert_adoption_refused(node, env, held, older)
+
     def test_heartbeat_without_configuration_changes_nothing(self):
         node, env = make_node(node_id=2, size=5)
         node.start()

@@ -12,6 +12,8 @@ from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 from repro.cluster.builder import build_cluster
 from repro.escape.configuration import ConfigStatus
 from repro.escape.messages import EscapeAppendEntriesRequest, EscapeAppendEntriesResponse
+from repro.escape.node import EscapeNode
+from repro.escape.ppf import ProbingPatrol
 from repro.raft.messages import AppendEntriesResponse, RequestVoteResponse
 from repro.raft.node import RaftNode
 from repro.raft.replication import ReplicationProgress
@@ -122,6 +124,46 @@ class TestIdleHeartbeatRound:
         followers = self.SIZE - 1
         for cls in HEARTBEAT_OBJECTS:
             assert 0 < built[cls.__name__] <= reassigned * followers
+
+
+class TestIdlePatrolRound:
+    """ESCAPE's per-follower bookkeeping in an idle round is Raft's own code:
+    the follower compares the piggyback inline, the leader keeps its reply
+    records inline, and the settled patrol does not rank."""
+
+    SIZE = 16
+    PER_FOLLOWER = ("record_reply", "is_lagging", "configuration_for", "responsiveness_of")
+
+    def test_ten_idle_rounds_call_no_adoption_and_no_per_follower_patrol_method(
+        self, monkeypatch
+    ):
+        cluster = build_cluster("escape", self.SIZE, seed=3, trace=False)
+        cluster.start_all()
+        cluster.world.run_for(6_000.0)
+        leader = cluster.leader()
+        patrol = leader.patrol
+        rearrangements = patrol.rearrangement_count
+        heartbeat_ms = leader.config.heartbeat_interval_ms
+        replied_before = [record.last_reply_ms for record in patrol.records.values()]
+        adoptions = count_method_calls(monkeypatch, EscapeNode, "_adopt_configuration")
+        rounds = count_method_calls(monkeypatch, ProbingPatrol, "advance_round")
+        per_follower = {
+            name: count_method_calls(monkeypatch, ProbingPatrol, name)
+            for name in self.PER_FOLLOWER
+        }
+        cluster.world.run_for(10 * heartbeat_ms)
+        # Ten rounds ran, every follower's replies reached the patrol, and
+        # nothing was rearranged.
+        assert len(rounds) == 10
+        replied_after = [record.last_reply_ms for record in patrol.records.values()]
+        assert all(
+            after > before for before, after in zip(replied_before, replied_after)
+        )
+        assert patrol.rearrangement_count == rearrangements
+        assert adoptions == []
+        assert {name: len(calls) for name, calls in per_follower.items()} == dict.fromkeys(
+            self.PER_FOLLOWER, 0
+        )
 
 
 class TestCommitRuleWork:

@@ -87,10 +87,14 @@ class TestNoPpf:
 
     def test_disabled_hooks_are_raft_s_own_so_the_hot_path_skips_them(self):
         node, env = make_node(node_id=2)
-        flags = {name: value for name, value in vars(node).items() if name.endswith("_is_default")}
+        # The flags are per-class facts, read through the node.
+        flags = {name: getattr(node, name) for name in dir(node) if name.endswith("_is_default")}
         # SCA's timeout is node state, not a hook: no flag.
         assert node._own_timeout_ms == node.configuration.timer_period_ms
         assert flags and all(flags.values()), flags
+        # Nor does a follower read a piggyback, or a leader keep reply records.
+        assert not node._adopts_piggyback
+        assert make_leader()[0]._reply_records is None
         node.start()
         node.on_message(1, AppendEntriesRequest(term=1, leader_id=1))
         node.on_message(1, AppendEntriesRequest(term=1, leader_id=1))
