@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from functools import partial
+import random
+from functools import cached_property, partial
 from typing import Any
 
 from repro.common.types import ServerId
@@ -17,8 +18,8 @@ def _noop_trace(category: str, **detail: Any) -> None:
 class SimNodeEnvironment:
     """The :class:`~repro.raft.environment.Environment` backed by the simulator.
 
-    One class whatever the engine.  Every entry point a node calls is bound in
-    ``__init__`` as an instance attribute, so a call pays no adapter frame:
+    Every entry point a node calls is bound in ``__init__`` as an instance
+    attribute, so a call pays no adapter frame:
     ``set_timer`` / ``cancel_timer`` / ``rearm_timer`` are the scheduler's
     ``schedule_timer_entry`` / ``cancel_entry`` / ``rearm_timer_entry`` (a
     timer handle is whatever opaque token the engine's scheduler returns),
@@ -30,8 +31,8 @@ class SimNodeEnvironment:
     Each node gets a private random stream (``seeds.stream("node", node_id)``)
     so adding or removing one node never perturbs another's timeout draws.
     ``rng`` is created on first read (ESCAPE and Z-Raft nodes draw only under
-    a contention script); the stream is fixed by the seed and the node id, so
-    no draw depends on when it was created.
+    a contention script) and kept in the instance dict; the stream is fixed by
+    the seed and the node id, so no draw depends on when it was created.
     """
 
     def __init__(
@@ -51,9 +52,7 @@ class SimNodeEnvironment:
             partial(world.trace, node=node_id) if self.trace_enabled else _noop_trace
         )
 
-    def __getattr__(self, name: str) -> Any:
-        # Only reached while the instance lacks the name: ``rng``'s first read.
-        if name != "rng":
-            raise AttributeError(name)
-        rng = self.__dict__["rng"] = self._seeds.stream("node", self.node_id)
-        return rng
+    @cached_property
+    def rng(self) -> random.Random:
+        """This node's private stream, created on first read."""
+        return self._seeds.stream("node", self.node_id)

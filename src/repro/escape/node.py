@@ -11,7 +11,7 @@ Hook                              ESCAPE behaviour
 ``_hook_make_vote_request``       include configuration clock (and priority)
 ``_hook_decorate_append_request`` piggyback the follower's newly assigned configuration
 ``_hook_payload_token``           the patrol and its clock (what that piggyback reads)
-``_hook_build_append_response``   attach the current ``configStatus`` (memoised)
+``_hook_build_append_response``   attach the current ``configStatus``
 ``_hook_before_heartbeat_round``  run one PPF round (clock bump + re-ranking)
 ``_hook_on_become_leader``        instantiate the PPF for this leadership period
 ================================  ====================================================
@@ -106,14 +106,6 @@ class EscapeNode(RaftNode):
         self._hold(initial_configuration)
         self.patrol: ProbingPatrol | None = None
         self.configuration_updates = 0
-        # Steady-state memos, all compared by identity (the objects are
-        # frozen): the configStatus last reported, with the configuration it
-        # describes, and per follower the last (base request, decorated
-        # request) pair sent.
-        self._config_status_memo: tuple[Configuration, ConfigStatus] | None = None
-        self._decorated_requests: dict[
-            ServerId, tuple[AppendEntriesRequest, EscapeAppendEntriesRequest]
-        ] = {}
 
     # ------------------------------------------------------------------ #
     # SCA: the held configuration, term growth
@@ -193,19 +185,11 @@ class EscapeNode(RaftNode):
     def _hook_decorate_append_request(
         self, request: AppendEntriesRequest, follower: ServerId
     ) -> AppendEntriesRequest:
-        """Piggyback the follower's newly assigned configuration on the heartbeat.
-
-        The decorated request is a pure function of the base request and the
-        assigned configuration, so the one sent last is reused while both are
-        still the same objects (an idle round changes neither).
-        """
+        """Piggyback the follower's newly assigned configuration on the heartbeat."""
         new_config = (
             self.patrol.configuration_for(follower) if self.patrol is not None else None
         )
-        last = self._decorated_requests.get(follower)
-        if last is not None and last[0] is request and last[1].new_config is new_config:
-            return last[1]
-        decorated = EscapeAppendEntriesRequest(
+        return EscapeAppendEntriesRequest(
             request.term,
             request.leader_id,
             request.prev_log_index,
@@ -214,8 +198,6 @@ class EscapeNode(RaftNode):
             request.leader_commit,
             new_config,
         )
-        self._decorated_requests[follower] = (request, decorated)
-        return decorated
 
     def _hook_payload_token(self) -> tuple[ProbingPatrol, int] | None:
         """The patrol, held (not its ``id()``), and its clock, which moves with
@@ -233,40 +215,29 @@ class EscapeNode(RaftNode):
         election timer, only when the piggyback is not the object held.
         """
         held = self.configuration
-        if new_config.conf_clock < held.conf_clock:
-            # A delayed heartbeat carrying an older assignment must never roll
-            # the configuration back (the clock exists precisely for this).
+        clock, held_clock = new_config.conf_clock, held.conf_clock
+        # A delayed heartbeat carrying an older assignment must never roll the
+        # configuration back (the clock exists precisely for this).  A newer
+        # clock alone makes the two differ, so fields are compared only on a tie.
+        if clock < held_clock or (clock == held_clock and new_config == held):
             return
-        if new_config != held:
-            if self._trace_on:
-                self.env.trace(
-                    "config.update", old=held.describe(), new=new_config.describe()
-                )
-            self._hold(new_config)
-            self.configuration_updates += 1
+        if self._trace_on:
+            self.env.trace(
+                "config.update", old=held.describe(), new=new_config.describe()
+            )
+        self._hold(new_config)
+        self.configuration_updates += 1
 
     def _hook_build_append_response(
         self, success: bool, match_index: LogIndex
     ) -> AppendEntriesResponse:
-        """Attach this follower's ``configStatus`` to the reply.
-
-        The status is a function of the log tail and the held configuration,
-        and is rebuilt only when one of them changed: the configuration is
-        frozen, so holding the same object means holding the same values.
-        """
+        """Attach this follower's ``configStatus`` to the reply.  It is a
+        function of the log tail and the held configuration (the reply token),
+        so Raft's reply memo reuses it with the reply."""
         configuration = self.configuration
-        memo = self._config_status_memo
-        if (
-            memo is not None
-            and memo[0] is configuration
-            and memo[1].log_index == self.log.last_index
-        ):
-            status = memo[1]
-        else:
-            status = ConfigStatus(
-                self.log.last_index, configuration.timer_period_ms, configuration.conf_clock
-            )
-            self._config_status_memo = (configuration, status)
+        status = ConfigStatus(
+            self.log.last_index, configuration.timer_period_ms, configuration.conf_clock
+        )
         return EscapeAppendEntriesResponse(
             self.current_term, self.node_id, success, match_index, status
         )

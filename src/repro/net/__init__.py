@@ -22,7 +22,6 @@ from repro.net.faults import (
     bind,
 )
 from repro.net.latency import (
-    ConstantLatency,
     GeoGroupLatency,
     GeoLatencySpec,
     LatencyModel,
@@ -35,7 +34,6 @@ from repro.net.partition import PartitionManager
 __all__ = [
     "BroadcastOmissionFault",
     "CompositeFault",
-    "ConstantLatency",
     "FaultInjector",
     "GeoGroupLatency",
     "GeoLatencySpec",

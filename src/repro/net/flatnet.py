@@ -10,12 +10,11 @@ and replaces the hot send/broadcast/delivery paths:
   timer object, no closure and no scheduler call frame per message;
 * a delivery to a protocol node goes from that record straight to the node's
   handler for the message's type (see :meth:`FlatNetwork.register`);
-* the latency sampler is inlined for the common models:
+* the latency sampler is inlined for the model every scenario uses:
   :class:`~repro.net.latency.UniformLatency` becomes
   ``low + spread * rng.random()`` (bit-identical to ``rng.uniform`` --
-  CPython computes exactly ``a + (b - a) * random()``) and
-  :class:`~repro.net.latency.ConstantLatency` skips the call entirely (it
-  draws nothing); every other model goes through its ``sample`` hook;
+  CPython computes exactly ``a + (b - a) * random()``); every other model
+  goes through its ``sample`` hook;
 * fault hooks that provably draw no randomness *and* always answer "don't
   drop" are skipped: :class:`~repro.net.faults.NoFault` everywhere,
   :class:`~repro.net.faults.BroadcastOmissionFault` unicasts when
@@ -57,7 +56,7 @@ from repro.net.faults import (
     MessageDuplicationFault,
     NoFault,
 )
-from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
+from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.network import SimulatedNetwork
 from repro.sim.world import SimulationWorld
 
@@ -116,14 +115,11 @@ class FlatNetwork(SimulatedNetwork):
         latency = self._latency
         self._uniform_low: float | None = None
         self._uniform_spread = 0.0
-        self._constant_latency: float | None = None
-        # Exact type checks: a subclass could override sample(), so only the
-        # library's own models are inlined.
+        # Exact type check: a subclass could override sample(), so only the
+        # library's own model is inlined.
         if type(latency) is UniformLatency:
             self._uniform_low = latency.low_ms
             self._uniform_spread = latency.high_ms - latency.low_ms
-        elif type(latency) is ConstantLatency:
-            self._constant_latency = latency.latency_ms
         self._sample_latency = latency.sample
 
     def _configure_fault_fast_path(self) -> None:
@@ -200,8 +196,6 @@ class FlatNetwork(SimulatedNetwork):
         low = self._uniform_low
         if low is not None:
             latency = low + self._uniform_spread * self._rng_random()
-        elif self._constant_latency is not None:
-            latency = self._constant_latency
         else:
             latency = self._sample_latency(self._latency_rng, src, dst)
         time_ms = self._clock._now_ms + latency
@@ -218,8 +212,6 @@ class FlatNetwork(SimulatedNetwork):
             stats.duplicated += 1
             if low is not None:
                 latency = low + self._uniform_spread * self._rng_random()
-            elif self._constant_latency is not None:
-                latency = self._constant_latency
             else:
                 latency = self._sample_latency(self._latency_rng, src, dst)
             time_ms = self._clock._now_ms + latency
@@ -281,7 +273,6 @@ class FlatNetwork(SimulatedNetwork):
         rng_random = self._rng_random
         low = self._uniform_low
         spread = self._uniform_spread
-        constant = self._constant_latency
         sample = self._sample_latency
         latency_rng = self._latency_rng
         duplicator = self._duplicator
@@ -323,8 +314,6 @@ class FlatNetwork(SimulatedNetwork):
                     continue
                 if low is not None:
                     latency = low + spread * rng_random()
-                elif constant is not None:
-                    latency = constant
                 else:
                     latency = sample(latency_rng, src, dst)
                 time_ms = now + latency
@@ -338,8 +327,6 @@ class FlatNetwork(SimulatedNetwork):
                     stats.duplicated += 1
                     if low is not None:
                         latency = low + spread * rng_random()
-                    elif constant is not None:
-                        latency = constant
                     else:
                         latency = sample(latency_rng, src, dst)
                     time_ms = now + latency

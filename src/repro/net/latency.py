@@ -40,19 +40,6 @@ class LatencyModel(Protocol):
 
 
 @value_object
-class ConstantLatency:
-    """Every message takes exactly *latency_ms* milliseconds."""
-
-    latency_ms: Milliseconds = 100.0
-
-    def __post_init__(self) -> None:
-        require_non_negative(self.latency_ms, "latency_ms")
-
-    def sample(self, rng: random.Random, src: ServerId, dst: ServerId) -> Milliseconds:
-        return self.latency_ms
-
-
-@value_object
 class UniformLatency:
     """Latency drawn uniformly from ``[low_ms, high_ms]`` (the paper's
     setting is :data:`PAPER_LATENCY`)."""

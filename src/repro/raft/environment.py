@@ -10,8 +10,8 @@ through an :class:`Environment`:
 * emitting trace events.
 
 Two implementations exist: the simulator's
-:class:`repro.cluster.environment.SimNodeEnvironment` (one class for either
-engine) and the tests' hand-driven ``FakeEnvironment`` (``tests/helpers.py``).
+:class:`repro.cluster.environment.SimNodeEnvironment` and the tests'
+hand-driven ``FakeEnvironment`` (``tests/helpers.py``).
 """
 
 from __future__ import annotations

@@ -258,7 +258,6 @@ class RaftNode:
     #: every subclass).
     _decorate_is_default = True
     _grant_hook_is_default = True
-    _round_hook_is_default = True
 
     #: Whether the class adopts a configuration piggybacked on AppendEntries
     #: (``request.new_config``, ESCAPE's PPF).  The follower compares it with
@@ -275,9 +274,6 @@ class RaftNode:
         )
         cls._grant_hook_is_default = (
             cls._hook_may_grant_vote is RaftNode._hook_may_grant_vote
-        )
-        cls._round_hook_is_default = (
-            cls._hook_before_heartbeat_round is RaftNode._hook_before_heartbeat_round
         )
 
     def on_message(self, src: ServerId, message: RpcMessage) -> None:
@@ -390,14 +386,7 @@ class RaftNode:
 
     def _handle_request_vote(self, src: ServerId, request: RequestVoteRequest) -> None:
         if request.term < self.current_term:
-            # Memo inlined (see _make_vote_response): during an election storm
-            # the stale-term rejection runs once per lagging candidate.
-            memo = self._vote_response_memo
-            if memo is not None and memo[0] == self.current_term and memo[1] is False:
-                response = memo[2]
-            else:
-                response = self._make_vote_response(granted=False)
-            self.env.send(src, response)
+            self.env.send(src, self._make_vote_response(granted=False))
             return
         if request.term > self.current_term:
             self._observe_higher_term(request.term)
@@ -636,8 +625,7 @@ class RaftNode:
     def _send_heartbeats(self) -> None:
         if not self._running or self.role is not Role.LEADER:
             return
-        if not self._round_hook_is_default:
-            self._hook_before_heartbeat_round()
+        self._hook_before_heartbeat_round()
         self.env.broadcast(self._peer_ids, self._append_entries_factory())
         self._heartbeat_timer = self.env.set_timer(
             self.config.heartbeat_interval_ms, self._send_heartbeats, label="heartbeat"
@@ -687,25 +675,18 @@ class RaftNode:
         self._payload_table = (cache, stamp, payloads)
         build = self._build_append_entries
         next_index = progress.next_index
-        if self._decorate_is_default:
-
-            def factory(follower: ServerId) -> AppendEntriesRequest:
-                index = next_index(follower)
-                request = cache.get(index)
-                if request is None:
-                    request = cache[index] = build(index)
-                payloads[follower] = request
-                return request
-
-            return factory
-        decorate = self._hook_decorate_append_request
+        decorate = (
+            None if self._decorate_is_default else self._hook_decorate_append_request
+        )
 
         def factory(follower: ServerId) -> AppendEntriesRequest:
             index = next_index(follower)
             request = cache.get(index)
             if request is None:
                 request = cache[index] = build(index)
-            request = payloads[follower] = decorate(request, follower)
+            if decorate is not None:
+                request = decorate(request, follower)
+            payloads[follower] = request
             return request
 
         return factory

@@ -8,10 +8,27 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.common.config import ClusterConfig, ProtocolConfig, RaftTimeoutConfig, ScaParameters
+from repro.common.frozen import value_object
 from repro.common.types import Milliseconds, ServerId
+from repro.common.validation import require_non_negative
 from repro.obs.telemetry import TelemetrySnapshot
 
 from oracle import ENGINE_OWNED_METRICS
+
+
+@value_object
+class ConstantLatency:
+    """A latency model: every message takes exactly *latency_ms* milliseconds,
+    so a test can tell when each message arrives.  It draws nothing, so the
+    flat network reaches it through its generic ``sample`` path."""
+
+    latency_ms: Milliseconds = 100.0
+
+    def __post_init__(self) -> None:
+        require_non_negative(self.latency_ms, "latency_ms")
+
+    def sample(self, rng: random.Random, src: ServerId, dst: ServerId) -> Milliseconds:
+        return self.latency_ms
 
 
 @dataclass

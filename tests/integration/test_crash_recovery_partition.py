@@ -4,9 +4,10 @@ import pytest
 
 from repro.cluster import ElectionHarness, ElectionObserver, build_cluster
 from repro.escape.node import EscapeNode
-from repro.net.latency import ConstantLatency
 from repro.raft.state import Role
 from repro.statemachine.kvstore import PutCommand
+
+from helpers import ConstantLatency
 
 
 def build(protocol="escape", size=5, seed=1):

@@ -10,9 +10,10 @@ from repro.net.faults import (
     CompositeFault,
     MessageDuplicationFault,
 )
-from repro.net.latency import ConstantLatency
 from repro.raft.state import Role
 from repro.statemachine.kvstore import PutCommand
+
+from helpers import ConstantLatency
 
 
 def build(protocol="escape", size=5, seed=1, fault=None):

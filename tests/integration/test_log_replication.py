@@ -3,11 +3,10 @@
 import pytest
 
 from repro.cluster import ElectionHarness, ElectionObserver, build_cluster
-from repro.net.latency import ConstantLatency
 from repro.statemachine.kvstore import KeyValueStore, PutCommand
 from repro.workload import WorkloadDriver, legacy_interval
 
-from helpers import AppendRegister
+from helpers import AppendRegister, ConstantLatency
 
 
 def build(protocol="escape", size=5, seed=1, state_machine=None):

@@ -28,9 +28,9 @@ from repro.net.faults import (
     NoFault,
     PacketLossFault,
 )
-from repro.net.latency import ConstantLatency
 from repro.sim.world import SimulationWorld
 
+from helpers import ConstantLatency
 from oracle import ENGINES
 
 MEMBERS = (1, 2, 3, 4, 5)

@@ -59,19 +59,11 @@ PROGRAMS = st.lists(OPERATIONS, max_size=40)
 
 
 def _fresh_payload(node, follower):
-    """What the table-free factory would hand *follower* now.
-
-    ESCAPE's decorate hook keeps a per-follower memo; it is restored, so the
-    reference computation leaves the node exactly as it found it.
-    """
+    """What the table-free factory would hand *follower* now."""
     base = node._build_append_entries(node.progress.next_index(follower))
     if node._decorate_is_default:
         return base
-    memo = dict(node._decorated_requests)
-    try:
-        return node._hook_decorate_append_request(base, follower)
-    finally:
-        node._decorated_requests = memo
+    return node._hook_decorate_append_request(base, follower)
 
 
 class _CheckingEnvironment(FakeEnvironment):

@@ -7,7 +7,6 @@ from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
 from repro.common.errors import ClusterError, ConfigurationError
 from repro.escape.node import EscapeNode
-from repro.net.latency import ConstantLatency
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
 from repro.sim import engines
@@ -15,7 +14,7 @@ from repro.statemachine.kvstore import PutCommand
 from repro.workload import WorkloadDriver, legacy_interval
 from repro.zraft.node import ZRaftNode
 
-from helpers import bootstrap_by_hand
+from helpers import ConstantLatency, bootstrap_by_hand
 
 FAST_LATENCY = ConstantLatency(5.0)
 

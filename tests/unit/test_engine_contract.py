@@ -37,12 +37,13 @@ from repro.net.faults import (
     MessageDuplicationFault,
     PacketLossFault,
 )
-from repro.net.latency import ConstantLatency, UniformLatency
+from repro.net.latency import LogNormalLatency, UniformLatency
 from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse
 from repro.raft.node import RaftNode
 from repro.sim.flatcore import COMPACT_MIN_SIZE, FlatEventScheduler
 from repro.sim.world import SimulationWorld
 
+from helpers import ConstantLatency
 from oracle import CLASSIC, ENGINES
 
 
@@ -761,6 +762,15 @@ class TestBroadcastForms:
         "no targets": dict(targets=()),
         "unknown target": dict(targets=(2, 3, 99, 4)),
         "non-finite deadline": dict(latency=_UnreachableLatency(4)),
+        # Flat inlines only UniformLatency: these run its generic ``sample``
+        # path, original and duplicate.
+        "constant latency and duplication": dict(
+            latency=ConstantLatency(5.0), fault=MessageDuplicationFault(0.5)
+        ),
+        "log-normal latency and duplication": dict(
+            latency=LogNormalLatency(median_ms=6.0, sigma=0.5, max_ms=50.0),
+            fault=MessageDuplicationFault(0.5),
+        ),
     }
 
     def _program(

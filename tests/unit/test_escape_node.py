@@ -336,7 +336,7 @@ class TestPpfOnFollower:
         grown, after = env.sent_to(1)[-2:]
         assert (grown.match_index, grown.config_status.log_index) == (1, 1)
         assert (after.match_index, after.config_status.log_index) == (0, 1)
-        assert after.config_status is grown.config_status
+        assert after.config_status == grown.config_status
 
     def test_describe_mentions_configuration(self):
         node, _ = make_node(node_id=3, size=5)

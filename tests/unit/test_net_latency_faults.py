@@ -13,11 +13,12 @@ from repro.net.faults import (
     PacketLossFault,
 )
 from repro.net.latency import (
-    ConstantLatency,
     GeoGroupLatency,
     LogNormalLatency,
     UniformLatency,
 )
+
+from helpers import ConstantLatency
 
 
 class TestLatencyModels:

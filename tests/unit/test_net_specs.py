@@ -22,13 +22,14 @@ from repro.net.faults import (
     bind,
 )
 from repro.net.latency import (
-    ConstantLatency,
     GeoGroupLatency,
     GeoLatencySpec,
     LogNormalLatency,
     UniformLatency,
     assign_regions,
 )
+
+from helpers import ConstantLatency
 
 SERVERS = (1, 2, 3, 4, 5)
 

@@ -6,12 +6,13 @@ from repro.cluster.builder import build_cluster
 from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
 from repro.common.errors import ClusterError, SimulationError
-from repro.net.latency import ConstantLatency
 from repro.statemachine.kvstore import PutCommand
 from repro.workload import WorkloadDriver, WorkloadMeasurement, legacy_interval
 from repro.workload.aggregate import WorkloadAggregate
 from repro.workload.driver import VALUE_SIZE
 from repro.workload.specs import KeyspaceSpec, WorkloadSpec
+
+from helpers import ConstantLatency
 
 FAST_LATENCY = ConstantLatency(5.0)
 
