@@ -24,7 +24,7 @@ from repro.cluster.environment import SimNodeEnvironment
 from repro.net.faults import FaultInjector
 from repro.net.latency import LatencyModel
 from repro.net.network import SimulatedNetwork
-from repro.raft.listeners import NodeListener, NodeListenerBase
+from repro.raft.listeners import NodeListener, NodeListenerBase, listener_table
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
 from repro.sim.engines import EngineSpec
@@ -268,7 +268,8 @@ def build_cluster(
 
     nodes: dict[ServerId, RaftNode] = {}
     leader_tracker = _LeaderTracker(world.scheduler.interrupt)
-    shared_listeners = [leader_tracker, *listeners]
+    # Entered once for the whole cluster; each node copies the table.
+    shared_table = listener_table([leader_tracker, *listeners])
     for server_id in cluster_config.server_ids:
         env = SimNodeEnvironment(world, network, server_id)
         node = spec.build_node(
@@ -278,7 +279,7 @@ def build_cluster(
             store=InMemoryStore(),
             state_machine=KeyValueStore(),
             protocol_config=config,
-            listeners=shared_listeners,
+            listeners=shared_table,
             timeout_script=timeout_script,
         )
         network.register(server_id, node.on_message)

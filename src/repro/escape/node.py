@@ -51,7 +51,7 @@ from repro.escape.messages import (
 from repro.escape.ppf import ProbingPatrol
 from repro.escape.sca import joining_configuration
 from repro.raft.environment import Environment
-from repro.raft.listeners import NodeListener
+from repro.raft.listeners import ListenerTable, NodeListener
 from repro.raft.messages import (
     AppendEntriesRequest,
     AppendEntriesResponse,
@@ -74,6 +74,8 @@ class EscapeNode(RaftNode):
             priority = server id).
     """
 
+    __slots__ = ("configuration", "patrol", "configuration_updates")
+
     protocol_name = "escape"
     _adopts_piggyback = True
 
@@ -85,7 +87,7 @@ class EscapeNode(RaftNode):
         store: PersistentState | None = None,
         state_machine: StateMachine | None = None,
         protocol_config: ProtocolConfig | None = None,
-        listeners: Iterable[NodeListener] = (),
+        listeners: Iterable[NodeListener] | ListenerTable = (),
         initial_configuration: Configuration | None = None,
         timeout_script: tuple[Milliseconds, ...] = (),
     ) -> None:
@@ -266,6 +268,8 @@ class EscapeNoPpfNode(EscapeNode):
     configuration, follower replies still report their (static)
     ``configStatus``, and the leader keeps no reply records.
     """
+
+    __slots__ = ()
 
     protocol_name = "escape-noppf"
 

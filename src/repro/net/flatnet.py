@@ -26,6 +26,10 @@ and replaces the hot send/broadcast/delivery paths:
   :attr:`~repro.net.partition.PartitionManager.cell_map` dict, held once at
   construction and tested with ``if cells and cells[src] != cells[dst]``
   per message instead of a ``can_communicate`` call;
+* the drop tests (disconnected, unicast fault, partition) run only while
+  ``_impaired`` or that dict is set; ``_impaired`` is recomputed where its
+  inputs change (``disconnect``, ``reconnect``, ``set_fault``), so a message
+  on a healthy network pays two attribute tests for all three;
 * a send is counted by one increment of
   :attr:`~repro.net.network.NetworkStats.sent_by_class` (keyed by the
   payload's class, no name lookup), and a broadcast of one message for every
@@ -137,11 +141,28 @@ class FlatNetwork(SimulatedNetwork):
             fault_type is NoFault or fault_type is MessageDuplicationFault
         )
         self._duplicator = getattr(fault, "should_duplicate", None)
+        self._refresh_impaired()
+
+    def _refresh_impaired(self) -> None:
+        # Partitions stay out of the flag: the manager changes its cell map
+        # in place and has no link back to this network (one would be a
+        # reference cycle), so the hot paths test the map beside the flag.
+        self._impaired = bool(self._disconnected) or not self._skip_unicast_fault
 
     def set_fault(self, fault: FaultInjector) -> None:
         """Replace the fault injector and recompute its fast-path flags."""
         super().set_fault(fault)
         self._configure_fault_fast_path()
+
+    def disconnect(self, server_id: ServerId) -> None:
+        """As :meth:`SimulatedNetwork.disconnect`; the drop tests now run."""
+        super().disconnect(server_id)
+        self._refresh_impaired()
+
+    def reconnect(self, server_id: ServerId) -> None:
+        """As :meth:`SimulatedNetwork.reconnect`."""
+        super().reconnect(server_id)
+        self._refresh_impaired()
 
     def register(self, server_id: ServerId, handler: Callable[..., None]) -> None:
         """As :meth:`SimulatedNetwork.register`.  A bound method marked
@@ -174,25 +195,26 @@ class FlatNetwork(SimulatedNetwork):
             sent[cls] += 1
         except KeyError:
             sent[cls] = 1
-        stats = self._stats
-        if src in self._disconnected:
-            stats.dropped_disconnected += 1
-            if self._trace_on:
-                self._world.trace("net.drop", node=src, dst=dst, reason="disconnected")
-            return None
-        if not self._skip_unicast_fault and self._fault.drop_unicast(
-            self._fault_rng, src, dst
-        ):
-            stats.dropped_by_fault += 1
-            if self._trace_on:
-                self._world.trace("net.drop", node=src, dst=dst, reason="fault")
-            return None
-        cells = self._cells
-        if cells and cells[src] != cells[dst]:
-            stats.dropped_by_partition += 1
-            if self._trace_on:
-                self._world.trace("net.drop", node=src, dst=dst, reason="partition")
-            return None
+        if self._impaired or self._cells:
+            stats = self._stats
+            if src in self._disconnected:
+                stats.dropped_disconnected += 1
+                if self._trace_on:
+                    self._world.trace("net.drop", node=src, dst=dst, reason="disconnected")
+                return None
+            if not self._skip_unicast_fault and self._fault.drop_unicast(
+                self._fault_rng, src, dst
+            ):
+                stats.dropped_by_fault += 1
+                if self._trace_on:
+                    self._world.trace("net.drop", node=src, dst=dst, reason="fault")
+                return None
+            cells = self._cells
+            if cells and cells[src] != cells[dst]:
+                stats.dropped_by_partition += 1
+                if self._trace_on:
+                    self._world.trace("net.drop", node=src, dst=dst, reason="partition")
+                return None
         low = self._uniform_low
         if low is not None:
             latency = low + self._uniform_spread * self._rng_random()
@@ -209,7 +231,7 @@ class FlatNetwork(SimulatedNetwork):
         heappush(self._heap, [time_ms, seq, self._deliver_fast, (src, dst, payload)])
         duplicator = self._duplicator
         if duplicator is not None and duplicator(self._fault_rng, src, dst):
-            stats.duplicated += 1
+            self._stats.duplicated += 1
             if low is not None:
                 latency = low + self._uniform_spread * self._rng_random()
             else:
@@ -353,23 +375,24 @@ class FlatNetwork(SimulatedNetwork):
     # ------------------------------------------------------------------ #
     def _deliver_fast(self, item: tuple[ServerId, ServerId, Any]) -> None:
         src, dst, payload = item
-        if dst in self._disconnected:
-            self._stats.dropped_disconnected += 1
-            self._stats.dropped_in_flight += 1
-            if self._trace_on:
-                self._world.trace(
-                    "net.drop", node=src, dst=dst, reason="disconnected", in_flight=True
-                )
-            return
-        cells = self._cells
-        if cells and cells[src] != cells[dst]:
-            self._stats.dropped_by_partition += 1
-            self._stats.dropped_in_flight += 1
-            if self._trace_on:
-                self._world.trace(
-                    "net.drop", node=src, dst=dst, reason="partition", in_flight=True
-                )
-            return
+        if self._impaired or self._cells:
+            if dst in self._disconnected:
+                self._stats.dropped_disconnected += 1
+                self._stats.dropped_in_flight += 1
+                if self._trace_on:
+                    self._world.trace(
+                        "net.drop", node=src, dst=dst, reason="disconnected", in_flight=True
+                    )
+                return
+            cells = self._cells
+            if cells and cells[src] != cells[dst]:
+                self._stats.dropped_by_partition += 1
+                self._stats.dropped_in_flight += 1
+                if self._trace_on:
+                    self._world.trace(
+                        "net.drop", node=src, dst=dst, reason="partition", in_flight=True
+                    )
+                return
         node = self._node_for(dst)
         if node is None:
             handler = self._handler_for(dst)

@@ -72,6 +72,8 @@ def validated(*protocol_names: str) -> tuple[str, ...]:
 class FixedTimeoutRaftNode(RaftNode):
     """``raft-fixed``: every server waits the midpoint of the Raft range."""
 
+    __slots__ = ()
+
     protocol_name = "raft-fixed"
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -87,6 +89,8 @@ class StaggeredTimeoutRaftNode(RaftNode):
     the shortest timeout) but keeps Raft's term rule, so campaigns never
     collide yet terms still grow by one per campaign.
     """
+
+    __slots__ = ()
 
     protocol_name = "raft-stagger"
 

@@ -19,7 +19,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.frozen import value_object
 from repro.common.types import Milliseconds, ServerId
 from repro.raft.environment import Environment
-from repro.raft.listeners import NodeListener
+from repro.raft.listeners import ListenerTable, NodeListener
 from repro.raft.node import RaftNode
 from repro.statemachine.base import StateMachine
 from repro.storage.persistent import PersistentState
@@ -70,7 +70,7 @@ class ProtocolSpec:
         store: PersistentState | None = None,
         state_machine: StateMachine | None = None,
         protocol_config: ProtocolConfig | None = None,
-        listeners: Iterable[NodeListener] = (),
+        listeners: Iterable[NodeListener] | ListenerTable = (),
         timeout_script: tuple[Milliseconds, ...] = (),
     ) -> RaftNode:
         """Construct one node of this protocol.

@@ -11,7 +11,7 @@ A node calls, per event, only the listeners :func:`enter_listener` found to list
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 from repro.common.types import LogIndex, Milliseconds, ServerId, Term
 from repro.raft.state import Role
@@ -123,14 +123,21 @@ class NodeListenerBase:
 _NOOPS = tuple(
     (name, noop) for name, noop in vars(NodeListenerBase).items() if name[:3] == "on_"
 )
+_EVENTS = tuple(name for name, _ in _NOOPS)
+
+#: Per event, the bound methods to call.
+ListenerTable = dict[str, tuple[Callable[..., Any], ...]]
 
 
-def listener_table() -> dict[str, tuple[Callable[..., Any], ...]]:
-    """An empty listener table: per event, the bound methods to call."""
-    return {event: () for event, _ in _NOOPS}
+def listener_table(listeners: Iterable[NodeListener] = ()) -> ListenerTable:
+    """A listener table with each of *listeners* entered (empty by default)."""
+    table = dict.fromkeys(_EVENTS, ())
+    for listener in listeners:
+        enter_listener(table, listener)
+    return table
 
 
-def enter_listener(table: dict[str, tuple], listener: NodeListener) -> None:
+def enter_listener(table: ListenerTable, listener: NodeListener) -> None:
     """Enter *listener* under every event it listens to: those its class does
     not leave at :class:`NodeListenerBase`'s no-op (so a listener that does not
     derive from the base is told everything)."""

@@ -24,7 +24,12 @@ from repro.common.types import LogIndex, Milliseconds, ServerId, Term
 from repro.common.validation import require_positive
 from repro.raft.election import VoteTally
 from repro.raft.environment import Environment, TimerHandle
-from repro.raft.listeners import NodeListener, enter_listener, listener_table
+from repro.raft.listeners import (
+    ListenerTable,
+    NodeListener,
+    enter_listener,
+    listener_table,
+)
 from repro.raft.messages import (
     AppendEntriesRequest,
     AppendEntriesResponse,
@@ -50,13 +55,61 @@ class RaftNode:
         state_machine: the replicated state machine (defaults to a
             :class:`~repro.statemachine.kvstore.KeyValueStore`).
         protocol_config: heartbeat interval and related timing knobs.
-        listeners: observers notified of protocol events.
+        listeners: observers notified of protocol events, or a table
+            :func:`~repro.raft.listeners.listener_table` entered them into
+            (the cluster builder enters its shared listeners once per build).
         timeout_script: the first waits after losing the leader, in order
             (each positive).  Wait *i* is ``timeout_script[i]`` while the
             script lasts; after it the protocol's own timeout applies again.
             The Figure 10 harness gives every node the same script to force
             competing candidates.
+
+    Every instance field is a slot, so each handler's ``self.*`` reads take a
+    fixed offset rather than a dict lookup (see ``docs/design-notes.md``), and
+    assigning a misspelled field raises.  A subclass that adds state declares
+    its own ``__slots__`` (``()`` when it adds none); one without them gets
+    an instance dict again, which works but drops the fixed layout.
     """
+
+    __slots__ = (
+        "timeout_script",
+        "node_id",
+        "cluster",
+        "env",
+        "config",
+        "store",
+        "state_machine",
+        "_timeout_low",
+        "_timeout_span",
+        "_own_timeout_ms",
+        "_listening",
+        "current_term",
+        "voted_for",
+        "log",
+        "role",
+        "leader_id",
+        "commit_index",
+        "last_applied",
+        "quorum_size",
+        "votes",
+        "progress",
+        "_election_timer",
+        "_heartbeat_timer",
+        "_vote_retry_timer",
+        "_timeout_attempt",
+        "_running",
+        "first_election_wait_ms",
+        "stats",
+        "_peer_ids",
+        "_trace_on",
+        "_reply_records",
+        "_reply_token",
+        "_append_response_memo",
+        "_append_request_cache_key",
+        "_append_request_cache",
+        "_payload_table",
+        "_vote_response_memo",
+    )
 
     protocol_name = "raft"
 
@@ -68,7 +121,7 @@ class RaftNode:
         store: PersistentState | None = None,
         state_machine: StateMachine | None = None,
         protocol_config: ProtocolConfig | None = None,
-        listeners: Iterable[NodeListener] = (),
+        listeners: Iterable[NodeListener] | ListenerTable = (),
         timeout_script: tuple[Milliseconds, ...] = (),
     ) -> None:
         if node_id not in cluster:
@@ -90,9 +143,11 @@ class RaftNode:
         # own timeouts (and keeps this current); None draws each wait from
         # Raft's range.
         self._own_timeout_ms: Milliseconds | None = None
-        self._listening = listener_table()
-        for listener in listeners:
-            enter_listener(self._listening, listener)
+        # A table is the cluster builder's, entered once for every node; the
+        # node keeps its own copy because add_listener changes it in place.
+        self._listening = (
+            listeners.copy() if type(listeners) is dict else listener_table(listeners)
+        )
 
         # Persistent state (reloaded from the store so a recovered node keeps
         # its promises).

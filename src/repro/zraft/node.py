@@ -22,6 +22,8 @@ from repro.raft.node import RaftNode
 class ZRaftNode(EscapeNode):
     """A server running Raft with ZooKeeper-style static priorities."""
 
+    __slots__ = ()
+
     protocol_name = "zraft"
 
     # ------------------------------------------------------------------ #

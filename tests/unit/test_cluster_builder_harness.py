@@ -7,6 +7,7 @@ from repro.cluster.harness import ElectionHarness
 from repro.cluster.observers import ElectionObserver
 from repro.common.errors import ClusterError, ConfigurationError
 from repro.escape.node import EscapeNode
+from repro.raft.listeners import NodeListenerBase
 from repro.raft.node import RaftNode
 from repro.raft.state import Role
 from repro.sim import engines
@@ -62,6 +63,76 @@ class TestBuilder:
         cluster, _ = build(size=3)
         description = cluster.describe()
         assert description.count("S") >= 3
+
+
+EVENTS = tuple(name for name in vars(NodeListenerBase) if name.startswith("on_"))
+
+
+def _entered(node, listener):
+    """The events *node* notifies *listener* of."""
+    return {
+        event
+        for event, calls in node._listening.items()
+        if any(getattr(call, "__self__", None) is listener for call in calls)
+    }
+
+
+class _Recorder(NodeListenerBase):
+    """Records who notified it: the first argument of every hook it overrides."""
+
+    def __init__(self):
+        self.notifiers = []
+
+    def on_vote_granted(self, voter_id, candidate_id, term, time_ms):
+        self.notifiers.append(voter_id)
+
+    def on_leader_elected(self, leader_id, term, votes, time_ms):
+        self.notifiers.append(leader_id)
+
+
+#: A listener that does not derive from NodeListenerBase: one method per hook.
+_Duck = type("_Duck", (), dict.fromkeys(EVENTS, lambda self, *args: None))
+
+
+class TestSharedListeners:
+    """The builder enters its shared listeners once and hands every node its
+    own copy of that table."""
+
+    def test_a_listener_is_entered_under_what_it_overrides_on_every_node(self):
+        recorder = _Recorder()
+        cluster = build_cluster("escape", 5, listeners=(recorder,))
+        nodes = cluster.nodes.values()
+        assert all(
+            _entered(node, recorder) == {"on_vote_granted", "on_leader_elected"}
+            for node in nodes
+        )
+        assert len({id(node._listening) for node in nodes}) == len(nodes)
+
+    def test_a_duck_typed_listener_is_entered_under_every_event(self):
+        duck = _Duck()
+        cluster = build_cluster("raft", 5, listeners=(duck,))
+        assert all(_entered(node, duck) == set(EVENTS) for node in cluster.nodes.values())
+
+    def test_add_listener_on_one_node_reaches_none_of_its_peers(self):
+        late, observer = _Recorder(), ElectionObserver()
+        cluster = build_cluster("escape", 5, seed=3, listeners=(observer,))
+        cluster.node(1).add_listener(late)
+        harness = ElectionHarness(cluster, observer)
+        cluster.start_all()
+        harness.stabilize()
+        assert late.notifiers and set(late.notifiers) == {1}
+        assert [i for i, node in cluster.nodes.items() if _entered(node, late)] == [1]
+
+    def test_remove_listeners_on_one_node_leaves_the_others_notified(self):
+        recorder, observer = _Recorder(), ElectionObserver()
+        cluster = build_cluster("escape", 5, seed=3, listeners=(recorder, observer))
+        cluster.node(1).remove_listeners()  # the lowest priority: never leads
+        harness = ElectionHarness(cluster, observer)
+        cluster.start_all()
+        harness.stabilize()
+        harness.crash_leader_and_measure()
+        assert 1 not in recorder.notifiers
+        assert len(set(recorder.notifiers)) >= 3
 
 
 class TestLeadershipLifecycle:
