@@ -26,7 +26,7 @@ from repro.net.latency import LatencyModel
 from repro.net.network import SimulatedNetwork
 from repro.raft.listeners import NodeListener, NodeListenerBase, listener_table
 from repro.raft.node import RaftNode
-from repro.raft.state import Role
+from repro.raft.state import LEADER
 from repro.sim.engines import EngineSpec
 from repro.sim.world import SimulationWorld
 from repro.statemachine.kvstore import KeyValueStore
@@ -60,10 +60,10 @@ class _LeaderTracker(NodeListenerBase):
         self._interrupt = interrupt
 
     def on_role_change(self, node_id, old_role, new_role, term, time_ms) -> None:
-        if new_role is Role.LEADER:
+        if new_role is LEADER:
             self.leader_ids.add(node_id)
             self._interrupt()
-        elif old_role is Role.LEADER:
+        elif old_role is LEADER:
             self.evict(node_id)
 
     def evict(self, node_id: ServerId) -> None:

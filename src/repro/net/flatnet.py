@@ -96,19 +96,18 @@ class FlatNetwork(SimulatedNetwork):
         # the scheduler's lifetime.
         self._heap: list[list] = scheduler._heap
         self._clock = world.clock
+        # Held for the broadcast loop, which calls it from a local; a unicast
+        # calls ``self._latency_rng.random()``, a load CPython 3.11 specializes.
         self._rng_random = self._latency_rng.random
         # Identity-stable: PartitionManager mutates this dict on
         # partition()/heal(); empty means no partition installed.
         self._cells = self._partitions.cell_map
         # stats is assigned exactly once (in SimulatedNetwork.__init__), and
-        # its sent_by_class and _handlers (by register()) are only ever
-        # mutated in place, so these aliases stay valid for the network's
-        # lifetime.
+        # its sent_by_class is only ever mutated in place, so these aliases
+        # stay valid for the network's lifetime.
         self._stats = self.stats
         self._sent_by_class = self.stats.sent_by_class
-        self._handler_for = self._handlers.get
         self._nodes: dict[ServerId, Any] = {}  # see register()
-        self._node_for = self._nodes.get
         self._configure_latency_fast_path()
         self._configure_fault_fast_path()
 
@@ -217,7 +216,7 @@ class FlatNetwork(SimulatedNetwork):
                 return None
         low = self._uniform_low
         if low is not None:
-            latency = low + self._uniform_spread * self._rng_random()
+            latency = low + self._uniform_spread * self._latency_rng.random()
         else:
             latency = self._sample_latency(self._latency_rng, src, dst)
         time_ms = self._clock._now_ms + latency
@@ -233,7 +232,7 @@ class FlatNetwork(SimulatedNetwork):
         if duplicator is not None and duplicator(self._fault_rng, src, dst):
             self._stats.duplicated += 1
             if low is not None:
-                latency = low + self._uniform_spread * self._rng_random()
+                latency = low + self._uniform_spread * self._latency_rng.random()
             else:
                 latency = self._sample_latency(self._latency_rng, src, dst)
             time_ms = self._clock._now_ms + latency
@@ -393,16 +392,16 @@ class FlatNetwork(SimulatedNetwork):
                         "net.drop", node=src, dst=dst, reason="partition", in_flight=True
                     )
                 return
-        node = self._node_for(dst)
+        node = self._nodes.get(dst)
         if node is None:
-            handler = self._handler_for(dst)
+            handler = self._handlers.get(dst)
             if handler is None:
                 raise NetworkError(f"no handler registered for S{dst}")
             self._stats.delivered += 1
             return handler(src, payload)
         self._stats.delivered += 1  # then node.on_message, minus its frame
         if node._running:
-            typed = node._message_handlers.get(type(payload))
+            typed = node._typed_handlers.get(type(payload))
             if typed is not None:
                 return typed(node, src, payload)
             node.on_message(src, payload)  # first of its type: resolves it

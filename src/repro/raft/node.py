@@ -38,7 +38,14 @@ from repro.raft.messages import (
     RpcMessage,
 )
 from repro.raft.replication import ReplicationProgress
-from repro.raft.state import Role, is_valid_transition
+from repro.raft.state import (
+    ALLOWED_TRANSITIONS,
+    CANDIDATE,
+    FOLLOWER,
+    LEADER,
+    Role,
+    is_valid_transition,
+)
 from repro.statemachine.base import StateMachine
 from repro.statemachine.kvstore import KeyValueStore
 from repro.storage.persistent import InMemoryStore, PersistentState
@@ -109,6 +116,10 @@ class RaftNode:
         "_append_request_cache",
         "_payload_table",
         "_vote_response_memo",
+        "_typed_handlers",
+        "_adopts",
+        "_grant_default",
+        "_decorate_default",
     )
 
     protocol_name = "raft"
@@ -156,7 +167,7 @@ class RaftNode:
         self.log = self.store.load_log()
 
         # Volatile state.
-        self.role: Role = Role.FOLLOWER
+        self.role: Role = FOLLOWER
         self.leader_id: ServerId | None = None
         self.commit_index: LogIndex = 0
         self.last_applied: LogIndex = 0
@@ -198,6 +209,15 @@ class RaftNode:
         # AppendEntries broadcast (see _append_entries_factory).
         self._payload_table: tuple | None = None
         self._vote_response_memo: tuple[Term, bool, RequestVoteResponse] | None = None
+        # The class flags the message path reads, copied from the node's own
+        # class: on CPython 3.11 a class attribute read through a slotted
+        # instance is never specialized, a slot read is.  The handler memo is
+        # the class's dict itself, so a type resolved by one node serves all.
+        cls = type(self)
+        self._typed_handlers = cls._message_handlers
+        self._adopts: bool = cls._adopts_piggyback
+        self._grant_default: bool = cls._grant_hook_is_default
+        self._decorate_default: bool = cls._decorate_is_default
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -225,7 +245,7 @@ class RaftNode:
         if self._running:
             raise ProtocolError(f"S{self.node_id} is already running")
         self._running = True
-        self.role = Role.FOLLOWER
+        self.role = FOLLOWER
         self.leader_id = None
         self._timeout_attempt = 0
         if self._trace_on:
@@ -265,7 +285,7 @@ class RaftNode:
         self.voted_for = self.store.load_voted_for()
         self.log = self.store.load_log()
         self.commit_index = min(self.commit_index, self.log.last_index)
-        self.role = Role.FOLLOWER
+        self.role = FOLLOWER
         self.leader_id = None
         self.progress = None
         self._timeout_attempt = 0
@@ -286,7 +306,7 @@ class RaftNode:
         Raises:
             NotLeaderError: if this node is not currently the leader.
         """
-        if self.role is not Role.LEADER:
+        if self.role is not LEADER:
             raise NotLeaderError(self.node_id, self.leader_id)
         entry = self.log.append_command(self.current_term, command)
         self.store.save_log(self.log)
@@ -310,7 +330,9 @@ class RaftNode:
 
     #: Per-class facts that let the hot paths skip a hook the class left at
     #: RaftNode's no-op (set here for RaftNode, in ``__init_subclass__`` for
-    #: every subclass).
+    #: every subclass).  These flags and ``_message_handlers`` are read per
+    #: message from the copies ``__init__`` makes, so a class sets them in its
+    #: body; nothing reads a value set on a live node.
     _decorate_is_default = True
     _grant_hook_is_default = True
 
@@ -335,13 +357,13 @@ class RaftNode:
         """Entry point for every message delivered to this node."""
         if not self._running:
             return
-        handler = self._message_handlers.get(type(message))
+        handler = self._typed_handlers.get(type(message))
         if handler is None:
             handler = self._resolve_message_handler(message)
         handler(self, src, message)
 
     #: A promise to the transport (the flat network uses it): this is exactly
-    #: "if running, ``_message_handlers[type(message)]``, resolved on first
+    #: "if running, ``_typed_handlers[type(message)]``, resolved on first
     #: sight", so the lookup may be done without the frame.  An override does
     #: not carry the mark.
     on_message.dispatches_by_type = True
@@ -369,7 +391,7 @@ class RaftNode:
     # Leader election: timeouts and campaigns
     # ------------------------------------------------------------------ #
     def _on_election_timeout(self) -> None:
-        if not self._running or self.role is Role.LEADER:
+        if not self._running or self.role is LEADER:
             return
         attempt = self._timeout_attempt
         self._timeout_attempt += 1
@@ -390,7 +412,7 @@ class RaftNode:
         self.current_term = new_term
         self.voted_for = self.node_id
         self.store.save_term_and_vote(self.current_term, self.voted_for)
-        self._change_role(Role.CANDIDATE)
+        self._change_role(CANDIDATE)
         self.leader_id = None
         self.votes.start_campaign(new_term)
         self.votes.record_vote(new_term, self.node_id)
@@ -428,7 +450,7 @@ class RaftNode:
         the term anyway.  Once every peer has answered, the timer is not
         re-armed; the next campaign arms it again.
         """
-        if not self._running or self.role is not Role.CANDIDATE:
+        if not self._running or self.role is not CANDIDATE:
             return
         pending = self.votes.silent(self._peer_ids)
         if pending:
@@ -455,9 +477,9 @@ class RaftNode:
             log_ok = self.log.candidate_is_acceptable(
                 request.last_log_term, request.last_log_index
             )
-            extra_ok = self._grant_hook_is_default or self._hook_may_grant_vote(request)
+            extra_ok = self._grant_default or self._hook_may_grant_vote(request)
             granted = (
-                log_ok and not_yet_voted and extra_ok and self.role is not Role.LEADER
+                log_ok and not_yet_voted and extra_ok and self.role is not LEADER
             )
         else:
             granted = False
@@ -512,7 +534,7 @@ class RaftNode:
         if response.term > self.current_term:
             self._observe_higher_term(response.term)
             return
-        if self.role is not Role.CANDIDATE or response.term != self.current_term:
+        if self.role is not CANDIDATE or response.term != self.current_term:
             return
         if not response.vote_granted:
             # Recorded so that the vote retry does not ask this voter again.
@@ -532,15 +554,15 @@ class RaftNode:
         if request.term > self.current_term:
             self._observe_higher_term(request.term)
         # Same term: a candidate that sees a legitimate leader steps down.
-        if self.role is not Role.FOLLOWER:
-            self._change_role(Role.FOLLOWER)
+        if self.role is not FOLLOWER:
+            self._change_role(FOLLOWER)
         self.leader_id = request.leader_id
         self._timeout_attempt = 0
         # A configuration carried by this heartbeat (ESCAPE's PPF piggyback)
         # is adopted before the timer reset, so that it sets the very next
         # election-timeout wait.  An idle round carries the object the node
         # already holds, so it makes no call.
-        if self._adopts_piggyback:
+        if self._adopts:
             piggyback = getattr(request, "new_config", None)
             if piggyback is not self._reply_token and piggyback is not None:
                 self._adopt_configuration(piggyback)
@@ -596,7 +618,7 @@ class RaftNode:
         if response.term > self.current_term:
             self._observe_higher_term(response.term)
             return
-        if self.role is not Role.LEADER or response.term != self.current_term:
+        if self.role is not LEADER or response.term != self.current_term:
             return
         assert self.progress is not None
         records = self._reply_records
@@ -624,7 +646,7 @@ class RaftNode:
     # Role transitions
     # ------------------------------------------------------------------ #
     def _become_leader(self) -> None:
-        self._change_role(Role.LEADER)
+        self._change_role(LEADER)
         self.leader_id = self.node_id
         self._timeout_attempt = 0
         self._cancel_election_timer()
@@ -644,8 +666,8 @@ class RaftNode:
         self.current_term = term
         self.voted_for = None
         self.store.save_term_and_vote(self.current_term, self.voted_for)
-        if self.role is not Role.FOLLOWER:
-            self._change_role(Role.FOLLOWER)
+        if self.role is not FOLLOWER:
+            self._change_role(FOLLOWER)
             self.leader_id = None
             self._reset_election_timer()
         self._hook_on_term_adopted(term)
@@ -655,16 +677,20 @@ class RaftNode:
         if old_role is new_role:
             return
         if not is_valid_transition(old_role, new_role):
+            allowed = sorted(
+                str(after) for before, after in ALLOWED_TRANSITIONS if before is old_role
+            )
             raise ProtocolError(
                 f"S{self.node_id}: invalid role transition {old_role} -> {new_role}"
+                f" (a {old_role} may become {' or '.join(allowed)})"
             )
         self.role = new_role
-        if old_role is Role.CANDIDATE:
+        if old_role is CANDIDATE:
             self._cancel_vote_retry_timer()
-        if old_role is Role.LEADER:
+        if old_role is LEADER:
             self._cancel_heartbeat_timer()
             self.progress = None
-        if new_role is not Role.LEADER and self._election_timer is None and self._running:
+        if new_role is not LEADER and self._election_timer is None and self._running:
             self._reset_election_timer()
         if self._trace_on:
             self.env.trace(
@@ -678,7 +704,7 @@ class RaftNode:
     # Leader: heartbeats and replication
     # ------------------------------------------------------------------ #
     def _send_heartbeats(self) -> None:
-        if not self._running or self.role is not Role.LEADER:
+        if not self._running or self.role is not LEADER:
             return
         self._hook_before_heartbeat_round()
         self.env.broadcast(self._peer_ids, self._append_entries_factory())
@@ -688,7 +714,7 @@ class RaftNode:
 
     def _replicate_to_followers(self) -> None:
         """Push fresh entries immediately (without waiting for the heartbeat)."""
-        if self.role is not Role.LEADER:
+        if self.role is not LEADER:
             return
         self.env.broadcast(self._peer_ids, self._append_entries_factory())
 
@@ -731,7 +757,7 @@ class RaftNode:
         build = self._build_append_entries
         next_index = progress.next_index
         decorate = (
-            None if self._decorate_is_default else self._hook_decorate_append_request
+            None if self._decorate_default else self._hook_decorate_append_request
         )
 
         def factory(follower: ServerId) -> AppendEntriesRequest:

@@ -21,20 +21,35 @@ class Role(enum.Enum):
         return self.value
 
 
+# The members as module constants, for code that runs per message: on
+# CPython 3.11 ``Role.LEADER`` goes through ``EnumType.__getattr__`` and is
+# never specialized, while a module global is (docs/design-notes.md).
+FOLLOWER = Role.FOLLOWER
+CANDIDATE = Role.CANDIDATE
+LEADER = Role.LEADER
+
 # The transitions permitted by the protocol.  ``LEADER -> CANDIDATE`` is absent
 # on purpose: a deposed leader always steps down to follower first.
 ALLOWED_TRANSITIONS: frozenset[tuple[Role, Role]] = frozenset(
     {
-        (Role.FOLLOWER, Role.CANDIDATE),
-        (Role.CANDIDATE, Role.CANDIDATE),  # new campaign after a failed one
-        (Role.CANDIDATE, Role.LEADER),
-        (Role.CANDIDATE, Role.FOLLOWER),
-        (Role.LEADER, Role.FOLLOWER),
-        (Role.FOLLOWER, Role.FOLLOWER),  # term updates while staying follower
+        (FOLLOWER, CANDIDATE),
+        (CANDIDATE, CANDIDATE),  # new campaign after a failed one
+        (CANDIDATE, LEADER),
+        (CANDIDATE, FOLLOWER),
+        (LEADER, FOLLOWER),
+        (FOLLOWER, FOLLOWER),  # term updates while staying follower
     }
 )
 
 
 def is_valid_transition(old: Role, new: Role) -> bool:
-    """Whether the protocol permits moving from *old* to *new*."""
-    return (old, new) in ALLOWED_TRANSITIONS
+    """Whether the protocol permits moving from *old* to *new*.
+
+    :data:`ALLOWED_TRANSITIONS` as identity tests: looking a pair up in the
+    set would hash it, and ``Role.__hash__`` is a Python function.
+    """
+    if new is LEADER:
+        return old is CANDIDATE
+    if new is CANDIDATE:
+        return old is not LEADER
+    return True
