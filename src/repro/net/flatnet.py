@@ -96,9 +96,6 @@ class FlatNetwork(SimulatedNetwork):
         # the scheduler's lifetime.
         self._heap: list[list] = scheduler._heap
         self._clock = world.clock
-        # Held for the broadcast loop, which calls it from a local; a unicast
-        # calls ``self._latency_rng.random()``, a load CPython 3.11 specializes.
-        self._rng_random = self._latency_rng.random
         # Identity-stable: PartitionManager mutates this dict on
         # partition()/heal(); empty means no partition installed.
         self._cells = self._partitions.cell_map
@@ -291,11 +288,11 @@ class FlatNetwork(SimulatedNetwork):
                 self._fault_rng, src, list(targets)
             )
         cells = self._cells
-        rng_random = self._rng_random
         low = self._uniform_low
         spread = self._uniform_spread
         sample = self._sample_latency
         latency_rng = self._latency_rng
+        rng_random = latency_rng.random
         duplicator = self._duplicator
         fault_rng = self._fault_rng
         deliver = self._deliver_fast

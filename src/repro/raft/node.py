@@ -38,14 +38,7 @@ from repro.raft.messages import (
     RpcMessage,
 )
 from repro.raft.replication import ReplicationProgress
-from repro.raft.state import (
-    ALLOWED_TRANSITIONS,
-    CANDIDATE,
-    FOLLOWER,
-    LEADER,
-    Role,
-    is_valid_transition,
-)
+from repro.raft.state import CANDIDATE, FOLLOWER, LEADER, Role, is_valid_transition
 from repro.statemachine.base import StateMachine
 from repro.statemachine.kvstore import KeyValueStore
 from repro.storage.persistent import InMemoryStore, PersistentState
@@ -117,9 +110,6 @@ class RaftNode:
         "_payload_table",
         "_vote_response_memo",
         "_typed_handlers",
-        "_adopts",
-        "_grant_default",
-        "_decorate_default",
     )
 
     protocol_name = "raft"
@@ -209,15 +199,11 @@ class RaftNode:
         # AppendEntries broadcast (see _append_entries_factory).
         self._payload_table: tuple | None = None
         self._vote_response_memo: tuple[Term, bool, RequestVoteResponse] | None = None
-        # The class flags the message path reads, copied from the node's own
-        # class: on CPython 3.11 a class attribute read through a slotted
-        # instance is never specialized, a slot read is.  The handler memo is
-        # the class's dict itself, so a type resolved by one node serves all.
-        cls = type(self)
-        self._typed_handlers = cls._message_handlers
-        self._adopts: bool = cls._adopts_piggyback
-        self._grant_default: bool = cls._grant_hook_is_default
-        self._decorate_default: bool = cls._decorate_is_default
+        # The class's handler memo, which every delivery reads: on CPython
+        # 3.11 a class attribute read through a slotted instance is never
+        # specialized, a slot read is.  It is the class's dict itself, so a
+        # type resolved by one node serves all.
+        self._typed_handlers = type(self)._message_handlers
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -330,9 +316,7 @@ class RaftNode:
 
     #: Per-class facts that let the hot paths skip a hook the class left at
     #: RaftNode's no-op (set here for RaftNode, in ``__init_subclass__`` for
-    #: every subclass).  These flags and ``_message_handlers`` are read per
-    #: message from the copies ``__init__`` makes, so a class sets them in its
-    #: body; nothing reads a value set on a live node.
+    #: every subclass).
     _decorate_is_default = True
     _grant_hook_is_default = True
 
@@ -477,7 +461,7 @@ class RaftNode:
             log_ok = self.log.candidate_is_acceptable(
                 request.last_log_term, request.last_log_index
             )
-            extra_ok = self._grant_default or self._hook_may_grant_vote(request)
+            extra_ok = self._grant_hook_is_default or self._hook_may_grant_vote(request)
             granted = (
                 log_ok and not_yet_voted and extra_ok and self.role is not LEADER
             )
@@ -562,7 +546,7 @@ class RaftNode:
         # is adopted before the timer reset, so that it sets the very next
         # election-timeout wait.  An idle round carries the object the node
         # already holds, so it makes no call.
-        if self._adopts:
+        if self._adopts_piggyback:
             piggyback = getattr(request, "new_config", None)
             if piggyback is not self._reply_token and piggyback is not None:
                 self._adopt_configuration(piggyback)
@@ -677,12 +661,8 @@ class RaftNode:
         if old_role is new_role:
             return
         if not is_valid_transition(old_role, new_role):
-            allowed = sorted(
-                str(after) for before, after in ALLOWED_TRANSITIONS if before is old_role
-            )
             raise ProtocolError(
                 f"S{self.node_id}: invalid role transition {old_role} -> {new_role}"
-                f" (a {old_role} may become {' or '.join(allowed)})"
             )
         self.role = new_role
         if old_role is CANDIDATE:
@@ -757,7 +737,7 @@ class RaftNode:
         build = self._build_append_entries
         next_index = progress.next_index
         decorate = (
-            None if self._decorate_default else self._hook_decorate_append_request
+            None if self._decorate_is_default else self._hook_decorate_append_request
         )
 
         def factory(follower: ServerId) -> AppendEntriesRequest:

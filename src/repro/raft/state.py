@@ -43,13 +43,5 @@ ALLOWED_TRANSITIONS: frozenset[tuple[Role, Role]] = frozenset(
 
 
 def is_valid_transition(old: Role, new: Role) -> bool:
-    """Whether the protocol permits moving from *old* to *new*.
-
-    :data:`ALLOWED_TRANSITIONS` as identity tests: looking a pair up in the
-    set would hash it, and ``Role.__hash__`` is a Python function.
-    """
-    if new is LEADER:
-        return old is CANDIDATE
-    if new is CANDIDATE:
-        return old is not LEADER
-    return True
+    """Whether the protocol permits moving from *old* to *new*."""
+    return (old, new) in ALLOWED_TRANSITIONS

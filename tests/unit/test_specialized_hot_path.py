@@ -21,8 +21,8 @@ another protocol's classes left.  A function of those modules that the
 traced run enters more often than the cluster has members (per message or
 per timer, not per build) is *hot*.  Every executed ``LOAD_ATTR``,
 ``LOAD_METHOD``, ``LOAD_GLOBAL`` and ``STORE_ATTR`` of a hot function must
-then read in a specialized form, or be on :data:`ALLOWED` with the reason
-3.11 cannot specialize it.
+then read in a specialized form, or be on :data:`ALLOWED`, under that
+function, with the reason it is not specialized there.
 """
 
 from __future__ import annotations
@@ -65,28 +65,79 @@ _METHOD_VALUE = (
     "passed on); 3.11 specializes no LOAD_ATTR that finds a method"
 )
 
-#: ``(opcode family, name)`` -> why 3.11 cannot specialize that load.
+_FLAG = (
+    "a class flag read through a slotted node, which 3.11 does not "
+    "specialize; slot copies of this flag and the other per-message one "
+    "read +0.6 % on escape-failover-s128 (6 of 10 pairs, inside the spread "
+    "of the runs without them; docs/changes/PR-47.md), so it stays a class "
+    "attribute"
+)
+
+#: ``(function, opcode family, name)`` -> why 3.11 cannot specialize that
+#: load there.  An entry covers only the function it names.
 ALLOWED = {
-    ("LOAD_METHOD", "send"): _ENV,
-    ("LOAD_METHOD", "broadcast"): _ENV,
-    ("LOAD_METHOD", "now"): _ENV,
-    ("LOAD_METHOD", "rearm_timer"): _ENV,
-    ("LOAD_METHOD", "set_timer"): _ENV,
-    ("LOAD_METHOD", "_interrupt"): _HELD + ": the leader tracker's slot holds the "
-    "scheduler's interrupt (hot only while raft-fixed livelocks)",
-    ("LOAD_ATTR", "_deliver_fast"): _METHOD_VALUE + ": a delivery record's callback",
-    ("LOAD_ATTR", "_on_election_timeout"): _METHOD_VALUE + ": a timer's callback",
-    ("LOAD_ATTR", "_retry_vote_requests"): _METHOD_VALUE + ": a timer's callback",
-    ("LOAD_ATTR", "_send_heartbeats"): _METHOD_VALUE + ": a timer's callback",
-    ("LOAD_ATTR", "_build_append_entries"): _METHOD_VALUE + ", once per round",
-    ("LOAD_ATTR", "_hook_decorate_append_request"): _METHOD_VALUE + ", once per round",
-    ("LOAD_ATTR", "next_index"): _METHOD_VALUE + ", once per round",
-    ("LOAD_ATTR", "__getitem__"): _METHOD_VALUE + ": an idle round's payload table",
-    ("LOAD_ATTR", "apply"): _METHOD_VALUE + ", once per committed range",
-    ("LOAD_ATTR", "rng"): (
+    ("FlatNetwork.send", "LOAD_ATTR", "_deliver_fast"): (
+        _METHOD_VALUE + ": a delivery record's callback"
+    ),
+    ("FlatNetwork.broadcast", "LOAD_ATTR", "_deliver_fast"): (
+        _METHOD_VALUE + ": a delivery record's callback, once per broadcast"
+    ),
+    ("FlatNetwork.broadcast", "LOAD_ATTR", "random"): (
+        _METHOD_VALUE + ": the latency draw the loop calls, once per broadcast"
+    ),
+    ("RaftNode._handle_request_vote", "LOAD_ATTR", "_grant_hook_is_default"): _FLAG,
+    ("RaftNode._handle_request_vote", "LOAD_METHOD", "now"): _ENV,
+    ("RaftNode._handle_request_vote", "LOAD_METHOD", "send"): _ENV,
+    ("RaftNode._handle_append_entries", "LOAD_ATTR", "_adopts_piggyback"): _FLAG,
+    ("RaftNode._handle_append_entries", "LOAD_METHOD", "send"): _ENV,
+    ("RaftNode._handle_append_entries_response", "LOAD_METHOD", "now"): _ENV,
+    ("RaftNode._reset_election_timer", "LOAD_METHOD", "rearm_timer"): _ENV,
+    ("RaftNode._reset_election_timer", "LOAD_ATTR", "_on_election_timeout"): (
+        _METHOD_VALUE + ": a timer's callback"
+    ),
+    ("RaftNode._reset_election_timer", "LOAD_ATTR", "rng"): (
         "SimNodeEnvironment.rng is a cached_property: the stream sits in the "
         "instance dict behind a descriptor of the class, which 3.11 does not "
         "specialize; read per Raft timeout draw"
+    ),
+    ("RaftNode._on_election_timeout", "LOAD_METHOD", "now"): _ENV,
+    ("RaftNode._start_election", "LOAD_METHOD", "now"): _ENV,
+    ("RaftNode._start_election", "LOAD_METHOD", "broadcast"): _ENV,
+    ("RaftNode._schedule_vote_retry", "LOAD_METHOD", "rearm_timer"): _ENV,
+    ("RaftNode._schedule_vote_retry", "LOAD_ATTR", "_retry_vote_requests"): (
+        _METHOD_VALUE + ": a timer's callback"
+    ),
+    ("RaftNode._retry_vote_requests", "LOAD_METHOD", "broadcast"): _ENV,
+    ("RaftNode._change_role", "LOAD_METHOD", "now"): _ENV,
+    ("RaftNode._send_heartbeats", "LOAD_METHOD", "broadcast"): _ENV,
+    ("RaftNode._send_heartbeats", "LOAD_METHOD", "set_timer"): _ENV,
+    ("RaftNode._send_heartbeats", "LOAD_ATTR", "_send_heartbeats"): (
+        _METHOD_VALUE + ": a timer's callback"
+    ),
+    ("RaftNode._replicate_to_followers", "LOAD_METHOD", "broadcast"): _ENV,
+    ("RaftNode._append_entries_factory", "LOAD_ATTR", "_decorate_is_default"): (
+        "a class flag read through a slotted node, which 3.11 does not "
+        "specialize; once per non-idle heartbeat round"
+    ),
+    ("RaftNode._append_entries_factory", "LOAD_ATTR", "_build_append_entries"): (
+        _METHOD_VALUE + ", once per round"
+    ),
+    (
+        "RaftNode._append_entries_factory", "LOAD_ATTR", "_hook_decorate_append_request"
+    ): _METHOD_VALUE + ", once per round",
+    ("RaftNode._append_entries_factory", "LOAD_ATTR", "next_index"): (
+        _METHOD_VALUE + ", once per round"
+    ),
+    ("RaftNode._append_entries_factory", "LOAD_ATTR", "__getitem__"): (
+        _METHOD_VALUE + ": an idle round's payload table"
+    ),
+    ("RaftNode._apply_committed_entries", "LOAD_METHOD", "now"): _ENV,
+    ("RaftNode._apply_committed_entries", "LOAD_ATTR", "apply"): (
+        _METHOD_VALUE + ", once per committed range"
+    ),
+    ("_LeaderTracker.on_role_change", "LOAD_METHOD", "_interrupt"): (
+        _HELD + ": the leader tracker's slot holds the scheduler's interrupt "
+        "(hot only while raft-fixed livelocks)"
     ),
 }
 
@@ -235,7 +286,7 @@ def _unspecialized(report: dict, run: str) -> list[str]:
     return [
         f"{load['function']} line {load['line']}: {load['opcode']} {load['name']}"
         for load in report[run]["loads"]
-        if (load["family"], load["name"]) not in ALLOWED
+        if (load["function"], load["family"], load["name"]) not in ALLOWED
     ]
 
 
@@ -244,7 +295,7 @@ def test_every_hot_load_is_specialized(report, run):
     unspecialized = _unspecialized(report, run)
     assert not unspecialized, (
         "loads on the message path that CPython 3.11 did not specialize (use a "
-        "module constant for an enum member, a slot copy for a class flag, "
+        "module constant for an enum member, a slot for a class attribute, "
         "`self._table.get(key)` for a held dict.get, or add the load to ALLOWED "
         "with the reason it cannot be specialized):\n  " + "\n  ".join(unspecialized)
     )
@@ -262,6 +313,8 @@ def test_the_run_reaches_the_message_path(report, run):
 
 def test_every_allowance_is_still_needed(report):
     seen = {
-        (load["family"], load["name"]) for run in RUNS for load in report[run]["loads"]
+        (load["function"], load["family"], load["name"])
+        for run in RUNS
+        for load in report[run]["loads"]
     }
     assert set(ALLOWED) - seen == set()
