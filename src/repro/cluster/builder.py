@@ -115,16 +115,16 @@ class SimulatedCluster:
 
         Drops what ties the object graph into cycles -- the network's delivery
         callbacks, the scheduler's queued records (pending timers and
-        deliveries, and with them the nodes' timer handles) and the nodes'
-        listeners (observers and drivers refer back to the cluster) -- without
-        a trace record or a listener call.  Every counter, the tracer's
-        records and the nodes' state stay readable; nothing can run
-        afterwards.
+        deliveries, and with them the nodes' timer handles), the nodes'
+        listeners (observers and drivers refer back to the cluster) and their
+        held timer callbacks (see :meth:`RaftNode.close`) -- without a trace
+        record or a listener call.  Every counter, the tracer's records and
+        the nodes' state stay readable; nothing can run afterwards.
         """
         self.network.close()
         self.world.scheduler.close()
         for node in self.nodes.values():
-            node.remove_listeners()
+            node.close()
 
     def running_nodes(self) -> list[RaftNode]:
         """Nodes that are currently running (not crashed)."""

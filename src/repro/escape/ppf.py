@@ -104,7 +104,9 @@ class ProbingPatrol:
         self._timeouts = tuple(
             sca.election_timeout_ms(priority, cluster_size) for priority in self._ladder
         )
-        self._clock = max(0, initial_clock)
+        #: The configuration clock of the most recent rearrangement: a plain
+        #: attribute, read by the leader once per heartbeat round.
+        self.conf_clock = max(0, initial_clock)
         self._stale_after_ms = stale_after_ms
         #: Follower -> what the leader knows of it, in ``followers`` order.
         #: A leader may update a record in place exactly as
@@ -125,11 +127,6 @@ class ProbingPatrol:
     # ------------------------------------------------------------------ #
     # Observation (called from AppendEntries replies)
     # ------------------------------------------------------------------ #
-    @property
-    def conf_clock(self) -> int:
-        """The configuration clock of the most recent rearrangement."""
-        return self._clock
-
     @property
     def assignments(self) -> Mapping[ServerId, Configuration]:
         """The current follower → configuration assignment (read-only copy)."""
@@ -205,7 +202,7 @@ class ProbingPatrol:
             held[follower].priority != priority
             for follower, priority in zip(ranking, self._ladder)
         ):
-            self._clock += 1
+            self.conf_clock += 1
             self._rebuild_from(ranking)
             self.rearrangement_count += 1
             self._settled_verdicts = None
@@ -239,7 +236,7 @@ class ProbingPatrol:
 
     def _rebuild_from(self, ranking: list[ServerId]) -> None:
         assignments: dict[ServerId, Configuration] = {}
-        clock = self._clock
+        clock = self.conf_clock
         for priority, timeout, follower in zip(self._ladder, self._timeouts, ranking):
             assignments[follower] = Configuration(priority, timeout, clock)
         validate_assignment(assignments)

@@ -14,6 +14,7 @@ running.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from repro.common.config import ScaParameters
@@ -34,6 +35,10 @@ def joining_configuration(
     ``period_i = baseTime + k * (n - P_i)``, stamped with configuration
     clock 0.
 
+    Every node of a cluster asks, so the cluster's configurations are derived
+    and validated once per distinct ``(cluster_size, params)`` (they are
+    frozen values, which clusters of that size and parameters share).
+
     Raises:
         ConfigurationError: if the identifier lies outside ``[1, n]``.
     """
@@ -42,10 +47,17 @@ def joining_configuration(
             f"server id {server_id} is outside [1, {cluster_size}]; "
             "SCA uses ids as priorities"
         )
-    return Configuration(
-        priority=server_id,
-        timer_period_ms=params.election_timeout_ms(server_id, cluster_size),
-        conf_clock=0,
+    return _joining_configurations(cluster_size, params)[server_id - 1]
+
+
+@lru_cache(maxsize=32)
+def _joining_configurations(
+    cluster_size: int, params: ScaParameters
+) -> tuple[Configuration, ...]:
+    """Every joining configuration of a *cluster_size* cluster, S1's first."""
+    return tuple(
+        Configuration(priority, params.election_timeout_ms(priority, cluster_size), 0)
+        for priority in range(1, cluster_size + 1)
     )
 
 

@@ -6,10 +6,15 @@
 and replaces the hot send/broadcast/delivery paths:
 
 * deliveries are pushed straight onto the flat scheduler's heap as 4-slot
-  records (``[time, seq, self._deliver_fast, (src, dst, payload)]``); no
-  timer object, no closure and no scheduler call frame per message;
+  records (``[time, seq, self._deliver, (src, dst, payload)]``, where
+  ``_deliver`` is :meth:`FlatNetwork._deliver_fast` bound once at
+  construction); no timer object, no closure, no bound method and no
+  scheduler call frame per message;
 * a delivery to a protocol node goes from that record straight to the node's
-  handler for the message's type (see :meth:`FlatNetwork.register`);
+  handler for the message's type (see :meth:`FlatNetwork.register`): the
+  scheduler's run loop does it itself while the network is unimpaired and
+  the type is resolved, and :meth:`FlatNetwork._deliver_fast` does every
+  other case (``docs/design-notes.md``, "One frame per delivery");
 * the latency sampler is inlined for the model every scenario uses:
   :class:`~repro.net.latency.UniformLatency` becomes
   ``low + spread * rng.random()`` (bit-identical to ``rng.uniform`` --
@@ -105,8 +110,14 @@ class FlatNetwork(SimulatedNetwork):
         self._stats = self.stats
         self._sent_by_class = self.stats.sent_by_class
         self._nodes: dict[ServerId, Any] = {}  # see register()
+        # Every delivery record's callback, bound once (not per send); the
+        # run loop recognises this network's records by it.  close() drops it.
+        self._deliver = self._deliver_fast
         self._configure_latency_fast_path()
         self._configure_fault_fast_path()
+        # Engine-internal coupling: the run loop delivers this network's
+        # records itself (see _deliver_fast); the scheduler's close() lets go.
+        scheduler._network = self
 
     # ------------------------------------------------------------------ #
     # Fast-path configuration
@@ -172,9 +183,11 @@ class FlatNetwork(SimulatedNetwork):
             self._nodes.pop(server_id, None)
 
     def close(self) -> None:
-        """Forget every delivery callback (they hold the nodes alive)."""
+        """Forget every delivery callback (they hold the nodes alive), and
+        the held bound method that refers back to this network."""
         super().close()
         self._nodes.clear()
+        self._deliver = None
 
     # ------------------------------------------------------------------ #
     # Sending
@@ -224,7 +237,7 @@ class FlatNetwork(SimulatedNetwork):
         scheduler = self._flat_scheduler
         seq = scheduler._sequence
         scheduler._sequence = seq + 1
-        heappush(self._heap, [time_ms, seq, self._deliver_fast, (src, dst, payload)])
+        heappush(self._heap, [time_ms, seq, self._deliver, (src, dst, payload)])
         duplicator = self._duplicator
         if duplicator is not None and duplicator(self._fault_rng, src, dst):
             self._stats.duplicated += 1
@@ -240,9 +253,7 @@ class FlatNetwork(SimulatedNetwork):
             scheduler = self._flat_scheduler
             seq = scheduler._sequence
             scheduler._sequence = seq + 1
-            heappush(
-                self._heap, [time_ms, seq, self._deliver_fast, (src, dst, payload)]
-            )
+            heappush(self._heap, [time_ms, seq, self._deliver, (src, dst, payload)])
         return None
 
     def broadcast(
@@ -295,7 +306,7 @@ class FlatNetwork(SimulatedNetwork):
         rng_random = latency_rng.random
         duplicator = self._duplicator
         fault_rng = self._fault_rng
-        deliver = self._deliver_fast
+        deliver = self._deliver
         heap = self._heap
         scheduler = self._flat_scheduler
         now = self._clock._now_ms
@@ -370,6 +381,11 @@ class FlatNetwork(SimulatedNetwork):
     # Delivery
     # ------------------------------------------------------------------ #
     def _deliver_fast(self, item: tuple[ServerId, ServerId, Any]) -> None:
+        """Deliver a message record the run loop handed over: on an impaired
+        network (the in-flight drop tests), to a plain handler, or the first
+        of its type to a node.  The loop delivers every other record itself
+        (:meth:`~repro.sim.flatcore.FlatEventScheduler._run`, which ``step``
+        runs too)."""
         src, dst, payload = item
         if self._impaired or self._cells:
             if dst in self._disconnected:

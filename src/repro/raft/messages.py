@@ -73,6 +73,12 @@ class AppendEntriesRequest(RpcMessage):
     entries: tuple[LogEntry, ...] = field(default_factory=tuple)
     leader_commit: LogIndex = 0
 
+    #: ESCAPE's piggybacked configuration, a field of its extended request
+    #: (:mod:`repro.escape.messages`).  Not a field here: a class attribute,
+    #: so a handler reads ``request.new_config`` on any request with no
+    #: ``getattr`` call.
+    new_config = None
+
 
 @value_object(slots=True)
 class AppendEntriesResponse(RpcMessage):
@@ -90,3 +96,7 @@ class AppendEntriesResponse(RpcMessage):
     follower_id: ServerId = 0
     success: bool = False
     match_index: LogIndex = 0
+
+    #: ESCAPE's ``configStatus``, a field of its extended reply; a class
+    #: attribute here, as ``AppendEntriesRequest.new_config`` is.
+    config_status = None

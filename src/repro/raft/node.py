@@ -94,6 +94,7 @@ class RaftNode:
         "votes",
         "progress",
         "_election_timer",
+        "_election_callback",
         "_heartbeat_timer",
         "_vote_retry_timer",
         "_timeout_attempt",
@@ -167,6 +168,9 @@ class RaftNode:
 
         # Timers and counters.
         self._election_timer: TimerHandle | None = None
+        # The timer's callback, bound once: every re-arm passes this object
+        # instead of building a bound method.  close() drops it.
+        self._election_callback: Callable[[], None] | None = self._on_election_timeout
         self._heartbeat_timer: TimerHandle | None = None
         self._vote_retry_timer: TimerHandle | None = None
         self._timeout_attempt = 0
@@ -225,6 +229,13 @@ class RaftNode:
     def remove_listeners(self) -> None:
         """Detach every observer (nothing is notified)."""
         self._listening = listener_table()
+
+    def close(self) -> None:
+        """Release a finished node so reference counting frees it: detach
+        every observer and drop the held election-timeout callback, the
+        node's bound method.  Nothing may run on the node afterwards."""
+        self.remove_listeners()
+        self._election_callback = None
 
     def start(self) -> None:
         """Join the cluster as a follower and start the election timer."""
@@ -547,7 +558,7 @@ class RaftNode:
         # election-timeout wait.  An idle round carries the object the node
         # already holds, so it makes no call.
         if self._adopts_piggyback:
-            piggyback = getattr(request, "new_config", None)
+            piggyback = request.new_config
             if piggyback is not self._reply_token and piggyback is not None:
                 self._adopt_configuration(piggyback)
         self._reset_election_timer()
@@ -612,7 +623,7 @@ class RaftNode:
             # (its configStatus; the match index of a plain Raft reply) and
             # the time of its last reply.
             record = records[src]
-            status = getattr(response, "config_status", None)
+            status = response.config_status
             index = response.match_index if status is None else status.log_index
             if index > record.log_index:
                 record.log_index = index
@@ -823,7 +834,7 @@ class RaftNode:
                 # low + (high - low) * rng.random().
                 timeout = self._timeout_low + self._timeout_span * self.env.rng.random()
         self._election_timer = self.env.rearm_timer(
-            self._election_timer, timeout, self._on_election_timeout, "election-timeout"
+            self._election_timer, timeout, self._election_callback, "election-timeout"
         )
         return timeout
 

@@ -17,12 +17,17 @@ heap:
   callback cancelling its own just-fired record is a no-op and dead-record
   accounting can rely on ``fn is None`` alone;
 * a record with an ``arg`` is dispatched as ``fn(arg)``: the flat network
-  pushes one bound method plus one ``(src, dst, payload)`` tuple per message
-  straight onto this heap instead of building a closure;
+  pushes its one held delivery callable plus one ``(src, dst, payload)``
+  tuple per message straight onto this heap instead of building a closure;
 * there is one hot run loop, :meth:`FlatEventScheduler._run` ("events at or
   before a limit until one interrupts"); ``run_until`` / ``run_until_idle``
   re-enter it when an event interrupted, ``run_until_interrupted`` adds the
-  clock-to-deadline step, and ``step`` is the same body for one event;
+  clock-to-deadline step, and ``step`` runs it for one event;
+* the loop delivers a message record itself when the flat network that
+  pushed it is unimpaired and the destination is a dispatching node that
+  has already resolved the payload's type: it calls that node's typed
+  handler, with no network frame between (``docs/design-notes.md``, "One
+  frame per delivery").  Every other record goes to ``fn(arg)``;
 * the loop advances the clock by writing ``VirtualClock._now_ms``
   directly.  This is safe because heap pops yield non-decreasing times and
   every entry time was validated finite and non-past at scheduling time
@@ -131,6 +136,9 @@ class FlatEventScheduler:
         self._cancellations = 0
         self._compactions = 0
         self._interrupted = False
+        # The flat network whose message records the run loop delivers
+        # itself (it attaches on construction; close() lets it go).
+        self._network = None
 
     @property
     def clock(self) -> VirtualClock:
@@ -274,39 +282,36 @@ class FlatEventScheduler:
     # ------------------------------------------------------------------ #
     def step(self) -> bool:
         """Execute the next pending event; ``False`` if the queue is empty."""
-        heap = self._heap
-        while heap:
-            fn = heap[0][_FN]
-            if fn is None:
-                self._drop_head()
-                continue
-            entry = heapq.heappop(heap)
-            if self._executed >= self._max_events:
-                self._budget_exhausted()
-            self._clock._now_ms = entry[_TIME]
-            self._executed += 1
-            entry[_FN] = None
-            arg = entry[_ARG]
-            if arg is None:
-                fn()
-            else:
-                fn(arg)
-            return True
-        return False
+        return self._run(_INF, once=True)
 
-    def _run(self, limit_ms: Milliseconds) -> bool:
+    def _run(self, limit_ms: Milliseconds, once: bool = False) -> bool:
         """The run loop: events at or before *limit_ms* until one interrupts.
 
-        Returns ``True`` right after an event that called :meth:`interrupt`;
-        ``False`` once nothing live is queued at or before *limit_ms* -- the
-        heap is then empty, or its head is a live record later than the limit
-        (dead and moved records reaching the head go through :meth:`_drop_head`).
+        Returns ``True`` right after an event that called :meth:`interrupt`
+        (after the first event, when *once* is set); ``False`` once nothing
+        live is queued at or before *limit_ms* -- the heap is then empty, or
+        its head is a live record later than the limit (dead and moved
+        records reaching the head go through :meth:`_drop_head`).
+
+        A message record of the attached network is delivered here, as its
+        ``fn`` (``FlatNetwork._deliver_fast``) would, when the network is
+        unimpaired and the destination node has resolved the payload's type:
+        counted as delivered, then handed to the typed handler if the node
+        runs.  Every other case is ``fn(arg)``.
         """
-        self._interrupted = False
+        self._interrupted = once
         heap = self._heap
         clock = self._clock
         pop = heapq.heappop
         max_events = self._max_events
+        network = self._network
+        if network is None:
+            deliver = nodes = cells = stats = None
+        else:
+            deliver = network._deliver
+            nodes = network._nodes
+            cells = network._cells
+            stats = network._stats
         while heap:
             entry = heap[0]
             fn = entry[_FN]
@@ -324,6 +329,19 @@ class FlatEventScheduler:
             arg = entry[_ARG]
             if arg is None:
                 fn()
+            elif fn is deliver and not (network._impaired or cells):
+                src, dst, payload = arg
+                node = nodes.get(dst)
+                if node is None:
+                    fn(arg)  # a plain handler
+                else:
+                    typed = node._typed_handlers.get(type(payload))
+                    if typed is None:
+                        fn(arg)  # the first of its type: the node resolves it
+                    else:
+                        stats.delivered += 1
+                        if node._running:
+                            typed(node, src, payload)
             else:
                 fn(arg)
             if self._interrupted:
@@ -405,13 +423,16 @@ class FlatEventScheduler:
         Records are cleared as well as unqueued: node timers hold their raw
         records, whose ``fn`` slot is the node's own bound method, and the
         delivery tuples hold payloads -- the references that would otherwise
-        leave a finished cluster to the cycle collector.
+        leave a finished cluster to the cycle collector.  The attached
+        network is let go for the same reason (it holds the world, which
+        holds this scheduler).
         """
         heap = self._heap
         for entry in heap:
             entry[_FN] = entry[_ARG] = None
         heap.clear()
         self._cancelled_in_heap = 0
+        self._network = None
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -40,7 +40,11 @@ def count_calls(action) -> int:
 
 class TestLinearConstruction:
     @pytest.mark.parametrize("protocol", ESCAPE_FAMILY)
-    def test_one_configuration_is_built_per_node(self, protocol, monkeypatch):
+    def test_each_configuration_is_built_once(self, protocol, monkeypatch):
+        # Parameters no other test uses, so no earlier build shares them.
+        sca = ScaParameters(
+            base_time_ms=1000.0 + 0.25 * ESCAPE_FAMILY.index(protocol), k_ms=37.0
+        )
         built = []
         validate = Configuration.__post_init__
 
@@ -49,8 +53,11 @@ class TestLinearConstruction:
             validate(self)
 
         monkeypatch.setattr(Configuration, "__post_init__", counting_post_init)
-        build_cluster(protocol, 64, trace=False)
-        assert len(built) == 64
+        config = ProtocolConfig(sca=sca)
+        build_cluster(protocol, 64, trace=False, protocol_config=config)
+        assert len(built) == 64  # one per node, not one per node per node
+        build_cluster(protocol, 64, trace=False, protocol_config=config)
+        assert len(built) == 64  # the same values again: shared, not rebuilt
 
     @pytest.mark.parametrize("protocol", ("raft",) + ESCAPE_FAMILY)
     def test_build_work_grows_linearly_with_cluster_size(self, protocol):

@@ -17,12 +17,16 @@ a traced instruction runs in its generic form and moves no cache).  Before
 each run it gives the functions of the message-path modules fresh code
 objects, so each run reads as it would in a process of its own -- as the
 benchmark runs one workload per process -- and not through the caches
-another protocol's classes left.  A function of those modules that the
-traced run enters more often than the cluster has members (per message or
-per timer, not per build) is *hot*.  Every executed ``LOAD_ATTR``,
-``LOAD_METHOD``, ``LOAD_GLOBAL`` and ``STORE_ATTR`` of a hot function must
-then read in a specialized form, or be on :data:`ALLOWED`, under that
-function, with the reason it is not specialized there.
+another protocol's classes left.  A function of those modules is *hot* when
+the traced run executes one of its loads more often than the cluster has
+members, either per entry or because it enters the function that often (per
+message, per timer or per heartbeat round; not per build, and not a scan of
+the members).  It is the loads that count, not only the calls: the
+scheduler's run loop is entered a few times an episode and delivers every
+message.  Every executed
+``LOAD_ATTR``, ``LOAD_METHOD``, ``LOAD_GLOBAL`` and ``STORE_ATTR`` of a hot
+function must then read in a specialized form, or be on :data:`ALLOWED`,
+under that function, with the reason it is not specialized there.
 """
 
 from __future__ import annotations
@@ -46,8 +50,10 @@ pytestmark = pytest.mark.skipif(
 
 #: The modules whose hot functions are read.
 HOT_MODULES = (
+    "repro.sim.flatcore",
     "repro.raft.state",
     "repro.raft.node",
+    "repro.escape.node",
     "repro.cluster.builder",
     "repro.net.flatnet",
 )
@@ -58,7 +64,12 @@ _HELD = (
 )
 _ENV = _HELD + (
     ": SimNodeEnvironment binds the clock's, scheduler's and network's entry "
-    "points in its instance dict, so a call pays no adapter frame"
+    "points in its instance dict, so a call pays no adapter frame.  A "
+    "forwarding method on the class would specialize but adds one, which "
+    "costs more than it saves for the bound methods (CPython 3.11.7, per "
+    "call: rearm_timer 204 against 184 ns, now 51 against 35); for the "
+    "partials behind send and broadcast it read cheaper (580 against 611 ns "
+    "a send), an open lever (docs/design-notes.md)"
 )
 _METHOD_VALUE = (
     "a method loaded as a value (a bound method is built to be stored or "
@@ -76,12 +87,6 @@ _FLAG = (
 #: ``(function, opcode family, name)`` -> why 3.11 cannot specialize that
 #: load there.  An entry covers only the function it names.
 ALLOWED = {
-    ("FlatNetwork.send", "LOAD_ATTR", "_deliver_fast"): (
-        _METHOD_VALUE + ": a delivery record's callback"
-    ),
-    ("FlatNetwork.broadcast", "LOAD_ATTR", "_deliver_fast"): (
-        _METHOD_VALUE + ": a delivery record's callback, once per broadcast"
-    ),
     ("FlatNetwork.broadcast", "LOAD_ATTR", "random"): (
         _METHOD_VALUE + ": the latency draw the loop calls, once per broadcast"
     ),
@@ -92,9 +97,6 @@ ALLOWED = {
     ("RaftNode._handle_append_entries", "LOAD_METHOD", "send"): _ENV,
     ("RaftNode._handle_append_entries_response", "LOAD_METHOD", "now"): _ENV,
     ("RaftNode._reset_election_timer", "LOAD_METHOD", "rearm_timer"): _ENV,
-    ("RaftNode._reset_election_timer", "LOAD_ATTR", "_on_election_timeout"): (
-        _METHOD_VALUE + ": a timer's callback"
-    ),
     ("RaftNode._reset_election_timer", "LOAD_ATTR", "rng"): (
         "SimNodeEnvironment.rng is a cached_property: the stream sits in the "
         "instance dict behind a descriptor of the class, which 3.11 does not "
@@ -145,7 +147,7 @@ ALLOWED = {
 MESSAGE_PATH = (
     "FlatNetwork.send",
     "FlatNetwork.broadcast",
-    "FlatNetwork._deliver_fast",
+    "FlatEventScheduler._run",
     "RaftNode._handle_append_entries",
     "RaftNode._handle_append_entries_response",
     "RaftNode._reset_election_timer",
@@ -206,13 +208,13 @@ def traced(run):
         if code.co_filename not in files:
             return None
         calls[code] += 1
-        add = executed.setdefault(code, set()).add
+        counts = executed.setdefault(code, Counter())
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
 
         def local(frame, event, arg):
             if event == "opcode":
-                add(frame.f_lasti)
+                counts[frame.f_lasti] += 1
             return local
 
         return local
@@ -232,7 +234,12 @@ def read(run):
     calls, executed = traced(run)
     hot, cold, loads = [], [], []
     for code, offsets in executed.items():
-        if calls[code] <= size:
+        runs = max(
+            (offsets[ins.offset] for ins in dis.get_instructions(code)
+             if ins.opname in families),
+            default=0,
+        )
+        if runs <= size * calls[code] and calls[code] <= size:
             continue
         hot.append(code.co_qualname)
         instructions = list(dis.get_instructions(code, adaptive=True))
