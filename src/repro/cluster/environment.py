@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property, partial
-from typing import Any
+from typing import Any, Sequence
 
 from repro.common.types import ServerId
 from repro.net.network import SimulatedNetwork
@@ -18,15 +18,17 @@ def _noop_trace(category: str, **detail: Any) -> None:
 class SimNodeEnvironment:
     """The :class:`~repro.raft.environment.Environment` backed by the simulator.
 
-    Every entry point a node calls is bound in ``__init__`` as an instance
-    attribute, so a call pays no adapter frame:
+    The clock's and the scheduler's entry points are bound in ``__init__``
+    as instance attributes, so a call pays no adapter frame:
     ``set_timer`` / ``cancel_timer`` / ``rearm_timer`` are the scheduler's
     ``schedule_timer_entry`` / ``cancel_entry`` / ``rearm_timer_entry`` (a
     timer handle is whatever opaque token the engine's scheduler returns),
-    ``send`` / ``broadcast`` are the network's with this node as the sender
-    (:func:`functools.partial` dispatches in C), ``now`` is the clock's, and
-    ``trace`` is a no-op when the world records nothing (a Tracer's enabled
-    flag is fixed at construction).
+    ``now`` is the clock's, and ``trace`` is a no-op when the world records
+    nothing (a Tracer's enabled flag is fixed at construction).  ``send`` /
+    ``broadcast`` are methods that forward to the network's with this node
+    as the sender, so a node's loads of them specialize, where a held
+    :func:`functools.partial` is a generic ``LOAD_METHOD`` entered through C
+    (``docs/design-notes.md``, "What 3.11 cannot specialize").
 
     Each node gets a private random stream (``seeds.stream("node", node_id)``)
     so adding or removing one node never perturbs another's timeout draws.
@@ -46,11 +48,19 @@ class SimNodeEnvironment:
         self.set_timer = world.scheduler.schedule_timer_entry
         self.cancel_timer = world.scheduler.cancel_entry
         self.rearm_timer = world.scheduler.rearm_timer_entry
-        self.send = partial(network.send, node_id)
-        self.broadcast = partial(network.broadcast, node_id)
+        self._network = network
         self.trace = (
             partial(world.trace, node=node_id) if self.trace_enabled else _noop_trace
         )
+
+    def send(self, dst: ServerId, payload: Any) -> None:
+        """Send *payload* from this node to *dst*."""
+        self._network.send(self.node_id, dst, payload)
+
+    def broadcast(self, targets: Sequence[ServerId], payload: Any) -> None:
+        """Send *payload* (or what a per-target factory builds) from this node
+        to every target."""
+        self._network.broadcast(self.node_id, targets, payload)
 
     @cached_property
     def rng(self) -> random.Random:

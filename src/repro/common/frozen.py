@@ -22,10 +22,23 @@ which it requires; they are replaced.)  That code generation is paid on
 every interpreter start, cached bytecode or not, and again in every ``spawn``
 sweep worker; with 80-odd value types it was a third of a cold serving
 start's import time.  The other methods are shared closures over each class's
-field-name tuples.  The ``__init__`` writes each field through its slot's
-member descriptor (``slots=True``, the per-message classes) or
-``object.__setattr__``, bound once per class, so it is also faster to call
-than the stock one.  ``tests/unit/test_value_objects.py`` finds every frozen
+field-name tuples.
+
+The ``__init__`` is also faster to call than the stock one.  A frozen class
+refuses ``self.x = x``, so the stock ``__init__`` writes each field through
+``object.__setattr__``, a C call per field.  A ``slots=True`` class (the
+per-message classes, configurations, log entries and KV commands) with three
+or more fields is built as its *mutable twin* instead: a subclass with the
+same layout and ``object``'s own ``__setattr__``, which no module holds.
+One C call switches the new instance's ``__class__`` to the twin, each field
+is then a plain slot store that CPython specializes (``STORE_ATTR_SLOT``),
+and one store switches the class back before ``__post_init__`` runs, so an
+instance is never of the twin's type once its ``__init__`` is done.  An
+instance of a subclass that inherited the ``__init__``, and a class with
+fewer fields (for which the two switches cost more than they save), is
+written field by field, through each slot's member descriptor or
+``object.__setattr__``, bound once per class (``docs/design-notes.md``, "A C
+call per field").  ``tests/unit/test_value_objects.py`` finds every frozen
 dataclass under ``repro`` and holds it to a stock twin.
 """
 
@@ -243,12 +256,43 @@ def _frozen(
     return __setattr__, __delattr__
 
 
+#: The fewest slot fields a class builds through its mutable twin: the two
+#: class switches and the subclass test cost about as much as two or three
+#: descriptor calls (CPython 3.11.7, ``docs/design-notes.md``, "A C call per
+#: field").
+_TWIN_MIN_FIELDS = 3
+
+#: ``object.__class__``'s setter: the one C call that makes an instance of a
+#: slotted value object its mutable twin.
+_SET_CLASS = vars(object)["__class__"].__set__
+
+
+def _mutable_twin(cls: type) -> type:
+    """A subclass of *cls* with its layout and ``object``'s own attribute
+    setters: ``__class__`` can switch between the two, and a store to one of
+    its slots specializes (``STORE_ATTR_SLOT``), where *cls*'s frozen
+    ``__setattr__`` would refuse it.  No module holds it, and an instance is
+    switched back to *cls* before its ``__init__`` returns."""
+    return type(
+        cls.__name__,
+        (cls,),
+        {
+            "__slots__": (),
+            "__module__": cls.__module__,
+            "__qualname__": cls.__qualname__,
+            "__setattr__": object.__setattr__,
+            "__delattr__": object.__delattr__,
+        },
+    )
+
+
 def _init(cls: type, fields: tuple[dataclasses.Field, ...]) -> Callable[..., None]:
     """Generate *cls*'s ``__init__``: one code object per class, like dataclasses."""
     bound: dict[str, Any] = {"_HAS_DEFAULT_FACTORY": dataclasses._HAS_DEFAULT_FACTORY}
     positional: list[str] = []
     keyword: list[str] = []
     body: list[str] = []
+    setters: list[tuple[str, Any]] = []
     annotations: dict[str, Any] = {}
     for field in fields:
         name = field.name
@@ -279,30 +323,51 @@ def _init(cls: type, fields: tuple[dataclasses.Field, ...]) -> Callable[..., Non
             ),
             None,
         )
-        if descriptor is None:
-            bound["_object_setattr"] = object.__setattr__
-            body.append(f"_object_setattr(self, {name!r}, {name})")
-        else:
-            bound[f"_set_{name}"] = descriptor.__set__
-            body.append(f"_set_{name}(self, {name})")
+        setters.append((name, descriptor))
         annotations[name] = field.type
+    if len(setters) >= _TWIN_MIN_FIELDS and all(d is not None for _, d in setters):
+        # Built as the mutable twin: one C call switches the class, the
+        # field stores specialize, and a plain store switches it back before
+        # __post_init__ runs.  An instance of a subclass (which inherited
+        # this __init__) is written field by field, as the stdlib would.
+        names = [name for name, _ in setters]
+        bound.update(
+            _type=type,
+            _cls=cls,
+            _twin=_mutable_twin(cls),
+            _set_class=_SET_CLASS,
+            _object_setattr=object.__setattr__,
+        )
+        body += [
+            "if _type(self) is _cls:",
+            "    _set_class(self, _twin)",
+            *(f"    self.{name} = {name}" for name in names),
+            "    self.__class__ = _cls",
+            "else:",
+            *(f"    _object_setattr(self, {name!r}, {name})" for name in names),
+        ]
+    else:
+        for name, descriptor in setters:
+            if descriptor is None:
+                bound["_object_setattr"] = object.__setattr__
+                body.append(f"_object_setattr(self, {name!r}, {name})")
+            else:
+                bound[f"_set_{name}"] = descriptor.__set__
+                body.append(f"_set_{name}(self, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     if keyword:
         positional += ["*", *keyword]
-    # The setters reach the body as closure cells, which read faster than
-    # globals; the outer function exists only to create those cells.  The
-    # code's name carries the class name, so no two classes' code objects
-    # compare equal: callers count constructions keyed by __init__.__code__.
+    # What the body reads is a global of its own namespace: a closure would
+    # copy every cell into each call's frame.  The code's name carries the
+    # class name, so no two classes' code objects compare equal: callers
+    # count constructions keyed by __init__.__code__.
     code_name = f"{cls.__name__}__init__"
-    source = (
-        f"def __create_init__({', '.join(bound)}):\n"
-        f"    def {code_name}(self, {', '.join(positional)}):\n"
-        + "".join(f"        {line}\n" for line in body or ["pass"])
-        + f"    return {code_name}\n"
+    source = f"def {code_name}(self, {', '.join(positional)}):\n" + "".join(
+        f"    {line}\n" for line in body or ["pass"]
     )
-    namespace: dict[str, Any] = {}
-    exec(source, {"__name__": cls.__module__}, namespace)
-    init = namespace["__create_init__"](**bound)
+    namespace = {"__name__": cls.__module__, **bound}
+    exec(source, namespace)
+    init = namespace.pop(code_name)
     init.__annotations__ = {**annotations, "return": None}
     return init

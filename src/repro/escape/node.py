@@ -9,7 +9,7 @@ Hook                              ESCAPE behaviour
 ``_hook_next_election_term``      term grows by the node's priority (Eq. 2)
 ``_hook_may_grant_vote``          reject candidates with a stale configuration clock
 ``_hook_make_vote_request``       include configuration clock (and priority)
-``_hook_decorate_append_request`` piggyback the follower's newly assigned configuration
+``_hook_piggyback``               each follower's newly assigned configuration
 ``_hook_payload_token``           the patrol and its clock (what that piggyback reads)
 ``_hook_build_append_response``   attach the current ``configStatus``
 ``_hook_before_heartbeat_round``  run one PPF round (clock bump + re-ranking)
@@ -38,7 +38,7 @@ unchanged, which is the code-level expression of the paper's safety argument.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.common.config import ClusterConfig, ProtocolConfig
 from repro.common.types import LogIndex, Milliseconds, ServerId, Term
@@ -52,11 +52,7 @@ from repro.escape.ppf import ProbingPatrol
 from repro.escape.sca import joining_configuration
 from repro.raft.environment import Environment
 from repro.raft.listeners import ListenerTable, NodeListener
-from repro.raft.messages import (
-    AppendEntriesRequest,
-    AppendEntriesResponse,
-    RequestVoteRequest,
-)
+from repro.raft.messages import AppendEntriesResponse, RequestVoteRequest
 from repro.raft.node import RaftNode
 from repro.statemachine.base import StateMachine
 from repro.storage.persistent import PersistentState
@@ -78,6 +74,7 @@ class EscapeNode(RaftNode):
 
     protocol_name = "escape"
     _adopts_piggyback = True
+    _piggyback_request = EscapeAppendEntriesRequest
 
     def __init__(
         self,
@@ -187,22 +184,13 @@ class EscapeNode(RaftNode):
                 },
             )
 
-    def _hook_decorate_append_request(
-        self, request: AppendEntriesRequest, follower: ServerId
-    ) -> AppendEntriesRequest:
-        """Piggyback the follower's newly assigned configuration on the heartbeat."""
-        new_config = (
-            self.patrol.configuration_for(follower) if self.patrol is not None else None
-        )
-        return EscapeAppendEntriesRequest(
-            request.term,
-            request.leader_id,
-            request.prev_log_index,
-            request.prev_log_term,
-            request.entries,
-            request.leader_commit,
-            new_config,
-        )
+    def _hook_piggyback(self) -> Mapping[ServerId, Configuration | None]:
+        """Each follower's newly assigned configuration, carried by its
+        AppendEntries; ``None`` for every follower while no patrol runs."""
+        patrol = self.patrol
+        if patrol is None:
+            return dict.fromkeys(self._peer_ids)
+        return patrol.assignments
 
     def _hook_payload_token(self) -> tuple[ProbingPatrol, int] | None:
         """The patrol, held (not its ``id()``), and its clock, which moves with

@@ -42,6 +42,7 @@ in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.common.config import ScaParameters
@@ -116,6 +117,14 @@ class ProbingPatrol:
             follower: FollowerResponsiveness(follower) for follower in self._followers
         }
         self._assignments: dict[ServerId, Configuration] = {}
+        #: The current follower → configuration assignment, read-only.  A
+        #: rearrangement installs a new assignment rather than changing this
+        #: one, so a view taken in one round reads that round's assignment
+        #: for as long as it is held: the leader's AppendEntries factory
+        #: reads it once per round and looks each follower up with no call.
+        self.assignments: Mapping[ServerId, Configuration] = MappingProxyType(
+            self._assignments
+        )
         # The per-follower lagging verdicts of the last round that ranked and
         # found nothing to reassign; None after every rebuild (advance_round).
         self._settled_verdicts: list[bool] | None = None
@@ -127,11 +136,6 @@ class ProbingPatrol:
     # ------------------------------------------------------------------ #
     # Observation (called from AppendEntries replies)
     # ------------------------------------------------------------------ #
-    @property
-    def assignments(self) -> Mapping[ServerId, Configuration]:
-        """The current follower → configuration assignment (read-only copy)."""
-        return dict(self._assignments)
-
     def responsiveness_of(self, follower: ServerId) -> FollowerResponsiveness:
         """The leader's current knowledge about one follower."""
         try:
@@ -174,7 +178,7 @@ class ProbingPatrol:
 
         The configuration clock advances only when the ranking hands some
         follower a priority other than the one it holds; the node reads the
-        round's outcome through :meth:`configuration_for`.
+        round's outcome through :attr:`assignments`.
 
         The ranking is a function of the followers' lagging verdicts and the
         priorities they hold, so a round whose verdicts equal those of the
@@ -209,7 +213,9 @@ class ProbingPatrol:
         else:
             self._settled_verdicts = verdicts
 
-    def configuration_for(self, follower: ServerId) -> Configuration:
+    def configuration_for(  # repro: allow[U1] -- test_escape_ppf, test_replication_complexity
+        self, follower: ServerId
+    ) -> Configuration:
         """The configuration currently assigned to *follower*."""
         try:
             return self._assignments[follower]
@@ -241,3 +247,4 @@ class ProbingPatrol:
             assignments[follower] = Configuration(priority, timeout, clock)
         validate_assignment(assignments)
         self._assignments = assignments
+        self.assignments = MappingProxyType(assignments)

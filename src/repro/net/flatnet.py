@@ -12,9 +12,11 @@ and replaces the hot send/broadcast/delivery paths:
   scheduler call frame per message;
 * a delivery to a protocol node goes from that record straight to the node's
   handler for the message's type (see :meth:`FlatNetwork.register`): the
-  scheduler's run loop does it itself while the network is unimpaired and
-  the type is resolved, and :meth:`FlatNetwork._deliver_fast` does every
-  other case (``docs/design-notes.md``, "One frame per delivery");
+  scheduler's run loop does it itself when the destination is reachable
+  (not disconnected, in the sender's partition cell) and the type is
+  resolved, and :meth:`FlatNetwork._deliver_fast` does every other case --
+  the in-flight drops, a plain handler, the first message of a type
+  (``docs/design-notes.md``, "One frame per delivery");
 * the latency sampler is inlined for the model every scenario uses:
   :class:`~repro.net.latency.UniformLatency` becomes
   ``low + spread * rng.random()`` (bit-identical to ``rng.uniform`` --
@@ -31,10 +33,13 @@ and replaces the hot send/broadcast/delivery paths:
   :attr:`~repro.net.partition.PartitionManager.cell_map` dict, held once at
   construction and tested with ``if cells and cells[src] != cells[dst]``
   per message instead of a ``can_communicate`` call;
-* the drop tests (disconnected, unicast fault, partition) run only while
-  ``_impaired`` or that dict is set; ``_impaired`` is recomputed where its
-  inputs change (``disconnect``, ``reconnect``, ``set_fault``), so a message
-  on a healthy network pays two attribute tests for all three;
+* a send's drop tests (disconnected, unicast fault, partition) run only
+  while ``_impaired`` or that dict is set; ``_impaired`` is recomputed where
+  its inputs change (``disconnect``, ``reconnect``, ``set_fault``), so a
+  message on a healthy network pays two attribute tests for all three.  A
+  delivery's in-flight drops are decided per destination (disconnected,
+  then the partition map), so a disconnected node or a fault hook slows
+  none of the other deliveries;
 * a send is counted by one increment of
   :attr:`~repro.net.network.NetworkStats.sent_by_class` (keyed by the
   payload's class, no name lookup), and a broadcast of one message for every
@@ -381,30 +386,30 @@ class FlatNetwork(SimulatedNetwork):
     # Delivery
     # ------------------------------------------------------------------ #
     def _deliver_fast(self, item: tuple[ServerId, ServerId, Any]) -> None:
-        """Deliver a message record the run loop handed over: on an impaired
-        network (the in-flight drop tests), to a plain handler, or the first
-        of its type to a node.  The loop delivers every other record itself
+        """Deliver a message record the run loop handed over: to a
+        disconnected or partitioned-off destination (dropped in flight), to a
+        plain handler, or the first of its type to a node.  The loop delivers
+        every other record itself
         (:meth:`~repro.sim.flatcore.FlatEventScheduler._run`, which ``step``
         runs too)."""
         src, dst, payload = item
-        if self._impaired or self._cells:
-            if dst in self._disconnected:
-                self._stats.dropped_disconnected += 1
-                self._stats.dropped_in_flight += 1
-                if self._trace_on:
-                    self._world.trace(
-                        "net.drop", node=src, dst=dst, reason="disconnected", in_flight=True
-                    )
-                return
-            cells = self._cells
-            if cells and cells[src] != cells[dst]:
-                self._stats.dropped_by_partition += 1
-                self._stats.dropped_in_flight += 1
-                if self._trace_on:
-                    self._world.trace(
-                        "net.drop", node=src, dst=dst, reason="partition", in_flight=True
-                    )
-                return
+        if dst in self._disconnected:
+            self._stats.dropped_disconnected += 1
+            self._stats.dropped_in_flight += 1
+            if self._trace_on:
+                self._world.trace(
+                    "net.drop", node=src, dst=dst, reason="disconnected", in_flight=True
+                )
+            return
+        cells = self._cells
+        if cells and cells[src] != cells[dst]:
+            self._stats.dropped_by_partition += 1
+            self._stats.dropped_in_flight += 1
+            if self._trace_on:
+                self._world.trace(
+                    "net.drop", node=src, dst=dst, reason="partition", in_flight=True
+                )
+            return
         node = self._nodes.get(dst)
         if node is None:
             handler = self._handlers.get(dst)

@@ -16,7 +16,7 @@ elections on the receiving side.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.common.config import ClusterConfig, ProtocolConfig
 from repro.common.errors import NotLeaderError, ProtocolError
@@ -41,6 +41,7 @@ from repro.raft.replication import ReplicationProgress
 from repro.raft.state import CANDIDATE, FOLLOWER, LEADER, Role, is_valid_transition
 from repro.statemachine.base import StateMachine
 from repro.statemachine.kvstore import KeyValueStore
+from repro.storage.log import LogEntry
 from repro.storage.persistent import InMemoryStore, PersistentState
 
 
@@ -325,11 +326,14 @@ class RaftNode:
     #: methods made every node a reference cycle).
     _message_handlers: dict[type, Callable[["RaftNode", ServerId, Any], None]] = {}
 
-    #: Per-class facts that let the hot paths skip a hook the class left at
+    #: Per-class fact that lets the vote path skip a hook the class left at
     #: RaftNode's no-op (set here for RaftNode, in ``__init_subclass__`` for
     #: every subclass).
-    _decorate_is_default = True
     _grant_hook_is_default = True
+
+    #: The AppendEntries class a leader builds, once per follower, around
+    #: what :meth:`_hook_piggyback` maps that follower to (its last field).
+    _piggyback_request: type[AppendEntriesRequest] = AppendEntriesRequest
 
     #: Whether the class adopts a configuration piggybacked on AppendEntries
     #: (``request.new_config``, ESCAPE's PPF).  The follower compares it with
@@ -341,9 +345,6 @@ class RaftNode:
         super().__init_subclass__(**kwargs)
         # Its own memo: a subclass may override a handler.
         cls._message_handlers = {}
-        cls._decorate_is_default = (
-            cls._hook_decorate_append_request is RaftNode._hook_decorate_append_request
-        )
         cls._grant_hook_is_default = (
             cls._hook_may_grant_vote is RaftNode._hook_may_grant_vote
         )
@@ -712,13 +713,15 @@ class RaftNode:
     def _append_entries_factory(self) -> Callable[[ServerId], AppendEntriesRequest]:
         """Payload factory for one broadcast round of AppendEntries.
 
-        Followers that share a ``next_index`` receive value-identical base
-        requests, so each distinct index is built once -- and kept across
-        rounds for as long as ``(current_term, log.last_index, commit_index)``
-        is unchanged: a leader's log only grows while its term lasts, so those
-        three fix every field of the base request for a given index.  The
-        decorate hook runs per follower (ESCAPE piggybacks per-follower
-        configurations) unless the subclass left it at the no-op default.
+        What a next index fixes -- ``prev_log_index``, ``prev_log_term`` and
+        the entries -- is read from the log once per distinct index and kept
+        across rounds for as long as ``(current_term, log.last_index,
+        commit_index)`` is unchanged: a leader's log only grows while its term
+        lasts, so those three fix every other field too.  Raft's followers
+        that share a next index share one request.  A class whose
+        :meth:`_hook_piggyback` maps each follower to a value (ESCAPE: its
+        assigned configuration) builds each follower's request once, in its
+        final class (``_piggyback_request``), with that value last.
 
         The factory records what it hands each follower, and the next round
         serves that table as ``payloads.__getitem__`` (a C call, no frame per
@@ -745,42 +748,51 @@ class RaftNode:
             return table[2].__getitem__
         payloads: dict[ServerId, AppendEntriesRequest] = {}
         self._payload_table = (cache, stamp, payloads)
-        build = self._build_append_entries
+        window = self._append_window
         next_index = progress.next_index
-        decorate = (
-            None if self._decorate_is_default else self._hook_decorate_append_request
-        )
+        term, _, commit = key
+        leader_id = self.node_id
+        piggyback = self._hook_piggyback()
+        if piggyback is None:
+
+            def factory(follower: ServerId) -> AppendEntriesRequest:
+                index = next_index(follower)
+                request = cache.get(index)
+                if request is None:
+                    request = cache[index] = AppendEntriesRequest(
+                        term, leader_id, *window(index), commit
+                    )
+                payloads[follower] = request
+                return request
+
+            return factory
+        make = self._piggyback_request
 
         def factory(follower: ServerId) -> AppendEntriesRequest:
             index = next_index(follower)
-            request = cache.get(index)
-            if request is None:
-                request = cache[index] = build(index)
-            if decorate is not None:
-                request = decorate(request, follower)
-            payloads[follower] = request
+            fields = cache.get(index)
+            if fields is None:
+                fields = cache[index] = window(index)
+            prev_index, prev_term, entries = fields
+            request = payloads[follower] = make(
+                term, leader_id, prev_index, prev_term, entries, commit, piggyback[follower]
+            )
             return request
 
         return factory
 
-    def _build_append_entries(self, next_index: LogIndex) -> AppendEntriesRequest:
-        """The base AppendEntries for a follower whose next index is known."""
+    def _append_window(
+        self, next_index: LogIndex
+    ) -> tuple[LogIndex, Term, tuple[LogEntry, ...]]:
+        """``(prev_log_index, prev_log_term, entries)`` of the AppendEntries
+        for a follower whose next index is known."""
         prev_index = next_index - 1
         log = self.log
         prev_term = log.term_at(prev_index) if prev_index <= log.last_index else 0
         entries = tuple(
             log.entries_from(next_index, limit=self.config.max_entries_per_append)
         )
-        # Positional, like every message built per AppendEntries: a value
-        # object takes about two fifths less time that way than by keyword.
-        return AppendEntriesRequest(
-            self.current_term,
-            self.node_id,
-            prev_index,
-            prev_term,
-            entries,
-            self.commit_index,
-        )
+        return prev_index, prev_term, entries
 
     def _advance_commit_index(self) -> None:
         assert self.progress is not None
@@ -873,16 +885,16 @@ class RaftNode:
             last_log_term=self.log.last_term,
         )
 
-    def _hook_decorate_append_request(
-        self, request: AppendEntriesRequest, follower: ServerId
-    ) -> AppendEntriesRequest:
-        """Let subclasses piggyback data on an outgoing AppendEntries."""
-        return request
+    def _hook_piggyback(self) -> Mapping[ServerId, Any] | None:
+        """What this round's AppendEntries piggyback, by follower: each
+        follower's request is ``_piggyback_request`` with its value as the
+        last field.  Raft: ``None``, nothing piggybacked."""
+        return None
 
     def _hook_payload_token(self) -> Any:
         """Compared by ``==`` between broadcasts (see the payload table in
-        :meth:`_append_entries_factory`): it must change whenever the decorate
-        hook could return something else for an unchanged base request.  Hold
+        :meth:`_append_entries_factory`): it must change whenever
+        :meth:`_hook_piggyback` could map a follower to something else.  Hold
         objects by strong reference, never by ``id()`` (ids are reused)."""
         return None
 

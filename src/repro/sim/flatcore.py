@@ -24,10 +24,11 @@ heap:
   re-enter it when an event interrupted, ``run_until_interrupted`` adds the
   clock-to-deadline step, and ``step`` runs it for one event;
 * the loop delivers a message record itself when the flat network that
-  pushed it is unimpaired and the destination is a dispatching node that
-  has already resolved the payload's type: it calls that node's typed
-  handler, with no network frame between (``docs/design-notes.md``, "One
-  frame per delivery").  Every other record goes to ``fn(arg)``;
+  pushed it can reach the destination (not disconnected, not across a
+  partition) and the destination is a dispatching node that has already
+  resolved the payload's type: it calls that node's typed handler, with no
+  network frame between (``docs/design-notes.md``, "One frame per
+  delivery").  Every other record goes to ``fn(arg)``;
 * the loop advances the clock by writing ``VirtualClock._now_ms``
   directly.  This is safe because heap pops yield non-decreasing times and
   every entry time was validated finite and non-past at scheduling time
@@ -294,10 +295,15 @@ class FlatEventScheduler:
         records reaching the head go through :meth:`_drop_head`).
 
         A message record of the attached network is delivered here, as its
-        ``fn`` (``FlatNetwork._deliver_fast``) would, when the network is
-        unimpaired and the destination node has resolved the payload's type:
-        counted as delivered, then handed to the typed handler if the node
-        runs.  Every other case is ``fn(arg)``.
+        ``fn`` (``FlatNetwork._deliver_fast``) would, when its destination is
+        reachable -- not disconnected, and in the sender's cell if a
+        partition is installed -- and is a node that has resolved the
+        payload's type: counted as delivered, then handed to the typed
+        handler if the node runs.  The test is per destination, so after a
+        crash only the records addressed to the crashed node take
+        ``fn(arg)`` (which drops them in flight), and a fault hook, tested
+        when a message is sent, sends none there.  Every other case is
+        ``fn(arg)``.
         """
         self._interrupted = once
         heap = self._heap
@@ -306,10 +312,11 @@ class FlatEventScheduler:
         max_events = self._max_events
         network = self._network
         if network is None:
-            deliver = nodes = cells = stats = None
+            deliver = nodes = disconnected = cells = stats = None
         else:
             deliver = network._deliver
             nodes = network._nodes
+            disconnected = network._disconnected
             cells = network._cells
             stats = network._stats
         while heap:
@@ -329,11 +336,15 @@ class FlatEventScheduler:
             arg = entry[_ARG]
             if arg is None:
                 fn()
-            elif fn is deliver and not (network._impaired or cells):
+            elif fn is deliver:
                 src, dst, payload = arg
                 node = nodes.get(dst)
-                if node is None:
-                    fn(arg)  # a plain handler
+                if (
+                    node is None  # a plain handler
+                    or dst in disconnected
+                    or (cells and cells[src] != cells[dst])
+                ):
+                    fn(arg)
                 else:
                     typed = node._typed_handlers.get(type(payload))
                     if typed is None:

@@ -7,7 +7,7 @@ The log exposes exactly the operations the protocol needs:
 * the follower's side of AppendEntries in one call -- the *consistency check*
   and the merge that overwrites conflicting suffixes
   (:meth:`ReplicatedLog.check_and_merge`), which recognises an already-stored
-  (retransmitted) window with one slice comparison before its per-entry loop;
+  (retransmitted) window with one slice comparison before its one walk;
 * the *up-to-date comparison* used when granting votes (Section II-A,
   requirement 3): candidate logs are compared first by last term, then by
   last index.
@@ -159,23 +159,31 @@ class ReplicatedLog:
         follower stores the leader's own frozen entry objects, so that
         comparison is an identity walk; entries reloaded from a store or a
         codec compare by value.  Equal entries have equal index and term, so
-        every check the per-entry loop makes holds for them; the loop runs
-        unchanged on whatever follows the skipped part (or on the whole
-        window when the overlap differs anywhere).
+        every check the walk makes holds for them.
+
+        What the comparison did not skip is walked once.  An overlapping
+        entry whose term matches the stored one is left as it is; the first
+        that does not truncates the log there (at most once), and from there
+        on every entry is new.  Each new entry must sit at its position and
+        carry no lower term than the entry before it, and the new run is
+        appended with one ``extend``.  An entry that fails a check raises
+        :class:`StorageError` after the entries before it were merged, as
+        appending them one by one would.
 
         Returns:
             ``None`` if the consistency check failed (the log is untouched),
             otherwise whether the log changed.
         """
         stored_entries = self._entries
+        last_index = self.last_index
         if prev_index and not (
-            0 < prev_index <= self.last_index
+            0 < prev_index <= last_index
             and stored_entries[prev_index - 1].term == prev_term
         ):
             return None
         if not entries:
             return False
-        stored = self.last_index - prev_index
+        stored = last_index - prev_index
         if stored > 0:
             stored = min(stored, len(entries))
             if stored_entries[prev_index : prev_index + stored] == list(entries[:stored]):
@@ -183,19 +191,49 @@ class ReplicatedLog:
                     return False
                 entries = entries[stored:]
                 prev_index += stored
-        changed = False
-        for index, entry in enumerate(entries, prev_index + 1):
+                stored = 0
+        # The overlap the comparison did not skip is walked by term: the first
+        # entry whose term differs truncates the log there, and it and every
+        # later entry are new.
+        new = 0
+        while new < stored:
+            index = prev_index + new + 1
+            entry = entries[new]
             if entry.index != index:
                 raise StorageError(
                     f"entry index {entry.index} does not match position {index}"
                 )
-            if index <= self.last_index:
-                if stored_entries[index - 1].term == entry.term:
-                    continue
+            if stored_entries[index - 1].term != entry.term:
                 self.truncate_from(index)
-            self.append_entry(entry)
-            changed = True
-        return changed
+                break
+            new += 1
+        else:
+            if new == len(entries):
+                return False
+        tail = entries[new:]
+        start = self.last_index + 1
+        term = self.last_term  # 0 for an empty log, which no entry's term is below
+        error = None
+        for index, entry in enumerate(tail, start):
+            if entry.index != index:
+                error = f"entry index {entry.index} does not match position {index}"
+            elif entry.term < term:
+                error = (
+                    f"entry term {entry.term} is lower than the previous entry's "
+                    f"term {term}"
+                )
+            else:
+                term = entry.term
+                continue
+            tail = tail[: index - start]
+            break
+        if tail:
+            stored_entries.extend(tail)
+            self.last_index = start + len(tail) - 1
+            self.last_term = term
+        if error is not None:
+            raise StorageError(error)
+        return True
 
     # ------------------------------------------------------------------ #
     # Protocol predicates

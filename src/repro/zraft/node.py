@@ -41,7 +41,7 @@ class ZRaftNode(EscapeNode):
     # votes on.  Followers never change configuration, and a leader keeps no
     # reply records (it starts no patrol).
     _hook_before_heartbeat_round = RaftNode._hook_before_heartbeat_round
-    _hook_decorate_append_request = RaftNode._hook_decorate_append_request
+    _hook_piggyback = RaftNode._hook_piggyback
     _hook_payload_token = RaftNode._hook_payload_token
     _hook_may_grant_vote = RaftNode._hook_may_grant_vote
     _hook_build_append_response = RaftNode._hook_build_append_response

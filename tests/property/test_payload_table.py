@@ -3,9 +3,9 @@
 A leader keeps what its last AppendEntries broadcast handed each follower and
 serves the next broadcast from that table when nothing the payloads depend on
 has moved (``RaftNode._append_entries_factory``).  The specification is the
-table-free factory: for every follower, the base request
-``_build_append_entries(progress.next_index(follower))`` passed through the
-decorate hook.  This suite drives a leader through random programs --
+table-free factory: for every follower, the request built from
+``_append_window(progress.next_index(follower))`` -- Raft's, or ESCAPE's
+extended one with the follower's assigned configuration.  This suite drives a leader through random programs --
 proposals, success and failure replies, heartbeat rounds after short and long
 silences (so ESCAPE's patrol both settles and rearranges), term changes (a new
 leadership, and on ESCAPE a new patrol) and broadcasts that call the factory
@@ -32,10 +32,13 @@ from helpers import (
 )
 
 from repro import protocols
+from repro.escape.messages import EscapeAppendEntriesRequest
+from repro.escape.node import EscapeNode
 from repro.raft import node as raft_node
 from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse, RequestVoteResponse
 from repro.raft.replication import ReplicationProgress
 from repro.raft.state import Role
+from repro.zraft.node import ZRaftNode
 
 PROTOCOLS = ("raft", "escape", "zraft")
 CLUSTER_SIZE = 5
@@ -59,11 +62,25 @@ PROGRAMS = st.lists(OPERATIONS, max_size=40)
 
 
 def _fresh_payload(node, follower):
-    """What the table-free factory would hand *follower* now."""
-    base = node._build_append_entries(node.progress.next_index(follower))
-    if node._decorate_is_default:
-        return base
-    return node._hook_decorate_append_request(base, follower)
+    """What the table-free factory would hand *follower* now: Raft's request,
+    or on ESCAPE (not Z-Raft) the extended one carrying the follower's
+    assigned configuration, ``None`` while no patrol runs."""
+    prev_index, prev_term, entries = node._append_window(
+        node.progress.next_index(follower)
+    )
+    fields = (
+        node.current_term,
+        node.node_id,
+        prev_index,
+        prev_term,
+        entries,
+        node.commit_index,
+    )
+    if not isinstance(node, EscapeNode) or isinstance(node, ZRaftNode):
+        return AppendEntriesRequest(*fields)
+    patrol = node.patrol
+    new_config = patrol.configuration_for(follower) if patrol is not None else None
+    return EscapeAppendEntriesRequest(*fields, new_config)
 
 
 class _CheckingEnvironment(FakeEnvironment):

@@ -159,8 +159,7 @@ class TestPpfOnLeader:
         env.fire_next_timer("S5:heartbeat")
         first, second = env.sent_to(2)
         assert first is second
-        # A longer log: a new base request, so a new decorated one, carrying
-        # the same configuration object.
+        # A longer log: a new request, carrying the same configuration object.
         node.propose("x")
         third = env.sent_to(2)[-1]
         assert third is not second

@@ -218,10 +218,10 @@ class TestAppendBuildWork:
         store.save_term_and_vote(1, None)
         node = make_leader(store=store)
         node.log._entries = counter = _SliceCounter(node.log._entries)
-        request = node._build_append_entries(1)  # a follower at next index 1
+        _, _, entries = node._append_window(1)  # a follower at next index 1
         assert counter.copied <= 64
-        assert len(request.entries) == node.config.max_entries_per_append == 64
-        assert request.entries == tuple(node.log)[:64]
+        assert len(entries) == node.config.max_entries_per_append == 64
+        assert entries == tuple(node.log)[:64]
 
 
 class TestMergeWork:

@@ -1,9 +1,10 @@
 """The flat run loop delivers a message itself, and nothing on the way is rebuilt.
 
-``FlatEventScheduler._run`` hands a message record of an unimpaired network
-straight to the destination node's typed handler; ``FlatNetwork._deliver_fast``
-keeps every other case (an impaired network, a plain handler, the first
-message of a type), and ``step()`` runs the same loop for one event
+``FlatEventScheduler._run`` hands a message record whose destination the
+network reaches (not disconnected, not across a partition) straight to the
+destination node's typed handler; ``FlatNetwork._deliver_fast`` keeps every
+other case (an in-flight drop, a plain handler, the first message of a type),
+and ``step()`` runs the same loop for one event
 (``docs/design-notes.md``, "One frame per delivery").  This suite pins:
 
 * a message in flight when its destination is disconnected, partitioned,
@@ -28,6 +29,7 @@ import pytest
 from repro.cluster.builder import build_cluster
 from repro.cluster.environment import SimNodeEnvironment
 from repro.common.config import ClusterConfig
+from repro.net.faults import BroadcastOmissionFault
 from repro.net.flatnet import FlatNetwork
 from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse
 from repro.raft.node import RaftNode
@@ -190,24 +192,34 @@ class TestTheLoopOwnsTheCommonCase:
         assert handed_over == first
         assert network.stats.delivered == 4 * 4
 
-    def test_an_impaired_network_hands_every_record_over(self, mode, handed_over):
+    def test_only_a_record_to_an_unreachable_destination_is_handed_over(
+        self, mode, handed_over
+    ):
         world, network, nodes = _cluster(ENGINES[0])
         network.broadcast(1, [2, 3], HEARTBEAT)
         advance(world, mode, 25.0)
         del handed_over[:]
-        network.disconnect(3)  # impaired: the drop tests run per record
+        network.disconnect(3)  # impaired, but 1 and 2 still reach each other
         network.send(1, 2, HEARTBEAT)
+        network.send(1, 3, HEARTBEAT)
         advance(world, mode, 25.0)
-        assert handed_over == [(2, "AppendEntriesRequest"), (1, "AppendEntriesResponse")]
+        to_3 = (3, "AppendEntriesRequest")
+        assert handed_over == [to_3]
         network.reconnect(3)
+        network.send(1, 3, HEARTBEAT)  # in flight when the partition comes
         network.partitions.partition([1, 2], [3])
         network.send(1, 2, HEARTBEAT)
         advance(world, mode, 25.0)
-        assert len(handed_over) == 4
+        assert handed_over == [to_3, to_3]
+        assert network.stats.dropped_in_flight == 2
         network.partitions.heal()
-        network.send(1, 2, HEARTBEAT)
+        # A unicast fault hook is tested when a message is sent, not delivered.
+        network.set_fault(BroadcastOmissionFault(0.5, affect_unicast=True))
+        for _ in range(4):
+            network.send(1, 2, HEARTBEAT)
         advance(world, mode, 25.0)
-        assert len(handed_over) == 4
+        assert network.stats.dropped_by_fault > 0
+        assert handed_over == [to_3, to_3]
 
     def test_a_plain_handler_is_handed_every_record(self, mode, handed_over):
         world, network, nodes = _cluster(ENGINES[0])

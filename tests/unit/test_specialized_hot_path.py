@@ -63,13 +63,13 @@ _HELD = (
     "specializes LOAD_METHOD only for a method of the class"
 )
 _ENV = _HELD + (
-    ": SimNodeEnvironment binds the clock's, scheduler's and network's entry "
-    "points in its instance dict, so a call pays no adapter frame.  A "
-    "forwarding method on the class would specialize but adds one, which "
-    "costs more than it saves for the bound methods (CPython 3.11.7, per "
-    "call: rearm_timer 204 against 184 ns, now 51 against 35); for the "
-    "partials behind send and broadcast it read cheaper (580 against 611 ns "
-    "a send), an open lever (docs/design-notes.md)"
+    ": SimNodeEnvironment binds the clock's and scheduler's entry points in "
+    "its instance dict, so a call pays no adapter frame.  A forwarding "
+    "method on the class specializes but adds one, which costs more than it "
+    "saves for these bound methods (CPython 3.11.7, per call: rearm_timer "
+    "204 against 184 ns, now 51 against 35).  send and broadcast are such "
+    "methods, which cost a send the same as the functools.partial they "
+    "replaced and are specialized (docs/design-notes.md)"
 )
 _METHOD_VALUE = (
     "a method loaded as a value (a bound method is built to be stored or "
@@ -92,9 +92,7 @@ ALLOWED = {
     ),
     ("RaftNode._handle_request_vote", "LOAD_ATTR", "_grant_hook_is_default"): _FLAG,
     ("RaftNode._handle_request_vote", "LOAD_METHOD", "now"): _ENV,
-    ("RaftNode._handle_request_vote", "LOAD_METHOD", "send"): _ENV,
     ("RaftNode._handle_append_entries", "LOAD_ATTR", "_adopts_piggyback"): _FLAG,
-    ("RaftNode._handle_append_entries", "LOAD_METHOD", "send"): _ENV,
     ("RaftNode._handle_append_entries_response", "LOAD_METHOD", "now"): _ENV,
     ("RaftNode._reset_election_timer", "LOAD_METHOD", "rearm_timer"): _ENV,
     ("RaftNode._reset_election_timer", "LOAD_ATTR", "rng"): (
@@ -104,29 +102,22 @@ ALLOWED = {
     ),
     ("RaftNode._on_election_timeout", "LOAD_METHOD", "now"): _ENV,
     ("RaftNode._start_election", "LOAD_METHOD", "now"): _ENV,
-    ("RaftNode._start_election", "LOAD_METHOD", "broadcast"): _ENV,
     ("RaftNode._schedule_vote_retry", "LOAD_METHOD", "rearm_timer"): _ENV,
     ("RaftNode._schedule_vote_retry", "LOAD_ATTR", "_retry_vote_requests"): (
         _METHOD_VALUE + ": a timer's callback"
     ),
-    ("RaftNode._retry_vote_requests", "LOAD_METHOD", "broadcast"): _ENV,
     ("RaftNode._change_role", "LOAD_METHOD", "now"): _ENV,
-    ("RaftNode._send_heartbeats", "LOAD_METHOD", "broadcast"): _ENV,
     ("RaftNode._send_heartbeats", "LOAD_METHOD", "set_timer"): _ENV,
     ("RaftNode._send_heartbeats", "LOAD_ATTR", "_send_heartbeats"): (
         _METHOD_VALUE + ": a timer's callback"
     ),
-    ("RaftNode._replicate_to_followers", "LOAD_METHOD", "broadcast"): _ENV,
-    ("RaftNode._append_entries_factory", "LOAD_ATTR", "_decorate_is_default"): (
-        "a class flag read through a slotted node, which 3.11 does not "
-        "specialize; once per non-idle heartbeat round"
+    ("RaftNode._append_entries_factory", "LOAD_ATTR", "_piggyback_request"): (
+        "a class attribute read through a slotted node, which 3.11 does not "
+        "specialize; once per non-idle heartbeat round of a piggybacking class"
     ),
-    ("RaftNode._append_entries_factory", "LOAD_ATTR", "_build_append_entries"): (
+    ("RaftNode._append_entries_factory", "LOAD_ATTR", "_append_window"): (
         _METHOD_VALUE + ", once per round"
     ),
-    (
-        "RaftNode._append_entries_factory", "LOAD_ATTR", "_hook_decorate_append_request"
-    ): _METHOD_VALUE + ", once per round",
     ("RaftNode._append_entries_factory", "LOAD_ATTR", "next_index"): (
         _METHOD_VALUE + ", once per round"
     ),

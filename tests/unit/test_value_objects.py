@@ -24,6 +24,7 @@ from __future__ import annotations
 import builtins
 import copy
 import dataclasses
+import dis
 import functools
 import importlib
 import inspect
@@ -459,6 +460,102 @@ class TestValueSemantics:
             lambda: delattr(ta, "not_a_field")
         )
         assert hasattr(a, "__dict__") == hasattr(ta, "__dict__")
+
+
+#: The slotted value types: an instance of one with three or more fields is
+#: built as its class's mutable twin, which ``__init__`` switches back.
+SLOTTED_TYPES = [cls for cls in VALUE_TYPES + LOCAL_TYPES if "__slots__" in vars(cls)]
+
+
+def twins_of(cls: type) -> list[type]:
+    """The subclasses of *cls* that carry its own name: its mutable twin."""
+    return [
+        sub
+        for sub in cls.__subclasses__()
+        if (sub.__module__, sub.__qualname__) == (cls.__module__, cls.__qualname__)
+    ]
+
+
+each_slotted_type = pytest.mark.parametrize(
+    "cls", SLOTTED_TYPES, ids=[cls.__qualname__ for cls in SLOTTED_TYPES]
+)
+
+
+@each_slotted_type
+class TestNoTwinSurvivesConstruction:
+    def test_every_way_to_an_instance_yields_the_class_itself(self, cls):
+        for value in instances(cls):
+            kwargs = values_of(value)
+            args, keywords = split_args(cls, kwargs)
+            made = [
+                value,
+                cls(*args, **keywords),
+                cls(**kwargs),
+                dataclasses.replace(value),
+                copy.copy(value),
+                copy.deepcopy(value),
+                pickle.loads(pickle.dumps(value)),
+            ]
+            assert [type(obj) for obj in made] == [cls] * len(made)
+            # A stock frozen subclass builds through its own __init__, a
+            # plain one through this class's, with no twin of its own.
+            stock = dataclasses.dataclass(frozen=True)(type(cls.__name__, (cls,), {}))
+            plain = type(cls.__name__, (cls,), {"__slots__": ()})
+            for sub in (stock, plain):
+                obj = sub(*args, **keywords)
+                assert type(obj) is sub and values_of(obj) == kwargs
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, next(iter(kwargs)), None)
+
+    def test_a_failing_post_init_sees_the_class_itself(self, cls):
+        """``__post_init__`` runs after the switch back: what it raises from
+        holds an instance of the class, never of its twin."""
+        failed = 0
+        for value in instances(cls):
+            for name, field_value in values_of(value).items():
+                if not isinstance(field_value, NUMERIC) or isinstance(field_value, bool):
+                    continue
+                for bad in BAD_NUMBERS:
+                    try:
+                        cls(**{**values_of(value), name: bad})
+                    except Exception as exc:  # the frames it unwound are read
+                        failed += 1
+                        frame = exc.__traceback__
+                        while frame is not None:
+                            built = frame.tb_frame.f_locals.get("self")
+                            if isinstance(built, cls):
+                                assert type(built) is cls
+                            frame = frame.tb_next
+        if hasattr(cls, "__post_init__") and cls.__module__.startswith("repro."):
+            assert failed
+
+    def test_the_walk_finds_no_twin(self, cls):
+        for twin in twins_of(cls):
+            assert twin not in ALL_CLASSES
+            assert not is_value_object(twin)
+            module = sys.modules[cls.__module__]
+            assert getattr(module, cls.__qualname__, cls) is cls
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11), reason="reads CPython 3.11's quickened stores"
+    )
+    def test_the_field_stores_specialize(self, cls):
+        fields = dataclasses.fields(cls)
+        kwargs = values_of(instances(cls)[0])
+        for _ in range(64):
+            cls(**kwargs)
+        stores = {
+            ins.argval: ins.opname
+            for ins in dis.get_instructions(cls.__init__, adaptive=True)
+            if ins.opname.startswith("STORE_ATTR")
+        }
+        if len(fields) < 3:
+            assert stores == {} and twins_of(cls) == []
+        else:
+            assert len(twins_of(cls)) == 1
+            assert {f.name: stores[f.name] for f in fields} == {
+                f.name: "STORE_ATTR_SLOT" for f in fields
+            }
 
 
 class TestRegistry:
