@@ -34,9 +34,10 @@ from repro.common import (
     ScaParameters,
     SeedSequence,
 )
-from repro.escape import Configuration, EscapeNode, EscapeNoPpfNode
 from repro.raft import RaftNode, Role
 from repro.zraft import ZRaftNode
+from repro.escape import Configuration
+from repro.escape.node import EscapeNode, EscapeNoPpfNode
 from repro import protocols
 from repro.protocols import ProtocolSpec
 

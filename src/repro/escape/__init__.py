@@ -12,9 +12,11 @@ ESCAPE extends Raft's leader election with two components:
   assignment with a monotonically increasing *configuration clock* so stale
   configurations can never disturb an election.
 
-:class:`~repro.escape.node.EscapeNode` plugs these two components into the
-Raft core through its extension hooks; log replication is untouched, which is
-the basis of the paper's safety argument (Section V).
+:class:`~repro.escape.node.EscapeNode` adds the PPF to
+:class:`~repro.zraft.node.ZRaftNode` (SCA alone) through Raft's extension
+hooks, so it lives in :mod:`repro.escape.node`, not in this package's
+exports.  Log replication is untouched, the basis of the paper's safety
+argument (Section V).
 """
 
 from repro.escape.configuration import ConfigStatus, Configuration
@@ -23,7 +25,6 @@ from repro.escape.messages import (
     EscapeAppendEntriesResponse,
     EscapeRequestVoteRequest,
 )
-from repro.escape.node import EscapeNode, EscapeNoPpfNode
 from repro.escape.ppf import FollowerResponsiveness, ProbingPatrol
 from repro.escape.sca import assign_initial_configurations, joining_configuration
 
@@ -32,8 +33,6 @@ __all__ = [
     "Configuration",
     "EscapeAppendEntriesRequest",
     "EscapeAppendEntriesResponse",
-    "EscapeNoPpfNode",
-    "EscapeNode",
     "EscapeRequestVoteRequest",
     "FollowerResponsiveness",
     "ProbingPatrol",

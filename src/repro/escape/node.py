@@ -1,29 +1,31 @@
-"""The ESCAPE node: Raft plus SCA, PPF and the configuration clock.
+"""The ESCAPE node: Z-Raft plus the PPF and the configuration clock.
 
-:class:`EscapeNode` overrides only the extension hooks of
-:class:`repro.raft.node.RaftNode`:
+:class:`EscapeNode` extends :class:`repro.zraft.node.ZRaftNode` (SCA: the held
+configuration, its Eq. 1 timeout, Eq. 2 term growth) with the Probing Patrol:
+the leader re-assigns configurations and piggybacks them on AppendEntries,
+followers adopt them and report their ``configStatus``, and voters refuse a
+candidate whose configuration clock is stale.  The chain's hook overrides:
 
-================================  ====================================================
-Hook                              ESCAPE behaviour
-================================  ====================================================
-``_hook_next_election_term``      term grows by the node's priority (Eq. 2)
-``_hook_may_grant_vote``          reject candidates with a stale configuration clock
-``_hook_make_vote_request``       include configuration clock (and priority)
-``_hook_piggyback``               each follower's newly assigned configuration
-``_hook_payload_token``           the patrol and its clock (what that piggyback reads)
-``_hook_build_append_response``   attach the current ``configStatus``
-``_hook_before_heartbeat_round``  run one PPF round (clock bump + re-ranking)
-``_hook_on_become_leader``        instantiate the PPF for this leadership period
-================================  ====================================================
+================================  ======  ======================================
+Hook                              Class   Behaviour
+================================  ======  ======================================
+``_hook_next_election_term``      Z-Raft  term grows by the priority (Eq. 2)
+``_hook_make_vote_request``       Z-Raft  carry the clock (and priority)
+``_hook_may_grant_vote``          ESCAPE  reject candidates with a stale clock
+``_hook_piggyback``               ESCAPE  each follower's assigned configuration
+``_hook_build_append_response``   ESCAPE  attach the current ``configStatus``
+``_hook_before_heartbeat_round``  ESCAPE  one PPF round (clock bump, re-ranking)
+``_hook_on_become_leader``        ESCAPE  start the PPF for this leadership
+================================  ======  ======================================
 
 The rest is node state, read by Raft's own code with no call:
 
-* the node's own timeout ``_own_timeout_ms``: every unscripted
+* the node's own timeout ``_own_timeout_ms`` (Z-Raft): every unscripted
   election-timeout wait is the timeout paired with the held configuration
   (Eq. 1), where Raft would draw from its randomized range;
 * the held configuration is the reply token that, with the log tail, keys
   Raft's reply memo (the ``configStatus`` is a function of the two);
-  :meth:`EscapeNode._hold` keeps the timeout and the token current;
+  :meth:`EscapeNode._adopt_configuration` holds a new configuration as both;
 * ``_adopts_piggyback``: the follower's AppendEntries handler compares the
   heartbeat's ``new_config`` with the reply token by identity and calls
   :meth:`EscapeNode._adopt_configuration` only when they differ, so an idle
@@ -41,7 +43,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.common.config import ClusterConfig, ProtocolConfig
-from repro.common.types import LogIndex, Milliseconds, ServerId, Term
+from repro.common.types import LogIndex, Milliseconds, ServerId
 from repro.escape.configuration import ConfigStatus, Configuration
 from repro.escape.messages import (
     EscapeAppendEntriesRequest,
@@ -49,28 +51,21 @@ from repro.escape.messages import (
     EscapeRequestVoteRequest,
 )
 from repro.escape.ppf import ProbingPatrol
-from repro.escape.sca import joining_configuration
 from repro.raft.environment import Environment
 from repro.raft.listeners import ListenerTable, NodeListener
 from repro.raft.messages import AppendEntriesResponse, RequestVoteRequest
-from repro.raft.node import RaftNode
 from repro.statemachine.base import StateMachine
 from repro.storage.persistent import PersistentState
+from repro.zraft.node import ZRaftNode
 
 
-class EscapeNode(RaftNode):
+class EscapeNode(ZRaftNode):
     """A server running the ESCAPE leader-election protocol.
 
-    Args:
-        node_id, cluster, env, store, state_machine, protocol_config,
-        listeners, timeout_script: as for :class:`~repro.raft.node.RaftNode`.
-        initial_configuration: the SCA configuration this server starts with.
-            When omitted it is derived from the server's own id, the cluster
-            size and the SCA parameters in ``protocol_config`` (Eq. 1 with
-            priority = server id).
+    Args: as for :class:`~repro.zraft.node.ZRaftNode`.
     """
 
-    __slots__ = ("configuration", "patrol", "configuration_updates")
+    __slots__ = ("patrol", "configuration_updates", "_unassigned")
 
     protocol_name = "escape"
     _adopts_piggyback = True
@@ -89,37 +84,21 @@ class EscapeNode(RaftNode):
         timeout_script: tuple[Milliseconds, ...] = (),
     ) -> None:
         super().__init__(
-            node_id=node_id,
-            cluster=cluster,
-            env=env,
-            store=store,
-            state_machine=state_machine,
-            protocol_config=protocol_config,
-            listeners=listeners,
-            timeout_script=timeout_script,
+            node_id,
+            cluster,
+            env,
+            store,
+            state_machine,
+            protocol_config,
+            listeners,
+            initial_configuration,
+            timeout_script,
         )
-        if initial_configuration is None:
-            initial_configuration = joining_configuration(
-                node_id, cluster.size, self.config.sca
-            )
-        self._hold(initial_configuration)
+        # The reply token (RaftNode._make_append_response): configStatus reads it.
+        self._reply_token = self.configuration
         self.patrol: ProbingPatrol | None = None
         self.configuration_updates = 0
-
-    # ------------------------------------------------------------------ #
-    # SCA: the held configuration, term growth
-    # ------------------------------------------------------------------ #
-    def _hold(self, configuration: Configuration) -> None:
-        """Hold *configuration*: its timeout (Eq. 1) is every unscripted
-        election-timeout wait from the next timer reset on, and it is the
-        reply token (see :meth:`RaftNode._make_append_response`)."""
-        self.configuration: Configuration = configuration
-        self._own_timeout_ms = configuration.timer_period_ms
-        self._reply_token = configuration
-
-    def _hook_next_election_term(self) -> Term:
-        """Eq. 2: the campaign term grows by this server's priority."""
-        return self.current_term + self.configuration.priority
+        self._unassigned: dict[ServerId, None] | None = None
 
     # ------------------------------------------------------------------ #
     # Configuration-clock vote gating
@@ -129,16 +108,6 @@ class EscapeNode(RaftNode):
         if isinstance(request, EscapeRequestVoteRequest):
             return request.conf_clock >= self.configuration.conf_clock
         return True
-
-    def _hook_make_vote_request(self) -> RequestVoteRequest:
-        return EscapeRequestVoteRequest(
-            term=self.current_term,
-            candidate_id=self.node_id,
-            last_log_index=self.log.last_index,
-            last_log_term=self.log.last_term,
-            conf_clock=self.configuration.conf_clock,
-            priority=self.configuration.priority,
-        )
 
     # ------------------------------------------------------------------ #
     # PPF: leader side
@@ -186,17 +155,15 @@ class EscapeNode(RaftNode):
 
     def _hook_piggyback(self) -> Mapping[ServerId, Configuration | None]:
         """Each follower's newly assigned configuration, carried by its
-        AppendEntries; ``None`` for every follower while no patrol runs."""
+        AppendEntries: the patrol's assignment, a new object on every
+        rearrangement; while no patrol runs, one mapping of every follower to
+        ``None`` for the node's lifetime."""
         patrol = self.patrol
-        if patrol is None:
-            return dict.fromkeys(self._peer_ids)
-        return patrol.assignments
-
-    def _hook_payload_token(self) -> tuple[ProbingPatrol, int] | None:
-        """The patrol, held (not its ``id()``), and its clock, which moves with
-        every rearrangement: the assignment the piggyback reads."""
-        patrol = self.patrol
-        return None if patrol is None else (patrol, patrol.conf_clock)
+        if patrol is not None:
+            return patrol.assignments
+        if self._unassigned is None:
+            self._unassigned = dict.fromkeys(self._peer_ids)
+        return self._unassigned
 
     # ------------------------------------------------------------------ #
     # PPF: follower side
@@ -219,6 +186,7 @@ class EscapeNode(RaftNode):
                 "config.update", old=held.describe(), new=new_config.describe()
             )
         self._hold(new_config)
+        self._reply_token = new_config
         self.configuration_updates += 1
 
     def _hook_build_append_response(
@@ -235,24 +203,16 @@ class EscapeNode(RaftNode):
             self.current_term, self.node_id, success, match_index, status
         )
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def describe(self) -> str:
-        base = super().describe()
-        return f"{base} {self.configuration.describe()}"
-
 
 class EscapeNoPpfNode(EscapeNode):
     """ESCAPE with the Probing Patrol disabled: the ablation as a protocol.
 
     Leaders never instantiate a patrol, so the initial SCA configurations
     (priority = server id, timeout from Eq. 1) are permanent and the
-    configuration clock stays at its initial value cluster-wide.  Unlike
-    :class:`~repro.zraft.node.ZRaftNode` -- which also strips the ESCAPE
-    message extensions and the clock-based vote gate -- this variant keeps
-    the full ESCAPE wire format and vote gating, so it isolates *exactly*
-    the contribution of the PPF's dynamic rearrangement (Section IV-B).
+    configuration clock stays at its initial value cluster-wide.  Unlike its
+    grandparent :class:`~repro.zraft.node.ZRaftNode`, this variant keeps the
+    full ESCAPE wire format and vote gating, so it isolates *exactly* the
+    contribution of the PPF's dynamic rearrangement (Section IV-B).
 
     Every other hook inherits from :class:`EscapeNode` and degrades
     gracefully when ``patrol is None``: heartbeats carry no new

@@ -105,8 +105,7 @@ class ProbingPatrol:
         self._timeouts = tuple(
             sca.election_timeout_ms(priority, cluster_size) for priority in self._ladder
         )
-        #: The configuration clock of the most recent rearrangement: a plain
-        #: attribute, read by the leader once per heartbeat round.
+        #: The configuration clock of the most recent rearrangement.
         self.conf_clock = max(0, initial_clock)
         self._stale_after_ms = stale_after_ms
         #: Follower -> what the leader knows of it, in ``followers`` order.

@@ -15,8 +15,9 @@ and replaces the hot send/broadcast/delivery paths:
   scheduler's run loop does it itself when the destination is reachable
   (not disconnected, in the sender's partition cell) and the type is
   resolved, and :meth:`FlatNetwork._deliver_fast` does every other case --
-  the in-flight drops, a plain handler, the first message of a type
-  (``docs/design-notes.md``, "One frame per delivery");
+  the in-flight drops, and the registered handler for a plain handler or
+  the first message of a type (``docs/design-notes.md``, "One frame per
+  delivery");
 * the latency sampler is inlined for the model every scenario uses:
   :class:`~repro.net.latency.UniformLatency` becomes
   ``low + spread * rng.random()`` (bit-identical to ``rng.uniform`` --
@@ -180,7 +181,7 @@ class FlatNetwork(SimulatedNetwork):
         """As :meth:`SimulatedNetwork.register`.  A bound method marked
         ``dispatches_by_type`` (:meth:`repro.raft.node.RaftNode.on_message`)
         is a running check plus a per-type table lookup by its own promise,
-        and :meth:`_deliver_fast` does those two itself."""
+        and the run loop does those two itself once the type is resolved."""
         super().register(server_id, handler)
         if getattr(handler, "dispatches_by_type", False):
             self._nodes[server_id] = handler.__self__
@@ -387,9 +388,10 @@ class FlatNetwork(SimulatedNetwork):
     # ------------------------------------------------------------------ #
     def _deliver_fast(self, item: tuple[ServerId, ServerId, Any]) -> None:
         """Deliver a message record the run loop handed over: to a
-        disconnected or partitioned-off destination (dropped in flight), to a
-        plain handler, or the first of its type to a node.  The loop delivers
-        every other record itself
+        disconnected or partitioned-off destination (dropped in flight), or
+        to the registered handler -- a plain handler, or a node's
+        ``on_message`` for the first message of its type, which the node
+        resolves.  The loop delivers every other record itself
         (:meth:`~repro.sim.flatcore.FlatEventScheduler._run`, which ``step``
         runs too)."""
         src, dst, payload = item
@@ -410,16 +412,8 @@ class FlatNetwork(SimulatedNetwork):
                     "net.drop", node=src, dst=dst, reason="partition", in_flight=True
                 )
             return
-        node = self._nodes.get(dst)
-        if node is None:
-            handler = self._handlers.get(dst)
-            if handler is None:
-                raise NetworkError(f"no handler registered for S{dst}")
-            self._stats.delivered += 1
-            return handler(src, payload)
-        self._stats.delivered += 1  # then node.on_message, minus its frame
-        if node._running:
-            typed = node._typed_handlers.get(type(payload))
-            if typed is not None:
-                return typed(node, src, payload)
-            node.on_message(src, payload)  # first of its type: resolves it
+        handler = self._handlers.get(dst)
+        if handler is None:
+            raise NetworkError(f"no handler registered for S{dst}")
+        self._stats.delivered += 1
+        handler(src, payload)

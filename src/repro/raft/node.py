@@ -7,11 +7,12 @@ check and quorum commitment, and heartbeat-based leadership maintenance.
 
 The class exposes a small set of protected extension hooks (all prefixed
 ``_hook_``) and some node state that its handlers read with no call, where a
-hook would run once per follower per heartbeat.
-:class:`repro.escape.node.EscapeNode` uses both to implement the paper's
-contribution without touching the replication logic -- mirroring the paper's
-Lemma 2 argument that ESCAPE elections are indistinguishable from Raft
-elections on the receiving side.
+hook would run once per follower per heartbeat.  The subclasses follow the
+paper: :class:`repro.zraft.node.ZRaftNode` adds SCA's static priorities and
+:class:`repro.escape.node.EscapeNode` adds the PPF on top of it, both without
+touching the replication logic -- mirroring the paper's Lemma 2 argument that
+ESCAPE elections are indistinguishable from Raft elections on the receiving
+side.  The hook table is in the :mod:`repro.escape.node` docstring.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class RaftNode:
         # is unchanged (see _append_entries_factory).
         self._append_request_cache_key: tuple[Term, LogIndex, LogIndex] | None = None
         self._append_request_cache: dict[LogIndex, AppendEntriesRequest] = {}
-        # (cache, (progress version, payload token), payloads) of the last
+        # (cache, progress version, piggyback, payloads) of the last
         # AppendEntries broadcast (see _append_entries_factory).
         self._payload_table: tuple | None = None
         self._vote_response_memo: tuple[Term, bool, RequestVoteResponse] | None = None
@@ -666,7 +667,6 @@ class RaftNode:
             self._change_role(FOLLOWER)
             self.leader_id = None
             self._reset_election_timer()
-        self._hook_on_term_adopted(term)
 
     def _change_role(self, new_role: Role) -> None:
         old_role = self.role
@@ -727,8 +727,8 @@ class RaftNode:
         serves that table as ``payloads.__getitem__`` (a C call, no frame per
         follower) while the cache is the same object (a new leadership has a
         new term, hence a new cache), no next index moved
-        (``progress.version``), :meth:`_hook_payload_token` is equal and the
-        table covers every peer: an idle heartbeat round.
+        (``progress.version``), :meth:`_hook_piggyback` returned the same
+        object and the table covers every peer: an idle heartbeat round.
         """
         progress = self.progress
         assert progress is not None
@@ -737,22 +737,23 @@ class RaftNode:
             self._append_request_cache_key = key
             self._append_request_cache = {}
         cache = self._append_request_cache
-        stamp = (progress.version, self._hook_payload_token())
+        version = progress.version
+        piggyback = self._hook_piggyback()
         table = self._payload_table
         if (
             table is not None
             and table[0] is cache
-            and table[1] == stamp
-            and len(table[2]) == len(self._peer_ids)
+            and table[1] == version
+            and table[2] is piggyback
+            and len(table[3]) == len(self._peer_ids)
         ):
-            return table[2].__getitem__
+            return table[3].__getitem__
         payloads: dict[ServerId, AppendEntriesRequest] = {}
-        self._payload_table = (cache, stamp, payloads)
+        self._payload_table = (cache, version, piggyback, payloads)
         window = self._append_window
         next_index = progress.next_index
         term, _, commit = key
         leader_id = self.node_id
-        piggyback = self._hook_piggyback()
         if piggyback is None:
 
             def factory(follower: ServerId) -> AppendEntriesRequest:
@@ -866,7 +867,7 @@ class RaftNode:
             self._vote_retry_timer = None
 
     # ------------------------------------------------------------------ #
-    # Extension hooks overridden by ESCAPE and Z-Raft
+    # Extension hooks overridden by Z-Raft and ESCAPE
     # ------------------------------------------------------------------ #
     def _hook_next_election_term(self) -> Term:
         """Term used for the next campaign.  Raft: ``current_term + 1``."""
@@ -888,14 +889,13 @@ class RaftNode:
     def _hook_piggyback(self) -> Mapping[ServerId, Any] | None:
         """What this round's AppendEntries piggyback, by follower: each
         follower's request is ``_piggyback_request`` with its value as the
-        last field.  Raft: ``None``, nothing piggybacked."""
-        return None
+        last field.  Raft: ``None``, nothing piggybacked.
 
-    def _hook_payload_token(self) -> Any:
-        """Compared by ``==`` between broadcasts (see the payload table in
-        :meth:`_append_entries_factory`): it must change whenever
-        :meth:`_hook_piggyback` could map a follower to something else.  Hold
-        objects by strong reference, never by ``id()`` (ids are reused)."""
+        Called once per broadcast round.  The payload table serves a round
+        only while this returns the very object it returned for the table
+        (:meth:`_append_entries_factory`), so a class hands out a new mapping
+        whenever a follower's value changes, and keeps returning the same one
+        while none does."""
         return None
 
     def _hook_build_append_response(
@@ -917,10 +917,6 @@ class RaftNode:
 
     def _hook_on_become_leader(self) -> None:
         """Called when this node wins an election."""
-        return None
-
-    def _hook_on_term_adopted(self, term: Term) -> None:
-        """Called after adopting a higher term from a received message."""
         return None
 
     # ------------------------------------------------------------------ #

@@ -294,16 +294,16 @@ class FlatEventScheduler:
         its head is a live record later than the limit (dead and moved
         records reaching the head go through :meth:`_drop_head`).
 
-        A message record of the attached network is delivered here, as its
-        ``fn`` (``FlatNetwork._deliver_fast``) would, when its destination is
-        reachable -- not disconnected, and in the sender's cell if a
-        partition is installed -- and is a node that has resolved the
-        payload's type: counted as delivered, then handed to the typed
-        handler if the node runs.  The test is per destination, so after a
-        crash only the records addressed to the crashed node take
-        ``fn(arg)`` (which drops them in flight), and a fault hook, tested
-        when a message is sent, sends none there.  Every other case is
-        ``fn(arg)``.
+        A message record of the attached network is delivered here when its
+        destination is reachable -- not disconnected, and in the sender's
+        cell if a partition is installed -- and is a node that has resolved
+        the payload's type: counted as delivered, then handed to the typed
+        handler if the node runs, which is what its ``fn``
+        (``FlatNetwork._deliver_fast``, then the node's ``on_message``) would
+        do.  The test is per destination, so after a crash only the records
+        addressed to the crashed node take ``fn(arg)`` (which drops them in
+        flight), and a fault hook, tested when a message is sent, sends none
+        there.  Every other case is ``fn(arg)``.
         """
         self._interrupted = once
         heap = self._heap

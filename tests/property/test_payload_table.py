@@ -10,7 +10,9 @@ proposals, success and failure replies, heartbeat rounds after short and long
 silences (so ESCAPE's patrol both settles and rearranges), term changes (a new
 leadership, and on ESCAPE a new patrol) and broadcasts that call the factory
 for only some peers -- and compares every AppendEntries payload served
-against that specification, on Raft, ESCAPE and Z-Raft.
+against that specification, on Raft, ESCAPE, Z-Raft and ESCAPE without a
+patrol (whose all-``None`` piggyback is one mapping, so its idle rounds are
+served from the table too).
 
 The last test is the check on the check: a leader whose progress version
 never moves -- a table that ignores rewound and advanced next indexes -- must
@@ -38,9 +40,8 @@ from repro.raft import node as raft_node
 from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse, RequestVoteResponse
 from repro.raft.replication import ReplicationProgress
 from repro.raft.state import Role
-from repro.zraft.node import ZRaftNode
 
-PROTOCOLS = ("raft", "escape", "zraft")
+PROTOCOLS = ("raft", "escape", "zraft", "escape-noppf")
 CLUSTER_SIZE = 5
 LEADER = 1
 FOLLOWERS = (2, 3, 4, 5)
@@ -62,8 +63,8 @@ PROGRAMS = st.lists(OPERATIONS, max_size=40)
 
 
 def _fresh_payload(node, follower):
-    """What the table-free factory would hand *follower* now: Raft's request,
-    or on ESCAPE (not Z-Raft) the extended one carrying the follower's
+    """What the table-free factory would hand *follower* now: Raft's request
+    (Z-Raft's too), or on ESCAPE the extended one carrying the follower's
     assigned configuration, ``None`` while no patrol runs."""
     prev_index, prev_term, entries = node._append_window(
         node.progress.next_index(follower)
@@ -76,7 +77,7 @@ def _fresh_payload(node, follower):
         entries,
         node.commit_index,
     )
-    if not isinstance(node, EscapeNode) or isinstance(node, ZRaftNode):
+    if not isinstance(node, EscapeNode):
         return AppendEntriesRequest(*fields)
     patrol = node.patrol
     new_config = patrol.configuration_for(follower) if patrol is not None else None

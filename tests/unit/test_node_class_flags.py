@@ -9,12 +9,17 @@ read through a slotted instance is never specialized; see
 class's memo, for every registered protocol, the README's example class and
 a subclass that overrides the grant hook and sets ``_adopts_piggyback``, and
 pin the role constants and the role-transition check to its table.
+
+The protocol classes form a chain in which each adds to its parent (Raft →
+Z-Raft → ESCAPE): none binds an ancestor's function under its own name to
+undo what the ancestor added.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -97,6 +102,20 @@ def test_the_handlers_read_the_class_flags():
     (reply,) = node.env.sent_payloads()
     assert reply.vote_granted is False and node.voted_for is None
     assert RequestVoteRequest in Picky._message_handlers
+
+
+@pytest.mark.parametrize("protocol", protocols.names())
+def test_no_protocol_class_aliases_an_ancestor_s_function(protocol):
+    node_class = protocols.get(protocol).node_class
+    aliases = [
+        f"{cls.__name__}.{name} = {value.__qualname__}"
+        for cls in node_class.__mro__
+        if issubclass(cls, RaftNode)
+        for name, value in vars(cls).items()
+        if isinstance(value, types.FunctionType)
+        and not value.__qualname__.startswith(cls.__name__ + ".")
+    ]
+    assert not aliases, aliases
 
 
 def test_the_role_constants_are_the_members():

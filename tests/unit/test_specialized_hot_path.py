@@ -53,6 +53,7 @@ HOT_MODULES = (
     "repro.sim.flatcore",
     "repro.raft.state",
     "repro.raft.node",
+    "repro.zraft.node",
     "repro.escape.node",
     "repro.cluster.builder",
     "repro.net.flatnet",

@@ -1,4 +1,8 @@
-"""Unit tests for the Z-Raft baseline (static priorities, no PPF)."""
+"""Unit tests for the Z-Raft baseline (static priorities, no PPF).
+
+Z-Raft is Raft plus SCA; ESCAPE extends it, never the other way round, so a
+Z-Raft node has no patrol state and its class defines none of the PPF hooks.
+"""
 
 from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 
@@ -8,9 +12,20 @@ from repro.escape.messages import (
     EscapeAppendEntriesResponse,
     EscapeRequestVoteRequest,
 )
+from repro.escape.node import EscapeNode
 from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse, RequestVoteResponse
+from repro.raft.node import RaftNode
 from repro.raft.state import Role
 from repro.zraft.node import ZRaftNode
+
+#: The hooks through which ESCAPE's PPF changes Raft.
+PPF_HOOKS = (
+    "_hook_may_grant_vote",
+    "_hook_piggyback",
+    "_hook_build_append_response",
+    "_hook_before_heartbeat_round",
+    "_hook_on_become_leader",
+)
 
 
 def make_node(node_id=3, size=5):
@@ -52,8 +67,8 @@ class TestStaticPriorities:
                 new_config=Configuration(priority=5, timer_period_ms=50.0, conf_clock=9),
             ),
         )
-        assert node.configuration == before
-        assert node.configuration_updates == 0
+        assert node.configuration is before
+        assert not hasattr(node, "configuration_updates")
 
     def test_term_growth_still_uses_the_static_priority(self):
         node, env = make_node(node_id=3)
@@ -71,7 +86,7 @@ class TestStaticPriorities:
 class TestNoPpf:
     def test_leader_has_no_patrol_and_sends_plain_heartbeats(self):
         node, env = make_leader()
-        assert node.patrol is None
+        assert not hasattr(node, "patrol")
         env.fire_next_timer("S5:heartbeat")
         heartbeats = env.sent_payloads(AppendEntriesRequest)
         assert heartbeats
@@ -86,6 +101,11 @@ class TestNoPpf:
         assert not isinstance(reply, EscapeAppendEntriesResponse)
 
     def test_disabled_hooks_are_raft_s_own_so_the_hot_path_skips_them(self):
+        # The class defines no PPF hook: each is RaftNode's, inherited.
+        assert EscapeNode not in ZRaftNode.__mro__
+        for name in PPF_HOOKS:
+            assert name not in vars(ZRaftNode), name
+            assert getattr(ZRaftNode, name) is getattr(RaftNode, name), name
         node, env = make_node(node_id=2)
         # The flags are per-class facts, read through the node.
         flags = {name: getattr(node, name) for name in dir(node) if name.endswith("_is_default")}
