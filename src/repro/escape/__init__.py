@@ -19,7 +19,7 @@ exports.  Log replication is untouched, the basis of the paper's safety
 argument (Section V).
 """
 
-from repro.escape.configuration import ConfigStatus, Configuration
+from repro.escape.configuration import Configuration
 from repro.escape.messages import (
     EscapeAppendEntriesRequest,
     EscapeAppendEntriesResponse,
@@ -29,7 +29,6 @@ from repro.escape.ppf import FollowerResponsiveness, ProbingPatrol
 from repro.escape.sca import assign_initial_configurations, joining_configuration
 
 __all__ = [
-    "ConfigStatus",
     "Configuration",
     "EscapeAppendEntriesRequest",
     "EscapeAppendEntriesResponse",

@@ -10,7 +10,7 @@ priority drives term growth (Eq. 2); the timeout drives failure detection
 from __future__ import annotations
 
 from repro.common.frozen import value_object
-from repro.common.types import LogIndex, Milliseconds
+from repro.common.types import Milliseconds
 from repro.common.validation import require_non_negative, require_positive
 
 
@@ -49,26 +49,3 @@ class Configuration:
             f"timeout={self.timer_period_ms:.0f}ms)"
         )
 
-
-@value_object(slots=True)
-class ConfigStatus:
-    """The follower-side status piggybacked on AppendEntries replies.
-
-    Mirrors the paper's ``configStatus`` struct (Listing 1): the follower's
-    current log index (its *log responsiveness*) plus the timer period and
-    clock of the configuration it currently holds, which lets the leader's
-    PPF confirm what each follower is operating with.
-    """
-
-    log_index: LogIndex
-    timer_period_ms: Milliseconds
-    conf_clock: int
-
-    def __post_init__(self) -> None:
-        # As in Configuration: the helpers run only on failure.
-        if not (
-            self.log_index >= 0 and self.timer_period_ms > 0 and self.conf_clock >= 0
-        ):
-            require_non_negative(self.log_index, "log_index")
-            require_positive(self.timer_period_ms, "timer_period_ms")
-            require_non_negative(self.conf_clock, "conf_clock")

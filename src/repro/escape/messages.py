@@ -5,8 +5,9 @@ ESCAPE adds exactly three pieces of information to Raft's RPCs:
 * ``AppendEntries`` carries the follower's *newly assigned configuration*
   (``newConfig``), letting the PPF distribute configurations on the existing
   heartbeat without extra messages;
-* the ``AppendEntries`` reply carries a ``configStatus`` describing the
-  follower's log responsiveness and currently-held configuration;
+* the ``AppendEntries`` reply carries the paper's ``configStatus``: the
+  follower's log index (its log responsiveness) and the configuration it
+  holds, whose timer period and clock are the struct's other two values;
 * ``RequestVote`` carries the candidate's configuration clock (and priority,
   for observability), letting voters reject stale candidates.
 
@@ -18,7 +19,8 @@ treat them identically -- the mechanical expression of the paper's Lemma 2
 from __future__ import annotations
 
 from repro.common.frozen import value_object
-from repro.escape.configuration import ConfigStatus, Configuration
+from repro.common.types import LogIndex
+from repro.escape.configuration import Configuration
 from repro.raft.messages import (
     AppendEntriesRequest,
     AppendEntriesResponse,
@@ -48,6 +50,15 @@ class EscapeAppendEntriesRequest(AppendEntriesRequest):
 
 @value_object(slots=True)
 class EscapeAppendEntriesResponse(AppendEntriesResponse):
-    """AppendEntries reply extended with the follower's ``configStatus``."""
+    """AppendEntries reply extended with the follower's ``configStatus``.
 
-    config_status: ConfigStatus | None = None
+    ``log_index`` is the follower's last log index, which the leader's PPF
+    records; ``configuration`` is the frozen configuration the follower
+    holds, the object itself, so the struct's ``timer_period_ms`` and
+    ``conf_clock`` ride on the reply with no object built for them.  A reply
+    with ``log_index`` ``None`` reports its match index instead, as Raft's
+    reply does.
+    """
+
+    log_index: LogIndex | None = None
+    configuration: Configuration | None = None

@@ -3,8 +3,9 @@
 :class:`EscapeNode` extends :class:`repro.zraft.node.ZRaftNode` (SCA: the held
 configuration, its Eq. 1 timeout, Eq. 2 term growth) with the Probing Patrol:
 the leader re-assigns configurations and piggybacks them on AppendEntries,
-followers adopt them and report their ``configStatus``, and voters refuse a
-candidate whose configuration clock is stale.  The chain's hook overrides:
+followers adopt them and carry their log index and held configuration on
+each reply (the paper's ``configStatus``), and voters refuse a candidate
+whose configuration clock is stale.  The chain's hook overrides:
 
 ================================  ======  ======================================
 Hook                              Class   Behaviour
@@ -13,7 +14,7 @@ Hook                              Class   Behaviour
 ``_hook_make_vote_request``       Z-Raft  carry the clock (and priority)
 ``_hook_may_grant_vote``          ESCAPE  reject candidates with a stale clock
 ``_hook_piggyback``               ESCAPE  each follower's assigned configuration
-``_hook_build_append_response``   ESCAPE  attach the current ``configStatus``
+``_hook_build_append_response``   ESCAPE  ``log_index`` + held ``configuration``
 ``_hook_before_heartbeat_round``  ESCAPE  one PPF round (clock bump, re-ranking)
 ``_hook_on_become_leader``        ESCAPE  start the PPF for this leadership
 ================================  ======  ======================================
@@ -24,8 +25,9 @@ The rest is node state, read by Raft's own code with no call:
   election-timeout wait is the timeout paired with the held configuration
   (Eq. 1), where Raft would draw from its randomized range;
 * the held configuration is the reply token that, with the log tail, keys
-  Raft's reply memo (the ``configStatus`` is a function of the two);
-  :meth:`EscapeNode._adopt_configuration` holds a new configuration as both;
+  Raft's reply memo, and the reply carries the two as ``configuration`` and
+  ``log_index``; :meth:`EscapeNode._adopt_configuration` holds a new
+  configuration as both configuration and token;
 * ``_adopts_piggyback``: the follower's AppendEntries handler compares the
   heartbeat's ``new_config`` with the reply token by identity and calls
   :meth:`EscapeNode._adopt_configuration` only when they differ, so an idle
@@ -44,7 +46,7 @@ from typing import Iterable, Mapping
 
 from repro.common.config import ClusterConfig, ProtocolConfig
 from repro.common.types import LogIndex, Milliseconds, ServerId
-from repro.escape.configuration import ConfigStatus, Configuration
+from repro.escape.configuration import Configuration
 from repro.escape.messages import (
     EscapeAppendEntriesRequest,
     EscapeAppendEntriesResponse,
@@ -94,7 +96,7 @@ class EscapeNode(ZRaftNode):
             initial_configuration,
             timeout_script,
         )
-        # The reply token (RaftNode._make_append_response): configStatus reads it.
+        # The reply token (RaftNode._make_append_response), carried by each reply.
         self._reply_token = self.configuration
         self.patrol: ProbingPatrol | None = None
         self.configuration_updates = 0
@@ -192,15 +194,16 @@ class EscapeNode(ZRaftNode):
     def _hook_build_append_response(
         self, success: bool, match_index: LogIndex
     ) -> AppendEntriesResponse:
-        """Attach this follower's ``configStatus`` to the reply.  It is a
-        function of the log tail and the held configuration (the reply token),
-        so Raft's reply memo reuses it with the reply."""
-        configuration = self.configuration
-        status = ConfigStatus(
-            self.log.last_index, configuration.timer_period_ms, configuration.conf_clock
-        )
+        """The reply with this follower's ``configStatus`` on it, one object:
+        its ``log_index`` and the held configuration (the reply token), so
+        Raft's reply memo, keyed by both, reuses it with the reply."""
         return EscapeAppendEntriesResponse(
-            self.current_term, self.node_id, success, match_index, status
+            self.current_term,
+            self.node_id,
+            success,
+            match_index,
+            self.log.last_index,
+            self.configuration,
         )
 
 
@@ -216,8 +219,8 @@ class EscapeNoPpfNode(EscapeNode):
 
     Every other hook inherits from :class:`EscapeNode` and degrades
     gracefully when ``patrol is None``: heartbeats carry no new
-    configuration, follower replies still report their (static)
-    ``configStatus``, and the leader keeps no reply records.
+    configuration, follower replies still carry their log index and (static)
+    configuration, and the leader keeps no reply records.
     """
 
     __slots__ = ()

@@ -3,7 +3,8 @@
 The PPF runs on the leader.  Each heartbeat round it
 
 1. reads the latest log responsiveness every follower reported in its
-   AppendEntries replies (the ``configStatus.log_index`` field),
+   AppendEntries replies (the ``log_index`` field, the log index of the
+   paper's ``configStatus``),
 2. decides which followers are currently *lagging* (silent, crashed, or
    missing log entries),
 3. re-assigns the pool of prioritized configurations so that up-to-date

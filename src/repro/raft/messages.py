@@ -97,6 +97,6 @@ class AppendEntriesResponse(RpcMessage):
     success: bool = False
     match_index: LogIndex = 0
 
-    #: ESCAPE's ``configStatus``, a field of its extended reply; a class
-    #: attribute here, as ``AppendEntriesRequest.new_config`` is.
-    config_status = None
+    #: The log index of ESCAPE's ``configStatus``, a field of its extended
+    #: reply; a class attribute here, as ``AppendEntriesRequest.new_config`` is.
+    log_index = None

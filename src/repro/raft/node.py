@@ -622,11 +622,12 @@ class RaftNode:
         if records is not None:
             # The follower's record, kept as ProbingPatrol.record_reply keeps
             # it but with no call per reply: the largest log index it reported
-            # (its configStatus; the match index of a plain Raft reply) and
-            # the time of its last reply.
+            # (the reply's ``log_index``, ESCAPE's configStatus; the match
+            # index of a reply without one) and the time of its last reply.
             record = records[src]
-            status = response.config_status
-            index = response.match_index if status is None else status.log_index
+            index = response.log_index
+            if index is None:
+                index = response.match_index
             if index > record.log_index:
                 record.log_index = index
             record.last_reply_ms = self.env.now()
@@ -903,9 +904,10 @@ class RaftNode:
     ) -> AppendEntriesResponse:
         """Construct the reply to an AppendEntries request (memo miss only).
 
-        Whatever a subclass adds beyond Raft's fields (ESCAPE: its current
-        ``configStatus``) must be a function of the log tail and
-        ``_reply_token`` (see :meth:`_make_append_response`).
+        Whatever a subclass adds beyond Raft's fields (ESCAPE: the
+        ``log_index`` and held ``configuration`` of its ``configStatus``)
+        must be a function of the log tail and ``_reply_token`` (see
+        :meth:`_make_append_response`).
         """
         return AppendEntriesResponse(
             self.current_term, self.node_id, success, match_index

@@ -8,11 +8,12 @@ must agree on every follower's responsiveness record, on every lagging
 verdict and on each round's outcome (assignment and configuration clock).
 """
 
+import pytest
 from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.escape.configuration import ConfigStatus
+from repro.escape.configuration import Configuration
 from repro.escape.messages import EscapeAppendEntriesResponse
 from repro.escape.node import EscapeNode
 from repro.escape.ppf import ProbingPatrol
@@ -20,8 +21,13 @@ from repro.raft.messages import AppendEntriesResponse, RequestVoteResponse
 from repro.raft.state import Role
 from repro.statemachine.kvstore import PutCommand
 
-#: How a reply reports the follower's log index.
-REPLY_KINDS = ("status", "no-status", "plain", "failure", "stale-term")
+#: How a reply reports the follower's log index: on ESCAPE's reply with a
+#: ``log_index``, without one (``None``: the match index stands in), on a
+#: plain Raft reply, on a failed reply, or in a stale term.
+REPLY_KINDS = ("log-index", "no-log-index", "plain", "failure", "stale-term")
+
+#: The configuration the replying followers hold (the reply's other field).
+HELD = Configuration(priority=1, timer_period_ms=100.0)
 
 steps = st.one_of(
     st.tuples(
@@ -78,16 +84,15 @@ def reply(node, follower, kind, index):
     (None: the leader does not accept it in its term)."""
     match = min(index, node.log.last_index)
     term = node.current_term
-    status = ConfigStatus(index, 100.0, 0)
-    if kind == "status":
-        return EscapeAppendEntriesResponse(term, follower, True, match, status), index
-    if kind == "no-status":
-        return EscapeAppendEntriesResponse(term, follower, True, match, None), match
+    if kind == "log-index":
+        return EscapeAppendEntriesResponse(term, follower, True, match, index, HELD), index
+    if kind == "no-log-index":
+        return EscapeAppendEntriesResponse(term, follower, True, match, None, HELD), match
     if kind == "plain":
         return AppendEntriesResponse(term, follower, True, match), match
     if kind == "failure":
-        return EscapeAppendEntriesResponse(term, follower, False, match, status), index
-    return EscapeAppendEntriesResponse(term - 1, follower, True, match, status), None
+        return EscapeAppendEntriesResponse(term, follower, False, match, index, HELD), index
+    return EscapeAppendEntriesResponse(term - 1, follower, True, match, index, HELD), None
 
 
 def assert_same_knowledge(node, oracle, env):
@@ -98,6 +103,40 @@ def assert_same_knowledge(node, oracle, env):
         assert patrol.is_lagging(follower, now, last) == oracle.is_lagging(
             follower, now, last
         )
+
+
+class TestEachReplyKind:
+    """One reply of each kind, reporting a log index past the follower's
+    match index: the record keeps the reply's ``log_index`` where it carries
+    one, the match index where it does not, and nothing from a stale term."""
+
+    REPORTED = 7
+
+    @pytest.mark.parametrize("kind", REPLY_KINDS)
+    def test_one_reply_records_what_record_reply_records(self, kind):
+        node, env = make_leader(5)
+        oracle = make_oracle(node, env.now())
+        node.propose(PutCommand("k", "v"))
+        follower = node.peers[0]
+        match = node.log.last_index
+        assert 0 < match < self.REPORTED
+        env.advance(5.0)
+        message, recorded = reply(node, follower, kind, self.REPORTED)
+        node.on_message(follower, message)
+        if recorded is not None:
+            oracle.record_reply(follower, recorded, env.now())
+        record = node.patrol.responsiveness_of(follower)
+        assert record == oracle.responsiveness_of(follower)
+        expected = {
+            "log-index": self.REPORTED,
+            "no-log-index": match,
+            "plain": match,
+            "failure": self.REPORTED,
+        }
+        if kind in expected:
+            assert (record.log_index, record.last_reply_ms) == (expected[kind], env.now())
+        else:
+            assert record.last_reply_ms != env.now()
 
 
 class TestLeaderReplyPathMatchesRecordReply:
@@ -116,7 +155,7 @@ class TestLeaderReplyPathMatchesRecordReply:
         # Every follower answers once before the first heartbeat round; one
         # of them is silent from then on.
         for follower in followers:
-            node.on_message(follower, reply(node, follower, "status", 0)[0])
+            node.on_message(follower, reply(node, follower, "log-index", 0)[0])
             oracle.record_reply(follower, 0, env.now())
         for step in program:
             if step[0] == "reply":

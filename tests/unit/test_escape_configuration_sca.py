@@ -8,7 +8,7 @@ import pytest
 from repro.common.config import ScaParameters
 from repro.common.errors import ConfigurationError
 from repro.common.validation import require_non_negative, require_positive
-from repro.escape.configuration import ConfigStatus, Configuration
+from repro.escape.configuration import Configuration
 from repro.escape.sca import (
     assign_initial_configurations,
     follower_priority_ladder,
@@ -29,12 +29,6 @@ class TestConfiguration:
         config = Configuration(priority=3, timer_period_ms=2_000.0, conf_clock=17)
         assert config.describe() == "π(P=3, k=17, timeout=2000ms)"
 
-    def test_config_status_validation(self):
-        with pytest.raises(ConfigurationError):
-            ConfigStatus(log_index=-1, timer_period_ms=100.0, conf_clock=0)
-        status = ConfigStatus(log_index=3, timer_period_ms=100.0, conf_clock=2)
-        assert status.log_index == 3
-
     @pytest.mark.parametrize(
         "cls, checks",
         [
@@ -42,14 +36,6 @@ class TestConfiguration:
                 Configuration,
                 (
                     (require_positive, "priority"),
-                    (require_positive, "timer_period_ms"),
-                    (require_non_negative, "conf_clock"),
-                ),
-            ),
-            (
-                ConfigStatus,
-                (
-                    (require_non_negative, "log_index"),
                     (require_positive, "timer_period_ms"),
                     (require_non_negative, "conf_clock"),
                 ),

@@ -1,5 +1,6 @@
 """Unit tests for the ESCAPE node (SCA term growth, PPF piggyback, clock gate)."""
 
+import pytest
 from helpers import FakeEnvironment, SentMessage, fast_protocol_config, small_cluster
 
 from repro.escape.configuration import Configuration
@@ -8,17 +9,17 @@ from repro.escape.messages import (
     EscapeAppendEntriesResponse,
     EscapeRequestVoteRequest,
 )
-from repro.escape.node import EscapeNode
+from repro.escape.node import EscapeNode, EscapeNoPpfNode
 from repro.raft.messages import RequestVoteResponse
 from repro.raft.state import Role
 from repro.storage.log import LogEntry
 
 
-def make_node(node_id=1, size=5, configuration=None, **kwargs):
+def make_node(node_id=1, size=5, configuration=None, node_class=EscapeNode, **kwargs):
     env = FakeEnvironment(
         node_id=node_id, trace_enabled=kwargs.pop("trace_enabled", True)
     )
-    node = EscapeNode(
+    node = node_class(
         node_id=node_id,
         cluster=small_cluster(size),
         env=env,
@@ -172,10 +173,14 @@ class TestPpfOnLeader:
             follower_id=2,
             success=True,
             match_index=0,
-            config_status=None,
+            log_index=3,
+            configuration=Configuration(priority=2, timer_period_ms=160.0),
         )
         node.on_message(2, reply)
-        assert node.patrol.responsiveness_of(2).last_reply_ms is not None
+        record = node.patrol.responsiveness_of(2)
+        assert record.last_reply_ms is not None
+        # The reply's log index, not its match index, is what the patrol records.
+        assert record.log_index == 3
 
     def test_plain_raft_replies_also_feed_the_patrol(self):
         from repro.raft.messages import AppendEntriesResponse
@@ -279,7 +284,7 @@ class TestPpfOnFollower:
             timer for timer in env.pending_timers() if timer.label == "S2:election-timeout"
         ]
         assert rearmed[-1].delay_ms == held.timer_period_ms
-        assert env.sent_to(1)[-1].config_status.conf_clock == held.conf_clock
+        assert env.sent_to(1)[-1].configuration is held
 
     def test_an_equal_configuration_in_a_new_object_changes_nothing(self):
         held = Configuration(priority=4, timer_period_ms=120.0, conf_clock=7)
@@ -311,9 +316,10 @@ class TestPpfOnFollower:
         node.on_message(1, EscapeAppendEntriesRequest(term=1, leader_id=1, prev_log_index=1, prev_log_term=0))
         reply = env.sent_to(1)[0]
         assert isinstance(reply, EscapeAppendEntriesResponse)
-        assert reply.config_status is not None
-        assert reply.config_status.log_index == 1
-        assert reply.config_status.conf_clock == node.configuration.conf_clock
+        assert reply.log_index == 1
+        # The held configuration itself: its timer period and clock are the
+        # other two values of the paper's configStatus.
+        assert reply.configuration is node.configuration
 
     def test_idle_replies_are_one_object_until_the_status_changes(self):
         node, env = make_node(node_id=2, size=5)
@@ -328,14 +334,58 @@ class TestPpfOnFollower:
         node.on_message(
             1, EscapeAppendEntriesRequest(term=1, leader_id=1, new_config=new_config)
         )
-        assert env.sent_to(1)[-1].config_status.conf_clock == 3
+        assert env.sent_to(1)[-1].configuration is new_config
         entry = LogEntry(term=1, index=1, command="x")
         node.on_message(1, EscapeAppendEntriesRequest(term=1, leader_id=1, entries=(entry,)))
         node.on_message(1, heartbeat)
         grown, after = env.sent_to(1)[-2:]
-        assert (grown.match_index, grown.config_status.log_index) == (1, 1)
-        assert (after.match_index, after.config_status.log_index) == (0, 1)
-        assert after.config_status == grown.config_status
+        assert (grown.match_index, grown.log_index) == (1, 1)
+        assert (after.match_index, after.log_index) == (0, 1)
+        assert after.configuration is grown.configuration is new_config
+
+    #: The paper's three configStatus values: how the reply carries each, and
+    #: the follower state it reports.
+    CONFIG_STATUS = {
+        "log_index": (lambda reply: reply.log_index, lambda node: node.log.last_index),
+        "timer_period_ms": (
+            lambda reply: reply.configuration.timer_period_ms,
+            lambda node: node.configuration.timer_period_ms,
+        ),
+        "conf_clock": (
+            lambda reply: reply.configuration.conf_clock,
+            lambda node: node.configuration.conf_clock,
+        ),
+    }
+
+    @pytest.mark.parametrize("node_class", [EscapeNode, EscapeNoPpfNode])
+    @pytest.mark.parametrize("value", list(CONFIG_STATUS))
+    def test_each_config_status_value_follows_the_follower(self, value, node_class):
+        """Each value reads the follower's state as it stands at the reply:
+        after a heartbeat, a new configuration, a longer log, and a heartbeat
+        that matches less than the log holds."""
+        on_reply, on_node = self.CONFIG_STATUS[value]
+        node, env = make_node(node_id=2, size=5, node_class=node_class)
+        node.start()
+        new_config = Configuration(priority=5, timer_period_ms=100.0, conf_clock=3)
+        entry = LogEntry(term=1, index=1, command="x")
+        heartbeat = EscapeAppendEntriesRequest(term=1, leader_id=1)
+        requests = (
+            heartbeat,
+            EscapeAppendEntriesRequest(term=1, leader_id=1, new_config=new_config),
+            EscapeAppendEntriesRequest(term=1, leader_id=1, entries=(entry,)),
+            heartbeat,
+        )
+        seen = []
+        for request in requests:
+            node.on_message(1, request)
+            reply = env.sent_to(1)[-1]
+            assert isinstance(reply, EscapeAppendEntriesResponse)
+            assert on_reply(reply) == on_node(node)
+            seen.append(on_reply(reply))
+        # The state really moved: the log grows on the third request, the
+        # configuration changes on the second.
+        changed_at = 2 if value == "log_index" else 1
+        assert seen[changed_at] != seen[changed_at - 1]
 
     def test_describe_mentions_configuration(self):
         node, _ = make_node(node_id=3, size=5)

@@ -4,13 +4,14 @@ Like ``test_cluster_build_complexity.py`` the pins count work (constructions,
 calls), never time, so they read the same on any machine.
 """
 
+import dataclasses
 import sys
 from collections import Counter
 
+import pytest
 from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 
 from repro.cluster.builder import build_cluster
-from repro.escape.configuration import ConfigStatus
 from repro.escape.messages import EscapeAppendEntriesRequest, EscapeAppendEntriesResponse
 from repro.escape.node import EscapeNode
 from repro.escape.ppf import ProbingPatrol
@@ -23,19 +24,20 @@ from repro.storage import log as log_module
 from repro.storage.log import LogEntry, ReplicatedLog
 from repro.storage.persistent import InMemoryStore
 
-HEARTBEAT_OBJECTS = (EscapeAppendEntriesRequest, EscapeAppendEntriesResponse, ConfigStatus)
+HEARTBEAT_OBJECTS = (EscapeAppendEntriesRequest, EscapeAppendEntriesResponse)
 
 
-def count_constructions(classes, action) -> Counter:
-    """``__init__`` call events per class while *action* runs."""
-    by_code = {cls.__init__.__code__: cls.__name__ for cls in classes}
+def count_constructions(action) -> Counter:
+    """Value objects (frozen dataclasses) whose ``__init__`` runs while
+    *action* runs, by class name.  A generated ``__init__``'s code is named
+    after its class (``EscapeAppendEntriesResponse__init__``)."""
     built: Counter = Counter()
 
     def profiler(frame, event, arg):
-        if event == "call":
-            name = by_code.get(frame.f_code)
-            if name is not None:
-                built[name] += 1
+        if event == "call" and frame.f_code.co_name.endswith("__init__"):
+            instance = frame.f_locals.get("self")
+            if dataclasses.is_dataclass(instance):
+                built[type(instance).__name__] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profiler)
@@ -102,9 +104,7 @@ class TestIdleHeartbeatRound:
         cluster = self.settled_cluster()
         heartbeat_ms = cluster.leader().config.heartbeat_interval_ms
         sent_before = cluster.network.stats.sent
-        built = count_constructions(
-            HEARTBEAT_OBJECTS, lambda: cluster.world.run_for(3 * heartbeat_ms)
-        )
+        built = count_constructions(lambda: cluster.world.run_for(3 * heartbeat_ms))
         # The rounds really ran: requests out and replies back, every round.
         assert cluster.network.stats.sent - sent_before >= 3 * 2 * (self.SIZE - 2)
         assert built == Counter()
@@ -116,14 +116,90 @@ class TestIdleHeartbeatRound:
         rearrangements = patrol.rearrangement_count
         # Silencing the groomed future leader forces one rearrangement.
         cluster.crash(patrol.groomed_future_leader())
-        built = count_constructions(
-            HEARTBEAT_OBJECTS, lambda: cluster.world.run_for(3_000.0)
-        )
+        built = count_constructions(lambda: cluster.world.run_for(3_000.0))
         reassigned = patrol.rearrangement_count - rearrangements
         assert reassigned >= 1
         followers = self.SIZE - 1
         for cls in HEARTBEAT_OBJECTS:
             assert 0 < built[cls.__name__] <= reassigned * followers
+
+
+class TestOneObjectPerReply:
+    """ESCAPE's follower reply is one object: its configStatus rides on it as
+    ``log_index`` and the held ``configuration``, so a reply-memo miss builds
+    the reply and no other value object."""
+
+    def test_every_memo_miss_builds_one_reply_and_nothing_else(self, monkeypatch):
+        cluster = build_cluster("escape", 5, seed=3, trace=False)
+        cluster.start_all()
+        cluster.world.run_for(3_000.0)
+        leader = cluster.leader()
+        original = RaftNode._make_append_response
+        hits, misses = [], []
+
+        def recording(node, success, match_index):
+            memo = node._append_response_memo
+            built = count_constructions(lambda: original(node, success, match_index))
+            reply = node._append_response_memo[1]
+            if node._append_response_memo is memo:
+                hits.append(built)
+            else:
+                misses.append(built)
+                assert reply.log_index == node.log.last_index
+                assert reply.configuration is node.configuration
+            return reply
+
+        monkeypatch.setattr(RaftNode, "_make_append_response", recording)
+        heartbeat_ms = leader.config.heartbeat_interval_ms
+        for value in range(20):
+            leader.propose(PutCommand("k", str(value)))
+            cluster.world.run_for(heartbeat_ms / 2)
+        cluster.world.run_for(3 * heartbeat_ms)
+        assert leader.commit_index == leader.log.last_index >= 20
+        assert len(misses) >= 20 * 4 and hits
+        assert all(built == Counter() for built in hits)
+        assert all(
+            built == Counter({"EscapeAppendEntriesResponse": 1}) for built in misses
+        )
+
+    @pytest.mark.parametrize("protocol", ["raft", "zraft", "escape", "escape-noppf"])
+    def test_only_escape_replies_carry_the_config_status(self, monkeypatch, protocol):
+        """ESCAPE's replies (with or without the patrol) carry the follower's
+        log index and held configuration; Raft's and Z-Raft's carry neither
+        and read ``log_index`` as ``None``."""
+        reply_class = (
+            EscapeAppendEntriesResponse
+            if protocol.startswith("escape")
+            else AppendEntriesResponse
+        )
+        original = RaftNode._make_append_response
+        replies = []
+
+        def checking(node, success, match_index):
+            reply = original(node, success, match_index)
+            assert type(reply) is reply_class
+            if reply_class is EscapeAppendEntriesResponse:
+                assert reply.log_index == node.log.last_index
+                assert reply.configuration is node.configuration
+            else:
+                assert reply.log_index is None
+                assert not hasattr(reply, "configuration")
+            replies.append(reply)
+            return reply
+
+        monkeypatch.setattr(RaftNode, "_make_append_response", checking)
+        cluster = build_cluster(protocol, 5, seed=3, trace=False)
+        cluster.start_all()
+        cluster.world.run_for(3_000.0)
+        leader = cluster.leader()
+        for value in range(5):
+            leader.propose(PutCommand("k", str(value)))
+            cluster.world.run_for(leader.config.heartbeat_interval_ms)
+        cluster.world.run_for(3 * leader.config.heartbeat_interval_ms)
+        assert leader.commit_index == leader.log.last_index >= 5
+        assert len({reply.follower_id for reply in replies}) == 4
+        if reply_class is EscapeAppendEntriesResponse:
+            assert len({reply.log_index for reply in replies}) > 1
 
 
 class TestIdlePatrolRound:

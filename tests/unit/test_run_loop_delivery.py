@@ -16,7 +16,7 @@ and ``step()`` runs the same loop for one event
   one held callable (say, a bound method built per send) shows up here;
 * the election timer is re-armed with one held callable, not a bound method
   built per re-arm;
-* ``AppendEntriesRequest.new_config`` and ``AppendEntriesResponse.config_status``
+* ``AppendEntriesRequest.new_config`` and ``AppendEntriesResponse.log_index``
   read ``None`` on Raft's messages, as class attributes, not fields.
 """
 
@@ -279,7 +279,7 @@ def test_removing_listeners_leaves_the_election_timer_armed():
 def test_raft_messages_read_escape_extensions_as_none_without_the_fields():
     request = AppendEntriesRequest(3, 1, 0, 0, (), 0)
     response = AppendEntriesResponse(3, 2, True, 0)
-    assert request.new_config is None and response.config_status is None
+    assert request.new_config is None and response.log_index is None
     assert "new_config" not in {field.name for field in dataclasses.fields(request)}
-    assert "config_status" not in {field.name for field in dataclasses.fields(response)}
-    assert "new_config" not in repr(request)
+    assert "log_index" not in {field.name for field in dataclasses.fields(response)}
+    assert "new_config" not in repr(request) and "log_index" not in repr(response)

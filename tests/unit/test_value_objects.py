@@ -41,7 +41,7 @@ import repro
 from repro.cluster.scenarios import Scenario
 from repro.common.config import RaftTimeoutConfig, ScaParameters
 from repro.common.frozen import FrozenDict, value_object
-from repro.escape.configuration import ConfigStatus, Configuration
+from repro.escape.configuration import Configuration
 from repro.experiments.runner import SweepItem
 from repro.lint.engine import RULES, Finding
 from repro.raft.messages import RpcMessage
@@ -160,6 +160,7 @@ SAMPLES = {
     "int | None": lambda i, v: None if v else i,
     "ServerId | None": lambda i, v: None if v else 1 + i,
     "Term | None": lambda i, v: None if v else 1 + i,
+    "LogIndex | None": lambda i, v: None if v else 1 + i,
     "dict[str, object]": lambda i, v: {f"k{i}": v},
     "dict[str, float]": lambda i, v: {f"k{i}": v + 0.5},
     "dict[str, Any]": lambda i, v: {f"k{i}": v},
@@ -183,7 +184,6 @@ SAMPLES = {
     "RaftTimeoutConfig": lambda i, v: RaftTimeoutConfig(),
     "ScaParameters": lambda i, v: ScaParameters(),
     "Configuration | None": lambda i, v: Configuration(2 + v, 150.0, v),
-    "ConfigStatus | None": lambda i, v: ConfigStatus(v, 150.0, v),
 }
 NUMERIC = (int, float)
 BAD_NUMBERS = (-1, 0, -0.5, math.nan, math.inf)
@@ -560,7 +560,7 @@ class TestNoTwinSurvivesConstruction:
 
 class TestRegistry:
     def test_every_frozen_dataclass_is_a_value_object(self):
-        assert len(VALUE_TYPES) >= 79
+        assert len(VALUE_TYPES) >= 78
         assert [cls for cls in VALUE_TYPES if not is_value_object(cls)] == []
 
     def test_no_class_carries_stdlib_generated_methods(self):
