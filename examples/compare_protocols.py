@@ -7,7 +7,7 @@ leader-crash episodes and prints the average out-of-service time, the p95, and
 how often Raft suffered split votes.
 
 Any protocol registered in ``repro.protocols`` can join the comparison
-(``--protocols raft,raft-stagger,escape-noppf,escape``).
+(``--protocols raft,raft-stagger,zraft,escape``).
 
 Run with::
 

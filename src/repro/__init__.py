@@ -11,8 +11,8 @@ inventory):
   paper's contribution: SCA + PPF + configuration clock), :mod:`repro.zraft`
   (ZooKeeper-style static priorities), all dispatched through the plugin
   registry in :mod:`repro.protocols` (which also registers the deterministic
-  baselines ``raft-fixed``/``raft-stagger`` and the ``escape-noppf``
-  ablation variant);
+  baselines ``raft-fixed``/``raft-stagger``; ``zraft`` is the PPF
+  ablation's no-patrol baseline);
 * harnesses -- :mod:`repro.cluster` (simulated clusters, fault scenarios,
   election measurement), :mod:`repro.chaos`, :mod:`repro.workload`,
   :mod:`repro.metrics`, :mod:`repro.analysis`, :mod:`repro.obs`,
@@ -37,7 +37,7 @@ from repro.common import (
 from repro.raft import RaftNode, Role
 from repro.zraft import ZRaftNode
 from repro.escape import Configuration
-from repro.escape.node import EscapeNode, EscapeNoPpfNode
+from repro.escape.node import EscapeNode
 from repro import protocols
 from repro.protocols import ProtocolSpec
 
@@ -47,7 +47,6 @@ __version__ = "1.1.0"
 __all__ = [
     "ClusterConfig",
     "Configuration",
-    "EscapeNoPpfNode",
     "EscapeNode",
     "ProtocolConfig",
     "ProtocolSpec",

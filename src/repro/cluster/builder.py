@@ -238,7 +238,7 @@ def build_cluster(
 
     Args:
         protocol: any name registered in :mod:`repro.protocols` (e.g.
-            ``"raft"``, ``"escape"``, ``"zraft"``, ``"escape-noppf"``).
+            ``"raft"``, ``"escape"``, ``"zraft"``).
         size: number of servers (``S1 .. Sn``).
         seed: root seed of the run (drives every random decision).
         latency: latency model (defaults to :data:`~repro.net.latency.PAPER_LATENCY`).

@@ -48,7 +48,7 @@ class Scenario:
 
     Attributes:
         protocol: any protocol name registered in :mod:`repro.protocols`
-            (e.g. ``"raft"``, ``"escape"``, ``"zraft"``, ``"escape-noppf"``);
+            (e.g. ``"raft"``, ``"escape"``, ``"zraft"``);
             validated against the registry at construction time.
         cluster_size: number of servers.
         raft_timeout_range: Raft's randomized election-timeout range

@@ -67,7 +67,7 @@ class EscapeNode(ZRaftNode):
     Args: as for :class:`~repro.zraft.node.ZRaftNode`.
     """
 
-    __slots__ = ("patrol", "configuration_updates", "_unassigned")
+    __slots__ = ("patrol", "configuration_updates")
 
     protocol_name = "escape"
     _adopts_piggyback = True
@@ -100,7 +100,6 @@ class EscapeNode(ZRaftNode):
         self._reply_token = self.configuration
         self.patrol: ProbingPatrol | None = None
         self.configuration_updates = 0
-        self._unassigned: dict[ServerId, None] | None = None
 
     # ------------------------------------------------------------------ #
     # Configuration-clock vote gating
@@ -155,17 +154,13 @@ class EscapeNode(ZRaftNode):
                 },
             )
 
-    def _hook_piggyback(self) -> Mapping[ServerId, Configuration | None]:
+    def _hook_piggyback(self) -> Mapping[ServerId, Configuration] | None:
         """Each follower's newly assigned configuration, carried by its
         AppendEntries: the patrol's assignment, a new object on every
-        rearrangement; while no patrol runs, one mapping of every follower to
-        ``None`` for the node's lifetime."""
+        rearrangement.  A one-node leader runs no patrol and has no follower
+        to send to: Raft's ``None``."""
         patrol = self.patrol
-        if patrol is not None:
-            return patrol.assignments
-        if self._unassigned is None:
-            self._unassigned = dict.fromkeys(self._peer_ids)
-        return self._unassigned
+        return None if patrol is None else patrol.assignments
 
     # ------------------------------------------------------------------ #
     # PPF: follower side
@@ -205,28 +200,3 @@ class EscapeNode(ZRaftNode):
             self.log.last_index,
             self.configuration,
         )
-
-
-class EscapeNoPpfNode(EscapeNode):
-    """ESCAPE with the Probing Patrol disabled: the ablation as a protocol.
-
-    Leaders never instantiate a patrol, so the initial SCA configurations
-    (priority = server id, timeout from Eq. 1) are permanent and the
-    configuration clock stays at its initial value cluster-wide.  Unlike its
-    grandparent :class:`~repro.zraft.node.ZRaftNode`, this variant keeps the
-    full ESCAPE wire format and vote gating, so it isolates *exactly* the
-    contribution of the PPF's dynamic rearrangement (Section IV-B).
-
-    Every other hook inherits from :class:`EscapeNode` and degrades
-    gracefully when ``patrol is None``: heartbeats carry no new
-    configuration, follower replies still carry their log index and (static)
-    configuration, and the leader keeps no reply records.
-    """
-
-    __slots__ = ()
-
-    protocol_name = "escape-noppf"
-
-    def _hook_on_become_leader(self) -> None:
-        """Never start a patrol: configurations are frozen at assignment."""
-        self.patrol = None

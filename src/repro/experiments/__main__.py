@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments fig9 --runs 200 --seed 1
     python -m repro.experiments fig11 --runs 1000 --workers 0   # paper-scale sweep
     python -m repro.experiments wan --scenario chaos-composite  # catalog condition
-    python -m repro.experiments wan --protocols raft-stagger,escape-noppf,escape
+    python -m repro.experiments wan --protocols raft-stagger,zraft,escape
     python -m repro.experiments avail --plan partition-flap     # chaos plan
     python -m repro.experiments fig3 --output results/          # persist raw + report
     python -m repro.experiments all --runs 20                   # quick smoke pass

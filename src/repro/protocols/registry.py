@@ -1,6 +1,6 @@
 """The protocol registry and the built-in protocol specs.
 
-Three protocols come from the paper (Raft, Z-Raft, ESCAPE) and three variants
+Three protocols come from the paper (Raft, Z-Raft, ESCAPE) and two variants
 probe its arguments:
 
 * ``raft-fixed`` -- Raft with one deterministic timeout shared by every
@@ -14,9 +14,9 @@ probe its arguments:
   Eq. 1 but *without* ESCAPE's priority-driven term growth: the cheapest
   collision-free baseline, isolating how much of ESCAPE's win is just
   "timeouts must differ".
-* ``escape-noppf`` -- full ESCAPE with the Probing Patrol disabled (initial
-  SCA configurations are permanent), turning the PPF ablation into a
-  first-class protocol.
+
+The PPF ablation's no-patrol baseline is Z-Raft itself (SCA alone, the
+paper's own baseline in Section VI-D).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.common.registry import Registry
-from repro.escape.node import EscapeNode, EscapeNoPpfNode
+from repro.escape.node import EscapeNode
 from repro.protocols.spec import ProtocolSpec
 from repro.raft.node import RaftNode
 from repro.zraft.node import ZRaftNode
@@ -117,7 +117,10 @@ register(
         name="zraft",
         node_class=ZRaftNode,
         title="Z-Raft",
-        description="ZooKeeper-style static priorities (SCA without PPF or clock)",
+        description=(
+            "ZooKeeper-style static priorities: SCA without the PPF (its "
+            "configurations, and so their clocks, never change)"
+        ),
     )
 )
 register(
@@ -148,17 +151,6 @@ register(
         description=(
             "deterministic per-server timeouts laddered by Eq. 1, without "
             "priority-driven term growth"
-        ),
-    )
-)
-register(
-    ProtocolSpec(
-        name="escape-noppf",
-        node_class=EscapeNoPpfNode,
-        title="ESCAPE (no PPF)",
-        description=(
-            "ESCAPE with the Probing Patrol disabled: initial SCA "
-            "configurations are permanent (the PPF ablation, first-class)"
         ),
     )
 )

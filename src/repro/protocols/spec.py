@@ -32,7 +32,7 @@ class ProtocolSpec:
     """Descriptor for one registered election protocol.
 
     Attributes:
-        name: registry key and CLI name (e.g. ``"escape-noppf"``).
+        name: registry key and CLI name (e.g. ``"zraft"``).
         node_class: the :class:`~repro.raft.node.RaftNode` subclass to
             instantiate.
         title: display label used in report tables (e.g. ``"Z-Raft"``).

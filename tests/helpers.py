@@ -7,6 +7,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+from repro import protocols
 from repro.common.config import ClusterConfig, ProtocolConfig, RaftTimeoutConfig, ScaParameters
 from repro.common.frozen import value_object
 from repro.common.types import Milliseconds, ServerId
@@ -14,6 +15,12 @@ from repro.common.validation import require_non_negative
 from repro.obs.telemetry import TelemetrySnapshot
 
 from oracle import ENGINE_OWNED_METRICS
+
+#: Every registered protocol that claims liveness, in registration order: the
+#: ones an end-to-end test can crash a leader of and wait for the next.
+LIVE_PROTOCOLS = tuple(
+    name for name, spec in protocols.items() if spec.guarantees_liveness
+)
 
 
 @value_object

@@ -7,7 +7,7 @@ from repro.escape.node import EscapeNode
 from repro.raft.state import Role
 from repro.statemachine.kvstore import PutCommand
 
-from helpers import ConstantLatency
+from helpers import LIVE_PROTOCOLS, ConstantLatency
 
 
 def build(protocol="escape", size=5, seed=1):
@@ -27,7 +27,7 @@ def build(protocol="escape", size=5, seed=1):
 
 
 class TestFollowerCrashRecovery:
-    @pytest.mark.parametrize("protocol", ["raft", "escape"])
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
     def test_recovered_follower_catches_up(self, protocol):
         cluster, harness = build(protocol=protocol)
         victim = next(
@@ -47,8 +47,9 @@ class TestFollowerCrashRecovery:
         assert recovered.commit_index == 3
         assert recovered.role is Role.FOLLOWER
 
-    def test_minority_of_follower_crashes_does_not_disturb_leadership(self):
-        cluster, harness = build(protocol="escape", size=7)
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
+    def test_minority_of_follower_crashes_does_not_disturb_leadership(self, protocol):
+        cluster, harness = build(protocol=protocol, size=7)
         leader_before = cluster.leader_id()
         followers = [
             node.node_id
@@ -79,7 +80,7 @@ class TestFollowerCrashRecovery:
 
 
 class TestLeaderCrashRecovery:
-    @pytest.mark.parametrize("protocol", ["raft", "escape"])
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
     def test_old_leader_rejoins_as_follower(self, protocol):
         cluster, harness = build(protocol=protocol)
         old_leader = cluster.leader_id()
@@ -104,8 +105,9 @@ class TestLeaderCrashRecovery:
 
 
 class TestPartitions:
-    def test_leader_in_majority_partition_keeps_working(self):
-        cluster, harness = build(protocol="escape", size=5)
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
+    def test_leader_in_majority_partition_keeps_working(self, protocol):
+        cluster, harness = build(protocol=protocol, size=5)
         leader_id = cluster.leader_id()
         minority = [
             node.node_id for node in cluster.running_nodes() if node.node_id != leader_id
@@ -118,8 +120,9 @@ class TestPartitions:
         harness.run_for(2_000.0)
         assert cluster.leader().commit_index >= index
 
-    def test_minority_partition_cannot_elect_a_leader(self):
-        cluster, harness = build(protocol="raft", size=5)
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
+    def test_minority_partition_cannot_elect_a_leader(self, protocol):
+        cluster, harness = build(protocol=protocol, size=5)
         leader_id = cluster.leader_id()
         followers = [
             node.node_id for node in cluster.running_nodes() if node.node_id != leader_id
@@ -136,8 +139,9 @@ class TestPartitions:
         assert minority_leaders == []
         harness.assert_at_most_one_leader_per_term()
 
-    def test_cluster_reconverges_after_partition_heals(self):
-        cluster, harness = build(protocol="escape", size=5)
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
+    def test_cluster_reconverges_after_partition_heals(self, protocol):
+        cluster, harness = build(protocol=protocol, size=5)
         leader_id = cluster.leader_id()
         others = [n for n in cluster.nodes if n != leader_id]
         # Cut the leader away from everyone: the majority side elects a new one.

@@ -13,7 +13,7 @@ from repro.net.faults import (
 from repro.raft.state import Role
 from repro.statemachine.kvstore import PutCommand
 
-from helpers import ConstantLatency
+from helpers import LIVE_PROTOCOLS, ConstantLatency
 
 
 def build(protocol="escape", size=5, seed=1, fault=None):
@@ -34,13 +34,14 @@ def build(protocol="escape", size=5, seed=1, fault=None):
 
 
 class TestMessageDuplication:
-    def test_duplication_fault_injects_extra_deliveries(self):
-        cluster, harness = build(fault=MessageDuplicationFault(rate=0.5))
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
+    def test_duplication_fault_injects_extra_deliveries(self, protocol):
+        cluster, harness = build(protocol=protocol, fault=MessageDuplicationFault(rate=0.5))
         harness.run_for(2_000.0)
         assert cluster.network.stats.duplicated > 0
         assert cluster.network.stats.delivered > cluster.network.stats.sent * 0.9
 
-    @pytest.mark.parametrize("protocol", ["raft", "escape"])
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
     def test_duplicated_rpcs_do_not_break_safety_or_replication(self, protocol):
         cluster, harness = build(protocol=protocol, fault=MessageDuplicationFault(rate=0.5))
         for index in range(4):
@@ -61,13 +62,14 @@ class TestMessageDuplication:
         assert measurement.converged
         assert not measurement.split_vote
 
-    def test_duplication_survives_composition_with_loss(self):
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
+    def test_duplication_survives_composition_with_loss(self, protocol):
         # Regression: CompositeFault used to swallow should_duplicate, so a
         # duplication fault wrapped with a loss model was silently disabled.
         fault = CompositeFault(
             injectors=(BroadcastOmissionFault(0.2), MessageDuplicationFault(0.1))
         )
-        cluster, harness = build(protocol="escape", fault=fault)
+        cluster, harness = build(protocol=protocol, fault=fault)
         harness.run_for(3_000.0)
         stats = cluster.network.stats
         assert stats.duplicated > 0
@@ -78,8 +80,9 @@ class TestMessageDuplication:
 
 
 class TestChurn:
-    def test_cluster_survives_repeated_random_crash_recover_cycles(self):
-        cluster, harness = build(protocol="escape", size=7, seed=13)
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
+    def test_cluster_survives_repeated_random_crash_recover_cycles(self, protocol):
+        cluster, harness = build(protocol=protocol, size=7, seed=13)
         rng = random.Random(13)
         for cycle in range(6):
             running = [node.node_id for node in cluster.running_nodes()]

@@ -1,15 +1,20 @@
-"""Integration tests: leader election end-to-end for all three protocols."""
+"""Integration tests: leader election end-to-end for every live protocol."""
 
 import pytest
 
-from repro.cluster import ElectionScenario
+from repro import protocols
+from repro.cluster import ElectionHarness, ElectionObserver, ElectionScenario, build_cluster
 from repro.metrics.records import MeasurementSet
 from repro.raft.state import Role
+from repro.statemachine.kvstore import PutCommand
+
+from helpers import LIVE_PROTOCOLS
+from oracle import ENGINES
 
 RUNS = 5
 
 
-@pytest.mark.parametrize("protocol", ["raft", "escape", "zraft"])
+@pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
 class TestSingleFailover:
     def test_cluster_elects_leader_and_survives_leader_crash(self, protocol):
         scenario = ElectionScenario(protocol=protocol, cluster_size=5)
@@ -44,7 +49,7 @@ class TestSingleFailover:
 
 
 class TestSuccessiveFailovers:
-    @pytest.mark.parametrize("protocol", ["raft", "escape"])
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
     def test_cluster_survives_two_successive_leader_crashes(self, protocol):
         scenario = ElectionScenario(protocol=protocol, cluster_size=7)
         cluster, harness = scenario.build(seed=21)
@@ -73,6 +78,65 @@ class TestSuccessiveFailovers:
         assert new_leader.patrol is not None
         # The new leader's patrol covers every peer (including the crashed one).
         assert set(new_leader.patrol.assignments) == set(new_leader.peers)
+
+
+def _stabilized(protocol, size, engine):
+    observer = ElectionObserver()
+    cluster = build_cluster(
+        protocol, size, seed=1, engine=engine, listeners=(observer,), trace=False
+    )
+    harness = ElectionHarness(cluster, observer)
+    cluster.start_all()
+    harness.stabilize()
+    return cluster, harness
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda spec: spec.name)
+class TestLeaderWithoutFollowers:
+    """A one-node cluster: the leader's broadcasts reach nobody, so ESCAPE
+    starts no patrol and piggybacks nothing, exactly as Raft does."""
+
+    @pytest.mark.parametrize("protocol", protocols.names())
+    def test_elects_itself_and_commits_alone(self, engine, protocol):
+        cluster, harness = _stabilized(protocol, 1, engine)
+        leader = cluster.leader()
+        assert (leader.node_id, leader.current_term) == (1, 1)
+        for index in range(3):
+            leader.propose(PutCommand(f"k{index}", index))
+        harness.run_for(1_000.0)
+        assert leader.commit_index == leader.state_machine.applied_count == 3
+        assert leader.state_machine.snapshot() == {"k0": 0, "k1": 1, "k2": 2}
+        assert cluster.network.stats.sent == 0
+        assert leader._hook_piggyback() is None
+        assert getattr(leader, "patrol", None) is None
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda spec: spec.name)
+class TestEveryEscapeLeaderWithFollowersPatrols:
+    """The patrol starts before a leader's first heartbeat, so every ESCAPE
+    leader that has a follower assigns it a configuration, and the follower
+    holds exactly that object; after a failover the new leader does too."""
+
+    @staticmethod
+    def assert_patrolled(cluster):
+        leader = cluster.leader()
+        assignments = leader.patrol.assignments
+        assert set(assignments) == set(leader.peers)
+        for follower in cluster.running_nodes():
+            if follower is not leader:
+                assert follower.configuration is assignments[follower.node_id]
+                assert follower.configuration.conf_clock == leader.patrol.conf_clock
+
+    @pytest.mark.parametrize("size", (2, 3, 5, 8, 16))
+    def test_the_followers_hold_the_patrols_assignment(self, engine, size):
+        cluster, harness = _stabilized("escape", size, engine)
+        harness.run_for(1_000.0)
+        self.assert_patrolled(cluster)
+        if size >= 3:  # a quorum survives the crash
+            measurement = harness.crash_leader_and_measure(seed=1)
+            assert measurement.converged
+            harness.run_for(1_000.0)
+            self.assert_patrolled(cluster)
 
 
 class TestProtocolComparison:

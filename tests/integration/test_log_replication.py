@@ -6,7 +6,7 @@ from repro.cluster import ElectionHarness, ElectionObserver, build_cluster
 from repro.statemachine.kvstore import KeyValueStore, PutCommand
 from repro.workload import WorkloadDriver, legacy_interval
 
-from helpers import AppendRegister, ConstantLatency
+from helpers import LIVE_PROTOCOLS, AppendRegister, ConstantLatency
 
 
 def build(protocol="escape", size=5, seed=1, state_machine=None):
@@ -28,7 +28,7 @@ def build(protocol="escape", size=5, seed=1, state_machine=None):
     return cluster, harness
 
 
-@pytest.mark.parametrize("protocol", ["raft", "escape", "zraft"])
+@pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
 class TestReplication:
     def test_commands_replicate_to_every_running_node(self, protocol):
         cluster, harness = build(protocol=protocol)
@@ -58,9 +58,10 @@ class TestReplication:
         assert all(snapshot == {"a": 2, "b": "x"} for snapshot in snapshots)
 
 
+@pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
 class TestReplicationUnderFailover:
-    def test_committed_entries_survive_a_leader_crash(self):
-        cluster, harness = build(protocol="escape")
+    def test_committed_entries_survive_a_leader_crash(self, protocol):
+        cluster, harness = build(protocol=protocol)
         index = cluster.leader().propose(PutCommand("durable", "yes"))
         harness.run_for(1_000.0)
         assert cluster.leader().commit_index >= index
@@ -72,8 +73,8 @@ class TestReplicationUnderFailover:
         assert new_leader.state_machine.get("durable") == "yes"
         harness.assert_at_most_one_leader_per_term()
 
-    def test_new_leader_accepts_new_writes_after_failover(self):
-        cluster, harness = build(protocol="raft")
+    def test_new_leader_accepts_new_writes_after_failover(self, protocol):
+        cluster, harness = build(protocol=protocol)
         cluster.leader().propose(PutCommand("before", 1))
         harness.run_for(1_000.0)
         harness.crash_leader_and_measure(seed=2)
@@ -83,8 +84,8 @@ class TestReplicationUnderFailover:
             assert node.state_machine.get("before") == 1
             assert node.state_machine.get("after") == 2
 
-    def test_workload_keeps_replicating_across_failover(self):
-        cluster, harness = build(protocol="escape", size=5, seed=9)
+    def test_workload_keeps_replicating_across_failover(self, protocol):
+        cluster, harness = build(protocol=protocol, size=5, seed=9)
         workload = WorkloadDriver(cluster, legacy_interval(50.0), seed=9)
         workload.start()
         harness.run_for(1_000.0)
@@ -96,8 +97,9 @@ class TestReplicationUnderFailover:
 
 
 class TestOrderingGuarantees:
-    def test_all_replicas_apply_commands_in_the_same_order(self):
-        cluster, harness = build(protocol="escape", state_machine=AppendRegister)
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
+    def test_all_replicas_apply_commands_in_the_same_order(self, protocol):
+        cluster, harness = build(protocol=protocol, state_machine=AppendRegister)
         for value in ("a", "b", "c", "d"):
             cluster.leader().propose(value)
             harness.run_for(50.0)

@@ -7,6 +7,8 @@ from repro.metrics.records import MeasurementSet
 from repro.net.faults import BroadcastOmissionFault
 from repro.workload import WorkloadDriver, legacy_interval
 
+from helpers import LIVE_PROTOCOLS
+
 RUNS = 5
 
 #: Enough runs for the Figure 11 ordering at 40 % loss, s=10: at 300 runs a
@@ -16,7 +18,7 @@ HEAVY_LOSS_RUNS = 80
 
 
 class TestLiveness:
-    @pytest.mark.parametrize("protocol", ["raft", "zraft", "escape"])
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
     @pytest.mark.parametrize("loss", [0.2, 0.4])
     def test_every_protocol_still_elects_a_leader_under_loss(self, protocol, loss):
         scenario = ElectionScenario(
@@ -28,9 +30,10 @@ class TestLiveness:
         measurement = scenario.run(seed=17)
         assert measurement.converged
 
-    def test_replication_continues_under_loss(self):
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
+    def test_replication_continues_under_loss(self, protocol):
         scenario = ElectionScenario(
-            protocol="escape",
+            protocol=protocol,
             cluster_size=5,
             fault=BroadcastOmissionFault(0.2),
             workload_interval_ms=100.0,

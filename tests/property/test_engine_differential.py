@@ -36,7 +36,7 @@ from helpers import cross_engine_view
 from oracle import CLASSIC, ENGINES
 
 #: Every registered protocol that can finish a measured election episode.
-LIVENESS_PROTOCOLS = ("raft", "zraft", "escape", "raft-stagger", "escape-noppf")
+LIVENESS_PROTOCOLS = ("raft", "zraft", "escape", "raft-stagger")
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 

@@ -48,7 +48,7 @@ def _episode(scenario: ElectionScenario, seed: int, before_start=None):
     ids=("no-loss", "loss20", "no-loss-contention2", "loss20-contention2"),
 )
 @pytest.mark.parametrize("engine", engines.names())
-@pytest.mark.parametrize("protocol", ("escape", "zraft", "escape-noppf", "raft-stagger"))
+@pytest.mark.parametrize("protocol", ("escape", "zraft", "raft-stagger"))
 def test_an_episode_that_never_draws_creates_no_node_stream(
     protocol, engine, loss_rate, contention_phases
 ):

@@ -41,7 +41,7 @@ from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse, Req
 from repro.raft.replication import ReplicationProgress
 from repro.raft.state import Role
 
-PROTOCOLS = ("raft", "escape", "zraft", "escape-noppf")
+PROTOCOLS = protocols.names()
 CLUSTER_SIZE = 5
 LEADER = 1
 FOLLOWERS = (2, 3, 4, 5)
@@ -65,7 +65,7 @@ PROGRAMS = st.lists(OPERATIONS, max_size=40)
 def _fresh_payload(node, follower):
     """What the table-free factory would hand *follower* now: Raft's request
     (Z-Raft's too), or on ESCAPE the extended one carrying the follower's
-    assigned configuration, ``None`` while no patrol runs."""
+    assigned configuration."""
     prev_index, prev_term, entries = node._append_window(
         node.progress.next_index(follower)
     )
@@ -79,9 +79,7 @@ def _fresh_payload(node, follower):
     )
     if not isinstance(node, EscapeNode):
         return AppendEntriesRequest(*fields)
-    patrol = node.patrol
-    new_config = patrol.configuration_for(follower) if patrol is not None else None
-    return EscapeAppendEntriesRequest(*fields, new_config)
+    return EscapeAppendEntriesRequest(*fields, node.patrol.configuration_for(follower))
 
 
 class _CheckingEnvironment(FakeEnvironment):

@@ -25,10 +25,10 @@ from repro.common.rng import SeedSequence
 from oracle import ENGINES
 
 #: Protocols whose first waits are fixed by configuration (Eq. 1 ladders).
-CONFIGURED_WAITS = ("escape", "escape-noppf", "zraft", "raft-stagger")
+CONFIGURED_WAITS = ("escape", "zraft", "raft-stagger")
 
 #: The ESCAPE family: priority-driven term growth on top of the ladder.
-ESCAPE_FAMILY = ("escape", "zraft", "escape-noppf")
+ESCAPE_FAMILY = ("escape", "zraft")
 
 
 def _fresh(protocol, size, seed, engine, **kwargs):

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import FakeEnvironment
 
+from repro import protocols
 from repro.cluster.builder import build_cluster
 from repro.common.config import ClusterConfig, ProtocolConfig, ScaParameters
 from repro.common.errors import ConfigurationError
@@ -17,7 +18,7 @@ from repro.escape.configuration import Configuration
 from repro.escape.node import EscapeNode
 from repro.escape.sca import assign_initial_configurations
 
-ESCAPE_FAMILY = ("escape", "escape-noppf", "zraft")
+ESCAPE_FAMILY = ("escape", "zraft")
 
 
 def count_calls(action) -> int:
@@ -59,7 +60,7 @@ class TestLinearConstruction:
         build_cluster(protocol, 64, trace=False, protocol_config=config)
         assert len(built) == 64  # the same values again: shared, not rebuilt
 
-    @pytest.mark.parametrize("protocol", ("raft",) + ESCAPE_FAMILY)
+    @pytest.mark.parametrize("protocol", protocols.names())
     def test_build_work_grows_linearly_with_cluster_size(self, protocol):
         build_cluster(protocol, 4, trace=False)  # lazy engine imports, once
         small = count_calls(lambda: build_cluster(protocol, 64, trace=False))

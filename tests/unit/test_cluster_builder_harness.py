@@ -15,7 +15,7 @@ from repro.statemachine.kvstore import PutCommand
 from repro.workload import WorkloadDriver, legacy_interval
 from repro.zraft.node import ZRaftNode
 
-from helpers import ConstantLatency, bootstrap_by_hand
+from helpers import LIVE_PROTOCOLS, ConstantLatency, bootstrap_by_hand
 
 FAST_LATENCY = ConstantLatency(5.0)
 
@@ -224,7 +224,7 @@ class TestWaitingOnInterruptsEqualsPollingEveryEvent:
         scheduler = cluster.world.scheduler
         return cluster.world.now(), scheduler.executed_count, cluster.leader_id()
 
-    @pytest.mark.parametrize("protocol", ("raft", "escape"))
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
     def test_stabilize_and_failover(self, engine, protocol):
         (waited, harness), (polled, _) = self._pair(
             engine, protocol=protocol, size=7, seed=11, latency=None

@@ -16,7 +16,6 @@ class TestPackageSurface:
         assert repro.RaftNode.protocol_name == "raft"
         assert repro.EscapeNode.protocol_name == "escape"
         assert repro.ZRaftNode.protocol_name == "zraft"
-        assert repro.EscapeNoPpfNode.protocol_name == "escape-noppf"
         assert repro.protocols.get("escape").node_class is repro.EscapeNode
         assert repro.ClusterConfig.of_size(3).quorum_size == 2
 

@@ -9,17 +9,17 @@ from repro.escape.messages import (
     EscapeAppendEntriesResponse,
     EscapeRequestVoteRequest,
 )
-from repro.escape.node import EscapeNode, EscapeNoPpfNode
+from repro.escape.node import EscapeNode
 from repro.raft.messages import RequestVoteResponse
 from repro.raft.state import Role
 from repro.storage.log import LogEntry
 
 
-def make_node(node_id=1, size=5, configuration=None, node_class=EscapeNode, **kwargs):
+def make_node(node_id=1, size=5, configuration=None, **kwargs):
     env = FakeEnvironment(
         node_id=node_id, trace_enabled=kwargs.pop("trace_enabled", True)
     )
-    node = node_class(
+    node = EscapeNode(
         node_id=node_id,
         cluster=small_cluster(size),
         env=env,
@@ -357,14 +357,13 @@ class TestPpfOnFollower:
         ),
     }
 
-    @pytest.mark.parametrize("node_class", [EscapeNode, EscapeNoPpfNode])
     @pytest.mark.parametrize("value", list(CONFIG_STATUS))
-    def test_each_config_status_value_follows_the_follower(self, value, node_class):
+    def test_each_config_status_value_follows_the_follower(self, value):
         """Each value reads the follower's state as it stands at the reply:
         after a heartbeat, a new configuration, a longer log, and a heartbeat
         that matches less than the log holds."""
         on_reply, on_node = self.CONFIG_STATUS[value]
-        node, env = make_node(node_id=2, size=5, node_class=node_class)
+        node, env = make_node(node_id=2, size=5)
         node.start()
         new_config = Configuration(priority=5, timer_period_ms=100.0, conf_clock=3)
         entry = LogEntry(term=1, index=1, command="x")

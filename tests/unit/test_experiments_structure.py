@@ -372,10 +372,12 @@ class TestCli:
 
     def test_protocols_option_accepts_registered_names(self):
         parser = build_parser()
-        args = parser.parse_args(["wan", "--protocols", "raft-stagger,escape-noppf"])
-        assert args.protocols == ("raft-stagger", "escape-noppf")
+        args = parser.parse_args(["wan", "--protocols", "raft-stagger,zraft"])
+        assert args.protocols == ("raft-stagger", "zraft")
         with pytest.raises(SystemExit):
             parser.parse_args(["wan", "--protocols", "raft,paxos"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["wan", "--protocols", "escape-noppf"])
 
     def test_protocols_option_rejects_liveness_free_protocols(self):
         # raft-fixed livelocks by design; a sweep over it can only abort.
@@ -423,7 +425,7 @@ class TestCli:
         assert fig11_message_loss.PROTOCOLS == protocol_registry.PAPER_PROTOCOLS
         assert exp_wan.PROTOCOLS == protocol_registry.PAPER_PROTOCOLS
         assert exp_availability.PROTOCOLS == protocol_registry.PAPER_PROTOCOLS
-        assert "escape-noppf" in ablation_ppf.PROTOCOLS
+        assert ablation_ppf.PROTOCOLS == ("zraft", "escape")
 
     def test_checkpoint_capable_experiments_exist(self):
         assert registry.supporting("checkpoint") == ("fig9-xl", "throughput")

@@ -23,21 +23,16 @@ from repro.experiments.runner import run_sweep
 from repro.protocols import registry as protocol_registry
 from repro.raft.node import RaftNode
 
-from helpers import registrations
+from helpers import LIVE_PROTOCOLS, registrations
 
 README = Path(__file__).resolve().parents[2] / "README.md"
-
-LIVE_PROTOCOLS = [
-    name for name, spec in protocols.items() if spec.guarantees_liveness
-]
 
 
 class TestRegistryApi:
     def test_builtins_are_registered(self):
-        assert {"raft", "zraft", "escape"} <= set(protocols.names())
-        assert {"raft-fixed", "raft-stagger", "escape-noppf"} <= set(
-            protocols.names()
-        )
+        assert set(protocols.names()) == {
+            "raft", "zraft", "escape", "raft-fixed", "raft-stagger"
+        }
 
     def test_get_unknown_name_lists_registered_names(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -158,7 +153,7 @@ class TestConformance:
         parallel = run_sweep(scenarios, runs=2, seed=11, workers=2)
         assert sequential[name].measurements == parallel[name].measurements
 
-    @pytest.mark.parametrize("name", ["raft-stagger", "escape-noppf"])
+    @pytest.mark.parametrize("name", LIVE_PROTOCOLS)
     def test_variants_run_under_catalog_conditions(self, name):
         scenario = ElectionScenario(name, 4, **network_specs("geo-two-region"))
         assert scenario.run(seed=3).converged
@@ -213,17 +208,6 @@ class TestConformance:
         assert self.armed_waits("raft-stagger") == {
             1: 3000.0, 2: 2500.0, 3: 2000.0, 4: 1500.0
         }
-
-    def test_escape_noppf_never_starts_a_patrol(self):
-        scenario = ElectionScenario(protocol="escape-noppf", cluster_size=3)
-        cluster, harness = scenario.build(seed=6)
-        cluster.start_all()
-        harness.stabilize()
-        leader = cluster.leader()
-        assert leader is not None and leader.patrol is None
-        assert all(
-            node.configuration.conf_clock == 0 for node in cluster.nodes.values()
-        )
 
 
 class TestGoldenPairedResults:

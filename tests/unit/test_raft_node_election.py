@@ -212,7 +212,7 @@ class TestBecomingCandidate:
         env.fire_next_timer("S1:election-timeout")  # term 2 asks everyone
         assert "S1:vote-retry" in env.pending_timer_labels()
 
-    @pytest.mark.parametrize("protocol", ["raft", "escape", "zraft"])
+    @pytest.mark.parametrize("protocol", protocols.names())
     def test_a_campaign_and_a_vote_retry_each_hand_over_one_request(self, protocol):
         env = FakeEnvironment(node_id=1)
         node = protocols.get(protocol).build_node(

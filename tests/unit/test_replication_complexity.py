@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 
 import pytest
-from helpers import FakeEnvironment, fast_protocol_config, small_cluster
+from helpers import LIVE_PROTOCOLS, FakeEnvironment, fast_protocol_config, small_cluster
 
 from repro.cluster.builder import build_cluster
 from repro.escape.messages import EscapeAppendEntriesRequest, EscapeAppendEntriesResponse
@@ -162,15 +162,13 @@ class TestOneObjectPerReply:
             built == Counter({"EscapeAppendEntriesResponse": 1}) for built in misses
         )
 
-    @pytest.mark.parametrize("protocol", ["raft", "zraft", "escape", "escape-noppf"])
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
     def test_only_escape_replies_carry_the_config_status(self, monkeypatch, protocol):
-        """ESCAPE's replies (with or without the patrol) carry the follower's
-        log index and held configuration; Raft's and Z-Raft's carry neither
-        and read ``log_index`` as ``None``."""
+        """ESCAPE's replies carry the follower's log index and held
+        configuration; every other protocol's, Z-Raft's included, carry
+        neither and read ``log_index`` as ``None``."""
         reply_class = (
-            EscapeAppendEntriesResponse
-            if protocol.startswith("escape")
-            else AppendEntriesResponse
+            EscapeAppendEntriesResponse if protocol == "escape" else AppendEntriesResponse
         )
         original = RaftNode._make_append_response
         replies = []
